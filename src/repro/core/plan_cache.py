@@ -19,8 +19,8 @@ artifacts once per platform and shares them across every tenant:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.optimizer import (
     DEFAULT_GAP_SLACK,
@@ -79,31 +79,54 @@ def with_packing_candidates(
 
 @dataclass(frozen=True)
 class CachedPlan:
-    """One application's reusable planning artifacts on one platform."""
+    """One application's reusable planning artifacts on one platform.
+
+    The plan is frozen and so are its tables, so a schedule's predicted
+    latencies are facts of the plan: computed on first use - never at
+    build time, so a plan nobody prices costs nothing extra - and
+    looked up from then on.
+    """
 
     application: Application
     isolated: ProfilingTable
     interference: ProfilingTable
     optimization: OptimizationResult
+    #: assignments -> (isolated, interference, contention span).
+    _predictions: Dict[Tuple[str, ...], Tuple[float, float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False,
+    )
+
+    def predictions(self, schedule: Schedule) -> Tuple[float, float, float]:
+        """``(isolated, interference, contention span)`` of ``schedule``
+        - the three accessors below in one lookup."""
+        known = self._predictions.get(schedule.assignments)
+        if known is None:
+            isolated = schedule.predicted_latency(
+                self.application, self.isolated
+            )
+            interference = schedule.predicted_latency(
+                self.application, self.interference
+            )
+            span = (1.0 if isolated <= 0
+                    else max(interference / isolated, 1.0))
+            known = self._predictions[schedule.assignments] = (
+                isolated, interference, span,
+            )
+        return known
 
     def isolated_prediction(self, schedule: Schedule) -> float:
         """Model latency with nothing else on the SoC."""
-        return schedule.predicted_latency(self.application, self.isolated)
+        return self.predictions(schedule)[0]
 
     def interference_prediction(self, schedule: Schedule) -> float:
         """Model latency with every other PU saturated (the paper's
         interference-heavy profiling condition)."""
-        return schedule.predicted_latency(
-            self.application, self.interference
-        )
+        return self.predictions(schedule)[1]
 
     def contention_span(self, schedule: Schedule) -> float:
         """Predicted latency growth from idle to saturated co-runners
         (>= 1.0); the scale drift measurements are placed on."""
-        isolated = self.isolated_prediction(schedule)
-        if isolated <= 0:
-            return 1.0
-        return max(self.interference_prediction(schedule) / isolated, 1.0)
+        return self.predictions(schedule)[2]
 
 
 class PlanCache:

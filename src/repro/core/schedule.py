@@ -11,7 +11,17 @@ the *gapness* ``T_max - T_min`` (objective O1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.profiler import ProfilingTable
 from repro.core.stage import Application, Chunk
@@ -65,17 +75,27 @@ class Schedule:
     def num_stages(self) -> int:
         return len(self.assignments)
 
-    @property
+    # A schedule is a frozen value, so what follows from its assignment
+    # alone is derived once per instance (``cached_property`` stores in
+    # the instance ``__dict__``; equality and hashing stay field-only).
+    @cached_property
     def pu_classes_used(self) -> Tuple[str, ...]:
         """Distinct PUs in pipeline order."""
-        out: List[str] = []
-        for pu_class in self.assignments:
-            if not out or out[-1] != pu_class:
-                out.append(pu_class)
-        return tuple(out)
+        return tuple(chunk.pu_class for chunk in self._chunks)
+
+    @cached_property
+    def class_set(self) -> FrozenSet[str]:
+        """The PU classes used, for subset/membership tests (unordered:
+        iterate :attr:`pu_classes_used` instead)."""
+        return frozenset(self.assignments)
 
     def chunks(self) -> List[Chunk]:
-        """Maximal contiguous runs, in pipeline order."""
+        """Maximal contiguous runs, in pipeline order (a fresh list per
+        call; the chunks themselves are frozen)."""
+        return list(self._chunks)
+
+    @cached_property
+    def _chunks(self) -> Tuple[Chunk, ...]:
         chunks: List[Chunk] = []
         start = 0
         for index in range(1, self.num_stages + 1):
@@ -89,7 +109,7 @@ class Schedule:
                           pu_class=self.assignments[start])
                 )
                 start = index
-        return chunks
+        return tuple(chunks)
 
     # ------------------------------------------------------------------
     # Model predictions from a profiling table
@@ -100,7 +120,7 @@ class Schedule:
         profiled latencies on the chunk's PU."""
         self._check_application(application)
         times: Dict[Chunk, float] = {}
-        for chunk in self.chunks():
+        for chunk in self._chunks:
             times[chunk] = sum(
                 table.latency(application.stages[i].name, chunk.pu_class)
                 for i in chunk.stage_indices
@@ -140,7 +160,7 @@ class Schedule:
     def describe(self, application: Application = None) -> str:
         """Compact rendering like ``[morton..sort]@big | [unique]@gpu``."""
         parts = []
-        for chunk in self.chunks():
+        for chunk in self._chunks:
             if application is not None:
                 names = [
                     application.stages[i].name for i in chunk.stage_indices

@@ -8,8 +8,9 @@ shard not worth staying on.  The coordinator
    a still-live server, or simply adopting their fleet-side state when
    the server crashed under them), then
 2. **relocates** the displaced batch onto surviving shards through the
-   regular admission path (:meth:`PipelineServer.try_admit`, i.e. the
-   same ``AdmissionController`` + ``PlacementMap`` as any placement),
+   regular admission path (:meth:`FleetRouter.choose_shard` prices,
+   :meth:`PipelineServer.admit` deploys - the same
+   ``AdmissionController`` + ``PlacementMap`` as any placement),
    highest priority first.
 
 Relocation of a batch is *atomic*: if any tenant of the batch cannot
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.serve.admission import ADMIT
 from repro.serve.tenant import PENDING
 from repro.fleet.tenant import SHED, FleetTenant
 
@@ -76,11 +76,8 @@ class FailoverCoordinator:
                 if choice is None:
                     stuck = tenant
                     break
-                shard, _ = choice
-                decision = shard.server.try_admit(
-                    tenant.pending_spec(), tick
-                )
-                assert decision.action == ADMIT, decision
+                shard, decision = choice
+                shard.server.admit(tenant.pending_spec(), tick, decision)
                 placed_now.append((tenant, shard))
             if stuck is None:
                 for tenant, shard in placed_now:

@@ -135,7 +135,7 @@ class FleetConfig:
         """The per-shard server configuration this fleet config implies.
 
         Shard queues are disabled: the *fleet* owns the backlog, and
-        shards only ever see synchronous :meth:`try_admit` placements.
+        shards only ever see synchronous :meth:`admit` placements.
         """
         return ServerConfig(
             max_ticks=self.max_ticks,
@@ -605,11 +605,26 @@ class FleetRouter:
         return out
 
     def choose_shard(
-        self, spec: TenantSpec
+        self, spec: TenantSpec,
+        verdicts: Optional[Dict[str, Dict[tuple, tuple]]] = None,
     ) -> Optional[Tuple[SoCShard, object]]:
         """The placement decision: admit where the cached interference
         tables predict least impact on incumbents, then least predicted
-        latency, then least load; shard index breaks remaining ties."""
+        latency, then least load; shard index breaks remaining ties.
+
+        A shard's verdict depends on the tenant only through its
+        *pricing key* - (application name, required classes, preferred
+        classes): the plan cache is keyed by application name, and
+        nothing else of the spec reaches admission.  A caller placing
+        many tenants in one pass hands in ``verdicts`` (shard name ->
+        pricing key -> verdict) so tenants sharing a key are priced
+        once per shard; it must drop a shard's entry whenever that
+        shard's placement changes.
+        """
+        if verdicts is None:
+            verdicts = {}
+        pricing_key = (spec.application.name, spec.required_classes,
+                       spec.preferred_classes)
         best: Optional[Tuple[SoCShard, object]] = None
         best_key = None
         for shard in self.shards:
@@ -622,16 +637,23 @@ class FleetRouter:
                 # A shard remembers every tenant it ever hosted within
                 # a generation; a migrating tenant moves elsewhere.
                 continue
-            decision = server.admission.evaluate(
-                spec, server.placement, server.running_records(),
-                queued=0,
-            )
+            known = verdicts.setdefault(shard.name, {})
+            verdict = known.get(pricing_key)
+            if verdict is None:
+                running = server.running_records()
+                decision = server.admission.evaluate(
+                    spec, server.placement, running, queued=0,
+                )
+                verdict = known[pricing_key] = (
+                    decision,
+                    max(decision.predicted_impact.values(), default=1.0),
+                    len(running),
+                )
+            decision, worst_impact, load = verdict
             if decision.action != ADMIT:
                 continue
-            worst_impact = max(decision.predicted_impact.values(),
-                               default=1.0)
             key = (worst_impact, decision.predicted_latency_s,
-                   len(server.running_records()), shard.index)
+                   load, shard.index)
             if best_key is None or key < best_key:
                 best, best_key = (shard, decision), key
         return best
@@ -639,13 +661,13 @@ class FleetRouter:
     def commit_placement(self, tenant: FleetTenant, shard: SoCShard,
                          tick: int, kind: str,
                          detail: str = "") -> None:
-        """Record a successful :meth:`try_admit` in fleet state."""
+        """Record a successful shard admission in fleet state."""
         tenant.place(shard.name)
         tenant.status_detail = detail or f"placed on {shard.name}"
         # The plan's isolated prediction for the schedule the shard
         # actually deployed: the contention-free reference latency the
         # SLO layer divides measured windows by.  Zero when the caller
-        # committed without a preceding try_admit (unit tests do).
+        # committed without a preceding admission (unit tests do).
         isolated = 0.0
         record = shard.server.records.get(tenant.name)
         if (record is not None and record.plan is not None
@@ -678,6 +700,11 @@ class FleetRouter:
             self._arrival_counter += 1
             self.tenants[spec.name] = tenant
             self._backlog.append(spec.name)
+        # One sweep over the backlog: a shard's verdict on a pricing key
+        # holds for every tenant sharing the key until something is
+        # admitted to that shard.  Local to this sweep - the next tick
+        # starts from nothing.
+        verdicts: Dict[str, Dict[tuple, tuple]] = {}
         for name in list(self._backlog):
             tenant = self.tenants[name]
             if tenant.status != PENDING:
@@ -696,13 +723,12 @@ class FleetRouter:
                 self._event(tick, "complete", tenant=name,
                             shard=tenant.shard_history[-1])
                 continue
-            choice = self.choose_shard(tenant.pending_spec())
+            spec = tenant.pending_spec()
+            choice = self.choose_shard(spec, verdicts)
             if choice is not None:
-                shard, _ = choice
-                decision = shard.server.try_admit(
-                    tenant.pending_spec(), tick
-                )
-                assert decision.action == ADMIT, decision
+                shard, decision = choice
+                shard.server.admit(spec, tick, decision)
+                verdicts.pop(shard.name, None)
                 kind = "migrate" if tenant.shard_history else "place"
                 self.commit_placement(tenant, shard, tick, kind)
                 self._backlog.remove(name)

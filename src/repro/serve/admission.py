@@ -110,7 +110,8 @@ class AdmissionController:
         """Evaluate one submission against the current placement."""
         plan = self.plan_cache.plan_for(spec.application)
 
-        unservable = spec.required_classes - self._schedulable
+        required = spec.required_classes
+        unservable = required - self._schedulable
         if unservable:
             return AdmissionDecision(
                 REJECT,
@@ -118,31 +119,27 @@ class AdmissionController:
                 "schedulable on this platform",
             )
         cap = self.max_partition_classes
-        if cap is not None and len(spec.required_classes) > cap:
+        if cap is not None and len(required) > cap:
             return AdmissionDecision(
                 REJECT,
-                f"{len(spec.required_classes)} required PU classes "
+                f"{len(required)} required PU classes "
                 f"exceed the per-tenant partition cap of {cap}",
             )
         coverable = [
             c for c in plan.optimization.candidates
-            if spec.required_classes <= set(c.schedule.pu_classes_used)
-            and (cap is None
-                 or len(set(c.schedule.pu_classes_used)) <= cap)
+            if required <= c.schedule.class_set
+            and (cap is None or len(c.schedule.class_set) <= cap)
         ]
         if not coverable:
             return AdmissionDecision(
                 REJECT,
                 "no cached schedule candidate covers required PU "
-                f"classes {sorted(spec.required_classes)} within the "
+                f"classes {sorted(required)} within the "
                 "partition cap",
             )
 
         free = placement.free_classes()
-        fitting = [
-            c for c in coverable
-            if set(c.schedule.pu_classes_used) <= free
-        ]
+        fitting = [c for c in coverable if c.schedule.class_set <= free]
         if not fitting:
             return self._defer(
                 spec, queued,
@@ -150,22 +147,53 @@ class AdmissionController:
                 "(no-oversubscription)",
             )
 
+        # What does not depend on the candidate is derived once per
+        # call: the classes today's tenants keep busy, and per incumbent
+        # the classes it does not own (its "others") and its contention
+        # span.  A co-tenant's interference-heavy table was measured
+        # with every other PU saturated; a job occupying a fraction x
+        # of those others moves its latency x of the way from isolated
+        # to interference-heavy.  In cumulative mode x counts every
+        # class busy after the admission (incumbents included), so the
+        # ratio is the incumbent's predicted *total* slowdown.
+        schedulable = self._schedulable
+        busy: FrozenSet[str] = frozenset().union(
+            *(record.partition for record in running.values())
+        )
+        incumbents = [
+            (name, schedulable - record.partition,
+             record.plan.contention_span(record.schedule))
+            for name, record in running.items()
+            if record.plan is not None and record.schedule is not None
+        ]
+
         # Pick the candidate: impact ceiling first, then the soft
         # placement preference, then modelled latency under today's
         # load, then offline rank as the deterministic tiebreak.
+        preferred = spec.preferred_classes
         best: Optional[ScheduleCandidate] = None
         best_key = None
         best_impact: Dict[str, float] = {}
         for candidate in fitting:
-            impact = self._impact(candidate, running)
+            own = candidate.schedule.class_set
+            busy_after = own | busy if self.cumulative_impact else own
+            impact = {
+                name: (1.0 + len(busy_after & others) / len(others)
+                       * (span - 1.0)) if others else 1.0
+                for name, others, span in incumbents
+            }
             worst = max(impact.values(), default=1.0)
-            latency = self._loaded_prediction(plan, candidate, running)
-            dispreferred = not (
-                spec.preferred_classes
-                <= set(candidate.schedule.pu_classes_used)
+            # The candidate's own latency by the same interpolation,
+            # over the classes it would not own.
+            unowned = schedulable - own
+            fraction = (len(busy & unowned) / len(unowned)
+                        if unowned else 0.0)
+            isolated, interference, _ = plan.predictions(
+                candidate.schedule
             )
-            key = (worst > self.max_impact_ratio, dispreferred,
-                   latency, candidate.rank)
+            latency = isolated + fraction * (interference - isolated)
+            key = (worst > self.max_impact_ratio,
+                   not preferred <= own, latency, candidate.rank)
             if best_key is None or key < best_key:
                 best, best_key, best_impact = candidate, key, impact
         assert best is not None and best_key is not None
@@ -180,7 +208,7 @@ class AdmissionController:
         return AdmissionDecision(
             ADMIT,
             f"candidate rank {best.rank} fits free PUs "
-            f"{sorted(set(best.schedule.pu_classes_used))}",
+            f"{sorted(best.schedule.class_set)}",
             candidate=best,
             predicted_latency_s=best_key[2],
             predicted_impact=best_impact,
@@ -197,55 +225,3 @@ class AdmissionController:
             f"{why}; backpressure queue is full "
             f"({queued}/{self.queue_capacity})",
         )
-
-    def _impact(
-        self,
-        candidate: ScheduleCandidate,
-        running: Mapping[str, TenantRecord],
-    ) -> Dict[str, float]:
-        """Predicted slowdown per running tenant if ``candidate`` runs.
-
-        A co-tenant's interference-heavy table was measured with every
-        other PU saturated; admitting a job that occupies a fraction
-        ``x`` of the co-tenant's "other" PUs is modelled as moving its
-        latency ``x`` of the way from isolated to interference-heavy.
-
-        In cumulative mode the fraction counts every class that will
-        be busy after the admission (incumbents included), so the
-        ratio is the co-tenant's predicted total slowdown, not just
-        this newcomer's marginal contribution.
-        """
-        busy_after = set(candidate.schedule.pu_classes_used)
-        if self.cumulative_impact:
-            for record in running.values():
-                busy_after |= set(record.partition)
-        impact: Dict[str, float] = {}
-        for name, record in running.items():
-            if record.plan is None or record.schedule is None:
-                continue
-            others = self._schedulable - set(record.partition)
-            if not others:
-                impact[name] = 1.0
-                continue
-            fraction = len(busy_after & others) / len(others)
-            span = record.plan.contention_span(record.schedule)
-            impact[name] = 1.0 + fraction * (span - 1.0)
-        return impact
-
-    def _loaded_prediction(
-        self,
-        plan,
-        candidate: ScheduleCandidate,
-        running: Mapping[str, TenantRecord],
-    ) -> float:
-        """The candidate's latency given today's co-tenants, by the
-        same isolated->interference interpolation."""
-        own = set(candidate.schedule.pu_classes_used)
-        others = self._schedulable - own
-        busy = set()
-        for record in running.values():
-            busy |= set(record.partition)
-        fraction = len(busy & others) / len(others) if others else 0.0
-        isolated = plan.isolated_prediction(candidate.schedule)
-        interference = plan.interference_prediction(candidate.schedule)
-        return isolated + fraction * (interference - isolated)

@@ -181,6 +181,11 @@ class PipelineServer:
             patience=self.config.patience,
         )
         self.records: Dict[str, TenantRecord] = {}
+        #: RUNNING tenants in admission order - exactly the tenants that
+        #: hold a placement.  Kept in step with the placement map by
+        #: _deploy/_release instead of being re-derived from ``records``
+        #: on every read.
+        self._live: Dict[str, TenantRecord] = {}
         self.timeline: List[Dict[str, object]] = []
         #: Tenant-tagged spans from each tenant's last served window
         #: (the multi-tenant Gantt input).
@@ -339,21 +344,40 @@ class PipelineServer:
         leave no record behind - the fleet router owns the backlog, not
         the shard.  Returns the :class:`AdmissionDecision` either way.
         """
+        self._require_newcomer("try_admit", spec)
+        decision = self.admission.evaluate(
+            spec, self.placement, self._live, queued=0,
+        )
+        if decision.action == ADMIT:
+            self.admit(spec, tick, decision)
+        return decision
+
+    def admit(self, spec: TenantSpec, tick: int, decision) -> None:
+        """Deploy an ADMIT ``decision`` the caller already holds (step
+        mode only) - the second half of :meth:`try_admit`.
+
+        The decision must have been evaluated against this shard's
+        current placement: the fleet router prices a tenant on every
+        shard and deploys the winner without asking again.
+        """
+        self._require_newcomer("admit", spec)
+        if decision.action != ADMIT:
+            raise ServeError(
+                f"cannot deploy a {decision.action!r} decision for "
+                f"{spec.name!r}"
+            )
+        self._names.add(spec.name)
+        record = TenantRecord(spec=spec)
+        self.records[spec.name] = record
+        self._deploy(tick, record, decision)
+
+    def _require_newcomer(self, method: str, spec: TenantSpec) -> None:
         if not self._stepping:
-            raise ServeError("try_admit() requires open_stepped()")
+            raise ServeError(f"{method}() requires open_stepped()")
         if spec.name in self._names:
             raise ServeError(
                 f"tenant name {spec.name!r} already known to this shard"
             )
-        decision = self.admission.evaluate(
-            spec, self.placement, self._running(), queued=0,
-        )
-        if decision.action == ADMIT:
-            self._names.add(spec.name)
-            record = TenantRecord(spec=spec)
-            self.records[spec.name] = record
-            self._deploy(tick, record, decision)
-        return decision
 
     def withdraw(self, name: str, reason: str, tick: int) -> TenantRecord:
         """Remove a live tenant (step mode only): release its placement
@@ -369,15 +393,15 @@ class PipelineServer:
         if name in self._queue:
             self._queue.remove(name)
             self._queued_since.pop(name, None)
-        if name in self.placement.partitions:
-            self.placement.release(name)
+        if name in self._live:
+            self._release(name)
         record.status = EVICTED
         record.status_detail = reason
         self._event(tick, "withdraw", name, reason=reason)
         return record
 
     def rescind(self, name: str) -> None:
-        """Un-admit a tenant placed via :meth:`try_admit` this tick (the
+        """Un-admit a tenant placed via :meth:`admit` this tick (the
         fleet rollback primitive): the placement is released and the
         record erased as if the admission never happened."""
         if not self._stepping:
@@ -385,15 +409,15 @@ class PipelineServer:
         record = self.records.pop(name, None)
         if record is None:
             raise ServeError(f"cannot rescind {name!r}: unknown tenant")
-        if name in self.placement.partitions:
-            self.placement.release(name)
+        if name in self._live:
+            self._release(name)
         self._names.discard(name)
         self._patience.pop(name, None)
         self._queued_since.pop(name, None)
 
     def running_records(self) -> Dict[str, TenantRecord]:
-        """Live RUNNING tenants in admission order (read-only view)."""
-        return self._running()
+        """Live RUNNING tenants in admission order (a snapshot)."""
+        return dict(self._live)
 
     def knows_tenant(self, name: str) -> bool:
         """Whether this server generation has ever seen ``name``.
@@ -481,7 +505,7 @@ class PipelineServer:
             if record.done:
                 continue
             if record.status == RUNNING:
-                self.placement.release(record.name)
+                self._release(record.name)
             detail = (self._loop_error
                       or "tick budget exhausted before completion")
             if record.status == QUEUED:
@@ -578,7 +602,7 @@ class PipelineServer:
         for name in list(self._queue):
             record = self.records[name]
             decision = self.admission.evaluate(
-                record.spec, self.placement, self._running(),
+                record.spec, self.placement, self._live,
                 queued=len(self._queue) - 1,
             )
             if decision.action == ADMIT:
@@ -588,7 +612,7 @@ class PipelineServer:
 
     def _decide(self, tick: int, record: TenantRecord) -> None:
         decision = self.admission.evaluate(
-            record.spec, self.placement, self._running(),
+            record.spec, self.placement, self._live,
             queued=len(self._queue),
         )
         if decision.action == ADMIT:
@@ -618,6 +642,7 @@ class PipelineServer:
         record.schedule = schedule
         record.candidates = plan.optimization.candidates
         record.status = RUNNING
+        self._live[spec.name] = record
         record.status_detail = decision.reason
         record.admission_order = self._admission_counter
         self._admission_counter += 1
@@ -628,28 +653,25 @@ class PipelineServer:
             predicted_latency_s=round(decision.predicted_latency_s, 9),
         )
 
-    # -- window serving -------------------------------------------------
-    def _running(self) -> Dict[str, TenantRecord]:
-        running = {
-            name: record for name, record in self.records.items()
-            if record.status == RUNNING
-        }
-        return dict(sorted(
-            running.items(), key=lambda kv: kv[1].admission_order
-        ))
+    def _release(self, name: str) -> None:
+        """Free a tenant's PUs; the caller sets the status it leaves
+        RUNNING for."""
+        self.placement.release(name)
+        del self._live[name]
 
+    # -- window serving -------------------------------------------------
     def _external_sources(
         self, name: str, tick: int,
     ) -> List[tuple]:
         """Per-source external loads tenant ``name`` sees, labelled.
 
         Ordered deterministically - co-tenants in admission order (the
-        ``_running()`` order), then active drifts in injection order -
+        ``_live`` order), then active drifts in injection order -
         so both the combined load *and* any blame decomposition built
         from the pairs are pure functions of the seeded run.
         """
         sources: List[tuple] = []
-        for other, record in self._running().items():
+        for other, record in self._live.items():
             if other == name:
                 continue
             assert record.plan is not None and record.schedule is not None
@@ -679,7 +701,8 @@ class PipelineServer:
         tick run through :func:`simulate_batch` in one call.
         """
         batch: List[tuple] = []
-        for name, record in self._running().items():
+        # A snapshot: a tenant that fails here leaves _live mid-loop.
+        for name, record in list(self._live.items()):
             self._heartbeat.check_cancelled()
             assert (record.plan is not None
                     and record.schedule is not None)
@@ -722,8 +745,8 @@ class PipelineServer:
 
     def _fail_tenant(self, tick: int, name: str, record: TenantRecord,
                      error: ReproError) -> None:
-        if name in self.placement.partitions:
-            self.placement.release(name)
+        if name in self._live:
+            self._release(name)
         record.status = FAILED
         record.status_detail = str(error)
         self._event(tick, "fail", name, reason=str(error))
@@ -762,8 +785,14 @@ class PipelineServer:
                     window=record.windows_done - 1,
                     latency_s=round(measured, 9), regime=regime)
 
+        # A co-tenant served earlier in this tick's batch may have
+        # evicted this one (_evict_for); its window was already
+        # simulated, so it still counts, but there is no placement left
+        # to release or to re-rank.
+        evicted = record.status != RUNNING
         if record.windows_done >= record.spec.windows:
-            self.placement.release(name)
+            if not evicted:
+                self._release(name)
             record.status = COMPLETED
             record.status_detail = (
                 f"served {record.windows_done} windows"
@@ -773,6 +802,8 @@ class PipelineServer:
             self._record_trace(record, result.spans)
             return
         self._record_trace(record, result.spans)
+        if evicted:
+            return
 
         if record.baseline_latency_s is None:
             # First window on this schedule: the drift reference point.
@@ -835,7 +866,7 @@ class PipelineServer:
         re-rank.  Returns False when nobody qualifies (the sufferer is
         itself the lowest priority - it just has to cope)."""
         candidates = [
-            record for record in self._running().values()
+            record for record in self._live.values()
             if record.name != sufferer.name
             and record.priority < sufferer.priority
         ]
@@ -845,7 +876,7 @@ class PipelineServer:
             candidates,
             key=lambda r: (r.priority, -r.admission_order),
         )
-        self.placement.release(victim.name)
+        self._release(victim.name)
         victim.status = EVICTED
         victim.status_detail = (
             f"evicted at tick {tick} to relieve contention on "

@@ -49,6 +49,10 @@ OVERLOAD_TIERS = (
 )
 
 
+#: Arrivals per tick that saturate one fully-packed pixel7a shard.
+SATURATION_ARRIVALS_PER_SHARD = 0.55
+
+
 @dataclass(frozen=True)
 class FleetOverloadScenario:
     """Parameters of one deterministic overload run."""
@@ -61,8 +65,10 @@ class FleetOverloadScenario:
     #: Arrival intensity at 1.0x: calibrated so the offered window
     #: demand roughly matches what n_shards fully-packed pixel7a
     #: shards can serve (one window per running tenant per tick,
-    #: four single-class partitions per shard).
-    saturation_arrivals_per_tick: float = 1.1
+    #: four single-class partitions per shard).  None scales it with
+    #: the fleet - SATURATION_ARRIVALS_PER_SHARD per shard, i.e. 1.1
+    #: on the default two - so "1.5x" means overload at any size.
+    saturation_arrivals_per_tick: Optional[float] = None
     #: The overload knob: offered load as a multiple of saturation.
     load_multiplier: float = 1.5
     #: Mid-run burst overlay (also what the recovery metric watches).
@@ -90,6 +96,11 @@ class FleetOverloadScenario:
             raise TrafficError("overload scenario needs >= 1 shard")
         if self.load_multiplier <= 0.0:
             raise TrafficError("load_multiplier must be positive")
+        if self.saturation_arrivals_per_tick is None:
+            object.__setattr__(
+                self, "saturation_arrivals_per_tick",
+                SATURATION_ARRIVALS_PER_SHARD * self.n_shards,
+            )
 
     def spec(self) -> TrafficSpec:
         """The workload this scenario offers."""

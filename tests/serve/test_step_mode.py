@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve.admission import ADMIT
-from repro.serve.server import PipelineServer, ServerConfig
+from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import (
     COMPLETED,
     EVICTED,
@@ -134,3 +134,143 @@ class TestRescind:
     def test_rescind_unknown_tenant_rejected(self, server):
         with pytest.raises(ServeError, match="unknown tenant"):
             server.rescind("ghost")
+
+
+class TestAdmit:
+    def test_admit_deploys_a_held_decision(self, server, app):
+        spec = _spec(app)
+        decision = server.admission.evaluate(
+            spec, server.placement, server.running_records(), queued=0)
+        server.admit(spec, 0, decision)
+        assert server.records["t"].status == RUNNING
+        assert server.records["t"].schedule is decision.candidate.schedule
+        assert list(server.running_records()) == ["t"]
+
+    def test_admit_refuses_anything_but_an_admit(self, server, app):
+        server.try_admit(_spec(app, name="holder",
+                               required_classes={"gpu"}), tick=0)
+        spec = _spec(app, required_classes={"gpu"})
+        decision = server.admission.evaluate(
+            spec, server.placement, server.running_records(), queued=0)
+        assert decision.action != ADMIT
+        with pytest.raises(ServeError, match="cannot deploy"):
+            server.admit(spec, 0, decision)
+        assert not server.knows_tenant("t")
+
+    def test_admit_requires_open_and_a_fresh_name(
+        self, platform, plan_cache, server, app
+    ):
+        decision = server.try_admit(_spec(app), tick=0)
+        with pytest.raises(ServeError, match="already known"):
+            server.admit(_spec(app), 0, decision)
+        closed = PipelineServer(platform, config=CONFIG,
+                                plan_cache=plan_cache)
+        with pytest.raises(ServeError, match="open_stepped"):
+            closed.admit(_spec(app), 0, decision)
+
+
+class TestRunningOrder:
+    def test_running_records_follow_admission_order(
+        self, platform, plan_cache, app
+    ):
+        """The maintained running view must read exactly like the
+        records filtered by status and sorted by admission order."""
+        server = PipelineServer(
+            platform, seed=5, plan_cache=plan_cache,
+            config=ServerConfig(max_ticks=64, queue_capacity=0,
+                                max_impact_ratio=1e9,
+                                max_partition_classes=1),
+        )
+        server.open_stepped()
+
+        def derived():
+            running = [r for r in server.records.values()
+                       if r.status == RUNNING]
+            running.sort(key=lambda r: r.admission_order)
+            return [r.name for r in running]
+
+        for index, cls in enumerate(["gpu", "big", "little"]):
+            decision = server.try_admit(
+                _spec(app, name=f"t{index}", windows=3 - index,
+                      required_classes={cls}), tick=0)
+            assert decision.action == ADMIT
+            assert list(server.running_records()) == derived()
+        server.withdraw("t1", "test", tick=0)
+        assert list(server.running_records()) == derived() == ["t0", "t2"]
+        server.rescind("t0")
+        server.try_admit(_spec(app, name="t0", windows=3), tick=0)
+        assert list(server.running_records()) == derived() == ["t2", "t0"]
+        for tick in range(3):
+            server.step(tick)
+            assert list(server.running_records()) == derived()
+            assert (set(server.running_records())
+                    == set(server.placement.partitions))
+        assert server.running_records() == {}
+
+
+class TestEvictedMidBatch:
+    """A tenant served early in a tick's batch can evict one whose
+    window - already simulated - is settled later in the same batch.
+    That window counts; the victim must end EVICTED (or COMPLETED if it
+    was its last window), never FAILED on "holds no placement"."""
+
+    def _crowded(self, platform, plan_cache, app, victim_windows):
+        server = PipelineServer(
+            platform, seed=5, plan_cache=plan_cache,
+            config=ServerConfig(
+                max_ticks=64, queue_capacity=0, max_impact_ratio=1e9,
+                max_partition_classes=1, reschedule=True, patience=1,
+            ),
+        )
+        server.open_stepped()
+        # The sufferer is admitted first (served first in every batch)
+        # and outranks everyone; the SoC is then packed so no re-rank
+        # can escape and the eviction fallback has to fire.
+        classes = sorted(platform.schedulable_classes())
+        for index, cls in enumerate(classes):
+            decision = server.try_admit(_spec(
+                app, name="sufferer" if index == 0 else f"low{index}",
+                priority=5 if index == 0 else 0,
+                windows=(10 if index < len(classes) - 1
+                         else victim_windows),
+                required_classes={cls},
+            ), tick=0)
+            assert decision.action == ADMIT
+        server.step(0)
+        server.inject_drift(DriftSpec(
+            start_tick=1, busy={classes[0]: 0.95}, demand_gbps=16.0))
+        server.step(1)
+        victim = server.records[f"low{len(classes) - 1}"]
+        events = [e["event"] for e in server.timeline
+                  if e["tenant"] == victim.name and e["tick"] == 1]
+        return server, victim, events
+
+    def test_last_window_completes_the_evicted_tenant(
+        self, platform, plan_cache, app
+    ):
+        server, victim, events = self._crowded(
+            platform, plan_cache, app, victim_windows=2)
+        assert events == ["evict", "window", "complete"]
+        assert victim.status == COMPLETED
+        assert victim.windows_done == 2
+        self._consistent(server, victim)
+
+    def test_earlier_window_counts_and_the_tenant_stays_evicted(
+        self, platform, plan_cache, app
+    ):
+        server, victim, events = self._crowded(
+            platform, plan_cache, app, victim_windows=6)
+        assert events == ["evict", "window"]
+        assert victim.status == EVICTED
+        assert victim.windows_done == 2
+        self._consistent(server, victim)
+
+    @staticmethod
+    def _consistent(server, victim):
+        assert victim.name not in server.placement.partitions
+        assert victim.name not in server.running_records()
+        assert not [e for e in server.timeline if e["event"] == "fail"]
+        server.step(2)
+        assert victim.windows_done == 2
+        report = server.close_stepped()
+        assert report.tenants[victim.name].status == victim.status

@@ -10,6 +10,10 @@
   byte-identically.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.serialization import write_json_report
@@ -99,6 +103,34 @@ class TestByteDeterminism:
         write_json_report(second, second_report.to_dict())
         assert first.read_bytes() == second.read_bytes()
 
+    def test_report_bytes_do_not_depend_on_the_hash_seed(
+        self, soak_on, tmp_path
+    ):
+        """Admission pricing works on sets (busy classes, each
+        incumbent's "others"); string hashing - and so set iteration
+        order - changes with PYTHONHASHSEED.  The same soak in fresh
+        interpreters under two hash seeds must write the bytes this
+        process wrote."""
+        _, report = soak_on
+        here = tmp_path / "here.json"
+        write_json_report(here, report.to_dict())
+        script = (
+            "import sys\n"
+            "from repro.serialization import write_json_report\n"
+            "from repro.traffic import FleetOverloadScenario, "
+            "run_overload_soak\n"
+            "_, report = run_overload_soak(FleetOverloadScenario())\n"
+            "write_json_report(sys.argv[1], report.to_dict())\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        for hash_seed in ("1", "4242"):
+            out = tmp_path / f"hashseed-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.abspath(src))
+            subprocess.run([sys.executable, "-c", script, str(out)],
+                           env=env, check=True, timeout=300)
+            assert out.read_bytes() == here.read_bytes(), hash_seed
+
     def test_replay_reproduces_recorded_run(self, soak_on, tmp_path):
         _, live_report = soak_on
         trace = TrafficTrace.record(SCENARIO.spec(), SCENARIO.seed)
@@ -119,3 +151,36 @@ class TestByteDeterminism:
             FleetOverloadScenario(seed=8), admission=True,
         )
         assert other.to_dict()["per_tick"] != report.to_dict()["per_tick"]
+
+
+class TestSaturationScalesWithTheFleet:
+    def test_default_is_bit_identical_on_two_shards(self):
+        assert FleetOverloadScenario().saturation_arrivals_per_tick == 1.1
+        assert SCENARIO.spec().arrivals_per_tick == 1.1
+
+    def test_default_scales_with_the_shard_count(self):
+        for n_shards in (1, 2, 5, 8):
+            scenario = FleetOverloadScenario(n_shards=n_shards)
+            assert (scenario.saturation_arrivals_per_tick
+                    == 0.55 * n_shards)
+            assert (scenario.spec().arrivals_per_tick
+                    == 0.55 * n_shards)
+        # ... and survives the at_multiplier copy the curve makes.
+        assert FleetOverloadScenario(n_shards=8).at_multiplier(
+            2.0).saturation_arrivals_per_tick == 0.55 * 8
+
+    def test_an_explicit_value_still_wins(self):
+        scenario = FleetOverloadScenario(
+            n_shards=8, saturation_arrivals_per_tick=1.1)
+        assert scenario.saturation_arrivals_per_tick == 1.1
+        assert scenario.spec().arrivals_per_tick == 1.1
+
+    def test_eight_shards_are_offered_four_times_the_load(self):
+        from repro.traffic.generator import TrafficGenerator
+
+        def offered(n_shards):
+            scenario = FleetOverloadScenario(n_shards=n_shards)
+            return len(TrafficGenerator(
+                scenario.spec(), seed=scenario.seed).events())
+
+        assert 3.0 < offered(8) / offered(2) < 5.0
