@@ -29,8 +29,7 @@ def percentile(samples: Sequence[float], q: float) -> float:
     """Canonical linear-interpolation percentile (numpy's default).
 
     The single implementation behind every report quantile
-    (``serve.metrics.percentile`` re-raises its errors as
-    ``ServeError`` for its callers).  Raises a structured
+    (``serve.metrics`` re-exports it).  Raises a structured
     :class:`~repro.errors.ReproError` on an empty sample set or an
     out-of-range ``q`` rather than returning a silent sentinel.
     """
@@ -46,10 +45,6 @@ def percentile(samples: Sequence[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
-# Backwards-compatible module-private alias (pre-dedup name).
-_percentile = percentile
 
 
 class MetricsRegistry:

@@ -21,18 +21,17 @@ Multi-buffering: ``depth`` TaskObjects circulate; the first chunk may only
 admit task ``t`` once fewer than ``depth`` tasks are in flight, mirroring
 the recycling queue of section 3.4.
 
-Two engines implement the event loop, selected by the ``REPRO_SIM_ENGINE``
-environment variable (or the ``engine=`` constructor argument):
+One production event loop and its oracle, selected by the
+``REPRO_SIM_ENGINE`` environment variable (or the ``engine=`` constructor
+argument):
 
-* ``vector`` (default) - the batched event kernel: per-server
-  ``remaining``/``rate``/``busy`` state lives in preallocated numpy
-  arrays, instantaneous rates are recomputed only when the discrete
-  phase signature (who is active, in which stage, which phase) actually
+* ``vector`` (default) - the event kernel: per-server
+  ``remaining``/``rate``/``busy`` state lives in flat per-server lists,
+  and instantaneous rates are recomputed only when the discrete phase
+  signature (who is active, in which stage, which phase) actually
   changes - and then for all active servers in one pass, memoized per
-  signature - and the min-``dt`` reduction plus the advance step are
-  single vectorized operations.  Pipelines with few servers take an
-  unrolled scalar core of the same kernel (numpy per-op dispatch
-  overhead exceeds the arithmetic below ~8 lanes).
+  signature.  The loop handles any pipeline width; the paper's C2 gives
+  each PU class at most one chunk, so real pipelines have 1-4 servers.
 * ``reference`` - the original, readable scalar loop, kept as the
   correctness oracle.  The engine-equivalence suite asserts the two
   produce byte-identical :class:`SimulatedRunResult`\\ s (completions,
@@ -42,7 +41,14 @@ environment variable (or the ``engine=`` constructor argument):
 Rate determinism makes the memoization exact rather than approximate:
 between events rates are a pure function of the phase signature (plus
 the run-constant :class:`~repro.soc.interference.ExternalLoad`), so a
-cached rate vector is bit-equal to a recomputed one.
+cached rate list is bit-equal to a recomputed one.
+
+Execution jitter is not executor state either: :func:`_noise_scale` is
+a memoised pure function of ``(platform name, schedule key, task,
+stage)`` - nothing of the executor, tenant, application or external
+load enters the draw - so a freshly built executor (the serving layer
+builds one per tenant per tick, because interference changes every
+tick) is exactly as warm as a reused one.
 
 Both engines share the float-residue policy: the server whose phase
 defines ``dt`` has its remaining work snapped to exactly ``0.0`` after
@@ -54,13 +60,12 @@ near-zero-``dt`` micro-events.
 
 Batching: :func:`simulate_batch` runs many independent windows - all
 tenants of a serve tick, all autotuner measurements of a round - in one
-call, and :meth:`SimulatedPipelineExecutor.run_batch` streams several
-windows through one executor back to back, reusing the engine's
-preallocated arrays plus its warm rate-signature and noise caches.
+call.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from collections import deque
@@ -105,11 +110,29 @@ ENGINE_VECTOR = "vector"
 ENGINE_REFERENCE = "reference"
 _ENGINES = (ENGINE_VECTOR, ENGINE_REFERENCE)
 
-#: Below this many chunk servers the batch kernel runs its unrolled
-#: scalar core: numpy's per-call dispatch overhead (~0.5 us) exceeds
-#: the cost of the handful of float operations a narrow pipeline needs
-#: per event.  Wide pipelines use the array core.
-_SCALAR_CORE_MAX_SERVERS = 8
+#: Entries the :func:`_noise_scale` memo keeps.  Sized from the measured
+#: key spaces of this repo's traffic - 54 distinct keys in a whole
+#: 8-shard overload soak, 30 840 in the paper campaign (~7 MiB) - with
+#: 2x headroom, so no workload evicts and a full memo stays ~16 MiB.
+_NOISE_MEMO_SIZE = 1 << 16
+
+
+@functools.lru_cache(maxsize=_NOISE_MEMO_SIZE)
+def _noise_scale(platform_name: str, schedule_key: str,
+                 task_id: int, stage: int) -> float:
+    """Execution jitter of one (task, stage) of one schedule on one SoC.
+
+    A pure function of exactly the digest's inputs, so the memo is
+    exact and shared by every executor in the process; without it the
+    digest + ``Generator`` construction dominates the DES hot path.
+    """
+    digest = hashlib.blake2b(
+        f"{platform_name}|{schedule_key}|{task_id}|{stage}".encode(),
+        digest_size=8,
+    ).digest()
+    rng = np.random.default_rng(int.from_bytes(digest, "little"))
+    sigma = _EXEC_NOISE_SIGMA
+    return float(rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma))
 
 
 def _resolve_engine(explicit: Optional[str]) -> str:
@@ -263,18 +286,13 @@ class _ChunkServer:
 
 
 class _VectorEngine:
-    """The batched event kernel behind the default ``vector`` engine.
+    """The event kernel behind the default ``vector`` engine.
 
-    Per-server state lives in preallocated arrays indexed by server
+    Per-server state lives in preallocated lists indexed by server
     position; rates are memoized per *phase signature* - the tuple of
     per-server phase codes (``-1`` idle, else ``stage * 2 + work_flag``)
-    - because between events the instantaneous rate vector is a pure
+    - because between events the instantaneous rate list is a pure
     function of that signature plus the run-constant external load.
-    Wide pipelines advance and reduce with vectorized numpy operations;
-    narrow ones (the common 2-4 chunk schedules) use an unrolled scalar
-    core over the same state, where numpy dispatch overhead would
-    dominate.  Both cores perform identical float arithmetic, so engine
-    output is independent of the core taken.
     """
 
     def __init__(self, executor: "SimulatedPipelineExecutor"):
@@ -287,22 +305,10 @@ class _VectorEngine:
         self.external = executor._external
         self.platform = executor.platform
         self.total_other = max(len(self.platform.pu_classes()) - 1, 0)
-        self.use_arrays = n > _SCALAR_CORE_MAX_SERVERS
         # -- preallocated per-server state ------------------------------
-        if self.use_arrays:
-            self.remaining = np.full(n, np.inf)
-            self.busy = np.zeros(n)
-            self.phase_eps = np.full(n, -1.0)
-            self.active_f = np.zeros(n)
-            self._dts = np.empty(n)
-            self._tmp = np.empty(n)
-            self._idle_remaining = np.inf
-        else:
-            self.remaining = [0.0] * n
-            self.busy = [0.0] * n
-            self.phase_eps = [-1.0] * n
-            self.active_f = [0.0] * n
-            self._idle_remaining = 0.0
+        self.remaining = [0.0] * n
+        self.busy = [0.0] * n
+        self.phase_eps = [-1.0] * n
         self.stage = [0] * n
         self.task = [_IDLE] * n
         self.noise = [1.0] * n
@@ -310,25 +316,15 @@ class _VectorEngine:
         self.sig = [-1] * n
         self.ready: List[Deque[int]] = [deque() for _ in range(n)]
         self.n_active = 0
-        #: signature -> (active index list, per-active rate list,
-        #: full-width rate array for the vector core or None).
+        #: signature -> (active index list, per-active rate list).
         self.rate_cache: Dict[Tuple[int, ...], tuple] = {}
 
-    # -- state transitions (shared by both cores) ----------------------
+    # -- state transitions ---------------------------------------------
     def _reset(self) -> None:
-        n = self.n
-        if self.use_arrays:
-            self.remaining.fill(np.inf)
-            self.busy.fill(0.0)
-            self.phase_eps.fill(-1.0)
-            self.active_f.fill(0.0)
-        else:
-            for i in range(n):
-                self.remaining[i] = 0.0
-                self.busy[i] = 0.0
-                self.phase_eps[i] = -1.0
-                self.active_f[i] = 0.0
-        for i in range(n):
+        for i in range(self.n):
+            self.remaining[i] = 0.0
+            self.busy[i] = 0.0
+            self.phase_eps[i] = -1.0
             self.stage[i] = 0
             self.task[i] = _IDLE
             self.noise[i] = 1.0
@@ -356,7 +352,6 @@ class _VectorEngine:
     def _begin_task(self, i: int, task_id: int, scale_fn) -> None:
         self.task[i] = task_id
         self.stage[i] = 0
-        self.active_f[i] = 1.0
         self.n_active += 1
         self._enter_stage(i, scale_fn)
 
@@ -377,9 +372,8 @@ class _VectorEngine:
         done = self.task[i]
         self.task[i] = _IDLE
         self.sig[i] = -1
-        self.remaining[i] = self._idle_remaining
+        self.remaining[i] = 0.0
         self.phase_eps[i] = -1.0
-        self.active_f[i] = 0.0
         self.n_active -= 1
         return done
 
@@ -388,7 +382,7 @@ class _VectorEngine:
         """Rates for every active server under one phase signature.
 
         One pass over the active set, using the same scalar model calls
-        as the reference engine so cached vectors are bit-equal to what
+        as the reference engine so cached rates are bit-equal to what
         a per-event recomputation would produce.
         """
         active = [i for i in range(self.n) if key[i] != -1]
@@ -424,11 +418,7 @@ class _VectorEngine:
                 if share > 0.0:
                     rate /= 1.0 + share
             rates.append(rate)
-        full = None
-        if self.use_arrays:
-            full = np.ones(self.n)
-            full[active] = rates
-        entry = (active, rates, full)
+        entry = (active, rates)
         self.rate_cache[key] = entry
         return entry
 
@@ -448,7 +438,6 @@ class _VectorEngine:
         ready = self.ready
         depth = self._ex.depth
         n = self.n
-        use_arrays = self.use_arrays
         rate_cache = self.rate_cache
 
         now = 0.0
@@ -501,24 +490,19 @@ class _VectorEngine:
                 if entry is None:
                     entry = self._rates_for(key)
                 dirty = False
-            active, rates, full = entry
+            active, rates = entry
 
             # Advance to the next phase completion (or next arrival,
             # whichever lets the first chunk admit sooner).  The server
             # defining dt is snapped to exactly 0 remaining after the
             # advance, so no float residue survives.
-            if use_arrays:
-                np.divide(remaining, full, out=self._dts)
-                snap = int(self._dts.argmin())
-                dt = float(self._dts[snap])
-            else:
-                dt = None
-                snap = -1
-                for pos, i in enumerate(active):
-                    cand = remaining[i] / rates[pos]
-                    if dt is None or cand < dt:
-                        dt = cand
-                        snap = i
+            dt = None
+            snap = -1
+            for pos, i in enumerate(active):
+                cand = remaining[i] / rates[pos]
+                if dt is None or cand < dt:
+                    dt = cand
+                    snap = i
             if dt < 0.0:
                 dt = 0.0
             if (
@@ -532,16 +516,9 @@ class _VectorEngine:
                     dt = cap
                     snap = -1
             now += dt
-            if use_arrays:
-                tmp = self._tmp
-                np.multiply(full, dt, out=tmp)
-                np.subtract(remaining, tmp, out=remaining)
-                np.multiply(self.active_f, dt, out=tmp)
-                np.add(busy, tmp, out=busy)
-            else:
-                for pos, i in enumerate(active):
-                    remaining[i] -= dt * rates[pos]
-                    busy[i] += dt
+            for pos, i in enumerate(active):
+                remaining[i] -= dt * rates[pos]
+                busy[i] += dt
             if snap >= 0:
                 remaining[snap] = 0.0
 
@@ -569,8 +546,7 @@ class _VectorEngine:
                 else:
                     completed.append(now)
 
-        busy_s = {i: float(busy[i]) for i in range(n)}
-        return completed, spans, busy_s, now, events
+        return completed, spans, dict(enumerate(busy)), now, events
 
 
 @dataclass(frozen=True)
@@ -608,8 +584,8 @@ def simulate_batch(
     The batch entry point the serving layer (all tenants of a tick) and
     the autotuner (all measurements of a round) use: each window runs
     on its own executor, so executors repeated across windows keep
-    their preallocated engine state and warm rate-signature and noise
-    caches instead of paying per-window setup.
+    their preallocated engine state and warm rate-signature cache
+    instead of paying per-window setup.
 
     Args:
         windows: The windows, simulated in order (each is independent,
@@ -714,15 +690,11 @@ class SimulatedPipelineExecutor:
             else external_load
         )
         self.tenant = tenant
-        # (task, stage) -> jitter scale; the digest + RNG construction
-        # dominates the DES hot path without it.
-        self._noise_cache: Dict[Tuple[int, int], float] = {}
-        #: Digest + RNG constructions performed so far - a deterministic
-        #: hook for cache-effectiveness tests (wall-clock comparisons of
-        #: cold-vs-warm runs flake on loaded CI machines).
-        self.noise_cache_misses = 0
-        self._vector_engine: Optional[_VectorEngine] = None
-        self._scale_fns: Optional[List[Callable[[int, int], float]]] = None
+        self._scale_fns = [self._make_scale_fn(s) for s in self._servers]
+        self._run_window = (
+            self._run_reference if self.engine == ENGINE_REFERENCE
+            else _VectorEngine(self).run_window
+        )
 
     def _costs_for(self, chunk: Chunk) -> List[_StageCost]:
         costs = []
@@ -781,23 +753,6 @@ class SimulatedPipelineExecutor:
         return tuple(loads)
 
     # ------------------------------------------------------------------
-    def _noise_scale(self, task_id: int, stage: int) -> float:
-        key = (task_id, stage)
-        cached = self._noise_cache.get(key)
-        if cached is not None:
-            return cached
-        self.noise_cache_misses += 1
-        digest = hashlib.blake2b(
-            f"{self.platform.name}|{self._schedule_key}|{task_id}|{stage}"
-            .encode(),
-            digest_size=8,
-        ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        sigma = _EXEC_NOISE_SIGMA
-        scale = float(rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma))
-        self._noise_cache[key] = scale
-        return scale
-
     def _make_scale_fn(
         self, server: _ChunkServer,
     ) -> Callable[[int, int], float]:
@@ -806,11 +761,14 @@ class SimulatedPipelineExecutor:
         The fault hooks key on *global* stage indices, which only the
         server's chunk offset can recover from the DES's local ones.
         """
+        noise = functools.partial(
+            _noise_scale, self.platform.name, self._schedule_key
+        )
         if self._injector is None:
-            return self._noise_scale
+            return noise
 
         def scale(task_id: int, local_stage: int) -> float:
-            return self._noise_scale(task_id, local_stage) * (
+            return noise(task_id, local_stage) * (
                 self._injector.sim_cost_scale(
                     server.chunk.pu_class,
                     server.chunk.start + local_stage,
@@ -819,13 +777,6 @@ class SimulatedPipelineExecutor:
             )
 
         return scale
-
-    def _make_scale_fns(self) -> List[Callable[[int, int], float]]:
-        if self._scale_fns is None:
-            self._scale_fns = [
-                self._make_scale_fn(s) for s in self._servers
-            ]
-        return self._scale_fns
 
     def run(self, n_tasks: int,
             record_trace: bool = False,
@@ -848,41 +799,12 @@ class SimulatedPipelineExecutor:
         arrivals = [
             (arrival_period_s or 0.0) * t for t in range(n_tasks)
         ]
-        scale_fns = self._make_scale_fns()
-        if self.engine == ENGINE_REFERENCE:
-            completed, spans, busy_s, now, events = self._run_reference(
-                n_tasks, record_trace, arrivals, scale_fns
-            )
-        else:
-            if self._vector_engine is None:
-                self._vector_engine = _VectorEngine(self)
-            completed, spans, busy_s, now, events = (
-                self._vector_engine.run_window(
-                    n_tasks, record_trace, arrivals, scale_fns
-                )
-            )
+        completed, spans, busy_s, now, events = self._run_window(
+            n_tasks, record_trace, arrivals, self._scale_fns
+        )
         return self._finalize(
             n_tasks, completed, spans, busy_s, now, events, arrivals
         )
-
-    def run_batch(
-        self,
-        n_tasks: Sequence[int],
-        record_trace: bool = False,
-        arrival_period_s: Optional[float] = None,
-    ) -> List[SimulatedRunResult]:
-        """Simulate several independent windows back to back.
-
-        All windows share this executor's engine state - preallocated
-        arrays, warm rate-signature cache, warm noise cache - so a
-        batch is cheaper than constructing an executor per window (the
-        pattern serving ticks and autotuner rounds used to follow).
-        """
-        return simulate_batch([
-            SimWindow(self, n, record_trace=record_trace,
-                      arrival_period_s=arrival_period_s)
-            for n in n_tasks
-        ])
 
     # -- reference engine ----------------------------------------------
     def _run_reference(

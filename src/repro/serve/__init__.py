@@ -21,8 +21,6 @@ from repro.serve.metrics import (
     ServeReport,
     TenantMetrics,
     attainment,
-    fleet_p95,
-    merge_latencies,
     percentile,
 )
 from repro.serve.placement import PlacementMap, tenant_offered_load
@@ -88,8 +86,6 @@ __all__ = [
     "WindowResult",
     "attainment",
     "build_soak_server",
-    "fleet_p95",
-    "merge_latencies",
     "percentile",
     "run_soak",
     "tenant_offered_load",

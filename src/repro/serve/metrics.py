@@ -9,27 +9,11 @@ test asserts by comparing serialized reports).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
-from repro.errors import ReproError, ServeError
-from repro.obs.metrics import percentile as _canonical_percentile
+from repro.errors import ServeError
+from repro.obs.metrics import percentile  # also this layer's export
 from repro.serve.tenant import TenantRecord
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (numpy's default method).
-
-    Thin shim over the canonical :func:`repro.obs.metrics.percentile`
-    (one implementation, identical values), narrowing its structured
-    errors to :class:`~repro.errors.ServeError` for this layer's
-    callers.
-    """
-    try:
-        return _canonical_percentile(samples, q)
-    except ServeError:
-        raise
-    except ReproError as exc:
-        raise ServeError(str(exc)) from None
 
 
 def attainment(samples: Sequence[float], slo: float) -> float:
@@ -147,20 +131,3 @@ class ServeReport:
         if self.attribution is not None:
             out["attribution"] = dict(self.attribution)
         return out
-
-
-def fleet_p95(metrics: Mapping[str, TenantMetrics]) -> float:
-    """Worst per-tenant p95 - the serving layer's headline number."""
-    served = [m.p95_latency_s for m in metrics.values()
-              if m.windows_served > 0]
-    if not served:
-        return 0.0
-    return max(served)
-
-
-def merge_latencies(records: List[TenantRecord]) -> List[float]:
-    """All per-item samples across tenants (for fleet-wide percentiles)."""
-    out: List[float] = []
-    for record in records:
-        out.extend(record.per_item_latencies())
-    return out

@@ -187,9 +187,9 @@ class PipelineServer:
         #: on every read.
         self._live: Dict[str, TenantRecord] = {}
         self.timeline: List[Dict[str, object]] = []
-        #: Tenant-tagged spans from each tenant's last served window
-        #: (the multi-tenant Gantt input).
-        self.trace_spans: List[Span] = []
+        #: Tenant -> tenant-tagged spans of its last served window, most
+        #: recently served last (see :attr:`trace_spans`).
+        self._last_spans: Dict[str, List[Span]] = {}
         self.ticks_executed = 0
 
         self._inbox: Deque[TenantSpec] = deque()
@@ -684,12 +684,6 @@ class PipelineServer:
                 sources.append((f"drift:{index}", drift.load()))
         return sources
 
-    def _external_for(self, name: str, tick: int) -> ExternalLoad:
-        """Everything tenant ``name`` sees on the SoC besides itself."""
-        return ExternalLoad.combined(
-            load for _, load in self._external_sources(name, tick)
-        )
-
     def _serve_windows(self, tick: int) -> None:
         """Serve one window per running tenant, as one simulator batch.
 
@@ -819,11 +813,16 @@ class PipelineServer:
     def _record_trace(self, record: TenantRecord,
                       spans: List[Span]) -> None:
         """Keep only each tenant's most recent window of spans."""
-        self.trace_spans = [
-            span for span in self.trace_spans
-            if span.tenant != record.name
+        self._last_spans.pop(record.name, None)
+        self._last_spans[record.name] = spans
+
+    @property
+    def trace_spans(self) -> List[Span]:
+        """Spans of every tenant's last served window (the multi-tenant
+        Gantt input), most recently served tenant last."""
+        return [
+            span for spans in self._last_spans.values() for span in spans
         ]
-        self.trace_spans.extend(spans)
 
     # -- drift reaction -------------------------------------------------
     def _react_to_drift(self, tick: int, name: str,

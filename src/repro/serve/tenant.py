@@ -125,9 +125,6 @@ class TenantRecord:
     def done(self) -> bool:
         return self.status in TERMINAL_STATES
 
-    def window_latencies(self) -> List[float]:
-        return [w.measured_latency_s for w in self.history]
-
     def per_item_latencies(self) -> List[float]:
         """Per-task latency samples: each window's steady per-task
         latency weighted by its task count (the p95 population)."""

@@ -13,6 +13,7 @@ from repro.errors import (
     SchedulingError,
     TransientKernelFault,
 )
+from repro.runtime import simulator
 from repro.runtime import (
     AdaptivePipeline,
     FaultInjector,
@@ -312,11 +313,18 @@ class TestSimulatedFaults:
         )
 
     def test_noise_memoization_keeps_runs_identical(self, app):
+        simulator._noise_scale.cache_clear()
         fresh = self.executor(app).run(10)
+        cold = simulator._noise_scale.cache_info()
+        assert cold.misses > 0
         twice = self.executor(app)
         first = twice.run(10)
-        second = twice.run(10)  # served from the noise cache
-        assert twice._noise_cache  # the memo actually populated
+        second = twice.run(10)
+        warm = simulator._noise_scale.cache_info()
+        # Both later runs - on a new executor, then a reused one - were
+        # served entirely from the memo the first executor filled.
+        assert warm.misses == cold.misses
+        assert warm.hits - cold.hits == 2 * (cold.hits + cold.misses)
         assert first.completion_times_s == fresh.completion_times_s
         assert second.completion_times_s == first.completion_times_s
 

@@ -14,23 +14,21 @@ from repro.serve import (
     TenantSpec,
     WindowResult,
     attainment,
-    fleet_p95,
-    merge_latencies,
     percentile,
 )
 
 
 class TestPercentile:
     def test_empty_samples_rejected(self):
-        with pytest.raises(ServeError, match="empty"):
+        with pytest.raises(ReproError, match="empty"):
             percentile([], 50.0)
 
     def test_out_of_range_q_rejected(self):
-        with pytest.raises(ServeError, match="out of"):
+        with pytest.raises(ReproError, match="out of"):
             percentile([1.0], 101.0)
 
     def test_negative_q_rejected(self):
-        with pytest.raises(ServeError, match="out of"):
+        with pytest.raises(ReproError, match="out of"):
             percentile([1.0], -0.5)
 
     def test_single_sample(self):
@@ -181,21 +179,3 @@ class TestReportShape:
         assert list(report.to_dict()["tenants"]) == [
             "alpha", "mid", "zeta"
         ]
-
-    def test_fleet_p95_ignores_unserved(self, app):
-        served = TenantMetrics.from_record(
-            record_with_history(app, latencies=[0.020])
-        )
-        unserved = TenantMetrics.from_record(record_with_history(app))
-        assert fleet_p95({"a": served, "b": unserved}) == pytest.approx(
-            0.020
-        )
-        assert fleet_p95({"b": unserved}) == 0.0
-
-    def test_merge_latencies_weights_by_tasks(self, app):
-        records = [
-            record_with_history(app, latencies=[0.01], window_tasks=4),
-            record_with_history(app, latencies=[0.02], window_tasks=2),
-        ]
-        merged = merge_latencies(records)
-        assert sorted(merged) == [0.01] * 4 + [0.02] * 2

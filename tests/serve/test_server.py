@@ -108,6 +108,42 @@ class TestServing:
         assert server.trace_spans
         assert {span.tenant for span in server.trace_spans} == {"a"}
 
+    def test_trace_spans_keep_last_window_most_recently_served_last(
+            self, platform):
+        server = make_server(platform, reschedule=False)
+        server.submit(TenantSpec(name="long", application=make_app(1),
+                                 windows=3))
+        server.submit(TenantSpec(name="short", application=make_app(2),
+                                 windows=1))
+
+        def tenant_runs():
+            # Consecutive-duplicate-free tenant sequence of the view.
+            runs = []
+            for span in server.trace_spans:
+                if not runs or runs[-1] != span.tenant:
+                    runs.append(span.tenant)
+            return runs
+
+        def spans_of(name):
+            return [s for s in server.trace_spans if s.tenant == name]
+
+        server.open_stepped()
+        server.step(0)
+        assert tenant_runs() == ["long", "short"]
+        short_window = spans_of("short")
+        one_long_window = len(spans_of("long"))
+        # "short" completed at tick 0; "long" keeps running and moves
+        # behind it, replacing (not appending to) its earlier window.
+        server.step(1)
+        assert server.records["short"].status == COMPLETED
+        assert tenant_runs() == ["short", "long"]
+        assert spans_of("short") == short_window
+        assert len(spans_of("long")) == one_long_window
+        assert server.step(2)
+        server.close_stepped()
+        assert tenant_runs() == ["short", "long"]
+        assert len(spans_of("long")) == one_long_window
+
     def test_queued_tenant_admitted_after_release(self, platform):
         server = make_server(platform, queue_capacity=1)
         server.submit(TenantSpec(
