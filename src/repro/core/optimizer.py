@@ -16,9 +16,12 @@ Candidates emerge sorted by predicted latency and cluster into
 Level 3 - *Autotuning* lives in :mod:`repro.core.autotuner`: the top
 candidates are actually executed and the measured best wins.
 
-The constraint encoding targets :mod:`repro.solver` (the z3 stand-in);
-solver invocations on paper-scale instances (N=9, M=4) complete well
-under the paper's 50 ms figure.
+The constraint encoding targets :mod:`repro.solver` (the z3 stand-in).
+One model and one solver serve all K + 1 invocations of an
+:meth:`BTOptimizer.optimize` call; on the worst paper-scale instance
+(alexnet-sparse on the Pixel 7a: N=9, M=4, K=20) an invocation averages
+about 18 ms, against the paper's 50 ms figure
+(``benchmarks/test_solver_scalability.py`` holds the line).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.core.stage import Application
 from repro.errors import SchedulingError, SolverTimeoutError
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
-from repro.solver import Model, Solver
+from repro.solver import BoolVar, Model, Solver
 
 #: Number of diverse candidates level 2 produces (paper: K = 20).
 DEFAULT_K = 20
@@ -159,22 +162,43 @@ class BTOptimizer:
         self.solver_invocations = 0
         self.solver_wall_s = 0.0
 
-    def _note_solve(self, solver: Solver) -> None:
-        """Account one solver invocation (and mirror it into metrics)."""
-        self.solver_invocations += 1
-        self.solver_wall_s += solver.stats.wall_seconds
-        reg = metrics()
-        if reg.enabled:
-            reg.counter("solver.invocations")
-            reg.counter("solver.nodes", solver.stats.decisions)
-            reg.counter("solver.conflicts", solver.stats.conflicts)
-            reg.counter("solver.propagations", solver.stats.propagations)
+    def _minimize(self, solver: Solver, objective, lower_bound):
+        """One solver invocation under whatever remains of the wall
+        budget, accounted (and mirrored into metrics) however it ends."""
+        if self._deadline is not None:
+            remaining = self._deadline - time.perf_counter()
+            if remaining <= 0:
+                raise SolverTimeoutError(
+                    f"optimization wall-clock budget exhausted "
+                    f"({self.time_budget_s}s)"
+                )
+            solver.time_budget_s = remaining
+        stats = solver.stats
+        before = (stats.decisions, stats.conflicts, stats.propagations,
+                  stats.wall_seconds)
+        try:
+            return solver.minimize(objective, lower_bound=lower_bound)
+        finally:
+            self.solver_invocations += 1
+            self.solver_wall_s += stats.wall_seconds - before[3]
+            reg = metrics()
+            if reg.enabled:
+                reg.counter("solver.invocations")
+                reg.counter("solver.nodes", stats.decisions - before[0])
+                reg.counter("solver.conflicts", stats.conflicts - before[1])
+                reg.counter("solver.propagations",
+                            stats.propagations - before[2])
 
     # ------------------------------------------------------------------
     # Constraint encoding
     # ------------------------------------------------------------------
-    def _build_model(self) -> Tuple[Model, List[List]]:
-        """Encode C1 + C2 (+ optional C3) over x[i][c] booleans."""
+    def _build_solver(self) -> Tuple[Solver, List[List[BoolVar]]]:
+        """Encode C1 + C2 (+ optional C3) over x[i][c] booleans.
+
+        ``x[i][c]`` is the model's variable ``i * M + c``: the solver
+        branches stage-major, and a stage's row is one slice of the
+        values it hands to objectives and bounds.
+        """
         model = Model()
         n = self.application.num_stages
         m = len(self.pu_classes)
@@ -199,18 +223,16 @@ class BTOptimizer:
                     [(x[i][c], self._lat[i][c]) for i in range(n)],
                     self.max_chunk_time_s,
                 )
-        return model, x
+        return Solver(model, max_decisions=self.max_decisions), x
 
-    def _decode(self, values: Sequence[int],
-                x: List[List]) -> Tuple[int, ...]:
-        """Assignment (PU column index per stage) from solver values."""
-        assignment = []
-        for row in x:
-            for c, var in enumerate(row):
-                if values[var.index] == 1:
-                    assignment.append(c)
-                    break
-        return tuple(assignment)
+    def _decode(self, values: Sequence[int]) -> Tuple[int, ...]:
+        """Assignment (PU column index per stage) from complete solver
+        values."""
+        m = len(self.pu_classes)
+        return tuple(
+            values.index(1, base, base + m) - base
+            for base in range(0, len(values), m)
+        )
 
     def _chunk_sums(self, assignment: Tuple[int, ...]) -> List[float]:
         sums: List[float] = []
@@ -242,87 +264,63 @@ class BTOptimizer:
             [self.pu_classes[c] for c in assignment]
         )
 
-    def _make_solver(self, model: Model) -> Solver:
-        """A solver honouring whatever remains of the wall budget."""
-        remaining = None
-        if self._deadline is not None:
-            remaining = self._deadline - time.perf_counter()
-            if remaining <= 0:
-                raise SolverTimeoutError(
-                    f"optimization wall-clock budget exhausted "
-                    f"({self.time_budget_s}s)"
-                )
-        return Solver(model, max_decisions=self.max_decisions,
-                      time_budget_s=remaining)
-
     # ------------------------------------------------------------------
     # Branch-and-bound lower bounds
     #
     # The solver branches stage-major, so a partial assignment is a
     # prefix of decided stages.  Every chunk in that prefix except the
     # last is *closed*: contiguity (C2) forbids its PU from reappearing,
-    # so its runtime is final.  That makes the bounds below admissible
-    # and keeps each solver invocation well under the paper's 50 ms.
+    # so its runtime is final.  That makes the bounds below admissible.
     # ------------------------------------------------------------------
-    def _closed_chunk_sums(self, values: Sequence[int],
-                           x: List[List]) -> List[float]:
+    def _closed_chunk_sums(self, values: Sequence[int]) -> List[float]:
         """Chunk runtimes finalized by the decided prefix."""
+        m = len(self.pu_classes)
         sums: List[float] = []
         previous = None
-        for i, row in enumerate(x):
-            decided = None
-            for c, var in enumerate(row):
-                if values[var.index] == 1:
-                    decided = c
-                    break
-            if decided is None:
-                break
-            if decided != previous:
-                sums.append(0.0)
-                previous = decided
-            sums[-1] += self._lat[i][decided]
+        base = 0
+        try:
+            for row in self._lat:
+                decided = values.index(1, base, base + m) - base
+                if decided != previous:
+                    sums.append(0.0)
+                    previous = decided
+                sums[-1] += row[decided]
+                base += m
+        except ValueError:
+            pass  # first stage without a PU yet: the prefix ends here
         if sums:
             sums.pop()  # the last prefix chunk may still grow
         return sums
 
-    def _latency_lower_bound(self, x: List[List]):
-        def bound(values: Sequence[int]) -> float:
-            closed = self._closed_chunk_sums(values, x)
-            return max(closed) if closed else 0.0
-        return bound
+    def _latency_lower_bound(self, values: Sequence[int]) -> float:
+        closed = self._closed_chunk_sums(values)
+        return max(closed) if closed else 0.0
 
-    def _gapness_lower_bound(self, x: List[List]):
-        def bound(values: Sequence[int]) -> float:
-            closed = self._closed_chunk_sums(values, x)
-            if len(closed) < 2:
-                return 0.0
-            # Any completion's T_max >= max(closed) and T_min <= min(closed).
-            return max(closed) - min(closed)
-        return bound
+    def _gapness_lower_bound(self, values: Sequence[int]) -> float:
+        closed = self._closed_chunk_sums(values)
+        if len(closed) < 2:
+            return 0.0
+        # Any completion's T_max >= max(closed) and T_min <= min(closed).
+        return max(closed) - min(closed)
 
     # ------------------------------------------------------------------
     # Level 1: utilization (gapness) optimum
     # ------------------------------------------------------------------
     def optimize_utilization(self) -> ScheduleCandidate:
         """Solve ``min (T_max - T_min)`` (objective O1)."""
-        with tracer().span("solver.utilization", "solver",
-                           application=self.application.name):
-            return self._optimize_utilization_inner()
+        return self._solve_utilization(self._build_solver()[0])
 
-    def _optimize_utilization_inner(self) -> ScheduleCandidate:
-        model, x = self._build_model()
-
+    def _solve_utilization(self, solver: Solver) -> ScheduleCandidate:
         def objective(values: Sequence[int]) -> float:
-            assignment = self._decode(values, x)
+            assignment = self._decode(values)
             if not self._meets_chunk_bounds(assignment):
                 return math.inf
             return self._gapness(assignment)
 
-        solver = self._make_solver(model)
-        result = solver.minimize(
-            objective, lower_bound=self._gapness_lower_bound(x)
-        )
-        self._note_solve(solver)
+        with tracer().span("solver.utilization", "solver",
+                           application=self.application.name):
+            result = self._minimize(solver, objective,
+                                    self._gapness_lower_bound)
         if result is None:
             raise SchedulingError("utilization optimization is infeasible")
         solution, gap = result
@@ -330,22 +328,13 @@ class BTOptimizer:
             raise SchedulingError(
                 "no schedule satisfies the per-chunk runtime bounds (C3)"
             )
-        assignment = self._decode_solution(solution, x)
+        assignment = self._decode(solution.values)
         return ScheduleCandidate(
             rank=0,
             schedule=self._to_schedule(assignment),
             predicted_latency_s=self._latency(assignment),
             gapness_s=gap,
         )
-
-    def _decode_solution(self, solution, x) -> Tuple[int, ...]:
-        assignment = []
-        for row in x:
-            for c, var in enumerate(row):
-                if solution[var]:
-                    assignment.append(c)
-                    break
-        return tuple(assignment)
 
     # ------------------------------------------------------------------
     # Greedy fallback (degraded mode)
@@ -463,16 +452,18 @@ class BTOptimizer:
     ) -> OptimizationResult:
         """The solver-backed levels 1 + 2; appends each candidate to
         ``partial`` as found so a budget expiry can salvage them."""
-        utilization = self.optimize_utilization()
+        # One model, one solver: level 1 never sees a blocking clause,
+        # and each level-2 round compiles only the clause the previous
+        # round added.
+        solver, x = self._build_solver()
+        utilization = self._solve_utilization(solver)
         threshold = (
             utilization.gapness_s
             + self.gap_slack * utilization.predicted_latency_s
         )
 
-        model, x = self._build_model()
-
         def filtered_objective(values: Sequence[int]) -> float:
-            assignment = self._decode(values, x)
+            assignment = self._decode(values)
             if not self._meets_chunk_bounds(assignment):
                 return math.inf
             if self._gapness(assignment) > threshold + 1e-12:
@@ -480,13 +471,12 @@ class BTOptimizer:
             return self._latency(assignment)
 
         def unfiltered_objective(values: Sequence[int]) -> float:
-            assignment = self._decode(values, x)
+            assignment = self._decode(values)
             if not self._meets_chunk_bounds(assignment):
                 return math.inf
             return self._latency(assignment)
 
         candidates = partial  # shared so budget expiry can salvage them
-        latency_bound = self._latency_lower_bound(x)
         # Phase 2a enumerates within the utilization threshold; when the
         # filtered space runs dry before K candidates exist (small
         # platforms like the Jetson have only ~2(N-1)+2 contiguous
@@ -498,24 +488,19 @@ class BTOptimizer:
             # One span per blocking-clause round: how each candidate was
             # found (filtered or top-up) and what it cost the solver.
             with trc.span("solver.candidate_round", "solver", rank=rank):
-                solver = self._make_solver(model)
-                result = solver.minimize(objective,
-                                         lower_bound=latency_bound)
-                self._note_solve(solver)
+                result = self._minimize(solver, objective,
+                                        self._latency_lower_bound)
                 exhausted = result is None or math.isinf(result[1])
                 if exhausted:
                     if objective is unfiltered_objective:
                         break  # blocking clauses exhausted the space
                     objective = unfiltered_objective
-                    solver = self._make_solver(model)
-                    result = solver.minimize(
-                        objective, lower_bound=latency_bound
-                    )
-                    self._note_solve(solver)
+                    result = self._minimize(solver, objective,
+                                            self._latency_lower_bound)
                     if result is None or math.isinf(result[1]):
                         break
                 solution, latency = result
-                assignment = self._decode_solution(solution, x)
+                assignment = self._decode(solution.values)
                 candidates.append(
                     ScheduleCandidate(
                         rank=rank,
@@ -525,7 +510,7 @@ class BTOptimizer:
                     )
                 )
                 # C5-ell: forbid this exact assignment.
-                model.forbid_assignment(
+                solver.model.forbid_assignment(
                     [x[i][c] for i, c in enumerate(assignment)]
                 )
         # The paper sorts the candidate set by predicted latency (T_max)

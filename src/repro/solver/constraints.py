@@ -1,21 +1,22 @@
-"""Constraint classes and their propagation rules.
+"""Constraint classes: what each family means, and how it propagates.
 
 The search engine (:mod:`repro.solver.search`) keeps a partial assignment
-(``values[i]`` is 0, 1, or ``UNASSIGNED``).  Each constraint implements
-``propagate``, which inspects the partial assignment and either:
+(``values[i]`` is 0, 1, or ``UNASSIGNED``).  Every constraint says which
+variables it mentions and whether a *complete* assignment satisfies it
+(``satisfied_by`` - the semantics the test oracles brute-force).  How it
+prunes a partial assignment depends on the family:
 
-* reports a conflict (the constraint cannot be satisfied any more),
-* infers forced literals (unit propagation), or
-* does nothing.
-
-Three constraint families are enough for the BetterTogether formulation:
-
-* :class:`Clause` - disjunction of literals.  Implications such as the
-  contiguity constraint (C2) are compiled to clauses.
-* :class:`ExactlyOne` / :class:`AtMostOne` - cardinality over positive
-  literals (C1: one PU per stage).
-* :class:`LinearLE` - pseudo-boolean inequality ``sum(w_i * lit_i) <= bound``
-  used for the per-chunk runtime bounds (C3) and blocking clauses (C5).
+* :class:`Clause` - disjunction of literals: the contiguity implications
+  (C2) and the blocking clauses (C5-ell).  The engine compiles clauses to
+  integer literal codes and propagates them with two watched literals.
+* :class:`ExactlyOne` / :class:`AtMostOne` - cardinality over literals
+  (C1: one PU per stage).  Compiled too; the engine scans their code
+  lists inline.
+* :class:`LinearLE` / :class:`LinearGE` - pseudo-boolean inequalities
+  ``sum(w_i * lit_i) <= / >= bound`` for the per-chunk runtime bounds
+  (C3).  These implement ``propagate`` - report a conflict, infer forced
+  literals, or do nothing - and the engine calls it whenever one of
+  their variables is assigned.  Any further family plugs in the same way.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ class Constraint:
 
     def propagate(self, values: List[int]) -> Tuple[bool, List[Tuple[int, int]]]:
         """Inspect a partial assignment.
+
+        The engine never calls this on the families it compiles
+        (:class:`Clause`, :class:`AtMostOne`, :class:`ExactlyOne`), so
+        those do not implement it; every other family must.
 
         Args:
             values: Per-variable values, ``UNASSIGNED``/0/1, indexed by
@@ -81,21 +86,6 @@ class Clause(Constraint):
     def variables(self) -> List[BoolVar]:
         return [lit.var for lit in self.literals]
 
-    def propagate(self, values: List[int]) -> Tuple[bool, List[Tuple[int, int]]]:
-        unassigned: List[Literal] = []
-        for lit in self.literals:
-            state = _literal_state(lit, values)
-            if state == 1:
-                return True, []
-            if state == UNASSIGNED:
-                unassigned.append(lit)
-        if not unassigned:
-            return False, []
-        if len(unassigned) == 1:
-            lit = unassigned[0]
-            return True, [(lit.var.index, _forcing_value(lit, True))]
-        return True, []
-
     def satisfied_by(self, values: Sequence[int]) -> bool:
         return any(_literal_state(lit, values) == 1 for lit in self.literals)
 
@@ -112,23 +102,6 @@ class AtMostOne(Constraint):
     def variables(self) -> List[BoolVar]:
         return [lit.var for lit in self.literals]
 
-    def propagate(self, values: List[int]) -> Tuple[bool, List[Tuple[int, int]]]:
-        true_count = 0
-        unassigned: List[Literal] = []
-        for lit in self.literals:
-            state = _literal_state(lit, values)
-            if state == 1:
-                true_count += 1
-            elif state == UNASSIGNED:
-                unassigned.append(lit)
-        if true_count > 1:
-            return False, []
-        if true_count == 1 and unassigned:
-            return True, [
-                (lit.var.index, _forcing_value(lit, False)) for lit in unassigned
-            ]
-        return True, []
-
     def satisfied_by(self, values: Sequence[int]) -> bool:
         return sum(_literal_state(lit, values) == 1 for lit in self.literals) <= 1
 
@@ -143,29 +116,6 @@ class ExactlyOne(Constraint):
 
     def variables(self) -> List[BoolVar]:
         return [lit.var for lit in self.literals]
-
-    def propagate(self, values: List[int]) -> Tuple[bool, List[Tuple[int, int]]]:
-        true_count = 0
-        unassigned: List[Literal] = []
-        for lit in self.literals:
-            state = _literal_state(lit, values)
-            if state == 1:
-                true_count += 1
-            elif state == UNASSIGNED:
-                unassigned.append(lit)
-        if true_count > 1:
-            return False, []
-        if true_count == 1:
-            return True, [
-                (lit.var.index, _forcing_value(lit, False)) for lit in unassigned
-            ]
-        # No literal true yet.
-        if not unassigned:
-            return False, []
-        if len(unassigned) == 1:
-            lit = unassigned[0]
-            return True, [(lit.var.index, _forcing_value(lit, True))]
-        return True, []
 
     def satisfied_by(self, values: Sequence[int]) -> bool:
         return sum(_literal_state(lit, values) == 1 for lit in self.literals) == 1
@@ -260,7 +210,6 @@ class LinearGE(Constraint):
                 pending.append((lit, weight))
         if potential < self.bound - 1e-12:
             return False, []
-        deficit = self.bound - committed
         # A pending literal is forced true when losing it makes the bound
         # unreachable.
         forced = [
@@ -268,7 +217,6 @@ class LinearGE(Constraint):
             for lit, weight in pending
             if potential - weight < self.bound - 1e-12
         ]
-        del deficit
         return True, forced
 
     def satisfied_by(self, values: Sequence[int]) -> bool:

@@ -53,6 +53,14 @@ class Literal:
         truth = bool(assignment)
         return (not truth) if self.negated else truth
 
+    @property
+    def code(self) -> int:
+        """Integer form the search engine propagates on:
+        ``2 * var.index + v``, ``v`` being the variable value that makes
+        the literal true - so ``code ^ 1`` is the negation, ``code >> 1``
+        the variable and ``code & 1`` the satisfying value."""
+        return 2 * self.var.index + (0 if self.negated else 1)
+
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         prefix = "~" if self.negated else ""
         return f"{prefix}{self.var.name}"

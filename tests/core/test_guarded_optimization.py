@@ -13,6 +13,7 @@ from repro.core.optimizer import BTOptimizer
 from repro.core.profiler import ProfilingTable
 from repro.core.stage import Application, Stage
 from repro.errors import SchedulingError, SolverTimeoutError
+from repro.obs import capture
 from repro.solver import Model, Solver
 from repro.soc import WorkProfile, get_platform
 
@@ -81,6 +82,32 @@ class TestSolverBudget:
         model.add_clause([a])
         assert Solver(model).solve() is not None
 
+    def test_wall_time_recorded_when_the_budget_burns(self):
+        solver = Solver(self.build_wide_model(), max_decisions=50)
+        with pytest.raises(SolverTimeoutError, match="decision"):
+            solver.minimize(lambda values: sum(values))
+        assert solver.stats.wall_seconds > 0
+        assert solver.stats.decisions == 51
+        burnt = solver.stats.wall_seconds
+        with pytest.raises(SolverTimeoutError):
+            for _ in solver.enumerate():
+                pass
+        assert solver.stats.wall_seconds > burnt
+
+    def test_decision_budget_is_per_invocation(self):
+        """A solver reused across rounds gets ``max_decisions`` afresh
+        each round, not whatever the earlier rounds left over."""
+        model = Model()
+        variables = [model.new_bool(f"b{i}") for i in range(5)]
+        solver = Solver(model, max_decisions=6)
+        for _ in range(3):
+            solution = solver.solve()
+            assert solution is not None
+            model.forbid_assignment(
+                [v if solution[v] else ~v for v in variables]
+            )
+        assert solver.stats.decisions > 2 * 6
+
 
 class TestGreedyFallback:
     def test_budget_validated(self, case):
@@ -123,6 +150,40 @@ class TestGreedyFallback:
         result = BTOptimizer(app, table, k=4,
                              max_decisions=1).optimize()
         assert result.degraded
+
+    def test_burnt_invocation_is_accounted(self, case):
+        """The invocation that exhausts the budget still ran: it counts,
+        its wall time counts, and its search shows in the metrics."""
+        app, table = case
+        with capture() as cap:
+            result = BTOptimizer(app, table, k=5,
+                                 max_decisions=5).optimize()
+        counters = cap.metrics.snapshot()["counters"]
+        assert result.degraded
+        assert result.solver_invocations == 1
+        assert result.solver_wall_s > 0
+        assert counters["solver.invocations"] == 1
+        assert counters["solver.nodes"] == 6
+        assert counters["solver.propagations"] > 0
+
+    def test_budget_spent_before_the_first_solve_counts_nothing(self, case):
+        app, table = case
+        result = BTOptimizer(app, table, k=4,
+                             time_budget_s=1e-9).optimize()
+        assert result.degraded
+        assert result.solver_invocations == 0
+
+    def test_decision_budget_spans_rounds_per_invocation(self, case):
+        """One solver serves all K + 1 rounds; a budget any single round
+        fits in must not degrade the plan because the rounds add up."""
+        app, table = case
+        exact = BTOptimizer(app, table, k=4).optimize()
+        per_round = BTOptimizer(app, table, k=4,
+                                max_decisions=20).optimize()
+        assert not per_round.degraded
+        assert per_round.solver_invocations == exact.solver_invocations
+        assert ([c.schedule.assignments for c in per_round.candidates]
+                == [c.schedule.assignments for c in exact.candidates])
 
     def test_degraded_candidates_rank_by_latency(self, case):
         app, table = case

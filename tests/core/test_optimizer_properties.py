@@ -3,9 +3,12 @@
 For random profiling tables, the solver-based optimizer must find
 exactly the optima that exhaustive enumeration over all contiguous
 schedules finds - both for the gapness objective (level 1) and for
-latency-under-threshold (level 2's first candidate).
+latency-under-threshold (level 2's first candidate) - and, round for
+round, the whole K-candidate list a brute-force replay of the blocking
+loop produces.
 """
 
+import itertools
 import math
 
 import pytest
@@ -122,3 +125,111 @@ class TestAgainstBruteForce:
             assert candidate.gapness_s == pytest.approx(
                 candidate.schedule.gapness(app, table)
             )
+
+
+# ----------------------------------------------------------------------
+# The whole candidate list, replayed without a solver
+# ----------------------------------------------------------------------
+def chunk_sums(assignment, latencies):
+    sums, previous = [], None
+    for stage, pu in enumerate(assignment):
+        if pu != previous:
+            sums.append(0.0)
+            previous = pu
+        sums[-1] += latencies[stage][pu]
+    return sums
+
+
+def first_minimum(space, objective):
+    """What branch-and-bound returns: scanning in search order, a later
+    assignment replaces the incumbent only by beating it by > 1e-12."""
+    best = None
+    for assignment in space:
+        value = objective(assignment)
+        if best is None or value < best[1] - 1e-12:
+            best = (assignment, value)
+    return best
+
+
+def replay_candidates(latencies, k, gap_slack):
+    """BT-Optimizer levels 1-2 by exhaustive scans: returns the ranked
+    ``(assignment, latency, gapness)`` list, the threshold and how many
+    scans (solver invocations) it took."""
+    n, m = len(latencies), len(latencies[0])
+    # The search order: stage-major, lower PU column first.
+    space = [
+        a for a in itertools.product(range(m), repeat=n)
+        if all(a[i] != a[j] or len(set(a[i:j])) == 1
+               for i in range(n) for j in range(i + 1, n))
+    ]
+
+    def gapness(a):
+        sums = chunk_sums(a, latencies)
+        return max(sums) - min(sums)
+
+    def latency(a):
+        return max(chunk_sums(a, latencies))
+
+    optimum, best_gap = first_minimum(space, gapness)
+    threshold = best_gap + gap_slack * latency(optimum)
+
+    def filtered(a):
+        return math.inf if gapness(a) > threshold + 1e-12 else latency(a)
+
+    invocations = 1
+    found = []
+    objective = filtered
+    for _ in range(k):
+        result = first_minimum(space, objective) if space else None
+        invocations += 1
+        if result is None or math.isinf(result[1]):
+            if objective is latency:
+                break
+            objective = latency
+            result = first_minimum(space, objective) if space else None
+            invocations += 1
+            if result is None or math.isinf(result[1]):
+                break
+        found.append((result[0], result[1], gapness(result[0])))
+        space.remove(result[0])
+    found.sort(key=lambda c: (c[1], c[2]))
+    return found, threshold, invocations
+
+
+class TestWholeCandidateList:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=4).flatmap(
+            lambda m: st.lists(
+                st.lists(
+                    st.floats(min_value=0.01, max_value=10.0,
+                              allow_nan=False, allow_infinity=False),
+                    min_size=m, max_size=m,
+                ),
+                min_size=2, max_size=5,
+            )
+        ),
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from([0.0, 0.10, 0.5]),
+    )
+    def test_matches_replay_in_both_phases(self, latencies, k, gap_slack):
+        """Schedules, latencies, gapness and order of every candidate -
+        through the filtered phase, the top-up phase and exhaustion."""
+        app, table = make_case(latencies)
+        result = BTOptimizer(app, table, k=k,
+                             gap_slack=gap_slack).optimize()
+        expected, threshold, invocations = replay_candidates(
+            latencies, k, gap_slack
+        )
+        pus = table.pu_classes
+        assert [
+            (c.schedule.assignments, c.predicted_latency_s, c.gapness_s)
+            for c in result.candidates
+        ] == [
+            (tuple(pus[c] for c in assignment), latency, gap)
+            for assignment, latency, gap in expected
+        ]
+        assert [c.rank for c in result.candidates] \
+            == list(range(len(expected)))
+        assert result.gap_threshold_s == threshold
+        assert result.solver_invocations == invocations

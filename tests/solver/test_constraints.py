@@ -1,4 +1,11 @@
-"""Unit tests for individual constraint propagation rules."""
+"""Unit tests for individual constraint propagation rules.
+
+The linear families own a ``propagate`` method and are called directly.
+Clauses and the cardinality families are compiled by the engine, so
+their rules are exercised through it: ``engine_propagate`` replays a
+partial assignment as decisions on a one-constraint model and reports
+what the engine inferred.
+"""
 
 import pytest
 
@@ -11,6 +18,7 @@ from repro.solver import (
     LinearGE,
     LinearLE,
     Model,
+    Solver,
     implication,
 )
 
@@ -24,31 +32,53 @@ def make_vars(model, n):
     return [model.new_bool(f"v{i}") for i in range(n)]
 
 
+def engine_propagate(model, constraint, values):
+    """``(consistent, forced)`` after the engine has seen ``values``."""
+    model.add(constraint)
+    solver = Solver(model)
+    consistent = solver._start()
+    for index, value in enumerate(values):
+        if not consistent:
+            break
+        if value == UNASSIGNED:
+            continue
+        current = solver._values[index]
+        if current == UNASSIGNED:
+            consistent = solver._decide(index, value)
+        else:
+            consistent = current == value
+    forced = [
+        (index, value) for index, value in enumerate(solver._values)
+        if value != UNASSIGNED and values[index] == UNASSIGNED
+    ]
+    return consistent, forced
+
+
 class TestClause:
     def test_satisfied_when_any_literal_true(self, model):
         a, b = make_vars(model, 2)
         clause = Clause([a, b])
-        consistent, forced = clause.propagate([1, UNASSIGNED])
+        consistent, forced = engine_propagate(model, clause, [1, UNASSIGNED])
         assert consistent
         assert forced == []
 
     def test_unit_propagation_forces_last_literal(self, model):
         a, b = make_vars(model, 2)
         clause = Clause([a, b])
-        consistent, forced = clause.propagate([0, UNASSIGNED])
+        consistent, forced = engine_propagate(model, clause, [0, UNASSIGNED])
         assert consistent
         assert forced == [(1, 1)]
 
     def test_conflict_when_all_false(self, model):
         a, b = make_vars(model, 2)
         clause = Clause([a, b])
-        consistent, forced = clause.propagate([0, 0])
+        consistent, forced = engine_propagate(model, clause, [0, 0])
         assert not consistent
 
     def test_negated_literal_forced_to_zero(self, model):
         a, b = make_vars(model, 2)
         clause = Clause([a, ~b])
-        consistent, forced = clause.propagate([0, UNASSIGNED])
+        consistent, forced = engine_propagate(model, clause, [0, UNASSIGNED])
         assert consistent
         assert forced == [(1, 0)]
 
@@ -68,27 +98,28 @@ class TestExactlyOne:
     def test_forces_rest_false_once_one_true(self, model):
         a, b, c = make_vars(model, 3)
         con = ExactlyOne([a, b, c])
-        consistent, forced = con.propagate([1, UNASSIGNED, UNASSIGNED])
+        consistent, forced = engine_propagate(
+            model, con, [1, UNASSIGNED, UNASSIGNED])
         assert consistent
         assert sorted(forced) == [(1, 0), (2, 0)]
 
     def test_forces_last_candidate_true(self, model):
         a, b, c = make_vars(model, 3)
         con = ExactlyOne([a, b, c])
-        consistent, forced = con.propagate([0, 0, UNASSIGNED])
+        consistent, forced = engine_propagate(model, con, [0, 0, UNASSIGNED])
         assert consistent
         assert forced == [(2, 1)]
 
     def test_conflict_two_true(self, model):
         a, b, c = make_vars(model, 3)
         con = ExactlyOne([a, b, c])
-        consistent, _ = con.propagate([1, 1, UNASSIGNED])
+        consistent, _ = engine_propagate(model, con, [1, 1, UNASSIGNED])
         assert not consistent
 
     def test_conflict_all_false(self, model):
         a, b = make_vars(model, 2)
         con = ExactlyOne([a, b])
-        consistent, _ = con.propagate([0, 0])
+        consistent, _ = engine_propagate(model, con, [0, 0])
         assert not consistent
 
     def test_satisfied_by(self, model):
@@ -103,7 +134,8 @@ class TestAtMostOne:
     def test_no_force_when_all_unassigned(self, model):
         a, b = make_vars(model, 2)
         con = AtMostOne([a, b])
-        consistent, forced = con.propagate([UNASSIGNED, UNASSIGNED])
+        consistent, forced = engine_propagate(
+            model, con, [UNASSIGNED, UNASSIGNED])
         assert consistent
         assert forced == []
 
@@ -115,7 +147,7 @@ class TestAtMostOne:
     def test_conflict_two_true(self, model):
         a, b = make_vars(model, 2)
         con = AtMostOne([a, b])
-        consistent, _ = con.propagate([1, 1])
+        consistent, _ = engine_propagate(model, con, [1, 1])
         assert not consistent
 
 
@@ -171,7 +203,8 @@ class TestImplication:
         a, b, c = make_vars(model, 3)
         clause = implication([a, b], c)
         # a & b true forces c true
-        consistent, forced = clause.propagate([1, 1, UNASSIGNED])
+        consistent, forced = engine_propagate(
+            model, clause, [1, 1, UNASSIGNED])
         assert consistent
         assert forced == [(2, 1)]
 
