@@ -7,20 +7,23 @@ key insight: low-gapness schedules keep every PU busy, which matches the
 co-run conditions the interference-aware profiling table was collected
 under, so their predictions are trustworthy.
 
-Level 2 - *Latency*: enumerate ``K`` diverse candidates by repeatedly
-solving for minimum predicted latency among schedules within the gapness
-threshold, each time blocking the previous solution (constraint C5-ell).
-Candidates emerge sorted by predicted latency and cluster into
-*performance tiers*.
+Level 2 - *Latency*: the ``K`` schedules of lowest predicted latency
+within the gapness threshold.  The paper enumerates them by solving,
+blocking the answer (constraint C5-ell) and solving again; here one
+K-best branch-and-bound returns the same list - ordered by (latency,
+search position) - from a single traversal.  Candidates emerge sorted by
+predicted latency and cluster into *performance tiers*.
 
 Level 3 - *Autotuning* lives in :mod:`repro.core.autotuner`: the top
 candidates are actually executed and the measured best wins.
 
 The constraint encoding targets :mod:`repro.solver` (the z3 stand-in).
-One model and one solver serve all K + 1 invocations of an
-:meth:`BTOptimizer.optimize` call; on the worst paper-scale instance
-(alexnet-sparse on the Pixel 7a: N=9, M=4, K=20) an invocation averages
-about 18 ms, against the paper's 50 ms figure
+One model and one solver serve the two or three invocations of an
+:meth:`BTOptimizer.optimize` call - level 1, the filtered K-best and,
+when the threshold leaves fewer than K, one unfiltered top-up - where
+blocking needs K + 1.  On the worst paper-scale instance (alexnet-sparse
+on the Pixel 7a: N=9, M=4, K=20) the whole call takes about 17 ms,
+against the paper's 50 ms for a single z3 invocation
 (``benchmarks/test_solver_scalability.py`` holds the line).
 """
 
@@ -28,8 +31,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.profiler import ProfilingTable
 from repro.core.schedule import Schedule, validate_schedule
@@ -66,6 +69,8 @@ class OptimizationResult:
     candidates: List[ScheduleCandidate]
     gap_threshold_s: float
     utilization_optimum: Optional[ScheduleCandidate]
+    #: Solver invocations actually made: 2 or 3 for an exact plan (level
+    #: 1, the filtered K-best, a top-up if the filter left fewer than K).
     solver_invocations: int = 0
     solver_wall_s: float = 0.0
     #: True when the solver's wall-clock budget expired and the result
@@ -159,10 +164,14 @@ class BTOptimizer:
             [table.latency(stage, pu) for pu in self.pu_classes]
             for stage in application.stage_names
         ]
+        # The search bounds rely on a chunk's runtime never shrinking as
+        # stages join it.
+        if any(latency < 0 for row in self._lat for latency in row):
+            raise SchedulingError("profiled latencies must be >= 0")
         self.solver_invocations = 0
         self.solver_wall_s = 0.0
 
-    def _minimize(self, solver: Solver, objective, lower_bound):
+    def _minimize(self, solver: Solver, objective, lower_bound, k: int = 1):
         """One solver invocation under whatever remains of the wall
         budget, accounted (and mirrored into metrics) however it ends."""
         if self._deadline is not None:
@@ -177,7 +186,7 @@ class BTOptimizer:
         before = (stats.decisions, stats.conflicts, stats.propagations,
                   stats.wall_seconds)
         try:
-            return solver.minimize(objective, lower_bound=lower_bound)
+            return solver.minimize(objective, lower_bound=lower_bound, k=k)
         finally:
             self.solver_invocations += 1
             self.solver_wall_s += stats.wall_seconds - before[3]
@@ -244,20 +253,47 @@ class BTOptimizer:
             sums[-1] += self._lat[i][c]
         return sums
 
-    def _gapness(self, assignment: Tuple[int, ...]) -> float:
-        sums = self._chunk_sums(assignment)
-        return max(sums) - min(sums)
+    def _objective(self, gap_threshold: Optional[float] = None):
+        """Objective over complete solver values, from one pass over the
+        chunk runtimes: infinite outside the C3 bounds; otherwise the
+        gapness (no ``gap_threshold``: level 1), or the latency of a
+        schedule whose gapness is within ``gap_threshold`` and infinite
+        beyond it (level 2; ``math.inf`` filters nothing)."""
+        decode = self._decode
+        chunk_sums = self._chunk_sums
+        shortest_allowed = (
+            -math.inf if self.min_chunk_time_s is None
+            else self.min_chunk_time_s
+        )
+        longest_allowed = (
+            math.inf if self.max_chunk_time_s is None
+            else self.max_chunk_time_s
+        )
 
-    def _latency(self, assignment: Tuple[int, ...]) -> float:
-        return max(self._chunk_sums(assignment))
+        def objective(values: Sequence[int]) -> float:
+            sums = chunk_sums(decode(values))
+            longest = max(sums)
+            shortest = min(sums)
+            if longest > longest_allowed or shortest < shortest_allowed:
+                return math.inf
+            if gap_threshold is None:
+                return longest - shortest
+            if longest - shortest > gap_threshold + 1e-12:
+                return math.inf
+            return longest
 
-    def _meets_chunk_bounds(self, assignment: Tuple[int, ...]) -> bool:
+        return objective
+
+    def _candidate(self, assignment: Tuple[int, ...]) -> ScheduleCandidate:
+        """Scored but not yet ranked (:meth:`_ranked` numbers a list)."""
         sums = self._chunk_sums(assignment)
-        if self.max_chunk_time_s is not None and max(sums) > self.max_chunk_time_s:
-            return False
-        if self.min_chunk_time_s is not None and min(sums) < self.min_chunk_time_s:
-            return False
-        return True
+        longest = max(sums)
+        return ScheduleCandidate(
+            rank=0,
+            schedule=self._to_schedule(assignment),
+            predicted_latency_s=longest,
+            gapness_s=longest - min(sums),
+        )
 
     def _to_schedule(self, assignment: Tuple[int, ...]) -> Schedule:
         return Schedule.from_assignments(
@@ -270,10 +306,12 @@ class BTOptimizer:
     # The solver branches stage-major, so a partial assignment is a
     # prefix of decided stages.  Every chunk in that prefix except the
     # last is *closed*: contiguity (C2) forbids its PU from reappearing,
-    # so its runtime is final.  That makes the bounds below admissible.
+    # so its runtime is final.  The last one is *open*: it can only grow
+    # (latencies are non-negative), so it bounds T_max from below and
+    # says nothing about T_min.  That makes the bounds below admissible.
     # ------------------------------------------------------------------
-    def _closed_chunk_sums(self, values: Sequence[int]) -> List[float]:
-        """Chunk runtimes finalized by the decided prefix."""
+    def _prefix_chunk_sums(self, values: Sequence[int]) -> List[float]:
+        """Chunk runtimes of the decided prefix, the open chunk last."""
         m = len(self.pu_classes)
         sums: List[float] = []
         previous = None
@@ -288,20 +326,36 @@ class BTOptimizer:
                 base += m
         except ValueError:
             pass  # first stage without a PU yet: the prefix ends here
-        if sums:
-            sums.pop()  # the last prefix chunk may still grow
         return sums
 
-    def _latency_lower_bound(self, values: Sequence[int]) -> float:
-        closed = self._closed_chunk_sums(values)
-        return max(closed) if closed else 0.0
+    def _latency_lower_bound(self, gap_threshold: float):
+        """Bound for the level-2 objective with the same threshold: the
+        longest chunk of the prefix - or infinity once the prefix alone
+        has a gap beyond the threshold, as no completion brings T_max
+        down or T_min up."""
+        prefix_chunk_sums = self._prefix_chunk_sums
+
+        def lower_bound(values: Sequence[int]) -> float:
+            sums = prefix_chunk_sums(values)
+            if not sums:
+                return 0.0
+            longest = max(sums)
+            del sums[-1]  # the open chunk may yet outgrow T_min
+            if sums and longest - min(sums) > gap_threshold + 1e-12:
+                return math.inf
+            return longest
+
+        return lower_bound
 
     def _gapness_lower_bound(self, values: Sequence[int]) -> float:
-        closed = self._closed_chunk_sums(values)
-        if len(closed) < 2:
+        sums = self._prefix_chunk_sums(values)
+        if len(sums) < 2:
             return 0.0
-        # Any completion's T_max >= max(closed) and T_min <= min(closed).
-        return max(closed) - min(closed)
+        # Any completion's T_max >= every chunk of the prefix, and its
+        # T_min <= every closed one.
+        longest = max(sums)
+        del sums[-1]
+        return longest - min(sums)
 
     # ------------------------------------------------------------------
     # Level 1: utilization (gapness) optimum
@@ -311,30 +365,15 @@ class BTOptimizer:
         return self._solve_utilization(self._build_solver()[0])
 
     def _solve_utilization(self, solver: Solver) -> ScheduleCandidate:
-        def objective(values: Sequence[int]) -> float:
-            assignment = self._decode(values)
-            if not self._meets_chunk_bounds(assignment):
-                return math.inf
-            return self._gapness(assignment)
-
         with tracer().span("solver.utilization", "solver",
                            application=self.application.name):
-            result = self._minimize(solver, objective,
-                                    self._gapness_lower_bound)
-        if result is None:
-            raise SchedulingError("utilization optimization is infeasible")
-        solution, gap = result
-        if math.isinf(gap):
+            found = self._minimize(solver, self._objective(),
+                                   self._gapness_lower_bound)
+        if not found:
             raise SchedulingError(
-                "no schedule satisfies the per-chunk runtime bounds (C3)"
+                "no schedule satisfies the constraints (C1-C3)"
             )
-        assignment = self._decode(solution.values)
-        return ScheduleCandidate(
-            rank=0,
-            schedule=self._to_schedule(assignment),
-            predicted_latency_s=self._latency(assignment),
-            gapness_s=gap,
-        )
+        return self._candidate(self._decode(found[0][0].values))
 
     # ------------------------------------------------------------------
     # Greedy fallback (degraded mode)
@@ -370,32 +409,11 @@ class BTOptimizer:
         self, partial: List[ScheduleCandidate]
     ) -> OptimizationResult:
         """Greedy best-PU schedule plus whatever level 2 already found."""
-        greedy = self.greedy_assignment()
-        pool: Dict[Tuple[int, ...], ScheduleCandidate] = {}
-        pool[greedy] = ScheduleCandidate(
-            rank=0,
-            schedule=self._to_schedule(greedy),
-            predicted_latency_s=self._latency(greedy),
-            gapness_s=self._gapness(greedy),
-        )
+        greedy = self._candidate(self.greedy_assignment())
+        pool = {greedy.schedule.assignments: greedy}
         for candidate in partial:
-            key = tuple(
-                self.pu_classes.index(pu)
-                for pu in candidate.schedule.assignments
-            )
-            pool.setdefault(key, candidate)
-        candidates = sorted(
-            pool.values(),
-            key=lambda c: (c.predicted_latency_s, c.gapness_s),
-        )
-        candidates = [
-            ScheduleCandidate(
-                rank=rank, schedule=c.schedule,
-                predicted_latency_s=c.predicted_latency_s,
-                gapness_s=c.gapness_s,
-            )
-            for rank, c in enumerate(candidates)
-        ]
+            pool.setdefault(candidate.schedule.assignments, candidate)
+        candidates = self._ranked(pool.values())
         return OptimizationResult(
             application=self.application.name,
             platform=self.table.platform,
@@ -408,15 +426,16 @@ class BTOptimizer:
         )
 
     # ------------------------------------------------------------------
-    # Level 2: latency, K diverse candidates via blocking clauses
+    # Level 2: latency, the K best candidates of one traversal
     # ------------------------------------------------------------------
     def optimize(self) -> OptimizationResult:
         """Run levels 1 and 2; candidates sorted by predicted latency.
 
         With a ``time_budget_s`` (or ``max_decisions``), budget expiry
         degrades to :meth:`greedy_assignment` instead of raising; the
-        result is flagged ``degraded``.  Every produced candidate is
-        validated (C1/C2/C3/availability) before it is returned.
+        result is flagged ``degraded`` and keeps what level 2 had found
+        by then.  Every produced candidate is validated
+        (C1/C2/C3/availability) before it is returned.
         """
         self._deadline = (
             None if self.time_budget_s is None
@@ -447,91 +466,78 @@ class BTOptimizer:
             )
         return result
 
+    @staticmethod
+    def _ranked(candidates) -> List[ScheduleCandidate]:
+        """Stable sort by (predicted latency, gapness), ranks renumbered."""
+        ordered = sorted(
+            candidates, key=lambda c: (c.predicted_latency_s, c.gapness_s)
+        )
+        return [replace(c, rank=rank) for rank, c in enumerate(ordered)]
+
+    def _latency_phase(
+        self,
+        solver: Solver,
+        phase: str,
+        gap_threshold: float,
+        partial: List[ScheduleCandidate],
+    ) -> None:
+        """One K-best invocation for the candidates ``partial`` still
+        lacks: the lowest-latency schedules within ``gap_threshold``, in
+        the order the blocking loop meets them, appended to ``partial``
+        - on budget expiry, the incumbents of the interrupted search."""
+        pairs = ()
+        with tracer().span("solver.candidate_round", "solver", phase=phase):
+            try:
+                pairs = self._minimize(
+                    solver,
+                    self._objective(gap_threshold),
+                    self._latency_lower_bound(gap_threshold),
+                    k=self.k - len(partial),
+                )
+            except SolverTimeoutError as error:
+                pairs = error.incumbents
+                raise
+            finally:
+                tracer().annotate(found=len(pairs))
+                partial.extend(
+                    self._candidate(self._decode(solution.values))
+                    for solution, _ in pairs
+                )
+
     def _optimize_exact(
         self, partial: List[ScheduleCandidate]
     ) -> OptimizationResult:
         """The solver-backed levels 1 + 2; appends each candidate to
         ``partial`` as found so a budget expiry can salvage them."""
-        # One model, one solver: level 1 never sees a blocking clause,
-        # and each level-2 round compiles only the clause the previous
-        # round added.
+        # One model, one solver: level 1 and the filtered phase see no
+        # blocking clause; the top-up compiles the ones added before it.
         solver, x = self._build_solver()
         utilization = self._solve_utilization(solver)
         threshold = (
             utilization.gapness_s
             + self.gap_slack * utilization.predicted_latency_s
         )
-
-        def filtered_objective(values: Sequence[int]) -> float:
-            assignment = self._decode(values)
-            if not self._meets_chunk_bounds(assignment):
-                return math.inf
-            if self._gapness(assignment) > threshold + 1e-12:
-                return math.inf
-            return self._latency(assignment)
-
-        def unfiltered_objective(values: Sequence[int]) -> float:
-            assignment = self._decode(values)
-            if not self._meets_chunk_bounds(assignment):
-                return math.inf
-            return self._latency(assignment)
-
-        candidates = partial  # shared so budget expiry can salvage them
-        # Phase 2a enumerates within the utilization threshold; when the
-        # filtered space runs dry before K candidates exist (small
-        # platforms like the Jetson have only ~2(N-1)+2 contiguous
-        # schedules in total), phase 2b tops the set up without the
-        # filter so autotuning still sees K diverse options.
-        objective = filtered_objective
-        trc = tracer()
-        for rank in range(self.k):
-            # One span per blocking-clause round: how each candidate was
-            # found (filtered or top-up) and what it cost the solver.
-            with trc.span("solver.candidate_round", "solver", rank=rank):
-                result = self._minimize(solver, objective,
-                                        self._latency_lower_bound)
-                exhausted = result is None or math.isinf(result[1])
-                if exhausted:
-                    if objective is unfiltered_objective:
-                        break  # blocking clauses exhausted the space
-                    objective = unfiltered_objective
-                    result = self._minimize(solver, objective,
-                                            self._latency_lower_bound)
-                    if result is None or math.isinf(result[1]):
-                        break
-                solution, latency = result
-                assignment = self._decode(solution.values)
-                candidates.append(
-                    ScheduleCandidate(
-                        rank=rank,
-                        schedule=self._to_schedule(assignment),
-                        predicted_latency_s=latency,
-                        gapness_s=self._gapness(assignment),
-                    )
-                )
-                # C5-ell: forbid this exact assignment.
-                solver.model.forbid_assignment(
-                    [x[i][c] for i, c in enumerate(assignment)]
-                )
+        # Phase 2a takes the K best within the utilization threshold;
+        # when the filtered space holds fewer (small platforms like the
+        # Jetson have only ~2(N-1)+2 contiguous schedules in total),
+        # phase 2b forbids what 2a found (C5-ell) and tops the set up
+        # without the filter so autotuning still sees K diverse options.
+        self._latency_phase(solver, "filtered", threshold, partial)
+        if len(partial) < self.k:
+            column = {pu: c for c, pu in enumerate(self.pu_classes)}
+            for candidate in partial:
+                solver.model.forbid_assignment([
+                    x[i][column[pu]]
+                    for i, pu in enumerate(candidate.schedule.assignments)
+                ])
+            self._latency_phase(solver, "topup", math.inf, partial)
         # The paper sorts the candidate set by predicted latency (T_max)
         # at the end; the unfiltered top-up phase can otherwise leave a
         # low-latency, high-gapness schedule after a filtered one.
-        candidates.sort(
-            key=lambda c: (c.predicted_latency_s, c.gapness_s)
-        )
-        candidates = [
-            ScheduleCandidate(
-                rank=rank,
-                schedule=c.schedule,
-                predicted_latency_s=c.predicted_latency_s,
-                gapness_s=c.gapness_s,
-            )
-            for rank, c in enumerate(candidates)
-        ]
         return OptimizationResult(
             application=self.application.name,
             platform=self.table.platform,
-            candidates=candidates,
+            candidates=self._ranked(partial),
             gap_threshold_s=threshold,
             utilization_optimum=utilization,
             solver_invocations=self.solver_invocations,

@@ -33,7 +33,14 @@ class InfeasibleError(SolverError):
 
 
 class SolverTimeoutError(SolverError):
-    """Raised when the solver exhausts its node or time budget."""
+    """Raised when the solver exhausts its node or time budget.
+
+    ``incumbents`` carries what an interrupted ``Solver.minimize`` had
+    found so far - ``(solution, value)`` pairs, best first - and is
+    empty for every other source of the error.
+    """
+
+    incumbents: Sequence[Any] = ()
 
 
 class ModellingError(SolverError):

@@ -96,7 +96,8 @@ class Tracer:
         self._tls = threading.local()
 
     # -- clock / id plumbing ------------------------------------------
-    def _stack(self) -> List[int]:
+    def _stack(self) -> List[Tuple[int, Dict[str, Any]]]:
+        """This thread's open spans, innermost last: (id, attributes)."""
         stack = getattr(self._tls, "stack", None)
         if stack is None:
             stack = []
@@ -106,7 +107,15 @@ class Tracer:
     def current_span_id(self) -> int:
         """Id of the innermost open span on this thread (ROOT if none)."""
         stack = self._stack()
-        return stack[-1] if stack else ROOT
+        return stack[-1][0] if stack else ROOT
+
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes to the innermost open span on this thread -
+        what a span only learns while it runs (a result count, say).
+        Does nothing outside a span or on a disabled tracer."""
+        stack = self._stack()
+        if stack:
+            stack[-1][1].update(attrs)
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -128,13 +137,13 @@ class Tracer:
             yield ROOT
             return
         stack = self._stack()
-        parent = stack[-1] if stack else ROOT
+        parent = stack[-1][0] if stack else ROOT
         with self._lock:
             event_id = self._next_id
             self._next_id += 1
             start = self._tick
             self._tick += 1
-        stack.append(event_id)
+        stack.append((event_id, attrs))
         try:
             yield event_id
         finally:

@@ -19,21 +19,29 @@ search tree - does not depend on the visiting order.  The engine offers:
 
 * :meth:`Solver.solve` - first satisfying assignment (or ``None``).
 * :meth:`Solver.enumerate` - lazily yield solutions (optionally bounded).
-* :meth:`Solver.minimize` - branch-and-bound over an objective evaluated on
-  complete assignments, with an optional admissible lower bound over partial
-  assignments for pruning.
+* :meth:`Solver.minimize` - K-best branch-and-bound over an objective
+  evaluated on complete assignments, with an optional admissible lower bound
+  over partial assignments for pruning.
+
+All three walk the tree with the same traversal (:meth:`Solver._search`).
 
 The design deliberately mirrors the role z3 plays in the paper: the
 BetterTogether optimizer (section 3.3) pushes constraints C1-C5 and objective
-O1, asks for an optimum, then repeatedly blocks solutions to enumerate the
-K = 20 diverse candidates.  Like an incremental SMT context, one solver
-serves all those rounds: constraints the model gained since the previous
-entry-point call are compiled on the next one; nothing else - learned
-clauses, bounds, the incumbent - carries over between calls.
+O1, asks for an optimum, then repeatedly blocks solutions (C5-ell) to
+enumerate the K = 20 diverse candidates - K + 1 solves that each start from
+the empty assignment.  Blocking the optimum and solving again walks the
+leaves in (value, search position) order, so ``minimize(k=K)`` returns that
+very list from one traversal by holding K incumbents instead of one.  Like
+an incremental SMT context, one solver still serves several calls:
+constraints the model gained since the previous entry-point call (blocking
+clauses at a phase boundary, say) are compiled on the next one; nothing
+else - learned clauses, bounds, incumbents - carries over between calls.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -344,13 +352,6 @@ class Solver:
             values[code >> 1] = truth[code] = truth[code ^ 1] = UNASSIGNED
         del trail[mark:]
 
-    def _first_unassigned(self, start: int) -> int:
-        """Lowest unassigned variable index >= ``start``, or -1."""
-        try:
-            return self._values.index(UNASSIGNED, start)
-        except ValueError:
-            return -1
-
     def _check_budget(self) -> None:
         if (
             self._decision_limit is not None
@@ -387,7 +388,7 @@ class Solver:
             if not self._start():
                 return
             emitted = 0
-            for values in self._dfs(0):
+            for values in self._search():
                 self.stats.solutions += 1
                 yield Solution(values, self._by_name)
                 emitted += 1
@@ -396,99 +397,105 @@ class Solver:
         finally:
             self.stats.wall_seconds += time.perf_counter() - start
 
-    def _dfs(self, start: int) -> Iterator[List[int]]:
-        # Every variable below the one a node branches on is assigned,
-        # so its children resume the scan just past it.
-        branch_var = self._first_unassigned(start)
-        if branch_var < 0:
-            yield self._values
-            return
-        for choice in (1, 0):
-            self.stats.decisions += 1
-            self._check_budget()
-            mark = len(self._trail)
-            if self._decide(branch_var, choice):
-                yield from self._dfs(branch_var + 1)
+    def _search(
+        self, prune: Optional[Callable[[Sequence[int]], bool]] = None
+    ) -> Iterator[List[int]]:
+        """The one traversal: yield the live assignment at every leaf.
+
+        Depth-first from the current (root) fixpoint, variables in index
+        order, 1 before 0.  ``prune`` is asked at every node, leaves
+        included; True skips the node's subtree.  Every variable below
+        the one a node branches on is assigned, so its children resume
+        the scan just past it.
+        """
+        values = self._values
+        trail = self._trail
+        stats = self.stats
+        root = len(trail)
+        # Branches still to take, deepest last: (variable, value, trail
+        # length of the node they leave from).
+        pending: List[Tuple[int, int, int]] = []
+        scan_from = 0
+        consistent = True
+        while True:
+            if consistent and not (prune is not None and prune(values)):
+                try:
+                    branch_var = values.index(UNASSIGNED, scan_from)
+                except ValueError:
+                    yield values
+                else:
+                    mark = len(trail)
+                    pending.append((branch_var, 0, mark))
+                    pending.append((branch_var, 1, mark))
+            if not pending:
+                break
+            branch_var, choice, mark = pending.pop()
             self._undo(mark)
+            stats.decisions += 1
+            self._check_budget()
+            consistent = self._decide(branch_var, choice)
+            scan_from = branch_var + 1
+        self._undo(root)
 
     def minimize(
         self,
         objective: ObjectiveFn,
         lower_bound: Optional[LowerBoundFn] = None,
-    ) -> Optional[Tuple[Solution, float]]:
-        """Find an assignment minimizing ``objective``.
+        k: int = 1,
+    ) -> List[Tuple[Solution, float]]:
+        """The ``k`` assignments of lowest finite ``objective``.
 
-        Branch-and-bound: whenever ``lower_bound`` on a partial assignment
-        is not better than the incumbent, the subtree is pruned.  Without a
-        lower bound this degrades to exhaustive search over satisfying
-        assignments; with the optimizer's bounds the worst paper-scale
-        instance (N = 9, M = 4) takes about 18 ms per invocation, against
-        the paper's 50 ms.
+        K-best branch-and-bound in one traversal: the incumbents are the
+        ``k`` best leaves seen so far, ordered by (value, DFS position) -
+        the list that ``k`` rounds of "minimize, then block the answer"
+        would produce.  A subtree is pruned when ``lower_bound`` on its
+        partial assignment is infinite or, with ``k`` incumbents held,
+        not better than the worst of them.  Without a lower bound this
+        degrades to exhaustive search over satisfying assignments; with
+        the optimizer's bounds a whole K = 20 plan of the worst
+        paper-scale instance (N = 9, M = 4; three calls) takes about
+        17 ms, against the paper's 50 ms for one of its K + 1 z3 calls.
 
         Returns:
-            ``(solution, value)`` for the optimum, or ``None`` if the model
-            is infeasible.
+            ``(solution, value)`` pairs, best first: fewer than ``k``
+            when fewer assignments have a finite objective, none when
+            the model is infeasible.
+
+        Raises:
+            SolverTimeoutError: a budget ran out; ``incumbents`` on the
+                error holds the pairs found so far.
         """
+        if k < 1:
+            raise ValueError("k must be >= 1")
         start = time.perf_counter()
+        stats = self.stats
+        # (value, DFS position, assignment), ascending; positions are
+        # unique, so the assignments themselves are never compared.
+        best: List[Tuple[float, int, List[int]]] = []
+        # What a leaf must beat (and a bound must stay under) to matter.
+        cutoff = math.inf
+
+        def incumbents() -> List[Tuple[Solution, float]]:
+            return [(Solution(values, self._by_name), value)
+                    for value, _, values in best]
+
         try:
             if not self._start():
-                return None
-            values = self._values
-            trail = self._trail
-            stats = self.stats
-            best_values: Optional[List[int]] = None
-            best = 0.0
-
-            def recurse(scan_from: int) -> None:
-                nonlocal best_values, best
-                if (
-                    best_values is not None
-                    and lower_bound is not None
-                    and lower_bound(values) >= best - 1e-12
-                ):
-                    return
-                branch_var = self._first_unassigned(scan_from)
-                if branch_var < 0:
-                    value = objective(values)
-                    if best_values is None or value < best - 1e-12:
-                        best_values = values[:]
-                        best = value
-                        stats.solutions += 1
-                    return
-                for choice in (1, 0):
-                    stats.decisions += 1
-                    self._check_budget()
-                    mark = len(trail)
-                    if self._decide(branch_var, choice):
-                        recurse(branch_var + 1)
-                    self._undo(mark)
-
-            recurse(0)
-            if best_values is None:
-                return None
-            return Solution(best_values, self._by_name), best
+                return []
+            prune = None
+            if lower_bound is not None:
+                prune = lambda values: lower_bound(values) >= cutoff  # noqa: E731
+            for values in self._search(prune):
+                value = objective(values)
+                if value < cutoff:
+                    bisect.insort(best, (value, stats.solutions, values[:]))
+                    stats.solutions += 1
+                    del best[k:]
+                    if len(best) == k:
+                        cutoff = best[-1][0] - 1e-12
+            return incumbents()
+        except SolverTimeoutError as error:
+            error.incumbents = incumbents()
+            raise
         finally:
-            self.stats.wall_seconds += time.perf_counter() - start
-
-    def maximize(
-        self,
-        objective: ObjectiveFn,
-        upper_bound: Optional[LowerBoundFn] = None,
-    ) -> Optional[Tuple[Solution, float]]:
-        """Find an assignment maximizing ``objective``.
-
-        Implemented as minimization of the negated objective; an
-        optional admissible *upper* bound over partial assignments
-        enables pruning (it must never be below the objective of any
-        completion).
-        """
-        negated_bound = None
-        if upper_bound is not None:
-            negated_bound = lambda values: -upper_bound(values)  # noqa: E731
-        result = self.minimize(
-            lambda values: -objective(values), lower_bound=negated_bound
-        )
-        if result is None:
-            return None
-        solution, value = result
-        return solution, -value
+            stats.wall_seconds += time.perf_counter() - start

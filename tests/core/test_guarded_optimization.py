@@ -174,16 +174,47 @@ class TestGreedyFallback:
         assert result.solver_invocations == 0
 
     def test_decision_budget_spans_rounds_per_invocation(self, case):
-        """One solver serves all K + 1 rounds; a budget any single round
-        fits in must not degrade the plan because the rounds add up."""
+        """One solver serves level 1, the filtered K-best and the
+        top-up; a budget each of those calls fits in must not degrade
+        the plan because the three add up to more."""
         app, table = case
         exact = BTOptimizer(app, table, k=4).optimize()
-        per_round = BTOptimizer(app, table, k=4,
-                                max_decisions=20).optimize()
-        assert not per_round.degraded
-        assert per_round.solver_invocations == exact.solver_invocations
-        assert ([c.schedule.assignments for c in per_round.candidates]
+        with capture() as cap:
+            per_call = BTOptimizer(app, table, k=4,
+                                   max_decisions=20).optimize()
+        assert not per_call.degraded
+        assert cap.metrics.snapshot()["counters"]["solver.nodes"] > 20
+        assert per_call.solver_invocations == exact.solver_invocations == 3
+        assert ([c.schedule.assignments for c in per_call.candidates]
                 == [c.schedule.assignments for c in exact.candidates])
+
+    @pytest.mark.parametrize("max_decisions", [8, 10, 12])
+    def test_interrupted_level_two_salvages_its_incumbents(
+            self, case, max_decisions):
+        """The budget fires inside the filtered K-best: what that one
+        traversal had found so far joins the greedy schedule."""
+        app, table = case
+        exact = {
+            c.schedule.assignments: c
+            for c in BTOptimizer(app, table, k=20).optimize().candidates
+        }
+        optimizer = BTOptimizer(app, table, k=20,
+                                max_decisions=max_decisions)
+        result = optimizer.optimize()
+        assert result.degraded
+        assert result.solver_invocations == 2  # level 1 + the burnt call
+        assert result.solver_wall_s > 0
+        greedy = tuple(table.pu_classes[c]
+                       for c in optimizer.greedy_assignment())
+        pool = [c.schedule.assignments for c in result.candidates]
+        assert greedy in pool and len(pool) == len(set(pool)) >= 2
+        for candidate in result.candidates:
+            twin = exact[candidate.schedule.assignments]
+            assert candidate.predicted_latency_s == twin.predicted_latency_s
+            assert candidate.gapness_s == twin.gapness_s
+        latencies = [c.predicted_latency_s for c in result.candidates]
+        assert latencies == sorted(latencies)
+        assert [c.rank for c in result.candidates] == list(range(len(pool)))
 
     def test_degraded_candidates_rank_by_latency(self, case):
         app, table = case

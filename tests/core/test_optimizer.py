@@ -9,6 +9,7 @@ from repro.core.optimizer import BTOptimizer, ScheduleCandidate
 from repro.core.profiler import ProfilingTable
 from repro.core.schedule import Schedule, enumerate_schedules
 from repro.errors import SchedulingError
+from repro.obs import capture
 from repro.soc import WorkProfile
 
 
@@ -182,6 +183,13 @@ class TestValidation:
         with pytest.raises(SchedulingError):
             BTOptimizer(app, table, pu_classes=["npu"])
 
+    def test_negative_latency_rejected(self):
+        app = make_app(3)
+        table = make_table(app, {"big": [1.0, -0.5, 3.0],
+                                 "gpu": [2.0, 1.0, 1.0]})
+        with pytest.raises(SchedulingError, match=">= 0"):
+            BTOptimizer(app, table)
+
     def test_stage_mismatch(self, simple_case):
         _, table = simple_case
         other = make_app(5)
@@ -192,5 +200,24 @@ class TestValidation:
         app, table = simple_case
         optimizer = BTOptimizer(app, table, k=3)
         result = optimizer.optimize()
-        assert result.solver_invocations >= 4  # level 1 + >=3 level 2
+        # Level 1, the filtered K-best and at most one top-up.
+        assert 2 <= result.solver_invocations <= 3
         assert result.solver_wall_s > 0
+
+    def test_one_span_per_level_two_phase(self, simple_case):
+        """Not one per candidate: the filtered K-best, then the top-up
+        only when the filter left fewer than k."""
+        app, table = simple_case
+        for k in (1, 50):
+            with capture() as cap:
+                result = BTOptimizer(app, table, k=k).optimize()
+            phases = [
+                (event.attr("phase"), event.attr("found"))
+                for event in cap.tracer.events
+                if event.name == "solver.candidate_round"
+            ]
+            assert [phase for phase, _ in phases] \
+                == ["filtered", "topup"][:result.solver_invocations - 1]
+            assert sum(found for _, found in phases) \
+                == len(result.candidates)
+        assert len(phases) == 2  # k = 50 is past what the filter admits

@@ -76,6 +76,18 @@ class TestTracerSpans:
         assert event.attr("zebra") == 1
         assert event.attr("missing", 9) == 9
 
+    def test_annotate_reaches_the_innermost_open_span_only(self):
+        trc = Tracer(enabled=True)
+        trc.annotate(lost=1)  # outside any span: nothing to attach to
+        with trc.span("outer", "x", phase="a"):
+            with trc.span("inner", "x"):
+                trc.annotate(found=3)
+            trc.annotate(found=7, phase="b")
+        attrs = {e.name: dict(e.attrs) for e in trc.events}
+        assert attrs == {"inner": {"found": 3},
+                         "outer": {"found": 7, "phase": "b"}}
+        Tracer(enabled=False).annotate(found=1)  # disabled: a no-op
+
     def test_span_stacks_are_per_thread(self):
         trc = Tracer(enabled=True)
         seen = {}

@@ -5,7 +5,10 @@ cardinality families inline; nothing in it evaluates a constraint the
 way ``satisfied_by`` does.  The oracles here know *only*
 ``satisfied_by``: propagation is checked against "make every constraint
 domain-consistent by enumerating its variables, repeat to fixpoint", and
-the entry points against enumeration of all 2^n assignments.
+the entry points against enumeration of all 2^n assignments -
+``minimize(k)`` against "sort them by (value, DFS position), drop the
+infinite ones, take the first k", and against the blocking loop it
+replaces.
 
 Generated models cover all five families, including the clause shapes a
 watch scheme gets wrong: unit clauses, duplicate literals (``x | x``),
@@ -17,10 +20,12 @@ propagators are sound but deliberately not domain-consistent.
 """
 
 import itertools
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SolverTimeoutError
 from repro.solver import UNASSIGNED, Model, Solver
 
 MAX_VARS = 6
@@ -154,6 +159,31 @@ def full_assignment_literals(variables, bits):
     return [var if bit else ~var for var, bit in zip(variables, bits)]
 
 
+def weighted_sum(weights):
+    """Objective: total weight of the variables set.  Weights are
+    non-negative (``math.inf`` included), so the same function over a
+    partial assignment is an admissible lower bound."""
+    def objective(values):
+        return float(sum(w for w, v in zip(weights, values) if v == 1))
+    return objective
+
+
+def brute_force_k_best(model, objective, k):
+    """``(assignment, value)`` of the k lowest finite-valued solutions,
+    by (value, DFS position)."""
+    solutions = brute_force_solutions(model)
+    ranked = sorted(
+        (objective(bits), position)
+        for position, bits in enumerate(solutions)
+        if not math.isinf(objective(bits))
+    )
+    return [(solutions[position], value) for value, position in ranked[:k]]
+
+
+def as_pairs(result):
+    return [(solution.values, value) for solution, value in result]
+
+
 # ----------------------------------------------------------------------
 # Propagation: same fixpoint or same conflict after every decision
 # ----------------------------------------------------------------------
@@ -270,31 +300,27 @@ class TestSearchMatchesBruteForce:
         walk the solutions by (value, DFS position) - and so do K fresh
         solvers."""
         model, variables = build(spec)
-
-        def objective(values):
-            return float(sum(w for w, v in zip(weights, values) if v == 1))
-
+        objective = weighted_sum(weights)
         solutions = brute_force_solutions(model)
-        expected = sorted(
-            range(len(solutions)),
-            key=lambda i: (objective(solutions[i]), i),
-        )
-        expected = [solutions[i] for i in expected][:rounds]
+        expected = brute_force_k_best(model, objective, rounds)
+        # The two formulations agree: one K-best traversal returns what
+        # the blocking loop below walks through.
+        assert as_pairs(Solver(model).minimize(objective, k=rounds)) \
+            == expected
 
         reused = Solver(model)
         found = []
         for _ in range(rounds):
             result = reused.minimize(objective)
             fresh = Solver(model).minimize(objective)
-            if result is None:
-                assert fresh is None
+            assert as_pairs(fresh) == as_pairs(result)
+            if not result:
                 break
-            assert fresh is not None
-            assert fresh[0].values == result[0].values
-            assert result[1] == objective(result[0].values) == fresh[1]
-            found.append(result[0].values)
+            (solution, value), = result
+            assert value == objective(solution.values)
+            found.append((solution.values, value))
             model.forbid_assignment(
-                full_assignment_literals(variables, result[0].values)
+                full_assignment_literals(variables, solution.values)
             )
         assert found == expected
         if len(found) < rounds:
@@ -307,21 +333,114 @@ class TestSearchMatchesBruteForce:
     )
     def test_lower_bound_never_changes_the_answer(self, spec, weights):
         model, _ = build(spec)
-
-        def objective(values):
-            return float(sum(w for w, v in zip(weights, values) if v == 1))
-
+        objective = weighted_sum(weights)
         plain = Solver(model)
         bounded = Solver(model)
         expected = plain.minimize(objective)
         # Committed weight: admissible, as weights are non-negative.
         result = bounded.minimize(objective, lower_bound=objective)
-        if expected is None:
-            assert result is None
-            return
-        assert result[0].values == expected[0].values
-        assert result[1] == expected[1]
+        assert as_pairs(result) == as_pairs(expected)
         assert bounded.stats.decisions <= plain.stats.decisions
+
+
+# ----------------------------------------------------------------------
+# K-best: one traversal against "sort all 2^n, take the first k"
+# ----------------------------------------------------------------------
+#: Small integers tie often; infinity makes leaves that must not return.
+WEIGHTS = st.lists(st.sampled_from([0, 0, 1, 2, 3, math.inf]),
+                   min_size=MAX_VARS, max_size=MAX_VARS)
+#: Up to past the 2^MAX_VARS assignments a model can have.
+KS = st.integers(1, 2 ** MAX_VARS + 6)
+
+
+class TestKBestMatchesBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(model_specs(), WEIGHTS, KS)
+    def test_k_best_is_brute_force_sorted_by_value_then_dfs(self, spec,
+                                                            weights, k):
+        """Ties, infinite leaves, k beyond the space - with and without
+        a lower bound, which may only make the search shorter."""
+        model, _ = build(spec)
+        objective = weighted_sum(weights)
+        expected = brute_force_k_best(model, objective, k)
+        plain = Solver(model)
+        bounded = Solver(model)
+        assert as_pairs(plain.minimize(objective, k=k)) == expected
+        assert as_pairs(
+            bounded.minimize(objective, lower_bound=objective, k=k)
+        ) == expected
+        assert all(not math.isinf(value) for _, value in expected)
+        assert bounded.stats.decisions <= plain.stats.decisions
+
+    @settings(max_examples=60, deadline=None)
+    @given(model_specs(), WEIGHTS)
+    def test_k_of_one_is_the_plain_minimum(self, spec, weights):
+        model, _ = build(spec)
+        objective = weighted_sum(weights)
+        solver = Solver(model)
+        default = as_pairs(solver.minimize(objective))
+        assert default == as_pairs(solver.minimize(objective, k=1))
+        assert default == brute_force_k_best(model, objective, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(model_specs(), WEIGHTS, KS, st.integers(0, 5))
+    def test_k_best_on_a_solver_with_a_history(self, spec, weights, k,
+                                               blocked):
+        """The solver has solved, enumerated and minimized before, and
+        the model gained blocking clauses in between: the next K-best is
+        still brute force over what the model now says."""
+        model, variables = build(spec)
+        objective = weighted_sum(weights)
+        solver = Solver(model)
+        solver.solve()
+        for solution in itertools.islice(solver.enumerate(), blocked):
+            model.forbid_assignment(
+                full_assignment_literals(variables, solution.values)
+            )
+        for solution, _ in solver.minimize(objective, k=2):
+            model.forbid_assignment(
+                full_assignment_literals(variables, solution.values)
+            )
+        expected = brute_force_k_best(model, objective, k)
+        assert as_pairs(
+            solver.minimize(objective, lower_bound=objective, k=k)
+        ) == expected
+        assert as_pairs(Solver(model).minimize(objective, k=k)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(model_specs(), WEIGHTS, st.integers(1, 8), st.integers(1, 40))
+    def test_interrupted_search_hands_over_its_incumbents(self, spec,
+                                                          weights, k,
+                                                          budget):
+        """Out of decisions mid-traversal: the error carries the k best
+        of the leaves reached, a prefix of the DFS order."""
+        model, _ = build(spec)
+        objective = weighted_sum(weights)
+        solver = Solver(model, max_decisions=budget)
+        try:
+            solver.minimize(objective, k=k)
+        except SolverTimeoutError as error:
+            incumbents = as_pairs(error.incumbents)
+        else:
+            return
+        solutions = brute_force_solutions(model)
+        assert incumbents == sorted(
+            incumbents, key=lambda pair: (pair[1], solutions.index(pair[0]))
+        )
+        assert len(incumbents) <= k
+        for bits, value in incumbents:
+            assert value == objective(bits) and not math.isinf(value)
+        # Whatever DFS reached and left out is no better than the worst
+        # incumbent kept.
+        if incumbents:
+            reached = max(solutions.index(bits) for bits, _ in incumbents)
+            kept = {bits for bits, _ in incumbents}
+            worst = max(value for _, value in incumbents)
+            if len(incumbents) < k:
+                worst = math.inf  # room left: only infinite leaves skipped
+            for bits in solutions[:reached]:
+                if bits not in kept:
+                    assert objective(bits) >= worst
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +496,7 @@ class TestClauseShapes:
         assert not solver._start()
         assert solver.stats.conflicts == 1
         assert solver.solve() is None
-        assert solver.minimize(lambda values: 0.0) is None
+        assert solver.minimize(lambda values: 0.0) == []
 
     def test_variable_shared_by_clause_and_exactly_one(self):
         model, (a, b, c) = self.make()

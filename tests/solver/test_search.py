@@ -124,17 +124,50 @@ class TestMinimize:
             return sum(w for x, w in zip(xs, weights) if values[x.index] == 1)
 
         result = Solver(model).minimize(objective)
-        assert result is not None
-        solution, value = result
+        assert len(result) == 1
+        solution, value = result[0]
         assert value == pytest.approx(2.0)
         assert solution[xs[1]]
+
+    def test_minimize_k_best_in_order(self):
+        model = Model()
+        weights = [5.0, 2.0, 7.0, 3.0]
+        xs = [model.new_bool(f"x{i}") for i in range(4)]
+        model.add_exactly_one(xs)
+
+        def objective(values):
+            return sum(w for x, w in zip(xs, weights) if values[x.index] == 1)
+
+        solver = Solver(model)
+        result = solver.minimize(objective, k=3)
+        assert [value for _, value in result] == [2.0, 3.0, 5.0]
+        assert [solution.true_variables() for solution, _ in result] \
+            == [["x1"], ["x3"], ["x0"]]
+        # More than the space holds: all of it, still in order.
+        assert [value for _, value in solver.minimize(objective, k=9)] \
+            == [2.0, 3.0, 5.0, 7.0]
+        with pytest.raises(ValueError):
+            solver.minimize(objective, k=0)
+
+    def test_minimize_never_returns_an_infinite_leaf(self):
+        model = Model()
+        xs = [model.new_bool(f"x{i}") for i in range(3)]
+        model.add_exactly_one(xs)
+        values_of = {0: float("inf"), 1: 4.0, 2: float("inf")}
+
+        def objective(values):
+            return values_of[list(values).index(1)]
+
+        result = Solver(model).minimize(objective, k=3)
+        assert [value for _, value in result] == [4.0]
+        assert Solver(model).minimize(lambda values: float("inf")) == []
 
     def test_minimize_infeasible(self):
         model = Model()
         a = model.new_bool("a")
         model.add_clause([a])
         model.add_clause([~a])
-        assert Solver(model).minimize(lambda values: 0.0) is None
+        assert Solver(model).minimize(lambda values: 0.0) == []
 
     def test_minimize_matches_bruteforce(self):
         # Random-ish structured instance, validated against brute force.
@@ -153,8 +186,8 @@ class TestMinimize:
             )
 
         result = Solver(model).minimize(objective)
-        assert result is not None
-        _, value = result
+        assert len(result) == 1
+        _, value = result[0]
 
         best = None
         for bits in itertools.product([0, 1], repeat=n):
@@ -180,8 +213,8 @@ class TestMinimize:
 
         pruned = Solver(model)
         result = pruned.minimize(objective, lower_bound=lower_bound)
-        assert result is not None
-        assert result[1] == pytest.approx(2.0)
+        assert len(result) == 1
+        assert result[0][1] == pytest.approx(2.0)
 
     def test_stats_populated(self):
         model, _ = build_pigeonhole(holes=3, pigeons=3)
@@ -215,47 +248,3 @@ class TestModelValidation:
     def test_unassigned_sentinel_is_negative(self):
         assert UNASSIGNED == -1
 
-
-class TestMaximize:
-    def test_maximize_weighted_pick(self):
-        model = Model()
-        weights = [5.0, 2.0, 7.0, 3.0]
-        xs = [model.new_bool(f"x{i}") for i in range(4)]
-        model.add_exactly_one(xs)
-
-        def objective(values):
-            return sum(w for x, w in zip(xs, weights) if values[x.index] == 1)
-
-        result = Solver(model).maximize(objective)
-        assert result is not None
-        solution, value = result
-        assert value == pytest.approx(7.0)
-        assert solution[xs[2]]
-
-    def test_maximize_infeasible(self):
-        model = Model()
-        a = model.new_bool("a")
-        model.add_clause([a])
-        model.add_clause([~a])
-        assert Solver(model).maximize(lambda values: 1.0) is None
-
-    def test_maximize_with_upper_bound_pruning(self):
-        model = Model()
-        weights = [1.0, 2.0, 4.0]
-        xs = [model.new_bool(f"x{i}") for i in range(3)]
-        model.add_at_most_one(xs)
-
-        def objective(values):
-            return sum(w for x, w in zip(xs, weights) if values[x.index] == 1)
-
-        def upper_bound(values):
-            # Committed weight plus everything still undecided.
-            total = 0.0
-            for x, w in zip(xs, weights):
-                if values[x.index] != 0:
-                    total += w
-            return total
-
-        result = Solver(model).maximize(objective, upper_bound=upper_bound)
-        assert result is not None
-        assert result[1] == pytest.approx(4.0)
