@@ -35,3 +35,20 @@ def _repro_check_gate():
         "concurrency checker recorded violations during this test: "
         + "; ".join(str(v.to_dict()) for v in fresh)
     )
+
+
+@pytest.fixture
+def always_simulate(monkeypatch):
+    """The window-reuse oracle's switch.  Calling the returned function
+    forces ``PipelineServer`` to re-simulate every served window for the
+    rest of the test - the design the remembered-window path replaced,
+    kept only here (there is no production switch) so the suites can
+    run one soak both ways and compare bytes."""
+    def arm():
+        from repro.serve.server import PipelineServer
+
+        monkeypatch.setattr(
+            PipelineServer, "_window_changed",
+            staticmethod(lambda residency, external: True),
+        )
+    return arm

@@ -212,6 +212,11 @@ class FleetRouter:
         self.coordinator = FailoverCoordinator(self)
 
         self.tenants: Dict[str, FleetTenant] = {}
+        #: The tenants not yet terminal, by arrival: what the per-tick
+        #: questions (drained? backlog depth?) walk instead of every
+        #: tenant ever seen.  Terminal states are absorbing, so
+        #: _drained prunes it once per tick.
+        self._open: Dict[str, FleetTenant] = {}
         self.timeline: List[Dict[str, object]] = []
         self.ticks_executed = 0
 
@@ -462,9 +467,16 @@ class FleetRouter:
     def _drained(self) -> bool:
         with self._inbox_lock:
             pending = len(self._inbox)
-        if pending:
-            return False
-        return all(tenant.done for tenant in self.tenants.values())
+        self._open = {name: tenant for name, tenant in self._open.items()
+                      if not tenant.done}
+        return not pending and not self._open
+
+    @property
+    def pending_count(self) -> int:
+        """Tenants waiting for a shard (PENDING): the backlog depth the
+        open-loop driver samples every tick."""
+        return sum(1 for tenant in self._open.values()
+                   if tenant.status == PENDING)
 
     def _close_out(self) -> None:
         """Terminal states for whatever the loop left behind."""
@@ -699,6 +711,7 @@ class FleetRouter:
                                  backlog_since=tick)
             self._arrival_counter += 1
             self.tenants[spec.name] = tenant
+            self._open[spec.name] = tenant
             self._backlog.append(spec.name)
         # One sweep over the backlog: a shard's verdict on a pricing key
         # holds for every tenant sharing the key until something is

@@ -39,16 +39,23 @@ argument):
   arrivals, fault injection and external load.
 
 Rate determinism makes the memoization exact rather than approximate:
-between events rates are a pure function of the phase signature (plus
-the run-constant :class:`~repro.soc.interference.ExternalLoad`), so a
-cached rate list is bit-equal to a recomputed one.
+between events rates are a pure function of the phase signature and the
+window's :class:`~repro.soc.interference.ExternalLoad`, so a cached rate
+list is bit-equal to a recomputed one.  The external load is a
+*per-window* argument (``run(..., external_load=)``), not executor
+state: an executor is built once per deployed schedule - the paper's
+long-lived dispatcher per chunk - and the memo is kept per co-load value
+(:attr:`ExternalLoad.key`), so signatures learned under one co-load
+survive every window in which it holds.
 
 Execution jitter is not executor state either: :func:`_noise_scale` is
 a memoised pure function of ``(platform name, schedule key, task,
 stage)`` - nothing of the executor, tenant, application or external
-load enters the draw - so a freshly built executor (the serving layer
-builds one per tenant per tick, because interference changes every
-tick) is exactly as warm as a reused one.
+load enters the draw.  Together the two make a window's result a pure
+function of (executor, external load, window arguments), which is what
+lets the serving layer skip re-simulating a window whose co-load did not
+change (``PipelineServer._serve_windows``); :meth:`run` itself always
+runs the DES.
 
 Both engines share the float-residue policy: the server whose phase
 defines ``dt`` has its remaining work snapped to exactly ``0.0`` after
@@ -292,17 +299,20 @@ class _VectorEngine:
     position; rates are memoized per *phase signature* - the tuple of
     per-server phase codes (``-1`` idle, else ``stage * 2 + work_flag``)
     - because between events the instantaneous rate list is a pure
-    function of that signature plus the run-constant external load.
+    function of that signature plus the window's external load, so the
+    memo holds one signature table per co-load value.
     """
 
     def __init__(self, executor: "SimulatedPipelineExecutor"):
-        self._ex = executor
+        # No reference back to the executor: it owns the engine, and a
+        # cycle would leave every released placement to the cyclic GC.
+        self.depth = executor.depth
+        self.tenant = executor.tenant
         servers = executor._servers
         n = self.n = len(servers)
         self.costs = [s.stage_costs for s in servers]
         self.n_stages = [len(c) for c in self.costs]
         self.pu_class = [s.chunk.pu_class for s in servers]
-        self.external = executor._external
         self.platform = executor.platform
         self.total_other = max(len(self.platform.pu_classes()) - 1, 0)
         # -- preallocated per-server state ------------------------------
@@ -316,8 +326,10 @@ class _VectorEngine:
         self.sig = [-1] * n
         self.ready: List[Deque[int]] = [deque() for _ in range(n)]
         self.n_active = 0
-        #: signature -> (active index list, per-active rate list).
-        self.rate_cache: Dict[Tuple[int, ...], tuple] = {}
+        #: co-load key (None: no external load) -> signature ->
+        #: (active index list, per-active rate list).
+        self.rate_caches: Dict[Optional[tuple],
+                               Dict[Tuple[int, ...], tuple]] = {}
 
     # -- state transitions ---------------------------------------------
     def _reset(self) -> None:
@@ -378,7 +390,8 @@ class _VectorEngine:
         return done
 
     # -- instantaneous rates -------------------------------------------
-    def _rates_for(self, key: Tuple[int, ...]) -> tuple:
+    def _rates_for(self, key: Tuple[int, ...],
+                   external: Optional[ExternalLoad]) -> tuple:
         """Rates for every active server under one phase signature.
 
         One pass over the active set, using the same scalar model calls
@@ -387,7 +400,6 @@ class _VectorEngine:
         """
         active = [i for i in range(self.n) if key[i] != -1]
         busy_classes = {self.pu_class[i] for i in active}
-        external = self.external
         total_demand = 0.0
         for i in active:
             if key[i] & 1:
@@ -418,9 +430,7 @@ class _VectorEngine:
                 if share > 0.0:
                     rate /= 1.0 + share
             rates.append(rate)
-        entry = (active, rates)
-        self.rate_cache[key] = entry
-        return entry
+        return active, rates
 
     # -- the event loop ------------------------------------------------
     def run_window(
@@ -429,6 +439,7 @@ class _VectorEngine:
         record_trace: bool,
         arrivals: List[float],
         scale_fns: List[Callable[[int, int], float]],
+        external: Optional[ExternalLoad],
     ):
         self._reset()
         remaining = self.remaining
@@ -436,9 +447,11 @@ class _VectorEngine:
         phase_eps = self.phase_eps
         task = self.task
         ready = self.ready
-        depth = self._ex.depth
+        depth = self.depth
         n = self.n
-        rate_cache = self.rate_cache
+        rate_cache = self.rate_caches.setdefault(
+            None if external is None else external.key, {}
+        )
 
         now = 0.0
         issued = 0
@@ -488,7 +501,8 @@ class _VectorEngine:
                 key = tuple(self.sig)
                 entry = rate_cache.get(key)
                 if entry is None:
-                    entry = self._rates_for(key)
+                    entry = rate_cache[key] = self._rates_for(
+                        key, external)
                 dirty = False
             active, rates = entry
 
@@ -539,7 +553,7 @@ class _VectorEngine:
                         task_id=previous_task,
                         start_s=span_starts.pop(i, now),
                         end_s=now,
-                        tenant=self._ex.tenant,
+                        tenant=self.tenant,
                     ))
                 if i + 1 < n:
                     ready[i + 1].append(done_task)
@@ -558,12 +572,35 @@ class SimWindow:
         n_tasks: Tasks streamed through the window.
         record_trace: Forwarded to :meth:`SimulatedPipelineExecutor.run`.
         arrival_period_s: Forwarded likewise.
+        external_load: Forwarded likewise - the co-runner load this
+            window (not the executor) is simulated under.
+        remembered: The result the caller already holds for exactly
+            this window (same executor, external load and arguments -
+            a window is a pure function of those), handed back instead
+            of paying for the DES again; ``None`` simulates.  Whether
+            it holds is the caller's call.  Not valid with a fault
+            injector, which is stateful.
     """
 
     executor: "SimulatedPipelineExecutor"
     n_tasks: int
     record_trace: bool = False
     arrival_period_s: Optional[float] = None
+    external_load: Optional[ExternalLoad] = None
+    remembered: Optional[SimulatedRunResult] = None
+
+    def run(self) -> SimulatedRunResult:
+        """This window's result: the DES on its executor, or the
+        remembered result reported as the run would have been."""
+        if self.remembered is not None:
+            self.executor.report_run(self.remembered)
+            return self.remembered
+        return self.executor.run(
+            self.n_tasks,
+            record_trace=self.record_trace,
+            arrival_period_s=self.arrival_period_s,
+            external_load=self.external_load,
+        )
 
 
 @dataclass
@@ -581,11 +618,14 @@ def simulate_batch(
 ):
     """Simulate many independent windows in one call.
 
-    The batch entry point the serving layer (all tenants of a tick) and
-    the autotuner (all measurements of a round) use: each window runs
-    on its own executor, so executors repeated across windows keep
-    their preallocated engine state and warm rate-signature cache
-    instead of paying per-window setup.
+    The batch entry point the serving layer (all tenants of a tick)
+    and the autotuner (all measurements of a round) use.  Each window
+    is simulated on its own executor under its own external load, so
+    an executor repeated across windows or batches keeps its
+    preallocated engine state and its rate memo - unless the caller
+    hands the window's result back with it (``SimWindow.remembered``),
+    in which case that result is reported and returned in the window's
+    place in the order.
 
     Args:
         windows: The windows, simulated in order (each is independent,
@@ -600,22 +640,11 @@ def simulate_batch(
     from repro.errors import ReproError
 
     if not collect_errors:
-        return [
-            window.executor.run(
-                window.n_tasks,
-                record_trace=window.record_trace,
-                arrival_period_s=window.arrival_period_s,
-            )
-            for window in windows
-        ]
+        return [window.run() for window in windows]
     outcomes: List[SimBatchOutcome] = []
     for window in windows:
         try:
-            result = window.executor.run(
-                window.n_tasks,
-                record_trace=window.record_trace,
-                arrival_period_s=window.arrival_period_s,
-            )
+            result = window.run()
         except ReproError as error:
             outcomes.append(SimBatchOutcome(error=error))
         else:
@@ -636,14 +665,6 @@ class SimulatedPipelineExecutor:
             (:mod:`repro.runtime.faults`): slowdowns and transient
             kernel faults scale per-stage costs, PU dropout raises
             :class:`~repro.errors.PuFailureError` mid-run.
-        external_load: Optional
-            :class:`~repro.soc.interference.ExternalLoad` describing
-            co-runners outside this pipeline (other tenants on a
-            shared SoC, injected interference drift).  External busy
-            load on other classes raises the DVFS co-load, external
-            bandwidth demand contends on the memory controller, and
-            external load on a chunk's *own* class divides its rate by
-            ``1 + fraction`` (time-sharing).
         tenant: Optional tenant/job id stamped on recorded trace spans
             so multi-tenant Gantt charts can separate the streams.
         engine: Event-loop engine, ``"vector"`` (default) or
@@ -658,7 +679,6 @@ class SimulatedPipelineExecutor:
         platform: Platform,
         depth: Optional[int] = None,
         fault_injector: Optional[FaultInjector] = None,
-        external_load: Optional[ExternalLoad] = None,
         tenant: Optional[str] = None,
         engine: Optional[str] = None,
     ):
@@ -685,11 +705,8 @@ class SimulatedPipelineExecutor:
             f"{c.pu_class}:{c.start}-{c.stop}" for c in self.chunks
         )
         self._injector = fault_injector
-        self._external = (
-            None if external_load is None or external_load.is_empty
-            else external_load
-        )
         self.tenant = tenant
+        self._chunk_loads: Optional[tuple] = None
         self._scale_fns = [self._make_scale_fn(s) for s in self._servers]
         self._run_window = (
             self._run_reference if self.engine == ENGINE_REFERENCE
@@ -722,10 +739,13 @@ class SimulatedPipelineExecutor:
         overheads and work times sum over the chunk's stages;
         memory-boundedness and bandwidth demand are work-time-weighted
         means, the same time-average the rate machinery applies phase by
-        phase.  Pure derived data - calling this neither touches engine
-        state nor costs anything when attribution is off (nobody calls
-        it).
+        phase.  Pure derived data of the stage costs, so it is computed
+        on the first call and kept for the executor's life - calling
+        this neither touches engine state nor costs anything when
+        attribution is off (nobody calls it).
         """
+        if self._chunk_loads is not None:
+            return self._chunk_loads
         from repro.obs.attribution import ChunkLoad
 
         loads = []
@@ -750,7 +770,8 @@ class SimulatedPipelineExecutor:
                 memory_boundedness=beta,
                 demand_gbps=demand,
             ))
-        return tuple(loads)
+        self._chunk_loads = tuple(loads)
+        return self._chunk_loads
 
     # ------------------------------------------------------------------
     def _make_scale_fn(
@@ -780,7 +801,9 @@ class SimulatedPipelineExecutor:
 
     def run(self, n_tasks: int,
             record_trace: bool = False,
-            arrival_period_s: Optional[float] = None) -> SimulatedRunResult:
+            arrival_period_s: Optional[float] = None,
+            external_load: Optional[ExternalLoad] = None,
+            ) -> SimulatedRunResult:
         """Stream ``n_tasks`` through the pipeline in virtual time.
 
         Args:
@@ -791,6 +814,13 @@ class SimulatedPipelineExecutor:
                 available at ``t * arrival_period_s`` (a fixed-rate
                 sensor); the default ``None`` models a pre-filled
                 backlog, the paper's measurement condition.
+            external_load: Co-runners outside this pipeline for this
+                window (other tenants on a shared SoC, injected
+                interference drift).  External busy load on other
+                classes raises the DVFS co-load, external bandwidth
+                demand contends on the memory controller, and external
+                load on a chunk's *own* class divides its rate by
+                ``1 + fraction`` (time-sharing).
         """
         if n_tasks < 1:
             raise PipelineError("n_tasks must be >= 1")
@@ -799,12 +829,47 @@ class SimulatedPipelineExecutor:
         arrivals = [
             (arrival_period_s or 0.0) * t for t in range(n_tasks)
         ]
+        if external_load is not None and external_load.is_empty:
+            external_load = None
         completed, spans, busy_s, now, events = self._run_window(
-            n_tasks, record_trace, arrivals, self._scale_fns
+            n_tasks, record_trace, arrivals, self._scale_fns,
+            external_load,
         )
-        return self._finalize(
-            n_tasks, completed, spans, busy_s, now, events, arrivals
+        result = SimulatedRunResult(
+            n_tasks=n_tasks,
+            total_s=now,
+            completion_times_s=completed,
+            steady_interval_s=self._steady_interval(completed),
+            chunk_busy_s=busy_s,
+            chunk_pu={s.index: s.chunk.pu_class for s in self._servers},
+            spans=spans,
+            arrival_times_s=arrivals,
+            n_events=events,
         )
+        self.report_run(result)
+        return result
+
+    def report_run(self, result: SimulatedRunResult) -> None:
+        """Tell the observability spine about one window's result.
+
+        Called for every simulated window and for every remembered
+        one (``SimWindow.remembered``), so an exported trace cannot
+        tell the two apart.  Strictly post-hoc: one guard check per
+        window (never per event), so the DES loop stays allocation-free
+        when tracing is off - the overhead benchmark pins this down.
+        """
+        trc = tracer()
+        if not trc.enabled:
+            return
+        with trc.span("simulator.run", "runtime",
+                      n_tasks=result.n_tasks, tenant=self.tenant,
+                      total_s=result.total_s) as run_id:
+            pass
+        trc.emit_virtual_spans(result.spans, result.total_s,
+                               parent_id=run_id)
+        reg = metrics()
+        reg.counter("sim.runs")
+        reg.observe("sim.total_s", result.total_s)
 
     # -- reference engine ----------------------------------------------
     def _run_reference(
@@ -813,6 +878,7 @@ class SimulatedPipelineExecutor:
         record_trace: bool,
         arrivals: List[float],
         scale_fns: List[Callable[[int, int], float]],
+        external: Optional[ExternalLoad],
     ):
         for server in self._servers:
             server.task = _IDLE
@@ -869,8 +935,8 @@ class SimulatedPipelineExecutor:
                 for s in active
                 if not s.in_overhead
             )
-            if self._external is not None:
-                total_demand += self._external.demand_gbps
+            if external is not None:
+                total_demand += external.demand_gbps
             rates: Dict[int, float] = {}
             for server in active:
                 if server.in_overhead:
@@ -878,8 +944,7 @@ class SimulatedPipelineExecutor:
                     continue
                 cost = server.stage_costs[server.stage]
                 co_load = external_co_load(
-                    busy_classes, server.chunk.pu_class,
-                    self._external,
+                    busy_classes, server.chunk.pu_class, external,
                     max(len(self.platform.pu_classes()) - 1, 0),
                 )
                 rate = self.platform.instantaneous_rate(
@@ -889,10 +954,10 @@ class SimulatedPipelineExecutor:
                     total_demand_gbps=total_demand,
                     co_load=co_load,
                 )
-                if self._external is not None:
+                if external is not None:
                     # A foreign co-runner on the *same* class
                     # time-shares the cluster (fair-share split).
-                    share = self._external.busy.get(
+                    share = external.busy.get(
                         server.chunk.pu_class, 0.0
                     )
                     if share > 0.0:
@@ -953,43 +1018,6 @@ class SimulatedPipelineExecutor:
         return completed, spans, busy_s, now, events
 
     # -- shared post-run -----------------------------------------------
-    def _finalize(
-        self,
-        n_tasks: int,
-        completed: List[float],
-        spans: List[Span],
-        busy_s: Dict[int, float],
-        now: float,
-        events: int,
-        arrivals: List[float],
-    ) -> SimulatedRunResult:
-        # Observability is strictly post-hoc: one guard check per run
-        # (never per event), so the DES loop above stays allocation-free
-        # when tracing is off - the overhead benchmark pins this down.
-        trc = tracer()
-        if trc.enabled:
-            with trc.span("simulator.run", "runtime",
-                          n_tasks=n_tasks, tenant=self.tenant,
-                          total_s=now) as run_id:
-                pass
-            trc.emit_virtual_spans(spans, now, parent_id=run_id)
-            reg = metrics()
-            reg.counter("sim.runs")
-            reg.observe("sim.total_s", now)
-
-        steady = self._steady_interval(completed)
-        return SimulatedRunResult(
-            n_tasks=n_tasks,
-            total_s=now,
-            completion_times_s=completed,
-            steady_interval_s=steady,
-            chunk_busy_s=busy_s,
-            chunk_pu={s.index: s.chunk.pu_class for s in self._servers},
-            spans=spans,
-            arrival_times_s=arrivals,
-            n_events=events,
-        )
-
     def _steady_interval(self, completions: Sequence[float]) -> float:
         """Per-task interval after pipeline fill (warmup excluded, like
         the paper's measurements excluding GPU initialization)."""

@@ -24,8 +24,9 @@ model's parameters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.errors import PlatformError
 
@@ -137,6 +138,9 @@ class ExternalLoad:
     busy load on the *same* class models time-sharing and divides the
     achievable rate by ``1 + fraction`` (fair-share scheduling of two
     co-located apps on one cluster).
+
+    The dataclass is frozen but ``busy`` is a mapping, so an instance
+    cannot be hashed; :attr:`key` is the hashable value to key on.
     """
 
     busy: Mapping[str, float] = field(default_factory=dict)
@@ -157,6 +161,18 @@ class ExternalLoad:
         return self.demand_gbps == 0.0 and not any(
             fraction > 0.0 for fraction in self.busy.values()
         )
+
+    @functools.cached_property
+    def key(self) -> Tuple[Tuple[Tuple[str, float], ...], float]:
+        """The load as a hashable value: sorted busy items + demand.
+
+        Computed once per instance.  Loads built in different insertion
+        orders share a key; loads differing in any fraction or in demand
+        do not.  Conservative: a zero-fraction entry changes the key
+        although it changes no rate, so keying a memo on this can miss
+        but never hit wrongly.
+        """
+        return tuple(sorted(self.busy.items())), self.demand_gbps
 
     def combine(self, other: Optional["ExternalLoad"]) -> "ExternalLoad":
         """Superpose two external loads.
@@ -227,7 +243,10 @@ def external_co_load(
     others = set(busy_classes) - {pu_class}
     busy = float(len(others))
     if external is not None:
-        for cls, fraction in external.busy.items():
+        # Summed in key (class-name) order, not the mapping's insertion
+        # order: float addition is not associative, and equal loads
+        # must give bit-equal rates for ExternalLoad.key to be exact.
+        for cls, fraction in external.key[0]:
             if cls != pu_class and cls not in others:
                 busy += fraction
     return min(busy / total_other_pus, 1.0)

@@ -39,7 +39,7 @@ from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
 from repro.obs.tracer import tracer
 from repro.serve.scenario import _memory_bound_application
-from repro.serve.tenant import PENDING, TenantSpec
+from repro.serve.tenant import TenantSpec
 from repro.traffic.generator import (
     BANDWIDTH_BOUND,
     MEMORY_BOUND,
@@ -222,10 +222,7 @@ class OpenLoopDriver:
                             f"traffic.slowdown.{arrival.tier}",
                             slowdown,
                         )
-                backlog = sum(
-                    1 for tenant in router.tenants.values()
-                    if tenant.status == PENDING
-                )
+                backlog = router.pending_count
                 if reg.enabled:
                     reg.gauge("traffic.backlog_depth", float(backlog))
                     reg.series_point("traffic.backlog_depth", tick,

@@ -32,6 +32,7 @@ def reference_place_pending(self, tick):
                              backlog_since=tick)
         self._arrival_counter += 1
         self.tenants[spec.name] = tenant
+        self._open[spec.name] = tenant
         self._backlog.append(spec.name)
     for name in list(self._backlog):
         tenant = self.tenants[name]

@@ -74,7 +74,8 @@ def serialized(result):
 def run_both(app, pixel, chunks, n=20, record_trace=True, **kwargs):
     run_args = {
         key: kwargs.pop(key)
-        for key in ("arrival_period_s",) if key in kwargs
+        for key in ("arrival_period_s", "external_load")
+        if key in kwargs
     }
     results = []
     for engine in ("vector", "reference"):
@@ -174,14 +175,15 @@ class TestByteEquivalence:
     def test_rerun_on_one_executor_stays_identical(self, app, pixel):
         # Warm caches (rate signatures, noise) must not change results.
         executor = SimulatedPipelineExecutor(
-            app, SCHEDULES["four-way"], pixel, external_load=EXTERNAL
+            app, SCHEDULES["four-way"], pixel
         )
-        first = serialized(executor.run(20, record_trace=True))
-        second = serialized(executor.run(20, record_trace=True))
+        first = serialized(executor.run(
+            20, record_trace=True, external_load=EXTERNAL))
+        second = serialized(executor.run(
+            20, record_trace=True, external_load=EXTERNAL))
         reference = serialized(SimulatedPipelineExecutor(
-            app, SCHEDULES["four-way"], pixel, external_load=EXTERNAL,
-            engine="reference",
-        ).run(20, record_trace=True))
+            app, SCHEDULES["four-way"], pixel, engine="reference",
+        ).run(20, record_trace=True, external_load=EXTERNAL))
         assert first == second == reference
 
 
@@ -223,12 +225,12 @@ class TestNoiseMemo:
         def build():
             return SimulatedPipelineExecutor(
                 app, SCHEDULES["four-way"], pixel, engine=engine,
-                external_load=EXTERNAL,
                 fault_injector=slowdown_injector() if faulty else None,
             )
 
         def run(executor):
-            return serialized(executor.run(20, record_trace=True))
+            return serialized(executor.run(
+                20, record_trace=True, external_load=EXTERNAL))
 
         sim._noise_scale.cache_clear()
         reused = build()

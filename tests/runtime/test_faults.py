@@ -321,7 +321,9 @@ class TestSimulatedFaults:
         first = twice.run(10)
         second = twice.run(10)
         warm = simulator._noise_scale.cache_info()
-        # Both later runs - on a new executor, then a reused one - were
+        # The jitter is no executor state: both later runs - on a new
+        # executor (a reschedule, a co-tenant of the same application),
+        # then on a reused one (the next window of a residency) - were
         # served entirely from the memo the first executor filled.
         assert warm.misses == cold.misses
         assert warm.hits - cold.hits == 2 * (cold.hits + cold.misses)

@@ -1,0 +1,242 @@
+"""One executor per placement: the external load is a per-window argument.
+
+The serving layer builds a :class:`SimulatedPipelineExecutor` once per
+deployed schedule and streams every window of the residency through it,
+each under that tick's co-load.  The oracle is the design it replaced -
+a fresh executor built for every window: driven through any sequence of
+per-window external loads, the long-lived executor must return, window
+for window, a :class:`SimulatedRunResult` equal field for field.
+
+What could break that is state leaking between windows: engine state
+that ``_reset`` misses, or a rate memo that answers for the wrong
+co-load.  The seeded mutants at the bottom plant exactly those and must
+be caught by the same oracle.
+"""
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.runtime.simulator as sim
+from repro.apps import build_octree_application
+from repro.core import Chunk
+from repro.runtime import SimulatedPipelineExecutor
+from repro.soc import get_platform
+from repro.soc.interference import ExternalLoad
+from repro.soc.pu import BIG, GPU, LITTLE, MEDIUM
+
+PLATFORM = get_platform("pixel7a")
+APP = build_octree_application(n_points=20_000)
+
+SCHEDULES = {
+    "serial": [Chunk(0, 7, BIG)],
+    "two-way": [Chunk(0, 4, BIG), Chunk(4, 7, GPU)],
+    "four-way": [Chunk(0, 2, BIG), Chunk(2, 4, GPU),
+                 Chunk(4, 6, MEDIUM), Chunk(6, 7, LITTLE)],
+}
+
+#: Demands sized to bite: pixel7a's memory controller only throttles
+#: once the total passes ~30 GB/s.
+A = ExternalLoad(busy={BIG: 0.5, GPU: 0.25}, demand_gbps=40.0)
+B = ExternalLoad(busy={MEDIUM: 0.8, LITTLE: 0.4}, demand_gbps=0.5)
+#: A with only its bandwidth demand changed.
+A_THIRSTY = ExternalLoad(busy={BIG: 0.5, GPU: 0.25}, demand_gbps=80.0)
+
+#: The per-window loads a residency can see: nothing, an empty load,
+#: two unrelated co-loads, A rebuilt in another insertion order (same
+#: key), a share of a chunk's own class, bandwidth only, compute only,
+#: a zero-fraction entry (a different key with the same rates).
+LOADS = [
+    None,
+    ExternalLoad(),
+    A,
+    B,
+    ExternalLoad(busy={GPU: 0.25, BIG: 0.5}, demand_gbps=40.0),
+    A_THIRSTY,
+    ExternalLoad(busy={BIG: 0.7}, demand_gbps=1.0),
+    A.bandwidth_only(),
+    A.compute_only(),
+    ExternalLoad(busy={BIG: 0.5, GPU: 0.25, LITTLE: 0.0},
+                 demand_gbps=40.0),
+]
+
+ENGINES = ("vector", "reference")
+
+
+def serialized(result):
+    return json.dumps(dataclasses.asdict(result), sort_keys=True)
+
+
+def diverging_windows(chunks, engine, windows):
+    """Indices of the windows on which one long-lived executor and a
+    fresh executor per window disagree.
+
+    ``windows`` is a sequence of ``(external_load, n_tasks,
+    record_trace, arrival_period_s)``.
+    """
+    resident = SimulatedPipelineExecutor(
+        APP, chunks, PLATFORM, engine=engine, tenant="t")
+    out = []
+    for index, (load, n_tasks, trace, period) in enumerate(windows):
+        kwargs = {"record_trace": trace, "arrival_period_s": period,
+                  "external_load": load}
+        fresh = SimulatedPipelineExecutor(
+            APP, chunks, PLATFORM, engine=engine, tenant="t")
+        if (serialized(resident.run(n_tasks, **kwargs))
+                != serialized(fresh.run(n_tasks, **kwargs))):
+            out.append(index)
+    return out
+
+
+def windows_of(loads, n_tasks=8):
+    return [(load, n_tasks, True, None) for load in loads]
+
+
+WINDOW = st.tuples(
+    st.sampled_from(LOADS),
+    st.integers(min_value=1, max_value=9),
+    st.booleans(),
+    st.sampled_from([None, 0.0, 0.0005, 0.02]),
+)
+
+
+class TestResidentEqualsFresh:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @settings(max_examples=25, deadline=None)
+    @given(schedule=st.sampled_from(sorted(SCHEDULES)),
+           windows=st.lists(WINDOW, min_size=1, max_size=8))
+    def test_any_sequence_of_windows(self, engine, schedule, windows):
+        assert diverging_windows(
+            SCHEDULES[schedule], engine, windows) == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_every_load_then_back_again(self, engine, schedule):
+        # A -> B -> A and repeats: a memo entry learned under one
+        # co-load is found again, and only under that co-load.
+        loads = LOADS + LOADS[::-1] + [A, A, B, A, None, A]
+        assert diverging_windows(
+            SCHEDULES[schedule], engine, windows_of(loads)) == []
+
+    def test_empty_load_is_no_load(self):
+        executor = SimulatedPipelineExecutor(
+            APP, SCHEDULES["two-way"], PLATFORM)
+        bare = serialized(executor.run(8))
+        for empty in (ExternalLoad(), ExternalLoad(busy={BIG: 0.0})):
+            assert serialized(
+                executor.run(8, external_load=empty)) == bare
+
+    def test_the_memo_is_kept_per_co_load(self):
+        executor = SimulatedPipelineExecutor(
+            APP, SCHEDULES["four-way"], PLATFORM, engine="vector")
+        calls = []
+        engine = executor._run_window.__self__
+        original = engine._rates_for
+        engine._rates_for = lambda key, external: (
+            calls.append(key) or original(key, external))
+        executor.run(8, external_load=A)
+        learned = len(calls)
+        assert learned > 0
+        executor.run(8, external_load=A)
+        # Same key, different instance and insertion order.
+        executor.run(8, external_load=LOADS[4])
+        assert len(calls) == learned      # every signature recalled
+        executor.run(8, external_load=B)
+        assert len(calls) > learned       # a new co-load is a miss
+        relearned = len(calls)
+        executor.run(8, external_load=A)  # ... that evicted nothing
+        assert len(calls) == relearned
+
+
+class TestRememberedWindow:
+    """A window may cross the batch carrying the result its caller
+    already holds; the batch hands it back instead of simulating."""
+
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_the_result_is_returned_in_place(self, collect):
+        executor = SimulatedPipelineExecutor(
+            APP, SCHEDULES["two-way"], PLATFORM, tenant="t")
+        held = executor.run(8, record_trace=True, external_load=A)
+        events = []
+        original = executor._run_window
+        executor._run_window = lambda *args: (
+            events.append(args[0]) or original(*args))
+        out = sim.simulate_batch([
+            sim.SimWindow(executor, 5, external_load=B),
+            sim.SimWindow(executor, 8, record_trace=True,
+                          external_load=A, remembered=held),
+            sim.SimWindow(executor, 6),
+        ], collect_errors=collect)
+        results = [o.result for o in out] if collect else out
+        assert results[1] is held
+        assert [r.n_tasks for r in results] == [5, 8, 6]
+        assert events == [5, 6]            # the DES ran twice only
+
+    def test_the_tracer_cannot_tell(self):
+        from repro.obs import capture
+
+        def traced(remember):
+            executor = SimulatedPipelineExecutor(
+                APP, SCHEDULES["two-way"], PLATFORM, tenant="t")
+            with capture() as cap:
+                first = executor.run(8, record_trace=True,
+                                     external_load=A)
+                sim.simulate_batch([sim.SimWindow(
+                    executor, 8, record_trace=True, external_load=A,
+                    remembered=first if remember else None)])
+                return cap.events, cap.metrics.snapshot()
+
+        assert traced(remember=True) == traced(remember=False)
+
+
+class TestAttributionInputs:
+    def test_computed_once_per_executor(self):
+        executor = SimulatedPipelineExecutor(
+            APP, SCHEDULES["four-way"], PLATFORM)
+        first = executor.attribution_inputs()
+        executor.run(6, external_load=A)
+        assert executor.attribution_inputs() is first
+        twin = SimulatedPipelineExecutor(
+            APP, SCHEDULES["four-way"], PLATFORM)
+        assert twin.attribution_inputs() == first
+
+
+class TestSeededMutants:
+    """Each mutant plants one way per-window state could leak; the
+    oracle above must notice every one of them."""
+
+    def test_memo_that_ignores_the_co_load(self, monkeypatch):
+        class OneTable(dict):
+            """A rate memo keyed by phase signature only."""
+
+            def setdefault(self, key, default):
+                return super().setdefault(None, default)
+
+        original = sim._VectorEngine.__init__
+
+        def init(engine, executor):
+            original(engine, executor)
+            engine.rate_caches = OneTable()
+
+        monkeypatch.setattr(sim._VectorEngine, "__init__", init)
+        assert diverging_windows(
+            SCHEDULES["four-way"], "vector", windows_of([A, B, A])
+        ) == [1]
+
+    def test_key_that_drops_the_demand(self, monkeypatch):
+        monkeypatch.setattr(ExternalLoad, "key", property(
+            lambda load: (tuple(sorted(load.busy.items())), 0.0)))
+        assert diverging_windows(
+            SCHEDULES["four-way"], "vector",
+            windows_of([A, A_THIRSTY, A])
+        ) == [1]
+
+    def test_reset_skipped_between_windows(self, monkeypatch):
+        monkeypatch.setattr(sim._VectorEngine, "_reset",
+                            lambda self: None)
+        assert diverging_windows(
+            SCHEDULES["two-way"], "vector", windows_of([None, None])
+        ) == [1]

@@ -202,9 +202,8 @@ class TestEventCountStability:
             self.make_app(scale),
             [Chunk(0, 1, BIG), Chunk(1, 2, MEDIUM)],
             pixel,
-            external_load=ExternalLoad(busy={BIG: 0.5, MEDIUM: 0.3},
-                                       demand_gbps=1.0),
-        ).run(n)
+        ).run(n, external_load=ExternalLoad(
+            busy={BIG: 0.5, MEDIUM: 0.3}, demand_gbps=1.0))
 
     @pytest.mark.parametrize("engine_env", ["vector", "reference"])
     def test_event_count_independent_of_work_magnitude(

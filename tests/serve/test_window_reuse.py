@@ -1,0 +1,371 @@
+"""A window is re-simulated only when its co-load changed.
+
+The server keeps one executor per placement and remembers the tenant's
+last window; a tick in which neither the executor nor the co-load key
+moved serves the remembered result instead of re-running the DES.  The
+oracle is the server with that decision forced to "always simulate"
+(the root conftest's ``always_simulate`` fixture, a test-only
+monkeypatch - there is no production switch): every report, timeline, span list and exported
+trace must come out byte-identical either way.
+"""
+
+import json
+
+import pytest
+
+import repro.serve.server as serve_server
+from repro.core.plan_cache import PlanCache
+from repro.errors import PipelineError
+from repro.obs import capture, chrome_trace
+from repro.runtime.simulator import SimulatedPipelineExecutor
+from repro.serve import SoakScenario, build_soak_server
+from repro.serve.admission import ADMIT
+from repro.serve.placement import tenant_offered_load
+from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
+from repro.serve.tenant import COMPLETED, FAILED, TenantSpec
+
+
+def count_simulated(monkeypatch):
+    """Windows the serving layer's batch really has to simulate."""
+    counter = {"windows": 0}
+    original = serve_server.simulate_batch
+
+    def counting(windows, **kwargs):
+        counter["windows"] += sum(
+            1 for window in windows if window.remembered is None)
+        return original(windows, **kwargs)
+
+    monkeypatch.setattr(serve_server, "simulate_batch", counting)
+    return counter
+
+
+def fresh_cache(platform):
+    """A plan cache per arm, so the reports' hit counts compare too."""
+    return PlanCache(platform, repetitions=3, k=8)
+
+
+def observed(server, report):
+    """Everything a run leaves behind, as comparable bytes."""
+    return json.dumps({
+        "report": report.to_dict(),
+        "timeline": server.timeline,
+        "spans": [repr(span) for span in server.trace_spans],
+        "history": {
+            name: [repr(window) for window in record.history]
+            for name, record in server.records.items()
+        },
+    }, sort_keys=True, default=repr)
+
+
+def both_arms(monkeypatch, always_simulate, drive):
+    """``drive() -> (server, report)`` as shipped and as the oracle;
+    returns (shipped bytes, served windows, simulated windows)."""
+    counter = count_simulated(monkeypatch)
+    with capture() as shipped_cap:
+        server, report = drive()
+    shipped = observed(server, report)
+    shipped_trace = json.dumps(chrome_trace(
+        shipped_cap.events, shipped_cap.metrics.snapshot()))
+    simulated = counter["windows"]
+    served = sum(1 for e in server.timeline if e["event"] == "window")
+
+    always_simulate()
+    counter["windows"] = 0
+    with capture() as oracle_cap:
+        oracle_server, oracle_report = drive()
+    assert counter["windows"] >= served  # the oracle arm really ran
+    assert shipped == observed(oracle_server, oracle_report)
+    assert shipped_trace == json.dumps(chrome_trace(
+        oracle_cap.events, oracle_cap.metrics.snapshot()))
+    return shipped, served, simulated
+
+
+# ----------------------------------------------------------------------
+def soak(reschedule, attribution=False):
+    def drive():
+        server = build_soak_server(
+            SoakScenario(seed=7, windows=30), reschedule=reschedule)
+        server.config.attribution = attribution
+        # On top of the scenario's open-ended drift: one that turns on
+        # and off again in the middle of every tenant's residency.
+        server.inject_drift(DriftSpec(
+            start_tick=10, end_tick=15, busy={"little": 0.6},
+            demand_gbps=30.0))
+        return server, server.run(timeout_s=300.0)
+    return drive
+
+
+class TestSameBytes:
+    def test_drift_turning_on_and_off(self, monkeypatch,
+                                      always_simulate):
+        shipped, served, simulated = both_arms(
+            monkeypatch, always_simulate, soak(reschedule=False))
+        # Three tenants, two drift edges each way: most ticks change
+        # nothing a tenant can see.
+        assert 0 < simulated < served / 2
+
+    def test_reschedule_switch_rebuilds_the_executor(
+            self, monkeypatch, always_simulate):
+        shipped, served, simulated = both_arms(
+            monkeypatch, always_simulate, soak(reschedule=True))
+        timeline = json.loads(shipped)["timeline"]
+        assert any(e["event"] == "reschedule" for e in timeline)
+        assert 0 < simulated < served
+
+    def test_attribution_armed(self, monkeypatch, always_simulate):
+        shipped, _, _ = both_arms(
+            monkeypatch, always_simulate, soak(reschedule=True, attribution=True))
+        attribution = json.loads(shipped)["report"]["attribution"]
+        assert attribution["tenants"]
+
+    def test_eviction_mid_batch(self, monkeypatch, always_simulate,
+                                platform, app):
+        def drive():
+            # PR 12's case: the first-served tenant evicts one whose
+            # window for this tick is already in the batch.
+            server = PipelineServer(
+                platform, seed=5, plan_cache=fresh_cache(platform),
+                config=ServerConfig(
+                    max_ticks=64, queue_capacity=0,
+                    max_impact_ratio=1e9, max_partition_classes=1,
+                    reschedule=True, patience=1,
+                ),
+            )
+            server.open_stepped()
+            classes = sorted(platform.schedulable_classes())
+            for index, cls in enumerate(classes):
+                decision = server.try_admit(TenantSpec(
+                    name="sufferer" if index == 0 else f"low{index}",
+                    application=app, window_tasks=4,
+                    priority=5 if index == 0 else 0,
+                    windows=10 if index < len(classes) - 1 else 6,
+                    required_classes={cls},
+                ), tick=0)
+                assert decision.action == ADMIT
+            server.step(0)
+            server.step(1)
+            server.inject_drift(DriftSpec(
+                start_tick=2, busy={classes[0]: 0.95},
+                demand_gbps=16.0))
+            for tick in range(2, 14):
+                server.step(tick)
+            return server, server.close_stepped()
+
+        shipped, served, simulated = both_arms(
+            monkeypatch, always_simulate, drive)
+        timeline = json.loads(shipped)["timeline"]
+        assert any(e["event"] == "evict" for e in timeline)
+        assert not any(e["event"] == "fail" for e in timeline)
+        assert 0 < simulated < served
+
+    def test_a_tick_mixing_remembered_and_simulated_windows(
+            self, monkeypatch, always_simulate, platform, app):
+        # A tenant is replaced by a twin offering the same load: the
+        # survivor's co-load key does not move (remembered) while the
+        # twin's first window must run.  The tracer has to see the
+        # tick's windows in batch order all the same.
+        def drive():
+            server = PipelineServer(
+                platform, seed=5, plan_cache=fresh_cache(platform),
+                config=ServerConfig(max_ticks=64, queue_capacity=0,
+                                    max_partition_classes=1),
+            )
+            server.open_stepped()
+            classes = sorted(platform.schedulable_classes())[:2]
+
+            def admit(name, cls, tick):
+                assert server.try_admit(TenantSpec(
+                    name=name, application=app, windows=12,
+                    window_tasks=4, required_classes={cls},
+                ), tick=tick).action == ADMIT
+
+            admit("survivor", classes[0], 0)
+            admit("first", classes[1], 0)
+            for tick in range(3):
+                server.step(tick)
+            server.withdraw("first", "replaced by its twin", tick=3)
+            admit("twin", classes[1], 3)
+            for tick in range(3, 6):
+                server.step(tick)
+            return server, server.close_stepped()
+
+        counter = count_simulated(monkeypatch)
+        drive()
+        # Ticks 0 and 3 are the only ones that simulate: both tenants
+        # at first, then the twin alone.
+        assert counter["windows"] == 3
+        both_arms(monkeypatch, always_simulate, drive)
+
+    def test_a_window_failing_in_the_batch(
+            self, monkeypatch, always_simulate, platform, app):
+        # The DES refuses the doomed tenant's window once the drift is
+        # on - a co-load change, so both arms simulate (and fail) it.
+        original = SimulatedPipelineExecutor.run
+
+        def run(self, n_tasks, **kwargs):
+            load = kwargs.get("external_load")
+            if (self.tenant == "doomed" and load is not None
+                    and load.demand_gbps >= 16.0):
+                raise PipelineError("injected window failure")
+            return original(self, n_tasks, **kwargs)
+
+        monkeypatch.setattr(SimulatedPipelineExecutor, "run", run)
+
+        def drive():
+            server = PipelineServer(
+                platform, seed=5, plan_cache=fresh_cache(platform),
+                config=ServerConfig(max_ticks=64, queue_capacity=0,
+                                    max_partition_classes=1),
+            )
+            server.open_stepped()
+            for name in ("steady", "doomed", "late"):
+                assert server.try_admit(TenantSpec(
+                    name=name, application=app, windows=9,
+                    window_tasks=4), tick=0).action == ADMIT
+            server.inject_drift(DriftSpec(start_tick=4,
+                                          demand_gbps=16.0))
+            for tick in range(10):
+                server.step(tick)
+            return server, server.close_stepped()
+
+        shipped, served, simulated = both_arms(
+            monkeypatch, always_simulate, drive)
+        out = json.loads(shipped)
+        fails = [e for e in out["timeline"] if e["event"] == "fail"]
+        assert [(e["tenant"], e["tick"]) for e in fails] == [
+            ("doomed", 4)]
+        assert out["report"]["tenants"]["doomed"]["status"] == FAILED
+        assert out["report"]["tenants"]["late"]["status"] == COMPLETED
+        assert 0 < simulated < served
+
+
+# ----------------------------------------------------------------------
+class TestResidencyLifetime:
+    """One executor and one remembered window per *live* placement,
+    released with it."""
+
+    @pytest.fixture
+    def server(self, platform, plan_cache):
+        server = PipelineServer(
+            platform, seed=5, plan_cache=plan_cache,
+            config=ServerConfig(max_ticks=64, queue_capacity=0,
+                                max_partition_classes=1),
+        )
+        server.open_stepped()
+        return server
+
+    @staticmethod
+    def _admit(server, app, name, windows=6):
+        spec = TenantSpec(name=name, application=app, windows=windows,
+                          window_tasks=4)
+        assert server.try_admit(spec, tick=0).action == ADMIT
+
+    def test_executor_is_built_once_and_kept(self, server, app):
+        self._admit(server, app, "a")
+        self._admit(server, app, "b")
+        assert server._residency == {}     # nothing until a window
+        server.step(0)
+        executors = {name: residency.executor
+                     for name, residency in server._residency.items()}
+        assert sorted(executors) == ["a", "b"]
+        server.step(1)
+        server.step(2)
+        for name, residency in server._residency.items():
+            assert residency.executor is executors[name]
+            assert residency.last_result is not None
+
+    def test_unchanged_tick_simulates_nothing(self, server, app,
+                                              monkeypatch):
+        counter = count_simulated(monkeypatch)
+        self._admit(server, app, "a")
+        self._admit(server, app, "b")
+        server.step(0)
+        assert counter["windows"] == 2
+        server.step(1)
+        server.step(2)
+        assert counter["windows"] == 2
+        # A newcomer changes what the incumbents see - once.
+        self._admit(server, app, "c")
+        server.step(3)
+        assert counter["windows"] == 5
+        server.step(4)
+        assert counter["windows"] == 5
+
+    def test_release_leaves_nothing_behind(self, server, app):
+        for name in ("done", "gone", "undone", "stays"):
+            self._admit(server, app, name,
+                        windows=2 if name == "done" else 6)
+        server.step(0)
+        assert len(server._residency) == 4
+        server.withdraw("gone", "test", tick=1)
+        server.rescind("undone")
+        server.step(1)                     # "done" completes here
+        assert sorted(server._residency) == ["stays"]
+        assert sorted(server.running_records()) == ["stays"]
+        server.close_stepped()
+        assert server._residency == {}
+
+    def test_a_switch_starts_a_new_residency(self):
+        # The oracle arm shares _residency_of, so a stale executor
+        # after a SWITCH would fool both arms alike: check it directly.
+        server = build_soak_server(SoakScenario(seed=7, windows=30))
+        server.open_stepped()
+        record = server.records.get
+        before = None
+        for tick in range(30):
+            server.step(tick)
+            if before is None:
+                before = server._residency["tenant-drift"]
+            if any(e["event"] == "reschedule" for e in server.timeline):
+                break
+        else:
+            pytest.fail("the soak never rescheduled")
+        assert before.schedule is not record("tenant-drift").schedule
+        server.step(tick + 1)
+        after = server._residency["tenant-drift"]
+        drifted = record("tenant-drift")
+        assert after is not before
+        assert after.schedule is drifted.schedule
+        assert after.executor is not before.executor
+        assert after.executor.chunks == list(drifted.schedule.chunks())
+        assert after.offered.key == tenant_offered_load(
+            drifted.spec.application, drifted.plan.isolated,
+            drifted.schedule, server.platform).key
+        assert after.offered.key != before.offered.key
+        server.close_stepped()
+
+    def test_a_finished_soak_holds_no_residency(self):
+        server = build_soak_server(SoakScenario(seed=7, windows=12))
+        server.run(timeout_s=300.0)
+        assert server._residency == {}
+
+
+class TestDrainedMatchesTheScan:
+    def test_after_every_tick(self, platform, plan_cache, app):
+        # The full scan over every record ever seen is the oracle for
+        # the live-state answer, queue and age-out included.
+        server = PipelineServer(
+            platform, seed=5, plan_cache=plan_cache,
+            config=ServerConfig(max_ticks=64, queue_capacity=3,
+                                queue_patience=3,
+                                max_partition_classes=1),
+        )
+        server.open_stepped()
+        for index in range(8):
+            server.submit(TenantSpec(
+                name=f"t{index}", application=app,
+                windows=2 + index % 3, window_tasks=4))
+        seen_false = False
+        for tick in range(20):
+            drained = server.step(tick)
+            assert drained == all(
+                record.done for record in server.records.values())
+            seen_false = seen_false or not drained
+            if tick == 3:
+                server.submit(TenantSpec(
+                    name="late", application=app, windows=2,
+                    window_tasks=4))
+                assert not server._drained()
+        assert seen_false and drained
+        statuses = {r.status for r in server.records.values()}
+        assert len(statuses) >= 2          # completions and rejects

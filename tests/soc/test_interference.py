@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import PlatformError
 from repro.soc import DvfsCurve, InterferenceModel, co_load_fraction
-from repro.soc.pu import BIG, GPU, LITTLE
+from repro.soc.interference import ExternalLoad, external_co_load
+from repro.soc.pu import BIG, GPU, LITTLE, MEDIUM
 
 
 @pytest.fixture
@@ -128,3 +129,67 @@ class TestCoLoadFraction:
             co_load_fraction(4, 3)
         with pytest.raises(PlatformError):
             co_load_fraction(-1, 3)
+
+
+class TestExternalLoadKey:
+    """``ExternalLoad`` is frozen but holds a dict, so it cannot be
+    hashed; ``key`` is the value everything keyed on a load uses."""
+
+    def test_the_dataclass_itself_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(ExternalLoad(busy={BIG: 0.5}))
+
+    def test_insertion_order_does_not_matter(self):
+        one = ExternalLoad(busy={BIG: 0.5, GPU: 0.25, LITTLE: 0.1},
+                           demand_gbps=2.0)
+        other = ExternalLoad(busy={LITTLE: 0.1, GPU: 0.25, BIG: 0.5},
+                             demand_gbps=2.0)
+        assert one.key == other.key
+        assert hash(one.key) == hash(other.key)
+        assert {one.key: "hit"}[other.key] == "hit"
+
+    def test_computed_once(self):
+        load = ExternalLoad(busy={BIG: 0.5})
+        assert load.key is load.key
+
+    def test_combined_reproduces_it(self):
+        sources = [ExternalLoad(busy={BIG: 0.4}, demand_gbps=1.5),
+                   ExternalLoad(busy={GPU: 0.3, BIG: 0.2}),
+                   None,
+                   ExternalLoad(demand_gbps=0.25)]
+        assert (ExternalLoad.combined(sources).key
+                == ExternalLoad.combined(list(sources)).key)
+
+    @pytest.mark.parametrize("other", [
+        ExternalLoad(busy={BIG: 0.5, GPU: 0.25}, demand_gbps=2.5),
+        ExternalLoad(busy={BIG: 0.5, GPU: 0.26}, demand_gbps=2.0),
+        ExternalLoad(busy={BIG: 0.5}, demand_gbps=2.0),
+        ExternalLoad(busy={BIG: 0.5, LITTLE: 0.25}, demand_gbps=2.0),
+        ExternalLoad(busy={BIG: 0.5, GPU: 0.25}),
+    ], ids=["demand", "fraction", "missing-class", "other-class",
+            "no-demand"])
+    def test_any_difference_changes_it(self, other):
+        base = ExternalLoad(busy={BIG: 0.5, GPU: 0.25}, demand_gbps=2.0)
+        assert base.key != other.key
+
+    def test_conservative_on_zero_fractions(self):
+        # A zero-fraction entry changes no rate but does change the
+        # key: a memo keyed on it misses, it never hits wrongly.
+        assert (ExternalLoad(busy={BIG: 0.5, GPU: 0.0}).key
+                != ExternalLoad(busy={BIG: 0.5}).key)
+
+    def test_equal_keys_give_bit_equal_co_load(self):
+        # Float addition is not associative; the DVFS co-load sums in
+        # key order so that equal loads cannot disagree in the last ulp.
+        fractions = {BIG: 0.1, GPU: 0.2, MEDIUM: 0.3}
+        orders = [
+            (BIG, GPU, MEDIUM), (MEDIUM, GPU, BIG), (GPU, MEDIUM, BIG),
+        ]
+        values = {
+            external_co_load(
+                set(), LITTLE,
+                ExternalLoad(busy={c: fractions[c] for c in order}), 3,
+            )
+            for order in orders
+        }
+        assert len(values) == 1
