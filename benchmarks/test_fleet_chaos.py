@@ -18,10 +18,8 @@ def test_failover_vs_stranding(benchmark):
     scenario = FleetSoakScenario()
 
     def evaluate():
-        _, with_failover = run_fleet_soak(scenario, failover=True,
-                                          timeout_s=600.0)
-        _, stranded = run_fleet_soak(scenario, failover=False,
-                                     timeout_s=600.0)
+        _, with_failover = run_fleet_soak(scenario, failover=True)
+        _, stranded = run_fleet_soak(scenario, failover=False)
         return with_failover, stranded
 
     with_failover, stranded = run_once(benchmark, evaluate)

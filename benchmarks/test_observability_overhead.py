@@ -127,9 +127,9 @@ def test_attribution_off_never_reaches_decompose(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(attribution, "decompose", counting)
-    make_server(attribution=False).run(timeout_s=300.0)
+    make_server(attribution=False).run()
     assert calls["n"] == 0
-    make_server(attribution=True).run(timeout_s=300.0)
+    make_server(attribution=True).run()
     assert calls["n"] > 0
 
 
@@ -141,7 +141,7 @@ def test_attribution_guard_is_per_window_not_per_task():
         server = make_server(window_tasks=window_tasks)
         flag = CountingFlag()
         object.__setattr__(server.config, "attribution", flag)
-        server.run(timeout_s=300.0)
+        server.run()
         return flag.checks
 
     small, large = counted(4), counted(16)
@@ -157,7 +157,7 @@ def test_attribution_off_overhead_under_two_percent():
     read per served window) is noise against the run itself."""
     server = make_server()
     start = time.perf_counter()
-    server.run(timeout_s=300.0)
+    server.run()
     run_s = time.perf_counter() - start
     windows = sum(m.windows_served
                   for m in server.report().tenants.values())

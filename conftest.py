@@ -52,3 +52,20 @@ def always_simulate(monkeypatch):
             staticmethod(lambda residency, external: True),
         )
     return arm
+
+
+@pytest.fixture
+def tick_raises():
+    """Calling the returned function makes tick number ``tick`` of a
+    ``PipelineServer`` or ``FleetRouter`` (both keep the tick body in
+    ``_tick``) raise ``error`` before doing any work."""
+    def arm(stepped, tick, error):
+        real_tick = stepped._tick
+
+        def tick_or_raise(now):
+            if now == tick:
+                raise error
+            real_tick(now)
+
+        stepped._tick = tick_or_raise
+    return arm

@@ -380,6 +380,29 @@ class _TextSink:
         print(text, file=sys.stderr)
 
 
+def _run_reported(run, trace_out: Optional[str], sink: _TextSink):
+    """Call ``run()`` for its report and return ``(report, payload)``.
+
+    With ``trace_out`` the run happens under observability capture: the
+    payload gains the metrics snapshot and the Chrome/Perfetto trace of
+    the run is written to that file.
+    """
+    import repro.obs as obs
+
+    if not trace_out:
+        report = run()
+        return report, report.to_dict()
+    with obs.capture() as cap:
+        report = run()
+        snapshot = cap.metrics.snapshot()
+        payload = report.to_dict()
+        payload["metrics"] = snapshot
+        trace = obs.chrome_trace(cap.events, snapshot)
+    obs.write_trace(trace_out, trace)
+    sink.note(f"trace ({len(cap.events)} events) saved to {trace_out}")
+    return report, payload
+
+
 def _print_serve_report(report, server, sink: _TextSink) -> None:
     """Human-readable summary of one serving run."""
     sink.line(f"served {report.ticks} ticks on {report.platform} "
@@ -424,7 +447,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--trace-out`` runs the soak under observability capture and
     exports a Chrome/Perfetto trace of the whole run.
     """
-    import repro.obs as obs
     from repro.serve import SoakScenario, build_soak_server
 
     scenario = SoakScenario(
@@ -437,19 +459,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = build_soak_server(scenario,
                                reschedule=not args.frozen)
     sink = _TextSink(json_mode=args.json)
-    if args.trace_out:
-        with obs.capture() as cap:
-            report = server.run(timeout_s=args.timeout_s)
-            snapshot = cap.metrics.snapshot()
-            payload = report.to_dict()
-            payload["metrics"] = snapshot
-            trace = obs.chrome_trace(cap.events, snapshot)
-        obs.write_trace(args.trace_out, trace)
-        sink.note(f"trace ({len(cap.events)} events) saved to "
-                  f"{args.trace_out}")
-    else:
-        report = server.run(timeout_s=args.timeout_s)
-        payload = report.to_dict()
+    report, payload = _run_reported(server.run, args.trace_out, sink)
     _print_serve_report(report, server, sink)
     if args.gantt:
         chart = format_gantt(server.trace_spans, width=args.width)
@@ -534,7 +544,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     ``--trace-out`` runs under observability capture and exports a
     Chrome/Perfetto trace.
     """
-    import repro.obs as obs
     from repro.fleet import FleetSoakScenario, build_fleet
 
     scenario = FleetSoakScenario(
@@ -545,22 +554,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         max_ticks=args.max_ticks,
     )
     sink = _TextSink(json_mode=args.json)
-    failover = not args.no_failover
-    if args.trace_out:
-        with obs.capture() as cap:
-            router = build_fleet(scenario, failover=failover)
-            report = router.run(timeout_s=args.timeout_s)
-            snapshot = cap.metrics.snapshot()
-            payload = report.to_dict()
-            payload["metrics"] = snapshot
-            trace = obs.chrome_trace(cap.events, snapshot)
-        obs.write_trace(args.trace_out, trace)
-        sink.note(f"trace ({len(cap.events)} events) saved to "
-                  f"{args.trace_out}")
-    else:
-        router = build_fleet(scenario, failover=failover)
-        report = router.run(timeout_s=args.timeout_s)
-        payload = report.to_dict()
+    report, payload = _run_reported(
+        lambda: build_fleet(scenario,
+                            failover=not args.no_failover).run(),
+        args.trace_out, sink,
+    )
     _print_fleet_report(report, sink)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -892,7 +890,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 window_tasks=args.tasks,
             )
             server = build_soak_server(scenario, reschedule=True)
-            server.run(timeout_s=args.timeout_s)
+            server.run()
         else:
             platform = _platform(args.platform)
             application = _build_app(args.app)
@@ -961,7 +959,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         window_tasks=args.tasks,
         required_classes=frozenset(args.require or ()),
     ))
-    report = server.run(timeout_s=args.timeout_s)
+    report = server.run()
     record = server.records[args.name]
     print(f"submission {args.name!r} ({args.app}) on "
           f"{platform.display_name} with {args.co} co-tenants:")
@@ -1212,8 +1210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out",
                    help="run under observability capture and export a "
                         "Chrome/Perfetto trace of the soak to this file")
-    p.add_argument("--timeout-s", type=float, default=300.0,
-                   help="wall-clock drain deadline")
     p.add_argument("--out", help="save the serve report as JSON")
     p.set_defaults(fn=cmd_serve)
 
@@ -1239,8 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out",
                    help="run under observability capture and export a "
                         "Chrome/Perfetto trace of the fleet run")
-    p.add_argument("--timeout-s", type=float, default=600.0,
-                   help="wall-clock drain deadline")
     p.add_argument("--out", help="save the fleet report as JSON")
     p.set_defaults(fn=cmd_fleet)
 
@@ -1329,8 +1323,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="soak windows per tenant (with --serve)")
     p.add_argument("--tasks", type=int, default=10,
                    help="tasks per window / simulated run")
-    p.add_argument("--timeout-s", type=float, default=300.0,
-                   help="wall-clock drain deadline (with --serve)")
     p.add_argument("--export",
                    choices=("perfetto", "chrome", "gantt"),
                    default="perfetto",
@@ -1367,8 +1359,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-tenant partition width cap")
     p.add_argument("--seed", type=int, default=7,
                    help="seed for the synthetic co-tenants")
-    p.add_argument("--timeout-s", type=float, default=300.0,
-                   help="wall-clock drain deadline")
     p.add_argument("--out", help="save the serve report as JSON")
     p.set_defaults(fn=cmd_submit)
 

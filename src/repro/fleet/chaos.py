@@ -193,10 +193,10 @@ class ChaosSchedule:
 class ChaosInjector:
     """Evaluates a :class:`ChaosSchedule` at fleet ticks and logs events.
 
-    Single-threaded by design: only the fleet loop thread calls in, so
-    the event log order is a pure function of the schedule.  The seeded
-    RNG backs anything downstream that needs randomness tied to the
-    chaos stream (e.g. :meth:`ChaosSchedule.random` regeneration or
+    Single-threaded by design: only the thread stepping the fleet calls
+    in, so the event log order is a pure function of the schedule.  The
+    seeded RNG backs anything downstream that needs randomness tied to
+    the chaos stream (e.g. :meth:`ChaosSchedule.random` regeneration or
     future probabilistic faults) without touching global state.
     """
 

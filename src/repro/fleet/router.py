@@ -1,12 +1,15 @@
-"""The fleet router: N SoC shards, one deterministic control loop.
+"""The fleet router: N SoC shards, one tick the caller drives.
 
-Scale-out mirrors the single-SoC serving design one level up.  One
-supervised fleet loop thread owns every mutable fleet structure - the
-tenant registry, the backlog, the shard set - and drives all shards in
-lockstep through :class:`~repro.serve.server.PipelineServer`'s step
-mode.  Submissions cross threads through a lock-guarded inbox; after
-the inbox, everything is single-threaded, so a fleet run is a pure
-function of (platform set, tenant specs, chaos schedule, seed).
+Scale-out mirrors the single-SoC serving design one level up.  The
+router has no thread of its own: whoever calls :meth:`FleetRouter.step`
+owns every mutable fleet structure - the tenant registry, the backlog,
+the shard set - and each fleet tick steps every shard's
+:class:`~repro.serve.server.PipelineServer` in lockstep.
+:meth:`FleetRouter.run` is that loop on the calling thread, bounded by
+``max_ticks``; the open-loop traffic driver writes its own.
+Submissions may cross threads through a lock-guarded inbox; after the
+inbox, everything belongs to the stepping thread, so a fleet run is a
+pure function of (platform set, tenant specs, chaos schedule, seed).
 
 Per tick, in fixed phase order:
 
@@ -30,7 +33,6 @@ Per tick, in fixed phase order:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -49,12 +51,6 @@ from repro.runtime.faults import (
     GRAY_START,
     SOC_CRASH,
     SOC_REJOIN,
-)
-from repro.runtime.watchdog import (
-    Heartbeat,
-    Watchdog,
-    WatchdogConfig,
-    supervised_thread,
 )
 from repro.serve.admission import ADMIT
 from repro.serve.server import DriftSpec, ServerConfig
@@ -105,7 +101,6 @@ class FleetConfig:
     reschedule: bool = True
     profiling_repetitions: int = 3
     candidates_k: int = 8
-    stall_timeout_s: float = 60.0
     #: Ticks a tenant may wait in the fleet backlog before rejection.
     backlog_patience: int = 24
     #: Master switch: with failover off, dead shards strand their
@@ -146,7 +141,6 @@ class FleetConfig:
             reschedule=self.reschedule,
             profiling_repetitions=self.profiling_repetitions,
             candidates_k=self.candidates_k,
-            stall_timeout_s=self.stall_timeout_s,
             attribution=self.attribution,
         )
 
@@ -238,17 +232,9 @@ class FleetRouter:
         #: the burn evaluator's per-tick feed, cleared every tick.
         self._tick_outcomes: Dict[str, List[int]] = {}
 
-        self._heartbeat = Heartbeat(len(self.shards), "fleet-loop")
-        self._watchdog = Watchdog(
-            [self._heartbeat] + [s.heartbeat for s in self.shards],
-            WatchdogConfig(stall_timeout_s=self.config.stall_timeout_s),
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._done = threading.Event()
-        self._stop_requested = threading.Event()
-        self._started = False
-        self._stepping = False
-        self._loop_error: Optional[str] = None
+        #: Lifecycle: "new" -> "open" (open_stepped) -> "closed"
+        #: (close_stepped); nothing reopens a closed fleet.
+        self._state = "new"
         #: Served-window measurements harvested from the shards, in
         #: harvest order - the open-loop traffic driver's feed.  Kept
         #: out of the fleet timeline so the serialized report does not
@@ -260,9 +246,9 @@ class FleetRouter:
     # ------------------------------------------------------------------
     def submit(self, spec: TenantSpec) -> None:
         """Queue one job for fleet placement (same contract as
-        :meth:`PipelineServer.submit`: pre-start submissions make the
-        run deterministic)."""
-        if self._done.is_set():
+        :meth:`PipelineServer.submit`: submissions made before the
+        first tick make the run deterministic)."""
+        if self._state == "closed":
             raise FleetError(
                 f"fleet has drained; cannot submit {spec.name!r}"
             )
@@ -274,67 +260,39 @@ class FleetRouter:
                 )
             self._inbox.append(spec)
 
-    def start(self) -> None:
-        """Boot every shard and the supervised fleet loop."""
-        if self._started:
-            raise FleetError("fleet already started")
-        self._started = True
-        reg = metrics()
-        if reg.enabled:
-            for shard in self.shards:
-                reg.gauge(f"fleet.shard_state.{shard.name}",
-                          float(SHARD_STATE_CODES[HEALTHY]))
-        for shard in self.shards:
-            shard.boot()
-        self._watchdog.start()
-        self._thread = supervised_thread(
-            "fleet-loop", self._loop, self._heartbeat, self._watchdog
-        )
-        self._thread.start()
+    def run(self) -> FleetReport:
+        """Tick on the calling thread until every tenant is terminal or
+        ``config.max_ticks`` ticks ran, then close and report.
 
-    def drain(self, timeout_s: Optional[float] = None) -> FleetReport:
-        """Wait until every tenant is terminal, stop supervision, and
-        return the report."""
-        if not self._started or self._thread is None:
-            raise FleetError("fleet was never started")
-        if not self._done.wait(timeout_s):
-            self._stop_requested.set()
-            raise FleetError(
-                f"fleet did not drain within {timeout_s}s "
-                f"(tick {self.ticks_executed})"
-            )
-        self._thread.join()
-        self._watchdog.stop()
-        if self._loop_error is not None:
-            raise FleetError(f"fleet loop aborted: {self._loop_error}")
-        return self.report()
-
-    def stop(self) -> None:
-        """Request an early stop and wait for the loop to exit."""
-        self._stop_requested.set()
-        if self._thread is not None:
-            self._done.wait()
-            self._thread.join()
-            self._watchdog.stop()
-
-    def run(self, timeout_s: Optional[float] = None) -> FleetReport:
-        """Convenience: :meth:`start` + :meth:`drain`."""
-        self.start()
-        return self.drain(timeout_s)
+        Raises:
+            FleetError: A tick raised a :class:`ReproError`; the fleet
+                is closed out first, with that message as the status
+                detail of every tenant still placed.
+        """
+        self.open_stepped()
+        detail = None
+        try:
+            for tick in range(self.config.max_ticks):
+                if self.step(tick):
+                    break
+        except ReproError as error:
+            detail = str(error)
+            raise FleetError(f"fleet loop aborted: {detail}") from error
+        finally:
+            report = self.close_stepped(detail)
+        return report
 
     # ------------------------------------------------------------------
-    # Step mode (mirrors PipelineServer.open_stepped/step/close_stepped)
+    # Stepping (mirrors PipelineServer.open_stepped/step/close_stepped)
     # ------------------------------------------------------------------
     def open_stepped(self) -> None:
-        """Boot the shards for caller-driven ticking: no loop thread,
-        no watchdog - the caller owns the clock and calls :meth:`step`.
-        This is the open-loop traffic driver's entry point: submissions
-        may keep arriving between ticks, whether or not the fleet is
-        keeping up."""
-        if self._started:
+        """Boot the shards for ticking (once per fleet): the caller
+        owns the clock and calls :meth:`step`.  Submissions may keep
+        arriving between ticks, whether or not the fleet is keeping up
+        - which is what the open-loop traffic driver does."""
+        if self._state != "new":
             raise FleetError("fleet already started")
-        self._started = True
-        self._stepping = True
+        self._state = "open"
         reg = metrics()
         if reg.enabled:
             for shard in self.shards:
@@ -346,22 +304,20 @@ class FleetRouter:
     def step(self, tick: int) -> bool:
         """Execute one fleet tick; returns True when the fleet is
         drained (empty inbox, every tenant terminal)."""
-        if not self._stepping:
-            raise FleetError("fleet is not in step mode")
+        if self._state != "open":
+            raise FleetError("step() requires open_stepped()")
         self._tick(tick)
         self.ticks_executed += 1
         return self._drained()
 
     def close_stepped(self, detail: Optional[str] = None) -> FleetReport:
-        """End a stepped run: settle non-terminal tenants, close the
+        """Close the fleet: settle non-terminal tenants (``detail``
+        becomes the status detail of those still placed), close the
         shards, and return the report."""
-        if not self._stepping:
-            raise FleetError("fleet is not in step mode")
-        if detail is not None:
-            self._loop_error = detail
-        self._stepping = False
-        self._close_out()
-        self._done.set()
+        if self._state != "open":
+            raise FleetError("close_stepped() requires open_stepped()")
+        self._state = "closed"
+        self._close_out(detail)
         return self.report()
 
     def report(self) -> FleetReport:
@@ -413,34 +369,15 @@ class FleetRouter:
         )
 
     # ------------------------------------------------------------------
-    # Fleet loop (single thread; owns all fleet state)
+    # The fleet tick (runs on the stepping thread; owns all fleet state)
     # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        try:
-            for tick in range(self.config.max_ticks):
-                if self._stop_requested.is_set():
-                    break
-                self._heartbeat.start_task(tick)
-                self._tick(tick)
-                self._heartbeat.idle()
-                self.ticks_executed = tick + 1
-                if self._drained():
-                    break
-        except ReproError as error:
-            self._loop_error = str(error)
-        finally:
-            self._close_out()
-            self._done.set()
-
     def _tick(self, tick: int) -> None:
         with tracer().span("fleet.tick", "fleet", tick=tick):
             self._tick_outcomes = {
                 shard.name: [0, 0] for shard in self.shards
             }
             self._apply_chaos(tick)
-            self._heartbeat.check_cancelled()
             self._place_pending(tick)
-            self._heartbeat.check_cancelled()
             self._step_shards(tick)
             self._harvest(tick)
             self._assess_health(tick)
@@ -478,8 +415,9 @@ class FleetRouter:
         return sum(1 for tenant in self._open.values()
                    if tenant.status == PENDING)
 
-    def _close_out(self) -> None:
-        """Terminal states for whatever the loop left behind."""
+    def _close_out(self, detail: Optional[str]) -> None:
+        """Terminal states for whatever the last tick left behind;
+        ``detail`` is what :meth:`close_stepped` was given."""
         with self._inbox_lock:
             leftovers = list(self._inbox)
             self._inbox.clear()
@@ -491,8 +429,6 @@ class FleetRouter:
             )
             self._arrival_counter += 1
             self.tenants[spec.name] = tenant
-        detail = (self._loop_error
-                  or "tick budget exhausted before completion")
         for tenant in self.tenants.values():
             if tenant.done:
                 continue
@@ -503,7 +439,9 @@ class FleetRouter:
                 )
             else:
                 tenant.status = FAILED
-                tenant.status_detail = detail
+                tenant.status_detail = (
+                    detail or "tick budget exhausted before completion"
+                )
         for shard in self.shards:
             if shard.alive:
                 shard.close()
@@ -527,7 +465,7 @@ class FleetRouter:
         entry: Dict[str, object] = {"tick": tick, "event": event}
         entry.update(extra)
         self.timeline.append(entry)
-        # Mirror into the observability spine (all on the fleet loop
+        # Mirror into the observability spine (all on the stepping
         # thread, so emission order is a function of the seed).
         track = (f"tenant:{entry['tenant']}" if "tenant" in entry
                  else f"shard:{entry.get('shard', 'fleet')}")

@@ -190,11 +190,10 @@ def build_fleet(scenario: FleetSoakScenario,
 def run_fleet_soak(
     scenario: FleetSoakScenario,
     failover: bool = True,
-    timeout_s: float = 600.0,
     attribution: bool = False,
     burn: Optional[BurnRateRule] = None,
 ) -> Tuple[FleetRouter, FleetReport]:
-    """Build, run, and drain one fleet soak; returns (router, report).
+    """Build and run one fleet soak; returns (router, report).
 
     ``attribution``/``burn`` arm per-window blame decomposition and
     per-shard burn-rate alerting (both off by default, so the chaos
@@ -202,5 +201,5 @@ def run_fleet_soak(
     """
     router = build_fleet(scenario, failover=failover,
                          attribution=attribution, burn=burn)
-    report = router.run(timeout_s=timeout_s)
+    report = router.run()
     return router, report

@@ -1,13 +1,12 @@
 """One SoC shard: a platform, a heartbeat, and server generations.
 
 A shard is the fleet's failure domain.  Its :class:`PipelineServer` is
-driven in *step mode* by the fleet loop (one thread drives every shard,
-which is what keeps cross-shard event order deterministic), and is
-replaced wholesale on crash/rejoin: generation ``n+1`` starts with an
-empty placement and tenant registry, sharing only the platform and the
-fleet-owned plan cache with its predecessor.  The heartbeat object
-outlives generations - health is a property of the shard, not of one
-server incarnation.
+stepped by the fleet tick (one caller steps every shard, which is what
+keeps cross-shard event order deterministic), and is replaced wholesale
+on crash/rejoin: generation ``n+1`` starts with an empty placement and
+tenant registry, sharing only the platform and the fleet-owned plan
+cache with its predecessor.  The heartbeat object outlives generations
+- health is a property of the shard, not of one server incarnation.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class SoCShard:
         return self.server is not None
 
     def boot(self) -> None:
-        """Start a new server generation in step mode."""
+        """Start a new server generation, open for stepping."""
         if self.server is not None:
             raise FleetError(
                 f"shard {self.name!r} already has a live generation"

@@ -82,8 +82,9 @@ class Tracer:
 
     All mutation happens under one lock so the threaded back-end's
     dispatchers can emit concurrently; on the deterministic paths
-    (DES, serving loop thread) a single thread emits, so event order -
-    and therefore the exported bytes - is a pure function of the seed.
+    (DES, a stepped server or fleet) a single thread emits, so event
+    order - and therefore the exported bytes - is a pure function of the
+    seed.
     """
 
     def __init__(self, enabled: bool = False) -> None:

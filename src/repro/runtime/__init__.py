@@ -52,12 +52,7 @@ from repro.runtime.trace import (Span, format_gantt,
                                 pipeline_bubbles, record_span)
 from repro.runtime.task_object import TaskObject
 from repro.runtime.usm import UsmBuffer
-from repro.runtime.watchdog import (
-    Heartbeat,
-    Watchdog,
-    WatchdogConfig,
-    supervised_thread,
-)
+from repro.runtime.watchdog import Heartbeat, Watchdog, WatchdogConfig
 
 __all__ = [
     "AdaptivePipeline",
@@ -97,5 +92,4 @@ __all__ = [
     "pipeline_bubbles",
     "record_span",
     "simulate_batch",
-    "supervised_thread",
 ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.lock_order import checked_lock
 from repro.errors import PipelineError, StallError
@@ -176,32 +176,6 @@ class Heartbeat:
                 return False
             self.cancel.set()
             return True
-
-
-def supervised_thread(
-    name: str,
-    target: Callable[[], None],
-    heartbeat: Heartbeat,
-    watchdog: "Watchdog",
-) -> threading.Thread:
-    """The sanctioned factory for long-lived worker threads.
-
-    The ``UNSUPERVISED-THREAD`` lint rule confines thread creation to
-    the pipeline executor and this module, so every thread in the tree
-    is born supervised.  Long-lived workers outside the executor (the
-    serving layer's request loop) obtain theirs here: the factory
-    refuses to build a thread whose heartbeat the watchdog is not
-    scanning, which makes "spawned but unsupervised" unrepresentable.
-
-    The caller starts the returned (daemon) thread and remains
-    responsible for beating the heartbeat around each unit of work.
-    """
-    if heartbeat not in watchdog.heartbeats:
-        raise PipelineError(
-            f"thread {name!r} refused: its heartbeat is not registered "
-            "with the supervising watchdog"
-        )
-    return threading.Thread(target=target, name=name, daemon=True)
 
 
 class Watchdog:

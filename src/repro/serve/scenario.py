@@ -185,9 +185,8 @@ def build_soak_server(
 def run_soak(
     scenario: SoakScenario,
     reschedule: bool = True,
-    timeout_s: float = 300.0,
 ) -> Tuple[PipelineServer, "object"]:
-    """Build, run, and drain one soak; returns (server, report)."""
+    """Build and run one soak; returns (server, report)."""
     server = build_soak_server(scenario, reschedule=reschedule)
-    report = server.run(timeout_s=timeout_s)
+    report = server.run()
     return server, report

@@ -1,23 +1,27 @@
-"""The multi-tenant pipeline server: one supervised loop, many tenants.
+"""The multi-tenant pipeline server: the caller owns the clock.
 
 Architecture (deliberately boring, for determinism's sake):
 
-* **One request-loop thread** owns every mutable serving structure -
-  the tenant registry, the placement map, the backpressure queue.  It
-  is created through :func:`repro.runtime.watchdog.supervised_thread`
-  and beats a heartbeat every tick, so the same watchdog machinery
-  that guards kernel dispatches also catches a wedged control loop.
-* **Submissions cross threads** through a single lock-guarded inbox
+* **No thread of its own.**  The server advances only when someone
+  calls :meth:`PipelineServer.step`; whoever steps it owns every
+  mutable serving structure - the tenant registry, the placement map,
+  the backpressure queue.  :meth:`PipelineServer.run` is that loop
+  written out on the calling thread (``open_stepped``, ``step`` until
+  drained or ``max_ticks``, ``close_stepped``); a fleet router steps
+  many servers in lockstep from its own tick.
+* **Submissions may cross threads** through a single lock-guarded inbox
   (:func:`~repro.analysis.lock_order.checked_lock`, so the race
-  checker sees it).  Everything after the inbox is single-threaded.
+  checker sees it): an ingest thread may :meth:`submit` while another
+  steps.  Everything after the inbox belongs to the stepping thread.
 * **Virtual time only.**  Tenant windows execute on the discrete-event
-  simulator; a *tick* of the serve loop runs one window for every
-  running tenant.  With all submissions made before :meth:`start` the
-  entire run - admissions, windows, reschedules, evictions, the final
-  report - is a pure function of (platform, specs, drifts, seed), which
-  is what makes the soak test's byte-determinism assertion possible.
+  simulator; a *tick* runs one window for every running tenant, and a
+  run is bounded by ``max_ticks``, never by a wall clock.  With all
+  submissions made before the first tick the entire run - admissions,
+  windows, reschedules, evictions, the final report - is a pure
+  function of (platform, specs, drifts, seed), which is what makes the
+  soak test's byte-determinism assertion possible.
 
-Per tick the loop: drains the inbox through the admission controller,
+Per tick the server: drains the inbox through the admission controller,
 retries the backpressure queue (a completed tenant may have freed the
 PUs a queued one needs), then serves one window per running tenant -
 each under the :class:`~repro.soc.interference.ExternalLoad` formed by
@@ -34,7 +38,6 @@ changed since the tenant's previous window.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional
@@ -53,12 +56,6 @@ from repro.runtime.simulator import (
     simulate_batch,
 )
 from repro.runtime.trace import Span
-from repro.runtime.watchdog import (
-    Heartbeat,
-    Watchdog,
-    WatchdogConfig,
-    supervised_thread,
-)
 from repro.serve.admission import ADMIT, QUEUE, AdmissionController
 from repro.serve.metrics import ServeReport, TenantMetrics
 from repro.serve.placement import PlacementMap, tenant_offered_load
@@ -133,7 +130,6 @@ class ServerConfig:
     reschedule: bool = True
     profiling_repetitions: int = 3
     candidates_k: int = 8
-    stall_timeout_s: float = 60.0
     #: Per-window interference blame decomposition
     #: (:mod:`repro.obs.attribution`).  Off by default: attribution
     #: replays the steady-state rate model per (window, source) pair,
@@ -236,17 +232,9 @@ class PipelineServer:
         self._admission_counter = 0
         self._names = set()
 
-        self._heartbeat = Heartbeat(0, "serve-loop")
-        self._watchdog = Watchdog(
-            [self._heartbeat],
-            WatchdogConfig(stall_timeout_s=self.config.stall_timeout_s),
-        )
-        self._thread: Optional[threading.Thread] = None
-        self._done = threading.Event()
-        self._stop_requested = threading.Event()
-        self._started = False
-        self._stepping = False
-        self._loop_error: Optional[str] = None
+        #: Lifecycle: "new" -> "open" (open_stepped) -> "closed"
+        #: (close_stepped); nothing reopens a closed server.
+        self._state = "new"
 
     # ------------------------------------------------------------------
     # Client surface
@@ -254,12 +242,12 @@ class PipelineServer:
     def submit(self, spec: TenantSpec) -> None:
         """Queue one job for admission.
 
-        Submissions made before :meth:`start` are processed in order on
-        the first tick, which keeps the whole run deterministic;
-        submitting to a live server is allowed but lands on whichever
-        tick the loop reaches next.
+        Submissions made before the first tick are processed in order
+        on that tick, which keeps the whole run deterministic;
+        submitting to an open server (from any thread) is allowed and
+        lands on whichever tick is stepped next.
         """
-        if self._done.is_set():
+        if self._state == "closed":
             raise ServeError(
                 f"server has drained; cannot submit {spec.name!r}"
             )
@@ -272,105 +260,76 @@ class PipelineServer:
             self._inbox.append(spec)
 
     def inject_drift(self, drift: DriftSpec) -> None:
-        """Register outside interference.
+        """Register outside interference, any time before the server
+        closes.
 
-        In loop mode this must happen before :meth:`start` so runs stay
-        reproducible.  In step mode (:meth:`open_stepped`) the caller
-        owns the clock, so drifts may land mid-run - the fleet chaos
-        injector uses this to degrade a live shard deterministically.
+        The caller owns the clock, so a drift may land mid-run - the
+        fleet chaos injector uses this to degrade a live shard
+        deterministically.
         """
-        if self._started and not self._stepping:
-            raise ServeError(
-                "inject_drift() must be called before start() so runs "
-                "stay reproducible"
-            )
+        if self._state == "closed":
+            raise ServeError("server has drained; cannot inject drift")
         self._drifts.append(drift)
 
-    def start(self) -> None:
-        """Boot the supervised request loop."""
-        if self._started:
-            raise ServeError("server already started")
-        self._started = True
-        self._watchdog.start()
-        self._thread = supervised_thread(
-            "serve-loop", self._loop, self._heartbeat, self._watchdog
-        )
-        self._thread.start()
+    def run(self) -> ServeReport:
+        """Serve on the calling thread until every tenant is terminal
+        or ``config.max_ticks`` ticks ran, then close and report.
 
-    def drain(self, timeout_s: Optional[float] = None) -> ServeReport:
-        """Wait until every tenant reaches a terminal state, then stop
-        the supervision machinery and return the report."""
-        if not self._started or self._thread is None:
-            raise ServeError("server was never started")
-        if not self._done.wait(timeout_s):
-            self._stop_requested.set()
-            raise ServeError(
-                f"server did not drain within {timeout_s}s "
-                f"(tick {self.ticks_executed})"
-            )
-        self._thread.join()
-        self._watchdog.stop()
-        if self._loop_error is not None:
-            raise ServeError(
-                f"serve loop aborted: {self._loop_error}"
-            )
-        return self.report()
-
-    def stop(self) -> None:
-        """Request an early stop and wait for the loop to exit."""
-        self._stop_requested.set()
-        if self._thread is not None:
-            self._done.wait()
-            self._thread.join()
-            self._watchdog.stop()
-
-    def run(self, timeout_s: Optional[float] = None) -> ServeReport:
-        """Convenience: :meth:`start` + :meth:`drain`."""
-        self.start()
-        return self.drain(timeout_s)
+        Raises:
+            ServeError: A tick raised a :class:`ReproError`; the server
+                is closed out first, with that message as the status
+                detail of every tenant still live.
+        """
+        self.open_stepped()
+        detail = None
+        try:
+            for tick in range(self.config.max_ticks):
+                if self.step(tick):
+                    break
+        except ReproError as error:
+            detail = str(error)
+            raise ServeError(f"serve loop aborted: {detail}") from error
+        finally:
+            report = self.close_stepped(detail)
+        return report
 
     # ------------------------------------------------------------------
-    # Step mode (fleet surface): the caller owns the clock
+    # Stepping: the caller owns the clock
     # ------------------------------------------------------------------
-    # A fleet drives many shards in lockstep from ONE supervised loop
-    # thread; per-shard loop threads would make cross-shard event order
-    # scheduler-dependent and break byte-determinism.  In step mode the
-    # server never spawns its thread: the caller calls step(tick) once
-    # per fleet tick (always from the same thread) and close_stepped()
-    # to settle terminal states and collect the report.
+    # A fleet drives many shards in lockstep from one tick; a thread per
+    # shard would make cross-shard event order scheduler-dependent and
+    # break byte-determinism.  So the server has no thread: the caller
+    # calls step(tick) once per tick (always from the same thread) and
+    # close_stepped() to settle terminal states and collect the report.
 
     def open_stepped(self) -> None:
-        """Enter step mode instead of booting the loop thread."""
-        if self._started:
+        """Open the server for ticking (once per server)."""
+        if self._state != "new":
             raise ServeError("server already started")
-        self._started = True
-        self._stepping = True
+        self._state = "open"
 
     def step(self, tick: int) -> bool:
         """Run one tick under the caller's clock; True when drained."""
-        if not self._stepping:
+        if self._state != "open":
             raise ServeError("step() requires open_stepped()")
         self._tick(tick)
         self.ticks_executed += 1
         return self._drained()
 
     def close_stepped(self, detail: Optional[str] = None) -> ServeReport:
-        """Leave step mode: settle terminal states, return the report.
+        """Close the server: settle terminal states, return the report.
 
         ``detail`` (e.g. ``"shard crashed at tick 8"``) becomes the
         status detail of any tenant still live at close.
         """
-        if not self._stepping:
+        if self._state != "open":
             raise ServeError("close_stepped() requires open_stepped()")
-        if detail is not None:
-            self._loop_error = detail
-        self._stepping = False
-        self._close_out()
-        self._done.set()
+        self._state = "closed"
+        self._close_out(detail)
         return self.report()
 
     def try_admit(self, spec: TenantSpec, tick: int):
-        """Synchronous admission (step mode only).
+        """Synchronous admission (open server only).
 
         Evaluates ``spec`` against the current placement and running
         set; on ADMIT the tenant is deployed immediately and serves its
@@ -387,8 +346,8 @@ class PipelineServer:
         return decision
 
     def admit(self, spec: TenantSpec, tick: int, decision) -> None:
-        """Deploy an ADMIT ``decision`` the caller already holds (step
-        mode only) - the second half of :meth:`try_admit`.
+        """Deploy an ADMIT ``decision`` the caller already holds (open
+        server only) - the second half of :meth:`try_admit`.
 
         The decision must have been evaluated against this shard's
         current placement: the fleet router prices a tenant on every
@@ -406,7 +365,7 @@ class PipelineServer:
         self._deploy(tick, record, decision)
 
     def _require_newcomer(self, method: str, spec: TenantSpec) -> None:
-        if not self._stepping:
+        if self._state != "open":
             raise ServeError(f"{method}() requires open_stepped()")
         if spec.name in self._names:
             raise ServeError(
@@ -414,10 +373,10 @@ class PipelineServer:
             )
 
     def withdraw(self, name: str, reason: str, tick: int) -> TenantRecord:
-        """Remove a live tenant (step mode only): release its placement
+        """Remove a live tenant (open server only): release its placement
         and mark it EVICTED with ``reason``.  The fleet failover drain -
         the tenant's remaining windows continue on another shard."""
-        if not self._stepping:
+        if self._state != "open":
             raise ServeError("withdraw() requires open_stepped()")
         record = self.records.get(name)
         if record is None or record.done:
@@ -438,7 +397,7 @@ class PipelineServer:
         """Un-admit a tenant placed via :meth:`admit` this tick (the
         fleet rollback primitive): the placement is released and the
         record erased as if the admission never happened."""
-        if not self._stepping:
+        if self._state != "open":
             raise ServeError("rescind() requires open_stepped()")
         record = self.records.pop(name, None)
         if record is None:
@@ -499,33 +458,17 @@ class PipelineServer:
         }
 
     # ------------------------------------------------------------------
-    # Request loop (single thread; owns all serving state)
+    # The tick (runs on the stepping thread; owns all serving state)
     # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        try:
-            for tick in range(self.config.max_ticks):
-                if self._stop_requested.is_set():
-                    break
-                self._heartbeat.start_task(tick)
-                self._tick(tick)
-                self._heartbeat.idle()
-                self.ticks_executed = tick + 1
-                if self._drained():
-                    break
-        except ReproError as error:
-            self._loop_error = str(error)
-        finally:
-            self._close_out()
-            self._done.set()
-
     def _drained(self) -> bool:
         with self._inbox_lock:
             pending = len(self._inbox)
         # Every non-terminal record is RUNNING (in _live) or QUEUED.
         return not pending and not self._live and not self._queue
 
-    def _close_out(self) -> None:
-        """Terminal states for whatever the loop left behind."""
+    def _close_out(self, detail: Optional[str]) -> None:
+        """Terminal states for whatever the last tick left behind;
+        ``detail`` is what :meth:`close_stepped` was given."""
         with self._inbox_lock:
             leftovers = list(self._inbox)
             self._inbox.clear()
@@ -539,8 +482,6 @@ class PipelineServer:
                 continue
             if record.status == RUNNING:
                 self._release(record.name)
-            detail = (self._loop_error
-                      or "tick budget exhausted before completion")
             if record.status == QUEUED:
                 record.status = REJECTED
                 record.status_detail = (
@@ -548,7 +489,9 @@ class PipelineServer:
                 )
             else:
                 record.status = FAILED
-                record.status_detail = detail
+                record.status_detail = (
+                    detail or "tick budget exhausted before completion"
+                )
 
     # -- one tick -------------------------------------------------------
     def _tick(self, tick: int) -> None:
@@ -578,7 +521,7 @@ class PipelineServer:
         # Mirror every timeline entry into the observability spine:
         # an instant on the tenant's trace track, a flight-recorder
         # event, and the admission/reschedule counters.  All happen on
-        # the single loop thread, so the emission order - and therefore
+        # the stepping thread, so the emission order - and therefore
         # an exported trace's bytes - stays a function of the seed.
         trc = tracer()
         if trc.enabled:
@@ -751,7 +694,6 @@ class PipelineServer:
         batch: List[tuple] = []
         # A snapshot: a tenant that fails here leaves _live mid-loop.
         for name, record in list(self._live.items()):
-            self._heartbeat.check_cancelled()
             try:
                 sources = self._external_sources(name, tick)
                 external = ExternalLoad.combined(

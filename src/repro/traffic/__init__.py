@@ -8,7 +8,7 @@ generator (tenant churn, tiered priority mix, heavy-tailed sessions,
 diurnal + burst rate shapes) whose arrival stream is a pure function
 of (spec, seed); a checksummed trace format so a workload can be
 frozen and replayed byte-identically; an open-loop driver that feeds
-either into :class:`~repro.fleet.router.FleetRouter`'s step mode tick
+either into :class:`~repro.fleet.router.FleetRouter`'s ``step`` tick
 by tick; and an SLO evaluation layer that turns the served windows
 into per-tier attainment, goodput-vs-offered-load, and burst-recovery
 numbers in a byte-deterministic :class:`~repro.traffic.slo.

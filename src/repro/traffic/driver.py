@@ -109,7 +109,7 @@ class TrafficRunResult:
 
 
 class OpenLoopDriver:
-    """Feed a workload stream into a fleet's step mode."""
+    """Feed a workload stream into a fleet, tick by tick."""
 
     def __init__(
         self,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.synthetic import build_synthetic_application
-from repro.errors import FleetError
+from repro.errors import FleetError, PipelineError
 from repro.fleet import (
     ChaosSchedule,
     FleetConfig,
@@ -12,8 +12,6 @@ from repro.fleet import (
     ShardSpec,
 )
 from repro.serve.tenant import TenantSpec
-
-TIMEOUT_S = 120.0
 
 
 def _spec(name, seed=11, **kwargs):
@@ -66,25 +64,20 @@ class TestSubmission:
         with pytest.raises(FleetError, match="already submitted"):
             router.submit(_spec("t"))
 
-    def test_drain_without_start_rejected(self):
-        router = FleetRouter(_two_shards())
-        with pytest.raises(FleetError, match="never started"):
-            router.drain(timeout_s=1.0)
-
     def test_double_start_rejected(self):
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=2))
-        router.start()
-        try:
-            with pytest.raises(FleetError, match="already started"):
-                router.start()
-        finally:
-            router.drain(timeout_s=TIMEOUT_S)
+        router.open_stepped()
+        with pytest.raises(FleetError, match="already started"):
+            router.open_stepped()
+        router.close_stepped()
+        with pytest.raises(FleetError, match="already started"):
+            router.open_stepped()
 
     def test_submit_after_drain_rejected(self):
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=2))
-        router.run(timeout_s=TIMEOUT_S)
+        router.run()
         with pytest.raises(FleetError, match="has drained"):
             router.submit(_spec("late"))
 
@@ -92,7 +85,7 @@ class TestSubmission:
 class TestSmallFleetRun:
     def test_empty_fleet_drains_immediately(self):
         router = FleetRouter(_two_shards())
-        report = router.run(timeout_s=TIMEOUT_S)
+        report = router.run()
         assert report.ticks == 1
         assert report.tenants == {}
         assert all(s["state"] == "healthy"
@@ -103,7 +96,7 @@ class TestSmallFleetRun:
                              config=FleetConfig(max_ticks=32))
         for i in range(3):
             router.submit(_spec(f"t{i}", seed=11 + i))
-        report = router.run(timeout_s=TIMEOUT_S)
+        report = router.run()
         assert all(m.status == "completed"
                    for m in report.tenants.values())
         assert report.counts["place"] == 3
@@ -118,47 +111,35 @@ class TestSmallFleetRun:
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=2))
         router.submit(_spec("t", windows=50))
-        report = router.run(timeout_s=TIMEOUT_S)
+        report = router.run()
         assert report.tenants["t"].status == "failed"
         tenant = router.tenants["t"]
         assert "tick budget exhausted" in tenant.status_detail
 
 
 class TestStepMode:
-    def test_stepped_run_matches_threaded_run(self):
-        def build():
-            router = FleetRouter(_two_shards(),
-                                 config=FleetConfig(max_ticks=32))
-            for i in range(3):
-                router.submit(_spec(f"t{i}", seed=11 + i))
-            return router
-
-        threaded = build().run(timeout_s=TIMEOUT_S)
-
-        stepped = build()
-        stepped.open_stepped()
-        for tick in range(stepped.config.max_ticks):
-            if stepped.step(tick):
-                break
-        report = stepped.close_stepped()
-        assert report.to_dict() == threaded.to_dict()
-
     def test_step_requires_open_stepped(self):
         router = FleetRouter(_two_shards())
-        with pytest.raises(FleetError, match="not in step mode"):
+        with pytest.raises(FleetError, match="open_stepped"):
             router.step(0)
-        with pytest.raises(FleetError, match="not in step mode"):
+        with pytest.raises(FleetError, match="open_stepped"):
+            router.close_stepped()
+        router.open_stepped()
+        router.close_stepped()
+        with pytest.raises(FleetError, match="open_stepped"):
+            router.step(0)
+        with pytest.raises(FleetError, match="open_stepped"):
             router.close_stepped()
 
-    def test_open_stepped_conflicts_with_start(self):
+    def test_run_after_open_stepped_rejected(self):
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=2))
         router.open_stepped()
-        try:
-            with pytest.raises(FleetError, match="already started"):
-                router.start()
-        finally:
-            router.close_stepped()
+        with pytest.raises(FleetError, match="already started"):
+            router.run()
+        # The refused run() left the open fleet alone.
+        assert router.step(0)
+        router.close_stepped()
 
     def test_mid_run_submission_is_placed(self):
         # Open-loop ingress: a tenant submitted after ticking began is
@@ -191,7 +172,7 @@ class TestStepMode:
         router = FleetRouter(_two_shards(),
                              config=FleetConfig(max_ticks=32))
         router.submit(_spec("t"))
-        report = router.run(timeout_s=TIMEOUT_S)
+        report = router.run()
         assert len(router.window_log) == 2
         for entry in router.window_log:
             assert entry["tenant"] == "t"
@@ -212,7 +193,7 @@ class TestBacklogPatience:
                             required_classes={"gpu"}))
         router.submit(_spec("waiter", windows=2,
                             required_classes={"gpu"}))
-        report = router.run(timeout_s=TIMEOUT_S)
+        report = router.run()
         assert report.tenants["holder"].status == "completed"
         assert report.tenants["waiter"].status == "rejected"
         assert "backlog" in router.tenants["waiter"].status_detail
@@ -220,3 +201,44 @@ class TestBacklogPatience:
                    if e["event"] == "reject"]
         assert [e["tenant"] for e in rejects] == ["waiter"]
         assert report.counts["reject"] == 1
+
+
+class TestRunAborts:
+    @pytest.fixture
+    def router(self):
+        # Both tenants insist on the only GPU: one runs, one backlogs.
+        router = FleetRouter([ShardSpec("s0")],
+                             config=FleetConfig(max_ticks=32))
+        for name in ("holder", "waiter"):
+            router.submit(_spec(name, windows=12,
+                                required_classes={"gpu"}))
+        return router
+
+    def test_unexpected_tick_error_propagates_and_closes(
+            self, router, tick_raises):
+        tick_raises(router, 2, KeyError("boom"))
+        with pytest.raises(KeyError, match="boom"):
+            router.run()
+        assert router.ticks_executed == 2
+        assert not any(shard.alive for shard in router.shards)
+        with pytest.raises(FleetError, match="has drained"):
+            router.submit(_spec("late"))
+
+    def test_repro_error_aborts_after_close_out(self, router,
+                                                tick_raises):
+        tick_raises(router, 2, PipelineError("kernel wedged"))
+        with pytest.raises(
+                FleetError,
+                match="fleet loop aborted: kernel wedged") as raised:
+            router.run()
+        assert isinstance(raised.value.__cause__, PipelineError)
+        holder, waiter = (router.tenants[n] for n in ("holder",
+                                                      "waiter"))
+        assert (holder.status, holder.status_detail) == (
+            "failed", "kernel wedged")
+        assert waiter.status == "rejected"
+        assert "backlog" in waiter.status_detail
+        assert not any(shard.alive for shard in router.shards)
+        report = router.report()
+        assert report.ticks == 2
+        assert report.tenants["holder"].windows_served == 2

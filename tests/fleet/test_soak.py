@@ -11,29 +11,32 @@ The issue's bar, verbatim:
   per-placement-segment slowdown the fleet is accountable for).
 """
 
+import threading
+
 import pytest
 
 from repro.obs import capture
 from repro.serialization import write_json_report
-from repro.fleet import SHED, FleetSoakScenario, run_fleet_soak
+from repro.fleet import (
+    SHED,
+    FleetSoakScenario,
+    build_fleet,
+    run_fleet_soak,
+)
 from repro.fleet.scenario import WINDOWS_CYCLE
 
 SCENARIO = FleetSoakScenario()
 
-TIMEOUT_S = 600.0
-
 
 @pytest.fixture(scope="module")
 def soak():
-    router, report = run_fleet_soak(SCENARIO, failover=True,
-                                    timeout_s=TIMEOUT_S)
+    router, report = run_fleet_soak(SCENARIO, failover=True)
     return router, report
 
 
 @pytest.fixture(scope="module")
 def baseline():
-    router, report = run_fleet_soak(SCENARIO, failover=False,
-                                    timeout_s=TIMEOUT_S)
+    router, report = run_fleet_soak(SCENARIO, failover=False)
     return router, report
 
 
@@ -136,8 +139,7 @@ class TestFailoverBeatsStranding:
 class TestDeterminism:
     def test_reports_are_byte_identical(self, soak, tmp_path):
         _, first_report = soak
-        _, second_report = run_fleet_soak(SCENARIO, failover=True,
-                                          timeout_s=TIMEOUT_S)
+        _, second_report = run_fleet_soak(SCENARIO, failover=True)
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
         write_json_report(first, first_report.to_dict())
@@ -147,18 +149,33 @@ class TestDeterminism:
     def test_different_seed_differs(self, soak):
         _, report = soak
         other = FleetSoakScenario(seed=8)
-        _, other_report = run_fleet_soak(other, failover=True,
-                                         timeout_s=TIMEOUT_S)
+        _, other_report = run_fleet_soak(other, failover=True)
         assert (other_report.to_dict()["timeline"]
                 != report.to_dict()["timeline"])
+
+
+class TestCallerOwnsTheClock:
+    def test_run_equals_the_hand_written_step_loop(self, soak):
+        _, ran = soak
+        router = build_fleet(SCENARIO, failover=True)
+        assert router.chaos.schedule.crashes
+        router.open_stepped()
+        for tick in range(router.config.max_ticks):
+            if router.step(tick):
+                break
+        assert router.close_stepped().to_dict() == ran.to_dict()
+
+    def test_chaos_soak_leaves_no_thread_behind(self):
+        before = threading.enumerate()
+        run_fleet_soak(SCENARIO, failover=True)
+        assert threading.enumerate() == before
 
 
 class TestObservability:
     @pytest.fixture(scope="class")
     def traced(self):
         with capture() as cap:
-            run_fleet_soak(SCENARIO, failover=True,
-                           timeout_s=TIMEOUT_S)
+            run_fleet_soak(SCENARIO, failover=True)
             return cap.events, cap.metrics.snapshot()
 
     def test_fleet_counters_recorded(self, traced):

@@ -26,7 +26,7 @@ SCENARIO = FleetSoakScenario()
 def run_soak(attribution=False):
     router = build_fleet(SCENARIO, attribution=attribution)
     with capture() as cap:
-        report = router.run(timeout_s=600.0)
+        report = router.run()
     return json.dumps({
         "report": report.to_dict(),
         "window_log": router.window_log,

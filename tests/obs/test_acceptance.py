@@ -34,7 +34,7 @@ SCENARIO = SoakScenario(windows=8)
 def run_traced_soak():
     with capture() as cap:
         server = build_soak_server(SCENARIO, reschedule=True)
-        server.run(timeout_s=120.0)
+        server.run()
         return cap.events, cap.metrics.snapshot()
 
 

@@ -156,7 +156,7 @@ def _serve_with_attribution(seed):
             windows=4,
             window_tasks=4,
         ))
-    server.run(timeout_s=300.0)
+    server.run()
     return server
 
 
@@ -202,7 +202,7 @@ class TestConservationProperty:
             ),
             priority=1, windows=2, window_tasks=4,
         ))
-        report = server.run(timeout_s=300.0)
+        report = server.run()
         assert "attribution" not in report.to_dict()
         for record in server.records.values():
             assert all(w.blame is None for w in record.history)

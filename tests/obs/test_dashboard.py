@@ -24,8 +24,6 @@ from repro.obs.alerts import BurnRateRule
 from repro.serve.tenant import TenantSpec
 from repro.traffic import FleetOverloadScenario, run_overload_soak
 
-TIMEOUT_S = 300.0
-
 
 def _traffic_bytes(**kwargs):
     scenario = FleetOverloadScenario(ticks=16)
@@ -84,7 +82,7 @@ class TestByteIdentity:
         reports = []
         for _ in range(2):
             router = _burning_fleet()
-            report = router.run(timeout_s=TIMEOUT_S)
+            report = router.run()
             reports.append(json.dumps(report.to_dict(),
                                       sort_keys=True))
         assert reports[0] == reports[1]
@@ -98,7 +96,7 @@ class TestByteIdentity:
 class TestBurnFailover:
     @pytest.fixture(scope="class")
     def report(self):
-        return _burning_fleet().run(timeout_s=TIMEOUT_S)
+        return _burning_fleet().run()
 
     def test_burning_shard_raises_alerts(self, report):
         assert report.alerts, "brownout never burned"

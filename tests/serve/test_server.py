@@ -1,11 +1,14 @@
-"""PipelineServer lifecycle: admission, queue retry, drain, close-out."""
+"""PipelineServer lifecycle: admission, queue retry, run, close-out."""
+
+import threading
 
 import pytest
 
 from repro.apps.synthetic import build_synthetic_application
-from repro.errors import ServeError
+from repro.errors import PipelineError, ServeError
 from repro.serve import (
     COMPLETED,
+    FAILED,
     REJECTED,
     DriftSpec,
     PipelineServer,
@@ -59,26 +62,30 @@ class TestValidation:
             server.submit(TenantSpec(name="a",
                                      application=make_app(2)))
 
-    def test_drift_after_start_rejected(self, platform):
+    def test_drift_accepted_until_close(self, platform):
         server = make_server(platform)
-        server.submit(TenantSpec(name="a", application=make_app(1),
-                                 windows=1))
-        server.start()
-        try:
-            with pytest.raises(ServeError, match="before start"):
-                server.inject_drift(DriftSpec(start_tick=1))
-        finally:
-            server.drain(timeout_s=120.0)
+        server.inject_drift(DriftSpec(start_tick=1))
+        server.open_stepped()
+        server.step(0)
+        server.inject_drift(DriftSpec(start_tick=2))
+        server.close_stepped()
+        with pytest.raises(ServeError, match="drained"):
+            server.inject_drift(DriftSpec(start_tick=3))
 
-    def test_drain_requires_start(self, platform):
-        with pytest.raises(ServeError, match="never started"):
-            make_server(platform).drain(timeout_s=1.0)
+    def test_run_after_open_stepped_rejected(self, platform):
+        server = make_server(platform)
+        server.open_stepped()
+        with pytest.raises(ServeError, match="already started"):
+            server.run()
+        # The refused run() left the open server alone.
+        assert server.step(0)
+        server.close_stepped()
 
     def test_submit_after_drain_rejected(self, platform):
         server = make_server(platform)
         server.submit(TenantSpec(name="a", application=make_app(1),
                                  windows=1))
-        server.run(timeout_s=120.0)
+        server.run()
         with pytest.raises(ServeError, match="drained"):
             server.submit(TenantSpec(name="b",
                                      application=make_app(2)))
@@ -91,7 +98,7 @@ class TestServing:
                                  windows=2, priority=1))
         server.submit(TenantSpec(name="b", application=make_app(2),
                                  windows=3))
-        report = server.run(timeout_s=180.0)
+        report = server.run()
         assert report.tenants["a"].status == COMPLETED
         assert report.tenants["b"].status == COMPLETED
         assert report.tenants["a"].windows_served == 2
@@ -104,7 +111,7 @@ class TestServing:
         server = make_server(platform)
         server.submit(TenantSpec(name="a", application=make_app(1),
                                  windows=1))
-        server.run(timeout_s=120.0)
+        server.run()
         assert server.trace_spans
         assert {span.tenant for span in server.trace_spans} == {"a"}
 
@@ -154,7 +161,7 @@ class TestServing:
             name="second", application=make_app(1), windows=2,
             required_classes=frozenset({"gpu"}),
         ))
-        report = server.run(timeout_s=180.0)
+        report = server.run()
         assert report.tenants["first"].status == COMPLETED
         assert report.tenants["second"].status == COMPLETED
         queue_events = [e for e in report.timeline
@@ -171,7 +178,7 @@ class TestServing:
         server = make_server(platform, max_ticks=2)
         server.submit(TenantSpec(name="slow", application=make_app(1),
                                  windows=50))
-        report = server.run(timeout_s=120.0)
+        report = server.run()
         assert report.tenants["slow"].status == "failed"
         record = server.records["slow"]
         assert "tick budget exhausted" in record.status_detail
@@ -190,7 +197,7 @@ class TestServing:
             name="second", application=make_app(1), windows=5,
             required_classes=frozenset({"gpu"}),
         ))
-        server.run(timeout_s=120.0)
+        server.run()
         assert server.records["second"].status == REJECTED
         assert "backpressure" in server.records["second"].status_detail
 
@@ -210,7 +217,7 @@ class TestServing:
             name="second", application=make_app(1), windows=2,
             required_classes=frozenset({"gpu"}),
         ))
-        report = server.run(timeout_s=180.0)
+        report = server.run()
         assert report.tenants["first"].status == COMPLETED
         assert report.tenants["second"].status == REJECTED
         detail = server.records["second"].status_detail
@@ -236,7 +243,7 @@ class TestServing:
             name="second", application=make_app(1), windows=2,
             required_classes=frozenset({"gpu"}),
         ))
-        report = server.run(timeout_s=180.0)
+        report = server.run()
         assert report.tenants["second"].status == COMPLETED
         assert not [e for e in report.timeline
                     if e["event"] == "queue_evict"]
@@ -245,7 +252,50 @@ class TestServing:
         server = make_server(platform)
         server.submit(TenantSpec(name="a", application=make_app(1),
                                  windows=1))
-        report = server.run(timeout_s=120.0)
+        report = server.run()
         assert report.platform == platform.name
         assert report.plan_cache["entries"] >= 1
         assert report.ticks >= 1
+
+
+class TestRunAborts:
+    @pytest.fixture
+    def server(self, platform):
+        server = make_server(platform, queue_capacity=1)
+        for name in ("holder", "waiter"):
+            server.submit(TenantSpec(
+                name=name, application=make_app(1), windows=12,
+                required_classes=frozenset({"gpu"}),
+            ))
+        return server
+
+    def test_unexpected_tick_error_propagates_and_closes(
+            self, server, tick_raises):
+        tick_raises(server, 2, KeyError("boom"))
+        with pytest.raises(KeyError, match="boom"):
+            server.run()
+        assert server.ticks_executed == 2
+        with pytest.raises(ServeError, match="drained"):
+            server.submit(TenantSpec(name="late",
+                                     application=make_app(2)))
+
+    def test_repro_error_aborts_after_close_out(self, server,
+                                                tick_raises):
+        before = threading.enumerate()
+        tick_raises(server, 2, PipelineError("kernel wedged"))
+        with pytest.raises(
+                ServeError,
+                match="serve loop aborted: kernel wedged") as raised:
+            server.run()
+        assert isinstance(raised.value.__cause__, PipelineError)
+        assert threading.enumerate() == before
+        holder, waiter = (server.records[n] for n in ("holder",
+                                                      "waiter"))
+        assert (holder.status, holder.status_detail) == (
+            FAILED, "kernel wedged")
+        assert waiter.status == REJECTED
+        assert "backpressure" in waiter.status_detail
+        assert not server.placement.partitions
+        report = server.report()
+        assert report.ticks == 2
+        assert report.tenants["holder"].windows_served == 2

@@ -10,6 +10,8 @@ The issue's bar, verbatim:
 * the whole run is byte-deterministic for a fixed seed.
 """
 
+import threading
+
 import pytest
 
 from repro.serialization import write_json_report
@@ -116,6 +118,22 @@ class TestDeterminism:
         _, other_report = run_soak(other)
         assert (other_report.to_dict()["tenants"]
                 != baseline.to_dict()["tenants"])
+
+
+class TestCallerOwnsTheClock:
+    def test_run_equals_the_hand_written_step_loop(self, online):
+        _, ran = online
+        server = build_soak_server(SCENARIO, reschedule=True)
+        server.open_stepped()
+        for tick in range(server.config.max_ticks):
+            if server.step(tick):
+                break
+        assert server.close_stepped().to_dict() == ran.to_dict()
+
+    def test_soak_leaves_no_thread_behind(self):
+        before = threading.enumerate()
+        run_soak(SCENARIO, reschedule=True)
+        assert threading.enumerate() == before
 
 
 class TestScenarioValidation:

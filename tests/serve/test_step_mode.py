@@ -1,8 +1,8 @@
-"""Step mode: the externally-clocked server surface the fleet drives.
+"""Stepping: the externally-clocked server surface the fleet drives.
 
-In step mode the server never spawns its loop thread - the caller owns
-the clock - so these tests run every tick inline and can observe each
-admission, withdrawal, and rollback synchronously.
+The server has no thread - the caller owns the clock - so these tests
+run every tick inline and can observe each admission, withdrawal, and
+rollback synchronously.
 """
 
 import pytest
@@ -59,9 +59,6 @@ class TestLifecycle:
         assert (server.records["t"].status_detail
                 == "shard crashed at tick 1")
 
-    def test_step_mode_never_spawns_the_loop_thread(self, server):
-        assert server._thread is None
-
 
 class TestGuards:
     def test_step_requires_open(self, platform, plan_cache):
@@ -71,6 +68,15 @@ class TestGuards:
             server.step(0)
         with pytest.raises(ServeError, match="open_stepped"):
             server.close_stepped()
+
+    def test_closed_server_stays_closed(self, server):
+        server.close_stepped()
+        with pytest.raises(ServeError, match="open_stepped"):
+            server.step(0)
+        with pytest.raises(ServeError, match="open_stepped"):
+            server.close_stepped()
+        with pytest.raises(ServeError, match="already started"):
+            server.open_stepped()
 
     def test_try_admit_requires_open(self, platform, plan_cache, app):
         server = PipelineServer(platform, config=CONFIG,

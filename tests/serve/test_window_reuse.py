@@ -91,7 +91,7 @@ def soak(reschedule, attribution=False):
         server.inject_drift(DriftSpec(
             start_tick=10, end_tick=15, busy={"little": 0.6},
             demand_gbps=30.0))
-        return server, server.run(timeout_s=300.0)
+        return server, server.run()
     return drive
 
 
@@ -336,7 +336,7 @@ class TestResidencyLifetime:
 
     def test_a_finished_soak_holds_no_residency(self):
         server = build_soak_server(SoakScenario(seed=7, windows=12))
-        server.run(timeout_s=300.0)
+        server.run()
         assert server._residency == {}
 
 

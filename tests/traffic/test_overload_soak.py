@@ -13,6 +13,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -151,6 +152,13 @@ class TestByteDeterminism:
             FleetOverloadScenario(seed=8), admission=True,
         )
         assert other.to_dict()["per_tick"] != report.to_dict()["per_tick"]
+
+
+class TestCallerOwnsTheClock:
+    def test_traffic_soak_leaves_no_thread_behind(self):
+        before = threading.enumerate()
+        run_overload_soak(SCENARIO, admission=True)
+        assert threading.enumerate() == before
 
 
 class TestSaturationScalesWithTheFleet:
