@@ -8,19 +8,27 @@ control serves strictly *fewer* windows than admit-everything; what it
 buys is that the windows it does serve stay inside their tier SLOs, so
 goodput (SLO-attaining window-tasks) must strictly favour it.  The
 goodput-vs-offered-load curve is written to ``BENCH_traffic.json`` at
-the repo root - the trajectory CI uploads so each PR shows its delta.
+the repo root - the trajectory CI uploads so each PR shows its delta -
+and so is what a served window costs in retained memory, at two run
+lengths.
 """
 
+import gc
+import json
 import os
+import tracemalloc
 
 from benchmarks.conftest import run_once
 from repro.eval.metrics import format_table
 from repro.serialization import write_json_report
 from repro.traffic import (
     FleetOverloadScenario,
+    OpenLoopDriver,
+    evaluate,
     overload_curve,
     run_overload_soak,
 )
+from repro.traffic.generator import TrafficGenerator
 
 BENCH_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -80,3 +88,59 @@ def test_admission_vs_admit_everything(benchmark):
     goodput = [p["goodput_tasks"] for p in curve]
     assert goodput[0] < goodput[1] < goodput[2]
     assert goodput[3] >= 0.85 * goodput[2]
+
+
+def _steady_soak(ticks):
+    """The perf ledger's ``fleet_steady`` shape (8 shards at 0.5x
+    saturation), with everything a run holds kept alive: the router
+    and its shards, the driver's result, the report."""
+    scenario = FleetOverloadScenario(n_shards=8, load_multiplier=0.5,
+                                     ticks=ticks)
+    spec = scenario.spec()
+    router = scenario.build_fleet()
+    result = OpenLoopDriver(
+        router, TrafficGenerator(spec, seed=scenario.seed).events(),
+        ticks=spec.ticks, stage_count=spec.stage_count,
+        slo_by_tier={tier.name: tier.slo_slowdown for tier in spec.tiers},
+    ).run()
+    return router, result, evaluate(spec, scenario.seed, result)
+
+
+def _retained_bytes_per_window(ticks):
+    _steady_soak(ticks)  # process-wide memos are not a window's cost
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = _steady_soak(ticks)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained / held[2].served_windows, held[2].served_windows
+
+
+def test_retained_memory_per_window_is_flat_in_run_length(benchmark):
+    """Exact percentiles need every window's sample, so a run's memory
+    grows with the windows it served; what must not grow is the cost
+    *per window* (all layers: timelines, rows, tenants, reports).  At
+    the commit before the single window row: 1 982 / 1 856 B per window
+    at 100 / 400 ticks."""
+    horizons = (100, 400)
+    measured = run_once(benchmark, lambda: [
+        _retained_bytes_per_window(ticks) for ticks in horizons])
+    (short, _), (long, _) = measured
+    print("\n" + format_table(
+        [["ticks", "served windows", "retained B / window"]] + [
+            [str(ticks), str(windows), f"{per_window:.0f}"]
+            for ticks, (per_window, windows) in zip(horizons, measured)]))
+
+    with open(BENCH_PATH) as handle:
+        payload = json.load(handle)
+    payload["retained_bytes_per_window"] = {
+        str(ticks): round(per_window, 1)
+        for ticks, (per_window, _) in zip(horizons, measured)
+    }
+    write_json_report(BENCH_PATH, payload)
+
+    assert long <= short
+    assert long <= 1900.0

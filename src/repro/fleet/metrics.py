@@ -9,64 +9,47 @@ with the same seed (the property the fleet soak test and the CI
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from operator import attrgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.serve.metrics import percentile
+from repro.serve.metrics import (
+    Distribution,
+    TenantMetrics,
+    per_task,
+    percentile,
+    rendered,
+)
+from repro.serve.tenant import COMPLETED
 from repro.fleet.tenant import FleetTenant
 
 
+def _latencies(tenant: FleetTenant) -> List[float]:
+    """The tenant's per-task latency population, as the shard
+    timelines stated each window (9 decimals)."""
+    return per_task(tenant.windows, attrgetter("latency_s"))
+
+
 @dataclass(frozen=True)
-class FleetTenantMetrics:
+class FleetTenantMetrics(TenantMetrics):
     """Latency + lifecycle summary of one fleet tenant."""
 
-    tenant: str
-    status: str
-    windows_served: int
     migrations: int
-    reschedules: int
     shards: Sequence[str]
-    mean_latency_s: float
-    p50_latency_s: float
-    p95_latency_s: float
-    max_latency_s: float
 
     @classmethod
     def from_tenant(cls, tenant: FleetTenant) -> "FleetTenantMetrics":
-        samples = tenant.samples
-        if not samples:
-            return cls(
-                tenant=tenant.name,
-                status=tenant.status,
-                windows_served=0,
-                migrations=tenant.migrations,
-                reschedules=tenant.reschedules,
-                shards=tuple(tenant.shard_history),
-                mean_latency_s=0.0,
-                p50_latency_s=0.0,
-                p95_latency_s=0.0,
-                max_latency_s=0.0,
-            )
         return cls(
             tenant=tenant.name,
             status=tenant.status,
             windows_served=tenant.windows_served,
-            migrations=tenant.migrations,
             reschedules=tenant.reschedules,
+            latency=Distribution(partial(_latencies, tenant)),
+            migrations=tenant.migrations,
             shards=tuple(tenant.shard_history),
-            mean_latency_s=sum(samples) / len(samples),
-            p50_latency_s=percentile(samples, 50.0),
-            p95_latency_s=percentile(samples, 95.0),
-            max_latency_s=max(samples),
         )
 
     def to_dict(self) -> Dict[str, object]:
-        # Same "n/a" convention as the serve layer: no served windows
-        # means no latency distribution to summarize.
-        def _latency(value: float) -> object:
-            if self.windows_served == 0:
-                return "n/a"
-            return round(value, 9)
-
         return {
             "tenant": self.tenant,
             "status": self.status,
@@ -74,23 +57,25 @@ class FleetTenantMetrics:
             "migrations": self.migrations,
             "reschedules": self.reschedules,
             "shards": list(self.shards),
-            "mean_latency_s": _latency(self.mean_latency_s),
-            "p50_latency_s": _latency(self.p50_latency_s),
-            "p95_latency_s": _latency(self.p95_latency_s),
-            "max_latency_s": _latency(self.max_latency_s),
+            **self.latency_dict(),
         }
+
+
+def _surviving_p95(
+    tenants: Mapping[str, FleetTenant],
+    population: Callable[[FleetTenant], List[float]],
+) -> float:
+    samples: List[float] = []
+    for tenant in tenants.values():
+        if tenant.status == COMPLETED:
+            samples.extend(population(tenant))
+    return percentile(samples, 95.0) if samples else 0.0
 
 
 def surviving_p95(tenants: Mapping[str, FleetTenant]) -> float:
     """p95 over the merged per-item samples of tenants that *survived*
     the run (completed every window).  0.0 when nothing survived."""
-    samples: List[float] = []
-    for tenant in tenants.values():
-        if tenant.status == "completed":
-            samples.extend(tenant.samples)
-    if not samples:
-        return 0.0
-    return percentile(samples, 95.0)
+    return _surviving_p95(tenants, _latencies)
 
 
 def surviving_p95_slowdown(tenants: Mapping[str, FleetTenant]) -> float:
@@ -105,13 +90,7 @@ def surviving_p95_slowdown(tenants: Mapping[str, FleetTenant]) -> float:
     browned-out shard shows up here directly; one that migrates them
     promptly stays near 1.0.  0.0 when nothing survived.
     """
-    ratios: List[float] = []
-    for tenant in tenants.values():
-        if tenant.status == "completed":
-            ratios.extend(tenant.slowdowns())
-    if not ratios:
-        return 0.0
-    return percentile(ratios, 95.0)
+    return _surviving_p95(tenants, FleetTenant.slowdowns)
 
 
 @dataclass(frozen=True)
@@ -162,11 +141,10 @@ class FleetReport:
             "failover_enabled": self.failover_enabled,
             "counts": {k: self.counts[k] for k in sorted(self.counts)},
             "surviving_tenants": len(survivors),
-            "surviving_p95_s": (round(self.surviving_p95_s, 9)
-                                if survivors else "n/a"),
-            "surviving_p95_slowdown": (
-                round(self.surviving_p95_slowdown, 9)
-                if survivors else "n/a"),
+            "surviving_p95_s": rendered(self.surviving_p95_s,
+                                        len(survivors)),
+            "surviving_p95_slowdown": rendered(
+                self.surviving_p95_slowdown, len(survivors)),
             "tenants": {
                 name: self.tenants[name].to_dict()
                 for name in sorted(self.tenants)

@@ -23,8 +23,9 @@ Per tick, in fixed phase order:
 3. **step** - advance every live shard one tick (beating its heartbeat
    unless a gray window suppresses it);
 4. **harvest** - absorb new shard timeline events into fleet state
-   (window progress + latency samples, completions, shard-level
-   evictions back into the backlog as migrations, failures);
+   (each served window's :class:`~repro.serve.tenant.WindowSample` row,
+   completions, shard-level evictions back into the backlog as
+   migrations, failures);
 5. **health** - classify every shard from heartbeat counts and window
    latency ratios, advance circuit breakers, and on shard death or
    sustained SLO breach hand the shard to the
@@ -33,7 +34,7 @@ Per tick, in fixed phase order:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -61,6 +62,7 @@ from repro.serve.tenant import (
     REJECTED,
     RUNNING,
     TenantSpec,
+    WindowSample,
 )
 from repro.fleet.chaos import ChaosInjector, ChaosSchedule
 from repro.fleet.coordinator import FailoverCoordinator
@@ -218,12 +220,10 @@ class FleetRouter:
         self._inbox_lock = checked_lock("fleet.inbox-lock")
         self._backlog: List[str] = []
         self._arrival_counter = 0
-        self._shard_windows: Dict[str, int] = {
-            shard.name: 0 for shard in self.shards
-        }
 
-        #: Blame matrices harvested from the shards (attribution on).
-        self.blame_matrices: List[object] = []
+        #: Running sum of the harvested windows' attributed blame (the
+        #: per-tick ``blame.attributed_total`` series; attribution on).
+        self._attributed_total = 0.0
         self._burn = (BurnRateEvaluator(self.config.burn)
                       if self.config.burn is not None else None)
         #: Burn-rate alert records, in firing order (burn rule set).
@@ -235,11 +235,12 @@ class FleetRouter:
         #: Lifecycle: "new" -> "open" (open_stepped) -> "closed"
         #: (close_stepped); nothing reopens a closed fleet.
         self._state = "new"
-        #: Served-window measurements harvested from the shards, in
-        #: harvest order - the open-loop traffic driver's feed.  Kept
-        #: out of the fleet timeline so the serialized report does not
-        #: balloon with one entry per window.
-        self.window_log: List[Dict[str, object]] = []
+        #: Every served window, in harvest order (shard index, then
+        #: that server's timeline order): the rows the shard servers
+        #: wrote, which the report and the open-loop traffic driver
+        #: read.  Kept out of the fleet timeline so the serialized
+        #: report does not balloon with one entry per window.
+        self.window_log: List[WindowSample] = []
 
     # ------------------------------------------------------------------
     # Client surface
@@ -322,13 +323,14 @@ class FleetRouter:
 
     def report(self) -> FleetReport:
         """The (deterministic) fleet report for the run so far."""
+        served = Counter(row.shard for row in self.window_log)
         shards: Dict[str, Dict[str, object]] = {}
         for shard in self.shards:
             shards[shard.name] = {
                 "state": self.monitor.state(shard.name),
                 "breaker": self.breakers[shard.name].state,
                 "generation": shard.generation,
-                "windows_served": self._shard_windows[shard.name],
+                "windows_served": served[shard.name],
             }
         cache_stats: Dict[str, int] = {}
         for cache in self._caches:
@@ -338,12 +340,12 @@ class FleetRouter:
         if self.config.attribution:
             from repro.obs.attribution import top_offenders
 
+            blames = [row.blame for row in self.window_log
+                      if row.blame is not None]
             attribution = {
-                "windows": len(self.blame_matrices),
-                "attributed_total": round(sum(
-                    matrix.attributed for matrix in self.blame_matrices
-                ), 9),
-                "top_offenders": top_offenders(self.blame_matrices, 10),
+                "windows": len(blames),
+                "attributed_total": round(self._attributed_total, 9),
+                "top_offenders": top_offenders(blames, 10),
             }
         alerts = None
         if self.config.burn is not None:
@@ -396,10 +398,8 @@ class FleetRouter:
         reg.series_point("fleet.backlog_depth", tick,
                          float(len(self._backlog)))
         if self.config.attribution:
-            attributed = sum(
-                matrix.attributed for matrix in self.blame_matrices
-            )
-            reg.series_point("blame.attributed_total", tick, attributed)
+            reg.series_point("blame.attributed_total", tick,
+                             self._attributed_total)
 
     def _drained(self) -> bool:
         with self._inbox_lock:
@@ -615,14 +615,9 @@ class FleetRouter:
         tenant.place(shard.name)
         tenant.status_detail = detail or f"placed on {shard.name}"
         # The plan's isolated prediction for the schedule the shard
-        # actually deployed: the contention-free reference latency the
-        # SLO layer divides measured windows by.  Zero when the caller
-        # committed without a preceding admission (unit tests do).
-        isolated = 0.0
-        record = shard.server.records.get(tenant.name)
-        if (record is not None and record.plan is not None
-                and record.schedule is not None):
-            isolated = record.plan.isolated_prediction(record.schedule)
+        # deployed: the placement's contention-free reference latency.
+        record = shard.server.records[tenant.name]
+        isolated = record.plan.isolated_prediction(record.schedule)
         self._event(tick, kind, tenant=tenant.name, shard=shard.name,
                     windows_remaining=tenant.windows_remaining,
                     isolated_s=round(isolated, 9),
@@ -718,39 +713,19 @@ class FleetRouter:
                 f"shard {shard.name!r} reported unknown tenant {name!r}"
             )
         if kind == "window":
-            latency = float(event["latency_s"])  # type: ignore[arg-type]
-            tenant.windows_served += 1
-            tenant.samples.extend(
-                [latency] * tenant.spec.window_tasks
-            )
-            self._shard_windows[shard.name] += 1
-            self.monitor.note_window(shard.name, name, latency)
-            # The contention-free reference for *this* window: the
-            # isolated prediction of the schedule currently deployed
-            # (placement events go stale once the shard's online
-            # rescheduler switches schedules mid-residency).
-            isolated = 0.0
-            record = shard.server.records.get(name)
-            if (record is not None and record.plan is not None
-                    and record.schedule is not None):
-                isolated = record.plan.isolated_prediction(
-                    record.schedule)
-            self.window_log.append({
-                "tick": tick, "tenant": name, "shard": shard.name,
-                "latency_s": latency, "isolated_s": isolated,
-            })
-            if (self.config.attribution and record is not None
-                    and record.history
-                    and record.history[-1].blame is not None):
-                self.blame_matrices.append(record.history[-1].blame)
+            # A tenant serves one window per tick, so the row this
+            # event announced is the last of its record's history.
+            row = shard.server.records[name].history[-1]
+            tenant.windows.append(row)
+            self.window_log.append(row)
+            self.monitor.note_window(shard.name, name, row.latency_s)
+            if row.blame is not None:
+                self._attributed_total += row.blame.attributed
             if self._burn is not None:
                 # A window burns error budget when it runs more than
                 # slo_factor over its contention-free prediction.
-                bad = (isolated > 0.0
-                       and latency > self.config.health.slo_factor
-                       * isolated)
-                self._tick_outcomes.setdefault(
-                    shard.name, [0, 0])[1 if bad else 0] += 1
+                good = row.attains(self.config.health.slo_factor)
+                self._tick_outcomes[shard.name][0 if good else 1] += 1
         elif kind == "complete":
             tenant.status = COMPLETED
             tenant.shard = None

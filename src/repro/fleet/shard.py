@@ -58,7 +58,8 @@ class SoCShard:
         self.generation = 0
         self.gray = False
         self.server: Optional[PipelineServer] = None
-        #: Reports of closed generations, in close order.
+        #: Reports of closed generations, in close order (their
+        #: per-tenant summaries are derived if and when one is read).
         self.closed_reports: List[ServeReport] = []
         self._cursor = 0
 
@@ -79,20 +80,18 @@ class SoCShard:
                 + self.generation)
         self.server = PipelineServer(
             self.platform, seed=seed, config=self.server_config,
-            plan_cache=self.plan_cache,
+            plan_cache=self.plan_cache, shard=self.name,
         )
         self.server.open_stepped()
         self._cursor = 0
 
-    def close(self, detail: Optional[str] = None) -> ServeReport:
+    def close(self, detail: Optional[str] = None) -> None:
         """Close the live generation (crash or fleet drain)."""
         if self.server is None:
             raise FleetError(f"shard {self.name!r} is not live")
-        report = self.server.close_stepped(detail)
-        self.closed_reports.append(report)
+        self.closed_reports.append(self.server.close_stepped(detail))
         self.server = None
         self.gray = False
-        return report
 
     def step(self, tick: int) -> None:
         """Advance the live generation one tick, beating the shard
@@ -112,9 +111,3 @@ class SoCShard:
         events = self.server.timeline[self._cursor:]
         self._cursor = len(self.server.timeline)
         return events
-
-    def report(self) -> Optional[ServeReport]:
-        """The live generation's report so far (None when dead)."""
-        if self.server is None:
-            return None
-        return self.server.report()

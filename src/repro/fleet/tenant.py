@@ -4,9 +4,9 @@ A shard's :class:`~repro.serve.tenant.TenantRecord` dies with its
 server generation; the :class:`FleetTenant` is the durable identity the
 router tracks across placements, migrations, failovers, and shedding.
 Window progress accumulates here (a tenant that served 6 of 16 windows
-before its shard crashed is re-placed with 10 remaining), and so do the
-per-item latency samples the fleet report's percentiles are computed
-over.
+before its shard crashed is re-placed with 10 remaining): the tenant
+keeps the :class:`~repro.serve.tenant.WindowSample` rows its shards
+wrote, and the fleet report's percentiles are derived from them.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.serve.tenant import (
     REJECTED,
     RUNNING,
     TenantSpec,
+    WindowSample,
 )
 
 #: Fleet-only terminal state: dropped by priority-ordered shedding when
@@ -43,15 +44,11 @@ class FleetTenant:
     shard: Optional[str] = None
     #: Every shard this tenant ran on, in placement order.
     shard_history: List[str] = field(default_factory=list)
-    windows_served: int = 0
     migrations: int = 0
     reschedules: int = 0
-    #: Per-item latency samples across all segments and shards.
-    samples: List[float] = field(default_factory=list)
-    #: Index into ``samples`` where each placement segment starts; the
-    #: segment's first window is its slowdown baseline (same convention
-    #: as the health monitor's relative SLO).
-    segment_starts: List[int] = field(default_factory=list)
+    #: Every window served, across all placements, in harvest order -
+    #: the rows the shard servers wrote, not copies.
+    windows: List[WindowSample] = field(default_factory=list)
     #: Tick the tenant entered the fleet backlog (for patience).
     backlog_since: Optional[int] = None
 
@@ -66,6 +63,10 @@ class FleetTenant:
     @property
     def done(self) -> bool:
         return self.status in FLEET_TERMINAL_STATES
+
+    @property
+    def windows_served(self) -> int:
+        return len(self.windows)
 
     @property
     def windows_remaining(self) -> int:
@@ -87,25 +88,27 @@ class FleetTenant:
             self.migrations += 1
         self.shard = shard
         self.shard_history.append(shard)
-        self.segment_starts.append(len(self.samples))
         self.status = RUNNING
         self.backlog_since = None
 
     def slowdowns(self) -> List[float]:
-        """Each sample's ratio to its placement segment's first-window
-        baseline.
+        """Each per-task sample's ratio to its placement segment's
+        first-window baseline (same convention as the health monitor's
+        relative SLO).
 
         Normalizing per segment factors out *where* the tenant runs
         (app heterogeneity, the PU class a placement handed it) and
         keeps what the fleet is accountable for: how much worse than
-        its own baseline each placement let the tenant get.
+        its own baseline each placement let the tenant get.  A
+        placement is a fresh shard-side record, so a segment starts at
+        every row whose ``window_index`` is 0.
         """
         out: List[float] = []
-        bounds = list(self.segment_starts) + [len(self.samples)]
-        for start, end in zip(bounds, bounds[1:]):
-            if end <= start:
-                continue
-            baseline = self.samples[start]
-            for sample in self.samples[start:end]:
-                out.append(sample / baseline if baseline > 0.0 else 1.0)
+        baseline = 0.0
+        for row in self.windows:
+            latency = row.latency_s
+            if row.window_index == 0:
+                baseline = latency
+            ratio = latency / baseline if baseline > 0.0 else 1.0
+            out.extend([ratio] * row.window_tasks)
         return out

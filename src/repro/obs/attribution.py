@@ -1,8 +1,8 @@
 """Per-window interference blame decomposition.
 
 The paper's premise is that co-scheduled pipelines interfere; the serving
-layer can already report *that* a window was slow (``WindowResult.
-measured_latency_s`` against the plan's isolated prediction) but not *who*
+layer can already report *that* a window was slow (``WindowSample.
+measured_latency_s`` against its ``isolated_s`` prediction) but not *who*
 caused it.  This module closes that gap with an exact, deterministic
 decomposition: for each simulated window the observed slowdown is
 attributed to (source, resource-class) pairs, where a *source* is one

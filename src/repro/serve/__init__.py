@@ -52,7 +52,7 @@ from repro.serve.tenant import (
     TERMINAL_STATES,
     TenantRecord,
     TenantSpec,
-    WindowResult,
+    WindowSample,
 )
 
 __all__ = [
@@ -83,7 +83,7 @@ __all__ = [
     "TenantMetrics",
     "TenantRecord",
     "TenantSpec",
-    "WindowResult",
+    "WindowSample",
     "attainment",
     "build_soak_server",
     "percentile",

@@ -8,30 +8,87 @@ test asserts by comparing serialized reports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from operator import attrgetter
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
+)
 
 from repro.errors import ServeError
 from repro.obs.metrics import percentile  # also this layer's export
-from repro.serve.tenant import TenantRecord
+from repro.serve.tenant import TenantRecord, WindowSample
 
 
-def attainment(samples: Sequence[float], slo: float) -> float:
-    """Fraction of samples meeting an SLO threshold, in [0, 1].
+def attainment(samples: Sequence[WindowSample], slo: float) -> float:
+    """Fraction of windows meeting a slowdown SLO, in [0, 1]
+    (:meth:`WindowSample.attains` is the predicate).
 
-    A sample *attains* when it is at or under the threshold - the
-    boundary counts as met, matching how latency SLOs are stated
-    ("p95 <= 40 ms").  Raises on an empty sample set (a tenant with no
-    served windows has no attainment, and silently reporting 0.0 or
-    1.0 would each mislead in a different direction) and on a
-    non-positive threshold.
+    Raises on an empty sample set (a tenant with no served windows has
+    no attainment, and silently reporting 0.0 or 1.0 would each mislead
+    in a different direction) and on a non-positive threshold.
     """
     if not samples:
         raise ServeError("attainment of an empty sample set")
     if slo <= 0.0:
         raise ServeError(f"SLO threshold must be positive, got {slo}")
-    met = sum(1 for sample in samples if sample <= slo)
-    return met / len(samples)
+    return sum(1 for sample in samples if sample.attains(slo)) / len(samples)
+
+
+def per_task(rows: Iterable[WindowSample],
+             value: Callable[[WindowSample], float]) -> List[float]:
+    """The per-task population of a window statistic: ``value(row)``
+    once for every task the window streamed (the p95 population).
+
+    Replicated here, when a report asks, so that nothing holds
+    ``window_tasks`` floats per served window for the length of a run.
+    """
+    out: List[float] = []
+    for row in rows:
+        out.extend([value(row)] * row.window_tasks)
+    return out
+
+
+def rendered(value: float, served: int) -> object:
+    """A summary statistic as reports serialise it: nothing served
+    means no distribution, and 0.0 would read as "infinitely fast", so
+    the serialised form says "n/a" (the attributes stay numeric)."""
+    return round(value, 9) if served else "n/a"
+
+
+class Distribution:
+    """Mean, maximum and percentiles of one sample population - the
+    summary every report layer quotes; 0.0 for an empty population.
+
+    ``population`` builds the samples, when a statistic is first read:
+    a fleet closes a server generation per crash and a tenant row per
+    arrival, and most of those summaries are never looked at.  The rows
+    behind a closed server or fleet no longer change; summarise an open
+    one right away.
+    """
+
+    def __init__(self, population: Callable[[], Sequence[float]]):
+        self._population = population
+
+    @cached_property
+    def samples(self) -> Sequence[float]:
+        """The population, in the order it was recorded."""
+        return self._population()
+
+    @property
+    def mean(self) -> float:
+        """Arithmetic mean, summed in recording order."""
+        samples = self.samples
+        return sum(samples) / len(samples) if samples else 0.0
+
+    @property
+    def max(self) -> float:
+        """The largest sample."""
+        return max(self.samples, default=0.0)
+
+    def percentile(self, q: float) -> float:
+        """Linear-interpolation percentile (:func:`percentile`)."""
+        return percentile(self.samples, q) if self.samples else 0.0
 
 
 @dataclass(frozen=True)
@@ -42,55 +99,53 @@ class TenantMetrics:
     status: str
     windows_served: int
     reschedules: int
-    mean_latency_s: float
-    p50_latency_s: float
-    p95_latency_s: float
-    max_latency_s: float
+    #: Per-task latencies of the served windows.
+    latency: Distribution = field(compare=False, repr=False)
 
     @classmethod
     def from_record(cls, record: TenantRecord) -> "TenantMetrics":
-        samples = record.per_item_latencies()
-        if not samples:
-            return cls(
-                tenant=record.name,
-                status=record.status,
-                windows_served=0,
-                reschedules=record.reschedules,
-                mean_latency_s=0.0,
-                p50_latency_s=0.0,
-                p95_latency_s=0.0,
-                max_latency_s=0.0,
-            )
         return cls(
             tenant=record.name,
             status=record.status,
             windows_served=record.windows_done,
             reschedules=record.reschedules,
-            mean_latency_s=sum(samples) / len(samples),
-            p50_latency_s=percentile(samples, 50.0),
-            p95_latency_s=percentile(samples, 95.0),
-            max_latency_s=max(samples),
+            latency=Distribution(partial(
+                per_task, record.history,
+                attrgetter("measured_latency_s"),
+            )),
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        # A tenant with zero completed windows has no latency
-        # distribution; rendering 0.0 would read as "infinitely fast"
-        # in the report, so the serialized form says "n/a" instead
-        # (the dataclass fields stay numeric for arithmetic consumers).
-        def _latency(value: float) -> object:
-            if self.windows_served == 0:
-                return "n/a"
-            return round(value, 9)
+    @property
+    def mean_latency_s(self) -> float:
+        return self.latency.mean
 
+    @property
+    def p50_latency_s(self) -> float:
+        return self.latency.percentile(50.0)
+
+    @property
+    def p95_latency_s(self) -> float:
+        return self.latency.percentile(95.0)
+
+    @property
+    def max_latency_s(self) -> float:
+        return self.latency.max
+
+    def latency_dict(self) -> Dict[str, object]:
+        """The four latency statistics, as serialised."""
+        return {
+            key: rendered(getattr(self, key), self.windows_served)
+            for key in ("mean_latency_s", "p50_latency_s",
+                        "p95_latency_s", "max_latency_s")
+        }
+
+    def to_dict(self) -> Dict[str, object]:
         return {
             "tenant": self.tenant,
             "status": self.status,
             "windows_served": self.windows_served,
             "reschedules": self.reschedules,
-            "mean_latency_s": _latency(self.mean_latency_s),
-            "p50_latency_s": _latency(self.p50_latency_s),
-            "p95_latency_s": _latency(self.p95_latency_s),
-            "max_latency_s": _latency(self.max_latency_s),
+            **self.latency_dict(),
         }
 
 

@@ -97,18 +97,20 @@ class OnlineRescheduler:
         self._total_classes = len(platform.schedulable_classes())
 
     # ------------------------------------------------------------------
-    def classify(self, record: TenantRecord, measured_s: float) -> str:
-        """Place a measurement on the isolated..interference axis."""
+    def classify(self, record: TenantRecord, measured_s: float,
+                 isolated_s: float) -> str:
+        """Place a measurement on the isolated..interference axis;
+        ``isolated_s`` is the deployed schedule's isolated prediction
+        (the server already holds it for the window's row)."""
         if record.plan is None or record.schedule is None:
             raise ServeError(
                 f"tenant {record.name!r} has no deployed plan to "
                 "classify against"
             )
-        isolated = record.plan.isolated_prediction(record.schedule)
         span = record.plan.contention_span(record.schedule)
-        if isolated <= 0 or span <= 1.0:
+        if span <= 1.0:  # also what a non-positive prediction spans
             return ISOLATED_REGIME
-        position = (measured_s / isolated - 1.0) / (span - 1.0)
+        position = (measured_s / isolated_s - 1.0) / (span - 1.0)
         return (
             INTERFERENCE_REGIME if position >= 0.5 else ISOLATED_REGIME
         )

@@ -69,7 +69,7 @@ from repro.serve.tenant import (
     RUNNING,
     TenantRecord,
     TenantSpec,
-    WindowResult,
+    WindowSample,
 )
 from repro.soc.interference import ExternalLoad
 from repro.soc.platform import Platform
@@ -176,9 +176,12 @@ class PipelineServer:
         seed: int = 0,
         config: Optional[ServerConfig] = None,
         plan_cache: Optional[PlanCache] = None,
+        shard: str = "",
     ):
         self.platform = platform
         self.seed = seed
+        #: Label stamped on every served window (a fleet shard's name).
+        self.shard = shard
         self.config = config or ServerConfig()
         if plan_cache is None:
             plan_cache = PlanCache(
@@ -759,36 +762,36 @@ class PipelineServer:
     def _finish_window(self, tick: int, name: str,
                        record: TenantRecord,
                        external: ExternalLoad, result,
-                       sources: Optional[List[tuple]] = None,
-                       executor=None) -> None:
+                       sources: List[tuple],
+                       executor: SimulatedPipelineExecutor) -> None:
         measured = result.steady_interval_s
-        regime = self.rescheduler.classify(record, measured)
-        record.windows_done += 1
+        # The reference is the schedule this window ran on, so it is
+        # read here, before _react_to_drift may deploy another - once,
+        # for the regime, the blame and every report above.
+        isolated = record.plan.isolated_prediction(record.schedule)
+        index = record.windows_done
         blame = None
-        if (self.config.attribution and sources is not None
-                and executor is not None and record.plan is not None):
+        if self.config.attribution:
             from repro.obs.attribution import decompose
 
-            isolated = record.plan.isolated_prediction(record.schedule)
             blame = decompose(
                 tenant=name,
-                window_index=record.windows_done - 1,
-                slowdown=measured / isolated if isolated > 0.0 else 1.0,
+                window_index=index,
+                slowdown=measured / isolated,
                 chunks=executor.attribution_inputs(),
                 platform=self.platform,
                 sources=sources,
             )
-        record.history.append(WindowResult(
-            window_index=record.windows_done - 1,
-            schedule=record.schedule,
-            measured_latency_s=measured,
-            external_busy_classes=sorted(external.busy),
-            regime=regime,
-            blame=blame,
-        ))
-        self._event(tick, "window", name,
-                    window=record.windows_done - 1,
-                    latency_s=round(measured, 9), regime=regime)
+        row = WindowSample(
+            tick=tick, tenant=name, window_index=index,
+            measured_latency_s=measured, isolated_s=isolated,
+            window_tasks=record.spec.window_tasks,
+            regime=self.rescheduler.classify(record, measured, isolated),
+            blame=blame, shard=self.shard,
+        )
+        record.history.append(row)
+        self._event(tick, "window", name, window=index,
+                    latency_s=row.latency_s, regime=row.regime)
 
         # A co-tenant served earlier in this tick's batch may have
         # evicted this one (_evict_for); its window was already

@@ -78,20 +78,58 @@ class TenantSpec:
         )
 
 
-@dataclass
-class WindowResult:
-    """One served window's measurement."""
+@dataclass(frozen=True, slots=True)
+class WindowSample:
+    """One served window: the row every report above the DES derives from.
 
+    Written once, by :meth:`PipelineServer._finish_window`.  The
+    tenant's ``history``, the fleet tenant's ``windows``, the router's
+    ``window_log`` and a traffic run's ``samples`` all hold this same
+    object; nothing above the server re-records a window.
+
+    Attributes:
+        tick: The tick the window was served on.
+        tenant: Who served it.
+        window_index: Its index within the tenant's residency on this
+            server (a fleet placement starts again at 0).
+        measured_latency_s: Steady per-task latency the DES measured.
+        isolated_s: Isolated prediction of the schedule the window
+            *ran on* - the contention-free reference.  Positive for any
+            application that does work, so nothing guards the division.
+        window_tasks: Tasks streamed in the window (the weight of the
+            window in a per-task percentile population).
+        regime: Closer to the isolated or the interference profile.
+        blame: Interference blame decomposition of the slowdown
+            (:class:`repro.obs.attribution.BlameMatrix`); only with
+            ``ServerConfig.attribution``.
+        shard: The serving shard ("" outside a fleet).
+    """
+
+    tick: int
+    tenant: str
     window_index: int
-    schedule: Schedule
     measured_latency_s: float
-    external_busy_classes: List[str]
-    rescheduled: bool = False
-    regime: str = "isolated"  # closer to isolated or interference profile
-    #: Interference blame decomposition of this window's slowdown
-    #: (:class:`repro.obs.attribution.BlameMatrix`); only populated when
-    #: the server runs with ``attribution=True``.
+    isolated_s: float
+    window_tasks: int
+    regime: str = "isolated"
     blame: Optional[object] = None
+    shard: str = ""
+
+    @property
+    def latency_s(self) -> float:
+        """The latency as timelines and reports state it (9 decimals) -
+        what the fleet and traffic layers have always consumed."""
+        return round(self.measured_latency_s, 9)
+
+    @property
+    def slowdown(self) -> float:
+        """Latency over the contention-free reference."""
+        return self.latency_s / self.isolated_s
+
+    def attains(self, slo: float) -> bool:
+        """Whether the window met a slowdown SLO; the boundary counts
+        as met ("p95 <= 1.5x" includes 1.5x itself)."""
+        return self.slowdown <= slo
 
 
 @dataclass
@@ -104,8 +142,8 @@ class TenantRecord:
     schedule: Optional[Schedule] = None
     partition: FrozenSet[str] = frozenset()
     candidates: Sequence[ScheduleCandidate] = ()
-    windows_done: int = 0
-    history: List[WindowResult] = field(default_factory=list)
+    #: Every window served, in order (the rows the server wrote).
+    history: List[WindowSample] = field(default_factory=list)
     reschedules: int = 0
     status_detail: str = ""
     admission_order: int = -1
@@ -122,15 +160,9 @@ class TenantRecord:
         return self.spec.priority
 
     @property
+    def windows_done(self) -> int:
+        return len(self.history)
+
+    @property
     def done(self) -> bool:
         return self.status in TERMINAL_STATES
-
-    def per_item_latencies(self) -> List[float]:
-        """Per-task latency samples: each window's steady per-task
-        latency weighted by its task count (the p95 population)."""
-        out: List[float] = []
-        for window in self.history:
-            out.extend(
-                [window.measured_latency_s] * self.spec.window_tasks
-            )
-        return out

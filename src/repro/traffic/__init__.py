@@ -18,7 +18,6 @@ TrafficReport`.
 from repro.traffic.driver import (
     OpenLoopDriver,
     TrafficRunResult,
-    WindowSample,
     materialize,
 )
 from repro.traffic.generator import (
@@ -61,7 +60,6 @@ __all__ = [
     "TrafficRunResult",
     "TrafficSpec",
     "TrafficTrace",
-    "WindowSample",
     "evaluate",
     "materialize",
     "overload_curve",

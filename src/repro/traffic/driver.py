@@ -14,12 +14,13 @@ The workload source is anything with an ``events()`` stream of
 :class:`~repro.traffic.trace.TrafficTrace` - so recorded and replayed
 runs share one code path (the replay-equals-record guarantee).
 
-Per served window the driver computes the *slowdown*: measured window
-latency over the tenant's contention-free reference (the deployed
-schedule's isolated prediction, attached to fleet placement events).
-Slowdown isolates what admission control actually governs - contention
-- from placement narrowness, so SLO attainment compares fairly across
-admission policies.
+Per served window the driver reads the row's *slowdown*: measured
+window latency over the contention-free reference (the isolated
+prediction of the schedule the window ran on).  Slowdown isolates what
+admission control actually governs - contention - from placement
+narrowness, so SLO attainment compares fairly across admission
+policies.  The rows are the router's ``window_log`` - the driver keeps
+no copy; a window's tier is its tenant's arrival event's.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
 from repro.obs.tracer import tracer
 from repro.serve.scenario import _memory_bound_application
-from repro.serve.tenant import TenantSpec
+from repro.serve.tenant import TenantSpec, WindowSample
 from repro.traffic.generator import (
     BANDWIDTH_BOUND,
     MEMORY_BOUND,
@@ -79,18 +80,6 @@ def materialize(event: ArrivalEvent, stage_count: int) -> TenantSpec:
     )
 
 
-@dataclass(frozen=True)
-class WindowSample:
-    """One served window, tagged for SLO evaluation."""
-
-    tick: int
-    tenant: str
-    tier: str
-    shard: str
-    latency_s: float
-    slowdown: float
-
-
 @dataclass
 class TrafficRunResult:
     """Everything one open-loop run produced, pre-aggregation."""
@@ -98,6 +87,8 @@ class TrafficRunResult:
     ticks: int
     fleet_report: Optional[FleetReport] = None
     arrivals: Dict[str, ArrivalEvent] = field(default_factory=dict)
+    #: Every served window, in harvest order: the router's
+    #: ``window_log`` itself.
     samples: List[WindowSample] = field(default_factory=list)
     #: Per-tick trajectory: arrivals, served windows, SLO-attaining
     #: window-tasks (goodput), and fleet backlog depth.
@@ -154,7 +145,8 @@ class OpenLoopDriver:
         """
         router = self.router
         router.open_stepped()
-        result = TrafficRunResult(ticks=self.ticks)
+        result = TrafficRunResult(ticks=self.ticks,
+                                  samples=router.window_log)
         if self._burn is not None:
             result.burn_alerts = []
         window_cursor = 0
@@ -178,35 +170,19 @@ class OpenLoopDriver:
                         )
                 router.step(tick)
 
-                served = 0
+                fresh = result.samples[window_cursor:]
+                window_cursor += len(fresh)
+                served = len(fresh)
                 goodput_tasks = 0
                 #: tier -> [attained, missed] windows this tick (the
                 #: burn evaluator's per-tick outcome feed).
                 tier_outcomes: Dict[str, List[int]] = {
                     tier: [0, 0] for tier in sorted(self.slo_by_tier)
                 }
-                while window_cursor < len(router.window_log):
-                    entry = router.window_log[window_cursor]
-                    window_cursor += 1
-                    name = str(entry["tenant"])
-                    arrival = result.arrivals[name]
-                    reference = float(entry["isolated_s"])  # type: ignore[arg-type]
-                    latency = float(entry["latency_s"])  # type: ignore[arg-type]
-                    slowdown = (latency / reference
-                                if reference > 0.0 else 0.0)
-                    sample = WindowSample(
-                        tick=int(entry["tick"]),  # type: ignore[arg-type]
-                        tenant=name,
-                        tier=arrival.tier,
-                        shard=str(entry["shard"]),
-                        latency_s=latency,
-                        slowdown=slowdown,
-                    )
-                    result.samples.append(sample)
-                    served += 1
+                for row in fresh:
+                    arrival = result.arrivals[row.tenant]
                     slo = self.slo_by_tier.get(arrival.tier)
-                    attained = (slo is not None and slowdown > 0.0
-                                and slowdown <= slo)
+                    attained = slo is not None and row.attains(slo)
                     if attained:
                         goodput_tasks += arrival.window_tasks
                     if slo is not None:
@@ -220,7 +196,7 @@ class OpenLoopDriver:
                                         arrival.window_tasks)
                         reg.observe(
                             f"traffic.slowdown.{arrival.tier}",
-                            slowdown,
+                            row.slowdown,
                         )
                 backlog = router.pending_count
                 if reg.enabled:

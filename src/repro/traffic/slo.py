@@ -1,6 +1,8 @@
 """SLO evaluation over an open-loop run: the TrafficReport.
 
-Aggregates the driver's window samples into per-tier attainment and
+Aggregates the run's window samples (the fleet's
+:class:`~repro.serve.tenant.WindowSample` rows, joined to their
+tenants' arrival events for the tier) into per-tier attainment and
 slowdown percentiles, the per-tick goodput trajectory, and burst
 recovery times.  Pure arithmetic over recorded samples - no wall
 clock, no RNG - so a report is byte-identical across repeated seeded
@@ -17,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.serve.metrics import attainment, percentile
-from repro.traffic.driver import TrafficRunResult, WindowSample
+from repro.serve.metrics import Distribution, attainment, rendered
+from repro.serve.tenant import WindowSample
+from repro.traffic.driver import TrafficRunResult
 from repro.traffic.spec import TrafficSpec
 
 
@@ -39,25 +42,19 @@ class TierSummary:
     p99_slowdown: float
 
     def to_dict(self) -> Dict[str, object]:
-        # Same "n/a" convention as the serve/fleet layers: a tier with
-        # no served windows has no slowdown distribution.
-        def _ratio(value: float) -> object:
-            if self.served_windows == 0:
-                return "n/a"
-            return round(value, 9)
-
+        served = self.served_windows
         return {
             "tier": self.tier,
             "slo_slowdown": self.slo_slowdown,
             "arrivals": self.arrivals,
             "offered_windows": self.offered_windows,
-            "served_windows": self.served_windows,
+            "served_windows": served,
             "goodput_windows": self.goodput_windows,
             "goodput_tasks": self.goodput_tasks,
-            "attainment": _ratio(self.attainment),
-            "p50_slowdown": _ratio(self.p50_slowdown),
-            "p95_slowdown": _ratio(self.p95_slowdown),
-            "p99_slowdown": _ratio(self.p99_slowdown),
+            "attainment": rendered(self.attainment, served),
+            "p50_slowdown": rendered(self.p50_slowdown, served),
+            "p95_slowdown": rendered(self.p95_slowdown, served),
+            "p99_slowdown": rendered(self.p99_slowdown, served),
         }
 
 
@@ -157,15 +154,8 @@ def _tier_summary(tier_name: str, slo: float,
                   arrivals: int, offered_windows: int,
                   samples: List[WindowSample],
                   window_tasks: int) -> TierSummary:
-    slowdowns = [s.slowdown for s in samples]
-    good = sum(1 for s in slowdowns if 0.0 < s <= slo)
-    if slowdowns:
-        met = attainment(slowdowns, slo)
-        p50 = percentile(slowdowns, 50.0)
-        p95 = percentile(slowdowns, 95.0)
-        p99 = percentile(slowdowns, 99.0)
-    else:
-        met = p50 = p95 = p99 = 0.0
+    good = sum(1 for sample in samples if sample.attains(slo))
+    slowdowns = Distribution(lambda: [s.slowdown for s in samples])
     return TierSummary(
         tier=tier_name,
         slo_slowdown=slo,
@@ -174,10 +164,10 @@ def _tier_summary(tier_name: str, slo: float,
         served_windows=len(samples),
         goodput_windows=good,
         goodput_tasks=good * window_tasks,
-        attainment=met,
-        p50_slowdown=p50,
-        p95_slowdown=p95,
-        p99_slowdown=p99,
+        attainment=attainment(samples, slo) if samples else 0.0,
+        p50_slowdown=slowdowns.percentile(50.0),
+        p95_slowdown=slowdowns.percentile(95.0),
+        p99_slowdown=slowdowns.percentile(99.0),
     )
 
 
@@ -216,7 +206,7 @@ def evaluate(spec: TrafficSpec, seed: int,
         tier.name: [] for tier in spec.tiers
     }
     for sample in result.samples:
-        by_tier[sample.tier].append(sample)
+        by_tier[result.arrivals[sample.tenant].tier].append(sample)
 
     tiers: Dict[str, TierSummary] = {}
     for tier in spec.tiers:

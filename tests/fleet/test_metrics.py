@@ -9,7 +9,7 @@ from repro.fleet.metrics import (
     surviving_p95,
     surviving_p95_slowdown,
 )
-from repro.serve.tenant import COMPLETED, TenantSpec
+from repro.serve.tenant import COMPLETED, TenantSpec, WindowSample
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +21,16 @@ def _tenant(app, name="t", status=COMPLETED, arrival=0):
     spec = TenantSpec(name=name, application=app, windows=4,
                       window_tasks=4)
     return FleetTenant(spec=spec, arrival=arrival, status=status)
+
+
+def _serve(tenant, *latencies, window_tasks=1):
+    """One placement segment's windows, as a shard would write them."""
+    for index, latency in enumerate(latencies):
+        tenant.windows.append(WindowSample(
+            tick=index, tenant=tenant.name, window_index=index,
+            measured_latency_s=latency, isolated_s=0.010,
+            window_tasks=window_tasks, shard=tenant.shard or "",
+        ))
 
 
 class TestTenantMetrics:
@@ -35,8 +45,8 @@ class TestTenantMetrics:
     def test_served_tenant_summarizes_samples(self, app):
         tenant = _tenant(app)
         tenant.place("s0")
-        tenant.windows_served = 2
-        tenant.samples = [0.010, 0.010, 0.030, 0.030]
+        _serve(tenant, 0.010, 0.030, window_tasks=2)
+        assert tenant.windows_served == 2
         metric = FleetTenantMetrics.from_tenant(tenant)
         assert metric.mean_latency_s == pytest.approx(0.020)
         assert metric.max_latency_s == pytest.approx(0.030)
@@ -47,9 +57,9 @@ class TestSlowdowns:
     def test_each_segment_normalizes_to_its_own_baseline(self, app):
         tenant = _tenant(app)
         tenant.place("s0")
-        tenant.samples = [0.010, 0.020]
-        tenant.place("s1")  # segment 2 starts at index 2
-        tenant.samples += [0.040, 0.080]
+        _serve(tenant, 0.010, 0.020)
+        tenant.place("s1")  # segment 2 starts again at window 0
+        _serve(tenant, 0.040, 0.080)
         assert tenant.slowdowns() == pytest.approx(
             [1.0, 2.0, 1.0, 2.0]
         )
@@ -58,14 +68,14 @@ class TestSlowdowns:
     def test_empty_trailing_segment_is_skipped(self, app):
         tenant = _tenant(app)
         tenant.place("s0")
-        tenant.samples = [0.010]
+        _serve(tenant, 0.010)
         tenant.place("s1")  # displaced before serving anything there
         assert tenant.slowdowns() == pytest.approx([1.0])
 
     def test_zero_baseline_degrades_to_unity(self, app):
         tenant = _tenant(app)
         tenant.place("s0")
-        tenant.samples = [0.0, 0.5]
+        _serve(tenant, 0.0, 0.5)
         assert tenant.slowdowns() == pytest.approx([1.0, 1.0])
 
 
@@ -73,10 +83,10 @@ class TestFleetAggregates:
     def test_surviving_percentiles_ignore_casualties(self, app):
         survivor = _tenant(app, name="a")
         survivor.place("s0")
-        survivor.samples = [0.010, 0.015]
+        _serve(survivor, 0.010, 0.015)
         survivor.status = COMPLETED
         casualty = _tenant(app, name="b", status="failed", arrival=1)
-        casualty.samples = [9.0]
+        _serve(casualty, 9.0)
         casualty.status = "failed"
         tenants = {"a": survivor, "b": casualty}
         assert surviving_p95(tenants) < 1.0

@@ -174,9 +174,10 @@ class TestStepMode:
         router.submit(_spec("t"))
         report = router.run()
         assert len(router.window_log) == 2
-        for entry in router.window_log:
-            assert entry["tenant"] == "t"
-            assert entry["latency_s"] > 0.0
+        for row in router.window_log:
+            assert row.tenant == "t"
+            assert row.latency_s > 0.0
+            assert row.isolated_s > 0.0
         places = [e for e in report.timeline if e["event"] == "place"]
         assert places and all(e["isolated_s"] > 0.0 for e in places)
 

@@ -11,6 +11,7 @@ backlog?" from live state; the full scans over every tenant ever seen
 they replaced are kept here as the oracle, compared after every tick.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -29,7 +30,8 @@ def run_soak(attribution=False):
         report = router.run()
     return json.dumps({
         "report": report.to_dict(),
-        "window_log": router.window_log,
+        "window_log": [dataclasses.asdict(row)
+                       for row in router.window_log],
         "shards": {
             shard.name: [closed.to_dict()
                          for closed in shard.closed_reports]

@@ -12,7 +12,7 @@ from repro.serve import (
     TenantMetrics,
     TenantRecord,
     TenantSpec,
-    WindowResult,
+    WindowSample,
     attainment,
     percentile,
 )
@@ -66,6 +66,34 @@ class TestPercentile:
         )
 
 
+def window(latency_s, isolated_s=1.0, index=0, window_tasks=10):
+    return WindowSample(
+        tick=index, tenant="t", window_index=index,
+        measured_latency_s=latency_s, isolated_s=isolated_s,
+        window_tasks=window_tasks,
+    )
+
+
+def windows(*slowdowns):
+    return [window(slowdown) for slowdown in slowdowns]
+
+
+class TestWindowSample:
+    def test_reports_state_the_latency_to_nine_decimals(self):
+        row = window(0.0123456789123, isolated_s=0.01)
+        assert row.latency_s == 0.012345679
+        assert row.measured_latency_s == 0.0123456789123
+
+    def test_slowdown_is_stated_latency_over_the_reference(self):
+        row = window(0.0123456789123, isolated_s=0.01)
+        assert row.slowdown == 0.012345679 / 0.01
+
+    def test_slo_boundary_counts_as_met(self):
+        row = window(0.015, isolated_s=0.01)
+        assert row.attains(row.slowdown)
+        assert row.attains(2.0) and not row.attains(1.4)
+
+
 class TestAttainment:
     def test_empty_samples_raise_structured_error(self):
         with pytest.raises(ServeError, match="empty"):
@@ -76,23 +104,23 @@ class TestAttainment:
 
     def test_non_positive_slo_rejected(self):
         with pytest.raises(ServeError, match="positive"):
-            attainment([1.0], 0.0)
+            attainment(windows(1.0), 0.0)
         with pytest.raises(ServeError, match="positive"):
-            attainment([1.0], -2.0)
+            attainment(windows(1.0), -2.0)
 
     def test_all_attaining(self):
-        assert attainment([0.1, 0.2, 0.3], 0.5) == 1.0
+        assert attainment(windows(0.1, 0.2, 0.3), 0.5) == 1.0
 
     def test_all_breaching(self):
-        assert attainment([0.6, 0.7, 0.8], 0.5) == 0.0
+        assert attainment(windows(0.6, 0.7, 0.8), 0.5) == 0.0
 
     def test_exact_boundary_counts_as_met(self):
         # "p95 <= 40 ms" includes 40 ms itself.
-        assert attainment([0.5], 0.5) == 1.0
-        assert attainment([0.5, 1.0], 0.5) == 0.5
+        assert attainment(windows(0.5), 0.5) == 1.0
+        assert attainment(windows(0.5, 1.0), 0.5) == 0.5
 
     def test_mixed_fraction(self):
-        samples = [0.1, 0.2, 0.3, 0.9]
+        samples = windows(0.1, 0.2, 0.3, 0.9)
         assert attainment(samples, 0.35) == pytest.approx(0.75)
 
 
@@ -104,13 +132,9 @@ def record_with_history(app, name="t", latencies=(), window_tasks=10,
         status=status,
     )
     for index, latency in enumerate(latencies):
-        record.history.append(WindowResult(
-            window_index=index,
-            schedule=None,
-            measured_latency_s=latency,
-            external_busy_classes=[],
+        record.history.append(window(
+            latency, index=index, window_tasks=window_tasks,
         ))
-    record.windows_done = len(record.history)
     return record
 
 

@@ -52,19 +52,22 @@ class TestClassify:
     def test_isolated_measurement(self, rescheduler, plan, app):
         record = deployed_record(plan, app)
         isolated = plan.isolated_prediction(record.schedule)
-        assert rescheduler.classify(record, isolated) == "isolated"
+        assert rescheduler.classify(
+            record, isolated, isolated) == "isolated"
 
     def test_saturated_measurement(self, rescheduler, plan, app):
         record = deployed_record(plan, app)
         heavy = plan.interference_prediction(record.schedule)
-        assert rescheduler.classify(record, heavy) == "interference"
+        isolated = plan.isolated_prediction(record.schedule)
+        assert rescheduler.classify(
+            record, heavy, isolated) == "interference"
 
     def test_undeployed_record_rejected(self, rescheduler, app):
         bare = TenantRecord(
             spec=TenantSpec(name="t", application=app)
         )
         with pytest.raises(ServeError, match="no deployed plan"):
-            rescheduler.classify(bare, 0.01)
+            rescheduler.classify(bare, 0.01, 0.01)
 
 
 class TestDrifted:
