@@ -122,10 +122,11 @@ def test_vector_engine_not_slower_than_reference(make_executor):
 def test_noise_cache_makes_reruns_cheaper(make_executor):
     """Execution jitter is a memoised pure function of (platform,
     schedule, task, stage), not executor state.  The serving path keeps
-    one executor per placement, but executors of the same schedule are
-    still built again and again - every co-tenant running the same
-    application, every reschedule back - so the property it needs is
-    that a *second, fresh* executor of a schedule performs no digest +
+    one executor per deployed (application, schedule), but executors of
+    one schedule are still built again - a same-name application of
+    other work, a deployment the bounded table let go - so the property
+    it needs is that a *second, fresh* executor of a schedule performs
+    no digest +
     ``Generator`` construction at all.  Asserted on the memo's own counters - wall-clock cold-vs-warm
     comparisons flake on loaded CI machines - with timings printed for
     the curious."""

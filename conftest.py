@@ -40,16 +40,17 @@ def _repro_check_gate():
 @pytest.fixture
 def always_simulate(monkeypatch):
     """The window-reuse oracle's switch.  Calling the returned function
-    forces ``PipelineServer`` to re-simulate every served window for the
-    rest of the test - the design the remembered-window path replaced,
-    kept only here (there is no production switch) so the suites can
-    run one soak both ways and compare bytes."""
+    makes every ``Deployment`` answer "nothing remembered" for the rest
+    of the test, so ``PipelineServer`` re-simulates every served window
+    - the design the remembered-window path replaced, kept only here
+    (there is no production switch) so the suites can run one soak both
+    ways and compare bytes."""
     def arm():
-        from repro.serve.server import PipelineServer
+        from repro.core.plan_cache import Deployment
 
         monkeypatch.setattr(
-            PipelineServer, "_window_changed",
-            staticmethod(lambda residency, external: True),
+            Deployment, "remembered",
+            lambda deployment, external, n_tasks: None,
         )
     return arm
 

@@ -15,7 +15,9 @@ from repro.core.optimizer import (
 )
 from repro.core.plan_cache import (
     CachedPlan,
+    Deployment,
     PlanCache,
+    tenant_offered_load,
     with_packing_candidates,
 )
 from repro.core.profiler import (
@@ -44,6 +46,7 @@ __all__ = [
     "CachedPlan",
     "CampaignSession",
     "Chunk",
+    "Deployment",
     "DeploymentPlan",
     "INTERFERENCE",
     "ISOLATED",
@@ -60,6 +63,7 @@ __all__ = [
     "enumerate_schedules",
     "interference_ratios",
     "select_for_rate",
+    "tenant_offered_load",
     "validate_schedule",
     "with_packing_candidates",
 ]

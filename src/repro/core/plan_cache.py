@@ -15,10 +15,20 @@ artifacts once per platform and shares them across every tenant:
 * the optimizer's candidate set (from the interference-aware table,
   the paper's real flow), which the online rescheduler re-ranks when
   contention shifts.
+
+The same economics hold *below* the plan.  BT-Implementer builds a
+pipeline once per deployed schedule, and what a deployed schedule does
+in a window is a fact of what was deployed - (platform, application,
+schedule, co-load, window size) - not of who deployed it.  So the cache
+also hands out one :class:`Deployment` per (application object,
+schedule): the simulated pipeline, the load it offers its co-tenants,
+and the window results it has produced, shared by every tenant, every
+same-platform shard and a crashed shard's next generation.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -34,7 +44,33 @@ from repro.core.stage import Application
 from repro.errors import SchedulingError
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
+from repro.runtime.simulator import (
+    SimulatedPipelineExecutor,
+    SimulatedRunResult,
+)
+from repro.soc.interference import ExternalLoad
 from repro.soc.platform import Platform
+
+#: Deployments a :class:`PlanCache` keeps warm.  A live placement holds
+#: its own reference, so the table only has to keep *idle* deployments
+#: for whoever deploys the same (application, schedule) next.  Measured
+#: key spaces (bench soaks, seed 7, unbounded table): 11 distinct
+#: deployments on `fleet_steady` and 12 on `fleet_overload` (one cache
+#: each, 4 387 / 3 005 served windows), 168 / 143 / 84 on the three
+#: caches of `fleet_coldplan_chaos` (192-app pool), where an idle
+#: deployment is next to never asked for again: the table re-builds 11 /
+#: 12 / 438 deployments at 32 against 11 / 12 / 395 unbounded and
+#: forgets 6 of 1 436 remembered windows, while every chaos plan pinning
+#: its executors for good costs +9 % peak RSS.  At 8 the pixel7a fleets
+#: start to thrash (43 and 159 builds).
+_DEPLOYMENTS_KEPT = 32
+
+#: Window results one :class:`Deployment` remembers, most recently
+#: served last; a result is a few KiB (one traced window's spans).
+#: Measured on the same soaks: at most 18 / 19 / 17 distinct (co-load
+#: key, window tasks) per deployment, 117 / 172 / 873 in all - 3x
+#: headroom, so no workload evicts.
+_RESULTS_KEPT = 64
 
 
 def with_packing_candidates(
@@ -75,6 +111,39 @@ def with_packing_candidates(
             )
         )
     return replace(optimization, candidates=extended)
+
+
+def tenant_offered_load(
+    application: Application,
+    table: ProfilingTable,
+    schedule: Schedule,
+    platform: Platform,
+) -> ExternalLoad:
+    """The external load one running tenant presents to its co-tenants.
+
+    Steady-state pipeline geometry: the bottleneck chunk is busy all
+    the time, every other chunk ``T_chunk / T_max`` of the time (the
+    complement is its gapness bubble).  Bandwidth: each chunk's
+    time-weighted average of its stages' isolated DRAM demand, scaled
+    by its busy fraction.
+    """
+    times = schedule.chunk_times(application, table)
+    t_max = max(times.values())
+    busy: Dict[str, float] = {}
+    demand = 0.0
+    for chunk, chunk_time in times.items():
+        if t_max <= 0 or chunk_time <= 0:
+            continue
+        fraction = min(chunk_time / t_max, 1.0)
+        busy[chunk.pu_class] = fraction
+        weighted = sum(
+            platform.bandwidth_demand(
+                application.stages[i].work, chunk.pu_class
+            ) * table.latency(application.stages[i].name, chunk.pu_class)
+            for i in chunk.stage_indices
+        )
+        demand += (weighted / chunk_time) * fraction
+    return ExternalLoad(busy=busy, demand_gbps=demand)
 
 
 @dataclass(frozen=True)
@@ -129,8 +198,49 @@ class CachedPlan:
         return self.predictions(schedule)[2]
 
 
+@dataclass(eq=False)
+class Deployment:
+    """One schedule of one application deployed on one platform - what
+    BT-Implementer builds once - and everything that follows from it
+    alone, whoever runs on it.
+
+    Attributes:
+        executor: The simulated pipeline; tenant-free, so every tenant
+            on this deployment streams its windows through it.
+        offered: The load a tenant running it presents to its
+            co-tenants (:func:`tenant_offered_load`).
+    """
+
+    executor: SimulatedPipelineExecutor
+    offered: ExternalLoad
+    #: (co-load key, window tasks) -> the traced result of that window,
+    #: most recently served last.  Shared by reference: read-only.
+    _results: "OrderedDict[tuple, SimulatedRunResult]" = field(
+        default_factory=OrderedDict, init=False, repr=False,
+    )
+
+    def remembered(self, external: ExternalLoad,
+                   n_tasks: int) -> Optional[SimulatedRunResult]:
+        """The result of an ``n_tasks`` window under ``external`` if
+        this deployment has served one (for any tenant), else None."""
+        key = (external.key, n_tasks)
+        result = self._results.get(key)
+        if result is not None:
+            self._results.move_to_end(key)
+        return result
+
+    def remember(self, external: ExternalLoad, n_tasks: int,
+                 result: SimulatedRunResult) -> None:
+        """Keep ``result`` as what an ``n_tasks`` window under
+        ``external`` is on this deployment."""
+        self._results[(external.key, n_tasks)] = result
+        if len(self._results) > _RESULTS_KEPT:
+            self._results.popitem(last=False)
+
+
 class PlanCache:
-    """Per-platform cache of :class:`CachedPlan` keyed by application.
+    """Per-platform cache of :class:`CachedPlan` keyed by application,
+    and of :class:`Deployment` keyed by (application, schedule).
 
     Args:
         platform: The shared virtual SoC every tenant runs on.
@@ -156,6 +266,12 @@ class PlanCache:
         self.gap_slack = gap_slack
         self.time_budget_s = time_budget_s
         self._plans: Dict[str, CachedPlan] = {}
+        #: (application object, assignments) -> deployment, most
+        #: recently asked-for last.  The application is keyed by
+        #: identity (plans are shared by *name*, but a pipeline runs its
+        #: own application's work); the table holds the object, so its
+        #: identity cannot be recycled.
+        self._deployments: "OrderedDict[tuple, Deployment]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -203,6 +319,34 @@ class PlanCache:
             )
         self._plans[application.name] = plan
         return plan
+
+    def deployment_for(self, application: Application,
+                       schedule: Schedule) -> Deployment:
+        """The one :class:`Deployment` of ``schedule`` for this very
+        ``application`` object, built on first use.
+
+        The offered load is priced on the application's cached plan
+        (shared by name), so :meth:`plan_for` comes first.  Callers
+        that keep serving on a deployment hold on to it: the table is
+        bounded and only promises to keep recent ones warm.
+        """
+        key = (application, schedule.assignments)
+        deployment = self._deployments.get(key)
+        if deployment is not None:
+            self._deployments.move_to_end(key)
+            return deployment
+        deployment = self._deployments[key] = Deployment(
+            SimulatedPipelineExecutor(
+                application, schedule.chunks(), self.platform,
+            ),
+            tenant_offered_load(
+                application, self._plans[application.name].isolated,
+                schedule, self.platform,
+            ),
+        )
+        if len(self._deployments) > _DEPLOYMENTS_KEPT:
+            self._deployments.popitem(last=False)
+        return deployment
 
     def stats(self) -> Dict[str, int]:
         """Cache effectiveness counters for the serving report."""

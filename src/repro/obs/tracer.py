@@ -182,14 +182,17 @@ class Tracer:
     # -- virtual-domain emission --------------------------------------
     def emit_virtual_spans(self, spans: Sequence[Any], total_s: float,
                            parent_id: int = ROOT,
-                           category: str = "runtime") -> None:
+                           category: str = "runtime",
+                           tenant: Optional[str] = None) -> None:
         """Retro-emit recorded DES spans at the current virtual cursor.
 
         ``spans`` are :class:`repro.runtime.trace.Span`-shaped objects.
         The cursor advances by ``total_s`` afterwards, so successive
         runs (e.g. serve windows) occupy disjoint timeline intervals.
         One track per (tenant, PU class) keeps interleaved tenants
-        separable, matching the Gantt sections.
+        separable, matching the Gantt sections; ``tenant`` names who
+        this emission is for (one recorded window may be served to
+        many), a span's own tag is the fallback.
         """
         if not self.enabled:
             return
@@ -199,18 +202,19 @@ class Tracer:
             for span in spans:
                 event_id = self._next_id
                 self._next_id += 1
-                tenant = span.tenant if span.tenant is not None else "run"
+                owner = tenant if tenant is not None else span.tenant
+                track = owner if owner is not None else "run"
                 self._events.append(TraceEvent(
                     event_id=event_id, parent_id=parent_id,
                     name=f"chunk{span.chunk_index}/task{span.task_id}",
                     category=category, kind="span", domain=VIRTUAL,
                     ts=base + span.start_s, dur=span.duration_s,
-                    track=f"{tenant}/{span.pu_class}",
+                    track=f"{track}/{span.pu_class}",
                     attrs=_freeze_attrs({
                         "chunk": span.chunk_index,
                         "task": span.task_id,
                         "pu": span.pu_class,
-                        "tenant": span.tenant,
+                        "tenant": owner,
                     }),
                 ))
 

@@ -51,10 +51,15 @@ survive every window in which it holds.
 Execution jitter is not executor state either: :func:`_noise_scale` is
 a memoised pure function of ``(platform name, schedule key, task,
 stage)`` - nothing of the executor, tenant, application or external
-load enters the draw.  Together the two make a window's result a pure
-function of (executor, external load, window arguments), which is what
-lets the serving layer skip re-simulating a window whose co-load did not
-change (``PipelineServer._serve_windows``); :meth:`run` itself always
+load enters the draw - and neither is the tenant: who a window is served
+for is a *per-window* tag (``run(..., tenant=)``, ``SimWindow.tenant``)
+that only :meth:`~SimulatedPipelineExecutor.report_run` reads, so
+recorded spans carry no tenant and one result can be handed to many.
+Together that makes a window's result a pure function of (platform,
+application, chunks, external load, window arguments) - of *what* was
+deployed, not of who deployed it - which is what lets every tenant and
+same-platform shard share one executor and one result per window key
+(:class:`repro.core.plan_cache.Deployment`); :meth:`run` itself always
 runs the DES.
 
 Both engines share the float-residue policy: the server whose phase
@@ -307,7 +312,6 @@ class _VectorEngine:
         # No reference back to the executor: it owns the engine, and a
         # cycle would leave every released placement to the cyclic GC.
         self.depth = executor.depth
-        self.tenant = executor.tenant
         servers = executor._servers
         n = self.n = len(servers)
         self.costs = [s.stage_costs for s in servers]
@@ -553,7 +557,6 @@ class _VectorEngine:
                         task_id=previous_task,
                         start_s=span_starts.pop(i, now),
                         end_s=now,
-                        tenant=self.tenant,
                     ))
                 if i + 1 < n:
                     ready[i + 1].append(done_task)
@@ -574,12 +577,15 @@ class SimWindow:
         arrival_period_s: Forwarded likewise.
         external_load: Forwarded likewise - the co-runner load this
             window (not the executor) is simulated under.
+        tenant: Forwarded likewise - who the window is served for; a
+            tag on what the tracer is told, never part of the result.
         remembered: The result the caller already holds for exactly
             this window (same executor, external load and arguments -
-            a window is a pure function of those), handed back instead
-            of paying for the DES again; ``None`` simulates.  Whether
-            it holds is the caller's call.  Not valid with a fault
-            injector, which is stateful.
+            a window is a pure function of those, whoever it was first
+            served for), handed back instead of paying for the DES
+            again; ``None`` simulates.  Whether it holds is the
+            caller's call.  Not valid with a fault injector, which is
+            stateful.
     """
 
     executor: "SimulatedPipelineExecutor"
@@ -587,19 +593,21 @@ class SimWindow:
     record_trace: bool = False
     arrival_period_s: Optional[float] = None
     external_load: Optional[ExternalLoad] = None
+    tenant: Optional[str] = None
     remembered: Optional[SimulatedRunResult] = None
 
     def run(self) -> SimulatedRunResult:
         """This window's result: the DES on its executor, or the
         remembered result reported as the run would have been."""
         if self.remembered is not None:
-            self.executor.report_run(self.remembered)
+            self.executor.report_run(self.remembered, self.tenant)
             return self.remembered
         return self.executor.run(
             self.n_tasks,
             record_trace=self.record_trace,
             arrival_period_s=self.arrival_period_s,
             external_load=self.external_load,
+            tenant=self.tenant,
         )
 
 
@@ -665,8 +673,6 @@ class SimulatedPipelineExecutor:
             (:mod:`repro.runtime.faults`): slowdowns and transient
             kernel faults scale per-stage costs, PU dropout raises
             :class:`~repro.errors.PuFailureError` mid-run.
-        tenant: Optional tenant/job id stamped on recorded trace spans
-            so multi-tenant Gantt charts can separate the streams.
         engine: Event-loop engine, ``"vector"`` (default) or
             ``"reference"``; ``None`` defers to the
             ``REPRO_SIM_ENGINE`` environment variable.
@@ -679,7 +685,6 @@ class SimulatedPipelineExecutor:
         platform: Platform,
         depth: Optional[int] = None,
         fault_injector: Optional[FaultInjector] = None,
-        tenant: Optional[str] = None,
         engine: Optional[str] = None,
     ):
         from repro.runtime.pipeline import _check_chunk_cover
@@ -705,7 +710,6 @@ class SimulatedPipelineExecutor:
             f"{c.pu_class}:{c.start}-{c.stop}" for c in self.chunks
         )
         self._injector = fault_injector
-        self.tenant = tenant
         self._chunk_loads: Optional[tuple] = None
         self._scale_fns = [self._make_scale_fn(s) for s in self._servers]
         self._run_window = (
@@ -803,6 +807,7 @@ class SimulatedPipelineExecutor:
             record_trace: bool = False,
             arrival_period_s: Optional[float] = None,
             external_load: Optional[ExternalLoad] = None,
+            tenant: Optional[str] = None,
             ) -> SimulatedRunResult:
         """Stream ``n_tasks`` through the pipeline in virtual time.
 
@@ -821,6 +826,8 @@ class SimulatedPipelineExecutor:
                 demand contends on the memory controller, and external
                 load on a chunk's *own* class divides its rate by
                 ``1 + fraction`` (time-sharing).
+            tenant: Tenant/job id the window is served for; handed to
+                :meth:`report_run`, nothing of the result depends on it.
         """
         if n_tasks < 1:
             raise PipelineError("n_tasks must be >= 1")
@@ -846,27 +853,31 @@ class SimulatedPipelineExecutor:
             arrival_times_s=arrivals,
             n_events=events,
         )
-        self.report_run(result)
+        self.report_run(result, tenant)
         return result
 
-    def report_run(self, result: SimulatedRunResult) -> None:
+    def report_run(self, result: SimulatedRunResult,
+                   tenant: Optional[str] = None) -> None:
         """Tell the observability spine about one window's result.
 
         Called for every simulated window and for every remembered
         one (``SimWindow.remembered``), so an exported trace cannot
-        tell the two apart.  Strictly post-hoc: one guard check per
-        window (never per event), so the DES loop stays allocation-free
-        when tracing is off - the overhead benchmark pins this down.
+        tell the two apart.  ``tenant`` tags the run span and every
+        emitted chunk span (the multi-tenant tracks); the result's own
+        span list is read, never re-tagged - many tenants may hold it.
+        Strictly post-hoc: one guard check per window (never per
+        event), so the DES loop stays allocation-free when tracing is
+        off - the overhead benchmark pins this down.
         """
         trc = tracer()
         if not trc.enabled:
             return
         with trc.span("simulator.run", "runtime",
-                      n_tasks=result.n_tasks, tenant=self.tenant,
+                      n_tasks=result.n_tasks, tenant=tenant,
                       total_s=result.total_s) as run_id:
             pass
         trc.emit_virtual_spans(result.spans, result.total_s,
-                               parent_id=run_id)
+                               parent_id=run_id, tenant=tenant)
         reg = metrics()
         reg.counter("sim.runs")
         reg.observe("sim.total_s", result.total_s)
@@ -1007,7 +1018,6 @@ class SimulatedPipelineExecutor:
                         task_id=previous_task,
                         start_s=span_starts.pop(server.index, now),
                         end_s=now,
-                        tenant=self.tenant,
                     ))
                 if position + 1 < len(self._servers):
                     self._servers[position + 1].ready.append(done_task)

@@ -10,6 +10,7 @@ each tenant's cached candidates under the load actually present -
 falling back to evicting the lowest-priority tenant when nothing fits.
 """
 
+from repro.core.plan_cache import tenant_offered_load
 from repro.serve.admission import (
     ADMIT,
     QUEUE,
@@ -23,7 +24,7 @@ from repro.serve.metrics import (
     attainment,
     percentile,
 )
-from repro.serve.placement import PlacementMap, tenant_offered_load
+from repro.serve.placement import PlacementMap
 from repro.serve.rescheduler import (
     EVICT,
     HOLD,

@@ -1,4 +1,4 @@
-"""Tenant placement: partitioning the SoC's PUs, and offered load.
+"""Tenant placement: partitioning the SoC's PUs.
 
 The placement map is the serving layer's core invariant carrier: every
 admitted tenant owns a *disjoint* set of PU classes (no two tenants
@@ -12,23 +12,19 @@ vetted twice:
 * across tenants, :meth:`PlacementMap.check` re-asserts pairwise
   disjointness after every mutation.
 
-:func:`tenant_offered_load` converts one tenant's deployed schedule
-into the :class:`~repro.soc.interference.ExternalLoad` its co-tenants
-observe: per-PU busy fractions (a chunk is busy ``T_chunk / T_max`` of
-the time in steady state - the gapness geometry again) and the average
-DRAM bandwidth it draws.
+What a placed tenant presents to its co-tenants - the
+:class:`~repro.soc.interference.ExternalLoad` of its deployed schedule -
+is a fact of the deployment, not of the placement:
+:func:`repro.core.plan_cache.tenant_offered_load`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable
 
-from repro.core.profiler import ProfilingTable
 from repro.core.schedule import Schedule, validate_schedule
 from repro.core.stage import Application
 from repro.errors import ServeError
-from repro.soc.interference import ExternalLoad
-from repro.soc.platform import Platform
 
 
 class PlacementMap:
@@ -134,37 +130,3 @@ class PlacementMap:
                         f"{tenant!r}"
                     )
                 seen[pu_class] = tenant
-
-
-# ----------------------------------------------------------------------
-def tenant_offered_load(
-    application: Application,
-    table: ProfilingTable,
-    schedule: Schedule,
-    platform: Platform,
-) -> ExternalLoad:
-    """The external load one running tenant presents to its co-tenants.
-
-    Steady-state pipeline geometry: the bottleneck chunk is busy all
-    the time, every other chunk ``T_chunk / T_max`` of the time (the
-    complement is its gapness bubble).  Bandwidth: each chunk's
-    time-weighted average of its stages' isolated DRAM demand, scaled
-    by its busy fraction.
-    """
-    times = schedule.chunk_times(application, table)
-    t_max = max(times.values())
-    busy: Dict[str, float] = {}
-    demand = 0.0
-    for chunk, chunk_time in times.items():
-        if t_max <= 0 or chunk_time <= 0:
-            continue
-        fraction = min(chunk_time / t_max, 1.0)
-        busy[chunk.pu_class] = fraction
-        weighted = sum(
-            platform.bandwidth_demand(
-                application.stages[i].work, chunk.pu_class
-            ) * table.latency(application.stages[i].name, chunk.pu_class)
-            for i in chunk.stage_indices
-        )
-        demand += (weighted / chunk_time) * fraction
-    return ExternalLoad(busy=busy, demand_gbps=demand)

@@ -28,37 +28,34 @@ each under the :class:`~repro.soc.interference.ExternalLoad` formed by
 its co-tenants' offered loads plus any injected drift - and finally
 lets the online rescheduler react to drifted measurements.
 
-A placement has state that outlives the tick (:class:`_Residency`), as
-the paper's BT-Implementer builds a pipeline once per deployed schedule:
-one simulator executor, the load the tenant offers its co-tenants, and
-the result of its last window.  A window is a pure function of
-(executor, external load), so it is re-simulated only when that pair
-changed since the tenant's previous window.
+State that outlives the tick is not the server's, nor a tenant's: the
+paper's BT-Implementer builds a pipeline once per deployed schedule, so
+the shared plan cache hands out one
+:class:`~repro.core.plan_cache.Deployment` per (application, schedule) -
+the simulator executor, the load it offers co-tenants, and the window
+results it has produced.  A window is a pure function of (deployment,
+external load, window size), so it is simulated once, for whichever
+tenant on whichever same-platform shard asks first; a live placement
+only holds a reference to its deployment.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Mapping, Optional
 
 from repro.analysis.lock_order import checked_lock
-from repro.core.plan_cache import PlanCache
-from repro.core.schedule import Schedule
+from repro.core.plan_cache import Deployment, PlanCache
 from repro.errors import ReproError, ServeError
 from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
 from repro.obs.tracer import tracer
-from repro.runtime.simulator import (
-    SimWindow,
-    SimulatedPipelineExecutor,
-    SimulatedRunResult,
-    simulate_batch,
-)
+from repro.runtime.simulator import SimWindow, simulate_batch
 from repro.runtime.trace import Span
 from repro.serve.admission import ADMIT, QUEUE, AdmissionController
 from repro.serve.metrics import ServeReport, TenantMetrics
-from repro.serve.placement import PlacementMap, tenant_offered_load
+from repro.serve.placement import PlacementMap
 from repro.serve.rescheduler import EVICT, SWITCH, OnlineRescheduler
 from repro.serve.tenant import (
     COMPLETED,
@@ -145,28 +142,6 @@ class ServerConfig:
             raise ServeError("queue_patience must be >= 1 (or None)")
 
 
-@dataclass
-class _Residency:
-    """What the server keeps for as long as a tenant holds its PUs on
-    one schedule; a reschedule SWITCH starts a new one, releasing the
-    placement drops it.
-
-    Attributes:
-        schedule: The deployed schedule everything below was built for.
-        offered: The load the tenant presents to its co-tenants.
-        executor: The tenant's simulated pipeline, built at its first
-            window on this schedule.
-        last_load_key: :attr:`ExternalLoad.key` of the last window.
-        last_result: What that window's simulation returned.
-    """
-
-    schedule: Schedule
-    offered: ExternalLoad
-    executor: Optional[SimulatedPipelineExecutor] = None
-    last_load_key: Optional[tuple] = None
-    last_result: Optional[SimulatedRunResult] = None
-
-
 class PipelineServer:
     """Serve streaming pipeline tenants on one shared virtual SoC."""
 
@@ -216,12 +191,15 @@ class PipelineServer:
         #: _deploy/_release instead of being re-derived from ``records``
         #: on every read.
         self._live: Dict[str, TenantRecord] = {}
-        #: Live tenant -> its placement's long-lived state (created at
-        #: the first tick that needs it, dropped by _release).
-        self._residency: Dict[str, _Residency] = {}
+        #: Live tenant -> the deployment it is served on (fetched from
+        #: the plan cache at the first tick that needs it; dropped by
+        #: _release and by a reschedule SWITCH).  Holding it here keeps
+        #: it alive whatever the cache's own bound evicts.
+        self._deployments: Dict[str, Deployment] = {}
         self.timeline: List[Dict[str, object]] = []
-        #: Tenant -> tenant-tagged spans of its last served window, most
-        #: recently served last (see :attr:`trace_spans`).
+        #: Tenant -> spans of its last served window, most recently
+        #: served last.  The lists belong to remembered results shared
+        #: across tenants: untagged, read-only (see :attr:`trace_spans`).
         self._last_spans: Dict[str, List[Span]] = {}
         self.ticks_executed = 0
 
@@ -637,24 +615,21 @@ class PipelineServer:
         RUNNING for."""
         self.placement.release(name)
         del self._live[name]
-        self._residency.pop(name, None)
+        self._deployments.pop(name, None)
 
     # -- window serving -------------------------------------------------
-    def _residency_of(self, name: str,
-                      record: TenantRecord) -> _Residency:
-        """The long-lived state of ``name``'s placement, (re)built when
-        ``record.schedule`` is not the schedule it was built for."""
-        assert record.plan is not None and record.schedule is not None
-        residency = self._residency.get(name)
-        if residency is None or residency.schedule is not record.schedule:
-            residency = self._residency[name] = _Residency(
-                record.schedule,
-                tenant_offered_load(
-                    record.spec.application, record.plan.isolated,
-                    record.schedule, self.platform,
-                ),
+    def _deployment_of(self, name: str,
+                       record: TenantRecord) -> Deployment:
+        """The deployment live tenant ``name`` is served on."""
+        deployment = self._deployments.get(name)
+        if deployment is None:
+            assert record.schedule is not None
+            deployment = self._deployments[name] = (
+                self.plan_cache.deployment_for(
+                    record.spec.application, record.schedule,
+                )
             )
-        return residency
+        return deployment
 
     def _external_sources(
         self, name: str, tick: int,
@@ -667,7 +642,7 @@ class PipelineServer:
         from the pairs are pure functions of the seeded run.
         """
         sources: List[tuple] = [
-            (other, self._residency_of(other, record).offered)
+            (other, self._deployment_of(other, record).offered)
             for other, record in self._live.items() if other != name
         ]
         for index, drift in enumerate(self._drifts):
@@ -685,14 +660,16 @@ class PipelineServer:
         tick's windows are processed.  That is what lets the whole
         tick run through :func:`simulate_batch` in one call.
 
-        A window's simulation is a pure function of (executor, external
-        load): the jitter is keyed by (platform, schedule, task, stage)
-        and the server injects no faults.  So only the tenants whose
-        pair changed since their previous window are simulated; the
-        others cross the batch carrying the result they already hold
-        (``SimWindow.remembered``), which the batch reports to the
-        tracer where the simulation would have - same ``_live`` order,
-        same :meth:`_finish_window`, same report and trace bytes.
+        A window's simulation is a pure function of (deployment,
+        external load, window size): the jitter is keyed by (platform,
+        schedule, task, stage) and the server injects no faults.  So
+        only windows their deployment has not served yet - for any
+        tenant, on any shard sharing the plan cache - are simulated;
+        the others cross the batch carrying the result the deployment
+        remembers (``SimWindow.remembered``), which the batch reports
+        to the tracer, tagged with this tenant, where the simulation
+        would have - same ``_live`` order, same :meth:`_finish_window`,
+        same report and trace bytes.
         """
         batch: List[tuple] = []
         # A snapshot: a tenant that fails here leaves _live mid-loop.
@@ -702,54 +679,38 @@ class PipelineServer:
                 external = ExternalLoad.combined(
                     load for _, load in sources
                 )
-                residency = self._residency_of(name, record)
-                if residency.executor is None:
-                    residency.executor = SimulatedPipelineExecutor(
-                        record.spec.application,
-                        record.schedule.chunks(),
-                        self.platform,
-                        tenant=name,
-                    )
+                deployment = self._deployment_of(name, record)
+                tasks = record.spec.window_tasks
+                window = SimWindow(
+                    deployment.executor, tasks, record_trace=True,
+                    external_load=external, tenant=name,
+                    remembered=deployment.remembered(external, tasks),
+                )
             except ReproError as error:
                 self._fail_tenant(tick, name, record, error)
                 continue
-            batch.append((name, record, external, sources, residency))
+            batch.append((name, record, sources, deployment, window))
         if not batch:
             return
-        outcomes = simulate_batch([
-            SimWindow(
-                residency.executor, record.spec.window_tasks,
-                record_trace=True, external_load=external,
-                remembered=(
-                    None if self._window_changed(residency, external)
-                    else residency.last_result
-                ),
-            )
-            for _, record, external, _, residency in batch
-        ], collect_errors=True)
-        for (name, record, external, sources, residency), outcome in zip(
+        outcomes = simulate_batch(
+            [window for *_, window in batch], collect_errors=True)
+        for (name, record, sources, deployment, window), outcome in zip(
                 batch, outcomes):
-            residency.last_load_key = external.key
-            residency.last_result = outcome.result
+            external = window.external_load
             try:
                 with tracer().span("serve.window", "serve",
                                    tenant=name, tick=tick,
                                    window=record.windows_done):
                     if outcome.error is not None:
                         raise outcome.error
+                    if window.remembered is None:
+                        deployment.remember(
+                            external, window.n_tasks, outcome.result)
                     self._finish_window(tick, name, record, external,
                                         outcome.result, sources,
-                                        residency.executor)
+                                        deployment)
             except ReproError as error:
                 self._fail_tenant(tick, name, record, error)
-
-    @staticmethod
-    def _window_changed(residency: _Residency,
-                        external: ExternalLoad) -> bool:
-        """Whether the tenant's next window must be simulated: nothing
-        remembered on this executor yet, or the co-load moved."""
-        return (residency.last_result is None
-                or residency.last_load_key != external.key)
 
     def _fail_tenant(self, tick: int, name: str, record: TenantRecord,
                      error: ReproError) -> None:
@@ -763,7 +724,7 @@ class PipelineServer:
                        record: TenantRecord,
                        external: ExternalLoad, result,
                        sources: List[tuple],
-                       executor: SimulatedPipelineExecutor) -> None:
+                       deployment: Deployment) -> None:
         measured = result.steady_interval_s
         # The reference is the schedule this window ran on, so it is
         # read here, before _react_to_drift may deploy another - once,
@@ -778,7 +739,7 @@ class PipelineServer:
                 tenant=name,
                 window_index=index,
                 slowdown=measured / isolated,
-                chunks=executor.attribution_inputs(),
+                chunks=deployment.executor.attribution_inputs(),
                 platform=self.platform,
                 sources=sources,
             )
@@ -833,9 +794,11 @@ class PipelineServer:
     @property
     def trace_spans(self) -> List[Span]:
         """Spans of every tenant's last served window (the multi-tenant
-        Gantt input), most recently served tenant last."""
+        Gantt input), most recently served tenant last - tenant-tagged
+        copies, stamped here where they are read."""
         return [
-            span for spans in self._last_spans.values() for span in spans
+            replace(span, tenant=name)
+            for name, spans in self._last_spans.items() for span in spans
         ]
 
     # -- drift reaction -------------------------------------------------
@@ -853,6 +816,7 @@ class PipelineServer:
                 name, record.spec.application, schedule
             )
             record.schedule = schedule
+            self._deployments.pop(name, None)
             record.baseline_latency_s = None
             record.reschedules += 1
             self._patience[name] = 0

@@ -25,6 +25,7 @@ no copy; a window's tier is its tenant's arrival event's.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -32,6 +33,7 @@ from repro.apps.synthetic import (
     build_bandwidth_bound_application,
     build_synthetic_application,
 )
+from repro.core.stage import Application
 from repro.errors import TrafficError
 from repro.fleet.router import FleetRouter
 from repro.fleet.metrics import FleetReport
@@ -49,31 +51,51 @@ from repro.traffic.generator import (
 )
 
 
+#: Applications the :func:`_application` memo keeps.  Sized from the
+#: measured key spaces of this repo's traffic (distinct (kind, seed,
+#: stage count) per soak, seed 7): 4 on `fleet_steady`, `fleet_overload`
+#: and the shipped overload scenario, 179 on `fleet_coldplan_chaos`
+#: (192-app pool) - so no workload evicts, and a full memo is what one
+#: chaos soak's tenant records pin anyway.
+_APPLICATION_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_APPLICATION_MEMO_SIZE)
+def _application(app_kind: str, app_seed: int,
+                 stage_count: int) -> Application:
+    """The application an arrival of ``(app_kind, app_seed)`` runs.
+
+    A pure function of its arguments - the constructors are seeded and
+    an :class:`Application` is never mutated - so equal arrivals share
+    one object, which is what lets everything keyed on the application
+    (plans, deployments, remembered windows) be shared too.  An unknown
+    kind raises on every call: exceptions are not memoised.
+    """
+    if app_kind == SYNTHETIC:
+        return build_synthetic_application(
+            seed=app_seed, stage_count=stage_count,
+        )
+    if app_kind == MEMORY_BOUND:
+        return _memory_bound_application(app_seed, stage_count)
+    if app_kind == BANDWIDTH_BOUND:
+        return build_bandwidth_bound_application(
+            seed=app_seed, stage_count=stage_count,
+        )
+    # The flight tail rides on the error so a failed replay of a
+    # hand-edited trace shows the events leading up to the bad kind
+    # (same diagnostic convention as StallError/FaultReport).
+    raise TrafficError(
+        f"unknown application kind {app_kind!r}",
+        flight_tail=recorder().tail(32),
+    )
+
+
 def materialize(event: ArrivalEvent, stage_count: int) -> TenantSpec:
     """Build the concrete tenant spec an arrival event describes."""
-    if event.app_kind == SYNTHETIC:
-        application = build_synthetic_application(
-            seed=event.app_seed, stage_count=stage_count,
-        )
-    elif event.app_kind == MEMORY_BOUND:
-        application = _memory_bound_application(
-            event.app_seed, stage_count,
-        )
-    elif event.app_kind == BANDWIDTH_BOUND:
-        application = build_bandwidth_bound_application(
-            seed=event.app_seed, stage_count=stage_count,
-        )
-    else:
-        # The flight tail rides on the error so a failed replay of a
-        # hand-edited trace shows the events leading up to the bad kind
-        # (same diagnostic convention as StallError/FaultReport).
-        raise TrafficError(
-            f"unknown application kind {event.app_kind!r}",
-            flight_tail=recorder().tail(32),
-        )
     return TenantSpec(
         name=event.name,
-        application=application,
+        application=_application(
+            event.app_kind, event.app_seed, stage_count),
         priority=event.priority,
         windows=event.windows,
         window_tasks=event.window_tasks,

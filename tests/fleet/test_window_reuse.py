@@ -1,14 +1,17 @@
 """Fleet-level oracles for state that outlives the tick.
 
-Two of them.  (1) The chaos soak - crash and rejoin generations, a gray
-failure, a brownout, failover batches - run as shipped and with the
-serving layer's reuse decision forced to "always simulate" (the root
-conftest's test-only ``always_simulate``; there is no production
-switch) must leave byte-identical
-fleet reports, shard reports, window logs and exported traces.  (2) The
-router and every shard server answer "drained?" and "how deep is the
-backlog?" from live state; the full scans over every tenant ever seen
-they replaced are kept here as the oracle, compared after every tick.
+Three of them.  (1) The chaos soak - crash and rejoin generations, a
+gray failure, a brownout, failover batches - run as shipped and with
+every deployment forced to "nothing remembered" (the root conftest's
+test-only ``always_simulate``; there is no production switch) must
+leave byte-identical fleet reports, shard reports, window logs and
+exported traces.  (2) Deployments live on the plan cache, so they are
+shared exactly as far as it is: by same-platform shards and by a
+crashed shard's next generation, never across platform seeds or SoC
+types.  (3) The router and every shard server answer "drained?" and
+"how deep is the backlog?" from live state; the full scans over every
+tenant ever seen they replaced are kept here as the oracle, compared
+after every tick.
 """
 
 import dataclasses
@@ -16,10 +19,19 @@ import json
 
 import pytest
 
-from repro.fleet import FleetSoakScenario
+import repro.serve.server as serve_server
+from repro.apps.synthetic import build_synthetic_application
+from repro.fleet import (
+    FleetConfig,
+    FleetRouter,
+    FleetSoakScenario,
+    ShardSpec,
+)
+from repro.fleet.chaos import ChaosSchedule, ShardCrashSpec
 from repro.fleet.scenario import build_fleet
 from repro.obs import capture, chrome_trace
-from repro.serve.tenant import PENDING
+from repro.serve.admission import ADMIT
+from repro.serve.tenant import PENDING, TenantSpec
 
 SCENARIO = FleetSoakScenario()
 
@@ -56,20 +68,111 @@ def test_chaos_soak_bytes_do_not_depend_on_reuse(always_simulate,
     assert shipped == oracle
 
 
-def test_a_rejoined_generation_starts_with_no_residency():
-    router = build_fleet(SCENARIO)
+def test_a_rejoined_generation_reuses_the_caches_deployments(
+        always_simulate):
+    # Two same-platform shards serving one application: the crashed
+    # shard's tenants fail over to its neighbour, and the arrivals after
+    # the rejoin land on the second generation.
+    crash_tick, rejoin_tick = 4, 8
+    application = build_synthetic_application(seed=11, stage_count=3)
+
+    def soak():
+        router = FleetRouter(
+            [ShardSpec(name="a"), ShardSpec(name="b")], seed=3,
+            config=FleetConfig(max_ticks=40),
+            chaos=ChaosSchedule(crashes=[ShardCrashSpec(
+                "a", at_tick=crash_tick, rejoin_tick=rejoin_tick)]),
+        )
+        def submit(names):
+            for name in names:
+                router.submit(TenantSpec(
+                    name=name, application=application, windows=12,
+                    window_tasks=4))
+
+        submit(["t0", "t1", "t2", "t3"])
+        router.open_stepped()
+        crashed = router.by_name["a"]
+        table = crashed.plan_cache._deployments
+        for tick in range(40):
+            before = crashed.server
+            if tick == rejoin_tick:
+                submit(["late0", "late1", "late2", "late3"])
+            done = router.step(tick)
+            if tick == crash_tick - 1:
+                assert before._deployments  # it was serving tenants
+                served = set(map(id, before._deployments.values()))
+            if tick == crash_tick:
+                assert crashed.server is None
+                assert before._deployments == {}  # let go at close
+                # ... but the cache outlives the generation.
+                assert served <= set(map(id, table.values()))
+            if tick == rejoin_tick:
+                assert crashed.generation == 2
+                assert crashed.server._deployments == {}
+                known = set(map(id, table.values()))
+            if tick > rejoin_tick and crashed.server._deployments:
+                reused.append(all(
+                    id(deployment) in known for deployment
+                    in crashed.server._deployments.values()))
+            if done:
+                break
+        report = router.close_stepped()
+        assert report.counts["failover"] > 0
+        return json.dumps(report.to_dict(), sort_keys=True)
+
+    # Whatever the second generation serves, it serves on deployments
+    # built before it booted - by its predecessor or its neighbour.
+    reused = []
+    shipped = soak()
+    assert reused and all(reused)
+    always_simulate()
+    assert soak() == shipped
+
+
+def test_deployments_are_shared_exactly_as_far_as_the_plan_cache(
+        monkeypatch):
+    router = FleetRouter([
+        ShardSpec(name="a", platform_name="pixel7a", platform_seed=7),
+        ShardSpec(name="b", platform_name="pixel7a", platform_seed=7),
+        ShardSpec(name="reseeded", platform_name="pixel7a",
+                  platform_seed=8),
+        ShardSpec(name="other-soc", platform_name="jetson_orin_nano",
+                  platform_seed=7),
+    ], seed=3)
     router.open_stepped()
-    crashed = router.by_name[SCENARIO.crash_shard]
-    for tick in range(SCENARIO.rejoin_tick + 1):
-        before = crashed.server
-        router.step(tick)
-        if tick == SCENARIO.crash_tick - 1:
-            assert before._residency   # it was serving tenants
-        if tick == SCENARIO.crash_tick:
-            assert crashed.server is None
-            assert before._residency == {}   # released at close
-    assert crashed.generation == 2
-    assert crashed.server._residency == {}
+    application = build_synthetic_application(seed=11, stage_count=3)
+    simulated = {shard.name: 0 for shard in router.shards}
+    original = serve_server.simulate_batch
+
+    def counting(windows, **kwargs):
+        simulated[serving] += sum(
+            1 for window in windows if window.remembered is None)
+        return original(windows, **kwargs)
+
+    monkeypatch.setattr(serve_server, "simulate_batch", counting)
+    for shard in router.shards:
+        serving = shard.name
+        assert shard.server.try_admit(TenantSpec(
+            name=f"tenant-on-{serving}", application=application,
+            windows=3, window_tasks=4, required_classes={"big"},
+        ), tick=0).action == ADMIT
+        for tick in range(3):
+            shard.server.step(tick)
+    # One window, served three times on each shard: the first shard
+    # pays for it once, its twin never, strangers once each.
+    assert simulated == {"a": 1, "b": 0, "reseeded": 1, "other-soc": 1}
+    a, b, reseeded, other = (shard.plan_cache for shard in router.shards)
+    assert a is b and len(a._deployments) == 1
+    assert reseeded is not a and other is not a
+    assert len(reseeded._deployments) == len(other._deployments) == 1
+    windows = {
+        shard.name: [row.measured_latency_s for row in
+                     shard.server.records[
+                         f"tenant-on-{shard.name}"].history]
+        for shard in router.shards
+    }
+    assert windows["a"] == windows["b"]
+    assert windows["other-soc"] != windows["a"]
     router.close_stepped()
 
 

@@ -1,16 +1,20 @@
-"""One executor per placement: the external load is a per-window argument.
+"""One executor per deployment: load and tenant are per-window arguments.
 
-The serving layer builds a :class:`SimulatedPipelineExecutor` once per
-deployed schedule and streams every window of the residency through it,
-each under that tick's co-load.  The oracle is the design it replaced -
-a fresh executor built for every window: driven through any sequence of
-per-window external loads, the long-lived executor must return, window
-for window, a :class:`SimulatedRunResult` equal field for field.
+The plan cache builds a :class:`SimulatedPipelineExecutor` once per
+deployed (application, schedule) and every tenant on that deployment
+streams its windows through it, each under that tick's co-load.  The
+oracle is the design it replaced - a fresh executor built for every
+window: driven through any interleaving of several tenants' windows,
+the long-lived executor must return, window for window, a
+:class:`SimulatedRunResult` equal field for field - and so must the
+:class:`~repro.core.plan_cache.Deployment` around it, which hands back
+the results it remembers instead of running the DES again.
 
 What could break that is state leaking between windows: engine state
-that ``_reset`` misses, or a rate memo that answers for the wrong
-co-load.  The seeded mutants at the bottom plant exactly those and must
-be caught by the same oracle.
+that ``_reset`` misses, a rate memo that answers for the wrong co-load,
+or a remembered result that answers for the wrong window.  The seeded
+mutants at the bottom plant exactly those and must be caught by the
+same oracles.
 """
 
 import dataclasses
@@ -20,9 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.plan_cache as plan_cache
 import repro.runtime.simulator as sim
 from repro.apps import build_octree_application
 from repro.core import Chunk
+from repro.core.plan_cache import Deployment
 from repro.runtime import SimulatedPipelineExecutor
 from repro.soc import get_platform
 from repro.soc.interference import ExternalLoad
@@ -64,6 +70,7 @@ LOADS = [
 ]
 
 ENGINES = ("vector", "reference")
+TENANTS = ("a", "b", "c")
 
 
 def serialized(result):
@@ -74,32 +81,68 @@ def diverging_windows(chunks, engine, windows):
     """Indices of the windows on which one long-lived executor and a
     fresh executor per window disagree.
 
-    ``windows`` is a sequence of ``(external_load, n_tasks,
+    ``windows`` is a sequence of ``(tenant, external_load, n_tasks,
     record_trace, arrival_period_s)``.
     """
     resident = SimulatedPipelineExecutor(
-        APP, chunks, PLATFORM, engine=engine, tenant="t")
+        APP, chunks, PLATFORM, engine=engine)
     out = []
-    for index, (load, n_tasks, trace, period) in enumerate(windows):
+    for index, (tenant, load, n_tasks, trace, period) in enumerate(
+            windows):
         kwargs = {"record_trace": trace, "arrival_period_s": period,
                   "external_load": load}
         fresh = SimulatedPipelineExecutor(
-            APP, chunks, PLATFORM, engine=engine, tenant="t")
-        if (serialized(resident.run(n_tasks, **kwargs))
+            APP, chunks, PLATFORM, engine=engine)
+        if (serialized(resident.run(n_tasks, tenant=tenant, **kwargs))
                 != serialized(fresh.run(n_tasks, **kwargs))):
             out.append(index)
     return out
 
 
+def diverging_served(chunks, engine, windows):
+    """Indices of the windows that come off one :class:`Deployment` -
+    remembered or simulated, as the serving layer asks for them - unlike
+    a fresh executor's.
+
+    ``windows`` is a sequence of ``(tenant, external_load, n_tasks)``.
+    """
+    deployment = Deployment(
+        SimulatedPipelineExecutor(APP, chunks, PLATFORM, engine=engine),
+        offered=ExternalLoad(),
+    )
+    out = []
+    for index, (tenant, load, n_tasks) in enumerate(windows):
+        external = load if load is not None else ExternalLoad()
+        (result,) = sim.simulate_batch([sim.SimWindow(
+            deployment.executor, n_tasks, record_trace=True,
+            external_load=external, tenant=tenant,
+            remembered=deployment.remembered(external, n_tasks),
+        )])
+        deployment.remember(external, n_tasks, result)
+        fresh = SimulatedPipelineExecutor(
+            APP, chunks, PLATFORM, engine=engine)
+        if serialized(result) != serialized(fresh.run(
+                n_tasks, record_trace=True, external_load=external)):
+            out.append(index)
+    return out
+
+
 def windows_of(loads, n_tasks=8):
-    return [(load, n_tasks, True, None) for load in loads]
+    return [(TENANTS[index % len(TENANTS)], load, n_tasks, True, None)
+            for index, load in enumerate(loads)]
 
 
 WINDOW = st.tuples(
+    st.sampled_from(TENANTS),
     st.sampled_from(LOADS),
     st.integers(min_value=1, max_value=9),
     st.booleans(),
     st.sampled_from([None, 0.0, 0.0005, 0.02]),
+)
+SERVED = st.tuples(
+    st.sampled_from(TENANTS),
+    st.sampled_from(LOADS),
+    st.integers(min_value=1, max_value=4),
 )
 
 
@@ -120,6 +163,29 @@ class TestResidentEqualsFresh:
         loads = LOADS + LOADS[::-1] + [A, A, B, A, None, A]
         assert diverging_windows(
             SCHEDULES[schedule], engine, windows_of(loads)) == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("kept", [2, None],
+                             ids=["evicting", "shipped-bound"])
+    @settings(max_examples=25, deadline=None)
+    @given(schedule=st.sampled_from(sorted(SCHEDULES)),
+           windows=st.lists(SERVED, min_size=1, max_size=12))
+    def test_any_interleaving_of_tenants_on_one_deployment(
+            self, engine, kept, schedule, windows):
+        shipped = plan_cache._RESULTS_KEPT
+        plan_cache._RESULTS_KEPT = kept or shipped
+        try:
+            assert diverging_served(
+                SCHEDULES[schedule], engine, windows) == []
+        finally:
+            plan_cache._RESULTS_KEPT = shipped
+
+    def test_results_carry_no_tenant(self):
+        executor = SimulatedPipelineExecutor(
+            APP, SCHEDULES["two-way"], PLATFORM)
+        result = executor.run(4, record_trace=True, tenant="a")
+        assert result.spans
+        assert {span.tenant for span in result.spans} == {None}
 
     def test_empty_load_is_no_load(self):
         executor = SimulatedPipelineExecutor(
@@ -158,7 +224,7 @@ class TestRememberedWindow:
     @pytest.mark.parametrize("collect", [False, True])
     def test_the_result_is_returned_in_place(self, collect):
         executor = SimulatedPipelineExecutor(
-            APP, SCHEDULES["two-way"], PLATFORM, tenant="t")
+            APP, SCHEDULES["two-way"], PLATFORM)
         held = executor.run(8, record_trace=True, external_load=A)
         events = []
         original = executor._run_window
@@ -178,18 +244,26 @@ class TestRememberedWindow:
     def test_the_tracer_cannot_tell(self):
         from repro.obs import capture
 
+        # The second window is another tenant's: remembered or not,
+        # it must reach the tracer under that tenant's name.
         def traced(remember):
             executor = SimulatedPipelineExecutor(
-                APP, SCHEDULES["two-way"], PLATFORM, tenant="t")
+                APP, SCHEDULES["two-way"], PLATFORM)
             with capture() as cap:
                 first = executor.run(8, record_trace=True,
-                                     external_load=A)
+                                     external_load=A, tenant="a")
                 sim.simulate_batch([sim.SimWindow(
                     executor, 8, record_trace=True, external_load=A,
+                    tenant="b",
                     remembered=first if remember else None)])
                 return cap.events, cap.metrics.snapshot()
 
+        events, _ = traced(remember=True)
         assert traced(remember=True) == traced(remember=False)
+        tags = [dict(event.attrs)["tenant"] for event in events
+                if event.name.startswith("chunk")]
+        assert sorted(set(tags)) == ["a", "b"]
+        assert tags == sorted(tags) and tags.count("a") == tags.count("b")
 
 
 class TestAttributionInputs:
@@ -232,6 +306,20 @@ class TestSeededMutants:
         assert diverging_windows(
             SCHEDULES["four-way"], "vector",
             windows_of([A, A_THIRSTY, A])
+        ) == [1]
+
+    def test_result_map_keyed_without_the_window_size(self, monkeypatch):
+        monkeypatch.setattr(
+            Deployment, "remembered",
+            lambda self, external, n_tasks:
+                self._results.get(external.key))
+        monkeypatch.setattr(
+            Deployment, "remember",
+            lambda self, external, n_tasks, result:
+                self._results.__setitem__(external.key, result))
+        assert diverging_served(
+            SCHEDULES["two-way"], "vector",
+            [("a", A, 4), ("b", A, 3), ("a", B, 3), ("c", A, 4)]
         ) == [1]
 
     def test_reset_skipped_between_windows(self, monkeypatch):

@@ -1,28 +1,33 @@
-"""A window is re-simulated only when its co-load changed.
+"""A window is simulated once per (deployment, co-load, window size).
 
-The server keeps one executor per placement and remembers the tenant's
-last window; a tick in which neither the executor nor the co-load key
-moved serves the remembered result instead of re-running the DES.  The
-oracle is the server with that decision forced to "always simulate"
-(the root conftest's ``always_simulate`` fixture, a test-only
-monkeypatch - there is no production switch): every report, timeline, span list and exported
+The plan cache hands out one ``Deployment`` per (application, schedule)
+- executor, offered load, remembered window results - and the server
+serves a window its deployment has already produced, for any tenant,
+without re-running the DES.  The oracle is the server with every
+deployment answering "nothing remembered" (the root conftest's
+``always_simulate`` fixture, a test-only monkeypatch - there is no
+production switch): every report, timeline, span list and exported
 trace must come out byte-identical either way.
 """
 
+import copy
+import dataclasses
 import json
 
 import pytest
 
+import repro.core.plan_cache as plan_cache_module
 import repro.serve.server as serve_server
-from repro.core.plan_cache import PlanCache
+from repro.core.plan_cache import PlanCache, tenant_offered_load
+from repro.core.stage import Application, Stage
 from repro.errors import PipelineError
 from repro.obs import capture, chrome_trace
 from repro.runtime.simulator import SimulatedPipelineExecutor
 from repro.serve import SoakScenario, build_soak_server
 from repro.serve.admission import ADMIT
-from repro.serve.placement import tenant_offered_load
 from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import COMPLETED, FAILED, TenantSpec
+from repro.soc.interference import ExternalLoad
 
 
 def count_simulated(monkeypatch):
@@ -101,8 +106,9 @@ class TestSameBytes:
         shipped, served, simulated = both_arms(
             monkeypatch, always_simulate, soak(reschedule=False))
         # Three tenants, two drift edges each way: most ticks change
-        # nothing a tenant can see.
-        assert 0 < simulated < served / 2
+        # nothing a tenant can see, and a co-load that comes back (the
+        # second drift turning off) is remembered too.
+        assert 0 < simulated < served / 3
 
     def test_reschedule_switch_rebuilds_the_executor(
             self, monkeypatch, always_simulate):
@@ -160,10 +166,11 @@ class TestSameBytes:
 
     def test_a_tick_mixing_remembered_and_simulated_windows(
             self, monkeypatch, always_simulate, platform, app):
-        # A tenant is replaced by a twin offering the same load: the
-        # survivor's co-load key does not move (remembered) while the
-        # twin's first window must run.  The tracer has to see the
-        # tick's windows in batch order all the same.
+        # A tenant is replaced by a twin on the same deployment that
+        # streams bigger windows: the survivor's co-load key does not
+        # move (remembered) while the twin's window size is new to the
+        # deployment and must run.  The tracer has to see the tick's
+        # windows in batch order all the same.
         def drive():
             server = PipelineServer(
                 platform, seed=5, plan_cache=fresh_cache(platform),
@@ -173,10 +180,10 @@ class TestSameBytes:
             server.open_stepped()
             classes = sorted(platform.schedulable_classes())[:2]
 
-            def admit(name, cls, tick):
+            def admit(name, cls, tick, window_tasks=4):
                 assert server.try_admit(TenantSpec(
                     name=name, application=app, windows=12,
-                    window_tasks=4, required_classes={cls},
+                    window_tasks=window_tasks, required_classes={cls},
                 ), tick=tick).action == ADMIT
 
             admit("survivor", classes[0], 0)
@@ -184,7 +191,7 @@ class TestSameBytes:
             for tick in range(3):
                 server.step(tick)
             server.withdraw("first", "replaced by its twin", tick=3)
-            admit("twin", classes[1], 3)
+            admit("twin", classes[1], 3, window_tasks=5)
             for tick in range(3, 6):
                 server.step(tick)
             return server, server.close_stepped()
@@ -204,7 +211,7 @@ class TestSameBytes:
 
         def run(self, n_tasks, **kwargs):
             load = kwargs.get("external_load")
-            if (self.tenant == "doomed" and load is not None
+            if (kwargs.get("tenant") == "doomed" and load is not None
                     and load.demand_gbps >= 16.0):
                 raise PipelineError("injected window failure")
             return original(self, n_tasks, **kwargs)
@@ -241,15 +248,19 @@ class TestSameBytes:
 
 # ----------------------------------------------------------------------
 class TestResidencyLifetime:
-    """One executor and one remembered window per *live* placement,
-    released with it."""
+    """A live placement holds the deployment it is served on and lets
+    go of it when released; the plan cache keeps it warm."""
 
     @pytest.fixture
-    def server(self, platform, plan_cache):
+    def server(self, platform):
+        # Its own cache: what is simulated depends on what the cache's
+        # deployments have already served.  No rescheduling: a SWITCH
+        # lets go of the deployment until the next window.
         server = PipelineServer(
-            platform, seed=5, plan_cache=plan_cache,
+            platform, seed=5, plan_cache=fresh_cache(platform),
             config=ServerConfig(max_ticks=64, queue_capacity=0,
-                                max_partition_classes=1),
+                                max_partition_classes=1,
+                                reschedule=False),
         )
         server.open_stepped()
         return server
@@ -263,16 +274,21 @@ class TestResidencyLifetime:
     def test_executor_is_built_once_and_kept(self, server, app):
         self._admit(server, app, "a")
         self._admit(server, app, "b")
-        assert server._residency == {}     # nothing until a window
+        assert server._deployments == {}   # nothing until a window
         server.step(0)
-        executors = {name: residency.executor
-                     for name, residency in server._residency.items()}
-        assert sorted(executors) == ["a", "b"]
+        held = dict(server._deployments)
+        assert sorted(held) == ["a", "b"]
+        executors = {name: d.executor for name, d in held.items()}
         server.step(1)
         server.step(2)
-        for name, residency in server._residency.items():
-            assert residency.executor is executors[name]
-            assert residency.last_result is not None
+        for name, deployment in server._deployments.items():
+            assert deployment is held[name]
+            assert deployment.executor is executors[name]
+            assert len(deployment._results) == 1
+        # ... and they are the cache's, not the server's.
+        for name, record in server.running_records().items():
+            assert server.plan_cache.deployment_for(
+                app, record.schedule) is held[name]
 
     def test_unchanged_tick_simulates_nothing(self, server, app,
                                               monkeypatch):
@@ -290,23 +306,30 @@ class TestResidencyLifetime:
         assert counter["windows"] == 5
         server.step(4)
         assert counter["windows"] == 5
+        # When it leaves, the incumbents see what they saw before it
+        # came: already served, nothing to simulate.
+        server.withdraw("c", "test", tick=5)
+        server.step(5)
+        assert counter["windows"] == 5
 
     def test_release_leaves_nothing_behind(self, server, app):
         for name in ("done", "gone", "undone", "stays"):
             self._admit(server, app, name,
                         windows=2 if name == "done" else 6)
         server.step(0)
-        assert len(server._residency) == 4
+        assert len(server._deployments) == 4
         server.withdraw("gone", "test", tick=1)
         server.rescind("undone")
         server.step(1)                     # "done" completes here
-        assert sorted(server._residency) == ["stays"]
+        assert sorted(server._deployments) == ["stays"]
         assert sorted(server.running_records()) == ["stays"]
         server.close_stepped()
-        assert server._residency == {}
+        assert server._deployments == {}
+        # The cache still has all four, for whoever deploys them next.
+        assert len(server.plan_cache._deployments) == 4
 
     def test_a_switch_starts_a_new_residency(self):
-        # The oracle arm shares _residency_of, so a stale executor
+        # The oracle arm shares _deployment_of, so a stale executor
         # after a SWITCH would fool both arms alike: check it directly.
         server = build_soak_server(SoakScenario(seed=7, windows=30))
         server.open_stepped()
@@ -315,17 +338,18 @@ class TestResidencyLifetime:
         for tick in range(30):
             server.step(tick)
             if before is None:
-                before = server._residency["tenant-drift"]
+                before = server._deployments["tenant-drift"]
+                deployed = record("tenant-drift").schedule
             if any(e["event"] == "reschedule" for e in server.timeline):
                 break
         else:
             pytest.fail("the soak never rescheduled")
-        assert before.schedule is not record("tenant-drift").schedule
+        assert deployed is not record("tenant-drift").schedule
         server.step(tick + 1)
-        after = server._residency["tenant-drift"]
+        after = server._deployments["tenant-drift"]
         drifted = record("tenant-drift")
         assert after is not before
-        assert after.schedule is drifted.schedule
+        assert before.executor.chunks == list(deployed.chunks())
         assert after.executor is not before.executor
         assert after.executor.chunks == list(drifted.schedule.chunks())
         assert after.offered.key == tenant_offered_load(
@@ -337,7 +361,109 @@ class TestResidencyLifetime:
     def test_a_finished_soak_holds_no_residency(self):
         server = build_soak_server(SoakScenario(seed=7, windows=12))
         server.run()
-        assert server._residency == {}
+        assert server._deployments == {}
+        assert 0 < len(server.plan_cache._deployments) <= (
+            plan_cache_module._DEPLOYMENTS_KEPT)
+
+
+def heavier(application):
+    """A different application under the same name: every stage does
+    twice the arithmetic.  Stage names are kept, so the plan the cache
+    shares by *name* still prices it."""
+    return Application(application.name, [
+        Stage(name=stage.name, kernels=stage.kernels,
+              work=dataclasses.replace(stage.work,
+                                       flops=stage.work.flops * 2.0))
+        for stage in application.stages
+    ])
+
+
+class TestKeyedByTheApplicationObject:
+    """Plans are shared by application *name*; a deployment is not - a
+    pipeline runs its own application's work."""
+
+    def test_same_name_different_work_keep_their_own_windows(
+            self, platform, app):
+        server = PipelineServer(
+            platform, seed=5, plan_cache=fresh_cache(platform),
+            config=ServerConfig(max_ticks=64, queue_capacity=0,
+                                max_partition_classes=1),
+        )
+        server.open_stepped()
+        cls = sorted(platform.schedulable_classes())[0]
+        apps = {"light": app, "heavy": heavier(app)}
+        # One after the other on the same PU class: same plan, same
+        # assignments, same (empty) co-load, same window size.
+        for tick, name in enumerate(apps):
+            assert server.try_admit(TenantSpec(
+                name=name, application=apps[name], windows=1,
+                window_tasks=4, required_classes={cls},
+            ), tick=tick).action == ADMIT
+            server.step(tick)
+        measured = {}
+        for name, application in apps.items():
+            record = server.records[name]
+            assert record.status == COMPLETED
+            fresh = SimulatedPipelineExecutor(
+                application, record.schedule.chunks(), platform)
+            measured[name] = record.history[0].measured_latency_s
+            assert measured[name] == fresh.run(
+                4, record_trace=True,
+                external_load=ExternalLoad()).steady_interval_s
+        assert (server.records["light"].schedule.assignments
+                == server.records["heavy"].schedule.assignments)
+        assert measured["heavy"] > measured["light"]
+        assert server.plan_cache.stats()["entries"] == 1
+        assert len(server.plan_cache._deployments) == 2
+        server.close_stepped()
+
+
+class TestSharedSpansStayUntouched:
+    def test_a_remembered_result_is_tagged_where_it_is_read(
+            self, platform, app):
+        # Two tenants, one after the other, are served the very same
+        # result object; each must read as its own in trace_spans and
+        # in an exported trace, and the shared span list must come out
+        # of all of it exactly as the DES left it: untagged.
+        server = PipelineServer(
+            platform, seed=5, plan_cache=fresh_cache(platform),
+            config=ServerConfig(max_ticks=64, queue_capacity=0,
+                                max_partition_classes=1),
+        )
+        server.open_stepped()
+        cls = sorted(platform.schedulable_classes())[0]
+        with capture() as cap:
+            for tick, name in enumerate(("first", "second")):
+                assert server.try_admit(TenantSpec(
+                    name=name, application=app, windows=1,
+                    window_tasks=4, required_classes={cls},
+                ), tick=tick).action == ADMIT
+                server.step(tick)
+                if name == "first":
+                    (deployment,) = (
+                        server.plan_cache._deployments.values())
+                    (result,) = deployment._results.values()
+                    spans = result.spans
+                    pristine = copy.deepcopy(spans)
+                    identities = [id(span) for span in spans]
+            read = server.trace_spans
+        assert len(deployment._results) == 1   # second was remembered
+        assert server._last_spans["first"] is spans
+        assert server._last_spans["second"] is spans
+        assert [span.tenant for span in read] == (
+            ["first"] * len(spans) + ["second"] * len(spans))
+        assert [dataclasses.replace(span, tenant=None)
+                for span in read] == pristine * 2
+        chunk_spans = [event for event in cap.events
+                       if event.name.startswith("chunk")]
+        assert {dict(event.attrs)["tenant"] for event in chunk_spans} == {
+            "first", "second"}
+        assert {event.track.split("/")[0] for event in chunk_spans} == {
+            "first", "second"}
+        assert spans == pristine
+        assert [id(span) for span in spans] == identities
+        assert {span.tenant for span in spans} == {None}
+        server.close_stepped()
 
 
 class TestDrainedMatchesTheScan:

@@ -1,7 +1,10 @@
 """Open-loop driver: submission, step-mode harvest, SLO tagging."""
 
+import dataclasses
+
 import pytest
 
+import repro.traffic.driver as driver_module
 from repro.errors import TrafficError
 from repro.obs import capture
 from repro.traffic import (
@@ -54,8 +57,56 @@ class TestMaterialize:
             windows=2, window_tasks=6, app_kind="quantum",
             app_seed=0,
         )
-        with pytest.raises(TrafficError, match="unknown application"):
-            materialize(event, stage_count=2)
+        # Raised per call, never memoised - each with its own tail.
+        for _ in range(2):
+            with pytest.raises(TrafficError,
+                               match="unknown application") as caught:
+                materialize(event, stage_count=2)
+            assert caught.value.flight_tail is not None
+
+    def test_equal_arrivals_share_one_application(self, small_spec):
+        first, *rest = TrafficGenerator(small_spec, seed=5).events()
+        twin = dataclasses.replace(first, name="twin", tick=first.tick + 1,
+                                   priority=first.priority + 1)
+        spec, again = (materialize(first, stage_count=2),
+                       materialize(twin, stage_count=2))
+        # The per-arrival boundary stays: one spec per call ...
+        assert spec is not again and spec != again
+        assert (again.name, again.priority) == ("twin", twin.priority)
+        # ... around one application per (kind, seed, stage count).
+        assert spec.application is again.application
+        other_seed = dataclasses.replace(first, app_seed=first.app_seed + 1)
+        assert (materialize(other_seed, stage_count=2).application
+                is not spec.application)
+        assert (materialize(first, stage_count=3).application
+                is not spec.application)
+
+    def test_one_constructor_call_per_distinct_application(
+            self, small_spec, monkeypatch):
+        # Counted where bench/trace.py counts: on the constructors as
+        # bound in the driver module, looked up at call time.
+        built = []
+        for constructor in ("build_synthetic_application",
+                            "build_bandwidth_bound_application",
+                            "_memory_bound_application"):
+            original = getattr(driver_module, constructor)
+
+            def counting(*args, _original=original, **kwargs):
+                application = _original(*args, **kwargs)
+                built.append(application.name)
+                return application
+
+            monkeypatch.setattr(driver_module, constructor, counting)
+        driver_module._application.cache_clear()
+        events = TrafficGenerator(small_spec, seed=5).events()
+        for _ in range(2):
+            for event in events:
+                materialize(event, stage_count=2)
+        distinct = {(e.app_kind, e.app_seed) for e in events}
+        assert len(events) > len(distinct)
+        assert len(built) == len(set(built)) == len(distinct)
+        # Leave no application built by a counting wrapper behind.
+        driver_module._application.cache_clear()
 
 
 class TestDriverRun:

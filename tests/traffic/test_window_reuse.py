@@ -1,11 +1,13 @@
 """Open-loop traffic: reuse must happen, and must not show.
 
-On the shipped overload scenario most served windows see the co-load
-their previous window saw, so at most half of them may reach the DES -
-a regression to per-tick simulation fails here, loudly.  The reports
-must not be able to tell: the same soak with the reuse decision forced
-to "always simulate" (the root conftest's test-only
-``always_simulate``) writes the same bytes.
+On the shipped overload scenario most served windows are ones some
+tenant on a same-platform shard was already served - same application,
+schedule, co-load and window size - so at most a third of them may
+reach the DES: a regression to per-tenant (or per-tick) simulation
+fails here, loudly.  The reports must not be able to tell: the same
+soak with every deployment forced to "nothing remembered" (the root
+conftest's test-only ``always_simulate``) writes the same bytes, and so
+does one whose plan caches keep a single deployment warm.
 The driver's per-tick ``backlog`` comes from the router's live state;
 the scan over every tenant ever seen is kept as its oracle.
 """
@@ -14,10 +16,12 @@ import json
 
 import pytest
 
+import repro.core.plan_cache as plan_cache
 import repro.serve.server as serve_server
 from repro.fleet import FleetConfig, FleetRouter, ShardSpec
 from repro.serve.tenant import PENDING
 from repro.traffic import FleetOverloadScenario, run_overload_soak
+from repro.traffic import slo
 from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.generator import TrafficGenerator
 
@@ -33,7 +37,7 @@ def soak_bytes():
     }, sort_keys=True), report
 
 
-def test_at_most_half_of_the_served_windows_are_simulated(
+def test_at_most_a_third_of_the_served_windows_are_simulated(
         monkeypatch, always_simulate):
     simulated = []
     original = serve_server.simulate_batch
@@ -48,7 +52,7 @@ def test_at_most_half_of_the_served_windows_are_simulated(
 
     monkeypatch.setattr(serve_server, "simulate_batch", counting)
     shipped, report = soak_bytes()
-    assert 0 < sum(simulated) <= report.served_windows / 2
+    assert 0 < sum(simulated) <= report.served_windows / 3
     # Every served window still crosses the batch boundary (the perf
     # ledger counts them there), and no batch is empty.
     assert sum(batched) == report.served_windows
@@ -84,6 +88,43 @@ def _driver(scenario, platforms=("pixel7a",), reschedule=False,
         slo_by_tier={tier.name: tier.slo_slowdown
                      for tier in spec.tiers},
     )
+
+
+def test_the_tables_stay_bounded_and_the_bound_never_shows(monkeypatch):
+    # A 192-application pool over three SoC types: far more distinct
+    # deployments than a cache keeps warm.
+    scenario = FleetOverloadScenario(
+        seed=3, n_shards=6, ticks=240, load_multiplier=0.7,
+        app_pool_size=192)
+
+    def soak():
+        driver = _driver(
+            scenario, ticks=36,
+            platforms=("pixel7a", "oneplus11", "jetson_orin_nano"))
+        caches = driver.router._caches
+        held = []
+
+        def on_tick(_entry):
+            held.append(max(len(c._deployments) for c in caches))
+            assert max(len(deployment._results) for cache in caches
+                       for deployment in cache._deployments.values()
+                       ) <= plan_cache._RESULTS_KEPT
+
+        result = driver.run(on_tick=on_tick)
+        report = slo.evaluate(scenario.spec(), scenario.seed, result)
+        return json.dumps({
+            "report": report.to_dict(),
+            "fleet": result.fleet_report.to_dict(),
+            "per_tick": result.per_tick,
+        }, sort_keys=True), max(held)
+
+    shipped, most = soak()
+    assert most == plan_cache._DEPLOYMENTS_KEPT   # reached, never passed
+    monkeypatch.setattr(plan_cache, "_DEPLOYMENTS_KEPT", 1)
+    monkeypatch.setattr(plan_cache, "_RESULTS_KEPT", 1)
+    starved, most = soak()
+    assert most == 1
+    assert starved == shipped
 
 
 #: The seeds of ``test_reschedule_soak``: a shard evicts a tenant whose
