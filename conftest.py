@@ -56,6 +56,24 @@ def always_simulate(monkeypatch):
 
 
 @pytest.fixture
+def always_price(monkeypatch):
+    """The placement-epoch oracle's switch.  Calling the returned
+    function makes every ``EpochMemo`` answer "nothing remembered" for
+    the rest of the test, so every admission verdict is priced, every
+    shard choice ranked and every co-load view combined when asked for -
+    the per-tenant-per-tick design the epoch replaced, kept only here
+    (there is no production switch) so the suites can run one soak both
+    ways and compare bytes."""
+    def arm():
+        from repro.serve.placement import EpochMemo
+
+        monkeypatch.setattr(
+            EpochMemo, "lookup", lambda memo, stamp, key: None,
+        )
+    return arm
+
+
+@pytest.fixture
 def tick_raises():
     """Calling the returned function makes tick number ``tick`` of a
     ``PipelineServer`` or ``FleetRouter`` (both keep the tick body in

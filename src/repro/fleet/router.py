@@ -54,6 +54,7 @@ from repro.runtime.faults import (
     SOC_REJOIN,
 )
 from repro.serve.admission import ADMIT
+from repro.serve.placement import EpochMemo
 from repro.serve.server import DriftSpec, ServerConfig
 from repro.serve.tenant import (
     COMPLETED,
@@ -220,6 +221,9 @@ class FleetRouter:
         self._inbox_lock = checked_lock("fleet.inbox-lock")
         self._backlog: List[str] = []
         self._arrival_counter = 0
+        #: Pricing key -> ranked admitting shards, for one state of the
+        #: fleet's placements and breakers (see choose_shard).
+        self._choices = EpochMemo()
 
         #: Running sum of the harvested windows' attributed blame (the
         #: per-tick ``blame.attributed_total`` series; attribution on).
@@ -556,57 +560,50 @@ class FleetRouter:
 
     def choose_shard(
         self, spec: TenantSpec,
-        verdicts: Optional[Dict[str, Dict[tuple, tuple]]] = None,
     ) -> Optional[Tuple[SoCShard, object]]:
         """The placement decision: admit where the cached interference
         tables predict least impact on incumbents, then least predicted
         latency, then least load; shard index breaks remaining ties.
 
-        A shard's verdict depends on the tenant only through its
-        *pricing key* - (application name, required classes, preferred
-        classes): the plan cache is keyed by application name, and
-        nothing else of the spec reaches admission.  A caller placing
-        many tenants in one pass hands in ``verdicts`` (shard name ->
-        pricing key -> verdict) so tenants sharing a key are priced
-        once per shard; it must drop a shard's entry whenever that
-        shard's placement changes.
+        A shard's verdict depends on a tenant through its pricing key
+        alone (:meth:`PipelineServer.price`), so the *choice* - the shards
+        that are alive, behind a breaker that allows placement and
+        admit the key, ranked as above - is a fact of the fleet's
+        placements: it is ranked once and read for as long as no
+        shard's (generation, placement epoch) and no breaker's gate
+        moved, which is looked at here, on every call.  Only what is
+        the tenant's own is asked per tenant: a shard remembers every
+        tenant it hosted within a generation, so a migrating tenant
+        takes the best-ranked shard that does not know it.
         """
-        if verdicts is None:
-            verdicts = {}
-        pricing_key = (spec.application.name, spec.required_classes,
-                       spec.preferred_classes)
-        best: Optional[Tuple[SoCShard, object]] = None
-        best_key = None
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            if not self.breakers[shard.name].allows_placement():
-                continue
-            server = shard.server
-            if server.knows_tenant(spec.name):
-                # A shard remembers every tenant it ever hosted within
-                # a generation; a migrating tenant moves elsewhere.
-                continue
-            known = verdicts.setdefault(shard.name, {})
-            verdict = known.get(pricing_key)
-            if verdict is None:
-                running = server.running_records()
-                decision = server.admission.evaluate(
-                    spec, server.placement, running, queued=0,
-                )
-                verdict = known[pricing_key] = (
-                    decision,
-                    max(decision.predicted_impact.values(), default=1.0),
-                    len(running),
-                )
-            decision, worst_impact, load = verdict
-            if decision.action != ADMIT:
-                continue
-            key = (worst_impact, decision.predicted_latency_s,
-                   load, shard.index)
-            if best_key is None or key < best_key:
-                best, best_key = (shard, decision), key
-        return best
+        # One breaker per shard, registered in shard order.
+        fleet = tuple([
+            (shard.generation, server.placement.epoch,
+             breaker.allows_placement())
+            if (server := shard.server) is not None else None
+            for shard, breaker in zip(self.shards, self.breakers.values())
+        ])
+        ranking = self._choices.lookup(fleet, spec.pricing_key)
+        if ranking is None:
+            ranking = []
+            for shard, state in zip(self.shards, fleet):
+                if state is None or not state[2]:
+                    continue
+                decision = shard.server.price(spec)
+                if decision.action == ADMIT:
+                    ranking.append((
+                        max(decision.predicted_impact.values(),
+                            default=1.0),
+                        decision.predicted_latency_s,
+                        len(shard.server.placement), shard.index,
+                        shard, decision,
+                    ))
+            ranking.sort()  # never reaches the shard: indices differ
+            self._choices.store(fleet, spec.pricing_key, ranking)
+        for *_, shard, decision in ranking:
+            if not shard.server.knows_tenant(spec.name):
+                return shard, decision
+        return None
 
     def commit_placement(self, tenant: FleetTenant, shard: SoCShard,
                          tick: int, kind: str,
@@ -646,11 +643,6 @@ class FleetRouter:
             self.tenants[spec.name] = tenant
             self._open[spec.name] = tenant
             self._backlog.append(spec.name)
-        # One sweep over the backlog: a shard's verdict on a pricing key
-        # holds for every tenant sharing the key until something is
-        # admitted to that shard.  Local to this sweep - the next tick
-        # starts from nothing.
-        verdicts: Dict[str, Dict[tuple, tuple]] = {}
         for name in list(self._backlog):
             tenant = self.tenants[name]
             if tenant.status != PENDING:
@@ -670,11 +662,10 @@ class FleetRouter:
                             shard=tenant.shard_history[-1])
                 continue
             spec = tenant.pending_spec()
-            choice = self.choose_shard(spec, verdicts)
+            choice = self.choose_shard(spec)
             if choice is not None:
                 shard, decision = choice
                 shard.server.admit(spec, tick, decision)
-                verdicts.pop(shard.name, None)
                 kind = "migrate" if tenant.shard_history else "place"
                 self.commit_placement(tenant, shard, tick, kind)
                 self._backlog.remove(name)

@@ -20,17 +20,23 @@ Three outcomes:
 * ``REJECT`` - the job can never be served (needs unschedulable or
   uncoverable PU classes), or the queue is full (backpressure), or
   queueing is disabled and its required classes are oversubscribed.
+
+:meth:`AdmissionController.evaluate` is one real pricing, and the
+boundary instruments wrap; *whether* to price is decided in front of it
+(:meth:`repro.serve.server.PipelineServer.price` reads a verdict it
+holds for the placement's epoch).  What a pricing needs of the
+placement alone is derived once per epoch, not once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core.optimizer import ScheduleCandidate
 from repro.core.plan_cache import PlanCache
 from repro.errors import ServeError
-from repro.serve.placement import PlacementMap
+from repro.serve.placement import EpochMemo, PlacementMap
 from repro.serve.tenant import TenantRecord, TenantSpec
 from repro.soc.platform import Platform
 
@@ -98,6 +104,7 @@ class AdmissionController:
         self.max_partition_classes = max_partition_classes
         self.cumulative_impact = cumulative_impact
         self._schedulable = frozenset(platform.schedulable_classes())
+        self._rows = EpochMemo()  # see _incumbent_rows
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -107,7 +114,8 @@ class AdmissionController:
         running: Mapping[str, TenantRecord],
         queued: int,
     ) -> AdmissionDecision:
-        """Evaluate one submission against the current placement."""
+        """Evaluate one submission against the current placement;
+        ``running`` is the records of the tenants ``placement`` holds."""
         plan = self.plan_cache.plan_for(spec.application)
 
         required = spec.required_classes
@@ -147,25 +155,14 @@ class AdmissionController:
                 "(no-oversubscription)",
             )
 
-        # What does not depend on the candidate is derived once per
-        # call: the classes today's tenants keep busy, and per incumbent
-        # the classes it does not own (its "others") and its contention
-        # span.  A co-tenant's interference-heavy table was measured
-        # with every other PU saturated; a job occupying a fraction x
-        # of those others moves its latency x of the way from isolated
-        # to interference-heavy.  In cumulative mode x counts every
-        # class busy after the admission (incumbents included), so the
-        # ratio is the incumbent's predicted *total* slowdown.
+        # A co-tenant's interference-heavy table was measured with
+        # every other PU saturated; a job occupying a fraction x of
+        # those others moves its latency x of the way from isolated to
+        # interference-heavy.  In cumulative mode x counts every class
+        # busy after the admission (incumbents included), so the ratio
+        # is the incumbent's predicted *total* slowdown.
         schedulable = self._schedulable
-        busy: FrozenSet[str] = frozenset().union(
-            *(record.partition for record in running.values())
-        )
-        incumbents = [
-            (name, schedulable - record.partition,
-             record.plan.contention_span(record.schedule))
-            for name, record in running.items()
-            if record.plan is not None and record.schedule is not None
-        ]
+        busy, incumbents = self._incumbent_rows(placement, running)
 
         # Pick the candidate: impact ceiling first, then the soft
         # placement preference, then modelled latency under today's
@@ -215,6 +212,31 @@ class AdmissionController:
         )
 
     # ------------------------------------------------------------------
+    def _incumbent_rows(
+        self, placement: PlacementMap,
+        running: Mapping[str, TenantRecord],
+    ) -> Tuple[FrozenSet[str], List[tuple]]:
+        """What a pricing needs of the placement, not of the newcomer:
+        the classes today's tenants keep busy and, per incumbent,
+        ``(name, classes it does not own, contention span)``.  Once per
+        placement epoch: a partition or a deployed schedule only
+        changes through ``placement``."""
+        stamp = (placement, placement.epoch)
+        rows = self._rows.lookup(stamp, "rows")
+        if rows is None:
+            schedulable = self._schedulable
+            rows = (
+                frozenset().union(
+                    *(record.partition for record in running.values())),
+                [(name, schedulable - record.partition,
+                  record.plan.contention_span(record.schedule))
+                 for name, record in running.items()
+                 if record.plan is not None
+                 and record.schedule is not None],
+            )
+            self._rows.store(stamp, "rows", rows)
+        return rows
+
     def _defer(
         self, spec: TenantSpec, queued: int, why: str
     ) -> AdmissionDecision:

@@ -16,15 +16,51 @@ What a placed tenant presents to its co-tenants - the
 :class:`~repro.soc.interference.ExternalLoad` of its deployed schedule -
 is a fact of the deployment, not of the placement:
 :func:`repro.core.plan_cache.tenant_offered_load`.
+
+The map also says *when* the placement changed: ``epoch`` is bumped in
+exactly two places, :meth:`~PlacementMap.assign` and
+:meth:`~PlacementMap.release`, which every admission, completion,
+eviction, failure, withdrawal, rollback and live reschedule crosses.
+Whatever is derived from a placement (an admission verdict, a tenant's
+co-load, the fleet's shard choice) is kept in an :class:`EpochMemo`
+under the epoch it was derived at; no caller invalidates anything.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional
 
 from repro.core.schedule import Schedule, validate_schedule
 from repro.core.stage import Application
 from repro.errors import ServeError
+
+
+class EpochMemo:
+    """Facts derived from a placement, kept exactly as long as it lasts.
+
+    One table under one *stamp* - the observed state its entries were
+    derived from: a placement epoch, an epoch plus the active drifts,
+    or every shard's (generation, epoch, breaker gate).  A look-up under
+    another stamp finds nothing and the next store drops the table
+    whole: no entry outlives its placement, and the table is bounded by
+    what one placement can be asked.
+    """
+
+    __slots__ = ("_stamp", "_table")
+
+    def __init__(self) -> None:
+        self._stamp: object = None
+        self._table: Dict[Hashable, object] = {}
+
+    def lookup(self, stamp: object, key: Hashable) -> Optional[object]:
+        """What was stored for ``key`` under ``stamp``, else None."""
+        return self._table.get(key) if stamp == self._stamp else None
+
+    def store(self, stamp: object, key: Hashable, value: object) -> None:
+        """Keep ``value`` for ``key`` for as long as ``stamp`` holds."""
+        if stamp != self._stamp:
+            self._stamp, self._table = stamp, {}
+        self._table[key] = value
 
 
 class PlacementMap:
@@ -35,6 +71,10 @@ class PlacementMap:
         if not self._schedulable:
             raise ServeError("platform has no schedulable PU classes")
         self._partitions: Dict[str, FrozenSet[str]] = {}
+        self._free = self._schedulable
+        #: Partition changes so far: monotone, bumped by :meth:`assign`
+        #: and :meth:`release` and nowhere else.
+        self.epoch = 0
 
     # ------------------------------------------------------------------
     @property
@@ -49,12 +89,13 @@ class PlacementMap:
                 f"tenant {tenant!r} holds no placement"
             ) from None
 
+    def __len__(self) -> int:
+        """How many tenants hold a placement."""
+        return len(self._partitions)
+
     def free_classes(self) -> FrozenSet[str]:
         """Schedulable PU classes no tenant currently owns."""
-        held = set()
-        for partition in self._partitions.values():
-            held |= partition
-        return self._schedulable - held
+        return self._free
 
     # ------------------------------------------------------------------
     def assign(
@@ -85,7 +126,7 @@ class PlacementMap:
                 f"tenant {tenant!r} wants unschedulable PU classes "
                 f"{sorted(unschedulable)}"
             )
-        taken = wanted - self.free_classes()
+        taken = wanted - self._free
         if taken:
             raise ServeError(
                 f"admitting tenant {tenant!r} would oversubscribe PU "
@@ -94,6 +135,8 @@ class PlacementMap:
             )
         validate_schedule(schedule, application, available_pus=wanted)
         self._partitions[tenant] = wanted
+        self._free -= wanted
+        self.epoch += 1
         self.check()
         return wanted
 
@@ -103,19 +146,23 @@ class PlacementMap:
         application: Application,
         schedule: Schedule,
     ) -> FrozenSet[str]:
-        """Atomically replace a tenant's partition (live reschedule)."""
+        """Atomically replace a tenant's partition (live reschedule):
+        a :meth:`release` and an :meth:`assign`, or nothing."""
         previous = self.partition_of(tenant)
-        del self._partitions[tenant]
+        self.release(tenant)
         try:
             return self.assign(tenant, application, schedule)
         except ServeError:
+            # The grant it held before; nothing was priced in between.
             self._partitions[tenant] = previous
+            self._free -= previous
             raise
 
     def release(self, tenant: str) -> None:
         """Free a tenant's PUs (completion or eviction)."""
-        self.partition_of(tenant)
+        self._free |= self.partition_of(tenant)
         del self._partitions[tenant]
+        self.epoch += 1
 
     def check(self) -> None:
         """Re-assert the cross-tenant no-oversubscription invariant."""

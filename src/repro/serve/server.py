@@ -37,13 +37,22 @@ results it has produced.  A window is a pure function of (deployment,
 external load, window size), so it is simulated once, for whichever
 tenant on whichever same-platform shard asks first; a live placement
 only holds a reference to its deployment.
+
+What the server does keep is derived from its *placement* and lives
+exactly as long.  The placement map counts its changes (``epoch``,
+bumped by ``assign`` / ``release``: every deploy, release, SWITCH,
+withdraw, rescind, failure and eviction), and two
+:class:`~repro.serve.placement.EpochMemo` tables hang on it: the
+admission verdicts of :meth:`PipelineServer.price` and each live
+tenant's co-load view.  Work fires on the event that changed its input,
+not on the tick.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Mapping, Optional
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.lock_order import checked_lock
 from repro.core.plan_cache import Deployment, PlanCache
@@ -55,7 +64,7 @@ from repro.runtime.simulator import SimWindow, simulate_batch
 from repro.runtime.trace import Span
 from repro.serve.admission import ADMIT, QUEUE, AdmissionController
 from repro.serve.metrics import ServeReport, TenantMetrics
-from repro.serve.placement import PlacementMap
+from repro.serve.placement import EpochMemo, PlacementMap
 from repro.serve.rescheduler import EVICT, SWITCH, OnlineRescheduler
 from repro.serve.tenant import (
     COMPLETED,
@@ -196,6 +205,11 @@ class PipelineServer:
         #: _release and by a reschedule SWITCH).  Holding it here keeps
         #: it alive whatever the cache's own bound evicts.
         self._deployments: Dict[str, Deployment] = {}
+        #: (pricing key, queued) -> verdict, per placement epoch.
+        self._verdicts = EpochMemo()
+        #: Live tenant -> (sources, combined co-load), per (placement
+        #: epoch, active drift indices).
+        self._views = EpochMemo()
         self.timeline: List[Dict[str, object]] = []
         #: Tenant -> spans of its last served window, most recently
         #: served last.  The lists belong to remembered results shared
@@ -319,20 +333,45 @@ class PipelineServer:
         the shard.  Returns the :class:`AdmissionDecision` either way.
         """
         self._require_newcomer("try_admit", spec)
-        decision = self.admission.evaluate(
-            spec, self.placement, self._live, queued=0,
-        )
+        decision = self.price(spec)
         if decision.action == ADMIT:
             self.admit(spec, tick, decision)
+        return decision
+
+    def price(self, spec: TenantSpec, queued: int = 0):
+        """The admission verdict on ``spec`` against the current
+        placement: the one door to admission, for this server's inbox
+        and queue and for a fleet router ranking shards.
+
+        A verdict depends on the tenant only through its
+        :attr:`~TenantSpec.pricing_key` and on the shard only through
+        its placement and ``queued`` (a full queue turns QUEUE into
+        REJECT, and the reason prints the depth): one
+        :meth:`AdmissionController.evaluate` per (placement epoch,
+        pricing key, ``queued``), a read until the placement changes.
+        """
+        epoch = self.placement.epoch
+        key = (spec.pricing_key, queued)
+        decision = self._verdicts.lookup(epoch, key)
+        remembered = decision is not None
+        if not remembered:
+            decision = self.admission.evaluate(
+                spec, self.placement, self._live, queued=queued,
+            )
+            self._verdicts.store(epoch, key, decision)
+        reg = metrics()
+        if reg.enabled:
+            reg.counter("admission.remembered" if remembered
+                        else "admission.priced")
         return decision
 
     def admit(self, spec: TenantSpec, tick: int, decision) -> None:
         """Deploy an ADMIT ``decision`` the caller already holds (open
         server only) - the second half of :meth:`try_admit`.
 
-        The decision must have been evaluated against this shard's
-        current placement: the fleet router prices a tenant on every
-        shard and deploys the winner without asking again.
+        The decision must be :meth:`price`'s for this shard's current
+        placement: the fleet router prices a tenant on every shard and
+        deploys the winner without asking again.
         """
         self._require_newcomer("admit", spec)
         if decision.action != ADMIT:
@@ -480,6 +519,11 @@ class PipelineServer:
             self._admit_new(tick)
             self._retry_queued(tick)
             self._serve_windows(tick)
+        reg = metrics()
+        if reg.enabled:  # how long a placement lives
+            reg.gauge("serve.placement_epoch"
+                      + (f".{self.shard}" if self.shard else ""),
+                      float(self.placement.epoch))
 
     #: timeline event -> admission-metric counter name.
     _ADMISSION_COUNTERS = {
@@ -558,20 +602,15 @@ class PipelineServer:
                             waited_ticks=tick - queued_since)
         for name in list(self._queue):
             record = self.records[name]
-            decision = self.admission.evaluate(
-                record.spec, self.placement, self._live,
-                queued=len(self._queue) - 1,
-            )
+            decision = self.price(record.spec,
+                                  queued=len(self._queue) - 1)
             if decision.action == ADMIT:
                 self._queue.remove(name)
                 self._queued_since.pop(name, None)
                 self._deploy(tick, record, decision)
 
     def _decide(self, tick: int, record: TenantRecord) -> None:
-        decision = self.admission.evaluate(
-            record.spec, self.placement, self._live,
-            queued=len(self._queue),
-        )
+        decision = self.price(record.spec, queued=len(self._queue))
         if decision.action == ADMIT:
             self._deploy(tick, record, decision)
         elif decision.action == QUEUE:
@@ -631,34 +670,43 @@ class PipelineServer:
             )
         return deployment
 
-    def _external_sources(
-        self, name: str, tick: int,
-    ) -> List[tuple]:
-        """Per-source external loads tenant ``name`` sees, labelled.
+    def _co_load(self, name: str, active: Tuple[int, ...]) -> tuple:
+        """``(sources, combined load)`` live tenant ``name`` is served
+        under while the drifts indexed ``active`` are on.
 
-        Ordered deterministically - co-tenants in admission order (the
-        ``_live`` order), then active drifts in injection order -
-        so both the combined load *and* any blame decomposition built
-        from the pairs are pure functions of the seeded run.
+        ``sources`` are the labelled per-source loads, ordered
+        deterministically - co-tenants in admission order (the
+        ``_live`` order), then the drifts in injection order - so the
+        combined load *and* any blame decomposition built from the
+        pairs are pure functions of the seeded run.  Read against the
+        placement as it is *now*, rebuilt only when the placement or
+        the active drifts moved; shared, read-only.
         """
-        sources: List[tuple] = [
-            (other, self._deployment_of(other, record).offered)
-            for other, record in self._live.items() if other != name
-        ]
-        for index, drift in enumerate(self._drifts):
-            if drift.active_at(tick):
-                sources.append((f"drift:{index}", drift.load()))
-        return sources
+        stamp = (self.placement.epoch, active)
+        view = self._views.lookup(stamp, name)
+        if view is None:
+            sources: List[tuple] = [
+                (other, self._deployment_of(other, record).offered)
+                for other, record in self._live.items() if other != name
+            ]
+            sources += [(f"drift:{index}", self._drifts[index].load())
+                        for index in active]
+            view = (sources, ExternalLoad.combined(
+                load for _, load in sources))
+            self._views.store(stamp, name, view)
+        return view
 
     def _serve_windows(self, tick: int) -> None:
         """Serve one window per running tenant.
 
-        Every tenant's window is served against the external-load
-        snapshot taken at tick start (a *tick-consistent co-load view*):
-        all running tenants of a tick see each other's offered load
-        regardless of who completes, reschedules, or fails while the
-        tick's windows are processed.  That is what lets the whole
-        tick run through :func:`simulate_batch` in one call.
+        The batch is built tenant by tenant against the live placement:
+        a tenant whose window cannot be built fails and leaves ``_live``
+        mid-loop, so the tenants after it are served without its load
+        and those before it with it.  Nothing that happens *after* the
+        batch is built - a completion, a SWITCH, an eviction while the
+        tick's windows are finished - reaches this tick's loads, which
+        is what lets the whole tick run through :func:`simulate_batch`
+        in one call.
 
         A window's simulation is a pure function of (deployment,
         external load, window size): the jitter is keyed by (platform,
@@ -672,13 +720,12 @@ class PipelineServer:
         same report and trace bytes.
         """
         batch: List[tuple] = []
+        active = tuple(index for index, drift in enumerate(self._drifts)
+                       if drift.active_at(tick))
         # A snapshot: a tenant that fails here leaves _live mid-loop.
         for name, record in list(self._live.items()):
             try:
-                sources = self._external_sources(name, tick)
-                external = ExternalLoad.combined(
-                    load for _, load in sources
-                )
+                sources, external = self._co_load(name, active)
                 deployment = self._deployment_of(name, record)
                 tasks = record.spec.window_tasks
                 window = SimWindow(

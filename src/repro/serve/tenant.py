@@ -10,6 +10,7 @@ the drift detector watches.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence
 
@@ -77,6 +78,15 @@ class TenantSpec:
             self, "preferred_classes", frozenset(self.preferred_classes)
         )
 
+    @functools.cached_property
+    def pricing_key(self) -> tuple:
+        """Everything of the spec that reaches admission: (application
+        name - the plan cache's key - required classes, preferred
+        classes).  Two tenants sharing it get the same verdict from the
+        same placement."""
+        return (self.application.name, self.required_classes,
+                self.preferred_classes)
+
 
 @dataclass(frozen=True, slots=True)
 class WindowSample:
@@ -114,12 +124,14 @@ class WindowSample:
     regime: str = "isolated"
     blame: Optional[object] = None
     shard: str = ""
+    #: The latency as timelines and reports state it (9 decimals) -
+    #: what the fleet and traffic layers have always consumed.  Rounded
+    #: once, when the row is written, not at each of its many reads.
+    latency_s: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def latency_s(self) -> float:
-        """The latency as timelines and reports state it (9 decimals) -
-        what the fleet and traffic layers have always consumed."""
-        return round(self.measured_latency_s, 9)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "latency_s",
+                           round(self.measured_latency_s, 9))
 
     @property
     def slowdown(self) -> float:

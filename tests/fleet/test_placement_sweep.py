@@ -1,13 +1,18 @@
-"""Sweep oracle: one-pass backlog placement against per-tenant pricing.
+"""Sweep oracle: epoch-priced backlog placement against per-tenant
+pricing.
 
-``FleetRouter._place_pending`` prices each (shard, pricing key) once
-per sweep and deploys the winning decision directly.
-:func:`reference_place_pending` is the loop it replaced - every backlog
-tenant re-priced on every shard by a table-less ``choose_shard``, the
-winner re-evaluated by ``try_admit``.  Driven over the same backlog -
-duplicate and distinct pricing keys, a shard behind an open breaker, a
-shard that already knows a migrating tenant - both must write the same
-fleet and shard event logs, with the sweep asking admission less often.
+A shard prices a (pricing key, queue depth) once per placement epoch
+(``PipelineServer.price``) and the router ranks the admitting shards of
+a key once per state of the fleet's placements and breakers
+(``FleetRouter.choose_shard``); ``_place_pending`` deploys the winning
+decision directly.  :func:`reference_place_pending` is the loop all of
+that replaced - every backlog tenant re-priced on every shard, the
+winner re-evaluated by ``try_admit`` - and runs under the root
+conftest's ``always_price`` (nothing remembered anywhere).  Driven over
+the same backlog - duplicate and distinct pricing keys, a shard behind
+an open breaker, a shard that already knows a migrating tenant - both
+must write the same fleet and shard event logs, with the shipped arm
+asking admission less often.
 """
 
 import types
@@ -22,7 +27,8 @@ TICKS = 12
 
 
 def reference_place_pending(self, tick):
-    """``_place_pending`` before the sweep (per-tenant pricing)."""
+    """``_place_pending`` before the sweep (per-tenant pricing); run
+    it with ``always_price`` armed."""
     while True:
         with self._inbox_lock:
             if not self._inbox:
@@ -141,11 +147,13 @@ def _counting(monkeypatch):
     return calls
 
 
-def test_sweep_writes_the_reference_event_log(monkeypatch):
+def test_sweep_writes_the_reference_event_log(monkeypatch,
+                                              always_price):
     calls = _counting(monkeypatch)
     router, report, shard_logs = _drive(reference=False)
     swept_calls = len(calls)
     del calls[:]
+    always_price()
     ref_router, ref_report, ref_shard_logs = _drive(reference=True)
     reference_calls = len(calls)
 
@@ -153,7 +161,8 @@ def test_sweep_writes_the_reference_event_log(monkeypatch):
     assert shard_logs == ref_shard_logs
     assert router.window_log == ref_router.window_log
     swept, expected = report.to_dict(), ref_report.to_dict()
-    # The one intended difference: fewer evaluations look the plan up.
+    # The one intended difference: `hits` counts plan look-ups, one per
+    # real pricing, and a verdict read off its epoch makes none.
     assert swept.pop("plan_cache")["hits"] < expected.pop(
         "plan_cache")["hits"]
     assert swept == expected

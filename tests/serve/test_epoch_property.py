@@ -1,0 +1,130 @@
+"""Generated sequences through one stepped ``PipelineServer`` and its
+``always_price`` twin.
+
+A first, small step towards generated whole-fleet scenarios: rules -
+``try_admit`` / ``submit`` / ``step`` / ``withdraw`` / ``rescind`` /
+``inject_drift`` - are drawn by hypothesis and played through a server
+as shipped and through a twin for which every ``EpochMemo`` answers
+"nothing remembered" (what the root conftest's ``always_price`` arms).
+After *every* rule the two must show the same report
+(``plan_cache.hits`` aside) and the same partitions: whatever order
+admissions, releases, rollbacks, SWITCHes and drift edges come in, no
+verdict, incumbent row or co-load view outlives the placement it was
+derived from.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.synthetic import build_synthetic_application
+from repro.core.plan_cache import PlanCache
+from repro.serve.admission import ADMIT
+from repro.serve.placement import EpochMemo
+from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
+from repro.serve.tenant import TenantSpec
+
+from tests.epoch_oracle import without_hits
+
+CLASSES = ("big", "medium", "little", "gpu")
+APPS = tuple(build_synthetic_application(seed=seed, stage_count=2)
+             for seed in (11, 12))
+
+classes = st.frozensets(st.sampled_from(CLASSES), max_size=1)
+tenants = st.tuples(
+    st.sampled_from(("try_admit", "submit")),
+    st.integers(0, len(APPS) - 1),      # application
+    classes, classes,                   # required, preferred
+    st.integers(0, 2),                  # priority
+    st.integers(1, 4),                  # windows
+)
+step = st.tuples(st.just("step"))
+rules = st.builds(
+    # Open with enough tenants to contend for four PU classes, then mix.
+    lambda opening, rest: opening + rest,
+    st.lists(tenants, min_size=3, max_size=6),
+    st.lists(st.one_of(
+        tenants, step, step, step,
+        st.tuples(st.just("withdraw"), st.integers(0, 7)),
+        st.tuples(st.just("rescind"), st.integers(0, 7)),
+        st.tuples(st.just("inject_drift"), st.integers(0, 2),
+                  st.one_of(st.none(), st.integers(1, 3)),
+                  st.sampled_from(CLASSES)),
+    ), min_size=6, max_size=16),
+)
+
+
+@pytest.fixture(scope="module")
+def warm_cache(platform):
+    """Both applications planned up front, so ``misses`` reads the
+    same for every server that shares the cache."""
+    cache = PlanCache(platform, repetitions=3, k=8)
+    for application in APPS:
+        cache.plan_for(application)
+    return cache
+
+
+def play(platform, cache, sequence):
+    """What the server shows after every rule of ``sequence``."""
+    server = PipelineServer(
+        platform, seed=5, plan_cache=cache,
+        config=ServerConfig(
+            max_ticks=64, queue_capacity=2, queue_patience=2,
+            max_impact_ratio=1.6, max_partition_classes=1,
+            cumulative_impact=True, reschedule=True, patience=1),
+    )
+    server.open_stepped()
+    tick, born, shown = 0, 0, []
+    placed_this_tick = []
+    for rule in sequence:
+        kind = rule[0]
+        if kind in ("try_admit", "submit"):
+            _, app, required, preferred, priority, windows = rule
+            spec = TenantSpec(
+                name=f"t{born}", application=APPS[app],
+                priority=priority, windows=windows, window_tasks=4,
+                required_classes=required, preferred_classes=preferred)
+            born += 1
+            if kind == "submit":
+                server.submit(spec)
+            elif server.try_admit(spec, tick).action == ADMIT:
+                placed_this_tick.append(spec.name)
+        elif kind == "step":
+            server.step(tick)
+            tick += 1
+            del placed_this_tick[:]
+        elif kind == "withdraw":
+            live = [name for name, record in server.records.items()
+                    if not record.done]
+            if live:
+                name = live[rule[1] % len(live)]
+                server.withdraw(name, "generated", tick)
+                if name in placed_this_tick:
+                    placed_this_tick.remove(name)
+        elif kind == "rescind":
+            if placed_this_tick:
+                server.rescind(placed_this_tick.pop(
+                    rule[1] % len(placed_this_tick)))
+        else:
+            _, delay, lasts, pu_class = rule
+            start = tick + delay
+            server.inject_drift(DriftSpec(
+                start_tick=start,
+                end_tick=None if lasts is None else start + lasts,
+                busy={pu_class: 0.9}, demand_gbps=24.0))
+        shown.append((without_hits(server.report().to_dict()),
+                      server.placement.partitions))
+    return shown
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sequence=rules)
+def test_shipped_and_always_price_twin_agree_after_every_rule(
+        platform, warm_cache, sequence):
+    shipped = play(platform, warm_cache, sequence)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EpochMemo, "lookup",
+                      lambda memo, stamp, key: None)
+        twin = play(platform, warm_cache, sequence)
+    for index, (ours, theirs) in enumerate(zip(shipped, twin)):
+        assert ours == theirs, (index, sequence[index])

@@ -1,0 +1,637 @@
+"""One placement epoch per server: priced on the event, not on the clock.
+
+``PlacementMap.epoch`` counts partition changes (bumped by ``assign``
+and ``release`` only); admission verdicts (``PipelineServer.price``),
+the incumbents' rows of a pricing and each live tenant's co-load view
+are kept in ``EpochMemo`` tables under the epoch they were derived at.
+The oracle is the same server with every table answering "nothing
+remembered" (the root conftest's ``always_price``, a test-only
+monkeypatch - there is no production switch): every report, timeline,
+history and exported trace must come out byte-identical either way,
+``plan_cache.hits`` aside (it counts plan look-ups - one per real
+pricing - and there are fewer), with strictly fewer pricings shipped.
+
+Then the other direction: each way the memo could be keyed too coarsely
+is seeded as a mutant, and the same comparison must tell it apart.
+"""
+
+import json
+
+import pytest
+
+from repro.core.plan_cache import Deployment, PlanCache
+from repro.errors import PipelineError, ServeError
+from repro.obs import capture
+from repro.runtime.simulator import SimulatedPipelineExecutor
+from repro.serve import SoakScenario, build_soak_server
+from repro.serve.admission import ADMIT, QUEUE, REJECT
+from repro.serve.placement import EpochMemo, PlacementMap
+from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
+from repro.serve.tenant import COMPLETED, EVICTED, FAILED, TenantSpec
+
+from tests.epoch_oracle import (
+    Blurred,
+    count_pricings,
+    first_difference,
+    fresh_verdict,
+    traced,
+    without_hits,
+)
+from tests.serve.conftest import single_class_schedule
+
+def observed(server, report):
+    """Everything a run leaves behind, as comparable bytes."""
+    return json.dumps({
+        "report": without_hits(report.to_dict()),
+        "timeline": server.timeline,
+        "partitions": sorted(server.placement.partitions),
+        "spans": [repr(span) for span in server.trace_spans],
+        "history": {
+            name: [repr(window) for window in record.history]
+            for name, record in server.records.items()
+        },
+    }, sort_keys=True, default=repr)
+
+
+def one_arm(drive):
+    with capture() as cap:
+        server, report = drive()
+    return observed(server, report), json.dumps(traced(cap))
+
+
+def both_arms(monkeypatch, always_price, drive):
+    """``drive() -> (server, report)`` as shipped and as the oracle;
+    returns (shipped bytes, shipped pricings, oracle pricings)."""
+    counter = count_pricings(monkeypatch)
+    shipped = one_arm(drive)
+    priced = counter["evaluate"]
+    always_price()
+    counter["evaluate"] = 0
+    oracle = one_arm(drive)
+    for ours, theirs in zip(shipped, oracle):
+        assert first_difference(ours, theirs) is None
+    return shipped[0], priced, counter["evaluate"]
+
+
+def fresh_cache(platform):
+    """A plan cache per arm, so plan builds land in both traces."""
+    return PlanCache(platform, repetitions=3, k=8)
+
+
+def server_for(platform, **config):
+    config.setdefault("max_ticks", 64)
+    config.setdefault("max_partition_classes", 1)
+    server = PipelineServer(platform, seed=5,
+                            plan_cache=fresh_cache(platform),
+                            config=ServerConfig(**config))
+    server.open_stepped()
+    return server
+
+
+# ----------------------------------------------------------------------
+class TestTheEpoch:
+    def test_assign_and_release_bump_it_and_nothing_else_does(
+            self, platform, plan, app):
+        pmap = PlacementMap(platform.schedulable_classes())
+        assert pmap.epoch == 0 and len(pmap) == 0
+        pmap.assign("a", app, single_class_schedule(plan, "big"))
+        assert pmap.epoch == 1 and len(pmap) == 1
+        pmap.free_classes(), pmap.partitions, pmap.check()
+        pmap.partition_of("a")
+        assert pmap.epoch == 1
+        with pytest.raises(ServeError):
+            pmap.assign("b", app, single_class_schedule(plan, "big"))
+        with pytest.raises(ServeError):
+            pmap.release("nobody")
+        assert pmap.epoch == 1              # a refused change is none
+        pmap.release("a")
+        assert pmap.epoch == 2 and len(pmap) == 0
+
+    def test_a_reassign_is_both(self, platform, plan, app):
+        pmap = PlacementMap(platform.schedulable_classes())
+        pmap.assign("a", app, single_class_schedule(plan, "big"))
+        pmap.assign("b", app, single_class_schedule(plan, "gpu"))
+        before = pmap.epoch
+        # Same classes, another schedule object: still a new placement
+        # (the incumbent's contention span is the schedule's).
+        pmap.reassign("a", app, single_class_schedule(plan, "big"))
+        assert pmap.epoch > before
+        before, free = pmap.epoch, pmap.free_classes()
+        with pytest.raises(ServeError, match="oversubscribe"):
+            pmap.reassign("a", app, single_class_schedule(plan, "gpu"))
+        # Rolled back to the very same placement; the epoch may only
+        # have moved forward.
+        assert pmap.partition_of("a") == frozenset({"big"})
+        assert pmap.free_classes() == free
+        assert pmap.epoch >= before
+
+    def test_free_classes_track_every_change(self, platform, plan, app):
+        pmap = PlacementMap(platform.schedulable_classes())
+        everything = frozenset(platform.schedulable_classes())
+
+        def scan():
+            return everything - frozenset().union(
+                *pmap.partitions.values())
+
+        for step in (
+            lambda: pmap.assign(
+                "a", app, single_class_schedule(plan, "big")),
+            lambda: pmap.assign(
+                "b", app, single_class_schedule(plan, "gpu")),
+            lambda: pmap.reassign(
+                "a", app, single_class_schedule(plan, "medium")),
+            lambda: pmap.release("b"),
+            lambda: pmap.release("a"),
+        ):
+            step()
+            assert pmap.free_classes() == scan()
+
+    def test_a_memo_is_dropped_whole_when_its_stamp_moves(self):
+        memo = EpochMemo()
+        assert memo.lookup(0, "k") is None
+        memo.store(0, "k", "v")
+        memo.store(0, "other", "w")
+        assert memo.lookup(0, "k") == "v"
+        assert memo.lookup(1, "k") is None      # read under a new stamp
+        assert memo.lookup(0, "k") == "v"       # ... drops nothing
+        memo.store(1, "new", "x")
+        assert memo.lookup(0, "k") is None      # the next store does
+        assert memo.lookup(1, "k") is None
+        assert memo.lookup(1, "new") == "x"
+        assert len(memo._table) == 1
+
+
+# ----------------------------------------------------------------------
+def soak(reschedule, attribution=False):
+    def drive():
+        server = build_soak_server(
+            SoakScenario(seed=7, windows=30), reschedule=reschedule)
+        server.config.attribution = attribution
+        # On top of the scenario's open-ended drift: one that turns on
+        # and off again in the middle of every tenant's residency.
+        server.inject_drift(DriftSpec(
+            start_tick=10, end_tick=15, busy={"little": 0.6},
+            demand_gbps=30.0))
+        return server, server.run()
+    return drive
+
+
+def queueing(platform, app):
+    """Submissions through the inbox and the backpressure queue: eight
+    tenants of one pricing key on four classes, a late one, age-out."""
+    def drive():
+        server = server_for(platform, queue_capacity=3, queue_patience=3)
+        for index in range(8):
+            server.submit(TenantSpec(
+                name=f"t{index}", application=app,
+                windows=2 + index % 3, window_tasks=4))
+        for tick in range(20):
+            if tick == 3:
+                server.submit(TenantSpec(
+                    name="late", application=app, windows=2,
+                    window_tasks=4, preferred_classes={"gpu"}))
+            if server.step(tick) and tick > 3:
+                break
+        return server, server.close_stepped()
+    return drive
+
+
+class TestSameBytes:
+    @pytest.mark.parametrize("reschedule", [False, True],
+                             ids=["frozen", "reschedule"])
+    def test_the_soak_with_drift_edges(self, monkeypatch, always_price,
+                                       reschedule):
+        shipped, priced, oracle_priced = both_arms(
+            monkeypatch, always_price, soak(reschedule))
+        timeline = json.loads(shipped)["timeline"]
+        assert any(e["event"] == "reschedule"
+                   for e in timeline) == reschedule
+        assert 0 < priced <= oracle_priced
+
+    def test_attribution_armed_blame_still_sums_to_slowdown(
+            self, monkeypatch, always_price):
+        # The blame decomposition reads ``sources`` off the co-load
+        # view: conservation, and nobody is ever blamed for itself.
+        drive = soak(reschedule=True, attribution=True)
+        both_arms(monkeypatch, always_price, drive)
+        server, report = drive()
+        assert report.attribution["tenants"]
+        blamed = set()
+        for name, record in server.records.items():
+            for row in record.history:
+                blame = row.blame
+                assert blame.tenant == name
+                assert blame.attributed + blame.residual == (
+                    pytest.approx(blame.slowdown - 1.0, abs=1e-9))
+                sources = {share.source for share in blame.shares}
+                assert name not in sources
+                blamed |= sources
+        assert any(source.startswith("drift:") for source in blamed)
+        assert blamed & set(server.records)
+
+    def test_a_standing_queue_is_not_repriced(self, monkeypatch,
+                                              always_price, platform,
+                                              app):
+        shipped, priced, oracle_priced = both_arms(
+            monkeypatch, always_price, queueing(platform, app))
+        out = json.loads(shipped)
+        events = {e["event"] for e in out["timeline"]}
+        assert {"admit", "queue", "reject", "queue_evict"} <= events
+        # One key fills the queue: its verdict is read, not re-made,
+        # for as long as nothing was admitted or released.
+        assert 0 < priced < oracle_priced
+
+    def test_eviction_mid_batch(self, monkeypatch, always_price,
+                                platform, app):
+        def drive():
+            # The first-served tenant evicts one whose window for this
+            # tick is already in the batch.
+            server = server_for(
+                platform, queue_capacity=0, max_impact_ratio=1e9,
+                reschedule=True, patience=1)
+            classes = sorted(platform.schedulable_classes())
+            for index, cls in enumerate(classes):
+                assert server.try_admit(TenantSpec(
+                    name="sufferer" if index == 0 else f"low{index}",
+                    application=app, window_tasks=4,
+                    priority=5 if index == 0 else 0,
+                    windows=10 if index < len(classes) - 1 else 6,
+                    required_classes={cls},
+                ), tick=0).action == ADMIT
+            server.step(0)
+            server.step(1)
+            server.inject_drift(DriftSpec(
+                start_tick=2, busy={classes[0]: 0.95},
+                demand_gbps=16.0))
+            for tick in range(2, 14):
+                server.step(tick)
+            return server, server.close_stepped()
+
+        shipped, _, _ = both_arms(monkeypatch, always_price, drive)
+        timeline = json.loads(shipped)["timeline"]
+        assert any(e["event"] == "evict" for e in timeline)
+        assert not any(e["event"] == "fail" for e in timeline)
+
+    def test_a_tenant_failing_while_the_batch_is_built(
+            self, monkeypatch, always_price, platform, app):
+        # "doomed" (the only one streaming 5-task windows) cannot be
+        # served at tick 2: it fails inside the batch-building loop, so
+        # "late" - behind it in _live - is served without its load that
+        # very tick, and "steady" - ahead of it - with it.  Both arms
+        # must agree on who saw what.
+        original = Deployment.remembered
+        armed = {"now": False}
+
+        def remembered(self, external, n_tasks):
+            if n_tasks == 5 and armed["now"]:
+                raise PipelineError("injected batch-build failure")
+            return original(self, external, n_tasks)
+
+        monkeypatch.setattr(Deployment, "remembered", remembered)
+
+        def drive():
+            armed["now"] = False
+            server = server_for(platform, queue_capacity=0)
+            for name in ("steady", "doomed", "late"):
+                assert server.try_admit(TenantSpec(
+                    name=name, application=app, windows=6,
+                    window_tasks=5 if name == "doomed" else 4,
+                ), tick=0).action == ADMIT
+            for tick in range(8):
+                armed["now"] = tick == 2
+                server.step(tick)
+            return server, server.close_stepped()
+
+        shipped, _, _ = both_arms(monkeypatch, always_price, drive)
+        out = json.loads(shipped)
+        assert [(e["tenant"], e["tick"]) for e in out["timeline"]
+                if e["event"] == "fail"] == [("doomed", 2)]
+        server, _ = drive()
+        steady, late = (
+            [row.measured_latency_s
+             for row in server.records[name].history]
+            for name in ("steady", "late"))
+        # Tick 2: steady still saw doomed, late no longer did.
+        assert steady[2] == steady[1] and late[2] != late[1]
+        assert steady[3] != steady[2] and late[3] == late[2]
+
+    def test_a_window_failing_in_the_batch(
+            self, monkeypatch, always_price, platform, app):
+        original = SimulatedPipelineExecutor.run
+
+        def run(self, n_tasks, **kwargs):
+            load = kwargs.get("external_load")
+            if (kwargs.get("tenant") == "doomed" and load is not None
+                    and load.demand_gbps >= 16.0):
+                raise PipelineError("injected window failure")
+            return original(self, n_tasks, **kwargs)
+
+        monkeypatch.setattr(SimulatedPipelineExecutor, "run", run)
+
+        def drive():
+            server = server_for(platform, queue_capacity=0)
+            for name in ("steady", "doomed", "late"):
+                assert server.try_admit(TenantSpec(
+                    name=name, application=app, windows=9,
+                    window_tasks=4), tick=0).action == ADMIT
+            server.inject_drift(DriftSpec(start_tick=4,
+                                          demand_gbps=16.0))
+            for tick in range(10):
+                server.step(tick)
+            return server, server.close_stepped()
+
+        shipped, _, _ = both_arms(monkeypatch, always_price, drive)
+        out = json.loads(shipped)
+        assert [(e["tenant"], e["tick"]) for e in out["timeline"]
+                if e["event"] == "fail"] == [("doomed", 4)]
+        assert out["report"]["tenants"]["doomed"]["status"] == FAILED
+        assert out["report"]["tenants"]["late"]["status"] == COMPLETED
+
+
+# ----------------------------------------------------------------------
+class TestAVerdictEndsWithItsPlacement:
+    """Every path that changes the placement - or a deployed schedule -
+    crosses ``PlacementMap.assign`` / ``release``, so no verdict taken
+    before it is served after it.  Each test fails when the bump is
+    moved out of the map and into ``_deploy`` alone."""
+
+    @pytest.fixture
+    def server(self, platform):
+        return server_for(platform, queue_capacity=2,
+                          max_impact_ratio=1e9)
+
+    def holder(self, server, app, name, cls, **kwargs):
+        spec = TenantSpec(name=name, application=app, windows=8,
+                          window_tasks=4, required_classes={cls},
+                          **kwargs)
+        assert server.try_admit(spec, tick=0).action == ADMIT
+        return spec
+
+    def test_a_repeated_question_is_read_not_repriced(
+            self, server, app, monkeypatch):
+        counter = count_pricings(monkeypatch)
+        self.holder(server, app, "gpu-holder", "gpu")
+        asked = counter["evaluate"]
+        wants_gpu = TenantSpec(name="w0", application=app,
+                               required_classes={"gpu"})
+        first = server.price(wants_gpu)
+        assert first.action == QUEUE
+        twin = TenantSpec(name="w1", application=app, priority=3,
+                          windows=2, required_classes={"gpu"})
+        assert server.price(twin) is first          # same pricing key
+        assert counter["evaluate"] == asked + 1
+        assert server.price(twin, queued=2).action == REJECT
+        assert counter["evaluate"] == asked + 2     # another depth
+
+    def test_withdraw(self, server, app):
+        self.holder(server, app, "gpu-holder", "gpu")
+        wants_gpu = TenantSpec(name="w", application=app,
+                               required_classes={"gpu"})
+        assert server.price(wants_gpu).action == QUEUE
+        server.withdraw("gpu-holder", "test", tick=1)
+        assert server.price(wants_gpu).action == ADMIT
+        assert server.records["gpu-holder"].status == EVICTED
+
+    def test_rescind_after_admit(self, server, app):
+        wants_gpu = TenantSpec(name="w", application=app,
+                               required_classes={"gpu"})
+        assert server.price(wants_gpu).action == ADMIT
+        self.holder(server, app, "undone", "gpu")
+        between = server.price(wants_gpu)
+        assert between.action == QUEUE
+        server.rescind("undone")
+        after = server.price(wants_gpu)
+        assert after.action == ADMIT
+        assert after == fresh_verdict(server, wants_gpu)
+
+    def test_completion_and_failure(self, server, app, monkeypatch):
+        spec = TenantSpec(name="short", application=app, windows=1,
+                          window_tasks=4, required_classes={"gpu"})
+        assert server.try_admit(spec, tick=0).action == ADMIT
+        self.holder(server, app, "doomed", "big")
+        wants = {cls: TenantSpec(name=f"w-{cls}", application=app,
+                                 required_classes={cls})
+                 for cls in ("gpu", "big")}
+        assert {server.price(s).action for s in wants.values()} == {
+            QUEUE}
+        original = SimulatedPipelineExecutor.run
+
+        def run(self, n_tasks, **kwargs):
+            if kwargs.get("tenant") == "doomed":
+                raise PipelineError("injected window failure")
+            return original(self, n_tasks, **kwargs)
+
+        monkeypatch.setattr(SimulatedPipelineExecutor, "run", run)
+        server.step(0)
+        assert server.records["short"].status == COMPLETED
+        assert server.records["doomed"].status == FAILED
+        assert {server.price(s).action for s in wants.values()} == {
+            ADMIT}
+
+    def test_switch(self, app):
+        # The soak's drift victim SWITCHes schedule mid-run.  A verdict
+        # priced on the tick before must not survive it: the
+        # incumbent's partition and contention span both moved.
+        server = build_soak_server(SoakScenario(seed=7, windows=30))
+        server.open_stepped()
+        probe = TenantSpec(name="probe", application=app)
+        for tick in range(30):
+            before, epoch = server.price(probe), server.placement.epoch
+            server.step(tick)
+            if any(e["event"] == "reschedule" for e in server.timeline):
+                break
+        else:
+            pytest.fail("the soak never rescheduled")
+        assert server.placement.epoch > epoch
+        after = server.price(probe)
+        assert after == fresh_verdict(server, probe)
+        # The victim spread onto the class the probe was promised.
+        assert (before.action, after.action) == (ADMIT, REJECT)
+        server.close_stepped()
+
+    def test_evict_for(self, platform, app):
+        server = server_for(
+            platform, queue_capacity=2, max_impact_ratio=1e9,
+            reschedule=True, patience=1)
+        classes = sorted(platform.schedulable_classes())
+        for index, cls in enumerate(classes):
+            assert server.try_admit(TenantSpec(
+                name="sufferer" if index == 0 else f"low{index}",
+                application=app, window_tasks=4,
+                priority=5 if index == 0 else 0, windows=10,
+                required_classes={cls},
+            ), tick=0).action == ADMIT
+        probe = TenantSpec(name="probe", application=app)
+        server.step(0)
+        server.step(1)
+        assert server.price(probe).action == QUEUE   # SoC is full
+        server.inject_drift(DriftSpec(
+            start_tick=2, busy={classes[0]: 0.95}, demand_gbps=16.0))
+        for tick in range(2, 8):
+            server.step(tick)
+            if any(e["event"] == "evict" for e in server.timeline):
+                break
+        else:
+            pytest.fail("nobody was evicted")
+        assert server.price(probe) == fresh_verdict(server, probe)
+        assert server.price(probe).action == ADMIT
+        server.close_stepped()
+
+
+class TestTheCoLoadView:
+    def test_it_is_rebuilt_when_the_placement_or_a_drift_moves(
+            self, platform, app, monkeypatch):
+        combined = {"calls": 0}
+        from repro.soc.interference import ExternalLoad
+        original = ExternalLoad.combined.__func__
+
+        def counting(cls, loads):
+            combined["calls"] += 1
+            return original(cls, loads)
+
+        monkeypatch.setattr(ExternalLoad, "combined",
+                            classmethod(counting))
+        server = server_for(platform, queue_capacity=0)
+        for name in ("a", "b"):
+            assert server.try_admit(TenantSpec(
+                name=name, application=app, windows=20,
+                window_tasks=4), tick=0).action == ADMIT
+        server.step(0)
+        assert combined["calls"] == 2
+        server.step(1)
+        server.step(2)
+        assert combined["calls"] == 2           # nothing moved
+        # A drift injected mid-run, for a later tick: nothing yet ...
+        server.inject_drift(DriftSpec(
+            start_tick=4, end_tick=6, busy={"little": 0.6},
+            demand_gbps=30.0))
+        server.step(3)
+        assert combined["calls"] == 2
+        # ... then its two edges, one rebuild per tenant each.
+        server.step(4)
+        assert combined["calls"] == 4
+        server.step(5)
+        assert combined["calls"] == 4
+        server.step(6)
+        assert combined["calls"] == 6
+        loads = {name: server.records[name].history for name in "ab"}
+        assert loads["a"][4].measured_latency_s != (
+            loads["a"][3].measured_latency_s)
+        assert loads["a"][6].measured_latency_s == (
+            loads["a"][3].measured_latency_s)
+        # A newcomer: every view moves, its own included.
+        assert server.try_admit(TenantSpec(
+            name="c", application=app, windows=20,
+            window_tasks=4), tick=7).action == ADMIT
+        server.step(7)
+        assert combined["calls"] == 9
+        server.close_stepped()
+
+
+# ----------------------------------------------------------------------
+class TestSeededMutantsAreKilled:
+    """Each mutant keys a memo on less than it depends on; the shipped
+    arm must equal the oracle and the mutated arm must not."""
+
+    @staticmethod
+    def killed(always_price, drive, mutate, monkeypatch):
+        shipped = one_arm(drive)
+        with monkeypatch.context() as patch:
+            mutate(patch)
+            mutated = one_arm(drive)
+        always_price()
+        oracle = one_arm(drive)
+        assert shipped == oracle
+        return first_difference(mutated[0], oracle[0]) is not None
+
+    def test_epoch_not_bumped_on_release(self, always_price, platform,
+                                         app, monkeypatch):
+        def release(self, tenant):
+            self._free |= self.partition_of(tenant)
+            del self._partitions[tenant]
+
+        assert self.killed(
+            always_price, queueing(platform, app),
+            lambda patch: patch.setattr(PlacementMap, "release",
+                                        release),
+            monkeypatch)
+
+    def test_pricing_key_without_preferred_classes(
+            self, always_price, platform, app, monkeypatch):
+        def drive():
+            # Two tenants that differ in the soft preference only: the
+            # second must not be handed the first one's candidate.
+            server = server_for(platform, queue_capacity=0)
+            server.price(TenantSpec(name="plain", application=app))
+            assert server.try_admit(TenantSpec(
+                name="picky", application=app, windows=2,
+                window_tasks=4, preferred_classes={"little"},
+            ), tick=0).action == ADMIT
+            server.step(0)
+            server.step(1)
+            return server, server.close_stepped()
+
+        assert self.killed(
+            always_price, drive,
+            lambda patch: patch.setattr(
+                TenantSpec, "pricing_key",
+                property(lambda spec: (spec.application.name,
+                                       spec.required_classes))),
+            monkeypatch)
+
+    def test_verdict_key_without_queued(self, always_price, platform,
+                                        app, monkeypatch):
+        # The full-queue REJECT reason prints the depth, and whether a
+        # deferral queues or rejects *is* the depth.
+        def mutate(patch):
+            real = PipelineServer.__init__
+
+            def init(self, *args, **kwargs):
+                real(self, *args, **kwargs)
+                self._verdicts = Blurred(
+                    lambda stamp, key: (stamp, key[0]))
+
+            patch.setattr(PipelineServer, "__init__", init)
+
+        assert self.killed(always_price, queueing(platform, app),
+                           mutate, monkeypatch)
+
+    def test_view_keyed_without_the_active_drifts(
+            self, always_price, monkeypatch):
+        def mutate(patch):
+            real = PipelineServer.__init__
+
+            def init(self, *args, **kwargs):
+                real(self, *args, **kwargs)
+                self._views = Blurred(
+                    lambda stamp, key: (stamp[0], key))
+
+            patch.setattr(PipelineServer, "__init__", init)
+
+        assert self.killed(always_price, soak(reschedule=False),
+                           mutate, monkeypatch)
+
+
+# ----------------------------------------------------------------------
+class TestInstruments:
+    def test_hit_share_and_epoch_are_recorded_only_when_asked(
+            self, platform, app):
+        drive = queueing(platform, app)
+        server, report = drive()                # instruments off
+        dumped = json.dumps(report.to_dict())
+        assert "priced" not in dumped and "placement_epoch" not in dumped
+        with capture() as cap:
+            server, _ = drive()
+        snapshot = cap.metrics.snapshot()
+        counters = snapshot["counters"]
+        assert counters["admission.priced"] > 0
+        assert counters["admission.remembered"] > 0
+        # One plan look-up per real pricing, none per remembered one.
+        assert counters["admission.priced"] == (
+            counters["plan_cache.hits"] + counters["plan_cache.misses"]
+            - sum(1 for e in server.timeline if e["event"] == "admit"))
+        assert snapshot["gauges"]["serve.placement_epoch"] == float(
+            server.placement.epoch)
+        assert server.placement.epoch == sum(
+            1 for e in server.timeline
+            if e["event"] in ("admit", "complete"))
