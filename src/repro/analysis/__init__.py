@@ -19,23 +19,19 @@ Import note: this package must stay import-light - the runtime modules
 (`spsc`, `usm`, ...) import :mod:`repro.analysis.runtime_checks` and
 :mod:`repro.analysis.lock_order` at module load, so nothing here may
 import back into :mod:`repro.runtime` (the ``race`` scenario runner is
-loaded lazily by the CLI for exactly this reason).
+loaded lazily by the CLI for exactly this reason), and the static
+linter's re-exports load on first use (every process start would
+otherwise pay for a linter it never runs).
 """
 
-from repro.analysis.linter import (
-    LintReport,
-    collect_files,
-    lint_paths,
-    lint_source,
-)
+import importlib
+
 from repro.analysis.lock_order import (
     LockOrderTracker,
     TrackedLock,
     checked_lock,
     lock_tracker,
 )
-from repro.analysis.report import render_lint_json, render_lint_text
-from repro.analysis.rules import Finding, all_rules, get_rule
 from repro.analysis.runtime_checks import (
     BUFFER_ALIAS,
     LOCK_ORDER,
@@ -51,6 +47,20 @@ from repro.analysis.runtime_checks import (
     global_log,
     record_violation,
 )
+
+_LAZY = {
+    "LintReport": "linter", "collect_files": "linter",
+    "lint_paths": "linter", "lint_source": "linter",
+    "render_lint_json": "report", "render_lint_text": "report",
+    "Finding": "rules", "all_rules": "rules", "get_rule": "rules",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "BUFFER_ALIAS",

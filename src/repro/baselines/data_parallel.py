@@ -59,10 +59,8 @@ def data_parallel_baseline(
     per_stage: Dict[str, float] = {}
     fractions: Dict[str, Dict[str, float]] = {}
     for stage in application.stages:
-        demands = {
-            pu: platform.bandwidth_demand(stage.work, pu) for pu in pus
-        }
-        total_demand = sum(demands.values())
+        costs = {pu: platform.stage_cost(stage.work, pu) for pu in pus}
+        total_demand = sum(cost.demand_gbps for cost in costs.values())
         # Split a PU's co-run time into the fixed dispatch/launch
         # overhead (paid in full by *every* participating PU, every
         # stage - it cannot be fractionally split) and the divisible
@@ -70,15 +68,14 @@ def data_parallel_baseline(
         overheads: Dict[str, float] = {}
         work: Dict[str, float] = {}
         for pu in pus:
-            breakdown = platform.isolated_breakdown(stage.work, pu)
             total = platform.true_time(
                 stage.work,
                 pu,
                 co_load=1.0,
-                other_demand_gbps=total_demand - demands[pu],
+                other_demand_gbps=total_demand - costs[pu].demand_gbps,
             )
-            overheads[pu] = breakdown.overhead_s
-            work[pu] = max(total - breakdown.overhead_s, 1e-12)
+            overheads[pu] = costs[pu].overhead_s
+            work[pu] = max(total - costs[pu].overhead_s, 1e-12)
         # For each PU subset, the equal-finish split gives
         # T = (1 + sum o_q / w_q) / sum 1 / w_q; pick the best subset
         # (a PU whose overhead exceeds T is worth excluding entirely).

@@ -13,8 +13,12 @@ modes, exactly as the paper defines them:
 
 The profiler is strictly black-box: it asks the platform to *run and
 time* kernels (here: the virtual SoC's ground-truth oracle plus timer
-noise) and never inspects cost-model internals.  Each entry averages
-``repetitions`` noisy measurements (30 in the paper).
+noise) and never inspects cost-model internals - it imports nothing
+from ``repro.soc.cost_model`` / ``repro.soc.interference`` and sees
+seconds only.  Each entry averages ``repetitions`` noisy measurements
+(30 in the paper).  A profile is one pass: each stage is put to the
+platform once (:meth:`Platform.profiling_times`: both conditions, every
+PU) and every cell, whoever asks, goes through :meth:`BTProfiler._cell`.
 """
 
 from __future__ import annotations
@@ -95,7 +99,8 @@ class ProfilingTable:
     def restricted(self, pu_classes: Iterable[str]) -> "ProfilingTable":
         """A sub-table over a subset of PU columns (used to drop
         unpinnable clusters before optimization)."""
-        keep = tuple(pu for pu in self.pu_classes if pu in set(pu_classes))
+        wanted = set(pu_classes)
+        keep = tuple(pu for pu in self.pu_classes if pu in wanted)
         if not keep:
             raise ProfilingError("restriction removes every PU column")
         entries = {
@@ -151,41 +156,47 @@ class BTProfiler:
     def profile(self, application: Application,
                 mode: str = INTERFERENCE) -> ProfilingTable:
         """Build the full stage x PU table in the given mode."""
-        if mode not in MODES:
-            raise ProfilingError(
-                f"unknown profiling mode {mode!r}; expected one of {MODES}"
-            )
-        pu_classes = self.platform.pu_classes()
-        entries: Dict[Tuple[str, str], float] = {}
-        stddevs: Dict[Tuple[str, str], float] = {}
-        with tracer().span("profiler.profile", "profiler",
-                           application=application.name, mode=mode):
-            for stage in application.stages:
-                for pu_class in pu_classes:
-                    mean, std = self._measure_stage(
-                        application, stage.name, pu_class, mode
-                    )
-                    entries[(stage.name, pu_class)] = mean
-                    stddevs[(stage.name, pu_class)] = std
-        return ProfilingTable(
-            application=application.name,
-            platform=self.platform.name,
-            mode=mode,
-            entries=entries,
-            stage_names=application.stage_names,
-            pu_classes=pu_classes,
-            stddevs=stddevs,
-        )
+        return self._profile(application, (_checked(mode),))[0]
 
     def profile_both(
         self, application: Application
     ) -> Tuple[ProfilingTable, ProfilingTable]:
-        """Convenience: (isolated, interference) pair, used by the Fig. 7
-        interference study."""
-        return (
-            self.profile(application, mode=ISOLATED),
-            self.profile(application, mode=INTERFERENCE),
-        )
+        """The (isolated, interference) pair a plan is built from (and
+        Fig. 7 plots), from one pass over the platform: each stage is
+        run on each PU once and timed under both conditions."""
+        return tuple(self._profile(application, MODES))
+
+    def _profile(self, application: Application,
+                 modes: Tuple[str, ...]) -> List[ProfilingTable]:
+        pu_classes = self.platform.pu_classes()
+        truth = [
+            self.platform.profiling_times(stage.work)
+            for stage in application.stages
+        ]
+        tables = []
+        for mode in modes:
+            column = MODES.index(mode)
+            entries: Dict[Tuple[str, str], float] = {}
+            stddevs: Dict[Tuple[str, str], float] = {}
+            with tracer().span("profiler.profile", "profiler",
+                               application=application.name, mode=mode):
+                for stage, times in zip(application.stages, truth):
+                    for pu_class in pu_classes:
+                        key = (stage.name, pu_class)
+                        entries[key], stddevs[key] = self._cell(
+                            application.name, stage.name, pu_class, mode,
+                            times[pu_class][column],
+                        )
+            tables.append(ProfilingTable(
+                application=application.name,
+                platform=self.platform.name,
+                mode=mode,
+                entries=entries,
+                stage_names=application.stage_names,
+                pu_classes=pu_classes,
+                stddevs=stddevs,
+            ))
+        return tables
 
     # ------------------------------------------------------------------
     def measure_cell(self, application: Application, stage_name: str,
@@ -198,57 +209,42 @@ class BTProfiler:
         re-collected after a crash - in any order and still reproduce
         the uninterrupted table bit for bit.
         """
-        if mode not in MODES:
-            raise ProfilingError(
-                f"unknown profiling mode {mode!r}; expected one of {MODES}"
-            )
-        return self._measure_stage(application, stage_name, pu_class, mode)
+        column = MODES.index(_checked(mode))
+        self.platform.pu(pu_class)  # PlatformError for a class the SoC lacks
+        work = application.stage(stage_name).work
+        seconds = self.platform.profiling_times(work)[pu_class][column]
+        return self._cell(application.name, stage_name, pu_class, mode, seconds)
 
-    def _measure_stage(self, application: Application, stage_name: str,
-                       pu_class: str, mode: str) -> Tuple[float, float]:
+    def _cell(self, application_name: str, stage_name: str, pu_class: str,
+              mode: str, true_seconds: float) -> Tuple[float, float]:
+        """The one cell routine: ``repetitions`` timer observations of
+        ``true_seconds`` from the cell's own keyed stream, averaged."""
         with tracer().span("profiler.cell", "profiler",
                            stage=stage_name, pu=pu_class, mode=mode):
-            mean, std = self._measure_stage_inner(
-                application, stage_name, pu_class, mode
+            rng = self.platform.measurement_rng(
+                "profile", application_name, stage_name, pu_class, mode
             )
+            samples = self.platform.measure_repeated(
+                true_seconds, rng, self.repetitions
+            )
+            mean = mean_of_measurements(samples)
+            std = 0.0
+            if len(samples) >= 2:
+                std = (sum((x - mean) ** 2 for x in samples)
+                       / (len(samples) - 1)) ** 0.5
         reg = metrics()
         if reg.enabled:
             reg.counter("profiler.cells")
             reg.observe("profiler.cell_mean_s", mean)
         return mean, std
 
-    def _measure_stage_inner(
-        self, application: Application, stage_name: str,
-        pu_class: str, mode: str,
-    ) -> Tuple[float, float]:
-        stage = application.stage(stage_name)
-        if mode == ISOLATED:
-            co_load, other_demand = 0.0, 0.0
-        else:
-            co_load = 1.0
-            other_demand = sum(
-                self.platform.bandwidth_demand(stage.work, other)
-                for other in self.platform.pu_classes()
-                if other != pu_class
-            )
-        true_seconds = self.platform.true_time(
-            stage.work, pu_class,
-            co_load=co_load, other_demand_gbps=other_demand,
+
+def _checked(mode: str) -> str:
+    if mode not in MODES:
+        raise ProfilingError(
+            f"unknown profiling mode {mode!r}; expected one of {MODES}"
         )
-        rng = self.platform.measurement_rng(
-            "profile", application.name, stage_name, pu_class, mode
-        )
-        samples = [
-            self.platform.measure(true_seconds, rng)
-            for _ in range(self.repetitions)
-        ]
-        mean = mean_of_measurements(samples)
-        if len(samples) < 2:
-            return mean, 0.0
-        variance = sum((x - mean) ** 2 for x in samples) / (
-            len(samples) - 1
-        )
-        return mean, variance**0.5
+    return mode
 
 
 def interference_ratios(

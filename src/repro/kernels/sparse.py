@@ -79,10 +79,13 @@ def prune_to_csr(weights: np.ndarray, sparsity: float) -> CsrMatrix:
     flat = weights.reshape(k, -1).astype(np.float32)
     keep = max(1, int(round(flat.size * (1.0 - sparsity))))
     magnitudes = np.abs(flat).ravel()
-    # Stable selection of the keep largest magnitudes.
-    order = np.argsort(-magnitudes, kind="stable")[:keep]
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[order] = True
+    # O(n) selection of what a stable descending sort would keep: all
+    # above the keep-th largest magnitude, then ties with it by index.
+    cut = flat.size - keep
+    threshold = np.partition(magnitudes, cut)[cut]
+    mask = magnitudes > threshold
+    ties = np.flatnonzero(magnitudes == threshold)
+    mask[ties[:keep - np.count_nonzero(mask)]] = True
     mask = mask.reshape(flat.shape)
 
     data, indices, indptr = [], [], [0]

@@ -32,7 +32,7 @@ line at <2% DES overhead.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,6 +43,7 @@ VIRTUAL = "virtual"
 
 #: Parent id used for root events (no enclosing span).
 ROOT = 0
+_NO_SPAN = nullcontext(ROOT)
 
 
 @dataclass(frozen=True)
@@ -124,19 +125,22 @@ class Tracer:
             return list(self._events)
 
     # -- control-domain emission --------------------------------------
-    @contextmanager
-    def span(self, name: str, category: str,
-             **attrs: Any) -> Iterator[int]:
+    def span(self, name: str, category: str, **attrs: Any):
         """Open a control-domain span; yields its event id.
 
         Nested ``span()`` calls on the same thread become children.
         The span is appended on close (Chrome's format does not require
         open-order), with ``dur`` equal to the number of logical ticks
         that elapsed inside it - children therefore nest strictly.
+        A disabled tracer hands every caller the same do-nothing span.
         """
         if not self.enabled:
-            yield ROOT
-            return
+            return _NO_SPAN
+        return self._span(name, category, attrs)
+
+    @contextmanager
+    def _span(self, name: str, category: str,
+              attrs: Dict[str, Any]) -> Iterator[int]:
         stack = self._stack()
         parent = stack[-1][0] if stack else ROOT
         with self._lock:

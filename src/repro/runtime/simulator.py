@@ -100,6 +100,7 @@ from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.runtime.faults import FaultInjector
 from repro.runtime.trace import Span, record_span
+from repro.soc.cost_model import StageCost
 from repro.soc.interference import ExternalLoad, external_co_load
 from repro.soc.platform import Platform
 
@@ -227,19 +228,11 @@ class SimulatedRunResult:
         return self.chunk_busy_s.get(chunk_index, 0.0) / self.total_s
 
 
-@dataclass
-class _StageCost:
-    overhead_s: float
-    work_s: float
-    memory_boundedness: float
-    demand_gbps: float
-
-
 class _ChunkServer:
     """Execution state of one chunk's dispatcher (reference engine)."""
 
     def __init__(self, index: int, chunk: Chunk,
-                 stage_costs: List[_StageCost]):
+                 stage_costs: List[StageCost]):
         self.index = index
         self.chunk = chunk
         self.stage_costs = stage_costs
@@ -703,7 +696,11 @@ class SimulatedPipelineExecutor:
             raise PipelineError("multi-buffering depth must be >= 1")
         self.engine = _resolve_engine(engine)
         self._servers = [
-            _ChunkServer(i, chunk, self._costs_for(chunk))
+            _ChunkServer(i, chunk, [
+                platform.stage_cost(application.stages[index].work,
+                                    chunk.pu_class)
+                for index in chunk.stage_indices
+            ])
             for i, chunk in enumerate(self.chunks)
         ]
         self._schedule_key = "|".join(
@@ -716,25 +713,6 @@ class SimulatedPipelineExecutor:
             self._run_reference if self.engine == ENGINE_REFERENCE
             else _VectorEngine(self).run_window
         )
-
-    def _costs_for(self, chunk: Chunk) -> List[_StageCost]:
-        costs = []
-        for index in chunk.stage_indices:
-            stage = self.application.stages[index]
-            breakdown = self.platform.isolated_breakdown(
-                stage.work, chunk.pu_class
-            )
-            costs.append(
-                _StageCost(
-                    overhead_s=breakdown.overhead_s,
-                    work_s=max(breakdown.compute_s, breakdown.memory_s),
-                    memory_boundedness=breakdown.memory_boundedness,
-                    demand_gbps=breakdown.demand_bw_gbps(
-                        stage.work.bytes_moved
-                    ),
-                )
-            )
-        return costs
 
     def attribution_inputs(self) -> tuple:
         """Steady-state per-chunk load aggregates for blame decomposition.

@@ -16,6 +16,7 @@ times based on what the other PUs are doing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.soc.pu import CpuCluster, Gpu
 from repro.soc.workprofile import WorkProfile
@@ -50,8 +51,13 @@ class CostBreakdown:
     overhead_s: float
 
     @property
+    def work_s(self) -> float:
+        """The overlapped portion - all that interference scales."""
+        return max(self.compute_s, self.memory_s)
+
+    @property
     def total_s(self) -> float:
-        return max(self.compute_s, self.memory_s) + self.overhead_s
+        return self.work_s + self.overhead_s
 
     @property
     def memory_boundedness(self) -> float:
@@ -65,6 +71,26 @@ class CostBreakdown:
         if self.total_s <= 0.0:
             return 0.0
         return bytes_moved / self.total_s / 1e9
+
+    def stage_cost(self, bytes_moved: float) -> "StageCost":
+        """The four numbers every consumer of this roofline reads."""
+        return StageCost(
+            overhead_s=self.overhead_s,
+            work_s=self.work_s,
+            memory_boundedness=self.memory_boundedness,
+            demand_gbps=self.demand_bw_gbps(bytes_moved),
+        )
+
+
+class StageCost(NamedTuple):
+    """One kernel on one PU in isolation, evaluated once: the fact the
+    oracle's timing, the profiler's co-run conditions, the DES's rate
+    machinery and a tenant's offered load are all derived from."""
+
+    overhead_s: float
+    work_s: float
+    memory_boundedness: float
+    demand_gbps: float
 
 
 def cpu_cost(work: WorkProfile, cluster: CpuCluster) -> CostBreakdown:

@@ -1,9 +1,11 @@
 """The virtual SoC platform: PUs + UMA memory + interference + timers.
 
 A :class:`Platform` is the ground-truth oracle of the reproduction.  Every
-"measured" number in the experiments ultimately comes from
-:meth:`Platform.true_time` (possibly integrated over time by the
-discrete-event pipeline simulator) plus deterministic measurement noise.
+"measured" number in the experiments ultimately comes from one
+:meth:`Platform.stage_cost` per (kernel, PU) - read under a steady co-run
+condition by :meth:`Platform.true_time` / :meth:`Platform.profiling_times`,
+or integrated over time by the discrete-event pipeline simulator - plus
+deterministic measurement noise.
 The profiler, optimizer and implementer only ever observe noisy times -
 they never read the model parameters - which preserves the paper's
 black-box methodology (section 3.2).
@@ -12,13 +14,13 @@ black-box methodology (section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import PlatformError
 from repro.soc.affinity import AffinityMap
-from repro.soc.cost_model import CostBreakdown, pu_cost
+from repro.soc.cost_model import StageCost, pu_cost
 from repro.soc.interference import InterferenceModel
 from repro.soc.pu import GPU, CpuCluster, Gpu
 from repro.soc.timer import MeasurementNoise
@@ -103,20 +105,18 @@ class Platform:
     # ------------------------------------------------------------------
     # Ground-truth timing
     # ------------------------------------------------------------------
-    def isolated_breakdown(
-        self, work: WorkProfile, pu_class: str
-    ) -> CostBreakdown:
-        """Roofline cost decomposition on an otherwise idle SoC."""
-        return pu_cost(work, self.pu(pu_class))
+    def stage_cost(self, work: WorkProfile, pu_class: str) -> StageCost:
+        """One roofline evaluation of ``work`` on an idle ``pu_class``;
+        never kept here - the platform's constants may be edited."""
+        return pu_cost(work, self.pu(pu_class)).stage_cost(work.bytes_moved)
 
     def isolated_time(self, work: WorkProfile, pu_class: str) -> float:
         """Isolated wall-clock seconds for one invocation."""
-        return self.isolated_breakdown(work, pu_class).total_s
+        return pu_cost(work, self.pu(pu_class)).total_s
 
     def bandwidth_demand(self, work: WorkProfile, pu_class: str) -> float:
         """Average GB/s the kernel draws while running in isolation."""
-        breakdown = self.isolated_breakdown(work, pu_class)
-        return breakdown.demand_bw_gbps(work.bytes_moved)
+        return self.stage_cost(work, pu_class).demand_gbps
 
     def true_time(
         self,
@@ -133,21 +133,38 @@ class Platform:
             co_load: Fraction of the other PUs concurrently busy (0 =
                 isolated, 1 = the paper's interference-heavy condition).
             other_demand_gbps: Total DRAM bandwidth drawn by co-runners.
-
-        The fixed dispatch/launch overhead does not scale with
-        interference; only the overlapped compute/memory portion does.
         """
-        breakdown = self.isolated_breakdown(work, pu_class)
-        overlapped = max(breakdown.compute_s, breakdown.memory_s)
-        demand = breakdown.demand_bw_gbps(work.bytes_moved)
+        return self._co_run_time(self.stage_cost(work, pu_class), pu_class,
+                                 co_load, other_demand_gbps)
+
+    def _co_run_time(self, cost: StageCost, pu_class: str, co_load: float,
+                     other_demand_gbps: float) -> float:
+        # The fixed dispatch/launch overhead does not scale with
+        # interference; only the overlapped compute/memory portion does.
         multiplier = self.interference.speed_multiplier(
-            pu_class=pu_class,
-            memory_boundedness=breakdown.memory_boundedness,
-            demand_gbps=demand,
-            total_demand_gbps=demand + other_demand_gbps,
+            pu_class, cost.memory_boundedness, demand_gbps=cost.demand_gbps,
+            total_demand_gbps=cost.demand_gbps + other_demand_gbps,
             co_load=co_load,
         )
-        return overlapped / multiplier + breakdown.overhead_s
+        return cost.work_s / multiplier + cost.overhead_s
+
+    def profiling_times(
+        self, work: WorkProfile
+    ) -> Dict[str, Tuple[float, float]]:
+        """``(isolated, interference-heavy)`` seconds of ``work`` on every
+        PU class - BT-Profiler's two conditions (paper section 3.2) from
+        one roofline evaluation per class.  Interference-heavy is *every
+        other PU running the same computation*: the co-runners' demand is
+        the sum, in class order, of the other classes' own demands.
+        """
+        costs = {pu: self.stage_cost(work, pu) for pu in self.pu_classes()}
+        times = {}
+        for pu, cost in costs.items():
+            others = sum(other.demand_gbps for other_pu, other
+                         in costs.items() if other_pu != pu)
+            times[pu] = (self._co_run_time(cost, pu, 0.0, 0.0),
+                         self._co_run_time(cost, pu, 1.0, others))
+        return times
 
     def instantaneous_rate(
         self,
@@ -174,6 +191,12 @@ class Platform:
     ) -> float:
         """One noisy timer observation of a true duration."""
         return self.noise.perturb(true_seconds, rng)
+
+    def measure_repeated(
+        self, true_seconds: float, rng: np.random.Generator, count: int
+    ) -> List[float]:
+        """``count`` successive timer observations of one duration."""
+        return self.noise.perturb_repeated(true_seconds, rng, count)
 
     def measurement_rng(self, *key: object) -> np.random.Generator:
         """Deterministic RNG stream keyed by (platform, *key)."""

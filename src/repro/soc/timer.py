@@ -26,7 +26,7 @@ def _stable_seed(*parts: object) -> int:
     ``hash()`` is randomized per interpreter run, so we use blake2b.
     """
     digest = hashlib.blake2b(
-        "\x1f".join(str(p) for p in parts).encode("utf-8"), digest_size=8
+        "\x1f".join(map(str, parts)).encode("utf-8"), digest_size=8
     )
     return int.from_bytes(digest.digest(), "little")
 
@@ -48,17 +48,28 @@ class MeasurementNoise:
 
     def rng(self, *key: object) -> np.random.Generator:
         """A fresh deterministic generator for a measurement stream."""
-        return np.random.default_rng(_stable_seed(self.seed, *key))
+        # What default_rng(seed) builds, minus its argument dispatch.
+        seed = _stable_seed(self.seed, *key)
+        return np.random.Generator(np.random.PCG64(seed))
 
     def perturb(self, true_seconds: float, rng: np.random.Generator) -> float:
         """One noisy observation of a true duration."""
+        return self.perturb_repeated(true_seconds, rng, 1)[0]
+
+    def perturb_repeated(
+        self, true_seconds: float, rng: np.random.Generator, count: int
+    ) -> List[float]:
+        """What ``count`` successive :meth:`perturb` calls return (and
+        leave of the generator), in one vectorised draw."""
         if true_seconds < 0:
             raise PlatformError("durations cannot be negative")
         if self.sigma == 0.0:
-            return true_seconds
+            return [true_seconds] * count
         # Mean-one lognormal so averaging many reps converges to truth.
-        draw = rng.lognormal(mean=-0.5 * self.sigma**2, sigma=self.sigma)
-        return true_seconds * draw
+        draws = rng.lognormal(
+            mean=-0.5 * self.sigma**2, sigma=self.sigma, size=count
+        )
+        return (true_seconds * draws).tolist()
 
 
 class VirtualTimer:

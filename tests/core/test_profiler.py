@@ -128,11 +128,47 @@ class TestProfilingTable:
         with pytest.raises(ProfilingError):
             isolated.restricted(["npu"])
 
+    def test_restricted_takes_a_one_shot_iterable(self, tables):
+        isolated, _ = tables
+        sub = isolated.restricted(c for c in [BIG, GPU])
+        assert sub.pu_classes == isolated.restricted([BIG, GPU]).pu_classes
+        assert sub.pu_classes == (BIG, GPU)
+        with pytest.raises(ProfilingError):
+            isolated.restricted(c for c in [])
+
     def test_to_rows_renders_all(self, tables):
         isolated, _ = tables
         rows = isolated.to_rows()
         assert len(rows) == len(isolated.stage_names) + 1
         assert rows[0][0] == "stage"
+
+
+class TestBlackBox:
+    """Paper section 3.2: the profiler observes times, never the model.
+    The one roofline pass lives behind ``Platform``."""
+
+    def test_profiler_imports_no_cost_or_interference_model(self):
+        import ast
+        import inspect
+
+        import repro.core.profiler as module
+
+        source = inspect.getsource(module)
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                imported.update(f"{node.module}.{alias.name}"
+                                for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert imported, "the walk found no imports at all"
+        forbidden = ("repro.soc.cost_model", "repro.soc.interference")
+        assert not [name for name in imported
+                    if name.startswith(forbidden)]
+        # ...and no breakdown reaches it through a return value either.
+        for name in ("CostBreakdown", "StageCost", "stage_cost",
+                     "speed_multiplier"):
+            assert name not in source.split('"""', 2)[2], name
 
 
 class TestInterferenceRatios:

@@ -223,6 +223,28 @@ class TestPruneToCsr:
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_selection_equals_the_stable_sort_on_ties(self, seed, sparsity):
+        """The O(n) selection keeps exactly what a stable descending
+        argsort keeps - checked where it could differ: magnitudes forced
+        to tie (one decimal, both signs, zeros) across the threshold."""
+        rng = np.random.default_rng(seed)
+        weights = np.round(
+            rng.standard_normal((6, 4, 3, 3)), 1).astype(np.float32)
+        flat = weights.reshape(6, -1)
+        keep = max(1, int(round(flat.size * (1.0 - sparsity))))
+        order = np.argsort(-np.abs(flat).ravel(), kind="stable")[:keep]
+        want = np.zeros(flat.size, dtype=bool)
+        want[order] = True
+        want = want.reshape(flat.shape)
+        csr = prune_to_csr(weights, sparsity=sparsity)
+        got = np.zeros_like(want)
+        for row in range(6):
+            got[row, csr.indices[csr.indptr[row]:csr.indptr[row + 1]]] = True
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(csr.data, flat[want])
+
 
 class TestSparseConv:
     def make_case(self, seed, sparsity=0.8):

@@ -28,6 +28,15 @@ class TestTracerSpans:
         assert span_id == ROOT
         assert trc.events == []
 
+    def test_disabled_spans_nest_and_propagate_errors(self):
+        trc = Tracer(enabled=False)
+        with pytest.raises(KeyError):
+            with trc.span("outer", "x", k=1) as outer:
+                with trc.span("inner", "x") as inner:
+                    assert (outer, inner) == (ROOT, ROOT)
+                    raise KeyError("boom")
+        assert trc.events == [] and trc.current_span_id() == ROOT
+
     def test_nested_spans_link_parents(self):
         trc = Tracer(enabled=True)
         with trc.span("outer", "x") as outer_id:

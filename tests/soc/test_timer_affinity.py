@@ -57,6 +57,18 @@ class TestMeasurementNoise:
         b = [noise.perturb(1.0, noise.rng("k")) for _ in range(1)]
         assert a == b
 
+    def test_keyed_generator_is_default_rng_of_the_stable_seed(self):
+        import numpy as np
+
+        from repro.soc.timer import _stable_seed
+
+        noise = MeasurementNoise(sigma=0.05, seed=7)
+        for key in (("k",), ("profile", "app", "stage", "big", "isolated")):
+            want = np.random.default_rng(_stable_seed(7, *key))
+            got = noise.rng(*key)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert (got.lognormal(size=4) == want.lognormal(size=4)).all()
+
     def test_different_seed_different_stream(self):
         n1 = MeasurementNoise(sigma=0.05, seed=1)
         n2 = MeasurementNoise(sigma=0.05, seed=2)
