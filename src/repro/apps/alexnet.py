@@ -16,13 +16,18 @@ AlexNet-for-CIFAR implementations are (large early kernels, widths
 
 Weights are deterministic (seeded) and shared by every task: they are the
 paper's "persistent data", captured by the stage kernels by reference so
-recycled TaskObjects never copy them.
+recycled TaskObjects never copy them.  They are made on the first kernel
+call: planning and simulation read only each stage's ``WorkProfile``
+(a pruned layer's non-zero count follows from its shape), so a simulated
+campaign never builds a tensor.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +46,7 @@ from repro.kernels import (
     maxpool2x2_gpu,
     maxpool_work_profile,
     prune_to_csr,
+    pruned_nnz,
     sparse_conv2d_relu_cpu,
     sparse_conv2d_relu_gpu,
     sparse_conv_work_profile,
@@ -105,6 +111,32 @@ def make_weights(seed: int = _WEIGHT_SEED) -> AlexNetWeights:
     )
 
 
+#: Weights some application still holds, by seed: both AlexNets of one
+#: seed run on the same tensors.
+_LIVE_WEIGHTS: "weakref.WeakValueDictionary[int, AlexNetWeights]" = (
+    weakref.WeakValueDictionary())
+
+
+class _Parameters:
+    """One network's tensors, made when a kernel first asks for them."""
+
+    def __init__(self, seed: int, sparsity: Optional[float] = None):
+        self.seed = seed
+        self.sparsity = sparsity
+
+    @functools.cached_property
+    def weights(self) -> AlexNetWeights:
+        weights = _LIVE_WEIGHTS.get(self.seed)
+        if weights is None:
+            weights = _LIVE_WEIGHTS[self.seed] = make_weights(self.seed)
+        return weights
+
+    @functools.cached_property
+    def csr_layers(self) -> Tuple[CsrMatrix, ...]:
+        return tuple(prune_to_csr(w, sparsity=self.sparsity)
+                     for w in self.weights.conv_weights)
+
+
 def _buffer_plan(batch: int) -> List[Tuple[str, Tuple[int, ...]]]:
     """Names and shapes of all activation buffers, in stage order."""
     plan: List[Tuple[str, Tuple[int, ...]]] = []
@@ -133,15 +165,16 @@ def _per_image(batch: int, fn: Callable[[np.ndarray, np.ndarray], None],
         fn(src, dst)
 
 
-def _dense_stages(weights: AlexNetWeights, batch: int) -> List[Stage]:
+def _dense_stages(params: _Parameters, batch: int) -> List[Stage]:
     stages: List[Stage] = []
     prev = "input"
     for layer, (spec, hw) in enumerate(CONV_LAYERS):
-        w, b = weights.conv_weights[layer], weights.conv_biases[layer]
         act, pool = f"act{layer + 1}", f"pool{layer + 1}"
 
-        def conv_kernel(fn, src=prev, dst=act, w=w, b=b, spec=spec):
+        def conv_kernel(fn, src=prev, dst=act, layer=layer, spec=spec):
             def kernel(task):
+                w = params.weights.conv_weights[layer]
+                b = params.weights.conv_biases[layer]
                 _per_image(
                     batch,
                     lambda x, out: fn(x, w, b, out, spec),
@@ -157,29 +190,31 @@ def _dense_stages(weights: AlexNetWeights, batch: int) -> List[Stage]:
                          GPU: conv_kernel(conv2d_relu_gpu)},
             )
         )
-
-        def pool_kernel(fn, src=act, dst=pool):
-            def kernel(task):
-                _per_image(batch, fn, task[src], task[dst])
-            return kernel
-
-        stages.append(
-            Stage(
-                name=f"pool{layer + 1}",
-                work=maxpool_work_profile(spec.out_channels, hw, hw,
-                                          batch=batch),
-                kernels={CPU: pool_kernel(maxpool2x2_cpu),
-                         GPU: pool_kernel(maxpool2x2_gpu)},
-            )
-        )
+        stages.append(_pool_stage(spec, hw, batch, src=act, dst=pool))
         prev = pool
-    stages.append(_linear_stage(weights, batch, src=prev))
+    stages.append(_linear_stage(params, batch, src=prev))
     return stages
 
 
-def _linear_stage(weights: AlexNetWeights, batch: int, src: str) -> Stage:
+def _pool_stage(spec: ConvSpec, hw: int, batch: int, src: str,
+                dst: str) -> Stage:
+    def pool_kernel(fn):
+        def kernel(task):
+            _per_image(batch, fn, task[src], task[dst])
+        return kernel
+
+    return Stage(
+        name=dst,
+        work=maxpool_work_profile(spec.out_channels, hw, hw, batch=batch),
+        kernels={CPU: pool_kernel(maxpool2x2_cpu),
+                 GPU: pool_kernel(maxpool2x2_gpu)},
+    )
+
+
+def _linear_stage(params: _Parameters, batch: int, src: str) -> Stage:
     def linear_kernel(fn):
         def kernel(task):
+            weights = params.weights
             _per_image(
                 batch,
                 lambda x, out: fn(x, weights.fc_weights, weights.fc_bias,
@@ -196,17 +231,19 @@ def _linear_stage(weights: AlexNetWeights, batch: int, src: str) -> Stage:
     )
 
 
-def _sparse_stages(weights: AlexNetWeights, csr_layers: Tuple[CsrMatrix, ...],
-                   batch: int) -> List[Stage]:
+def _sparse_stages(params: _Parameters, batch: int) -> List[Stage]:
     stages: List[Stage] = []
     prev = "input"
     for layer, (spec, hw) in enumerate(CONV_LAYERS):
-        csr, bias = csr_layers[layer], weights.conv_biases[layer]
+        nnz = pruned_nnz(
+            spec.out_channels * spec.in_channels * spec.kernel_size**2,
+            params.sparsity)
         act, pool = f"act{layer + 1}", f"pool{layer + 1}"
 
-        def conv_kernel(fn, src=prev, dst=act, csr=csr, bias=bias,
-                        spec=spec):
+        def conv_kernel(fn, src=prev, dst=act, layer=layer, spec=spec):
             def kernel(task):
+                csr = params.csr_layers[layer]
+                bias = params.weights.conv_biases[layer]
                 _per_image(
                     batch,
                     lambda x, out: fn(x, csr, bias, out, spec),
@@ -217,29 +254,15 @@ def _sparse_stages(weights: AlexNetWeights, csr_layers: Tuple[CsrMatrix, ...],
         stages.append(
             Stage(
                 name=f"sparse-conv{layer + 1}",
-                work=sparse_conv_work_profile(spec, hw, hw, nnz=csr.nnz,
+                work=sparse_conv_work_profile(spec, hw, hw, nnz=nnz,
                                               batch=batch),
                 kernels={CPU: conv_kernel(sparse_conv2d_relu_cpu),
                          GPU: conv_kernel(sparse_conv2d_relu_gpu)},
             )
         )
-
-        def pool_kernel(fn, src=act, dst=pool):
-            def kernel(task):
-                _per_image(batch, fn, task[src], task[dst])
-            return kernel
-
-        stages.append(
-            Stage(
-                name=f"pool{layer + 1}",
-                work=maxpool_work_profile(spec.out_channels, hw, hw,
-                                          batch=batch),
-                kernels={CPU: pool_kernel(maxpool2x2_cpu),
-                         GPU: pool_kernel(maxpool2x2_gpu)},
-            )
-        )
+        stages.append(_pool_stage(spec, hw, batch, src=act, dst=pool))
         prev = pool
-    stages.append(_linear_stage(weights, batch, src=prev))
+    stages.append(_linear_stage(params, batch, src=prev))
     return stages
 
 
@@ -269,10 +292,9 @@ def _validate_logits(task: Dict[str, np.ndarray]) -> None:
 
 def build_alexnet_dense(weight_seed: int = _WEIGHT_SEED) -> Application:
     """The AlexNet-dense application: 9 stages, one image per task."""
-    weights = make_weights(weight_seed)
     return Application(
         name="alexnet-dense",
-        stages=_dense_stages(weights, batch=1),
+        stages=_dense_stages(_Parameters(weight_seed), batch=1),
         make_task=_make_task_factory(batch=1),
         validate_task=_validate_logits,
         description="Dense CNN image classification (regular dense "
@@ -287,13 +309,10 @@ def build_alexnet_sparse(
     weight_seed: int = _WEIGHT_SEED,
 ) -> Application:
     """The AlexNet-sparse application: CSR-pruned, ``batch`` images/task."""
-    weights = make_weights(weight_seed)
-    csr_layers = tuple(
-        prune_to_csr(w, sparsity=sparsity) for w in weights.conv_weights
-    )
     return Application(
         name="alexnet-sparse",
-        stages=_sparse_stages(weights, csr_layers, batch=batch),
+        stages=_sparse_stages(_Parameters(weight_seed, sparsity),
+                              batch=batch),
         make_task=_make_task_factory(batch=batch),
         validate_task=_validate_logits,
         description="Pruned (CSR) CNN image classification (irregular "

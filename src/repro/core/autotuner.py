@@ -101,46 +101,25 @@ class Autotuner:
         self.depth = depth
 
     def measure(self, candidate: ScheduleCandidate) -> AutotuneEntry:
-        """Run one candidate and record its measured per-task latency.
-
-        The candidate is validated against the application and the
-        platform's schedulable PU classes before anything executes, so
-        a hand-crafted or stale (e.g. migrated) schedule fails loudly
-        here rather than deep inside the executor.
-        """
-        validate_schedule(
-            candidate.schedule, self.application,
-            available_pus=self.platform.schedulable_classes(),
-        )
-        with tracer().span("autotuner.measure", "autotuner",
-                           rank=candidate.rank,
-                           predicted_s=candidate.predicted_latency_s):
-            executor = SimulatedPipelineExecutor(
-                self.application,
-                candidate.schedule.chunks(),
-                self.platform,
-                depth=self.depth,
-            )
-            measured = executor.measure_per_task_latency(self.eval_tasks)
-        reg = metrics()
-        if reg.enabled:
-            reg.counter("autotuner.measurements")
-            reg.observe("autotuner.measured_s", measured)
-        return AutotuneEntry(
-            rank=candidate.rank, candidate=candidate,
-            measured_latency_s=measured,
-        )
+        """Run one candidate and record its measured per-task latency:
+        a round of one through :meth:`measure_batch`, so a session
+        resumed candidate by candidate measures - and traces, as an
+        ``autotuner.round`` span then a post-hoc ``autotuner.measure`` -
+        exactly as an uninterrupted :meth:`tune` does."""
+        return self.measure_batch([candidate])[0]
 
     def measure_batch(
         self, candidates: Sequence[ScheduleCandidate],
     ) -> List[AutotuneEntry]:
         """Measure a whole round of candidates in one batched call.
 
-        Validation and executor construction happen up front; the
-        simulations then run through :func:`simulate_batch`, the DES's
-        batch entry point.  Measured latencies are identical to looping
-        :meth:`measure` (same executors, same measurement RNG keys) -
-        the batch only removes per-candidate call overhead.
+        Every candidate is validated against the application and the
+        platform's schedulable PU classes before anything executes, so
+        a hand-crafted or stale (e.g. migrated) schedule fails loudly
+        here rather than deep inside the executor.  The simulations
+        then run through :func:`simulate_batch`, the DES's batch entry
+        point; a candidate's measurement depends on nothing but the
+        candidate (its own executor, its own measurement RNG key).
         """
         executors = []
         for candidate in candidates:

@@ -53,6 +53,7 @@ from repro.kernels.sort import sort_codes_cpu, sort_codes_gpu, sort_work_profile
 from repro.kernels.sparse import (
     CsrMatrix,
     prune_to_csr,
+    pruned_nnz,
     sparse_conv2d_relu_cpu,
     sparse_conv2d_relu_gpu,
     sparse_conv_work_profile,
@@ -95,6 +96,7 @@ __all__ = [
     "morton_work_profile",
     "octree_build_work_profile",
     "prune_to_csr",
+    "pruned_nnz",
     "radix_tree_work_profile",
     "scan_work_profile",
     "sort_codes_cpu",

@@ -65,6 +65,14 @@ class CsrMatrix:
         return dense
 
 
+def pruned_nnz(size: int, sparsity: float) -> int:
+    """Non-zeros :func:`prune_to_csr` leaves of ``size`` weights - a
+    function of the shape alone, since ties are broken down to it."""
+    if not 0.0 <= sparsity < 1.0:
+        raise KernelError(f"sparsity must be in [0, 1), got {sparsity}")
+    return max(1, int(round(size * (1.0 - sparsity))))
+
+
 def prune_to_csr(weights: np.ndarray, sparsity: float) -> CsrMatrix:
     """Magnitude-prune a (K, C, R, S) weight tensor to CSR.
 
@@ -73,11 +81,9 @@ def prune_to_csr(weights: np.ndarray, sparsity: float) -> CsrMatrix:
     channel to a CSR row over ``C*R*S`` columns - the layout the sparse
     conv kernels consume.
     """
-    if not 0.0 <= sparsity < 1.0:
-        raise KernelError(f"sparsity must be in [0, 1), got {sparsity}")
     k = weights.shape[0]
     flat = weights.reshape(k, -1).astype(np.float32)
-    keep = max(1, int(round(flat.size * (1.0 - sparsity))))
+    keep = pruned_nnz(flat.size, sparsity)
     magnitudes = np.abs(flat).ravel()
     # O(n) selection of what a stable descending sort would keep: all
     # above the keep-th largest magnitude, then ties with it by index.

@@ -25,13 +25,18 @@ One production event loop and its oracle, selected by the
 ``REPRO_SIM_ENGINE`` environment variable (or the ``engine=`` constructor
 argument):
 
-* ``vector`` (default) - the event kernel: per-server
-  ``remaining``/``rate``/``busy`` state lives in flat per-server lists,
-  and instantaneous rates are recomputed only when the discrete phase
+* ``vector`` (default) - the event kernel.  A pipeline's phase order
+  is static, so a window is *compiled* before it is simulated: once per
+  executor each chunk server's phase program, once per window the flat
+  table of every step's duration (jitter drawn ahead of the loop), and
+  the loop itself only advances clocks and bumps pointers.
+  Instantaneous rates are recomputed only when the discrete phase
   signature (who is active, in which stage, which phase) actually
   changes - and then for all active servers in one pass, memoized per
-  signature.  The loop handles any pipeline width; the paper's C2 gives
-  each PU class at most one chunk, so real pipelines have 1-4 servers.
+  signature.  A fault injector is stateful and order-sensitive, so it
+  stays a hook consulted at every stage entry, in event order.  The
+  loop handles any pipeline width; the paper's C2 gives each PU class
+  at most one chunk, so real pipelines have 1-4 servers.
 * ``reference`` - the original, readable scalar loop, kept as the
   correctness oracle.  The engine-equivalence suite asserts the two
   produce byte-identical :class:`SimulatedRunResult`\\ s (completions,
@@ -95,7 +100,7 @@ from typing import (
 import numpy as np
 
 from repro.core.stage import Application, Chunk
-from repro.errors import PipelineError
+from repro.errors import PipelineError, ReproError
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.runtime.faults import FaultInjector
@@ -293,12 +298,24 @@ class _ChunkServer:
 class _VectorEngine:
     """The event kernel behind the default ``vector`` engine.
 
-    Per-server state lives in preallocated lists indexed by server
-    position; rates are memoized per *phase signature* - the tuple of
-    per-server phase codes (``-1`` idle, else ``stage * 2 + work_flag``)
-    - because between events the instantaneous rate list is a pure
-    function of that signature plus the window's external load, so the
-    memo holds one signature table per co-load value.
+    A window is compiled before it is simulated.  Once per executor,
+    each chunk server's *phase program*: per stage an overhead step iff
+    ``overhead_s > 0`` and a work step iff there was no overhead step
+    or ``work_s > 0`` - so a zero-work stage behind an overhead makes
+    no event and a zero-overhead stage makes exactly one, as in the
+    reference loop (a positive ``work_s`` stays positive under any
+    jitter and fault scale short of float underflow).  Once per window,
+    :meth:`_durations` lays out every step of every task.  The loop
+    then only bumps pointers over those lists: servers take tasks in
+    FIFO order, so a server's queue is the pair of counters
+    ``started[i] < finished[i - 1]``, read only after a task finished
+    somewhere.
+
+    Rates are memoized per *phase signature* - the tuple of per-server
+    phase codes (``-1`` idle, else ``stage * 2 + work_flag``) - because
+    between events the instantaneous rate list is a pure function of
+    that signature plus the window's external load, so the memo holds
+    one signature table per co-load value.
     """
 
     def __init__(self, executor: "SimulatedPipelineExecutor"):
@@ -306,90 +323,59 @@ class _VectorEngine:
         # cycle would leave every released placement to the cyclic GC.
         self.depth = executor.depth
         servers = executor._servers
-        n = self.n = len(servers)
+        self.n = len(servers)
         self.costs = [s.stage_costs for s in servers]
-        self.n_stages = [len(c) for c in self.costs]
         self.pu_class = [s.chunk.pu_class for s in servers]
         self.platform = executor.platform
         self.total_other = max(len(self.platform.pu_classes()) - 1, 0)
-        # -- preallocated per-server state ------------------------------
-        self.remaining = [0.0] * n
-        self.busy = [0.0] * n
-        self.phase_eps = [-1.0] * n
-        self.stage = [0] * n
-        self.task = [_IDLE] * n
-        self.noise = [1.0] * n
-        self.overhead = [False] * n
-        self.sig = [-1] * n
-        self.ready: List[Deque[int]] = [deque() for _ in range(n)]
-        self.n_active = 0
+        self.noise_key = (executor.platform.name, executor._schedule_key)
+        self.hooked = executor._injector is not None
+        #: Per server, its program: ``(phase code, overhead_s or
+        #: work_s)`` per step, and the codes alone ...
+        self.programs: List[List[Tuple[int, float]]] = []
+        self.codes: List[List[int]] = []
+        #: ... and beside each step that enters a stage, what the fault
+        #: hook needs: ``(local stage, work_s, offset of the stage's
+        #: work step or -1)``.
+        self.entries: List[List[Optional[tuple]]] = []
+        for costs in self.costs:
+            program: List[Tuple[int, float]] = []
+            entries: List[Optional[tuple]] = []
+            for stage, cost in enumerate(costs):
+                steps = []
+                if cost.overhead_s > 0.0:
+                    steps.append((stage * 2, cost.overhead_s))
+                if not steps or cost.work_s > 0.0:
+                    steps.append((stage * 2 + 1, cost.work_s))
+                offset = len(steps) - 1 if steps[-1][0] & 1 else -1
+                entries.append((stage, cost.work_s, offset))
+                entries.extend([None] * (len(steps) - 1))
+                program.extend(steps)
+            self.programs.append(program)
+            self.codes.append([code for code, _ in program])
+            self.entries.append(entries)
         #: co-load key (None: no external load) -> signature ->
-        #: (active index list, per-active rate list).
+        #: (server, rate) per active server.
         self.rate_caches: Dict[Optional[tuple],
                                Dict[Tuple[int, ...], tuple]] = {}
 
-    # -- state transitions ---------------------------------------------
-    def _reset(self) -> None:
-        for i in range(self.n):
-            self.remaining[i] = 0.0
-            self.busy[i] = 0.0
-            self.phase_eps[i] = -1.0
-            self.stage[i] = 0
-            self.task[i] = _IDLE
-            self.noise[i] = 1.0
-            self.overhead[i] = False
-            self.sig[i] = -1
-            self.ready[i].clear()
-        self.n_active = 0
-
-    def _enter_stage(self, i: int, scale_fn) -> None:
-        stage = self.stage[i]
-        cost = self.costs[i][stage]
-        noise = scale_fn(self.task[i], stage)
-        self.noise[i] = noise
-        if cost.overhead_s > 0.0:
-            self.overhead[i] = True
-            remaining = cost.overhead_s
-            self.sig[i] = stage * 2
-        else:
-            self.overhead[i] = False
-            remaining = cost.work_s * noise
-            self.sig[i] = stage * 2 + 1
-        self.remaining[i] = remaining
-        self.phase_eps[i] = remaining * _REL_EPS
-
-    def _begin_task(self, i: int, task_id: int, scale_fn) -> None:
-        self.task[i] = task_id
-        self.stage[i] = 0
-        self.n_active += 1
-        self._enter_stage(i, scale_fn)
-
-    def _next_phase(self, i: int, scale_fn) -> Optional[int]:
-        if self.overhead[i]:
-            self.overhead[i] = False
-            stage = self.stage[i]
-            work = self.costs[i][stage].work_s * self.noise[i]
-            self.remaining[i] = work
-            self.phase_eps[i] = work * _REL_EPS
-            self.sig[i] = stage * 2 + 1
-            if work > 0.0:
-                return None
-        self.stage[i] += 1
-        if self.stage[i] < self.n_stages[i]:
-            self._enter_stage(i, scale_fn)
-            return None
-        done = self.task[i]
-        self.task[i] = _IDLE
-        self.sig[i] = -1
-        self.remaining[i] = 0.0
-        self.phase_eps[i] = -1.0
-        self.n_active -= 1
-        return done
+    def _durations(self, n_tasks: int) -> List[List[float]]:
+        """One window's duration tables: per server, every step of every
+        task in the order the server walks them, ``work_s * jitter`` for
+        a work step (which a fault hook overwrites at stage entry)."""
+        name, key = self.noise_key
+        return [
+            [value * _noise_scale(name, key, task, code >> 1)
+             if code & 1 else value
+             for task in range(n_tasks) for code, value in program]
+            for program in self.programs
+        ]
 
     # -- instantaneous rates -------------------------------------------
     def _rates_for(self, key: Tuple[int, ...],
                    external: Optional[ExternalLoad]) -> tuple:
-        """Rates for every active server under one phase signature.
+        """``(server, rate)`` of every active server under one phase
+        signature.
 
         One pass over the active set, using the same scalar model calls
         as the reference engine so cached rates are bit-equal to what
@@ -427,7 +413,7 @@ class _VectorEngine:
                 if share > 0.0:
                     rate /= 1.0 + share
             rates.append(rate)
-        return active, rates
+        return tuple(zip(active, rates))
 
     # -- the event loop ------------------------------------------------
     def run_window(
@@ -438,17 +424,39 @@ class _VectorEngine:
         scale_fns: List[Callable[[int, int], float]],
         external: Optional[ExternalLoad],
     ):
-        self._reset()
-        remaining = self.remaining
-        busy = self.busy
-        phase_eps = self.phase_eps
-        task = self.task
-        ready = self.ready
-        depth = self.depth
         n = self.n
+        depth = self.depth
+        codes = self.codes
+        durations = self._durations(n_tasks)
+        entries = self.entries if self.hooked else None
         rate_cache = self.rate_caches.setdefault(
             None if external is None else external.key, {}
         )
+        remaining = [0.0] * n
+        phase_eps = [-1.0] * n
+        busy = [0.0] * n
+        sig = [_IDLE] * n
+        step = [0] * n      # position in the server's program
+        slot = [0] * n      # ... and in its duration table
+        started = [0] * n   # tasks begun / finished per server: server
+        finished = [0] * n  # i is on task started[i] - 1
+
+        def enter(i: int, k: int) -> None:
+            """Server ``i`` goes on to step ``k`` of its program."""
+            at = slot[i]
+            slot[i] = at + 1
+            if entries is not None and entries[i][k] is not None:
+                # The fault hook, at stage entry and in event order: it
+                # records, may raise, and scales the stage's work step.
+                stage, work_s, offset = entries[i][k]
+                scale = scale_fns[i](started[i] - 1, stage)
+                if offset >= 0:
+                    durations[i][at + offset] = work_s * scale
+            total = durations[i][at]
+            step[i] = k
+            remaining[i] = total
+            phase_eps[i] = total * _REL_EPS
+            sig[i] = codes[i][k]
 
         now = 0.0
         issued = 0
@@ -456,104 +464,95 @@ class _VectorEngine:
         completed: List[float] = []
         spans: List[Span] = []
         span_starts: Dict[int, float] = {}
+        handoff = False
         dirty = True
-        entry = None
+        pairs: tuple = ()
 
         while len(completed) < n_tasks:
             events += 1
-            # Admit work.
-            if (
-                task[0] == _IDLE
-                and issued < n_tasks
-                and issued - len(completed) < depth
-                and arrivals[issued] <= now + 1e-15
-            ):
-                self._begin_task(0, issued, scale_fns[0])
+            # Admit work: the first server off the arrival stream, the
+            # others off what their upstream neighbour has finished.
+            waiting = (sig[0] == _IDLE and issued < n_tasks
+                       and issued - len(completed) < depth)
+            if waiting and arrivals[issued] <= now + 1e-15:
+                waiting = False
+                started[0] = issued = issued + 1
+                enter(0, 0)
                 if record_trace:
                     span_starts[0] = now
-                issued += 1
                 dirty = True
-            for i in range(1, n):
-                if task[i] == _IDLE and ready[i]:
-                    self._begin_task(i, ready[i].popleft(), scale_fns[i])
-                    if record_trace:
-                        span_starts[i] = now
-                    dirty = True
+            if handoff:
+                handoff = False
+                for i in range(1, n):
+                    if sig[i] == _IDLE and started[i] < finished[i - 1]:
+                        started[i] += 1
+                        enter(i, 0)
+                        if record_trace:
+                            span_starts[i] = now
+                        dirty = True
 
-            if self.n_active == 0:
-                if (
-                    issued < n_tasks
-                    and arrivals[issued] > now
-                    and issued - len(completed) < depth
-                ):
+            # Instantaneous rates: recomputed (or recalled) only when
+            # the phase signature changed since the last event.
+            if dirty:
+                key = tuple(sig)
+                pairs = rate_cache.get(key)
+                if pairs is None:
+                    pairs = rate_cache[key] = self._rates_for(
+                        key, external)
+                dirty = False
+            if not pairs:
+                if waiting and arrivals[issued] > now:
                     now = arrivals[issued]  # idle until the next arrival
                     continue
                 raise PipelineError(
                     "pipeline deadlock: nothing active, tasks pending"
                 )
 
-            # Instantaneous rates: recomputed (or recalled) only when
-            # the phase signature changed since the last event.
-            if dirty:
-                key = tuple(self.sig)
-                entry = rate_cache.get(key)
-                if entry is None:
-                    entry = rate_cache[key] = self._rates_for(
-                        key, external)
-                dirty = False
-            active, rates = entry
-
             # Advance to the next phase completion (or next arrival,
-            # whichever lets the first chunk admit sooner).  The server
-            # defining dt is snapped to exactly 0 remaining after the
-            # advance, so no float residue survives.
+            # whichever lets the first chunk admit sooner).
             dt = None
             snap = -1
-            for pos, i in enumerate(active):
-                cand = remaining[i] / rates[pos]
+            for i, rate in pairs:
+                cand = remaining[i] / rate
                 if dt is None or cand < dt:
                     dt = cand
                     snap = i
             if dt < 0.0:
                 dt = 0.0
-            if (
-                task[0] == _IDLE
-                and issued < n_tasks
-                and issued - len(completed) < depth
-                and arrivals[issued] > now
-            ):
+            if waiting and arrivals[issued] > now:
                 cap = arrivals[issued] - now
                 if cap < dt:
                     dt = cap
                     snap = -1
             now += dt
-            for pos, i in enumerate(active):
-                remaining[i] -= dt * rates[pos]
-                busy[i] += dt
-            if snap >= 0:
-                remaining[snap] = 0.0
 
-            # Process completions (any server whose phase drained),
-            # in server order like the reference scan.
-            for i in active:
-                if task[i] == _IDLE or remaining[i] > phase_eps[i]:
-                    continue
-                previous_task = task[i]
-                done_task = self._next_phase(i, scale_fns[i])
+            # Drain every active server by dt.  The one defining dt
+            # drains exactly - no float residue survives it - and any
+            # whose phase is over moves on, in server order like the
+            # reference scan.
+            for i, rate in pairs:
+                busy[i] += dt
+                if i != snap:
+                    left = remaining[i] - dt * rate
+                    if left > phase_eps[i]:
+                        remaining[i] = left
+                        continue
                 dirty = True
-                if done_task is None:
+                if step[i] + 1 < len(codes[i]):
+                    enter(i, step[i] + 1)
                     continue
+                sig[i] = _IDLE
+                finished[i] += 1
+                handoff = True
                 if record_trace:
                     spans.append(record_span(
                         chunk_index=i,
                         pu_class=self.pu_class[i],
-                        task_id=previous_task,
+                        task_id=started[i] - 1,
                         start_s=span_starts.pop(i, now),
                         end_s=now,
                     ))
-                if i + 1 < n:
-                    ready[i + 1].append(done_task)
-                else:
+                if i + 1 == n:
                     completed.append(now)
 
         return completed, spans, dict(enumerate(busy)), now, events
@@ -623,7 +622,7 @@ def simulate_batch(
     and the autotuner (all measurements of a round) use.  Each window
     is simulated on its own executor under its own external load, so
     an executor repeated across windows or batches keeps its
-    preallocated engine state and its rate memo - unless the caller
+    compiled phase programs and its rate memo - unless the caller
     hands the window's result back with it (``SimWindow.remembered``),
     in which case that result is reported and returned in the window's
     place in the order.
@@ -638,8 +637,6 @@ def simulate_batch(
             is a list of outcomes.  When false (default), results are
             returned directly and the first error propagates.
     """
-    from repro.errors import ReproError
-
     if not collect_errors:
         return [window.run() for window in windows]
     outcomes: List[SimBatchOutcome] = []

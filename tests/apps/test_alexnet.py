@@ -151,3 +151,113 @@ class TestWorkProfiles:
         image = cifar_like_image(0)
         assert image.shape == (3, 32, 32)
         assert image.min() >= 0.0 and image.max() <= 1.0
+
+
+class TestLazyParameters:
+    """Planning and simulation read only ``WorkProfile``s; the tensors
+    are made when a kernel first runs."""
+
+    def test_paper_applications_build_no_weight_tensor(self, monkeypatch):
+        import repro.apps.alexnet as alexnet
+        from repro.eval.experiments.common import (
+            ExperimentScale,
+            build_applications,
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a weight tensor was constructed")
+
+        monkeypatch.setattr(alexnet, "make_weights", forbidden)
+        monkeypatch.setattr(alexnet, "prune_to_csr", forbidden)
+        apps = build_applications(ExperimentScale.paper())
+        assert sorted(apps) == ["alexnet-dense", "alexnet-sparse", "octree"]
+        assert all(stage.work.flops > 0
+                   for app in apps.values() for stage in app.stages)
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5, 0.995])
+    def test_nnz_from_the_shape_is_what_pruning_leaves(self, sparsity):
+        from repro.kernels import prune_to_csr, pruned_nnz
+
+        # Each conv layer's real weights, then the same shapes with
+        # magnitudes forced to tie across the threshold.
+        for weights in make_weights().conv_weights:
+            for tensor in (weights, np.round(weights, 1)):
+                assert (pruned_nnz(tensor.size, sparsity)
+                        == prune_to_csr(tensor, sparsity).nnz)
+
+    def test_sparse_profile_nnz_matches_the_pruned_layers(self):
+        from repro.kernels import prune_to_csr, sparse_conv_work_profile
+
+        app = build_alexnet_sparse(sparsity=0.9, batch=2)
+        weights = make_weights().conv_weights
+        for layer, (spec, hw) in enumerate(CONV_LAYERS):
+            csr = prune_to_csr(weights[layer], sparsity=0.9)
+            assert app.stage(f"sparse-conv{layer + 1}").work == (
+                sparse_conv_work_profile(spec, hw, hw, nnz=csr.nnz,
+                                         batch=2))
+
+    def test_bad_sparsity_still_fails_at_build(self):
+        from repro.errors import KernelError
+
+        with pytest.raises(KernelError):
+            build_alexnet_sparse(sparsity=1.0)
+
+    def test_both_networks_of_a_seed_share_one_set_of_tensors(self,
+                                                              monkeypatch):
+        import repro.apps.alexnet as alexnet
+
+        made = []
+        original = alexnet.make_weights
+        monkeypatch.setattr(
+            alexnet, "make_weights",
+            lambda seed: made.append(seed) or original(seed))
+        dense = build_alexnet_dense(weight_seed=5)
+        sparse = build_alexnet_sparse(batch=2, weight_seed=5)
+        run_single_task(dense, [Chunk(0, 9, "big")])
+        run_single_task(sparse, [Chunk(0, 9, "big")])
+        assert made == [5]
+
+    def test_logits_equal_an_eagerly_built_network(self, dense_app,
+                                                   sparse_app):
+        # The forward pass as the eager builder ran it: tensors made up
+        # front, the host kernels applied stage by stage.
+        from repro.kernels import (
+            conv2d_relu_cpu,
+            linear_cpu,
+            maxpool2x2_cpu,
+            prune_to_csr,
+            sparse_conv2d_relu_cpu,
+        )
+
+        weights = make_weights()
+
+        def forward(image, conv):
+            x = image
+            for layer, (spec, hw) in enumerate(CONV_LAYERS):
+                act = np.zeros((spec.out_channels, hw, hw), np.float32)
+                conv(layer, x, act, spec)
+                x = np.zeros((spec.out_channels, hw // 2, hw // 2),
+                             np.float32)
+                maxpool2x2_cpu(act, x)
+            logits = np.zeros(10, np.float32)
+            linear_cpu(x, weights.fc_weights, weights.fc_bias, logits)
+            return logits
+
+        def dense_conv(layer, x, out, spec):
+            conv2d_relu_cpu(x, weights.conv_weights[layer],
+                            weights.conv_biases[layer], out, spec)
+
+        csr = [prune_to_csr(w, sparsity=0.995)
+               for w in weights.conv_weights]
+
+        def sparse_conv(layer, x, out, spec):
+            sparse_conv2d_relu_cpu(x, csr[layer],
+                                   weights.conv_biases[layer], out, spec)
+
+        got = run_single_task(dense_app, [Chunk(0, 9, "big")])[0]
+        assert got.tobytes() == forward(
+            dense_app.make_task(0)["input"], dense_conv).tobytes()
+        got = run_single_task(sparse_app, [Chunk(0, 9, "big")])[0]
+        batch = sparse_app.make_task(0)["input"]
+        want = np.stack([forward(image, sparse_conv) for image in batch])
+        assert got.tobytes() == want.tobytes()

@@ -88,6 +88,37 @@ class TestCheckpointing:
         assert (plan.autotune.measured_best.measured_latency_s
                 == plain.autotune.measured_best.measured_latency_s)
 
+    def test_session_measures_through_the_batch_path(self, tmp_path,
+                                                     framework, app):
+        """A session measures candidate by candidate, each a round of
+        one through ``Autotuner.measure_batch``: per candidate an
+        ``autotuner.round`` span around the DES, then the post-hoc
+        ``autotuner.measure`` a plain ``tune`` emits - with the same
+        measured latencies, so the checkpoints cannot tell."""
+        from repro.obs import capture
+
+        def autotuner_spans(events):
+            return [(e.name, e.attr("candidates"), e.attr("rank"),
+                     e.attr("measured_s")) for e in events
+                    if e.category == "autotuner"]
+
+        with capture() as cap:
+            _, plan = run_campaign(tmp_path, framework, app)
+        spans = autotuner_spans(cap.events)
+        measured = {entry.rank: entry.measured_latency_s
+                    for entry in plan.autotune.entries}
+        assert spans == [
+            span for rank in sorted(measured) for span in (
+                ("autotuner.round", 1, None, None),
+                ("autotuner.measure", None, rank, measured[rank]))
+        ]
+        with capture() as cap:
+            plain = framework.run(app)
+        assert [span for span in autotuner_spans(cap.events)
+                if span[0] == "autotuner.measure"] == spans[1::2]
+        assert {entry.rank: entry.measured_latency_s
+                for entry in plain.autotune.entries} == measured
+
     def test_parameter_mismatch_rejected(self, tmp_path, framework, app):
         session, _ = run_campaign(tmp_path, framework, app)
         other = BetterTogether(framework.platform, repetitions=5, k=3,

@@ -10,11 +10,11 @@ the long-lived executor must return, window for window, a
 :class:`~repro.core.plan_cache.Deployment` around it, which hands back
 the results it remembers instead of running the DES again.
 
-What could break that is state leaking between windows: engine state
-that ``_reset`` misses, a rate memo that answers for the wrong co-load,
-or a remembered result that answers for the wrong window.  The seeded
-mutants at the bottom plant exactly those and must be caught by the
-same oracles.
+What could break that is state leaking between windows: a compiled
+duration table that outlives its window, a rate memo that answers for
+the wrong co-load, or a remembered result that answers for the wrong
+window.  The seeded mutants at the bottom plant exactly those and must
+be caught by the same oracles.
 """
 
 import dataclasses
@@ -322,9 +322,14 @@ class TestSeededMutants:
             [("a", A, 4), ("b", A, 3), ("a", B, 3), ("c", A, 4)]
         ) == [1]
 
-    def test_reset_skipped_between_windows(self, monkeypatch):
-        monkeypatch.setattr(sim._VectorEngine, "_reset",
-                            lambda self: None)
-        assert diverging_windows(
-            SCHEDULES["two-way"], "vector", windows_of([None, None])
-        ) == [1]
+    def test_duration_table_kept_between_windows(self, monkeypatch):
+        # The table of a 4-task window answering for an 8-task one:
+        # the fifth task walks off its end.
+        original = sim._VectorEngine._durations
+        monkeypatch.setattr(
+            sim._VectorEngine, "_durations",
+            lambda engine, n_tasks: engine.__dict__.setdefault(
+                "kept", original(engine, n_tasks)))
+        windows = [("a", None, 4, True, None), ("b", None, 8, True, None)]
+        with pytest.raises(IndexError):
+            diverging_windows(SCHEDULES["two-way"], "vector", windows)
