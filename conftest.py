@@ -74,6 +74,25 @@ def always_price(monkeypatch):
 
 
 @pytest.fixture
+def always_solve(monkeypatch):
+    """The lazy-plan oracle's switch.  Calling the returned function
+    makes every ``CachedPlan`` answer ``singles`` by filtering its
+    *solved* list for one-class schedules for the rest of the test, so
+    a capped admission solves every plan it prices and picks among the
+    solver's candidate objects, offline ranks included - the eager
+    design the table-only singles replaced, kept only here (there is no
+    production switch) so the suites can run one soak both ways and
+    compare bytes."""
+    def arm():
+        from repro.core.plan_cache import CachedPlan
+        from tests.solve_oracle import solved_singles
+
+        monkeypatch.setattr(
+            CachedPlan, "singles", property(solved_singles))
+    return arm
+
+
+@pytest.fixture
 def tick_raises():
     """Calling the returned function makes tick number ``tick`` of a
     ``PipelineServer`` or ``FleetRouter`` (both keep the tick body in

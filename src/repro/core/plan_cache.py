@@ -11,10 +11,14 @@ artifacts once per platform and shares them across every tenant:
 
 * both profiling tables - ``isolated`` and ``interference`` - because
   the admission controller and the drift detector need *both* ends of
-  the contention spectrum to place a measurement between them;
+  the contention spectrum to place a measurement between them - all a
+  cold plan pays for; the rest is derived from them on first use:
+* the single-class candidates, one column sum of the interference
+  table each - all an admission capped at one PU class can grant;
 * the optimizer's candidate set (from the interference-aware table,
-  the paper's real flow), which the online rescheduler re-ranks when
-  contention shifts.
+  the paper's real flow), solved for its first reader: an uncapped
+  admission, or the online rescheduler re-ranking when contention
+  shifts.
 
 The same economics hold *below* the plan.  BT-Implementer builds a
 pipeline once per deployed schedule, and what a deployed schedule does
@@ -30,7 +34,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.optimizer import (
     DEFAULT_GAP_SLACK,
@@ -73,6 +78,26 @@ _DEPLOYMENTS_KEPT = 32
 _RESULTS_KEPT = 64
 
 
+def single_class_candidates(
+    application: Application, table: ProfilingTable,
+    pu_classes: Iterable[str],
+) -> List[ScheduleCandidate]:
+    """One candidate per PU class with every stage on it, ordered by
+    (predicted latency, class name) and ranked by that position.  A
+    one-chunk schedule's latency is its class's column sum and its
+    gapness 0 by definition, so the table alone prices it."""
+    stages = application.stage_names
+    priced = sorted(
+        (sum(table.latency(stage, pu_class) for stage in stages), pu_class)
+        for pu_class in set(pu_classes))
+    return [
+        ScheduleCandidate(
+            rank=rank, schedule=Schedule.homogeneous(len(stages), pu_class),
+            predicted_latency_s=latency, gapness_s=0.0)
+        for rank, (latency, pu_class) in enumerate(priced)
+    ]
+
+
 def with_packing_candidates(
     optimization: OptimizationResult,
     application: Application,
@@ -90,26 +115,9 @@ def with_packing_candidates(
     """
     existing = {c.schedule.assignments for c in optimization.candidates}
     extended = list(optimization.candidates)
-    singles = []
-    for pu_class in sorted(set(pu_classes)):
-        schedule = Schedule.homogeneous(application.num_stages, pu_class)
-        if schedule.assignments in existing:
-            continue
-        singles.append(schedule)
-    # Deterministic order: by predicted latency, then class name.
-    singles.sort(key=lambda s: (s.predicted_latency(application, table),
-                                s.assignments[0]))
-    for schedule in singles:
-        extended.append(
-            ScheduleCandidate(
-                rank=len(extended),
-                schedule=schedule,
-                predicted_latency_s=schedule.predicted_latency(
-                    application, table
-                ),
-                gapness_s=schedule.gapness(application, table),
-            )
-        )
+    for single in single_class_candidates(application, table, pu_classes):
+        if single.schedule.assignments not in existing:
+            extended.append(replace(single, rank=len(extended)))
     return replace(optimization, candidates=extended)
 
 
@@ -150,20 +158,48 @@ def tenant_offered_load(
 class CachedPlan:
     """One application's reusable planning artifacts on one platform.
 
-    The plan is frozen and so are its tables, so a schedule's predicted
-    latencies are facts of the plan: computed on first use - never at
-    build time, so a plan nobody prices costs nothing extra - and
+    The plan is frozen and so are its tables, so everything else is a
+    fact of the plan: computed on first use - never at build time, so a
+    plan nobody prices, or nobody re-ranks, costs nothing extra - and
     looked up from then on.
     """
 
     application: Application
     isolated: ProfilingTable
     interference: ProfilingTable
-    optimization: OptimizationResult
+    #: The PU classes a schedule may use.
+    schedulable: Tuple[str, ...]
+    #: Levels 1 and 2 for this plan; the first read of ``optimization``.
+    solve: Callable[["CachedPlan"], OptimizationResult]
     #: assignments -> (isolated, interference, contention span).
     _predictions: Dict[Tuple[str, ...], Tuple[float, float, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False,
     )
+
+    @cached_property
+    def singles(self) -> List[ScheduleCandidate]:
+        """The single-class candidates, lowest predicted latency first,
+        ranked by position in *this* list: the one-class members of
+        :attr:`optimization` in the same order, without the solve."""
+        return single_class_candidates(
+            self.application, self.interference, self.schedulable
+        )
+
+    @cached_property
+    def optimization(self) -> OptimizationResult:
+        """BT-Optimizer's ranked candidates plus the packing candidates;
+        a trace shows which pricing or re-rank paid for the solve."""
+        with tracer().span("plan_cache.solve", "plan_cache",
+                           application=self.application.name):
+            return self.solve(self)
+
+    def within(self, cap: Optional[int]) -> Sequence[ScheduleCandidate]:
+        """The candidates using at most ``cap`` PU classes (None: all),
+        best first; only ``singles`` meet a cap of one: it never solves."""
+        if cap == 1:
+            return self.singles
+        return [c for c in self.optimization.candidates
+                if cap is None or len(c.schedule.class_set) <= cap]
 
     def predictions(self, schedule: Schedule) -> Tuple[float, float, float]:
         """``(isolated, interference, contention span)`` of ``schedule``
@@ -293,32 +329,33 @@ class PlanCache:
         self.misses += 1
         if reg.enabled:
             reg.counter("plan_cache.misses")
-        # The build span parents the whole miss path, so a trace shows
-        # exactly which tenant admission paid for profiling + solving.
+        # The build span parents the profiler, so a trace shows exactly
+        # which tenant admission paid for the tables.
         with tracer().span("plan_cache.build", "plan_cache",
                            application=application.name):
             isolated, interference = self.profiler.profile_both(
                 application
             )
-            schedulable = self.platform.schedulable_classes()
-            optimizer = BTOptimizer(
-                application,
-                interference.restricted(schedulable),
-                k=self.k,
-                gap_slack=self.gap_slack,
-                time_budget_s=self.time_budget_s,
-            )
-            plan = CachedPlan(
-                application=application,
-                isolated=isolated,
-                interference=interference,
-                optimization=with_packing_candidates(
-                    optimizer.optimize(), application, interference,
-                    schedulable,
-                ),
-            )
-        self._plans[application.name] = plan
+        plan = self._plans[application.name] = CachedPlan(
+            application, isolated, interference,
+            schedulable=self.platform.schedulable_classes(),
+            solve=self._solve,
+        )
         return plan
+
+    def _solve(self, plan: CachedPlan) -> OptimizationResult:
+        """``plan.optimization``: BT-Optimizer over the schedulable
+        columns of the interference table, packing candidates after."""
+        optimizer = BTOptimizer(
+            plan.application,
+            plan.interference.restricted(plan.schedulable),
+            k=self.k, gap_slack=self.gap_slack,
+            time_budget_s=self.time_budget_s,
+        )
+        return with_packing_candidates(
+            optimizer.optimize(), plan.application, plan.interference,
+            plan.schedulable,
+        )
 
     def deployment_for(self, application: Application,
                        schedule: Schedule) -> Deployment:

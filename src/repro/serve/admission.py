@@ -133,11 +133,8 @@ class AdmissionController:
                 f"{len(required)} required PU classes "
                 f"exceed the per-tenant partition cap of {cap}",
             )
-        coverable = [
-            c for c in plan.optimization.candidates
-            if required <= c.schedule.class_set
-            and (cap is None or len(c.schedule.class_set) <= cap)
-        ]
+        coverable = [c for c in plan.within(cap)
+                     if required <= c.schedule.class_set]
         if not coverable:
             return AdmissionDecision(
                 REJECT,
@@ -166,7 +163,7 @@ class AdmissionController:
 
         # Pick the candidate: impact ceiling first, then the soft
         # placement preference, then modelled latency under today's
-        # load, then offline rank as the deterministic tiebreak.
+        # load; a tie goes to the earlier (better-ranked) candidate.
         preferred = spec.preferred_classes
         best: Optional[ScheduleCandidate] = None
         best_key = None
@@ -190,7 +187,7 @@ class AdmissionController:
             )
             latency = isolated + fraction * (interference - isolated)
             key = (worst > self.max_impact_ratio,
-                   not preferred <= own, latency, candidate.rank)
+                   not preferred <= own, latency)
             if best_key is None or key < best_key:
                 best, best_key, best_impact = candidate, key, impact
         assert best is not None and best_key is not None
@@ -204,8 +201,8 @@ class AdmissionController:
             )
         return AdmissionDecision(
             ADMIT,
-            f"candidate rank {best.rank} fits free PUs "
-            f"{sorted(best.schedule.class_set)}",
+            f"candidate on {sorted(best.schedule.class_set)} fits the "
+            "free PUs",
             candidate=best,
             predicted_latency_s=best_key[2],
             predicted_impact=best_impact,

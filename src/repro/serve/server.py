@@ -636,7 +636,6 @@ class PipelineServer:
         )
         record.plan = plan
         record.schedule = schedule
-        record.candidates = plan.optimization.candidates
         record.status = RUNNING
         self._live[spec.name] = record
         record.status_detail = decision.reason

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, List, Optional
 
-from repro.core.optimizer import ScheduleCandidate
 from repro.core.plan_cache import CachedPlan
 from repro.core.schedule import Schedule
 from repro.core.stage import Application
@@ -153,7 +152,6 @@ class TenantRecord:
     plan: Optional[CachedPlan] = None
     schedule: Optional[Schedule] = None
     partition: FrozenSet[str] = frozenset()
-    candidates: Sequence[ScheduleCandidate] = ()
     #: Every window served, in order (the rows the server wrote).
     history: List[WindowSample] = field(default_factory=list)
     reschedules: int = 0

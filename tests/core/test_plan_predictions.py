@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Schedule, Stage
-from repro.core.optimizer import OptimizationResult, ScheduleCandidate
 from repro.core.plan_cache import CachedPlan
 from repro.core.profiler import ProfilingTable
 from repro.core.schedule import enumerate_schedules
@@ -51,11 +50,15 @@ def fresh_span(schedule, app, isolated, interference):
     return max(schedule.predicted_latency(app, interference) / base, 1.0)
 
 
+def never_solves(plan):
+    raise AssertionError("a prediction does not need the solved list")
+
+
 @st.composite
 def plans(draw):
-    """A generated application, both tables, and a plan whose candidate
-    set is an arbitrary subset of the enumerated schedules (the memo
-    serves candidates and rescheduler-only schedules alike)."""
+    """A generated application, both tables, and a plan over them (the
+    memo serves candidates and rescheduler-only schedules alike, so
+    every enumerated schedule is asked for)."""
     n_stages = draw(st.integers(min_value=1, max_value=4))
     stages = [
         Stage.model_only(f"s{i}", WorkProfile(
@@ -74,24 +77,9 @@ def plans(draw):
 
     isolated, interference = table("isolated"), table("interference")
     schedules = enumerate_schedules(n_stages, PUS)
-    picked = draw(st.lists(st.sampled_from(schedules), unique=True,
-                           max_size=6))
-    candidates = [
-        ScheduleCandidate(
-            rank=rank, schedule=schedule,
-            predicted_latency_s=schedule.predicted_latency(
-                app, interference),
-            gapness_s=schedule.gapness(app, interference),
-        )
-        for rank, schedule in enumerate(picked)
-    ]
     plan = CachedPlan(
         application=app, isolated=isolated, interference=interference,
-        optimization=OptimizationResult(
-            application=app.name, platform="generated",
-            candidates=candidates, gap_threshold_s=0.0,
-            utilization_optimum=None,
-        ),
+        schedulable=PUS, solve=never_solves,
     )
     return plan, schedules
 
@@ -142,6 +130,27 @@ class TestPlanMemo:
         # however often and through whichever accessor it is asked.
         assert len(calls) == 2 * len(schedules)
 
+    @settings(max_examples=60, deadline=None)
+    @given(plans())
+    def test_singles_equal_fresh_pricing_on_the_interference_table(
+        self, generated
+    ):
+        """One candidate per schedulable class, priced as ``Schedule``
+        prices it on the interference table, lowest latency first
+        (class name on a tie), ranked by position - without solving."""
+        plan, _ = generated
+        app = plan.application
+        fresh = sorted(
+            (schedule.predicted_latency(app, plan.interference), pu,
+             schedule.gapness(app, plan.interference), schedule)
+            for pu in PUS
+            for schedule in [Schedule.homogeneous(app.num_stages, pu)]
+        )
+        assert [(c.predicted_latency_s, c.schedule.assignments[0],
+                 c.gapness_s, c.schedule) for c in plan.singles] == fresh
+        assert [c.rank for c in plan.singles] == list(range(len(PUS)))
+        assert plan.within(1) is plan.singles
+
     def test_zero_isolated_latency_spans_one(self):
         app = Application("zero", [Stage.model_only(
             "s0", WorkProfile(flops=1.0, bytes_moved=1.0,
@@ -157,10 +166,7 @@ class TestPlanMemo:
         plan = CachedPlan(
             application=app, isolated=table("isolated", 0.0),
             interference=table("interference", 3.0),
-            optimization=OptimizationResult(
-                application="zero", platform="generated", candidates=[],
-                gap_threshold_s=0.0, utilization_optimum=None,
-            ),
+            schedulable=("big",), solve=never_solves,
         )
         schedule = Schedule.homogeneous(1, "big")
         assert plan.predictions(schedule) == (0.0, 3.0, 1.0)

@@ -33,7 +33,7 @@ def plan(plan_cache, app):
 
 def single_class_schedule(plan, pu_class):
     """The packing candidate pinned to one PU class."""
-    for candidate in plan.optimization.candidates:
-        if set(candidate.schedule.pu_classes_used) == {pu_class}:
+    for candidate in plan.singles:
+        if candidate.schedule.class_set == {pu_class}:
             return candidate.schedule
     raise AssertionError(f"no single-class candidate for {pu_class!r}")

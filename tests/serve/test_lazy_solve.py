@@ -1,0 +1,89 @@
+"""One server: a plan is solved by the first reader of its K-best.
+
+Admission capped at one PU class per tenant picks among
+``CachedPlan.singles`` and never solves; the rescheduler, on which the
+cap does not bind, re-ranks the full list, so the first re-rank of a
+plan solves it - once.  The oracle is the same server with every plan
+answering ``singles`` off its *solved* list (the root conftest's
+``always_solve``, a test-only monkeypatch - there is no production
+switch): every report, timeline, history and span list must come out
+byte-identical either way, with strictly fewer solves shipped.  An
+uncapped server reads the solved list at its first pricing, as ever.
+"""
+
+import pytest
+
+from repro.serve import SoakScenario, build_soak_server
+from repro.serve.admission import ADMIT
+from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
+from repro.serve.tenant import TenantSpec
+
+from tests.epoch_oracle import first_difference
+from tests.serve.test_window_reuse import observed
+from tests.serve.test_admission_oracle import (
+    reference_evaluate,
+    same_decision,
+)
+from tests.solve_oracle import count_solves, distinct, record_reranks
+
+
+def soak(reschedule):
+    """The shipped soak - a hard and two soft placements, the rejected
+    probe, an open-ended drift - plus a drift that comes and goes."""
+    server = build_soak_server(
+        SoakScenario(seed=7, windows=30), reschedule=reschedule)
+    server.inject_drift(DriftSpec(
+        start_tick=10, end_tick=15, busy={"little": 0.6},
+        demand_gbps=30.0))
+    return server, server.run()
+
+
+@pytest.mark.parametrize("reschedule", [False, True],
+                         ids=["frozen", "reschedule"])
+def test_soak_bytes_do_not_depend_on_when_a_plan_is_solved(
+        monkeypatch, always_solve, reschedule):
+    solved = count_solves(monkeypatch)
+    reranked = record_reranks(monkeypatch)
+    server, report = soak(reschedule)
+    shipped = observed(server, report)
+    events = [e["event"] for e in server.timeline]
+    assert report.tenants["tenant-probe"].status == "rejected"
+    assert ("reschedule" in events) == reschedule
+    # One solve per plan somebody re-ranked, however often.
+    assert sorted(solved) == distinct(reranked)
+    assert bool(solved) == reschedule
+    if reschedule:
+        assert len(reranked) > len(solved)
+    paid = len(solved)
+
+    always_solve()
+    del solved[:]
+    oracle_server, oracle_report = soak(reschedule)
+    assert first_difference(
+        shipped, observed(oracle_server, oracle_report)) is None
+    # The eager design solves every plan it prices.
+    assert len(solved) == report.plan_cache["misses"] > paid
+
+
+def test_an_uncapped_server_solves_at_its_first_pricing(
+        monkeypatch, platform, app):
+    solved = count_solves(monkeypatch)
+    server = PipelineServer(platform, seed=5, config=ServerConfig(
+        max_ticks=16, max_partition_classes=None))
+    server.open_stepped()
+    assert server.admission.max_partition_classes is None
+    for index in range(3):
+        spec = TenantSpec(name=f"wide{index}", application=app,
+                          windows=4, window_tasks=4)
+        decision = server.price(spec)
+        assert solved == [app.name]
+        assert same_decision(decision, reference_evaluate(
+            server.admission, spec, server.placement,
+            server.running_records(), 0))
+        if decision.action == ADMIT:
+            # One of the solver's own candidate objects, rank and all.
+            plan = server.plan_cache.plan_for(app)
+            assert any(decision.candidate is c
+                       for c in plan.optimization.candidates)
+            server.admit(spec, 0, decision)
+    assert len(server.placement) >= 1
