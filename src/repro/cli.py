@@ -21,12 +21,16 @@ Commands:
 * ``trace``                    - traced run, Perfetto/Chrome or Gantt export
 * ``submit``                   - submit one job to a fresh server, report admission
 * ``lint``                     - static invariant linter over the tree
+* ``flow``                     - whole-program determinism-flow analysis
 * ``race``                     - dynamic concurrency checker (REPRO_CHECK)
 * ``report``                   - regenerate every paper table/figure
 
-Every command exits non-zero on failure and prints a structured
-(JSON) error description to stderr, so campaign drivers and CI can
-react to failures without scraping tracebacks.
+Output follows one contract (:class:`_TextSink`): ``--json`` makes the
+result the only document on stdout, ``--out`` persists it without
+changing stdout, and every status note goes to stderr.  Every command
+exits non-zero on failure and prints a structured (JSON) error
+description to stderr, so campaign drivers and CI can react to
+failures without scraping tracebacks.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import List, Optional
 from repro.apps import APPLICATION_BUILDERS
 from repro.baselines import measure_baselines
 from repro.core import BetterTogether, CampaignSession
-from repro.core.profiler import INTERFERENCE, MODES, BTProfiler
+from repro.core.profiler import INTERFERENCE, MODES
 from repro.errors import CampaignError, ReproError
 from repro.eval.experiments import ExperimentScale
 from repro.eval.metrics import format_table
@@ -53,7 +57,7 @@ from repro.runtime import (
     ThreadedPipelineExecutor,
     format_gantt,
 )
-from repro.serialization import save, write_json_report
+from repro.serialization import atomic_write_text, save, write_json_report
 from repro.soc import PLATFORM_NAMES, get_platform
 from repro.soc.platforms import _BUILDERS as _ALL_PLATFORMS
 
@@ -69,34 +73,87 @@ def _build_app(name: str):
     return builder()
 
 
-def _platform(name: str):
+def _target(args: argparse.Namespace, **framework_kwargs):
+    """``(platform, application, framework)`` named by the target flags
+    (:func:`_add_target_args`); ``framework_kwargs`` go to
+    :class:`BetterTogether` as they are."""
     # PlatformError propagates to main()'s structured error handler.
-    return get_platform(name)
+    platform = get_platform(args.platform)
+    application = _build_app(args.app)
+    framework = BetterTogether(
+        platform, repetitions=args.repetitions, k=args.k,
+        eval_tasks=args.eval_tasks, **framework_kwargs,
+    )
+    return platform, application, framework
+
+
+class _TextSink:
+    """The single emitter of a command's output.
+
+    Commands with a ``--json`` mode route *every* human-oriented line
+    through :meth:`line` instead of bare ``print`` calls; in JSON mode
+    the sink swallows them, so stdout carries exactly one parseable
+    JSON document - the one :meth:`result` prints - and nothing else.
+    Status notes that must survive JSON mode (file-written
+    confirmations) go to stderr via :meth:`note`, so stdout is the same
+    with or without ``--out``.
+    """
+
+    def __init__(self, out: Optional[str] = None, json_mode: bool = False):
+        self.out = out
+        self.json_mode = json_mode
+
+    def line(self, text: str = "") -> None:
+        """Emit one human-readable line (dropped in ``--json`` mode)."""
+        if not self.json_mode:
+            print(text)
+
+    @staticmethod
+    def note(text: str) -> None:
+        """Out-of-band status note; always stderr, never stdout."""
+        print(text, file=sys.stderr)
+
+    def result(self, payload: dict, what: str) -> None:
+        """The command's one result: printed as JSON in JSON mode, and
+        with ``--out`` persisted through the sanctioned atomic report
+        sink, confirmed on stderr."""
+        if self.json_mode:
+            print(json.dumps(payload, indent=2))
+        if self.out:
+            write_json_report(self.out, payload)
+            self.note(f"{what} saved to {self.out}")
+
+
+def _run_reported(run, trace_out: Optional[str], sink: _TextSink):
+    """Call ``run()`` for its report and return ``(report, payload)``.
+
+    With ``trace_out`` the run happens under observability capture: the
+    payload gains the metrics snapshot and the Chrome/Perfetto trace of
+    the run is written to that file.
+    """
+    import repro.obs as obs
+
+    if not trace_out:
+        report = run()
+        return report, report.to_dict()
+    with obs.capture() as cap:
+        report = run()
+        snapshot = cap.metrics.snapshot()
+        payload = report.to_dict()
+        payload["metrics"] = snapshot
+        trace = obs.chrome_trace(cap.events, snapshot)
+    obs.write_trace(trace_out, trace)
+    sink.note(f"trace ({len(cap.events)} events) saved to {trace_out}")
+    return report, payload
 
 
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
-def _emit_listing(args: argparse.Namespace, payload: dict,
-                  text_lines: List[str]) -> int:
-    """Shared output plumbing for the listing commands: ``--json``
-    prints machine-readable output, ``--out`` persists the same payload
-    through the sanctioned atomic report sink."""
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-    if args.out:
-        write_json_report(args.out, payload)
-        print(f"listing saved to {args.out}", file=sys.stderr)
-    return 0
-
-
 def cmd_platforms(args: argparse.Namespace) -> int:
     """List registered platforms (paper grid starred)."""
+    sink = _TextSink(args.out, args.json)
     rows = []
-    lines = []
     for name in _ALL_PLATFORMS:
         platform = get_platform(name)
         rows.append({
@@ -108,17 +165,18 @@ def cmd_platforms(args: argparse.Namespace) -> int:
             "schedulable_classes": list(platform.schedulable_classes()),
         })
         marker = "*" if name in PLATFORM_NAMES else " "
-        lines.append(f"{marker} {name}: {platform.display_name} "
-                     f"({platform.soc_model})")
-    lines.append("")
-    lines.append("* = part of the paper's evaluation grid")
-    return _emit_listing(args, {"platforms": rows}, lines)
+        sink.line(f"{marker} {name}: {platform.display_name} "
+                  f"({platform.soc_model})")
+    sink.line()
+    sink.line("* = part of the paper's evaluation grid")
+    sink.result({"platforms": rows}, "listing")
+    return 0
 
 
 def cmd_apps(args: argparse.Namespace) -> int:
     """List registered applications."""
+    sink = _TextSink(args.out, args.json)
     rows = []
-    lines = []
     for name, builder in APPLICATION_BUILDERS.items():
         app = builder()
         rows.append({
@@ -127,39 +185,32 @@ def cmd_apps(args: argparse.Namespace) -> int:
             "description": app.description,
             "input_kind": app.input_kind,
         })
-        lines.append(f"{name}: {app.num_stages} stages - "
-                     f"{app.description}")
-    return _emit_listing(args, {"applications": rows}, lines)
+        sink.line(f"{name}: {app.num_stages} stages - {app.description}")
+    sink.result({"applications": rows}, "listing")
+    return 0
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Collect and print a profiling table; optionally save JSON."""
-    platform = _platform(args.platform)
-    application = _build_app(args.app)
-    profiler = BTProfiler(platform, repetitions=args.repetitions)
-    table = profiler.profile(application, mode=args.mode)
+    platform, application, framework = _target(args)
+    table = framework.profile(application, mode=args.mode)
     print(f"profiling table ({args.mode}) for {application.name} on "
           f"{platform.display_name} (ms):")
     print(format_table(table.to_rows()))
     if args.out:
         save(table, args.out)
-        print(f"saved to {args.out}")
+        _TextSink.note(f"profiling table saved to {args.out}")
     return 0
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     """Run the end-to-end flow and print the deployment plan."""
-    platform = _platform(args.platform)
-    application = _build_app(args.app)
-    framework = BetterTogether(
-        platform, repetitions=args.repetitions, k=args.k,
-        eval_tasks=args.eval_tasks,
-    )
+    _, application, framework = _target(args)
     plan = framework.run(application)
     print(plan.summary())
     if args.out:
         save(plan.schedule, args.out)
-        print(f"schedule saved to {args.out}")
+        _TextSink.note(f"schedule saved to {args.out}")
     return 0
 
 
@@ -172,12 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     session, catching mistyped paths on what was meant to be a resume.
     Without either, this is equivalent to ``plan`` (no checkpoints).
     """
-    platform = _platform(args.platform)
-    application = _build_app(args.app)
-    framework = BetterTogether(
-        platform, repetitions=args.repetitions, k=args.k,
-        eval_tasks=args.eval_tasks, time_budget_s=args.time_budget_s,
-    )
+    _, application, framework = _target(args, time_budget_s=args.time_budget_s)
     directory = args.resume or args.session
     if args.resume and not (args.resume / "manifest.json").exists():
         raise CampaignError(
@@ -201,7 +247,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_baselines(args: argparse.Namespace) -> int:
     """Measure the homogeneous CPU-only / GPU-only baselines."""
-    platform = _platform(args.platform)
+    platform = get_platform(args.platform)
     application = _build_app(args.app)
     result = measure_baselines(application, platform,
                                n_tasks=args.eval_tasks)
@@ -223,12 +269,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     from repro.runtime import estimate_pipeline_memory
 
-    platform = _platform(args.platform)
-    application = _build_app(args.app)
-    framework = BetterTogether(
-        platform, repetitions=args.repetitions, k=args.k,
-        eval_tasks=args.eval_tasks,
-    )
+    platform, application, framework = _target(args)
     table = framework.profile(application)
     print("per-stage PU affinities:")
     print(format_affinity_report(stage_affinity_report(application,
@@ -254,20 +295,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gantt(args: argparse.Namespace) -> int:
-    """Deploy a plan and render its execution Gantt chart."""
-    platform = _platform(args.platform)
-    application = _build_app(args.app)
-    framework = BetterTogether(
-        platform, repetitions=args.repetitions, k=args.k,
-        eval_tasks=args.eval_tasks,
-    )
+def _traced_run(args: argparse.Namespace):
+    """Plan the target end to end, then stream ``--tasks`` tasks through
+    the deployed schedule with span recording on: ``(plan, result)``."""
+    platform, application, framework = _target(args)
     plan = framework.run(application)
-    print(plan.summary())
     executor = SimulatedPipelineExecutor(
         application, plan.schedule.chunks(), platform
     )
-    result = executor.run(args.tasks, record_trace=True)
+    return plan, executor.run(args.tasks, record_trace=True)
+
+
+def cmd_gantt(args: argparse.Namespace) -> int:
+    """Deploy a plan and render its execution Gantt chart."""
+    plan, result = _traced_run(args)
+    print(plan.summary())
     print()
     print(format_gantt(result.spans, width=args.width))
     return 0
@@ -281,12 +323,7 @@ def cmd_faultsim(args: argparse.Namespace) -> int:
     permanent PU dropout against the adaptive simulated deployment
     (fallback to a cached candidate avoiding the dead PU).
     """
-    platform = _platform(args.platform)
-    application = _build_app(args.app)
-    framework = BetterTogether(
-        platform, repetitions=args.repetitions, k=args.k,
-        eval_tasks=args.eval_tasks,
-    )
+    _, application, framework = _target(args)
     plan = framework.run(application)
     print(plan.summary())
     structured = {}
@@ -349,58 +386,25 @@ def cmd_faultsim(args: argparse.Namespace) -> int:
         print(dropout_report.format())
         structured["dropout"] = dropout_report.to_dict()
 
-    if args.out:
-        write_json_report(args.out, structured)
-        print(f"\nstructured report saved to {args.out}")
+    _TextSink(args.out).result(structured, "structured report")
     return 0
 
 
-class _TextSink:
-    """The single sink for a command's human-readable output.
+def _soak_server(args: argparse.Namespace, reschedule: bool = True,
+                 **scenario_kwargs):
+    """The multi-tenant soak server ``serve`` and ``trace --serve``
+    boot; ``scenario_kwargs`` go to :class:`~repro.serve.SoakScenario`
+    as they are."""
+    from repro.serve import SoakScenario, build_soak_server
 
-    Commands with a ``--json`` mode route *every* human-oriented line
-    through one of these instead of bare ``print`` calls; in JSON mode
-    the sink swallows them, so stdout carries exactly one parseable
-    JSON document and nothing else.  Status notes that must survive
-    JSON mode (file-written confirmations) go to stderr via
-    :meth:`note`.
-    """
-
-    def __init__(self, json_mode: bool = False):
-        self.json_mode = json_mode
-
-    def line(self, text: str = "") -> None:
-        """Emit one human-readable line (dropped in ``--json`` mode)."""
-        if not self.json_mode:
-            print(text)
-
-    @staticmethod
-    def note(text: str) -> None:
-        """Out-of-band status note; always stderr, never stdout."""
-        print(text, file=sys.stderr)
-
-
-def _run_reported(run, trace_out: Optional[str], sink: _TextSink):
-    """Call ``run()`` for its report and return ``(report, payload)``.
-
-    With ``trace_out`` the run happens under observability capture: the
-    payload gains the metrics snapshot and the Chrome/Perfetto trace of
-    the run is written to that file.
-    """
-    import repro.obs as obs
-
-    if not trace_out:
-        report = run()
-        return report, report.to_dict()
-    with obs.capture() as cap:
-        report = run()
-        snapshot = cap.metrics.snapshot()
-        payload = report.to_dict()
-        payload["metrics"] = snapshot
-        trace = obs.chrome_trace(cap.events, snapshot)
-    obs.write_trace(trace_out, trace)
-    sink.note(f"trace ({len(cap.events)} events) saved to {trace_out}")
-    return report, payload
+    scenario = SoakScenario(
+        platform_name=args.platform,
+        seed=args.seed,
+        windows=args.windows,
+        window_tasks=args.tasks,
+        **scenario_kwargs,
+    )
+    return build_soak_server(scenario, reschedule=reschedule)
 
 
 def _print_serve_report(report, server, sink: _TextSink) -> None:
@@ -447,18 +451,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--trace-out`` runs the soak under observability capture and
     exports a Chrome/Perfetto trace of the whole run.
     """
-    from repro.serve import SoakScenario, build_soak_server
-
-    scenario = SoakScenario(
-        platform_name=args.platform,
-        seed=args.seed,
-        windows=args.windows,
-        window_tasks=args.tasks,
-        drift_start_tick=args.drift_tick,
-    )
-    server = build_soak_server(scenario,
-                               reschedule=not args.frozen)
-    sink = _TextSink(json_mode=args.json)
+    server = _soak_server(args, reschedule=not args.frozen,
+                          drift_start_tick=args.drift_tick)
+    sink = _TextSink(args.out, args.json)
     report, payload = _run_reported(server.run, args.trace_out, sink)
     _print_serve_report(report, server, sink)
     if args.gantt:
@@ -467,11 +462,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sink.line("last served window per tenant:")
         sink.line(chart)
         payload["gantt"] = chart
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    if args.out:
-        write_json_report(args.out, payload)
-        sink.note(f"serve report saved to {args.out}")
+    sink.result(payload, "serve report")
     return 0
 
 
@@ -553,18 +544,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         platform_name=args.platform,
         max_ticks=args.max_ticks,
     )
-    sink = _TextSink(json_mode=args.json)
+    sink = _TextSink(args.out, args.json)
     report, payload = _run_reported(
         lambda: build_fleet(scenario,
                             failover=not args.no_failover).run(),
         args.trace_out, sink,
     )
     _print_fleet_report(report, sink)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    if args.out:
-        write_json_report(args.out, payload)
-        sink.note(f"fleet report saved to {args.out}")
+    sink.result(payload, "fleet report")
     return 0
 
 
@@ -599,6 +586,18 @@ def _print_traffic_report(report, sink: _TextSink) -> None:
                       f"{r['recovery_ticks']} tick(s)")
 
 
+def _overload_scenario(args: argparse.Namespace):
+    """The overload soak :func:`_add_overload_args` flags name."""
+    from repro.traffic import FleetOverloadScenario
+
+    return FleetOverloadScenario(
+        seed=args.seed,
+        n_shards=args.shards,
+        ticks=args.ticks,
+        load_multiplier=args.multiplier,
+    )
+
+
 def cmd_traffic(args: argparse.Namespace) -> int:
     """Open-loop traffic: ``generate``, ``replay``, or ``soak``.
 
@@ -615,24 +614,25 @@ def cmd_traffic(args: argparse.Namespace) -> int:
       runs the admit-everything baseline and exits 1 unless admission
       control strictly wins on goodput (the overload gate CI asserts).
     """
-    from repro.traffic import (
-        FleetOverloadScenario,
-        TrafficTrace,
-        overload_curve,
-        run_overload_soak,
-    )
+    from repro.traffic import TrafficTrace, overload_curve, run_overload_soak
 
-    scenario = FleetOverloadScenario(
-        seed=args.seed,
-        n_shards=args.shards,
-        ticks=args.ticks,
-        load_multiplier=args.multiplier,
-    )
-    sink = _TextSink(json_mode=args.json)
+    scenario = _overload_scenario(args)
+    sink = _TextSink(args.out, args.json)
     admission = not args.no_admission
 
-    if args.mode == "generate":
+    if args.mode == "replay":
+        if not args.trace:
+            raise ReproError("replay needs --trace <recorded trace>")
+        trace = TrafficTrace.load(args.trace)
+    else:
+        # generate and soak share one arrival stream: the soak is driven
+        # from the recorded trace, which replays byte-identically.
         trace = TrafficTrace.record(scenario.spec(), scenario.seed)
+        if args.trace_out:
+            trace.save(args.trace_out)
+            sink.note(f"traffic trace saved to {args.trace_out}")
+
+    if args.mode == "generate":
         by_tier: dict = {}
         by_kind: dict = {}
         for event in trace.events:
@@ -651,39 +651,22 @@ def cmd_traffic(args: argparse.Namespace) -> int:
                   f"{trace.spec.ticks} ticks (seed {trace.seed})")
         sink.line(f"  tiers: {payload['by_tier']}")
         sink.line(f"  app kinds: {payload['by_app_kind']}")
-        if args.trace_out:
-            trace.save(args.trace_out)
-            sink.note(f"traffic trace saved to {args.trace_out}")
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        if args.out:
-            write_json_report(args.out, payload)
-            sink.note(f"generation summary saved to {args.out}")
+        sink.result(payload, "generation summary")
         return 0
 
+    _, report = run_overload_soak(scenario, admission=admission,
+                                  trace=trace)
+    payload = report.to_dict()
     if args.mode == "replay":
-        if not args.trace:
-            raise ReproError("replay needs --trace <recorded trace>")
-        trace = TrafficTrace.load(args.trace)
-        _, report = run_overload_soak(scenario, admission=admission,
-                                      trace=trace)
-        payload = report.to_dict()
         sink.line(f"replayed {args.trace} "
                   f"(admission {'on' if admission else 'off'})")
         sink.line()
-    else:  # soak
-        if args.trace_out:
-            trace = TrafficTrace.record(scenario.spec(), scenario.seed)
-            trace.save(args.trace_out)
-            sink.note(f"traffic trace saved to {args.trace_out}")
-        _, report = run_overload_soak(scenario, admission=admission)
-        payload = report.to_dict()
-
     _print_traffic_report(report, sink)
     exit_code = 0
 
     if args.mode == "soak" and args.compare:
-        _, baseline = run_overload_soak(scenario, admission=False)
+        _, baseline = run_overload_soak(scenario, admission=False,
+                                        trace=trace)
         payload["admit_everything"] = baseline.to_dict()
         gate = report.goodput_tasks > baseline.goodput_tasks
         sink.line()
@@ -706,12 +689,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
                       f"offered={point['offered_windows']:<5} "
                       f"served={point['served_windows']:<5} "
                       f"goodput_tasks={point['goodput_tasks']}")
-
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    if args.out:
-        write_json_report(args.out, payload)
-        sink.note(f"traffic report saved to {args.out}")
+    sink.result(payload, "traffic report")
     return exit_code
 
 
@@ -785,15 +763,10 @@ def cmd_top(args: argparse.Namespace) -> int:
     """
     import repro.obs as obs
     from repro.obs.alerts import BurnRateRule
-    from repro.traffic import FleetOverloadScenario, run_overload_soak
+    from repro.traffic import run_overload_soak
 
-    scenario = FleetOverloadScenario(
-        seed=args.seed,
-        n_shards=args.shards,
-        ticks=args.ticks,
-        load_multiplier=args.multiplier,
-    )
-    sink = _TextSink(json_mode=args.json)
+    scenario = _overload_scenario(args)
+    sink = _TextSink(args.out, args.json)
     admission = not args.no_admission
     burn = BurnRateRule(
         fast_window=args.burn_fast,
@@ -859,11 +832,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         "top_offenders": offenders,
     }
     _render_top(payload, sink)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    if args.out:
-        write_json_report(args.out, payload)
-        sink.note(f"dashboard snapshot saved to {args.out}")
+    sink.result(payload, "dashboard snapshot")
     return 0
 
 
@@ -875,46 +844,31 @@ def cmd_trace(args: argparse.Namespace) -> int:
     parent links); the default traces the offline plan flow plus one
     traced simulated run.  Exports: ``perfetto``/``chrome`` (the same
     Chrome trace-event JSON, loadable by Perfetto) or ``gantt`` (the
-    ASCII chart rendered from the same span tree).
+    ASCII chart rendered from the same span tree).  Either is printed
+    on stdout, or with ``--out`` written to that file instead.
     """
     import repro.obs as obs
 
     with obs.capture() as cap:
         if args.serve:
-            from repro.serve import SoakScenario, build_soak_server
-
-            scenario = SoakScenario(
-                platform_name=args.platform,
-                seed=args.seed,
-                windows=args.windows,
-                window_tasks=args.tasks,
-            )
-            server = build_soak_server(scenario, reschedule=True)
-            server.run()
+            _soak_server(args).run()
         else:
-            platform = _platform(args.platform)
-            application = _build_app(args.app)
-            framework = BetterTogether(
-                platform, repetitions=args.repetitions, k=args.k,
-                eval_tasks=args.eval_tasks,
-            )
-            plan = framework.run(application)
-            executor = SimulatedPipelineExecutor(
-                application, plan.schedule.chunks(), platform
-            )
-            executor.run(args.tasks, record_trace=True)
+            _traced_run(args)
         snapshot = cap.metrics.snapshot()
         events = cap.events
-    if args.export == "gantt":
-        print(obs.export_gantt(events, width=args.width))
+    if args.export != "gantt":
+        # Without --out the trace itself is the stdout document.
+        _TextSink(args.out, json_mode=not args.out).result(
+            obs.chrome_trace(events, snapshot),
+            f"trace ({len(events)} events)",
+        )
         return 0
-    payload = obs.chrome_trace(events, snapshot)
+    chart = obs.export_gantt(events, width=args.width)
     if args.out:
-        obs.write_trace(args.out, payload)
-        _TextSink.note(f"trace ({len(events)} events) saved to "
-                       f"{args.out}")
+        atomic_write_text(args.out, chart + "\n")
+        _TextSink.note(f"gantt chart saved to {args.out}")
     else:
-        print(json.dumps(payload, indent=2))
+        print(chart)
     return 0
 
 
@@ -930,7 +884,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.apps.synthetic import build_synthetic_application
     from repro.serve import PipelineServer, ServerConfig, TenantSpec
 
-    platform = _platform(args.platform)
+    platform = get_platform(args.platform)
     server = PipelineServer(
         platform,
         seed=args.seed,
@@ -972,81 +926,49 @@ def cmd_submit(args: argparse.Namespace) -> int:
               f"reschedules: {metrics.reschedules}")
         print(f"  per-item latency: p50 {metrics.p50_latency_s * 1e3:.3f} ms, "
               f"p95 {metrics.p95_latency_s * 1e3:.3f} ms")
-    if args.out:
-        write_json_report(args.out, report.to_dict())
-        print(f"serve report saved to {args.out}", file=sys.stderr)
+    _TextSink(args.out).result(report.to_dict(), "serve report")
     return 0 if record.status in ("completed", "running") else 1
 
 
-def _analysis_targets(args: argparse.Namespace) -> Optional[List[Path]]:
-    """Paths to analyse, honouring ``--changed``.
-
-    Returns ``None`` when ``--changed`` matched nothing (the caller
-    should report clean and exit 0 without touching the tree).
-    """
+def _analyze(args: argparse.Namespace, tool: str, analyze,
+             render_catalog, render_text, render_json) -> int:
+    """The body ``lint`` and ``flow`` share; they differ only in the
+    analyzer, its three renderers and the ``tool`` label."""
     from repro.analysis.linter import changed_files, default_lint_target
 
+    if args.list_rules:
+        print(render_catalog())
+        return 0
     if args.changed is not None:
-        base = args.changed or "HEAD"
-        files = changed_files(base=base)
-        return files if files else None
-    return [Path(p) for p in args.paths] or [default_lint_target()]
+        paths = changed_files(base=args.changed or "HEAD")
+        if not paths:
+            _TextSink.note(f"repro-{tool}: clean (no changed python files)")
+            return 0
+    else:
+        paths = [Path(p) for p in args.paths] or [default_lint_target()]
+    report = analyze(paths)
+    sink = _TextSink(args.out, args.format == "json")
+    sink.line(render_text(report))
+    sink.result(render_json(report), f"{tool} report")
+    return 1 if (args.strict and not report.clean) else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static invariant linter (``--strict`` gates CI)."""
+    from repro.analysis import report
     from repro.analysis.linter import lint_paths
-    from repro.analysis.report import (
-        render_lint_json,
-        render_lint_text,
-        render_rule_catalog,
-    )
 
-    if args.list_rules:
-        print(render_rule_catalog())
-        return 0
-    paths = _analysis_targets(args)
-    if paths is None:
-        print("repro-lint: clean (no changed python files)",
-              file=sys.stderr)
-        return 0
-    report = lint_paths(paths)
-    if args.format == "json":
-        print(json.dumps(render_lint_json(report), indent=2))
-    else:
-        print(render_lint_text(report))
-    if args.out:
-        write_json_report(args.out, render_lint_json(report))
-        print(f"lint report saved to {args.out}", file=sys.stderr)
-    return 1 if (args.strict and not report.clean) else 0
+    return _analyze(args, "lint", lint_paths, report.render_rule_catalog,
+                    report.render_lint_text, report.render_lint_json)
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
     """Run the whole-program determinism-flow analysis."""
+    from repro.analysis import report
     from repro.analysis.flow import analyze_paths
-    from repro.analysis.report import (
-        render_flow_catalog,
-        render_flow_json,
-        render_flow_text,
-    )
 
-    if args.list_rules:
-        print(render_flow_catalog())
-        return 0
-    paths = _analysis_targets(args)
-    if paths is None:
-        print("repro-flow: clean (no changed python files)",
-              file=sys.stderr)
-        return 0
-    report = analyze_paths(paths)
-    if args.format == "json":
-        print(json.dumps(render_flow_json(report), indent=2))
-    else:
-        print(render_flow_text(report))
-    if args.out:
-        write_json_report(args.out, render_flow_json(report))
-        print(f"flow report saved to {args.out}", file=sys.stderr)
-    return 1 if (args.strict and not report.clean) else 0
+    return _analyze(args, "flow", analyze_paths, report.render_flow_catalog,
+                    report.render_flow_text, report.render_flow_json)
 
 
 def cmd_race(args: argparse.Namespace) -> int:
@@ -1058,13 +980,9 @@ def cmd_race(args: argparse.Namespace) -> int:
 
     data, exit_code = run_race(tasks=args.tasks, stages=args.stages,
                                selftest=args.selftest)
-    if args.format == "json":
-        print(json.dumps(data, indent=2))
-    else:
-        print(render_race_text(data))
-    if args.out:
-        write_json_report(args.out, data)
-        print(f"race report saved to {args.out}", file=sys.stderr)
+    sink = _TextSink(args.out, args.format == "json")
+    sink.line(render_race_text(data))
+    sink.result(data, "race report")
     return exit_code
 
 
@@ -1084,6 +1002,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 # Parser
 # ----------------------------------------------------------------------
 def _add_target_args(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`_target` reads."""
     parser.add_argument("--platform", default="pixel7a",
                         help="target platform (see `platforms`)")
     parser.add_argument("--app", default="octree",
@@ -1096,6 +1015,42 @@ def _add_target_args(parser: argparse.ArgumentParser) -> None:
                         help="tasks per measurement run")
 
 
+def _add_output_args(parser: argparse.ArgumentParser, what: str,
+                     json_flag: bool = False,
+                     trace_flag: bool = False) -> None:
+    """The :class:`_TextSink` flags: ``--json`` (with ``json_flag``),
+    ``--trace-out`` for :func:`_run_reported` (with ``trace_flag``) and
+    ``--out``."""
+    if json_flag:
+        parser.add_argument("--json", action="store_true",
+                            help=f"print the {what} as JSON on stdout "
+                                 "(suppresses all human-readable output)")
+    if trace_flag:
+        parser.add_argument("--trace-out",
+                            help="run under observability capture and "
+                                 "export a Chrome/Perfetto trace of the "
+                                 "run to this file")
+    parser.add_argument("--out", help=f"save the {what} to this file")
+
+
+def _add_overload_args(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`_overload_scenario` reads (``traffic``, ``top``)."""
+    parser.add_argument("--seed", type=int, default=7,
+                        help="scenario seed (same seed, same bytes)")
+    parser.add_argument("--shards", type=int, default=2,
+                        help="number of SoC shards behind the router")
+    parser.add_argument("--ticks", type=int, default=48,
+                        help="open-loop horizon in control ticks")
+    parser.add_argument("--multiplier", type=float, default=1.5,
+                        help="offered load as a multiple of the fleet's "
+                             "saturation load (>= 1.5 is the overload "
+                             "regime)")
+    parser.add_argument("--no-admission", action="store_true",
+                        help="admit everything that physically fits (the "
+                             "baseline the goodput gate is measured "
+                             "against)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -1106,28 +1061,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("platforms", help="list registered platforms")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable listing on stdout")
-    p.add_argument("--out",
-                   help="save the listing as JSON (atomic write)")
+    _add_output_args(p, "listing", json_flag=True)
     p.set_defaults(fn=cmd_platforms)
 
     p = sub.add_parser("apps", help="list registered applications")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable listing on stdout")
-    p.add_argument("--out",
-                   help="save the listing as JSON (atomic write)")
+    _add_output_args(p, "listing", json_flag=True)
     p.set_defaults(fn=cmd_apps)
 
     p = sub.add_parser("profile", help="collect a profiling table")
     _add_target_args(p)
     p.add_argument("--mode", choices=MODES, default=INTERFERENCE)
-    p.add_argument("--out", help="save the table as JSON")
+    _add_output_args(p, "table")
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("plan", help="run the end-to-end flow")
     _add_target_args(p)
-    p.add_argument("--out", help="save the deployed schedule as JSON")
+    _add_output_args(p, "deployed schedule")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("run",
@@ -1180,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="task index at which the PU dies")
     p.add_argument("--no-dropout", action="store_true",
                    help="skip the PU-dropout phase")
-    p.add_argument("--out", help="save the structured report as JSON")
+    _add_output_args(p, "structured report")
     p.set_defaults(fn=cmd_faultsim)
 
     p = sub.add_parser("serve",
@@ -1204,13 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render each tenant's last window as a "
                         "per-tenant Gantt chart")
     p.add_argument("--width", type=int, default=72)
-    p.add_argument("--json", action="store_true",
-                   help="print the serve report as JSON on stdout "
-                        "(suppresses all human-readable output)")
-    p.add_argument("--trace-out",
-                   help="run under observability capture and export a "
-                        "Chrome/Perfetto trace of the soak to this file")
-    p.add_argument("--out", help="save the serve report as JSON")
+    _add_output_args(p, "serve report", json_flag=True, trace_flag=True)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("fleet",
@@ -1229,13 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-failover", action="store_true",
                    help="strand dead shards' tenants instead of "
                         "re-placing them (chaos baseline)")
-    p.add_argument("--json", action="store_true",
-                   help="print the fleet report as JSON on stdout "
-                        "(suppresses all human-readable output)")
-    p.add_argument("--trace-out",
-                   help="run under observability capture and export a "
-                        "Chrome/Perfetto trace of the fleet run")
-    p.add_argument("--out", help="save the fleet report as JSON")
+    _add_output_args(p, "fleet report", json_flag=True, trace_flag=True)
     p.set_defaults(fn=cmd_fleet)
 
     p = sub.add_parser("traffic",
@@ -1244,20 +1181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("generate", "replay", "soak"),
                    help="generate an arrival stream, replay a recorded "
                         "trace, or run the overload soak end to end")
-    p.add_argument("--seed", type=int, default=7,
-                   help="scenario seed (same seed, same bytes)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="number of SoC shards behind the router")
-    p.add_argument("--ticks", type=int, default=48,
-                   help="open-loop horizon in control ticks")
-    p.add_argument("--multiplier", type=float, default=1.5,
-                   help="offered load as a multiple of the fleet's "
-                        "saturation load (>= 1.5 is the overload "
-                        "regime)")
-    p.add_argument("--no-admission", action="store_true",
-                   help="admit everything that physically fits (the "
-                        "baseline the goodput gate is measured "
-                        "against)")
+    _add_overload_args(p)
     p.add_argument("--compare", action="store_true",
                    help="(soak) also run the admit-everything "
                         "baseline; exit 1 unless admission control "
@@ -1270,27 +1194,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out",
                    help="record the arrival stream as a checksummed "
                         "traffic trace artifact")
-    p.add_argument("--json", action="store_true",
-                   help="print the traffic report as JSON on stdout "
-                        "(suppresses all human-readable output)")
-    p.add_argument("--out", help="save the traffic report as JSON")
+    _add_output_args(p, "traffic report", json_flag=True)
     p.set_defaults(fn=cmd_traffic)
 
     p = sub.add_parser("top",
                        help="fleet dashboard: shard health, per-tier "
                             "attainment, burn rates, top interference "
                             "offenders (deterministic)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="scenario seed (same seed, same dashboard)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="number of SoC shards behind the router")
-    p.add_argument("--ticks", type=int, default=48,
-                   help="open-loop horizon in control ticks")
-    p.add_argument("--multiplier", type=float, default=1.5,
-                   help="offered load as a multiple of saturation")
-    p.add_argument("--no-admission", action="store_true",
-                   help="admit everything that physically fits (shows "
-                        "the overload regime burning)")
+    _add_overload_args(p)
     p.add_argument("--top-k", type=int, default=5,
                    help="interference offenders to list")
     p.add_argument("--burn-fast", type=int, default=6,
@@ -1304,10 +1215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--watch", action="store_true",
                    help="stream one trajectory line per tick while "
                         "the soak runs")
-    p.add_argument("--json", action="store_true",
-                   help="print the dashboard payload as JSON on stdout "
-                        "(suppresses all human-readable output)")
-    p.add_argument("--out", help="save the dashboard snapshot as JSON")
+    _add_output_args(p, "dashboard snapshot", json_flag=True)
     p.set_defaults(fn=cmd_top)
 
     p = sub.add_parser("trace",
@@ -1330,7 +1238,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "same trace-event JSON)")
     p.add_argument("--width", type=int, default=72,
                    help="chart width (with --export gantt)")
-    p.add_argument("--out", help="save the exported trace to a file")
+    _add_output_args(p, "exported trace")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("submit",
@@ -1359,7 +1267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-tenant partition width cap")
     p.add_argument("--seed", type=int, default=7,
                    help="seed for the synthetic co-tenants")
-    p.add_argument("--out", help="save the serve report as JSON")
+    _add_output_args(p, "serve report")
     p.set_defaults(fn=cmd_submit)
 
     for (name, help_text, fn) in (
@@ -1382,7 +1290,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
         p.add_argument("--list-rules", action="store_true",
                        help="print the rule catalog and exit")
-        p.add_argument("--out", help="save the JSON report to a file")
+        _add_output_args(p, "JSON report")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("race",
@@ -1396,7 +1304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also seed one violation of each kind and "
                         "verify the checker catches them")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="save the JSON report to a file")
+    _add_output_args(p, "JSON report")
     p.set_defaults(fn=cmd_race)
 
     p = sub.add_parser("report",

@@ -38,7 +38,6 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.optimizer import (
-    DEFAULT_GAP_SLACK,
     BTOptimizer,
     OptimizationResult,
     ScheduleCandidate,
@@ -282,7 +281,6 @@ class PlanCache:
         platform: The shared virtual SoC every tenant runs on.
         repetitions: Profiling repetitions per table entry.
         k: Optimizer candidate count (the rescheduler's search space).
-        gap_slack: Utilization-threshold slack (level 1 filter).
         time_budget_s: Optional optimizer wall budget per application.
     """
 
@@ -291,7 +289,6 @@ class PlanCache:
         platform: Platform,
         repetitions: int = 5,
         k: int = 8,
-        gap_slack: float = DEFAULT_GAP_SLACK,
         time_budget_s: Optional[float] = None,
     ):
         if k < 1:
@@ -299,7 +296,6 @@ class PlanCache:
         self.platform = platform
         self.profiler = BTProfiler(platform, repetitions=repetitions)
         self.k = k
-        self.gap_slack = gap_slack
         self.time_budget_s = time_budget_s
         self._plans: Dict[str, CachedPlan] = {}
         #: (application object, assignments) -> deployment, most
@@ -349,8 +345,7 @@ class PlanCache:
         optimizer = BTOptimizer(
             plan.application,
             plan.interference.restricted(plan.schedulable),
-            k=self.k, gap_slack=self.gap_slack,
-            time_budget_s=self.time_budget_s,
+            k=self.k, time_budget_s=self.time_budget_s,
         )
         return with_packing_candidates(
             optimizer.optimize(), plan.application, plan.interference,

@@ -102,8 +102,6 @@ class FleetConfig:
     #: instead of the newcomer's increment alone.
     cumulative_impact: bool = False
     reschedule: bool = True
-    profiling_repetitions: int = 3
-    candidates_k: int = 8
     #: Ticks a tenant may wait in the fleet backlog before rejection.
     backlog_patience: int = 24
     #: Master switch: with failover off, dead shards strand their
@@ -142,8 +140,6 @@ class FleetConfig:
             max_partition_classes=self.max_partition_classes,
             cumulative_impact=self.cumulative_impact,
             reschedule=self.reschedule,
-            profiling_repetitions=self.profiling_repetitions,
-            candidates_k=self.candidates_k,
             attribution=self.attribution,
         )
 
@@ -188,8 +184,7 @@ class FleetRouter:
                 )
                 caches[key] = PlanCache(
                     platforms[key],
-                    repetitions=self.config.profiling_repetitions,
-                    k=self.config.candidates_k,
+                    repetitions=server_config.profiling_repetitions,
                 )
             self.shards.append(SoCShard(
                 index, spec, platforms[key], caches[key],

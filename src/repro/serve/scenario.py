@@ -139,7 +139,6 @@ def build_soak_server(
             max_ticks=scenario.max_ticks,
             queue_capacity=0,
             max_partition_classes=1,
-            candidates_k=8,
             reschedule=reschedule,
         ),
     )

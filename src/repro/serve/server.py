@@ -135,7 +135,6 @@ class ServerConfig:
     patience: int = 2
     reschedule: bool = True
     profiling_repetitions: int = 3
-    candidates_k: int = 8
     #: Per-window interference blame decomposition
     #: (:mod:`repro.obs.attribution`).  Off by default: attribution
     #: replays the steady-state rate model per (window, source) pair,
@@ -169,9 +168,7 @@ class PipelineServer:
         self.config = config or ServerConfig()
         if plan_cache is None:
             plan_cache = PlanCache(
-                platform,
-                repetitions=self.config.profiling_repetitions,
-                k=self.config.candidates_k,
+                platform, repetitions=self.config.profiling_repetitions,
             )
         elif plan_cache.platform is not platform:
             raise ServeError(

@@ -108,11 +108,13 @@ class TestFaultsim:
             "--out", str(path),
         ])
         assert code == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "threaded phase" in out
         assert "fault/recovery report" in out
         assert "dropout phase" in out
         assert "fallback=True" in out
+        assert "saved to" not in out
+        assert err == f"structured report saved to {path}\n"
         import json
 
         structured = json.loads(path.read_text())
