@@ -3,8 +3,8 @@
 Two phases:
 
 * **clean** - run a real threaded pipeline (dispatcher threads, SPSC
-  queues, watchdog, fault-injector locks) with the checker force-
-  enabled.  A healthy runtime must report *zero* violations.
+  queues, the fault-log lock) with the checker force-enabled.  A
+  healthy runtime must report *zero* violations.
 * **selftest** (``--selftest``) - deliberately break each invariant
   (a second producer on an SPSC queue, a use-after-release read on a
   released buffer, two aliasing buffers in one TaskObject, a lock-order
@@ -44,7 +44,6 @@ from repro.runtime.pipeline import ThreadedPipelineExecutor
 from repro.runtime.spsc import SpscQueue
 from repro.runtime.task_object import TaskObject
 from repro.runtime.usm import UsmBuffer
-from repro.runtime.watchdog import WatchdogConfig
 from repro.soc.workprofile import WorkProfile
 
 
@@ -85,8 +84,8 @@ def run_clean_phase(tasks: int = 8,
     """Run the instrumented pipeline; a healthy runtime reports nothing.
 
     The schedule splits the stages across two PU classes so dispatcher
-    threads, inter-chunk queues, heartbeat locks, the watchdog lock and
-    the fault-log lock are all genuinely exercised concurrently.
+    threads, inter-chunk queues and the fault-log lock are all genuinely
+    exercised concurrently.
     """
     application = build_check_app(stages)
     split = max(1, stages // 2)
@@ -95,8 +94,6 @@ def run_clean_phase(tasks: int = 8,
         executor = ThreadedPipelineExecutor(
             application, chunks,
             fault_injector=FaultInjector(FaultPlan()),
-            watchdog=WatchdogConfig(stall_timeout_s=10.0,
-                                    chunk_deadline_s=5.0),
         )
         result = executor.run(tasks, validate=True)
     summary = {"tasks": result.n_tasks, "completed": result.completed,

@@ -14,7 +14,7 @@ section of ``docs/architecture.md``):
   through the handler must re-raise or route into the fault-report /
   quarantine machinery.
 * ``UNSUPERVISED-THREAD`` - threads are created only by the pipeline
-  executor and the watchdog supervisor, never ad hoc.
+  executor, which owns and joins them, never ad hoc.
 * ``UNTAGGED-SPAN`` - trace spans are built only through the
   sanctioned factories in :mod:`repro.runtime.trace` /
   :mod:`repro.obs`, so every span carries consistent tags.
@@ -158,8 +158,8 @@ def _terminal_name(node: ast.AST) -> str:
 class WallClockRule(Rule):
     """``time.time()`` is wall clock: NTP steps and suspend/resume move
     it arbitrarily, so any deadline or timeout computed from it can
-    fire early, late, or never.  The SPSC queue timeouts and watchdog
-    deadlines are all monotonic; this rule keeps it that way."""
+    fire early, late, or never.  The SPSC queue timeouts are all
+    monotonic; this rule keeps it that way."""
 
     rule_id = "WALL-CLOCK"
     summary = ("time.time() in runtime code - deadlines/timeouts must "
@@ -425,16 +425,15 @@ class BroadExceptRule(Rule):
 # ----------------------------------------------------------------------
 @_register
 class UnsupervisedThreadRule(Rule):
-    """Threads created outside the pipeline executor / watchdog escape
-    heartbeat supervision: nothing detects their stalls, cancels their
-    dispatches, or joins them on unwind.  New concurrency must go
-    through the supervised dispatcher machinery."""
+    """Threads created outside the pipeline executor escape its
+    shutdown: nothing closes their queues, joins them on unwind, or
+    surfaces their errors.  New concurrency must go through the
+    executor's dispatcher machinery."""
 
     rule_id = "UNSUPERVISED-THREAD"
-    summary = ("threading.Thread created outside the supervised "
-               "pipeline/watchdog registry")
-    allowed_in = ("repro/runtime/pipeline.py",
-                  "repro/runtime/watchdog.py")
+    summary = ("threading.Thread created outside the pipeline executor "
+               "(the executor owns and joins its threads)")
+    allowed_in = ("repro/runtime/pipeline.py",)
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -444,8 +443,8 @@ class UnsupervisedThreadRule(Rule):
                 yield self.finding(
                     path, node,
                     "unsupervised threading.Thread(); dispatcher "
-                    "threads must run under the pipeline/watchdog "
-                    "supervision registry",
+                    "threads run only under the pipeline executor, "
+                    "which owns and joins its threads",
                 )
             elif isinstance(node, ast.ClassDef):
                 for base in node.bases:
@@ -454,8 +453,8 @@ class UnsupervisedThreadRule(Rule):
                         yield self.finding(
                             path, node,
                             f"class {node.name} subclasses "
-                            "threading.Thread outside the supervision "
-                            "registry",
+                            "threading.Thread outside the pipeline "
+                            "executor",
                         )
 
 

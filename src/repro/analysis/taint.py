@@ -114,7 +114,7 @@ _NO_MARKERS: FrozenSet[int] = frozenset()
 # ----------------------------------------------------------------------
 #: dotted call name -> taint kind.  ``time.monotonic`` is deliberately
 #: absent: it is the *sanctioned* clock for deadline/timeout control
-#: flow (watchdog, SPSC waits), and control dependence is out of scope
+#: flow (SPSC waits), and control dependence is out of scope
 #: here - only ``time.time``/``perf_counter`` measurement values that
 #: could land in report bytes are tracked as data.
 _CLOCK_CALLS = {

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -346,7 +347,10 @@ def cmd_faultsim(args: argparse.Namespace) -> int:
     result = executor.run(
         args.tasks, validate=application.validate_task is not None
     )
-    threaded_report = injector.report(result.failures)
+    # The run's log, ordered by (task, stage), not the injector's
+    # wall-clock append order: same seed, same report bytes.
+    threaded_report = replace(injector.report(result.failures),
+                              events=result.fault_events)
     print(f"\nthreaded phase (seed {args.seed}, "
           f"{fault_plan.n_faults} faults planned): "
           f"{result.succeeded}/{result.n_tasks} tasks ok, "

@@ -100,7 +100,7 @@ class TrafficError(ReproError):
 
     ``flight_tail`` carries the observability flight recorder's last
     events at the moment of the failure (empty when the recorder is
-    disabled), mirroring ``StallError``/``FaultReport`` so overload
+    disabled), mirroring ``FaultReport.flight_tail`` so overload
     aborts keep their pre-crash context.
     """
 
@@ -133,36 +133,6 @@ class PipelineError(ReproError):
 
 class QueueClosedError(PipelineError):
     """Raised when pushing to / popping from a closed SPSC queue."""
-
-
-class StallError(PipelineError):
-    """A dispatch exceeded the watchdog's stall deadline and was
-    cancelled.
-
-    Deliberately *not* retryable: retrying a wedged kernel stalls
-    again, so the runtime routes the task straight into quarantine
-    (or unwinds when failure isolation is off).
-
-    ``flight_tail`` carries the observability flight recorder's last
-    events at the moment of cancellation (empty when the recorder is
-    disabled), so a postmortem sees what led up to the stall.
-    """
-
-    def __init__(self, message: str,
-                 flight_tail: Sequence[Dict[str, Any]] = ()):
-        super().__init__(message)
-        self.flight_tail = tuple(dict(e) for e in flight_tail)
-
-    def diagnostic(self) -> str:
-        """Message plus the flight-recorder tail, one event per line."""
-        lines = [str(self)]
-        for entry in self.flight_tail:
-            fields = " ".join(
-                f"{k}={entry[k]}" for k in entry if k not in ("seq", "kind")
-            )
-            lines.append(f"  [{entry.get('seq')}] {entry.get('kind')}"
-                         f" {fields}".rstrip())
-        return "\n".join(lines)
 
 
 class TransientKernelFault(PipelineError):

@@ -1,8 +1,8 @@
 """Shard health classification and the per-shard admission breaker.
 
 Health is judged on the fleet's logical tick clock, never wall time:
-the :class:`HealthMonitor` compares each shard's heartbeat *count*
-(:attr:`repro.runtime.watchdog.Heartbeat.beats`) across fleet ticks, so
+the :class:`HealthMonitor` compares each shard's beat *count*
+(:attr:`repro.fleet.shard.SoCShard.beats`) across fleet ticks, so
 a shard whose loop stops beating - crash or gray failure alike - is
 detected identically on any machine at any speed.  SLO breach is
 likewise relative, not absolute: each (shard, tenant) pair's first
@@ -154,7 +154,7 @@ class HealthMonitor:
         """One per-tick assessment; returns ``(old, new)`` on a state
         change, ``None`` otherwise.
 
-        ``beats`` is the shard heartbeat's current monotonic count;
+        ``beats`` is the shard's current monotonic beat count;
         ``crashed`` short-circuits straight to dead (a crash is
         directly observable, unlike a gray failure).
         """

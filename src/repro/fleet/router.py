@@ -20,13 +20,13 @@ Per tick, in fixed phase order:
    shard admission controller's ``predicted_impact``/latency, ties
    broken by load then shard index), honouring each shard's circuit
    breaker;
-3. **step** - advance every live shard one tick (beating its heartbeat
+3. **step** - advance every live shard one tick (counting a beat
    unless a gray window suppresses it);
 4. **harvest** - absorb new shard timeline events into fleet state
    (each served window's :class:`~repro.serve.tenant.WindowSample` row,
    completions, shard-level evictions back into the backlog as
    migrations, failures);
-5. **health** - classify every shard from heartbeat counts and window
+5. **health** - classify every shard from beat counts and window
    latency ratios, advance circuit breakers, and on shard death or
    sustained SLO breach hand the shard to the
    :class:`~repro.fleet.coordinator.FailoverCoordinator`.
@@ -756,7 +756,7 @@ class FleetRouter:
         for shard in self.shards:
             breaker = self.breakers[shard.name]
             transition = self.monitor.assess(
-                shard.name, beats=shard.heartbeat.beats,
+                shard.name, beats=shard.beats,
                 crashed=not shard.alive,
             )
             if transition is not None:

@@ -1,12 +1,12 @@
-"""One SoC shard: a platform, a heartbeat, and server generations.
+"""One SoC shard: a platform, a beat count, and server generations.
 
 A shard is the fleet's failure domain.  Its :class:`PipelineServer` is
 stepped by the fleet tick (one caller steps every shard, which is what
 keeps cross-shard event order deterministic), and is replaced wholesale
 on crash/rejoin: generation ``n+1`` starts with an empty placement and
 tenant registry, sharing only the platform and the fleet-owned plan
-cache with its predecessor.  The heartbeat object outlives generations
-- health is a property of the shard, not of one server incarnation.
+cache with its predecessor.  The beat count outlives generations -
+health is a property of the shard, not of one server incarnation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 from repro.core.plan_cache import PlanCache
 from repro.errors import FleetError
-from repro.runtime.watchdog import Heartbeat
 from repro.serve.metrics import ServeReport
 from repro.serve.server import PipelineServer, ServerConfig
 from repro.soc.platform import Platform
@@ -54,7 +53,9 @@ class SoCShard:
         self.plan_cache = plan_cache
         self.server_config = server_config
         self.fleet_seed = fleet_seed
-        self.heartbeat = Heartbeat(index, f"shard:{spec.name}")
+        #: Steps taken outside a gray-failure window; the health
+        #: monitor compares it across fleet ticks.
+        self.beats = 0
         self.generation = 0
         self.gray = False
         self.server: Optional[PipelineServer] = None
@@ -94,15 +95,13 @@ class SoCShard:
         self.gray = False
 
     def step(self, tick: int) -> None:
-        """Advance the live generation one tick, beating the shard
-        heartbeat unless the shard is in a gray-failure window."""
+        """Advance the live generation one tick, counting a beat unless
+        the shard is in a gray-failure window."""
         if self.server is None:
             raise FleetError(f"cannot step dead shard {self.name!r}")
         if not self.gray:
-            self.heartbeat.start_task(tick)
+            self.beats += 1
         self.server.step(tick)
-        if not self.gray:
-            self.heartbeat.idle()
 
     def new_events(self) -> List[Dict[str, object]]:
         """Timeline entries appended since the last harvest."""

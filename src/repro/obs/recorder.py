@@ -1,13 +1,13 @@
 """Bounded flight recorder: the last N events before a crash.
 
-Postmortems after a stall or kernel fault need context - what the
-watchdog saw, which retries fired, which tenants were admitted - but an
-unbounded event log would defeat the runtime's own memory discipline.
-The flight recorder is a fixed-capacity ring buffer: fault and watchdog
-paths (and any other subsystem) :meth:`~FlightRecorder.record` into it,
-and the crash paths dump its :meth:`~FlightRecorder.tail` into
-``FaultReport.flight_tail`` and ``StallError.flight_tail`` so the last
-moments before the failure travel with the diagnostic.
+Postmortems after a kernel fault or an aborted soak need context -
+which faults fired, which retries followed, which tenants were admitted
+- but an unbounded event log would defeat the runtime's own memory
+discipline.  The flight recorder is a fixed-capacity ring buffer: the
+fault log (and any other subsystem) :meth:`~FlightRecorder.record` into
+it, and the failure paths dump its :meth:`~FlightRecorder.tail` into
+``FaultReport.flight_tail`` and ``TrafficError.flight_tail`` so the
+last moments before the failure travel with the diagnostic.
 
 Entries hold only deterministic, JSON-serializable fields (no wall
 time); the monotonically increasing ``seq`` gives a total order even

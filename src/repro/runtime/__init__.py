@@ -52,7 +52,6 @@ from repro.runtime.trace import (Span, format_gantt,
                                 pipeline_bubbles, record_span)
 from repro.runtime.task_object import TaskObject
 from repro.runtime.usm import UsmBuffer
-from repro.runtime.watchdog import Heartbeat, Watchdog, WatchdogConfig
 
 __all__ = [
     "AdaptivePipeline",
@@ -65,7 +64,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultReport",
-    "Heartbeat",
     "KernelFaultSpec",
     "MemoryReport",
     "PuDropoutSpec",
@@ -82,8 +80,6 @@ __all__ = [
     "ThreadedPipelineExecutor",
     "ThreadedRunResult",
     "UsmBuffer",
-    "Watchdog",
-    "WatchdogConfig",
     "WindowRecord",
     "classify_failure",
     "estimate_pipeline_memory",

@@ -50,9 +50,6 @@ RETRY = "retry"
 RECOVERY = "recovery"
 QUARANTINE = "quarantine"
 FALLBACK = "fallback"
-# Recorded by the watchdog (repro.runtime.watchdog), not the injector.
-STALL = "stall"
-DEADLINE_OVERRUN = "deadline-overrun"
 # Fleet-level fault kinds (repro.fleet.chaos extends this registry):
 # whole-SoC failure domains rather than per-dispatch faults.
 SOC_CRASH = "soc-crash"
@@ -366,9 +363,8 @@ class FaultReport:
         if not counts and not self.failures:
             lines.append("  no faults injected, no recovery needed")
             return "\n".join(lines)
-        for kind in (KERNEL_FAULT, SLOWDOWN, PU_DROPOUT, STALL,
-                     DEADLINE_OVERRUN, RETRY, RECOVERY, QUARANTINE,
-                     FALLBACK):
+        for kind in (KERNEL_FAULT, SLOWDOWN, PU_DROPOUT, RETRY, RECOVERY,
+                     QUARANTINE, FALLBACK):
             if counts.get(kind):
                 lines.append(f"  {kind:>12}: {counts[kind]}")
         for event in self.events:
@@ -460,8 +456,7 @@ class FaultInjector:
 
     # -- threaded back-end --------------------------------------------
     def before_kernel(self, pu_class: str, stage_index: int,
-                      task_id: int, attempt: int = 0,
-                      sleep=time.sleep) -> None:
+                      task_id: int, attempt: int = 0) -> None:
         """Fire planned faults for one dispatch attempt.
 
         Raises:
@@ -475,7 +470,7 @@ class FaultInjector:
                     and spec.delay_s > 0.0 and attempt == 0):
                 self.record(SLOWDOWN, pu_class, stage_index, task_id,
                             detail=f"delay {spec.delay_s:g}s")
-                sleep(spec.delay_s)
+                time.sleep(spec.delay_s)
         for spec in self.plan.kernel_faults:
             if not spec.matches(pu_class, stage_index, task_id):
                 continue

@@ -22,15 +22,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.stage import Application, Chunk
-from repro.errors import (
-    PipelineError,
-    PuFailureError,
-    QueueClosedError,
-    StallError,
-)
+from repro.errors import PipelineError, PuFailureError, QueueClosedError
 from repro.runtime.faults import (
     FAILURE_FATAL,
     RECOVERY,
@@ -49,7 +44,6 @@ from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.runtime.spsc import SpscQueue
 from repro.runtime.task_object import TaskObject
-from repro.runtime.watchdog import Heartbeat, Watchdog, WatchdogConfig
 
 #: Sentinel flowing through the queues to shut dispatchers down.
 _POISON = object()
@@ -65,8 +59,9 @@ class ThreadedRunResult:
     ``n_tasks`` is the requested task count, ``completed`` the number
     that actually drained from the final queue (they differ only when
     the run raised).  ``failures`` lists tasks quarantined under
-    failure isolation; ``fault_events`` is the injector's log when a
-    :class:`~repro.runtime.faults.FaultInjector` was attached.
+    failure isolation; ``fault_events`` is the log of an attached
+    :class:`~repro.runtime.faults.FaultInjector`, ordered by
+    (task, stage) so it reads the same on every run.
     """
 
     n_tasks: int
@@ -76,9 +71,6 @@ class ThreadedRunResult:
     completed: int = 0
     failures: List[TaskFailure] = field(default_factory=list)
     fault_events: Sequence[FaultEvent] = ()
-    #: Stall / deadline-overrun events the watchdog recorded (also
-    #: mirrored into the fault injector's log when one is attached).
-    watchdog_events: Sequence[FaultEvent] = ()
 
     @property
     def failed_task_ids(self) -> List[int]:
@@ -99,8 +91,7 @@ class _Dispatcher(threading.Thread):
                  queue_timeout_s: float = _QUEUE_TIMEOUT_S,
                  fault_injector: Optional[FaultInjector] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 isolate_failures: bool = False,
-                 heartbeat: Optional[Heartbeat] = None):
+                 isolate_failures: bool = False):
         super().__init__(name=f"dispatch-{chunk_index}-{chunk.pu_class}",
                          daemon=True)
         self.chunk_index = chunk_index
@@ -113,10 +104,6 @@ class _Dispatcher(threading.Thread):
         self.injector = fault_injector
         self.retry_policy = retry_policy
         self.isolate_failures = isolate_failures
-        self.heartbeat = heartbeat
-        # Watchdog-cancellable sleep when supervised, plain otherwise;
-        # used for injected slowdowns and retry backoff alike.
-        self._sleep = heartbeat.sleep if heartbeat is not None else time.sleep
         self.stages_executed = 0
         self.error: Optional[BaseException] = None
 
@@ -138,7 +125,9 @@ class _Dispatcher(threading.Thread):
             # so every dispatcher (and the driver) wakes up.
             self.in_queue.close()
             self.out_queue.close()
-        except BaseException as exc:  # surfaced by the executor
+        except BaseException as exc:
+            # The thread boundary: nothing may escape a dispatcher
+            # silently, so the executor re-raises this after the join.
             self.error = exc
             # Unwind the pipeline so neighbours don't block on us.
             self.in_queue.close()
@@ -158,18 +147,10 @@ class _Dispatcher(threading.Thread):
             self._process_inner(task, task_id)
 
     def _process_inner(self, task: TaskObject, task_id: int) -> None:
-        if self.heartbeat is not None:
-            self.heartbeat.start_task(task_id)
-        try:
-            task.synchronize_for(self.chunk.pu_class)
-            for index in self.chunk.stage_indices:
-                if self.heartbeat is not None:
-                    self.heartbeat.start_stage(index)
-                if not self._dispatch_stage(index, task, task_id):
-                    return  # task quarantined; skip its remainder
-        finally:
-            if self.heartbeat is not None:
-                self.heartbeat.idle()
+        task.synchronize_for(self.chunk.pu_class)
+        for index in self.chunk.stage_indices:
+            if not self._dispatch_stage(index, task, task_id):
+                return  # task quarantined; skip its remainder
 
     def _dispatch_stage(self, index: int, task: TaskObject,
                         task_id: int) -> bool:
@@ -188,27 +169,16 @@ class _Dispatcher(threading.Thread):
                 if self.injector is not None:
                     self.injector.before_kernel(
                         self.chunk.pu_class, index, task_id,
-                        attempt=failures, sleep=self._sleep,
+                        attempt=failures,
                     )
                 kernel(task)
             except PuFailureError:
                 raise  # permanent: retrying on a dead PU is pointless
-            except StallError as exc:
-                # The watchdog cancelled this dispatch.  Never retried:
-                # a wedged kernel only wedges again.  Clear the cancel
-                # so the next task starts fresh, then quarantine (or
-                # unwind when failure isolation is off).
-                if self.heartbeat is not None:
-                    self.heartbeat.cancel.clear()
-                if self.isolate_failures:
-                    return self._quarantine(task, task_id, index,
-                                            failures + 1, exc)
-                raise
             except Exception as exc:
-                # Classify before recovering: fatal failures (contract /
-                # configuration bugs) would fail identically on retry, so
-                # they unwind the pipeline instead of burning the task's
-                # recovery budget.
+                # Kernels may raise anything; every exception is
+                # classified, and fatal ones (contract / configuration
+                # bugs that would fail identically on retry) unwind
+                # instead of burning the task's recovery budget.
                 if classify_failure(exc) == FAILURE_FATAL:
                     raise
                 failures += 1
@@ -230,16 +200,7 @@ class _Dispatcher(threading.Thread):
                                                 failures, exc)
                     raise
                 self._record_retry(index, task_id, failures, exc)
-                try:
-                    self._sleep(backoff)
-                except StallError as stall:
-                    if self.heartbeat is not None:
-                        self.heartbeat.cancel.clear()
-                    if self.isolate_failures:
-                        return self._quarantine(
-                            task, task_id, index, failures, stall
-                        )
-                    raise
+                time.sleep(backoff)
                 continue
             else:
                 self.stages_executed += 1
@@ -313,11 +274,6 @@ class ThreadedPipelineExecutor:
             instead of unwinding the whole pipeline.
         queue_timeout_s: Per-operation queue timeout; a wedged pipeline
             fails with ``TimeoutError`` instead of hanging.
-        watchdog: Optional supervision thresholds; when set, a
-            :class:`~repro.runtime.watchdog.Watchdog` thread monitors
-            every dispatcher's heartbeat, logs per-chunk deadline
-            overruns and cancels stalled dispatches (which are then
-            quarantined or unwound like any other failure).
     """
 
     def __init__(
@@ -330,7 +286,6 @@ class ThreadedPipelineExecutor:
         retry_policy: Optional[RetryPolicy] = None,
         isolate_failures: bool = False,
         queue_timeout_s: float = _QUEUE_TIMEOUT_S,
-        watchdog: Optional[WatchdogConfig] = None,
     ):
         _check_chunk_cover(application, chunks)
         if application.make_task is None:
@@ -353,7 +308,6 @@ class ThreadedPipelineExecutor:
         if queue_timeout_s <= 0:
             raise PipelineError("queue_timeout_s must be > 0")
         self.queue_timeout_s = queue_timeout_s
-        self.watchdog_config = watchdog
 
     def run(
         self,
@@ -376,15 +330,6 @@ class ThreadedPipelineExecutor:
             SpscQueue(capacity=self.depth + 1, name=f"pipe-q{i}")
             for i in range(len(self.chunks) + 1)
         ]
-        heartbeats: Optional[List[Heartbeat]] = None
-        watchdog: Optional[Watchdog] = None
-        if self.watchdog_config is not None:
-            heartbeats = [
-                Heartbeat(i, chunk.pu_class)
-                for i, chunk in enumerate(self.chunks)
-            ]
-            watchdog = Watchdog(heartbeats, self.watchdog_config,
-                                injector=self.fault_injector)
         dispatchers = [
             _Dispatcher(
                 chunk_index=i,
@@ -397,13 +342,10 @@ class ThreadedPipelineExecutor:
                 fault_injector=self.fault_injector,
                 retry_policy=self.retry_policy,
                 isolate_failures=self.isolate_failures,
-                heartbeat=heartbeats[i] if heartbeats is not None else None,
             )
             for i, chunk in enumerate(self.chunks)
         ]
         start = time.perf_counter()
-        if watchdog is not None:
-            watchdog.start()
         for dispatcher in dispatchers:
             dispatcher.start()
 
@@ -458,11 +400,6 @@ class ThreadedPipelineExecutor:
                 queue.close()
         for dispatcher in dispatchers:
             dispatcher.join(timeout=self.queue_timeout_s)
-        if watchdog is not None:
-            # Stop only after the dispatchers joined: a dispatcher still
-            # blocked in a cancellable sleep needs the supervisor alive
-            # to cancel it.
-            watchdog.stop()
         for dispatcher in dispatchers:
             if dispatcher.error is not None:
                 raise PipelineError(
@@ -496,10 +433,14 @@ class ThreadedPipelineExecutor:
             validated=validate,
             completed=completed,
             failures=failures,
-            fault_events=(self.fault_injector.events
-                          if self.fault_injector is not None else ()),
-            watchdog_events=(tuple(watchdog.events)
-                             if watchdog is not None else ()),
+            # Dispatchers append to the shared log in wall-clock order.
+            # One (task, stage) is dispatched by one thread only, so a
+            # stable sort on it fixes the order across runs and keeps
+            # each dispatch's fault -> retry -> recovery in sequence.
+            fault_events=(tuple(sorted(
+                self.fault_injector.events,
+                key=lambda event: (event.task_id, event.stage_index),
+            )) if self.fault_injector is not None else ()),
         )
 
     # ------------------------------------------------------------------

@@ -83,7 +83,7 @@ def _application(app_kind: str, app_seed: int,
         )
     # The flight tail rides on the error so a failed replay of a
     # hand-edited trace shows the events leading up to the bad kind
-    # (same diagnostic convention as StallError/FaultReport).
+    # (same diagnostic convention as FaultReport.flight_tail).
     raise TrafficError(
         f"unknown application kind {app_kind!r}",
         flight_tail=recorder().tail(32),

@@ -76,6 +76,7 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] == "ok"
         assert set(data["phases"]) == {"clean", "selftest"}
+        assert data["clean_run"]["completed"] == data["clean_run"]["tasks"]
 
     def test_race_cli_text_and_out(self, tmp_path, capsys):
         out_file = tmp_path / "race.json"

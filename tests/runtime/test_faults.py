@@ -1,5 +1,8 @@
 """Tests for fault injection and the recovery machinery it exercises."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -204,7 +207,9 @@ class TestThreadedRecovery:
         assert report.count("kernel-fault") == 3  # 2 + 1 attempts failed
         assert report.count("retry") == 3
         assert report.count("recovery") == 2  # one per faulted stage
-        assert result.fault_events == report.events
+        # The injector's log, ordered by dispatch for the run's result.
+        assert result.fault_events == tuple(sorted(
+            report.events, key=lambda e: (e.task_id, e.stage_index)))
 
     def test_retries_exhausted_unwinds_without_isolation(self):
         app = make_counting_app(4)
@@ -299,6 +304,53 @@ class TestThreadedRecovery:
         )
         assert faulty == clean
         assert injector.report().count("recovery") == 1
+
+
+class TestThreadedLogOrder:
+    """Dispatchers append to the shared fault log in wall-clock order;
+    the run's log is ordered by (task, stage), so one seeded plan gives
+    one report however the chunks' speeds interleave the appends."""
+
+    def report(self, upstream_s, downstream_s):
+        def paced(index, delay_s):
+            def kernel(task):
+                time.sleep(delay_s)
+                task["trace"][index] = 1
+            return kernel
+
+        stages = [
+            Stage(f"s{i}", work(),
+                  {"cpu": paced(i, delay), "gpu": paced(i, delay)})
+            for i, delay in enumerate((upstream_s, downstream_s))
+        ]
+        app = Application(
+            "paced", stages,
+            make_task=lambda seed: {"trace": np.zeros(2, dtype=np.int64)},
+        )
+        # Task 0 faults downstream while task 1 faults upstream, so the
+        # two recoveries race: the slower chunk logs its recovery last.
+        injector = FaultInjector(FaultPlan(kernel_faults=[
+            KernelFaultSpec(task_id=0, stage_index=1),
+            KernelFaultSpec(task_id=1, stage_index=0),
+        ]))
+        result = ThreadedPipelineExecutor(
+            app, [Chunk(0, 1, "big"), Chunk(1, 2, "gpu")],
+            fault_injector=injector,
+            retry_policy=RetryPolicy(max_attempts=2, base_backoff_s=1e-5),
+        ).run(3)
+        return replace(injector.report(result.failures),
+                       events=result.fault_events)
+
+    def test_report_is_the_same_whichever_chunk_finishes_first(self):
+        upstream_first = self.report(upstream_s=0.0, downstream_s=0.05)
+        downstream_first = self.report(upstream_s=0.05, downstream_s=0.0)
+        assert upstream_first.to_dict() == downstream_first.to_dict()
+        # Each dispatch's fault -> retry -> recovery stays in sequence.
+        assert [(e.task_id, e.stage_index, e.kind)
+                for e in upstream_first.events] == [
+            (0, 1, "kernel-fault"), (0, 1, "retry"), (0, 1, "recovery"),
+            (1, 0, "kernel-fault"), (1, 0, "retry"), (1, 0, "recovery"),
+        ]
 
 
 class TestSimulatedFaults:
