@@ -25,7 +25,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import AnalysisError
 
@@ -176,10 +176,3 @@ _GLOBAL_CACHE = AstCache()
 def ast_cache() -> AstCache:
     """The process-global cache shared by ``lint`` and ``flow``."""
     return _GLOBAL_CACHE
-
-
-def legacy_suppression_lines(
-    table: Dict[int, Suppression],
-) -> Dict[int, Set[str]]:
-    """Adapter to the linter's historic ``{line: {rule ids}}`` shape."""
-    return {line: set(s.rule_ids) for line, s in table.items()}

@@ -14,17 +14,14 @@ import ast
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.astcache import (
     AstCache,
     ParsedModule,
     ast_cache,
-    legacy_suppression_lines,
     parse_module,
-)
-from repro.analysis.astcache import (
-    parse_suppressions as _parse_tool_suppressions,
+    suppressed_at,
 )
 from repro.analysis.rules import Finding, Rule, all_rules
 from repro.errors import AnalysisError
@@ -66,36 +63,20 @@ class LintReport:
         return out
 
 
-def parse_suppressions(source: str) -> Dict[int, Set[str]]:
-    """Line number (1-based) -> rule ids suppressed on that line."""
-    return legacy_suppression_lines(
-        _parse_tool_suppressions(source, TOOL_TAG)
-    )
-
-
-def _is_suppressed(finding: Finding,
-                   suppressions: Dict[int, Set[str]]) -> bool:
-    for lineno in (finding.line, finding.line - 1):
-        ids = suppressions.get(lineno)
-        if ids and ("ALL" in ids or finding.rule_id in ids):
-            return True
-    return False
-
-
 def lint_module(
     module: ParsedModule,
     rules: Optional[Sequence[Rule]] = None,
 ) -> Tuple[List[Finding], int]:
     """Lint one parsed module; returns (findings, suppressed_count)."""
     path = module.path
-    suppressions = legacy_suppression_lines(module.suppressions(TOOL_TAG))
+    suppressions = module.suppressions(TOOL_TAG)
     findings: List[Finding] = []
     suppressed = 0
     for rule in (rules if rules is not None else all_rules()):
         if not rule.applies(path):
             continue
         for finding in rule.check(module.tree, path):
-            if _is_suppressed(finding, suppressions):
+            if suppressed_at(finding.rule_id, finding.line, suppressions):
                 suppressed += 1
             else:
                 findings.append(finding)

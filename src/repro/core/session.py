@@ -87,11 +87,6 @@ class SessionReport:
         """Append one free-form event line to the session log."""
         self.events.append(message)
 
-    @property
-    def units_reused(self) -> int:
-        return (self.cells_reused + self.measurements_reused
-                + (1 if self.optimization_reused else 0))
-
     def format(self) -> str:
         """Human-readable resume summary."""
         lines = [

@@ -69,10 +69,6 @@ class Stage:
             )
         return fn
 
-    def has_kernel(self, backend: str) -> bool:
-        """Whether an executable kernel exists for ``backend``."""
-        return self.kernels.get(backend) is not None
-
     def kernel_for_pu(self, pu_class: str) -> KernelFn:
         """Pick the kernel variant a PU class executes (GPU gets the
         device kernel, every CPU cluster the host kernel)."""
@@ -197,13 +193,6 @@ class TaskGraph:
     @property
     def num_stages(self) -> int:
         return len(self._stages)
-
-    def dependencies(self, name: str) -> Tuple[str, ...]:
-        """The declared dependencies of a stage."""
-        try:
-            return tuple(self._deps[name])
-        except KeyError:
-            raise SchedulingError(f"unknown stage {name!r}") from None
 
     def linearize(self) -> List[Stage]:
         """Deterministic topological order of the stages."""

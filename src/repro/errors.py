@@ -28,10 +28,6 @@ class SolverError(ReproError):
     """Base class for constraint-solver errors."""
 
 
-class InfeasibleError(SolverError):
-    """Raised when a constraint model has no satisfying assignment."""
-
-
 class SolverTimeoutError(SolverError):
     """Raised when the solver exhausts its node or time budget.
 
@@ -108,17 +104,6 @@ class TrafficError(ReproError):
                  flight_tail: Sequence[Dict[str, Any]] = ()):
         super().__init__(message)
         self.flight_tail = tuple(dict(e) for e in flight_tail)
-
-    def diagnostic(self) -> str:
-        """Message plus the flight-recorder tail, one event per line."""
-        lines = [str(self)]
-        for entry in self.flight_tail:
-            fields = " ".join(
-                f"{k}={entry[k]}" for k in entry if k not in ("seq", "kind")
-            )
-            lines.append(f"  [{entry.get('seq')}] {entry.get('kind')}"
-                         f" {fields}".rstrip())
-        return "\n".join(lines)
 
 
 class AnalysisError(ReproError):

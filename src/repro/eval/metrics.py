@@ -7,7 +7,7 @@ geometric-mean speedups (Fig. 4), and small table-formatting helpers.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.errors import ReproError
 
@@ -94,8 +94,3 @@ def format_table(rows: Sequence[Sequence[str]],
                 cells.append(text.ljust(widths[col]))
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines)
-
-
-def ratio_map_mean(per_key: Dict[str, List[float]]) -> Dict[str, float]:
-    """Average each key's list (per-PU interference ratios, Fig. 7)."""
-    return {key: arithmetic_mean(vals) for key, vals in per_key.items()}

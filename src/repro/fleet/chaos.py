@@ -16,17 +16,15 @@ four seeded fault shapes:
   (busy fractions + DRAM demand on the affected classes), which is
   exactly how the serving layer models interference it does not control.
 
-Everything is declared up front in a :class:`ChaosSchedule` (or drawn
-from a seed via :meth:`ChaosSchedule.random`), so a chaos run is a pure
-function of (platform set, tenant specs, chaos schedule, seed).
+Everything is declared up front in a :class:`ChaosSchedule`, so a chaos
+run is a pure function of (platform set, tenant specs, chaos schedule,
+seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import FleetError
 from repro.obs.metrics import metrics
@@ -124,10 +122,6 @@ class ChaosSchedule:
     def __bool__(self) -> bool:
         return bool(self.crashes or self.grays or self.degradations)
 
-    @property
-    def n_events(self) -> int:
-        return len(self.crashes) + len(self.grays) + len(self.degradations)
-
     def __post_init__(self) -> None:
         seen = set()
         for crash in self.crashes:
@@ -138,74 +132,17 @@ class ChaosSchedule:
                 )
             seen.add(crash.shard)
 
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        shard_names: Sequence[str],
-        ticks: int,
-        crash_rate: float = 0.0,
-        gray_rate: float = 0.0,
-        degrade_rate: float = 0.0,
-        degrade_busy: float = 0.8,
-        degrade_demand_gbps: float = 4.0,
-        pu_classes: Sequence[str] = ("big", "medium", "little", "gpu"),
-    ) -> "ChaosSchedule":
-        """Draw a deterministic schedule: same seed, same chaos, always.
-
-        Each shard independently receives at most one crash (with a
-        rejoin halfway to the horizon), one gray window, and one
-        degradation window, each with the given probability.
-        """
-        for name, rate in (("crash_rate", crash_rate),
-                           ("gray_rate", gray_rate),
-                           ("degrade_rate", degrade_rate)):
-            if not 0.0 <= rate <= 1.0:
-                raise FleetError(f"{name} must be in [0, 1]")
-        if ticks < 8:
-            raise FleetError("random chaos needs a horizon of >= 8 ticks")
-        rng = np.random.default_rng(seed)
-        schedule = cls()
-        for shard in shard_names:
-            if rng.random() < crash_rate:
-                at = int(rng.integers(2, max(3, ticks // 2)))
-                schedule.crashes.append(ShardCrashSpec(
-                    shard=shard, at_tick=at,
-                    rejoin_tick=at + max(2, (ticks - at) // 2),
-                ))
-            if rng.random() < gray_rate:
-                start = int(rng.integers(2, max(3, ticks // 2)))
-                schedule.grays.append(GrayFailureSpec(
-                    shard=shard, start_tick=start,
-                    end_tick=start + max(4, ticks // 4),
-                ))
-            if rng.random() < degrade_rate:
-                start = int(rng.integers(2, max(3, ticks // 2)))
-                schedule.degradations.append(DegradeSpec(
-                    shard=shard, start_tick=start,
-                    end_tick=start + max(4, ticks // 3),
-                    busy={cls_: degrade_busy for cls_ in pu_classes},
-                    demand_gbps=degrade_demand_gbps,
-                ))
-        return schedule
-
 
 class ChaosInjector:
     """Evaluates a :class:`ChaosSchedule` at fleet ticks and logs events.
 
     Single-threaded by design: only the thread stepping the fleet calls
-    in, so the event log order is a pure function of the schedule.  The
-    seeded RNG backs anything downstream that needs randomness tied to
-    the chaos stream (e.g. :meth:`ChaosSchedule.random` regeneration or
-    future probabilistic faults) without touching global state.
+    in, so the event log order is a pure function of the schedule.
     """
 
-    def __init__(self, schedule: ChaosSchedule, seed: int = 0):
+    def __init__(self, schedule: ChaosSchedule):
         self.schedule = schedule
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
         self.events: List[Dict[str, Any]] = []
-        self._degrade_ends: List[DegradeSpec] = []
 
     # -- logging (mirrors FaultInjector.record one level up) -----------
     def record(self, tick: int, kind: str, shard: str,

@@ -161,9 +161,11 @@ class FleetRouter:
             raise FleetError(f"duplicate shard names in {names}")
         self.seed = seed
         self.config = config or FleetConfig()
-        self.chaos = ChaosInjector(chaos or ChaosSchedule(), seed=seed)
-        for spec in self.chaos.schedule.crashes:
-            if spec.shard not in set(names):
+        self.chaos = ChaosInjector(chaos or ChaosSchedule())
+        schedule = self.chaos.schedule
+        for spec in (*schedule.crashes, *schedule.grays,
+                     *schedule.degradations):
+            if spec.shard not in names:
                 raise FleetError(
                     f"chaos schedule names unknown shard {spec.shard!r}"
                 )

@@ -22,10 +22,6 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-import numpy as np
-
-from repro.errors import KernelError
-
 #: Backend identifiers, matching the paper's terminology.
 CPU = "cpu"
 GPU = "gpu"
@@ -35,21 +31,6 @@ BACKENDS = (CPU, GPU)
 #: chunking of the gpu variants, not their results).
 GPU_BLOCK = 256
 GPU_GRID = 64
-
-
-def require_1d(name: str, array: np.ndarray) -> None:
-    """Validate that an array is one-dimensional."""
-    if array.ndim != 1:
-        raise KernelError(f"{name} must be 1-D, got shape {array.shape}")
-
-
-def require_same_length(a_name: str, a: np.ndarray, b_name: str, b: np.ndarray) -> None:
-    """Validate that two arrays have matching lengths."""
-    if len(a) != len(b):
-        raise KernelError(
-            f"{a_name} (len {len(a)}) and {b_name} (len {len(b)}) "
-            "must have the same length"
-        )
 
 
 def grid_stride_chunks(n: int) -> Tuple[range, int]:
@@ -63,30 +44,11 @@ def grid_stride_chunks(n: int) -> Tuple[range, int]:
     return range(0, max(n, 1), stride), stride
 
 
-def ceil_div(a: int, b: int) -> int:
-    """Integer ceiling division."""
-    if b <= 0:
-        raise KernelError("divisor must be positive")
-    return -(-a // b)
-
-
-def checked_log2(n: int) -> int:
-    """log2 for exact powers of two (used by scan passes)."""
-    if n <= 0 or n & (n - 1):
-        raise KernelError(f"{n} is not a positive power of two")
-    return n.bit_length() - 1
-
-
 def next_power_of_two(n: int) -> int:
     """Smallest power of two >= n (>= 1)."""
     if n <= 1:
         return 1
     return 1 << (n - 1).bit_length()
-
-
-def dtype_bytes(dtype: "np.dtype | type") -> int:
-    """Bytes per element of a numpy dtype."""
-    return np.dtype(dtype).itemsize
 
 
 def flops_nlogn(n: int, per_element: float = 1.0) -> float:

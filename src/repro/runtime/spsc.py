@@ -122,20 +122,6 @@ class SpscQueue:
                 reg.observe("spsc.queue_depth", self._size_locked())
             self._not_empty.notify()
 
-    def try_push(self, item: Any) -> bool:
-        """Non-blocking enqueue; False when full."""
-        with self._not_full:
-            if _checks.ENABLED:
-                self._bind("producer")
-            if self._closed:
-                raise QueueClosedError("push to closed queue")
-            if self._size_locked() >= self.capacity:
-                return False
-            self._ring[self._tail] = item
-            self._tail = (self._tail + 1) % len(self._ring)
-            self._not_empty.notify()
-            return True
-
     def pop(self, timeout: Optional[float] = None) -> Any:
         """Dequeue, blocking while empty.
 
@@ -159,21 +145,6 @@ class SpscQueue:
                     if remaining <= 0:
                         raise TimeoutError("SPSC pop timed out")
                 self._not_empty.wait(remaining)
-            item = self._ring[self._head]
-            self._ring[self._head] = None
-            self._head = (self._head + 1) % len(self._ring)
-            self._not_full.notify()
-            return item
-
-    def try_pop(self) -> Any:
-        """Non-blocking dequeue; raises IndexError when empty."""
-        with self._not_empty:
-            if _checks.ENABLED:
-                self._bind("consumer")
-            if self._size_locked() == 0:
-                if self._closed:
-                    raise QueueClosedError("pop from closed, drained queue")
-                raise IndexError("queue empty")
             item = self._ring[self._head]
             self._ring[self._head] = None
             self._head = (self._head + 1) % len(self._ring)

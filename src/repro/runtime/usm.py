@@ -5,14 +5,15 @@ a buffer allocated once is visible to host and device with zero copies
 (``std::pmr::vector`` fronted by ``cudaMallocManaged`` / ``VkBuffer``
 allocators in the C++ implementation).  In Python the single numpy array
 *is* the unified allocation; ``host_view``/``device_view`` return the same
-storage, and the class additionally tracks the coherence hints the real
-runtime issues (``cudaStreamAttachMemAsync`` prefetches, Vulkan pipeline
-barriers) so tests can assert the dispatcher synchronizes correctly.
+storage, and ``attach_async`` stands where the real runtime issues its
+coherence hints (``cudaStreamAttachMemAsync`` prefetches, Vulkan pipeline
+barriers): with unified storage there is nothing to flush, so it only
+checks the buffer is still live.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +58,6 @@ class UsmBuffer:
             self._data = data
         else:
             self._data = np.zeros(shape, dtype=dtype)
-        self._attach_log: List[str] = []
         self._released = False
 
     @classmethod
@@ -99,24 +99,15 @@ class UsmBuffer:
         self._check_live("device_view")
         return self._data
 
-    def view_for(self, pu_class: str) -> np.ndarray:
-        """The appropriate view for the executing PU class."""
-        return self.device_view() if pu_class == "gpu" else self.host_view()
-
     # ------------------------------------------------------------------
     def attach_async(self, pu_class: str) -> None:
-        """Record a coherence/prefetch hint for the given PU.
+        """Issue a coherence/prefetch hint for the given PU.
 
         Mirrors ``cudaStreamAttachMemAsync`` (CUDA) / the memory-barrier
         recording into a ``VkCommandBuffer`` (Vulkan) issued by the
         dispatcher before launching a chunk (paper section 3.4).
         """
         self._check_live("attach_async")
-        self._attach_log.append(pu_class)
-
-    @property
-    def attach_log(self) -> Tuple[str, ...]:
-        return tuple(self._attach_log)
 
     def fill(self, value) -> None:
         """Fill the buffer with a constant."""

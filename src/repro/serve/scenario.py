@@ -92,8 +92,6 @@ class SoakScenario:
     window_tasks: int = 10
     stage_count: int = 3
     drift_start_tick: int = 4
-    drift_fraction: float = 0.8
-    drift_demand_gbps: float = 4.0
     max_ticks: int = 48
 
     def __post_init__(self) -> None:
@@ -101,8 +99,6 @@ class SoakScenario:
             raise ServeError(
                 "soak needs >= 8 windows for a meaningful p95"
             )
-        if not 0.0 < self.drift_fraction <= 1.0:
-            raise ServeError("drift_fraction must be in (0, 1]")
         if self.drift_start_tick < 2:
             raise ServeError(
                 "drift must start after the baseline window (tick >= 2)"
@@ -175,8 +171,8 @@ def build_soak_server(
     ))
     server.inject_drift(DriftSpec(
         start_tick=scenario.drift_start_tick,
-        busy={DRIFT_CLASS: scenario.drift_fraction},
-        demand_gbps=scenario.drift_demand_gbps,
+        busy={DRIFT_CLASS: 0.8},
+        demand_gbps=4.0,
     ))
     return server
 

@@ -118,11 +118,6 @@ class ServerConfig:
 
     max_ticks: int = 64
     queue_capacity: int = 4
-    #: Ticks a tenant may sit in the backpressure queue before the
-    #: server rejects it outright (deterministic age-out).  None keeps
-    #: queued tenants waiting until the run drains - the pre-overload
-    #: behaviour, where sustained overload parks the queue forever.
-    queue_patience: Optional[int] = None
     max_impact_ratio: float = 1.5
     max_partition_classes: Optional[int] = None
     #: Price the impact ceiling against each incumbent's *total*
@@ -146,8 +141,6 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.max_ticks < 1:
             raise ServeError("max_ticks must be >= 1")
-        if self.queue_patience is not None and self.queue_patience < 1:
-            raise ServeError("queue_patience must be >= 1 (or None)")
 
 
 class PipelineServer:
@@ -217,8 +210,6 @@ class PipelineServer:
         self._inbox: Deque[TenantSpec] = deque()
         self._inbox_lock = checked_lock("serve.inbox-lock")
         self._queue: List[str] = []
-        #: Tick each queued tenant entered the queue (age-out clock).
-        self._queued_since: Dict[str, int] = {}
         self._drifts: List[DriftSpec] = []
         self._patience: Dict[str, int] = {}
         self._admission_counter = 0
@@ -402,7 +393,6 @@ class PipelineServer:
             )
         if name in self._queue:
             self._queue.remove(name)
-            self._queued_since.pop(name, None)
         if name in self._live:
             self._release(name)
         record.status = EVICTED
@@ -423,7 +413,6 @@ class PipelineServer:
             self._release(name)
         self._names.discard(name)
         self._patience.pop(name, None)
-        self._queued_since.pop(name, None)
 
     def running_records(self) -> Dict[str, TenantRecord]:
         """Live RUNNING tenants in admission order (a snapshot)."""
@@ -530,7 +519,6 @@ class PipelineServer:
         "reschedule": "serve.reschedules",
         "evict": "serve.evictions",
         "withdraw": "serve.withdrawals",
-        "queue_evict": "admission.queue_evictions",
     }
 
     def _event(self, tick: int, event: str, tenant: str,
@@ -576,34 +564,12 @@ class PipelineServer:
             self._decide(tick, record)
 
     def _retry_queued(self, tick: int) -> None:
-        # Deterministic age-out before the retry pass: under sustained
-        # overload the queue would otherwise park tenants forever, and
-        # an open-loop workload keeps refilling it.  FIFO order means
-        # the oldest entries are seen (and rejected) first.
-        patience = self.config.queue_patience
-        if patience is not None:
-            for name in list(self._queue):
-                queued_since = self._queued_since[name]
-                if tick - queued_since < patience:
-                    continue
-                record = self.records[name]
-                self._queue.remove(name)
-                self._queued_since.pop(name, None)
-                record.status = REJECTED
-                record.status_detail = (
-                    f"aged out of the admission queue after waiting "
-                    f"{tick - queued_since} ticks (patience {patience})"
-                )
-                self._event(tick, "queue_evict", name,
-                            reason=record.status_detail,
-                            waited_ticks=tick - queued_since)
         for name in list(self._queue):
             record = self.records[name]
             decision = self.price(record.spec,
                                   queued=len(self._queue) - 1)
             if decision.action == ADMIT:
                 self._queue.remove(name)
-                self._queued_since.pop(name, None)
                 self._deploy(tick, record, decision)
 
     def _decide(self, tick: int, record: TenantRecord) -> None:
@@ -614,7 +580,6 @@ class PipelineServer:
             record.status = QUEUED
             record.status_detail = decision.reason
             self._queue.append(record.name)
-            self._queued_since[record.name] = tick
             self._event(tick, "queue", record.name,
                         reason=decision.reason)
         else:

@@ -44,7 +44,7 @@ from repro.soc.pu import (
     CpuCluster,
     Gpu,
 )
-from repro.soc.timer import MeasurementNoise, VirtualTimer, mean_of_measurements
+from repro.soc.timer import MeasurementNoise, mean_of_measurements
 from repro.soc.workprofile import WorkProfile
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "PLATFORM_NAMES",
     "Platform",
     "PowerSpec",
-    "VirtualTimer",
     "WorkProfile",
     "all_platforms",
     "co_load_fraction",

@@ -44,29 +44,12 @@ class AffinityMap:
                     )
                 seen.add(core)
 
-    @property
-    def cpu_classes(self) -> Tuple[str, ...]:
-        return tuple(self._entries)
-
     def core_ids(self, pu_class: str) -> Tuple[int, ...]:
         """OS core ids of a PU class (empty for the GPU)."""
         if pu_class == GPU:
             return ()
         try:
             return self._entries[pu_class].core_ids
-        except KeyError:
-            raise PlatformError(f"unknown PU class: {pu_class!r}") from None
-
-    def is_pinnable(self, pu_class: str) -> bool:
-        """Whether dispatcher threads can bind to this class.
-
-        The GPU is always "pinnable": dispatch happens through the driver's
-        queue, not through ``sched_setaffinity``.
-        """
-        if pu_class == GPU:
-            return self._has_gpu
-        try:
-            return self._entries[pu_class].pinnable
         except KeyError:
             raise PlatformError(f"unknown PU class: {pu_class!r}") from None
 
@@ -85,16 +68,6 @@ class AffinityMap:
         if self._has_gpu:
             classes.append(GPU)
         return tuple(classes)
-
-    def total_cores(self) -> int:
-        """CPU cores across every cluster."""
-        return sum(len(e.core_ids) for e in self._entries.values())
-
-    def pinnable_cores(self) -> int:
-        """CPU cores the OS allows pinning to."""
-        return sum(
-            len(e.core_ids) for e in self._entries.values() if e.pinnable
-        )
 
     def describe(self) -> str:
         """Human-readable one-line-per-class summary."""

@@ -149,8 +149,3 @@ class Gpu:
     def sustained_gflops(self) -> float:
         """Throughput actually sustainable in steady state."""
         return self.peak_gflops * self.sustained_efficiency
-
-    @property
-    def hardware_threads(self) -> float:
-        """Resident threads needed for full occupancy."""
-        return float(self.compute_units * self.lanes_per_unit)

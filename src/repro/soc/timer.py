@@ -1,4 +1,4 @@
-"""Virtual high-resolution timers with deterministic measurement noise.
+"""Deterministic measurement noise for the virtual SoC's timers.
 
 The paper measures latency with the ARM generic timer (``cntvct_el0``) on
 the host and CUDA events / Vulkan timestamp queries on the device, then
@@ -12,7 +12,6 @@ while still exhibiting realistic run-to-run variation.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Iterable, List
 
 import numpy as np
@@ -70,46 +69,6 @@ class MeasurementNoise:
             mean=-0.5 * self.sigma**2, sigma=self.sigma, size=count
         )
         return (true_seconds * draws).tolist()
-
-
-class VirtualTimer:
-    """A monotonically increasing virtual clock (``cntvct_el0`` stand-in).
-
-    The discrete-event simulator advances this clock; dispatcher code reads
-    it exactly the way the paper's instrumentation reads the hardware
-    counter.
-    """
-
-    #: Virtual counter frequency, matching ARM's common 19.2 MHz generic
-    #: timer tick converted up to nanosecond bookkeeping.
-    TICKS_PER_SECOND = 1_000_000_000
-
-    def __init__(self) -> None:
-        self._now_s = 0.0
-
-    @property
-    def now_s(self) -> float:
-        return self._now_s
-
-    @property
-    def ticks(self) -> int:
-        return int(round(self._now_s * self.TICKS_PER_SECOND))
-
-    def advance(self, seconds: float) -> None:
-        """Move the clock forward by a duration."""
-        if seconds < 0:
-            raise PlatformError("cannot advance a timer backwards")
-        if not math.isfinite(seconds):
-            raise PlatformError("cannot advance a timer by a non-finite amount")
-        self._now_s += seconds
-
-    def advance_to(self, timestamp_s: float) -> None:
-        """Move the clock forward to an absolute timestamp."""
-        if timestamp_s < self._now_s:
-            raise PlatformError(
-                f"cannot rewind timer from {self._now_s} to {timestamp_s}"
-            )
-        self._now_s = timestamp_s
 
 
 def mean_of_measurements(samples: Iterable[float]) -> float:

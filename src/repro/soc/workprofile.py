@@ -12,8 +12,8 @@ then perturbs it when other PUs are busy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import KernelError
 
@@ -87,18 +87,6 @@ class WorkProfile:
         if self.gpu_launches < 1:
             raise KernelError("gpu_launches must be >= 1")
 
-    def scaled(self, factor: float) -> "WorkProfile":
-        """A profile for ``factor`` times as much data (flops/bytes scale,
-        structural properties do not)."""
-        if factor <= 0:
-            raise KernelError("scale factor must be positive")
-        return replace(
-            self,
-            flops=self.flops * factor,
-            bytes_moved=self.bytes_moved * factor,
-            parallelism=max(1.0, self.parallelism * factor),
-        )
-
     def combined(self, other: "WorkProfile") -> "WorkProfile":
         """Merge two profiles executed back-to-back (used for fused stages).
 
@@ -133,25 +121,3 @@ class WorkProfile:
         if api == "cuda" and self.gpu_cuda_efficiency is not None:
             return self.gpu_cuda_efficiency
         return self.gpu_efficiency
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """Flops per byte of DRAM traffic (roofline x-axis)."""
-        if self.bytes_moved == 0:
-            return float("inf")
-        return self.flops / self.bytes_moved
-
-    def as_dict(self) -> Dict[str, float]:
-        """Field dict (round-trips through the constructor)."""
-        return {
-            "flops": self.flops,
-            "bytes_moved": self.bytes_moved,
-            "parallelism": self.parallelism,
-            "parallel_fraction": self.parallel_fraction,
-            "divergence": self.divergence,
-            "irregularity": self.irregularity,
-            "cpu_efficiency": self.cpu_efficiency,
-            "gpu_efficiency": self.gpu_efficiency,
-            "gpu_cuda_efficiency": self.gpu_cuda_efficiency,
-            "gpu_launches": self.gpu_launches,
-        }

@@ -9,11 +9,9 @@ branch-and-bound - behind a declarative :class:`Model` API.
 
 from repro.solver.constraints import (
     UNASSIGNED,
-    AtMostOne,
     Clause,
     Constraint,
     ExactlyOne,
-    LinearGE,
     LinearLE,
     implication,
 )
@@ -23,12 +21,10 @@ from repro.solver.search import Solver, SolverStats
 
 __all__ = [
     "UNASSIGNED",
-    "AtMostOne",
     "BoolVar",
     "Clause",
     "Constraint",
     "ExactlyOne",
-    "LinearGE",
     "LinearLE",
     "Literal",
     "Model",

@@ -9,14 +9,14 @@ prunes a partial assignment depends on the family:
 * :class:`Clause` - disjunction of literals: the contiguity implications
   (C2) and the blocking clauses (C5-ell).  The engine compiles clauses to
   integer literal codes and propagates them with two watched literals.
-* :class:`ExactlyOne` / :class:`AtMostOne` - cardinality over literals
-  (C1: one PU per stage).  Compiled too; the engine scans their code
-  lists inline.
-* :class:`LinearLE` / :class:`LinearGE` - pseudo-boolean inequalities
-  ``sum(w_i * lit_i) <= / >= bound`` for the per-chunk runtime bounds
-  (C3).  These implement ``propagate`` - report a conflict, infer forced
-  literals, or do nothing - and the engine calls it whenever one of
-  their variables is assigned.  Any further family plugs in the same way.
+* :class:`ExactlyOne` - cardinality over literals (C1: one PU per
+  stage).  Compiled too; the engine scans their code lists inline.
+* :class:`LinearLE` - the pseudo-boolean inequality
+  ``sum(w_i * lit_i) <= bound`` for the per-chunk runtime bound (C3a;
+  C3b is enforced in the objective).  It implements ``propagate`` -
+  report a conflict, infer forced literals, or do nothing - and the
+  engine calls it whenever one of its variables is assigned.  Any
+  further family plugs in the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class Constraint:
         """Inspect a partial assignment.
 
         The engine never calls this on the families it compiles
-        (:class:`Clause`, :class:`AtMostOne`, :class:`ExactlyOne`), so
+        (:class:`Clause`, :class:`ExactlyOne`), so
         those do not implement it; every other family must.
 
         Args:
@@ -91,19 +91,6 @@ class Clause(Constraint):
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return "Clause(" + " | ".join(map(repr, self.literals)) + ")"
-
-
-class AtMostOne(Constraint):
-    """At most one of the given literals may be true."""
-
-    def __init__(self, literals: Iterable["BoolVar | Literal"]):
-        self.literals = [as_literal(item) for item in literals]
-
-    def variables(self) -> List[BoolVar]:
-        return [lit.var for lit in self.literals]
-
-    def satisfied_by(self, values: Sequence[int]) -> bool:
-        return sum(_literal_state(lit, values) == 1 for lit in self.literals) <= 1
 
 
 class ExactlyOne(Constraint):
@@ -176,56 +163,6 @@ class LinearLE(Constraint):
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         body = " + ".join(f"{w}*{lit!r}" for lit, w in self.terms)
         return f"LinearLE({body} <= {self.bound})"
-
-
-class LinearGE(Constraint):
-    """Pseudo-boolean inequality ``sum(weight_i * [lit_i is true]) >= bound``."""
-
-    def __init__(
-        self,
-        terms: Iterable[Tuple["BoolVar | Literal", float]],
-        bound: float,
-    ):
-        self.terms = []
-        for item, weight in terms:
-            if weight < 0:
-                raise ModellingError("LinearGE weights must be non-negative")
-            self.terms.append((as_literal(item), float(weight)))
-        self.bound = float(bound)
-
-    def variables(self) -> List[BoolVar]:
-        return [lit.var for lit, _ in self.terms]
-
-    def propagate(self, values: List[int]) -> Tuple[bool, List[Tuple[int, int]]]:
-        committed = 0.0
-        potential = 0.0
-        pending: List[Tuple[Literal, float]] = []
-        for lit, weight in self.terms:
-            state = _literal_state(lit, values)
-            if state == 1:
-                committed += weight
-                potential += weight
-            elif state == UNASSIGNED:
-                potential += weight
-                pending.append((lit, weight))
-        if potential < self.bound - 1e-12:
-            return False, []
-        # A pending literal is forced true when losing it makes the bound
-        # unreachable.
-        forced = [
-            (lit.var.index, _forcing_value(lit, True))
-            for lit, weight in pending
-            if potential - weight < self.bound - 1e-12
-        ]
-        return True, forced
-
-    def satisfied_by(self, values: Sequence[int]) -> bool:
-        total = sum(
-            weight
-            for lit, weight in self.terms
-            if _literal_state(lit, values) == 1
-        )
-        return total >= self.bound - 1e-12
 
 
 def implication(antecedents: Iterable["BoolVar | Literal"],

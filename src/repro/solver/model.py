@@ -20,11 +20,9 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.errors import ModellingError
 from repro.solver.constraints import (
-    AtMostOne,
     Clause,
     Constraint,
     ExactlyOne,
-    LinearGE,
     LinearLE,
     implication,
 )
@@ -148,12 +146,6 @@ class Model:
         """Exactly one of ``literals`` must hold (constraint C1)."""
         return self.add(ExactlyOne(literals))
 
-    def add_at_most_one(
-        self, literals: Iterable["BoolVar | Literal"]
-    ) -> Constraint:
-        """At most one of ``literals`` may hold."""
-        return self.add(AtMostOne(literals))
-
     def add_implication(
         self,
         antecedents: Iterable["BoolVar | Literal"],
@@ -169,14 +161,6 @@ class Model:
     ) -> Constraint:
         """``sum(w_i * lit_i) <= bound`` (C3a / blocking clauses C5)."""
         return self.add(LinearLE(terms, bound))
-
-    def add_linear_ge(
-        self,
-        terms: Iterable[Tuple["BoolVar | Literal", float]],
-        bound: float,
-    ) -> Constraint:
-        """``sum(w_i * lit_i) >= bound`` (C3b shape)."""
-        return self.add(LinearGE(terms, bound))
 
     def forbid_assignment(
         self, true_literals: Iterable["BoolVar | Literal"]

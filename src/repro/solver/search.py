@@ -48,7 +48,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import SolverTimeoutError
 from repro.solver.constraints import (
     UNASSIGNED,
-    AtMostOne,
     Clause,
     Constraint,
     ExactlyOne,
@@ -117,9 +116,9 @@ class Solver:
         # Literal codes made true, in assignment order.
         self._trail: List[int] = []
         # Per literal code: the clauses (code lists, watches at [0] and
-        # [1]) to look at when it turns false; the cardinality code lists
-        # to clear when it turns true; the exactly-one code lists that
-        # may have lost their last candidate when it turns false.
+        # [1]) to look at when it turns false; the exactly-one code lists
+        # to clear when it turns true, and those that may have lost their
+        # last candidate when it turns false.
         self._watches: List[List[List[int]]] = []
         self._siblings: List[List[List[int]]] = []
         self._candidates: List[List[List[int]]] = []
@@ -164,15 +163,13 @@ class Solver:
             else:
                 self._watches[codes[0]].append(codes)
                 self._watches[codes[1]].append(codes)
-        elif isinstance(constraint, (AtMostOne, ExactlyOne)):
+        elif isinstance(constraint, ExactlyOne):
             codes = [lit.code for lit in constraint.literals]
-            exactly = isinstance(constraint, ExactlyOne)
-            if exactly and len(codes) == 1:
+            if len(codes) == 1:
                 self._root_codes.append(codes[0])
             for code in dict.fromkeys(codes):
                 self._siblings[code].append(codes)
-                if exactly:
-                    self._candidates[code].append(codes)
+                self._candidates[code].append(codes)
         else:
             self._root_constraints.append(constraint)
             for index in dict.fromkeys(

@@ -13,7 +13,6 @@ construction: it never observes fleet state at all.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, List
@@ -21,18 +20,8 @@ from typing import Any, Dict, List
 import numpy as np
 
 from repro.errors import TrafficError
+from repro.soc.timer import _stable_seed
 from repro.traffic.spec import MMPP, TierSpec, TrafficSpec
-
-
-def _stable_seed(*parts: object) -> int:
-    """A 64-bit seed derived deterministically from arbitrary key
-    parts (``hash()`` is randomized per interpreter run, so blake2b -
-    the same idiom as :mod:`repro.soc.timer`)."""
-    digest = hashlib.blake2b(
-        "\x1f".join(str(p) for p in parts).encode("utf-8"),
-        digest_size=8,
-    )
-    return int.from_bytes(digest.digest(), "little")
 
 #: Generated application flavours (cycled across the app pool, so the
 #: population mixes compute-bound, memory-bound, and DRAM-saturating

@@ -22,7 +22,7 @@ control (the acceptance gate).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import TrafficError
 from repro.fleet.health import HealthConfig
@@ -74,17 +74,14 @@ class FleetOverloadScenario:
     #: Mid-run burst overlay (also what the recovery metric watches).
     burst_start_tick: int = 16
     burst_end_tick: int = 24
-    burst_multiplier: float = 2.0
     diurnal_amplitude: float = 0.25
     #: Admission-on ceiling on each incumbent's *total* predicted
     #: slowdown (cumulative pricing).  1.25 allows pairs and most
     #: triples but refuses the fourth co-tenant and any pack whose
     #: heavier pipelines (contention spans up to ~1.55) would be
-    #: crushed - so admitted windows stay under the tier SLOs.
-    admission_max_impact_ratio: float = 1.25
-    #: "Admit everything": an impact ceiling no prediction reaches, so
-    #: shards pack until no free PU classes remain.
-    admit_everything_ratio: float = 1e9
+    #: crushed - so admitted windows stay under the tier SLOs.  A
+    #: constant, not a field: the bench fleets read it too.
+    admission_max_impact_ratio: ClassVar[float] = 1.25
     #: Ticks an unplaceable tenant waits before structured rejection -
     #: short, so overload sheds load instead of parking it.
     backlog_patience: int = 6
@@ -113,7 +110,7 @@ class FleetOverloadScenario:
             bursts=(BurstSpec(
                 start_tick=self.burst_start_tick,
                 end_tick=self.burst_end_tick,
-                multiplier=self.burst_multiplier,
+                multiplier=2.0,
             ),),
             tiers=OVERLOAD_TIERS,
             app_pool_size=self.app_pool_size,
@@ -132,8 +129,9 @@ class FleetOverloadScenario:
         every shard (off by default - the soak's byte-diff arms run
         without it; ``repro top`` runs with it).
         """
-        ratio = (self.admission_max_impact_ratio if admission
-                 else self.admit_everything_ratio)
+        # Admit everything: an impact ceiling no prediction reaches,
+        # so shards pack until no free PU classes remain.
+        ratio = self.admission_max_impact_ratio if admission else 1e9
         return FleetRouter(
             [ShardSpec(
                 name=f"soc{i}",

@@ -38,8 +38,23 @@ class TrafficTrace:
     events: Tuple[ArrivalEvent, ...]
 
     def __post_init__(self) -> None:
+        # Rejected here, not at replay: an unknown tier would surface as
+        # a KeyError after the whole run, a repeated name as a rejected
+        # submission mid-run.
+        tiers = {tier.name for tier in self.spec.tiers}
+        names = set()
         last_tick = -1
         for event in self.events:
+            if event.tier not in tiers:
+                raise TrafficError(
+                    f"trace event {event.name!r} names tier "
+                    f"{event.tier!r}, not one of {sorted(tiers)}"
+                )
+            if event.name in names:
+                raise TrafficError(
+                    f"trace event name {event.name!r} appears twice"
+                )
+            names.add(event.name)
             if event.tick < last_tick:
                 raise TrafficError(
                     "trace events must be in non-decreasing tick "

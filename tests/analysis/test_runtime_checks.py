@@ -57,13 +57,6 @@ class TestSpscDiscipline:
             queue.close()  # any thread may unwind the pipeline
         assert len(log) == 0
 
-    def test_try_ops_also_bind(self):
-        with runtime_checks.collecting() as log:
-            queue = SpscQueue(capacity=2)
-            queue.try_push(1)
-            run_in_thread(lambda: queue.try_push(2))
-        assert log.counts == {SPSC_PRODUCER: 1}
-
 
 class TestLifetime:
     def test_use_after_release_on_buffer(self):

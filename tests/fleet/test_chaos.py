@@ -1,4 +1,4 @@
-"""Chaos schedule validation, injector queries, seeded generation."""
+"""Chaos schedule validation and injector queries."""
 
 import pytest
 
@@ -52,7 +52,7 @@ class TestScheduleQueries:
             degradations=[DegradeSpec("c", start_tick=3, end_tick=7,
                                       busy={"big": 0.5})],
         )
-        return ChaosInjector(schedule, seed=1)
+        return ChaosInjector(schedule)
 
     def test_crash_and_rejoin_lookup(self, injector):
         assert [c.shard for c in injector.crashes_at(4)] == ["a"]
@@ -81,46 +81,3 @@ class TestScheduleQueries:
             "tick": 4, "kind": "soc-crash", "shard": "a",
             "detail": "test",
         }]
-
-
-class TestRandomSchedule:
-    SHARDS = ("soc0", "soc1", "soc2", "soc3")
-
-    def test_same_seed_same_schedule(self):
-        a = ChaosSchedule.random(3, self.SHARDS, ticks=32,
-                                 crash_rate=0.5, gray_rate=0.5,
-                                 degrade_rate=0.5)
-        b = ChaosSchedule.random(3, self.SHARDS, ticks=32,
-                                 crash_rate=0.5, gray_rate=0.5,
-                                 degrade_rate=0.5)
-        assert a.crashes == b.crashes
-        assert a.grays == b.grays
-        assert a.degradations == b.degradations
-
-    def test_zero_rates_yield_empty_schedule(self):
-        schedule = ChaosSchedule.random(3, self.SHARDS, ticks=32)
-        assert not schedule
-        assert schedule.n_events == 0
-
-    def test_unit_rates_hit_every_shard(self):
-        schedule = ChaosSchedule.random(
-            3, self.SHARDS, ticks=32,
-            crash_rate=1.0, gray_rate=1.0, degrade_rate=1.0,
-        )
-        assert {c.shard for c in schedule.crashes} == set(self.SHARDS)
-        assert {g.shard for g in schedule.grays} == set(self.SHARDS)
-        assert ({d.shard for d in schedule.degradations}
-                == set(self.SHARDS))
-        # Every generated spec passed its own validation; crashes all
-        # rejoin within the horizon's reach.
-        for crash in schedule.crashes:
-            assert crash.rejoin_tick is not None
-            assert crash.rejoin_tick > crash.at_tick
-
-    def test_rate_bounds_validated(self):
-        with pytest.raises(FleetError, match="crash_rate"):
-            ChaosSchedule.random(3, self.SHARDS, 32, crash_rate=1.5)
-
-    def test_short_horizon_rejected(self):
-        with pytest.raises(FleetError, match="horizon"):
-            ChaosSchedule.random(3, self.SHARDS, ticks=4)

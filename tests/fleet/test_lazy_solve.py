@@ -59,7 +59,7 @@ def test_chaos_soak_bytes_do_not_depend_on_when_a_plan_is_solved(
     reranked = record_reranks(monkeypatch)
     shipped, report, router = run_soak(reschedule)
     # The run exercised what it claims to: generations and failovers.
-    assert report.shards[SCENARIO.crash_shard]["generation"] == 2
+    assert report.shards[SCENARIO.chaos().crashes[0].shard]["generation"] == 2
     assert report.counts["failover"] == 3
     assert sorted(solved) == distinct(reranked)
     assert bool(solved) == reschedule

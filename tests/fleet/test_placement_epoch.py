@@ -85,7 +85,7 @@ def test_chaos_soak_bytes_do_not_depend_on_the_memo(
     priced = counter["evaluate"]
     # The run exercised what it claims to: generations, the breaker,
     # failover batches, one of them rolled back, and blame when armed.
-    assert report.shards[SCENARIO.crash_shard]["generation"] == 2
+    assert report.shards[SCENARIO.chaos().crashes[0].shard]["generation"] == 2
     assert report.counts["failover"] == 3
     assert report.counts["breaker"] >= 3
     if reschedule:

@@ -6,8 +6,10 @@ from repro.apps.synthetic import build_synthetic_application
 from repro.errors import FleetError, PipelineError
 from repro.fleet import (
     ChaosSchedule,
+    DegradeSpec,
     FleetConfig,
     FleetRouter,
+    GrayFailureSpec,
     ShardCrashSpec,
     ShardSpec,
 )
@@ -40,6 +42,18 @@ class TestConstruction:
                                                       at_tick=4)])
         with pytest.raises(FleetError, match="unknown shard 'ghost'"):
             FleetRouter([ShardSpec("s0")], chaos=chaos)
+
+    @pytest.mark.parametrize("chaos", [
+        ChaosSchedule(grays=[GrayFailureSpec("zz", start_tick=2,
+                                             end_tick=6)]),
+        ChaosSchedule(degradations=[DegradeSpec("zz", start_tick=2,
+                                                busy={"big": 0.5})]),
+    ], ids=["gray", "degrade"])
+    def test_every_chaos_spec_must_name_a_known_shard(self, chaos):
+        # Caught at construction, not as a KeyError at the start tick
+        # or as a chaos event logged against a shard that is not there.
+        with pytest.raises(FleetError, match="unknown shard 'zz'"):
+            FleetRouter(_two_shards(), chaos=chaos)
 
     def test_identical_shards_share_platform_and_cache(self):
         router = FleetRouter(_two_shards()

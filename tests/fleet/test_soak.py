@@ -26,6 +26,8 @@ from repro.fleet import (
 from repro.fleet.scenario import WINDOWS_CYCLE
 
 SCENARIO = FleetSoakScenario()
+CHAOS = SCENARIO.chaos()
+(CRASH,), (GRAY,), (DEGRADE,) = CHAOS.crashes, CHAOS.grays, CHAOS.degradations
 
 
 @pytest.fixture(scope="module")
@@ -62,35 +64,35 @@ class TestRecovery:
     def test_all_three_failure_shapes_triggered_failover(self, soak):
         _, report = soak
         causes = _failover_causes(report)
-        assert "heartbeat lost" in causes[SCENARIO.gray_shard]
-        assert "crashed" in causes[SCENARIO.crash_shard]
-        assert "SLO breach" in causes[SCENARIO.degrade_shard]
+        assert "heartbeat lost" in causes[GRAY.shard]
+        assert "crashed" in causes[CRASH.shard]
+        assert "SLO breach" in causes[DEGRADE.shard]
 
     def test_crash_victims_complete_on_other_shards(self, soak):
         _, report = soak
         rescued = [
             m for m in report.tenants.values()
             if m.status == "completed"
-            and SCENARIO.crash_shard in list(m.shards)[:-1]
+            and CRASH.shard in list(m.shards)[:-1]
         ]
         assert rescued
         for metric in rescued:
-            assert list(metric.shards)[-1] != SCENARIO.crash_shard
+            assert list(metric.shards)[-1] != CRASH.shard
             assert metric.migrations >= 1
 
     def test_crashed_shard_rejoins_as_new_generation(self, soak):
         _, report = soak
-        assert (report.shards[SCENARIO.crash_shard]["generation"]
+        assert (report.shards[CRASH.shard]["generation"]
                 == 2)
         # The gray shard never actually restarted: same generation.
-        assert report.shards[SCENARIO.gray_shard]["generation"] == 1
+        assert report.shards[GRAY.shard]["generation"] == 1
         # The rejoined shard re-entered service: placements landed on
         # it at or after the rejoin tick.
         rejoined = [
             e for e in report.timeline
             if e["event"] in ("place", "migrate")
-            and e.get("shard") == SCENARIO.crash_shard
-            and e["tick"] >= SCENARIO.rejoin_tick
+            and e.get("shard") == CRASH.shard
+            and e["tick"] >= CRASH.rejoin_tick
         ]
         assert rejoined
 
@@ -100,8 +102,8 @@ class TestRecovery:
                        if e["event"] == "breaker"]
         # Each failover tripped a breaker; the survivors closed again.
         assert {e["shard"] for e in transitions} >= {
-            SCENARIO.gray_shard, SCENARIO.crash_shard,
-            SCENARIO.degrade_shard,
+            GRAY.shard, CRASH.shard,
+            DEGRADE.shard,
         }
         assert any(e["to"] == "half-open" for e in transitions)
         for shard in report.shards.values():
@@ -130,7 +132,7 @@ class TestFailoverBeatsStranding:
         failed = [m for m in report.tenants.values()
                   if m.status == "failed"]
         assert failed
-        assert all(list(m.shards)[-1] == SCENARIO.crash_shard
+        assert all(list(m.shards)[-1] == CRASH.shard
                    for m in failed)
         assert "failover" not in report.counts
         assert "migrate" not in report.counts

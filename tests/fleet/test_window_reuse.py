@@ -59,7 +59,7 @@ def test_chaos_soak_bytes_do_not_depend_on_reuse(always_simulate,
                                                  attribution):
     shipped, report = run_soak(attribution)
     # The run exercised what it claims to: generations and failovers.
-    assert report.shards[SCENARIO.crash_shard]["generation"] == 2
+    assert report.shards[SCENARIO.chaos().crashes[0].shard]["generation"] == 2
     assert report.counts["failover"] == 3
     assert (report.attribution is not None) == attribution
 
@@ -195,5 +195,5 @@ def test_live_state_matches_the_full_scans_after_every_tick():
                     r.done for r in server.records.values())
         if drained:
             break
-    assert drained and tick > SCENARIO.degrade_start
+    assert drained and tick > SCENARIO.chaos().degradations[0].start_tick
     router.close_stepped()

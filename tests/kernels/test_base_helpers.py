@@ -1,41 +1,15 @@
 """Unit tests for the shared kernel helpers."""
 
-import numpy as np
 import pytest
 
-from repro.errors import KernelError
 from repro.kernels.base import (
-    ceil_div,
-    checked_log2,
-    dtype_bytes,
     flops_nlogn,
     grid_stride_chunks,
     next_power_of_two,
-    require_1d,
-    require_same_length,
 )
 
 
 class TestArithmeticHelpers:
-    def test_ceil_div(self):
-        assert ceil_div(10, 3) == 4
-        assert ceil_div(9, 3) == 3
-        assert ceil_div(0, 5) == 0
-
-    def test_ceil_div_rejects_bad_divisor(self):
-        with pytest.raises(KernelError):
-            ceil_div(3, 0)
-
-    def test_checked_log2(self):
-        assert checked_log2(1) == 0
-        assert checked_log2(1024) == 10
-
-    def test_checked_log2_rejects_non_powers(self):
-        with pytest.raises(KernelError):
-            checked_log2(6)
-        with pytest.raises(KernelError):
-            checked_log2(0)
-
     def test_next_power_of_two(self):
         assert next_power_of_two(1) == 1
         assert next_power_of_two(5) == 8
@@ -45,22 +19,6 @@ class TestArithmeticHelpers:
     def test_flops_nlogn(self):
         assert flops_nlogn(1) == 1.0
         assert flops_nlogn(8, per_element=2.0) == pytest.approx(48.0)
-
-    def test_dtype_bytes(self):
-        assert dtype_bytes(np.float32) == 4
-        assert dtype_bytes(np.int64) == 8
-
-
-class TestShapeGuards:
-    def test_require_1d(self):
-        require_1d("x", np.zeros(3))
-        with pytest.raises(KernelError):
-            require_1d("x", np.zeros((3, 3)))
-
-    def test_require_same_length(self):
-        require_same_length("a", np.zeros(2), "b", np.zeros(2))
-        with pytest.raises(KernelError):
-            require_same_length("a", np.zeros(2), "b", np.zeros(3))
 
 
 class TestGridStride:

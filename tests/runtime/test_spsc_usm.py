@@ -6,6 +6,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import runtime_checks
+from repro.analysis.runtime_checks import USE_AFTER_RELEASE
 from repro.errors import PipelineError, QueueClosedError
 from repro.runtime import SpscQueue, TaskObject, UsmBuffer
 
@@ -25,16 +27,6 @@ class TestSpscQueue:
         assert len(q) == 2
         q.pop()
         assert len(q) == 1
-
-    def test_try_push_full(self):
-        q = SpscQueue(capacity=1)
-        assert q.try_push(1)
-        assert not q.try_push(2)
-
-    def test_try_pop_empty(self):
-        q = SpscQueue(capacity=1)
-        with pytest.raises(IndexError):
-            q.try_pop()
 
     def test_push_timeout(self):
         q = SpscQueue(capacity=1)
@@ -218,17 +210,6 @@ class TestUsmBuffer:
         with pytest.raises(PipelineError):
             UsmBuffer("b", (1,), np.int32, scope="vram")
 
-    def test_attach_log(self):
-        buf = UsmBuffer("b", (1,), np.int32)
-        buf.attach_async("gpu")
-        buf.attach_async("big")
-        assert buf.attach_log == ("gpu", "big")
-
-    def test_view_for_pu(self):
-        buf = UsmBuffer("b", (2,), np.float32)
-        assert buf.view_for("gpu") is buf.device_view()
-        assert buf.view_for("big") is buf.host_view()
-
     def test_fill_and_zero(self):
         buf = UsmBuffer("b", (3,), np.float32)
         buf.fill(2.5)
@@ -274,13 +255,15 @@ class TestTaskObject:
         with pytest.raises(PipelineError):
             task.constant("missing")
 
-    def test_synchronize_records_attach_hints(self):
+    def test_synchronize_checks_every_buffer_is_live(self):
         task = TaskObject(0)
         task.allocate("a", (1,), np.int64)
         task.allocate("b", (1,), np.int64)
-        task.synchronize_for("gpu")
-        assert task.buffer("a").attach_log == ("gpu",)
-        assert task.buffer("b").attach_log == ("gpu",)
+        task.buffer("b").release()
+        with runtime_checks.collecting() as log:
+            task.synchronize_for("gpu")
+        assert log.counts == {USE_AFTER_RELEASE: 1}
+        assert log.snapshot()[0].where == "UsmBuffer 'b'"
 
     def test_recycle_bumps_generation(self):
         task = TaskObject(3)

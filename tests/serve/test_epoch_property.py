@@ -69,7 +69,7 @@ def play(platform, cache, sequence):
     server = PipelineServer(
         platform, seed=5, plan_cache=cache,
         config=ServerConfig(
-            max_ticks=64, queue_capacity=2, queue_patience=2,
+            max_ticks=64, queue_capacity=2,
             max_impact_ratio=1.6, max_partition_classes=1,
             cumulative_impact=True, reschedule=True, patience=1),
     )

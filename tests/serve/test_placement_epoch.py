@@ -178,9 +178,9 @@ def soak(reschedule, attribution=False):
 
 def queueing(platform, app):
     """Submissions through the inbox and the backpressure queue: eight
-    tenants of one pricing key on four classes, a late one, age-out."""
+    tenants of one pricing key on four classes, a late one."""
     def drive():
-        server = server_for(platform, queue_capacity=3, queue_patience=3)
+        server = server_for(platform, queue_capacity=3)
         for index in range(8):
             server.submit(TenantSpec(
                 name=f"t{index}", application=app,
@@ -236,7 +236,7 @@ class TestSameBytes:
             monkeypatch, always_price, queueing(platform, app))
         out = json.loads(shipped)
         events = {e["event"] for e in out["timeline"]}
-        assert {"admit", "queue", "reject", "queue_evict"} <= events
+        assert {"admit", "queue", "reject"} <= events
         # One key fills the queue: its verdict is read, not re-made,
         # for as long as nothing was admitted or released.
         assert 0 < priced < oracle_priced

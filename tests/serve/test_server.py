@@ -201,39 +201,10 @@ class TestServing:
         assert server.records["second"].status == REJECTED
         assert "backpressure" in server.records["second"].status_detail
 
-    def test_queue_age_out_rejects_oldest_with_structured_reason(
+    def test_queued_tenant_waits_for_its_class_and_completes(
         self, platform
     ):
-        # "first" holds the GPU for 12 windows; "second" queues behind
-        # it and must age out after queue_patience ticks instead of
-        # waiting out the whole run.
-        server = make_server(platform, max_ticks=32, queue_capacity=1,
-                             queue_patience=3)
-        server.submit(TenantSpec(
-            name="first", application=make_app(1), windows=12,
-            required_classes=frozenset({"gpu"}),
-        ))
-        server.submit(TenantSpec(
-            name="second", application=make_app(1), windows=2,
-            required_classes=frozenset({"gpu"}),
-        ))
-        report = server.run()
-        assert report.tenants["first"].status == COMPLETED
-        assert report.tenants["second"].status == REJECTED
-        detail = server.records["second"].status_detail
-        assert "aged out" in detail and "patience 3" in detail
-        evicts = [e for e in report.timeline
-                  if e["event"] == "queue_evict"]
-        assert [e["tenant"] for e in evicts] == ["second"]
-        assert evicts[0]["waited_ticks"] >= 3
-
-    def test_queue_patience_validation(self):
-        with pytest.raises(ServeError, match="queue_patience"):
-            ServerConfig(queue_patience=0)
-
-    def test_queue_age_out_disabled_by_default(self, platform):
-        # Without queue_patience the queued tenant waits until the GPU
-        # frees and still completes - the pre-age-out behaviour.
+        # The queue holds a tenant until the GPU frees, however long.
         server = make_server(platform, max_ticks=32, queue_capacity=1)
         server.submit(TenantSpec(
             name="first", application=make_app(1), windows=12,
@@ -245,8 +216,6 @@ class TestServing:
         ))
         report = server.run()
         assert report.tenants["second"].status == COMPLETED
-        assert not [e for e in report.timeline
-                    if e["event"] == "queue_evict"]
 
     def test_report_is_available_midway(self, platform):
         server = make_server(platform)

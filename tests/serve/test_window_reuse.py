@@ -469,11 +469,10 @@ class TestSharedSpansStayUntouched:
 class TestDrainedMatchesTheScan:
     def test_after_every_tick(self, platform, plan_cache, app):
         # The full scan over every record ever seen is the oracle for
-        # the live-state answer, queue and age-out included.
+        # the live-state answer, queue included.
         server = PipelineServer(
             platform, seed=5, plan_cache=plan_cache,
             config=ServerConfig(max_ticks=64, queue_capacity=3,
-                                queue_patience=3,
                                 max_partition_classes=1),
         )
         server.open_stepped()

@@ -65,8 +65,10 @@ class TestTopology:
         assert set(oneplus.schedulable_classes()) == {BIG, MEDIUM, GPU}
 
     def test_oneplus_pinnable_core_count(self, oneplus):
-        assert oneplus.affinity.total_cores() == 8
-        assert oneplus.affinity.pinnable_cores() == 5
+        clusters = oneplus.clusters
+        assert sum(c.cores for c in clusters.values()) == 8
+        assert sum(clusters[c].cores for c in oneplus.schedulable_classes()
+                   if c != GPU) == 5
 
     def test_jetson_two_classes(self, jetson):
         assert set(jetson.pu_classes()) == {BIG, GPU}

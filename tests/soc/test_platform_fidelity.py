@@ -33,7 +33,7 @@ class TestPixel7a:
         assert platform.gpu.api == "vulkan"
 
     def test_fully_pinnable(self, platform):
-        assert platform.affinity.pinnable_cores() == 8
+        assert sum(c.cores for c in platform.clusters.values()) == 8
         assert len(platform.schedulable_classes()) == 4
 
 
@@ -55,8 +55,10 @@ class TestOnePlus11:
         assert platform.gpu.api == "vulkan"
 
     def test_five_of_eight_pinnable(self, platform):
-        assert platform.affinity.total_cores() == 8
-        assert platform.affinity.pinnable_cores() == 5
+        clusters = platform.clusters
+        assert sum(c.cores for c in clusters.values()) == 8
+        assert sum(clusters[c].cores for c in platform.schedulable_classes()
+                   if c != GPU) == 5
         assert LITTLE not in platform.schedulable_classes()
 
 

@@ -1,4 +1,4 @@
-"""Tests for virtual timers, measurement noise, and affinity maps."""
+"""Tests for measurement noise and affinity maps."""
 
 import pytest
 
@@ -7,43 +7,9 @@ from repro.soc import (
     AffinityEntry,
     AffinityMap,
     MeasurementNoise,
-    VirtualTimer,
     mean_of_measurements,
 )
 from repro.soc.pu import BIG, GPU, LITTLE
-
-
-class TestVirtualTimer:
-    def test_starts_at_zero(self):
-        assert VirtualTimer().now_s == 0.0
-
-    def test_advance_accumulates(self):
-        timer = VirtualTimer()
-        timer.advance(0.5)
-        timer.advance(0.25)
-        assert timer.now_s == pytest.approx(0.75)
-
-    def test_ticks_scale(self):
-        timer = VirtualTimer()
-        timer.advance(1e-6)
-        assert timer.ticks == 1000
-
-    def test_advance_to(self):
-        timer = VirtualTimer()
-        timer.advance_to(2.0)
-        assert timer.now_s == 2.0
-
-    def test_cannot_rewind(self):
-        timer = VirtualTimer()
-        timer.advance(1.0)
-        with pytest.raises(PlatformError):
-            timer.advance_to(0.5)
-        with pytest.raises(PlatformError):
-            timer.advance(-0.1)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(PlatformError):
-            VirtualTimer().advance(float("inf"))
 
 
 class TestMeasurementNoise:
@@ -134,11 +100,6 @@ class TestAffinityMap:
     def test_unknown_class(self):
         with pytest.raises(PlatformError):
             self.make_map().core_ids("npu")
-
-    def test_counts(self):
-        amap = self.make_map(little_pinnable=False)
-        assert amap.total_cores() == 6
-        assert amap.pinnable_cores() == 2
 
     def test_describe(self):
         text = self.make_map(little_pinnable=False).describe()

@@ -43,24 +43,6 @@ class TestValidation:
         assert p.divergence == 1.0
 
 
-class TestScaled:
-    def test_scales_totals_not_structure(self):
-        p = profile(divergence=0.3)
-        doubled = p.scaled(2.0)
-        assert doubled.flops == pytest.approx(2 * p.flops)
-        assert doubled.bytes_moved == pytest.approx(2 * p.bytes_moved)
-        assert doubled.divergence == p.divergence
-
-    def test_scaling_keeps_parallelism_at_least_one(self):
-        p = profile(parallelism=2.0)
-        shrunk = p.scaled(0.01)
-        assert shrunk.parallelism >= 1.0
-
-    def test_rejects_nonpositive_factor(self):
-        with pytest.raises(KernelError):
-            profile().scaled(0.0)
-
-
 class TestCombined:
     def test_totals_add(self):
         a = profile(flops=1e6, bytes_moved=2e5, gpu_launches=2)
@@ -81,19 +63,3 @@ class TestCombined:
         b = profile(flops=0.0)
         c = a.combined(b)
         assert c.flops == 0.0
-
-
-class TestDerived:
-    def test_arithmetic_intensity(self):
-        p = profile(flops=4e6, bytes_moved=1e6)
-        assert p.arithmetic_intensity == pytest.approx(4.0)
-
-    def test_arithmetic_intensity_no_bytes(self):
-        p = profile(bytes_moved=0.0)
-        assert p.arithmetic_intensity == float("inf")
-
-    def test_as_dict_round_trip(self):
-        p = profile(divergence=0.2)
-        d = p.as_dict()
-        assert d["divergence"] == pytest.approx(0.2)
-        assert WorkProfile(**d).divergence == pytest.approx(0.2)

@@ -1,7 +1,7 @@
 """Unit tests for individual constraint propagation rules.
 
-The linear families own a ``propagate`` method and are called directly.
-Clauses and the cardinality families are compiled by the engine, so
+The linear family owns a ``propagate`` method and is called directly.
+Clauses and exactly-ones are compiled by the engine, so
 their rules are exercised through it: ``engine_propagate`` replays a
 partial assignment as decisions on a one-constraint model and reports
 what the engine inferred.
@@ -12,10 +12,8 @@ import pytest
 from repro.errors import ModellingError
 from repro.solver import (
     UNASSIGNED,
-    AtMostOne,
     Clause,
     ExactlyOne,
-    LinearGE,
     LinearLE,
     Model,
     Solver,
@@ -130,27 +128,6 @@ class TestExactlyOne:
         assert not con.satisfied_by([0, 0])
 
 
-class TestAtMostOne:
-    def test_no_force_when_all_unassigned(self, model):
-        a, b = make_vars(model, 2)
-        con = AtMostOne([a, b])
-        consistent, forced = engine_propagate(
-            model, con, [UNASSIGNED, UNASSIGNED])
-        assert consistent
-        assert forced == []
-
-    def test_all_false_is_fine(self, model):
-        a, b = make_vars(model, 2)
-        con = AtMostOne([a, b])
-        assert con.satisfied_by([0, 0])
-
-    def test_conflict_two_true(self, model):
-        a, b = make_vars(model, 2)
-        con = AtMostOne([a, b])
-        consistent, _ = engine_propagate(model, con, [1, 1])
-        assert not consistent
-
-
 class TestLinearLE:
     def test_exceeding_bound_is_conflict(self, model):
         a, b = make_vars(model, 2)
@@ -174,28 +151,6 @@ class TestLinearLE:
         a, b = make_vars(model, 2)
         con = LinearLE([(a, 2.0), (b, 3.0)], bound=5.0)
         assert con.satisfied_by([1, 1])
-
-
-class TestLinearGE:
-    def test_conflict_when_unreachable(self, model):
-        a, b = make_vars(model, 2)
-        con = LinearGE([(a, 1.0), (b, 1.0)], bound=2.0)
-        consistent, _ = con.propagate([0, UNASSIGNED])
-        assert not consistent
-
-    def test_forces_needed_literal_true(self, model):
-        a, b, c = make_vars(model, 3)
-        con = LinearGE([(a, 1.0), (b, 2.0), (c, 1.0)], bound=3.0)
-        # With a false, need b and c both true.
-        consistent, forced = con.propagate([0, UNASSIGNED, UNASSIGNED])
-        assert consistent
-        assert sorted(forced) == [(1, 1), (2, 1)]
-
-    def test_satisfied_by(self, model):
-        a, b = make_vars(model, 2)
-        con = LinearGE([(a, 1.0), (b, 2.0)], bound=2.0)
-        assert con.satisfied_by([0, 1])
-        assert not con.satisfied_by([1, 0])
 
 
 class TestImplication:

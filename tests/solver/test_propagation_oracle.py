@@ -10,11 +10,11 @@ the entry points against enumeration of all 2^n assignments -
 infinite ones, take the first k", and against the blocking loop it
 replaces.
 
-Generated models cover all five families, including the clause shapes a
+Generated models cover all three families, including the clause shapes a
 watch scheme gets wrong: unit clauses, duplicate literals (``x | x``),
 tautologies (``x | ~x``), clauses falsified at the root, variables shared
 between a clause and an exactly-one, and clauses added to the model
-between two solves of one solver.  Cardinality and linear constraints
+between two solves of one solver.  Exactly-one and linear constraints
 are drawn over distinct variables: with a repeated variable their
 propagators are sound but deliberately not domain-consistent.
 """
@@ -48,13 +48,12 @@ def literal_lists(draw, n, distinct, min_size=1, max_size=4):
 @st.composite
 def constraint_specs(draw, n):
     family = draw(st.sampled_from(
-        ["clause", "clause", "at_most_one", "exactly_one",
-         "linear_le", "linear_ge"]
+        ["clause", "clause", "exactly_one", "linear_le"]
     ))
     if family == "clause":
         return family, draw(literal_lists(n, distinct=False)), None
     literals = draw(literal_lists(n, distinct=True))
-    if family in ("at_most_one", "exactly_one"):
+    if family == "exactly_one":
         return family, literals, None
     weights = draw(st.lists(st.integers(0, 4), min_size=len(literals),
                             max_size=len(literals)))
@@ -76,14 +75,10 @@ def add_constraint(model, variables, spec):
 
     if family == "clause":
         model.add_clause([lit(item) for item in body])
-    elif family == "at_most_one":
-        model.add_at_most_one([lit(item) for item in body])
     elif family == "exactly_one":
         model.add_exactly_one([lit(item) for item in body])
-    elif family == "linear_le":
-        model.add_linear_le([(lit(item), w) for item, w in body], bound)
     else:
-        model.add_linear_ge([(lit(item), w) for item, w in body], bound)
+        model.add_linear_le([(lit(item), w) for item, w in body], bound)
 
 
 def build(spec):
@@ -540,8 +535,6 @@ class TestClauseShapes:
         for build_case in (
             lambda m, a, b: m.add_exactly_one([a, a]),
             lambda m, a, b: m.add_exactly_one([a, ~a, b]),
-            lambda m, a, b: m.add_at_most_one([a, a, b]),
-            lambda m, a, b: m.add_at_most_one([b, ~b, a]),
         ):
             model = Model()
             a, b = model.new_bool("a"), model.new_bool("b")

@@ -20,7 +20,8 @@ def build_pigeonhole(holes, pigeons):
     for p in range(pigeons):
         model.add_exactly_one([x[p, h] for h in range(holes)])
     for h in range(holes):
-        model.add_at_most_one([x[p, h] for p in range(pigeons)])
+        for p, q in itertools.combinations(range(pigeons), 2):
+            model.add_clause([~x[p, h], ~x[q, h]])
     return model, x
 
 
@@ -177,7 +178,9 @@ class TestMinimize:
         model.add_clause([xs[0], xs[1], xs[2]])
         model.add_clause([~xs[0], xs[3]])
         model.add_linear_le([(xs[i], 1.0) for i in range(n)], bound=4.0)
-        model.add_linear_ge([(xs[i], 1.0) for i in range(n)], bound=2.0)
+        # At least two set: at most n - 2 clear.
+        model.add_linear_le([(~xs[i], 1.0) for i in range(n)],
+                            bound=n - 2.0)
         weights = [3.1, 1.7, 4.4, 0.9, 2.2, 5.0, 0.3, 1.1]
 
         def objective(values):

@@ -8,7 +8,7 @@ from repro.serialization import SerializationError
 
 class TestHierarchy:
     @pytest.mark.parametrize("exc", [
-        errors.SolverError, errors.InfeasibleError,
+        errors.SolverError,
         errors.SolverTimeoutError, errors.ModellingError,
         errors.PlatformError, errors.KernelError,
         errors.SchedulingError, errors.ProfilingError,
@@ -20,7 +20,6 @@ class TestHierarchy:
         assert issubclass(exc, errors.ReproError)
 
     def test_solver_family(self):
-        assert issubclass(errors.InfeasibleError, errors.SolverError)
         assert issubclass(errors.SolverTimeoutError, errors.SolverError)
         assert issubclass(errors.ModellingError, errors.SolverError)
 

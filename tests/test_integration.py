@@ -159,4 +159,4 @@ class TestPaperScaleSanity:
     def test_all_platforms_register_power_and_affinity(self):
         for platform in all_platforms():
             assert platform.schedulable_classes()
-            assert platform.affinity.total_cores() >= 4
+            assert sum(c.cores for c in platform.clusters.values()) >= 4

@@ -106,14 +106,19 @@ class TestQueueEdgeCases:
         assert errors == ["QueueClosedError"]
 
     def test_interleaved_try_ops_consistent(self):
+        # timeout=0 makes each op non-blocking: it succeeds now or
+        # raises TimeoutError.
         queue = SpscQueue(capacity=2)
-        assert queue.try_push(1)
-        assert queue.try_push(2)
-        assert not queue.try_push(3)
-        assert queue.try_pop() == 1
-        assert queue.try_push(3)
-        assert queue.try_pop() == 2
-        assert queue.try_pop() == 3
+        queue.push(1, timeout=0)
+        queue.push(2, timeout=0)
+        with pytest.raises(TimeoutError):
+            queue.push(3, timeout=0)
+        assert queue.pop(timeout=0) == 1
+        queue.push(3, timeout=0)
+        assert queue.pop(timeout=0) == 2
+        assert queue.pop(timeout=0) == 3
+        with pytest.raises(TimeoutError):
+            queue.pop(timeout=0)
 
 
 class TestSolverBudget:

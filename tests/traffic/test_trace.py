@@ -86,3 +86,24 @@ class TestPersistence:
         write_artifact(path, TRACE_KIND, payload)
         with pytest.raises(SerializationError, match="malformed"):
             TrafficTrace.load(path)
+
+    @pytest.mark.parametrize("corrupt,match", [
+        (lambda events: events[0].update(tier="platinum"),
+         "tier 'platinum'"),
+        (lambda events: events[1].update(name=events[0]["name"]),
+         "appears twice"),
+    ], ids=["unknown-tier", "repeated-name"])
+    def test_load_rejects_a_stream_replay_cannot_run(
+        self, trace, tmp_path, corrupt, match
+    ):
+        # A well-formed, checksummed artifact whose events would break
+        # a replay: load refuses it before any tick runs.
+        from repro.serialization import write_artifact
+
+        path = tmp_path / "trace.json"
+        payload = trace.to_payload()
+        assert len(payload["events"]) >= 2
+        corrupt(payload["events"])
+        write_artifact(path, TRACE_KIND, payload)
+        with pytest.raises(TrafficError, match=match):
+            TrafficTrace.load(path)
