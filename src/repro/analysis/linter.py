@@ -14,7 +14,7 @@ import ast
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.astcache import (
     AstCache,
@@ -23,7 +23,7 @@ from repro.analysis.astcache import (
     parse_module,
     suppressed_at,
 )
-from repro.analysis.rules import Finding, Rule, all_rules
+from repro.analysis.rules import Finding, all_rules
 from repro.errors import AnalysisError
 
 #: The suppression-comment tag this tool honours
@@ -63,16 +63,14 @@ class LintReport:
         return out
 
 
-def lint_module(
-    module: ParsedModule,
-    rules: Optional[Sequence[Rule]] = None,
-) -> Tuple[List[Finding], int]:
-    """Lint one parsed module; returns (findings, suppressed_count)."""
+def lint_module(module: ParsedModule) -> Tuple[List[Finding], int]:
+    """Lint one parsed module with every registered rule; returns
+    (findings, suppressed_count)."""
     path = module.path
     suppressions = module.suppressions(TOOL_TAG)
     findings: List[Finding] = []
     suppressed = 0
-    for rule in (rules if rules is not None else all_rules()):
+    for rule in all_rules():
         if not rule.applies(path):
             continue
         for finding in rule.check(module.tree, path):
@@ -86,14 +84,13 @@ def lint_module(
 
 def lint_source(
     source: str, path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
 ) -> Tuple[List[Finding], int]:
     """Lint one module's source; returns (findings, suppressed_count).
 
     Raises:
         AnalysisError: The source does not parse.
     """
-    return lint_module(parse_module(source, path), rules=rules)
+    return lint_module(parse_module(source, path))
 
 
 def collect_files(paths: Iterable[Path]) -> List[Path]:
@@ -120,7 +117,6 @@ def collect_files(paths: Iterable[Path]) -> List[Path]:
 
 def lint_paths(
     paths: Iterable[Path],
-    rules: Optional[Sequence[Rule]] = None,
     cache: Optional[AstCache] = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths``.
@@ -131,8 +127,7 @@ def lint_paths(
     cache = cache if cache is not None else ast_cache()
     report = LintReport()
     for file_path in collect_files(paths):
-        findings, suppressed = lint_module(cache.get(file_path),
-                                           rules=rules)
+        findings, suppressed = lint_module(cache.get(file_path))
         report.findings.extend(findings)
         report.suppressed += suppressed
         report.files_checked += 1

@@ -137,11 +137,6 @@ def global_log() -> ViolationLog:
     return _GLOBAL_LOG
 
 
-def active_log() -> ViolationLog:
-    """Where :func:`record_violation` currently appends."""
-    return _active_log
-
-
 def record_violation(kind: str, where: str, detail: str) -> None:
     """Record one violation into the active log (no-op when disabled)."""
     if not ENABLED:
@@ -153,20 +148,19 @@ def record_violation(kind: str, where: str, detail: str) -> None:
 
 
 @contextmanager
-def collecting(enable: bool = True) -> Iterator[ViolationLog]:
-    """Collect violations into a fresh local log, restoring on exit.
+def collecting() -> Iterator[ViolationLog]:
+    """Collect violations into a fresh local log with the checker
+    forced on, restoring both on exit.
 
     Tests that *deliberately* violate an invariant use this so the
     seeded violations never pollute the process-wide log that the
-    instrumented CI run gates on.  ``enable`` (default) also forces the
-    checker on for the duration.
+    instrumented CI run gates on.
     """
     global _active_log, ENABLED
     local = ViolationLog()
     previous_log, previous_enabled = _active_log, ENABLED
     _active_log = local
-    if enable:
-        ENABLED = True
+    ENABLED = True
     try:
         yield local
     finally:

@@ -290,11 +290,11 @@ def _validate_logits(task: Dict[str, np.ndarray]) -> None:
         raise ValueError("non-finite logits")
 
 
-def build_alexnet_dense(weight_seed: int = _WEIGHT_SEED) -> Application:
+def build_alexnet_dense() -> Application:
     """The AlexNet-dense application: 9 stages, one image per task."""
     return Application(
         name="alexnet-dense",
-        stages=_dense_stages(_Parameters(weight_seed), batch=1),
+        stages=_dense_stages(_Parameters(_WEIGHT_SEED), batch=1),
         make_task=_make_task_factory(batch=1),
         validate_task=_validate_logits,
         description="Dense CNN image classification (regular dense "
@@ -306,12 +306,11 @@ def build_alexnet_dense(weight_seed: int = _WEIGHT_SEED) -> Application:
 def build_alexnet_sparse(
     sparsity: float = DEFAULT_SPARSITY,
     batch: int = DEFAULT_SPARSE_BATCH,
-    weight_seed: int = _WEIGHT_SEED,
 ) -> Application:
     """The AlexNet-sparse application: CSR-pruned, ``batch`` images/task."""
     return Application(
         name="alexnet-sparse",
-        stages=_sparse_stages(_Parameters(weight_seed, sparsity),
+        stages=_sparse_stages(_Parameters(_WEIGHT_SEED, sparsity),
                               batch=batch),
         make_task=_make_task_factory(batch=batch),
         validate_task=_validate_logits,

@@ -41,7 +41,8 @@ from repro.kernels.stereo import (
 
 #: Default frame geometry (a QVGA-ish stereo head).
 DEFAULT_H, DEFAULT_W = 120, 160
-DEFAULT_MAX_DISPARITY = 32
+#: Disparity search range of the application's matcher.
+MAX_DISPARITY = 32
 
 
 def synthetic_stereo_pair(seed: int, h: int, w: int,
@@ -79,10 +80,9 @@ def synthetic_stereo_pair(seed: int, h: int, w: int,
 def build_stereo_application(
     h: int = DEFAULT_H,
     w: int = DEFAULT_W,
-    max_disparity: int = DEFAULT_MAX_DISPARITY,
 ) -> Application:
     """Construct the 6-stage stereo-depth application."""
-    if h < 16 or w <= max_disparity:
+    if h < 16 or w <= MAX_DISPARITY:
         raise KernelError("frame too small for the disparity range")
 
     stages = [
@@ -102,19 +102,19 @@ def build_stereo_application(
                 t["left_rect"], t["right_rect"],
                 t["left_census"], t["right_census"]),
         }),
-        Stage("cost-volume", cost_volume_work_profile(h, w, max_disparity), {
+        Stage("cost-volume", cost_volume_work_profile(h, w, MAX_DISPARITY), {
             CPU: lambda t: cost_volume_cpu(
                 t["left_census"], t["right_census"], t["cost"],
-                max_disparity),
+                MAX_DISPARITY),
             GPU: lambda t: cost_volume_gpu(
                 t["left_census"], t["right_census"], t["cost"],
-                max_disparity),
+                MAX_DISPARITY),
         }),
-        Stage("aggregate", aggregate_work_profile(h, w, max_disparity), {
+        Stage("aggregate", aggregate_work_profile(h, w, MAX_DISPARITY), {
             CPU: lambda t: aggregate_cpu(t["cost"], t["aggregated"]),
             GPU: lambda t: aggregate_gpu(t["cost"], t["aggregated"]),
         }),
-        Stage("wta", wta_work_profile(h, w, max_disparity), {
+        Stage("wta", wta_work_profile(h, w, MAX_DISPARITY), {
             CPU: lambda t: wta_cpu(t["aggregated"], t["disparity"]),
             GPU: lambda t: wta_gpu(t["aggregated"], t["disparity"]),
         }),
@@ -126,7 +126,7 @@ def build_stereo_application(
 
     def make_task(seed: int) -> Dict[str, np.ndarray]:
         left, right, truth = synthetic_stereo_pair(seed, h, w,
-                                                   max_disparity)
+                                                   MAX_DISPARITY)
         return {
             "left": left,
             "right": right,
@@ -135,8 +135,8 @@ def build_stereo_application(
             "right_rect": np.zeros((h, w), dtype=np.float32),
             "left_census": np.zeros((h, w), dtype=np.uint32),
             "right_census": np.zeros((h, w), dtype=np.uint32),
-            "cost": np.zeros((max_disparity, h, w), dtype=np.uint8),
-            "aggregated": np.zeros((max_disparity, h, w),
+            "cost": np.zeros((MAX_DISPARITY, h, w), dtype=np.uint8),
+            "aggregated": np.zeros((MAX_DISPARITY, h, w),
                                    dtype=np.float32),
             "disparity": np.zeros((h, w), dtype=np.int32),
             "cleaned": np.zeros((h, w), dtype=np.int32),
@@ -147,7 +147,7 @@ def build_stereo_application(
         truth = np.asarray(task["truth"])
         # Ignore the left occlusion band (no match exists there).
         valid = np.zeros_like(truth, dtype=bool)
-        valid[:, max_disparity:] = True
+        valid[:, MAX_DISPARITY:] = True
         close = np.abs(cleaned - truth) <= 1
         accuracy = float(close[valid].mean())
         if accuracy < 0.8:

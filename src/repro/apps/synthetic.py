@@ -54,26 +54,21 @@ def build_synthetic_application(
     seed: int,
     stage_count: int = 8,
     heterogeneity: float = 0.7,
-    mean_flops: float = 30e6,
-    spread: float = 4.0,
 ) -> Application:
     """Generate a deterministic synthetic pipeline.
+
+    A stage's arithmetic work is log-uniform in [30/4, 30*4] MFLOP.
 
     Args:
         seed: Drives every random choice.
         stage_count: Number of pipeline stages.
         heterogeneity: [0, 1] - how strongly stages differ in their PU
             affinities (archetype contrast).
-        mean_flops: Geometric mean of per-stage arithmetic work.
-        spread: Max multiplicative deviation of a stage's work from the
-            mean (log-uniform in [1/spread, spread]).
     """
     if stage_count < 1:
         raise KernelError("stage_count must be >= 1")
     if not 0.0 <= heterogeneity <= 1.0:
         raise KernelError("heterogeneity must be in [0, 1]")
-    if spread < 1.0:
-        raise KernelError("spread must be >= 1")
     rng = np.random.default_rng(400_000 + seed)
     stages: List[Stage] = []
     for index in range(stage_count):
@@ -89,9 +84,7 @@ def build_synthetic_application(
         pf = blend * pf + (1 - blend) * neutral[3]
         cpu_eff = blend * cpu_eff + (1 - blend) * neutral[4]
         gpu_eff = blend * gpu_eff + (1 - blend) * neutral[5]
-        flops = mean_flops * float(
-            np.exp(rng.uniform(-np.log(spread), np.log(spread)))
-        )
+        flops = 30e6 * float(np.exp(rng.uniform(-np.log(4.0), np.log(4.0))))
         work = WorkProfile(
             flops=flops,
             bytes_moved=flops / float(rng.uniform(2.0, 20.0)),
@@ -128,13 +121,11 @@ def build_synthetic_application(
 def build_bandwidth_bound_application(
     seed: int,
     stage_count: int = 3,
-    flops_per_byte: float = 0.5,
-    mean_flops: float = 20e6,
 ) -> Application:
     """Generate a DRAM-saturating streaming pipeline.
 
-    Every stage moves far more bytes than it computes
-    (``flops_per_byte`` well under the roofline ridge), so a single
+    Every stage moves far more bytes than it computes (~20 MFLOP at
+    0.5 flop/byte, well under the roofline ridge), so a single
     instance draws a large share of the SoC's memory bandwidth.  One
     or two co-located instances fit under the DRAM ceiling; packing
     more pushes the *sum* of demands past it, and the fair-share
@@ -146,8 +137,6 @@ def build_bandwidth_bound_application(
     """
     if stage_count < 1:
         raise KernelError("stage_count must be >= 1")
-    if flops_per_byte <= 0.0:
-        raise KernelError("flops_per_byte must be positive")
 
     def kernel(task):
         task["payload"] += np.float32(1.0)
@@ -155,12 +144,12 @@ def build_bandwidth_bound_application(
     rng = np.random.default_rng(700_000 + seed)
     stages: List[Stage] = []
     for index in range(stage_count):
-        flops = mean_flops * float(rng.uniform(0.85, 1.15))
+        flops = 20e6 * float(rng.uniform(0.85, 1.15))
         stages.append(Stage(
             name=f"copy-{index}",
             work=WorkProfile(
                 flops=flops,
-                bytes_moved=flops / flops_per_byte,
+                bytes_moved=flops / 0.5,
                 parallelism=2e5,
                 parallel_fraction=0.98,
                 divergence=0.05,
@@ -179,7 +168,6 @@ def build_bandwidth_bound_application(
         name=f"bwbound-{seed}-n{stage_count}",
         stages=stages,
         make_task=make_task,
-        description=f"Bandwidth-bound pipeline ({flops_per_byte:.2f} "
-                    "flop/byte)",
+        description="Bandwidth-bound pipeline (0.50 flop/byte)",
         input_kind="Synthetic",
     )

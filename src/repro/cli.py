@@ -802,8 +802,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     attribution = dict(report.attribution or {})
     offenders = list(attribution.get("top_offenders", ()))[:args.top_k]
     alerts = [dict(a) for a in (report.alerts or ())]
-    burning = sorted({str(a["key"]) for a in alerts
-                      if str(a["key"]) in report.tiers})
+    burning = sorted({str(a["key"]) for a in alerts})
     payload = {
         "scenario": {
             "seed": scenario.seed,

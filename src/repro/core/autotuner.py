@@ -83,7 +83,6 @@ class Autotuner:
         application: The pipeline being tuned.
         platform: Target virtual SoC.
         eval_tasks: Tasks streamed per candidate measurement.
-        depth: Multi-buffering depth forwarded to the executor.
     """
 
     def __init__(
@@ -91,14 +90,12 @@ class Autotuner:
         application: Application,
         platform: Platform,
         eval_tasks: int = DEFAULT_EVAL_TASKS,
-        depth: Optional[int] = None,
     ):
         if eval_tasks < 2:
             raise SchedulingError("eval_tasks must be >= 2")
         self.application = application
         self.platform = platform
         self.eval_tasks = eval_tasks
-        self.depth = depth
 
     def measure(self, candidate: ScheduleCandidate) -> AutotuneEntry:
         """Run one candidate and record its measured per-task latency:
@@ -131,7 +128,6 @@ class Autotuner:
                 self.application,
                 candidate.schedule.chunks(),
                 self.platform,
-                depth=self.depth,
             ))
         with tracer().span("autotuner.round", "autotuner",
                            candidates=len(executors)):

@@ -58,23 +58,15 @@ class DeploymentPlan:
     def measured_latency_s(self) -> float:
         return self.autotune.measured_best.measured_latency_s
 
-    def execute(self, n_tasks: int = 30,
-                fault_injector=None) -> SimulatedRunResult:
-        """Deploy: stream tasks through the selected pipeline.
-
-        Args:
-            n_tasks: Tasks to stream.
-            fault_injector: Optional
-                :class:`~repro.runtime.faults.FaultInjector` perturbing
-                the run (resilience studies).
-        """
+    def execute(self, n_tasks: int = 30) -> SimulatedRunResult:
+        """Deploy: stream ``n_tasks`` tasks through the selected
+        pipeline."""
         validate_schedule(
             self.schedule, self.application,
             available_pus=self.platform.schedulable_classes(),
         )
         executor = SimulatedPipelineExecutor(
             self.application, self.schedule.chunks(), self.platform,
-            fault_injector=fault_injector,
         )
         return executor.run(n_tasks)
 
@@ -167,7 +159,6 @@ class BetterTogether:
         )
 
     def deploy_adaptive(self, plan: DeploymentPlan,
-                        drift_threshold: float = 0.25,
                         window_tasks: int = 20):
         """Wrap a plan in an adaptive, fault-recovering deployment.
 
@@ -187,7 +178,6 @@ class BetterTogether:
             application=plan.application,
             platform=self.platform,
             candidates=plan.optimization.candidates,
-            drift_threshold=drift_threshold,
             window_tasks=window_tasks,
             eval_tasks=self.eval_tasks,
         )

@@ -55,6 +55,9 @@ from repro.runtime.simulator import (
 from repro.soc.interference import ExternalLoad
 from repro.soc.platform import Platform
 
+#: Profiling repetitions per table entry of every served plan.
+PROFILING_REPETITIONS = 3
+
 #: Deployments a :class:`PlanCache` keeps warm.  A live placement holds
 #: its own reference, so the table only has to keep *idle* deployments
 #: for whoever deploys the same (application, schedule) next.  Measured
@@ -279,22 +282,23 @@ class PlanCache:
 
     Args:
         platform: The shared virtual SoC every tenant runs on.
-        repetitions: Profiling repetitions per table entry.
         k: Optimizer candidate count (the rescheduler's search space).
         time_budget_s: Optional optimizer wall budget per application.
+
+    Every table entry is profiled ``PROFILING_REPETITIONS`` times.
     """
 
     def __init__(
         self,
         platform: Platform,
-        repetitions: int = 5,
         k: int = 8,
         time_budget_s: Optional[float] = None,
     ):
         if k < 1:
             raise SchedulingError("k must be >= 1")
         self.platform = platform
-        self.profiler = BTProfiler(platform, repetitions=repetitions)
+        self.profiler = BTProfiler(platform,
+                                   repetitions=PROFILING_REPETITIONS)
         self.k = k
         self.time_budget_s = time_budget_s
         self._plans: Dict[str, CachedPlan] = {}

@@ -10,7 +10,7 @@ output come from one code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.apps import (
     build_alexnet_dense,
@@ -73,8 +73,8 @@ def build_applications(scale: ExperimentScale) -> Dict[str, Application]:
     }
 
 
-def evaluation_platforms(seed: int = 2025) -> List[Platform]:
-    return [get_platform(name, seed) for name in PLATFORM_NAMES]
+def evaluation_platforms() -> List[Platform]:
+    return [get_platform(name, 2025) for name in PLATFORM_NAMES]
 
 
 def measure_candidates(
@@ -82,11 +82,10 @@ def measure_candidates(
     platform: Platform,
     optimization: "OptimizationResult | Sequence[ScheduleCandidate]",
     eval_tasks: int,
-    top: Optional[int] = None,
 ) -> Tuple[List[float], List[float]]:
     """(predicted, measured) latency pairs for candidates, in rank order."""
     tuner = Autotuner(application, platform, eval_tasks=eval_tasks)
-    result = tuner.tune(optimization, top=top)
+    result = tuner.tune(optimization)
     predicted = [e.predicted_latency_s for e in result.entries]
     measured = [e.measured_latency_s for e in result.entries]
     return predicted, measured

@@ -36,10 +36,10 @@ class Fig1Result:
         row = self.times_s["radix-tree"]
         return row[GPU] == min(row.values())
 
-    def octree_build_is_balanced(self, factor: float = 6.0) -> bool:
-        """Big, medium and GPU within a modest factor of each other."""
+    def octree_build_is_balanced(self) -> bool:
+        """Big, medium and GPU within a factor of six of each other."""
         row = self.times_s["build-octree"]
-        return max(row.values()) <= factor * min(row.values())
+        return max(row.values()) <= 6.0 * min(row.values())
 
 
 def run_fig1(scale: ExperimentScale = None) -> Fig1Result:

@@ -59,7 +59,7 @@ class Fig4Result:
         return key, self.cells[key].speedup
 
 
-def run_fig4(scale: ExperimentScale = None, n_tasks: int = 30) -> Fig4Result:
+def run_fig4(scale: ExperimentScale = None) -> Fig4Result:
     scale = scale or ExperimentScale.paper()
     applications = build_applications(scale)
     cells: Dict[Tuple[str, str], Fig4Cell] = {}
@@ -74,7 +74,7 @@ def run_fig4(scale: ExperimentScale = None, n_tasks: int = 30) -> Fig4Result:
             application = applications[app_name]
             plan = framework.run(application)
             baseline = measure_baselines(application, platform,
-                                         n_tasks=n_tasks)
+                                         n_tasks=30)
             cells[(app_name, platform.name)] = Fig4Cell(
                 bt_latency_s=plan.measured_latency_s,
                 baseline_latency_s=baseline.best_latency_s,

@@ -59,8 +59,6 @@ class Fig5Series:
 @dataclass
 class Fig5Result:
     series: Dict[str, Fig5Series]
-    application: str = "alexnet-sparse"
-    platform: str = "pixel7a"
 
     def bt_beats_prior_flows(self) -> bool:
         bt = self.series["bettertogether"].correlation
@@ -70,12 +68,10 @@ class Fig5Result:
         )
 
 
-def run_fig5(scale: ExperimentScale = None,
-             app_name: str = "alexnet-sparse",
-             platform_name: str = "pixel7a") -> Fig5Result:
+def run_fig5(scale: ExperimentScale = None) -> Fig5Result:
     scale = scale or ExperimentScale.paper()
-    platform = get_platform(platform_name)
-    application = build_applications(scale)[app_name]
+    platform = get_platform("pixel7a")
+    application = build_applications(scale)["alexnet-sparse"]
     schedulable = platform.schedulable_classes()
 
     framework = BetterTogether(
@@ -106,8 +102,7 @@ def run_fig5(scale: ExperimentScale = None,
         )
         series[name] = Fig5Series(predicted_s=predicted,
                                   measured_s=measured)
-    return Fig5Result(series=series, application=app_name,
-                      platform=platform_name)
+    return Fig5Result(series=series)
 
 
 def format_fig5(result: Fig5Result) -> str:
@@ -124,6 +119,6 @@ def format_fig5(result: Fig5Result) -> str:
     check = f"BT correlation is the best: {result.bt_beats_prior_flows()}"
     return (
         f"Fig. 5 - predicted vs measured, top-{len(result.series['bettertogether'].predicted_s)} "
-        f"schedules, {result.application} @ {result.platform}\n"
+        "schedules, alexnet-sparse @ pixel7a\n"
         + format_table(rows) + "\n" + check
     )

@@ -49,13 +49,13 @@ class Fig7Result:
 
     ratios: Dict[Tuple[str, str], float]
 
-    def direction_matches_paper(self, key: Tuple[str, str],
-                                tolerance: float = 0.05) -> bool:
-        """Same side of 1.0 as the paper (within a neutral band)."""
+    def direction_matches_paper(self, key: Tuple[str, str]) -> bool:
+        """Same side of 1.0 as the paper; a paper ratio within 0.05 of
+        1.0 is neutral, matched by any ratio within 0.15."""
         ours = self.ratios[key]
         paper = PAPER_RATIOS[key]
-        if abs(paper - 1.0) <= tolerance:
-            return abs(ours - 1.0) <= 3 * tolerance
+        if abs(paper - 1.0) <= 0.05:
+            return abs(ours - 1.0) <= 3 * 0.05
         return (ours - 1.0) * (paper - 1.0) > 0
 
     def directions_matching(self) -> int:

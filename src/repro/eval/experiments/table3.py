@@ -59,15 +59,14 @@ class Table3Result:
         return len(self.cells)
 
 
-def run_table3(scale: ExperimentScale = None,
-               n_tasks: int = 30) -> Table3Result:
+def run_table3(scale: ExperimentScale = None) -> Table3Result:
     scale = scale or ExperimentScale.paper()
     applications = build_applications(scale)
     cells: Dict[Tuple[str, str], BaselineResult] = {}
     for platform in evaluation_platforms():
         for app_name in APP_ORDER:
             cells[(app_name, platform.name)] = measure_baselines(
-                applications[app_name], platform, n_tasks=n_tasks
+                applications[app_name], platform, n_tasks=30
             )
     return Table3Result(cells=cells)
 

@@ -27,21 +27,16 @@ from repro.soc import get_platform
 class Table4Result:
     autotune: AutotuneResult
     shown: int
-    application: str = "alexnet-sparse"
-    platform: str = "pixel7a"
 
     @property
     def autotuning_gain(self) -> float:
         return self.autotune.autotuning_gain
 
 
-def run_table4(scale: ExperimentScale = None,
-               shown: int = 10,
-               app_name: str = "alexnet-sparse",
-               platform_name: str = "pixel7a") -> Table4Result:
+def run_table4(scale: ExperimentScale = None) -> Table4Result:
     scale = scale or ExperimentScale.paper()
-    platform = get_platform(platform_name)
-    application = build_applications(scale)[app_name]
+    platform = get_platform("pixel7a")
+    application = build_applications(scale)["alexnet-sparse"]
     framework = BetterTogether(
         platform, repetitions=scale.repetitions, k=scale.k,
         eval_tasks=scale.eval_tasks,
@@ -51,9 +46,7 @@ def run_table4(scale: ExperimentScale = None,
     autotune = framework.autotune(application, optimization)
     return Table4Result(
         autotune=autotune,
-        shown=min(shown, len(autotune.entries)),
-        application=app_name,
-        platform=platform_name,
+        shown=min(10, len(autotune.entries)),
     )
 
 
@@ -78,6 +71,6 @@ def format_table4(result: Table4Result) -> str:
     )
     return (
         f"Table 4 - top-{result.shown} autotuning log, "
-        f"{result.application} @ {result.platform}\n"
+        "alexnet-sparse @ pixel7a\n"
         + format_table(rows) + "\n" + footer
     )

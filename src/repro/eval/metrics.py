@@ -34,19 +34,18 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     return cov / math.sqrt(var_x * var_y)
 
 
-def safe_pearson(xs: Sequence[float], ys: Sequence[float],
-                 default: float = 0.0) -> float:
-    """Pearson's r, with degenerate samples mapped to ``default``.
+def safe_pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Pearson's r, with degenerate samples mapped to 0.0.
 
     Used by the experiment drivers at reduced scales: a candidate set
     whose predictions are all identical (a single performance tier) has
-    no ranking power, which ``default=0.0`` expresses; the strict
+    no ranking power, which 0.0 expresses; the strict
     :func:`pearson_correlation` would raise instead.
     """
     try:
         return pearson_correlation(xs, ys)
     except ReproError:
-        return default
+        return 0.0
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -74,9 +73,9 @@ def arithmetic_mean(values: Iterable[float]) -> float:
     return sum(items) / len(items)
 
 
-def format_table(rows: Sequence[Sequence[str]],
-                 align_right_from: int = 1) -> str:
-    """Monospace-align a list-of-rows table for terminal output."""
+def format_table(rows: Sequence[Sequence[str]]) -> str:
+    """Monospace-align a list-of-rows table for terminal output: the
+    first column left-aligned, the rest right-aligned."""
     if not rows:
         return ""
     widths = [
@@ -88,7 +87,7 @@ def format_table(rows: Sequence[Sequence[str]],
         cells = []
         for col, cell in enumerate(row):
             text = str(cell)
-            if col >= align_right_from:
+            if col:
                 cells.append(text.rjust(widths[col]))
             else:
                 cells.append(text.ljust(widths[col]))

@@ -17,9 +17,7 @@ from repro.fleet.chaos import (
     GrayFailureSpec,
     ShardCrashSpec,
 )
-from repro.fleet.coordinator import FailoverCoordinator
 from repro.fleet.health import (
-    BreakerConfig,
     CircuitBreaker,
     HealthConfig,
     HealthMonitor,
@@ -40,12 +38,10 @@ from repro.fleet.shard import ShardSpec, SoCShard
 from repro.fleet.tenant import SHED, FleetTenant
 
 __all__ = [
-    "BreakerConfig",
     "ChaosInjector",
     "ChaosSchedule",
     "CircuitBreaker",
     "DegradeSpec",
-    "FailoverCoordinator",
     "FleetConfig",
     "FleetReport",
     "FleetRouter",

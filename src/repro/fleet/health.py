@@ -12,16 +12,16 @@ mean latency ratio of a tick's windows exceeds ``slo_factor`` for
 
 Shard lifecycle::
 
-    healthy --(missed beats >= miss_degraded, or SLO streak)--> degraded
-    degraded --(missed beats >= miss_dead, or crash)----------> dead
+    healthy --(missed beats >= MISS_DEGRADED, or SLO streak)--> degraded
+    degraded --(missed beats >= MISS_DEAD, or crash)----------> dead
     dead --(beats resume / rejoin)----------------------------> recovering
     recovering --(breaker closes)-----------------------------> healthy
 
 The :class:`CircuitBreaker` gates *placement* onto a shard::
 
     closed --(shard declared dead / SLO failover)--> open
-    open --(cooldown elapsed AND beats seen)-------> half-open
-    half-open --(probe_ticks consecutive healthy)--> closed
+    open --(COOLDOWN_TICKS elapsed AND beats seen)-> half-open
+    half-open --(PROBE_TICKS consecutive healthy)--> closed
     half-open --(beats lost again)-----------------> open
 
 Half-open placement is probabilistic by design - a recovering shard
@@ -40,6 +40,18 @@ import numpy as np
 
 from repro.errors import FleetError
 
+#: Consecutive beatless fleet ticks that degrade a shard, and that
+#: declare it dead.
+MISS_DEGRADED = 2
+MISS_DEAD = 4
+
+#: Breaker timing, in fleet ticks: how long an open breaker waits
+#: before probing, the chance that a half-open tick is a probe window,
+#: and the healthy half-open ticks that close it again.
+COOLDOWN_TICKS = 3
+PROBE_PROBABILITY = 0.5
+PROBE_TICKS = 3
+
 # Shard lifecycle states.
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -57,18 +69,14 @@ HALF_OPEN = "half-open"
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Thresholds for shard health classification (all in fleet ticks)."""
+    """The relative-SLO breach rule: a shard breaches after
+    ``slo_breach_ticks`` consecutive ticks whose mean window-latency
+    ratio exceeds ``slo_factor``."""
 
-    miss_degraded: int = 2
-    miss_dead: int = 4
     slo_factor: float = 2.0
     slo_breach_ticks: int = 3
 
     def __post_init__(self) -> None:
-        if self.miss_degraded < 1:
-            raise FleetError("miss_degraded must be >= 1")
-        if self.miss_dead <= self.miss_degraded:
-            raise FleetError("miss_dead must be > miss_degraded")
         if self.slo_factor <= 1.0:
             raise FleetError("slo_factor must be > 1.0")
         if self.slo_breach_ticks < 1:
@@ -181,7 +189,7 @@ class HealthMonitor:
 
         if crashed:
             new = DEAD
-        elif health.missed_ticks >= self.config.miss_dead:
+        elif health.missed_ticks >= MISS_DEAD:
             new = DEAD
         elif old == DEAD:
             # Only an external transition (rejoin / beats resumption via
@@ -190,7 +198,7 @@ class HealthMonitor:
         elif old == RECOVERING:
             # Recovering holds until the breaker closes (set_state).
             new = RECOVERING
-        elif health.missed_ticks >= self.config.miss_degraded:
+        elif health.missed_ticks >= MISS_DEGRADED:
             new = DEGRADED
         elif self.slo_breached(shard):
             new = DEGRADED
@@ -201,23 +209,6 @@ class HealthMonitor:
         return (old, new) if new != old else None
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Circuit-breaker timing (all in fleet ticks)."""
-
-    cooldown_ticks: int = 3
-    probe_probability: float = 0.5
-    probe_ticks: int = 3
-
-    def __post_init__(self) -> None:
-        if self.cooldown_ticks < 1:
-            raise FleetError("cooldown_ticks must be >= 1")
-        if not 0.0 < self.probe_probability <= 1.0:
-            raise FleetError("probe_probability must be in (0, 1]")
-        if self.probe_ticks < 1:
-            raise FleetError("probe_ticks must be >= 1")
-
-
 class CircuitBreaker:
     """Per-shard admission gate: closed -> open -> half-open -> closed.
 
@@ -226,10 +217,8 @@ class CircuitBreaker:
     pure function of the run, so reruns see identical probe windows.
     """
 
-    def __init__(self, shard: str, config: Optional[BreakerConfig],
-                 seed: int = 0):
+    def __init__(self, shard: str, seed: int):
         self.shard = shard
-        self.config = config or BreakerConfig()
         self.state = CLOSED
         self.transitions = 0
         self._rng = np.random.default_rng(seed)
@@ -256,9 +245,7 @@ class CircuitBreaker:
         this tick."""
         if self.state == OPEN:
             assert self._opened_at is not None
-            if (beating
-                    and tick - self._opened_at
-                    >= self.config.cooldown_ticks):
+            if beating and tick - self._opened_at >= COOLDOWN_TICKS:
                 self.state = HALF_OPEN
                 self._probe_ok = 0
                 self.transitions += 1
@@ -273,7 +260,7 @@ class CircuitBreaker:
                 self.transitions += 1
                 return (HALF_OPEN, OPEN)
             self._probe_ok += 1
-            if self._probe_ok >= self.config.probe_ticks:
+            if self._probe_ok >= PROBE_TICKS:
                 self.state = CLOSED
                 self._probe_window = False
                 self.transitions += 1
@@ -283,9 +270,7 @@ class CircuitBreaker:
         return None
 
     def _draw_probe_window(self) -> None:
-        self._probe_window = bool(
-            self._rng.random() < self.config.probe_probability
-        )
+        self._probe_window = bool(self._rng.random() < PROBE_PROBABILITY)
 
     def allows_placement(self) -> bool:
         """May the router place a tenant on this shard right now?"""

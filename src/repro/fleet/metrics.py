@@ -112,9 +112,6 @@ class FleetReport:
     #: Blame-decomposition summary (``FleetConfig.attribution``); None
     #: - and absent from the serialized form - when attribution is off.
     attribution: Optional[Mapping[str, object]] = None
-    #: Burn-rate alert records (``FleetConfig.burn``); None when burn
-    #: alerting is off (an empty list means "armed, nothing burned").
-    alerts: Optional[Sequence[Mapping[str, object]]] = None
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -159,6 +156,4 @@ class FleetReport:
         }
         if self.attribution is not None:
             out["attribution"] = dict(self.attribution)
-        if self.alerts is not None:
-            out["alerts"] = [dict(alert) for alert in self.alerts]
         return out

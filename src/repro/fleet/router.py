@@ -28,8 +28,7 @@ Per tick, in fixed phase order:
    migrations, failures);
 5. **health** - classify every shard from beat counts and window
    latency ratios, advance circuit breakers, and on shard death or
-   sustained SLO breach hand the shard to the
-   :class:`~repro.fleet.coordinator.FailoverCoordinator`.
+   sustained SLO breach :meth:`~FleetRouter.failover` the shard.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.lock_order import checked_lock
 from repro.core.plan_cache import PlanCache
 from repro.errors import FleetError, ReproError
-from repro.obs.alerts import BurnRateEvaluator, BurnRateRule
 from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
 from repro.obs.tracer import tracer
@@ -66,7 +64,6 @@ from repro.serve.tenant import (
     WindowSample,
 )
 from repro.fleet.chaos import ChaosInjector, ChaosSchedule
-from repro.fleet.coordinator import FailoverCoordinator
 from repro.fleet.health import (
     CLOSED,
     DEAD,
@@ -74,7 +71,6 @@ from repro.fleet.health import (
     HEALTHY,
     RECOVERING,
     SHARD_STATE_CODES,
-    BreakerConfig,
     CircuitBreaker,
     HealthConfig,
     HealthMonitor,
@@ -86,7 +82,7 @@ from repro.fleet.metrics import (
     surviving_p95_slowdown,
 )
 from repro.fleet.shard import ShardSpec, SoCShard
-from repro.fleet.tenant import FleetTenant
+from repro.fleet.tenant import SHED, FleetTenant
 from repro.soc.platforms import get_platform
 
 
@@ -108,18 +104,11 @@ class FleetConfig:
     #: tenants (the baseline the soak's strict-improvement test beats).
     failover: bool = True
     health: HealthConfig = field(default_factory=HealthConfig)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
     #: Per-window interference blame decomposition on every shard
     #: (:mod:`repro.obs.attribution`).  Off by default; the report only
     #: grows an ``attribution`` key when on, so default bytes are
     #: unchanged.
     attribution: bool = False
-    #: Multi-window SLO burn-rate alerting per shard
-    #: (:mod:`repro.obs.alerts`).  None disables it; a burning shard
-    #: trips its breaker and fails over exactly like a sustained SLO
-    #: breach.  A window burns error budget when its measured latency
-    #: exceeds ``health.slo_factor`` times its isolated prediction.
-    burn: Optional[BurnRateRule] = None
 
     def __post_init__(self) -> None:
         if self.max_ticks < 1:
@@ -184,10 +173,7 @@ class FleetRouter:
                 platforms[key] = get_platform(
                     spec.platform_name, seed=spec.platform_seed
                 )
-                caches[key] = PlanCache(
-                    platforms[key],
-                    repetitions=server_config.profiling_repetitions,
-                )
+                caches[key] = PlanCache(platforms[key])
             self.shards.append(SoCShard(
                 index, spec, platforms[key], caches[key],
                 server_config, fleet_seed=seed,
@@ -200,10 +186,8 @@ class FleetRouter:
         for shard in self.shards:
             self.monitor.register(shard.name)
             self.breakers[shard.name] = CircuitBreaker(
-                shard.name, self.config.breaker,
-                seed=seed * 1_000 + shard.index,
+                shard.name, seed=seed * 1_000 + shard.index,
             )
-        self.coordinator = FailoverCoordinator(self)
 
         self.tenants: Dict[str, FleetTenant] = {}
         #: The tenants not yet terminal, by arrival: what the per-tick
@@ -225,13 +209,6 @@ class FleetRouter:
         #: Running sum of the harvested windows' attributed blame (the
         #: per-tick ``blame.attributed_total`` series; attribution on).
         self._attributed_total = 0.0
-        self._burn = (BurnRateEvaluator(self.config.burn)
-                      if self.config.burn is not None else None)
-        #: Burn-rate alert records, in firing order (burn rule set).
-        self.burn_alerts: List[object] = []
-        #: Per-shard (good, bad) window outcomes of the current tick -
-        #: the burn evaluator's per-tick feed, cleared every tick.
-        self._tick_outcomes: Dict[str, List[int]] = {}
 
         #: Lifecycle: "new" -> "open" (open_stepped) -> "closed"
         #: (close_stepped); nothing reopens a closed fleet.
@@ -348,9 +325,6 @@ class FleetRouter:
                 "attributed_total": round(self._attributed_total, 9),
                 "top_offenders": top_offenders(blames, 10),
             }
-        alerts = None
-        if self.config.burn is not None:
-            alerts = [alert.to_dict() for alert in self.burn_alerts]
         return FleetReport(
             seed=self.seed,
             ticks=self.ticks_executed,
@@ -368,7 +342,6 @@ class FleetRouter:
                 self.tenants),
             plan_cache=cache_stats,
             attribution=attribution,
-            alerts=alerts,
         )
 
     # ------------------------------------------------------------------
@@ -376,9 +349,6 @@ class FleetRouter:
     # ------------------------------------------------------------------
     def _tick(self, tick: int) -> None:
         with tracer().span("fleet.tick", "fleet", tick=tick):
-            self._tick_outcomes = {
-                shard.name: [0, 0] for shard in self.shards
-            }
             self._apply_chaos(tick)
             self._place_pending(tick)
             self._step_shards(tick)
@@ -459,7 +429,6 @@ class FleetRouter:
         "shed": "fleet.shed",
         "breaker": "breaker.transitions",
         "reject": "fleet.rejects",
-        "burn_alert": "fleet.burn_alerts",
     }
 
     def _event(self, tick: int, event: str, **extra: object) -> None:
@@ -617,16 +586,6 @@ class FleetRouter:
                     isolated_s=round(isolated, 9),
                     **({"detail": detail} if detail else {}))
 
-    def record_failover(self, shard: SoCShard, tick: int, cause: str,
-                        displaced: int) -> None:
-        self._event(tick, "failover", shard=shard.name, cause=cause,
-                    displaced=displaced)
-
-    def record_shed(self, tenant: FleetTenant, tick: int,
-                    cause: str) -> None:
-        self._event(tick, "shed", tenant=tenant.name,
-                    priority=tenant.priority, cause=cause)
-
     def _place_pending(self, tick: int) -> None:
         while True:
             with self._inbox_lock:
@@ -707,13 +666,14 @@ class FleetRouter:
             tenant.windows.append(row)
             self.window_log.append(row)
             self.monitor.note_window(shard.name, name, row.latency_s)
+            if tenant.shard != shard.name:
+                # Evicted earlier in this batch, after the window was
+                # simulated: its ratio counts, but a baseline must not
+                # outlive the residency (a later generation of this
+                # shard may host the tenant again).
+                self.monitor.forget_tenant(shard.name, name)
             if row.blame is not None:
                 self._attributed_total += row.blame.attributed
-            if self._burn is not None:
-                # A window burns error budget when it runs more than
-                # slo_factor over its contention-free prediction.
-                good = row.attains(self.config.health.slo_factor)
-                self._tick_outcomes[shard.name][0 if good else 1] += 1
         elif kind == "complete":
             tenant.status = COMPLETED
             tenant.shard = None
@@ -777,7 +737,7 @@ class FleetRouter:
                          + ("(crashed)" if not shard.alive
                             else "(heartbeat lost)"))
                 if self.config.failover:
-                    self.coordinator.failover(shard, tick, cause)
+                    self.failover(shard, tick, cause)
                 elif not shard.alive:
                     self._strand_tenants(shard, tick, cause)
 
@@ -790,32 +750,8 @@ class FleetRouter:
                 if self.config.failover:
                     cause = (f"sustained SLO breach on {shard.name} "
                              f"at tick {tick}")
-                    self.coordinator.failover(shard, tick, cause)
+                    self.failover(shard, tick, cause)
                     self.monitor.reset_slo(shard.name)
-
-            if self._burn is not None:
-                good, bad = self._tick_outcomes.get(shard.name, (0, 0))
-                alert = self._burn.observe(shard.name, tick,
-                                           int(good), int(bad))
-                if alert is not None:
-                    self.burn_alerts.append(alert)
-                    self._event(tick, "burn_alert", shard=shard.name,
-                                fast_burn=round(alert.fast_burn, 9),
-                                slow_burn=round(alert.slow_burn, 9))
-                    # A burning shard fails over exactly like a
-                    # sustained SLO breach: trip the breaker, hand the
-                    # shard to the coordinator, clear the burn window.
-                    if breaker.state == CLOSED and not newly_dead:
-                        trip = breaker.trip(tick)
-                        if trip is not None:
-                            self._event(tick, "breaker",
-                                        shard=shard.name,
-                                        frm=trip[0], to=trip[1])
-                        if self.config.failover:
-                            cause = (f"burn-rate alert on {shard.name} "
-                                     f"at tick {tick}")
-                            self.coordinator.failover(shard, tick, cause)
-                            self._burn.reset(shard.name)
 
             beating = shard.alive and health.beat_seen
             advance = breaker.advance(tick, beating)
@@ -828,6 +764,61 @@ class FleetRouter:
                     self.monitor.set_state(shard.name, HEALTHY)
                     self._event(tick, "shard_state", shard=shard.name,
                                 frm=RECOVERING, to=HEALTHY)
+
+    def failover(self, shard: SoCShard, tick: int, cause: str) -> None:
+        """Drain ``shard`` and re-admit its tenants fleet-wide, or shed.
+
+        Every live tenant is pulled off the shard - withdrawn from a
+        still-live server, or simply adopted when the server crashed
+        under it - and the displaced batch, highest priority first
+        (ties: earliest arrival), is placed through the regular
+        admission path (:meth:`choose_shard` prices,
+        :meth:`PipelineServer.admit` deploys).  Placement is atomic per
+        attempt: if any tenant cannot land, the attempt's placements are
+        rescinded, the lowest-priority tenant (ties: latest arrival) is
+        shed, and the smaller batch retries - there is no state where
+        half a failover happened.
+        """
+        batch = self.tenants_on(shard.name)
+        if not batch:
+            return
+        for tenant in batch:
+            if shard.alive:
+                shard.server.withdraw(tenant.name,
+                                      f"fleet failover: {cause}", tick)
+            self.monitor.forget_tenant(shard.name, tenant.name)
+            tenant.shard = None
+            tenant.status = PENDING
+            tenant.status_detail = f"displaced by failover: {cause}"
+        self._event(tick, "failover", shard=shard.name, cause=cause,
+                    displaced=len(batch))
+        batch.sort(key=lambda t: (-t.priority, t.arrival))
+        while batch:
+            placed: List[Tuple[FleetTenant, SoCShard]] = []
+            for tenant in batch:
+                spec = tenant.pending_spec()
+                choice = self.choose_shard(spec)
+                if choice is None:
+                    break
+                target, decision = choice
+                target.server.admit(spec, tick, decision)
+                placed.append((tenant, target))
+            else:
+                for tenant, target in placed:
+                    self.commit_placement(tenant, target, tick, "migrate",
+                                          detail=f"failover: {cause}")
+                return
+            for tenant, target in placed:
+                target.server.rescind(tenant.name)
+            victim = min(batch, key=lambda t: (t.priority, -t.arrival))
+            batch.remove(victim)
+            victim.status = SHED
+            victim.status_detail = (
+                f"shed at tick {tick}: fleet could not absorb the "
+                f"failover batch ({cause})"
+            )
+            self._event(tick, "shed", tenant=victim.name,
+                        priority=victim.priority, cause=cause)
 
     def _strand_tenants(self, shard: SoCShard, tick: int,
                         cause: str) -> None:

@@ -10,7 +10,7 @@ throws one of each failure shape at the fleet mid-run:
 
 * ``soc2`` goes **gray** over ticks [8, 16): it keeps serving but stops
   heartbeating, so the health monitor must declare it dead on beat
-  evidence alone and the coordinator must drain a *live* server;
+  evidence alone and failover must drain a *live* server;
 * ``soc1`` **crashes** at tick 14 and rejoins at tick 20 as a fresh
   generation, re-entering service through the half-open breaker;
 * ``soc3`` **degrades** over ticks [22, 60) (a 95% brownout of every
@@ -27,7 +27,7 @@ gap the acceptance test asserts is strictly positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.errors import FleetError
@@ -43,7 +43,6 @@ from repro.fleet.health import HealthConfig
 from repro.fleet.metrics import FleetReport
 from repro.fleet.router import FleetConfig, FleetRouter
 from repro.fleet.shard import ShardSpec
-from repro.obs.alerts import BurnRateRule
 
 #: PU classes browned out on the degraded shard (all of pixel7a's, so
 #: the shard-local rescheduler has nowhere to flee).
@@ -65,8 +64,6 @@ class FleetSoakScenario:
     n_shards: int = 4
     n_tenants: int = 12
     platform_name: str = "pixel7a"
-    window_tasks: int = 6
-    stage_count: int = 3
     max_ticks: int = 96
 
     def __post_init__(self) -> None:
@@ -99,16 +96,16 @@ class FleetSoakScenario:
 
 def build_fleet(scenario: FleetSoakScenario,
                 failover: bool = True,
-                attribution: bool = False,
-                burn: Optional[BurnRateRule] = None) -> FleetRouter:
+                attribution: bool = False) -> FleetRouter:
     """A fully-loaded fleet, ready to :meth:`~FleetRouter.run`.
 
     Tenants cycle through three lifetimes (8/18/28 windows - the short
     ones free slots before the first failure hits, which is what lets
     the survivors absorb failover batches), three priorities (0 is shed
-    first), and four shared applications (two compute-bound synthetic,
-    two memory-bound streaming; three tenants per application, so the
-    per-platform plan caches get real hit traffic).
+    first), and four shared three-stage applications (two compute-bound
+    synthetic, two memory-bound streaming; three tenants per
+    application, so the per-platform plan caches get real hit traffic),
+    six tasks a window.
     """
     # Shards alternate platform seeds 7 and 11; shards sharing a seed
     # share one platform object and one plan cache.
@@ -128,7 +125,6 @@ def build_fleet(scenario: FleetSoakScenario,
             # swing, well under the brownout's hit.
             health=HealthConfig(slo_factor=1.5, slo_breach_ticks=2),
             attribution=attribution,
-            burn=burn,
         ),
         chaos=scenario.chaos(),
     )
@@ -136,18 +132,18 @@ def build_fleet(scenario: FleetSoakScenario,
         app_seed = scenario.seed + (i % 4)
         if i % 2 == 0:
             application = build_synthetic_application(
-                seed=app_seed, stage_count=scenario.stage_count,
+                seed=app_seed, stage_count=3,
             )
         else:
             application = _memory_bound_application(
-                app_seed, scenario.stage_count,
+                app_seed, stage_count=3,
             )
         router.submit(TenantSpec(
             name=f"tenant-{i:02d}",
             application=application,
             priority=i % 3,
             windows=WINDOWS_CYCLE[i % 3],
-            window_tasks=scenario.window_tasks,
+            window_tasks=6,
         ))
     return router
 
@@ -155,16 +151,8 @@ def build_fleet(scenario: FleetSoakScenario,
 def run_fleet_soak(
     scenario: FleetSoakScenario,
     failover: bool = True,
-    attribution: bool = False,
-    burn: Optional[BurnRateRule] = None,
 ) -> Tuple[FleetRouter, FleetReport]:
-    """Build and run one fleet soak; returns (router, report).
-
-    ``attribution``/``burn`` arm per-window blame decomposition and
-    per-shard burn-rate alerting (both off by default, so the chaos
-    soak's byte-diff arms are unchanged; ``repro top`` turns both on).
-    """
-    router = build_fleet(scenario, failover=failover,
-                         attribution=attribution, burn=burn)
+    """Build and run one fleet soak; returns (router, report)."""
+    router = build_fleet(scenario, failover=failover)
     report = router.run()
     return router, report

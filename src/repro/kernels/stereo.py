@@ -18,6 +18,8 @@ from repro.soc.workprofile import WorkProfile
 
 #: Census window radius (5x5 window -> 24-bit descriptors).
 CENSUS_RADIUS = 2
+#: Cost-aggregation box radius (5x5 box).
+AGGREGATE_RADIUS = 2
 #: Rows per simulated device workgroup tile.
 GPU_ROW_TILE = 32
 
@@ -168,11 +170,12 @@ def cost_volume_work_profile(h: int, w: int, d: int) -> WorkProfile:
 # ----------------------------------------------------------------------
 # Stage 4: box aggregation over the cost volume
 # ----------------------------------------------------------------------
-def aggregate_cpu(cost, aggregated, radius=2):
+def aggregate_cpu(cost, aggregated):
     """Host variant: separable box filter via cumulative sums."""
     d, h, w = cost.shape
     if aggregated.shape != cost.shape:
         raise KernelError("aggregated volume shape mismatch")
+    radius = AGGREGATE_RADIUS
     k = 2 * radius + 1
     padded = np.pad(
         cost.astype(np.float32),
@@ -190,14 +193,13 @@ def aggregate_cpu(cost, aggregated, radius=2):
     aggregated[:] = cols / (k * k)
 
 
-def aggregate_gpu(cost, aggregated, radius=2):
+def aggregate_gpu(cost, aggregated):
     """Device variant: per-disparity-slice launches."""
     d = cost.shape[0]
     for slice_index in range(d):
         aggregate_cpu(
             cost[slice_index : slice_index + 1],
             aggregated[slice_index : slice_index + 1],
-            radius,
         )
 
 

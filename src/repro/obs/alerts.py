@@ -14,9 +14,8 @@ byte-identical across seeded runs.  Wall time never enters an alert
 decision; the flow analysis registers ``BurnAlert`` as a taint sink to
 keep it that way (see ``tests/flow_fixtures/bad_attribution.py``).
 
-The fleet router treats a burning shard exactly like an SLO breach (it
-can trip the breaker and trigger migration); the traffic driver
-evaluates one key per tier against the tier's attainment SLO.
+The traffic driver evaluates one key per tier against the tier's
+attainment SLO.
 """
 
 from __future__ import annotations
@@ -110,9 +109,7 @@ class BurnRateEvaluator:
         """Fold one tick's outcomes for ``key``; returns an alert when
         both the fast and slow windows burn past the threshold.
 
-        A burning key keeps returning an alert every burning tick;
-        callers that want edge-triggered behaviour (the fleet breaker
-        path) gate on their own state.
+        A burning key keeps returning an alert every burning tick.
         """
         rule = self.rule
         with self._lock:
@@ -143,13 +140,6 @@ class BurnRateEvaluator:
             _burn(samples[-rule.fast_window:], rule.budget),
             _burn(samples, rule.budget),
         )
-
-    def reset(self, key: str) -> None:
-        """Drop ``key``'s window (after the caller acted on the alert -
-        e.g. a burn-rate failover drained the shard, so there is
-        nothing left burning)."""
-        with self._lock:
-            self._windows.pop(key, None)
 
     def keys(self) -> List[str]:
         with self._lock:

@@ -186,7 +186,6 @@ class Tracer:
     # -- virtual-domain emission --------------------------------------
     def emit_virtual_spans(self, spans: Sequence[Any], total_s: float,
                            parent_id: int = ROOT,
-                           category: str = "runtime",
                            tenant: Optional[str] = None) -> None:
         """Retro-emit recorded DES spans at the current virtual cursor.
 
@@ -211,7 +210,7 @@ class Tracer:
                 self._events.append(TraceEvent(
                     event_id=event_id, parent_id=parent_id,
                     name=f"chunk{span.chunk_index}/task{span.task_id}",
-                    category=category, kind="span", domain=VIRTUAL,
+                    category="runtime", kind="span", domain=VIRTUAL,
                     ts=base + span.start_s, dur=span.duration_s,
                     track=f"{track}/{span.pu_class}",
                     attrs=_freeze_attrs({
@@ -256,7 +255,7 @@ class Capture:
 
 
 @contextmanager
-def capture(flight_capacity: int = 256) -> Iterator[Capture]:
+def capture() -> Iterator[Capture]:
     """Enable observability for a scope with fresh instruments.
 
     Installs a fresh enabled tracer, metrics registry and flight
@@ -269,7 +268,7 @@ def capture(flight_capacity: int = 256) -> Iterator[Capture]:
 
     trc = Tracer(enabled=True)
     reg = MetricsRegistry(enabled=True)
-    rec = FlightRecorder(capacity=flight_capacity, enabled=True)
+    rec = FlightRecorder(enabled=True)
     prev_tracer = set_tracer(trc)
     prev_metrics = set_metrics(reg)
     prev_recorder = set_recorder(rec)

@@ -189,21 +189,15 @@ class FaultPlan:
         n_tasks: int,
         n_stages: int,
         kernel_fault_rate: float = 0.0,
-        slowdown_rate: float = 0.0,
         fail_attempts: int = 1,
-        slowdown_factor: float = 4.0,
-        delay_s: float = 0.0,
     ) -> "FaultPlan":
         """Draw a deterministic plan: same seed, same faults, always.
 
         Each (task, stage) coordinate independently receives a transient
-        kernel fault with probability ``kernel_fault_rate`` and a
-        slowdown with probability ``slowdown_rate``.
+        kernel fault with probability ``kernel_fault_rate``.
         """
         if not 0.0 <= kernel_fault_rate <= 1.0:
             raise PipelineError("kernel_fault_rate must be in [0, 1]")
-        if not 0.0 <= slowdown_rate <= 1.0:
-            raise PipelineError("slowdown_rate must be in [0, 1]")
         rng = np.random.default_rng(seed)
         plan = cls()
         for task_id, stage in itertools.product(range(n_tasks),
@@ -213,11 +207,9 @@ class FaultPlan:
                     task_id=task_id, stage_index=stage,
                     fail_attempts=fail_attempts,
                 ))
-            if rng.random() < slowdown_rate:
-                plan.slowdowns.append(SlowdownSpec(
-                    task_id=task_id, stage_index=stage,
-                    factor=slowdown_factor, delay_s=delay_s,
-                ))
+            # Two draws per coordinate: the second is unused, and keeps
+            # every seed's plan - and so faultsim's report - unchanged.
+            rng.random()
         return plan
 
 
@@ -403,13 +395,12 @@ class FaultInjector:
           cost and raises :class:`PuFailureError` on dropout.
     """
 
-    def __init__(self, plan: FaultPlan, seed: int = 0):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.seed = seed
         self._lock = checked_lock("fault-log.lock")
         self._events: List[FaultEvent] = []
         self._dead_pus: Dict[str, int] = {}
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)
 
     def backoff_draw(self) -> float:
         """One uniform [0, 1) draw for retry-backoff jitter.

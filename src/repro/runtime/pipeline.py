@@ -87,7 +87,7 @@ class _Dispatcher(threading.Thread):
 
     def __init__(self, chunk_index: int, chunk: Chunk,
                  application: Application, in_queue: SpscQueue,
-                 out_queue: SpscQueue, affinity_cores: Sequence[int],
+                 out_queue: SpscQueue,
                  queue_timeout_s: float = _QUEUE_TIMEOUT_S,
                  fault_injector: Optional[FaultInjector] = None,
                  retry_policy: Optional[RetryPolicy] = None,
@@ -99,7 +99,6 @@ class _Dispatcher(threading.Thread):
         self.application = application
         self.in_queue = in_queue
         self.out_queue = out_queue
-        self.affinity_cores = tuple(affinity_cores)
         self.queue_timeout_s = queue_timeout_s
         self.injector = fault_injector
         self.retry_policy = retry_policy
@@ -108,9 +107,6 @@ class _Dispatcher(threading.Thread):
         self.error: Optional[BaseException] = None
 
     def run(self) -> None:
-        # The real implementation calls sched_setaffinity() here; the
-        # virtual SoC has no OS scheduler, so the pinning is recorded on
-        # the thread for tests to inspect.
         try:
             while True:
                 task = self.in_queue.pop(timeout=self.queue_timeout_s)
@@ -259,12 +255,9 @@ class ThreadedPipelineExecutor:
     Args:
         application: Must provide ``make_task`` (functional inputs).
         chunks: The schedule's chunk decomposition (contiguous cover of
-            all stages, in order).
-        num_task_objects: Multi-buffering depth; defaults to
-            ``len(chunks) + 1`` so every chunk can be busy while one task
-            is in flight between the ends.
-        affinity: Optional mapping pu_class -> core ids, recorded on the
-            dispatcher threads.
+            all stages, in order).  The multi-buffering depth is
+            ``len(chunks) + 1`` task objects, so every chunk can be busy
+            while one task is in flight between the ends.
         fault_injector: Optional fault-injection layer wrapped around
             every kernel dispatch (:mod:`repro.runtime.faults`).
         retry_policy: Retry transient kernel failures with exponential
@@ -280,8 +273,6 @@ class ThreadedPipelineExecutor:
         self,
         application: Application,
         chunks: Sequence[Chunk],
-        num_task_objects: Optional[int] = None,
-        affinity: Optional[Dict[str, Sequence[int]]] = None,
         fault_injector: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
         isolate_failures: bool = False,
@@ -295,13 +286,7 @@ class ThreadedPipelineExecutor:
             )
         self.application = application
         self.chunks = list(chunks)
-        self.depth = (
-            num_task_objects if num_task_objects is not None
-            else len(self.chunks) + 1
-        )
-        if self.depth < 1:
-            raise PipelineError("need at least one TaskObject")
-        self.affinity = affinity or {}
+        self.depth = len(self.chunks) + 1
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
         self.isolate_failures = isolate_failures
@@ -337,7 +322,6 @@ class ThreadedPipelineExecutor:
                 application=self.application,
                 in_queue=queues[i],
                 out_queue=queues[i + 1],
-                affinity_cores=self.affinity.get(chunk.pu_class, ()),
                 queue_timeout_s=self.queue_timeout_s,
                 fault_injector=self.fault_injector,
                 retry_policy=self.retry_policy,

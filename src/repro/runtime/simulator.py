@@ -210,15 +210,15 @@ class SimulatedRunResult:
                                            arrivals)
         ]
 
-    def keeps_up_with_arrivals(self, slack: float = 1.5) -> bool:
+    def keeps_up_with_arrivals(self) -> bool:
         """Whether end-to-end latency stays bounded (no divergent queue):
-        the last task's latency must not exceed ``slack`` times the
-        median - a growing backlog shows up as a rising tail."""
+        the last task's latency must not exceed 1.5 times the median -
+        a growing backlog shows up as a rising tail."""
         latencies = self.end_to_end_latencies_s()
         if len(latencies) < 4:
             return True
         median = sorted(latencies)[len(latencies) // 2]
-        return latencies[-1] <= slack * max(median, 1e-12)
+        return latencies[-1] <= 1.5 * max(median, 1e-12)
 
     @property
     def throughput_tasks_per_s(self) -> float:

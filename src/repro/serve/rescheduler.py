@@ -14,7 +14,7 @@ Per window and per tenant:
    places it on the isolated (0.0) .. interference-heavy (1.0) axis;
    past the midpoint the tenant is in the ``interference`` regime.
 2. **Detect drift**: the measurement exceeding the post-deployment
-   baseline by ``drift_threshold`` arms the rescheduler.
+   baseline by ``DRIFT_THRESHOLD`` arms the rescheduler.
 3. **Re-rank** the cached candidates that fit the tenant's partition
    plus currently-free PUs, scored by the same blend the admission
    controller uses (per-chunk isolated->interference interpolation by
@@ -44,6 +44,13 @@ EVICT = "evict"
 ISOLATED_REGIME = "isolated"
 INTERFERENCE_REGIME = "interference"
 
+#: Measured/baseline ratio that arms rescheduling (20% above the
+#: post-deploy baseline).
+DRIFT_THRESHOLD = 1.2
+#: Relative improvement a challenger candidate must predict before a
+#: switch is worth the disruption.
+MIN_GAIN = 0.02
+
 
 @dataclass(frozen=True)
 class RescheduleAction:
@@ -56,17 +63,8 @@ class RescheduleAction:
 
 
 class OnlineRescheduler:
-    """Drift detector + candidate re-ranker for running tenants.
-
-    Args:
-        platform: The shared virtual SoC.
-        drift_threshold: Measured/baseline ratio that arms
-            rescheduling (e.g. 1.2 = 20% above the post-deploy
-            baseline).
-        min_gain: Relative improvement a challenger candidate must
-            predict before a switch is worth the disruption.
-        patience: Consecutive drifted windows without a viable switch
-            before the eviction fallback fires.
+    """Drift detector + candidate re-ranker for running tenants on one
+    shared virtual SoC.
 
     Note: the admission controller's partition-width cap deliberately
     does NOT bind here.  The cap is a packing-fairness rule for
@@ -77,23 +75,8 @@ class OnlineRescheduler:
     reassign).
     """
 
-    def __init__(
-        self,
-        platform: Platform,
-        drift_threshold: float = 1.2,
-        min_gain: float = 0.02,
-        patience: int = 2,
-    ):
-        if drift_threshold <= 1.0:
-            raise ServeError("drift_threshold must be > 1.0")
-        if not 0.0 <= min_gain < 1.0:
-            raise ServeError("min_gain must be in [0, 1)")
-        if patience < 1:
-            raise ServeError("patience must be >= 1")
+    def __init__(self, platform: Platform):
         self.platform = platform
-        self.drift_threshold = drift_threshold
-        self.min_gain = min_gain
-        self.patience = patience
         self._total_classes = len(platform.schedulable_classes())
 
     # ------------------------------------------------------------------
@@ -120,7 +103,7 @@ class OnlineRescheduler:
         baseline = record.baseline_latency_s
         if baseline is None or baseline <= 0:
             return False
-        return measured_s > baseline * self.drift_threshold
+        return measured_s > baseline * DRIFT_THRESHOLD
 
     # ------------------------------------------------------------------
     def score(
@@ -197,12 +180,12 @@ class OnlineRescheduler:
         best_score = self.score(record.plan, best.schedule, external)
         if (
             best.schedule.assignments == record.schedule.assignments
-            or best_score >= current_score * (1.0 - self.min_gain)
+            or best_score >= current_score * (1.0 - MIN_GAIN)
         ):
             return RescheduleAction(
                 HOLD,
                 "no cached candidate predicts a "
-                f">{self.min_gain:.0%} gain under the current load",
+                f">{MIN_GAIN:.0%} gain under the current load",
                 predicted_latency_s=current_score,
             )
         return RescheduleAction(

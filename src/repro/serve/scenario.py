@@ -90,9 +90,7 @@ class SoakScenario:
     seed: int = 7
     windows: int = 30
     window_tasks: int = 10
-    stage_count: int = 3
     drift_start_tick: int = 4
-    max_ticks: int = 48
 
     def __post_init__(self) -> None:
         if self.windows < 8:
@@ -108,9 +106,11 @@ class SoakScenario:
 def build_soak_server(
     scenario: SoakScenario, reschedule: bool = True
 ) -> PipelineServer:
-    """A fully-loaded server, ready to :meth:`~PipelineServer.run`.
+    """A fully-loaded server, ready to :meth:`~PipelineServer.run`
+    for at most 48 ticks.
 
-    Tenants (admitted in submission order on tick 0):
+    Tenants (admitted in submission order on tick 0; three-stage
+    applications):
 
     * ``tenant-gpu``   - needs the GPU (hard), priority 0;
     * ``tenant-drift`` - *prefers* the drift class (soft, so the
@@ -132,7 +132,7 @@ def build_soak_server(
         platform,
         seed=scenario.seed,
         config=ServerConfig(
-            max_ticks=scenario.max_ticks,
+            max_ticks=48,
             queue_capacity=0,
             max_partition_classes=1,
             reschedule=reschedule,
@@ -141,8 +141,7 @@ def build_soak_server(
 
     def app(offset: int):
         return build_synthetic_application(
-            seed=scenario.seed + offset,
-            stage_count=scenario.stage_count,
+            seed=scenario.seed + offset, stage_count=3,
         )
 
     common = dict(windows=scenario.windows,
@@ -154,7 +153,7 @@ def build_soak_server(
     server.submit(TenantSpec(
         name="tenant-drift",
         application=_memory_bound_application(
-            scenario.seed + 2, scenario.stage_count
+            scenario.seed + 2, stage_count=3
         ),
         priority=1,
         preferred_classes=frozenset({DRIFT_CLASS}), **common,

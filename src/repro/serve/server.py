@@ -80,6 +80,10 @@ from repro.serve.tenant import (
 from repro.soc.interference import ExternalLoad
 from repro.soc.platform import Platform
 
+#: Consecutive drifted windows without a viable reschedule before the
+#: eviction fallback fires.
+PATIENCE = 2
+
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -125,11 +129,7 @@ class ServerConfig:
     #: than the newcomer's marginal contribution alone.  See
     #: :class:`~repro.serve.admission.AdmissionController`.
     cumulative_impact: bool = False
-    drift_threshold: float = 1.2
-    min_gain: float = 0.02
-    patience: int = 2
     reschedule: bool = True
-    profiling_repetitions: int = 3
     #: Per-window interference blame decomposition
     #: (:mod:`repro.obs.attribution`).  Off by default: attribution
     #: replays the steady-state rate model per (window, source) pair,
@@ -160,9 +160,7 @@ class PipelineServer:
         self.shard = shard
         self.config = config or ServerConfig()
         if plan_cache is None:
-            plan_cache = PlanCache(
-                platform, repetitions=self.config.profiling_repetitions,
-            )
+            plan_cache = PlanCache(platform)
         elif plan_cache.platform is not platform:
             raise ServeError(
                 "injected plan_cache was built for platform "
@@ -178,12 +176,7 @@ class PipelineServer:
             max_partition_classes=self.config.max_partition_classes,
             cumulative_impact=self.config.cumulative_impact,
         )
-        self.rescheduler = OnlineRescheduler(
-            platform,
-            drift_threshold=self.config.drift_threshold,
-            min_gain=self.config.min_gain,
-            patience=self.config.patience,
-        )
+        self.rescheduler = OnlineRescheduler(platform)
         self.records: Dict[str, TenantRecord] = {}
         #: RUNNING tenants in admission order - exactly the tenants that
         #: hold a placement.  Kept in step with the placement map by
@@ -837,7 +830,7 @@ class PipelineServer:
             )
             return
         self._patience[name] = self._patience.get(name, 0) + 1
-        exhausted = self._patience[name] >= self.config.patience
+        exhausted = self._patience[name] >= PATIENCE
         if action.kind == EVICT or exhausted:
             if self._evict_for(tick, record):
                 self._patience[name] = 0

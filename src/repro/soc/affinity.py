@@ -44,15 +44,6 @@ class AffinityMap:
                     )
                 seen.add(core)
 
-    def core_ids(self, pu_class: str) -> Tuple[int, ...]:
-        """OS core ids of a PU class (empty for the GPU)."""
-        if pu_class == GPU:
-            return ()
-        try:
-            return self._entries[pu_class].core_ids
-        except KeyError:
-            raise PlatformError(f"unknown PU class: {pu_class!r}") from None
-
     def schedulable_classes(self) -> Tuple[str, ...]:
         """PU classes BT-Optimizer may assign stages to.
 
@@ -68,15 +59,3 @@ class AffinityMap:
         if self._has_gpu:
             classes.append(GPU)
         return tuple(classes)
-
-    def describe(self) -> str:
-        """Human-readable one-line-per-class summary."""
-        lines = []
-        for pu_class, entry in self._entries.items():
-            pin = "pinnable" if entry.pinnable else "NOT pinnable"
-            lines.append(
-                f"{pu_class}: cores {list(entry.core_ids)} ({pin})"
-            )
-        if self._has_gpu:
-            lines.append("gpu: driver-scheduled")
-        return "\n".join(lines)

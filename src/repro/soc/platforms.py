@@ -305,6 +305,6 @@ def get_platform(name: str, seed: int = _DEFAULT_SEED) -> Platform:
     return builder(seed)
 
 
-def all_platforms(seed: int = _DEFAULT_SEED) -> List[Platform]:
+def all_platforms() -> List[Platform]:
     """All four evaluated platforms, in paper order."""
-    return [get_platform(name, seed) for name in PLATFORM_NAMES]
+    return [get_platform(name) for name in PLATFORM_NAMES]

@@ -87,35 +87,6 @@ class WorkProfile:
         if self.gpu_launches < 1:
             raise KernelError("gpu_launches must be >= 1")
 
-    def combined(self, other: "WorkProfile") -> "WorkProfile":
-        """Merge two profiles executed back-to-back (used for fused stages).
-
-        Totals add; structural properties are flops-weighted averages.
-        """
-        total_flops = self.flops + other.flops
-        if total_flops <= 0:
-            weight = 0.5
-        else:
-            weight = self.flops / total_flops
-        blend = lambda a, b: weight * a + (1.0 - weight) * b  # noqa: E731
-        return WorkProfile(
-            flops=total_flops,
-            bytes_moved=self.bytes_moved + other.bytes_moved,
-            parallelism=blend(self.parallelism, other.parallelism),
-            parallel_fraction=blend(
-                self.parallel_fraction, other.parallel_fraction
-            ),
-            divergence=blend(self.divergence, other.divergence),
-            irregularity=blend(self.irregularity, other.irregularity),
-            cpu_efficiency=blend(self.cpu_efficiency, other.cpu_efficiency),
-            gpu_efficiency=blend(self.gpu_efficiency, other.gpu_efficiency),
-            gpu_cuda_efficiency=blend(
-                self.effective_gpu_efficiency("cuda"),
-                other.effective_gpu_efficiency("cuda"),
-            ),
-            gpu_launches=self.gpu_launches + other.gpu_launches,
-        )
-
     def effective_gpu_efficiency(self, api: str) -> float:
         """The GPU implementation-efficiency for a given device API."""
         if api == "cuda" and self.gpu_cuda_efficiency is not None:

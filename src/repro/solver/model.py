@@ -67,13 +67,6 @@ class Solution:
             name for name, index in self._by_name.items() if self._values[index]
         )
 
-    def as_dict(self) -> Dict[str, bool]:
-        """Full name -> value mapping."""
-        return {
-            name: bool(self._values[index])
-            for name, index in self._by_name.items()
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Solution({self.true_variables()})"
 

@@ -115,8 +115,8 @@ class TrafficReport:
     #: (``FleetConfig.attribution``); None - and absent from the
     #: serialized form - when attribution was off for the run.
     attribution: Optional[Mapping[str, object]] = None
-    #: Burn-rate alerts, fleet (per-shard) and traffic (per-tier)
-    #: merged; None when no burn rule was armed anywhere.
+    #: Per-tier burn-rate alerts in firing order; None when no burn
+    #: rule was armed.
     alerts: Optional[Sequence[Mapping[str, object]]] = None
 
     def to_dict(self) -> Dict[str, object]:
@@ -221,17 +221,9 @@ def evaluate(spec: TrafficSpec, seed: int,
         )
 
     statuses = [m.status for m in report.tenants.values()]
-    # Merge burn alerts from both clocks' evaluators - the fleet's
-    # per-shard alerts and the driver's per-tier alerts - into one
-    # tick-ordered stream; None only when neither rule was armed.
-    alerts: Optional[List[Dict[str, object]]] = None
-    if report.alerts is not None or result.burn_alerts is not None:
-        merged: List[Dict[str, object]] = [
-            dict(alert) for alert in (report.alerts or ())
-        ]
-        merged.extend(a.to_dict() for a in (result.burn_alerts or ()))
-        merged.sort(key=lambda a: (int(a["tick"]), str(a["key"])))  # type: ignore[arg-type]
-        alerts = merged
+    alerts = None
+    if result.burn_alerts is not None:
+        alerts = [alert.to_dict() for alert in result.burn_alerts]
     return TrafficReport(
         seed=seed,
         ticks=result.ticks,

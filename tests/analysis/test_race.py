@@ -50,7 +50,7 @@ class TestExecutorLifetime:
         application = race.build_check_app(4)
         seen = []
         result = ThreadedPipelineExecutor(
-            application, [Chunk(0, 4, "big")], num_task_objects=2,
+            application, [Chunk(0, 4, "big")],
         ).run(5, on_complete=lambda task, i: seen.append(task),
               validate=True)
         assert result.completed == 5

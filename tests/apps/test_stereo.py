@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import build_stereo_application, synthetic_stereo_pair
+from repro.apps.stereo_app import MAX_DISPARITY
 from repro.core import BetterTogether, Chunk
 from repro.errors import KernelError
 from repro.kernels.stereo import (
@@ -27,7 +28,7 @@ H, W, D = 48, 96, 16
 
 @pytest.fixture(scope="module")
 def app():
-    return build_stereo_application(h=H, w=W, max_disparity=D)
+    return build_stereo_application(h=H, w=W)
 
 
 def run_and_capture(app, chunks, n=1):
@@ -170,7 +171,7 @@ class TestApplication:
         truth = captured[0]["truth"]
         cleaned = captured[0]["cleaned"]
         valid = np.zeros_like(truth, dtype=bool)
-        valid[:, D:] = True
+        valid[:, MAX_DISPARITY:] = True
         accuracy = float(
             (np.abs(cleaned - truth) <= 1)[valid].mean()
         )
@@ -193,4 +194,4 @@ class TestApplication:
 
     def test_rejects_tiny_frames(self):
         with pytest.raises(KernelError):
-            build_stereo_application(h=8, w=16, max_disparity=16)
+            build_stereo_application(h=8, w=16)

@@ -39,8 +39,6 @@ class TestGeneration:
             build_synthetic_application(seed=0, stage_count=0)
         with pytest.raises(KernelError):
             build_synthetic_application(seed=0, heterogeneity=1.5)
-        with pytest.raises(KernelError):
-            build_synthetic_application(seed=0, spread=0.5)
 
     def test_zero_heterogeneity_collapses_structure(self):
         app = build_synthetic_application(seed=3, stage_count=6,

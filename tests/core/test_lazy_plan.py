@@ -34,7 +34,7 @@ def facts(candidates):
 
 def plans(platform_name, k, **cache_kwargs):
     platform = get_platform(platform_name, seed=7)
-    cache = PlanCache(platform, repetitions=2, k=k, **cache_kwargs)
+    cache = PlanCache(platform, k=k, **cache_kwargs)
     for seed, stage_count in ((11, 2), (12, 3), (13, 5), (14, 7)):
         yield platform, cache.plan_for(build_synthetic_application(
             seed=seed, stage_count=stage_count))
@@ -92,7 +92,7 @@ def test_the_solve_is_a_plan_cache_span_naming_the_application():
     platform = get_platform("pixel7a", seed=7)
     app = build_synthetic_application(seed=11, stage_count=3)
     with capture() as cap:
-        plan = PlanCache(platform, repetitions=2, k=4).plan_for(app)
+        plan = PlanCache(platform, k=4).plan_for(app)
         plan.singles
         built = {e.name for e in cap.events}
         plan.optimization

@@ -92,11 +92,11 @@ class TestFig7:
 
 class TestTable4:
     def test_autotuning_never_loses(self, scale):
-        result = run_table4(scale, shown=5)
+        result = run_table4(scale)
         assert result.autotuning_gain >= 1.0
 
     def test_format_rows(self, scale):
-        text = format_table4(run_table4(scale, shown=5))
+        text = format_table4(run_table4(scale))
         assert "Measured (ms)" in text
         assert "Predicted (ms)" in text
 

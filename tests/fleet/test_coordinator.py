@@ -62,7 +62,7 @@ class TestEvacuation:
         _admit(router, s0, "t-a", priority=1)
         _admit(router, s0, "t-b", priority=0)
 
-        router.coordinator.failover(s0, tick=5, cause="SLO breach")
+        router.failover(s0, tick=5, cause="SLO breach")
 
         # Both tenants were withdrawn (not lost) and landed on s1.
         withdrawn = [e["tenant"] for e in s0.server.timeline
@@ -79,13 +79,13 @@ class TestEvacuation:
                      if e["event"] == "failover"]
         assert len(failovers) == 1
         assert failovers[0]["displaced"] == 2
-        assert router.coordinator.failovers == 1
+        assert router.report().counts["failover"] == 1
 
     def test_empty_shard_failover_is_a_no_op(self):
         router = _fleet()
         s0, _ = router.shards
-        router.coordinator.failover(s0, tick=5, cause="whatever")
-        assert router.coordinator.failovers == 0
+        router.failover(s0, tick=5, cause="whatever")
+        assert "failover" not in router.report().counts
         assert router.timeline == []
 
 
@@ -101,7 +101,7 @@ class TestAtomicRollback:
         t_high = _admit(router, s0, "t-high", priority=2)
         s0.close(detail="crashed under test")
 
-        router.coordinator.failover(s0, tick=9, cause="s0 crashed")
+        router.failover(s0, tick=9, cause="s0 crashed")
 
         # Attempt 1 placed t-high, got stuck on t-low, rescinded
         # t-high; attempt 2 placed t-high again.  Two admissions on s1
@@ -133,7 +133,7 @@ class TestAtomicRollback:
         t_high = _admit(router, s0, "t-high", priority=2)
         s0.close(detail="crashed under test")
 
-        router.coordinator.failover(s0, tick=9, cause="s0 crashed")
+        router.failover(s0, tick=9, cause="s0 crashed")
 
         # Shedding order is priority-ascending: t-low first, then
         # t-high once even the singleton batch cannot land.
@@ -161,7 +161,7 @@ class TestAtomicRollback:
         t2 = _admit(router, s0, "t-p2", priority=2)
         s0.close(detail="crashed under test")
 
-        router.coordinator.failover(s0, tick=9, cause="s0 crashed")
+        router.failover(s0, tick=9, cause="s0 crashed")
 
         assert t2.status == RUNNING and t2.shard == "s1"
         assert t1.status == RUNNING and t1.shard == "s1"

@@ -8,6 +8,7 @@ time, so these tests feed the monitor synthetic beats directly.
 import pytest
 
 from repro.errors import FleetError
+from repro.fleet import health
 from repro.fleet.health import (
     CLOSED,
     DEAD,
@@ -17,7 +18,6 @@ from repro.fleet.health import (
     OPEN,
     RECOVERING,
     SHARD_STATE_CODES,
-    BreakerConfig,
     CircuitBreaker,
     HealthConfig,
     HealthMonitor,
@@ -26,10 +26,8 @@ from repro.fleet.health import (
 
 @pytest.fixture
 def monitor():
-    monitor = HealthMonitor(HealthConfig(
-        miss_degraded=2, miss_dead=4, slo_factor=2.0,
-        slo_breach_ticks=3,
-    ))
+    monitor = HealthMonitor(HealthConfig(slo_factor=2.0,
+                                         slo_breach_ticks=3))
     monitor.register("s")
     return monitor
 
@@ -140,11 +138,15 @@ class TestMonitorRegistry:
 
 
 class TestCircuitBreaker:
-    CONFIG = BreakerConfig(cooldown_ticks=3, probe_probability=1.0,
-                           probe_ticks=2)
+    @pytest.fixture(autouse=True)
+    def every_half_open_tick_probes(self, monkeypatch):
+        # Cooldown 3 as shipped; every half-open tick a probe window and
+        # two healthy ones close the breaker, so each step is visible.
+        monkeypatch.setattr(health, "PROBE_PROBABILITY", 1.0)
+        monkeypatch.setattr(health, "PROBE_TICKS", 2)
 
     def test_full_cycle_closed_open_half_open_closed(self):
-        breaker = CircuitBreaker("s", self.CONFIG, seed=1)
+        breaker = CircuitBreaker("s", seed=1)
         assert breaker.state == CLOSED
         assert breaker.allows_placement()
         assert breaker.trip(tick=5) == (CLOSED, OPEN)
@@ -153,9 +155,9 @@ class TestCircuitBreaker:
         assert breaker.advance(tick=6, beating=True) is None
         assert breaker.advance(tick=7, beating=True) is None
         assert breaker.advance(tick=8, beating=True) == (OPEN, HALF_OPEN)
-        # probe_probability=1.0: every half-open tick is a probe window.
+        # Every half-open tick is a probe window (patched above).
         assert breaker.allows_placement()
-        # probe_ticks=2: one healthy tick is not enough to close.
+        # Two healthy ticks close it: one is not enough.
         assert breaker.advance(tick=9, beating=True) is None
         assert breaker.advance(tick=10, beating=True) == (HALF_OPEN,
                                                           CLOSED)
@@ -163,14 +165,14 @@ class TestCircuitBreaker:
         assert breaker.transitions == 3
 
     def test_open_waits_for_beats_not_just_cooldown(self):
-        breaker = CircuitBreaker("s", self.CONFIG, seed=1)
+        breaker = CircuitBreaker("s", seed=1)
         breaker.trip(tick=0)
         for tick in range(1, 8):
             assert breaker.advance(tick, beating=False) is None
         assert breaker.state == OPEN
 
     def test_half_open_relapse_reopens_and_rearms_cooldown(self):
-        breaker = CircuitBreaker("s", self.CONFIG, seed=1)
+        breaker = CircuitBreaker("s", seed=1)
         breaker.trip(tick=0)
         assert breaker.advance(3, beating=True) == (OPEN, HALF_OPEN)
         assert breaker.advance(4, beating=False) == (HALF_OPEN, OPEN)
@@ -180,20 +182,22 @@ class TestCircuitBreaker:
         assert breaker.advance(7, beating=True) == (OPEN, HALF_OPEN)
 
     def test_double_trip_is_idempotent(self):
-        breaker = CircuitBreaker("s", self.CONFIG, seed=1)
+        breaker = CircuitBreaker("s", seed=1)
         assert breaker.trip(0) == (CLOSED, OPEN)
         assert breaker.trip(1) is None
         assert breaker.transitions == 1
 
-    def test_probe_windows_are_seeded_and_deterministic(self):
-        config = BreakerConfig(cooldown_ticks=1,
-                               probe_probability=0.5, probe_ticks=8)
+    def test_probe_windows_are_seeded_and_deterministic(self,
+                                                        monkeypatch):
+        monkeypatch.setattr(health, "PROBE_PROBABILITY", 0.5)
+        monkeypatch.setattr(health, "PROBE_TICKS", 8)
+
         def windows(seed):
-            breaker = CircuitBreaker("s", config, seed=seed)
+            breaker = CircuitBreaker("s", seed=seed)
             breaker.trip(0)
-            breaker.advance(1, beating=True)  # -> half-open
+            breaker.advance(3, beating=True)  # -> half-open
             out = [breaker.allows_placement()]
-            for tick in range(2, 8):
+            for tick in range(4, 10):
                 if breaker.advance(tick, beating=True) is not None:
                     break
                 out.append(breaker.allows_placement())

@@ -212,7 +212,7 @@ class TestAChoiceEndsWithTheFleetStateItWasRankedAt:
             return choice
 
         router.choose_shard = choose_shard
-        router.coordinator.failover(s0, tick=9, cause="s0 crashed")
+        router.failover(s0, tick=9, cause="s0 crashed")
         assert asked == [("t-high", "s1"), ("t-low", None),
                          ("t-high", "s1")]
         assert t_high.status == RUNNING and t_high.shard == "s1"
@@ -230,7 +230,7 @@ class TestAChoiceEndsWithTheFleetStateItWasRankedAt:
             for index in range(4):
                 _admit(router, s0, f"t{index}", priority=index % 3)
             s0.close(detail="crashed under test")
-            router.coordinator.failover(s0, tick=9, cause="s0 crashed")
+            router.failover(s0, tick=9, cause="s0 crashed")
             return json.dumps({
                 "fleet": router.timeline,
                 "s1": s1.server.timeline,

@@ -19,6 +19,7 @@ import types
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.fleet import FleetConfig, FleetRouter, ShardSpec
+from repro.fleet.health import COOLDOWN_TICKS
 from repro.fleet.tenant import FleetTenant
 from repro.serve.admission import ADMIT, AdmissionController
 from repro.serve.tenant import COMPLETED, PENDING, REJECTED, TenantSpec
@@ -178,7 +179,7 @@ def test_sweep_writes_the_reference_event_log(monkeypatch,
     placed_while_open = [
         e for e in router.timeline
         if e["event"] == "place" and e["shard"] == "s1"
-        and 2 <= e["tick"] < 2 + router.config.breaker.cooldown_ticks
+        and 2 <= e["tick"] < 2 + COOLDOWN_TICKS
     ]
     assert placed_while_open == []
 

@@ -196,6 +196,50 @@ class TestStepMode:
         assert places and all(e["isolated_s"] > 0.0 for e in places)
 
 
+class TestEvictedMidBatch:
+    """A shard's eviction fallback can remove a tenant whose window for
+    the tick is already in the batch, so the router harvests the
+    victim's ``evict`` before its ``window``."""
+
+    def test_no_health_baseline_outlives_the_residency(self):
+        # One shard packed one tenant per class; the sufferer (served
+        # first, highest priority) is browned out on its own class, so
+        # no re-rank helps and the eviction fallback fires.
+        router = FleetRouter(
+            [ShardSpec("s0", platform_seed=7)], seed=5,
+            config=FleetConfig(max_ticks=64, max_impact_ratio=1e9),
+            chaos=ChaosSchedule(degradations=[DegradeSpec(
+                "s0", start_tick=1, busy={"big": 0.95},
+                demand_gbps=16.0)]),
+        )
+        for index, cls in enumerate(("big", "medium", "little", "gpu")):
+            router.submit(_spec(
+                "sufferer" if index == 0 else f"low{index}",
+                priority=5 if index == 0 else 0, windows=10,
+                required_classes=frozenset({cls}),
+            ))
+        router.open_stepped()
+        server = router.shards[0].server
+        for tick in range(6):
+            router.step(tick)
+            evicted = [e["tenant"] for e in server.timeline
+                       if e["event"] == "evict"]
+            if evicted:
+                break
+        assert evicted == ["low3"]
+        assert [e["event"] for e in server.timeline
+                if e["tenant"] == "low3" and e["tick"] == tick] == [
+                    "evict", "window"]
+        victim = router.tenants["low3"]
+        # The window counts and its ratio was scored ...
+        assert victim.windows[-1].tick == tick
+        # ... but the shard keeps no baseline for a tenant it no longer
+        # hosts: a later generation would score against it.
+        assert victim.shard is None
+        assert "low3" not in router.monitor.health("s0").baselines
+        assert "sufferer" in router.monitor.health("s0").baselines
+
+
 class TestBacklogPatience:
     def test_unplaceable_tenant_rejected_after_patience(self):
         # Both tenants insist on the single GPU of the only shard; the

@@ -65,14 +65,6 @@ class TestEvaluator:
         assert ev.observe("k", 6, good=0, bad=5) is not None
         assert ev.observe("k", 7, good=0, bad=5) is not None
 
-    def test_reset_clears_the_window(self):
-        ev = BurnRateEvaluator(self.RULE)
-        for tick in range(6):
-            ev.observe("k", tick, good=0, bad=5)
-        ev.reset("k")
-        assert ev.burn_rates("k") == (0.0, 0.0)
-        assert ev.observe("k", 6, good=5, bad=0) is None
-
     def test_keys_are_sorted(self):
         ev = BurnRateEvaluator(self.RULE)
         ev.observe("z", 0, 1, 0)

@@ -1,14 +1,12 @@
 """Attribution-on determinism and the ``repro top`` dashboard.
 
-The acceptance bar: fleet/traffic soak reports with attribution (and
-burn alerting) enabled are byte-identical across two runs, a burning
-shard triggers migration the same way an SLO breach does, and
-``repro top --json`` is deterministic for a given (scenario, seed).
+The acceptance bar: fleet/traffic soak reports with attribution (and,
+on the traffic side, per-tier burn alerting) enabled are byte-identical
+across two runs, and ``repro top --json`` is deterministic for a given
+(scenario, seed).
 """
 
 import json
-
-import pytest
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.cli import main
@@ -31,9 +29,9 @@ def _traffic_bytes(**kwargs):
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
-def _burning_fleet():
-    """A small fleet whose s1 browns out, with only burn alerting
-    armed to rescue tenants (the SLO-breach path is disabled)."""
+def _browned_out_fleet():
+    """A small attributed fleet whose s1 browns out; the sustained
+    breach fails s1's tenants over to s0."""
     router = FleetRouter(
         [ShardSpec("s0", platform_seed=7),
          ShardSpec("s1", platform_seed=7)],
@@ -41,12 +39,8 @@ def _burning_fleet():
         config=FleetConfig(
             max_ticks=48,
             failover=True,
-            # slo_breach_ticks is effectively infinite, so any
-            # migration off the browned-out shard is the burn rule's.
-            health=HealthConfig(slo_factor=1.5, slo_breach_ticks=999),
+            health=HealthConfig(slo_factor=1.5, slo_breach_ticks=2),
             attribution=True,
-            burn=BurnRateRule(fast_window=2, slow_window=4,
-                              budget=0.05, threshold=1.5),
         ),
         chaos=ChaosSchedule(degradations=[DegradeSpec(
             shard="s1", start_tick=4, end_tick=40,
@@ -81,11 +75,12 @@ class TestByteIdentity:
     def test_fleet_report_with_attribution_is_byte_identical(self):
         reports = []
         for _ in range(2):
-            router = _burning_fleet()
+            router = _browned_out_fleet()
             report = router.run()
             reports.append(json.dumps(report.to_dict(),
                                       sort_keys=True))
         assert reports[0] == reports[1]
+        assert json.loads(reports[0])["counts"]["failover"] >= 1
 
     def test_default_reports_carry_no_attribution_keys(self):
         payload = json.loads(_traffic_bytes())
@@ -93,27 +88,12 @@ class TestByteIdentity:
         assert "alerts" not in payload
 
 
-class TestBurnFailover:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return _burning_fleet().run()
-
-    def test_burning_shard_raises_alerts(self, report):
-        assert report.alerts, "brownout never burned"
-        keys = {a["key"] for a in report.alerts}
-        assert "s1" in keys
-
-    def test_burn_alert_triggers_failover(self, report):
-        # The SLO-breach path is disabled (slo_breach_ticks=999), so
-        # any failover here was the burn rule acting like a breach.
-        counts = report.counts
-        assert counts.get("burn_alert", 0) >= 1
-        assert counts.get("failover", 0) >= 1
-
-    def test_attribution_summary_rides_in_the_report(self, report):
-        data = report.to_dict()
+class TestFleetAttribution:
+    def test_attribution_summary_rides_in_the_report(self):
+        data = _browned_out_fleet().run().to_dict()
         assert data["attribution"]["windows"] > 0
         assert isinstance(data["attribution"]["top_offenders"], list)
+        assert "alerts" not in data
 
 
 class TestTopCli:

@@ -254,9 +254,3 @@ class TestCaptureScope:
             with capture():
                 raise RuntimeError("boom")
         assert tracer() is before
-
-    def test_capture_flight_capacity(self):
-        with capture(flight_capacity=2) as cap:
-            for index in range(5):
-                cap.recorder.record("tick", index=index)
-            assert len(cap.recorder.tail()) == 2

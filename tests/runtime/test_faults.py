@@ -72,23 +72,26 @@ def make_counting_app(n_stages=3):
 
 class TestFaultPlan:
     def test_random_is_deterministic_per_seed(self):
-        kwargs = dict(n_tasks=10, n_stages=4, kernel_fault_rate=0.4,
-                      slowdown_rate=0.3)
+        kwargs = dict(n_tasks=10, n_stages=4, kernel_fault_rate=0.4)
         a = FaultPlan.random(seed=7, **kwargs)
         b = FaultPlan.random(seed=7, **kwargs)
         c = FaultPlan.random(seed=8, **kwargs)
         assert a.kernel_faults == b.kernel_faults
-        assert a.slowdowns == b.slowdowns
-        assert (a.kernel_faults, a.slowdowns) != (c.kernel_faults,
-                                                 c.slowdowns)
+        assert a.kernel_faults != c.kernel_faults
+        assert not a.slowdowns
+
+    def test_random_plan_is_pinned_per_seed(self):
+        # faultsim's report is a function of these coordinates: a change
+        # to the draw sequence would change every saved report.
+        plan = FaultPlan.random(seed=7, n_tasks=6, n_stages=3,
+                                kernel_fault_rate=0.4)
+        assert [(f.task_id, f.stage_index) for f in plan.kernel_faults] == [
+            (0, 2), (1, 0), (1, 2), (2, 0), (3, 1), (4, 0), (5, 1)]
 
     def test_rates_validated(self):
         with pytest.raises(PipelineError):
             FaultPlan.random(seed=0, n_tasks=2, n_stages=2,
                              kernel_fault_rate=1.5)
-        with pytest.raises(PipelineError):
-            FaultPlan.random(seed=0, n_tasks=2, n_stages=2,
-                             slowdown_rate=-0.1)
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()
@@ -154,14 +157,13 @@ class TestRetryPolicy:
         assert policy.backoff_s(1, u=0.0) == pytest.approx(0.01)
 
     def test_backoff_draws_are_seeded(self):
-        a = FaultInjector(FaultPlan(), seed=9)
-        b = FaultInjector(FaultPlan(), seed=9)
-        other = FaultInjector(FaultPlan(), seed=10)
+        a = FaultInjector(FaultPlan())
+        b = FaultInjector(FaultPlan())
         draws_a = [a.backoff_draw() for _ in range(8)]
         draws_b = [b.backoff_draw() for _ in range(8)]
         assert draws_a == draws_b
         assert all(0.0 <= u < 1.0 for u in draws_a)
-        assert draws_a != [other.backoff_draw() for _ in range(8)]
+        assert len(set(draws_a)) == 8
 
 
 class TestQuarantineHelpers:

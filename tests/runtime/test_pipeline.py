@@ -68,9 +68,7 @@ class TestThreadedExecutor:
     def test_task_objects_recycled(self):
         app = make_counting_app(2)
         ids = set()
-        executor = ThreadedPipelineExecutor(
-            app, [Chunk(0, 2, "big")], num_task_objects=2
-        )
+        executor = ThreadedPipelineExecutor(app, [Chunk(0, 2, "big")])
         executor.run(8, on_complete=lambda task, i: ids.add(id(task)))
         assert len(ids) == 2  # 8 tasks flowed through 2 objects
 

@@ -8,7 +8,15 @@ import pytest
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.core.plan_cache import PlanCache
+from repro.serve import server as server_module
 from repro.soc import get_platform
+
+
+@pytest.fixture
+def patience_one(monkeypatch):
+    """Evict after one drifted window with no viable switch (as
+    shipped: two), so a short soak reaches the eviction fallback."""
+    monkeypatch.setattr(server_module, "PATIENCE", 1)
 
 
 @pytest.fixture(scope="session")
@@ -18,7 +26,7 @@ def platform():
 
 @pytest.fixture(scope="session")
 def plan_cache(platform):
-    return PlanCache(platform, repetitions=3, k=8)
+    return PlanCache(platform, k=8)
 
 
 @pytest.fixture(scope="session")

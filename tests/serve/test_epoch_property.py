@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.apps.synthetic import build_synthetic_application
 from repro.core.plan_cache import PlanCache
 from repro.serve.admission import ADMIT
+from repro.serve import server as server_module
 from repro.serve.placement import EpochMemo
 from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import TenantSpec
@@ -58,7 +59,7 @@ rules = st.builds(
 def warm_cache(platform):
     """Both applications planned up front, so ``misses`` reads the
     same for every server that shares the cache."""
-    cache = PlanCache(platform, repetitions=3, k=8)
+    cache = PlanCache(platform, k=8)
     for application in APPS:
         cache.plan_for(application)
     return cache
@@ -71,7 +72,7 @@ def play(platform, cache, sequence):
         config=ServerConfig(
             max_ticks=64, queue_capacity=2,
             max_impact_ratio=1.6, max_partition_classes=1,
-            cumulative_impact=True, reschedule=True, patience=1),
+            cumulative_impact=True, reschedule=True),
     )
     server.open_stepped()
     tick, born, shown = 0, 0, []
@@ -121,8 +122,11 @@ def play(platform, cache, sequence):
 @given(sequence=rules)
 def test_shipped_and_always_price_twin_agree_after_every_rule(
         platform, warm_cache, sequence):
-    shipped = play(platform, warm_cache, sequence)
     with pytest.MonkeyPatch.context() as patch:
+        # Evict after one drifted window, so short sequences reach the
+        # eviction fallback.
+        patch.setattr(server_module, "PATIENCE", 1)
+        shipped = play(platform, warm_cache, sequence)
         patch.setattr(EpochMemo, "lookup",
                       lambda memo, stamp, key: None)
         twin = play(platform, warm_cache, sequence)

@@ -75,7 +75,7 @@ def both_arms(monkeypatch, always_price, drive):
 
 def fresh_cache(platform):
     """A plan cache per arm, so plan builds land in both traces."""
-    return PlanCache(platform, repetitions=3, k=8)
+    return PlanCache(platform, k=8)
 
 
 def server_for(platform, **config):
@@ -242,13 +242,13 @@ class TestSameBytes:
         assert 0 < priced < oracle_priced
 
     def test_eviction_mid_batch(self, monkeypatch, always_price,
-                                platform, app):
+                                patience_one, platform, app):
         def drive():
             # The first-served tenant evicts one whose window for this
             # tick is already in the batch.
             server = server_for(
                 platform, queue_capacity=0, max_impact_ratio=1e9,
-                reschedule=True, patience=1)
+                reschedule=True)
             classes = sorted(platform.schedulable_classes())
             for index, cls in enumerate(classes):
                 assert server.try_admit(TenantSpec(
@@ -449,10 +449,10 @@ class TestAVerdictEndsWithItsPlacement:
         assert (before.action, after.action) == (ADMIT, REJECT)
         server.close_stepped()
 
-    def test_evict_for(self, platform, app):
+    def test_evict_for(self, patience_one, platform, app):
         server = server_for(
             platform, queue_capacity=2, max_impact_ratio=1e9,
-            reschedule=True, patience=1)
+            reschedule=True)
         classes = sorted(platform.schedulable_classes())
         for index, cls in enumerate(classes):
             assert server.try_admit(TenantSpec(

@@ -12,6 +12,8 @@ from repro.serve import (
     TenantRecord,
     TenantSpec,
 )
+from repro.serve import rescheduler as rescheduler_module
+from repro.serve.rescheduler import DRIFT_THRESHOLD
 from repro.soc.interference import ExternalLoad
 
 from tests.serve.conftest import single_class_schedule
@@ -32,20 +34,6 @@ def deployed_record(plan, app, pu_class="big", **spec_kwargs):
         partition=frozenset({pu_class}),
         baseline_latency_s=plan.isolated_prediction(schedule),
     )
-
-
-class TestValidation:
-    def test_threshold_must_exceed_one(self, platform):
-        with pytest.raises(ServeError, match="drift_threshold"):
-            OnlineRescheduler(platform, drift_threshold=1.0)
-
-    def test_min_gain_range(self, platform):
-        with pytest.raises(ServeError, match="min_gain"):
-            OnlineRescheduler(platform, min_gain=1.0)
-
-    def test_patience_floor(self, platform):
-        with pytest.raises(ServeError, match="patience"):
-            OnlineRescheduler(platform, patience=0)
 
 
 class TestClassify:
@@ -76,12 +64,11 @@ class TestDrifted:
         record.baseline_latency_s = None
         assert not rescheduler.drifted(record, 1e9)
 
-    def test_threshold_is_strict(self, platform, plan, app):
-        resched = OnlineRescheduler(platform, drift_threshold=1.5)
+    def test_threshold_is_strict(self, rescheduler, plan, app):
         record = deployed_record(plan, app)
         base = record.baseline_latency_s
-        assert not resched.drifted(record, base * 1.5)
-        assert resched.drifted(record, base * 1.51)
+        assert not rescheduler.drifted(record, base * DRIFT_THRESHOLD)
+        assert rescheduler.drifted(record, base * DRIFT_THRESHOLD * 1.01)
 
 
 class TestScore:
@@ -149,11 +136,12 @@ class TestRerank:
         )
         assert action.predicted_latency_s < current
 
-    def test_huge_min_gain_holds(self, platform, plan, app):
-        picky = OnlineRescheduler(platform, min_gain=0.99)
+    def test_huge_min_gain_holds(self, monkeypatch, rescheduler, plan, app,
+                                 platform):
+        monkeypatch.setattr(rescheduler_module, "MIN_GAIN", 0.99)
         record = deployed_record(plan, app, pu_class="big")
         free = frozenset(platform.schedulable_classes()) - {"big"}
-        action = picky.rerank(
+        action = rescheduler.rerank(
             record, ExternalLoad(busy={"big": 0.9}), free,
         )
         assert action.kind == HOLD

@@ -23,7 +23,6 @@ def make_app(seed):
 
 def make_server(platform, **config_kwargs):
     config_kwargs.setdefault("max_ticks", 16)
-    config_kwargs.setdefault("profiling_repetitions", 2)
     return PipelineServer(
         platform, seed=7, config=ServerConfig(**config_kwargs)
     )

@@ -214,6 +214,7 @@ class TestRunningOrder:
         assert server.running_records() == {}
 
 
+@pytest.mark.usefixtures("patience_one")
 class TestEvictedMidBatch:
     """A tenant served early in a tick's batch can evict one whose
     window - already simulated - is settled later in the same batch.
@@ -225,7 +226,7 @@ class TestEvictedMidBatch:
             platform, seed=5, plan_cache=plan_cache,
             config=ServerConfig(
                 max_ticks=64, queue_capacity=0, max_impact_ratio=1e9,
-                max_partition_classes=1, reschedule=True, patience=1,
+                max_partition_classes=1, reschedule=True,
             ),
         )
         server.open_stepped()

@@ -46,7 +46,7 @@ def count_simulated(monkeypatch):
 
 def fresh_cache(platform):
     """A plan cache per arm, so the reports' hit counts compare too."""
-    return PlanCache(platform, repetitions=3, k=8)
+    return PlanCache(platform, k=8)
 
 
 def observed(server, report):
@@ -125,7 +125,7 @@ class TestSameBytes:
         assert attribution["tenants"]
 
     def test_eviction_mid_batch(self, monkeypatch, always_simulate,
-                                platform, app):
+                                patience_one, platform, app):
         def drive():
             # PR 12's case: the first-served tenant evicts one whose
             # window for this tick is already in the batch.
@@ -134,7 +134,7 @@ class TestSameBytes:
                 config=ServerConfig(
                     max_ticks=64, queue_capacity=0,
                     max_impact_ratio=1e9, max_partition_classes=1,
-                    reschedule=True, patience=1,
+                    reschedule=True,
                 ),
             )
             server.open_stepped()

@@ -71,11 +71,6 @@ class TestAffinityMap:
             }
         )
 
-    def test_core_ids(self):
-        amap = self.make_map()
-        assert amap.core_ids(BIG) == (6, 7)
-        assert amap.core_ids(GPU) == ()
-
     def test_duplicate_core_ids_rejected(self):
         with pytest.raises(PlatformError):
             AffinityMap(
@@ -96,12 +91,3 @@ class TestAffinityMap:
             {BIG: AffinityEntry(core_ids=(0,))}, has_gpu=False
         )
         assert GPU not in amap.schedulable_classes()
-
-    def test_unknown_class(self):
-        with pytest.raises(PlatformError):
-            self.make_map().core_ids("npu")
-
-    def test_describe(self):
-        text = self.make_map(little_pinnable=False).describe()
-        assert "NOT pinnable" in text
-        assert "gpu" in text

@@ -41,25 +41,3 @@ class TestValidation:
     def test_accepts_boundary_values(self):
         p = profile(divergence=1.0, irregularity=0.0, parallel_fraction=1.0)
         assert p.divergence == 1.0
-
-
-class TestCombined:
-    def test_totals_add(self):
-        a = profile(flops=1e6, bytes_moved=2e5, gpu_launches=2)
-        b = profile(flops=3e6, bytes_moved=1e5, gpu_launches=3)
-        c = a.combined(b)
-        assert c.flops == pytest.approx(4e6)
-        assert c.bytes_moved == pytest.approx(3e5)
-        assert c.gpu_launches == 5
-
-    def test_structure_is_flops_weighted(self):
-        a = profile(flops=3e6, divergence=0.0)
-        b = profile(flops=1e6, divergence=1.0)
-        c = a.combined(b)
-        assert c.divergence == pytest.approx(0.25)
-
-    def test_combining_zero_flops_profiles(self):
-        a = profile(flops=0.0)
-        b = profile(flops=0.0)
-        c = a.combined(b)
-        assert c.flops == 0.0

@@ -189,7 +189,5 @@ class TestDegenerateInputs:
             counter["n"] += 1
 
         app = make_app([count])
-        ThreadedPipelineExecutor(
-            app, [Chunk(0, 1, "big")], num_task_objects=1
-        ).run(50)
+        ThreadedPipelineExecutor(app, [Chunk(0, 1, "big")]).run(50)
         assert counter["n"] == 50

@@ -32,9 +32,6 @@ def small_scenario_module():
         n_shards=1,
         saturation_arrivals_per_tick=0.8,
         load_multiplier=1.0,
-        burst_start_tick=3,
-        burst_end_tick=6,
-        stage_count=2,
     )
 
 

@@ -74,9 +74,8 @@ class TestAdmissionGate:
         assert gold.attainment == 1.0
 
     def test_goodput_plateaus_past_saturation(self):
-        points = overload_curve(
-            SCENARIO, multipliers=(0.5, 1.0, 1.5, 2.0),
-        )
+        points = overload_curve(SCENARIO)
+        assert [p["load_multiplier"] for p in points] == [0.5, 1.0, 1.5, 2.0]
         goodput = [p["goodput_tasks"] for p in points]
         # Rising toward saturation...
         assert goodput[0] < goodput[1] < goodput[2]
