@@ -30,7 +30,6 @@ from repro.analysis.lock_order import (
     LockOrderTracker,
     TrackedLock,
     checked_lock,
-    lock_tracker,
 )
 from repro.analysis.runtime_checks import (
     BUFFER_ALIAS,
@@ -85,7 +84,6 @@ __all__ = [
     "global_log",
     "lint_paths",
     "lint_source",
-    "lock_tracker",
     "record_violation",
     "render_lint_json",
     "render_lint_text",

@@ -96,20 +96,8 @@ class LockOrderTracker:
         with self._mutex:
             return {a: set(bs) for a, bs in self._edges.items()}
 
-    def reset(self) -> None:
-        """Forget all state (between independent scenarios/tests)."""
-        with self._mutex:
-            self._held.clear()
-            self._edges.clear()
-            self._reported.clear()
-
 
 _TRACKER = LockOrderTracker()
-
-
-def lock_tracker() -> LockOrderTracker:
-    """The process-wide lock-order tracker."""
-    return _TRACKER
 
 
 class TrackedLock:

@@ -12,7 +12,7 @@ candidate beat the predicted-best by 1.35x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.optimizer import OptimizationResult, ScheduleCandidate
 from repro.core.schedule import validate_schedule
@@ -26,6 +26,9 @@ from repro.runtime.simulator import (
     simulate_batch,
 )
 from repro.soc.platform import Platform
+
+if TYPE_CHECKING:
+    from repro.core.session import CampaignSession
 
 #: Tasks streamed per candidate evaluation (stand-in for the paper's
 #: fixed 10-second throughput interval; 30 matches its reported runs).
@@ -97,14 +100,6 @@ class Autotuner:
         self.platform = platform
         self.eval_tasks = eval_tasks
 
-    def measure(self, candidate: ScheduleCandidate) -> AutotuneEntry:
-        """Run one candidate and record its measured per-task latency:
-        a round of one through :meth:`measure_batch`, so a session
-        resumed candidate by candidate measures - and traces, as an
-        ``autotuner.round`` span then a post-hoc ``autotuner.measure`` -
-        exactly as an uninterrupted :meth:`tune` does."""
-        return self.measure_batch([candidate])[0]
-
     def measure_batch(
         self, candidates: Sequence[ScheduleCandidate],
     ) -> List[AutotuneEntry]:
@@ -158,6 +153,7 @@ class Autotuner:
         self,
         optimization: "OptimizationResult | Sequence[ScheduleCandidate]",
         top: Optional[int] = None,
+        session: Optional[CampaignSession] = None,
     ) -> AutotuneResult:
         """Measure the top candidates and return the campaign log.
 
@@ -165,6 +161,9 @@ class Autotuner:
             optimization: An :class:`OptimizationResult` or a plain
                 candidate list (already sorted by predicted latency).
             top: How many leading candidates to execute (default: all).
+            session: Checkpoints the round: candidates it holds are read
+                back, the rest are measured in one round and handed to
+                it in rank order.
         """
         candidates = (
             optimization.candidates
@@ -174,4 +173,13 @@ class Autotuner:
         if not candidates:
             raise SchedulingError("no candidates to autotune")
         subset = candidates[:top] if top is not None else candidates
-        return AutotuneResult(entries=self.measure_batch(subset))
+        if session is None:
+            return AutotuneResult(entries=self.measure_batch(subset))
+        kept = [session.measurement(candidate) for candidate in subset]
+        missing = [c for c, entry in zip(subset, kept) if entry is None]
+        fresh = iter(self.measure_batch(missing) if missing else ())
+        return AutotuneResult(entries=[
+            session.record(self.application.name, entry or next(fresh),
+                           reused=entry is not None)
+            for entry in kept
+        ])

@@ -15,12 +15,15 @@ sensor rate or the work size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.optimizer import OptimizationResult, ScheduleCandidate
 from repro.core.stage import Application
 from repro.errors import SchedulingError
 from repro.soc.platform import Platform
+
+#: Tasks streamed per candidate trial.
+RATE_TRIAL_TASKS = 30
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ def select_for_rate(
     platform: Platform,
     candidates: "OptimizationResult | Sequence[ScheduleCandidate]",
     rate_hz: float,
-    n_tasks: int = 30,
 ) -> RateConstrainedChoice:
     """Pick the lowest-energy candidate that sustains ``rate_hz``.
 
@@ -71,8 +73,8 @@ def select_for_rate(
         application / platform: The deployment target.
         candidates: Level-2 output (an :class:`OptimizationResult` or a
             plain candidate sequence).
-        rate_hz: Task arrival rate to sustain.
-        n_tasks: Tasks streamed per trial.
+        rate_hz: Task arrival rate to sustain; each trial streams
+            ``RATE_TRIAL_TASKS`` tasks at it.
     """
     from repro.runtime.simulator import (
         SimWindow,
@@ -97,7 +99,7 @@ def select_for_rate(
             SimulatedPipelineExecutor(
                 application, candidate.schedule.chunks(), platform
             ),
-            n_tasks,
+            RATE_TRIAL_TASKS,
             arrival_period_s=period,
         )
         for candidate in pool

@@ -16,7 +16,7 @@ regenerate every evaluation artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.autotuner import Autotuner, AutotuneResult
 from repro.core.optimizer import (
@@ -24,6 +24,7 @@ from repro.core.optimizer import (
     DEFAULT_K,
     BTOptimizer,
     OptimizationResult,
+    ScheduleCandidate,
 )
 from repro.core.profiler import INTERFERENCE, BTProfiler, ProfilingTable
 from repro.core.schedule import Schedule, validate_schedule
@@ -33,6 +34,9 @@ from repro.runtime.simulator import (
     SimulatedRunResult,
 )
 from repro.soc.platform import Platform
+
+if TYPE_CHECKING:
+    from repro.core.session import CampaignSession
 
 
 @dataclass
@@ -138,18 +142,29 @@ class BetterTogether:
         return optimizer.optimize()
 
     def autotune(self, application: Application,
-                 optimization: OptimizationResult) -> AutotuneResult:
+                 optimization: "OptimizationResult | List[ScheduleCandidate]",
+                 session: Optional[CampaignSession] = None,
+                 ) -> AutotuneResult:
         """Step 5 (selection): measure top candidates on the device."""
         tuner = Autotuner(
             application, self.platform, eval_tasks=self.eval_tasks
         )
-        return tuner.tune(optimization, top=self.autotune_top)
+        return tuner.tune(optimization, top=self.autotune_top,
+                          session=session)
 
-    def run(self, application: Application) -> DeploymentPlan:
-        """The fully automated end-to-end flow."""
-        table = self.profile(application)
-        optimization = self.optimize(application, table)
-        autotune = self.autotune(application, optimization)
+    def run(self, application: Application,
+            session: Optional[CampaignSession] = None) -> DeploymentPlan:
+        """The fully automated end-to-end flow.
+
+        A ``session`` (``repro run --session``) makes it durable without
+        a second copy of it: the session checkpoints every profiling
+        cell, the candidate log and every autotune measurement as this
+        flow produces them, and reads back the ones already on disk.
+        """
+        table = self.profiler.profile(application, session=session)
+        optimize = self.optimize if session is None else session.optimize
+        optimization = optimize(application, table)
+        autotune = self.autotune(application, optimization, session)
         return DeploymentPlan(
             application=application,
             platform=self.platform,
@@ -205,13 +220,10 @@ class BetterTogether:
         ]
         if not usable:
             return self.run(plan.application)
-        autotune = Autotuner(
-            plan.application, self.platform, eval_tasks=self.eval_tasks
-        ).tune(usable, top=self.autotune_top)
         return DeploymentPlan(
             application=plan.application,
             platform=self.platform,
             table=plan.table,
             optimization=plan.optimization,
-            autotune=autotune,
+            autotune=self.autotune(plan.application, usable),
         )

@@ -48,6 +48,8 @@ DEFAULT_K = 20
 #: optimal T_max.  Schedules above the threshold are filtered out as
 #: "underutilizing the device".
 DEFAULT_GAP_SLACK = 0.10
+#: Relative latency band of one performance tier (section 3.3).
+TIER_TOLERANCE = 0.06
 
 
 @dataclass(frozen=True)
@@ -85,16 +87,17 @@ class OptimizationResult:
             raise SchedulingError("optimization produced no candidates")
         return self.candidates[0]
 
-    def tiers(self, tolerance: float = 0.06) -> List[List[ScheduleCandidate]]:
+    def tiers(self) -> List[List[ScheduleCandidate]]:
         """Group candidates into performance tiers: consecutive candidates
-        whose predicted latencies sit within ``tolerance`` of the tier's
-        first member (the clustering the paper observes in section 3.3)."""
+        whose predicted latencies sit within ``TIER_TOLERANCE`` of the
+        tier's first member (the clustering the paper observes in section
+        3.3)."""
         tiers: List[List[ScheduleCandidate]] = []
         for candidate in self.candidates:
             if (
                 tiers
                 and candidate.predicted_latency_s
-                <= tiers[-1][0].predicted_latency_s * (1.0 + tolerance)
+                <= tiers[-1][0].predicted_latency_s * (1.0 + TIER_TOLERANCE)
             ):
                 tiers[-1].append(candidate)
             else:

@@ -45,7 +45,6 @@ from repro.core.optimizer import (
 from repro.core.profiler import BTProfiler, ProfilingTable
 from repro.core.schedule import Schedule
 from repro.core.stage import Application
-from repro.errors import SchedulingError
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.runtime.simulator import (
@@ -57,6 +56,9 @@ from repro.soc.platform import Platform
 
 #: Profiling repetitions per table entry of every served plan.
 PROFILING_REPETITIONS = 3
+
+#: Optimizer candidates per served plan (the rescheduler's search space).
+PLAN_K = 8
 
 #: Deployments a :class:`PlanCache` keeps warm.  A live placement holds
 #: its own reference, so the table only has to keep *idle* deployments
@@ -205,7 +207,8 @@ class CachedPlan:
 
     def predictions(self, schedule: Schedule) -> Tuple[float, float, float]:
         """``(isolated, interference, contention span)`` of ``schedule``
-        - the three accessors below in one lookup."""
+        in one lookup; interference is the model latency with every
+        other PU saturated (the paper's interference-heavy condition)."""
         known = self._predictions.get(schedule.assignments)
         if known is None:
             isolated = schedule.predicted_latency(
@@ -224,11 +227,6 @@ class CachedPlan:
     def isolated_prediction(self, schedule: Schedule) -> float:
         """Model latency with nothing else on the SoC."""
         return self.predictions(schedule)[0]
-
-    def interference_prediction(self, schedule: Schedule) -> float:
-        """Model latency with every other PU saturated (the paper's
-        interference-heavy profiling condition)."""
-        return self.predictions(schedule)[1]
 
     def contention_span(self, schedule: Schedule) -> float:
         """Predicted latency growth from idle to saturated co-runners
@@ -282,25 +280,15 @@ class PlanCache:
 
     Args:
         platform: The shared virtual SoC every tenant runs on.
-        k: Optimizer candidate count (the rescheduler's search space).
-        time_budget_s: Optional optimizer wall budget per application.
 
-    Every table entry is profiled ``PROFILING_REPETITIONS`` times.
+    Every table entry is profiled ``PROFILING_REPETITIONS`` times, and
+    every plan's optimizer keeps ``PLAN_K`` candidates.
     """
 
-    def __init__(
-        self,
-        platform: Platform,
-        k: int = 8,
-        time_budget_s: Optional[float] = None,
-    ):
-        if k < 1:
-            raise SchedulingError("k must be >= 1")
+    def __init__(self, platform: Platform):
         self.platform = platform
         self.profiler = BTProfiler(platform,
                                    repetitions=PROFILING_REPETITIONS)
-        self.k = k
-        self.time_budget_s = time_budget_s
         self._plans: Dict[str, CachedPlan] = {}
         #: (application object, assignments) -> deployment, most
         #: recently asked-for last.  The application is keyed by
@@ -348,8 +336,7 @@ class PlanCache:
         columns of the interference table, packing candidates after."""
         optimizer = BTOptimizer(
             plan.application,
-            plan.interference.restricted(plan.schedulable),
-            k=self.k, time_budget_s=self.time_budget_s,
+            plan.interference.restricted(plan.schedulable), k=PLAN_K,
         )
         return with_packing_candidates(
             optimizer.optimize(), plan.application, plan.interference,

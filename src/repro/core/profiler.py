@@ -24,7 +24,8 @@ PU) and every cell, whoever asks, goes through :meth:`BTProfiler._cell`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from repro.core.stage import Application
 from repro.errors import ProfilingError
@@ -32,6 +33,9 @@ from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.soc.platform import Platform
 from repro.soc.timer import mean_of_measurements
+
+if TYPE_CHECKING:
+    from repro.core.session import CampaignSession
 
 ISOLATED = "isolated"
 INTERFERENCE = "interference"
@@ -75,14 +79,6 @@ class ProfilingTable:
         """Sample standard deviation of the entry's measurements (0.0
         when statistics were not collected)."""
         return self.stddevs.get((stage, pu_class), 0.0)
-
-    def noise_fraction(self, stage: str, pu_class: str) -> float:
-        """Relative measurement noise, std / mean - the quantity the
-        paper's 30-repetition averaging suppresses."""
-        mean = self.latency(stage, pu_class)
-        if mean <= 0:
-            return 0.0
-        return self.stddev(stage, pu_class) / mean
 
     def row(self, stage: str) -> Dict[str, float]:
         """All PU latencies for one stage."""
@@ -153,10 +149,11 @@ class BTProfiler:
             raise ProfilingError("repetitions must be >= 1")
 
     # ------------------------------------------------------------------
-    def profile(self, application: Application,
-                mode: str = INTERFERENCE) -> ProfilingTable:
-        """Build the full stage x PU table in the given mode."""
-        return self._profile(application, (_checked(mode),))[0]
+    def profile(self, application: Application, mode: str = INTERFERENCE,
+                session: Optional[CampaignSession] = None) -> ProfilingTable:
+        """Build the full stage x PU table in the given mode (cell by
+        cell through ``session``'s checkpoints when one is given)."""
+        return self._profile(application, (_checked(mode),), session)[0]
 
     def profile_both(
         self, application: Application
@@ -166,8 +163,9 @@ class BTProfiler:
         run on each PU once and timed under both conditions."""
         return tuple(self._profile(application, MODES))
 
-    def _profile(self, application: Application,
-                 modes: Tuple[str, ...]) -> List[ProfilingTable]:
+    def _profile(self, application: Application, modes: Tuple[str, ...],
+                 session: Optional[CampaignSession] = None
+                 ) -> List[ProfilingTable]:
         pu_classes = self.platform.pu_classes()
         truth = [
             self.platform.profiling_times(stage.work)
@@ -183,10 +181,11 @@ class BTProfiler:
                 for stage, times in zip(application.stages, truth):
                     for pu_class in pu_classes:
                         key = (stage.name, pu_class)
-                        entries[key], stddevs[key] = self._cell(
-                            application.name, stage.name, pu_class, mode,
-                            times[pu_class][column],
-                        )
+                        cell = (application.name, stage.name, pu_class,
+                                mode, times[pu_class][column])
+                        entries[key], stddevs[key] = (
+                            self._cell(*cell) if session is None
+                            else session.cell(self._cell, *cell))
             tables.append(ProfilingTable(
                 application=application.name,
                 platform=self.platform.name,
@@ -197,23 +196,6 @@ class BTProfiler:
                 stddevs=stddevs,
             ))
         return tables
-
-    # ------------------------------------------------------------------
-    def measure_cell(self, application: Application, stage_name: str,
-                     pu_class: str, mode: str) -> Tuple[float, float]:
-        """Measure one (stage, PU, mode) cell: ``(mean, stddev)``.
-
-        The unit of work the checkpoint/resume machinery persists
-        (:mod:`repro.core.session`): each cell's measurement RNG is
-        keyed by its coordinates alone, so cells can be collected - or
-        re-collected after a crash - in any order and still reproduce
-        the uninterrupted table bit for bit.
-        """
-        column = MODES.index(_checked(mode))
-        self.platform.pu(pu_class)  # PlatformError for a class the SoC lacks
-        work = application.stage(stage_name).work
-        seconds = self.platform.profiling_times(work)[pu_class][column]
-        return self._cell(application.name, stage_name, pu_class, mode, seconds)
 
     def _cell(self, application_name: str, stage_name: str, pu_class: str,
               mode: str, true_seconds: float) -> Tuple[float, float]:

@@ -31,11 +31,7 @@ from repro.runtime.faults import (
     TaskFailure,
     classify_failure,
 )
-from repro.runtime.memory import (
-    MemoryReport,
-    estimate_pipeline_memory,
-    max_depth_within,
-)
+from repro.runtime.memory import MemoryReport, estimate_pipeline_memory
 from repro.runtime.pipeline import ThreadedPipelineExecutor, ThreadedRunResult
 from repro.runtime.simulator import (
     ENGINE_ENV,
@@ -48,8 +44,7 @@ from repro.runtime.simulator import (
     simulate_batch,
 )
 from repro.runtime.spsc import SpscQueue
-from repro.runtime.trace import (Span, format_gantt,
-                                pipeline_bubbles, record_span)
+from repro.runtime.trace import Span, format_gantt, record_span
 from repro.runtime.task_object import TaskObject
 from repro.runtime.usm import UsmBuffer
 
@@ -84,8 +79,6 @@ __all__ = [
     "classify_failure",
     "estimate_pipeline_memory",
     "format_gantt",
-    "max_depth_within",
-    "pipeline_bubbles",
     "record_span",
     "simulate_batch",
 ]

@@ -33,6 +33,10 @@ from repro.runtime.faults import FALLBACK, FaultInjector
 from repro.runtime.simulator import SimulatedPipelineExecutor
 from repro.soc.platform import Platform
 
+#: Relative latency change that triggers re-tuning (0.25 = 25% away
+#: from the reference).
+DRIFT_THRESHOLD = 0.25
+
 
 @dataclass
 class WindowRecord:
@@ -56,15 +60,12 @@ class AdaptivePipeline:
             :meth:`set_platform` to model a mode change).
         candidates: The optimizer's cached candidate set (level-2
             output); re-tuning re-ranks these, never re-profiles.
-        drift_threshold: Relative latency change that triggers
-            re-tuning (0.25 = 25% away from the reference).
         window_tasks: Tasks per execution window.
     """
 
     application: Application
     platform: Platform
     candidates: Sequence[ScheduleCandidate]
-    drift_threshold: float = 0.25
     window_tasks: int = 20
     eval_tasks: int = 15
 
@@ -80,11 +81,9 @@ class AdaptivePipeline:
     def __post_init__(self) -> None:
         if not self.candidates:
             raise SchedulingError("adaptive pipeline needs candidates")
-        if not 0.0 < self.drift_threshold:
-            raise SchedulingError("drift_threshold must be positive")
         if self.window_tasks < 2:
             raise PipelineError("window_tasks must be >= 2")
-        self._retune(initial=True)
+        self._retune()
 
     # ------------------------------------------------------------------
     @property
@@ -148,7 +147,7 @@ class AdaptivePipeline:
             if set(c.schedule.pu_classes_used) <= schedulable
         ]
 
-    def _retune(self, initial: bool = False) -> None:
+    def _retune(self) -> None:
         # Imported lazily: repro.core.autotuner itself imports the
         # runtime package, so a module-level import would be circular.
         from repro.core.autotuner import Autotuner
@@ -159,7 +158,6 @@ class AdaptivePipeline:
         result = tuner.tune(self._usable_candidates())
         self._schedule = result.measured_best.candidate.schedule
         self._reference_latency_s = result.measured_best.measured_latency_s
-        del initial
 
     # ------------------------------------------------------------------
     def run_window(
@@ -192,7 +190,7 @@ class AdaptivePipeline:
             drift = abs(
                 last.measured_latency_s - self._reference_latency_s
             ) / self._reference_latency_s
-            if drift > self.drift_threshold:
+            if drift > DRIFT_THRESHOLD:
                 self._retune()
                 retuned = True
         while True:
@@ -246,7 +244,3 @@ class AdaptivePipeline:
             )
             self._executor_key = key
         return self._executor
-
-    def run_windows(self, count: int) -> List[WindowRecord]:
-        """Execute several windows back to back."""
-        return [self.run_window() for _ in range(count)]

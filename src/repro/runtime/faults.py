@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -399,7 +399,7 @@ class FaultInjector:
         self.plan = plan
         self._lock = checked_lock("fault-log.lock")
         self._events: List[FaultEvent] = []
-        self._dead_pus: Dict[str, int] = {}
+        self._dead_pus: Set[str] = set()
         self._rng = np.random.default_rng(0)
 
     def backoff_draw(self) -> float:
@@ -431,11 +431,6 @@ class FaultInjector:
     def events(self) -> Tuple[FaultEvent, ...]:
         with self._lock:
             return tuple(self._events)
-
-    @property
-    def dead_pus(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._dead_pus))
 
     def report(
         self, failures: Sequence[TaskFailure] = (),
@@ -520,8 +515,7 @@ class FaultInjector:
                 continue
             with self._lock:
                 first = pu_class not in self._dead_pus
-                if first:
-                    self._dead_pus[pu_class] = task_id
+                self._dead_pus.add(pu_class)
             if first:
                 self.record(PU_DROPOUT, pu_class, stage_index, task_id,
                             detail=f"dead from task {spec.after_task}")

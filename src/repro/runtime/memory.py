@@ -27,7 +27,7 @@ class MemoryReport:
         per_task_bytes: One TaskObject's buffers.
         depth: TaskObjects in flight.
         total_bytes: ``per_task_bytes * depth``.
-        buffer_bytes: Per-buffer breakdown (largest first).
+        buffer_bytes: Per-buffer breakdown.
     """
 
     per_task_bytes: int
@@ -41,14 +41,6 @@ class MemoryReport:
     @property
     def total_mib(self) -> float:
         return self.total_bytes / (1024.0 * 1024.0)
-
-    def largest_buffers(self, count: int = 3):
-        """The ``count`` biggest buffers - the first candidates when a
-        footprint must shrink."""
-        ranked = sorted(
-            self.buffer_bytes.items(), key=lambda kv: kv[1], reverse=True
-        )
-        return ranked[:count]
 
 
 def estimate_pipeline_memory(application: Application,
@@ -75,13 +67,3 @@ def estimate_pipeline_memory(application: Application,
         depth=depth,
         buffer_bytes=buffer_bytes,
     )
-
-
-def max_depth_within(application: Application,
-                     budget_bytes: int) -> int:
-    """The largest multi-buffering depth fitting a DRAM budget (>= 1
-    would exceed it -> 0, meaning the application cannot run at all)."""
-    report = estimate_pipeline_memory(application, depth=1)
-    if report.per_task_bytes <= 0:
-        raise PipelineError("application tasks occupy no memory")
-    return budget_bytes // report.per_task_bytes

@@ -73,10 +73,6 @@ class ThreadedRunResult:
     fault_events: Sequence[FaultEvent] = ()
 
     @property
-    def failed_task_ids(self) -> List[int]:
-        return [failure.task_id for failure in self.failures]
-
-    @property
     def succeeded(self) -> int:
         """Tasks that completed without quarantine."""
         return self.completed - len(self.failures)

@@ -127,20 +127,3 @@ def format_gantt(spans: Sequence[Span], width: int = 72) -> str:
     pad = max(width - len(end_label), 0)
     lines.append(f"{'':16s} 0{'':{pad}s}{end_label}")
     return "\n".join(lines)
-
-
-def pipeline_bubbles(spans: Sequence[Span]) -> dict:
-    """Idle fraction per chunk between its first and last span - the
-    'bubble' a scheduler wants to minimize."""
-    out = {}
-    by_chunk: dict = {}
-    for span in spans:
-        by_chunk.setdefault(span.chunk_index, []).append(span)
-    for chunk_index, chunk_spans in by_chunk.items():
-        chunk_spans.sort(key=lambda s: s.start_s)
-        first = chunk_spans[0].start_s
-        last = chunk_spans[-1].end_s
-        busy = sum(s.duration_s for s in chunk_spans)
-        window = last - first
-        out[chunk_index] = 0.0 if window <= 0 else 1.0 - busy / window
-    return out

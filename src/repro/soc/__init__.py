@@ -14,7 +14,6 @@ from repro.soc.interference import (
     DvfsCurve,
     ExternalLoad,
     InterferenceModel,
-    co_load_fraction,
     external_co_load,
 )
 from repro.soc.platform import Platform
@@ -69,7 +68,6 @@ __all__ = [
     "PowerSpec",
     "WorkProfile",
     "all_platforms",
-    "co_load_fraction",
     "cpu_cost",
     "estimate_energy",
     "external_co_load",

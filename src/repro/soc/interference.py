@@ -250,23 +250,3 @@ def external_co_load(
             if cls != pu_class and cls not in others:
                 busy += fraction
     return min(busy / total_other_pus, 1.0)
-
-
-def co_load_fraction(busy_other_pus: int, total_other_pus: int) -> float:
-    """Fraction of the *other* PUs currently busy, the DVFS model input.
-
-    The interference-heavy profiling mode (paper section 3.2) corresponds
-    to ``busy == total`` (all other PUs run the same computation), i.e. a
-    co-load of 1.0; isolated profiling is 0.0.  During real pipeline
-    execution the value moves between the two - which is precisely why
-    isolated profiles mispredict and why even interference-heavy profiles
-    retain a small error the autotuner (section 3.3, level 3) mops up.
-    """
-    if total_other_pus <= 0:
-        return 0.0
-    if busy_other_pus < 0 or busy_other_pus > total_other_pus:
-        raise PlatformError(
-            f"busy_other_pus={busy_other_pus} out of range "
-            f"[0, {total_other_pus}]"
-        )
-    return busy_other_pus / total_other_pus

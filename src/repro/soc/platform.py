@@ -98,10 +98,6 @@ class Platform:
                 classes.append(pu_class)
         return tuple(classes)
 
-    def num_other_pus(self, pu_class: str) -> int:
-        """How many *other* PU classes exist - the co-load denominator."""
-        return len(self.pu_classes()) - (1 if pu_class in self.pu_classes() else 0)
-
     # ------------------------------------------------------------------
     # Ground-truth timing
     # ------------------------------------------------------------------

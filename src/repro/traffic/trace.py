@@ -13,7 +13,7 @@ pair that a generator change could silently reinterpret.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.errors import TrafficError
 from repro.serialization import (
@@ -80,9 +80,6 @@ class TrafficTrace:
     # ------------------------------------------------------------------
     # Replay surface (the same shape the driver reads generators with)
     # ------------------------------------------------------------------
-    def events_at(self, tick: int) -> List[ArrivalEvent]:
-        return [event for event in self.events if event.tick == tick]
-
     def offered_windows(self) -> int:
         return sum(event.windows for event in self.events)
 

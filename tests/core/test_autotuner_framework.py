@@ -141,7 +141,7 @@ class TestExecutionGateValidation:
 
         tuner = Autotuner(app, pixel, eval_tasks=4)
         with pytest.raises(ScheduleValidationError) as excinfo:
-            tuner.measure(self.make_candidate([BIG, GPU]))
+            tuner.measure_batch([self.make_candidate([BIG, GPU])])
         assert excinfo.value.constraint == "C1"
 
     def test_autotuner_rejects_foreign_pu(self, pixel, app):
@@ -150,7 +150,7 @@ class TestExecutionGateValidation:
         tuner = Autotuner(app, pixel, eval_tasks=4)
         assignments = ["npu-imaginary"] * app.num_stages
         with pytest.raises(ScheduleValidationError) as excinfo:
-            tuner.measure(self.make_candidate(assignments))
+            tuner.measure_batch([self.make_candidate(assignments)])
         assert excinfo.value.constraint == "availability"
 
     def test_deployment_plan_validates_before_execute(self, jetson, app):

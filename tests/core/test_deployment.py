@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.deployment as deployment
 from repro.apps import build_octree_application
 from repro.core import select_for_rate
 from repro.core.optimizer import BTOptimizer
@@ -22,12 +23,16 @@ def setting():
 
 
 class TestSelection:
+    @pytest.fixture(autouse=True)
+    def short_trials(self, monkeypatch):
+        monkeypatch.setattr(deployment, "RATE_TRIAL_TASKS", 15)
+
     def test_slack_rate_picks_energy_not_latency(self, setting):
         """Well below saturation every candidate keeps up, so the
         selection criterion flips from latency to energy."""
         app, platform, optimization = setting
         choice = select_for_rate(app, platform, optimization,
-                                 rate_hz=50.0, n_tasks=15)
+                                 rate_hz=50.0)
         assert choice.meets_rate
         assert all(trial.keeps_up for trial in choice.trials)
         best_energy = min(
@@ -40,7 +45,7 @@ class TestSelection:
     def test_impossible_rate_falls_back_to_fastest(self, setting):
         app, platform, optimization = setting
         choice = select_for_rate(app, platform, optimization,
-                                 rate_hz=1e7, n_tasks=15)
+                                 rate_hz=1e7)
         assert not choice.meets_rate
         fastest = min(
             trial.worst_latency_s for trial in choice.trials
@@ -55,13 +60,13 @@ class TestSelection:
         app, platform, optimization = setting
         # Probe: fastest candidate's backlogged rate.
         probe = select_for_rate(app, platform, optimization,
-                                rate_hz=50.0, n_tasks=15)
+                                rate_hz=50.0)
         fastest_latency = min(
             trial.worst_latency_s for trial in probe.trials
         )
         rate = 0.8 / fastest_latency
         choice = select_for_rate(app, platform, optimization,
-                                 rate_hz=rate, n_tasks=15)
+                                 rate_hz=rate)
         if choice.meets_rate:
             assert choice.selected_trial.keeps_up
 
@@ -69,7 +74,7 @@ class TestSelection:
         app, platform, optimization = setting
         choice = select_for_rate(
             app, platform, optimization.candidates[:3],
-            rate_hz=50.0, n_tasks=10,
+            rate_hz=50.0,
         )
         assert len(choice.trials) == 3
 
@@ -82,9 +87,7 @@ class TestSelection:
 
     def test_deterministic(self, setting):
         app, platform, optimization = setting
-        a = select_for_rate(app, platform, optimization, rate_hz=100.0,
-                            n_tasks=10)
-        b = select_for_rate(app, platform, optimization, rate_hz=100.0,
-                            n_tasks=10)
+        a = select_for_rate(app, platform, optimization, rate_hz=100.0)
+        b = select_for_rate(app, platform, optimization, rate_hz=100.0)
         assert (a.selected.schedule.assignments
                 == b.selected.schedule.assignments)

@@ -12,8 +12,8 @@ pin beside it) must tell apart.
 
 import pytest
 
+import repro.core.plan_cache as plan_cache
 from repro.apps.synthetic import build_synthetic_application
-from repro.core.optimizer import BTOptimizer
 from repro.core.plan_cache import (
     CachedPlan,
     PlanCache,
@@ -32,9 +32,9 @@ def facts(candidates):
             for c in candidates]
 
 
-def plans(platform_name, k, **cache_kwargs):
+def plans(platform_name):
     platform = get_platform(platform_name, seed=7)
-    cache = PlanCache(platform, k=k, **cache_kwargs)
+    cache = PlanCache(platform)
     for seed, stage_count in ((11, 2), (12, 3), (13, 5), (14, 7)):
         yield platform, cache.plan_for(build_synthetic_application(
             seed=seed, stage_count=stage_count))
@@ -44,8 +44,9 @@ def plans(platform_name, k, **cache_kwargs):
 @pytest.mark.parametrize("platform_name", PLATFORMS)
 def test_singles_are_the_one_class_members_of_the_solved_list(
         monkeypatch, platform_name, k):
+    monkeypatch.setattr(plan_cache, "PLAN_K", k)
     solved = count_solves(monkeypatch)
-    for platform, plan in plans(platform_name, k):
+    for platform, plan in plans(platform_name):
         singles = plan.singles
         assert plan.within(1) is singles
         assert not solved                      # the table was enough
@@ -57,26 +58,9 @@ def test_singles_are_the_one_class_members_of_the_solved_list(
         del solved[:]
 
 
-def test_a_time_budget_still_degrades_to_the_greedy_schedule(monkeypatch):
-    solved = count_solves(monkeypatch)
-    for _, plan in plans("pixel7a", 8, time_budget_s=1e-9):
-        assert not solved
-        assert plan.optimization.degraded
-        optimizer = BTOptimizer(
-            plan.application,
-            plan.interference.restricted(plan.schedulable), k=8)
-        assert plan.optimization.candidates[0].schedule.assignments == (
-            tuple(optimizer.pu_classes[c]
-                  for c in optimizer.greedy_assignment()))
-        # The packing candidates ride behind it as ever.
-        assert ({c.schedule for c in plan.singles}
-                == {c.schedule for c in solved_singles(plan)})
-        del solved[:]
-
-
 def test_the_solved_list_is_kept_and_every_cap_reads_it(monkeypatch):
     solved = count_solves(monkeypatch)
-    (_, plan), *_ = plans("pixel7a", 8)
+    (_, plan), *_ = plans("pixel7a")
     everything = plan.within(None)
     assert everything == plan.optimization.candidates
     assert [c.rank for c in everything] == list(range(len(everything)))
@@ -92,7 +76,7 @@ def test_the_solve_is_a_plan_cache_span_naming_the_application():
     platform = get_platform("pixel7a", seed=7)
     app = build_synthetic_application(seed=11, stage_count=3)
     with capture() as cap:
-        plan = PlanCache(platform, k=4).plan_for(app)
+        plan = PlanCache(platform).plan_for(app)
         plan.singles
         built = {e.name for e in cap.events}
         plan.optimization
@@ -122,7 +106,7 @@ class TestSeededMutantsAreKilled:
         return all(
             facts(plan.singles) == facts(solved_singles(plan))
             for platform_name in PLATFORMS
-            for _, plan in plans(platform_name, 8))
+            for _, plan in plans(platform_name))
 
     def test_the_shipped_singles_survive(self, monkeypatch):
         assert self.survives(monkeypatch, lambda plan: (
@@ -152,6 +136,6 @@ class TestSeededMutantsAreKilled:
         monkeypatch.setattr(CachedPlan, "optimization", property(
             CachedPlan.__dict__["optimization"].func))
         solved = count_solves(monkeypatch)
-        (_, plan), *_ = plans("pixel7a", 8)
+        (_, plan), *_ = plans("pixel7a")
         assert plan.optimization is not plan.optimization
         assert len(solved) == 2

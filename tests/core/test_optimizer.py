@@ -168,7 +168,7 @@ class TestTiers:
             application="a", platform="p", candidates=candidates,
             gap_threshold_s=1.0, utilization_optimum=None,
         )
-        tiers = result.tiers(tolerance=0.06)
+        tiers = result.tiers()
         assert [len(t) for t in tiers] == [3, 2]
 
 

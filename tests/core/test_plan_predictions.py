@@ -1,7 +1,7 @@
 """Prediction oracle: the plan-level memo against fresh derivations.
 
-``CachedPlan`` answers ``isolated_prediction`` / ``interference_prediction``
-/ ``contention_span`` from a table filled once per schedule, and
+``CachedPlan`` answers ``predictions`` / ``isolated_prediction`` /
+``contention_span`` from a table filled once per schedule, and
 ``Schedule`` derives its chunk decomposition once per instance.  Both
 are memos on frozen values, so they must return *exactly* (``==``, not
 approx) what a fresh computation returns - for every contiguous
@@ -102,8 +102,7 @@ class TestPlanMemo:
                 span = fresh_span(twin, app, plan.isolated,
                                   plan.interference)
                 assert plan.isolated_prediction(schedule) == isolated
-                assert (plan.interference_prediction(schedule)
-                        == interference)
+                assert plan.predictions(schedule)[1] == interference
                 assert plan.contention_span(schedule) == span
                 assert plan.predictions(twin) == (
                     isolated, interference, span)
@@ -122,7 +121,7 @@ class TestPlanMemo:
             for _ in range(3):
                 for schedule in schedules:
                     plan.isolated_prediction(schedule)
-                    plan.interference_prediction(schedule)
+                    plan.predictions(schedule)[1]
                     plan.contention_span(schedule)
         finally:
             Schedule.predicted_latency = original

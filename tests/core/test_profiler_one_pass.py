@@ -6,16 +6,17 @@ its roofline (once for itself, once per *other* PU class for the
 interference condition's demand), and every repetition is one scalar
 lognormal draw.  Over generated platforms, applications, repetition
 counts and noise levels, everything the shipped profiler can be asked -
-``profile_both``, per-mode ``profile``, ``measure_cell`` in any order, a
-``CampaignSession`` killed and resumed half-way - must return the
-reference's means *and* stddevs exactly, and leave the same spans and
-metrics behind.
+``profile_both``, per-mode ``profile``, a ``CampaignSession`` killed
+and resumed half-way, the same session resumed again after losing an
+arbitrary set of cells - must return the reference's means *and*
+stddevs exactly, and leave the same spans and metrics behind.
 
 Then the other direction: each way the one pass could be subtly wrong is
 seeded as a mutant, and the same comparison must tell it apart.
 """
 
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,33 +164,36 @@ def cells_of(platform, application):
             for pu_class in platform.pu_classes()]
 
 
-def cell_by_cell(profiler, application, order):
-    """Both tables assembled from ``measure_cell`` calls in ``order``."""
-    measured = {
-        cell: profiler.measure_cell(application, *cell) for cell in order
-    }
-    tables = []
-    for mode in MODES:
-        keys = [(stage, pu_class)
-                for stage in application.stage_names
-                for pu_class in profiler.platform.pu_classes()]
-        tables.append(table_of(
-            profiler.platform, application, mode,
-            {key: measured[key + (mode,)][0] for key in keys},
-            {key: measured[key + (mode,)][1] for key in keys},
-        ))
-    return tuple(tables)
+def interference_cells(platform, application):
+    """The (stage, PU) cells of the table a campaign session profiles."""
+    return [(stage, pu_class) for stage, pu_class, mode
+            in cells_of(platform, application) if mode == INTERFERENCE]
 
 
 class _Killed(Exception):
     """Stands in for the SIGKILL that ends a session mid-table."""
 
 
-def resumed_session(platform, application, repetitions, survive):
-    """A campaign session killed after ``survive`` cells, then resumed
-    on the same directory by a fresh session object."""
-    def framework():
-        return BetterTogether(platform, repetitions=repetitions)
+def session_framework(platform, repetitions):
+    """The cheapest campaign around a profile: one candidate, measured
+    over two tasks."""
+    return BetterTogether(platform, repetitions=repetitions, k=1,
+                          eval_tasks=2)
+
+
+def cell_file(directory, stage, pu_class):
+    return Path(directory, "profiling", INTERFERENCE,
+                f"{stage}__{pu_class}.json")
+
+
+def resumed_sessions(platform, application, repetitions, survive, lost):
+    """Two interference tables from one session directory: the session
+    killed after ``survive`` cells and resumed by a fresh session
+    object, then resumed again after the ``lost`` (stage, PU) cells were
+    deleted, so those are measured a run later than their neighbours."""
+    def session(directory):
+        return CampaignSession(directory,
+                               session_framework(platform, repetitions))
 
     with tempfile.TemporaryDirectory() as directory:
         units = []
@@ -199,14 +203,19 @@ def resumed_session(platform, application, repetitions, survive):
             if len(units) == survive:
                 raise _Killed(unit)
 
-        first = CampaignSession(directory, framework())
         try:
-            first.profile_both(application, on_unit=die_later)
+            session(directory).run(application, on_unit=die_later)
         except _Killed:
             pass
-        second = CampaignSession(directory, framework())
-        tables = second.profile_both(application)
-        return tables, second.report.cells_reused
+        resumed = session(directory)
+        killed = resumed.run(application).table
+        assert resumed.report.cells_reused == survive
+        for stage, pu_class in lost:
+            cell_file(directory, stage, pu_class).unlink()
+        again = session(directory)
+        missing = again.run(application).table
+        assert again.report.cells_measured == len(lost)
+        return killed, missing
 
 
 def assert_same_table(got, want, arm):
@@ -219,22 +228,21 @@ def assert_same_table(got, want, arm):
     assert list(got.entries) == list(want.entries), arm
 
 
-def check_equivalence(platform, application, repetitions, order, survive):
+def check_equivalence(platform, application, repetitions, survive, lost):
     """Every arm of the shipped profiler against the oracle; raises
     ``AssertionError`` naming the first arm that differs."""
     want = ReferenceProfiler(platform, repetitions).profile_both(application)
     profiler = BTProfiler(platform, repetitions=repetitions)
     both = profiler.profile_both(application)
     per_mode = tuple(profiler.profile(application, mode) for mode in MODES)
-    cells = cell_by_cell(profiler, application, order)
-    session, reused = resumed_session(
-        platform, application, repetitions, survive
-    )
-    assert reused == survive
-    for arm, got in (("profile_both", both), ("profile", per_mode),
-                     ("measure_cell", cells), ("session", session)):
+    for arm, got in (("profile_both", both), ("profile", per_mode)):
         for got_table, want_table in zip(got, want):
             assert_same_table(got_table, want_table, arm)
+    killed, missing = resumed_sessions(
+        platform, application, repetitions, survive, lost
+    )
+    assert_same_table(killed, want[1], "killed session")
+    assert_same_table(missing, want[1], "session missing cells")
 
 
 cases = st.tuples(
@@ -253,11 +261,11 @@ class TestOnePassEqualsTwoPass:
            data=st.data())
     def test_every_arm_equals_the_reference(self, case, repetitions, data):
         platform, application = build_case(*case)
-        cells = cells_of(platform, application)
-        order = data.draw(st.permutations(cells), label="cell order")
-        survive = data.draw(st.integers(1, len(cells)), label="survive")
-        check_equivalence(platform, application, repetitions, order,
-                          survive)
+        grid = interference_cells(platform, application)
+        survive = data.draw(st.integers(1, len(grid)), label="survive")
+        lost = data.draw(st.sets(st.sampled_from(grid)), label="lost")
+        check_equivalence(platform, application, repetitions, survive,
+                          sorted(lost))
 
     @settings(max_examples=30, deadline=None)
     @given(case=cases, repetitions=st.sampled_from(REPETITIONS))
@@ -289,12 +297,20 @@ class TestOnePassEqualsTwoPass:
         profiler = BTProfiler(platform, repetitions=repetitions)
         stage = application.stage_names[-1]
         pu_class = platform.pu_classes()[-1]
+        framework = session_framework(platform, repetitions)
+        with tempfile.TemporaryDirectory() as directory:
+            CampaignSession(directory, framework).run(application)
+            cell_file(directory, stage, pu_class).unlink()
+            with capture() as got:
+                profiler.profile(application, INTERFERENCE)
+                # Everything else is read back: one cell is measured.
+                CampaignSession(directory, framework).run(application)
         with capture() as want:
             reference.profile(application, INTERFERENCE)
-            reference.cell(application, stage, pu_class, ISOLATED)
-        with capture() as got:
-            profiler.profile(application, INTERFERENCE)
-            profiler.measure_cell(application, stage, pu_class, ISOLATED)
+            with tracer().span("profiler.profile", "profiler",
+                               application=application.name,
+                               mode=INTERFERENCE):
+                reference.cell(application, stage, pu_class, INTERFERENCE)
         assert got.tracer.events == want.tracer.events
         assert got.metrics.snapshot() == want.metrics.snapshot()
 
@@ -331,10 +347,10 @@ def survives_the_grid():
     profiler from the oracle."""
     for case, repetitions in MUTANT_GRID:
         platform, application = build_case(*case)
-        cells = cells_of(platform, application)
+        grid = interference_cells(platform, application)
         try:
             check_equivalence(platform, application, repetitions,
-                              list(reversed(cells)), len(cells) // 2)
+                              len(grid) // 2 or 1, grid[::2])
         except AssertionError:
             return False
     return True

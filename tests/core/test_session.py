@@ -88,36 +88,46 @@ class TestCheckpointing:
         assert (plan.autotune.measured_best.measured_latency_s
                 == plain.autotune.measured_best.measured_latency_s)
 
-    def test_session_measures_through_the_batch_path(self, tmp_path,
-                                                     framework, app):
-        """A session measures candidate by candidate, each a round of
-        one through ``Autotuner.measure_batch``: per candidate an
-        ``autotuner.round`` span around the DES, then the post-hoc
-        ``autotuner.measure`` a plain ``tune`` emits - with the same
-        measured latencies, so the checkpoints cannot tell."""
+    def test_fresh_session_emits_the_plain_run_s_events(self, tmp_path,
+                                                        framework, app):
+        """A session is ``BetterTogether.run`` with checkpoints plugged
+        in, not a second copy of it: a fresh one profiles in one pass
+        and autotunes in one round, so it leaves the spans and metrics
+        of a plain run behind, event for event."""
         from repro.obs import capture
 
-        def autotuner_spans(events):
-            return [(e.name, e.attr("candidates"), e.attr("rank"),
-                     e.attr("measured_s")) for e in events
-                    if e.category == "autotuner"]
+        with capture() as session:
+            run_campaign(tmp_path, framework, app)
+        with capture() as plain:
+            framework.run(app)
+        assert session.tracer.events == plain.tracer.events
+        assert session.metrics.snapshot() == plain.metrics.snapshot()
+        rounds = [e for e in session.tracer.events
+                  if e.name == "autotuner.round"]
+        assert [e.attr("candidates") for e in rounds] == [3]
 
-        with capture() as cap:
-            _, plan = run_campaign(tmp_path, framework, app)
-        spans = autotuner_spans(cap.events)
-        measured = {entry.rank: entry.measured_latency_s
-                    for entry in plan.autotune.entries}
-        assert spans == [
-            span for rank in sorted(measured) for span in (
-                ("autotuner.round", 1, None, None),
-                ("autotuner.measure", None, rank, measured[rank]))
-        ]
-        with capture() as cap:
-            plain = framework.run(app)
-        assert [span for span in autotuner_spans(cap.events)
-                if span[0] == "autotuner.measure"] == spans[1::2]
-        assert {entry.rank: entry.measured_latency_s
-                for entry in plain.autotune.entries} == measured
+    def test_killed_mid_round_resumes_to_the_same_tree(self, tmp_path,
+                                                       framework, app):
+        """The autotune round is the unit of resume: whatever the round
+        wrote before the kill is reused, the rest is measured again, and
+        the tree is the uninterrupted one."""
+        class Killed(Exception):
+            pass
+
+        def kill_after_first_measurement(unit):
+            if unit == "autotune:0":
+                raise Killed(unit)
+
+        session = CampaignSession(tmp_path / "killed", framework)
+        with pytest.raises(Killed):
+            session.run(app, on_unit=kill_after_first_measurement)
+        resumed = CampaignSession(session.directory, framework)
+        resumed.run(app)
+        assert resumed.report.measurements_reused == 1
+        assert resumed.report.measurements_run == 2
+        reference, _ = run_campaign(tmp_path, framework, app)
+        assert read_tree(session.directory) == read_tree(
+            reference.directory)
 
     def test_parameter_mismatch_rejected(self, tmp_path, framework, app):
         session, _ = run_campaign(tmp_path, framework, app)
@@ -125,18 +135,6 @@ class TestCheckpointing:
                                eval_tasks=4)
         with pytest.raises(CampaignError, match="repetitions"):
             CampaignSession(session.directory, other).run(app)
-
-    def test_status_reflects_progress(self, tmp_path, framework, app):
-        session = CampaignSession(tmp_path / "s", framework)
-        empty = session.status(app)
-        assert empty["profiling_cells"]["done"] == 0
-        assert not empty["schedule"]
-        session.run(app)
-        done = session.status(app)
-        assert (done["profiling_cells"]["done"]
-                == done["profiling_cells"]["total"])
-        assert done["optimization"] and done["schedule"]
-        assert done["autotune_measurements"] == [0, 1, 2]
 
 
 class TestCorruptionRepair:

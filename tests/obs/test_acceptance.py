@@ -135,7 +135,7 @@ class TestFlightRecorderOnStall:
             isolate_failures=True,
         )
         result = executor.run(4)
-        assert result.failed_task_ids == [1]
+        assert [f.task_id for f in result.failures] == [1]
         return injector.report(result.failures)
 
     def test_fault_report_carries_flight_tail(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.runtime.adaptive as adaptive
 from repro.apps import build_octree_application
 from repro.core.optimizer import BTOptimizer
 from repro.core.profiler import BTProfiler
@@ -39,13 +40,13 @@ def make_pipeline(app, candidates, platform_name="jetson_orin_nano",
 class TestSteadyState:
     def test_stable_conditions_never_retune(self, app, jetson_candidates):
         pipeline = make_pipeline(app, jetson_candidates)
-        records = pipeline.run_windows(4)
+        records = [pipeline.run_window() for _ in range(4)]
         assert all(not record.retuned for record in records)
         assert len({r.schedule.assignments for r in records}) == 1
 
     def test_history_accumulates(self, app, jetson_candidates):
         pipeline = make_pipeline(app, jetson_candidates)
-        pipeline.run_windows(3)
+        [pipeline.run_window() for _ in range(3)]
         assert [r.window_index for r in pipeline.history] == [0, 1, 2]
 
 
@@ -67,15 +68,16 @@ class TestDriftReaction:
         pipeline.set_platform(get_platform("jetson_orin_nano_lp"))
         pipeline.run_window()
         pipeline.run_window()  # retunes
-        steady = pipeline.run_windows(2)
+        steady = [pipeline.run_window() for _ in range(2)]
         assert all(not record.retuned for record in steady)
 
-    def test_huge_threshold_never_reacts(self, app, jetson_candidates):
-        pipeline = make_pipeline(app, jetson_candidates,
-                                 drift_threshold=100.0)
+    def test_huge_threshold_never_reacts(self, app, jetson_candidates,
+                                         monkeypatch):
+        monkeypatch.setattr(adaptive, "DRIFT_THRESHOLD", 100.0)
+        pipeline = make_pipeline(app, jetson_candidates)
         pipeline.run_window()
         pipeline.set_platform(get_platform("jetson_orin_nano_lp"))
-        records = pipeline.run_windows(3)
+        records = [pipeline.run_window() for _ in range(3)]
         assert all(not record.retuned for record in records)
 
 

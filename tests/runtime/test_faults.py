@@ -238,7 +238,7 @@ class TestThreadedRecovery:
         )
         assert result.completed == 6
         assert result.succeeded == 5
-        assert result.failed_task_ids == [1]
+        assert [f.task_id for f in result.failures] == [1]
         failure = result.failures[0]
         assert failure.stage_index == 1 and failure.pu_class == "big"
         # The poisoned task never reached on_complete; the rest did,
@@ -254,7 +254,7 @@ class TestThreadedRecovery:
         result, _ = self.run_app(
             app, 3, fault_injector=injector, isolate_failures=True,
         )
-        assert result.failed_task_ids == [0]
+        assert [f.task_id for f in result.failures] == [0]
 
     def test_slowdown_delay_logged_and_completes(self):
         app = make_counting_app(4)
@@ -417,7 +417,8 @@ class TestSimulatedFaults:
         with pytest.raises(PuFailureError) as info:
             self.executor(app, injector).run(6)
         assert info.value.pu_class == "gpu"
-        assert "gpu" in injector.dead_pus
+        assert [(e.kind, e.pu_class) for e in injector.events] == [
+            ("pu-dropout", "gpu")]
 
 
 class TestAdaptiveFallback:

@@ -9,7 +9,7 @@ from repro.apps import (
 )
 from repro.core import Application, Stage
 from repro.errors import PipelineError
-from repro.runtime import estimate_pipeline_memory, max_depth_within
+from repro.runtime import estimate_pipeline_memory
 from repro.soc import WorkProfile
 
 
@@ -32,29 +32,19 @@ class TestEstimate:
             one.total_bytes / 1024 / 1024
         )
 
-    def test_largest_buffers_ranked(self):
-        app = build_octree_application(n_points=2_000)
-        report = estimate_pipeline_memory(app, depth=1)
-        top = report.largest_buffers(3)
-        assert len(top) == 3
-        sizes = [size for _, size in top]
-        assert sizes == sorted(sizes, reverse=True)
-        # Octree children array (8 pointers/cell) dominates.
-        assert top[0][0] == "oc_children"
-
     def test_sparse_batch_dominated_by_activations(self):
         report = estimate_pipeline_memory(
             build_alexnet_sparse(batch=8), depth=2
         )
         assert report.per_task_bytes > 0
-        name, _ = report.largest_buffers(1)[0]
+        name = max(report.buffer_bytes, key=report.buffer_bytes.get)
         assert name.startswith("act")
 
     def test_stereo_dominated_by_cost_volume(self):
         report = estimate_pipeline_memory(
             build_stereo_application(), depth=2
         )
-        name, _ = report.largest_buffers(1)[0]
+        name = max(report.buffer_bytes, key=report.buffer_bytes.get)
         assert name in ("aggregated", "cost")
 
     def test_requires_task_factory(self):
@@ -69,11 +59,3 @@ class TestEstimate:
         app = build_octree_application(n_points=1_000)
         with pytest.raises(PipelineError):
             estimate_pipeline_memory(app, depth=0)
-
-
-class TestBudget:
-    def test_max_depth_within_budget(self):
-        app = build_octree_application(n_points=2_000)
-        per_task = estimate_pipeline_memory(app, depth=1).per_task_bytes
-        assert max_depth_within(app, 3 * per_task) == 3
-        assert max_depth_within(app, per_task - 1) == 0

@@ -8,7 +8,6 @@ from repro.runtime import (
     SimulatedPipelineExecutor,
     Span,
     format_gantt,
-    pipeline_bubbles,
 )
 from repro.soc import get_platform
 from repro.soc.pu import BIG, GPU, MEDIUM
@@ -209,27 +208,3 @@ class TestMultiTenantGantt:
 
     def test_untagged_only_trace_has_no_sections(self, traced_run):
         assert "tenant" not in format_gantt(traced_run.spans)
-
-
-class TestBubbles:
-    def test_back_to_back_has_no_bubble(self):
-        spans = [
-            Span(0, "big", 0, 0.0, 1.0),
-            Span(0, "big", 1, 1.0, 2.0),
-        ]
-        assert pipeline_bubbles(spans)[0] == pytest.approx(0.0)
-
-    def test_gap_creates_bubble(self):
-        spans = [
-            Span(0, "big", 0, 0.0, 1.0),
-            Span(0, "big", 1, 3.0, 4.0),
-        ]
-        assert pipeline_bubbles(spans)[0] == pytest.approx(0.5)
-
-    def test_bottleneck_chunk_has_smallest_bubble(self, traced_run):
-        bubbles = pipeline_bubbles(traced_run.spans)
-        busiest = max(
-            traced_run.chunk_busy_s,
-            key=lambda i: traced_run.chunk_busy_s[i],
-        )
-        assert bubbles[busiest] <= min(bubbles.values()) + 0.15

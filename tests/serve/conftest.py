@@ -26,7 +26,7 @@ def platform():
 
 @pytest.fixture(scope="session")
 def plan_cache(platform):
-    return PlanCache(platform, k=8)
+    return PlanCache(platform)
 
 
 @pytest.fixture(scope="session")

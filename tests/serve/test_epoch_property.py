@@ -59,7 +59,7 @@ rules = st.builds(
 def warm_cache(platform):
     """Both applications planned up front, so ``misses`` reads the
     same for every server that shares the cache."""
-    cache = PlanCache(platform, k=8)
+    cache = PlanCache(platform)
     for application in APPS:
         cache.plan_for(application)
     return cache

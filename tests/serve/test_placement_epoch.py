@@ -75,7 +75,7 @@ def both_arms(monkeypatch, always_price, drive):
 
 def fresh_cache(platform):
     """A plan cache per arm, so plan builds land in both traces."""
-    return PlanCache(platform, k=8)
+    return PlanCache(platform)
 
 
 def server_for(platform, **config):

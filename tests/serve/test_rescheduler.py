@@ -45,7 +45,7 @@ class TestClassify:
 
     def test_saturated_measurement(self, rescheduler, plan, app):
         record = deployed_record(plan, app)
-        heavy = plan.interference_prediction(record.schedule)
+        heavy = plan.predictions(record.schedule)[1]
         isolated = plan.isolated_prediction(record.schedule)
         assert rescheduler.classify(
             record, heavy, isolated) == "interference"

@@ -46,7 +46,7 @@ def count_simulated(monkeypatch):
 
 def fresh_cache(platform):
     """A plan cache per arm, so the reports' hit counts compare too."""
-    return PlanCache(platform, k=8)
+    return PlanCache(platform)
 
 
 def observed(server, report):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PlatformError
-from repro.soc import DvfsCurve, InterferenceModel, co_load_fraction
+from repro.soc import DvfsCurve, InterferenceModel
 from repro.soc.interference import ExternalLoad, external_co_load
 from repro.soc.pu import BIG, GPU, LITTLE, MEDIUM
 
@@ -112,23 +112,21 @@ class TestSpeedMultiplier:
 
 
 class TestCoLoadFraction:
+    """The DVFS co-load: the fraction of the *other* PU classes busy."""
+
     def test_isolated(self):
-        assert co_load_fraction(0, 3) == 0.0
+        assert external_co_load(set(), "big", None, 3) == 0.0
 
     def test_interference_heavy(self):
-        assert co_load_fraction(3, 3) == 1.0
+        busy = {"big", "medium", "little", "gpu"}
+        assert external_co_load(busy, "big", None, 3) == 1.0
 
     def test_partial(self):
-        assert co_load_fraction(1, 4) == pytest.approx(0.25)
+        assert external_co_load({"big", "gpu"}, "big", None, 4) == (
+            pytest.approx(0.25))
 
     def test_no_other_pus(self):
-        assert co_load_fraction(0, 0) == 0.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(PlatformError):
-            co_load_fraction(4, 3)
-        with pytest.raises(PlatformError):
-            co_load_fraction(-1, 3)
+        assert external_co_load({"big"}, "big", None, 0) == 0.0
 
 
 class TestExternalLoadKey:

@@ -77,10 +77,6 @@ class TestTopology:
         with pytest.raises(PlatformError):
             jetson.pu(MEDIUM)
 
-    def test_num_other_pus(self, pixel, jetson):
-        assert pixel.num_other_pus(GPU) == 3
-        assert jetson.num_other_pus(GPU) == 1
-
 
 class TestGroundTruthTiming:
     def test_isolated_time_positive(self, pixel):

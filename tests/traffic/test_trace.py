@@ -23,14 +23,6 @@ class TestRecord:
         assert trace.seed == 5
         assert trace.spec == small_spec
 
-    def test_events_at_filters_by_tick(self, trace):
-        for tick in range(trace.spec.ticks):
-            for event in trace.events_at(tick):
-                assert event.tick == tick
-        total = sum(len(trace.events_at(t))
-                    for t in range(trace.spec.ticks))
-        assert total == len(trace.events)
-
     def test_rejects_out_of_order_events(self, small_spec):
         events = TrafficGenerator(small_spec, seed=5).events()
         assert len(events) >= 2
