@@ -18,7 +18,8 @@ from ``repro.soc.cost_model`` / ``repro.soc.interference`` and sees
 seconds only.  Each entry averages ``repetitions`` noisy measurements
 (30 in the paper).  A profile is one pass: each stage is put to the
 platform once (:meth:`Platform.profiling_times`: both conditions, every
-PU) and every cell, whoever asks, goes through :meth:`BTProfiler._cell`.
+PU), every cell of the pass is timed in one :meth:`Platform.measure_cells`
+call, and every cell, whoever asks, goes through :meth:`BTProfiler._cell`.
 """
 
 from __future__ import annotations
@@ -171,21 +172,28 @@ class BTProfiler:
             self.platform.profiling_times(stage.work)
             for stage in application.stages
         ]
+        # Every cell of the pass, in table order, timed in one call.
+        drawn = iter(self.platform.measure_cells(
+            [(times[pu_class][MODES.index(mode)],
+              ("profile", application.name, stage.name, pu_class, mode))
+             for mode in modes
+             for stage, times in zip(application.stages, truth)
+             for pu_class in pu_classes],
+            self.repetitions,
+        ))
         tables = []
         for mode in modes:
-            column = MODES.index(mode)
             entries: Dict[Tuple[str, str], float] = {}
             stddevs: Dict[Tuple[str, str], float] = {}
             with tracer().span("profiler.profile", "profiler",
                                application=application.name, mode=mode):
-                for stage, times in zip(application.stages, truth):
+                for stage in application.stage_names:
                     for pu_class in pu_classes:
-                        key = (stage.name, pu_class)
-                        cell = (application.name, stage.name, pu_class,
-                                mode, times[pu_class][column])
+                        key = (stage, pu_class)
+                        cell = (stage, pu_class, mode, next(drawn))
                         entries[key], stddevs[key] = (
-                            self._cell(*cell) if session is None
-                            else session.cell(self._cell, *cell))
+                            self._cell(*cell) if session is None else
+                            session.cell(self._cell, application.name, *cell))
             tables.append(ProfilingTable(
                 application=application.name,
                 platform=self.platform.name,
@@ -197,18 +205,12 @@ class BTProfiler:
             ))
         return tables
 
-    def _cell(self, application_name: str, stage_name: str, pu_class: str,
-              mode: str, true_seconds: float) -> Tuple[float, float]:
-        """The one cell routine: ``repetitions`` timer observations of
-        ``true_seconds`` from the cell's own keyed stream, averaged."""
+    def _cell(self, stage_name: str, pu_class: str, mode: str,
+              samples: List[float]) -> Tuple[float, float]:
+        """The one cell routine: the cell's ``repetitions`` timer
+        observations, averaged."""
         with tracer().span("profiler.cell", "profiler",
                            stage=stage_name, pu=pu_class, mode=mode):
-            rng = self.platform.measurement_rng(
-                "profile", application_name, stage_name, pu_class, mode
-            )
-            samples = self.platform.measure_repeated(
-                true_seconds, rng, self.repetitions
-            )
             mean = mean_of_measurements(samples)
             std = 0.0
             if len(samples) >= 2:

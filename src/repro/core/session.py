@@ -43,6 +43,7 @@ Layout of a session directory::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +57,7 @@ from repro.core.schedule import validate_schedule
 from repro.core.stage import Application
 from repro.errors import CampaignError
 from repro.serialization import (
+    CHECKSUM_KEY,
     SerializationError,
     optimization_from_dict,
     read_artifact,
@@ -80,6 +82,14 @@ def _safe_name(name: str) -> str:
 
 def _silent(unit: str) -> None:
     """The :data:`UnitCallback` of a run nobody watches."""
+
+
+def _seconds(data: Dict[str, Any], key: str) -> float:
+    """``data[key]``, a finite non-negative number in a sound checkpoint."""
+    value = data[key]
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise SerializationError(f"{key} {value!r} is not a duration")
+    return float(value)
 
 
 @dataclass
@@ -208,7 +218,10 @@ class CampaignSession:
         if not path.exists():
             return None
         try:
-            return parse(read_artifact(path, kind=kind))
+            data = read_artifact(path, kind=kind)
+            if CHECKSUM_KEY not in data:  # the session checksums them all
+                raise SerializationError(f"{path}: no checksum")
+            return parse(data)
         except (SerializationError, KeyError, TypeError,
                 ValueError) as exc:
             self.report.corrupt_units.append(f"{unit} ({exc})")
@@ -220,11 +233,12 @@ class CampaignSession:
     def cell(
         self, measure: Callable[..., Tuple[float, float]],
         application: str, stage: str, pu_class: str, mode: str,
-        true_seconds: float,
+        samples: List[float],
     ) -> Tuple[float, float]:
-        """``measure`` (the profiler's cell routine), checkpointed: a
-        cell on disk is read back; a missing or corrupt one is measured
-        and written before its unit is reported."""
+        """``measure`` (the profiler's cell routine) of the cell's
+        ``samples``, checkpointed: a cell on disk is read back; a
+        missing or corrupt one is measured and written before its unit
+        is reported."""
         unit = f"profile:{mode}:{stage}:{pu_class}"
         path = (self.directory / "profiling" / _safe_name(mode)
                 / f"{_safe_name(stage)}__{_safe_name(pu_class)}.json")
@@ -239,14 +253,13 @@ class CampaignSession:
                     f"{path}: cell coordinates {tuple(found.values())} "
                     "do not match their location in the session"
                 )
-            return float(data["mean_s"]), float(data["stddev_s"])
+            return _seconds(data, "mean_s"), _seconds(data, "stddev_s")
 
         cell = self._read(path, "profiling_cell", unit, parse)
         if cell is not None:
             self.report.cells_reused += 1
         else:
-            cell = measure(application, stage, pu_class, mode,
-                           true_seconds)
+            cell = measure(stage, pu_class, mode, samples)
             path.parent.mkdir(parents=True, exist_ok=True)
             write_artifact(path, "profiling_cell", {
                 **where, "mean_s": cell[0], "stddev_s": cell[1],
@@ -306,7 +319,7 @@ class CampaignSession:
                 )
             return AutotuneEntry(
                 rank=candidate.rank, candidate=candidate,
-                measured_latency_s=float(data["measured_latency_s"]),
+                measured_latency_s=_seconds(data, "measured_latency_s"),
             )
 
         return self._read(path, "autotune_measurement",

@@ -14,7 +14,7 @@ black-box methodology (section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,11 +188,12 @@ class Platform:
         """One noisy timer observation of a true duration."""
         return self.noise.perturb(true_seconds, rng)
 
-    def measure_repeated(
-        self, true_seconds: float, rng: np.random.Generator, count: int
-    ) -> List[float]:
-        """``count`` successive timer observations of one duration."""
-        return self.noise.perturb_repeated(true_seconds, rng, count)
+    def measure_cells(self, cells: Sequence[Tuple[float, tuple]],
+                      count: int) -> List[List[float]]:
+        """``count`` timer observations of each ``(true_seconds, key)``
+        cell, from the stream ``measurement_rng(*key)`` gives."""
+        return self.noise.perturb_cells(
+            [(seconds, (self.name, *key)) for seconds, key in cells], count)
 
     def measurement_rng(self, *key: object) -> np.random.Generator:
         """Deterministic RNG stream keyed by (platform, *key)."""

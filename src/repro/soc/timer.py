@@ -7,16 +7,78 @@ reproduces the *statistics* of that process: every measurement of a true
 duration is perturbed by multiplicative lognormal noise drawn from a
 deterministic, stream-keyed RNG, so experiments are reproducible bit-for-bit
 while still exhibiting realistic run-to-run variation.
+
+A keyed stream is ``Generator(PCG64(seed))``; a profile runs the
+``SeedSequence`` set-up of all of its cells' streams in one vectorised
+pass instead (``perturb_cells``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.errors import PlatformError
+
+_LOW32, _16, _32 = np.uint64(0xFFFFFFFF), np.uint64(16), np.uint64(32)
+
+
+def _hashes(start: int, mult: int, n: int) -> Tuple[np.ndarray, ...]:
+    """(xor, multiply) columns of ``n`` successive hashes: the constant
+    is multiplied by ``mult`` between its two uses, whatever the data."""
+    column = np.array([start * pow(mult, i, 2**32) % 2**32
+                       for i in range(n + 1)], dtype=np.uint64)[:, None]
+    return column[:-1], column[1:]
+
+
+# numpy/random/bit_generator.pyx, pool size 4: ``mix_entropy`` hashes 4
+# words into the pool, then each pool word into the other three, and
+# ``generate_state(4, np.uint64)`` hashes the pool, cycled, 8 times.
+_MIX_XOR, _MIX_MUL = _hashes(0x43B0D7E5, 0x931E8875, 16)
+_ROUNDS = [(src, np.array([dst for dst in range(4) if dst != src]),
+            _MIX_XOR[4 + 3 * src:7 + 3 * src],
+            _MIX_MUL[4 + 3 * src:7 + 3 * src]) for src in range(4)]
+_STATE_XOR, _STATE_MUL = _hashes(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray,
+             mul: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mul & _LOW32
+    return words ^ words >> _16
+
+
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of every seed
+    as one C-contiguous (N, 4) array: all pools mixed in one pass, every
+    operand ``np.uint64`` and every word below 2**32."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint64)
+    # A seed below 2**32 is one entropy word; a missing word hashes as 0.
+    pool[0], pool[1] = seeds & _LOW32, seeds >> _32
+    pool = _hashmix(pool, _MIX_XOR[:4], _MIX_MUL[:4])
+    for src, dsts, xor, mul in _ROUNDS:
+        mixed = (_MIX_L * pool[dsts]
+                 - _MIX_R * _hashmix(pool[src], xor, mul)) & _LOW32
+        pool[dsts] = mixed ^ mixed >> _16
+    halves = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MUL)
+    words = halves[0::2] | halves[1::2] << _32
+    return np.ascontiguousarray(words.T)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed's precomputed state words, handed to ``PCG64`` as the four
+    ``np.uint64`` it asks its seed sequence for: ``PCG64(_SeedWords(row))``
+    is ``PCG64(seed)``, its own ``set_seed`` included."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _stable_seed(*parts: object) -> int:
@@ -53,22 +115,29 @@ class MeasurementNoise:
 
     def perturb(self, true_seconds: float, rng: np.random.Generator) -> float:
         """One noisy observation of a true duration."""
-        return self.perturb_repeated(true_seconds, rng, 1)[0]
-
-    def perturb_repeated(
-        self, true_seconds: float, rng: np.random.Generator, count: int
-    ) -> List[float]:
-        """What ``count`` successive :meth:`perturb` calls return (and
-        leave of the generator), in one vectorised draw."""
         if true_seconds < 0:
             raise PlatformError("durations cannot be negative")
         if self.sigma == 0.0:
-            return [true_seconds] * count
+            return true_seconds
         # Mean-one lognormal so averaging many reps converges to truth.
-        draws = rng.lognormal(
-            mean=-0.5 * self.sigma**2, sigma=self.sigma, size=count
-        )
-        return (true_seconds * draws).tolist()
+        return true_seconds * rng.lognormal(-0.5 * self.sigma**2, self.sigma)
+
+    def perturb_cells(
+        self, cells: Sequence[Tuple[float, Tuple[object, ...]]], count: int
+    ) -> List[List[float]]:
+        """``count`` :meth:`perturb` draws for each ``(true_seconds,
+        key)`` cell from its stream ``rng(*key)``, all set up at once."""
+        if any(true_seconds < 0 for true_seconds, _ in cells):
+            raise PlatformError("durations cannot be negative")
+        if self.sigma == 0.0:
+            return [[true_seconds] * count for true_seconds, _ in cells]
+        words = _seed_words(
+            [_stable_seed(self.seed, *key) for _, key in cells])
+        draws = [np.random.Generator(np.random.PCG64(_SeedWords(row)))
+                 .lognormal(-0.5 * self.sigma**2, self.sigma, count)
+                 for row in words]
+        true_seconds = np.array([seconds for seconds, _ in cells])
+        return (true_seconds[:, None] * np.array(draws)).tolist()
 
 
 def mean_of_measurements(samples: Iterable[float]) -> float:

@@ -322,11 +322,14 @@ class TestOnePassEqualsTwoPass:
         for _ in range(5):
             assert (platform.measure(1.5e-3, ours)
                     == reference_measure(platform, 1.5e-3, theirs))
-        # ...and a vector draw leaves the stream where scalars would.
-        platform.measure_repeated(1.5e-3, ours, 7)
-        for _ in range(7):
-            reference_measure(platform, 1.5e-3, theirs)
-        assert ours.random() == theirs.random()
+        # ...and a batch draws each cell what its own stream's scalar
+        # draws would be.
+        cells = [(1.5e-3, ("k",)), (2e-4, ("k", 1)), (0.0, ("j",))]
+        for (true_seconds, key), got in zip(
+                cells, platform.measure_cells(cells, 7)):
+            rng = platform.measurement_rng(*key)
+            assert got == [reference_measure(platform, true_seconds, rng)
+                           for _ in range(7)]
 
 
 # ----------------------------------------------------------------------
@@ -401,10 +404,23 @@ class TestSeededMutantsAreKilled:
         assert not survives_the_grid()
 
     def test_mode_dropped_from_the_cell_rng_key(self, monkeypatch):
-        keyed = Platform.measurement_rng
+        batch = Platform.measure_cells
         monkeypatch.setattr(
-            Platform, "measurement_rng",
-            lambda platform, *key: keyed(platform, *key[:-1]))
+            Platform, "measure_cells",
+            lambda platform, cells, count: batch(
+                platform, [(true_s, key[:-1]) for true_s, key in cells],
+                count))
+        assert not survives_the_grid()
+
+    def test_pass_drawn_in_a_different_cell_order(self, monkeypatch):
+        # PU-major instead of the tables' (mode, stage, PU) order: every
+        # cell is drawn from its own stream, but handed to another cell.
+        batch = Platform.measure_cells
+        monkeypatch.setattr(
+            Platform, "measure_cells",
+            lambda platform, cells, count: batch(
+                platform, sorted(cells, key=lambda cell: cell[1][3]),
+                count))
         assert not survives_the_grid()
 
     def test_mean_taken_with_numpy_sum(self, monkeypatch):

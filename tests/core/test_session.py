@@ -19,7 +19,7 @@ import repro
 from repro.apps import build_octree_application
 from repro.core import BetterTogether, CampaignSession
 from repro.errors import CampaignError
-from repro.serialization import CHECKSUM_KEY
+from repro.serialization import CHECKSUM_KEY, artifact_sha256
 from repro.soc import get_platform
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -185,6 +185,53 @@ class TestCorruptionRepair:
         resumed = CampaignSession(session.directory, framework)
         resumed.run(app)
         assert resumed.report.cells_measured == 1
+
+    @pytest.mark.parametrize("forged", [-1.0, "nan"])
+    def test_stripped_checksum_is_damage(self, tmp_path, framework, app,
+                                         forged):
+        session, _ = run_campaign(tmp_path, framework, app)
+        before = read_tree(session.directory)
+
+        def strip(path):
+            data = json.loads(path.read_text())
+            del data[CHECKSUM_KEY]
+            data["mean_s"] = forged
+            path.write_text(json.dumps(data, indent=2))
+
+        self.corrupt_one(session, strip)
+        resumed = CampaignSession(session.directory, framework)
+        resumed.run(app)
+        assert resumed.report.cells_measured == 1
+        assert "no checksum" in resumed.report.corrupt_units[0]
+        assert read_tree(session.directory) == before
+
+    @pytest.mark.parametrize("forged", [-1.0, float("nan"), float("inf"),
+                                        "0.001", True, None])
+    @pytest.mark.parametrize("unit", ["cell", "measurement"])
+    def test_checksummed_nonsense_is_damage(self, tmp_path, framework, app,
+                                            forged, unit):
+        """A value no timer can read is damage even under a valid
+        checksum: the unit is re-measured, the tree ends complete."""
+        session, _ = run_campaign(tmp_path, framework, app)
+        before = read_tree(session.directory)
+        if unit == "cell":
+            victim = sorted((session.directory / "profiling").rglob(
+                "*.json"))[0]
+            key = "mean_s"
+        else:
+            victim = session.directory / "autotune" / "cand_001.json"
+            key = "measured_latency_s"
+        data = json.loads(victim.read_text())
+        data[key] = forged
+        data[CHECKSUM_KEY] = artifact_sha256(data)
+        victim.write_text(json.dumps(data, indent=2))
+        resumed = CampaignSession(session.directory, framework)
+        resumed.run(app)
+        assert len(resumed.report.corrupt_units) == 1
+        assert "not a duration" in resumed.report.corrupt_units[0]
+        assert (resumed.report.cells_measured
+                + resumed.report.measurements_run) == 1
+        assert read_tree(session.directory) == before
 
     def test_missing_files_are_recollected(self, tmp_path, framework,
                                            app):
