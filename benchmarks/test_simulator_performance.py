@@ -120,36 +120,39 @@ def test_vector_engine_not_slower_than_reference(make_executor):
 
 
 def test_noise_cache_makes_reruns_cheaper(make_executor, monkeypatch):
-    """Execution jitter is a memoised pure function of (platform,
-    schedule, task, stage), not executor state.  The serving path keeps
-    one executor per deployed (application, schedule), but executors of
-    one schedule are still built again - a same-name application of
-    other work, a deployment the bounded table let go - so the property
-    it needs is that a *second, fresh* executor of a schedule constructs
-    no ``Generator`` at all while its window's duration table is laid
-    out.  Asserted on constructions counted at ``default_rng`` - whatever
-    shape the memo has; wall-clock cold-vs-warm comparisons flake on
-    loaded CI machines - with timings printed for the curious."""
+    """Execution jitter is a memo of pure columns keyed by (platform,
+    schedule, chunk-local stage, window size), not executor state.  The
+    serving path keeps one executor per deployed (application,
+    schedule), but executors of one schedule are still built again - a
+    same-name application of other work, a deployment the bounded table
+    let go - so the property it needs is that a *second, fresh* executor
+    of a schedule fills no column and constructs no ``Generator`` while
+    its window's duration table is laid out.  Asserted on the streams
+    counted at ``lognormal_draws`` - wall-clock cold-vs-warm comparisons
+    flake on loaded CI machines - with timings printed for the
+    curious."""
     constructed = []
-    default_rng = simulator.np.random.default_rng
+    lognormal_draws = simulator.lognormal_draws
     monkeypatch.setattr(
-        simulator.np.random, "default_rng",
-        lambda seed: constructed.append(seed) or default_rng(seed))
-    simulator._noise_scale.cache_clear()
+        simulator, "lognormal_draws",
+        lambda seeds, sigma, count: constructed.append(len(seeds))
+        or lognormal_draws(seeds, sigma, count))
+    simulator._jitter_column.cache_clear()
     start = time.perf_counter()
     make_executor().run(N_TASKS)
     cold_s = time.perf_counter() - start
-    cold = len(constructed)
-    # One draw per (task, chunk-local stage) of the longer chunk.
-    assert cold == N_TASKS * 5
+    cold = sum(constructed)
+    # One column per chunk-local stage of the longer chunk, one draw
+    # per task in each.
+    assert constructed == [N_TASKS] * 5
 
     start = time.perf_counter()
     make_executor().run(N_TASKS)
     warm_s = time.perf_counter() - start
     print(f"\ncold run {cold_s * 1e3:.1f} ms "
-          f"({cold} generator constructions), "
-          f"fresh-executor rerun {warm_s * 1e3:.1f} ms "
-          f"({len(constructed) - cold} constructions)")
-    assert len(constructed) == cold
-    memo = simulator._noise_scale.cache_info()
-    assert memo.currsize == cold <= memo.maxsize
+          f"({cold} generator constructions in {len(constructed)} "
+          f"columns), fresh-executor rerun {warm_s * 1e3:.1f} ms "
+          f"({sum(constructed) - cold} constructions)")
+    assert sum(constructed) == cold
+    memo = simulator._jitter_column.cache_info()
+    assert memo.currsize == len(constructed) <= memo.maxsize

@@ -27,9 +27,10 @@ argument):
 
 * ``vector`` (default) - the event kernel.  A pipeline's phase order
   is static, so a window is *compiled* before it is simulated: once per
-  executor each chunk server's phase program, once per window the flat
-  table of every step's duration (jitter drawn ahead of the loop), and
-  the loop itself only advances clocks and bumps pointers.
+  executor each chunk server's phase program, once per window a flat,
+  task-major table of every step's duration (built a work step's
+  jitter column at a time), and the loop itself only advances clocks
+  and bumps one slot index per server.
   Instantaneous rates are recomputed only when the discrete phase
   signature (who is active, in which stage, which phase) actually
   changes - and then for all active servers in one pass, memoized per
@@ -53,10 +54,13 @@ long-lived dispatcher per chunk - and the memo is kept per co-load value
 (:attr:`ExternalLoad.key`), so signatures learned under one co-load
 survive every window in which it holds.
 
-Execution jitter is not executor state either: :func:`_noise_scale` is
-a memoised pure function of ``(platform name, schedule key, task,
-stage)`` - nothing of the executor, tenant, application or external
-load enters the draw - and neither is the tenant: who a window is served
+Execution jitter is not executor state either: task ``t``'s jitter in
+chunk-local stage ``s`` is the first lognormal of a stream keyed by
+``(platform name, schedule key, t, s)`` - nothing of the executor,
+tenant, application or external load enters the draw - and
+:func:`_jitter_column` memoises a window's ``n_tasks`` of them per
+stage as one column, all its streams set up in one vectorised pass.
+Neither is the tenant executor state: who a window is served
 for is a *per-window* tag (``run(..., tenant=)``, ``SimWindow.tenant``)
 that only :meth:`~SimulatedPipelineExecutor.report_run` reads, so
 recorded spans carry no tenant and one result can be handed to many.
@@ -87,6 +91,7 @@ import hashlib
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     Callable,
     Deque,
@@ -97,8 +102,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro.core.stage import Application, Chunk
 from repro.errors import PipelineError, ReproError
 from repro.obs.metrics import metrics
@@ -108,12 +111,14 @@ from repro.runtime.trace import Span, record_span
 from repro.soc.cost_model import StageCost
 from repro.soc.interference import ExternalLoad, external_co_load
 from repro.soc.platform import Platform
+from repro.soc.timer import lognormal_draws
 
 #: Relative run-to-run jitter of a single stage execution (smaller than
 #: the timer's measurement noise; real kernels are quite repeatable).
 _EXEC_NOISE_SIGMA = 0.01
 
 _IDLE = -1
+_INF = float("inf")
 
 #: Phase completion epsilon, *relative* to the phase's total duration.
 #: An absolute epsilon is magnitude-blind: ``remaining -= dt * rate``
@@ -128,29 +133,34 @@ ENGINE_VECTOR = "vector"
 ENGINE_REFERENCE = "reference"
 _ENGINES = (ENGINE_VECTOR, ENGINE_REFERENCE)
 
-#: Entries the :func:`_noise_scale` memo keeps.  Sized from the measured
-#: key spaces of this repo's traffic - 54 distinct keys in a whole
-#: 8-shard overload soak, 30 840 in the paper campaign (~7 MiB) - with
-#: 2x headroom, so no workload evicts and a full memo stays ~16 MiB.
-_NOISE_MEMO_SIZE = 1 << 16
+#: Columns the :func:`_jitter_column` memo keeps.  Sized from the
+#: measured key spaces (seed 7) - 1 027 columns of 30 tasks in the paper
+#: campaign (~1.2 MiB), 9 / 9 / 24 columns of 6 tasks in the steady,
+#: overload and cold-plan chaos fleet soaks - with 2x headroom, so no
+#: workload evicts and a full memo stays ~2.5 MiB.
+_NOISE_MEMO_SIZE = 1 << 11
 
 
 @functools.lru_cache(maxsize=_NOISE_MEMO_SIZE)
-def _noise_scale(platform_name: str, schedule_key: str,
-                 task_id: int, stage: int) -> float:
-    """Execution jitter of one (task, stage) of one schedule on one SoC.
+def _jitter_column(platform_name: str, schedule_key: str, stage: int,
+                   n_tasks: int) -> Tuple[float, ...]:
+    """Execution jitter of one chunk-local stage of one schedule on one
+    SoC, for every task of an ``n_tasks`` window.
 
-    A pure function of exactly the digest's inputs, so the memo is
-    exact and shared by every executor in the process; without it the
-    digest + ``Generator`` construction dominates the DES hot path.
+    Task ``t``'s jitter is the first lognormal of its own stream, keyed
+    by the blake2b digest of ``platform|schedule|t|stage`` - a pure
+    function of exactly those inputs, so the memo is exact and shared
+    by every executor in the process.  The column's streams are set up
+    in one :func:`~repro.soc.timer.lognormal_draws` pass.
     """
-    digest = hashlib.blake2b(
-        f"{platform_name}|{schedule_key}|{task_id}|{stage}".encode(),
-        digest_size=8,
-    ).digest()
-    rng = np.random.default_rng(int.from_bytes(digest, "little"))
-    sigma = _EXEC_NOISE_SIGMA
-    return float(rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma))
+    seeds = [
+        int.from_bytes(hashlib.blake2b(
+            f"{platform_name}|{schedule_key}|{task}|{stage}".encode(),
+            digest_size=8,
+        ).digest(), "little")
+        for task in range(n_tasks)
+    ]
+    return tuple(lognormal_draws(seeds, _EXEC_NOISE_SIGMA, 1)[:, 0].tolist())
 
 
 def _resolve_engine(explicit: Optional[str]) -> str:
@@ -305,11 +315,11 @@ class _VectorEngine:
     no event and a zero-overhead stage makes exactly one, as in the
     reference loop (a positive ``work_s`` stays positive under any
     jitter and fault scale short of float underflow).  Once per window,
-    :meth:`_durations` lays out every step of every task.  The loop
-    then only bumps pointers over those lists: servers take tasks in
-    FIFO order, so a server's queue is the pair of counters
-    ``started[i] < finished[i - 1]``, read only after a task finished
-    somewhere.
+    :meth:`_durations` lays out every step of every task, task-major,
+    so a server's position is one slot index into flat tables.  The
+    loop then only bumps slots: servers take tasks in FIFO order, so a
+    server's queue is the pair of counters ``started[i] < ready[i]``,
+    read only after an arrival or a finish somewhere.
 
     Rates are memoized per *phase signature* - the tuple of per-server
     phase codes (``-1`` idle, else ``stage * 2 + work_flag``) - because
@@ -360,14 +370,18 @@ class _VectorEngine:
                                Dict[Tuple[int, ...], tuple]] = {}
 
     def _durations(self, n_tasks: int) -> List[List[float]]:
-        """One window's duration tables: per server, every step of every
-        task in the order the server walks them, ``work_s * jitter`` for
-        a work step (which a fault hook overwrites at stage entry)."""
+        """One window's duration tables: per server, step ``k`` of task
+        ``t`` at slot ``t * len(program) + k``, ``work_s * jitter`` for
+        a work step (which a fault hook overwrites at stage entry) -
+        built a step's column at a time, one jitter column each."""
         name, key = self.noise_key
         return [
-            [value * _noise_scale(name, key, task, code >> 1)
-             if code & 1 else value
-             for task in range(n_tasks) for code, value in program]
+            list(chain.from_iterable(zip(*[
+                [value * jitter for jitter in
+                 _jitter_column(name, key, code >> 1, n_tasks)]
+                if code & 1 else [value] * n_tasks
+                for code, value in program
+            ])))
             for program in self.programs
         ]
 
@@ -421,45 +435,39 @@ class _VectorEngine:
         n_tasks: int,
         record_trace: bool,
         arrivals: List[float],
-        scale_fns: List[Callable[[int, int], float]],
+        scale_fns: List[Callable[[int, int, int], float]],
         external: Optional[ExternalLoad],
     ):
         n = self.n
         depth = self.depth
-        codes = self.codes
-        durations = self._durations(n_tasks)
-        entries = self.entries if self.hooked else None
+        tables = self._durations(n_tasks)
+        codes = [program_codes * n_tasks for program_codes in self.codes]
+        per_task = [len(program) for program in self.programs]
         rate_cache = self.rate_caches.setdefault(
             None if external is None else external.key, {}
         )
+        hook = None
+        if self.hooked:
+            def hook(i: int, at: int) -> None:
+                """The fault hook, at stage entry and in event order: it
+                records, may raise, and scales the stage's work step."""
+                task, k = divmod(at, per_task[i])
+                if self.entries[i][k] is not None:
+                    stage, work_s, offset = self.entries[i][k]
+                    scale = scale_fns[i](n_tasks, task, stage)
+                    if offset >= 0:
+                        tables[i][at + offset] = work_s * scale
+
         remaining = [0.0] * n
         phase_eps = [-1.0] * n
         busy = [0.0] * n
         sig = [_IDLE] * n
-        step = [0] * n      # position in the server's program
-        slot = [0] * n      # ... and in its duration table
-        started = [0] * n   # tasks begun / finished per server: server
-        finished = [0] * n  # i is on task started[i] - 1
-
-        def enter(i: int, k: int) -> None:
-            """Server ``i`` goes on to step ``k`` of its program."""
-            at = slot[i]
-            slot[i] = at + 1
-            if entries is not None and entries[i][k] is not None:
-                # The fault hook, at stage entry and in event order: it
-                # records, may raise, and scales the stage's work step.
-                stage, work_s, offset = entries[i][k]
-                scale = scale_fns[i](started[i] - 1, stage)
-                if offset >= 0:
-                    durations[i][at + offset] = work_s * scale
-            total = durations[i][at]
-            step[i] = k
-            remaining[i] = total
-            phase_eps[i] = total * _REL_EPS
-            sig[i] = codes[i][k]
-
+        slot = [0] * n      # position in the server's tables
+        started = [0] * n   # tasks server i has begun, of the ready[i]
+        ready = [0] * (n + 1)  # handed to it: issued, or done upstream
         now = 0.0
         issued = 0
+        done = 0
         events = 0
         completed: List[float] = []
         spans: List[Span] = []
@@ -468,25 +476,27 @@ class _VectorEngine:
         dirty = True
         pairs: tuple = ()
 
-        while len(completed) < n_tasks:
+        while done < n_tasks:
             events += 1
             # Admit work: the first server off the arrival stream, the
             # others off what their upstream neighbour has finished.
             waiting = (sig[0] == _IDLE and issued < n_tasks
-                       and issued - len(completed) < depth)
+                       and issued - done < depth)
             if waiting and arrivals[issued] <= now + 1e-15:
                 waiting = False
-                started[0] = issued = issued + 1
-                enter(0, 0)
-                if record_trace:
-                    span_starts[0] = now
-                dirty = True
+                ready[0] = issued = issued + 1
+                handoff = True
             if handoff:
                 handoff = False
-                for i in range(1, n):
-                    if sig[i] == _IDLE and started[i] < finished[i - 1]:
+                for i in range(n):
+                    if sig[i] == _IDLE and started[i] < ready[i]:
                         started[i] += 1
-                        enter(i, 0)
+                        at = slot[i]
+                        if hook is not None:
+                            hook(i, at)
+                        remaining[i] = total = tables[i][at]
+                        phase_eps[i] = total * _REL_EPS
+                        sig[i] = codes[i][at]
                         if record_trace:
                             span_starts[i] = now
                         dirty = True
@@ -510,11 +520,11 @@ class _VectorEngine:
 
             # Advance to the next phase completion (or next arrival,
             # whichever lets the first chunk admit sooner).
-            dt = None
+            dt = _INF
             snap = -1
             for i, rate in pairs:
                 cand = remaining[i] / rate
-                if dt is None or cand < dt:
+                if cand < dt:
                     dt = cand
                     snap = i
             if dt < 0.0:
@@ -538,11 +548,16 @@ class _VectorEngine:
                         remaining[i] = left
                         continue
                 dirty = True
-                if step[i] + 1 < len(codes[i]):
-                    enter(i, step[i] + 1)
+                slot[i] = at = slot[i] + 1
+                if at < started[i] * per_task[i]:
+                    if hook is not None:
+                        hook(i, at)
+                    remaining[i] = total = tables[i][at]
+                    phase_eps[i] = total * _REL_EPS
+                    sig[i] = codes[i][at]
                     continue
                 sig[i] = _IDLE
-                finished[i] += 1
+                ready[i + 1] += 1
                 handoff = True
                 if record_trace:
                     spans.append(record_span(
@@ -553,6 +568,7 @@ class _VectorEngine:
                         end_s=now,
                     ))
                 if i + 1 == n:
+                    done += 1
                     completed.append(now)
 
         return completed, spans, dict(enumerate(busy)), now, events
@@ -755,25 +771,24 @@ class SimulatedPipelineExecutor:
     # ------------------------------------------------------------------
     def _make_scale_fn(
         self, server: _ChunkServer,
-    ) -> Callable[[int, int], float]:
-        """Per-server phase-scale function: jitter plus injected faults.
+    ) -> Callable[[int, int, int], float]:
+        """Per-server phase-scale function of ``(n_tasks, task, local
+        stage)``: the jitter column's entry times injected faults.
 
         The fault hooks key on *global* stage indices, which only the
         server's chunk offset can recover from the DES's local ones.
         """
-        noise = functools.partial(
-            _noise_scale, self.platform.name, self._schedule_key
-        )
-        if self._injector is None:
-            return noise
+        name, key = self.platform.name, self._schedule_key
+        injector = self._injector
 
-        def scale(task_id: int, local_stage: int) -> float:
-            return noise(task_id, local_stage) * (
-                self._injector.sim_cost_scale(
-                    server.chunk.pu_class,
-                    server.chunk.start + local_stage,
-                    task_id,
-                )
+        def scale(n_tasks: int, task_id: int, local_stage: int) -> float:
+            jitter = _jitter_column(name, key, local_stage, n_tasks)[task_id]
+            if injector is None:
+                return jitter
+            return jitter * injector.sim_cost_scale(
+                server.chunk.pu_class,
+                server.chunk.start + local_stage,
+                task_id,
             )
 
         return scale
@@ -863,9 +878,10 @@ class SimulatedPipelineExecutor:
         n_tasks: int,
         record_trace: bool,
         arrivals: List[float],
-        scale_fns: List[Callable[[int, int], float]],
+        scale_fns: List[Callable[[int, int, int], float]],
         external: Optional[ExternalLoad],
     ):
+        scale_fns = [functools.partial(fn, n_tasks) for fn in scale_fns]
         for server in self._servers:
             server.task = _IDLE
             server.ready.clear()

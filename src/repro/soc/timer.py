@@ -8,9 +8,9 @@ duration is perturbed by multiplicative lognormal noise drawn from a
 deterministic, stream-keyed RNG, so experiments are reproducible bit-for-bit
 while still exhibiting realistic run-to-run variation.
 
-A keyed stream is ``Generator(PCG64(seed))``; a profile runs the
-``SeedSequence`` set-up of all of its cells' streams in one vectorised
-pass instead (``perturb_cells``).
+A keyed stream is ``Generator(PCG64(seed))``; a profile (``perturb_cells``)
+and the simulator's jitter columns run the ``SeedSequence`` set-up of all
+of their streams in one vectorised pass instead (``lognormal_draws``).
 """
 
 from __future__ import annotations
@@ -81,6 +81,19 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+def lognormal_draws(seeds: Sequence[int], sigma: float,
+                    count: int) -> np.ndarray:
+    """``count`` mean-one lognormal draws from each seed's stream
+    ``Generator(PCG64(seed))`` as an (N, count) array, every stream set
+    up in one :func:`_seed_words` pass; a draw of ``count=1`` is the
+    scalar ``lognormal(mean, sigma)`` of the same stream."""
+    return np.array([
+        np.random.Generator(np.random.PCG64(_SeedWords(row)))
+        .lognormal(-0.5 * sigma**2, sigma, count)
+        for row in _seed_words(seeds)
+    ])
+
+
 def _stable_seed(*parts: object) -> int:
     """A 64-bit seed derived deterministically from arbitrary key parts.
 
@@ -131,13 +144,11 @@ class MeasurementNoise:
             raise PlatformError("durations cannot be negative")
         if self.sigma == 0.0:
             return [[true_seconds] * count for true_seconds, _ in cells]
-        words = _seed_words(
-            [_stable_seed(self.seed, *key) for _, key in cells])
-        draws = [np.random.Generator(np.random.PCG64(_SeedWords(row)))
-                 .lognormal(-0.5 * self.sigma**2, self.sigma, count)
-                 for row in words]
+        draws = lognormal_draws(
+            [_stable_seed(self.seed, *key) for _, key in cells],
+            self.sigma, count)
         true_seconds = np.array([seconds for seconds, _ in cells])
-        return (true_seconds[:, None] * np.array(draws)).tolist()
+        return (true_seconds[:, None] * draws).tolist()
 
 
 def mean_of_measurements(samples: Iterable[float]) -> float:

@@ -13,14 +13,9 @@ a recomputed one - which is what byte-comparison (rather than
 """
 
 import dataclasses
-import hashlib
 import json
-import string
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.runtime.simulator as sim
 from repro.apps import build_octree_application
@@ -33,7 +28,7 @@ from repro.runtime import (
     SimulatedPipelineExecutor,
     SlowdownSpec,
 )
-from repro.soc import PLATFORM_NAMES, get_platform
+from repro.soc import get_platform
 from repro.soc.interference import ExternalLoad
 from repro.soc.pu import BIG, GPU, LITTLE, MEDIUM
 
@@ -188,35 +183,10 @@ class TestByteEquivalence:
 
 
 class TestNoiseMemo:
-    """Execution jitter is one memoised pure function of the digest's
-    inputs - no executor state - so neither a cleared memo nor a brand
-    new executor may change a single byte of a run."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.one_of(st.sampled_from(sorted(PLATFORM_NAMES)),
-                  st.text(alphabet=string.printable, max_size=16)),
-        st.one_of(
-            st.sampled_from(sorted(
-                "|".join(f"{c.pu_class}:{c.start}-{c.stop}" for c in chunks)
-                for chunks in SCHEDULES.values()
-            )),
-            st.text(alphabet=string.printable, max_size=48),
-        ),
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=0, max_value=64),
-    )
-    def test_matches_inline_derivation(self, platform_name, schedule_key,
-                                       task_id, stage):
-        digest = hashlib.blake2b(
-            f"{platform_name}|{schedule_key}|{task_id}|{stage}".encode(),
-            digest_size=8,
-        ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        expected = float(rng.lognormal(mean=-0.5 * 0.01**2, sigma=0.01))
-        args = (platform_name, schedule_key, task_id, stage)
-        assert sim._noise_scale(*args) == expected  # first draw
-        assert sim._noise_scale(*args) == expected  # the memoised one
+    """Execution jitter is one memo of pure columns - no executor state
+    - so neither a cleared memo nor a brand new executor may change a
+    single byte of a run (the columns' numpy oracle is
+    ``test_jitter_columns.py``)."""
 
     @pytest.mark.parametrize("faulty", [False, True],
                              ids=["clean", "faults"])
@@ -232,13 +202,16 @@ class TestNoiseMemo:
             return serialized(executor.run(
                 20, record_trace=True, external_load=EXTERNAL))
 
-        sim._noise_scale.cache_clear()
+        sim._jitter_column.cache_clear()
         reused = build()
         cold = run(reused)
-        assert sim._noise_scale.cache_info().currsize > 0
+        fills = sim._jitter_column.cache_info().misses
+        assert fills > 0
         warm_reused = run(reused)
         warm_fresh = run(build())
-        sim._noise_scale.cache_clear()
+        # A fresh executor of a schedule already seen fills no column.
+        assert sim._jitter_column.cache_info().misses == fills
+        sim._jitter_column.cache_clear()
         cold_again = run(build())
         assert cold == warm_reused == warm_fresh == cold_again
 

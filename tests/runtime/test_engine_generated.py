@@ -266,8 +266,8 @@ def assert_killed(check, *strategies):
 class TestSeededMutants:
     def test_duration_table_reused_across_window_sizes(self, monkeypatch):
         plant(monkeypatch, (
-            "durations = self._durations(n_tasks)",
-            "durations = self.__dict__.setdefault(\n"
+            "tables = self._durations(n_tasks)",
+            "tables = self.__dict__.setdefault(\n"
             "            'kept', self._durations(n_tasks))",
         ))
         assert_killed(check_resident_equals_fresh,
@@ -283,11 +283,11 @@ class TestSeededMutants:
             "                servers[i].chunk.pu_class,\n"
             "                servers[i].chunk.start + stage, task))",
         ), (
-            "scale = scale_fns[i](started[i] - 1, stage)",
-            "scale = self.fault(i, started[i] - 1, stage)",
+            "scale = scale_fns[i](n_tasks, task, stage)",
+            "scale = self.fault(i, task, stage)",
         ), (
-            "durations[i][at + offset] = work_s * scale",
-            "durations[i][at + offset] *= scale",
+            "tables[i][at + offset] = work_s * scale",
+            "tables[i][at + offset] *= scale",
         ))
         assert_killed(check_engines_agree, cases())
 
@@ -297,16 +297,19 @@ class TestSeededMutants:
         assert_killed(check_engines_agree, cases())
 
     def test_handoff_scan_skipped_after_a_finish(self, monkeypatch):
-        # Only a hand-off downstream wakes the scan: the last server,
-        # finishing with a backlog behind it, is never looked at.
-        plant(monkeypatch, ("handoff = True", "handoff = i + 1 < n"))
+        # Only an arrival or a hand-off downstream wakes the scan: the
+        # last server, finishing with a backlog behind it, waits for one.
+        finish = "ready[i + 1] += 1\n                handoff = "
+        plant(monkeypatch, (finish + "True", finish + "i + 1 < n"))
         assert_killed(check_engines_agree, cases())
 
     def test_fifo_counter_against_the_servers_own_finishes(
             self, monkeypatch):
+        # Server 0 still reads the arrival stream; the others compare
+        # against their own finishes instead of their upstream's.
         plant(monkeypatch, (
-            "and started[i] < finished[i - 1]",
-            "and started[i] < finished[i]"))
+            "and started[i] < ready[i]:",
+            "and started[i] < ready[i + (i > 0)]:"))
         assert_killed(check_engines_agree, cases())
 
     def test_jitter_keyed_by_the_global_stage(self, monkeypatch):
@@ -315,8 +318,8 @@ class TestSeededMutants:
             "self.hooked = executor._injector is not None\n"
             "        self.starts = [s.chunk.start for s in servers]",
         ), (
-            "_noise_scale(name, key, task, code >> 1)",
-            "_noise_scale(name, key, task, start + (code >> 1))",
+            "_jitter_column(name, key, code >> 1, n_tasks)",
+            "_jitter_column(name, key, start + (code >> 1), n_tasks)",
         ), (
             "for program in self.programs\n",
             "for start, program in zip(self.starts, self.programs)\n",

@@ -367,14 +367,14 @@ class TestSimulatedFaults:
         )
 
     def test_noise_memoization_keeps_runs_identical(self, app):
-        simulator._noise_scale.cache_clear()
+        simulator._jitter_column.cache_clear()
         fresh = self.executor(app).run(10)
-        cold = simulator._noise_scale.cache_info()
+        cold = simulator._jitter_column.cache_info()
         assert cold.misses > 0
         twice = self.executor(app)
         first = twice.run(10)
         second = twice.run(10)
-        warm = simulator._noise_scale.cache_info()
+        warm = simulator._jitter_column.cache_info()
         # The jitter is no executor state: both later runs - on a new
         # executor (a reschedule, a co-tenant of the same application),
         # then on a reused one (the next window of a residency) - were
