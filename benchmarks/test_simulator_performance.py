@@ -1,13 +1,15 @@
 """Benchmarks for the DES hot path (autotuning re-runs the simulator
 hundreds of times, so per-phase cost is the level-3 bottleneck).
 
-Two engines implement the event loop (``REPRO_SIM_ENGINE``): the
-default ``vector`` batch-event kernel and the scalar ``reference``
-oracle.  This module times both on the 300-task AlexNet-sparse case
-and writes every case's wall time to ``BENCH_simulator.json`` at the
-repo root - the perf trajectory CI uploads so each PR shows its speed
-delta.  The engine-vs-reference case doubles as the CI perf gate: the
-default engine must not be slower than the reference it replaced.
+The DES runs one event loop, the compiled ``vector`` kernel; its scalar
+``reference`` oracle is test equipment
+(``tests/runtime/reference_engine.py``).  This module builds both
+through ``reference_engine.build``, times them on the 300-task
+AlexNet-sparse case and writes every case's wall time to
+``BENCH_simulator.json`` at the repo root - the perf trajectory CI
+uploads so each PR shows its speed delta.  The engine-vs-reference case
+doubles as the CI perf gate: the kernel must not be slower than the
+reference loop it replaced.
 """
 
 import os
@@ -17,9 +19,10 @@ import pytest
 
 from repro.apps import build_alexnet_sparse
 from repro.core import Chunk
-from repro.runtime import SimulatedPipelineExecutor, simulator
+from repro.runtime import simulator
 from repro.serialization import write_json_report
 from repro.soc import get_platform
+from tests.runtime import reference_engine
 
 N_TASKS = 300
 BENCH_PATH = os.path.join(
@@ -55,9 +58,9 @@ def make_executor():
     chunks = [Chunk(0, 5, "big"),
               Chunk(5, application.num_stages, "gpu")]
 
-    def build(engine=None):
-        return SimulatedPipelineExecutor(application, chunks, platform,
-                                         engine=engine)
+    def build(engine="vector"):
+        return reference_engine.build(application, chunks, platform,
+                                      engine=engine)
 
     return build
 

@@ -14,6 +14,29 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--sim-engine", choices=("vector", "reference"), default="vector",
+        help="DES event loop of every executor a test builds without "
+             "naming one: the compiled kernel (default) or the reference "
+             "loop in tests/runtime/reference_engine.py",
+    )
+
+
+def pytest_configure(config):
+    """The reference-loop oracle's switch.  ``--sim-engine=reference``
+    wraps ``SimulatedPipelineExecutor``'s constructor so every executor
+    of the session - also those the serving layer builds - runs the
+    reference loop; there is no production switch."""
+    from tests.runtime import reference_engine
+
+    reference_engine.use(config.getoption("--sim-engine"))
+
+
+def pytest_report_header(config):
+    return f"sim engine: {config.getoption('--sim-engine')}"
+
+
 @pytest.fixture(autouse=True)
 def _repro_check_gate():
     """Under ``REPRO_CHECK=1`` every test doubles as a concurrency

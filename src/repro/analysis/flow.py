@@ -28,10 +28,10 @@ suppression *without* a justification suffix does not suppress and is
 itself reported (``BAD-SUPPRESSION``).
 
 Control dependence is deliberately out of scope: branching on
-``os.environ`` (engine selection) taints nothing - only data flow
-into report bytes counts.  Unresolved calls join their argument taint
-into the result (taint is never laundered by code we cannot see) but
-never add sink edges.
+``os.environ`` (the ``REPRO_CHECK`` checker switch) taints nothing -
+only data flow into report bytes counts.  Unresolved calls join their
+argument taint into the result (taint is never laundered by code we
+cannot see) but never add sink edges.
 """
 
 from __future__ import annotations

@@ -34,9 +34,6 @@ from repro.runtime.faults import (
 from repro.runtime.memory import MemoryReport, estimate_pipeline_memory
 from repro.runtime.pipeline import ThreadedPipelineExecutor, ThreadedRunResult
 from repro.runtime.simulator import (
-    ENGINE_ENV,
-    ENGINE_REFERENCE,
-    ENGINE_VECTOR,
     SimBatchOutcome,
     SimWindow,
     SimulatedPipelineExecutor,
@@ -50,9 +47,6 @@ from repro.runtime.usm import UsmBuffer
 
 __all__ = [
     "AdaptivePipeline",
-    "ENGINE_ENV",
-    "ENGINE_REFERENCE",
-    "ENGINE_VECTOR",
     "FAILURE_FATAL",
     "FAILURE_TRANSIENT",
     "FaultEvent",

@@ -21,28 +21,23 @@ Multi-buffering: ``depth`` TaskObjects circulate; the first chunk may only
 admit task ``t`` once fewer than ``depth`` tasks are in flight, mirroring
 the recycling queue of section 3.4.
 
-One production event loop and its oracle, selected by the
-``REPRO_SIM_ENGINE`` environment variable (or the ``engine=`` constructor
-argument):
-
-* ``vector`` (default) - the event kernel.  A pipeline's phase order
-  is static, so a window is *compiled* before it is simulated: once per
-  executor each chunk server's phase program, once per window a flat,
-  task-major table of every step's duration (built a work step's
-  jitter column at a time), and the loop itself only advances clocks
-  and bumps one slot index per server.
-  Instantaneous rates are recomputed only when the discrete phase
-  signature (who is active, in which stage, which phase) actually
-  changes - and then for all active servers in one pass, memoized per
-  signature.  A fault injector is stateful and order-sensitive, so it
-  stays a hook consulted at every stage entry, in event order.  The
-  loop handles any pipeline width; the paper's C2 gives each PU class
-  at most one chunk, so real pipelines have 1-4 servers.
-* ``reference`` - the original, readable scalar loop, kept as the
-  correctness oracle.  The engine-equivalence suite asserts the two
-  produce byte-identical :class:`SimulatedRunResult`\\ s (completions,
-  busy seconds, spans, event counts) across seeds, schedules, depths,
-  arrivals, fault injection and external load.
+One event loop, a compiled kernel (:class:`_VectorEngine`).  A
+pipeline's phase order is static, so a window is *compiled* before it
+is simulated: once per executor each chunk server's phase program, once
+per window a flat, task-major table of every step's duration (built a
+work step's jitter column at a time), and the loop itself only advances
+clocks and bumps one slot index per server.  Instantaneous rates are
+recomputed only when the discrete phase signature (who is active, in
+which stage, which phase) actually changes - and then for all active
+servers in one pass, memoized per signature.  A fault injector is
+stateful and order-sensitive, so it stays a hook consulted at every
+stage entry, in event order.  The loop handles any pipeline width; the
+paper's C2 gives each PU class at most one chunk, so real pipelines
+have 1-4 servers.  Its correctness oracle, the original readable scalar
+loop, is test equipment (``tests/runtime/reference_engine.py``): the
+engine-equivalence suites hold the two byte-identical (completions,
+busy seconds, spans, event counts) across seeds, schedules, depths,
+arrivals, fault injection and external load.
 
 Rate determinism makes the memoization exact rather than approximate:
 between events rates are a pure function of the phase signature and the
@@ -71,13 +66,13 @@ same-platform shard share one executor and one result per window key
 (:class:`repro.core.plan_cache.Deployment`); :meth:`run` itself always
 runs the DES.
 
-Both engines share the float-residue policy: the server whose phase
-defines ``dt`` has its remaining work snapped to exactly ``0.0`` after
-the advance (``remaining -= dt * rate`` with ``dt = remaining / rate``
-leaves magnitude-dependent residue otherwise), and phase completion
-compares against a *relative* epsilon (``remaining <= phase_total *
-1e-12``), so large ``work_s`` values no longer shed spurious
-near-zero-``dt`` micro-events.
+The loop and its oracle share the float-residue policy: the server
+whose phase defines ``dt`` has its remaining work snapped to exactly
+``0.0`` after the advance (``remaining -= dt * rate`` with ``dt =
+remaining / rate`` leaves magnitude-dependent residue otherwise), and
+phase completion compares against a *relative* epsilon (``remaining <=
+phase_total * 1e-12``), so large ``work_s`` values no longer shed
+spurious near-zero-``dt`` micro-events.
 
 Batching: :func:`simulate_batch` runs many independent windows - all
 tenants of a serve tick, all autotuner measurements of a round - in one
@@ -88,19 +83,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stage import Application, Chunk
 from repro.errors import PipelineError, ReproError
@@ -126,12 +111,6 @@ _INF = float("inf")
 #: ulp of the phase total, which for large ``work_s`` dwarfs any fixed
 #: threshold and used to produce spurious micro-events.
 _REL_EPS = 1e-12
-
-#: Environment variable selecting the event-loop engine.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-ENGINE_VECTOR = "vector"
-ENGINE_REFERENCE = "reference"
-_ENGINES = (ENGINE_VECTOR, ENGINE_REFERENCE)
 
 #: Columns the :func:`_jitter_column` memo keeps.  Sized from the
 #: measured key spaces (seed 7) - 1 027 columns of 30 tasks in the paper
@@ -161,18 +140,6 @@ def _jitter_column(platform_name: str, schedule_key: str, stage: int,
         for task in range(n_tasks)
     ]
     return tuple(lognormal_draws(seeds, _EXEC_NOISE_SIGMA, 1)[:, 0].tolist())
-
-
-def _resolve_engine(explicit: Optional[str]) -> str:
-    """Engine choice: explicit argument beats ``REPRO_SIM_ENGINE``."""
-    name = explicit or os.environ.get(ENGINE_ENV) or ENGINE_VECTOR
-    name = name.strip().lower()
-    if name not in _ENGINES:
-        raise PipelineError(
-            f"unknown simulator engine {name!r}; expected one of "
-            f"{list(_ENGINES)} (via engine= or ${ENGINE_ENV})"
-        )
-    return name
 
 
 @dataclass
@@ -243,70 +210,8 @@ class SimulatedRunResult:
         return self.chunk_busy_s.get(chunk_index, 0.0) / self.total_s
 
 
-class _ChunkServer:
-    """Execution state of one chunk's dispatcher (reference engine)."""
-
-    def __init__(self, index: int, chunk: Chunk,
-                 stage_costs: List[StageCost]):
-        self.index = index
-        self.chunk = chunk
-        self.stage_costs = stage_costs
-        self.task = _IDLE
-        self.stage = 0
-        self.in_overhead = True
-        self.remaining = 0.0
-        self.phase_total = 0.0
-        self.noise_scale = 1.0
-        self.ready: Deque[int] = deque()  # upstream-completed ids, FIFO
-        self.busy_s = 0.0
-
-    @property
-    def idle(self) -> bool:
-        return self.task == _IDLE
-
-    def begin_task(self, task_id: int, noise_scale_fn) -> None:
-        self.task = task_id
-        self.stage = 0
-        self._enter_stage(noise_scale_fn)
-
-    def _enter_stage(self, noise_scale_fn) -> None:
-        cost = self.stage_costs[self.stage]
-        self.in_overhead = cost.overhead_s > 0.0
-        self.noise_scale = noise_scale_fn(self.task, self.stage)
-        if self.in_overhead:
-            self.remaining = cost.overhead_s
-        else:
-            self.remaining = cost.work_s * self.noise_scale
-        self.phase_total = self.remaining
-
-    def advance(self, dt: float, rate: float) -> None:
-        self.remaining -= dt * rate
-        self.busy_s += dt
-
-    def finished_phase(self) -> bool:
-        return self.remaining <= self.phase_total * _REL_EPS
-
-    def next_phase(self, noise_scale_fn) -> Optional[int]:
-        """Move to the next phase/stage.  Returns the completed task id
-        when the whole chunk is done with it, else None."""
-        if self.in_overhead:
-            self.in_overhead = False
-            cost = self.stage_costs[self.stage]
-            self.remaining = cost.work_s * self.noise_scale
-            self.phase_total = self.remaining
-            if self.remaining > 0.0:
-                return None
-        self.stage += 1
-        if self.stage < len(self.stage_costs):
-            self._enter_stage(noise_scale_fn)
-            return None
-        done = self.task
-        self.task = _IDLE
-        return done
-
-
 class _VectorEngine:
-    """The event kernel behind the default ``vector`` engine.
+    """The DES's event kernel.
 
     A window is compiled before it is simulated.  Once per executor,
     each chunk server's *phase program*: per stage an overhead step iff
@@ -332,14 +237,15 @@ class _VectorEngine:
         # No reference back to the executor: it owns the engine, and a
         # cycle would leave every released placement to the cyclic GC.
         self.depth = executor.depth
-        servers = executor._servers
-        self.n = len(servers)
-        self.costs = [s.stage_costs for s in servers]
-        self.pu_class = [s.chunk.pu_class for s in servers]
+        self.n = len(executor.chunks)
+        self.costs = executor._costs
+        self.pu_class = [chunk.pu_class for chunk in executor.chunks]
+        #: Chunk offsets: the fault hooks key on *global* stage indices.
+        self.starts = [chunk.start for chunk in executor.chunks]
         self.platform = executor.platform
         self.total_other = max(len(self.platform.pu_classes()) - 1, 0)
         self.noise_key = (executor.platform.name, executor._schedule_key)
-        self.hooked = executor._injector is not None
+        self.injector = executor._injector
         #: Per server, its program: ``(phase code, overhead_s or
         #: work_s)`` per step, and the codes alone ...
         self.programs: List[List[Tuple[int, float]]] = []
@@ -392,7 +298,7 @@ class _VectorEngine:
         signature.
 
         One pass over the active set, using the same scalar model calls
-        as the reference engine so cached rates are bit-equal to what
+        as the reference loop so cached rates are bit-equal to what
         a per-event recomputation would produce.
         """
         active = [i for i in range(self.n) if key[i] != -1]
@@ -435,7 +341,6 @@ class _VectorEngine:
         n_tasks: int,
         record_trace: bool,
         arrivals: List[float],
-        scale_fns: List[Callable[[int, int, int], float]],
         external: Optional[ExternalLoad],
     ):
         n = self.n
@@ -447,16 +352,25 @@ class _VectorEngine:
             None if external is None else external.key, {}
         )
         hook = None
-        if self.hooked:
+        injector = self.injector
+        if injector is not None:
+            # Named apart from the loop's locals: ``key`` is rebound to
+            # each phase signature below.
+            jitter_platform, jitter_schedule = self.noise_key
+
             def hook(i: int, at: int) -> None:
                 """The fault hook, at stage entry and in event order: it
-                records, may raise, and scales the stage's work step."""
+                records, may raise, and scales the stage's work step by
+                the task's jitter times the injected fault."""
                 task, k = divmod(at, per_task[i])
                 if self.entries[i][k] is not None:
                     stage, work_s, offset = self.entries[i][k]
-                    scale = scale_fns[i](n_tasks, task, stage)
+                    jitter = _jitter_column(jitter_platform, jitter_schedule,
+                                            stage, n_tasks)[task]
+                    fault = injector.sim_cost_scale(
+                        self.pu_class[i], self.starts[i] + stage, task)
                     if offset >= 0:
-                        tables[i][at + offset] = work_s * scale
+                        tables[i][at + offset] = work_s * (jitter * fault)
 
         remaining = [0.0] * n
         phase_eps = [-1.0] * n
@@ -679,9 +593,6 @@ class SimulatedPipelineExecutor:
             (:mod:`repro.runtime.faults`): slowdowns and transient
             kernel faults scale per-stage costs, PU dropout raises
             :class:`~repro.errors.PuFailureError` mid-run.
-        engine: Event-loop engine, ``"vector"`` (default) or
-            ``"reference"``; ``None`` defers to the
-            ``REPRO_SIM_ENGINE`` environment variable.
     """
 
     def __init__(
@@ -691,7 +602,6 @@ class SimulatedPipelineExecutor:
         platform: Platform,
         depth: Optional[int] = None,
         fault_injector: Optional[FaultInjector] = None,
-        engine: Optional[str] = None,
     ):
         from repro.runtime.pipeline import _check_chunk_cover
 
@@ -707,25 +617,19 @@ class SimulatedPipelineExecutor:
         self.depth = depth if depth is not None else len(self.chunks) + 1
         if self.depth < 1:
             raise PipelineError("multi-buffering depth must be >= 1")
-        self.engine = _resolve_engine(engine)
-        self._servers = [
-            _ChunkServer(i, chunk, [
-                platform.stage_cost(application.stages[index].work,
-                                    chunk.pu_class)
-                for index in chunk.stage_indices
-            ])
-            for i, chunk in enumerate(self.chunks)
+        #: Per chunk, the cost of each of its stages on its PU class.
+        self._costs: List[List[StageCost]] = [
+            [platform.stage_cost(application.stages[index].work,
+                                 chunk.pu_class)
+             for index in chunk.stage_indices]
+            for chunk in self.chunks
         ]
         self._schedule_key = "|".join(
             f"{c.pu_class}:{c.start}-{c.stop}" for c in self.chunks
         )
         self._injector = fault_injector
         self._chunk_loads: Optional[tuple] = None
-        self._scale_fns = [self._make_scale_fn(s) for s in self._servers]
-        self._run_window = (
-            self._run_reference if self.engine == ENGINE_REFERENCE
-            else _VectorEngine(self).run_window
-        )
+        self._run_window = _VectorEngine(self).run_window
 
     def attribution_inputs(self) -> tuple:
         """Steady-state per-chunk load aggregates for blame decomposition.
@@ -744,22 +648,19 @@ class SimulatedPipelineExecutor:
         from repro.obs.attribution import ChunkLoad
 
         loads = []
-        for server in self._servers:
-            overhead = sum(c.overhead_s for c in server.stage_costs)
-            work = sum(c.work_s for c in server.stage_costs)
+        for chunk, costs in zip(self.chunks, self._costs):
+            overhead = sum(c.overhead_s for c in costs)
+            work = sum(c.work_s for c in costs)
             if work > 0.0:
                 beta = sum(
-                    c.memory_boundedness * c.work_s
-                    for c in server.stage_costs
+                    c.memory_boundedness * c.work_s for c in costs
                 ) / work
-                demand = sum(
-                    c.demand_gbps * c.work_s for c in server.stage_costs
-                ) / work
+                demand = sum(c.demand_gbps * c.work_s for c in costs) / work
             else:
                 beta = 0.0
                 demand = 0.0
             loads.append(ChunkLoad(
-                pu_class=server.chunk.pu_class,
+                pu_class=chunk.pu_class,
                 overhead_s=overhead,
                 work_s=work,
                 memory_boundedness=beta,
@@ -767,31 +668,6 @@ class SimulatedPipelineExecutor:
             ))
         self._chunk_loads = tuple(loads)
         return self._chunk_loads
-
-    # ------------------------------------------------------------------
-    def _make_scale_fn(
-        self, server: _ChunkServer,
-    ) -> Callable[[int, int, int], float]:
-        """Per-server phase-scale function of ``(n_tasks, task, local
-        stage)``: the jitter column's entry times injected faults.
-
-        The fault hooks key on *global* stage indices, which only the
-        server's chunk offset can recover from the DES's local ones.
-        """
-        name, key = self.platform.name, self._schedule_key
-        injector = self._injector
-
-        def scale(n_tasks: int, task_id: int, local_stage: int) -> float:
-            jitter = _jitter_column(name, key, local_stage, n_tasks)[task_id]
-            if injector is None:
-                return jitter
-            return jitter * injector.sim_cost_scale(
-                server.chunk.pu_class,
-                server.chunk.start + local_stage,
-                task_id,
-            )
-
-        return scale
 
     def run(self, n_tasks: int,
             record_trace: bool = False,
@@ -829,8 +705,7 @@ class SimulatedPipelineExecutor:
         if external_load is not None and external_load.is_empty:
             external_load = None
         completed, spans, busy_s, now, events = self._run_window(
-            n_tasks, record_trace, arrivals, self._scale_fns,
-            external_load,
+            n_tasks, record_trace, arrivals, external_load,
         )
         result = SimulatedRunResult(
             n_tasks=n_tasks,
@@ -838,7 +713,7 @@ class SimulatedPipelineExecutor:
             completion_times_s=completed,
             steady_interval_s=self._steady_interval(completed),
             chunk_busy_s=busy_s,
-            chunk_pu={s.index: s.chunk.pu_class for s in self._servers},
+            chunk_pu={i: c.pu_class for i, c in enumerate(self.chunks)},
             spans=spans,
             arrival_times_s=arrivals,
             n_events=events,
@@ -872,153 +747,7 @@ class SimulatedPipelineExecutor:
         reg.counter("sim.runs")
         reg.observe("sim.total_s", result.total_s)
 
-    # -- reference engine ----------------------------------------------
-    def _run_reference(
-        self,
-        n_tasks: int,
-        record_trace: bool,
-        arrivals: List[float],
-        scale_fns: List[Callable[[int, int, int], float]],
-        external: Optional[ExternalLoad],
-    ):
-        scale_fns = [functools.partial(fn, n_tasks) for fn in scale_fns]
-        for server in self._servers:
-            server.task = _IDLE
-            server.ready.clear()
-            server.busy_s = 0.0
-
-        now = 0.0
-        issued = 0
-        events = 0
-        completed: List[float] = []
-        spans: List[Span] = []
-        span_starts: Dict[int, float] = {}
-
-        while len(completed) < n_tasks:
-            events += 1
-            # Admit work.
-            first = self._servers[0]
-            if (
-                first.idle
-                and issued < n_tasks
-                and issued - len(completed) < self.depth
-                and arrivals[issued] <= now + 1e-15
-            ):
-                first.begin_task(issued, scale_fns[0])
-                if record_trace:
-                    span_starts[first.index] = now
-                issued += 1
-            for server in self._servers[1:]:
-                if server.idle and server.ready:
-                    server.begin_task(server.ready.popleft(),
-                                      scale_fns[server.index])
-                    if record_trace:
-                        span_starts[server.index] = now
-
-            active = [s for s in self._servers if not s.idle]
-            if not active:
-                if (
-                    issued < n_tasks
-                    and arrivals[issued] > now
-                    and issued - len(completed) < self.depth
-                ):
-                    now = arrivals[issued]  # idle until the next arrival
-                    continue
-                raise PipelineError(
-                    "pipeline deadlock: nothing active, tasks pending"
-                )
-
-            # Instantaneous rates under the current co-run condition,
-            # internal (this pipeline's active chunks) plus external
-            # (co-tenants / injected drift on the shared SoC).
-            busy_classes = {s.chunk.pu_class for s in active}
-            total_demand = sum(
-                s.stage_costs[s.stage].demand_gbps
-                for s in active
-                if not s.in_overhead
-            )
-            if external is not None:
-                total_demand += external.demand_gbps
-            rates: Dict[int, float] = {}
-            for server in active:
-                if server.in_overhead:
-                    rates[server.index] = 1.0
-                    continue
-                cost = server.stage_costs[server.stage]
-                co_load = external_co_load(
-                    busy_classes, server.chunk.pu_class, external,
-                    max(len(self.platform.pu_classes()) - 1, 0),
-                )
-                rate = self.platform.instantaneous_rate(
-                    memory_boundedness=cost.memory_boundedness,
-                    pu_class=server.chunk.pu_class,
-                    demand_gbps=cost.demand_gbps,
-                    total_demand_gbps=total_demand,
-                    co_load=co_load,
-                )
-                if external is not None:
-                    # A foreign co-runner on the *same* class
-                    # time-shares the cluster (fair-share split).
-                    share = external.busy.get(
-                        server.chunk.pu_class, 0.0
-                    )
-                    if share > 0.0:
-                        rate /= 1.0 + share
-                rates[server.index] = rate
-
-            # Advance to the next phase completion (or next arrival,
-            # whichever lets the first chunk admit sooner).  The server
-            # defining dt drains exactly: its remaining snaps to 0.0
-            # after the advance, leaving no float residue.
-            dt = None
-            snap: Optional[_ChunkServer] = None
-            for server in active:
-                candidate = server.remaining / rates[server.index]
-                if dt is None or candidate < dt:
-                    dt = candidate
-                    snap = server
-            dt = max(dt, 0.0)
-            if (
-                first.idle
-                and issued < n_tasks
-                and issued - len(completed) < self.depth
-                and arrivals[issued] > now
-            ):
-                cap = arrivals[issued] - now
-                if cap < dt:
-                    dt = cap
-                    snap = None
-            now += dt
-            for server in active:
-                server.advance(dt, rates[server.index])
-            if snap is not None:
-                snap.remaining = 0.0
-
-            # Process completions (any server whose phase drained).
-            for position, server in enumerate(self._servers):
-                if server.idle or not server.finished_phase():
-                    continue
-                previous_task = server.task
-                done_task = server.next_phase(scale_fns[position])
-                if done_task is None:
-                    continue
-                if record_trace:
-                    spans.append(record_span(
-                        chunk_index=server.index,
-                        pu_class=server.chunk.pu_class,
-                        task_id=previous_task,
-                        start_s=span_starts.pop(server.index, now),
-                        end_s=now,
-                    ))
-                if position + 1 < len(self._servers):
-                    self._servers[position + 1].ready.append(done_task)
-                else:
-                    completed.append(now)
-
-        busy_s = {s.index: s.busy_s for s in self._servers}
-        return completed, spans, busy_s, now, events
-
-    # -- shared post-run -----------------------------------------------
+    # -- post-run ------------------------------------------------------
     def _steady_interval(self, completions: Sequence[float]) -> float:
         """Per-task interval after pipeline fill (warmup excluded, like
         the paper's measurements excluding GPU initialization)."""

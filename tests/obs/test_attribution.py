@@ -23,6 +23,7 @@ from repro.obs.attribution import (
 from repro.serve import PipelineServer, ServerConfig, TenantSpec
 from repro.soc import get_platform
 from repro.soc.interference import ExternalLoad
+from tests.runtime import reference_engine
 
 SEEDS = (3, 7, 11)
 ENGINES = ("vector", "reference")
@@ -165,11 +166,9 @@ class TestConservationProperty:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_conservation_across_seeds_and_engines(
-        self, seed, engine, monkeypatch,
-    ):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-        server = _serve_with_attribution(seed)
+    def test_conservation_across_seeds_and_engines(self, seed, engine):
+        with reference_engine.using(engine):
+            server = _serve_with_attribution(seed)
         checked = 0
         for record in server.records.values():
             for window in record.history:

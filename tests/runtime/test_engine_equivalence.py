@@ -1,15 +1,15 @@
-"""Byte-for-byte equivalence of the two DES engines.
+"""Byte-for-byte equivalence of the DES kernel and its reference loop.
 
-The ``vector`` batch-event kernel is only allowed to be *faster* than
-the ``reference`` scalar loop - never different.  Every test serializes
-the full :class:`SimulatedRunResult` (completions, busy seconds,
-recorded spans, steady interval, event counts) from both engines and
-compares the JSON bytes, across schedules, depths, arrival processes,
-fault injection, and external load.  The kernel's rate memoization is
-exact, not approximate: rates between events are a pure function of
-the discrete phase signature, so a cached vector must be bit-equal to
-a recomputed one - which is what byte-comparison (rather than
-``pytest.approx``) pins down.
+The compiled ``vector`` kernel is only allowed to be *faster* than the
+``reference`` scalar loop (``reference_engine.py``) - never different.
+Every test serializes the full :class:`SimulatedRunResult`
+(completions, busy seconds, recorded spans, steady interval, event
+counts) from both engines and compares the JSON bytes, across
+schedules, depths, arrival processes, fault injection, and external
+load.  The kernel's rate memoization is exact, not approximate: rates
+between events are a pure function of the discrete phase signature, so
+a cached vector must be bit-equal to a recomputed one - which is what
+byte-comparison (rather than ``pytest.approx``) pins down.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ import pytest
 import repro.runtime.simulator as sim
 from repro.apps import build_octree_application
 from repro.core import Chunk
-from repro.errors import PipelineError, PuFailureError
+from repro.errors import PuFailureError
 from repro.runtime import (
     FaultInjector,
     FaultPlan,
@@ -31,6 +31,7 @@ from repro.runtime import (
 from repro.soc import get_platform
 from repro.soc.interference import ExternalLoad
 from repro.soc.pu import BIG, GPU, LITTLE, MEDIUM
+from tests.runtime.reference_engine import ReferenceEngine, build, using
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +75,7 @@ def run_both(app, pixel, chunks, n=20, record_trace=True, **kwargs):
     }
     results = []
     for engine in ("vector", "reference"):
-        executor = SimulatedPipelineExecutor(
-            app, chunks, pixel, engine=engine, **kwargs
-        )
+        executor = build(app, chunks, pixel, engine=engine, **kwargs)
         results.append(
             executor.run(n, record_trace=record_trace, **run_args)
         )
@@ -88,26 +87,34 @@ def assert_equivalent(app, pixel, chunks, **kwargs):
     assert serialized(vector) == serialized(reference)
 
 
-class TestEngineSelection:
-    def test_env_var_selects_reference(self, app, pixel, monkeypatch):
-        monkeypatch.setenv(sim.ENGINE_ENV, "reference")
-        executor = SimulatedPipelineExecutor(
-            app, SCHEDULES["serial"], pixel
-        )
-        assert executor.engine == sim.ENGINE_REFERENCE
+LOOPS = {"vector": sim._VectorEngine, "reference": ReferenceEngine}
 
-    def test_explicit_argument_beats_env(self, app, pixel, monkeypatch):
-        monkeypatch.setenv(sim.ENGINE_ENV, "reference")
-        executor = SimulatedPipelineExecutor(
-            app, SCHEDULES["serial"], pixel, engine="vector"
-        )
-        assert executor.engine == sim.ENGINE_VECTOR
 
-    def test_unknown_engine_rejected(self, app, pixel):
-        with pytest.raises(PipelineError, match="unknown simulator"):
-            SimulatedPipelineExecutor(
-                app, SCHEDULES["serial"], pixel, engine="turbo"
-            )
+def loop_of(executor):
+    return type(executor._run_window.__self__)
+
+
+class TestSessionEngine:
+    """``--sim-engine`` must reach every executor: were it a no-op, the
+    suites CI runs "on the reference engine" would quietly run the
+    kernel twice."""
+
+    def test_a_fresh_executor_runs_the_sessions_loop(
+            self, app, pixel, pytestconfig):
+        engine = pytestconfig.getoption("--sim-engine")
+        executor = SimulatedPipelineExecutor(app, SCHEDULES["two-way"],
+                                             pixel)
+        assert loop_of(executor) is LOOPS[engine]
+
+    @pytest.mark.parametrize("engine", sorted(LOOPS))
+    def test_a_named_loop_beats_the_session(self, app, pixel, engine):
+        for session in sorted(LOOPS):
+            with using(session):
+                executor = build(app, SCHEDULES["two-way"], pixel,
+                                 engine=engine)
+                assert loop_of(executor) is LOOPS[engine]
+                assert loop_of(build(app, SCHEDULES["two-way"],
+                                     pixel)) is LOOPS[session]
 
 
 class TestByteEquivalence:
@@ -139,17 +146,16 @@ class TestByteEquivalence:
 
     def test_with_slowdown_faults(self, app, pixel):
         vector, reference = (
-            SimulatedPipelineExecutor(
-                app, SCHEDULES["two-way"], pixel, engine=engine,
-                fault_injector=slowdown_injector(),
-            ).run(20, record_trace=True)
+            build(app, SCHEDULES["two-way"], pixel, engine=engine,
+                  fault_injector=slowdown_injector(),
+                  ).run(20, record_trace=True)
             for engine in ("vector", "reference")
         )
         assert serialized(vector) == serialized(reference)
 
     def test_pu_dropout_raises_in_both(self, app, pixel):
         for engine in ("vector", "reference"):
-            executor = SimulatedPipelineExecutor(
+            executor = build(
                 app, SCHEDULES["two-way"], pixel, engine=engine,
                 fault_injector=FaultInjector(FaultPlan(dropouts=[
                     PuDropoutSpec(pu_class=GPU, after_task=4),
@@ -176,7 +182,7 @@ class TestByteEquivalence:
             20, record_trace=True, external_load=EXTERNAL))
         second = serialized(executor.run(
             20, record_trace=True, external_load=EXTERNAL))
-        reference = serialized(SimulatedPipelineExecutor(
+        reference = serialized(build(
             app, SCHEDULES["four-way"], pixel, engine="reference",
         ).run(20, record_trace=True, external_load=EXTERNAL))
         assert first == second == reference
@@ -192,8 +198,8 @@ class TestNoiseMemo:
                              ids=["clean", "faults"])
     @pytest.mark.parametrize("engine", ["vector", "reference"])
     def test_cold_equals_warm(self, app, pixel, engine, faulty):
-        def build():
-            return SimulatedPipelineExecutor(
+        def fresh():
+            return build(
                 app, SCHEDULES["four-way"], pixel, engine=engine,
                 fault_injector=slowdown_injector() if faulty else None,
             )
@@ -203,16 +209,16 @@ class TestNoiseMemo:
                 20, record_trace=True, external_load=EXTERNAL))
 
         sim._jitter_column.cache_clear()
-        reused = build()
+        reused = fresh()
         cold = run(reused)
         fills = sim._jitter_column.cache_info().misses
         assert fills > 0
         warm_reused = run(reused)
-        warm_fresh = run(build())
+        warm_fresh = run(fresh())
         # A fresh executor of a schedule already seen fills no column.
         assert sim._jitter_column.cache_info().misses == fills
         sim._jitter_column.cache_clear()
-        cold_again = run(build())
+        cold_again = run(fresh())
         assert cold == warm_reused == warm_fresh == cold_again
 
 

@@ -35,13 +35,13 @@ from repro.runtime import (
     FaultPlan,
     KernelFaultSpec,
     PuDropoutSpec,
-    SimulatedPipelineExecutor,
     SlowdownSpec,
 )
 from repro.soc import get_platform
 from repro.soc.cost_model import StageCost
 from repro.soc.interference import ExternalLoad
 from repro.soc.workprofile import WorkProfile
+from tests.runtime import reference_engine
 
 PIXEL = get_platform("pixel7a")
 CLASSES = sorted(PIXEL.pu_classes())
@@ -91,10 +91,10 @@ class Case:
     plan: object
 
     def executor(self, engine, injector=None):
-        return SimulatedPipelineExecutor(
+        return reference_engine.build(
             application_of(len(self.costs)), self.chunks,
-            platform_with(self.costs), depth=self.depth,
-            fault_injector=injector, engine=engine)
+            platform_with(self.costs), engine=engine, depth=self.depth,
+            fault_injector=injector)
 
 
 @st.composite
@@ -276,18 +276,8 @@ class TestSeededMutants:
     def test_fault_scale_reassociated(self, monkeypatch):
         # (work_s * jitter) * fault: the table's product, scaled.
         plant(monkeypatch, (
-            "self.hooked = executor._injector is not None",
-            "self.hooked = executor._injector is not None\n"
-            "        self.fault = lambda i, task, stage: (\n"
-            "            executor._injector.sim_cost_scale(\n"
-            "                servers[i].chunk.pu_class,\n"
-            "                servers[i].chunk.start + stage, task))",
-        ), (
-            "scale = scale_fns[i](n_tasks, task, stage)",
-            "scale = self.fault(i, task, stage)",
-        ), (
-            "tables[i][at + offset] = work_s * scale",
-            "tables[i][at + offset] *= scale",
+            "tables[i][at + offset] = work_s * (jitter * fault)",
+            "tables[i][at + offset] *= fault",
         ))
         assert_killed(check_engines_agree, cases())
 
@@ -313,11 +303,8 @@ class TestSeededMutants:
         assert_killed(check_engines_agree, cases())
 
     def test_jitter_keyed_by_the_global_stage(self, monkeypatch):
+        # The duration tables only: the fault hook keeps the local one.
         plant(monkeypatch, (
-            "self.hooked = executor._injector is not None",
-            "self.hooked = executor._injector is not None\n"
-            "        self.starts = [s.chunk.start for s in servers]",
-        ), (
             "_jitter_column(name, key, code >> 1, n_tasks)",
             "_jitter_column(name, key, start + (code >> 1), n_tasks)",
         ), (

@@ -33,6 +33,7 @@ from repro.runtime import SimulatedPipelineExecutor
 from repro.soc import get_platform
 from repro.soc.interference import ExternalLoad
 from repro.soc.pu import BIG, GPU, LITTLE, MEDIUM
+from tests.runtime import reference_engine
 
 PLATFORM = get_platform("pixel7a")
 APP = build_octree_application(n_points=20_000)
@@ -84,15 +85,13 @@ def diverging_windows(chunks, engine, windows):
     ``windows`` is a sequence of ``(tenant, external_load, n_tasks,
     record_trace, arrival_period_s)``.
     """
-    resident = SimulatedPipelineExecutor(
-        APP, chunks, PLATFORM, engine=engine)
+    resident = reference_engine.build(APP, chunks, PLATFORM, engine=engine)
     out = []
     for index, (tenant, load, n_tasks, trace, period) in enumerate(
             windows):
         kwargs = {"record_trace": trace, "arrival_period_s": period,
                   "external_load": load}
-        fresh = SimulatedPipelineExecutor(
-            APP, chunks, PLATFORM, engine=engine)
+        fresh = reference_engine.build(APP, chunks, PLATFORM, engine=engine)
         if (serialized(resident.run(n_tasks, tenant=tenant, **kwargs))
                 != serialized(fresh.run(n_tasks, **kwargs))):
             out.append(index)
@@ -107,7 +106,7 @@ def diverging_served(chunks, engine, windows):
     ``windows`` is a sequence of ``(tenant, external_load, n_tasks)``.
     """
     deployment = Deployment(
-        SimulatedPipelineExecutor(APP, chunks, PLATFORM, engine=engine),
+        reference_engine.build(APP, chunks, PLATFORM, engine=engine),
         offered=ExternalLoad(),
     )
     out = []
@@ -119,8 +118,7 @@ def diverging_served(chunks, engine, windows):
             remembered=deployment.remembered(external, n_tasks),
         )])
         deployment.remember(external, n_tasks, result)
-        fresh = SimulatedPipelineExecutor(
-            APP, chunks, PLATFORM, engine=engine)
+        fresh = reference_engine.build(APP, chunks, PLATFORM, engine=engine)
         if serialized(result) != serialized(fresh.run(
                 n_tasks, record_trace=True, external_load=external)):
             out.append(index)
@@ -196,7 +194,7 @@ class TestResidentEqualsFresh:
                 executor.run(8, external_load=empty)) == bare
 
     def test_the_memo_is_kept_per_co_load(self):
-        executor = SimulatedPipelineExecutor(
+        executor = reference_engine.build(
             APP, SCHEDULES["four-way"], PLATFORM, engine="vector")
         calls = []
         engine = executor._run_window.__self__

@@ -9,6 +9,7 @@ from repro.runtime import SimulatedPipelineExecutor
 from repro.soc import WorkProfile, get_platform
 from repro.soc.interference import ExternalLoad
 from repro.soc.pu import BIG, GPU, LITTLE, MEDIUM
+from tests.runtime import reference_engine
 
 
 @pytest.fixture(scope="module")
@@ -197,21 +198,19 @@ class TestEventCountStability:
             [Stage.model_only("a", work), Stage.model_only("b", work)],
         )
 
-    def run(self, pixel, scale, n=12):
-        return SimulatedPipelineExecutor(
+    def run(self, pixel, scale, n=12, engine=None):
+        return reference_engine.build(
             self.make_app(scale),
             [Chunk(0, 1, BIG), Chunk(1, 2, MEDIUM)],
-            pixel,
+            pixel, engine=engine,
         ).run(n, external_load=ExternalLoad(
             busy={BIG: 0.5, MEDIUM: 0.3}, demand_gbps=1.0))
 
-    @pytest.mark.parametrize("engine_env", ["vector", "reference"])
-    def test_event_count_independent_of_work_magnitude(
-        self, pixel, engine_env, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine_env)
-        small = self.run(pixel, scale=1.0)
-        large = self.run(pixel, scale=1e9)
+    @pytest.mark.parametrize("engine", ["vector", "reference"])
+    def test_event_count_independent_of_work_magnitude(self, pixel,
+                                                        engine):
+        small = self.run(pixel, scale=1.0, engine=engine)
+        large = self.run(pixel, scale=1e9, engine=engine)
         assert large.n_events == small.n_events
 
     def test_event_count_linear_in_tasks(self, pixel):

@@ -8,8 +8,12 @@ shipped callers pass (the CLI, the three ``scenario.py``, ``bench/``,
 program.  A new knob fails here until it is added to ``SURFACE`` with
 its reason and named in §10.  CI's ``config fields`` count reads
 ``CLASSES`` from this module.
+
+The environment is the other way a value enters from outside: an AST
+scan pins the variables ``src/`` reads to ``REPRO_CHECK`` alone.
 """
 
+import ast
 import dataclasses
 from pathlib import Path
 
@@ -26,6 +30,7 @@ CLASSES = (ServerConfig, FleetConfig, HealthConfig, SoakScenario,
            TierSpec, BurstSpec)
 
 DESIGN = Path(__file__).parent.parent / "DESIGN.md"
+SRC = Path(__file__).parent.parent / "src" / "repro"
 
 #: What a saved trace carries (``traffic replay --trace``), and every
 #: traffic report writes back out.
@@ -146,3 +151,53 @@ def test_design_names_every_field():
     section = text.split("## 10. ", 1)[1].split("\n## ", 1)[0]
     unnamed = [name for name in SURFACE if f"`{name}`" not in section]
     assert unnamed == []
+
+
+def dotted(node: ast.AST) -> str:
+    """``os.environ.get`` for the expression spelling it, else ``""``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return ""
+
+
+def environment_reads() -> set:
+    """``(module, variable)`` for every ``os.environ[...]``,
+    ``os.environ.get(...)`` and ``os.getenv(...)`` in ``src/``; a
+    variable named by a module-level string constant is resolved."""
+    reads = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = {
+            target.id: node.value.value
+            for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Subscript)
+                    and dotted(node.value) == "os.environ"):
+                variable = node.slice
+            elif (isinstance(node, ast.Call) and node.args and dotted(
+                    node.func) in ("os.environ.get", "os.getenv")):
+                variable = node.args[0]
+            else:
+                continue
+            if isinstance(variable, ast.Name):
+                name = constants.get(variable.id, variable.id)
+            else:
+                name = ast.literal_eval(variable)
+            reads.add((path.relative_to(SRC).as_posix(), name))
+    return reads
+
+
+def test_the_environment_surface_is_the_checker_switch():
+    """The one environment variable ``src/`` reads arms the runtime
+    checker; nothing read from the environment changes what a run
+    computes (DESIGN.md §10)."""
+    assert environment_reads() == {
+        ("analysis/runtime_checks.py", "REPRO_CHECK")}
+    section = DESIGN.read_text(encoding="utf-8").split(
+        "## 10. ", 1)[1].split("\n## ", 1)[0]
+    assert "`REPRO_CHECK`" in section
