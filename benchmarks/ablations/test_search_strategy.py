@@ -1,9 +1,11 @@
-"""Ablation: exact constraint solving vs metaheuristic search.
+"""Ablation: exact optimization vs metaheuristic search.
 
-The paper chose an SMT formulation over the metaheuristic schedulers in
-its related work (MOSCOA, [2]).  This ablation compares the two on the
-paper-scale AlexNet-sparse case: solution quality, wall time, and
-whether the metaheuristic's best would survive the gapness filter.
+The paper chose an exact SMT formulation over the metaheuristic
+schedulers in its related work (MOSCOA, [2]); the planner evaluates the
+same formulation exhaustively over the contiguous schedule space.  This
+ablation compares exact and metaheuristic on the paper-scale
+AlexNet-sparse case: solution quality, wall time, and whether the
+metaheuristic's best would survive the gapness filter.
 """
 
 import math
@@ -51,7 +53,7 @@ def test_exact_vs_metaheuristic(benchmark):
           f"({evals} evaluations)")
     print(f"optimality gap: {meta_lat / exact_lat - 1:+.1%}")
 
-    # Exactness: the solver's optimum is never beaten and the
+    # Exactness: the exact optimum is never beaten and the
     # metaheuristic lands within a modest gap on this space.
     assert meta_lat >= exact_lat - 1e-12
     assert meta_lat <= exact_lat * 1.3

@@ -1,5 +1,5 @@
-"""Solver scalability: what a plan costs as the pipeline grows, and the
-floor under it.
+"""Planner scalability: what a plan costs as the pipeline grows, walked
+and searched.
 
 The paper sizes its search-space discussion at N = 9 stages, M = 4 PU
 classes (4^9 ~ 262K raw assignments).  Contiguity (C2) leaves far fewer:
@@ -8,21 +8,23 @@ of k distinct PU classes, so the C1 + C2 space holds
 
     sum_k C(N - 1, k - 1) * P(M, k)
 
-schedules - 2 116 at the paper's scale, 18 on a two-class Jetson.  A
-closed-form walk of that space (``enumerate_space`` below: one running
-sum per chunk, shared along common prefixes) is the lower bound any
-search for the K best has to be measured against; it is test equipment,
-not a planner - it knows C1-C3 and nothing the next constraint family
-would add.  This benchmark
+schedules - 2 116 at the paper's scale, 18 on a two-class Jetson.  The
+shipped planner walks that space (``walk_schedules``: one running sum
+per chunk, shared along common prefixes) and reads its two or three
+phases off it; the constraint encoding the paper hands to z3 is kept as
+the oracle (``tests/core/cp_optimizer.py``), a K-best branch-and-bound
+over ``repro.solver``.  This benchmark
 
-* asserts the count, and that the K-best read off the enumerated space
-  is the optimizer's candidate list, float for float;
-* prints CP-search time over enumerator time at paper scale, and sweeps
-  N on synthetic pipelines up to N = 14, M = 5 so "the CP formulation
-  survives" is a curve, not a sentence;
+* asserts the count, and that the two give the same result, float for
+  float;
+* prints walk time beside CP-search time at paper scale, and sweeps N on
+  synthetic pipelines up to N = 14, M = 5.  The walk visits every
+  schedule and the search prunes, so past every registered SoC (M <= 4)
+  the search pulls ahead; at the scales the paper plans, the walk is
+  several times faster;
 * holds the worst cell of the paper's own campaign (alexnet-sparse on
-  the Pixel 7a, K = 20) - the whole ``optimize()``, all its solver
-  invocations - under the 50 ms the paper reports for *one* z3 call.
+  the Pixel 7a, K = 20) - the shipped planner's whole ``optimize()`` -
+  under the 50 ms the paper reports for *one* z3 call.
 """
 
 import math
@@ -32,73 +34,22 @@ import numpy as np
 import pytest
 
 from repro.apps import build_alexnet_sparse, build_synthetic_application
-from repro.core.optimizer import BTOptimizer
+from repro.core.optimizer import BTOptimizer, walk_schedules
 from repro.core.profiler import BTProfiler, ProfilingTable
-from repro.obs import capture
 from repro.soc import get_platform
+from tests.core.cp_optimizer import CPOptimizer
 
 STAGE_COUNTS = (4, 6, 9, 12)
 #: Past every registered SoC (<= 4 schedulable classes): drawn tables.
 WIDE_CASES = ((12, 5), (14, 5))
 
 
-# ----------------------------------------------------------------------
-# Test equipment: the C1 + C2 space in closed form
-# ----------------------------------------------------------------------
 def space_size(n, m):
     """Contiguous schedules of n stages over m PU classes."""
     return sum(
         math.comb(n - 1, k - 1) * math.perm(m, k)
         for k in range(1, min(n, m) + 1)
     )
-
-
-def enumerate_space(lat):
-    """Every C1 + C2 schedule as ``(assignment, chunk runtimes)``, in the
-    solver's search order (stage-major, lower PU column first).
-
-    A schedule's chunk runtimes extend its prefix's: staying on the PU
-    adds to the open chunk's running sum, moving to an unused PU closes
-    it.  The additions happen in stage order, so the floats are the ones
-    the optimizer computes.
-    """
-    n, m = len(lat), len(lat[0])
-
-    def extend(assignment, closed, running):
-        stage = len(assignment)
-        if stage == n:
-            yield assignment, closed + (running,)
-            return
-        current = assignment[-1]
-        for pu in range(m):
-            if pu == current:
-                yield from extend(assignment + (pu,), closed,
-                                  running + lat[stage][pu])
-            elif pu not in assignment:
-                yield from extend(assignment + (pu,), closed + (running,),
-                                  0.0 + lat[stage][pu])
-
-    for first in range(m):
-        yield from extend((first,), (), 0.0 + lat[0][first])
-
-
-def enumerated_k_best(lat, k, gap_slack):
-    """BT-Optimizer levels 1 + 2 read off the enumerated space: ranked
-    ``(assignment, latency, gapness)``."""
-    scored = [
-        (max(sums), max(sums) - min(sums), position, assignment)
-        for position, (assignment, sums) in enumerate(enumerate_space(lat))
-    ]
-    latency, gap, _, _ = min(scored, key=lambda s: (s[1], s[2]))
-    threshold = gap + gap_slack * latency
-    # The K best by (latency, search position), the filter's side first.
-    by_latency = sorted(scored, key=lambda s: (s[0], s[2]))
-    within = [s for s in by_latency if s[1] <= threshold + 1e-12][:k]
-    beyond = [s for s in by_latency if s[1] > threshold + 1e-12]
-    chosen = within + beyond[:k - len(within)]
-    chosen.sort(key=lambda s: (s[0], s[1]))
-    return [(assignment, latency, gap)
-            for latency, gap, _, assignment in chosen]
 
 
 def drawn_case(n, m, seed=42):
@@ -119,39 +70,24 @@ def drawn_case(n, m, seed=42):
     )
 
 
-def latency_matrix(app, table):
-    return [[table.latency(stage, pu) for pu in table.pu_classes]
-            for stage in app.stage_names]
-
-
-def counted_optimize(app, table, k):
-    """``(wall seconds, result, decisions, propagations)`` of one
-    ``optimize()``; the counts come from the optimizer's own metrics."""
-    with capture() as cap:
-        start = time.perf_counter()
-        result = BTOptimizer(app, table, k=k).optimize()
-        wall = time.perf_counter() - start
-    counters = cap.metrics.snapshot()["counters"]
-    return (wall, result, counters["solver.nodes"],
-            counters["solver.propagations"])
-
-
-def assert_matches_enumerator(app, table, result, k):
-    """The optimizer's candidates are the enumerator's K best; returns
-    the seconds the enumerator took."""
-    lat = latency_matrix(app, table)
+def timed(optimizer):
+    """``(wall seconds, result)`` of one ``optimize()``."""
     start = time.perf_counter()
-    expected = enumerated_k_best(lat, k, gap_slack=0.10)
-    floor = time.perf_counter() - start
-    pus = table.pu_classes
-    assert [
-        (c.schedule.assignments, c.predicted_latency_s, c.gapness_s)
-        for c in result.candidates
-    ] == [
-        (tuple(pus[c] for c in assignment), latency, gap)
-        for assignment, latency, gap in expected
-    ]
-    return floor
+    result = optimizer.optimize()
+    return time.perf_counter() - start, result
+
+
+def walked_and_searched(app, table, k):
+    """The shipped planner and the CP oracle on one table: ``(walk
+    wall, search wall, result, decisions, propagations)``, after
+    checking the two results are equal."""
+    walk_wall, walked = timed(BTOptimizer(app, table, k=k))
+    oracle = CPOptimizer(app, table, k=k)
+    search_wall, searched = timed(oracle)
+    assert walked == searched
+    stats = oracle.solver.stats
+    return (walk_wall, search_wall, walked, stats.decisions,
+            stats.propagations)
 
 
 @pytest.fixture(scope="module")
@@ -177,54 +113,46 @@ def test_space_size_is_the_closed_form():
     assert space_size(9, 2) == 18  # a Jetson: CPU cluster + GPU
     for n, m in ((1, 3), (4, 2), (6, 4), (9, 4), (7, 5)):
         lat = [[1.0] * m for _ in range(n)]
-        space = [assignment for assignment, _ in enumerate_space(lat)]
+        space = [assignment for assignment, _ in walk_schedules(lat)]
         assert len(space) == len(set(space)) == space_size(n, m)
         assert space == sorted(space)  # the solver's search order
 
 
 def test_solver_scaling_with_stage_count(benchmark, tables):
     def sweep():
-        results = {}
-        for case, (app, table) in tables.items():
-            wall, optimization, decisions, propagations = \
-                counted_optimize(app, table, k=5)
-            results[case] = (
-                wall,
-                assert_matches_enumerator(app, table, optimization, k=5),
-                optimization.solver_invocations,
-                len(optimization.candidates),
-                decisions,
-                propagations,
-            )
-        return results
+        return {
+            case: walked_and_searched(app, table, k=5)
+            for case, (app, table) in tables.items()
+        }
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print("\n(stages, PUs) -> space, CP search wall (x enumerator), "
-          "invocations, candidates, decisions, propagations:")
+    print("\n(stages, PUs) -> space, walk wall, CP search wall, "
+          "phases, candidates, search decisions, propagations:")
     for (n, m), row in sorted(results.items()):
-        wall, floor, invocations, candidates, decisions, propagations = row
+        walk, search, result, decisions, propagations = row
         print(f"  N={n:2d} M={m}: {space_size(n, m):7d} schedules, "
-              f"{wall * 1e3:8.1f} ms ({wall / floor:5.1f}x), "
-              f"{invocations} invocations, {candidates} candidates, "
+              f"walk {walk * 1e3:8.1f} ms, search {search * 1e3:8.1f} ms, "
+              f"{result.solver_invocations} phases, "
+              f"{len(result.candidates)} candidates, "
               f"{decisions} decisions, {propagations} propagations")
-    # The paper-scale case stays interactive: ~7 ms measured with one
-    # traversal per phase (~50 ms with K + 1 restarts, 241 ms before the
-    # watched-literal core), 7x headroom for a loaded runner.
+    # The paper-scale case stays interactive: ~2 ms walked, ~6 ms
+    # searched, 20x headroom for a loaded runner.
     assert results[9, 4][0] < 0.05
     # And the widest case - 59x the paper's space - completes within a
     # lenient budget.
     assert results[14, 5][0] < 60.0
     for row in results.values():
-        assert row[2] <= 3
-        assert row[3] >= 1
+        assert row[2].solver_invocations <= 3
+        assert row[2].candidates
 
 
 def test_worst_paper_cell_under_the_papers_50ms(benchmark):
     """alexnet-sparse on the Pixel 7a (N = 9, M = 4, K = 20) is the most
-    expensive plan of the paper campaign.  The whole ``optimize()`` -
-    level 1, the filtered K-best and the top-up - best of three: ~17 ms
-    (~420 ms as 22 restarts), against the 50 ms the paper quotes for one
-    z3 invocation of its K + 1."""
+    expensive plan of the paper campaign.  The shipped planner's whole
+    ``optimize()`` - the walk, level 1, the filtered K-best and the
+    top-up - best of three, against the 50 ms the paper quotes for one
+    z3 invocation of its K + 1; the CP oracle's three searches beside
+    it."""
     platform = get_platform("pixel7a")
     app = build_alexnet_sparse()
     table = BTProfiler(platform, repetitions=2).profile(app).restricted(
@@ -233,19 +161,17 @@ def test_worst_paper_cell_under_the_papers_50ms(benchmark):
 
     def best_of_three():
         return min(
-            (counted_optimize(app, table, k=20) for _ in range(3)),
+            (walked_and_searched(app, table, k=20) for _ in range(3)),
             key=lambda run: run[0],
         )
 
-    wall, result, decisions, propagations = benchmark.pedantic(
+    walk, search, result, decisions, propagations = benchmark.pedantic(
         best_of_three, rounds=1, iterations=1
     )
-    floor = assert_matches_enumerator(app, table, result, k=20)
-    invocations = result.solver_invocations
-    print(f"\nworst paper cell: {wall * 1e3:.1f} ms per plan over "
-          f"{invocations} invocations ({decisions} decisions, "
-          f"{propagations} propagations); enumerator {floor * 1e3:.1f} ms "
-          f"- CP search / enumerator = {wall / floor:.1f}x")
+    print(f"\nworst paper cell: walk {walk * 1e3:.1f} ms per plan; CP "
+          f"search {search * 1e3:.1f} ms over "
+          f"{result.solver_invocations} invocations ({decisions} "
+          f"decisions, {propagations} propagations)")
     assert len(result.candidates) == 20
-    assert invocations <= 3
-    assert wall < 0.050
+    assert result.solver_invocations <= 3
+    assert walk < 0.050

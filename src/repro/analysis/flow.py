@@ -15,8 +15,8 @@ which parameters it mutates with tainted data, and which parameters it
 stores into named object fields.  Field stores and CamelCase
 constructor keywords feed a *name-keyed global field-taint table* -
 the pragmatic answer to heap aliasing that makes a chain like
-``perf_counter() -> SolverStats.wall_seconds -> result.solver_wall_s
--> optimization_to_dict -> write_artifact`` trackable without a points-
+``perf_counter() -> Stats.wall_seconds -> result.wall_s
+-> result_to_dict -> write_artifact`` trackable without a points-
 to analysis.  Summaries and the field table iterate to a fixpoint.
 
 **Phase B - reporting.**  Every function (and module body) is re-

@@ -20,7 +20,7 @@ feed them through the same measurement and correlation machinery.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.optimizer import (
     DEFAULT_K,
@@ -36,23 +36,17 @@ from repro.soc.platform import Platform
 def latency_only_candidates(
     application: Application,
     table: ProfilingTable,
-    pu_classes: Optional[Sequence[str]] = None,
     k: int = DEFAULT_K,
 ) -> OptimizationResult:
     """Minimize predicted latency with NO utilization filter.
 
     Implemented as the BetterTogether optimizer with an infinite gapness
-    slack, which makes the level-1 threshold vacuous while preserving the
-    constraint encoding (C1, C2) and the blocking-clause enumeration (C5).
+    slack, which makes the level-1 threshold vacuous while keeping the
+    space (C1, C2) and the K-best enumeration (C5).
     """
-    optimizer = BTOptimizer(
-        application,
-        table,
-        pu_classes=pu_classes,
-        k=k,
-        gap_slack=math.inf,
-    )
-    return optimizer.optimize()
+    return BTOptimizer(
+        application, table, k=k, gap_slack=math.inf,
+    ).optimize()
 
 
 def isolated_latency_only_candidates(

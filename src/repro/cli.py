@@ -74,16 +74,15 @@ def _build_app(name: str):
     return builder()
 
 
-def _target(args: argparse.Namespace, **framework_kwargs):
+def _target(args: argparse.Namespace):
     """``(platform, application, framework)`` named by the target flags
-    (:func:`_add_target_args`); ``framework_kwargs`` go to
-    :class:`BetterTogether` as they are."""
+    (:func:`_add_target_args`)."""
     # PlatformError propagates to main()'s structured error handler.
     platform = get_platform(args.platform)
     application = _build_app(args.app)
     framework = BetterTogether(
         platform, repetitions=args.repetitions, k=args.k,
-        eval_tasks=args.eval_tasks, **framework_kwargs,
+        eval_tasks=args.eval_tasks,
     )
     return platform, application, framework
 
@@ -224,7 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     session, catching mistyped paths on what was meant to be a resume.
     Without either, this is equivalent to ``plan`` (no checkpoints).
     """
-    _, application, framework = _target(args, time_budget_s=args.time_budget_s)
+    _, application, framework = _target(args)
     directory = args.resume or args.session
     if args.resume and not (args.resume / "manifest.json").exists():
         raise CampaignError(
@@ -1091,9 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", type=Path, default=None,
                    help="resume an existing session directory (must "
                         "already contain a manifest)")
-    p.add_argument("--time-budget-s", type=float, default=None,
-                   help="wall-clock budget for the optimizer search; on "
-                        "expiry it degrades to a greedy schedule")
     p.add_argument("--verbose", action="store_true",
                    help="log each completed unit of work to stderr")
     p.set_defaults(fn=cmd_run)

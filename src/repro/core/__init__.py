@@ -29,7 +29,6 @@ from repro.core.profiler import (
 )
 from repro.core.schedule import (
     Schedule,
-    enumerate_schedules,
     validate_schedule,
 )
 from repro.core.session import CampaignSession, SessionReport
@@ -60,7 +59,6 @@ __all__ = [
     "SessionReport",
     "Stage",
     "TaskGraph",
-    "enumerate_schedules",
     "interference_ratios",
     "select_for_rate",
     "tenant_offered_load",

@@ -101,9 +101,6 @@ class BetterTogether:
         autotune_top: How many candidates level 3 actually executes
             (default: all K, like the paper's 20-candidate campaign).
         eval_tasks: Tasks streamed per autotuning measurement.
-        time_budget_s: Optional wall-clock budget for the optimizer's
-            solver phase; expiry degrades to the greedy best-PU
-            schedule instead of raising.
     """
 
     def __init__(
@@ -114,7 +111,6 @@ class BetterTogether:
         gap_slack: float = DEFAULT_GAP_SLACK,
         autotune_top: Optional[int] = None,
         eval_tasks: int = 30,
-        time_budget_s: Optional[float] = None,
     ):
         self.platform = platform
         self.profiler = BTProfiler(platform, repetitions=repetitions)
@@ -122,7 +118,6 @@ class BetterTogether:
         self.gap_slack = gap_slack
         self.autotune_top = autotune_top
         self.eval_tasks = eval_tasks
-        self.time_budget_s = time_budget_s
 
     def profile(self, application: Application,
                 mode: str = INTERFERENCE) -> ProfilingTable:
@@ -137,7 +132,6 @@ class BetterTogether:
             table.restricted(self.platform.schedulable_classes()),
             k=self.k,
             gap_slack=self.gap_slack,
-            time_budget_s=self.time_budget_s,
         )
         return optimizer.optimize()
 

@@ -1,46 +1,51 @@
 """BT-Optimizer (paper section 3.3): three-level schedule optimization.
 
-Level 1 - *Utilization*: encode the assignment problem as constraints
-(C1 exactly-one-PU-per-stage, C2 contiguity, optional C3 per-chunk runtime
-bounds) and minimize **gapness** ``T_max - T_min`` (objective O1).  The
-key insight: low-gapness schedules keep every PU busy, which matches the
-co-run conditions the interference-aware profiling table was collected
-under, so their predictions are trustworthy.
+Level 1 - *Utilization*: among the schedules that satisfy C1
+exactly-one-PU-per-stage, C2 contiguity and the optional C3 per-chunk
+runtime bounds, minimize **gapness** ``T_max - T_min`` (objective O1).
+The key insight: low-gapness schedules keep every PU busy, which
+matches the co-run conditions the interference-aware profiling table
+was collected under, so their predictions are trustworthy.
 
 Level 2 - *Latency*: the ``K`` schedules of lowest predicted latency
 within the gapness threshold.  The paper enumerates them by solving,
-blocking the answer (constraint C5-ell) and solving again; here one
-K-best branch-and-bound returns the same list - ordered by (latency,
-search position) - from a single traversal.  Candidates emerge sorted by
-predicted latency and cluster into *performance tiers*.
+blocking the answer (constraint C5-ell) and solving again, which walks
+the schedules by (latency, search position).  Candidates emerge sorted
+by predicted latency and cluster into *performance tiers*.
 
 Level 3 - *Autotuning* lives in :mod:`repro.core.autotuner`: the top
 candidates are actually executed and the measured best wins.
 
-The constraint encoding targets :mod:`repro.solver` (the z3 stand-in).
-One model and one solver serve the two or three invocations of an
+The paper hands levels 1-2 to z3.  For a linear pipeline, though, C1 +
+C2 leave only ``sum_k C(N-1, k-1) * P(M, k)`` schedules - 2 116 at the
+paper's largest cell (N = 9, M = 4), 18 on a Jetson - so the formulation
+is evaluated exhaustively: :func:`walk_schedules` lists the space once,
+in the solver's search order, and the two or three phases of an
 :meth:`BTOptimizer.optimize` call - level 1, the filtered K-best and,
-when the threshold leaves fewer than K, one unfiltered top-up - where
-blocking needs K + 1.  On the worst paper-scale instance (alexnet-sparse
-on the Pixel 7a: N=9, M=4, K=20) the whole call takes about 17 ms,
-against the paper's 50 ms for a single z3 invocation
-(``benchmarks/test_solver_scalability.py`` holds the line).
+when the threshold leaves fewer than K, one unfiltered top-up - read
+it.  Each phase admits schedules by the rule of the K-best
+branch-and-bound that searched the constraint encoding
+(:func:`_k_best`), so the candidates are that search's, float for float;
+the encoding itself is kept as the oracle in ``tests/core/``.  On the
+worst paper-scale instance (alexnet-sparse on the Pixel 7a: N=9, M=4,
+K=20) the whole call takes about 5 ms, against the paper's 50 ms for a
+single z3 invocation (``benchmarks/test_solver_scalability.py`` holds
+the line).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.profiler import ProfilingTable
-from repro.core.schedule import Schedule, validate_schedule
+from repro.core.schedule import Schedule
 from repro.core.stage import Application
-from repro.errors import SchedulingError, SolverTimeoutError
+from repro.errors import SchedulingError
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
-from repro.solver import BoolVar, Model, Solver
 
 #: Number of diverse candidates level 2 produces (paper: K = 20).
 DEFAULT_K = 20
@@ -50,6 +55,10 @@ DEFAULT_K = 20
 DEFAULT_GAP_SLACK = 0.10
 #: Relative latency band of one performance tier (section 3.3).
 TIER_TOLERANCE = 0.06
+
+#: One schedule of the walk: its PU column per stage and its chunk
+#: runtimes, in stage order.
+Leaf = Tuple[Tuple[int, ...], Tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -71,12 +80,12 @@ class OptimizationResult:
     candidates: List[ScheduleCandidate]
     gap_threshold_s: float
     utilization_optimum: Optional[ScheduleCandidate]
-    #: Solver invocations actually made: 2 or 3 for an exact plan (level
-    #: 1, the filtered K-best, a top-up if the filter left fewer than K).
+    #: Phases of the search: 2 or 3 (level 1, the filtered K-best, a
+    #: top-up if the filter left fewer than K).
     solver_invocations: int = 0
-    solver_wall_s: float = 0.0
-    #: True when the solver's wall-clock budget expired and the result
-    #: degraded to the greedy best-PU schedule (no optimality claim).
+    #: False for every plan this optimizer makes.  Candidate logs carry
+    #: it, and a log written when a search could run out of budget may
+    #: hold True.
     degraded: bool = False
 
     @property
@@ -105,369 +114,229 @@ class OptimizationResult:
         return tiers
 
 
+def walk_schedules(latencies: Sequence[Sequence[float]]) -> List[Leaf]:
+    """Every C1 + C2 schedule of a stage x PU-column latency matrix, as
+    ``(assignment, chunk runtimes)``, in the solver's search order
+    (stage-major, lower column first: ascending assignments).
+
+    A schedule's chunk runtimes extend its prefix's: staying on the PU
+    adds to the open chunk's running sum, moving to an unused PU closes
+    it.  The additions happen in stage order from 0.0, so the floats are
+    the ones the schedule's own chunk decomposition gives.
+    """
+    n = len(latencies)
+    leaves: List[Leaf] = []
+
+    def extend(assignment, closed, running):
+        stage = len(assignment)
+        if stage == n:
+            leaves.append((assignment, closed + (running,)))
+            return
+        for pu, latency in enumerate(latencies[stage]):
+            if pu == assignment[-1]:
+                extend(assignment + (pu,), closed, running + latency)
+            elif pu not in assignment:
+                extend(assignment + (pu,), closed + (running,),
+                       0.0 + latency)
+
+    for pu, latency in enumerate(latencies[0]):
+        extend((pu,), (), 0.0 + latency)
+    return leaves
+
+
+def _k_best(scored: Iterable[Tuple[float, int]], k: int) -> List[int]:
+    """Positions of the ``k`` best ``(value, position)`` pairs, met in
+    search order, by the K-best branch-and-bound's admission rule.
+
+    A pair joins while fewer than ``k`` are held, or when its value is
+    below the k-th held value less 1e-12; the held list stays in (value,
+    position) order.  This is the rule of the solver's ``minimize(k)``,
+    which pruned only what the rule refuses.  Under near-ties (values
+    under 1e-12 apart) it is not an exact sort.
+    """
+    best: List[Tuple[float, int]] = []
+    cutoff = math.inf
+    for value, position in scored:
+        if value < cutoff:
+            bisect.insort(best, (value, position))
+            del best[k:]
+            if len(best) == k:
+                cutoff = best[-1][0] - 1e-12
+    return [position for _, position in best]
+
+
 class BTOptimizer:
     """Levels 1 and 2 of the BetterTogether optimization.
 
     Args:
         application: Provides stage names/order.
         table: Profiling table (interference-aware for the real flow;
-            prior-work comparisons pass an isolated table).
-        pu_classes: Schedulable PU classes (the affinity map's output);
-            defaults to the table's columns.
+            prior-work comparisons pass an isolated table), restricted
+            to the schedulable PU classes: every column is a PU.
         k: Number of candidates for level 2.
         gap_slack: Gapness threshold slack (fraction of optimal T_max).
         max_chunk_time_s / min_chunk_time_s: Optional hard per-chunk
             bounds (constraints C3a / C3b).
-        time_budget_s: Optional wall-clock budget across *all* solver
-            invocations of one :meth:`optimize` call.  When it expires,
-            the result degrades gracefully to the greedy best-PU
-            schedule (``result.degraded`` is True) instead of raising.
-        max_decisions: Optional per-invocation solver decision budget,
-            forwarded to :class:`repro.solver.Solver`; exhaustion
-            triggers the same greedy degradation.
     """
 
     def __init__(
         self,
         application: Application,
         table: ProfilingTable,
-        pu_classes: Optional[Sequence[str]] = None,
         k: int = DEFAULT_K,
         gap_slack: float = DEFAULT_GAP_SLACK,
         max_chunk_time_s: Optional[float] = None,
         min_chunk_time_s: Optional[float] = None,
-        time_budget_s: Optional[float] = None,
-        max_decisions: Optional[int] = None,
     ):
         if k < 1:
             raise SchedulingError("k must be >= 1")
-        if time_budget_s is not None and time_budget_s <= 0:
-            raise SchedulingError("time_budget_s must be > 0")
-        self.application = application
-        self.table = table
-        self.pu_classes = tuple(pu_classes or table.pu_classes)
-        missing = set(self.pu_classes) - set(table.pu_classes)
-        if missing:
-            raise SchedulingError(
-                f"table has no columns for PUs {sorted(missing)}"
-            )
+        for kind, names in (("PU class", table.pu_classes),
+                            ("stage", table.stage_names)):
+            repeated = [name for index, name in enumerate(names)
+                        if name in names[:index]]
+            if repeated:
+                raise SchedulingError(
+                    f"profiling table repeats {kind} {repeated[0]!r}"
+                )
         if application.num_stages != len(table.stage_names):
             raise SchedulingError(
                 "profiling table does not match the application's stages"
             )
+        self.application = application
+        self.table = table
+        self.pu_classes = tuple(table.pu_classes)
         self.k = k
         self.gap_slack = gap_slack
         self.max_chunk_time_s = max_chunk_time_s
         self.min_chunk_time_s = min_chunk_time_s
-        self.time_budget_s = time_budget_s
-        self.max_decisions = max_decisions
-        self._deadline: Optional[float] = None
-        # Dense latency matrix for fast objective evaluation.
+        # Dense latency matrix the walk sums.
         self._lat = [
             [table.latency(stage, pu) for pu in self.pu_classes]
             for stage in application.stage_names
         ]
-        # The search bounds rely on a chunk's runtime never shrinking as
-        # stages join it.
+        # A chunk's runtime must never shrink as stages join it.
         if any(latency < 0 for row in self._lat for latency in row):
             raise SchedulingError("profiled latencies must be >= 0")
-        self.solver_invocations = 0
-        self.solver_wall_s = 0.0
 
-    def _minimize(self, solver: Solver, objective, lower_bound, k: int = 1):
-        """One solver invocation under whatever remains of the wall
-        budget, accounted (and mirrored into metrics) however it ends."""
-        if self._deadline is not None:
-            remaining = self._deadline - time.perf_counter()
-            if remaining <= 0:
-                raise SolverTimeoutError(
-                    f"optimization wall-clock budget exhausted "
-                    f"({self.time_budget_s}s)"
-                )
-            solver.time_budget_s = remaining
-        stats = solver.stats
-        before = (stats.decisions, stats.conflicts, stats.propagations,
-                  stats.wall_seconds)
-        try:
-            return solver.minimize(objective, lower_bound=lower_bound, k=k)
-        finally:
-            self.solver_invocations += 1
-            self.solver_wall_s += stats.wall_seconds - before[3]
-            reg = metrics()
-            if reg.enabled:
-                reg.counter("solver.invocations")
-                reg.counter("solver.nodes", stats.decisions - before[0])
-                reg.counter("solver.conflicts", stats.conflicts - before[1])
-                reg.counter("solver.propagations",
-                            stats.propagations - before[2])
-
-    # ------------------------------------------------------------------
-    # Constraint encoding
-    # ------------------------------------------------------------------
-    def _build_solver(self) -> Tuple[Solver, List[List[BoolVar]]]:
-        """Encode C1 + C2 (+ optional C3) over x[i][c] booleans.
-
-        ``x[i][c]`` is the model's variable ``i * M + c``: the solver
-        branches stage-major, and a stage's row is one slice of the
-        values it hands to objectives and bounds.
-        """
-        model = Model()
-        n = self.application.num_stages
-        m = len(self.pu_classes)
-        x = [
-            [model.new_bool(f"x_{i}_{c}") for c in range(m)]
-            for i in range(n)
-        ]
-        # C1: exactly one PU per stage.
-        for i in range(n):
-            model.add_exactly_one(x[i])
-        # C2: contiguity - (x[i,c] & x[k,c]) => x[j,c] for i < j < k.
-        for c in range(m):
-            for i in range(n):
-                for k in range(i + 2, n):
-                    for j in range(i + 1, k):
-                        model.add_implication([x[i][c], x[k][c]], x[j][c])
-        # C3a: per-chunk upper bound via pseudo-boolean sums per PU (a
-        # chunk's runtime is the sum of that PU's assigned stages).
-        if self.max_chunk_time_s is not None:
-            for c in range(m):
-                model.add_linear_le(
-                    [(x[i][c], self._lat[i][c]) for i in range(n)],
-                    self.max_chunk_time_s,
-                )
-        return Solver(model, max_decisions=self.max_decisions), x
-
-    def _decode(self, values: Sequence[int]) -> Tuple[int, ...]:
-        """Assignment (PU column index per stage) from complete solver
-        values."""
-        m = len(self.pu_classes)
-        return tuple(
-            values.index(1, base, base + m) - base
-            for base in range(0, len(values), m)
-        )
-
-    def _chunk_sums(self, assignment: Tuple[int, ...]) -> List[float]:
-        sums: List[float] = []
-        previous = None
-        for i, c in enumerate(assignment):
-            if c != previous:
-                sums.append(0.0)
-                previous = c
-            sums[-1] += self._lat[i][c]
-        return sums
-
-    def _objective(self, gap_threshold: Optional[float] = None):
-        """Objective over complete solver values, from one pass over the
-        chunk runtimes: infinite outside the C3 bounds; otherwise the
-        gapness (no ``gap_threshold``: level 1), or the latency of a
-        schedule whose gapness is within ``gap_threshold`` and infinite
-        beyond it (level 2; ``math.inf`` filters nothing)."""
-        decode = self._decode
-        chunk_sums = self._chunk_sums
-        shortest_allowed = (
-            -math.inf if self.min_chunk_time_s is None
-            else self.min_chunk_time_s
-        )
+    def _feasible(self) -> List[Tuple[Tuple[int, ...], float, float]]:
+        """The walk's schedules within the C3 bounds, as ``(assignment,
+        T_max, T_min)``, in search order."""
         longest_allowed = (
             math.inf if self.max_chunk_time_s is None
             else self.max_chunk_time_s
         )
-
-        def objective(values: Sequence[int]) -> float:
-            sums = chunk_sums(decode(values))
+        shortest_allowed = (
+            -math.inf if self.min_chunk_time_s is None
+            else self.min_chunk_time_s
+        )
+        feasible = []
+        for assignment, sums in walk_schedules(self._lat):
             longest = max(sums)
             shortest = min(sums)
-            if longest > longest_allowed or shortest < shortest_allowed:
-                return math.inf
-            if gap_threshold is None:
-                return longest - shortest
-            if longest - shortest > gap_threshold + 1e-12:
-                return math.inf
-            return longest
+            if longest <= longest_allowed and shortest >= shortest_allowed:
+                feasible.append((assignment, longest, shortest))
+        return feasible
 
-        return objective
-
-    def _candidate(self, assignment: Tuple[int, ...]) -> ScheduleCandidate:
+    def _candidate(
+        self, leaf: Tuple[Tuple[int, ...], float, float]
+    ) -> ScheduleCandidate:
         """Scored but not yet ranked (:meth:`_ranked` numbers a list)."""
-        sums = self._chunk_sums(assignment)
-        longest = max(sums)
+        assignment, longest, shortest = leaf
         return ScheduleCandidate(
             rank=0,
-            schedule=self._to_schedule(assignment),
+            schedule=Schedule.from_assignments(
+                [self.pu_classes[c] for c in assignment]
+            ),
             predicted_latency_s=longest,
-            gapness_s=longest - min(sums),
+            gapness_s=longest - shortest,
         )
 
-    def _to_schedule(self, assignment: Tuple[int, ...]) -> Schedule:
-        return Schedule.from_assignments(
-            [self.pu_classes[c] for c in assignment]
-        )
-
-    # ------------------------------------------------------------------
-    # Branch-and-bound lower bounds
-    #
-    # The solver branches stage-major, so a partial assignment is a
-    # prefix of decided stages.  Every chunk in that prefix except the
-    # last is *closed*: contiguity (C2) forbids its PU from reappearing,
-    # so its runtime is final.  The last one is *open*: it can only grow
-    # (latencies are non-negative), so it bounds T_max from below and
-    # says nothing about T_min.  That makes the bounds below admissible.
-    # ------------------------------------------------------------------
-    def _prefix_chunk_sums(self, values: Sequence[int]) -> List[float]:
-        """Chunk runtimes of the decided prefix, the open chunk last."""
-        m = len(self.pu_classes)
-        sums: List[float] = []
-        previous = None
-        base = 0
-        try:
-            for row in self._lat:
-                decided = values.index(1, base, base + m) - base
-                if decided != previous:
-                    sums.append(0.0)
-                    previous = decided
-                sums[-1] += row[decided]
-                base += m
-        except ValueError:
-            pass  # first stage without a PU yet: the prefix ends here
-        return sums
-
-    def _latency_lower_bound(self, gap_threshold: float):
-        """Bound for the level-2 objective with the same threshold: the
-        longest chunk of the prefix - or infinity once the prefix alone
-        has a gap beyond the threshold, as no completion brings T_max
-        down or T_min up."""
-        prefix_chunk_sums = self._prefix_chunk_sums
-
-        def lower_bound(values: Sequence[int]) -> float:
-            sums = prefix_chunk_sums(values)
-            if not sums:
-                return 0.0
-            longest = max(sums)
-            del sums[-1]  # the open chunk may yet outgrow T_min
-            if sums and longest - min(sums) > gap_threshold + 1e-12:
-                return math.inf
-            return longest
-
-        return lower_bound
-
-    def _gapness_lower_bound(self, values: Sequence[int]) -> float:
-        sums = self._prefix_chunk_sums(values)
-        if len(sums) < 2:
-            return 0.0
-        # Any completion's T_max >= every chunk of the prefix, and its
-        # T_min <= every closed one.
-        longest = max(sums)
-        del sums[-1]
-        return longest - min(sums)
+    @staticmethod
+    def _phase(scored: Iterable[Tuple[float, int]], k: int) -> List[int]:
+        """One search phase: :func:`_k_best`, counted in the metrics."""
+        reg = metrics()
+        if reg.enabled:
+            reg.counter("solver.invocations")
+        return _k_best(scored, k)
 
     # ------------------------------------------------------------------
     # Level 1: utilization (gapness) optimum
     # ------------------------------------------------------------------
     def optimize_utilization(self) -> ScheduleCandidate:
         """Solve ``min (T_max - T_min)`` (objective O1)."""
-        return self._solve_utilization(self._build_solver()[0])
+        return self._utilization(self._feasible())
 
-    def _solve_utilization(self, solver: Solver) -> ScheduleCandidate:
+    def _utilization(self, feasible) -> ScheduleCandidate:
         with tracer().span("solver.utilization", "solver",
                            application=self.application.name):
-            found = self._minimize(solver, self._objective(),
-                                   self._gapness_lower_bound)
+            found = self._phase(
+                ((longest - shortest, position)
+                 for position, (_, longest, shortest) in enumerate(feasible)),
+                k=1,
+            )
         if not found:
             raise SchedulingError(
                 "no schedule satisfies the constraints (C1-C3)"
             )
-        return self._candidate(self._decode(found[0][0].values))
+        return self._candidate(feasible[found[0]])
 
     # ------------------------------------------------------------------
-    # Greedy fallback (degraded mode)
+    # Level 2: latency, the K best candidates
     # ------------------------------------------------------------------
-    def greedy_assignment(self) -> Tuple[int, ...]:
-        """Stage-major greedy best-PU schedule (no solver involved).
-
-        Walks the stages in order; each stage either stays on the
-        current chunk's PU or opens a new chunk on the fastest PU not
-        used yet, whichever has the lower profiled latency for that
-        stage.  Contiguity (C2) holds by construction; the per-chunk
-        bounds (C3) are *not* enforced - this is the degraded answer
-        when the solver budget expires, not an optimal one.
-        """
-        n = self.application.num_stages
-        m = len(self.pu_classes)
-        used: set = set()
-        current: Optional[int] = None
-        assignment: List[int] = []
-        for i in range(n):
-            options = ([current] if current is not None else []) + [
-                c for c in range(m) if c not in used and c != current
-            ]
-            best = min(options, key=lambda c: self._lat[i][c])
-            if best != current:
-                if current is not None:
-                    used.add(current)
-                current = best
-            assignment.append(best)
-        return tuple(assignment)
-
-    def _degraded_result(
-        self, partial: List[ScheduleCandidate]
-    ) -> OptimizationResult:
-        """Greedy best-PU schedule plus whatever level 2 already found."""
-        greedy = self._candidate(self.greedy_assignment())
-        pool = {greedy.schedule.assignments: greedy}
-        for candidate in partial:
-            pool.setdefault(candidate.schedule.assignments, candidate)
-        candidates = self._ranked(pool.values())
+    def optimize(self) -> OptimizationResult:
+        """Run levels 1 and 2; candidates sorted by predicted latency."""
+        with tracer().span("solver.optimize", "solver",
+                           application=self.application.name, k=self.k):
+            feasible = self._feasible()
+            utilization = self._utilization(feasible)
+            threshold = (
+                utilization.gapness_s
+                + self.gap_slack * utilization.predicted_latency_s
+            )
+            # Phase 2a takes the K best within the utilization threshold;
+            # when the filtered space holds fewer (small platforms like
+            # the Jetson have only ~2(N-1)+2 contiguous schedules in
+            # total), phase 2b skips what 2a took (C5-ell) and tops the
+            # set up without the filter so autotuning still sees K
+            # diverse options.
+            # ``not >``, as the search's objective tested it: a NaN
+            # threshold (infinite slack times a zero latency) filters
+            # nothing.
+            limit = threshold + 1e-12
+            taken = self._latency_phase("filtered", [
+                (longest, position)
+                for position, (_, longest, shortest) in enumerate(feasible)
+                if not longest - shortest > limit
+            ], self.k)
+            invocations = 2
+            if len(taken) < self.k:
+                skip = set(taken)
+                taken += self._latency_phase("topup", [
+                    (longest, position)
+                    for position, (_, longest, _) in enumerate(feasible)
+                    if position not in skip
+                ], self.k - len(taken))
+                invocations = 3
+        # The paper sorts the candidate set by predicted latency (T_max)
+        # at the end; the unfiltered top-up phase can otherwise leave a
+        # low-latency, high-gapness schedule after a filtered one.
         return OptimizationResult(
             application=self.application.name,
             platform=self.table.platform,
-            candidates=candidates,
-            gap_threshold_s=max(c.gapness_s for c in candidates),
-            utilization_optimum=None,
-            solver_invocations=self.solver_invocations,
-            solver_wall_s=self.solver_wall_s,
-            degraded=True,
+            candidates=self._ranked(
+                self._candidate(feasible[position]) for position in taken
+            ),
+            gap_threshold_s=threshold,
+            utilization_optimum=utilization,
+            solver_invocations=invocations,
         )
 
-    # ------------------------------------------------------------------
-    # Level 2: latency, the K best candidates of one traversal
-    # ------------------------------------------------------------------
-    def optimize(self) -> OptimizationResult:
-        """Run levels 1 and 2; candidates sorted by predicted latency.
-
-        With a ``time_budget_s`` (or ``max_decisions``), budget expiry
-        degrades to :meth:`greedy_assignment` instead of raising; the
-        result is flagged ``degraded`` and keeps what level 2 had found
-        by then.  Every produced candidate is validated
-        (C1/C2/C3/availability) before it is returned.
-        """
-        self._deadline = (
-            None if self.time_budget_s is None
-            else time.perf_counter() + self.time_budget_s
-        )
-        partial: List[ScheduleCandidate] = []
-        with tracer().span("solver.optimize", "solver",
-                           application=self.application.name, k=self.k):
-            try:
-                result = self._optimize_exact(partial)
-            except SolverTimeoutError:
-                result = self._degraded_result(partial)
-            finally:
-                self._deadline = None
-        for candidate in result.candidates:
-            validate_schedule(
-                candidate.schedule,
-                self.application,
-                table=self.table,
-                available_pus=self.pu_classes,
-                # The greedy fallback cannot honour the chunk bounds.
-                max_chunk_time_s=(
-                    None if result.degraded else self.max_chunk_time_s
-                ),
-                min_chunk_time_s=(
-                    None if result.degraded else self.min_chunk_time_s
-                ),
-            )
-        return result
+    def _latency_phase(self, phase: str, scored, k: int) -> List[int]:
+        """One K-best phase over ``(T_max, position)`` pairs."""
+        with tracer().span("solver.candidate_round", "solver", phase=phase):
+            taken = self._phase(scored, k)
+            tracer().annotate(found=len(taken))
+        return taken
 
     @staticmethod
     def _ranked(candidates) -> List[ScheduleCandidate]:
@@ -476,73 +345,3 @@ class BTOptimizer:
             candidates, key=lambda c: (c.predicted_latency_s, c.gapness_s)
         )
         return [replace(c, rank=rank) for rank, c in enumerate(ordered)]
-
-    def _latency_phase(
-        self,
-        solver: Solver,
-        phase: str,
-        gap_threshold: float,
-        partial: List[ScheduleCandidate],
-    ) -> None:
-        """One K-best invocation for the candidates ``partial`` still
-        lacks: the lowest-latency schedules within ``gap_threshold``, in
-        the order the blocking loop meets them, appended to ``partial``
-        - on budget expiry, the incumbents of the interrupted search."""
-        pairs = ()
-        with tracer().span("solver.candidate_round", "solver", phase=phase):
-            try:
-                pairs = self._minimize(
-                    solver,
-                    self._objective(gap_threshold),
-                    self._latency_lower_bound(gap_threshold),
-                    k=self.k - len(partial),
-                )
-            except SolverTimeoutError as error:
-                pairs = error.incumbents
-                raise
-            finally:
-                tracer().annotate(found=len(pairs))
-                partial.extend(
-                    self._candidate(self._decode(solution.values))
-                    for solution, _ in pairs
-                )
-
-    def _optimize_exact(
-        self, partial: List[ScheduleCandidate]
-    ) -> OptimizationResult:
-        """The solver-backed levels 1 + 2; appends each candidate to
-        ``partial`` as found so a budget expiry can salvage them."""
-        # One model, one solver: level 1 and the filtered phase see no
-        # blocking clause; the top-up compiles the ones added before it.
-        solver, x = self._build_solver()
-        utilization = self._solve_utilization(solver)
-        threshold = (
-            utilization.gapness_s
-            + self.gap_slack * utilization.predicted_latency_s
-        )
-        # Phase 2a takes the K best within the utilization threshold;
-        # when the filtered space holds fewer (small platforms like the
-        # Jetson have only ~2(N-1)+2 contiguous schedules in total),
-        # phase 2b forbids what 2a found (C5-ell) and tops the set up
-        # without the filter so autotuning still sees K diverse options.
-        self._latency_phase(solver, "filtered", threshold, partial)
-        if len(partial) < self.k:
-            column = {pu: c for c, pu in enumerate(self.pu_classes)}
-            for candidate in partial:
-                solver.model.forbid_assignment([
-                    x[i][column[pu]]
-                    for i, pu in enumerate(candidate.schedule.assignments)
-                ])
-            self._latency_phase(solver, "topup", math.inf, partial)
-        # The paper sorts the candidate set by predicted latency (T_max)
-        # at the end; the unfiltered top-up phase can otherwise leave a
-        # low-latency, high-gapness schedule after a filtered one.
-        return OptimizationResult(
-            application=self.application.name,
-            platform=self.table.platform,
-            candidates=self._ranked(partial),
-            gap_threshold_s=threshold,
-            utilization_optimum=utilization,
-            solver_invocations=self.solver_invocations,
-            solver_wall_s=self.solver_wall_s,
-        )

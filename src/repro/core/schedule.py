@@ -287,34 +287,3 @@ def validate_schedule(
                 )
     return validated
 
-
-def enumerate_schedules(num_stages: int,
-                        pu_classes: Sequence[str]) -> List[Schedule]:
-    """Every contiguity-respecting schedule (exhaustive reference).
-
-    Used by tests to validate the solver-based optimizer: a schedule is a
-    composition of the stage sequence into k contiguous chunks labelled
-    with k distinct PU classes, so the space is small even though the raw
-    assignment space is ``M^N`` (the paper's 262K example for N=9, M=4).
-    """
-    if num_stages < 1:
-        raise SchedulingError("num_stages must be >= 1")
-    pus = list(dict.fromkeys(pu_classes))
-    results: List[Schedule] = []
-
-    def extend(position: int, remaining: List[str],
-               acc: List[Tuple[int, str]]) -> None:
-        if position == num_stages:
-            assignments: List[str] = []
-            for length, pu_class in acc:
-                assignments.extend([pu_class] * length)
-            results.append(Schedule.from_assignments(assignments))
-            return
-        for length in range(1, num_stages - position + 1):
-            for index, pu_class in enumerate(remaining):
-                rest = remaining[:index] + remaining[index + 1:]
-                extend(position + length, rest,
-                       acc + [(length, pu_class)])
-
-    extend(0, pus, [])
-    return results

@@ -180,7 +180,6 @@ class CampaignSession:
             "gap_slack": framework.gap_slack,
             "autotune_top": framework.autotune_top,
             "eval_tasks": framework.eval_tasks,
-            "time_budget_s": framework.time_budget_s,
         }
 
     def _check_manifest(self, application: Application) -> None:

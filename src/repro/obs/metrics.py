@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 Complements the tracer with aggregates that don't need a timeline:
-``retry.count``, ``admission.rejects``, ``solver.nodes``,
+``retry.count``, ``admission.rejects``, ``solver.invocations``,
 ``spsc.queue_depth`` and friends.  Naming convention is
 ``<subsystem>.<noun>`` in lowercase dotted form - see
 ``docs/architecture.md`` ("Observability").

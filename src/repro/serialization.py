@@ -257,10 +257,6 @@ def optimization_to_dict(result: OptimizationResult) -> Dict[str, Any]:
             "gapness_s": c.gapness_s,
         }
 
-    # solver_wall_s is a host wall-clock measurement (diagnostic only):
-    # serializing it would make the checksummed artifact differ across
-    # otherwise-identical runs, so it stays in-memory and the loader
-    # defaults it to 0.0.
     return _tagged("optimization_result", {
         "application": result.application,
         "platform": result.platform,
@@ -300,7 +296,6 @@ def optimization_from_dict(
                 if data.get("utilization_optimum") is not None else None
             ),
             solver_invocations=int(data.get("solver_invocations", 0)),
-            solver_wall_s=float(data.get("solver_wall_s", 0.0)),
             degraded=bool(data.get("degraded", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:

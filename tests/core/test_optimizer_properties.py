@@ -1,11 +1,12 @@
 """Property-based validation of BT-Optimizer against brute force.
 
-For random profiling tables, the solver-based optimizer must find
-exactly the optima that exhaustive enumeration over all contiguous
-schedules finds - both for the gapness objective (level 1) and for
-latency-under-threshold (level 2's first candidate) - and the one K-best
-traversal per phase must return, candidate for candidate, the list a
-brute-force replay of the paper's blocking loop produces round by round.
+For random profiling tables, the optimizer must find exactly the optima
+that exhaustive enumeration over all contiguous schedules finds - both
+for the gapness objective (level 1) and for latency-under-threshold
+(level 2's first candidate) - and each K-best phase must return,
+candidate for candidate, the list a brute-force replay of the paper's
+blocking loop produces round by round.  The branch-and-bound bounds of
+the constraint-search oracle (``cp_optimizer``) are checked admissible.
 """
 
 import itertools
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 from repro.core import Application, Stage
 from repro.core.optimizer import BTOptimizer
 from repro.core.profiler import ProfilingTable
-from repro.core.schedule import enumerate_schedules
 from repro.soc import WorkProfile
 from repro.solver import UNASSIGNED
+from tests.core.cp_optimizer import CPOptimizer, contiguous_schedules
 
 
 def make_case(latencies):
@@ -67,7 +68,7 @@ class TestAgainstBruteForce:
         best = BTOptimizer(app, table).optimize_utilization()
         brute = min(
             s.gapness(app, table)
-            for s in enumerate_schedules(app.num_stages, table.pu_classes)
+            for s in contiguous_schedules(app.num_stages, table.pu_classes)
         )
         assert best.gapness_s == pytest.approx(brute, abs=1e-9)
 
@@ -79,7 +80,7 @@ class TestAgainstBruteForce:
                              gap_slack=math.inf).optimize()
         brute = min(
             s.predicted_latency(app, table)
-            for s in enumerate_schedules(app.num_stages, table.pu_classes)
+            for s in contiguous_schedules(app.num_stages, table.pu_classes)
         )
         assert result.best.predicted_latency_s == pytest.approx(
             brute, abs=1e-9
@@ -94,7 +95,7 @@ class TestAgainstBruteForce:
         result = BTOptimizer(app, table, k=1).optimize()
         threshold = result.gap_threshold_s
         feasible = [
-            s for s in enumerate_schedules(app.num_stages, table.pu_classes)
+            s for s in contiguous_schedules(app.num_stages, table.pu_classes)
             if s.gapness(app, table) <= threshold + 1e-9
         ]
         assert feasible, "threshold always admits the gapness optimum"
@@ -107,7 +108,7 @@ class TestAgainstBruteForce:
     @given(latency_tables)
     def test_enumeration_is_exhaustive_and_distinct(self, latencies):
         app, table = make_case(latencies)
-        space = enumerate_schedules(app.num_stages, table.pu_classes)
+        space = contiguous_schedules(app.num_stages, table.pu_classes)
         result = BTOptimizer(app, table, k=len(space) + 5,
                              gap_slack=math.inf).optimize()
         assert len(result.candidates) == len(space)
@@ -140,12 +141,12 @@ class TestBoundsAreAdmissible:
         latencies = [row[:] for row in latencies]
         latencies[-1] = [0.0] * len(latencies[0])
         app, table = make_case(latencies)
-        optimizer = BTOptimizer(app, table)
+        optimizer = CPOptimizer(app, table)
         n, m = len(latencies), len(latencies[0])
         gapness = optimizer._objective()
         latency = optimizer._objective(threshold)
         latency_bound = optimizer._latency_lower_bound(threshold)
-        for schedule in enumerate_schedules(n, table.pu_classes):
+        for schedule in contiguous_schedules(n, table.pu_classes):
             columns = [table.pu_classes.index(pu)
                        for pu in schedule.assignments]
             complete = [int(c == column) for column in columns

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from repro.core import Schedule, Stage
 from repro.core.plan_cache import CachedPlan
 from repro.core.profiler import ProfilingTable
-from repro.core.schedule import enumerate_schedules
 from repro.core.stage import Application, Chunk
 from repro.soc import WorkProfile
+from tests.core.cp_optimizer import contiguous_schedules
 
 PUS = ("little", "big", "gpu")
 
@@ -76,7 +76,7 @@ def plans(draw):
         )
 
     isolated, interference = table("isolated"), table("interference")
-    schedules = enumerate_schedules(n_stages, PUS)
+    schedules = contiguous_schedules(n_stages, PUS)
     plan = CachedPlan(
         application=app, isolated=isolated, interference=interference,
         schedulable=PUS, solve=never_solves,
@@ -176,7 +176,7 @@ class TestScheduleFacts:
     @given(st.integers(min_value=1, max_value=5), st.data())
     def test_cached_facts_equal_fresh_derivation(self, n_stages, data):
         schedule = data.draw(st.sampled_from(
-            enumerate_schedules(n_stages, PUS)))
+            contiguous_schedules(n_stages, PUS)))
         expected = fresh_chunks(schedule.assignments)
         for _ in range(2):
             assert schedule.chunks() == expected

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.core import Schedule, Stage
 from repro.core.profiler import ProfilingTable
-from repro.core.schedule import enumerate_schedules, validate_schedule
+from repro.core.schedule import validate_schedule
 from repro.core.stage import Application
 from repro.errors import ScheduleValidationError, SchedulingError
 from repro.soc import WorkProfile
+from tests.core.cp_optimizer import contiguous_schedules
 
 
 def make_app(n=4):
@@ -139,12 +140,12 @@ class TestPredictions:
 
 class TestEnumeration:
     def test_counts_single_pu(self):
-        assert len(enumerate_schedules(3, ["big"])) == 1
+        assert len(contiguous_schedules(3, ["big"])) == 1
 
     def test_counts_two_pus(self):
         # k=1 chunks: 2; k=2 chunks: (n-1 splits) * 2 orders.
         n = 5
-        schedules = enumerate_schedules(n, ["big", "gpu"])
+        schedules = contiguous_schedules(n, ["big", "gpu"])
         assert len(schedules) == 2 + 2 * (n - 1)
 
     def test_counts_match_formula_three_pus(self):
@@ -154,16 +155,20 @@ class TestEnumeration:
         expected = sum(
             comb(n - 1, k - 1) * perm(m, k) for k in range(1, m + 1)
         )
-        assert len(enumerate_schedules(n, ["a", "b", "c"])) == expected
+        assert len(contiguous_schedules(n, ["a", "b", "c"])) == expected
 
     def test_paper_scale_space(self):
-        """N=9, M=4: the contiguous space the solver actually explores."""
-        schedules = enumerate_schedules(9, ["a", "b", "c", "d"])
+        """N=9, M=4: the contiguous space the planner walks, ascending -
+        the order the solver's depth-first search meets it in, which
+        the planner's admission rule relies on."""
+        schedules = contiguous_schedules(9, ["a", "b", "c", "d"])
         assert len(schedules) == 2116
         assert all(s.is_contiguous() for s in schedules)
+        assignments = [s.assignments for s in schedules]
+        assert assignments == sorted(assignments)
 
     def test_all_unique(self):
-        schedules = enumerate_schedules(5, ["a", "b", "c"])
+        schedules = contiguous_schedules(5, ["a", "b", "c"])
         assert len({s.assignments for s in schedules}) == len(schedules)
 
 

@@ -19,7 +19,12 @@ import repro
 from repro.apps import build_octree_application
 from repro.core import BetterTogether, CampaignSession
 from repro.errors import CampaignError
-from repro.serialization import CHECKSUM_KEY, artifact_sha256
+from repro.serialization import (
+    CHECKSUM_KEY,
+    artifact_sha256,
+    read_artifact,
+    write_artifact,
+)
 from repro.soc import get_platform
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -45,9 +50,9 @@ def run_campaign(tmp_path, framework, app, name="session"):
 def read_tree(directory):
     """{relative path: bytes} for every file under a session directory.
 
-    Campaign artifacts are fully deterministic (``solver_wall_s`` is
-    kept in-memory, never serialized), so every file - checksums
-    included - must match byte for byte across runs.
+    Campaign artifacts are fully deterministic (no wall-clock reading
+    is serialized), so every file - checksums included - must match
+    byte for byte across runs.
     """
     return {
         str(path.relative_to(directory)): path.read_bytes()
@@ -128,6 +133,33 @@ class TestCheckpointing:
         reference, _ = run_campaign(tmp_path, framework, app)
         assert read_tree(session.directory) == read_tree(
             reference.directory)
+
+    def test_manifest_with_a_time_budget_key_resumes(self, tmp_path,
+                                                     framework, app):
+        """Sessions started when the optimizer search had a time budget
+        carry ``"time_budget_s": null`` in their manifest.  Such a
+        session still resumes - after damage, too - to the bytes of a
+        fresh one, and its manifest is left as it was."""
+        session, _ = run_campaign(tmp_path, framework, app)
+        before = read_tree(session.directory)
+        manifest = session.directory / "manifest.json"
+        old = read_artifact(manifest, kind="session_manifest")
+        write_artifact(manifest, "session_manifest", {
+            key: value for key, value in old.items()
+            if key not in ("kind", "version", CHECKSUM_KEY)
+        } | {"time_budget_s": None})
+        legacy = manifest.read_bytes()
+        (session.directory / "optimization.json").unlink()
+        (session.directory / "autotune" / "cand_002.json").unlink()
+        sorted((session.directory / "profiling").rglob("*.json"))[3].unlink()
+        resumed = CampaignSession(session.directory, framework)
+        resumed.run(app)
+        assert resumed.report.corrupt_units == []
+        assert not resumed.report.optimization_reused
+        assert manifest.read_bytes() == legacy
+        after = read_tree(session.directory)
+        assert after.pop("manifest.json") != before.pop("manifest.json")
+        assert after == before
 
     def test_parameter_mismatch_rejected(self, tmp_path, framework, app):
         session, _ = run_campaign(tmp_path, framework, app)

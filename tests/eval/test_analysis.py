@@ -92,8 +92,8 @@ class TestSpeedupBounds:
     def test_bound_dominates_any_real_schedule(self, case):
         app, table = case
         bounds = speedup_bounds(app, table)
-        from repro.core.schedule import enumerate_schedules
+        from tests.core.cp_optimizer import contiguous_schedules
 
-        for schedule in enumerate_schedules(3, ("big", "gpu")):
+        for schedule in contiguous_schedules(3, ("big", "gpu")):
             latency = schedule.predicted_latency(app, table)
             assert latency >= bounds.ideal_parallel_s - 1e-12

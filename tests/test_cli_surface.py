@@ -83,7 +83,6 @@ SURFACE = {
         '--repetitions dest=repetitions Store default=30 type=int',
         '--resume dest=resume Store type=Path',
         '--session dest=session Store type=Path',
-        '--time-budget-s dest=time_budget_s Store type=float',
         '--verbose dest=verbose StoreTrue default=False const=True nargs=0',
     ],
     'baselines': [
@@ -246,7 +245,7 @@ SURFACE = {
 def test_every_command_keeps_every_option():
     assert surface() == SURFACE
     assert len(SURFACE) == 19
-    assert sum(len(rows) for rows in SURFACE.values()) == 144
+    assert sum(len(rows) for rows in SURFACE.values()) == 143
 
 
 #: Commands with ``--json`` (or ``--format json``) at smoke size, and

@@ -57,7 +57,7 @@ SURFACE = {
     "FleetConfig.max_impact_ratio": (
         "2.5", "fleet soak 2.5; overload 1.25 / admit-everything 1e9"),
     "FleetConfig.max_partition_classes": (
-        "1", "one value (1), set by bench/: ROADMAP item 5 decides it"),
+        "1", "one value (1), set by bench/: ROADMAP item 6 decides it"),
     "FleetConfig.cumulative_impact": (
         "False", "fleet soak False; overload and bench True"),
     "FleetConfig.reschedule": (

@@ -9,12 +9,7 @@ import pytest
 from repro.core import Application, Chunk, Stage
 from repro.core.optimizer import BTOptimizer
 from repro.core.profiler import ProfilingTable
-from repro.errors import (
-    PipelineError,
-    ProfilingError,
-    SchedulingError,
-    SolverTimeoutError,
-)
+from repro.errors import PipelineError, ProfilingError, SchedulingError
 from repro.runtime import SpscQueue, ThreadedPipelineExecutor
 from repro.soc import WorkProfile
 
@@ -119,40 +114,6 @@ class TestQueueEdgeCases:
         assert queue.pop(timeout=0) == 3
         with pytest.raises(TimeoutError):
             queue.pop(timeout=0)
-
-
-class TestSolverBudget:
-    def test_optimizer_surfaces_solver_timeout(self):
-        app = Application(
-            "big",
-            [Stage.model_only(f"s{i}", work()) for i in range(10)],
-        )
-        entries = {
-            (f"s{i}", pu): 1.0 + i * 0.1
-            for i in range(10)
-            for pu in ("a", "b", "c", "d")
-        }
-        table = ProfilingTable(
-            application="big", platform="t", mode="interference",
-            entries=entries, stage_names=tuple(f"s{i}" for i in range(10)),
-            pu_classes=("a", "b", "c", "d"),
-        )
-        optimizer = BTOptimizer(app, table)
-        # Starve the search: patch the Solver budget through the module.
-        import repro.core.optimizer as opt_module
-
-        original = opt_module.Solver
-
-        class TinySolver(original):
-            def __init__(self, model, max_decisions=None, **kwargs):
-                super().__init__(model, max_decisions=5, **kwargs)
-
-        opt_module.Solver = TinySolver
-        try:
-            with pytest.raises(SolverTimeoutError):
-                optimizer.optimize_utilization()
-        finally:
-            opt_module.Solver = original
 
 
 class TestProfilerTableMisuse:
