@@ -18,7 +18,7 @@ import time
 from repro.analysis.astcache import AstCache
 from repro.analysis.flow import analyze_paths
 from repro.analysis.linter import default_lint_target, lint_paths
-from repro.serialization import write_json_report
+from repro.core.serialization import write_json_report
 
 BENCH_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -20,7 +20,7 @@ import pytest
 from repro.apps import build_alexnet_sparse
 from repro.core import Chunk
 from repro.runtime import simulator
-from repro.serialization import write_json_report
+from repro.core.serialization import write_json_report
 from repro.soc import get_platform
 from tests.runtime import reference_engine
 

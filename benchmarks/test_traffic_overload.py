@@ -20,7 +20,7 @@ import tracemalloc
 
 from benchmarks.conftest import run_once
 from repro.eval.metrics import format_table
-from repro.serialization import write_json_report
+from repro.core.serialization import write_json_report
 from repro.traffic import (
     FleetOverloadScenario,
     OpenLoopDriver,

@@ -45,7 +45,7 @@ def _repro_check_gate():
     capture into a local log via ``runtime_checks.collecting()`` and so
     stay exempt.  Without REPRO_CHECK this fixture is a no-op.
     """
-    from repro.analysis import runtime_checks
+    from repro.runtime import checks as runtime_checks
 
     if not runtime_checks.checks_enabled():
         yield

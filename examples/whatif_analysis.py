@@ -25,7 +25,8 @@ from repro.eval import (
     speedup_bounds,
     stage_affinity_report,
 )
-from repro.runtime import SimulatedPipelineExecutor, format_gantt
+from repro.obs import format_gantt
+from repro.runtime import SimulatedPipelineExecutor
 from repro.soc import get_platform
 
 

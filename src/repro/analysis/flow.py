@@ -48,6 +48,7 @@ from repro.analysis.astcache import (
     ParsedModule,
     Suppression,
     ast_cache,
+    parse_module,
     suppressed_at,
 )
 from repro.analysis.callgraph import (
@@ -1188,8 +1189,6 @@ def analyze_paths(
 
 def analyze_source(source: str, path: str = "<string>") -> FlowReport:
     """Flow-analyze one in-memory module (test convenience)."""
-    from repro.analysis.astcache import parse_module
-
     parsed = parse_module(source, path)
     findings = analyze_modules([parsed])
     kept, suppressed = _apply_suppressions({path: parsed}, findings)

@@ -14,10 +14,6 @@ Two phases:
 The exit code is non-zero when the clean phase reports anything or the
 selftest misses a seeded violation; the structured JSON report mirrors
 the lint report shape so CI consumes both identically.
-
-This module is imported lazily by the CLI: it pulls in
-:mod:`repro.runtime`, which itself imports the checker hooks, so a
-module-level import from ``repro.analysis.__init__`` would be circular.
 """
 
 from __future__ import annotations
@@ -28,23 +24,23 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.analysis import lock_order, runtime_checks
 from repro.analysis.report import render_race_json
-from repro.analysis.runtime_checks import (
+from repro.errors import QueueClosedError
+from repro.runtime import checks, lock_order
+from repro.runtime.checks import (
     BUFFER_ALIAS,
     LOCK_ORDER,
     SPSC_PRODUCER,
     USE_AFTER_RELEASE,
     ViolationLog,
 )
-from repro.core.stage import Application, Chunk, Stage
-from repro.errors import QueueClosedError
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.pipeline import ThreadedPipelineExecutor
 from repro.runtime.spsc import SpscQueue
 from repro.runtime.task_object import TaskObject
 from repro.runtime.usm import UsmBuffer
 from repro.soc.workprofile import WorkProfile
+from repro.stage import Application, Chunk, Stage
 
 
 def build_check_app(n_stages: int = 4) -> Application:
@@ -90,7 +86,7 @@ def run_clean_phase(tasks: int = 8,
     application = build_check_app(stages)
     split = max(1, stages // 2)
     chunks = [Chunk(0, split, "big"), Chunk(split, stages, "gpu")]
-    with runtime_checks.collecting() as log:
+    with checks.collecting() as log:
         executor = ThreadedPipelineExecutor(
             application, chunks,
             fault_injector=FaultInjector(FaultPlan()),
@@ -103,7 +99,7 @@ def run_clean_phase(tasks: int = 8,
 
 def run_selftest_phase() -> Tuple[ViolationLog, List[str]]:
     """Seed one violation of each kind; return (log, kinds NOT seen)."""
-    with runtime_checks.collecting() as log:
+    with checks.collecting() as log:
         _seed_second_producer()
         _seed_use_after_release()
         _seed_buffer_alias()

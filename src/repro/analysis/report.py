@@ -14,7 +14,7 @@ from repro.analysis.flow import FlowReport
 from repro.analysis.linter import LintReport
 from repro.analysis.rules import all_rules
 from repro.analysis.taint import ALL_FLOW_RULES, RULE_SUMMARIES
-from repro.analysis.runtime_checks import ViolationLog
+from repro.runtime.checks import ViolationLog
 
 
 def render_lint_text(report: LintReport) -> str:

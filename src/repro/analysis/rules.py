@@ -9,15 +9,15 @@ section of ``docs/architecture.md``):
 * ``GLOBAL-RNG`` - determinism-critical paths must draw randomness from
   seeded, coordinate-keyed generators, never module-level RNG state.
 * ``RAW-ARTIFACT-WRITE`` - artifacts must go through the atomic,
-  checksummed writers in :mod:`repro.serialization`.
+  checksummed writers in :mod:`repro.core.serialization`.
 * ``BROAD-EXCEPT`` - a broad ``except`` may not swallow: every path
   through the handler must re-raise or route into the fault-report /
   quarantine machinery.
 * ``UNSUPERVISED-THREAD`` - threads are created only by the pipeline
   executor, which owns and joins them, never ad hoc.
-* ``UNTAGGED-SPAN`` - trace spans are built only through the
-  sanctioned factories in :mod:`repro.runtime.trace` /
-  :mod:`repro.obs`, so every span carries consistent tags.
+* ``UNTAGGED-SPAN`` - trace spans are built only inside
+  :mod:`repro.obs` (:func:`repro.obs.spans.record_span` and the
+  exporters), so every span carries consistent tags.
 
 Violations are suppressed per line with ``# bt-lint: disable=RULE-ID``
 (several ids comma-separated, ``ALL`` for everything) on the offending
@@ -257,12 +257,12 @@ class RawArtifactWriteRule(Rule):
     leaves a corrupt artifact that the checkpoint/resume machinery
     would then trust.  All artifact writes go through the atomic
     (tmp + fsync + rename), checksummed writers in
-    :mod:`repro.serialization` - the one module exempt here."""
+    :mod:`repro.core.serialization` - the one module exempt here."""
 
     rule_id = "RAW-ARTIFACT-WRITE"
-    summary = ("raw file write outside repro.serialization - use the "
+    summary = ("raw file write outside repro.core.serialization - use the "
                "atomic artifact writers")
-    allowed_in = ("repro/serialization.py",)
+    allowed_in = ("repro/core/serialization.py",)
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -274,14 +274,14 @@ class RawArtifactWriteRule(Rule):
                     yield self.finding(
                         path, node,
                         f"raw {name}(..., 'w') write; route artifacts "
-                        "through repro.serialization's atomic writers",
+                        "through repro.core.serialization's atomic writers",
                     )
             elif _terminal_name(node.func) in ("write_text",
                                                "write_bytes"):
                 yield self.finding(
                     path, node,
                     "Path.write_text/write_bytes is not atomic; route "
-                    "artifacts through repro.serialization",
+                    "artifacts through repro.core.serialization",
                 )
 
 
@@ -467,20 +467,17 @@ class UntaggedSpanRule(Rule):
     tags the Gantt renderer, the Perfetto exporter, and the per-tenant
     sectioning all key on, producing charts and traces that drop or
     misattribute work.  Spans are built only through the sanctioned
-    factories (``repro.runtime.trace.record_span`` and the
+    factories (``repro.obs.spans.record_span`` and the
     :mod:`repro.obs` exporters), which take every tag explicitly."""
 
     rule_id = "UNTAGGED-SPAN"
     summary = ("direct Span(...) construction outside the sanctioned "
-               "repro.runtime.trace / repro.obs factories")
-    allowed_in = ("repro/runtime/trace.py",)
+               "repro.obs factories")
 
     def applies(self, path: str) -> bool:
         # allowed_in is suffix-matched, which cannot express "anything
         # under the observability package" - exempt the directory here.
-        if "repro/obs/" in path.replace("\\", "/"):
-            return False
-        return super().applies(path)
+        return "repro/obs/" not in path.replace("\\", "/")
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -489,6 +486,6 @@ class UntaggedSpanRule(Rule):
                 yield self.finding(
                     path, node,
                     "direct Span(...) construction; build spans via "
-                    "repro.runtime.trace.record_span so they carry "
+                    "repro.obs.spans.record_span so they carry "
                     "the tags the exporters key on",
                 )

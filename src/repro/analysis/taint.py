@@ -282,7 +282,6 @@ SINK_CALLS: Dict[str, Tuple[str, Optional[int]]] = {
     "atomic_write_text": ("atomically written artifact text", 1),
     "artifact_sha256": ("artifact checksum input", 0),
     "save": ("serialized artifact", 0),
-    "write_trace": ("exported trace payload", 1),
 }
 
 #: Constructors whose every field lands in a byte-compared or

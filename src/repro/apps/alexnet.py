@@ -32,7 +32,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.apps.datasets import CIFAR_CLASSES, cifar_like_batch, cifar_like_image
-from repro.core.stage import Application, Stage
 from repro.kernels import (
     ConvSpec,
     CsrMatrix,
@@ -52,6 +51,7 @@ from repro.kernels import (
     sparse_conv_work_profile,
 )
 from repro.kernels.base import CPU, GPU
+from repro.stage import Application, Stage
 
 #: (spec, input HW) for the four convolution stages.
 CONV_LAYERS: Tuple[Tuple[ConvSpec, int], ...] = (

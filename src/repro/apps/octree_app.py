@@ -12,7 +12,7 @@ Stage list (and the dependency structure from the paper):
 7. Build Octree      - materialize + link cells (depends on 3, 4 and 6)
 
 The non-linear tail (stage 7 reads stages 3, 4 and 6) is expressed as a
-:class:`~repro.core.stage.TaskGraph` and linearized by topological sort,
+:class:`~repro.stage.TaskGraph` and linearized by topological sort,
 exactly as section 3.1 prescribes.
 
 Buffer layout: all arrays are pre-allocated for ``n_points`` (the paper
@@ -28,7 +28,6 @@ from typing import Dict
 import numpy as np
 
 from repro.apps.datasets import point_cloud
-from repro.core.stage import Application, Stage, TaskGraph
 from repro.errors import KernelError
 from repro.kernels import (
     Octree,
@@ -56,6 +55,7 @@ from repro.kernels import (
     unique_work_profile,
 )
 from repro.kernels.base import CPU, GPU
+from repro.stage import Application, Stage, TaskGraph
 
 #: Default point-cloud size (a modest indoor LiDAR sweep).
 DEFAULT_N_POINTS = 100_000

@@ -15,7 +15,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.stage import Application, Stage
 from repro.errors import KernelError
 from repro.kernels.base import CPU, GPU
 from repro.kernels.stereo import (
@@ -38,6 +37,7 @@ from repro.kernels.stereo import (
     wta_gpu,
     wta_work_profile,
 )
+from repro.stage import Application, Stage
 
 #: Default frame geometry (a QVGA-ish stereo head).
 DEFAULT_H, DEFAULT_W = 120, 160

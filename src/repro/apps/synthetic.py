@@ -21,10 +21,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.core.stage import Application, Stage
 from repro.errors import KernelError
 from repro.kernels.base import CPU, GPU
 from repro.soc.workprofile import WorkProfile
+from repro.stage import Application, Stage
 
 #: Structural archetypes a synthetic stage can draw from, spanning the
 #: paper's stage classes (Table 1's "characteristics").

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.core.stage import Application
 from repro.errors import SchedulingError
 from repro.soc.platform import Platform
+from repro.stage import Application
 
 
 @dataclass(frozen=True)

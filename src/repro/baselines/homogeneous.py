@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.core.profiler import ISOLATED, BTProfiler
 from repro.core.schedule import Schedule
-from repro.core.stage import Application
 from repro.runtime.simulator import SimulatedPipelineExecutor
 from repro.soc.platform import Platform
 from repro.soc.pu import BIG, GPU
+from repro.stage import Application
 
 
 def cpu_only_schedule(application: Application) -> Schedule:
@@ -89,8 +90,6 @@ def per_stage_baseline_times(
 ) -> Dict[str, Dict[str, float]]:
     """Isolated per-stage latency on each PU (Fig. 1's bars), measured
     through the profiler's black-box path."""
-    from repro.core.profiler import ISOLATED, BTProfiler
-
     table = BTProfiler(platform).profile(application, mode=ISOLATED)
     return {
         stage: table.row(stage) for stage in application.stage_names

@@ -23,8 +23,8 @@ import numpy as np
 from repro.core.optimizer import OptimizationResult, ScheduleCandidate
 from repro.core.profiler import ProfilingTable
 from repro.core.schedule import Schedule
-from repro.core.stage import Application
 from repro.errors import SchedulingError
+from repro.stage import Application
 
 #: (boundaries, pus): boundaries are the chunk split points; pus the
 #: distinct PU class per chunk, in pipeline order.

@@ -28,9 +28,9 @@ from repro.core.optimizer import (
     OptimizationResult,
 )
 from repro.core.profiler import ISOLATED, BTProfiler, ProfilingTable
-from repro.core.stage import Application
 from repro.errors import ProfilingError
 from repro.soc.platform import Platform
+from repro.stage import Application
 
 
 def latency_only_candidates(

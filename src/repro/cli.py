@@ -46,9 +46,15 @@ from repro.apps import APPLICATION_BUILDERS
 from repro.baselines import measure_baselines
 from repro.core import BetterTogether, CampaignSession
 from repro.core.profiler import INTERFERENCE, MODES
+from repro.core.serialization import (
+    atomic_write_text,
+    save,
+    write_json_report,
+)
 from repro.errors import CampaignError, ReproError
 from repro.eval.experiments import ExperimentScale
 from repro.eval.metrics import format_table
+from repro.obs.spans import format_gantt
 from repro.runtime import (
     FaultInjector,
     FaultPlan,
@@ -56,9 +62,7 @@ from repro.runtime import (
     RetryPolicy,
     SimulatedPipelineExecutor,
     ThreadedPipelineExecutor,
-    format_gantt,
 )
-from repro.serialization import atomic_write_text, save, write_json_report
 from repro.soc import PLATFORM_NAMES, get_platform
 from repro.soc.platforms import _BUILDERS as _ALL_PLATFORMS
 
@@ -142,7 +146,7 @@ def _run_reported(run, trace_out: Optional[str], sink: _TextSink):
         payload = report.to_dict()
         payload["metrics"] = snapshot
         trace = obs.chrome_trace(cap.events, snapshot)
-    obs.write_trace(trace_out, trace)
+    write_json_report(trace_out, trace)
     sink.note(f"trace ({len(cap.events)} events) saved to {trace_out}")
     return report, payload
 
@@ -975,8 +979,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 def cmd_race(args: argparse.Namespace) -> int:
     """Run the dynamic concurrency checker scenarios."""
-    # Imported lazily: repro.analysis.race pulls in repro.runtime,
-    # whose modules import the checker hooks at load time.
     from repro.analysis.race import run_race
     from repro.analysis.report import render_race_text
 

@@ -1,6 +1,10 @@
-"""BetterTogether core: abstractions, profiler, optimizer, autotuner,
-and the end-to-end framework driver (paper section 3)."""
+"""BetterTogether core: profiler, optimizer, autotuner, the end-to-end
+framework driver (paper section 3) and its adaptive deployment.
 
+The stage model (:class:`Application`, :class:`Stage`, ...) lives in
+:mod:`repro.stage`, below the runtime, and is re-exported here."""
+
+from repro.core.adaptive import AdaptivePipeline, WindowRecord
 from repro.core.autotuner import Autotuner, AutotuneEntry, AutotuneResult
 from repro.core.deployment import (
     RateConstrainedChoice,
@@ -32,9 +36,10 @@ from repro.core.schedule import (
     validate_schedule,
 )
 from repro.core.session import CampaignSession, SessionReport
-from repro.core.stage import Application, Chunk, Stage, TaskGraph
+from repro.stage import Application, Chunk, Stage, TaskGraph
 
 __all__ = [
+    "AdaptivePipeline",
     "Application",
     "Autotuner",
     "AutotuneEntry",
@@ -62,6 +67,7 @@ __all__ = [
     "interference_ratios",
     "select_for_rate",
     "tenant_offered_load",
+    "WindowRecord",
     "validate_schedule",
     "with_packing_candidates",
 ]

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.optimizer import OptimizationResult, ScheduleCandidate
 from repro.core.schedule import validate_schedule
-from repro.core.stage import Application
 from repro.errors import SchedulingError
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
@@ -26,6 +25,7 @@ from repro.runtime.simulator import (
     simulate_batch,
 )
 from repro.soc.platform import Platform
+from repro.stage import Application
 
 if TYPE_CHECKING:
     from repro.core.session import CampaignSession

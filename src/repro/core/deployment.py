@@ -18,9 +18,15 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.optimizer import OptimizationResult, ScheduleCandidate
-from repro.core.stage import Application
 from repro.errors import SchedulingError
+from repro.runtime.simulator import (
+    SimWindow,
+    SimulatedPipelineExecutor,
+    simulate_batch,
+)
+from repro.soc.energy import estimate_energy
 from repro.soc.platform import Platform
+from repro.stage import Application
 
 #: Tasks streamed per candidate trial.
 RATE_TRIAL_TASKS = 30
@@ -76,13 +82,6 @@ def select_for_rate(
         rate_hz: Task arrival rate to sustain; each trial streams
             ``RATE_TRIAL_TASKS`` tasks at it.
     """
-    from repro.runtime.simulator import (
-        SimWindow,
-        SimulatedPipelineExecutor,
-        simulate_batch,
-    )
-    from repro.soc.energy import estimate_energy
-
     if rate_hz <= 0:
         raise SchedulingError("rate_hz must be positive")
     pool = (

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.core.adaptive import AdaptivePipeline
 from repro.core.autotuner import Autotuner, AutotuneResult
 from repro.core.optimizer import (
     DEFAULT_GAP_SLACK,
@@ -28,12 +29,12 @@ from repro.core.optimizer import (
 )
 from repro.core.profiler import INTERFERENCE, BTProfiler, ProfilingTable
 from repro.core.schedule import Schedule, validate_schedule
-from repro.core.stage import Application
 from repro.runtime.simulator import (
     SimulatedPipelineExecutor,
     SimulatedRunResult,
 )
 from repro.soc.platform import Platform
+from repro.stage import Application
 
 if TYPE_CHECKING:
     from repro.core.session import CampaignSession
@@ -172,17 +173,13 @@ class BetterTogether:
         """Wrap a plan in an adaptive, fault-recovering deployment.
 
         The returned
-        :class:`~repro.runtime.adaptive.AdaptivePipeline` executes the
+        :class:`~repro.core.adaptive.AdaptivePipeline` executes the
         plan in windows, re-ranks the cached candidates on latency
         drift, and - fed a fault injector - survives permanent PU
         dropout by falling back to the best cached candidate avoiding
         the dead PU.  This is the production serving loop the static
         plan alone lacks.
         """
-        # Imported lazily: repro.runtime.adaptive pulls in the
-        # autotuner, which imports this package.
-        from repro.runtime.adaptive import AdaptivePipeline
-
         return AdaptivePipeline(
             application=plan.application,
             platform=self.platform,

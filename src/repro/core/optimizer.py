@@ -42,10 +42,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.profiler import ProfilingTable
 from repro.core.schedule import Schedule
-from repro.core.stage import Application
 from repro.errors import SchedulingError
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
+from repro.stage import Application
 
 #: Number of diverse candidates level 2 produces (paper: K = 20).
 DEFAULT_K = 20

@@ -44,7 +44,6 @@ from repro.core.optimizer import (
 )
 from repro.core.profiler import BTProfiler, ProfilingTable
 from repro.core.schedule import Schedule
-from repro.core.stage import Application
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.runtime.simulator import (
@@ -53,6 +52,7 @@ from repro.runtime.simulator import (
 )
 from repro.soc.interference import ExternalLoad
 from repro.soc.platform import Platform
+from repro.stage import Application
 
 #: Profiling repetitions per table entry of every served plan.
 PROFILING_REPETITIONS = 3

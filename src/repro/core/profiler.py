@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
-from repro.core.stage import Application
 from repro.errors import ProfilingError
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
 from repro.soc.platform import Platform
 from repro.soc.timer import mean_of_measurements
+from repro.stage import Application
 
 if TYPE_CHECKING:
     from repro.core.session import CampaignSession

@@ -24,8 +24,8 @@ from typing import (
 )
 
 from repro.core.profiler import ProfilingTable
-from repro.core.stage import Application, Chunk
 from repro.errors import ScheduleValidationError, SchedulingError
+from repro.stage import Application, Chunk
 
 
 @dataclass(frozen=True)

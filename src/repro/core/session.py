@@ -26,7 +26,7 @@ Because each unit's measurement RNG is keyed by its coordinates alone
 (not by collection order), a resumed campaign produces artifacts that
 are **byte-identical** to an uninterrupted run's.
 
-All persistence goes through :mod:`repro.serialization`'s atomic,
+All persistence goes through :mod:`repro.core.serialization`'s atomic,
 SHA-256-checksummed writers, so a unit is either fully present and
 trustworthy or treated as never written; a corrupted checkpoint is
 detected on load, reported, and its unit re-run instead of aborting the
@@ -54,9 +54,7 @@ from repro.core.framework import BetterTogether, DeploymentPlan
 from repro.core.optimizer import OptimizationResult, ScheduleCandidate
 from repro.core.profiler import ProfilingTable
 from repro.core.schedule import validate_schedule
-from repro.core.stage import Application
-from repro.errors import CampaignError
-from repro.serialization import (
+from repro.core.serialization import (
     CHECKSUM_KEY,
     SerializationError,
     optimization_from_dict,
@@ -64,6 +62,8 @@ from repro.serialization import (
     save,
     write_artifact,
 )
+from repro.errors import CampaignError
+from repro.stage import Application
 
 #: Callback invoked after each completed unit of work with a label like
 #: ``"profile:interference:sort:gpu"`` or ``"autotune:3"``.  Used by the

@@ -133,7 +133,7 @@ class PuFailureError(PipelineError):
     """A processing unit dropped out permanently mid-run.
 
     Not retryable: recovery means re-scheduling onto the surviving PUs
-    (see :meth:`repro.runtime.adaptive.AdaptivePipeline.mark_pu_failed`).
+    (see :meth:`repro.core.adaptive.AdaptivePipeline.mark_pu_failed`).
     """
 
     def __init__(self, pu_class: str, message: str = ""):

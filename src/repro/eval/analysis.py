@@ -20,9 +20,9 @@ from typing import Dict, List, Tuple
 
 from repro.core.profiler import ProfilingTable
 from repro.core.schedule import Schedule
-from repro.core.stage import Application
 from repro.errors import SchedulingError
 from repro.eval.metrics import format_table
+from repro.stage import Application
 
 
 @dataclass(frozen=True)

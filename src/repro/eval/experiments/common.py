@@ -19,8 +19,8 @@ from repro.apps import (
 )
 from repro.core.autotuner import Autotuner
 from repro.core.optimizer import OptimizationResult, ScheduleCandidate
-from repro.core.stage import Application
 from repro.soc import PLATFORM_NAMES, Platform, get_platform
+from repro.stage import Application
 
 #: Paper display names, in evaluation order.
 PLATFORM_LABELS: Dict[str, str] = {

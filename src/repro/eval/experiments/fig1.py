@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.apps import build_octree_application
 from repro.baselines.homogeneous import per_stage_baseline_times
 from repro.eval.experiments.common import ExperimentScale
 from repro.eval.metrics import format_table
@@ -44,8 +45,6 @@ class Fig1Result:
 
 def run_fig1(scale: ExperimentScale = None) -> Fig1Result:
     scale = scale or ExperimentScale.paper()
-    from repro.apps import build_octree_application
-
     platform = get_platform("pixel7a")
     application = build_octree_application(n_points=scale.n_points)
     full = per_stage_baseline_times(application, platform)

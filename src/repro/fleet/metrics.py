@@ -124,7 +124,7 @@ class FleetReport:
         return out
 
     def to_dict(self) -> Dict[str, object]:
-        """Stable dict for :func:`repro.serialization.write_json_report`.
+        """Stable dict for :func:`repro.core.serialization.write_json_report`.
 
         Every mapping is emitted in sorted key order so two runs with
         the same seed serialize byte-identically.

@@ -37,12 +37,13 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.lock_order import checked_lock
 from repro.core.plan_cache import PlanCache
 from repro.errors import FleetError, ReproError
+from repro.obs.attribution import top_offenders
 from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
 from repro.obs.tracer import tracer
+from repro.runtime.lock_order import checked_lock
 from repro.runtime.faults import (
     DEGRADE_END,
     DEGRADE_START,
@@ -316,8 +317,6 @@ class FleetRouter:
                 cache_stats[key] = cache_stats.get(key, 0) + value
         attribution = None
         if self.config.attribution:
-            from repro.obs.attribution import top_offenders
-
             blames = [row.blame for row in self.window_log
                       if row.blame is not None]
             attribution = {

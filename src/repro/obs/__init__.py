@@ -2,12 +2,12 @@
 
 One deterministic event spine across every layer (profiler, solver,
 autotuner, DES runtime, threaded back-end, serving), with exporters to
-Chrome/Perfetto trace JSON and the ASCII Gantt.  On top of the spine:
-per-window interference blame decomposition (:mod:`~repro.obs.
-attribution`), bounded per-tick time series (:mod:`~repro.obs.
-timeseries`) and multi-window SLO burn-rate alerts (:mod:`~repro.obs.
-alerts`).  All instruments are disabled by default; wrap a scope in
-:func:`capture` to record.
+Chrome/Perfetto trace JSON and the ASCII Gantt of
+:mod:`~repro.obs.spans`.  On top of the spine: per-window interference blame
+decomposition (:mod:`~repro.obs.attribution`), bounded per-tick time
+series (:mod:`~repro.obs.timeseries`) and multi-window SLO burn-rate
+alerts (:mod:`~repro.obs.alerts`).  All instruments are disabled by
+default; wrap a scope in :func:`capture` to record.
 """
 
 from repro.obs.alerts import BurnAlert, BurnRateEvaluator, BurnRateRule
@@ -19,7 +19,7 @@ from repro.obs.attribution import (
     steady_interval,
     top_offenders,
 )
-from repro.obs.export import chrome_trace, export_gantt, write_trace
+from repro.obs.export import chrome_trace, export_gantt
 from repro.obs.metrics import (
     MetricsRegistry,
     metrics,
@@ -27,6 +27,7 @@ from repro.obs.metrics import (
     set_metrics,
 )
 from repro.obs.recorder import FlightRecorder, recorder, set_recorder
+from repro.obs.spans import Span, format_gantt, record_span
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracer import (
     CONTROL,
@@ -53,6 +54,7 @@ __all__ = [
     "ChunkLoad",
     "FlightRecorder",
     "MetricsRegistry",
+    "Span",
     "TimeSeriesStore",
     "TraceEvent",
     "Tracer",
@@ -60,8 +62,10 @@ __all__ = [
     "chrome_trace",
     "decompose",
     "export_gantt",
+    "format_gantt",
     "metrics",
     "percentile",
+    "record_span",
     "recorder",
     "set_metrics",
     "set_recorder",
@@ -69,5 +73,4 @@ __all__ = [
     "steady_interval",
     "top_offenders",
     "tracer",
-    "write_trace",
 ]

@@ -1,6 +1,6 @@
 """Exporters over the unified span tree.
 
-One event model, three renderings:
+One event model, two renderings:
 
 * :func:`chrome_trace` - Chrome trace-event JSON (the format Perfetto
   loads natively): the ``control`` and ``virtual`` clock domains become
@@ -10,10 +10,8 @@ One event model, three renderings:
   export.
 * :func:`export_gantt` - the existing ASCII Gantt refitted as an
   exporter: virtual-domain span events are folded back into
-  :class:`repro.runtime.trace.Span` rows and rendered by
-  :func:`~repro.runtime.trace.format_gantt`.
-* :func:`write_trace` - persists a payload through the sanctioned
-  :func:`repro.serialization.write_json_report` sink.
+  :class:`repro.obs.spans.Span` rows and rendered by
+  :func:`~repro.obs.spans.format_gantt`.
 
 Exports are pure functions of the event list (plus an optional metrics
 snapshot), so a seeded run exports byte-identical traces every time.
@@ -23,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.obs.spans import format_gantt, record_span
 from repro.obs.tracer import CONTROL, VIRTUAL, TraceEvent
 
 #: Chrome pid per clock domain (Perfetto shows each as a process group).
@@ -104,8 +103,6 @@ def chrome_trace(events: Sequence[TraceEvent],
 
 def export_gantt(events: Sequence[TraceEvent], width: int = 72) -> str:
     """Render the virtual-domain span events as an ASCII Gantt chart."""
-    from repro.runtime.trace import format_gantt, record_span
-
     spans = [
         record_span(
             chunk_index=int(e.attr("chunk", 0)),
@@ -120,9 +117,3 @@ def export_gantt(events: Sequence[TraceEvent], width: int = 72) -> str:
     ]
     return format_gantt(spans, width=width)
 
-
-def write_trace(path: Any, payload: Dict[str, Any]) -> None:
-    """Persist an exported trace via the sanctioned report sink."""
-    from repro.serialization import write_json_report
-
-    write_json_report(path, payload)

@@ -8,7 +8,7 @@ Complements the tracer with aggregates that don't need a timeline:
 
 Like the tracer, the global registry is **disabled by default**; every
 instrumentation site guards on ``metrics().enabled`` so uninstrumented
-runs pay nothing.  When enabled, :func:`repro.serialization.
+runs pay nothing.  When enabled, :func:`repro.core.serialization.
 write_json_report` snapshots the registry into every JSON report it
 writes, so a soak report carries its own counters.
 

@@ -36,6 +36,9 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.recorder import FlightRecorder, set_recorder
+
 #: Control-plane clock domain (logical event counter).
 CONTROL = "control"
 #: DES virtual-time clock domain (seconds, laid out by the cursor).
@@ -189,7 +192,7 @@ class Tracer:
                            tenant: Optional[str] = None) -> None:
         """Retro-emit recorded DES spans at the current virtual cursor.
 
-        ``spans`` are :class:`repro.runtime.trace.Span`-shaped objects.
+        ``spans`` are :class:`repro.obs.spans.Span`-shaped objects.
         The cursor advances by ``total_s`` afterwards, so successive
         runs (e.g. serve windows) occupy disjoint timeline intervals.
         One track per (tenant, PU class) keeps interleaved tenants
@@ -246,8 +249,8 @@ class Capture:
     """Handle yielded by :func:`capture` - the live obs instruments."""
 
     tracer: Tracer
-    metrics: Any
-    recorder: Any
+    metrics: MetricsRegistry
+    recorder: FlightRecorder
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -263,9 +266,6 @@ def capture() -> Iterator[Capture]:
     on exit - so tests and CLI commands opt in without perturbing the
     byte-identity of uninstrumented runs.
     """
-    from repro.obs.metrics import MetricsRegistry, set_metrics
-    from repro.obs.recorder import FlightRecorder, set_recorder
-
     trc = Tracer(enabled=True)
     reg = MetricsRegistry(enabled=True)
     rec = FlightRecorder(enabled=True)

@@ -12,11 +12,17 @@ Shared infrastructure: unified-memory buffers (:class:`UsmBuffer`),
 recyclable :class:`TaskObject` containers, and the :class:`SpscQueue`
 dispatchers communicate through.  A deterministic fault-injection layer
 (:mod:`repro.runtime.faults`) plugs into both back-ends to exercise the
-recovery machinery: retry with backoff, per-task quarantine, and
-PU-dropout fallback via :class:`AdaptivePipeline`.
+recovery machinery: retry with backoff and per-task quarantine; the
+planner's :class:`~repro.core.adaptive.AdaptivePipeline` adds PU-dropout
+fallback on top.  The opt-in concurrency checker
+(:mod:`repro.runtime.checks`, :mod:`repro.runtime.lock_order`) lives
+next to the queues, buffers and locks it guards.
+
+The runtime executes schedules and imports nothing from the planner
+(:mod:`repro.core`): it sees only the stage model (:mod:`repro.stage`),
+the virtual SoC and the observability spine.
 """
 
-from repro.runtime.adaptive import AdaptivePipeline, WindowRecord
 from repro.runtime.faults import (
     FAILURE_FATAL,
     FAILURE_TRANSIENT,
@@ -41,12 +47,10 @@ from repro.runtime.simulator import (
     simulate_batch,
 )
 from repro.runtime.spsc import SpscQueue
-from repro.runtime.trace import Span, format_gantt, record_span
 from repro.runtime.task_object import TaskObject
 from repro.runtime.usm import UsmBuffer
 
 __all__ = [
-    "AdaptivePipeline",
     "FAILURE_FATAL",
     "FAILURE_TRANSIENT",
     "FaultEvent",
@@ -62,17 +66,13 @@ __all__ = [
     "SimulatedPipelineExecutor",
     "SimulatedRunResult",
     "SlowdownSpec",
-    "Span",
     "SpscQueue",
     "TaskFailure",
     "TaskObject",
     "ThreadedPipelineExecutor",
     "ThreadedRunResult",
     "UsmBuffer",
-    "WindowRecord",
     "classify_failure",
     "estimate_pipeline_memory",
-    "format_gantt",
-    "record_span",
     "simulate_batch",
 ]

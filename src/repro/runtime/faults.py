@@ -12,7 +12,7 @@ module supplies
 * the **recovery policies** the injected faults exercise: retry with
   exponential backoff for transient kernel faults, per-task quarantine
   so one poisoned task is reported instead of unwinding the pipeline,
-  and (via :class:`~repro.runtime.adaptive.AdaptivePipeline`) fallback
+  and (via :class:`~repro.core.adaptive.AdaptivePipeline`) fallback
   to the best cached candidate avoiding a permanently failed PU;
 * a structured :class:`FaultReport` recording every injected fault,
   retry, recovery, quarantine and fallback, surfaced by
@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.analysis.lock_order import checked_lock
 from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
 from repro.errors import (
@@ -41,6 +40,7 @@ from repro.errors import (
     ReproError,
     TransientKernelFault,
 )
+from repro.runtime.lock_order import checked_lock
 
 # Event kinds recorded in the fault log.
 KERNEL_FAULT = "kernel-fault"

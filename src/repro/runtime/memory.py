@@ -15,8 +15,8 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.stage import Application
 from repro.errors import PipelineError
+from repro.stage import Application
 
 
 @dataclass(frozen=True)

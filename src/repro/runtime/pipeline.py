@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.stage import Application, Chunk
+from repro.stage import Application, Chunk
 from repro.errors import PipelineError, PuFailureError, QueueClosedError
 from repro.runtime.faults import (
     FAILURE_FATAL,

@@ -87,16 +87,18 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.stage import Application, Chunk
 from repro.errors import PipelineError, ReproError
+from repro.obs.attribution import ChunkLoad
 from repro.obs.metrics import metrics
+from repro.obs.spans import Span, record_span
 from repro.obs.tracer import tracer
 from repro.runtime.faults import FaultInjector
-from repro.runtime.trace import Span, record_span
+from repro.runtime.pipeline import _check_chunk_cover
 from repro.soc.cost_model import StageCost
 from repro.soc.interference import ExternalLoad, external_co_load
 from repro.soc.platform import Platform
 from repro.soc.timer import lognormal_draws
+from repro.stage import Application, Chunk
 
 #: Relative run-to-run jitter of a single stage execution (smaller than
 #: the timer's measurement noise; real kernels are quite repeatable).
@@ -603,8 +605,6 @@ class SimulatedPipelineExecutor:
         depth: Optional[int] = None,
         fault_injector: Optional[FaultInjector] = None,
     ):
-        from repro.runtime.pipeline import _check_chunk_cover
-
         _check_chunk_cover(application, chunks)
         for chunk in chunks:
             if chunk.pu_class not in platform.pu_classes():
@@ -645,8 +645,6 @@ class SimulatedPipelineExecutor:
         """
         if self._chunk_loads is not None:
             return self._chunk_loads
-        from repro.obs.attribution import ChunkLoad
-
         loads = []
         for chunk, costs in zip(self.chunks, self._costs):
             overhead = sum(c.overhead_s for c in costs)
@@ -680,7 +678,7 @@ class SimulatedPipelineExecutor:
         Args:
             n_tasks: Tasks to stream.
             record_trace: Also record per-(chunk, task) execution spans
-                for Gantt rendering (:mod:`repro.runtime.trace`).
+                for Gantt rendering (:mod:`repro.obs.spans`).
             arrival_period_s: When given, task ``t`` only becomes
                 available at ``t * arrival_period_s`` (a fixed-rate
                 sensor); the default ``None`` models a pre-filled

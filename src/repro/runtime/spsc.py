@@ -15,10 +15,10 @@ import threading
 import time
 from typing import Any, List, Optional, Tuple
 
-from repro.analysis import runtime_checks as _checks
-from repro.analysis.lock_order import checked_lock
 from repro.errors import QueueClosedError
 from repro.obs.metrics import metrics
+from repro.runtime import checks as _checks
+from repro.runtime.lock_order import checked_lock
 
 #: Deterministic default names for anonymous queues ("spsc-0", ...).
 _QUEUE_IDS = itertools.count()

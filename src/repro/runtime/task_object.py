@@ -17,8 +17,8 @@ from typing import Dict, Iterator, Mapping, MutableMapping, Optional
 
 import numpy as np
 
-from repro.analysis import runtime_checks as _checks
 from repro.errors import PipelineError
+from repro.runtime import checks as _checks
 from repro.runtime.usm import UsmBuffer
 
 

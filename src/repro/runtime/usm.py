@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.analysis import runtime_checks as _checks
 from repro.errors import PipelineError
+from repro.runtime import checks as _checks
 
 
 class UsmBuffer:

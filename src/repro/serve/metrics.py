@@ -166,7 +166,7 @@ class ServeReport:
     attribution: Optional[Mapping[str, object]] = None
 
     def to_dict(self) -> Dict[str, object]:
-        """Stable dict for :func:`repro.serialization.write_json_report`.
+        """Stable dict for :func:`repro.core.serialization.write_json_report`.
 
         Keys are emitted in sorted tenant order so two runs with the
         same seed serialize byte-identically.

@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional
 
 from repro.core.schedule import Schedule, validate_schedule
-from repro.core.stage import Application
 from repro.errors import ServeError
+from repro.stage import Application
 
 
 class EpochMemo:

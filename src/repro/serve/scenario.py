@@ -22,13 +22,13 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.apps.synthetic import build_synthetic_application
-from repro.core.stage import Application, Stage
 from repro.errors import ServeError
 from repro.kernels.base import CPU, GPU
 from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import TenantSpec
 from repro.soc.platforms import get_platform
 from repro.soc.workprofile import WorkProfile
+from repro.stage import Application, Stage
 
 #: The class the drift victim is pinned to (and drift injected on).
 DRIFT_CLASS = "big"

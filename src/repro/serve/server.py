@@ -10,7 +10,7 @@ Architecture (deliberately boring, for determinism's sake):
   drained or ``max_ticks``, ``close_stepped``); a fleet router steps
   many servers in lockstep from its own tick.
 * **Submissions may cross threads** through a single lock-guarded inbox
-  (:func:`~repro.analysis.lock_order.checked_lock`, so the race
+  (:func:`~repro.runtime.lock_order.checked_lock`, so the race
   checker sees it): an ingest thread may :meth:`submit` while another
   steps.  Everything after the inbox belongs to the stepping thread.
 * **Virtual time only.**  Tenant windows execute on the discrete-event
@@ -54,14 +54,15 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.lock_order import checked_lock
 from repro.core.plan_cache import Deployment, PlanCache
 from repro.errors import ReproError, ServeError
+from repro.obs import attribution
 from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
+from repro.obs.spans import Span
 from repro.obs.tracer import tracer
+from repro.runtime.lock_order import checked_lock
 from repro.runtime.simulator import SimWindow, simulate_batch
-from repro.runtime.trace import Span
 from repro.serve.admission import ADMIT, QUEUE, AdmissionController
 from repro.serve.metrics import ServeReport, TenantMetrics
 from repro.serve.placement import EpochMemo, PlacementMap
@@ -441,8 +442,6 @@ class PipelineServer:
         attribution is off, so default report bytes stay unchanged)."""
         if not self.config.attribution:
             return None
-        from repro.obs.attribution import top_offenders
-
         per_tenant: Dict[str, object] = {}
         matrices = []
         for name in sorted(self.records):
@@ -453,7 +452,7 @@ class PipelineServer:
                 matrices.extend(blames)
         return {
             "tenants": per_tenant,
-            "top_offenders": top_offenders(matrices, k=5),
+            "top_offenders": attribution.top_offenders(matrices, k=5),
         }
 
     # ------------------------------------------------------------------
@@ -734,9 +733,7 @@ class PipelineServer:
         index = record.windows_done
         blame = None
         if self.config.attribution:
-            from repro.obs.attribution import decompose
-
-            blame = decompose(
+            blame = attribution.decompose(
                 tenant=name,
                 window_index=index,
                 slowdown=measured / isolated,

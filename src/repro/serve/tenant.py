@@ -16,8 +16,8 @@ from typing import FrozenSet, List, Optional
 
 from repro.core.plan_cache import CachedPlan
 from repro.core.schedule import Schedule
-from repro.core.stage import Application
 from repro.errors import ServeError
+from repro.stage import Application
 
 # Lifecycle states.
 PENDING = "pending"      # submitted, admission not yet evaluated
@@ -42,7 +42,7 @@ class TenantSpec:
             eviction fallback always removes the lowest priority.
         windows: Execution windows requested (finite jobs; a window is
             the drift-detection quantum, as in
-            :class:`~repro.runtime.adaptive.AdaptivePipeline`).
+            :class:`~repro.core.adaptive.AdaptivePipeline`).
         window_tasks: Tasks streamed per window.
         required_classes: PU classes the tenant insists on (e.g. a
             job that must have the GPU).  Admission only considers

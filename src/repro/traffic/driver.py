@@ -33,7 +33,7 @@ from repro.apps.synthetic import (
     build_bandwidth_bound_application,
     build_synthetic_application,
 )
-from repro.core.stage import Application
+from repro.stage import Application
 from repro.errors import TrafficError
 from repro.fleet.router import FleetRouter
 from repro.fleet.metrics import FleetReport

@@ -120,7 +120,7 @@ class TrafficReport:
     alerts: Optional[Sequence[Mapping[str, object]]] = None
 
     def to_dict(self) -> Dict[str, object]:
-        """Stable dict for :func:`repro.serialization.write_json_report`
+        """Stable dict for :func:`repro.core.serialization.write_json_report`
         (sorted tier order, rounded ratios - byte-identical across
         repeated seeded runs)."""
         out: Dict[str, object] = {

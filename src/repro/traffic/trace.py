@@ -3,7 +3,7 @@
 A :class:`TrafficTrace` captures a generator run as data - the spec it
 was generated from, the seed, and the concrete arrival stream - inside
 a schema-versioned, checksummed artifact
-(:func:`repro.serialization.write_artifact`, kind ``traffic_trace``).
+(:func:`repro.core.serialization.write_artifact`, kind ``traffic_trace``).
 Replaying a trace through the open-loop driver reproduces the recorded
 run exactly, so a regression found under generated load can be
 debugged against an immutable workload file instead of a spec + seed
@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from repro.errors import TrafficError
-from repro.serialization import (
+from repro.core.serialization import (
     PathLike,
     SerializationError,
     read_artifact,
     write_artifact,
 )
+from repro.errors import TrafficError
 from repro.traffic.generator import ArrivalEvent, TrafficGenerator
 from repro.traffic.spec import TrafficSpec
 

@@ -1,5 +1,9 @@
-"""``repro.analysis`` stays import-light: the runtime imports it at
-module load, so a process that never lints must not pay for the linter.
+"""Import weight, measured in a fresh interpreter.
+
+The package graph is layered (``tests/test_layering.py``), so what an
+import loads follows from where a module sits: the root package and
+:mod:`repro.errors` import nothing, and no runtime, serving, fleet or
+traffic module reaches the linter package.
 """
 
 import subprocess
@@ -7,41 +11,31 @@ import sys
 from pathlib import Path
 
 import repro
-import repro.analysis
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
-def test_importing_repro_leaves_the_linter_unloaded():
+def loaded_after(statement: str, prefix: str = "repro"):
+    """The ``prefix*`` modules a fresh interpreter holds after
+    ``statement``."""
     code = (
-        "import sys, repro, repro.runtime.task_object\n"
-        "loaded = sorted(m for m in sys.modules"
-        " if m.startswith('repro.analysis'))\n"
-        "print(' '.join(loaded))\n"
+        f"import sys\n{statement}\n"
+        f"print(' '.join(sorted(m for m in sys.modules"
+        f" if m.startswith({prefix!r}))))\n"
     )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env={"PYTHONPATH": _SRC},
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout.split()
-    assert "repro.analysis.runtime_checks" in out
-    assert "repro.analysis.lock_order" in out
-    for lazy in ("linter", "flow", "report", "rules", "taint"):
-        assert f"repro.analysis.{lazy}" not in out, out
 
 
-def test_every_exported_name_still_resolves():
-    for name in repro.analysis.__all__:
-        assert getattr(repro.analysis, name) is not None, name
-    from repro.analysis import Finding, lint_paths, render_lint_text
-
-    assert callable(lint_paths) and callable(render_lint_text)
-    assert Finding.__module__ == "repro.analysis.rules"
+def test_importing_errors_loads_two_modules():
+    assert loaded_after("import repro.errors") == ["repro", "repro.errors"]
 
 
-def test_unknown_attribute_is_an_attribute_error():
-    try:
-        repro.analysis.no_such_name
-    except AttributeError as exc:
-        assert "no_such_name" in str(exc)
-    else:
-        raise AssertionError("expected AttributeError")
+def test_importing_repro_leaves_the_linter_unloaded():
+    loaded = loaded_after(
+        "import repro.runtime, repro.serve, repro.fleet, repro.traffic",
+        prefix="repro.analysis",
+    )
+    assert loaded == []

@@ -205,7 +205,8 @@ class TestPathScoping:
                 with os.fdopen(fd, "w") as handle:
                     handle.write(text)
         """
-        findings, _ = lint_snippet(source, path="repro/serialization.py")
+        findings, _ = lint_snippet(source,
+                                   path="repro/core/serialization.py")
         assert not findings
         findings, _ = lint_snippet(source, path="repro/other.py")
         assert [f.rule_id for f in findings] == ["RAW-ARTIFACT-WRITE"]
@@ -229,7 +230,7 @@ class TestPathScoping:
                 return Span(chunk_index=0, pu_class="big", task_id=0,
                             start_s=0.0, end_s=1.0)
         """
-        for exempt in ("repro/runtime/trace.py",
+        for exempt in ("repro/obs/spans.py",
                        "repro/obs/export.py",
                        "repro/obs/tracer.py"):
             findings, _ = lint_snippet(source, path=exempt)

@@ -2,15 +2,16 @@
 
 import json
 
-from repro.analysis import race, runtime_checks
-from repro.analysis.runtime_checks import (
+from repro.analysis import race
+from repro.runtime import checks as runtime_checks
+from repro.runtime.checks import (
     BUFFER_ALIAS,
     LOCK_ORDER,
     SPSC_PRODUCER,
     USE_AFTER_RELEASE,
 )
 from repro.cli import main
-from repro.core.stage import Chunk
+from repro.stage import Chunk
 from repro.runtime import ThreadedPipelineExecutor
 
 

@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis import lock_order, runtime_checks
-from repro.analysis.runtime_checks import (
+from repro.runtime import checks as runtime_checks, lock_order
+from repro.runtime.checks import (
     BUFFER_ALIAS,
     LOCK_ORDER,
     SPSC_CONSUMER,

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import Schedule, Stage
 from repro.core.plan_cache import CachedPlan
 from repro.core.profiler import ProfilingTable
-from repro.core.stage import Application, Chunk
+from repro.stage import Application, Chunk
 from repro.soc import WorkProfile
 from tests.core.cp_optimizer import contiguous_schedules
 

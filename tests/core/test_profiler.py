@@ -212,7 +212,7 @@ class TestMeasurementStatistics:
 
     def test_serialization_round_trips_stats(self, pixel, octree_app,
                                              tmp_path):
-        from repro.serialization import load, save
+        from repro.core.serialization import load, save
 
         table = BTProfiler(pixel, repetitions=5).profile(octree_app)
         path = tmp_path / "t.json"
@@ -223,7 +223,7 @@ class TestMeasurementStatistics:
         )
 
     def test_legacy_artifact_without_stats_loads(self, pixel, octree_app):
-        from repro.serialization import (
+        from repro.core.serialization import (
             profiling_table_from_dict,
             profiling_table_to_dict,
         )

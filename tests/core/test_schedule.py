@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core import Schedule, Stage
 from repro.core.profiler import ProfilingTable
 from repro.core.schedule import validate_schedule
-from repro.core.stage import Application
+from repro.stage import Application
 from repro.errors import ScheduleValidationError, SchedulingError
 from repro.soc import WorkProfile
 from tests.core.cp_optimizer import contiguous_schedules

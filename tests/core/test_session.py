@@ -19,7 +19,7 @@ import repro
 from repro.apps import build_octree_application
 from repro.core import BetterTogether, CampaignSession
 from repro.errors import CampaignError
-from repro.serialization import (
+from repro.core.serialization import (
     CHECKSUM_KEY,
     artifact_sha256,
     read_artifact,

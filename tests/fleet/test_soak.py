@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.obs import capture
-from repro.serialization import write_json_report
+from repro.core.serialization import write_json_report
 from repro.fleet import (
     SHED,
     FleetSoakScenario,

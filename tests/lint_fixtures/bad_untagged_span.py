@@ -1,11 +1,11 @@
 """Lint fixture (never imported): UNTAGGED-SPAN violations."""
 
-from repro.runtime import trace
+from repro.obs import spans
 
 
 def handmade(chunk, pu, task):
     # Direct construction bypasses the tagging factory.
-    return trace.Span(chunk, pu, task, 0.0, 1.0)
+    return spans.Span(chunk, pu, task, 0.0, 1.0)
 
 
 def handmade_bare(Span):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.serialization import write_json_report
 from repro.obs import (
     CONTROL,
     VIRTUAL,
@@ -11,9 +12,8 @@ from repro.obs import (
     Tracer,
     chrome_trace,
     export_gantt,
-    write_trace,
+    record_span,
 )
-from repro.runtime.trace import record_span
 
 
 def traced():
@@ -205,7 +205,7 @@ class TestWriteTrace:
     def test_written_file_is_valid_json(self, tmp_path):
         trc, _, _ = traced()
         path = tmp_path / "trace.json"
-        write_trace(path, chrome_trace(trc.events))
+        write_json_report(path, chrome_trace(trc.events))
         data = json.loads(path.read_text())
         assert data["displayTimeUnit"] == "ms"
         assert any(e["ph"] == "X" for e in data["traceEvents"])

@@ -17,7 +17,7 @@ from repro.obs import (
     recorder,
     tracer,
 )
-from repro.runtime.trace import record_span
+from repro.obs.spans import record_span
 
 
 class TestTracerSpans:

@@ -28,7 +28,7 @@ import sys
 from collections import deque
 from typing import Callable, Deque, Dict, Iterator, List, Optional
 
-from repro.core.stage import Chunk
+from repro.stage import Chunk
 from repro.errors import PipelineError
 from repro.runtime import simulator as sim
 from repro.runtime.simulator import (
@@ -37,7 +37,7 @@ from repro.runtime.simulator import (
     SimulatedPipelineExecutor,
     _jitter_column,
 )
-from repro.runtime.trace import Span, record_span
+from repro.obs.spans import Span, record_span
 from repro.soc.cost_model import StageCost
 from repro.soc.interference import ExternalLoad, external_co_load
 

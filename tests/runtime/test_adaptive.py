@@ -2,12 +2,12 @@
 
 import pytest
 
-import repro.runtime.adaptive as adaptive
+import repro.core.adaptive as adaptive
 from repro.apps import build_octree_application
+from repro.core import AdaptivePipeline
 from repro.core.optimizer import BTOptimizer
 from repro.core.profiler import BTProfiler
 from repro.errors import PipelineError, SchedulingError
-from repro.runtime import AdaptivePipeline
 from repro.soc import get_platform
 
 

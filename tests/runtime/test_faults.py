@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.apps import build_octree_application
-from repro.core import Application, Chunk, Stage
+from repro.core import AdaptivePipeline, Application, Chunk, Stage
 from repro.core.optimizer import BTOptimizer
 from repro.core.profiler import BTProfiler
 from repro.errors import (
@@ -18,7 +18,6 @@ from repro.errors import (
 )
 from repro.runtime import simulator
 from repro.runtime import (
-    AdaptivePipeline,
     FaultInjector,
     FaultPlan,
     KernelFaultSpec,

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis import runtime_checks
-from repro.analysis.runtime_checks import USE_AFTER_RELEASE
+from repro.runtime import checks as runtime_checks
+from repro.runtime.checks import USE_AFTER_RELEASE
 from repro.errors import PipelineError, QueueClosedError
 from repro.runtime import SpscQueue, TaskObject, UsmBuffer
 

@@ -4,11 +4,8 @@ import pytest
 
 from repro.apps import build_octree_application
 from repro.core import Chunk
-from repro.runtime import (
-    SimulatedPipelineExecutor,
-    Span,
-    format_gantt,
-)
+from repro.obs import Span, format_gantt
+from repro.runtime import SimulatedPipelineExecutor
 from repro.soc import get_platform
 from repro.soc.pu import BIG, GPU, MEDIUM
 

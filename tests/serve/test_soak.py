@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.serialization import write_json_report
+from repro.core.serialization import write_json_report
 from repro.serve import (
     COMPLETED,
     REJECTED,

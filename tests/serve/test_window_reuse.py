@@ -19,7 +19,7 @@ import pytest
 import repro.core.plan_cache as plan_cache_module
 import repro.serve.server as serve_server
 from repro.core.plan_cache import PlanCache, tenant_offered_load
-from repro.core.stage import Application, Stage
+from repro.stage import Application, Stage
 from repro.errors import PipelineError
 from repro.obs import capture, chrome_trace
 from repro.runtime.simulator import SimulatedPipelineExecutor

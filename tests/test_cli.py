@@ -40,7 +40,7 @@ class TestProfile:
             "--app", "octree", "--repetitions", "2",
             "--mode", "isolated", "--out", str(path),
         ])
-        from repro.serialization import load
+        from repro.core.serialization import load
 
         table = load(path)
         assert table.mode == "isolated"
@@ -70,7 +70,7 @@ class TestPlan:
         assert code == 0
         out = capsys.readouterr().out
         assert "BetterTogether plan" in out
-        from repro.serialization import load
+        from repro.core.serialization import load
 
         schedule = load(path)
         assert schedule.num_stages == 7

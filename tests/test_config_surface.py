@@ -197,7 +197,7 @@ def test_the_environment_surface_is_the_checker_switch():
     checker; nothing read from the environment changes what a run
     computes (DESIGN.md §10)."""
     assert environment_reads() == {
-        ("analysis/runtime_checks.py", "REPRO_CHECK")}
+        ("runtime/checks.py", "REPRO_CHECK")}
     section = DESIGN.read_text(encoding="utf-8").split(
         "## 10. ", 1)[1].split("\n## ", 1)[0]
     assert "`REPRO_CHECK`" in section

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.serialization import SerializationError
+from repro.core.serialization import SerializationError
 
 
 class TestHierarchy:

@@ -8,7 +8,7 @@ from repro.apps import build_octree_application
 from repro.core.optimizer import BTOptimizer
 from repro.core.profiler import BTProfiler
 from repro.core.schedule import Schedule
-from repro.serialization import (
+from repro.core.serialization import (
     CHECKSUM_KEY,
     SerializationError,
     artifact_sha256,
@@ -282,6 +282,27 @@ class TestErrorMessagesNamePath:
             read_artifact(missing)
         assert str(missing) in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "assignments", ["abc", 5, None, [1, 2], [["big"]]],
+        ids=["string", "int", "null", "ints", "nested"],
+    )
+    def test_assignments_must_be_a_list_of_names(
+        self, assignments, optimization, tmp_path,
+    ):
+        """A string is not read as one stage per character, and a
+        non-list is a SerializationError naming the file, not a bare
+        TypeError - for a schedule and for a candidate alike."""
+        schedule = schedule_to_dict(Schedule.homogeneous(3, "big"))
+        result = optimization_to_dict(optimization)
+        result["candidates"][0]["assignments"] = assignments
+        schedule["assignments"] = assignments
+        for name, data in (("s.json", schedule), ("o.json", result)):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))  # no checksum: loads as-is
+            with pytest.raises(SerializationError) as excinfo:
+                load(path)
+            assert str(path) in str(excinfo.value)
+
 
 class TestDegradedFlagRoundTrip:
     def test_degraded_survives_round_trip(self, optimization):
@@ -302,7 +323,7 @@ class TestJsonReportMetricsSnapshot:
     capture is active, so uninstrumented reports stay byte-identical."""
 
     def test_disabled_registry_leaves_bytes_untouched(self, tmp_path):
-        from repro.serialization import write_json_report
+        from repro.core.serialization import write_json_report
 
         plain, again = tmp_path / "a.json", tmp_path / "b.json"
         write_json_report(plain, {"x": 1})
@@ -312,7 +333,7 @@ class TestJsonReportMetricsSnapshot:
 
     def test_enabled_registry_snapshot_rides_along(self, tmp_path):
         from repro.obs import capture
-        from repro.serialization import write_json_report
+        from repro.core.serialization import write_json_report
 
         path = tmp_path / "r.json"
         with capture() as cap:
@@ -324,7 +345,7 @@ class TestJsonReportMetricsSnapshot:
 
     def test_explicit_metrics_key_not_overwritten(self, tmp_path):
         from repro.obs import capture
-        from repro.serialization import write_json_report
+        from repro.core.serialization import write_json_report
 
         path = tmp_path / "r.json"
         with capture():
@@ -333,7 +354,7 @@ class TestJsonReportMetricsSnapshot:
 
     def test_caller_payload_not_mutated(self):
         from repro.obs import capture
-        from repro.serialization import write_json_report
+        from repro.core.serialization import write_json_report
         import tempfile, os
 
         payload = {"x": 1}

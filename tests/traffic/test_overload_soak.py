@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.serialization import write_json_report
+from repro.core.serialization import write_json_report
 from repro.traffic import (
     FleetOverloadScenario,
     OVERLOAD_TIERS,
@@ -116,7 +116,7 @@ class TestByteDeterminism:
         write_json_report(here, report.to_dict())
         script = (
             "import sys\n"
-            "from repro.serialization import write_json_report\n"
+            "from repro.core.serialization import write_json_report\n"
             "from repro.traffic import FleetOverloadScenario, "
             "run_overload_soak\n"
             "_, report = run_overload_soak(FleetOverloadScenario())\n"

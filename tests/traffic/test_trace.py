@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import TrafficError
-from repro.serialization import SerializationError
+from repro.core.serialization import SerializationError
 from repro.traffic import TRACE_KIND, TrafficGenerator, TrafficTrace
 from repro.traffic.generator import ArrivalEvent
 
@@ -70,7 +70,7 @@ class TestPersistence:
     def test_malformed_payload_is_structured_error(
         self, trace, tmp_path
     ):
-        from repro.serialization import write_artifact
+        from repro.core.serialization import write_artifact
 
         path = tmp_path / "trace.json"
         payload = trace.to_payload()
@@ -90,7 +90,7 @@ class TestPersistence:
     ):
         # A well-formed, checksummed artifact whose events would break
         # a replay: load refuses it before any tick runs.
-        from repro.serialization import write_artifact
+        from repro.core.serialization import write_artifact
 
         path = tmp_path / "trace.json"
         payload = trace.to_payload()
