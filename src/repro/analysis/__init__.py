@@ -10,7 +10,8 @@ package machine-checks them:
   ``python -m repro lint``): AST rules over the source tree with a
   rule registry, per-line suppression comments and text/JSON output.
 * **Flow analysis** (:mod:`repro.analysis.flow`, ``python -m repro
-  flow``): interprocedural taint and clock-domain checks.
+  flow``): per-function taint check from nondeterminism sources to
+  report sinks.
 * **Race driver** (:mod:`repro.analysis.race`, ``python -m repro
   race``): runs a threaded pipeline under the dynamic concurrency
   checker, which lives next to what it guards

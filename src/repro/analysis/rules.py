@@ -119,9 +119,8 @@ def dotted_name(node: ast.AST) -> str:
     """``a.b.c`` for Name/Attribute chains, ``""`` otherwise.
 
     Memoized on the node itself (purely syntactic, so safe to cache
-    for the node's lifetime): the flow analysis resolves the same call
-    targets once per fixpoint pass, which makes this the hottest
-    helper in the tree.
+    for the node's lifetime): lint and flow share the parsed trees,
+    and the flow check re-reads the same calls on every settling pass.
     """
     cached = getattr(node, "_bt_dotted", None)
     if cached is not None:

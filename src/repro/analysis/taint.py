@@ -6,7 +6,7 @@ one family of nondeterminism:
 ========================  ==============================================
 kind                      introduced by
 ========================  ==============================================
-``WALL-CLOCK``            ``time.time``/``perf_counter``/``monotonic``
+``WALL-CLOCK``            ``time.time``/``perf_counter``
                           and datetime "now" reads
 ``GLOBAL-RNG``            module-level ``random.*`` / ``np.random.*``
                           draws (and ``default_rng()`` with no seed)
@@ -18,26 +18,21 @@ kind                      introduced by
 ========================  ==============================================
 
 The empty set is the lattice bottom ("deterministic"); join is set
-union.  During the summary phase the sets additionally carry symbolic
-markers ``@param:i`` standing for "whatever the caller passes as
-positional parameter *i*" - :func:`concrete` / :func:`markers` split a
-taint set back into the two halves.
+union.
 
-This module is pure data + tiny predicates; the propagation engine
+This module is pure data + tiny predicates; the per-function check
 lives in :mod:`repro.analysis.flow`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Optional, Tuple
 
 from repro.analysis.rules import _SEEDED_RNG_OK, _STDLIB_RNG_OK, \
     dotted_name
 
-Taint = FrozenSet[str]
-
-EMPTY: Taint = frozenset()
+Taint = AbstractSet[str]
 
 WALL_CLOCK = "WALL-CLOCK"
 GLOBAL_RNG = "GLOBAL-RNG"
@@ -59,8 +54,7 @@ RULE_FOR_KIND: Dict[str, str] = {
 #: Every flow rule id (for suppression validation and docs).
 ALL_FLOW_RULES: Tuple[str, ...] = (
     "FLOW-WALL-CLOCK", "FLOW-GLOBAL-RNG", "FLOW-ENV-READ",
-    "FLOW-UNORDERED-ITER", "FLOW-THREAD-ID",
-    "CLOCK-MIX", "CLOCK-CALL", "BAD-SUPPRESSION",
+    "FLOW-UNORDERED-ITER", "FLOW-THREAD-ID", "BAD-SUPPRESSION",
 )
 
 #: rule id -> one-line summary (``repro flow --list-rules``).
@@ -75,39 +69,9 @@ RULE_SUMMARIES: Dict[str, str] = {
                             "a report/artifact sink"),
     "FLOW-THREAD-ID": ("thread/process identity flows into a "
                        "report/artifact sink"),
-    "CLOCK-MIX": ("arithmetic/comparison mixes control ticks with "
-                  "virtual seconds"),
-    "CLOCK-CALL": ("call passes one clock domain where the parameter "
-                   "name declares the other"),
     "BAD-SUPPRESSION": ("bt-flow suppression without the required "
                         "'-- justification' suffix"),
 }
-
-_PARAM_PREFIX = "@param:"
-
-
-def param_marker(index: int) -> str:
-    return f"{_PARAM_PREFIX}{index}"
-
-
-def concrete(taint: Taint) -> Taint:
-    """The concrete kinds in a taint set (markers stripped)."""
-    if not taint:
-        return EMPTY
-    return frozenset(k for k in taint
-                     if not k.startswith(_PARAM_PREFIX))
-
-
-def markers(taint: Taint) -> FrozenSet[int]:
-    """The ``@param:i`` indices in a taint set."""
-    if not taint:
-        return _NO_MARKERS
-    return frozenset(int(k[len(_PARAM_PREFIX):]) for k in taint
-                     if k.startswith(_PARAM_PREFIX))
-
-
-_NO_MARKERS: FrozenSet[int] = frozenset()
-
 
 # ----------------------------------------------------------------------
 # Sources
@@ -124,28 +88,6 @@ _CLOCK_CALLS = {
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "date.today", "datetime.date.today",
 }
-
-#: Kinds that describe a *value's* nondeterminism (safe to track
-#: through the name-keyed field table).  The container-order kinds are
-#: excluded: keyed only by field *name*, they over-couple unrelated
-#: classes and cascade to the whole heap within two fixpoint rounds.
-FIELD_TRACKED_KINDS: FrozenSet[str] = frozenset({
-    WALL_CLOCK, GLOBAL_RNG, ENV_READ, THREAD_ID,
-})
-
-#: Field-name fragments that mark *control-plane* time state: stop
-#: conditions, not measurements.  A wall-clock read stored into a
-#: deadline/budget field decides *when* code runs, never what bytes a
-#: report contains, and control dependence is out of scope - so these
-#: stores do not enter the field-taint table.
-CONTROL_PLANE_FIELDS: Tuple[str, ...] = (
-    "deadline", "budget", "timeout", "patience",
-)
-
-
-def is_control_plane_field(name: str) -> bool:
-    lowered = name.lower()
-    return any(part in lowered for part in CONTROL_PLANE_FIELDS)
 
 _THREAD_ID_CALLS = {
     "threading.get_ident", "threading.get_native_id",
@@ -198,15 +140,22 @@ _ORDERING_CASTS = {"list", "tuple"}
 _SET_BUILDERS = {"set", "frozenset"}
 
 
-def _launder_tag(call: ast.Call) -> Optional[str]:
-    """Which laundering family a call belongs to (static per node)."""
+def launder(call: ast.Call, joined_args: Taint) -> Optional[Taint]:
+    """The result taint of a sanctioned laundering call, or ``None``
+    if this call is not a launderer."""
     name = dotted_name(call.func)
     if name in _ORDER_INSENSITIVE:
-        return "order"
+        # sorted()/len()/min()... fix or ignore iteration order.
+        return joined_args - {UNORDERED, UNORDERED_ITER}
     if name in _ORDERING_CASTS:
-        return "cast"
+        # list(s)/tuple(s) materialise an order out of the container.
+        if UNORDERED in joined_args:
+            return (joined_args - {UNORDERED}) | {UNORDERED_ITER}
+        return joined_args
     if name in _SET_BUILDERS:
-        return "set"
+        # Building a set launders the *element order* the input had,
+        # but the result is itself unordered again.
+        return (joined_args - {UNORDERED_ITER}) | {UNORDERED}
     terminal = name.rsplit(".", 1)[-1]
     if (terminal in _SEEDED_RNG_OK
             and (name.startswith(("np.random.", "numpy.random."))
@@ -214,61 +163,9 @@ def _launder_tag(call: ast.Call) -> Optional[str]:
         # A *seeded* generator is exactly as deterministic as its
         # seed; a bare ``default_rng()`` pulls OS entropy.
         if call.args or call.keywords:
-            return "seed_pass"
-        return "seed_global"
+            return joined_args
+        return joined_args | {GLOBAL_RNG}
     return None
-
-
-def apply_launder(tag: str, joined_args: Taint) -> Taint:
-    """The result taint of a laundering call classified as ``tag``."""
-    if tag == "order":
-        # sorted()/len()/min()... fix or ignore iteration order.
-        return joined_args - {UNORDERED, UNORDERED_ITER}
-    if tag == "cast":
-        # list(s)/tuple(s) materialise an order out of the container.
-        if UNORDERED in joined_args:
-            return (joined_args - {UNORDERED}) | {UNORDERED_ITER}
-        return joined_args
-    if tag == "set":
-        # Building a set launders the *element order* the input had,
-        # but the result is itself unordered again.
-        return (joined_args - {UNORDERED_ITER}) | {UNORDERED}
-    if tag == "seed_pass":
-        return joined_args
-    return joined_args | {GLOBAL_RNG}  # seed_global
-
-
-def launder(call: ast.Call, joined_args: Taint) -> Optional[Taint]:
-    """The result taint of a sanctioned laundering call, or ``None``
-    if this call is not a launderer."""
-    tag = _launder_tag(call)
-    if tag is None:
-        return None
-    return apply_launder(tag, joined_args)
-
-
-#: classify_call result tuple: (source kind, launder tag, sink).
-CallClass = Tuple[Optional[str], Optional[str],
-                  Optional[Tuple[str, Optional[int]]]]
-
-
-def classify_call(call: ast.Call) -> CallClass:
-    """``(source kind, launder tag, sink)`` for a call node.
-
-    All three are purely syntactic, so the classification is memoized
-    on the node - the flow engine revisits the same call sites every
-    fixpoint pass.
-    """
-    cached = getattr(call, "_bt_call_class", None)
-    if cached is not None:
-        return cached
-    result = (source_kind(call), _launder_tag(call),
-              sink_for_call(call))
-    try:
-        call._bt_call_class = result  # type: ignore[attr-defined]
-    except AttributeError:  # pragma: no cover - slotted nodes
-        pass
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +201,3 @@ def sink_for_call(call: ast.Call) -> Optional[Tuple[str, Optional[int]]]:
     if terminal in SINK_CONSTRUCTORS:
         return (f"{terminal} report field", None)
     return None
-
-
-def describe(kinds: Taint) -> str:
-    """Human-readable, deterministic rendering of a kind set."""
-    return "+".join(sorted(concrete(kinds)))

@@ -21,7 +21,7 @@ Commands:
 * ``trace``                    - traced run, Perfetto/Chrome or Gantt export
 * ``submit``                   - submit one job to a fresh server, report admission
 * ``lint``                     - static invariant linter over the tree
-* ``flow``                     - whole-program determinism-flow analysis
+* ``flow``                     - per-function determinism-flow check
 * ``race``                     - dynamic concurrency checker (REPRO_CHECK)
 * ``report``                   - regenerate every paper table/figure
 
@@ -969,7 +969,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    """Run the whole-program determinism-flow analysis."""
+    """Run the per-function determinism-flow check."""
     from repro.analysis import report
     from repro.analysis.flow import analyze_paths
 
@@ -1273,8 +1273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for (name, help_text, fn) in (
         ("lint", "static invariant linter over the tree", cmd_lint),
-        ("flow", "whole-program determinism-flow analysis "
-                 "(taint sources -> report sinks, clock domains)",
+        ("flow", "per-function determinism-flow check "
+                 "(taint sources -> report sinks)",
          cmd_flow),
     ):
         p = sub.add_parser(name, help=help_text)

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import TrafficError
 from repro.soc.timer import _stable_seed
-from repro.traffic.spec import MMPP, TierSpec, TrafficSpec
+from repro.traffic.spec import MMPP, TierSpec, TrafficSpec, int_field
 
 #: Generated application flavours (cycled across the app pool, so the
 #: population mixes compute-bound, memory-bound, and DRAM-saturating
@@ -68,14 +68,14 @@ class ArrivalEvent:
     def from_dict(cls, data: Dict[str, Any]) -> "ArrivalEvent":
         try:
             return cls(
-                tick=int(data["tick"]),
+                tick=int_field(data, "tick"),
                 name=str(data["name"]),
                 tier=str(data["tier"]),
-                priority=int(data["priority"]),
-                windows=int(data["windows"]),
-                window_tasks=int(data["window_tasks"]),
+                priority=int_field(data, "priority"),
+                windows=int_field(data, "windows"),
+                window_tasks=int_field(data, "window_tasks"),
                 app_kind=str(data["app_kind"]),
-                app_seed=int(data["app_seed"]),
+                app_seed=int_field(data, "app_seed"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TrafficError(

@@ -27,6 +27,18 @@ MMPP = "mmpp"
 ARRIVAL_PROCESSES = (POISSON, MMPP)
 
 
+def int_field(data: Dict[str, Any], key: str) -> int:
+    """``data[key]``, which must already be an integer: ``int()`` would
+    turn ``2.9`` into 2, ``true`` into 1 and ``"2"`` into 2, and a
+    replay would run a stream nobody recorded."""
+    value = data[key]
+    if type(value) is not int:
+        raise TrafficError(
+            f"field {key!r} must be an integer, not {value!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class TierSpec:
     """One service tier in the tenant population.
@@ -238,15 +250,16 @@ class TrafficSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "TrafficSpec":
         try:
             return cls(
-                ticks=int(data["ticks"]),
+                ticks=int_field(data, "ticks"),
                 arrival_process=str(data["arrival_process"]),
                 arrivals_per_tick=float(data["arrivals_per_tick"]),
                 load_multiplier=float(data["load_multiplier"]),
                 diurnal_amplitude=float(data["diurnal_amplitude"]),
-                diurnal_period_ticks=int(data["diurnal_period_ticks"]),
+                diurnal_period_ticks=int_field(data,
+                                               "diurnal_period_ticks"),
                 bursts=tuple(BurstSpec(
-                    start_tick=int(b["start_tick"]),
-                    end_tick=int(b["end_tick"]),
+                    start_tick=int_field(b, "start_tick"),
+                    end_tick=int_field(b, "end_tick"),
                     multiplier=float(b["multiplier"]),
                 ) for b in data["bursts"]),
                 mmpp_surge_factor=float(data["mmpp_surge_factor"]),
@@ -254,16 +267,18 @@ class TrafficSpec:
                 mmpp_exit_surge=float(data["mmpp_exit_surge"]),
                 tiers=tuple(TierSpec(
                     name=str(t["name"]),
-                    priority=int(t["priority"]),
+                    priority=int_field(t, "priority"),
                     weight=float(t["weight"]),
                     slo_slowdown=float(t["slo_slowdown"]),
-                    window_tasks=int(t["window_tasks"]),
+                    window_tasks=int_field(t, "window_tasks"),
                 ) for t in data["tiers"]),
                 session_alpha=float(data["session_alpha"]),
-                session_windows_min=int(data["session_windows_min"]),
-                session_windows_max=int(data["session_windows_max"]),
-                app_pool_size=int(data["app_pool_size"]),
-                stage_count=int(data["stage_count"]),
+                session_windows_min=int_field(data,
+                                              "session_windows_min"),
+                session_windows_max=int_field(data,
+                                              "session_windows_max"),
+                app_pool_size=int_field(data, "app_pool_size"),
+                stage_count=int_field(data, "stage_count"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TrafficError(

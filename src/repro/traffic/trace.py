@@ -23,7 +23,7 @@ from repro.core.serialization import (
 )
 from repro.errors import TrafficError
 from repro.traffic.generator import ArrivalEvent, TrafficGenerator
-from repro.traffic.spec import TrafficSpec
+from repro.traffic.spec import TrafficSpec, int_field
 
 #: Artifact tag for serialized traces.
 TRACE_KIND = "traffic_trace"
@@ -61,7 +61,7 @@ class TrafficTrace:
                     f"order ({event.name!r} at tick {event.tick} "
                     f"follows tick {last_tick})"
                 )
-            if event.tick >= self.spec.ticks:
+            if not 0 <= event.tick < self.spec.ticks:
                 raise TrafficError(
                     f"trace event {event.name!r} at tick "
                     f"{event.tick} is outside the spec horizon "
@@ -104,7 +104,7 @@ class TrafficTrace:
         try:
             return cls(
                 spec=TrafficSpec.from_dict(data["spec"]),
-                seed=int(data["seed"]),
+                seed=int_field(data, "seed"),
                 events=tuple(
                     ArrivalEvent.from_dict(entry)
                     for entry in data["events"]

@@ -75,50 +75,33 @@ class TestSourcesAndSinks:
         assert findings == []
 
 
+class TestPerFunction:
+    def test_to_dict_return_is_a_sink(self):
+        findings = flow_snippet("""
+            import threading
+
+            class Event:
+                def to_dict(self):
+                    return {"thread": threading.get_ident()}
+        """)
+        assert rules_of(findings) == ["FLOW-THREAD-ID"]
+
+    def test_every_assignment_taints_the_name(self):
+        # Flow-insensitive: a late assignment taints earlier reads.
+        findings = flow_snippet("""
+            import os
+
+            def dump(path, stamp):
+                for _ in range(2):
+                    write_json_report(path, {"stamp": stamp})
+                    stamp = os.getenv("STAMP")
+        """)
+        assert rules_of(findings) == ["FLOW-ENV-READ"]
+
+
 class TestInterprocedural:
-    def test_taint_through_return_chain(self):
-        findings = flow_snippet("""
-            import time
-
-            def source():
-                return time.perf_counter()
-
-            def relay():
-                return {"v": source()}
-
-            def dump(path):
-                write_json_report(path, relay())
-        """)
-        assert rules_of(findings) == ["FLOW-WALL-CLOCK"]
-        # Reported at the sink, not the source.
-        assert findings[0].line == 11
-
-    def test_taint_through_parameter(self):
-        # The sink is inside the callee; the source is in the caller.
-        findings = flow_snippet("""
-            import time
-
-            def persist(path, payload):
-                write_json_report(path, payload)
-
-            def run(path):
-                persist(path, {"t": time.time()})
-        """)
-        assert rules_of(findings) == ["FLOW-WALL-CLOCK"]
-
-    def test_taint_through_container_mutation(self):
-        findings = flow_snippet("""
-            import random
-
-            def fill(out):
-                out.append(random.random())
-
-            def run():
-                rows = []
-                fill(rows)
-                return artifact_sha256(rows)
-        """)
-        assert rules_of(findings) == ["FLOW-GLOBAL-RNG"]
+    """Nothing crosses a call: the golden corpus guards what travels
+    further (tests/mutation/MATRIX.md)."""
 
     def test_clean_helper_stays_clean(self):
         findings = flow_snippet("""
@@ -216,53 +199,6 @@ class TestSuppressions:
         assert rules_of(report.findings) == ["FLOW-WALL-CLOCK"]
 
 
-class TestClockDomains:
-    def test_additive_mix_flags(self):
-        findings = flow_snippet("""
-            def total(warmup_ticks, window_s):
-                return warmup_ticks + window_s
-        """)
-        assert rules_of(findings) == ["CLOCK-MIX"]
-
-    def test_comparison_mix_flags(self):
-        findings = flow_snippet("""
-            def late(elapsed_s, max_ticks):
-                return elapsed_s > max_ticks
-        """)
-        assert rules_of(findings) == ["CLOCK-MIX"]
-
-    def test_multiplication_is_a_conversion(self):
-        findings = flow_snippet("""
-            def to_seconds(n_ticks, tick_period_s):
-                return n_ticks * tick_period_s
-        """)
-        assert findings == []
-
-    def test_same_domain_arithmetic_is_clean(self):
-        findings = flow_snippet("""
-            def span(start_s, end_s, n_ticks, warmup_ticks):
-                return (end_s - start_s, n_ticks - warmup_ticks)
-        """)
-        assert findings == []
-
-    def test_call_boundary_mismatch(self):
-        findings = flow_snippet("""
-            def advance(sim_time_s):
-                return sim_time_s
-
-            def run(budget_ticks):
-                return advance(budget_ticks)
-        """)
-        assert rules_of(findings) == ["CLOCK-CALL"]
-
-    def test_keyword_mismatch_on_unresolved_call(self):
-        findings = flow_snippet("""
-            def run(soc, budget_ticks):
-                soc.advance(until_s=budget_ticks)
-        """)
-        assert rules_of(findings) == ["CLOCK-CALL"]
-
-
 class TestFixtures:
     @pytest.fixture(scope="class")
     def report(self):
@@ -276,17 +212,14 @@ class TestFixtures:
         assert sorted(by_file["bad_attribution.py"]) == [
             "FLOW-WALL-CLOCK",
         ]
-        assert sorted(by_file["bad_clocks.py"]) == [
-            "CLOCK-CALL", "CLOCK-CALL", "CLOCK-MIX", "CLOCK-MIX",
-        ]
         assert sorted(by_file["bad_container.py"]) == [
-            "FLOW-GLOBAL-RNG", "FLOW-THREAD-ID", "FLOW-UNORDERED-ITER",
+            "FLOW-THREAD-ID", "FLOW-UNORDERED-ITER",
         ]
-        assert sorted(by_file["bad_cross_function.py"]) == [
+        assert sorted(by_file["bad_to_dict.py"]) == [
             "FLOW-ENV-READ", "FLOW-WALL-CLOCK",
         ]
         assert sorted(by_file["bad_traffic.py"]) == [
-            "CLOCK-MIX", "FLOW-GLOBAL-RNG",
+            "FLOW-GLOBAL-RNG",
         ]
         assert sorted(by_file["suppressed.py"]) == [
             "BAD-SUPPRESSION", "FLOW-WALL-CLOCK",
@@ -304,7 +237,7 @@ class TestFixtures:
     def test_report_shape(self, report):
         data = report.to_dict()
         assert data["tool"] == "repro-flow"
-        assert data["files_checked"] == 7
+        assert data["files_checked"] == 6
         assert not data["clean"]
         assert sum(data["counts"].values()) == len(report.findings)
 
@@ -345,7 +278,7 @@ class TestCli:
         assert main(["flow", str(FIXTURES), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["tool"] == "repro-flow"
-        assert data["counts"]["CLOCK-MIX"] == 3
+        assert data["counts"]["FLOW-WALL-CLOCK"] == 3
         assert {r["rule"] for r in data["rules"]} == set(ALL_FLOW_RULES)
 
     def test_list_rules(self, capsys):
@@ -357,11 +290,11 @@ class TestCli:
 
     def test_out_writes_report(self, tmp_path, capsys):
         out_file = tmp_path / "flow.json"
-        assert main(["flow", str(FIXTURES / "bad_clocks.py"),
+        assert main(["flow", str(FIXTURES / "bad_to_dict.py"),
                      "--out", str(out_file)]) == 0
         capsys.readouterr()
         data = json.loads(out_file.read_text())
-        assert data["counts"] == {"CLOCK-MIX": 2, "CLOCK-CALL": 2}
+        assert data["counts"] == {"FLOW-WALL-CLOCK": 1, "FLOW-ENV-READ": 1}
 
 
 class TestChanged:

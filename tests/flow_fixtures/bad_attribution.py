@@ -3,8 +3,8 @@
 Burn-rate alerting must run entirely on the deterministic tick clock -
 the :class:`BurnAlert` records ride in serialized reports, so any wall
 time reaching an alert decision makes the report nondeterministic.
-This fixture measures a "burn rate" from process wall time and lets it
-reach the alert record one call-hop later - exactly the regression the
+This fixture measures a "burn rate" from process wall time and hands
+it to the alert record - exactly the regression the
 ``BurnAlert``/``BlameMatrix`` sink registrations must keep out of
 ``repro.obs.alerts`` and its callers.
 """
@@ -12,13 +12,10 @@ reach the alert record one call-hop later - exactly the regression the
 import time
 
 
-def measure_burn(key):
+def record_alert(key):
     # Wall clock enters the alert decision: every run "burns"
     # differently.
     observed = time.time()
-    return {"key": key, "rate": observed}
-
-
-def record_alert(key):
+    burn = {"key": key, "rate": observed}
     # FLOW-WALL-CLOCK: wall-clock-derived burn rate in a report sink.
-    return BurnAlert(measure_burn(key))
+    return BurnAlert(burn)

@@ -1,23 +1,11 @@
 """Seeded violations that travel through container mutation.
 
-The taint never flows through a return value: a helper mutates a list
-the caller owns, so only mutation-aware summaries catch it.
+The taint never flows through a return value: the function fills a
+container it owns and serializes it, so only a mutation-aware check
+catches it.
 """
 
-import random
 import threading
-
-
-def collect_samples(out):
-    # Mutates the caller's list with a global-RNG draw.
-    out.append(random.random())
-
-
-def checksum_samples():
-    samples = []
-    collect_samples(samples)
-    # FLOW-GLOBAL-RNG: the tainted container feeds the checksum.
-    return artifact_sha256(samples)
 
 
 def dump_pu_names(pu_classes):

@@ -1,31 +1,18 @@
-"""Seeded traffic-layer violations: an unseeded arrival sampler.
+"""Seeded traffic-layer violation: an unseeded arrival sampler.
 
 The open-loop contract is that a workload is a pure function of
 (spec, seed).  This fixture draws its arrival counts from process
 entropy instead of a coordinate-keyed generator, and the draws reach
-the serialized ``TrafficReport`` two call-hops later - exactly the
-regression the flow analysis must keep out of ``repro.traffic``.
+the serialized ``TrafficReport`` - exactly the regression the flow
+check must keep out of ``repro.traffic``.
 """
 
 import numpy as np
 
 
-def sample_arrivals(ticks):
+def evaluate(ticks):
     # Unseeded generator: every run offers a different workload.
     rng = np.random.default_rng()
-    return [int(rng.poisson(1.5)) for _ in range(ticks)]
-
-
-def summarize(ticks):
-    # One hop: the tainted draws ride a return value.
-    return {"arrivals": sample_arrivals(ticks)}
-
-
-def evaluate(ticks):
+    arrivals = [int(rng.poisson(1.5)) for _ in range(ticks)]
     # FLOW-GLOBAL-RNG: OS-entropy arrival counts land in the report.
-    return TrafficReport(per_tick=summarize(ticks))
-
-
-def burst_deadline(horizon_ticks, drain_window_s):
-    # CLOCK-MIX: control-domain ticks added to virtual seconds.
-    return horizon_ticks + drain_window_s
+    return TrafficReport(per_tick={"arrivals": arrivals})

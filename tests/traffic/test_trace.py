@@ -99,3 +99,36 @@ class TestPersistence:
         write_artifact(path, TRACE_KIND, payload)
         with pytest.raises(TrafficError, match=match):
             TrafficTrace.load(path)
+
+    @pytest.mark.parametrize("corrupt,match", [
+        (lambda payload: payload["events"][0].update(tick=-1),
+         "at tick -1 is outside"),
+        (lambda payload: payload["events"][0].update(tick=2.9),
+         "field 'tick'"),
+        (lambda payload: payload["events"][0].update(priority=True),
+         "field 'priority'"),
+        (lambda payload: payload["events"][0].update(windows="2"),
+         "field 'windows'"),
+        (lambda payload: payload["spec"].update(ticks=24.0),
+         "field 'ticks'"),
+        (lambda payload: payload["spec"]["tiers"][0].update(
+            window_tasks=True), "field 'window_tasks'"),
+        (lambda payload: payload.update(seed="7"), "field 'seed'"),
+    ], ids=["negative-tick", "float-tick", "bool-priority",
+            "string-windows", "float-spec-ticks", "bool-tier-tasks",
+            "string-seed"])
+    def test_load_rejects_what_a_replay_would_drop_or_rewrite(
+        self, trace, tmp_path, corrupt, match
+    ):
+        # Re-checksummed, so only validation stands between the edit
+        # and a replay that silently drops the arrival (tick -1 is
+        # never submitted) or runs a stream nobody recorded (int()
+        # would read 2.9 as 2, true as 1, "2" as 2).
+        from repro.core.serialization import write_artifact
+
+        path = tmp_path / "trace.json"
+        payload = trace.to_payload()
+        corrupt(payload)
+        write_artifact(path, TRACE_KIND, payload)
+        with pytest.raises(TrafficError, match=match):
+            TrafficTrace.load(path)
