@@ -61,42 +61,6 @@ def _repro_check_gate():
 
 
 @pytest.fixture
-def always_simulate(monkeypatch):
-    """The window-reuse oracle's switch.  Calling the returned function
-    makes every ``Deployment`` answer "nothing remembered" for the rest
-    of the test, so ``PipelineServer`` re-simulates every served window
-    - the design the remembered-window path replaced, kept only here
-    (there is no production switch) so the suites can run one soak both
-    ways and compare bytes."""
-    def arm():
-        from repro.core.plan_cache import Deployment
-
-        monkeypatch.setattr(
-            Deployment, "remembered",
-            lambda deployment, external, n_tasks: None,
-        )
-    return arm
-
-
-@pytest.fixture
-def always_price(monkeypatch):
-    """The placement-epoch oracle's switch.  Calling the returned
-    function makes every ``EpochMemo`` answer "nothing remembered" for
-    the rest of the test, so every admission verdict is priced, every
-    shard choice ranked and every co-load view combined when asked for -
-    the per-tenant-per-tick design the epoch replaced, kept only here
-    (there is no production switch) so the suites can run one soak both
-    ways and compare bytes."""
-    def arm():
-        from repro.serve.placement import EpochMemo
-
-        monkeypatch.setattr(
-            EpochMemo, "lookup", lambda memo, stamp, key: None,
-        )
-    return arm
-
-
-@pytest.fixture
 def always_solve(monkeypatch):
     """The lazy-plan oracle's switch.  Calling the returned function
     makes every ``CachedPlan`` answer ``singles`` by filtering its

@@ -419,7 +419,7 @@ def _print_serve_report(report, server, sink: _TextSink) -> None:
     sink.line(f"served {report.ticks} ticks on {report.platform} "
               f"(seed {report.seed}, rescheduling "
               f"{'on' if report.rescheduling_enabled else 'off'})")
-    sink.line(f"plan cache: {report.plan_cache}")
+    sink.line(f"plan cache: {report.to_dict()['plan_cache']}")
     sink.line()
     for name in sorted(report.tenants):
         m = report.tenants[name]
@@ -479,7 +479,7 @@ def _print_fleet_report(report, sink: _TextSink) -> None:
     sink.line(f"fleet of {report.n_shards} shards served "
               f"{report.ticks} ticks (seed {report.seed}, failover "
               f"{'on' if report.failover_enabled else 'off'})")
-    sink.line(f"plan cache: {dict(report.plan_cache)}")
+    sink.line(f"plan cache: {report.to_dict()['plan_cache']}")
     sink.line(f"failovers={counts.get('failover', 0)} "
               f"migrations={counts.get('migrate', 0)} "
               f"shed={counts.get('shed', 0)} "
@@ -925,7 +925,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
           f"{platform.display_name} with {args.co} co-tenants:")
     print(f"  outcome: {record.status}  ({record.status_detail})")
     if record.partition:
-        print(f"  partition: {sorted(record.partition)}")
+        print(f"  partition: {list(record.partition)}")
     metrics = report.tenants[args.name]
     if metrics.windows_served:
         print(f"  windows served: {metrics.windows_served}, "

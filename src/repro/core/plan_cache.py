@@ -372,6 +372,6 @@ class PlanCache:
         return deployment
 
     def stats(self) -> Dict[str, int]:
-        """Cache effectiveness counters for the serving report."""
+        """Plans built, kept and looked up (reports omit ``hits``)."""
         return {"hits": self.hits, "misses": self.misses,
                 "entries": len(self._plans)}

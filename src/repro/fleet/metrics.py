@@ -152,7 +152,8 @@ class FleetReport:
             },
             "timeline": list(self.timeline),
             "chaos_events": list(self.chaos_events),
-            "plan_cache": dict(self.plan_cache),
+            "plan_cache": {key: value for key, value
+                           in self.plan_cache.items() if key != "hits"},
         }
         if self.attribution is not None:
             out["attribution"] = dict(self.attribution)

@@ -311,10 +311,8 @@ class FleetRouter:
                 "generation": shard.generation,
                 "windows_served": served[shard.name],
             }
-        cache_stats: Dict[str, int] = {}
-        for cache in self._caches:
-            for key, value in cache.stats().items():
-                cache_stats[key] = cache_stats.get(key, 0) + value
+        cache_stats = {key: sum(cache.stats()[key] for cache in self._caches)
+                       for key in self._caches[0].stats()}
         attribution = None
         if self.config.attribution:
             blames = [row.blame for row in self.window_log

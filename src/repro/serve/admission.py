@@ -225,7 +225,7 @@ class AdmissionController:
             rows = (
                 frozenset().union(
                     *(record.partition for record in running.values())),
-                [(name, schedulable - record.partition,
+                [(name, schedulable.difference(record.partition),
                   record.plan.contention_span(record.schedule))
                  for name, record in running.items()
                  if record.plan is not None

@@ -181,7 +181,8 @@ class ServeReport:
                 for name in sorted(self.tenants)
             },
             "timeline": list(self.timeline),
-            "plan_cache": dict(self.plan_cache),
+            "plan_cache": {key: value for key, value
+                           in self.plan_cache.items() if key != "hits"},
         }
         if self.attribution is not None:
             out["attribution"] = dict(self.attribution)

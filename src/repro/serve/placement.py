@@ -28,7 +28,7 @@ under the epoch it was derived at; no caller invalidates anything.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from repro.core.schedule import Schedule, validate_schedule
 from repro.errors import ServeError
@@ -103,8 +103,8 @@ class PlacementMap:
         tenant: str,
         application: Application,
         schedule: Schedule,
-    ) -> FrozenSet[str]:
-        """Grant ``tenant`` the PU classes its schedule uses.
+    ) -> Tuple[str, ...]:
+        """Grant ``tenant`` the PU classes its schedule uses, sorted.
 
         Validates the schedule against the granted partition
         (``validate_schedule`` with ``available_pus``) and re-checks
@@ -138,14 +138,14 @@ class PlacementMap:
         self._free -= wanted
         self.epoch += 1
         self.check()
-        return wanted
+        return tuple(sorted(wanted))
 
     def reassign(
         self,
         tenant: str,
         application: Application,
         schedule: Schedule,
-    ) -> FrozenSet[str]:
+    ) -> Tuple[str, ...]:
         """Atomically replace a tenant's partition (live reschedule):
         a :meth:`release` and an :meth:`assign`, or nothing."""
         previous = self.partition_of(tenant)

@@ -155,12 +155,11 @@ class OnlineRescheduler:
                 f"tenant {record.name!r} is not deployed; nothing to "
                 "re-rank"
             )
-        allowed = frozenset(record.partition) | free_classes
+        allowed = free_classes.union(record.partition)
         required = record.spec.required_classes
         fitting = [
             c for c in record.plan.optimization.candidates
-            if set(c.schedule.pu_classes_used) <= allowed
-            and required <= set(c.schedule.pu_classes_used)
+            if required <= c.schedule.class_set <= allowed
         ]
         if not fitting:
             return RescheduleAction(

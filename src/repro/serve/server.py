@@ -598,7 +598,7 @@ class PipelineServer:
         self._patience[spec.name] = 0
         self._event(
             tick, "admit", spec.name,
-            partition=sorted(record.partition),
+            partition=record.partition,
             predicted_latency_s=round(decision.predicted_latency_s, 9),
         )
 
@@ -821,7 +821,7 @@ class PipelineServer:
             self._event(
                 tick, "reschedule", name,
                 rank=action.candidate.rank,
-                partition=sorted(record.partition),
+                partition=record.partition,
                 measured_s=round(measured, 9),
                 predicted_s=round(action.predicted_latency_s, 9),
             )

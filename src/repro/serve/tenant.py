@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.plan_cache import CachedPlan
 from repro.core.schedule import Schedule
@@ -151,7 +151,7 @@ class TenantRecord:
     status: str = PENDING
     plan: Optional[CachedPlan] = None
     schedule: Optional[Schedule] = None
-    partition: FrozenSet[str] = frozenset()
+    partition: Tuple[str, ...] = ()
     #: Every window served, in order (the rows the server wrote).
     history: List[WindowSample] = field(default_factory=list)
     reschedules: int = 0

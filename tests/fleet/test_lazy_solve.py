@@ -21,10 +21,10 @@ import pytest
 from repro.fleet import FleetSoakScenario
 from repro.fleet.scenario import build_fleet
 
-from tests.epoch_oracle import first_difference
 from tests.solve_oracle import (
     count_solves,
     distinct,
+    first_difference,
     forbid_solves,
     plans_built,
     record_reranks,

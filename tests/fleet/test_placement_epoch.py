@@ -5,14 +5,11 @@ keeps its *choice* - the admitting shards of a key, ranked - for as
 long as no shard's (generation, placement epoch) and no breaker's gate
 moved.  (1) The chaos soak - crash and rejoin generations, a gray
 failure, a brownout's drift edges, failover batches with a rollback -
-run as shipped and with every ``EpochMemo`` forced to "nothing
-remembered" (the root conftest's test-only ``always_price``) must leave
-byte-identical fleet reports, shard reports, window logs and exported
-traces, ``plan_cache.hits`` aside, with strictly fewer real pricings
-shipped.  (2) A choice ends with the fleet state it was ranked at:
-an admit, the failover's rollback, a breaker, a new generation.
-(3) Seeded mutants - a choice that ignores the breaker, or the shard
-generation - are told apart by the same comparison.
+run as shipped and with every host memo off (``tests.memo_off``) must
+leave byte-identical fleet reports, shard reports, window logs and
+exported traces, with strictly fewer real pricings shipped.  (2) A
+choice ends with the fleet state it was ranked at: an admit, the
+failover's rollback, a breaker, a new generation.
 """
 
 import dataclasses
@@ -21,7 +18,6 @@ import json
 import pytest
 
 from repro.apps.synthetic import build_synthetic_application
-from repro.errors import ServeError
 from repro.fleet import (
     SHED,
     FleetConfig,
@@ -31,19 +27,14 @@ from repro.fleet import (
     ShardSpec,
 )
 from repro.fleet.scenario import build_fleet
-from repro.obs import capture
+from repro.obs import capture, chrome_trace
 from repro.serve.admission import ADMIT
 from repro.serve.server import PipelineServer
 from repro.serve.tenant import RUNNING, TenantSpec
 
-from tests.epoch_oracle import (
-    Blurred,
-    count_pricings,
-    first_difference,
-    fresh_verdict,
-    traced,
-    without_hits,
-)
+from tests.memo_off import comparable, memos_off
+from tests.serve.conftest import count_pricings, fresh_verdict
+from tests.solve_oracle import first_difference
 
 SCENARIO = FleetSoakScenario()
 
@@ -62,16 +53,17 @@ def run_soak(attribution=False, reschedule=True):
     with capture() as cap, pytest.MonkeyPatch.context() as patch:
         patch.setattr(PipelineServer, "rescind", rescind)
         report = router.run()
+    trace = chrome_trace(cap.events, cap.metrics.snapshot())
     return json.dumps({
-        "report": without_hits(report.to_dict()),
+        "report": report.to_dict(),
         "window_log": [dataclasses.asdict(row)
                        for row in router.window_log],
         "shards": {
-            shard.name: [without_hits(closed.to_dict())
+            shard.name: [closed.to_dict()
                          for closed in shard.closed_reports]
             for shard in router.shards
         },
-        "trace": traced(cap),
+        "trace": comparable(json.dumps(trace).encode()).decode(),
     }, sort_keys=True), report, rescinded
 
 
@@ -79,7 +71,7 @@ def run_soak(attribution=False, reschedule=True):
     (False, True), (False, False), (True, True),
 ], ids=["plain", "frozen", "attribution"])
 def test_chaos_soak_bytes_do_not_depend_on_the_memo(
-        monkeypatch, always_price, attribution, reschedule):
+        monkeypatch, attribution, reschedule):
     counter = count_pricings(monkeypatch)
     shipped, report, rescinded = run_soak(attribution, reschedule)
     priced = counter["evaluate"]
@@ -100,9 +92,9 @@ def test_chaos_soak_bytes_do_not_depend_on_the_memo(
             assert row["tenant"] not in {
                 s["source"] for s in blame["shares"]}
 
-    always_price()
     counter["evaluate"] = 0
-    oracle, _, oracle_rescinded = run_soak(attribution, reschedule)
+    with memos_off():
+        oracle, _, oracle_rescinded = run_soak(attribution, reschedule)
     assert first_difference(shipped, oracle) is None
     assert rescinded == oracle_rescinded
     assert 0 < priced < counter["evaluate"]
@@ -221,7 +213,7 @@ class TestAChoiceEndsWithTheFleetStateItWasRankedAt:
         # ... and what the fleet holds now is current.
         assert router.choose_shard(_spec("later")) is None
 
-    def test_the_rollback_same_bytes(self, always_price):
+    def test_the_rollback_same_bytes(self):
         def drive():
             router = _fleet()
             s0, s1 = router.shards
@@ -241,8 +233,8 @@ class TestAChoiceEndsWithTheFleetStateItWasRankedAt:
 
         shipped = drive()
         assert shipped.count('"shed"') == 2
-        always_price()
-        assert drive() == shipped
+        with memos_off():
+            assert drive() == shipped
 
     def test_a_breaker_moves_it(self):
         router = _fleet()
@@ -271,39 +263,6 @@ class TestAChoiceEndsWithTheFleetStateItWasRankedAt:
         # ... but not for the tenant it already hosted.
         assert router.choose_shard(tenant.pending_spec())[0] is s1
         assert router.choose_shard(_spec("stranger2"))[0] is s0
-
-
-# ----------------------------------------------------------------------
-def forgetting(keep):
-    """The router's memo with part of each shard's state forgotten."""
-    return Blurred(lambda fleet, key: (
-        tuple(state and tuple(state[i] for i in keep)
-              for state in fleet), key))
-
-
-class TestSeededMutantsAreKilled:
-    GENERATION, EPOCH, GATE = 0, 1, 2
-
-    def test_a_choice_that_ignores_the_breaker(self):
-        everything = (self.GENERATION, self.EPOCH, self.GATE)
-        for keep, expected in ((everything, "s1"),
-                               (everything[:2], "s0")):
-            router = _fleet()
-            router._choices = forgetting(keep)
-            assert router.choose_shard(_spec("a"))[0].name == "s0"
-            router.breakers["s0"].trip(0)
-            # The mutant places behind an open breaker.
-            assert router.choose_shard(_spec("b"))[0].name == expected
-
-    def test_a_choice_that_ignores_the_generation(self):
-        router = _fleet(n_shards=1)
-        router._choices = forgetting((self.EPOCH, self.GATE))
-        # The mutant hands out the dead generation's verdict, which
-        # would oversubscribe the GPU.
-        shard, decision = _choice_across_two_generations(router)
-        with pytest.raises(ServeError, match="oversubscribe"):
-            shard.server.admit(_spec("wants-gpu", required=("gpu",)),
-                               1, decision)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ a key once per state of the fleet's placements and breakers
 (``FleetRouter.choose_shard``); ``_place_pending`` deploys the winning
 decision directly.  :func:`reference_place_pending` is the loop all of
 that replaced - every backlog tenant re-priced on every shard, the
-winner re-evaluated by ``try_admit`` - and runs under the root
-conftest's ``always_price`` (nothing remembered anywhere).  Driven over
+winner re-evaluated by ``try_admit`` - and runs with every host memo
+off (``tests.memo_off``).  Driven over
 the same backlog - duplicate and distinct pricing keys, a shard behind
 an open breaker, a shard that already knows a migrating tenant - both
 must write the same fleet and shard event logs, with the shipped arm
@@ -21,15 +21,18 @@ from repro.apps.synthetic import build_synthetic_application
 from repro.fleet import FleetConfig, FleetRouter, ShardSpec
 from repro.fleet.health import COOLDOWN_TICKS
 from repro.fleet.tenant import FleetTenant
+from repro.obs import capture
 from repro.serve.admission import ADMIT, AdmissionController
 from repro.serve.tenant import COMPLETED, PENDING, REJECTED, TenantSpec
+
+from tests.memo_off import memos_off
 
 TICKS = 12
 
 
 def reference_place_pending(self, tick):
     """``_place_pending`` before the sweep (per-tenant pricing); run
-    it with ``always_price`` armed."""
+    it with the memos off."""
     while True:
         with self._inbox_lock:
             if not self._inbox:
@@ -148,26 +151,26 @@ def _counting(monkeypatch):
     return calls
 
 
-def test_sweep_writes_the_reference_event_log(monkeypatch,
-                                              always_price):
+def test_sweep_writes_the_reference_event_log(monkeypatch):
     calls = _counting(monkeypatch)
-    router, report, shard_logs = _drive(reference=False)
+    with capture() as cap:
+        router, report, shard_logs = _drive(reference=False)
     swept_calls = len(calls)
     del calls[:]
-    always_price()
-    ref_router, ref_report, ref_shard_logs = _drive(reference=True)
+    with memos_off(), capture() as ref_cap:
+        ref_router, ref_report, ref_shard_logs = _drive(reference=True)
     reference_calls = len(calls)
 
     assert router.timeline == ref_router.timeline
     assert shard_logs == ref_shard_logs
     assert router.window_log == ref_router.window_log
-    swept, expected = report.to_dict(), ref_report.to_dict()
-    # The one intended difference: `hits` counts plan look-ups, one per
-    # real pricing, and a verdict read off its epoch makes none.
-    assert swept.pop("plan_cache")["hits"] < expected.pop(
-        "plan_cache")["hits"]
-    assert swept == expected
+    assert report.to_dict() == ref_report.to_dict()
     assert swept_calls < reference_calls
+    # A plan look-up per real pricing; a verdict read off its epoch
+    # makes none.
+    hits = [run.metrics.snapshot()["counters"]["plan_cache.hits"]
+            for run in (cap, ref_cap)]
+    assert hits[0] < hits[1]
 
     # The run exercised what it claims to.
     counts = report.counts

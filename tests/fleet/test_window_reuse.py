@@ -1,23 +1,17 @@
 """Fleet-level oracles for state that outlives the tick.
 
-Three of them.  (1) The chaos soak - crash and rejoin generations, a
-gray failure, a brownout, failover batches - run as shipped and with
-every deployment forced to "nothing remembered" (the root conftest's
-test-only ``always_simulate``; there is no production switch) must
-leave byte-identical fleet reports, shard reports, window logs and
-exported traces.  (2) Deployments live on the plan cache, so they are
-shared exactly as far as it is: by same-platform shards and by a
-crashed shard's next generation, never across platform seeds or SoC
-types.  (3) The router and every shard server answer "drained?" and
-"how deep is the backlog?" from live state; the full scans over every
-tenant ever seen they replaced are kept here as the oracle, compared
-after every tick.
+Two of them (the chaos soak with every host memo off is
+``tests/fleet/test_placement_epoch.py``'s).  (1) Deployments live on
+the plan cache, so they are shared exactly as far as it is: by
+same-platform shards and by a crashed shard's next generation, never
+across platform seeds or SoC types - and a fleet that builds every
+deployment afresh (``tests.memo_off``) writes the same report.  (2) The
+router and every shard server answer "drained?" and "how deep is the
+backlog?" from live state; the full scans over every tenant ever seen
+they replaced are kept here as the oracle, compared after every tick.
 """
 
-import dataclasses
 import json
-
-import pytest
 
 import repro.serve.server as serve_server
 from repro.apps.synthetic import build_synthetic_application
@@ -29,54 +23,22 @@ from repro.fleet import (
 )
 from repro.fleet.chaos import ChaosSchedule, ShardCrashSpec
 from repro.fleet.scenario import build_fleet
-from repro.obs import capture, chrome_trace
 from repro.serve.admission import ADMIT
 from repro.serve.tenant import PENDING, TenantSpec
+
+from tests.memo_off import memos_off
 
 SCENARIO = FleetSoakScenario()
 
 
-def run_soak(attribution=False):
-    router = build_fleet(SCENARIO, attribution=attribution)
-    with capture() as cap:
-        report = router.run()
-    return json.dumps({
-        "report": report.to_dict(),
-        "window_log": [dataclasses.asdict(row)
-                       for row in router.window_log],
-        "shards": {
-            shard.name: [closed.to_dict()
-                         for closed in shard.closed_reports]
-            for shard in router.shards
-        },
-        "trace": chrome_trace(cap.events, cap.metrics.snapshot()),
-    }, sort_keys=True), report
-
-
-@pytest.mark.parametrize("attribution", [False, True],
-                         ids=["plain", "attribution"])
-def test_chaos_soak_bytes_do_not_depend_on_reuse(always_simulate,
-                                                 attribution):
-    shipped, report = run_soak(attribution)
-    # The run exercised what it claims to: generations and failovers.
-    assert report.shards[SCENARIO.chaos().crashes[0].shard]["generation"] == 2
-    assert report.counts["failover"] == 3
-    assert (report.attribution is not None) == attribution
-
-    always_simulate()
-    oracle, _ = run_soak(attribution)
-    assert shipped == oracle
-
-
-def test_a_rejoined_generation_reuses_the_caches_deployments(
-        always_simulate):
+def test_a_rejoined_generation_reuses_the_caches_deployments():
     # Two same-platform shards serving one application: the crashed
     # shard's tenants fail over to its neighbour, and the arrivals after
     # the rejoin land on the second generation.
     crash_tick, rejoin_tick = 4, 8
     application = build_synthetic_application(seed=11, stage_count=3)
 
-    def soak():
+    def soak(observe=True):
         router = FleetRouter(
             [ShardSpec(name="a"), ShardSpec(name="b")], seed=3,
             config=FleetConfig(max_ticks=40),
@@ -98,22 +60,8 @@ def test_a_rejoined_generation_reuses_the_caches_deployments(
             if tick == rejoin_tick:
                 submit(["late0", "late1", "late2", "late3"])
             done = router.step(tick)
-            if tick == crash_tick - 1:
-                assert before._deployments  # it was serving tenants
-                served = set(map(id, before._deployments.values()))
-            if tick == crash_tick:
-                assert crashed.server is None
-                assert before._deployments == {}  # let go at close
-                # ... but the cache outlives the generation.
-                assert served <= set(map(id, table.values()))
-            if tick == rejoin_tick:
-                assert crashed.generation == 2
-                assert crashed.server._deployments == {}
-                known = set(map(id, table.values()))
-            if tick > rejoin_tick and crashed.server._deployments:
-                reused.append(all(
-                    id(deployment) in known for deployment
-                    in crashed.server._deployments.values()))
+            if observe:
+                observe_tick(tick, crashed, before, table)
             if done:
                 break
         report = router.close_stepped()
@@ -122,11 +70,30 @@ def test_a_rejoined_generation_reuses_the_caches_deployments(
 
     # Whatever the second generation serves, it serves on deployments
     # built before it booted - by its predecessor or its neighbour.
-    reused = []
+    seen, reused = {}, []
+
+    def observe_tick(tick, crashed, before, table):
+        if tick == crash_tick - 1:
+            assert before._deployments  # it was serving tenants
+            seen["served"] = set(map(id, before._deployments.values()))
+        elif tick == crash_tick:
+            assert crashed.server is None
+            assert before._deployments == {}  # let go at close
+            # ... but the cache outlives the generation.
+            assert seen["served"] <= set(map(id, table.values()))
+        elif tick == rejoin_tick:
+            assert crashed.generation == 2
+            assert crashed.server._deployments == {}
+            seen["known"] = set(map(id, table.values()))
+        elif tick > rejoin_tick and crashed.server._deployments:
+            reused.append(all(
+                id(deployment) in seen["known"] for deployment
+                in crashed.server._deployments.values()))
+
     shipped = soak()
     assert reused and all(reused)
-    always_simulate()
-    assert soak() == shipped
+    with memos_off():
+        assert soak(observe=False) == shipped
 
 
 def test_deployments_are_shared_exactly_as_far_as_the_plan_cache(

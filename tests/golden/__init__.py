@@ -8,8 +8,12 @@ stdout and every file it writes.  ``digests.json`` stores the sha256 of
 each.  Stderr is left out: it carries ``report``'s wall-clock "done in"
 lines (and the "saved to" notes).
 
-Run ``python -m tests.golden check|update`` from the repository root
-(see ``__main__``); tier-1 runs a subset (``tests/golden/test_golden.py``).
+The memo-off arm runs each case twice, with the host memos on and off
+(``tests.memo_off``), and wants the same bytes both ways.
+
+Run ``python -m tests.golden check|update|memo-off`` from the repository
+root (see ``__main__``); tier-1 runs a subset of ``check`` and of the
+memo-off arm (``tests/golden/test_golden.py``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
+
+from tests.memo_off import comparable, memos_off
 
 REPO = Path(__file__).resolve().parents[2]
 DIGESTS = Path(__file__).resolve().parent / "digests.json"
@@ -93,28 +99,37 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def record(exit_code: int, stdout: bytes, workdir: Path) -> Record:
-    """The digest record of one finished run in ``workdir``."""
+def record(exit_code: int, stdout: bytes, workdir: Path,
+           memo_arm: bool = False) -> Record:
+    """The digest record of one finished run in ``workdir``; for the
+    memo-off arm, of each stream as :func:`tests.memo_off.comparable`
+    has it."""
+    read = comparable if memo_arm else bytes
     files = {
-        path.relative_to(workdir).as_posix(): sha256(path.read_bytes())
+        path.relative_to(workdir).as_posix(): sha256(read(path.read_bytes()))
         for path in sorted(workdir.rglob("*")) if path.is_file()
     }
-    return {"exit": exit_code, "stdout": sha256(stdout), "files": files}
+    return {"exit": exit_code, "stdout": sha256(read(stdout)),
+            "files": files}
 
 
 def run_subprocess(case: Case, src: Path = REPO / "src",
-                   hash_seed: Optional[str] = None) -> Record:
+                   hash_seed: Optional[str] = None,
+                   memos: Optional[bool] = None) -> Record:
     """Run ``case`` as ``python -m repro`` in a fresh directory, with
     ``src`` on ``PYTHONPATH`` (another checkout's ``src/`` digests that
-    checkout)."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    checkout).  ``memos`` True / False runs it for the memo-off arm,
+    with the host memos on / off (``python -m tests.memo_off``)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(REPO))))
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = hash_seed
+    module = "tests.memo_off" if memos is False else "repro"
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", *case.argv], cwd=tmp, env=env,
+            [sys.executable, "-m", module, *case.argv], cwd=tmp, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-        return record(proc.returncode, proc.stdout, Path(tmp))
+        return record(proc.returncode, proc.stdout, Path(tmp),
+                      memo_arm=memos is not None)
 
 
 @contextlib.contextmanager
@@ -127,16 +142,20 @@ def _inside(workdir: Path) -> Iterator[None]:
         os.chdir(before)
 
 
-def run_in_process(case: Case, workdir: Path) -> Record:
+def run_in_process(case: Case, workdir: Path,
+                   memos: Optional[bool] = None) -> Record:
     """Run ``case`` through ``repro.cli.main`` in this process, inside
-    the empty directory ``workdir`` (stderr is discarded)."""
+    the empty directory ``workdir`` (stderr is discarded); ``memos`` as
+    for :func:`run_subprocess`."""
     from repro.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with _inside(workdir), contextlib.redirect_stdout(out), \
+    off = memos_off() if memos is False else contextlib.nullcontext()
+    with _inside(workdir), off, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         code = main(list(case.argv))
-    return record(code, out.getvalue().encode(), workdir)
+    return record(code, out.getvalue().encode(), workdir,
+                  memo_arm=memos is not None)
 
 
 def load() -> Dict[str, Record]:

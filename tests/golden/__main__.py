@@ -1,8 +1,11 @@
-"""``python -m tests.golden check|update`` (run from the repository root).
+"""``python -m tests.golden check|update|memo-off`` (run from the
+repository root).
 
 ``check`` runs every case (or those ``--only`` names) in a fresh
 directory per case and exits 1 naming each case and stream that moved;
-``update`` rewrites ``digests.json`` from the runs.  ``--src`` points the
+``update`` rewrites ``digests.json`` from the runs; ``memo-off`` runs
+each case with the host memos on and off and exits 1 naming each case
+and stream the two runs write differently.  ``--src`` points the
 runs at another checkout's ``src/`` - the way to generate digests from a
 parent commit.  Runs use this process's ``PYTHONHASHSEED``; CI runs
 ``check`` under two of them.
@@ -20,13 +23,13 @@ from pathlib import Path
 from tests.golden import BY_NAME, CASES, DIGESTS, REPO, load, moved, \
     run_subprocess
 
-#: Cases run at once, each in its own ``python -m repro`` process.
+#: Cases run at once, each in its own process.
 JOBS = 2
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.golden")
-    parser.add_argument("action", choices=("check", "update"))
+    parser.add_argument("action", choices=("check", "update", "memo-off"))
     parser.add_argument("--src", type=Path, default=REPO / "src",
                         help="the src/ directory to run (default: this "
                              "checkout's)")
@@ -36,17 +39,22 @@ def main(argv=None) -> int:
 
     cases = [BY_NAME[name] for name in args.only] if args.only else CASES
 
+    stored = load() if DIGESTS.exists() else {}
+
     def run(case):
         start = time.perf_counter()
-        got = run_subprocess(case, args.src.resolve())
-        return case, got, time.perf_counter() - start
+        src = args.src.resolve()
+        if args.action == "memo-off":
+            got = run_subprocess(case, src, memos=False)
+            want = run_subprocess(case, src, memos=True)
+        else:
+            got, want = run_subprocess(case, src), stored.get(case.name)
+        return case, got, want, time.perf_counter() - start
 
-    stored = load() if DIGESTS.exists() else {}
     failed = 0
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         results = list(pool.map(run, cases))
-    for case, got, seconds in results:
-        want = stored.get(case.name)
+    for case, got, want, seconds in results:
         if args.action == "update":
             stored[case.name] = got
             print(f"{case.name}: {seconds:.1f} s")

@@ -1,10 +1,11 @@
-"""Tier-1's slice of the golden corpus (``python -m tests.golden check``
-runs all of it).
+"""Tier-1's slice of the golden corpus (``python -m tests.golden
+check|memo-off`` runs all of it).
 
 Every case but the threaded ``faultsim`` runs and the paper ``report``
-runs in-process (a few seconds together); the traced fleet soak also
-runs in a subprocess under a hash seed other than this process's, so
-set-order leaks into the trace fail here, not only in CI.
+runs in-process (a few seconds together), once against its digests and
+once through the memo-off arm; the traced fleet soak also runs in a
+subprocess under a hash seed other than this process's, so set-order
+leaks into the trace fail here, not only in CI.
 """
 
 import hashlib
@@ -30,6 +31,14 @@ def test_every_case_has_a_digest():
 def test_case_reproduces_its_digests(case, tmp_path):
     got = run_in_process(case, tmp_path)
     assert moved(STORED[case.name], got) == []
+
+
+@pytest.mark.parametrize("case", IN_PROCESS, ids=lambda case: case.name)
+def test_case_writes_the_same_bytes_with_the_memos_off(case, tmp_path):
+    (tmp_path / "on").mkdir()
+    (tmp_path / "off").mkdir()
+    on = run_in_process(case, tmp_path / "on", memos=True)
+    assert moved(on, run_in_process(case, tmp_path / "off", memos=False)) == []
 
 
 def test_traced_fleet_under_another_hash_seed():

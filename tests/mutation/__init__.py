@@ -119,13 +119,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            )),
     Mutant("M10", "`list(record.partition)` in the admit event",
            "serve/server.py", (
-               ("partition=sorted(record.partition),",
+               ("partition=record.partition,",
                 "partition=list(record.partition),"),
-           ), note="Open gap.  The corpus kills it only because, under "
-           "hash seeds 1 and 2, one case (`submit@8`) admits a "
-           "two-class partition whose set order is not its sorted "
-           "order; under other hash seeds it can pass every guard "
-           "(2 of 12 hash seeds move `submit --co 2`)."),
+           ), note="Equivalent mutant, closed by construction: "
+           "`PlacementMap.assign` hands out a partition as a sorted "
+           "tuple, so no set order is left to leak (before, only "
+           "`submit@8` under hash seeds 1 and 2 caught it)."),
     Mutant("M11", "`time.perf_counter()` in `TaskFailure.to_dict` (only "
            "a quarantined task reaches it)", "runtime/faults.py", (
                ('            "error": self.error,\n',
@@ -205,6 +204,58 @@ MUTANTS: Tuple[Mutant, ...] = (
            "order", "fleet/metrics.py", (
                ("for name in sorted(self.tenants)",
                 "for name in sorted(self.tenants, reverse=True)"),
+           )),
+    # Key omissions: a memo keyed on less than its entries depend on.
+    Mutant("K-RELEASE", "`release` does not bump the placement epoch",
+           "serve/placement.py", (
+               ("        del self._partitions[tenant]\n"
+                "        self.epoch += 1\n",
+                "        del self._partitions[tenant]\n"),
+           )),
+    Mutant("K-PREFERRED", "`pricing_key` without `preferred_classes`",
+           "serve/tenant.py", (
+               ("return (self.application.name, self.required_classes,\n"
+                "                self.preferred_classes)",
+                "return (self.application.name, self.required_classes)"),
+           )),
+    Mutant("K-QUEUED", "the verdict key without `queued`",
+           "serve/server.py", (
+               ("key = (spec.pricing_key, queued)",
+                "key = spec.pricing_key"),
+           )),
+    Mutant("K-DRIFTS", "the co-load view stamp without the active drifts",
+           "serve/server.py", (
+               ("stamp = (self.placement.epoch, active)",
+                "stamp = self.placement.epoch"),
+           )),
+    Mutant("K-BREAKER", "a router choice that ignores the breaker gate",
+           "fleet/router.py", (
+               ("ranking = self._choices.lookup(fleet, spec.pricing_key)",
+                "stamp = tuple(state and state[:2] for state in fleet)\n"
+                "        ranking = self._choices.lookup(stamp, "
+                "spec.pricing_key)"),
+               ("self._choices.store(fleet, spec.pricing_key, ranking)",
+                "self._choices.store(stamp, spec.pricing_key, ranking)"),
+           )),
+    Mutant("K-GENERATION", "a router choice that ignores the shard "
+           "generation", "fleet/router.py", (
+               ("ranking = self._choices.lookup(fleet, spec.pricing_key)",
+                "stamp = tuple(state and state[1:] for state in fleet)\n"
+                "        ranking = self._choices.lookup(stamp, "
+                "spec.pricing_key)"),
+               ("self._choices.store(fleet, spec.pricing_key, ranking)",
+                "self._choices.store(stamp, spec.pricing_key, ranking)"),
+           )),
+    Mutant("K-NTASKS", "a remembered window keyed without `n_tasks`",
+           "core/plan_cache.py", (
+               ("key = (external.key, n_tasks)", "key = external.key"),
+               ("self._results[(external.key, n_tasks)] = result",
+                "self._results[external.key] = result"),
+           )),
+    Mutant("K-APP-NAME", "the deployment table keyed by application name",
+           "core/plan_cache.py", (
+               ("key = (application, schedule.assignments)",
+                "key = (application.name, schedule.assignments)"),
            )),
 )
 

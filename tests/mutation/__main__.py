@@ -14,6 +14,8 @@ Guards:
   corpus and matrix suites, which are columns of their own);
 * ``corpus-h1`` / ``corpus-h2``: ``python -m tests.golden check`` under
   ``PYTHONHASHSEED`` 1 and 2;
+* ``memo-off``: ``python -m tests.golden memo-off`` (every case with the
+  host memos on and off) under ``PYTHONHASHSEED`` 1;
 * ``faultsim``: CI's faultsim ``cmp`` arm on one cell (pixel7a, octree,
   seed 5), three runs under hash seeds 1, 2, 1.
 """
@@ -73,9 +75,10 @@ def _tier1(copy: Path, _parent: Path) -> Verdict:
             "detail": failed[0] if failed else ""}
 
 
-def _corpus(hash_seed: str) -> Callable[[Path, Path], Verdict]:
+def _corpus(action: str,
+            hash_seed: str) -> Callable[[Path, Path], Verdict]:
     def guard(copy: Path, _parent: Path) -> Verdict:
-        proc = _run(["-m", "tests.golden", "check"], copy, copy / "src",
+        proc = _run(["-m", "tests.golden", action], copy, copy / "src",
                     hash_seed)
         moved = [line.split(":")[0] for line in proc.stdout.splitlines()
                  if ": MOVED" in line]
@@ -104,14 +107,15 @@ GUARDS: Dict[str, Callable[[Path, Path], Verdict]] = {
     "flow-parent": lambda copy, parent: _tool("flow", copy, parent),
     "flow": lambda copy, parent: _tool("flow", copy, copy / "src"),
     "tier1": _tier1,
-    "corpus-h1": _corpus("1"),
-    "corpus-h2": _corpus("2"),
+    "corpus-h1": _corpus("check", "1"),
+    "corpus-h2": _corpus("check", "2"),
     "faultsim": _faultsim,
+    "memo-off": _corpus("memo-off", "1"),
 }
 #: Which guards each column of the verdict counts.
 PARENT_GUARDS = ("lint", "flow-parent", "tier1", "faultsim")
 CHANGE_GUARDS = ("lint", "flow", "tier1", "corpus-h1", "corpus-h2",
-                 "faultsim")
+                 "faultsim", "memo-off")
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  ".bench_out", "*.pyc")
@@ -146,7 +150,7 @@ def render(results: Dict[str, Dict[str, Verdict]]) -> str:
 
     head = ["mutant (planted in `src/repro`)", "lint", "flow (parent)",
             "flow", "tier-1 w/o `tests/analysis`", "corpus h1",
-            "corpus h2", "faultsim `cmp`", "parent", "change"]
+            "corpus h2", "faultsim `cmp`", "memo-off", "parent", "change"]
     lines = [
         "# Mutation matrix",
         "",
@@ -155,8 +159,9 @@ def render(results: Dict[str, Dict[str, Verdict]]) -> str:
         "✓ = the guard kills the mutant (with the rule, failing test or "
         "moved corpus cases), – = it survives.  *parent* counts the "
         "guards before the golden corpus and with the interprocedural "
-        "flow engine; *change* counts the corpus and the per-function "
-        "flow check instead.",
+        "flow engine; *change* counts the corpus, its memo-off arm and "
+        "the per-function flow check instead.  The K rows are key "
+        "omissions: a memo keyed on less than its entries depend on.",
         "",
         "| " + " | ".join(head) + " |",
         "|" + "---|" * len(head),

@@ -1,15 +1,25 @@
-"""Shared fixtures for the serving-layer tests.
+"""Shared fixtures and equipment for the serving-layer tests.
 
 Profiling is the expensive step, so the plan cache and its artifacts
-are built once per test session and shared read-only.
+are built once per test session and shared read-only.  :func:`both_ways`
+runs one serving scenario with the host memos on and off
+(``tests.memo_off``) and holds the two to the same bytes.
 """
+
+import contextlib
+import json
 
 import pytest
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.core.plan_cache import PlanCache
+from repro.obs import capture, chrome_trace
 from repro.serve import server as server_module
+from repro.serve.admission import AdmissionController
 from repro.soc import get_platform
+
+from tests.memo_off import comparable, memos_off
+from tests.solve_oracle import first_difference
 
 
 @pytest.fixture
@@ -45,3 +55,80 @@ def single_class_schedule(plan, pu_class):
         if candidate.schedule.class_set == {pu_class}:
             return candidate.schedule
     raise AssertionError(f"no single-class candidate for {pu_class!r}")
+
+
+def count_pricings(monkeypatch):
+    """Real pricings: calls that reach ``AdmissionController.evaluate``."""
+    counter = {"evaluate": 0}
+    original = AdmissionController.evaluate
+
+    def evaluate(self, *args, **kwargs):
+        counter["evaluate"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdmissionController, "evaluate", evaluate)
+    return counter
+
+
+def count_simulated(monkeypatch):
+    """Windows the serving layer's batch really has to simulate."""
+    counter = {"windows": 0}
+    original = server_module.simulate_batch
+
+    def counting(windows, **kwargs):
+        counter["windows"] += sum(
+            1 for window in windows if window.remembered is None)
+        return original(windows, **kwargs)
+
+    monkeypatch.setattr(server_module, "simulate_batch", counting)
+    return counter
+
+
+def fresh_verdict(server, spec, queued=0):
+    """``spec`` priced from nothing: a new controller with the server's
+    settings, so no memo of the server's own is read."""
+    mine = server.admission
+    controller = AdmissionController(
+        server.platform, server.plan_cache,
+        queue_capacity=mine.queue_capacity,
+        max_impact_ratio=mine.max_impact_ratio,
+        max_partition_classes=mine.max_partition_classes,
+        cumulative_impact=mine.cumulative_impact,
+    )
+    return controller.evaluate(
+        spec, server.placement, server.running_records(), queued=queued)
+
+
+def observed(server, report):
+    """Everything a run leaves behind, as comparable bytes."""
+    return json.dumps({
+        "report": report.to_dict(),
+        "timeline": server.timeline,
+        "partitions": sorted(server.placement.partitions),
+        "spans": [repr(span) for span in server.trace_spans],
+        "history": {
+            name: [repr(window) for window in record.history]
+            for name, record in server.records.items()
+        },
+    }, sort_keys=True, default=repr)
+
+
+def both_ways(monkeypatch, drive):
+    """``drive() -> (server, report)`` with the memos on and off: what
+    it leaves behind and its exported trace must agree.  Returns the
+    bytes and ``(windows simulated, pricings)`` of each way."""
+    simulated = count_simulated(monkeypatch)
+    priced = count_pricings(monkeypatch)
+    runs = []
+    for switch in (contextlib.nullcontext, memos_off):
+        simulated["windows"] = priced["evaluate"] = 0
+        with switch(), capture() as cap:
+            server, report = drive()
+        trace = chrome_trace(cap.events, cap.metrics.snapshot())
+        runs.append((observed(server, report),
+                     comparable(json.dumps(trace).encode()),
+                     (simulated["windows"], priced["evaluate"])))
+    (shipped, trace, effort), (oracle, oracle_trace, oracle_effort) = runs
+    assert first_difference(shipped, oracle) is None
+    assert trace == oracle_trace
+    return shipped, effort, oracle_effort

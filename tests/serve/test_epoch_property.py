@@ -1,13 +1,12 @@
 """Generated sequences through one stepped ``PipelineServer`` and its
-``always_price`` twin.
+memo-off twin.
 
 A first, small step towards generated whole-fleet scenarios: rules -
 ``try_admit`` / ``submit`` / ``step`` / ``withdraw`` / ``rescind`` /
 ``inject_drift`` - are drawn by hypothesis and played through a server
-as shipped and through a twin for which every ``EpochMemo`` answers
-"nothing remembered" (what the root conftest's ``always_price`` arms).
-After *every* rule the two must show the same report
-(``plan_cache.hits`` aside) and the same partitions: whatever order
+as shipped and through a twin with every host memo off
+(``tests.memo_off``).  After *every* rule the two must show the same
+report and the same partitions: whatever order
 admissions, releases, rollbacks, SWITCHes and drift edges come in, no
 verdict, incumbent row or co-load view outlives the placement it was
 derived from.
@@ -21,11 +20,10 @@ from repro.apps.synthetic import build_synthetic_application
 from repro.core.plan_cache import PlanCache
 from repro.serve.admission import ADMIT
 from repro.serve import server as server_module
-from repro.serve.placement import EpochMemo
 from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import TenantSpec
 
-from tests.epoch_oracle import without_hits
+from tests.memo_off import memos_off
 
 CLASSES = ("big", "medium", "little", "gpu")
 APPS = tuple(build_synthetic_application(seed=seed, stage_count=2)
@@ -113,22 +111,21 @@ def play(platform, cache, sequence):
                 start_tick=start,
                 end_tick=None if lasts is None else start + lasts,
                 busy={pu_class: 0.9}, demand_gbps=24.0))
-        shown.append((without_hits(server.report().to_dict()),
+        shown.append((server.report().to_dict(),
                       server.placement.partitions))
     return shown
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sequence=rules)
-def test_shipped_and_always_price_twin_agree_after_every_rule(
+def test_shipped_and_memo_off_twin_agree_after_every_rule(
         platform, warm_cache, sequence):
     with pytest.MonkeyPatch.context() as patch:
         # Evict after one drifted window, so short sequences reach the
         # eviction fallback.
         patch.setattr(server_module, "PATIENCE", 1)
         shipped = play(platform, warm_cache, sequence)
-        patch.setattr(EpochMemo, "lookup",
-                      lambda memo, stamp, key: None)
-        twin = play(platform, warm_cache, sequence)
+        with memos_off():
+            twin = play(platform, warm_cache, sequence)
     for index, (ours, theirs) in enumerate(zip(shipped, twin)):
         assert ours == theirs, (index, sequence[index])

@@ -18,13 +18,17 @@ from repro.serve.admission import ADMIT
 from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import TenantSpec
 
-from tests.epoch_oracle import first_difference
-from tests.serve.test_window_reuse import observed
+from tests.serve.conftest import observed
 from tests.serve.test_admission_oracle import (
     reference_evaluate,
     same_decision,
 )
-from tests.solve_oracle import count_solves, distinct, record_reranks
+from tests.solve_oracle import (
+    count_solves,
+    distinct,
+    first_difference,
+    record_reranks,
+)
 
 
 def soak(reschedule):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.schedule import Schedule
 from repro.errors import ServeError
 from repro.serve import PlacementMap, tenant_offered_load
 
@@ -17,8 +18,13 @@ class TestAssign:
     def test_grants_the_schedule_classes(self, pmap, plan, app):
         schedule = single_class_schedule(plan, "big")
         granted = pmap.assign("a", app, schedule)
-        assert granted == frozenset({"big"})
+        assert granted == ("big",)
         assert pmap.partition_of("a") == frozenset({"big"})
+
+    def test_a_grant_is_a_sorted_tuple(self, pmap, app):
+        # No set order can reach a report through a partition.
+        schedule = Schedule(("little", "gpu", "gpu"))
+        assert pmap.assign("a", app, schedule) == ("gpu", "little")
 
     def test_duplicate_tenant_rejected(self, pmap, plan, app):
         pmap.assign("a", app, single_class_schedule(plan, "big"))
@@ -51,7 +57,7 @@ class TestReassign:
         granted = pmap.reassign(
             "a", app, single_class_schedule(plan, "medium")
         )
-        assert granted == frozenset({"medium"})
+        assert granted == ("medium",)
         assert pmap.free_classes() >= {"big"}
 
     def test_failed_reassign_rolls_back(self, pmap, plan, app):
@@ -83,7 +89,7 @@ class TestReassign:
         # move to a genuinely free class.
         assert (pmap.reassign("c", app,
                               single_class_schedule(plan, "little"))
-                == frozenset({"little"}))
+                == ("little",))
         pmap.check()
 
 

@@ -4,15 +4,12 @@
 and ``release`` only); admission verdicts (``PipelineServer.price``),
 the incumbents' rows of a pricing and each live tenant's co-load view
 are kept in ``EpochMemo`` tables under the epoch they were derived at.
-The oracle is the same server with every table answering "nothing
-remembered" (the root conftest's ``always_price``, a test-only
-monkeypatch - there is no production switch): every report, timeline,
-history and exported trace must come out byte-identical either way,
-``plan_cache.hits`` aside (it counts plan look-ups - one per real
-pricing - and there are fewer), with strictly fewer pricings shipped.
-
-Then the other direction: each way the memo could be keyed too coarsely
-is seeded as a mutant, and the same comparison must tell it apart.
+The oracle is the same server with every host memo off
+(``tests.memo_off``, a test-only switch - there is no production one):
+every report, timeline, history and exported trace must come out
+byte-identical either way, with strictly fewer pricings shipped.  Each
+way the memo could be keyed too coarsely is a key-omission mutant of
+``tests/mutation``.
 """
 
 import json
@@ -29,48 +26,12 @@ from repro.serve.placement import EpochMemo, PlacementMap
 from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import COMPLETED, EVICTED, FAILED, TenantSpec
 
-from tests.epoch_oracle import (
-    Blurred,
+from tests.serve.conftest import (
+    both_ways,
     count_pricings,
-    first_difference,
     fresh_verdict,
-    traced,
-    without_hits,
+    single_class_schedule,
 )
-from tests.serve.conftest import single_class_schedule
-
-def observed(server, report):
-    """Everything a run leaves behind, as comparable bytes."""
-    return json.dumps({
-        "report": without_hits(report.to_dict()),
-        "timeline": server.timeline,
-        "partitions": sorted(server.placement.partitions),
-        "spans": [repr(span) for span in server.trace_spans],
-        "history": {
-            name: [repr(window) for window in record.history]
-            for name, record in server.records.items()
-        },
-    }, sort_keys=True, default=repr)
-
-
-def one_arm(drive):
-    with capture() as cap:
-        server, report = drive()
-    return observed(server, report), json.dumps(traced(cap))
-
-
-def both_arms(monkeypatch, always_price, drive):
-    """``drive() -> (server, report)`` as shipped and as the oracle;
-    returns (shipped bytes, shipped pricings, oracle pricings)."""
-    counter = count_pricings(monkeypatch)
-    shipped = one_arm(drive)
-    priced = counter["evaluate"]
-    always_price()
-    counter["evaluate"] = 0
-    oracle = one_arm(drive)
-    for ours, theirs in zip(shipped, oracle):
-        assert first_difference(ours, theirs) is None
-    return shipped[0], priced, counter["evaluate"]
 
 
 def fresh_cache(platform):
@@ -199,21 +160,20 @@ def queueing(platform, app):
 class TestSameBytes:
     @pytest.mark.parametrize("reschedule", [False, True],
                              ids=["frozen", "reschedule"])
-    def test_the_soak_with_drift_edges(self, monkeypatch, always_price,
-                                       reschedule):
-        shipped, priced, oracle_priced = both_arms(
-            monkeypatch, always_price, soak(reschedule))
+    def test_the_soak_with_drift_edges(self, monkeypatch, reschedule):
+        shipped, (_, priced), (_, oracle_priced) = both_ways(
+            monkeypatch, soak(reschedule))
         timeline = json.loads(shipped)["timeline"]
         assert any(e["event"] == "reschedule"
                    for e in timeline) == reschedule
         assert 0 < priced <= oracle_priced
 
     def test_attribution_armed_blame_still_sums_to_slowdown(
-            self, monkeypatch, always_price):
+            self, monkeypatch):
         # The blame decomposition reads ``sources`` off the co-load
         # view: conservation, and nobody is ever blamed for itself.
         drive = soak(reschedule=True, attribution=True)
-        both_arms(monkeypatch, always_price, drive)
+        both_ways(monkeypatch, drive)
         server, report = drive()
         assert report.attribution["tenants"]
         blamed = set()
@@ -229,11 +189,10 @@ class TestSameBytes:
         assert any(source.startswith("drift:") for source in blamed)
         assert blamed & set(server.records)
 
-    def test_a_standing_queue_is_not_repriced(self, monkeypatch,
-                                              always_price, platform,
+    def test_a_standing_queue_is_not_repriced(self, monkeypatch, platform,
                                               app):
-        shipped, priced, oracle_priced = both_arms(
-            monkeypatch, always_price, queueing(platform, app))
+        shipped, (_, priced), (_, oracle_priced) = both_ways(
+            monkeypatch, queueing(platform, app))
         out = json.loads(shipped)
         events = {e["event"] for e in out["timeline"]}
         assert {"admit", "queue", "reject"} <= events
@@ -241,8 +200,8 @@ class TestSameBytes:
         # for as long as nothing was admitted or released.
         assert 0 < priced < oracle_priced
 
-    def test_eviction_mid_batch(self, monkeypatch, always_price,
-                                patience_one, platform, app):
+    def test_eviction_mid_batch(self, monkeypatch, patience_one, platform,
+                                app):
         def drive():
             # The first-served tenant evicts one whose window for this
             # tick is already in the batch.
@@ -267,42 +226,41 @@ class TestSameBytes:
                 server.step(tick)
             return server, server.close_stepped()
 
-        shipped, _, _ = both_arms(monkeypatch, always_price, drive)
+        shipped, _, _ = both_ways(monkeypatch, drive)
         timeline = json.loads(shipped)["timeline"]
         assert any(e["event"] == "evict" for e in timeline)
         assert not any(e["event"] == "fail" for e in timeline)
 
     def test_a_tenant_failing_while_the_batch_is_built(
-            self, monkeypatch, always_price, platform, app):
+            self, monkeypatch, platform, app):
         # "doomed" (the only one streaming 5-task windows) cannot be
         # served at tick 2: it fails inside the batch-building loop, so
         # "late" - behind it in _live - is served without its load that
-        # very tick, and "steady" - ahead of it - with it.  Both arms
+        # very tick, and "steady" - ahead of it - with it.  Both ways
         # must agree on who saw what.
-        original = Deployment.remembered
-        armed = {"now": False}
-
-        def remembered(self, external, n_tasks):
-            if n_tasks == 5 and armed["now"]:
-                raise PipelineError("injected batch-build failure")
-            return original(self, external, n_tasks)
-
-        monkeypatch.setattr(Deployment, "remembered", remembered)
-
         def drive():
-            armed["now"] = False
+            armed = {"now": False}
+            original = Deployment.remembered  # the switch's, when off
+
+            def remembered(self, external, n_tasks):
+                if n_tasks == 5 and armed["now"]:
+                    raise PipelineError("injected batch-build failure")
+                return original(self, external, n_tasks)
+
             server = server_for(platform, queue_capacity=0)
             for name in ("steady", "doomed", "late"):
                 assert server.try_admit(TenantSpec(
                     name=name, application=app, windows=6,
                     window_tasks=5 if name == "doomed" else 4,
                 ), tick=0).action == ADMIT
-            for tick in range(8):
-                armed["now"] = tick == 2
-                server.step(tick)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Deployment, "remembered", remembered)
+                for tick in range(8):
+                    armed["now"] = tick == 2
+                    server.step(tick)
             return server, server.close_stepped()
 
-        shipped, _, _ = both_arms(monkeypatch, always_price, drive)
+        shipped, _, _ = both_ways(monkeypatch, drive)
         out = json.loads(shipped)
         assert [(e["tenant"], e["tick"]) for e in out["timeline"]
                 if e["event"] == "fail"] == [("doomed", 2)]
@@ -315,8 +273,8 @@ class TestSameBytes:
         assert steady[2] == steady[1] and late[2] != late[1]
         assert steady[3] != steady[2] and late[3] == late[2]
 
-    def test_a_window_failing_in_the_batch(
-            self, monkeypatch, always_price, platform, app):
+    def test_a_window_failing_in_the_batch(self, monkeypatch, platform,
+                                           app):
         original = SimulatedPipelineExecutor.run
 
         def run(self, n_tasks, **kwargs):
@@ -340,7 +298,7 @@ class TestSameBytes:
                 server.step(tick)
             return server, server.close_stepped()
 
-        shipped, _, _ = both_arms(monkeypatch, always_price, drive)
+        shipped, _, _ = both_ways(monkeypatch, drive)
         out = json.loads(shipped)
         assert [(e["tenant"], e["tick"]) for e in out["timeline"]
                 if e["event"] == "fail"] == [("doomed", 4)]
@@ -526,90 +484,6 @@ class TestTheCoLoadView:
         server.step(7)
         assert combined["calls"] == 9
         server.close_stepped()
-
-
-# ----------------------------------------------------------------------
-class TestSeededMutantsAreKilled:
-    """Each mutant keys a memo on less than it depends on; the shipped
-    arm must equal the oracle and the mutated arm must not."""
-
-    @staticmethod
-    def killed(always_price, drive, mutate, monkeypatch):
-        shipped = one_arm(drive)
-        with monkeypatch.context() as patch:
-            mutate(patch)
-            mutated = one_arm(drive)
-        always_price()
-        oracle = one_arm(drive)
-        assert shipped == oracle
-        return first_difference(mutated[0], oracle[0]) is not None
-
-    def test_epoch_not_bumped_on_release(self, always_price, platform,
-                                         app, monkeypatch):
-        def release(self, tenant):
-            self._free |= self.partition_of(tenant)
-            del self._partitions[tenant]
-
-        assert self.killed(
-            always_price, queueing(platform, app),
-            lambda patch: patch.setattr(PlacementMap, "release",
-                                        release),
-            monkeypatch)
-
-    def test_pricing_key_without_preferred_classes(
-            self, always_price, platform, app, monkeypatch):
-        def drive():
-            # Two tenants that differ in the soft preference only: the
-            # second must not be handed the first one's candidate.
-            server = server_for(platform, queue_capacity=0)
-            server.price(TenantSpec(name="plain", application=app))
-            assert server.try_admit(TenantSpec(
-                name="picky", application=app, windows=2,
-                window_tasks=4, preferred_classes={"little"},
-            ), tick=0).action == ADMIT
-            server.step(0)
-            server.step(1)
-            return server, server.close_stepped()
-
-        assert self.killed(
-            always_price, drive,
-            lambda patch: patch.setattr(
-                TenantSpec, "pricing_key",
-                property(lambda spec: (spec.application.name,
-                                       spec.required_classes))),
-            monkeypatch)
-
-    def test_verdict_key_without_queued(self, always_price, platform,
-                                        app, monkeypatch):
-        # The full-queue REJECT reason prints the depth, and whether a
-        # deferral queues or rejects *is* the depth.
-        def mutate(patch):
-            real = PipelineServer.__init__
-
-            def init(self, *args, **kwargs):
-                real(self, *args, **kwargs)
-                self._verdicts = Blurred(
-                    lambda stamp, key: (stamp, key[0]))
-
-            patch.setattr(PipelineServer, "__init__", init)
-
-        assert self.killed(always_price, queueing(platform, app),
-                           mutate, monkeypatch)
-
-    def test_view_keyed_without_the_active_drifts(
-            self, always_price, monkeypatch):
-        def mutate(patch):
-            real = PipelineServer.__init__
-
-            def init(self, *args, **kwargs):
-                real(self, *args, **kwargs)
-                self._views = Blurred(
-                    lambda stamp, key: (stamp[0], key))
-
-            patch.setattr(PipelineServer, "__init__", init)
-
-        assert self.killed(always_price, soak(reschedule=False),
-                           mutate, monkeypatch)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.core.serialization import write_json_report
+from repro.obs import capture
 from repro.serve import (
     COMPLETED,
     REJECTED,
@@ -111,6 +112,16 @@ class TestDeterminism:
         write_json_report(first, first_report.to_dict())
         write_json_report(second, second_report.to_dict())
         assert first.read_bytes() == second.read_bytes()
+
+    def test_the_report_counts_plans_not_look_ups(self, online):
+        # Look-ups are host work, which the memos move: the obs counter
+        # keeps them, the report only what the modelled run did.
+        _, report = online
+        assert set(report.to_dict()["plan_cache"]) == {"misses", "entries"}
+        with capture() as cap:
+            run_soak(SCENARIO, reschedule=True)
+        counters = cap.metrics.snapshot()["counters"]
+        assert counters["plan_cache.hits"] == report.plan_cache["hits"] > 0
 
     def test_different_seed_differs(self, online, tmp_path):
         _, baseline = online

@@ -3,11 +3,10 @@
 The plan cache hands out one ``Deployment`` per (application, schedule)
 - executor, offered load, remembered window results - and the server
 serves a window its deployment has already produced, for any tenant,
-without re-running the DES.  The oracle is the server with every
-deployment answering "nothing remembered" (the root conftest's
-``always_simulate`` fixture, a test-only monkeypatch - there is no
-production switch): every report, timeline, span list and exported
-trace must come out byte-identical either way.
+without re-running the DES.  The oracle is the server with every host
+memo off (``tests.memo_off``, a test-only switch - there is no
+production one): every report, timeline, span list and exported trace
+must come out byte-identical either way.
 """
 
 import copy
@@ -17,11 +16,10 @@ import json
 import pytest
 
 import repro.core.plan_cache as plan_cache_module
-import repro.serve.server as serve_server
 from repro.core.plan_cache import PlanCache, tenant_offered_load
 from repro.stage import Application, Stage
 from repro.errors import PipelineError
-from repro.obs import capture, chrome_trace
+from repro.obs import capture
 from repro.runtime.simulator import SimulatedPipelineExecutor
 from repro.serve import SoakScenario, build_soak_server
 from repro.serve.admission import ADMIT
@@ -29,60 +27,12 @@ from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import COMPLETED, FAILED, TenantSpec
 from repro.soc.interference import ExternalLoad
 
-
-def count_simulated(monkeypatch):
-    """Windows the serving layer's batch really has to simulate."""
-    counter = {"windows": 0}
-    original = serve_server.simulate_batch
-
-    def counting(windows, **kwargs):
-        counter["windows"] += sum(
-            1 for window in windows if window.remembered is None)
-        return original(windows, **kwargs)
-
-    monkeypatch.setattr(serve_server, "simulate_batch", counting)
-    return counter
+from tests.serve.conftest import both_ways, count_simulated
 
 
 def fresh_cache(platform):
-    """A plan cache per arm, so the reports' hit counts compare too."""
+    """A plan cache per run, so plan builds land in both traces."""
     return PlanCache(platform)
-
-
-def observed(server, report):
-    """Everything a run leaves behind, as comparable bytes."""
-    return json.dumps({
-        "report": report.to_dict(),
-        "timeline": server.timeline,
-        "spans": [repr(span) for span in server.trace_spans],
-        "history": {
-            name: [repr(window) for window in record.history]
-            for name, record in server.records.items()
-        },
-    }, sort_keys=True, default=repr)
-
-
-def both_arms(monkeypatch, always_simulate, drive):
-    """``drive() -> (server, report)`` as shipped and as the oracle;
-    returns (shipped bytes, served windows, simulated windows)."""
-    counter = count_simulated(monkeypatch)
-    with capture() as shipped_cap:
-        server, report = drive()
-    shipped = observed(server, report)
-    shipped_trace = json.dumps(chrome_trace(
-        shipped_cap.events, shipped_cap.metrics.snapshot()))
-    simulated = counter["windows"]
-    served = sum(1 for e in server.timeline if e["event"] == "window")
-
-    always_simulate()
-    counter["windows"] = 0
-    with capture() as oracle_cap:
-        oracle_server, oracle_report = drive()
-    assert counter["windows"] >= served  # the oracle arm really ran
-    assert shipped == observed(oracle_server, oracle_report)
-    assert shipped_trace == json.dumps(chrome_trace(
-        oracle_cap.events, oracle_cap.metrics.snapshot()))
-    return shipped, served, simulated
 
 
 # ----------------------------------------------------------------------
@@ -100,32 +50,41 @@ def soak(reschedule, attribution=False):
     return drive
 
 
+def served_and_simulated(monkeypatch, drive):
+    """``drive`` both ways (:func:`both_ways`); returns (shipped bytes,
+    windows served, windows simulated with the memos on)."""
+    shipped, (simulated, _), (oracle_simulated, _) = both_ways(
+        monkeypatch, drive)
+    served = sum(1 for e in json.loads(shipped)["timeline"]
+                 if e["event"] == "window")
+    assert oracle_simulated >= served  # the memo-off run really ran
+    return shipped, served, simulated
+
+
 class TestSameBytes:
-    def test_drift_turning_on_and_off(self, monkeypatch,
-                                      always_simulate):
-        shipped, served, simulated = both_arms(
-            monkeypatch, always_simulate, soak(reschedule=False))
+    def test_drift_turning_on_and_off(self, monkeypatch):
+        shipped, served, simulated = served_and_simulated(
+            monkeypatch, soak(reschedule=False))
         # Three tenants, two drift edges each way: most ticks change
         # nothing a tenant can see, and a co-load that comes back (the
         # second drift turning off) is remembered too.
         assert 0 < simulated < served / 3
 
-    def test_reschedule_switch_rebuilds_the_executor(
-            self, monkeypatch, always_simulate):
-        shipped, served, simulated = both_arms(
-            monkeypatch, always_simulate, soak(reschedule=True))
+    def test_reschedule_switch_rebuilds_the_executor(self, monkeypatch):
+        shipped, served, simulated = served_and_simulated(
+            monkeypatch, soak(reschedule=True))
         timeline = json.loads(shipped)["timeline"]
         assert any(e["event"] == "reschedule" for e in timeline)
         assert 0 < simulated < served
 
-    def test_attribution_armed(self, monkeypatch, always_simulate):
-        shipped, _, _ = both_arms(
-            monkeypatch, always_simulate, soak(reschedule=True, attribution=True))
+    def test_attribution_armed(self, monkeypatch):
+        shipped, _, _ = served_and_simulated(
+            monkeypatch, soak(reschedule=True, attribution=True))
         attribution = json.loads(shipped)["report"]["attribution"]
         assert attribution["tenants"]
 
-    def test_eviction_mid_batch(self, monkeypatch, always_simulate,
-                                patience_one, platform, app):
+    def test_eviction_mid_batch(self, monkeypatch, patience_one, platform,
+                                app):
         def drive():
             # PR 12's case: the first-served tenant evicts one whose
             # window for this tick is already in the batch.
@@ -157,15 +116,15 @@ class TestSameBytes:
                 server.step(tick)
             return server, server.close_stepped()
 
-        shipped, served, simulated = both_arms(
-            monkeypatch, always_simulate, drive)
+        shipped, served, simulated = served_and_simulated(
+            monkeypatch, drive)
         timeline = json.loads(shipped)["timeline"]
         assert any(e["event"] == "evict" for e in timeline)
         assert not any(e["event"] == "fail" for e in timeline)
         assert 0 < simulated < served
 
     def test_a_tick_mixing_remembered_and_simulated_windows(
-            self, monkeypatch, always_simulate, platform, app):
+            self, monkeypatch, platform, app):
         # A tenant is replaced by a twin on the same deployment that
         # streams bigger windows: the survivor's co-load key does not
         # move (remembered) while the twin's window size is new to the
@@ -196,17 +155,15 @@ class TestSameBytes:
                 server.step(tick)
             return server, server.close_stepped()
 
-        counter = count_simulated(monkeypatch)
-        drive()
+        _, _, simulated = served_and_simulated(monkeypatch, drive)
         # Ticks 0 and 3 are the only ones that simulate: both tenants
         # at first, then the twin alone.
-        assert counter["windows"] == 3
-        both_arms(monkeypatch, always_simulate, drive)
+        assert simulated == 3
 
-    def test_a_window_failing_in_the_batch(
-            self, monkeypatch, always_simulate, platform, app):
+    def test_a_window_failing_in_the_batch(self, monkeypatch, platform,
+                                           app):
         # The DES refuses the doomed tenant's window once the drift is
-        # on - a co-load change, so both arms simulate (and fail) it.
+        # on - a co-load change, so both ways simulate (and fail) it.
         original = SimulatedPipelineExecutor.run
 
         def run(self, n_tasks, **kwargs):
@@ -235,8 +192,8 @@ class TestSameBytes:
                 server.step(tick)
             return server, server.close_stepped()
 
-        shipped, served, simulated = both_arms(
-            monkeypatch, always_simulate, drive)
+        shipped, served, simulated = served_and_simulated(
+            monkeypatch, drive)
         out = json.loads(shipped)
         fails = [e for e in out["timeline"] if e["event"] == "fail"]
         assert [(e["tenant"], e["tick"]) for e in fails] == [
@@ -329,8 +286,8 @@ class TestResidencyLifetime:
         assert len(server.plan_cache._deployments) == 4
 
     def test_a_switch_starts_a_new_residency(self):
-        # The oracle arm shares _deployment_of, so a stale executor
-        # after a SWITCH would fool both arms alike: check it directly.
+        # The memo-off run shares _deployment_of, so a stale executor
+        # after a SWITCH would fool both runs alike: check it directly.
         server = build_soak_server(SoakScenario(seed=7, windows=30))
         server.open_stepped()
         record = server.records.get

@@ -1,6 +1,6 @@
 """Shared equipment of the lazy-plan suites (core, serve, fleet,
-traffic): count - or forbid - the solves a run pays for, and name the
-plans a rescheduler re-ranked.
+traffic): count - or forbid - the solves a run pays for, name the plans
+a rescheduler re-ranked, and say where two dumps part ways.
 
 The oracle itself is the root conftest's ``always_solve``: armed, a
 capped admission picks among the one-class members of each plan's
@@ -9,6 +9,17 @@ capped admission picks among the one-class members of each plan's
 
 from repro.core.optimizer import BTOptimizer
 from repro.serve.rescheduler import OnlineRescheduler
+
+
+def first_difference(shipped, oracle):
+    """None when two dumps are equal, else where they part ways (a
+    pytest diff of two multi-megabyte strings takes minutes)."""
+    if shipped == oracle:
+        return None
+    at = next((index for index, (a, b) in enumerate(zip(shipped, oracle))
+               if a != b), min(len(shipped), len(oracle)))
+    return (f"at {at}: {shipped[max(0, at - 120):at + 120]!r} != "
+            f"{oracle[max(0, at - 120):at + 120]!r}")
 
 
 def solved_singles(plan):

@@ -21,11 +21,11 @@ from repro.traffic import (
 )
 from repro.traffic import slo
 
-from tests.epoch_oracle import first_difference
 from tests.traffic.test_window_reuse import _driver
 from tests.solve_oracle import (
     count_solves,
     distinct,
+    first_difference,
     forbid_solves,
     plans_built,
     record_reranks,

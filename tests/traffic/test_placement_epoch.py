@@ -2,12 +2,10 @@
 
 The shipped overload scenario keeps tens of tenants of a few pricing
 keys waiting on full shards, tick after tick.  Run as shipped and with
-every ``EpochMemo`` forced to "nothing remembered" (the root conftest's
-test-only ``always_price``), the traffic report, the fleet report and
-the per-tick series must come out byte-identical, ``plan_cache.hits``
-aside - while the shipped arm makes well under two thirds of the real
-pricings: a regression to per-tenant-per-tick pricing fails here,
-loudly.  Same for the soaks that mix SoC types, reschedule online and
+every host memo off (``tests.memo_off``), the traffic report, the fleet
+report and the per-tick series must come out byte-identical - while
+the shipped run makes well under two thirds of the real pricings: a
+regression to per-tenant-per-tick pricing fails here, loudly.  Same for the soaks that mix SoC types, reschedule online and
 attribute blame.
 """
 
@@ -21,24 +19,21 @@ from repro.traffic import slo
 from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.generator import TrafficGenerator
 
-from tests.epoch_oracle import (
-    count_pricings,
-    first_difference,
-    without_hits,
-)
+from tests.memo_off import memos_off
+from tests.serve.conftest import count_pricings
+from tests.solve_oracle import first_difference
 
 
 def dumped(spec, seed, result):
     report = slo.evaluate(spec, seed, result)
     return json.dumps({
         "report": report.to_dict(),
-        "fleet": without_hits(result.fleet_report.to_dict()),
+        "fleet": result.fleet_report.to_dict(),
         "per_tick": result.per_tick,
     }, sort_keys=True), report
 
 
-def test_the_overload_soak_prices_on_the_event(monkeypatch,
-                                               always_price):
+def test_the_overload_soak_prices_on_the_event(monkeypatch):
     scenario = FleetOverloadScenario()
 
     def soak():
@@ -50,9 +45,9 @@ def test_the_overload_soak_prices_on_the_event(monkeypatch,
     priced = counter["evaluate"]
     assert report.rejected > 0              # a backlog did stand
 
-    always_price()
     counter["evaluate"] = 0
-    oracle, _ = soak()
+    with memos_off():
+        oracle, _ = soak()
     assert first_difference(shipped, oracle) is None
     assert 0 < priced < counter["evaluate"] * 2 / 3
 
@@ -65,9 +60,8 @@ def test_the_overload_soak_prices_on_the_event(monkeypatch,
      dict(n_shards=8, ticks=400, load_multiplier=0.5,
           app_pool_size=4), 57),
 ], ids=["mixed-socs", "steady"])
-def test_reschedule_soaks_with_attribution(monkeypatch, always_price,
-                                           seed, platforms, kwargs,
-                                           ticks):
+def test_reschedule_soaks_with_attribution(monkeypatch, seed, platforms,
+                                           kwargs, ticks):
     # The seeds of ``test_reschedule_soak``: evictions mid-batch, then
     # each soak's first reschedule SWITCH.
     scenario = FleetOverloadScenario(seed=seed, **kwargs)
@@ -105,8 +99,8 @@ def test_reschedule_soaks_with_attribution(monkeypatch, always_price,
             blame.slowdown - 1.0, abs=1e-9)
         assert row.tenant not in {s.source for s in blame.shares}
 
-    always_price()
     counter["evaluate"] = 0
-    oracle, _ = soak()
+    with memos_off():
+        oracle, _ = soak()
     assert first_difference(shipped, oracle) is None
     assert 0 < priced < counter["evaluate"]

@@ -5,9 +5,8 @@ tenant on a same-platform shard was already served - same application,
 schedule, co-load and window size - so at most a third of them may
 reach the DES: a regression to per-tenant (or per-tick) simulation
 fails here, loudly.  The reports must not be able to tell: the same
-soak with every deployment forced to "nothing remembered" (the root
-conftest's test-only ``always_simulate``) writes the same bytes, and so
-does one whose plan caches keep a single deployment warm.
+soak with every host memo off (``tests.memo_off``) writes the same
+bytes, and so does one whose plan caches keep a single deployment warm.
 The driver's per-tick ``backlog`` comes from the router's live state;
 the scan over every tenant ever seen is kept as its oracle.
 """
@@ -25,6 +24,8 @@ from repro.traffic import slo
 from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.generator import TrafficGenerator
 
+from tests.memo_off import memos_off
+
 SCENARIO = FleetOverloadScenario()
 
 
@@ -38,7 +39,7 @@ def soak_bytes():
 
 
 def test_at_most_a_third_of_the_served_windows_are_simulated(
-        monkeypatch, always_simulate):
+        monkeypatch):
     simulated = []
     original = serve_server.simulate_batch
 
@@ -58,9 +59,9 @@ def test_at_most_a_third_of_the_served_windows_are_simulated(
     assert sum(batched) == report.served_windows
     assert 0 not in batched
 
-    always_simulate()
     del simulated[:]
-    oracle, _ = soak_bytes()
+    with memos_off():
+        oracle, _ = soak_bytes()
     assert sum(simulated) == report.served_windows
     assert shipped == oracle
 
