@@ -1,23 +1,24 @@
-"""Benchmark for the shared parsed-AST cache behind lint + flow.
+"""Benchmark for the flow rule's share of a ``repro lint`` run.
 
-``repro lint`` and ``repro flow`` both walk every ``.py`` file in the
-package; the :class:`~repro.analysis.astcache.AstCache` exists so the
-second tool never re-parses what the first already did.  This module
-times the three configurations over the real ``src/repro`` tree and
-gates the contract: running *both* tools through the shared cache must
-cost at most 1.5x a lint-only run - i.e. the flow pass rides on the
-linter's parses instead of doubling the I/O + parse bill.
+``repro lint`` parses every ``.py`` file once and runs every registered
+rule over the tree: the per-statement invariant rules and the
+per-function determinism-flow check (the ``FLOW-*`` rules).  This
+module times the full rule set against the per-statement rules alone
+over the real ``src/repro`` tree and gates the contract: the flow pass
+may add at most 50 % to a lint run.
 
 Results land in ``BENCH_analysis.json`` at the repo root alongside the
 other perf-trajectory artifacts.
 """
 
+import ast
 import os
 import time
 
-from repro.analysis.astcache import AstCache
-from repro.analysis.flow import analyze_paths
-from repro.analysis.linter import default_lint_target, lint_paths
+from repro.analysis.flow import FlowRule
+from repro.analysis.linter import collect_files, default_lint_target, \
+    lint_paths
+from repro.analysis.rules import all_rules
 from repro.core.serialization import write_json_report
 
 BENCH_PATH = os.path.join(
@@ -59,64 +60,56 @@ def _record(case, min_s, median_s, **extra):
     RESULTS[case] = entry
 
 
-def test_lint_plus_flow_rides_the_shared_cache(capsys):
+def test_flow_rule_adds_at_most_half_a_lint_run(capsys):
     target = default_lint_target()
+    per_statement = [rule for rule in all_rules()
+                     if not isinstance(rule, FlowRule)]
+    assert len(per_statement) == len(all_rules()) - 1
 
-    def lint_only():
-        cache = AstCache()
-        lint_paths([target], cache=cache)
-        return cache
+    def per_statement_only():
+        # What lint_paths does, minus the flow rule and suppressions.
+        for file_path in collect_files([target]):
+            path = str(file_path)
+            source = file_path.read_text(encoding="utf-8")
+            tree = ast.parse(source, filename=path)
+            for rule in per_statement:
+                if rule.applies(path, source):
+                    list(rule.check(tree, path))
 
-    def flow_only():
-        cache = AstCache()
-        analyze_paths([target], cache=cache)
-        return cache
-
-    def both_shared():
-        cache = AstCache()
-        lint_paths([target], cache=cache)
-        analyze_paths([target], cache=cache)
-        return cache
+    def full_rule_set():
+        lint_paths([target])
 
     times = _best_of_interleaved([
-        ("lint_only", lint_only),
-        ("flow_only", flow_only),
-        ("both_shared", both_shared),
+        ("per_statement_rules", per_statement_only),
+        ("full_rule_set", full_rule_set),
     ])
-    lint_ts = times["lint_only"]
-    flow_ts = times["flow_only"]
-    both_ts = times["both_shared"]
+    base_ts = times["per_statement_rules"]
+    full_ts = times["full_rule_set"]
 
-    cache = both_shared()
-    assert cache.hits == cache.misses, (
-        "flow should re-use exactly the parses lint produced"
-    )
-
-    # Ratios are paired per round: each round's both/lint numbers were
-    # measured seconds apart under the same machine conditions, so the
-    # ratio is meaningful even when absolute times drift 2x between
-    # rounds on a shared box.  The median round is the estimator.
-    ratios = [b / l for b, l in zip(both_ts, lint_ts)]
+    # Ratios are paired per round: each round's full/per-statement
+    # numbers were measured seconds apart under the same machine
+    # conditions, so the ratio is meaningful even when absolute times
+    # drift 2x between rounds on a shared box.  The median round is the
+    # estimator.
+    ratios = [f / b for f, b in zip(full_ts, base_ts)]
     ratio = _median(ratios)
 
-    _record("lint_only", min(lint_ts), _median(lint_ts))
-    _record("flow_only", min(flow_ts), _median(flow_ts))
-    _record("lint_plus_flow_shared", min(both_ts), _median(both_ts),
-            ratio_vs_lint=round(ratio, 3),
+    _record("per_statement_rules", min(base_ts), _median(base_ts))
+    _record("full_rule_set", min(full_ts), _median(full_ts),
+            ratio_vs_per_statement=round(ratio, 3),
             round_ratios=[round(r, 3) for r in ratios])
     write_json_report(BENCH_PATH, RESULTS)
 
     with capsys.disabled():
-        print(f"\nlint only:        {min(lint_ts):.3f}s")
-        print(f"flow only:        {min(flow_ts):.3f}s")
-        print(f"lint+flow shared: {min(both_ts):.3f}s "
-              f"(median {ratio:.2f}x lint alone; rounds "
+        print(f"\nper-statement rules: {min(base_ts):.3f}s")
+        print(f"full rule set:       {min(full_ts):.3f}s "
+              f"(median {ratio:.2f}x per-statement alone; rounds "
               f"{', '.join(f'{r:.2f}x' for r in ratios)})")
 
-    # The PR contract: adding flow to a lint run costs at most 50%
-    # extra, because parsing is shared and only rule evaluation differs.
+    # The contract: the flow rule costs at most 50% on top of the
+    # per-statement rules, because it reads the tree lint already parsed
+    # and skips every module with no sink.
     assert ratio <= 1.5, (
-        f"lint+flow through the shared cache took {ratio:.2f}x a "
-        f"lint-only run (budget 1.5x): the AST cache is not being "
-        f"shared"
+        f"the full lint rule set took {ratio:.2f}x the per-statement "
+        f"rules alone (budget 1.5x)"
     )

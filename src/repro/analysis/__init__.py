@@ -6,12 +6,12 @@ artifact writes, single-producer/single-consumer queue discipline,
 supervised thread creation - were enforced only by convention.  This
 package machine-checks them:
 
-* **Static invariant linter** (:mod:`repro.analysis.linter`,
-  ``python -m repro lint``): AST rules over the source tree with a
-  rule registry, per-line suppression comments and text/JSON output.
-* **Flow analysis** (:mod:`repro.analysis.flow`, ``python -m repro
-  flow``): per-function taint check from nondeterminism sources to
-  report sinks.
+* **Static analyzer** (:mod:`repro.analysis.linter`, ``python -m
+  repro lint``): AST rules over the source tree with a rule registry,
+  per-line suppression comments and text/JSON output.  The rules are
+  the per-statement invariants (:mod:`repro.analysis.rules`) and a
+  per-function taint check from nondeterminism sources to report
+  sinks (:mod:`repro.analysis.flow`).
 * **Race driver** (:mod:`repro.analysis.race`, ``python -m repro
   race``): runs a threaded pipeline under the dynamic concurrency
   checker, which lives next to what it guards

@@ -1,6 +1,6 @@
-"""Per-function determinism-flow check (``repro flow``).
+"""Per-function determinism-flow check (the ``FLOW-*`` lint rules).
 
-The per-statement linter (:mod:`repro.analysis.rules`) flags a
+The per-statement rules (:mod:`repro.analysis.rules`) flag a
 ``time.time()`` call *at the call site*, wherever it is; this check
 flags a nondeterministic value only where it reaches report bytes.  It
 looks at one function at a time (the module body counts as one more):
@@ -19,11 +19,10 @@ arguments.  The golden corpus (``tests/golden``) catches what travels
 further - the mutation matrix (``tests/mutation/MATRIX.md``) is the
 record of which guard catches what.
 
-Findings are filtered through
-``# bt-flow: disable=RULE -- justification`` comments; a bt-flow
-suppression *without* a justification suffix does not suppress and is
-itself reported (``BAD-SUPPRESSION``).  Control dependence is out of
-scope: branching on ``os.environ`` (the ``REPRO_CHECK`` checker switch)
+The check is one registered rule, run by ``repro lint`` on every module
+next to the per-statement ones; its findings are suppressed like theirs
+(:mod:`repro.analysis.linter`).  Control dependence is out of scope:
+branching on ``os.environ`` (the ``REPRO_CHECK`` checker switch)
 taints nothing.
 """
 
@@ -31,24 +30,10 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, \
-    Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis import taint as T
-from repro.analysis.astcache import (
-    AstCache,
-    ParsedModule,
-    ast_cache,
-    parse_module,
-    suppressed_at,
-)
-from repro.analysis.linter import collect_files
-from repro.analysis.rules import Finding
-
-#: Suppression-comment tag honoured by this tool.
-TOOL_TAG = "bt-flow"
+from repro.analysis.rules import Finding, Rule, register
 
 #: Method names that mutate their receiver with their arguments.
 _MUTATORS = frozenset({
@@ -60,37 +45,6 @@ _MUTATORS = frozenset({
 #: to report: the check skips it without walking its tree.
 _SINK_NAMES = re.compile(r"\b(?:%s)\s*\(" % "|".join(
     sorted({*T.SINK_CALLS, *T.SINK_CONSTRUCTORS, "to_dict"})))
-
-
-@dataclass
-class FlowReport:
-    """Outcome of one flow run over a set of files."""
-
-    findings: List[Finding] = field(default_factory=list)
-    files_checked: int = 0
-    suppressed: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for finding in self.findings:
-            out[finding.rule_id] = out.get(finding.rule_id, 0) + 1
-        return out
-
-    def to_dict(self) -> Dict:
-        """JSON-serialisable form of the report."""
-        return {
-            "tool": "repro-flow",
-            "files_checked": self.files_checked,
-            "suppressed": self.suppressed,
-            "clean": self.clean,
-            "findings": [f.to_dict() for f in self.findings],
-            "counts": self.counts,
-        }
 
 
 def _element(taint: Set[str]) -> Set[str]:
@@ -266,11 +220,9 @@ def _scopes(tree: ast.Module) -> List[Tuple[List[ast.AST], bool]]:
     return scopes
 
 
-def _check_module(parsed: ParsedModule) -> List[Finding]:
-    if not _SINK_NAMES.search(parsed.source):
-        return []
+def _check_module(tree: ast.Module, path: str) -> List[Finding]:
     findings: Dict[Tuple[str, int, int], Finding] = {}
-    for nodes, is_to_dict in _scopes(parsed.tree):
+    for nodes, is_to_dict in _scopes(tree):
         scope = _Scope(nodes)
         sinks = scope.sinks(is_to_dict)
         if not sinks:
@@ -287,7 +239,7 @@ def _check_module(parsed: ParsedModule) -> List[Finding]:
                     kinds = "+".join(sorted(
                         k for k in taint if T.RULE_FOR_KIND[k] == rule))
                     findings[key] = Finding(
-                        rule_id=rule, path=parsed.path, line=node.lineno,
+                        rule_id=rule, path=path, line=node.lineno,
                         col=node.col_offset,
                         message=(
                             f"{kinds}-tainted value reaches "
@@ -299,79 +251,19 @@ def _check_module(parsed: ParsedModule) -> List[Finding]:
     return list(findings.values())
 
 
-def analyze_modules(modules: List[ParsedModule]) -> List[Finding]:
-    """Check every function of every module; returns raw
-    (unsuppressed) findings in deterministic order."""
-    findings = [f for parsed in modules for f in _check_module(parsed)]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+@register
+class FlowRule(Rule):
+    """Nondeterminism sources reaching report bytes (see the module
+    docstring); one pass per module reports every ``FLOW-*`` id."""
 
+    rule_id = "FLOW"  # the registry key; the catalog lists the FLOW-* ids
 
-def _apply_suppressions(
-    parsed_by_path: Dict[str, ParsedModule],
-    findings: List[Finding],
-) -> Tuple[List[Finding], int]:
-    """Filter findings through justified ``bt-flow`` suppressions.
+    def applies(self, path: str, source: str) -> bool:
+        return _SINK_NAMES.search(source) is not None
 
-    An unjustified suppression comment suppresses nothing and adds a
-    ``BAD-SUPPRESSION`` finding where it sits.
-    """
-    kept: List[Finding] = []
-    suppressed = 0
-    for finding in findings:
-        parsed = parsed_by_path.get(finding.path)
-        if parsed is None:
-            kept.append(finding)
-            continue
-        table = parsed.suppressions(TOOL_TAG)
-        covering = suppressed_at(finding.rule_id, finding.line, table)
-        if covering is not None and covering.justification:
-            suppressed += 1
-        else:
-            kept.append(finding)
-    for path in sorted(parsed_by_path):
-        parsed = parsed_by_path[path]
-        for line, suppression in sorted(
-                parsed.suppressions(TOOL_TAG).items()):
-            if not suppression.justification:
-                kept.append(Finding(
-                    rule_id="BAD-SUPPRESSION", path=path, line=line,
-                    col=0,
-                    message=(
-                        "bt-flow suppression without a justification; "
-                        "append ' -- <why this is deterministic>'"
-                    ),
-                ))
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return kept, suppressed
+    def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
+        return iter(_check_module(tree, path))
 
-
-def analyze_paths(
-    paths: Iterable[Union[str, Path]],
-    cache: Optional[AstCache] = None,
-) -> FlowReport:
-    """Flow-check every ``.py`` file under ``paths``.
-
-    Parsing shares the process-wide :class:`AstCache` with ``repro
-    lint``, so running both tools parses each file once.
-
-    Raises:
-        AnalysisError: A path is missing, unreadable, or unparseable.
-    """
-    cache = cache if cache is not None else ast_cache()
-    files = collect_files(Path(p) for p in paths)
-    modules = [cache.get(f) for f in files]
-    findings = analyze_modules(modules)
-    parsed_by_path = {m.path: m for m in modules}
-    kept, suppressed = _apply_suppressions(parsed_by_path, findings)
-    return FlowReport(findings=kept, files_checked=len(modules),
-                      suppressed=suppressed)
-
-
-def analyze_source(source: str, path: str = "<string>") -> FlowReport:
-    """Flow-check one in-memory module (test convenience)."""
-    parsed = parse_module(source, path)
-    findings = analyze_modules([parsed])
-    kept, suppressed = _apply_suppressions({path: parsed}, findings)
-    return FlowReport(findings=kept, files_checked=1,
-                      suppressed=suppressed)
+    def catalog(self) -> Tuple[Tuple[str, str], ...]:
+        return tuple((rule_id, T.RULE_SUMMARIES[rule_id])
+                     for rule_id in T.ALL_FLOW_RULES)

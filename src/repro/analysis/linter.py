@@ -1,35 +1,45 @@
-"""Invariant-linter driver: file collection, suppression, reporting.
+"""Static analyzer driver: file collection, suppression, reporting.
 
 ``python -m repro lint [paths...]`` parses every ``.py`` file under the
-given paths (the installed ``repro`` package by default), runs each
-registered rule from :mod:`repro.analysis.rules` over the AST, filters
-findings through ``# bt-lint: disable=...`` suppression comments, and
-renders the result as text or JSON.  ``--strict`` turns any surviving
-finding into a non-zero exit, which is how CI gates the tree.
+given paths (the installed ``repro`` package by default) once, runs
+every registered rule over the AST - the per-statement invariant rules
+of :mod:`repro.analysis.rules` and the per-function determinism-flow
+check of :mod:`repro.analysis.flow` - filters findings through
+suppression comments, and renders the result as text or JSON.
+``--strict`` turns any surviving finding into a non-zero exit, which is
+how CI gates the tree.
+
+One suppression grammar covers every rule, on the offending line or
+the line directly above it::
+
+    # bt-lint: disable=RULE-ID[,RULE-ID...] -- justification
+
+``ALL`` disables every rule on that line.  The justification is
+required: a suppression without one suppresses nothing and is itself
+reported (``BAD-SUPPRESSION``).  A suppression covers only the ids it
+names, so ``WALL-CLOCK`` does not cover ``FLOW-WALL-CLOCK``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.analysis.astcache import (
-    AstCache,
-    ParsedModule,
-    ast_cache,
-    parse_module,
-    suppressed_at,
-)
+import repro.analysis.flow  # noqa: F401 - registers the FLOW-* rule
 from repro.analysis.rules import Finding, all_rules
 from repro.errors import AnalysisError
 
-#: The suppression-comment tag this tool honours
-#: (``# bt-lint: disable=RULE-ID[,RULE-ID...]``; ``ALL`` disables every
-#: rule on that line).
+#: The suppression-comment tag.
 TOOL_TAG = "bt-lint"
+
+_SUPPRESSION = re.compile(
+    rf"#\s*{TOOL_TAG}:\s*disable="
+    r"([A-Za-z0-9_\-, ]+?)(?:\s*--\s*(.*\S))?\s*$"
+)
 
 
 @dataclass
@@ -63,18 +73,57 @@ class LintReport:
         return out
 
 
-def lint_module(module: ParsedModule) -> Tuple[List[Finding], int]:
-    """Lint one parsed module with every registered rule; returns
-    (findings, suppressed_count)."""
-    path = module.path
-    suppressions = module.suppressions(TOOL_TAG)
-    findings: List[Finding] = []
+def _suppressions(source: str) -> Dict[int, Tuple[FrozenSet[str], bool]]:
+    """Line (1-based) -> (rule ids, justified) for each suppression."""
+    if TOOL_TAG not in source:  # C-level gate; almost every file is clean
+        return {}
+    table: Dict[int, Tuple[FrozenSet[str], bool]] = {}
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        match = _SUPPRESSION.search(line) if TOOL_TAG in line else None
+        if match is not None:
+            ids = frozenset(part.strip().upper()
+                            for part in match.group(1).split(","))
+            table[lineno] = (ids, match.group(2) is not None)
+    return table
+
+
+def _suppressed(finding: Finding,
+                table: Dict[int, Tuple[FrozenSet[str], bool]]) -> bool:
+    """Whether a justified suppression on the finding's line (or the
+    line directly above it) names its rule."""
+    for lineno in (finding.line, finding.line - 1):
+        ids, justified = table.get(lineno, (frozenset(), False))
+        if justified and ("ALL" in ids or finding.rule_id in ids):
+            return True
+    return False
+
+
+def lint_source(
+    source: str, path: str = "<string>",
+) -> Tuple[List[Finding], int]:
+    """Lint one module's source with every registered rule; returns
+    (findings, suppressed_count).
+
+    Raises:
+        AnalysisError: The source does not parse.
+    """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        raise AnalysisError(f"cannot parse {path}: {exc}") from exc
+    table = _suppressions(source)
+    findings = [
+        Finding(rule_id="BAD-SUPPRESSION", path=path, line=line, col=0,
+                message=(f"{TOOL_TAG} suppression without a "
+                         "justification; append ' -- <why this is safe>'"))
+        for line, (_, justified) in table.items() if not justified
+    ]
     suppressed = 0
     for rule in all_rules():
-        if not rule.applies(path):
+        if not rule.applies(path, source):
             continue
-        for finding in rule.check(module.tree, path):
-            if suppressed_at(finding.rule_id, finding.line, suppressions):
+        for finding in rule.check(tree, path):
+            if _suppressed(finding, table):
                 suppressed += 1
             else:
                 findings.append(finding)
@@ -82,52 +131,43 @@ def lint_module(module: ParsedModule) -> Tuple[List[Finding], int]:
     return findings, suppressed
 
 
-def lint_source(
-    source: str, path: str = "<string>",
-) -> Tuple[List[Finding], int]:
-    """Lint one module's source; returns (findings, suppressed_count).
-
-    Raises:
-        AnalysisError: The source does not parse.
-    """
-    return lint_module(parse_module(source, path))
-
-
 def collect_files(paths: Iterable[Path]) -> List[Path]:
-    """Expand files/directories into the sorted list of ``.py`` files.
+    """Expand files/directories into the list of ``.py`` files, each
+    directory's files sorted and every file once (a file named twice,
+    or inside a directory also named, counts once).
 
     Raises:
         AnalysisError: A path does not exist.
     """
-    files: List[Path] = []
+    files: Dict[Path, Path] = {}
     for path in paths:
         path = Path(path)
         if path.is_dir():
-            files.extend(
-                p for p in sorted(path.rglob("*.py"))
-                if "__pycache__" not in p.parts
-            )
+            found = [p for p in sorted(path.rglob("*.py"))
+                     if "__pycache__" not in p.parts]
         elif path.is_file():
-            files.append(path)
+            found = [path]
         else:
             raise AnalysisError(
                 f"analysis target {path} does not exist")
-    return files
+        for file_path in found:
+            files.setdefault(file_path.resolve(), file_path)
+    return list(files.values())
 
 
-def lint_paths(
-    paths: Iterable[Path],
-    cache: Optional[AstCache] = None,
-) -> LintReport:
-    """Lint every ``.py`` file under ``paths``.
+def lint_paths(paths: Iterable[Path]) -> LintReport:
+    """Lint every ``.py`` file under ``paths``, parsing each once.
 
-    Parsing goes through the shared :class:`AstCache`, so a ``flow``
-    run over the same tree (in either order) reuses every tree.
+    Raises:
+        AnalysisError: A path is missing, unreadable, or unparseable.
     """
-    cache = cache if cache is not None else ast_cache()
     report = LintReport()
     for file_path in collect_files(paths):
-        findings, suppressed = lint_module(cache.get(file_path))
+        try:
+            source = file_path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise AnalysisError(f"cannot read {file_path}: {exc}") from exc
+        findings, suppressed = lint_source(source, str(file_path))
         report.findings.extend(findings)
         report.suppressed += suppressed
         report.files_checked += 1
@@ -143,8 +183,7 @@ def changed_files(base: str = "HEAD",
                   repo_root: Optional[Path] = None) -> List[Path]:
     """``.py`` files changed vs ``base`` (``git diff`` + untracked).
 
-    The fast pre-commit path behind ``repro lint --changed`` /
-    ``repro flow --changed``: committed, staged, unstaged *and*
+    The fast pre-commit path behind ``repro lint --changed``: committed, staged, unstaged *and*
     untracked Python files differing from ``base`` are all included,
     as absolute paths.  Deleted files are excluded.
 

@@ -121,7 +121,8 @@ def _seed_second_producer() -> None:
         except QueueClosedError:  # pragma: no cover - defensive
             pass
 
-    intruder = threading.Thread(  # bt-lint: disable=UNSUPERVISED-THREAD
+    # bt-lint: disable=UNSUPERVISED-THREAD -- seeded, joined below
+    intruder = threading.Thread(
         target=second_producer, name="intruder",
     )
     intruder.start()
@@ -166,7 +167,8 @@ def _seed_lock_order_inversion() -> None:
             with lock_a:
                 pass
 
-    worker = threading.Thread(  # bt-lint: disable=UNSUPERVISED-THREAD
+    # bt-lint: disable=UNSUPERVISED-THREAD -- seeded, joined below
+    worker = threading.Thread(
         target=inverted, name="inverter",
     )
     worker.start()

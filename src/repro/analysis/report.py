@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.analysis.flow import FlowReport
 from repro.analysis.linter import LintReport
 from repro.analysis.rules import all_rules
-from repro.analysis.taint import ALL_FLOW_RULES, RULE_SUMMARIES
 from repro.runtime.checks import ViolationLog
 
 
@@ -36,8 +34,8 @@ def render_lint_json(report: LintReport) -> Dict[str, Any]:
     """Structured lint report, including the rule catalog."""
     data = report.to_dict()
     data["rules"] = [
-        {"rule": rule.rule_id, "summary": rule.summary}
-        for rule in all_rules()
+        {"rule": rule_id, "summary": summary}
+        for rule in all_rules() for rule_id, summary in rule.catalog()
     ]
     return data
 
@@ -46,44 +44,14 @@ def render_rule_catalog() -> str:
     """The rule catalog as text (``repro lint --list-rules``)."""
     lines = []
     for rule in all_rules():
-        lines.append(f"{rule.rule_id}: {rule.summary}")
+        lines += [f"{rule_id}: {summary}"
+                  for rule_id, summary in rule.catalog()]
         if rule.applies_to is not None:
             lines.append(f"    applies to paths matching: "
                          f"{', '.join(rule.applies_to)}")
         if rule.allowed_in:
             lines.append(f"    exempt: {', '.join(rule.allowed_in)}")
     return "\n".join(lines)
-
-
-def render_flow_text(report: FlowReport) -> str:
-    """Human-readable flow report (one finding per line + summary)."""
-    lines = [finding.format() for finding in report.findings]
-    status = "clean" if report.clean else (
-        f"{len(report.findings)} finding"
-        f"{'s' if len(report.findings) != 1 else ''}"
-    )
-    lines.append(
-        f"repro-flow: {status} "
-        f"({report.files_checked} files checked, "
-        f"{report.suppressed} suppressed)"
-    )
-    return "\n".join(lines)
-
-
-def render_flow_json(report: FlowReport) -> Dict[str, Any]:
-    """Structured flow report, including the flow-rule catalog."""
-    data = report.to_dict()
-    data["rules"] = [
-        {"rule": rule_id, "summary": RULE_SUMMARIES[rule_id]}
-        for rule_id in ALL_FLOW_RULES
-    ]
-    return data
-
-
-def render_flow_catalog() -> str:
-    """The flow-rule catalog as text (``repro flow --list-rules``)."""
-    return "\n".join(f"{rule_id}: {RULE_SUMMARIES[rule_id]}"
-                     for rule_id in ALL_FLOW_RULES)
 
 
 def render_race_json(phases: Dict[str, ViolationLog],

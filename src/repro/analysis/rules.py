@@ -19,9 +19,10 @@ section of ``docs/architecture.md``):
   :mod:`repro.obs` (:func:`repro.obs.spans.record_span` and the
   exporters), so every span carries consistent tags.
 
-Violations are suppressed per line with ``# bt-lint: disable=RULE-ID``
-(several ids comma-separated, ``ALL`` for everything) on the offending
-line or the line directly above it.
+The per-function determinism-flow check (:mod:`repro.analysis.flow`,
+the ``FLOW-*`` ids) registers here too.  Violations are suppressed per
+line with ``# bt-lint: disable=RULE-ID -- justification`` (see
+:mod:`repro.analysis.linter`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import ast
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: Registry of rule id -> rule instance, filled by :func:`_register`.
+#: Registry of rule id -> rule instance, filled by :func:`register`.
 _REGISTRY: Dict[str, "Rule"] = {}
 
 
@@ -74,8 +75,9 @@ class Rule:
     applies_to: Optional[Tuple[str, ...]] = None
     allowed_in: Tuple[str, ...] = ()
 
-    def applies(self, path: str) -> bool:
-        """Whether this rule runs on the given file at all."""
+    def applies(self, path: str, source: str) -> bool:
+        """Whether this rule runs on the given file (its path and
+        source text) at all."""
         normalized = path.replace("\\", "/")
         if any(normalized.endswith(suffix) for suffix in self.allowed_in):
             return False
@@ -87,6 +89,10 @@ class Rule:
         """Yield findings for one parsed module."""
         raise NotImplementedError
 
+    def catalog(self) -> Tuple[Tuple[str, str], ...]:
+        """(rule id, summary) for every id this rule reports."""
+        return ((self.rule_id, self.summary),)
+
     def finding(self, path: str, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule_id=self.rule_id, path=path,
@@ -96,7 +102,8 @@ class Rule:
         )
 
 
-def _register(cls):
+def register(cls):
+    """Class decorator: add one instance of the rule to the registry."""
     rule = cls()
     _REGISTRY[rule.rule_id] = rule
     return cls
@@ -119,7 +126,7 @@ def dotted_name(node: ast.AST) -> str:
     """``a.b.c`` for Name/Attribute chains, ``""`` otherwise.
 
     Memoized on the node itself (purely syntactic, so safe to cache
-    for the node's lifetime): lint and flow share the parsed trees,
+    for the node's lifetime): every rule reads the same parsed tree,
     and the flow check re-reads the same calls on every settling pass.
     """
     cached = getattr(node, "_bt_dotted", None)
@@ -153,7 +160,7 @@ def _terminal_name(node: ast.AST) -> str:
 # ----------------------------------------------------------------------
 # WALL-CLOCK
 # ----------------------------------------------------------------------
-@_register
+@register
 class WallClockRule(Rule):
     """``time.time()`` is wall clock: NTP steps and suspend/resume move
     it arbitrarily, so any deadline or timeout computed from it can
@@ -187,7 +194,7 @@ _SEEDED_RNG_OK = (
 _STDLIB_RNG_OK = ("Random", "SystemRandom", "getstate")
 
 
-@_register
+@register
 class GlobalRngRule(Rule):
     """Module-level RNG state (``random.*``, ``np.random.*``) breaks
     byte-identical resume: a resumed campaign replays a *subset* of the
@@ -250,7 +257,7 @@ def _is_write_mode(mode: Optional[ast.expr]) -> bool:
     return False  # dynamic mode: cannot tell statically
 
 
-@_register
+@register
 class RawArtifactWriteRule(Rule):
     """A raw ``open(..., "w")`` truncates in place: a crash mid-write
     leaves a corrupt artifact that the checkpoint/resume machinery
@@ -391,7 +398,7 @@ def _handler_is_broad(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-@_register
+@register
 class BroadExceptRule(Rule):
     """A broad ``except Exception`` that swallows turns a kernel crash
     into a silently wrong result.  Broad handlers are allowed only when
@@ -422,7 +429,7 @@ class BroadExceptRule(Rule):
 # ----------------------------------------------------------------------
 # UNSUPERVISED-THREAD
 # ----------------------------------------------------------------------
-@_register
+@register
 class UnsupervisedThreadRule(Rule):
     """Threads created outside the pipeline executor escape its
     shutdown: nothing closes their queues, joins them on unwind, or
@@ -460,7 +467,7 @@ class UnsupervisedThreadRule(Rule):
 # ----------------------------------------------------------------------
 # UNTAGGED-SPAN
 # ----------------------------------------------------------------------
-@_register
+@register
 class UntaggedSpanRule(Rule):
     """A ``Span(...)`` built by hand can silently omit the tenant/PU
     tags the Gantt renderer, the Perfetto exporter, and the per-tenant
@@ -473,7 +480,7 @@ class UntaggedSpanRule(Rule):
     summary = ("direct Span(...) construction outside the sanctioned "
                "repro.obs factories")
 
-    def applies(self, path: str) -> bool:
+    def applies(self, path: str, source: str) -> bool:
         # allowed_in is suffix-matched, which cannot express "anything
         # under the observability package" - exempt the directory here.
         return "repro/obs/" not in path.replace("\\", "/")

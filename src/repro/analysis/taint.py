@@ -1,4 +1,4 @@
-"""Taint lattice and source/launder/sink tables for ``repro flow``.
+"""Taint lattice and source/launder/sink tables for the flow check.
 
 The flow analysis tracks *sets of taint kinds* per value.  A kind names
 one family of nondeterminism:
@@ -51,13 +51,13 @@ RULE_FOR_KIND: Dict[str, str] = {
     THREAD_ID: "FLOW-THREAD-ID",
 }
 
-#: Every flow rule id (for suppression validation and docs).
+#: Every id the flow rule lists in the lint catalog.
 ALL_FLOW_RULES: Tuple[str, ...] = (
     "FLOW-WALL-CLOCK", "FLOW-GLOBAL-RNG", "FLOW-ENV-READ",
     "FLOW-UNORDERED-ITER", "FLOW-THREAD-ID", "BAD-SUPPRESSION",
 )
 
-#: rule id -> one-line summary (``repro flow --list-rules``).
+#: rule id -> one-line summary (``repro lint --list-rules``).
 RULE_SUMMARIES: Dict[str, str] = {
     "FLOW-WALL-CLOCK": ("wall-clock read (time.time/perf_counter) "
                         "flows into a report/artifact sink"),
@@ -69,7 +69,7 @@ RULE_SUMMARIES: Dict[str, str] = {
                             "a report/artifact sink"),
     "FLOW-THREAD-ID": ("thread/process identity flows into a "
                        "report/artifact sink"),
-    "BAD-SUPPRESSION": ("bt-flow suppression without the required "
+    "BAD-SUPPRESSION": ("bt-lint suppression without the required "
                         "'-- justification' suffix"),
 }
 

@@ -20,8 +20,7 @@ Commands:
 * ``top``                      - fleet dashboard: shard health, attainment, burn rates, blame
 * ``trace``                    - traced run, Perfetto/Chrome or Gantt export
 * ``submit``                   - submit one job to a fresh server, report admission
-* ``lint``                     - static invariant linter over the tree
-* ``flow``                     - per-function determinism-flow check
+* ``lint``                     - static analyzer: invariant rules + determinism flow
 * ``race``                     - dynamic concurrency checker (REPRO_CHECK)
 * ``report``                   - regenerate every paper table/figure
 
@@ -936,45 +935,29 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 0 if record.status in ("completed", "running") else 1
 
 
-def _analyze(args: argparse.Namespace, tool: str, analyze,
-             render_catalog, render_text, render_json) -> int:
-    """The body ``lint`` and ``flow`` share; they differ only in the
-    analyzer, its three renderers and the ``tool`` label."""
-    from repro.analysis.linter import changed_files, default_lint_target
+def cmd_lint(args: argparse.Namespace) -> int:
+    """Run the static analyzer: the invariant rules and the
+    determinism-flow check (``--strict`` gates CI)."""
+    from repro.analysis.linter import changed_files, default_lint_target, \
+        lint_paths
+    from repro.analysis.report import render_lint_json, render_lint_text, \
+        render_rule_catalog
 
     if args.list_rules:
-        print(render_catalog())
+        print(render_rule_catalog())
         return 0
     if args.changed is not None:
         paths = changed_files(base=args.changed or "HEAD")
         if not paths:
-            _TextSink.note(f"repro-{tool}: clean (no changed python files)")
+            _TextSink.note("repro-lint: clean (no changed python files)")
             return 0
     else:
         paths = [Path(p) for p in args.paths] or [default_lint_target()]
-    report = analyze(paths)
+    report = lint_paths(paths)
     sink = _TextSink(args.out, args.format == "json")
-    sink.line(render_text(report))
-    sink.result(render_json(report), f"{tool} report")
+    sink.line(render_lint_text(report))
+    sink.result(render_lint_json(report), "lint report")
     return 1 if (args.strict and not report.clean) else 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the static invariant linter (``--strict`` gates CI)."""
-    from repro.analysis import report
-    from repro.analysis.linter import lint_paths
-
-    return _analyze(args, "lint", lint_paths, report.render_rule_catalog,
-                    report.render_lint_text, report.render_lint_json)
-
-
-def cmd_flow(args: argparse.Namespace) -> int:
-    """Run the per-function determinism-flow check."""
-    from repro.analysis import report
-    from repro.analysis.flow import analyze_paths
-
-    return _analyze(args, "flow", analyze_paths, report.render_flow_catalog,
-                    report.render_flow_text, report.render_flow_json)
 
 
 def cmd_race(args: argparse.Namespace) -> int:
@@ -1271,28 +1254,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p, "serve report")
     p.set_defaults(fn=cmd_submit)
 
-    for (name, help_text, fn) in (
-        ("lint", "static invariant linter over the tree", cmd_lint),
-        ("flow", "per-function determinism-flow check "
-                 "(taint sources -> report sinks)",
-         cmd_flow),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("paths", nargs="*", default=[],
-                       help="files/directories to analyse (default: "
-                            "the installed repro package)")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 when any finding survives")
-        p.add_argument("--changed", nargs="?", const="HEAD",
-                       default=None, metavar="BASE",
-                       help="analyse only python files changed vs the "
-                            "given git ref (default: HEAD)")
-        p.add_argument("--format", choices=("text", "json"),
-                       default="text")
-        p.add_argument("--list-rules", action="store_true",
-                       help="print the rule catalog and exit")
-        _add_output_args(p, "JSON report")
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("lint", help="static analyzer over the tree: "
+                                    "invariant rules and the "
+                                    "determinism-flow check")
+    p.add_argument("paths", nargs="*", default=[],
+                   help="files/directories to analyse (default: the "
+                        "installed repro package)")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 1 when any finding survives")
+    p.add_argument("--changed", nargs="?", const="HEAD", default=None,
+                   metavar="BASE",
+                   help="analyse only python files changed vs the given "
+                        "git ref (default: HEAD)")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--list-rules", action="store_true",
+                   help="print the rule catalog and exit")
+    _add_output_args(p, "JSON report")
+    p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("race",
                        help="dynamic concurrency checker (clean pipeline "

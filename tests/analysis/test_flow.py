@@ -1,4 +1,5 @@
-"""Tests for the determinism-flow analysis (``python -m repro flow``)."""
+"""Tests for the determinism-flow check: the ``FLOW-*`` rules of
+``python -m repro lint``."""
 
 import json
 import subprocess
@@ -7,9 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.astcache import ast_cache
-from repro.analysis.flow import analyze_paths, analyze_source
-from repro.analysis.linter import changed_files, lint_paths
+from repro.analysis.linter import changed_files, lint_paths, lint_source
 from repro.analysis.taint import ALL_FLOW_RULES, RULE_SUMMARIES
 from repro.cli import main
 from repro.errors import AnalysisError
@@ -18,9 +17,14 @@ FIXTURES = Path(__file__).resolve().parent.parent / "flow_fixtures"
 REPRO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
+def flow_only(findings):
+    """The findings of the flow rules (the per-statement ones aside)."""
+    return [f for f in findings if f.rule_id in ALL_FLOW_RULES]
+
+
 def flow_snippet(source, path="x/module.py"):
-    report = analyze_source(textwrap.dedent(source), path)
-    return report.findings
+    findings, _ = lint_source(textwrap.dedent(source), path)
+    return flow_only(findings)
 
 
 def rules_of(findings):
@@ -165,48 +169,50 @@ class TestLaundering:
 
 class TestSuppressions:
     def test_justified_suppression_silences(self):
-        report = analyze_source(textwrap.dedent("""
+        findings, suppressed = lint_source(textwrap.dedent("""
             import time
 
             def dump(path):
-                # bt-flow: disable=FLOW-WALL-CLOCK -- build stamp wanted
+                # bt-lint: disable=FLOW-WALL-CLOCK -- build stamp wanted
                 write_json_report(path, {"t": time.time()})
         """), "x/m.py")
-        assert report.findings == []
-        assert report.suppressed == 1
+        assert flow_only(findings) == []
+        assert suppressed == 1
 
     def test_unjustified_suppression_keeps_finding_and_flags(self):
-        report = analyze_source(textwrap.dedent("""
+        findings, suppressed = lint_source(textwrap.dedent("""
             import time
 
             def dump(path):
-                # bt-flow: disable=FLOW-WALL-CLOCK
+                # bt-lint: disable=FLOW-WALL-CLOCK
                 write_json_report(path, {"t": time.time()})
         """), "x/m.py")
-        assert sorted(rules_of(report.findings)) == [
+        assert sorted(rules_of(flow_only(findings))) == [
             "BAD-SUPPRESSION", "FLOW-WALL-CLOCK",
         ]
-        assert report.suppressed == 0
+        assert suppressed == 0
 
     def test_lint_suppression_does_not_cover_flow(self):
-        report = analyze_source(textwrap.dedent("""
+        findings, suppressed = lint_source(textwrap.dedent("""
             import time
 
             def dump(path):
                 # bt-lint: disable=WALL-CLOCK -- measured on purpose
                 write_json_report(path, {"t": time.time()})
         """), "x/m.py")
-        assert rules_of(report.findings) == ["FLOW-WALL-CLOCK"]
+        # WALL-CLOCK is suppressed; FLOW-WALL-CLOCK is not named.
+        assert rules_of(findings) == ["FLOW-WALL-CLOCK"]
+        assert suppressed == 1
 
 
 class TestFixtures:
     @pytest.fixture(scope="class")
     def report(self):
-        return analyze_paths([FIXTURES])
+        return lint_paths([FIXTURES])
 
     def test_every_seeded_violation_detected(self, report):
         by_file = {}
-        for finding in report.findings:
+        for finding in flow_only(report.findings):
             name = Path(finding.path).name
             by_file.setdefault(name, []).append(finding.rule_id)
         assert sorted(by_file["bad_attribution.py"]) == [
@@ -236,7 +242,7 @@ class TestFixtures:
 
     def test_report_shape(self, report):
         data = report.to_dict()
-        assert data["tool"] == "repro-flow"
+        assert data["tool"] == "repro-lint"
         assert data["files_checked"] == 6
         assert not data["clean"]
         assert sum(data["counts"].values()) == len(report.findings)
@@ -244,45 +250,34 @@ class TestFixtures:
 
 class TestBaseline:
     def test_repro_package_is_flow_clean(self):
-        report = analyze_paths([REPRO_SRC])
+        report = lint_paths([REPRO_SRC])
         assert report.clean, [f.format() for f in report.findings]
-
-
-class TestSharedCache:
-    def test_lint_and_flow_share_parses(self):
-        cache = ast_cache()
-        cache.clear()
-        lint_paths([FIXTURES])
-        misses_after_lint = cache.misses
-        analyze_paths([FIXTURES])
-        # Flow re-used every parse the linter produced.
-        assert cache.misses == misses_after_lint
-        assert cache.hits >= misses_after_lint
 
 
 class TestCli:
     def test_strict_exit_one_on_findings(self, capsys):
-        assert main(["flow", str(FIXTURES), "--strict"]) == 1
+        assert main(["lint", str(FIXTURES), "--strict"]) == 1
         out = capsys.readouterr().out
-        assert "repro-flow:" in out
+        assert "repro-lint:" in out
 
     def test_non_strict_exit_zero(self, capsys):
-        assert main(["flow", str(FIXTURES)]) == 0
+        assert main(["lint", str(FIXTURES)]) == 0
 
     def test_missing_target_is_tool_failure(self, capsys):
-        assert main(["flow", "/no/such/flow/target"]) == 2
+        assert main(["lint", "/no/such/flow/target"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "AnalysisError"
 
     def test_json_format_counts(self, capsys):
-        assert main(["flow", str(FIXTURES), "--format", "json"]) == 0
+        assert main(["lint", str(FIXTURES), "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["tool"] == "repro-flow"
+        assert data["tool"] == "repro-lint"
         assert data["counts"]["FLOW-WALL-CLOCK"] == 3
-        assert {r["rule"] for r in data["rules"]} == set(ALL_FLOW_RULES)
+        assert data["suppressed"] == 1
+        assert set(ALL_FLOW_RULES) <= {r["rule"] for r in data["rules"]}
 
     def test_list_rules(self, capsys):
-        assert main(["flow", "--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ALL_FLOW_RULES:
             assert rule_id in out
@@ -290,7 +285,7 @@ class TestCli:
 
     def test_out_writes_report(self, tmp_path, capsys):
         out_file = tmp_path / "flow.json"
-        assert main(["flow", str(FIXTURES / "bad_to_dict.py"),
+        assert main(["lint", str(FIXTURES / "bad_to_dict.py"),
                      "--out", str(out_file)]) == 0
         capsys.readouterr()
         data = json.loads(out_file.read_text())
@@ -332,13 +327,13 @@ class TestChanged:
     def test_cli_changed_analyzes_only_the_diff(self, git_repo, capsys):
         # The committed file has a violation, but it is unchanged:
         # --changed must not look at it.
-        assert main(["flow", "--changed", "--strict"]) == 0
+        assert main(["lint", "--changed", "--strict"]) == 0
         (git_repo / "fresh.py").write_text(
             "import random\n\n"
             "def dump(path):\n"
             "    write_json_report(path, {'r': random.random()})\n"
         )
-        assert main(["flow", "--changed", "--strict"]) == 1
+        assert main(["lint", "--changed", "--strict"]) == 1
         out = capsys.readouterr().out
         assert "fresh.py" in out
         assert "clean.py" not in out

@@ -14,6 +14,7 @@ from repro.analysis.linter import (
 )
 from repro.analysis.report import render_lint_json, render_lint_text
 from repro.analysis.rules import all_rules, get_rule
+from repro.analysis.taint import ALL_FLOW_RULES
 from repro.cli import main
 from repro.errors import AnalysisError
 
@@ -27,6 +28,9 @@ EXPECTED_RULE_IDS = {
     "UNTAGGED-SPAN",
     "WALL-CLOCK",
 }
+#: What ``--list-rules`` and the JSON ``rules`` list name: the flow rule
+#: lists every FLOW-* id and BAD-SUPPRESSION.
+CATALOG_IDS = EXPECTED_RULE_IDS | set(ALL_FLOW_RULES)
 
 
 def lint_snippet(source, path="x/module.py"):
@@ -36,7 +40,8 @@ def lint_snippet(source, path="x/module.py"):
 
 class TestRegistry:
     def test_all_rules_registered(self):
-        assert {rule.rule_id for rule in all_rules()} == EXPECTED_RULE_IDS
+        assert {rule.rule_id for rule in all_rules()} \
+            == EXPECTED_RULE_IDS | {"FLOW"}
 
     def test_get_rule(self):
         assert get_rule("WALL-CLOCK").rule_id == "WALL-CLOCK"
@@ -76,7 +81,7 @@ class TestSuppression:
             import time
 
             def stamp():
-                # bt-lint: disable=WALL-CLOCK
+                # bt-lint: disable=WALL-CLOCK -- a stamp, no deadline
                 return time.time()
         """)
         assert not findings
@@ -87,7 +92,7 @@ class TestSuppression:
             import time
 
             def stamp():
-                return time.time()  # bt-lint: disable=ALL
+                return time.time()  # bt-lint: disable=ALL -- a stamp
         """)
         assert not findings
 
@@ -96,9 +101,22 @@ class TestSuppression:
             import time
 
             def stamp():
-                return time.time()  # bt-lint: disable=GLOBAL-RNG
+                return time.time()  # bt-lint: disable=GLOBAL-RNG -- unrelated
         """)
         assert [f.rule_id for f in findings] == ["WALL-CLOCK"]
+        assert suppressed == 0
+
+    def test_unjustified_suppression_suppresses_nothing(self):
+        findings, suppressed = lint_snippet("""
+            import time
+
+            def stamp():
+                return time.time()  # bt-lint: disable=WALL-CLOCK
+        """)
+        assert [f.rule_id for f in findings] == [
+            "BAD-SUPPRESSION", "WALL-CLOCK",
+        ]
+        assert "bt-lint" in findings[0].message
         assert suppressed == 0
 
 
@@ -242,7 +260,7 @@ class TestPathScoping:
     def test_untagged_span_suppressible(self):
         findings, suppressed = lint_snippet("""
             def build(Span):
-                # bt-lint: disable=UNTAGGED-SPAN
+                # bt-lint: disable=UNTAGGED-SPAN -- a test double
                 return Span(0, "big", 0, 0.0, 1.0)
         """)
         assert not findings
@@ -266,6 +284,12 @@ class TestDriver:
         with pytest.raises(AnalysisError):
             collect_files([Path("/no/such/lint/target")])
 
+    def test_overlapping_targets_count_each_file_once(self):
+        alone = lint_paths([FIXTURES])
+        both = lint_paths([FIXTURES, FIXTURES / "bad_wall_clock.py"])
+        assert both.to_dict() == alone.to_dict()
+        assert len(both.findings) == 10
+
     def test_repo_baseline_is_clean(self):
         # The acceptance bar: the shipped package has zero findings.
         report = lint_paths([default_lint_target()])
@@ -277,8 +301,7 @@ class TestDriver:
         data = render_lint_json(report)
         assert data["tool"] == "repro-lint"
         assert data["counts"] == {"WALL-CLOCK": 1}
-        assert {entry["rule"] for entry in data["rules"]} \
-            == EXPECTED_RULE_IDS
+        assert {entry["rule"] for entry in data["rules"]} == CATALOG_IDS
         json.dumps(data)  # must be serialisable as-is
 
 
@@ -298,7 +321,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in EXPECTED_RULE_IDS:
+        for rule_id in CATALOG_IDS:
             assert rule_id in out
 
     def test_lint_out_writes_report(self, tmp_path, capsys):

@@ -75,6 +75,11 @@ CASES: Tuple[Case, ...] = (
                          "session")),
     *_seeded("faultsim", *FAULTSIM, "--out", "faultsim.json",
              seeds=(5, 6, 7)),
+    # Retries run out, so tasks are quarantined and the report's
+    # ``failures`` list is not empty.
+    *_seeded("faultsim-quarantine", *FAULTSIM, "--fail-attempts", "4",
+             "--max-attempts", "3", "--out", "faultsim.json",
+             seeds=(5, 6, 7)),
     *_seeded("serve", "serve", "--json", "--trace-out", "trace.json",
              "--out", "serve.json"),
     *_seeded("fleet", "fleet", "--json", "--trace-out", "trace.json"),

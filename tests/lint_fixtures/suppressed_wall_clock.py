@@ -4,4 +4,4 @@ import time
 
 
 def stamp():
-    return time.time()  # bt-lint: disable=WALL-CLOCK
+    return time.time()  # bt-lint: disable=WALL-CLOCK -- a stamp, no deadline

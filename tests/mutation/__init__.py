@@ -31,8 +31,8 @@ class Mutant:
     summary: str
     file: str
     edits: Tuple[Edit, ...]
-    #: The rule ``repro flow`` reports on the mutated module, if it
-    #: kills the mutant.
+    #: The flow rule ``repro lint`` reports on the mutated module, if
+    #: it kills the mutant.
     flow_rule: Optional[str] = None
     #: What the verdicts alone do not say (rendered under the table).
     note: str = ""
@@ -88,7 +88,9 @@ MUTANTS: Tuple[Mutant, ...] = (
            "fleet/health.py", (
                ("self._rng = np.random.default_rng(seed)",
                 "self._rng = np.random.default_rng()"),
-           ), note="As M4."),
+           ), note="As M4.  Its OS-entropy draws decide whether a "
+           "breaker probe moves `fleet@8`'s bytes, so a corpus run can "
+           "pass: one re-run killed it under hash seed 1 only."),
     Mutant("M6", "failover's drain iterates `{t.name for t in batch}`",
            "fleet/router.py", (
                ("        for tenant in batch:\n            if shard.alive:",
@@ -132,9 +134,9 @@ MUTANTS: Tuple[Mutant, ...] = (
                 '            "quarantined_s": time.perf_counter(),\n'),
            ), flow_rule="FLOW-WALL-CLOCK", note="The `faultsim --out` "
            "report's `failures` list is empty unless a task is "
-           "quarantined (`--fail-attempts` above `--max-attempts`), which "
-           "no corpus case, CI step or tier-1 byte comparison runs; the "
-           "flow check is the only guard that sees it."),
+           "quarantined (`--fail-attempts` above `--max-attempts`).  "
+           "Only the corpus's `faultsim-quarantine` cases run that, so "
+           "they and the flow rule are the guards that see it."),
     Mutant("L-WALL-CLOCK", "an SPSC queue deadline on `time.time()`",
            "runtime/spsc.py", (
                ("else time.monotonic() + timeout",
@@ -147,6 +149,32 @@ MUTANTS: Tuple[Mutant, ...] = (
                ("return float(self._rng.random())",
                 "return float(np.random.random())"),
            )),
+    Mutant("L-GLOBAL-RNG-PASS", "the profiler's timer draws a pass's "
+           "cells from one global stream, seeded per pass",
+           "soc/timer.py", (
+               ("        draws = lognormal_draws(\n"
+                "            [_stable_seed(self.seed, *key) for _, key in "
+                "cells],\n"
+                "            self.sigma, count)\n",
+                "        np.random.seed(self.seed)\n"
+                "        draws = np.random.lognormal(\n"
+                "            -0.5 * self.sigma**2, self.sigma, "
+                "(len(cells), count))\n"),
+           ), note="A resumed session measures only the cells it has no "
+           "checkpoint for, so its pass draws a prefix of the stream the "
+           "uninterrupted pass drew, in other positions."),
+    Mutant("L-GLOBAL-RNG-SHARED", "every timer observation draws from "
+           "one global stream, seeded when the platform is built",
+           "soc/timer.py", (
+               ("        self.sigma = sigma\n        self.seed = seed\n",
+                "        self.sigma = sigma\n        self.seed = seed\n"
+                "        np.random.seed(seed)\n"),
+               ("        seed = _stable_seed(self.seed, *key)\n"
+                "        return np.random.Generator(np.random.PCG64(seed))\n",
+                "        return np.random.mtrand._rand\n"),
+           ), note="A measurement's draw depends on how many came before "
+           "it in the process, so an autotune round resumed from a "
+           "checkpoint measures its candidates with other draws."),
     Mutant("L-RAW-ARTIFACT-WRITE", "`trace --export gantt --out` through a "
            "raw `open(..., \"w\")`", "cli.py", (
                ('        atomic_write_text(args.out, chart + "\\n")\n',
@@ -160,6 +188,22 @@ MUTANTS: Tuple[Mutant, ...] = (
                 "if classify_failure(exc) == FAILURE_FATAL:\n"
                 "                    return\n"),
            )),
+    Mutant("L-BROAD-EXCEPT-CHECKPOINT", "the session's checkpoint "
+           "reader treats any exception as a corrupt unit",
+           "core/session.py", (
+               ("        except (SerializationError, KeyError, TypeError,\n"
+                "                ValueError) as exc:\n",
+                "        except Exception as exc:\n"),
+           ), note="A bug in a checkpoint parser is re-measured as a "
+           "corrupt unit instead of failing; no test raises anything "
+           "but the four listed errors there."),
+    Mutant("L-BROAD-EXCEPT-MAIN", "`main` renders any exception as a "
+           "JSON error envelope", "cli.py", (
+               ("    except OSError as exc:\n",
+                "    except Exception as exc:\n"),
+           ), note="A programming error exits 2 with a one-line "
+           "envelope and no traceback; no test drives an unexpected "
+           "exception through `main`."),
     Mutant("L-UNSUPERVISED-THREAD", "`repro report` generated on a "
            "helper thread", "cli.py", (
                ("import sys\n", "import sys\nimport threading\n"),

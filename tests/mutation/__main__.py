@@ -3,13 +3,17 @@
 Each mutant is planted in a fresh copy of the repository; every guard
 then runs inside that copy and its verdict lands in ``results.json``
 (merged, so ``--only`` re-runs some mutants), from
-which ``MATRIX.md`` is rendered.  ``flow-parent`` runs the flow check of
-another checkout (``--parent-src``, that checkout's ``src/``) over the
-mutated tree; every other guard runs the copy's own code.
+which ``MATRIX.md`` is rendered.  ``flow-parent`` runs the ``flow``
+command of an older checkout (``--parent-src``, that checkout's
+``src/``) over the mutated tree, for the record; every other guard runs
+the copy's own code.
 
 Guards:
 
-* ``lint`` / ``flow``: ``repro lint|flow --strict src/repro``;
+* ``lint``: ``repro lint --strict src/repro`` (the invariant rules and
+  the flow check);
+* ``flow-parent``: the older checkout's ``flow --strict src/repro``
+  command, from before the flow check became lint rules;
 * ``tier1``: ``pytest -x`` without ``tests/analysis`` (and without the
   corpus and matrix suites, which are columns of their own);
 * ``corpus-h1`` / ``corpus-h2``: ``python -m tests.golden check`` under
@@ -105,7 +109,6 @@ def _faultsim(copy: Path, _parent: Path) -> Verdict:
 GUARDS: Dict[str, Callable[[Path, Path], Verdict]] = {
     "lint": lambda copy, parent: _tool("lint", copy, copy / "src"),
     "flow-parent": lambda copy, parent: _tool("flow", copy, parent),
-    "flow": lambda copy, parent: _tool("flow", copy, copy / "src"),
     "tier1": _tier1,
     "corpus-h1": _corpus("check", "1"),
     "corpus-h2": _corpus("check", "2"),
@@ -114,8 +117,8 @@ GUARDS: Dict[str, Callable[[Path, Path], Verdict]] = {
 }
 #: Which guards each column of the verdict counts.
 PARENT_GUARDS = ("lint", "flow-parent", "tier1", "faultsim")
-CHANGE_GUARDS = ("lint", "flow", "tier1", "corpus-h1", "corpus-h2",
-                 "faultsim", "memo-off")
+CHANGE_GUARDS = ("lint", "tier1", "corpus-h1", "corpus-h2", "faultsim",
+                 "memo-off")
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  ".bench_out", "*.pyc")
@@ -142,14 +145,22 @@ def render(results: Dict[str, Dict[str, Verdict]]) -> str:
             detail[2:] = [f"+{len(detail) - 2} more"]
         return f"✓ {', '.join(detail)}".strip()
 
-    def column(verdicts, guards) -> str:
+    def killed(verdicts, guard, parent) -> bool:
+        verdict = verdicts[guard]
+        if parent and guard == "lint":
+            # The parent's lint had no flow rules: count the others only.
+            return any(where and not where.startswith("FLOW-") for where
+                       in (verdict.get("detail") or "").split(", "))
+        return verdict["killed"]
+
+    def column(verdicts, guards, parent=False) -> str:
         if any(verdicts.get(g) is None for g in guards):
             return "?"
-        return "killed" if any(verdicts[g]["killed"] for g in guards) \
+        return "killed" if any(killed(verdicts, g, parent) for g in guards) \
             else "**survives**"
 
     head = ["mutant (planted in `src/repro`)", "lint", "flow (parent)",
-            "flow", "tier-1 w/o `tests/analysis`", "corpus h1",
+            "tier-1 w/o `tests/analysis`", "corpus h1",
             "corpus h2", "faultsim `cmp`", "memo-off", "parent", "change"]
     lines = [
         "# Mutation matrix",
@@ -160,8 +171,9 @@ def render(results: Dict[str, Dict[str, Verdict]]) -> str:
         "moved corpus cases), – = it survives.  *parent* counts the "
         "guards before the golden corpus and with the interprocedural "
         "flow engine; *change* counts the corpus, its memo-off arm and "
-        "the per-function flow check instead.  The K rows are key "
-        "omissions: a memo keyed on less than its entries depend on.",
+        "`lint`, whose flow rules are the per-function check.  The K "
+        "rows are key omissions: a memo keyed on less than its entries "
+        "depend on.",
         "",
         "| " + " | ".join(head) + " |",
         "|" + "---|" * len(head),
@@ -170,7 +182,7 @@ def render(results: Dict[str, Dict[str, Verdict]]) -> str:
         verdicts = results.get(mutant.name, {})
         row = [f"{mutant.name} {mutant.summary} (`{mutant.file}`)"]
         row += [cell(verdicts.get(g)) for g in GUARDS]
-        row += [column(verdicts, PARENT_GUARDS),
+        row += [column(verdicts, PARENT_GUARDS, parent=True),
                 column(verdicts, CHANGE_GUARDS)]
         lines.append("| " + " | ".join(row) + " |")
     notes = [f"* **{m.name}**: {m.note}" for m in MUTANTS if m.note]
@@ -184,8 +196,8 @@ def main(argv=None) -> int:
     parser.add_argument("--only", nargs="+", choices=sorted(BY_NAME),
                         metavar="MUTANT")
     parser.add_argument("--parent-src", type=Path, required=True,
-                        help="src/ of the checkout whose flow check is "
-                             "the flow-parent column")
+                        help="src/ of an older checkout whose `flow` "
+                             "command is the flow-parent column")
     args = parser.parse_args(argv)
 
     results = json.loads(RESULTS.read_text()) if RESULTS.exists() else {}

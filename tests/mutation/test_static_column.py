@@ -1,15 +1,15 @@
 """The mutation matrix's static column, in tier-1.
 
-Every mutant ``repro flow`` kills must stay killed: the flow check on
-the mutated module reports the rule the matrix records.  The shipped
-tree and the false-positive fixture stay clean.
+Every mutant the flow rules of ``repro lint`` kill must stay killed:
+linting the mutated module reports the rule the matrix records.  The
+shipped tree and the false-positive fixture stay clean.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import analyze_paths, analyze_source
+from repro.analysis.linter import lint_paths, lint_source
 from tests.mutation import MUTANTS, SRC
 
 FIXTURES = Path(__file__).resolve().parent.parent / "flow_fixtures"
@@ -24,12 +24,12 @@ def test_flow_kills_the_direct_leaks():
 @pytest.mark.parametrize("mutant", KILLED, ids=lambda mutant: mutant.name)
 def test_flow_reports_the_mutant(mutant):
     path = SRC / mutant.file
-    clean = analyze_source(path.read_text(), str(path))
-    mutated = analyze_source(mutant.apply(path.read_text()), str(path))
-    assert clean.findings == []
-    assert [f.rule_id for f in mutated.findings] == [mutant.flow_rule]
+    clean, _ = lint_source(path.read_text(), str(path))
+    mutated, _ = lint_source(mutant.apply(path.read_text()), str(path))
+    assert clean == []
+    assert [f.rule_id for f in mutated] == [mutant.flow_rule]
 
 
 def test_shipped_tree_and_laundering_fixture_are_clean():
-    report = analyze_paths([SRC, FIXTURES / "good_laundering.py"])
+    report = lint_paths([SRC, FIXTURES / "good_laundering.py"])
     assert report.findings == []

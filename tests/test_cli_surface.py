@@ -220,15 +220,6 @@ SURFACE = {
         '--strict dest=strict StoreTrue default=False const=True nargs=0',
         "paths dest=paths Store default=[] nargs='*'",
     ],
-    'flow': [
-        "--changed dest=changed Store const='HEAD' nargs='?'",
-        "--format dest=format Store default='text' choices=['text', 'json']",
-        '--list-rules dest=list_rules StoreTrue default=False'
-        ' const=True nargs=0',
-        '--out dest=out Store',
-        '--strict dest=strict StoreTrue default=False const=True nargs=0',
-        "paths dest=paths Store default=[] nargs='*'",
-    ],
     'race': [
         "--format dest=format Store default='text' choices=['text', 'json']",
         '--out dest=out Store',
@@ -244,8 +235,8 @@ SURFACE = {
 
 def test_every_command_keeps_every_option():
     assert surface() == SURFACE
-    assert len(SURFACE) == 19
-    assert sum(len(rows) for rows in SURFACE.values()) == 143
+    assert len(SURFACE) == 18
+    assert sum(len(rows) for rows in SURFACE.values()) == 137
 
 
 #: Commands with ``--json`` (or ``--format json``) at smoke size, and
@@ -260,7 +251,6 @@ JSON_COMMANDS = {
     "traffic-soak": (["traffic", "soak", "--ticks", "12"], "--json"),
     "top": (["top", "--ticks", "12"], "--json"),
     "lint": (["lint", str(TESTS / "lint_fixtures")], "--format=json"),
-    "flow": (["flow", str(TESTS / "flow_fixtures")], "--format=json"),
     "race": (["race", "--tasks", "4"], "--format=json"),
 }
 
