@@ -342,8 +342,7 @@ def cmd_faultsim(args: argparse.Namespace) -> int:
     executor = ThreadedPipelineExecutor(
         application, plan.schedule.chunks(),
         fault_injector=injector,
-        retry_policy=RetryPolicy(max_attempts=args.max_attempts,
-                                 base_backoff_s=1e-4),
+        retry_policy=RetryPolicy(max_attempts=args.max_attempts),
         isolate_failures=True,
     )
     result = executor.run(

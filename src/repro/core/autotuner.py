@@ -107,7 +107,7 @@ class Autotuner:
 
         Every candidate is validated against the application and the
         platform's schedulable PU classes before anything executes, so
-        a hand-crafted or stale (e.g. migrated) schedule fails loudly
+        a hand-crafted or stale schedule fails loudly
         here rather than deep inside the executor.  The simulations
         then run through :func:`simulate_batch`, the DES's batch entry
         point; a candidate's measurement depends on nothing but the

@@ -187,34 +187,3 @@ class BetterTogether:
             window_tasks=window_tasks,
             eval_tasks=self.eval_tasks,
         )
-
-    def migrate(self, plan: DeploymentPlan) -> DeploymentPlan:
-        """Re-deploy an existing plan onto *this* framework's platform.
-
-        Extension beyond the paper, motivated by its own portability
-        observation (section 1: schedules are device-specific) and by
-        real deployments that flip power modes at run time: when the
-        target changes, the cheap move is to re-run only level 3 -
-        re-measure the cached candidates on the new platform and pick a
-        new winner - skipping the ~6-minute profiling pass.  When the
-        old candidates reference PU classes the new platform cannot
-        schedule (e.g. migrating off a Pixel's medium cores to a
-        Jetson), the full flow runs instead.
-
-        Returns a new plan; the input plan is untouched.
-        """
-        schedulable = set(self.platform.schedulable_classes())
-        usable = [
-            candidate
-            for candidate in plan.optimization.candidates
-            if set(candidate.schedule.pu_classes_used) <= schedulable
-        ]
-        if not usable:
-            return self.run(plan.application)
-        return DeploymentPlan(
-            application=plan.application,
-            platform=self.platform,
-            table=plan.table,
-            optimization=plan.optimization,
-            autotune=self.autotune(plan.application, usable),
-        )

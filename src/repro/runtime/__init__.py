@@ -11,8 +11,9 @@ Two interchangeable back-ends execute pipeline schedules:
 Shared infrastructure: unified-memory buffers (:class:`UsmBuffer`),
 recyclable :class:`TaskObject` containers, and the :class:`SpscQueue`
 dispatchers communicate through.  A deterministic fault-injection layer
-(:mod:`repro.runtime.faults`) plugs into both back-ends to exercise the
-recovery machinery: retry with backoff and per-task quarantine; the
+(:mod:`repro.runtime.faults`) exercises the recovery machinery: the
+threaded back-end injects transient kernel faults (retry with backoff,
+per-task quarantine) and both back-ends check PU dropouts; the
 planner's :class:`~repro.core.adaptive.AdaptivePipeline` adds PU-dropout
 fallback on top.  The opt-in concurrency checker
 (:mod:`repro.runtime.checks`, :mod:`repro.runtime.lock_order`) lives
@@ -33,7 +34,6 @@ from repro.runtime.faults import (
     KernelFaultSpec,
     PuDropoutSpec,
     RetryPolicy,
-    SlowdownSpec,
     TaskFailure,
     classify_failure,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "SimWindow",
     "SimulatedPipelineExecutor",
     "SimulatedRunResult",
-    "SlowdownSpec",
     "SpscQueue",
     "TaskFailure",
     "TaskObject",

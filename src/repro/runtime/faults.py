@@ -1,14 +1,15 @@
 """Deterministic fault injection and recovery machinery (extension).
 
-The paper's BT-Implementer (section 3.4) assumes kernels never fail and
-queues never wedge.  A production deployment cannot: kernels throw,
-stages stall, and PUs drop out (thermal shutdown, driver resets).  This
-module supplies
+The paper's BT-Implementer (section 3.4) assumes kernels never fail.  A
+production deployment cannot: kernels throw, and PUs drop out (thermal
+shutdown, driver resets).  This module supplies exactly the faults
+``python -m repro faultsim`` injects:
 
-* a seedable, fully deterministic **fault plan** (which faults hit which
-  (task, stage, PU) coordinates) shared by both back-ends: the threaded
-  executor raises injected exceptions around real kernel dispatch, the
-  discrete-event simulator perturbs per-stage costs and PU liveness;
+* a seedable, fully deterministic **fault plan**: transient kernel
+  faults at (task, stage) coordinates, raised around real kernel
+  dispatch by the threaded executor, and PU dropouts, checked by both
+  back-ends (the discrete-event simulator checks nothing else and
+  refuses a plan with kernel faults);
 * the **recovery policies** the injected faults exercise: retry with
   exponential backoff for transient kernel faults, per-task quarantine
   so one poisoned task is reported instead of unwinding the pipeline,
@@ -26,7 +27,6 @@ property the recovery tests assert end to end.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -44,7 +44,6 @@ from repro.runtime.lock_order import checked_lock
 
 # Event kinds recorded in the fault log.
 KERNEL_FAULT = "kernel-fault"
-SLOWDOWN = "slowdown"
 PU_DROPOUT = "pu-dropout"
 RETRY = "retry"
 RECOVERY = "recovery"
@@ -75,7 +74,7 @@ def classify_failure(exc: BaseException) -> str:
     kernels themselves (a flaky driver, a numerical blow-up in one
     task's data).  ``fatal`` failures are contract or configuration
     bugs - any other :class:`~repro.errors.ReproError` (bad chunk
-    cover, closed queues, scope violations) - where retrying the same
+    cover, closed queues) - where retrying the same
     dispatch can only fail the same way, so the pipeline must unwind
     and surface the error.
     """
@@ -97,56 +96,17 @@ class KernelFaultSpec:
         task_id: Task the fault targets.
         stage_index: Global stage index (0-based over the application).
         fail_attempts: Consecutive dispatch attempts that fail before
-            the kernel succeeds; ``None`` makes the fault persistent
-            (every attempt fails, so retries cannot save the task).
-        pu_class: Restrict the fault to one PU class (``None`` = any).
+            the kernel succeeds; above the retry budget, the task is
+            quarantined (or the pipeline unwinds).
     """
 
     task_id: int
     stage_index: int
-    fail_attempts: Optional[int] = 1
-    pu_class: Optional[str] = None
-
-    def matches(self, pu_class: str, stage_index: int,
-                task_id: int) -> bool:
-        """True when this fault fires for the given dispatch."""
-        return (
-            task_id == self.task_id
-            and stage_index == self.stage_index
-            and (self.pu_class is None or pu_class == self.pu_class)
-        )
-
-
-@dataclass(frozen=True)
-class SlowdownSpec:
-    """Transiently slow one stage execution (stall when extreme).
-
-    ``factor`` multiplies the stage's simulated work; ``delay_s`` makes
-    the threaded dispatcher sleep before dispatching - long enough and
-    it trips the executor's queue timeout, which is how wedged-stage
-    behaviour is exercised deterministically.
-    """
-
-    task_id: int
-    stage_index: int
-    factor: float = 4.0
-    delay_s: float = 0.0
-    pu_class: Optional[str] = None
+    fail_attempts: int = 1
 
     def __post_init__(self) -> None:
-        if self.factor < 1.0:
-            raise PipelineError("slowdown factor must be >= 1")
-        if self.delay_s < 0.0:
-            raise PipelineError("slowdown delay_s must be >= 0")
-
-    def matches(self, pu_class: str, stage_index: int,
-                task_id: int) -> bool:
-        """True when this slowdown applies to the given dispatch."""
-        return (
-            task_id == self.task_id
-            and stage_index == self.stage_index
-            and (self.pu_class is None or pu_class == self.pu_class)
-        )
+        if self.fail_attempts < 1:
+            raise PipelineError("fail_attempts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -171,16 +131,14 @@ class FaultPlan:
     """The full set of faults one run will experience."""
 
     kernel_faults: List[KernelFaultSpec] = field(default_factory=list)
-    slowdowns: List[SlowdownSpec] = field(default_factory=list)
     dropouts: List[PuDropoutSpec] = field(default_factory=list)
 
     def __bool__(self) -> bool:
-        return bool(self.kernel_faults or self.slowdowns or self.dropouts)
+        return bool(self.kernel_faults or self.dropouts)
 
     @property
     def n_faults(self) -> int:
-        return (len(self.kernel_faults) + len(self.slowdowns)
-                + len(self.dropouts))
+        return len(self.kernel_faults) + len(self.dropouts)
 
     @classmethod
     def random(
@@ -198,6 +156,8 @@ class FaultPlan:
         """
         if not 0.0 <= kernel_fault_rate <= 1.0:
             raise PipelineError("kernel_fault_rate must be in [0, 1]")
+        if fail_attempts < 1:  # refused even when no fault is drawn
+            raise PipelineError("fail_attempts must be >= 1")
         rng = np.random.default_rng(seed)
         plan = cls()
         for task_id, stage in itertools.product(range(n_tasks),
@@ -216,61 +176,34 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 # Recovery policy
 # ----------------------------------------------------------------------
+#: Sleep before the first retry, its growth per further retry, and
+#: its ceiling.
+BASE_BACKOFF_S = 1e-4
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_S = 0.1
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Retry transient kernel faults with exponential backoff.
 
     Attributes:
         max_attempts: Total dispatch attempts per stage (1 = no retry).
-        base_backoff_s: Sleep before the first retry.
-        multiplier: Backoff growth factor per further retry.
-        max_backoff_s: Backoff ceiling.
-        jitter: Symmetric jitter fraction in [0, 1).  A backoff ``b``
-            becomes ``b * (1 + jitter * (2u - 1))`` for a uniform draw
-            ``u`` in [0, 1) supplied by the caller - dispatchers that
-            all failed on the same recovering PU otherwise wake in
-            lockstep and stampede it.  Without a draw (``u=None``) the
-            backoff stays deterministic-undithered, which keeps policy
-            objects usable outside an injector.
     """
 
     max_attempts: int = 3
-    base_backoff_s: float = 0.001
-    multiplier: float = 2.0
-    max_backoff_s: float = 0.1
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise PipelineError("max_attempts must be >= 1")
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise PipelineError("backoff times must be >= 0")
-        if self.multiplier < 1.0:
-            raise PipelineError("backoff multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise PipelineError("jitter must be in [0, 1)")
 
-    def backoff_s(self, failures: int,
-                  u: Optional[float] = None) -> Optional[float]:
-        """Sleep before retrying after ``failures`` failed attempts.
-
-        ``u`` is a uniform [0, 1) draw that dithers the backoff by the
-        policy's ``jitter`` fraction; take it from
-        :meth:`FaultInjector.backoff_draw` so seeded runs stay
-        deterministic.  Returns ``None`` once the attempt budget is
-        exhausted.
-        """
+    def backoff_s(self, failures: int) -> Optional[float]:
+        """Sleep before retrying after ``failures`` failed attempts, or
+        ``None`` once the attempt budget is exhausted."""
         if failures >= self.max_attempts:
             return None
-        backoff = min(
-            self.base_backoff_s * self.multiplier ** (failures - 1),
-            self.max_backoff_s,
-        )
-        if u is not None and self.jitter > 0.0:
-            if not 0.0 <= u < 1.0:
-                raise PipelineError("jitter draw u must be in [0, 1)")
-            backoff *= 1.0 + self.jitter * (2.0 * u - 1.0)
-        return backoff
+        return min(BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** (failures - 1),
+                   MAX_BACKOFF_S)
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +288,7 @@ class FaultReport:
         if not counts and not self.failures:
             lines.append("  no faults injected, no recovery needed")
             return "\n".join(lines)
-        for kind in (KERNEL_FAULT, SLOWDOWN, PU_DROPOUT, RETRY, RECOVERY,
+        for kind in (KERNEL_FAULT, PU_DROPOUT, RETRY, RECOVERY,
                      QUARANTINE, FALLBACK):
             if counts.get(kind):
                 lines.append(f"  {kind:>12}: {counts[kind]}")
@@ -383,16 +316,11 @@ class FaultInjector:
 
     Thread-safe: the threaded back-end calls in from every dispatcher.
 
-    Threaded back-end hooks:
-        * :meth:`before_kernel` - called immediately before each kernel
-          dispatch attempt; sleeps for slowdowns, raises
-          :class:`TransientKernelFault` / :class:`PuFailureError` for
-          planned faults.
-
-    Simulated back-end hooks:
-        * :meth:`sim_cost_scale` - work multiplier for one (PU, stage,
-          task) phase; models transient kernel faults as re-execution
-          cost and raises :class:`PuFailureError` on dropout.
+    Threaded back-end hook: :meth:`before_kernel`, called immediately
+    before each kernel dispatch attempt, raises
+    :class:`TransientKernelFault` / :class:`PuFailureError` for planned
+    faults.  Simulated back-end hook: :meth:`check_dropout`, called
+    where a chunk server starts a task.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -400,17 +328,6 @@ class FaultInjector:
         self._lock = checked_lock("fault-log.lock")
         self._events: List[FaultEvent] = []
         self._dead_pus: Set[str] = set()
-        self._rng = np.random.default_rng(0)
-
-    def backoff_draw(self) -> float:
-        """One uniform [0, 1) draw for retry-backoff jitter.
-
-        Drawn from the injector's own seeded stream (under the event
-        lock, since every dispatcher thread calls in), so the jittered
-        retry timeline is as reproducible as the fault plan itself.
-        """
-        with self._lock:
-            return float(self._rng.random())
 
     # -- logging -------------------------------------------------------
     def record(self, kind: str, pu_class: str, stage_index: int,
@@ -446,70 +363,27 @@ class FaultInjector:
         """Fire planned faults for one dispatch attempt.
 
         Raises:
-            PuFailureError: The PU dropped out (persistent).
+            PuFailureError: The PU dropped out (permanent).
             TransientKernelFault: A planned kernel fault for this
-                attempt (retryable unless the spec is persistent).
+                attempt (retryable).
         """
-        self._check_dropout(pu_class, stage_index, task_id)
-        for spec in self.plan.slowdowns:
-            if (spec.matches(pu_class, stage_index, task_id)
-                    and spec.delay_s > 0.0 and attempt == 0):
-                self.record(SLOWDOWN, pu_class, stage_index, task_id,
-                            detail=f"delay {spec.delay_s:g}s")
-                time.sleep(spec.delay_s)
+        self.check_dropout(pu_class, stage_index, task_id)
         for spec in self.plan.kernel_faults:
-            if not spec.matches(pu_class, stage_index, task_id):
-                continue
-            if spec.fail_attempts is None or attempt < spec.fail_attempts:
-                persistent = spec.fail_attempts is None
+            if (spec.task_id == task_id and spec.stage_index == stage_index
+                    and attempt < spec.fail_attempts):
                 self.record(KERNEL_FAULT, pu_class, stage_index, task_id,
                             attempt=attempt,
-                            detail="persistent" if persistent
-                            else f"transient x{spec.fail_attempts}")
+                            detail=f"transient x{spec.fail_attempts}")
                 raise TransientKernelFault(
                     f"injected kernel fault: task {task_id} stage "
                     f"{stage_index} on {pu_class} (attempt {attempt})"
                 )
 
-    # -- simulated back-end -------------------------------------------
-    def sim_cost_scale(self, pu_class: str, stage_index: int,
-                       task_id: int) -> float:
-        """Cost multiplier for one simulated (PU, stage, task) phase.
-
-        Transient kernel faults cost their retries' worth of extra
-        executions; persistent ones raise (the simulated pipeline cannot
-        make progress past them).  Slowdowns multiply the work phase.
-
-        Raises:
-            PuFailureError: The PU dropped out at or before this task.
-            TransientKernelFault: A persistent kernel fault blocks the
-                stage entirely.
-        """
-        self._check_dropout(pu_class, stage_index, task_id)
-        scale = 1.0
-        for spec in self.plan.slowdowns:
-            if spec.matches(pu_class, stage_index, task_id):
-                self.record(SLOWDOWN, pu_class, stage_index, task_id,
-                            detail=f"factor {spec.factor:g}")
-                scale *= spec.factor
-        for spec in self.plan.kernel_faults:
-            if not spec.matches(pu_class, stage_index, task_id):
-                continue
-            if spec.fail_attempts is None:
-                self.record(KERNEL_FAULT, pu_class, stage_index, task_id,
-                            detail="persistent")
-                raise TransientKernelFault(
-                    f"injected persistent kernel fault: task {task_id} "
-                    f"stage {stage_index} on {pu_class}"
-                )
-            self.record(KERNEL_FAULT, pu_class, stage_index, task_id,
-                        detail=f"transient x{spec.fail_attempts}")
-            scale *= 1.0 + spec.fail_attempts
-        return scale
-
-    # -- shared --------------------------------------------------------
-    def _check_dropout(self, pu_class: str, stage_index: int,
-                       task_id: int) -> None:
+    # -- both back-ends ------------------------------------------------
+    def check_dropout(self, pu_class: str, stage_index: int,
+                      task_id: int) -> None:
+        """Raise :class:`PuFailureError` when ``pu_class`` has dropped
+        out by ``task_id``; the first such check logs the dropout."""
         for spec in self.plan.dropouts:
             if spec.pu_class != pu_class or task_id < spec.after_task:
                 continue

@@ -174,18 +174,8 @@ class _Dispatcher(threading.Thread):
                 if classify_failure(exc) == FAILURE_FATAL:
                     raise
                 failures += 1
-                if self.retry_policy is None:
-                    backoff = None
-                else:
-                    # Jitter the backoff from the injector's seeded
-                    # stream: concurrent dispatchers that all failed on
-                    # the same recovering PU must not retry in lockstep.
-                    draw = (self.injector.backoff_draw()
-                            if (self.injector is not None
-                                and self.retry_policy.jitter > 0.0)
-                            else None)
-                    backoff = self.retry_policy.backoff_s(failures,
-                                                          u=draw)
+                backoff = (None if self.retry_policy is None
+                           else self.retry_policy.backoff_s(failures))
                 if backoff is None:
                     if self.isolate_failures:
                         return self._quarantine(task, task_id, index,

@@ -30,14 +30,15 @@ clocks and bumps one slot index per server.  Instantaneous rates are
 recomputed only when the discrete phase signature (who is active, in
 which stage, which phase) actually changes - and then for all active
 servers in one pass, memoized per signature.  A fault injector is
-stateful and order-sensitive, so it stays a hook consulted at every
-stage entry, in event order.  The loop handles any pipeline width; the
-paper's C2 gives each PU class at most one chunk, so real pipelines
-have 1-4 servers.  Its correctness oracle, the original readable scalar
-loop, is test equipment (``tests/runtime/reference_engine.py``): the
+stateful and order-sensitive, so its PU-dropout check runs where a
+server starts a task, in event order; the DES injects nothing else.
+The loop handles any pipeline width; the paper's C2 gives each PU
+class at most one chunk, so real pipelines have 1-4 servers.  Its
+correctness oracle, the original readable scalar loop, is test
+equipment (``tests/runtime/reference_engine.py``): the
 engine-equivalence suites hold the two byte-identical (completions,
-busy seconds, spans, event counts) across seeds, schedules, depths,
-arrivals, fault injection and external load.
+busy seconds, spans, event counts, the dropout log) across seeds,
+schedules, depths, arrivals, PU dropouts and external load.
 
 Rate determinism makes the memoization exact rather than approximate:
 between events rates are a pure function of the phase signature and the
@@ -221,7 +222,7 @@ class _VectorEngine:
     or ``work_s > 0`` - so a zero-work stage behind an overhead makes
     no event and a zero-overhead stage makes exactly one, as in the
     reference loop (a positive ``work_s`` stays positive under any
-    jitter and fault scale short of float underflow).  Once per window,
+    jitter short of float underflow).  Once per window,
     :meth:`_durations` lays out every step of every task, task-major,
     so a server's position is one slot index into flat tables.  The
     loop then only bumps slots: servers take tasks in FIFO order, so a
@@ -242,36 +243,27 @@ class _VectorEngine:
         self.n = len(executor.chunks)
         self.costs = executor._costs
         self.pu_class = [chunk.pu_class for chunk in executor.chunks]
-        #: Chunk offsets: the fault hooks key on *global* stage indices.
+        #: Chunk offsets: the dropout check keys on *global* stage indices.
         self.starts = [chunk.start for chunk in executor.chunks]
         self.platform = executor.platform
         self.total_other = max(len(self.platform.pu_classes()) - 1, 0)
         self.noise_key = (executor.platform.name, executor._schedule_key)
         self.injector = executor._injector
         #: Per server, its program: ``(phase code, overhead_s or
-        #: work_s)`` per step, and the codes alone ...
+        #: work_s)`` per step, and the codes alone.
         self.programs: List[List[Tuple[int, float]]] = []
         self.codes: List[List[int]] = []
-        #: ... and beside each step that enters a stage, what the fault
-        #: hook needs: ``(local stage, work_s, offset of the stage's
-        #: work step or -1)``.
-        self.entries: List[List[Optional[tuple]]] = []
         for costs in self.costs:
             program: List[Tuple[int, float]] = []
-            entries: List[Optional[tuple]] = []
             for stage, cost in enumerate(costs):
                 steps = []
                 if cost.overhead_s > 0.0:
                     steps.append((stage * 2, cost.overhead_s))
                 if not steps or cost.work_s > 0.0:
                     steps.append((stage * 2 + 1, cost.work_s))
-                offset = len(steps) - 1 if steps[-1][0] & 1 else -1
-                entries.append((stage, cost.work_s, offset))
-                entries.extend([None] * (len(steps) - 1))
                 program.extend(steps)
             self.programs.append(program)
             self.codes.append([code for code, _ in program])
-            self.entries.append(entries)
         #: co-load key (None: no external load) -> signature ->
         #: (server, rate) per active server.
         self.rate_caches: Dict[Optional[tuple],
@@ -280,8 +272,8 @@ class _VectorEngine:
     def _durations(self, n_tasks: int) -> List[List[float]]:
         """One window's duration tables: per server, step ``k`` of task
         ``t`` at slot ``t * len(program) + k``, ``work_s * jitter`` for
-        a work step (which a fault hook overwrites at stage entry) -
-        built a step's column at a time, one jitter column each."""
+        a work step - built a step's column at a time, one jitter
+        column each."""
         name, key = self.noise_key
         return [
             list(chain.from_iterable(zip(*[
@@ -353,27 +345,7 @@ class _VectorEngine:
         rate_cache = self.rate_caches.setdefault(
             None if external is None else external.key, {}
         )
-        hook = None
         injector = self.injector
-        if injector is not None:
-            # Named apart from the loop's locals: ``key`` is rebound to
-            # each phase signature below.
-            jitter_platform, jitter_schedule = self.noise_key
-
-            def hook(i: int, at: int) -> None:
-                """The fault hook, at stage entry and in event order: it
-                records, may raise, and scales the stage's work step by
-                the task's jitter times the injected fault."""
-                task, k = divmod(at, per_task[i])
-                if self.entries[i][k] is not None:
-                    stage, work_s, offset = self.entries[i][k]
-                    jitter = _jitter_column(jitter_platform, jitter_schedule,
-                                            stage, n_tasks)[task]
-                    fault = injector.sim_cost_scale(
-                        self.pu_class[i], self.starts[i] + stage, task)
-                    if offset >= 0:
-                        tables[i][at + offset] = work_s * (jitter * fault)
-
         remaining = [0.0] * n
         phase_eps = [-1.0] * n
         busy = [0.0] * n
@@ -406,10 +378,14 @@ class _VectorEngine:
                 handoff = False
                 for i in range(n):
                     if sig[i] == _IDLE and started[i] < ready[i]:
+                        if injector is not None:
+                            # Task ``started[i]`` enters the chunk's
+                            # first stage: a dead PU raises here.
+                            injector.check_dropout(
+                                self.pu_class[i], self.starts[i],
+                                started[i])
                         started[i] += 1
                         at = slot[i]
-                        if hook is not None:
-                            hook(i, at)
                         remaining[i] = total = tables[i][at]
                         phase_eps[i] = total * _REL_EPS
                         sig[i] = codes[i][at]
@@ -466,8 +442,6 @@ class _VectorEngine:
                 dirty = True
                 slot[i] = at = slot[i] + 1
                 if at < started[i] * per_task[i]:
-                    if hook is not None:
-                        hook(i, at)
                     remaining[i] = total = tables[i][at]
                     phase_eps[i] = total * _REL_EPS
                     sig[i] = codes[i][at]
@@ -592,9 +566,9 @@ class SimulatedPipelineExecutor:
         depth: Multi-buffering depth (TaskObjects in flight); defaults to
             ``len(chunks) + 1``.
         fault_injector: Optional fault-injection layer
-            (:mod:`repro.runtime.faults`): slowdowns and transient
-            kernel faults scale per-stage costs, PU dropout raises
-            :class:`~repro.errors.PuFailureError` mid-run.
+            (:mod:`repro.runtime.faults`): a PU dropout raises
+            :class:`~repro.errors.PuFailureError` mid-run.  Its plan may
+            hold no kernel faults - those the threaded executor injects.
     """
 
     def __init__(
@@ -611,6 +585,11 @@ class SimulatedPipelineExecutor:
                 raise PipelineError(
                     f"{platform.name} has no PU class {chunk.pu_class!r}"
                 )
+        if fault_injector is not None and fault_injector.plan.kernel_faults:
+            raise PipelineError(
+                "the simulated back-end injects PU dropouts only; kernel "
+                "faults need the threaded executor"
+            )
         self.application = application
         self.chunks = list(chunks)
         self.platform = platform

@@ -7,13 +7,13 @@ so the steady-state pipeline never allocates.
 
 The object behaves like a mutable mapping from buffer name to the numpy
 array (the *unified* view), which is the interface the compute kernels
-consume; richer access (scoped views, attach hints) goes through
+consume; richer access (device views, attach hints) goes through
 :meth:`buffer`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, MutableMapping, Optional
+from typing import Dict, Iterator, Mapping, MutableMapping
 
 import numpy as np
 
@@ -56,14 +56,13 @@ class TaskObject(MutableMapping):
         self._buffers[buffer.name] = buffer
         return buffer
 
-    def allocate(self, name: str, shape, dtype, scope: str = "unified") -> UsmBuffer:
+    def allocate(self, name: str, shape, dtype) -> UsmBuffer:
         """Pre-allocate a named buffer (refuses duplicates)."""
         if name in self._buffers:
             raise PipelineError(f"buffer {name!r} already allocated")
         return self._insert(
             UsmBuffer(name, tuple(np.atleast_1d(shape).tolist())
-                      if not isinstance(shape, tuple) else shape,
-                      dtype, scope=scope)
+                      if not isinstance(shape, tuple) else shape, dtype)
         )
 
     def adopt(self, name: str, array: np.ndarray) -> UsmBuffer:
@@ -73,14 +72,13 @@ class TaskObject(MutableMapping):
         np.copyto(buffer.host_view(), array)
         return buffer
 
-    def wrap(self, name: str, array: np.ndarray,
-             scope: str = "unified") -> UsmBuffer:
+    def wrap(self, name: str, array: np.ndarray) -> UsmBuffer:
         """Adopt an existing array *zero-copy* as a named buffer (the
         UMA adoption path; the checker flags aliasing against the
         task's other buffers)."""
         if name in self._buffers:
             raise PipelineError(f"buffer {name!r} already allocated")
-        return self._insert(UsmBuffer.wrap(name, array, scope=scope))
+        return self._insert(UsmBuffer.wrap(name, array))
 
     def set_constant(self, name: str, value) -> None:
         """Attach a scalar parameter (e.g. input dimensions)."""
@@ -102,7 +100,7 @@ class TaskObject(MutableMapping):
     # Mapping interface: kernels index buffers by name.
     # ------------------------------------------------------------------
     def buffer(self, name: str) -> UsmBuffer:
-        """The named UsmBuffer object (for scoped views/hints)."""
+        """The named UsmBuffer object (for device views/hints)."""
         self._check_live(f"buffer({name!r})")
         try:
             return self._buffers[name]
@@ -131,12 +129,10 @@ class TaskObject(MutableMapping):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def synchronize_for(self, pu_class: str,
-                        names: Optional[Mapping] = None) -> None:
-        """Issue coherence hints for the buffers a chunk is about to use
+    def synchronize_for(self, pu_class: str) -> None:
+        """Issue coherence hints for every buffer before a chunk runs
         (dispatcher step 2 in paper section 3.4)."""
-        targets = names if names is not None else list(self._buffers)
-        for name in targets:
+        for name in list(self._buffers):
             self.buffer(name).attach_async(pu_class)
 
     def recycle(self, new_sequence: int) -> None:

@@ -28,25 +28,15 @@ class UsmBuffer:
         name: Buffer identifier within its TaskObject.
         shape: Numpy shape.
         dtype: Numpy dtype.
-        scope: ``unified`` (default), ``host`` or ``device`` - the paper's
-            TaskObjects may also contain host- or device-only scratch
-            (e.g. GPU radix-sort histograms).  Scoped buffers refuse views
-            from the wrong side.
         data: Optional existing array to adopt *zero-copy* as the
             unified allocation (the UMA adoption path); must match
             ``shape`` and ``dtype``.  Without it a fresh zeroed
             allocation is made.
     """
 
-    SCOPES = ("unified", "host", "device")
-
     def __init__(self, name: str, shape: Tuple[int, ...], dtype,
-                 scope: str = "unified",
                  data: Optional[np.ndarray] = None):
-        if scope not in self.SCOPES:
-            raise PipelineError(f"bad buffer scope {scope!r}")
         self.name = name
-        self.scope = scope
         if data is not None:
             if tuple(data.shape) != tuple(shape) \
                     or data.dtype != np.dtype(dtype):
@@ -61,12 +51,10 @@ class UsmBuffer:
         self._released = False
 
     @classmethod
-    def wrap(cls, name: str, array: np.ndarray,
-             scope: str = "unified") -> "UsmBuffer":
+    def wrap(cls, name: str, array: np.ndarray) -> "UsmBuffer":
         """Adopt an existing array zero-copy (shares its storage)."""
         array = np.asarray(array)
-        return cls(name, tuple(array.shape), array.dtype, scope=scope,
-                   data=array)
+        return cls(name, tuple(array.shape), array.dtype, data=array)
 
     # ------------------------------------------------------------------
     @property
@@ -83,19 +71,11 @@ class UsmBuffer:
 
     def host_view(self) -> np.ndarray:
         """The host-side pointer (zero-copy: same storage as the device)."""
-        if self.scope == "device":
-            raise PipelineError(
-                f"buffer {self.name!r} is device-only; no host view"
-            )
         self._check_live("host_view")
         return self._data
 
     def device_view(self) -> np.ndarray:
         """The device-side pointer (same storage - UMA)."""
-        if self.scope == "host":
-            raise PipelineError(
-                f"buffer {self.name!r} is host-only; no device view"
-            )
         self._check_live("device_view")
         return self._data
 
@@ -150,5 +130,5 @@ class UsmBuffer:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"UsmBuffer({self.name!r}, shape={self.shape}, "
-            f"dtype={self.dtype}, scope={self.scope})"
+            f"dtype={self.dtype})"
         )

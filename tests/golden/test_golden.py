@@ -5,10 +5,12 @@ Every case but the threaded ``faultsim`` runs and the paper ``report``
 runs in-process (a few seconds together), once against its digests and
 once through the memo-off arm; the traced fleet soak also runs in a
 subprocess under a hash seed other than this process's, so set-order
-leaks into the trace fail here, not only in CI.
+leaks into the trace fail here, not only in CI.  One faultsim case runs
+in-process too, for its report's dropout section.
 """
 
 import hashlib
+import json
 import os
 import re
 
@@ -39,6 +41,17 @@ def test_case_writes_the_same_bytes_with_the_memos_off(case, tmp_path):
     (tmp_path / "off").mkdir()
     on = run_in_process(case, tmp_path / "on", memos=True)
     assert moved(on, run_in_process(case, tmp_path / "off", memos=False)) == []
+
+
+def test_faultsim_case_byte_checks_the_dropout_phase(tmp_path):
+    # The faultsim digests cover the DES's dropout path only while the
+    # report has one: a change that skipped phase 2 would move them, and
+    # an update of the digests would then hide it.
+    got = run_in_process(BY_NAME["faultsim@5"], tmp_path)
+    assert moved(STORED["faultsim@5"], got) == []
+    report = json.loads((tmp_path / "faultsim.json").read_text())
+    assert [event["kind"] for event in report["dropout"]["events"]] == [
+        "pu-dropout", "fallback"]
 
 
 def test_traced_fleet_under_another_hash_seed():

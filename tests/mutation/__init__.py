@@ -129,6 +129,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "`submit@8` under hash seeds 1 and 2 caught it)."),
     Mutant("M11", "`time.perf_counter()` in `TaskFailure.to_dict` (only "
            "a quarantined task reaches it)", "runtime/faults.py", (
+               ("import itertools\n", "import itertools\nimport time\n"),
                ('            "error": self.error,\n',
                 '            "error": self.error,\n'
                 '            "quarantined_s": time.perf_counter(),\n'),
@@ -144,10 +145,10 @@ MUTANTS: Tuple[Mutant, ...] = (
                ("remaining = deadline - time.monotonic()",
                 "remaining = deadline - time.time()"),
            )),
-    Mutant("L-GLOBAL-RNG", "retry-backoff jitter from the global numpy "
-           "RNG", "runtime/faults.py", (
-               ("return float(self._rng.random())",
-                "return float(np.random.random())"),
+    Mutant("L-GLOBAL-RNG", "`FaultPlan.random` draws from the global "
+           "numpy RNG, seeded from `seed`", "runtime/faults.py", (
+               ("        rng = np.random.default_rng(seed)\n",
+                "        np.random.seed(seed)\n        rng = np.random\n"),
            )),
     Mutant("L-GLOBAL-RNG-PASS", "the profiler's timer draws a pass's "
            "cells from one global stream, seeded per pass",

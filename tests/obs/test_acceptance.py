@@ -127,11 +127,11 @@ class TestFlightRecorderOnStall:
 
     def run_quarantined(self):
         injector = FaultInjector(FaultPlan(kernel_faults=[
-            KernelFaultSpec(task_id=1, stage_index=1, fail_attempts=None),
+            KernelFaultSpec(task_id=1, stage_index=1, fail_attempts=3),
         ]))
         executor = ThreadedPipelineExecutor(
             make_faulty_app(), self.CHUNKS, fault_injector=injector,
-            retry_policy=RetryPolicy(max_attempts=2, base_backoff_s=1e-5),
+            retry_policy=RetryPolicy(max_attempts=2),
             isolate_failures=True,
         )
         result = executor.run(4)

@@ -4,7 +4,7 @@ The original, readable scalar loop that the compiled kernel
 (``repro.runtime.simulator._VectorEngine``) replaced, kept next to its
 tests as the kernel's correctness oracle.  The engine-equivalence suites
 hold the two byte-identical: completions, busy seconds, spans, event
-counts, and the fault injector's log in order.  Three ways in:
+counts, and the fault injector's dropout log in order.  Three ways in:
 
 * :func:`build` - an executor on the loop a test names (``"vector"`` or
   ``"reference"``); ``engine=None`` is the session's loop, and a named
@@ -122,7 +122,10 @@ class _ChunkServer:
     def idle(self) -> bool:
         return self.task == _IDLE
 
-    def begin_task(self, task_id: int, noise_scale_fn) -> None:
+    def begin_task(self, task_id: int, noise_scale_fn, injector) -> None:
+        if injector is not None:
+            injector.check_dropout(self.chunk.pu_class, self.chunk.start,
+                                   task_id)
         self.task = task_id
         self.stage = 0
         self._enter_stage(noise_scale_fn)
@@ -164,26 +167,14 @@ class _ChunkServer:
 
 
 def _make_scale_fn(
-    executor: SimulatedPipelineExecutor, server: _ChunkServer,
+    executor: SimulatedPipelineExecutor,
 ) -> Callable[[int, int, int], float]:
-    """Per-server phase-scale function of ``(n_tasks, task, local
-    stage)``: the jitter column's entry times injected faults.
-
-    The fault hooks key on *global* stage indices, which only the
-    server's chunk offset can recover from the DES's local ones.
-    """
+    """Phase-scale function of ``(n_tasks, task, local stage)``: the
+    jitter column's entry."""
     name, key = executor.platform.name, executor._schedule_key
-    injector = executor._injector
 
     def scale(n_tasks: int, task_id: int, local_stage: int) -> float:
-        jitter = _jitter_column(name, key, local_stage, n_tasks)[task_id]
-        if injector is None:
-            return jitter
-        return jitter * injector.sim_cost_scale(
-            server.chunk.pu_class,
-            server.chunk.start + local_stage,
-            task_id,
-        )
+        return _jitter_column(name, key, local_stage, n_tasks)[task_id]
 
     return scale
 
@@ -195,13 +186,13 @@ class ReferenceEngine:
     def __init__(self, executor: SimulatedPipelineExecutor):
         self.depth = executor.depth
         self.platform = executor.platform
+        self.injector = executor._injector
         self._servers = [
             _ChunkServer(i, chunk, costs)
             for i, (chunk, costs) in enumerate(
                 zip(executor.chunks, executor._costs))
         ]
-        self._scale_fns = [_make_scale_fn(executor, server)
-                           for server in self._servers]
+        self._scale_fn = _make_scale_fn(executor)
 
     def run_window(
         self,
@@ -210,8 +201,7 @@ class ReferenceEngine:
         arrivals: List[float],
         external: Optional[ExternalLoad],
     ):
-        scale_fns = [functools.partial(fn, n_tasks)
-                     for fn in self._scale_fns]
+        scale_fn = functools.partial(self._scale_fn, n_tasks)
         for server in self._servers:
             server.task = _IDLE
             server.ready.clear()
@@ -234,14 +224,14 @@ class ReferenceEngine:
                 and issued - len(completed) < self.depth
                 and arrivals[issued] <= now + 1e-15
             ):
-                first.begin_task(issued, scale_fns[0])
+                first.begin_task(issued, scale_fn, self.injector)
                 if record_trace:
                     span_starts[first.index] = now
                 issued += 1
             for server in self._servers[1:]:
                 if server.idle and server.ready:
-                    server.begin_task(server.ready.popleft(),
-                                      scale_fns[server.index])
+                    server.begin_task(server.ready.popleft(), scale_fn,
+                                      self.injector)
                     if record_trace:
                         span_starts[server.index] = now
 
@@ -329,7 +319,7 @@ class ReferenceEngine:
                 if server.idle or not server.finished_phase():
                     continue
                 previous_task = server.task
-                done_task = server.next_phase(scale_fns[position])
+                done_task = server.next_phase(scale_fn)
                 if done_task is None:
                     continue
                 if record_trace:

@@ -5,8 +5,7 @@ The compiled ``vector`` kernel is only allowed to be *faster* than the
 Every test serializes the full :class:`SimulatedRunResult`
 (completions, busy seconds, recorded spans, steady interval, event
 counts) from both engines and compares the JSON bytes, across
-schedules, depths, arrival processes, fault injection, and external
-load.  The kernel's rate memoization is exact, not approximate: rates
+schedules, depths, arrival processes, PU dropouts, and external load.  The kernel's rate memoization is exact, not approximate: rates
 between events are a pure function of the discrete phase signature, so
 a cached vector must be bit-equal to a recomputed one - which is what
 byte-comparison (rather than ``pytest.approx``) pins down.
@@ -26,7 +25,6 @@ from repro.runtime import (
     FaultPlan,
     PuDropoutSpec,
     SimulatedPipelineExecutor,
-    SlowdownSpec,
 )
 from repro.soc import get_platform
 from repro.soc.interference import ExternalLoad
@@ -56,10 +54,11 @@ SCHEDULES = {
 EXTERNAL = ExternalLoad(busy={BIG: 0.5, GPU: 0.25}, demand_gbps=2.0)
 
 
-def slowdown_injector():
-    return FaultInjector(FaultPlan(slowdowns=[
-        SlowdownSpec(task_id=3, stage_index=2, factor=5.0, pu_class=BIG),
-        SlowdownSpec(task_id=7, stage_index=5, factor=2.5),
+def late_dropout_injector():
+    """Consulted at every task start, fires on none of a 20-task
+    window's."""
+    return FaultInjector(FaultPlan(dropouts=[
+        PuDropoutSpec(pu_class=GPU, after_task=20),
     ]))
 
 
@@ -144,25 +143,21 @@ class TestByteEquivalence:
                                        demand_gbps=1.0),
         )
 
-    def test_with_slowdown_faults(self, app, pixel):
-        vector, reference = (
-            build(app, SCHEDULES["two-way"], pixel, engine=engine,
-                  fault_injector=slowdown_injector(),
-                  ).run(20, record_trace=True)
-            for engine in ("vector", "reference")
-        )
-        assert serialized(vector) == serialized(reference)
-
     def test_pu_dropout_raises_in_both(self, app, pixel):
+        logs = []
         for engine in ("vector", "reference"):
-            executor = build(
-                app, SCHEDULES["two-way"], pixel, engine=engine,
-                fault_injector=FaultInjector(FaultPlan(dropouts=[
-                    PuDropoutSpec(pu_class=GPU, after_task=4),
-                ])),
-            )
+            injector = FaultInjector(FaultPlan(dropouts=[
+                PuDropoutSpec(pu_class=GPU, after_task=4),
+            ]))
+            executor = build(app, SCHEDULES["two-way"], pixel,
+                             engine=engine, fault_injector=injector)
             with pytest.raises(PuFailureError):
                 executor.run(20)
+            logs.append(injector.events)
+        # Task 4 enters the GPU chunk's first stage, global stage 4.
+        assert logs[0] == logs[1]
+        assert [(e.kind, e.pu_class, e.stage_index, e.task_id)
+                for e in logs[0]] == [("pu-dropout", GPU, 4, 4)]
 
     def test_everything_at_once(self, app, pixel):
         assert_equivalent(
@@ -201,7 +196,7 @@ class TestNoiseMemo:
         def fresh():
             return build(
                 app, SCHEDULES["four-way"], pixel, engine=engine,
-                fault_injector=slowdown_injector() if faulty else None,
+                fault_injector=late_dropout_injector() if faulty else None,
             )
 
         def run(executor):

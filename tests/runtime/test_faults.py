@@ -16,7 +16,7 @@ from repro.errors import (
     SchedulingError,
     TransientKernelFault,
 )
-from repro.runtime import simulator
+from repro.runtime import faults, simulator
 from repro.runtime import (
     FaultInjector,
     FaultPlan,
@@ -24,7 +24,6 @@ from repro.runtime import (
     PuDropoutSpec,
     RetryPolicy,
     SimulatedPipelineExecutor,
-    SlowdownSpec,
     ThreadedPipelineExecutor,
 )
 from repro.runtime.faults import (
@@ -77,7 +76,7 @@ class TestFaultPlan:
         c = FaultPlan.random(seed=8, **kwargs)
         assert a.kernel_faults == b.kernel_faults
         assert a.kernel_faults != c.kernel_faults
-        assert not a.slowdowns
+        assert not a.dropouts
 
     def test_random_plan_is_pinned_per_seed(self):
         # faultsim's report is a function of these coordinates: a change
@@ -97,72 +96,31 @@ class TestFaultPlan:
         assert FaultPlan(dropouts=[PuDropoutSpec("gpu")])
 
     def test_spec_validation(self):
-        with pytest.raises(PipelineError):
-            SlowdownSpec(task_id=0, stage_index=0, factor=0.5)
-        with pytest.raises(PipelineError):
-            SlowdownSpec(task_id=0, stage_index=0, delay_s=-1.0)
+        # A fault that fails no attempt would be planned, never fire.
+        for fail_attempts in (0, -1):
+            with pytest.raises(PipelineError):
+                KernelFaultSpec(task_id=0, stage_index=0,
+                                fail_attempts=fail_attempts)
+            with pytest.raises(PipelineError):  # also when none is drawn
+                FaultPlan.random(seed=0, n_tasks=2, n_stages=2,
+                                 fail_attempts=fail_attempts)
         with pytest.raises(PipelineError):
             PuDropoutSpec("gpu", after_task=-1)
 
 
 class TestRetryPolicy:
     def test_exponential_backoff_with_ceiling(self):
-        policy = RetryPolicy(max_attempts=4, base_backoff_s=0.01,
-                             multiplier=2.0, max_backoff_s=0.03)
-        assert policy.backoff_s(1) == pytest.approx(0.01)
-        assert policy.backoff_s(2) == pytest.approx(0.02)
-        assert policy.backoff_s(3) == pytest.approx(0.03)  # capped
-        assert policy.backoff_s(4) is None  # budget exhausted
+        policy = RetryPolicy(max_attempts=12)
+        assert faults.BASE_BACKOFF_S == 1e-4
+        assert policy.backoff_s(1) == pytest.approx(1e-4)
+        assert policy.backoff_s(2) == pytest.approx(2e-4)
+        assert policy.backoff_s(10) == pytest.approx(0.0512)
+        assert policy.backoff_s(11) == pytest.approx(0.1)  # capped
+        assert policy.backoff_s(12) is None  # budget exhausted
 
     def test_validation(self):
         with pytest.raises(PipelineError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(PipelineError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(PipelineError):
-            RetryPolicy(base_backoff_s=-1.0)
-        with pytest.raises(PipelineError):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(PipelineError):
-            RetryPolicy(jitter=1.0)
-
-    def test_jitter_is_opt_in(self):
-        # Without a draw the backoff is the undithered exponential -
-        # the exact values the test above asserts stay valid even for
-        # a jittered policy.
-        policy = RetryPolicy(max_attempts=3, base_backoff_s=0.01,
-                             jitter=0.5)
-        assert policy.backoff_s(1) == pytest.approx(0.01)
-        assert policy.backoff_s(1, u=None) == pytest.approx(0.01)
-
-    def test_jitter_dithers_symmetrically(self):
-        policy = RetryPolicy(max_attempts=3, base_backoff_s=0.01,
-                             jitter=0.5)
-        # b * (1 + jitter * (2u - 1)): u=0 is the low edge, u=0.5 the
-        # undithered center, u->1 approaches the high edge.
-        assert policy.backoff_s(1, u=0.0) == pytest.approx(0.005)
-        assert policy.backoff_s(1, u=0.5) == pytest.approx(0.01)
-        assert policy.backoff_s(1, u=0.75) == pytest.approx(0.0125)
-
-    def test_jitter_draw_bounds_validated(self):
-        policy = RetryPolicy(jitter=0.5)
-        with pytest.raises(PipelineError):
-            policy.backoff_s(1, u=1.0)
-        with pytest.raises(PipelineError):
-            policy.backoff_s(1, u=-0.01)
-
-    def test_zero_jitter_ignores_the_draw(self):
-        policy = RetryPolicy(base_backoff_s=0.01)
-        assert policy.backoff_s(1, u=0.0) == pytest.approx(0.01)
-
-    def test_backoff_draws_are_seeded(self):
-        a = FaultInjector(FaultPlan())
-        b = FaultInjector(FaultPlan())
-        draws_a = [a.backoff_draw() for _ in range(8)]
-        draws_b = [b.backoff_draw() for _ in range(8)]
-        assert draws_a == draws_b
-        assert all(0.0 <= u < 1.0 for u in draws_a)
-        assert len(set(draws_a)) == 8
 
 
 class TestQuarantineHelpers:
@@ -198,7 +156,7 @@ class TestThreadedRecovery:
         ]))
         result, faulty = self.run_app(
             app, 5, fault_injector=injector,
-            retry_policy=RetryPolicy(max_attempts=3, base_backoff_s=1e-5),
+            retry_policy=RetryPolicy(max_attempts=3),
         )
         assert result.completed == 5
         assert result.failures == []
@@ -215,24 +173,23 @@ class TestThreadedRecovery:
     def test_retries_exhausted_unwinds_without_isolation(self):
         app = make_counting_app(4)
         injector = FaultInjector(FaultPlan(kernel_faults=[
-            KernelFaultSpec(task_id=1, stage_index=2, fail_attempts=None),
+            KernelFaultSpec(task_id=1, stage_index=2, fail_attempts=3),
         ]))
         with pytest.raises(PipelineError) as info:
             self.run_app(
                 app, 4, fault_injector=injector,
-                retry_policy=RetryPolicy(max_attempts=2,
-                                         base_backoff_s=1e-5),
+                retry_policy=RetryPolicy(max_attempts=2),
             )
         assert isinstance(info.value.__cause__, TransientKernelFault)
 
     def test_isolation_quarantines_poisoned_task(self):
         app = make_counting_app(4)
         injector = FaultInjector(FaultPlan(kernel_faults=[
-            KernelFaultSpec(task_id=1, stage_index=1, fail_attempts=None),
+            KernelFaultSpec(task_id=1, stage_index=1, fail_attempts=3),
         ]))
         result, outputs = self.run_app(
             app, 6, fault_injector=injector,
-            retry_policy=RetryPolicy(max_attempts=2, base_backoff_s=1e-5),
+            retry_policy=RetryPolicy(max_attempts=2),
             isolate_failures=True,
         )
         assert result.completed == 6
@@ -255,15 +212,6 @@ class TestThreadedRecovery:
         )
         assert [f.task_id for f in result.failures] == [0]
 
-    def test_slowdown_delay_logged_and_completes(self):
-        app = make_counting_app(4)
-        injector = FaultInjector(FaultPlan(slowdowns=[
-            SlowdownSpec(task_id=0, stage_index=0, delay_s=0.02),
-        ]))
-        result, _ = self.run_app(app, 3, fault_injector=injector)
-        assert result.completed == 3
-        assert injector.report().count("slowdown") == 1
-
     def test_pu_dropout_unwinds_pipeline(self):
         app = make_counting_app(4)
         injector = FaultInjector(FaultPlan(dropouts=[
@@ -272,8 +220,7 @@ class TestThreadedRecovery:
         with pytest.raises(PipelineError) as info:
             self.run_app(
                 app, 4, fault_injector=injector,
-                retry_policy=RetryPolicy(max_attempts=5,
-                                         base_backoff_s=1e-5),
+                retry_policy=RetryPolicy(max_attempts=5),
                 isolate_failures=True,
             )
         # Dropout is permanent: neither retries nor quarantine apply.
@@ -301,7 +248,7 @@ class TestThreadedRecovery:
         ]))
         faulty = run(
             fault_injector=injector,
-            retry_policy=RetryPolicy(max_attempts=2, base_backoff_s=1e-5),
+            retry_policy=RetryPolicy(max_attempts=2),
         )
         assert faulty == clean
         assert injector.report().count("recovery") == 1
@@ -337,7 +284,7 @@ class TestThreadedLogOrder:
         result = ThreadedPipelineExecutor(
             app, [Chunk(0, 1, "big"), Chunk(1, 2, "gpu")],
             fault_injector=injector,
-            retry_policy=RetryPolicy(max_attempts=2, base_backoff_s=1e-5),
+            retry_policy=RetryPolicy(max_attempts=2),
         ).run(3)
         return replace(injector.report(result.failures),
                        events=result.fault_events)
@@ -383,31 +330,16 @@ class TestSimulatedFaults:
         assert first.completion_times_s == fresh.completion_times_s
         assert second.completion_times_s == first.completion_times_s
 
-    def test_slowdown_stretches_completion(self, app):
-        baseline = self.executor(app).run(6).total_s
-        injector = FaultInjector(FaultPlan(slowdowns=[
-            SlowdownSpec(task_id=t, stage_index=1, factor=8.0)
-            for t in range(6)
-        ]))
-        slowed = self.executor(app, injector).run(6).total_s
-        assert slowed > baseline
-        assert injector.report().count("slowdown") == 6
-
-    def test_transient_fault_costs_reexecution(self, app):
-        baseline = self.executor(app).run(6).total_s
-        injector = FaultInjector(FaultPlan(kernel_faults=[
-            KernelFaultSpec(task_id=3, stage_index=2, fail_attempts=2),
-        ]))
-        faulted = self.executor(app, injector).run(6).total_s
-        assert faulted > baseline
-
-    def test_persistent_kernel_fault_raises(self, app):
-        injector = FaultInjector(FaultPlan(kernel_faults=[
-            KernelFaultSpec(task_id=0, stage_index=0,
-                            fail_attempts=None),
-        ]))
-        with pytest.raises(TransientKernelFault):
-            self.executor(app, injector).run(4)
+    def test_kernel_faults_are_refused(self, app):
+        # The DES checks PU dropouts only: a kernel fault handed to it
+        # would be planned and never fire.
+        injector = FaultInjector(FaultPlan(
+            kernel_faults=[KernelFaultSpec(task_id=0, stage_index=0)],
+            dropouts=[PuDropoutSpec("gpu", after_task=2)],
+        ))
+        with pytest.raises(PipelineError, match="PU dropouts only"):
+            self.executor(app, injector)
+        assert injector.events == ()
 
     def test_dropout_raises_pu_failure(self, app):
         injector = FaultInjector(FaultPlan(dropouts=[
@@ -533,7 +465,7 @@ class TestFailureClassification:
         )
         executor = ThreadedPipelineExecutor(
             app, [Chunk(0, 1, "big")],
-            retry_policy=RetryPolicy(max_attempts=3, base_backoff_s=1e-4),
+            retry_policy=RetryPolicy(max_attempts=3),
             isolate_failures=True,
         )
         with pytest.raises(PipelineError):
@@ -559,7 +491,7 @@ class TestFailureClassification:
         result = ThreadedPipelineExecutor(
             app, [Chunk(0, 1, "big")],
             fault_injector=injector,
-            retry_policy=RetryPolicy(max_attempts=3, base_backoff_s=1e-4),
+            retry_policy=RetryPolicy(max_attempts=3),
         ).run(2)
         assert result.completed == 2
         assert not result.failures

@@ -194,21 +194,12 @@ class TestUsmBuffer:
         buf.host_view()[0] = 7.0
         assert buf.device_view()[0] == 7.0
 
-    def test_device_only_scope(self):
-        buf = UsmBuffer("scratch", (4,), np.int32, scope="device")
-        buf.device_view()
+    def test_adopted_array_is_shared_and_must_match(self):
+        array = np.zeros(4, dtype=np.float32)
+        UsmBuffer.wrap("b", array).device_view()[1] = 3.0
+        assert array[1] == 3.0
         with pytest.raises(PipelineError):
-            buf.host_view()
-
-    def test_host_only_scope(self):
-        buf = UsmBuffer("host", (4,), np.int32, scope="host")
-        buf.host_view()
-        with pytest.raises(PipelineError):
-            buf.device_view()
-
-    def test_bad_scope(self):
-        with pytest.raises(PipelineError):
-            UsmBuffer("b", (1,), np.int32, scope="vram")
+            UsmBuffer("b", (5,), np.float32, data=array)
 
     def test_fill_and_zero(self):
         buf = UsmBuffer("b", (3,), np.float32)

@@ -135,6 +135,21 @@ class TestFaultsim:
         assert "no faults injected" in out
         assert "dropout phase" not in out
 
+    @pytest.mark.parametrize("fail_attempts", ["0", "-1"])
+    def test_fail_attempts_below_one_is_structured_error(
+            self, capsys, fail_attempts):
+        # A fault that fails no attempt would be planned and never fire.
+        code = main([
+            "faultsim", "--platform", "raspberry_pi5", "--app",
+            "octree", "--repetitions", "2", "--k", "3",
+            "--eval-tasks", "6", "--tasks", "3",
+            "--fail-attempts", fail_attempts, "--no-dropout",
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "PipelineError",
+                       "message": "fail_attempts must be >= 1"}
+
 
 class TestRun:
     ARGS = ["run", "--platform", "jetson_orin_nano", "--app", "octree",
