@@ -11,7 +11,8 @@ is exactly the per-segment p95 slowdown gap asserted here.
 
 from benchmarks.conftest import run_once
 from repro.eval.metrics import format_table
-from repro.fleet import FleetSoakScenario, run_fleet_soak
+from repro.fleet import FleetSoakScenario
+from tests.soaks import run_fleet_soak
 
 
 def test_failover_vs_stranding(benchmark):

@@ -22,8 +22,10 @@ from repro.apps.synthetic import build_synthetic_application
 from repro.core import Chunk
 from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
 from repro.runtime import SimulatedPipelineExecutor
-from repro.serve import PipelineServer, ServerConfig, TenantSpec
+from repro.fleet import FleetConfig, one_shard_fleet
+from repro.serve import ServerConfig, TenantSpec
 from repro.soc import get_platform
+from repro.traffic import OpenLoopDriver
 
 N_TASKS = 300
 
@@ -96,22 +98,19 @@ def test_disabled_overhead_under_two_percent():
 
 
 def make_server(attribution=False, window_tasks=4):
-    server = PipelineServer(
-        get_platform("pixel7a"),
-        seed=7,
-        config=ServerConfig(max_ticks=16, attribution=attribution),
-    )
-    for index in range(2):
-        server.submit(TenantSpec(
-            name=f"tenant-{index}",
-            application=build_synthetic_application(
-                seed=7 + index, stage_count=2,
-            ),
-            priority=1,
-            windows=3,
-            window_tasks=window_tasks,
-        ))
-    return server
+    """Two tenants on a one-shard fleet, ready to run."""
+    router = one_shard_fleet("pixel7a", 7, 7, FleetConfig(
+        max_ticks=16, max_impact_ratio=1.5, max_partition_classes=None,
+        attribution=attribution))
+    return OpenLoopDriver(router, [TenantSpec(
+        name=f"tenant-{index}",
+        application=build_synthetic_application(
+            seed=7 + index, stage_count=2,
+        ),
+        priority=1,
+        windows=3,
+        window_tasks=window_tasks,
+    ) for index in range(2)])
 
 
 def test_attribution_off_never_reaches_decompose(monkeypatch):
@@ -138,29 +137,28 @@ def test_attribution_guard_is_per_window_not_per_task():
     task count never enters (same discipline as the DES guards)."""
 
     def counted(window_tasks):
-        server = make_server(window_tasks=window_tasks)
+        driver = make_server(window_tasks=window_tasks)
         flag = CountingFlag()
-        object.__setattr__(server.config, "attribution", flag)
-        server.run()
+        object.__setattr__(driver.router.shards[0].server_config,
+                           "attribution", flag)
+        driver.run()
         return flag.checks
 
     small, large = counted(4), counted(16)
     # 4x the tasks per window, identical guard count; and the count
-    # is bounded by the windows actually served (2 tenants x 3) plus
-    # the one report-time summary check.
+    # is bounded by the windows actually served (2 tenants x 3).
     assert large == small
-    assert large <= 2 * 3 + 1
+    assert large <= 2 * 3
 
 
 def test_attribution_off_overhead_under_two_percent():
     """The cost of the off-path guard (a frozen-dataclass attribute
     read per served window) is noise against the run itself."""
-    server = make_server()
+    driver = make_server()
     start = time.perf_counter()
-    server.run()
+    report = driver.run().fleet_report
     run_s = time.perf_counter() - start
-    windows = sum(m.windows_served
-                  for m in server.report().tenants.values())
+    windows = sum(m.windows_served for m in report.tenants.values())
 
     config = ServerConfig()
     reps = 100_000

@@ -23,12 +23,9 @@ from repro.eval.metrics import format_table
 from repro.core.serialization import write_json_report
 from repro.traffic import (
     FleetOverloadScenario,
-    OpenLoopDriver,
     evaluate,
-    overload_curve,
-    run_overload_soak,
 )
-from repro.traffic.generator import TrafficGenerator
+from tests.soaks import overload_curve, run_overload_soak
 
 BENCH_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -96,14 +93,10 @@ def _steady_soak(ticks):
     and its shards, the driver's result, the report."""
     scenario = FleetOverloadScenario(n_shards=8, load_multiplier=0.5,
                                      ticks=ticks)
-    spec = scenario.spec()
-    router = scenario.build_fleet()
-    result = OpenLoopDriver(
-        router, TrafficGenerator(spec, seed=scenario.seed).events(),
-        ticks=spec.ticks, stage_count=spec.stage_count,
-        slo_by_tier={tier.name: tier.slo_slowdown for tier in spec.tiers},
-    ).run()
-    return router, result, evaluate(spec, scenario.seed, result)
+    driver = scenario.driver()
+    result = driver.run()
+    return (driver.router, result,
+            evaluate(scenario.spec(), scenario.seed, result))
 
 
 def _retained_bytes_per_window(ticks):

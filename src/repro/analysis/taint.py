@@ -184,7 +184,7 @@ SINK_CALLS: Dict[str, Tuple[str, Optional[int]]] = {
 #: Constructors whose every field lands in a byte-compared or
 #: checksummed report.
 SINK_CONSTRUCTORS: FrozenSet[str] = frozenset({
-    "FleetReport", "ServeReport", "SessionReport", "FaultReport",
+    "FleetReport", "SessionReport", "FaultReport",
     "MemoryReport", "EnergyReport", "SoakScenario", "FleetSoakScenario",
     "SimulatedRunResult", "TraceEvent", "TrafficReport", "TrafficTrace",
     "BlameMatrix", "BurnAlert",

@@ -327,22 +327,25 @@ def cmd_faultsim(args: argparse.Namespace) -> int:
     (fallback to a cached candidate avoiding the dead PU).
     """
     _, application, framework = _target(args)
-    plan = framework.run(application)
-    print(plan.summary())
-    structured = {}
-
-    # Phase 1: transient kernel faults vs. the threaded back-end.
+    # The fault flags are checked (by these constructors) before the
+    # plan is made.
     fault_plan = FaultPlan.random(
         seed=args.seed, n_tasks=args.tasks,
         n_stages=application.num_stages,
         kernel_fault_rate=args.kernel_fault_rate,
         fail_attempts=args.fail_attempts,
     )
+    retry_policy = RetryPolicy(max_attempts=args.max_attempts)
+    plan = framework.run(application)
+    print(plan.summary())
+    structured = {}
+
+    # Phase 1: transient kernel faults vs. the threaded back-end.
     injector = FaultInjector(fault_plan)
     executor = ThreadedPipelineExecutor(
         application, plan.schedule.chunks(),
         fault_injector=injector,
-        retry_policy=RetryPolicy(max_attempts=args.max_attempts),
+        retry_policy=retry_policy,
         isolate_failures=True,
     )
     result = executor.run(
@@ -395,12 +398,14 @@ def cmd_faultsim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _soak_server(args: argparse.Namespace, reschedule: bool = True,
+def _soak_driver(args: argparse.Namespace, reschedule: bool = True,
                  **scenario_kwargs):
-    """The multi-tenant soak server ``serve`` and ``trace --serve``
-    boot; ``scenario_kwargs`` go to :class:`~repro.serve.SoakScenario`
-    as they are."""
-    from repro.serve import SoakScenario, build_soak_server
+    """The serving soak ``serve`` and ``trace --serve`` run: its
+    one-shard fleet on the soak runner; ``scenario_kwargs`` go to
+    :class:`~repro.serve.SoakScenario` as they are."""
+    from repro.fleet import serve_fleet
+    from repro.serve import SoakScenario
+    from repro.traffic import OpenLoopDriver
 
     scenario = SoakScenario(
         platform_name=args.platform,
@@ -409,58 +414,38 @@ def _soak_server(args: argparse.Namespace, reschedule: bool = True,
         window_tasks=args.tasks,
         **scenario_kwargs,
     )
-    return build_soak_server(scenario, reschedule=reschedule)
-
-
-def _print_serve_report(report, server, sink: _TextSink) -> None:
-    """Human-readable summary of one serving run."""
-    sink.line(f"served {report.ticks} ticks on {report.platform} "
-              f"(seed {report.seed}, rescheduling "
-              f"{'on' if report.rescheduling_enabled else 'off'})")
-    sink.line(f"plan cache: {report.to_dict()['plan_cache']}")
-    sink.line()
-    for name in sorted(report.tenants):
-        m = report.tenants[name]
-        line = (f"  {name:16s} {m.status:10s} "
-                f"windows={m.windows_served:<3d} "
-                f"reschedules={m.reschedules}")
-        if m.windows_served:
-            line += (f"  p50={m.p50_latency_s * 1e3:.3f}ms "
-                     f"p95={m.p95_latency_s * 1e3:.3f}ms")
-        record = server.records.get(name)
-        if record is not None and record.status_detail:
-            line += f"  ({record.status_detail})"
-        sink.line(line)
-    events = [e for e in report.timeline
-              if e["event"] in ("admit", "queue", "reject",
-                                "reschedule", "evict", "complete",
-                                "fail")]
-    sink.line()
-    sink.line("control-plane events:")
-    for event in events:
-        extra = {k: v for k, v in event.items()
-                 if k not in ("tick", "event", "tenant")}
-        sink.line(f"  tick {event['tick']:>3}  {event['event']:<10} "
-                  f"{event['tenant']:<16} {extra if extra else ''}")
+    return OpenLoopDriver(serve_fleet(scenario, reschedule=reschedule),
+                          scenario.tenants())
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the multi-tenant serving layer on the soak scenario.
 
     Runs the same deterministic scenario the acceptance soak test and
-    the CI smoke job use: three concurrent tenants packed onto
-    disjoint PU partitions, injected interference drift mid-run, and a
-    fourth submission the admission controller must reject.
+    the CI smoke job use, as a one-shard fleet: three concurrent
+    tenants packed onto disjoint PU partitions, injected interference
+    drift mid-run, and a fourth submission that must be rejected.
 
     ``--json`` prints the serve report as the only stdout output;
     ``--trace-out`` runs the soak under observability capture and
     exports a Chrome/Perfetto trace of the whole run.
     """
-    server = _soak_server(args, reschedule=not args.frozen,
+    driver = _soak_driver(args, reschedule=not args.frozen,
                           drift_start_tick=args.drift_tick)
     sink = _TextSink(args.out, args.json)
-    report, payload = _run_reported(server.run, args.trace_out, sink)
-    _print_serve_report(report, server, sink)
+    report, payload = _run_reported(lambda: driver.run().fleet_report,
+                                    args.trace_out, sink)
+    _print_fleet_report(report, sink)
+    # The one shard's own control plane: placements and re-ranks.
+    (server,) = driver.router.shards[0].closed_servers
+    sink.line()
+    sink.line("shard events:")
+    for event in server.timeline:
+        if event["event"] in ("admit", "reschedule", "evict"):
+            extra = {k: v for k, v in event.items()
+                     if k not in ("tick", "event", "tenant")}
+            sink.line(f"  tick {event['tick']:>3}  {event['event']:<12} "
+                      f"{event['tenant']:<10} {extra}")
     if args.gantt:
         chart = format_gantt(server.trace_spans, width=args.width)
         sink.line()
@@ -502,7 +487,8 @@ def _print_fleet_report(report, sink: _TextSink) -> None:
         m = report.tenants[name]
         line = (f"  {name:12s} {m.status:10s} "
                 f"windows={m.windows_served:<3d} "
-                f"migrations={m.migrations}")
+                f"migrations={m.migrations} "
+                f"reschedules={m.reschedules}")
         if m.windows_served:
             line += (f"  p50={m.p50_latency_s * 1e3:.3f}ms "
                      f"p95={m.p95_latency_s * 1e3:.3f}ms")
@@ -541,6 +527,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     Chrome/Perfetto trace.
     """
     from repro.fleet import FleetSoakScenario, build_fleet
+    from repro.traffic import OpenLoopDriver
 
     scenario = FleetSoakScenario(
         seed=args.seed,
@@ -550,11 +537,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         max_ticks=args.max_ticks,
     )
     sink = _TextSink(args.out, args.json)
-    report, payload = _run_reported(
-        lambda: build_fleet(scenario,
-                            failover=not args.no_failover).run(),
-        args.trace_out, sink,
+    driver = OpenLoopDriver(
+        build_fleet(scenario, failover=not args.no_failover),
+        scenario.tenants(),
     )
+    report, payload = _run_reported(lambda: driver.run().fleet_report,
+                                    args.trace_out, sink)
     _print_fleet_report(report, sink)
     sink.result(payload, "fleet report")
     return 0
@@ -603,6 +591,19 @@ def _overload_scenario(args: argparse.Namespace):
     )
 
 
+def _overload_run(scenario, trace=None, on_tick=None, **driver_kwargs):
+    """One run of the overload preset on the soak runner, evaluated
+    against the spec and seed of its arrival stream: ``(result,
+    report)``."""
+    from repro.traffic import evaluate
+
+    result = scenario.driver(trace=trace, **driver_kwargs).run(
+        on_tick=on_tick)
+    spec, seed = ((trace.spec, trace.seed) if trace is not None
+                  else (scenario.spec(), scenario.seed))
+    return result, evaluate(spec, seed, result)
+
+
 def cmd_traffic(args: argparse.Namespace) -> int:
     """Open-loop traffic: ``generate``, ``replay``, or ``soak``.
 
@@ -619,7 +620,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
       runs the admit-everything baseline and exits 1 unless admission
       control strictly wins on goodput (the overload gate CI asserts).
     """
-    from repro.traffic import TrafficTrace, overload_curve, run_overload_soak
+    from repro.traffic import CURVE_MULTIPLIERS, TrafficTrace
 
     scenario = _overload_scenario(args)
     sink = _TextSink(args.out, args.json)
@@ -659,8 +660,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         sink.result(payload, "generation summary")
         return 0
 
-    _, report = run_overload_soak(scenario, admission=admission,
-                                  trace=trace)
+    _, report = _overload_run(scenario, admission=admission, trace=trace)
     payload = report.to_dict()
     if args.mode == "replay":
         sink.line(f"replayed {args.trace} "
@@ -670,8 +670,8 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     exit_code = 0
 
     if args.mode == "soak" and args.compare:
-        _, baseline = run_overload_soak(scenario, admission=False,
-                                        trace=trace)
+        _, baseline = _overload_run(scenario, admission=False,
+                                    trace=trace)
         payload["admit_everything"] = baseline.to_dict()
         gate = report.goodput_tasks > baseline.goodput_tasks
         sink.line()
@@ -685,7 +685,18 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             exit_code = 1
 
     if args.mode == "soak" and args.curve:
-        points = overload_curve(scenario, admission=admission)
+        points = []
+        for multiplier in CURVE_MULTIPLIERS:
+            _, point = _overload_run(scenario.at_multiplier(multiplier),
+                                     admission=admission)
+            points.append({
+                "load_multiplier": multiplier,
+                "arrivals": point.arrivals,
+                "offered_windows": point.offered_windows,
+                "served_windows": point.served_windows,
+                "goodput_windows": point.goodput_windows,
+                "goodput_tasks": point.goodput_tasks,
+            })
         payload["curve"] = points
         sink.line()
         sink.line("goodput vs offered load:")
@@ -768,7 +779,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     """
     import repro.obs as obs
     from repro.obs.alerts import BurnRateRule
-    from repro.traffic import run_overload_soak
 
     scenario = _overload_scenario(args)
     sink = _TextSink(args.out, args.json)
@@ -791,7 +801,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     # recorder are live (the dashboard is the instrumented path); the
     # rendered payload itself derives only from the seeded reports.
     with obs.capture():
-        result, report = run_overload_soak(
+        result, report = _overload_run(
             scenario, admission=admission,
             attribution=True, burn=burn,
             on_tick=watch if args.watch else None,
@@ -855,7 +865,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     with obs.capture() as cap:
         if args.serve:
-            _soak_server(args).run()
+            _soak_driver(args).run()
         else:
             _traced_run(args)
         snapshot = cap.metrics.snapshot()
@@ -877,39 +887,43 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit one job to a fresh server and report its admission fate.
+    """Submit one job to a fresh one-shard fleet and report its fate.
 
-    Boots an in-process :class:`~repro.serve.PipelineServer`, admits
-    ``--co`` synthetic background tenants first (so the submission
-    faces real contention), then submits the requested application and
-    reports the admission decision and, if admitted, its measured
-    serving latencies.
+    Boots a one-shard fleet (failover off; a backlog of
+    ``--queue-capacity`` waiting arrivals), submits ``--co`` synthetic
+    background tenants first (so the submission faces real
+    contention), then the requested application, runs them on the soak
+    runner until drained, and reports the job's outcome and, if it was
+    served, its measured serving latencies.
     """
     from repro.apps.synthetic import build_synthetic_application
-    from repro.serve import PipelineServer, ServerConfig, TenantSpec
+    from repro.fleet import FleetConfig, one_shard_fleet
+    from repro.serve import TenantSpec
+    from repro.soc.platforms import _DEFAULT_SEED
+    from repro.traffic import OpenLoopDriver
 
-    platform = get_platform(args.platform)
-    server = PipelineServer(
-        platform,
-        seed=args.seed,
-        config=ServerConfig(
-            max_ticks=args.windows + 8,
+    ticks = args.windows + 8
+    router = one_shard_fleet(
+        args.platform, _DEFAULT_SEED, args.seed,
+        FleetConfig(
+            max_ticks=ticks,
             queue_capacity=args.queue_capacity,
+            max_impact_ratio=1.5,
             max_partition_classes=args.cap,
-            reschedule=True,
+            # A waiting arrival waits as long as the run lasts.
+            backlog_patience=ticks,
         ),
     )
-    for index in range(args.co):
-        server.submit(TenantSpec(
-            name=f"co-{index}",
-            application=build_synthetic_application(
-                seed=args.seed + 1 + index, stage_count=3,
-            ),
-            priority=0,
-            windows=args.windows,
-            window_tasks=args.tasks,
-        ))
-    server.submit(TenantSpec(
+    tenants = [TenantSpec(
+        name=f"co-{index}",
+        application=build_synthetic_application(
+            seed=args.seed + 1 + index, stage_count=3,
+        ),
+        priority=0,
+        windows=args.windows,
+        window_tasks=args.tasks,
+    ) for index in range(args.co)]
+    tenants.append(TenantSpec(
         name=args.name,
         application=_build_app(args.app),
         priority=args.priority,
@@ -917,12 +931,14 @@ def cmd_submit(args: argparse.Namespace) -> int:
         window_tasks=args.tasks,
         required_classes=frozenset(args.require or ()),
     ))
-    report = server.run()
-    record = server.records[args.name]
+    report = OpenLoopDriver(router, tenants).run().fleet_report
+    tenant = router.tenants[args.name]
+    (shard,) = router.shards
     print(f"submission {args.name!r} ({args.app}) on "
-          f"{platform.display_name} with {args.co} co-tenants:")
-    print(f"  outcome: {record.status}  ({record.status_detail})")
-    if record.partition:
+          f"{shard.platform.display_name} with {args.co} co-tenants:")
+    print(f"  outcome: {tenant.status}  ({tenant.status_detail})")
+    record = shard.closed_servers[-1].records.get(args.name)
+    if record is not None:
         print(f"  partition: {list(record.partition)}")
     metrics = report.tenants[args.name]
     if metrics.windows_served:
@@ -931,7 +947,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         print(f"  per-item latency: p50 {metrics.p50_latency_s * 1e3:.3f} ms, "
               f"p95 {metrics.p95_latency_s * 1e3:.3f} ms")
     _TextSink(args.out).result(report.to_dict(), "serve report")
-    return 0 if record.status in ("completed", "running") else 1
+    return 0 if tenant.status == "completed" else 1
 
 
 def cmd_lint(args: argparse.Namespace) -> int:

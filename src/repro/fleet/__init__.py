@@ -32,7 +32,8 @@ from repro.fleet.router import FleetConfig, FleetRouter
 from repro.fleet.scenario import (
     FleetSoakScenario,
     build_fleet,
-    run_fleet_soak,
+    one_shard_fleet,
+    serve_fleet,
 )
 from repro.fleet.shard import ShardSpec, SoCShard
 from repro.fleet.tenant import SHED, FleetTenant
@@ -56,7 +57,8 @@ __all__ = [
     "ShardSpec",
     "SoCShard",
     "build_fleet",
-    "run_fleet_soak",
+    "one_shard_fleet",
+    "serve_fleet",
     "surviving_p95",
     "surviving_p95_slowdown",
 ]

@@ -38,6 +38,7 @@ from repro.runtime.faults import (
     SOC_CRASH,
     SOC_REJOIN,
 )
+from repro.serve.server import DriftSpec
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,11 @@ class DegradeSpec:
                     f"degrade busy fraction for {pu_class!r} must be "
                     "in (0, 1]"
                 )
+
+    def drift(self, tick: int) -> DriftSpec:
+        """The drift a live shard serves under from ``tick`` on."""
+        return DriftSpec(start_tick=tick, end_tick=self.end_tick,
+                         busy=dict(self.busy), demand_gbps=self.demand_gbps)
 
 
 @dataclass

@@ -8,14 +8,13 @@ with the same seed (the property the fleet soak test and the CI
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.serve.metrics import (
     Distribution,
-    TenantMetrics,
     per_task,
     percentile,
     rendered,
@@ -31,9 +30,15 @@ def _latencies(tenant: FleetTenant) -> List[float]:
 
 
 @dataclass(frozen=True)
-class FleetTenantMetrics(TenantMetrics):
+class FleetTenantMetrics:
     """Latency + lifecycle summary of one fleet tenant."""
 
+    tenant: str
+    status: str
+    windows_served: int
+    reschedules: int
+    #: Per-task latencies of the served windows.
+    latency: Distribution = field(compare=False, repr=False)
     migrations: int
     shards: Sequence[str]
 
@@ -49,6 +54,22 @@ class FleetTenantMetrics(TenantMetrics):
             shards=tuple(tenant.shard_history),
         )
 
+    @property
+    def mean_latency_s(self) -> float:
+        return self.latency.mean
+
+    @property
+    def p50_latency_s(self) -> float:
+        return self.latency.percentile(50.0)
+
+    @property
+    def p95_latency_s(self) -> float:
+        return self.latency.percentile(95.0)
+
+    @property
+    def max_latency_s(self) -> float:
+        return self.latency.max
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "tenant": self.tenant,
@@ -57,7 +78,9 @@ class FleetTenantMetrics(TenantMetrics):
             "migrations": self.migrations,
             "reschedules": self.reschedules,
             "shards": list(self.shards),
-            **self.latency_dict(),
+            **{key: rendered(getattr(self, key), self.windows_served)
+               for key in ("mean_latency_s", "p50_latency_s",
+                           "p95_latency_s", "max_latency_s")},
         }
 
 

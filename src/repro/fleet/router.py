@@ -4,12 +4,12 @@ Scale-out mirrors the single-SoC serving design one level up.  The
 router has no thread of its own: whoever calls :meth:`FleetRouter.step`
 owns every mutable fleet structure - the tenant registry, the backlog,
 the shard set - and each fleet tick steps every shard's
-:class:`~repro.serve.server.PipelineServer` in lockstep.
-:meth:`FleetRouter.run` is that loop on the calling thread, bounded by
-``max_ticks``; the open-loop traffic driver writes its own.
+:class:`~repro.serve.server.PipelineServer` in lockstep.  The one loop
+that calls it is :class:`~repro.traffic.driver.OpenLoopDriver`'s.
 Submissions may cross threads through a lock-guarded inbox; after the
 inbox, everything belongs to the stepping thread, so a fleet run is a
 pure function of (platform set, tenant specs, chaos schedule, seed).
+The backlog is the only wait queue in the stack: a shard never queues.
 
 Per tick, in fixed phase order:
 
@@ -19,7 +19,8 @@ Per tick, in fixed phase order:
    shard whose cached interference tables predict least impact (the
    shard admission controller's ``predicted_impact``/latency, ties
    broken by load then shard index), honouring each shard's circuit
-   breaker;
+   breaker; an arrival no shard admits waits in the backlog if it has
+   room (``queue_capacity``), for at most ``backlog_patience`` ticks;
 3. **step** - advance every live shard one tick (counting a beat
    unless a gray window suppresses it);
 4. **harvest** - absorb new shard timeline events into fleet state
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.plan_cache import PlanCache
-from repro.errors import FleetError, ReproError
+from repro.errors import FleetError
 from repro.obs.attribution import top_offenders
 from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
@@ -52,9 +53,9 @@ from repro.runtime.faults import (
     SOC_CRASH,
     SOC_REJOIN,
 )
-from repro.serve.admission import ADMIT
+from repro.serve.admission import ADMIT, REJECT
 from repro.serve.placement import EpochMemo
-from repro.serve.server import DriftSpec, ServerConfig
+from repro.serve.server import ServerConfig
 from repro.serve.tenant import (
     COMPLETED,
     FAILED,
@@ -101,6 +102,9 @@ class FleetConfig:
     reschedule: bool = True
     #: Ticks a tenant may wait in the fleet backlog before rejection.
     backlog_patience: int = 24
+    #: Arrivals that may wait at once: an arrival no shard admits is
+    #: rejected when this many wait (None: patience bounds the wait).
+    queue_capacity: Optional[int] = None
     #: Master switch: with failover off, dead shards strand their
     #: tenants (the baseline the soak's strict-improvement test beats).
     failover: bool = True
@@ -116,16 +120,14 @@ class FleetConfig:
             raise FleetError("max_ticks must be >= 1")
         if self.backlog_patience < 1:
             raise FleetError("backlog_patience must be >= 1")
+        if self.queue_capacity is not None and self.queue_capacity < 0:
+            raise FleetError("queue_capacity must be >= 0")
 
     def server_config(self) -> ServerConfig:
-        """The per-shard server configuration this fleet config implies.
-
-        Shard queues are disabled: the *fleet* owns the backlog, and
-        shards only ever see synchronous :meth:`admit` placements.
-        """
+        """The per-shard server configuration this fleet config implies
+        (the *fleet* owns the backlog: shards only ever see synchronous
+        :meth:`admit` placements)."""
         return ServerConfig(
-            max_ticks=self.max_ticks,
-            queue_capacity=0,
             max_impact_ratio=self.max_impact_ratio,
             max_partition_classes=self.max_partition_classes,
             cumulative_impact=self.cumulative_impact,
@@ -176,8 +178,7 @@ class FleetRouter:
                 )
                 caches[key] = PlanCache(platforms[key])
             self.shards.append(SoCShard(
-                index, spec, platforms[key], caches[key],
-                server_config, fleet_seed=seed,
+                index, spec, platforms[key], caches[key], server_config,
             ))
         self.by_name = {shard.name: shard for shard in self.shards}
         self._caches = list(caches.values())
@@ -225,9 +226,9 @@ class FleetRouter:
     # Client surface
     # ------------------------------------------------------------------
     def submit(self, spec: TenantSpec) -> None:
-        """Queue one job for fleet placement (same contract as
-        :meth:`PipelineServer.submit`: submissions made before the
-        first tick make the run deterministic)."""
+        """Queue one job for fleet placement; it enters the backlog on
+        the next tick (submissions made between ticks by the stepping
+        thread keep the run deterministic)."""
         if self._state == "closed":
             raise FleetError(
                 f"fleet has drained; cannot submit {spec.name!r}"
@@ -240,30 +241,8 @@ class FleetRouter:
                 )
             self._inbox.append(spec)
 
-    def run(self) -> FleetReport:
-        """Tick on the calling thread until every tenant is terminal or
-        ``config.max_ticks`` ticks ran, then close and report.
-
-        Raises:
-            FleetError: A tick raised a :class:`ReproError`; the fleet
-                is closed out first, with that message as the status
-                detail of every tenant still placed.
-        """
-        self.open_stepped()
-        detail = None
-        try:
-            for tick in range(self.config.max_ticks):
-                if self.step(tick):
-                    break
-        except ReproError as error:
-            detail = str(error)
-            raise FleetError(f"fleet loop aborted: {detail}") from error
-        finally:
-            report = self.close_stepped(detail)
-        return report
-
     # ------------------------------------------------------------------
-    # Stepping (mirrors PipelineServer.open_stepped/step/close_stepped)
+    # Stepping: the caller owns the clock
     # ------------------------------------------------------------------
     def open_stepped(self) -> None:
         """Boot the shards for ticking (once per fleet): the caller
@@ -482,11 +461,7 @@ class FleetRouter:
                         and degrade.start_tick <= tick
                         and (degrade.end_tick is None
                              or tick < degrade.end_tick)):
-                    shard.server.inject_drift(DriftSpec(
-                        start_tick=tick, end_tick=degrade.end_tick,
-                        busy=dict(degrade.busy),
-                        demand_gbps=degrade.demand_gbps,
-                    ))
+                    shard.server.inject_drift(degrade.drift(tick))
         for gray in self.chaos.gray_edges_at(tick):
             kind = GRAY_START if gray.start_tick == tick else GRAY_END
             self.chaos.record(tick, kind, gray.shard,
@@ -498,11 +473,7 @@ class FleetRouter:
         for degrade in self.chaos.degradations_at(tick):
             shard = self.by_name[degrade.shard]
             if shard.alive:
-                shard.server.inject_drift(DriftSpec(
-                    start_tick=tick, end_tick=degrade.end_tick,
-                    busy=dict(degrade.busy),
-                    demand_gbps=degrade.demand_gbps,
-                ))
+                shard.server.inject_drift(degrade.drift(tick))
             self.chaos.record(
                 tick, DEGRADE_START, degrade.shard,
                 detail=f"busy {sorted(degrade.busy)} "
@@ -596,6 +567,8 @@ class FleetRouter:
             self.tenants[spec.name] = tenant
             self._open[spec.name] = tenant
             self._backlog.append(spec.name)
+        capacity = self.config.queue_capacity
+        waiting = 0  # tenants this pass left in the backlog
         for name in list(self._backlog):
             tenant = self.tenants[name]
             if tenant.status != PENDING:
@@ -622,17 +595,42 @@ class FleetRouter:
                 kind = "migrate" if tenant.shard_history else "place"
                 self.commit_placement(tenant, shard, tick, kind)
                 self._backlog.remove(name)
+            elif (capacity is not None and not tenant.shard_history
+                  and tenant.backlog_since == tick):
+                # A bounded backlog is a front door: a new arrival waits
+                # only if there is room and a live shard could ever
+                # take it (its verdict is QUEUE, not REJECT).
+                verdicts = [(shard.name, shard.server.price(spec))
+                            for shard in self.shards if shard.alive]
+                refusals = "; ".join(f"{shard}: {verdict.reason}"
+                                     for shard, verdict in verdicts)
+                if waiting >= capacity:
+                    self._reject(tick, tenant,
+                                 f"no shard admits the tenant now "
+                                 f"({refusals}) and the backlog is full "
+                                 f"({waiting}/{capacity})")
+                elif verdicts and all(verdict.action == REJECT
+                                      for _, verdict in verdicts):
+                    self._reject(tick, tenant, "no shard can ever "
+                                               f"admit the tenant "
+                                               f"({refusals})")
+                else:
+                    waiting += 1
             elif (tenant.backlog_since is not None
                   and tick - tenant.backlog_since
                   >= self.config.backlog_patience):
-                tenant.status = REJECTED
-                tenant.status_detail = (
-                    f"no shard could place the tenant within "
-                    f"{self.config.backlog_patience} ticks of backlog"
-                )
-                self._event(tick, "reject", tenant=name,
-                            reason=tenant.status_detail)
-                self._backlog.remove(name)
+                self._reject(tick, tenant,
+                             f"no shard could place the tenant within "
+                             f"{self.config.backlog_patience} ticks of "
+                             "backlog")
+            else:
+                waiting += 1
+
+    def _reject(self, tick: int, tenant: FleetTenant, reason: str) -> None:
+        tenant.status = REJECTED
+        tenant.status_detail = reason
+        self._event(tick, "reject", tenant=tenant.name, reason=reason)
+        self._backlog.remove(tenant.name)
 
     # ------------------------------------------------------------------
     # Phase 3+4: step and harvest
@@ -705,7 +703,7 @@ class FleetRouter:
             self.monitor.forget_tenant(shard.name, name)
             self._event(tick, "fail", tenant=name, shard=shard.name,
                         reason=tenant.status_detail)
-        # "admit"/"withdraw"/"queue"/"reject"/"hold": fleet state was
+        # "admit"/"withdraw"/"hold": fleet state was
         # already updated by the actor that caused them.
 
     # ------------------------------------------------------------------

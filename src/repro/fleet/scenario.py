@@ -1,9 +1,10 @@
-"""The seeded fleet soak: one scenario behind CLI, CI, and tests.
+"""The fleet presets: the chaos soak behind ``repro fleet`` and the
+one-shard fleets behind ``repro serve`` and ``repro submit``.
 
-Mirrors :mod:`repro.serve.scenario` one level up: a single scenario
-definition drives ``repro fleet``'s demo mode, the CI ``fleet-chaos``
-job, and the acceptance soak test, so the fleet determinism guarantee
-is exercised on exactly what ships.
+Preset data only - shards, config, chaos, tenants; the one soak runner
+(:class:`~repro.traffic.driver.OpenLoopDriver`) drives every one of
+them, so the determinism guarantees are exercised on exactly what the
+CLI, the CI ``fleet-chaos`` job and the acceptance tests run.
 
 The default soak packs twelve tenants onto four pixel7a shards and
 throws one of each failure shape at the fleet mid-run:
@@ -26,12 +27,16 @@ gap the acceptance test asserts is strictly positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.errors import FleetError
-from repro.serve.scenario import _memory_bound_application
+from repro.serve.scenario import (
+    DRIFT_CLASS,
+    SoakScenario,
+    _memory_bound_application,
+)
 from repro.serve.tenant import TenantSpec
 from repro.fleet.chaos import (
     ChaosSchedule,
@@ -40,7 +45,6 @@ from repro.fleet.chaos import (
     ShardCrashSpec,
 )
 from repro.fleet.health import HealthConfig
-from repro.fleet.metrics import FleetReport
 from repro.fleet.router import FleetConfig, FleetRouter
 from repro.fleet.shard import ShardSpec
 
@@ -93,23 +97,46 @@ class FleetSoakScenario:
             )],
         )
 
+    def tenants(self) -> List[TenantSpec]:
+        """The tenants, in submission order.
+
+        They cycle through three lifetimes (:data:`WINDOWS_CYCLE` - the
+        short ones free slots before the first failure hits, which is
+        what lets the survivors absorb failover batches), three
+        priorities (0 is shed first), and four shared three-stage
+        applications (two compute-bound synthetic, two memory-bound
+        streaming; three tenants per application, so the per-platform
+        plan caches get real hit traffic), six tasks a window.
+        """
+        tenants = []
+        for i in range(self.n_tenants):
+            app_seed = self.seed + (i % 4)
+            if i % 2 == 0:
+                application = build_synthetic_application(
+                    seed=app_seed, stage_count=3,
+                )
+            else:
+                application = _memory_bound_application(
+                    app_seed, stage_count=3,
+                )
+            tenants.append(TenantSpec(
+                name=f"tenant-{i:02d}",
+                application=application,
+                priority=i % 3,
+                windows=WINDOWS_CYCLE[i % 3],
+                window_tasks=6,
+            ))
+        return tenants
+
 
 def build_fleet(scenario: FleetSoakScenario,
                 failover: bool = True,
                 attribution: bool = False) -> FleetRouter:
-    """A fully-loaded fleet, ready to :meth:`~FleetRouter.run`.
-
-    Tenants cycle through three lifetimes (8/18/28 windows - the short
-    ones free slots before the first failure hits, which is what lets
-    the survivors absorb failover batches), three priorities (0 is shed
-    first), and four shared three-stage applications (two compute-bound
-    synthetic, two memory-bound streaming; three tenants per
-    application, so the per-platform plan caches get real hit traffic),
-    six tasks a window.
-    """
+    """The soak's fleet, empty: run it on
+    :meth:`FleetSoakScenario.tenants`."""
     # Shards alternate platform seeds 7 and 11; shards sharing a seed
     # share one platform object and one plan cache.
-    router = FleetRouter(
+    return FleetRouter(
         [ShardSpec(
             name=name,
             platform_name=scenario.platform_name,
@@ -128,31 +155,38 @@ def build_fleet(scenario: FleetSoakScenario,
         ),
         chaos=scenario.chaos(),
     )
-    for i in range(scenario.n_tenants):
-        app_seed = scenario.seed + (i % 4)
-        if i % 2 == 0:
-            application = build_synthetic_application(
-                seed=app_seed, stage_count=3,
-            )
-        else:
-            application = _memory_bound_application(
-                app_seed, stage_count=3,
-            )
-        router.submit(TenantSpec(
-            name=f"tenant-{i:02d}",
-            application=application,
-            priority=i % 3,
-            windows=WINDOWS_CYCLE[i % 3],
-            window_tasks=6,
-        ))
+
+
+def one_shard_fleet(platform_name: str, platform_seed: int, seed: int,
+                    config: FleetConfig,
+                    chaos: Optional[ChaosSchedule] = None) -> FleetRouter:
+    """A fleet of one shard, ``soc0``, with failover off: how ``repro
+    serve``, ``repro submit`` and ``repro trace --serve`` run."""
+    return FleetRouter(
+        [ShardSpec("soc0", platform_name=platform_name,
+                   platform_seed=platform_seed)],
+        seed=seed, config=replace(config, failover=False), chaos=chaos,
+    )
+
+
+def serve_fleet(scenario: SoakScenario,
+                reschedule: bool = True) -> FleetRouter:
+    """The serving soak's one-shard fleet, empty (run it on the
+    scenario's tenants): no room to wait, impact ceiling 1.5, one class
+    a tenant, and outside load on the drift class from
+    ``drift_start_tick`` on."""
+    router = one_shard_fleet(
+        scenario.platform_name, scenario.seed, scenario.seed,
+        FleetConfig(
+            max_ticks=scenario.max_ticks,
+            queue_capacity=0,
+            max_impact_ratio=1.5,
+            max_partition_classes=1,
+            reschedule=reschedule,
+        ),
+        chaos=ChaosSchedule(degradations=[DegradeSpec(
+            "soc0", start_tick=scenario.drift_start_tick,
+            busy={DRIFT_CLASS: 0.8}, demand_gbps=4.0)]),
+    )
+    scenario.check(router.shards[0].platform)
     return router
-
-
-def run_fleet_soak(
-    scenario: FleetSoakScenario,
-    failover: bool = True,
-) -> Tuple[FleetRouter, FleetReport]:
-    """Build and run one fleet soak; returns (router, report)."""
-    router = build_fleet(scenario, failover=failover)
-    report = router.run()
-    return router, report

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 from repro.core.plan_cache import PlanCache
 from repro.errors import FleetError
-from repro.serve.metrics import ServeReport
 from repro.serve.server import PipelineServer, ServerConfig
 from repro.soc.platform import Platform
 
@@ -44,7 +43,6 @@ class SoCShard:
         platform: Platform,
         plan_cache: PlanCache,
         server_config: ServerConfig,
-        fleet_seed: int = 0,
     ):
         self.index = index
         self.spec = spec
@@ -52,16 +50,16 @@ class SoCShard:
         self.platform = platform
         self.plan_cache = plan_cache
         self.server_config = server_config
-        self.fleet_seed = fleet_seed
         #: Steps taken outside a gray-failure window; the health
         #: monitor compares it across fleet ticks.
         self.beats = 0
         self.generation = 0
         self.gray = False
         self.server: Optional[PipelineServer] = None
-        #: Reports of closed generations, in close order (their
-        #: per-tenant summaries are derived if and when one is read).
-        self.closed_reports: List[ServeReport] = []
+        #: Closed generations, in close order: their records, timelines
+        #: and last spans stay readable (``report()`` summarises one if
+        #: and when it is read).
+        self.closed_servers: List[PipelineServer] = []
         self._cursor = 0
 
     @property
@@ -75,12 +73,8 @@ class SoCShard:
                 f"shard {self.name!r} already has a live generation"
             )
         self.generation += 1
-        # One seed per (fleet, shard, generation) coordinate, so a
-        # rejoined shard does not replay its predecessor's stream.
-        seed = (self.fleet_seed * 10_000 + self.index * 100
-                + self.generation)
         self.server = PipelineServer(
-            self.platform, seed=seed, config=self.server_config,
+            self.platform, config=self.server_config,
             plan_cache=self.plan_cache, shard=self.name,
         )
         self.server.open_stepped()
@@ -90,7 +84,8 @@ class SoCShard:
         """Close the live generation (crash or fleet drain)."""
         if self.server is None:
             raise FleetError(f"shard {self.name!r} is not live")
-        self.closed_reports.append(self.server.close_stepped(detail))
+        self.server.close_stepped(detail)
+        self.closed_servers.append(self.server)
         self.server = None
         self.gray = False
 

@@ -19,8 +19,6 @@ from repro.serve.admission import (
     AdmissionDecision,
 )
 from repro.serve.metrics import (
-    ServeReport,
-    TenantMetrics,
     attainment,
     percentile,
 )
@@ -32,11 +30,7 @@ from repro.serve.rescheduler import (
     OnlineRescheduler,
     RescheduleAction,
 )
-from repro.serve.scenario import (
-    SoakScenario,
-    build_soak_server,
-    run_soak,
-)
+from repro.serve.scenario import SoakScenario
 from repro.serve.server import (
     DriftSpec,
     PipelineServer,
@@ -47,7 +41,6 @@ from repro.serve.tenant import (
     EVICTED,
     FAILED,
     PENDING,
-    QUEUED,
     REJECTED,
     RUNNING,
     TERMINAL_STATES,
@@ -71,23 +64,18 @@ __all__ = [
     "PipelineServer",
     "PlacementMap",
     "QUEUE",
-    "QUEUED",
     "REJECT",
     "REJECTED",
     "RUNNING",
     "RescheduleAction",
     "SWITCH",
-    "ServeReport",
     "ServerConfig",
     "SoakScenario",
     "TERMINAL_STATES",
-    "TenantMetrics",
     "TenantRecord",
     "TenantSpec",
     "WindowSample",
     "attainment",
-    "build_soak_server",
     "percentile",
-    "run_soak",
     "tenant_offered_load",
 ]

@@ -15,11 +15,10 @@ Three outcomes:
   classes, and the predicted slowdown it inflicts on every running
   tenant stays under the impact ceiling;
 * ``QUEUE``  - the job is serveable in principle but not now (its PUs
-  are held, or it would hurt co-tenants too much); it waits in the
-  backpressure queue for a partition release;
-* ``REJECT`` - the job can never be served (needs unschedulable or
-  uncoverable PU classes), or the queue is full (backpressure), or
-  queueing is disabled and its required classes are oversubscribed.
+  are held, or it would hurt co-tenants too much); whether it waits is
+  the fleet router's call (its backlog is the one wait queue);
+* ``REJECT`` - the job can never be served here (it needs unschedulable
+  or uncoverable PU classes).
 
 :meth:`AdmissionController.evaluate` is one real pricing, and the
 boundary instruments wrap; *whether* to price is decided in front of it
@@ -65,8 +64,6 @@ class AdmissionController:
     Args:
         platform: The shared virtual SoC.
         plan_cache: Source of per-application tables and candidates.
-        queue_capacity: Backpressure depth; 0 disables queueing so any
-            deferral becomes an outright rejection.
         max_impact_ratio: Ceiling on the predicted slowdown admission
             may inflict on any running tenant (e.g. 1.35 = +35%).
         max_partition_classes: Optional cap on how many PU classes one
@@ -86,20 +83,16 @@ class AdmissionController:
         self,
         platform: Platform,
         plan_cache: PlanCache,
-        queue_capacity: int = 4,
         max_impact_ratio: float = 1.35,
         max_partition_classes: Optional[int] = None,
         cumulative_impact: bool = False,
     ):
-        if queue_capacity < 0:
-            raise ServeError("queue_capacity must be >= 0")
         if max_impact_ratio < 1.0:
             raise ServeError("max_impact_ratio must be >= 1.0")
         if max_partition_classes is not None and max_partition_classes < 1:
             raise ServeError("max_partition_classes must be >= 1")
         self.platform = platform
         self.plan_cache = plan_cache
-        self.queue_capacity = queue_capacity
         self.max_impact_ratio = max_impact_ratio
         self.max_partition_classes = max_partition_classes
         self.cumulative_impact = cumulative_impact
@@ -112,7 +105,6 @@ class AdmissionController:
         spec: TenantSpec,
         placement: PlacementMap,
         running: Mapping[str, TenantRecord],
-        queued: int,
     ) -> AdmissionDecision:
         """Evaluate one submission against the current placement;
         ``running`` is the records of the tenants ``placement`` holds."""
@@ -146,8 +138,8 @@ class AdmissionController:
         free = placement.free_classes()
         fitting = [c for c in coverable if c.schedule.class_set <= free]
         if not fitting:
-            return self._defer(
-                spec, queued,
+            return AdmissionDecision(
+                QUEUE,
                 "required PU classes are held by running tenants "
                 "(no-oversubscription)",
             )
@@ -193,8 +185,8 @@ class AdmissionController:
         assert best is not None and best_key is not None
         if best_key[0]:
             worst_tenant = max(best_impact, key=lambda t: best_impact[t])
-            return self._defer(
-                spec, queued,
+            return AdmissionDecision(
+                QUEUE,
                 f"predicted {best_impact[worst_tenant]:.2f}x slowdown "
                 f"on tenant {worst_tenant!r} exceeds the "
                 f"{self.max_impact_ratio:.2f}x impact ceiling",
@@ -233,14 +225,3 @@ class AdmissionController:
             )
             self._rows.store(stamp, "rows", rows)
         return rows
-
-    def _defer(
-        self, spec: TenantSpec, queued: int, why: str
-    ) -> AdmissionDecision:
-        if queued < self.queue_capacity:
-            return AdmissionDecision(QUEUE, why)
-        return AdmissionDecision(
-            REJECT,
-            f"{why}; backpressure queue is full "
-            f"({queued}/{self.queue_capacity})",
-        )

@@ -16,12 +16,19 @@ Per window and per tenant:
 2. **Detect drift**: the measurement exceeding the post-deployment
    baseline by ``DRIFT_THRESHOLD`` arms the rescheduler.
 3. **Re-rank** the cached candidates that fit the tenant's partition
-   plus currently-free PUs, scored by the same blend the admission
-   controller uses (per-chunk isolated->interference interpolation by
-   external DVFS co-load, plus fair-share time-sharing on classes the
-   external load touches directly).  A strictly better candidate is
-   deployed; otherwise the server's patience counter keeps running and
-   eventually triggers the eviction fallback.
+   plus currently-free PUs, scored by :meth:`OnlineRescheduler.score`:
+   each *chunk* is interpolated isolated->interference by
+   :func:`~repro.soc.interference.external_co_load`, a weight that
+   counts the schedule's own sibling chunks as busy as well as the
+   external load, then stretched by fair-share time-sharing on classes
+   the external load touches directly.  This is not admission's
+   formula: :class:`~repro.serve.admission.AdmissionController`
+   interpolates the *whole* schedule by the share of its unowned
+   classes that co-tenants keep busy, so on an idle SoC it prices a
+   multi-class schedule at its isolated latency while ``score`` does
+   not.  A strictly better candidate is deployed; otherwise the
+   server's patience counter keeps running and eventually triggers the
+   eviction fallback.
 """
 
 from __future__ import annotations

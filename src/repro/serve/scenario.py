@@ -1,32 +1,27 @@
-"""Seeded serving scenarios: the soak workload behind CLI, CI, tests.
+"""The serving soak preset behind ``repro serve``, CI and the
+acceptance soak test: its tenants, run as a one-shard fleet under a
+drift (:func:`repro.fleet.scenario.serve_fleet`) on the soak runner.
 
-One scenario definition drives three consumers - ``repro serve``'s
-demo mode, the CI smoke job, and the acceptance soak test - so they
-all exercise the same code path and the determinism guarantee is
-tested on exactly what ships.
-
-The soak scenario packs three concurrent tenants onto disjoint PU
-partitions of one SoC (partition cap 1, so pixel7a's four clusters
-hold all three with one to spare), pins the drift victim to a known
-class so interference can be injected *on* that class mid-run, and
-adds a fourth submission whose required class is already taken - the
-admission controller must reject it (no-oversubscription with the
-backpressure queue disabled).
+The soak packs three concurrent tenants onto disjoint PU partitions of
+one SoC (partition cap 1, so pixel7a's four clusters hold all three
+with one to spare), pins the drift victim to a known class so
+interference can be injected *on* that class mid-run, and adds a
+fourth submission whose required class is already taken - with no
+room to wait it must be rejected (no-oversubscription).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import ClassVar, Dict, List
 
 import numpy as np
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.errors import ServeError
 from repro.kernels.base import CPU, GPU
-from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import TenantSpec
-from repro.soc.platforms import get_platform
+from repro.soc.platform import Platform
 from repro.soc.workprofile import WorkProfile
 from repro.stage import Application, Stage
 
@@ -91,6 +86,8 @@ class SoakScenario:
     windows: int = 30
     window_tasks: int = 10
     drift_start_tick: int = 4
+    #: The tick budget (the soak drains at tick ``windows``).
+    max_ticks: ClassVar[int] = 48
 
     def __post_init__(self) -> None:
         if self.windows < 8:
@@ -102,85 +99,57 @@ class SoakScenario:
                 "drift must start after the baseline window (tick >= 2)"
             )
 
+    def tenants(self) -> List[TenantSpec]:
+        """The four submissions, in submission order (three-stage
+        applications):
 
-def build_soak_server(
-    scenario: SoakScenario, reschedule: bool = True
-) -> PipelineServer:
-    """A fully-loaded server, ready to :meth:`~PipelineServer.run`
-    for at most 48 ticks.
-
-    Tenants (admitted in submission order on tick 0; three-stage
-    applications):
-
-    * ``tenant-gpu``   - needs the GPU (hard), priority 0;
-    * ``tenant-drift`` - *prefers* the drift class (soft, so the
-      rescheduler may flee it later), priority 1;
-    * ``tenant-bg``    - prefers the little cores, priority 0; leaves
-      the medium cluster free as the drift victim's escape hatch;
-    * ``tenant-probe`` - needs the GPU *after* ``tenant-gpu`` holds it;
-      with the queue disabled, admission must reject it.
-    """
-    platform = get_platform(scenario.platform_name,
-                            seed=scenario.seed)
-    for needed in (DRIFT_CLASS, CONTESTED_CLASS, "little"):
-        if needed not in platform.schedulable_classes():
-            raise ServeError(
-                f"soak scenario needs PU class {needed!r}; platform "
-                f"{platform.name!r} lacks it"
+        * ``tenant-gpu``   - needs the GPU (hard), priority 0;
+        * ``tenant-drift`` - *prefers* the drift class (soft, so the
+          rescheduler may flee it later), priority 1;
+        * ``tenant-bg``    - prefers the little cores, priority 0;
+          leaves the medium cluster free as the drift victim's escape
+          hatch;
+        * ``tenant-probe`` - needs the GPU *after* ``tenant-gpu`` holds
+          it; with no room to wait, it must be rejected.
+        """
+        def app(offset: int):
+            return build_synthetic_application(
+                seed=self.seed + offset, stage_count=3,
             )
-    server = PipelineServer(
-        platform,
-        seed=scenario.seed,
-        config=ServerConfig(
-            max_ticks=48,
-            queue_capacity=0,
-            max_partition_classes=1,
-            reschedule=reschedule,
-        ),
-    )
 
-    def app(offset: int):
-        return build_synthetic_application(
-            seed=scenario.seed + offset, stage_count=3,
-        )
+        common = dict(windows=self.windows,
+                      window_tasks=self.window_tasks)
+        return [
+            TenantSpec(
+                name="tenant-gpu", application=app(1), priority=0,
+                required_classes=frozenset({CONTESTED_CLASS}), **common,
+            ),
+            TenantSpec(
+                name="tenant-drift",
+                application=_memory_bound_application(
+                    self.seed + 2, stage_count=3
+                ),
+                priority=1,
+                preferred_classes=frozenset({DRIFT_CLASS}), **common,
+            ),
+            TenantSpec(
+                name="tenant-bg", application=app(3), priority=0,
+                preferred_classes=frozenset({"little"}), **common,
+            ),
+            # Same application as tenant-gpu: exercises the plan cache
+            # *and* guarantees its required class is already held.
+            TenantSpec(
+                name="tenant-probe", application=app(1), priority=2,
+                required_classes=frozenset({CONTESTED_CLASS}), **common,
+            ),
+        ]
 
-    common = dict(windows=scenario.windows,
-                  window_tasks=scenario.window_tasks)
-    server.submit(TenantSpec(
-        name="tenant-gpu", application=app(1), priority=0,
-        required_classes=frozenset({CONTESTED_CLASS}), **common,
-    ))
-    server.submit(TenantSpec(
-        name="tenant-drift",
-        application=_memory_bound_application(
-            scenario.seed + 2, stage_count=3
-        ),
-        priority=1,
-        preferred_classes=frozenset({DRIFT_CLASS}), **common,
-    ))
-    server.submit(TenantSpec(
-        name="tenant-bg", application=app(3), priority=0,
-        preferred_classes=frozenset({"little"}), **common,
-    ))
-    # Same application as tenant-gpu: exercises the plan cache *and*
-    # guarantees its required class is already held.
-    server.submit(TenantSpec(
-        name="tenant-probe", application=app(1), priority=2,
-        required_classes=frozenset({CONTESTED_CLASS}), **common,
-    ))
-    server.inject_drift(DriftSpec(
-        start_tick=scenario.drift_start_tick,
-        busy={DRIFT_CLASS: 0.8},
-        demand_gbps=4.0,
-    ))
-    return server
+    def check(self, platform: Platform) -> None:
+        """Refuse a platform that lacks a PU class the soak pins."""
+        for needed in (DRIFT_CLASS, CONTESTED_CLASS, "little"):
+            if needed not in platform.schedulable_classes():
+                raise ServeError(
+                    f"soak scenario needs PU class {needed!r}; platform "
+                    f"{platform.name!r} lacks it"
+                )
 
-
-def run_soak(
-    scenario: SoakScenario,
-    reschedule: bool = True,
-) -> Tuple[PipelineServer, "object"]:
-    """Build and run one soak; returns (server, report)."""
-    server = build_soak_server(scenario, reschedule=reschedule)
-    report = server.run()
-    return server, report

@@ -2,31 +2,26 @@
 
 Architecture (deliberately boring, for determinism's sake):
 
-* **No thread of its own.**  The server advances only when someone
-  calls :meth:`PipelineServer.step`; whoever steps it owns every
-  mutable serving structure - the tenant registry, the placement map,
-  the backpressure queue.  :meth:`PipelineServer.run` is that loop
-  written out on the calling thread (``open_stepped``, ``step`` until
-  drained or ``max_ticks``, ``close_stepped``); a fleet router steps
-  many servers in lockstep from its own tick.
-* **Submissions may cross threads** through a single lock-guarded inbox
-  (:func:`~repro.runtime.lock_order.checked_lock`, so the race
-  checker sees it): an ingest thread may :meth:`submit` while another
-  steps.  Everything after the inbox belongs to the stepping thread.
+* **No thread and no front door of its own.**  The server is one
+  shard of a :class:`~repro.fleet.router.FleetRouter`: the router
+  prices a tenant here (:meth:`PipelineServer.price`), deploys the
+  verdict (:meth:`PipelineServer.admit`) and owns the one wait queue,
+  its backlog.  Whoever steps the router steps the server
+  (:meth:`PipelineServer.step`) and owns every mutable serving
+  structure - the tenant registry and the placement map.  ``repro
+  serve`` and ``repro submit`` are one-shard fleets.
 * **Virtual time only.**  Tenant windows execute on the discrete-event
   simulator; a *tick* runs one window for every running tenant, and a
-  run is bounded by ``max_ticks``, never by a wall clock.  With all
-  submissions made before the first tick the entire run - admissions,
-  windows, reschedules, evictions, the final report - is a pure
-  function of (platform, specs, drifts, seed), which is what makes the
-  soak test's byte-determinism assertion possible.
+  run is bounded by the caller's tick count, never by a wall clock, so
+  the entire run - admissions, windows, reschedules, evictions, the
+  final report - is a pure function of (platform, specs, drifts),
+  which is what makes the soak test's byte-determinism assertion
+  possible.
 
-Per tick the server: drains the inbox through the admission controller,
-retries the backpressure queue (a completed tenant may have freed the
-PUs a queued one needs), then serves one window per running tenant -
-each under the :class:`~repro.soc.interference.ExternalLoad` formed by
-its co-tenants' offered loads plus any injected drift - and finally
-lets the online rescheduler react to drifted measurements.
+Per tick the server serves one window per running tenant - each under
+the :class:`~repro.soc.interference.ExternalLoad` formed by its
+co-tenants' offered loads plus any injected drift - and then lets the
+online rescheduler react to drifted measurements.
 
 State that outlives the tick is not the server's, nor a tenant's: the
 paper's BT-Implementer builds a pipeline once per deployed schedule, so
@@ -50,9 +45,8 @@ not on the tick.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.plan_cache import Deployment, PlanCache
 from repro.errors import ReproError, ServeError
@@ -61,18 +55,14 @@ from repro.obs.metrics import metrics
 from repro.obs.recorder import recorder
 from repro.obs.spans import Span
 from repro.obs.tracer import tracer
-from repro.runtime.lock_order import checked_lock
 from repro.runtime.simulator import SimWindow, simulate_batch
-from repro.serve.admission import ADMIT, QUEUE, AdmissionController
-from repro.serve.metrics import ServeReport, TenantMetrics
+from repro.serve.admission import ADMIT, AdmissionController
 from repro.serve.placement import EpochMemo, PlacementMap
 from repro.serve.rescheduler import EVICT, SWITCH, OnlineRescheduler
 from repro.serve.tenant import (
     COMPLETED,
     EVICTED,
     FAILED,
-    QUEUED,
-    REJECTED,
     RUNNING,
     TenantRecord,
     TenantSpec,
@@ -119,10 +109,9 @@ class DriftSpec:
 
 @dataclass
 class ServerConfig:
-    """Knobs for one serving run."""
+    """Knobs of one shard's server (:meth:`FleetConfig.server_config
+    <repro.fleet.router.FleetConfig.server_config>` sets them)."""
 
-    max_ticks: int = 64
-    queue_capacity: int = 4
     max_impact_ratio: float = 1.5
     max_partition_classes: Optional[int] = None
     #: Price the impact ceiling against each incumbent's *total*
@@ -134,14 +123,8 @@ class ServerConfig:
     #: Per-window interference blame decomposition
     #: (:mod:`repro.obs.attribution`).  Off by default: attribution
     #: replays the steady-state rate model per (window, source) pair,
-    #: so uninstrumented runs must not pay for it - and reports only
-    #: grow an ``attribution`` key when it is on, keeping default
-    #: report bytes unchanged.
+    #: so uninstrumented runs must not pay for it.
     attribution: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_ticks < 1:
-            raise ServeError("max_ticks must be >= 1")
 
 
 class PipelineServer:
@@ -150,13 +133,11 @@ class PipelineServer:
     def __init__(
         self,
         platform: Platform,
-        seed: int = 0,
         config: Optional[ServerConfig] = None,
         plan_cache: Optional[PlanCache] = None,
         shard: str = "",
     ):
         self.platform = platform
-        self.seed = seed
         #: Label stamped on every served window (a fleet shard's name).
         self.shard = shard
         self.config = config or ServerConfig()
@@ -172,7 +153,6 @@ class PipelineServer:
         self.admission = AdmissionController(
             platform,
             self.plan_cache,
-            queue_capacity=self.config.queue_capacity,
             max_impact_ratio=self.config.max_impact_ratio,
             max_partition_classes=self.config.max_partition_classes,
             cumulative_impact=self.config.cumulative_impact,
@@ -189,7 +169,7 @@ class PipelineServer:
         #: _release and by a reschedule SWITCH).  Holding it here keeps
         #: it alive whatever the cache's own bound evicts.
         self._deployments: Dict[str, Deployment] = {}
-        #: (pricing key, queued) -> verdict, per placement epoch.
+        #: Pricing key -> verdict, per placement epoch.
         self._verdicts = EpochMemo()
         #: Live tenant -> (sources, combined co-load), per (placement
         #: epoch, active drift indices).
@@ -199,11 +179,7 @@ class PipelineServer:
         #: served last.  The lists belong to remembered results shared
         #: across tenants: untagged, read-only (see :attr:`trace_spans`).
         self._last_spans: Dict[str, List[Span]] = {}
-        self.ticks_executed = 0
 
-        self._inbox: Deque[TenantSpec] = deque()
-        self._inbox_lock = checked_lock("serve.inbox-lock")
-        self._queue: List[str] = []
         self._drifts: List[DriftSpec] = []
         self._patience: Dict[str, int] = {}
         self._admission_counter = 0
@@ -212,29 +188,6 @@ class PipelineServer:
         #: Lifecycle: "new" -> "open" (open_stepped) -> "closed"
         #: (close_stepped); nothing reopens a closed server.
         self._state = "new"
-
-    # ------------------------------------------------------------------
-    # Client surface
-    # ------------------------------------------------------------------
-    def submit(self, spec: TenantSpec) -> None:
-        """Queue one job for admission.
-
-        Submissions made before the first tick are processed in order
-        on that tick, which keeps the whole run deterministic;
-        submitting to an open server (from any thread) is allowed and
-        lands on whichever tick is stepped next.
-        """
-        if self._state == "closed":
-            raise ServeError(
-                f"server has drained; cannot submit {spec.name!r}"
-            )
-        with self._inbox_lock:
-            if spec.name in self._names:
-                raise ServeError(
-                    f"tenant name {spec.name!r} already submitted"
-                )
-            self._names.add(spec.name)
-            self._inbox.append(spec)
 
     def inject_drift(self, drift: DriftSpec) -> None:
         """Register outside interference, any time before the server
@@ -248,28 +201,6 @@ class PipelineServer:
             raise ServeError("server has drained; cannot inject drift")
         self._drifts.append(drift)
 
-    def run(self) -> ServeReport:
-        """Serve on the calling thread until every tenant is terminal
-        or ``config.max_ticks`` ticks ran, then close and report.
-
-        Raises:
-            ServeError: A tick raised a :class:`ReproError`; the server
-                is closed out first, with that message as the status
-                detail of every tenant still live.
-        """
-        self.open_stepped()
-        detail = None
-        try:
-            for tick in range(self.config.max_ticks):
-                if self.step(tick):
-                    break
-        except ReproError as error:
-            detail = str(error)
-            raise ServeError(f"serve loop aborted: {detail}") from error
-        finally:
-            report = self.close_stepped(detail)
-        return report
-
     # ------------------------------------------------------------------
     # Stepping: the caller owns the clock
     # ------------------------------------------------------------------
@@ -277,7 +208,7 @@ class PipelineServer:
     # shard would make cross-shard event order scheduler-dependent and
     # break byte-determinism.  So the server has no thread: the caller
     # calls step(tick) once per tick (always from the same thread) and
-    # close_stepped() to settle terminal states and collect the report.
+    # close_stepped() to settle terminal states.
 
     def open_stepped(self) -> None:
         """Open the server for ticking (once per server)."""
@@ -290,11 +221,10 @@ class PipelineServer:
         if self._state != "open":
             raise ServeError("step() requires open_stepped()")
         self._tick(tick)
-        self.ticks_executed += 1
         return self._drained()
 
-    def close_stepped(self, detail: Optional[str] = None) -> ServeReport:
-        """Close the server: settle terminal states, return the report.
+    def close_stepped(self, detail: Optional[str] = None) -> None:
+        """Close the server: settle terminal states.
 
         ``detail`` (e.g. ``"shard crashed at tick 8"``) becomes the
         status detail of any tenant still live at close.
@@ -303,7 +233,6 @@ class PipelineServer:
             raise ServeError("close_stepped() requires open_stepped()")
         self._state = "closed"
         self._close_out(detail)
-        return self.report()
 
     def try_admit(self, spec: TenantSpec, tick: int):
         """Synchronous admission (open server only).
@@ -311,8 +240,8 @@ class PipelineServer:
         Evaluates ``spec`` against the current placement and running
         set; on ADMIT the tenant is deployed immediately and serves its
         first window on the next :meth:`step`.  QUEUE/REJECT decisions
-        leave no record behind - the fleet router owns the backlog, not
-        the shard.  Returns the :class:`AdmissionDecision` either way.
+        leave no record behind - the fleet router owns the backlog.
+        Returns the :class:`AdmissionDecision` either way.
         """
         self._require_newcomer("try_admit", spec)
         decision = self.price(spec)
@@ -320,26 +249,24 @@ class PipelineServer:
             self.admit(spec, tick, decision)
         return decision
 
-    def price(self, spec: TenantSpec, queued: int = 0):
+    def price(self, spec: TenantSpec):
         """The admission verdict on ``spec`` against the current
-        placement: the one door to admission, for this server's inbox
-        and queue and for a fleet router ranking shards.
+        placement: the one door to admission, for a fleet router
+        ranking shards.
 
         A verdict depends on the tenant only through its
         :attr:`~TenantSpec.pricing_key` and on the shard only through
-        its placement and ``queued`` (a full queue turns QUEUE into
-        REJECT, and the reason prints the depth): one
-        :meth:`AdmissionController.evaluate` per (placement epoch,
-        pricing key, ``queued``), a read until the placement changes.
+        its placement: one :meth:`AdmissionController.evaluate` per
+        (placement epoch, pricing key), a read until the placement
+        changes.
         """
         epoch = self.placement.epoch
-        key = (spec.pricing_key, queued)
+        key = spec.pricing_key
         decision = self._verdicts.lookup(epoch, key)
         remembered = decision is not None
         if not remembered:
             decision = self.admission.evaluate(
-                spec, self.placement, self._live, queued=queued,
-            )
+                spec, self.placement, self._live)
             self._verdicts.store(epoch, key, decision)
         reg = metrics()
         if reg.enabled:
@@ -385,8 +312,6 @@ class PipelineServer:
             raise ServeError(
                 f"cannot withdraw {name!r}: not a live tenant"
             )
-        if name in self._queue:
-            self._queue.remove(name)
         if name in self._live:
             self._release(name)
         record.status = EVICTED
@@ -421,81 +346,28 @@ class PipelineServer:
         """
         return name in self._names
 
-    def report(self) -> ServeReport:
-        """The (deterministic) serving report for the run so far."""
-        return ServeReport(
-            platform=self.platform.name,
-            seed=self.seed,
-            ticks=self.ticks_executed,
-            rescheduling_enabled=self.config.reschedule,
-            tenants={
-                name: TenantMetrics.from_record(record)
-                for name, record in self.records.items()
-            },
-            timeline=list(self.timeline),
-            plan_cache=self.plan_cache.stats(),
-            attribution=self._attribution_summary(),
-        )
-
-    def _attribution_summary(self) -> Optional[Dict[str, object]]:
-        """Blame matrices harvested from tenant histories (None when
-        attribution is off, so default report bytes stay unchanged)."""
-        if not self.config.attribution:
-            return None
-        per_tenant: Dict[str, object] = {}
-        matrices = []
-        for name in sorted(self.records):
-            blames = [w.blame for w in self.records[name].history
-                      if w.blame is not None]
-            if blames:
-                per_tenant[name] = [b.to_dict() for b in blames]
-                matrices.extend(blames)
-        return {
-            "tenants": per_tenant,
-            "top_offenders": attribution.top_offenders(matrices, k=5),
-        }
-
     # ------------------------------------------------------------------
     # The tick (runs on the stepping thread; owns all serving state)
     # ------------------------------------------------------------------
     def _drained(self) -> bool:
-        with self._inbox_lock:
-            pending = len(self._inbox)
-        # Every non-terminal record is RUNNING (in _live) or QUEUED.
-        return not pending and not self._live and not self._queue
+        # Every non-terminal record is RUNNING, in _live.
+        return not self._live
 
     def _close_out(self, detail: Optional[str]) -> None:
         """Terminal states for whatever the last tick left behind;
         ``detail`` is what :meth:`close_stepped` was given."""
-        with self._inbox_lock:
-            leftovers = list(self._inbox)
-            self._inbox.clear()
-        for spec in leftovers:
-            record = TenantRecord(spec=spec, status=REJECTED,
-                                  status_detail="server stopped before "
-                                                "admission")
-            self.records[spec.name] = record
         for record in self.records.values():
             if record.done:
                 continue
-            if record.status == RUNNING:
-                self._release(record.name)
-            if record.status == QUEUED:
-                record.status = REJECTED
-                record.status_detail = (
-                    "queued until the server drained (backpressure)"
-                )
-            else:
-                record.status = FAILED
-                record.status_detail = (
-                    detail or "tick budget exhausted before completion"
-                )
+            self._release(record.name)
+            record.status = FAILED
+            record.status_detail = (
+                detail or "tick budget exhausted before completion"
+            )
 
     # -- one tick -------------------------------------------------------
     def _tick(self, tick: int) -> None:
         with tracer().span("serve.tick", "serve", tick=tick):
-            self._admit_new(tick)
-            self._retry_queued(tick)
             self._serve_windows(tick)
         reg = metrics()
         if reg.enabled:  # how long a placement lives
@@ -506,8 +378,6 @@ class PipelineServer:
     #: timeline event -> admission-metric counter name.
     _ADMISSION_COUNTERS = {
         "admit": "admission.admits",
-        "queue": "admission.queued",
-        "reject": "admission.rejects",
         "reschedule": "serve.reschedules",
         "evict": "serve.evictions",
         "withdraw": "serve.withdrawals",
@@ -544,41 +414,6 @@ class PipelineServer:
             if event == "window":
                 reg.observe("serve.window_latency_s",
                             float(extra["latency_s"]))
-
-    def _admit_new(self, tick: int) -> None:
-        while True:
-            with self._inbox_lock:
-                if not self._inbox:
-                    return
-                spec = self._inbox.popleft()
-            record = TenantRecord(spec=spec)
-            self.records[spec.name] = record
-            self._decide(tick, record)
-
-    def _retry_queued(self, tick: int) -> None:
-        for name in list(self._queue):
-            record = self.records[name]
-            decision = self.price(record.spec,
-                                  queued=len(self._queue) - 1)
-            if decision.action == ADMIT:
-                self._queue.remove(name)
-                self._deploy(tick, record, decision)
-
-    def _decide(self, tick: int, record: TenantRecord) -> None:
-        decision = self.price(record.spec, queued=len(self._queue))
-        if decision.action == ADMIT:
-            self._deploy(tick, record, decision)
-        elif decision.action == QUEUE:
-            record.status = QUEUED
-            record.status_detail = decision.reason
-            self._queue.append(record.name)
-            self._event(tick, "queue", record.name,
-                        reason=decision.reason)
-        else:
-            record.status = REJECTED
-            record.status_detail = decision.reason
-            self._event(tick, "reject", record.name,
-                        reason=decision.reason)
 
     def _deploy(self, tick: int, record: TenantRecord, decision) -> None:
         assert decision.candidate is not None

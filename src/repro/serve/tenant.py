@@ -21,7 +21,6 @@ from repro.stage import Application
 
 # Lifecycle states.
 PENDING = "pending"      # submitted, admission not yet evaluated
-QUEUED = "queued"        # admission deferred (backpressure queue)
 RUNNING = "running"      # admitted, executing windows
 COMPLETED = "completed"  # all requested windows served
 REJECTED = "rejected"    # admission refused the job

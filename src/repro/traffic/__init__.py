@@ -25,10 +25,9 @@ from repro.traffic.generator import (
     TrafficGenerator,
 )
 from repro.traffic.scenario import (
+    CURVE_MULTIPLIERS,
     FleetOverloadScenario,
     OVERLOAD_TIERS,
-    overload_curve,
-    run_overload_soak,
 )
 from repro.traffic.slo import (
     BurstRecovery,
@@ -46,6 +45,7 @@ from repro.traffic.trace import TRACE_KIND, TrafficTrace
 
 __all__ = [
     "ArrivalEvent",
+    "CURVE_MULTIPLIERS",
     "BurstRecovery",
     "BurstSpec",
     "DEFAULT_TIERS",
@@ -62,6 +62,4 @@ __all__ = [
     "TrafficTrace",
     "evaluate",
     "materialize",
-    "overload_curve",
-    "run_overload_soak",
 ]

@@ -1,40 +1,34 @@
-"""The open-loop driver: offered load meets the fleet, tick by tick.
+"""The soak runner: the one loop that steps a fleet, tick by tick.
 
-Closed-loop harnesses (the scripted soaks) only submit what the system
-can absorb, so overload behaviour - admission queues filling, age-out,
-backlog rejections, goodput collapse - is never exercised.  This
-driver is open-loop: each control tick it submits *every* arrival the
-workload source scheduled for that tick, whether or not the fleet kept
-up, then advances the fleet one step and harvests what was actually
-served.
+Every serving command is a preset of :class:`OpenLoopDriver`.  Each
+tick it submits *every* arrival its source scheduled for that tick,
+whether or not the fleet kept up, then steps the fleet once.  The
+source sets the horizon: a fixed list of
+:class:`~repro.serve.tenant.TenantSpec` (an empty source is one)
+arrives at tick 0 and stops the run once the fleet drains; a stream of
+:class:`~repro.traffic.generator.ArrivalEvent` - generated or replayed
+from a :class:`~repro.traffic.trace.TrafficTrace`, one code path -
+runs the full horizon and alone arms the per-tick traffic instruments.
 
-The workload source is anything with an ``events()`` stream of
-:class:`~repro.traffic.generator.ArrivalEvent` - a live
-:class:`~repro.traffic.generator.TrafficGenerator` or a frozen
-:class:`~repro.traffic.trace.TrafficTrace` - so recorded and replayed
-runs share one code path (the replay-equals-record guarantee).
-
-Per served window the driver reads the row's *slowdown*: measured
-window latency over the contention-free reference (the isolated
-prediction of the schedule the window ran on).  Slowdown isolates what
-admission control actually governs - contention - from placement
-narrowness, so SLO attainment compares fairly across admission
-policies.  The rows are the router's ``window_log`` - the driver keeps
-no copy; a window's tier is its tenant's arrival event's.
+A stream's served windows are read by *slowdown*: measured latency over
+the isolated prediction of the schedule the window ran on, which
+isolates what admission governs - contention - from placement
+narrowness.  The rows are the router's ``window_log``; a window's tier
+is its tenant's arrival event's.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.apps.synthetic import (
     build_bandwidth_bound_application,
     build_synthetic_application,
 )
 from repro.stage import Application
-from repro.errors import TrafficError
+from repro.errors import FleetError, ReproError, TrafficError
 from repro.fleet.router import FleetRouter
 from repro.fleet.metrics import FleetReport
 from repro.obs.alerts import BurnAlert, BurnRateEvaluator, BurnRateRule
@@ -104,7 +98,7 @@ def materialize(event: ArrivalEvent, stage_count: int) -> TenantSpec:
 
 @dataclass
 class TrafficRunResult:
-    """Everything one open-loop run produced, pre-aggregation."""
+    """Everything one soak produced, pre-aggregation."""
 
     ticks: int
     fleet_report: Optional[FleetReport] = None
@@ -122,17 +116,20 @@ class TrafficRunResult:
 
 
 class OpenLoopDriver:
-    """Feed a workload stream into a fleet, tick by tick."""
+    """Feed an arrival source (``events``, see the module docstring)
+    into a fleet for ``ticks`` (default: ``config.max_ticks``) ticks."""
 
     def __init__(
         self,
         router: FleetRouter,
-        events: Sequence[ArrivalEvent],
-        ticks: int,
+        events: Sequence[Union[TenantSpec, ArrivalEvent]],
+        ticks: Optional[int] = None,
         stage_count: int = 3,
         slo_by_tier: Optional[Dict[str, float]] = None,
         burn: Optional[BurnRateRule] = None,
     ):
+        if ticks is None:
+            ticks = router.config.max_ticks
         if ticks < 1:
             raise TrafficError(
                 "driver needs at least one tick",
@@ -148,8 +145,14 @@ class OpenLoopDriver:
         #: default so the default soak's report bytes are unchanged.
         self._burn = (BurnRateEvaluator(burn)
                       if burn is not None else None)
+        # A stream holds arrival events; anything else - an empty
+        # source too - is a fixed tenant list, all of it due at tick 0.
+        events = list(events)
+        self._stream = any(isinstance(event, ArrivalEvent)
+                           for event in events)
+        self._fixed: List[TenantSpec] = [] if self._stream else events
         self._by_tick: Dict[int, List[ArrivalEvent]] = {}
-        for event in events:
+        for event in events if self._stream else ():
             if event.tick >= ticks:
                 continue
             self._by_tick.setdefault(event.tick, []).append(event)
@@ -161,9 +164,14 @@ class OpenLoopDriver:
         """Drive the fleet over the horizon and harvest the outcome.
 
         ``on_tick`` (when given) observes each completed tick's
-        trajectory entry as it lands - the hook ``repro top --watch``
-        renders from.  It runs on the deterministic tick clock and must
-        not mutate the entry.
+        trajectory entry of a stream as it lands - the hook ``repro top
+        --watch`` renders from.  It runs on the deterministic tick clock
+        and must not mutate the entry.
+
+        Raises:
+            FleetError: A fleet tick raised a :class:`ReproError`; the
+                fleet is closed out first, with that message as the
+                status detail of every tenant still placed.
         """
         router = self.router
         router.open_stepped()
@@ -174,7 +182,13 @@ class OpenLoopDriver:
         window_cursor = 0
         reg = metrics()
         trc = tracer()
+        # The detail only lands on tenants still non-terminal at close;
+        # a drained fleet ignores it.
+        detail = ("open-loop horizon reached with work in flight"
+                  if self._stream else None)
         try:
+            for spec in self._fixed:
+                router.submit(spec)
             for tick in range(self.ticks):
                 arrivals = self._by_tick.get(tick, ())
                 for event in arrivals:
@@ -190,7 +204,17 @@ class OpenLoopDriver:
                             track=f"tier:{event.tier}", tick=tick,
                             tenant=event.name, windows=event.windows,
                         )
-                router.step(tick)
+                try:
+                    drained = router.step(tick)
+                except ReproError as error:
+                    detail = str(error)
+                    raise FleetError(
+                        f"fleet loop aborted: {detail}") from error
+                if not self._stream:
+                    if drained:
+                        result.ticks = tick + 1
+                        break
+                    continue
 
                 fresh = result.samples[window_cursor:]
                 window_cursor += len(fresh)
@@ -258,9 +282,5 @@ class OpenLoopDriver:
                 if on_tick is not None:
                     on_tick(entry)
         finally:
-            # The detail only lands on tenants still non-terminal at
-            # close; a drained fleet ignores it.
-            result.fleet_report = router.close_stepped(
-                detail="open-loop horizon reached with work in flight"
-            )
+            result.fleet_report = router.close_stepped(detail)
         return result

@@ -1,10 +1,11 @@
-"""The seeded overload soak: one scenario behind CLI, CI, and tests.
+"""The overload preset: one scenario behind ``repro traffic`` and
+``repro top``, the CI ``traffic-soak`` job, and the acceptance tests.
 
-Mirrors :mod:`repro.fleet.scenario` for the traffic layer: a single
-:class:`FleetOverloadScenario` drives ``repro traffic soak``, the CI
-``traffic-soak`` job, and the acceptance tests, so the open-loop
-determinism guarantee and the admission-control goodput gate are
-exercised on exactly what ships.
+Preset data only: :meth:`FleetOverloadScenario.driver` hands the one
+soak runner (:class:`~repro.traffic.driver.OpenLoopDriver`) this
+scenario's fleet and arrival stream, so the open-loop determinism
+guarantee and the admission-control goodput gate are exercised on
+exactly what ships.
 
 The default scenario offers ~1.5x the fleet's saturation load (with a
 mid-run burst on top) and runs twice per evaluation: once with the
@@ -22,16 +23,15 @@ control (the acceptance gate).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Optional
 
 from repro.errors import TrafficError
 from repro.fleet.health import HealthConfig
 from repro.fleet.router import FleetConfig, FleetRouter
 from repro.fleet.shard import ShardSpec
 from repro.obs.alerts import BurnRateRule
-from repro.traffic.driver import OpenLoopDriver, TrafficRunResult
+from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.generator import TrafficGenerator
-from repro.traffic.slo import TrafficReport, evaluate
 from repro.traffic.spec import BurstSpec, TierSpec, TrafficSpec
 from repro.traffic.trace import TrafficTrace
 
@@ -51,6 +51,10 @@ OVERLOAD_TIERS = (
 
 #: Arrivals per tick that saturate one fully-packed pixel7a shard.
 SATURATION_ARRIVALS_PER_SHARD = 0.55
+
+#: The load multiples of ``traffic soak --curve``: with admission
+#: control goodput plateaus past saturation, without it it collapses.
+CURVE_MULTIPLIERS = (0.5, 1.0, 1.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -115,18 +119,24 @@ class FleetOverloadScenario:
         """The same scenario at a different offered-load multiple."""
         return replace(self, load_multiplier=multiplier)
 
-    def build_fleet(self, admission: bool = True,
-                    attribution: bool = False) -> FleetRouter:
-        """A fresh fleet for one run of this scenario.
-
-        ``attribution`` turns on per-window blame decomposition on
-        every shard (off by default - the soak's byte-diff arms run
-        without it; ``repro top`` runs with it).
-        """
+    def driver(self, admission: bool = True,
+               trace: Optional[TrafficTrace] = None,
+               attribution: bool = False,
+               burn: Optional[BurnRateRule] = None) -> OpenLoopDriver:
+        """The runner for one open-loop run of this scenario, on a
+        fresh fleet.  A ``trace`` replaces the generated stream, and its
+        own spec sets the horizon and SLOs (evaluate against
+        ``trace.spec`` and ``trace.seed``); ``attribution``/``burn`` arm
+        blame decomposition and burn-rate alerting (``repro top``)."""
+        if trace is not None:
+            spec, events = trace.spec, list(trace.events)
+        else:
+            spec = self.spec()
+            events = TrafficGenerator(spec, seed=self.seed).events()
         # Admit everything: an impact ceiling no prediction reaches,
         # so shards pack until no free PU classes remain.
         ratio = self.admission_max_impact_ratio if admission else 1e9
-        return FleetRouter(
+        router = FleetRouter(
             [ShardSpec(
                 name=f"soc{i}",
                 platform_name="pixel7a",
@@ -147,67 +157,10 @@ class FleetOverloadScenario:
                 attribution=attribution,
             ),
         )
-
-
-def run_overload_soak(
-    scenario: FleetOverloadScenario,
-    admission: bool = True,
-    trace: Optional[TrafficTrace] = None,
-    attribution: bool = False,
-    burn: Optional[BurnRateRule] = None,
-    on_tick=None,
-) -> Tuple[TrafficRunResult, TrafficReport]:
-    """One open-loop run: generate (or replay), drive, evaluate.
-
-    With ``trace`` set, the frozen stream replaces the generator and
-    the trace's own spec/seed govern evaluation - replaying a recorded
-    trace therefore reproduces the recorded run byte-identically.
-    ``attribution``/``burn`` arm blame decomposition and per-tier
-    burn-rate alerting (both off by default; ``repro top`` turns both
-    on); ``on_tick`` observes each tick's trajectory entry live.
-    """
-    if trace is not None:
-        spec, seed = trace.spec, trace.seed
-        events = list(trace.events)
-    else:
-        spec, seed = scenario.spec(), scenario.seed
-        events = TrafficGenerator(spec, seed=seed).events()
-    router = scenario.build_fleet(admission=admission,
-                                  attribution=attribution)
-    driver = OpenLoopDriver(
-        router, events, ticks=spec.ticks,
-        stage_count=spec.stage_count,
-        slo_by_tier={tier.name: tier.slo_slowdown
-                     for tier in spec.tiers},
-        burn=burn,
-    )
-    result = driver.run(on_tick=on_tick)
-    return result, evaluate(spec, seed, result)
-
-
-def overload_curve(
-    scenario: FleetOverloadScenario,
-    admission: bool = True,
-) -> List[Dict[str, object]]:
-    """Goodput-vs-offered-load: one point per load multiple (0.5x,
-    1.0x, 1.5x and 2.0x saturation).
-
-    The graceful-degradation shape the acceptance test asserts: with
-    admission control, goodput rises with offered load up to
-    saturation and then *plateaus* (excess is rejected, not served
-    badly); without it, goodput collapses past saturation.
-    """
-    points: List[Dict[str, object]] = []
-    for multiplier in (0.5, 1.0, 1.5, 2.0):
-        _, report = run_overload_soak(
-            scenario.at_multiplier(multiplier), admission=admission,
+        return OpenLoopDriver(
+            router, events, ticks=spec.ticks,
+            stage_count=spec.stage_count,
+            slo_by_tier={tier.name: tier.slo_slowdown
+                         for tier in spec.tiers},
+            burn=burn,
         )
-        points.append({
-            "load_multiplier": multiplier,
-            "arrivals": report.arrivals,
-            "offered_windows": report.offered_windows,
-            "served_windows": report.served_windows,
-            "goodput_windows": report.goodput_windows,
-            "goodput_tasks": report.goodput_tasks,
-        })
-    return points

@@ -90,6 +90,17 @@ class TestRelativeSlo:
         assert monitor.slo_breached("s")
         assert monitor.state("s") == DEGRADED
 
+    def test_a_one_tick_rule_trips_on_one_breaching_tick(self):
+        monitor = HealthMonitor(HealthConfig(slo_factor=2.0,
+                                             slo_breach_ticks=1))
+        monitor.register("s")
+        monitor.note_window("s", "t", 0.010)
+        monitor.assess("s", beats=1, crashed=False)
+        assert not monitor.slo_breached("s")
+        monitor.note_window("s", "t", 0.030)  # 3x baseline, once
+        monitor.assess("s", beats=2, crashed=False)
+        assert monitor.slo_breached("s")
+
     def test_single_spike_is_forgiven(self, monitor):
         monitor.note_window("s", "t", 0.010)
         monitor.assess("s", beats=1, crashed=False)

@@ -21,6 +21,9 @@ import pytest
 from repro.fleet import FleetSoakScenario
 from repro.fleet.scenario import build_fleet
 
+from tests.serve.conftest import records
+from tests.soaks import drive
+
 from tests.solve_oracle import (
     count_solves,
     distinct,
@@ -37,15 +40,15 @@ def run_soak(reschedule):
     router = build_fleet(SCENARIO)
     # One ServerConfig object is shared by every shard generation.
     router.shards[0].server_config.reschedule = reschedule
-    report = router.run()
+    report = drive(router, SCENARIO.tenants())
     return json.dumps({
         "report": report.to_dict(),
         "timeline": router.timeline,
         "window_log": [dataclasses.asdict(row)
                        for row in router.window_log],
         "shards": {
-            shard.name: [closed.to_dict()
-                         for closed in shard.closed_reports]
+            shard.name: [[closed.timeline, records(closed)]
+                         for closed in shard.closed_servers]
             for shard in router.shards
         },
     }, sort_keys=True), report, router

@@ -33,7 +33,8 @@ from repro.serve.server import PipelineServer
 from repro.serve.tenant import RUNNING, TenantSpec
 
 from tests.memo_off import comparable, memos_off
-from tests.serve.conftest import count_pricings, fresh_verdict
+from tests.soaks import drive
+from tests.serve.conftest import count_pricings, fresh_verdict, records
 from tests.solve_oracle import first_difference
 
 SCENARIO = FleetSoakScenario()
@@ -52,15 +53,15 @@ def run_soak(attribution=False, reschedule=True):
 
     with capture() as cap, pytest.MonkeyPatch.context() as patch:
         patch.setattr(PipelineServer, "rescind", rescind)
-        report = router.run()
+        report = drive(router, SCENARIO.tenants())
     trace = chrome_trace(cap.events, cap.metrics.snapshot())
     return json.dumps({
         "report": report.to_dict(),
         "window_log": [dataclasses.asdict(row)
                        for row in router.window_log],
         "shards": {
-            shard.name: [closed.to_dict()
-                         for closed in shard.closed_reports]
+            shard.name: [[closed.timeline, records(closed)]
+                         for closed in shard.closed_servers]
             for shard in router.shards
         },
         "trace": comparable(json.dumps(trace).encode()).decode(),
@@ -269,7 +270,7 @@ class TestAChoiceEndsWithTheFleetStateItWasRankedAt:
 def test_every_shard_reports_its_epoch_when_asked():
     router = build_fleet(SCENARIO)
     with capture() as cap:
-        router.run()
+        drive(router, SCENARIO.tenants())
     snapshot = cap.metrics.snapshot()
     gauges = {name: value for name, value in snapshot["gauges"].items()
               if name.startswith("serve.placement_epoch.")}

@@ -1,7 +1,7 @@
 """Sweep oracle: epoch-priced backlog placement against per-tenant
 pricing.
 
-A shard prices a (pricing key, queue depth) once per placement epoch
+A shard prices a pricing key once per placement epoch
 (``PipelineServer.price``) and the router ranks the admitting shards of
 a key once per state of the fleet's placements and breakers
 (``FleetRouter.choose_shard``); ``_place_pending`` deploys the winning
@@ -134,7 +134,7 @@ def _drive(reference):
             router._backlog.append(victim.name)
         router.step(tick)
     report = router.close_stepped()
-    shard_logs = {shard.name: [r.timeline for r in shard.closed_reports]
+    shard_logs = {shard.name: [s.timeline for s in shard.closed_servers]
                   for shard in router.shards}
     return router, report, shard_logs
 

@@ -14,6 +14,9 @@ from repro.fleet import (
     ShardSpec,
 )
 from repro.serve.tenant import TenantSpec
+from repro.traffic import OpenLoopDriver
+
+from tests.soaks import drive
 
 
 def _spec(name, seed=11, **kwargs):
@@ -91,7 +94,7 @@ class TestSubmission:
     def test_submit_after_drain_rejected(self):
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=2))
-        router.run()
+        drive(router, [])
         with pytest.raises(FleetError, match="has drained"):
             router.submit(_spec("late"))
 
@@ -99,7 +102,7 @@ class TestSubmission:
 class TestSmallFleetRun:
     def test_empty_fleet_drains_immediately(self):
         router = FleetRouter(_two_shards())
-        report = router.run()
+        report = drive(router, [])
         assert report.ticks == 1
         assert report.tenants == {}
         assert all(s["state"] == "healthy"
@@ -108,9 +111,8 @@ class TestSmallFleetRun:
     def test_quiet_run_completes_every_tenant(self):
         router = FleetRouter(_two_shards(),
                              config=FleetConfig(max_ticks=32))
-        for i in range(3):
-            router.submit(_spec(f"t{i}", seed=11 + i))
-        report = router.run()
+        report = drive(router, [_spec(f"t{i}", seed=11 + i)
+                                for i in range(3)])
         assert all(m.status == "completed"
                    for m in report.tenants.values())
         assert report.counts["place"] == 3
@@ -124,8 +126,7 @@ class TestSmallFleetRun:
     def test_tick_budget_exhaustion_fails_running_tenants(self):
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=2))
-        router.submit(_spec("t", windows=50))
-        report = router.run()
+        report = drive(router, [_spec("t", windows=50)])
         assert report.tenants["t"].status == "failed"
         tenant = router.tenants["t"]
         assert "tick budget exhausted" in tenant.status_detail
@@ -150,7 +151,7 @@ class TestStepMode:
                              config=FleetConfig(max_ticks=2))
         router.open_stepped()
         with pytest.raises(FleetError, match="already started"):
-            router.run()
+            drive(router, [])
         # The refused run() left the open fleet alone.
         assert router.step(0)
         router.close_stepped()
@@ -185,8 +186,7 @@ class TestStepMode:
     def test_window_log_and_isolated_reference(self):
         router = FleetRouter(_two_shards(),
                              config=FleetConfig(max_ticks=32))
-        router.submit(_spec("t"))
-        report = router.run()
+        report = drive(router, [_spec("t")])
         assert len(router.window_log) == 2
         for row in router.window_log:
             assert row.tenant == "t"
@@ -248,11 +248,10 @@ class TestBacklogPatience:
             [ShardSpec("s0")],
             config=FleetConfig(max_ticks=48, backlog_patience=2),
         )
-        router.submit(_spec("holder", windows=12,
-                            required_classes={"gpu"}))
-        router.submit(_spec("waiter", windows=2,
-                            required_classes={"gpu"}))
-        report = router.run()
+        report = drive(router, [
+            _spec("holder", windows=12, required_classes={"gpu"}),
+            _spec("waiter", windows=2, required_classes={"gpu"}),
+        ])
         assert report.tenants["holder"].status == "completed"
         assert report.tenants["waiter"].status == "rejected"
         assert "backlog" in router.tenants["waiter"].status_detail
@@ -264,32 +263,34 @@ class TestBacklogPatience:
 
 class TestRunAborts:
     @pytest.fixture
-    def router(self):
+    def driver(self):
         # Both tenants insist on the only GPU: one runs, one backlogs.
         router = FleetRouter([ShardSpec("s0")],
                              config=FleetConfig(max_ticks=32))
-        for name in ("holder", "waiter"):
-            router.submit(_spec(name, windows=12,
-                                required_classes={"gpu"}))
-        return router
+        return OpenLoopDriver(router, [
+            _spec(name, windows=12, required_classes={"gpu"})
+            for name in ("holder", "waiter")
+        ])
 
     def test_unexpected_tick_error_propagates_and_closes(
-            self, router, tick_raises):
+            self, driver, tick_raises):
+        router = driver.router
         tick_raises(router, 2, KeyError("boom"))
         with pytest.raises(KeyError, match="boom"):
-            router.run()
+            driver.run()
         assert router.ticks_executed == 2
         assert not any(shard.alive for shard in router.shards)
         with pytest.raises(FleetError, match="has drained"):
             router.submit(_spec("late"))
 
-    def test_repro_error_aborts_after_close_out(self, router,
+    def test_repro_error_aborts_after_close_out(self, driver,
                                                 tick_raises):
+        router = driver.router
         tick_raises(router, 2, PipelineError("kernel wedged"))
         with pytest.raises(
                 FleetError,
                 match="fleet loop aborted: kernel wedged") as raised:
-            router.run()
+            driver.run()
         assert isinstance(raised.value.__cause__, PipelineError)
         holder, waiter = (router.tenants[n] for n in ("holder",
                                                       "waiter"))

@@ -21,9 +21,10 @@ from repro.fleet import (
     SHED,
     FleetSoakScenario,
     build_fleet,
-    run_fleet_soak,
 )
 from repro.fleet.scenario import WINDOWS_CYCLE
+
+from tests.soaks import run_fleet_soak
 
 SCENARIO = FleetSoakScenario()
 CHAOS = SCENARIO.chaos()
@@ -172,6 +173,8 @@ class TestCallerOwnsTheClock:
         _, ran = soak
         router = build_fleet(SCENARIO, failover=True)
         assert router.chaos.schedule.crashes
+        for spec in SCENARIO.tenants():
+            router.submit(spec)
         router.open_stepped()
         for tick in range(router.config.max_ticks):
             if router.step(tick):

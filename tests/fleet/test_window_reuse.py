@@ -145,6 +145,8 @@ def test_deployments_are_shared_exactly_as_far_as_the_plan_cache(
 
 def test_live_state_matches_the_full_scans_after_every_tick():
     router = build_fleet(SCENARIO)
+    for spec in SCENARIO.tenants():
+        router.submit(spec)
     router.open_stepped()
     pending_seen = 0
     drained = False

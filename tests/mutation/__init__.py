@@ -52,8 +52,8 @@ _STAMP = ("\n\ndef _stamp():\n"
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant("M1", "`time.perf_counter()` in `FleetReport.to_dict`",
            "fleet/metrics.py", (
-               ("from dataclasses import dataclass\n",
-                "import time\nfrom dataclasses import dataclass\n"),
+               ("from dataclasses import dataclass, field\n",
+                "import time\nfrom dataclasses import dataclass, field\n"),
                ('            "seed": self.seed,\n',
                 '            "seed": self.seed,\n'
                 '            "generated_s": time.perf_counter(),\n'),
@@ -98,13 +98,13 @@ MUTANTS: Tuple[Mutant, ...] = (
                 "                       for n in {t.name for t in batch}]:\n"
                 "            if shard.alive:"),
            )),
-    Mutant("M7", "`os.environ.get` in `ServeReport.to_dict`",
-           "serve/metrics.py", (
+    Mutant("M7", "`os.environ.get` in `FleetTenantMetrics.to_dict`",
+           "fleet/metrics.py", (
                ("from dataclasses import dataclass, field\n",
                 "import os\nfrom dataclasses import dataclass, field\n"),
-               ('            "platform": self.platform,\n',
-                '            "platform": os.environ.get("REPRO_PLATFORM",\n'
-                '                                       self.platform),\n'),
+               ('            "tenant": self.tenant,\n',
+                '            "tenant": os.environ.get("REPRO_TENANT",\n'
+                '                                     self.tenant),\n'),
            ), flow_rule="FLOW-ENV-READ"),
     Mutant("M8", "`threading.get_ident()` in `FaultEvent.to_dict`",
            "runtime/faults.py", (
@@ -262,11 +262,6 @@ MUTANTS: Tuple[Mutant, ...] = (
                ("return (self.application.name, self.required_classes,\n"
                 "                self.preferred_classes)",
                 "return (self.application.name, self.required_classes)"),
-           )),
-    Mutant("K-QUEUED", "the verdict key without `queued`",
-           "serve/server.py", (
-               ("key = (spec.pricing_key, queued)",
-                "key = spec.pricing_key"),
            )),
     Mutant("K-DRIFTS", "the co-load view stamp without the active drifts",
            "serve/server.py", (

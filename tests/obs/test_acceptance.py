@@ -24,16 +24,17 @@ from repro.runtime import (
     RetryPolicy,
     ThreadedPipelineExecutor,
 )
-from repro.serve import SoakScenario, build_soak_server
+from repro.serve import SoakScenario
 from repro.soc import WorkProfile
+
+from tests.soaks import run_soak
 
 SCENARIO = SoakScenario(windows=8)
 
 
 def run_traced_soak():
     with capture() as cap:
-        server = build_soak_server(SCENARIO, reschedule=True)
-        server.run()
+        run_soak(SCENARIO, reschedule=True)
         return cap.events, cap.metrics.snapshot()
 
 
@@ -81,7 +82,8 @@ class TestSoakTrace:
         assert counters["solver.invocations"] > 0
         assert counters["sim.runs"] > 0
         assert counters["admission.admits"] > 0
-        assert counters["admission.rejects"] > 0
+        # The probe is refused at the fleet's front door, the only one.
+        assert counters["fleet.rejects"] > 0
         assert "serve.window_latency_s" in snapshot["histograms"]
 
     def test_exported_trace_is_byte_identical_across_runs(self):

@@ -20,10 +20,11 @@ from repro.obs.attribution import (
     steady_interval,
     top_offenders,
 )
-from repro.serve import PipelineServer, ServerConfig, TenantSpec
+from repro.serve import TenantSpec
 from repro.soc import get_platform
 from repro.soc.interference import ExternalLoad
 from tests.runtime import reference_engine
+from tests.soaks import one_shard
 
 SEEDS = (3, 7, 11)
 ENGINES = ("vector", "reference")
@@ -140,24 +141,15 @@ class TestTopOffenders:
 
 
 def _serve_with_attribution(seed):
-    platform = get_platform("pixel7a")
-    server = PipelineServer(
-        platform,
-        seed=seed,
-        config=ServerConfig(max_ticks=24, attribution=True,
-                            reschedule=True),
-    )
-    for index in range(3):
-        server.submit(TenantSpec(
-            name=f"tenant-{index}",
-            application=build_synthetic_application(
-                seed=seed + index, stage_count=3,
-            ),
-            priority=1,
-            windows=4,
-            window_tasks=4,
-        ))
-    server.run()
+    _, server, _ = one_shard([TenantSpec(
+        name=f"tenant-{index}",
+        application=build_synthetic_application(
+            seed=seed + index, stage_count=3,
+        ),
+        priority=1,
+        windows=4,
+        window_tasks=4,
+    ) for index in range(3)], seed=seed, max_ticks=24, attribution=True)
     return server
 
 
@@ -189,19 +181,13 @@ class TestConservationProperty:
             assert all(w.blame is not None for w in record.history)
 
     def test_blame_absent_when_attribution_off(self):
-        platform = get_platform("pixel7a")
-        server = PipelineServer(
-            platform, seed=7,
-            config=ServerConfig(max_ticks=12),
-        )
-        server.submit(TenantSpec(
+        _, server, report = one_shard([TenantSpec(
             name="solo",
             application=build_synthetic_application(
                 seed=7, stage_count=2,
             ),
             priority=1, windows=2, window_tasks=4,
-        ))
-        report = server.run()
+        )], max_ticks=12)
         assert "attribution" not in report.to_dict()
         for record in server.records.values():
             assert all(w.blame is None for w in record.history)

@@ -20,7 +20,9 @@ from repro.fleet import (
 from repro.fleet.health import HealthConfig
 from repro.obs.alerts import BurnRateRule
 from repro.serve.tenant import TenantSpec
-from repro.traffic import FleetOverloadScenario, run_overload_soak
+from repro.traffic import FleetOverloadScenario
+
+from tests.soaks import drive, run_overload_soak
 
 
 def _traffic_bytes(**kwargs):
@@ -30,8 +32,8 @@ def _traffic_bytes(**kwargs):
 
 
 def _browned_out_fleet():
-    """A small attributed fleet whose s1 browns out; the sustained
-    breach fails s1's tenants over to s0."""
+    """A small attributed fleet whose s1 browns out, run; the
+    sustained breach fails s1's tenants over to s0."""
     router = FleetRouter(
         [ShardSpec("s0", platform_seed=7),
          ShardSpec("s1", platform_seed=7)],
@@ -49,17 +51,15 @@ def _browned_out_fleet():
             demand_gbps=12.0,
         )]),
     )
-    for index in range(4):
-        router.submit(TenantSpec(
-            name=f"tenant-{index}",
-            application=build_synthetic_application(
-                seed=7 + index, stage_count=2,
-            ),
-            priority=1,
-            windows=12,
-            window_tasks=4,
-        ))
-    return router
+    return drive(router, [TenantSpec(
+        name=f"tenant-{index}",
+        application=build_synthetic_application(
+            seed=7 + index, stage_count=2,
+        ),
+        priority=1,
+        windows=12,
+        window_tasks=4,
+    ) for index in range(4)])
 
 
 class TestByteIdentity:
@@ -75,8 +75,7 @@ class TestByteIdentity:
     def test_fleet_report_with_attribution_is_byte_identical(self):
         reports = []
         for _ in range(2):
-            router = _browned_out_fleet()
-            report = router.run()
+            report = _browned_out_fleet()
             reports.append(json.dumps(report.to_dict(),
                                       sort_keys=True))
         assert reports[0] == reports[1]
@@ -90,7 +89,7 @@ class TestByteIdentity:
 
 class TestFleetAttribution:
     def test_attribution_summary_rides_in_the_report(self):
-        data = _browned_out_fleet().run().to_dict()
+        data = _browned_out_fleet().to_dict()
         assert data["attribution"]["windows"] > 0
         assert isinstance(data["attribution"]["top_offenders"], list)
         assert "alerts" not in data

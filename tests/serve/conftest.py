@@ -3,7 +3,9 @@
 Profiling is the expensive step, so the plan cache and its artifacts
 are built once per test session and shared read-only.  :func:`both_ways`
 runs one serving scenario with the host memos on and off
-(``tests.memo_off``) and holds the two to the same bytes.
+(``tests.memo_off``) and holds the two to the same bytes.  A serving
+run is a one-shard fleet on the soak runner (:mod:`tests.soaks`);
+:func:`records` and :func:`observed` read what a server shows.
 """
 
 import contextlib
@@ -13,9 +15,12 @@ import pytest
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.core.plan_cache import PlanCache
+from repro.fleet import serve_fleet
 from repro.obs import capture, chrome_trace
+from repro.serve import SoakScenario
 from repro.serve import server as server_module
 from repro.serve.admission import AdmissionController
+from repro.serve.server import DriftSpec
 from repro.soc import get_platform
 
 from tests.memo_off import comparable, memos_off
@@ -84,25 +89,34 @@ def count_simulated(monkeypatch):
     return counter
 
 
-def fresh_verdict(server, spec, queued=0):
+def fresh_verdict(server, spec):
     """``spec`` priced from nothing: a new controller with the server's
     settings, so no memo of the server's own is read."""
     mine = server.admission
     controller = AdmissionController(
         server.platform, server.plan_cache,
-        queue_capacity=mine.queue_capacity,
         max_impact_ratio=mine.max_impact_ratio,
         max_partition_classes=mine.max_partition_classes,
         cumulative_impact=mine.cumulative_impact,
     )
     return controller.evaluate(
-        spec, server.placement, server.running_records(), queued=queued)
+        spec, server.placement, server.running_records())
 
 
-def observed(server, report):
-    """Everything a run leaves behind, as comparable bytes."""
+def records(server):
+    """Each tenant's outcome on ``server``: status, its detail, windows
+    served and reschedules."""
+    return {name: [record.status, record.status_detail,
+                   record.windows_done, record.reschedules]
+            for name, record in server.records.items()}
+
+
+def observed(server, report=None):
+    """Everything a run leaves behind, as comparable bytes (``report``
+    is the fleet report of a fleet-driven run)."""
     return json.dumps({
-        "report": report.to_dict(),
+        "report": report.to_dict() if report is not None else None,
+        "records": records(server),
         "timeline": server.timeline,
         "partitions": sorted(server.placement.partitions),
         "spans": [repr(span) for span in server.trace_spans],
@@ -132,3 +146,29 @@ def both_ways(monkeypatch, drive):
     assert first_difference(shipped, oracle) is None
     assert trace == oracle_trace
     return shipped, effort, oracle_effort
+
+
+def drifting_soak(reschedule, attribution=False):
+    """The serving soak plus a drift that turns on and off again, as a
+    ``drive`` for :func:`both_ways`."""
+    def drive():
+        scenario = SoakScenario(seed=7, windows=30)
+        router = serve_fleet(scenario, reschedule=reschedule)
+        (shard,) = router.shards
+        router.config.attribution = attribution
+        shard.server_config.attribution = attribution
+        for spec in scenario.tenants():
+            router.submit(spec)
+        router.open_stepped()
+        # On top of the scenario's open-ended drift: one that turns on
+        # and off again in the middle of every tenant's residency.
+        shard.server.inject_drift(DriftSpec(
+            start_tick=10, end_tick=15, busy={"little": 0.6},
+            demand_gbps=30.0))
+        for tick in range(router.config.max_ticks):
+            if router.step(tick):
+                break
+        report = router.close_stepped()
+        (server,) = shard.closed_servers
+        return server, report
+    return drive

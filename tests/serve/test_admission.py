@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import FleetError, ServeError
+from repro.fleet import FleetConfig
 from repro.serve import (
     ADMIT,
     QUEUE,
     REJECT,
+    REJECTED,
     RUNNING,
     AdmissionController,
     PlacementMap,
@@ -15,6 +17,7 @@ from repro.serve import (
 )
 
 from tests.serve.conftest import single_class_schedule
+from tests.soaks import one_shard
 
 
 def controller(platform, plan_cache, **kwargs):
@@ -39,9 +42,10 @@ def running_tenant(pmap, plan, app, name, pu_class):
 
 
 class TestValidation:
-    def test_negative_queue_capacity(self, platform, plan_cache):
-        with pytest.raises(ServeError, match="queue_capacity"):
-            controller(platform, plan_cache, queue_capacity=-1)
+    def test_negative_queue_capacity(self):
+        # The wait queue is the fleet backlog; its bound is checked there.
+        with pytest.raises(FleetError, match="queue_capacity"):
+            FleetConfig(queue_capacity=-1)
 
     def test_sub_unity_impact_ceiling(self, platform, plan_cache):
         with pytest.raises(ServeError, match="max_impact_ratio"):
@@ -56,7 +60,7 @@ class TestEmptySoC:
     def test_admits_onto_free_pus(self, platform, plan_cache, app):
         pmap = PlacementMap(platform.schedulable_classes())
         decision = controller(platform, plan_cache).evaluate(
-            spec(app), pmap, running={}, queued=0,
+            spec(app), pmap, running={},
         )
         assert decision.action == ADMIT
         assert decision.candidate is not None
@@ -68,7 +72,7 @@ class TestEmptySoC:
         pmap = PlacementMap(platform.schedulable_classes())
         decision = controller(platform, plan_cache).evaluate(
             spec(app, required_classes={"npu9000"}),
-            pmap, running={}, queued=0,
+            pmap, running={},
         )
         assert decision.action == REJECT
         assert "not schedulable" in decision.reason
@@ -81,7 +85,7 @@ class TestEmptySoC:
             platform, plan_cache, max_partition_classes=1,
         ).evaluate(
             spec(app, required_classes={"big", "gpu"}),
-            pmap, running={}, queued=0,
+            pmap, running={},
         )
         assert decision.action == REJECT
         assert "partition cap" in decision.reason
@@ -90,7 +94,7 @@ class TestEmptySoC:
         pmap = PlacementMap(platform.schedulable_classes())
         decision = controller(platform, plan_cache).evaluate(
             spec(app, required_classes={"gpu"}),
-            pmap, running={}, queued=0,
+            pmap, running={},
         )
         assert decision.action == ADMIT
         assert "gpu" in set(
@@ -105,7 +109,7 @@ class TestEmptySoC:
             platform, plan_cache, max_partition_classes=1,
         ).evaluate(
             spec(app, preferred_classes={"little"}),
-            pmap, running={}, queued=0,
+            pmap, running={},
         )
         assert decision.action == ADMIT
         assert set(decision.candidate.schedule.pu_classes_used) == {
@@ -120,27 +124,27 @@ class TestContention:
         pmap = PlacementMap(platform.schedulable_classes())
         holder = running_tenant(pmap, plan, app, "holder", "gpu")
         decision = controller(
-            platform, plan_cache, queue_capacity=2,
+            platform, plan_cache,
         ).evaluate(
             spec(app, name="late", required_classes={"gpu"}),
-            pmap, running={"holder": holder}, queued=0,
+            pmap, running={"holder": holder},
         )
         assert decision.action == QUEUE
         assert "no-oversubscription" in decision.reason
 
-    def test_full_queue_turns_into_backpressure_reject(
-        self, platform, plan_cache, plan, app
-    ):
-        pmap = PlacementMap(platform.schedulable_classes())
-        holder = running_tenant(pmap, plan, app, "holder", "gpu")
-        decision = controller(
-            platform, plan_cache, queue_capacity=0,
-        ).evaluate(
-            spec(app, name="late", required_classes={"gpu"}),
-            pmap, running={"holder": holder}, queued=0,
-        )
-        assert decision.action == REJECT
-        assert "backpressure queue is full" in decision.reason
+    def test_full_queue_turns_into_backpressure_reject(self, app):
+        # A deferred arrival meets a backlog with no room: the fleet
+        # rejects it at once, quoting the shard's verdict.
+        router, _, report = one_shard([
+            spec(app, name=name, windows=2, required_classes={"gpu"})
+            for name in ("holder", "late")
+        ], queue_capacity=0)
+        assert report.tenants["holder"].status == "completed"
+        assert report.tenants["late"].status == REJECTED
+        (reject,) = [e for e in report.timeline if e["event"] == "reject"]
+        assert reject["tick"] == 0
+        assert "no-oversubscription" in reject["reason"]
+        assert "backlog is full (0/0)" in reject["reason"]
 
     def test_impact_ceiling_defers_harmful_admissions(
         self, platform, plan_cache, plan, app
@@ -150,11 +154,10 @@ class TestContention:
         # A ceiling of exactly 1.0 forbids any predicted slowdown, so
         # any admission touching the co-tenant's "other" PUs defers.
         decision = controller(
-            platform, plan_cache, queue_capacity=4,
-            max_impact_ratio=1.0,
+            platform, plan_cache, max_impact_ratio=1.0,
         ).evaluate(
             spec(app, name="late"),
-            pmap, running={"holder": holder}, queued=0,
+            pmap, running={"holder": holder},
         )
         assert decision.action == QUEUE
         assert "impact ceiling" in decision.reason
@@ -166,7 +169,7 @@ class TestContention:
         holder = running_tenant(pmap, plan, app, "holder", "big")
         decision = controller(platform, plan_cache).evaluate(
             spec(app, name="late"),
-            pmap, running={"holder": holder}, queued=0,
+            pmap, running={"holder": holder},
         )
         assert decision.action == ADMIT
         assert decision.predicted_impact["holder"] >= 1.0
@@ -186,7 +189,7 @@ class TestContention:
         def worst(ctrl, pmap, running):
             decision = ctrl.evaluate(
                 spec(app, name="late", required_classes={"little"}),
-                pmap, running=running, queued=0,
+                pmap, running=running,
             )
             assert decision.action == ADMIT
             return decision.predicted_impact["holder"]

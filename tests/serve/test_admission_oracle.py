@@ -29,7 +29,7 @@ from repro.serve import (
     TenantRecord,
     TenantSpec,
 )
-from repro.serve.admission import ADMIT, REJECT, AdmissionDecision
+from repro.serve.admission import ADMIT, QUEUE, REJECT, AdmissionDecision
 
 APP_SEEDS = (11, 12, 13)
 
@@ -80,7 +80,7 @@ def _loaded_prediction(controller, plan, candidate, running):
     return isolated + fraction * (interference - isolated)
 
 
-def reference_evaluate(controller, spec, placement, running, queued):
+def reference_evaluate(controller, spec, placement, running):
     plan = controller.plan_cache.plan_for(spec.application)
     unservable = spec.required_classes - controller._schedulable
     if unservable:
@@ -112,8 +112,8 @@ def reference_evaluate(controller, spec, placement, running, queued):
     fitting = [c for c in coverable
                if set(c.schedule.pu_classes_used) <= free]
     if not fitting:
-        return controller._defer(
-            spec, queued,
+        return AdmissionDecision(
+            QUEUE,
             "required PU classes are held by running tenants "
             "(no-oversubscription)",
         )
@@ -131,8 +131,8 @@ def reference_evaluate(controller, spec, placement, running, queued):
             best, best_key, best_impact = candidate, key, impact
     if best_key[0]:
         worst_tenant = max(best_impact, key=lambda t: best_impact[t])
-        return controller._defer(
-            spec, queued,
+        return AdmissionDecision(
+            QUEUE,
             f"predicted {best_impact[worst_tenant]:.2f}x slowdown "
             f"on tenant {worst_tenant!r} exceeds the "
             f"{controller.max_impact_ratio:.2f}x impact ceiling",
@@ -185,8 +185,6 @@ def scenes(draw, classes):
         "cap": draw(st.sampled_from([None, 1, 2, 3])),
         "cumulative": draw(st.booleans()),
         "ceiling": draw(st.sampled_from([1.0, 1.05, 1.25, 1.5, 1e9])),
-        "capacity": draw(st.integers(0, 3)),
-        "queued": draw(st.integers(0, 3)),
     }
 
 
@@ -229,7 +227,6 @@ class TestDecisionOracle:
             platform, plan_cache, apps, scene["incumbents"])
         controller = AdmissionController(
             platform, plan_cache,
-            queue_capacity=scene["capacity"],
             max_impact_ratio=scene["ceiling"],
             max_partition_classes=scene["cap"],
             cumulative_impact=scene["cumulative"],
@@ -239,10 +236,8 @@ class TestDecisionOracle:
             required_classes=scene["required"],
             preferred_classes=scene["preferred"],
         )
-        expected = reference_evaluate(
-            controller, spec, pmap, running, scene["queued"])
-        decision = controller.evaluate(
-            spec, pmap, running, queued=scene["queued"])
+        expected = reference_evaluate(controller, spec, pmap, running)
+        decision = controller.evaluate(spec, pmap, running)
         assert same_decision(decision, expected)
 
     def test_generator_reaches_every_outcome(self, platform, plan_cache):
@@ -263,7 +258,7 @@ class TestDecisionOracle:
                         pmap, running = build_placement(
                             platform, plan_cache, apps, incumbents)
                         controller = AdmissionController(
-                            platform, plan_cache, queue_capacity=1,
+                            platform, plan_cache,
                             max_impact_ratio=ceiling,
                             max_partition_classes=1,
                             cumulative_impact=cumulative,
@@ -271,22 +266,19 @@ class TestDecisionOracle:
                         spec = TenantSpec(
                             name="newcomer", application=apps[0],
                             required_classes=required)
-                        for queued in (0, 1):
-                            decision = controller.evaluate(
-                                spec, pmap, running, queued=queued)
-                            assert same_decision(
-                                decision, reference_evaluate(
-                                    controller, spec, pmap, running,
-                                    queued))
-                            reasons.add((decision.action,
-                                         decision.reason.split()[0]))
-        # (action, first word of the reason): admitted; deferred or
-        # refused for held classes / the impact ceiling (queue has room
-        # or not); refused for unschedulable classes ("required ...")
-        # and for more required classes than the cap ("2 required ...").
+                        decision = controller.evaluate(
+                            spec, pmap, running)
+                        assert same_decision(
+                            decision, reference_evaluate(
+                                controller, spec, pmap, running))
+                        reasons.add((decision.action,
+                                     decision.reason.split()[0]))
+        # (action, first word of the reason): admitted; deferred for
+        # held classes / the impact ceiling; refused for unschedulable
+        # classes ("required ...") and for more required classes than
+        # the cap ("2 required ...").
         assert reasons == {
             ("admit", "candidate"),
             ("queue", "required"), ("queue", "predicted"),
-            ("reject", "required"), ("reject", "predicted"),
-            ("reject", "2"),
+            ("reject", "required"), ("reject", "2"),
         }

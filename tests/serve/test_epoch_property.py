@@ -2,11 +2,11 @@
 memo-off twin.
 
 A first, small step towards generated whole-fleet scenarios: rules -
-``try_admit`` / ``submit`` / ``step`` / ``withdraw`` / ``rescind`` /
+``try_admit`` / ``step`` / ``withdraw`` / ``rescind`` /
 ``inject_drift`` - are drawn by hypothesis and played through a server
 as shipped and through a twin with every host memo off
 (``tests.memo_off``).  After *every* rule the two must show the same
-report and the same partitions: whatever order
+tenant records and partitions: whatever order
 admissions, releases, rollbacks, SWITCHes and drift edges come in, no
 verdict, incumbent row or co-load view outlives the placement it was
 derived from.
@@ -24,6 +24,7 @@ from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import TenantSpec
 
 from tests.memo_off import memos_off
+from tests.serve.conftest import records
 
 CLASSES = ("big", "medium", "little", "gpu")
 APPS = tuple(build_synthetic_application(seed=seed, stage_count=2)
@@ -31,7 +32,7 @@ APPS = tuple(build_synthetic_application(seed=seed, stage_count=2)
 
 classes = st.frozensets(st.sampled_from(CLASSES), max_size=1)
 tenants = st.tuples(
-    st.sampled_from(("try_admit", "submit")),
+    st.just("try_admit"),
     st.integers(0, len(APPS) - 1),      # application
     classes, classes,                   # required, preferred
     st.integers(0, 2),                  # priority
@@ -66,9 +67,8 @@ def warm_cache(platform):
 def play(platform, cache, sequence):
     """What the server shows after every rule of ``sequence``."""
     server = PipelineServer(
-        platform, seed=5, plan_cache=cache,
+        platform, plan_cache=cache,
         config=ServerConfig(
-            max_ticks=64, queue_capacity=2,
             max_impact_ratio=1.6, max_partition_classes=1,
             cumulative_impact=True, reschedule=True),
     )
@@ -77,16 +77,14 @@ def play(platform, cache, sequence):
     placed_this_tick = []
     for rule in sequence:
         kind = rule[0]
-        if kind in ("try_admit", "submit"):
+        if kind == "try_admit":
             _, app, required, preferred, priority, windows = rule
             spec = TenantSpec(
                 name=f"t{born}", application=APPS[app],
                 priority=priority, windows=windows, window_tasks=4,
                 required_classes=required, preferred_classes=preferred)
             born += 1
-            if kind == "submit":
-                server.submit(spec)
-            elif server.try_admit(spec, tick).action == ADMIT:
+            if server.try_admit(spec, tick).action == ADMIT:
                 placed_this_tick.append(spec.name)
         elif kind == "step":
             server.step(tick)
@@ -111,8 +109,7 @@ def play(platform, cache, sequence):
                 start_tick=start,
                 end_tick=None if lasts is None else start + lasts,
                 busy={pu_class: 0.9}, demand_gbps=24.0))
-        shown.append((server.report().to_dict(),
-                      server.placement.partitions))
+        shown.append((records(server), server.placement.partitions))
     return shown
 
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError, ServeError
+from repro.fleet import FleetReport, FleetTenant, FleetTenantMetrics
 from repro.serve import (
     COMPLETED,
     REJECTED,
     RUNNING,
-    ServeReport,
-    TenantMetrics,
     TenantRecord,
     TenantSpec,
     WindowSample,
@@ -138,9 +137,16 @@ def record_with_history(app, name="t", latencies=(), window_tasks=10,
     return record
 
 
+def summary(record):
+    """The report's per-tenant summary of ``record``'s windows."""
+    return FleetTenantMetrics.from_tenant(FleetTenant(
+        spec=record.spec, arrival=0, status=record.status,
+        windows=list(record.history)))
+
+
 class TestTenantMetrics:
     def test_unserved_tenant_zeroes(self, app):
-        metrics = TenantMetrics.from_record(record_with_history(app))
+        metrics = summary(record_with_history(app))
         assert metrics.windows_served == 0
         assert metrics.p95_latency_s == 0.0
 
@@ -148,7 +154,7 @@ class TestTenantMetrics:
         record = record_with_history(
             app, latencies=[0.010, 0.010, 0.030]
         )
-        metrics = TenantMetrics.from_record(record)
+        metrics = summary(record)
         assert metrics.windows_served == 3
         # 3 windows x 10 tasks: p50 sits in the fast bulk, max on the
         # slow window.
@@ -159,14 +165,14 @@ class TestTenantMetrics:
 
     def test_to_dict_rounds(self, app):
         record = record_with_history(app, latencies=[1 / 3])
-        payload = TenantMetrics.from_record(record).to_dict()
+        payload = summary(record).to_dict()
         assert payload["p95_latency_s"] == round(1 / 3, 9)
 
     def test_to_dict_renders_na_for_zero_window_tenants(self, app):
         # A rejected (or still-pending) tenant served nothing: the
         # report must say "n/a", not 0.0 ("infinitely fast").
         record = record_with_history(app, status=REJECTED)
-        payload = TenantMetrics.from_record(record).to_dict()
+        payload = summary(record).to_dict()
         assert payload["windows_served"] == 0
         for key in ("mean_latency_s", "p50_latency_s",
                     "p95_latency_s", "max_latency_s"):
@@ -174,7 +180,7 @@ class TestTenantMetrics:
 
     def test_served_tenant_renders_numbers(self, app):
         record = record_with_history(app, latencies=[0.020])
-        payload = TenantMetrics.from_record(record).to_dict()
+        payload = summary(record).to_dict()
         assert all(
             isinstance(payload[key], float)
             for key in ("mean_latency_s", "p50_latency_s",
@@ -190,15 +196,16 @@ class TestTenantMetrics:
 class TestReportShape:
     def test_tenants_serialize_sorted(self, app):
         metrics = {
-            name: TenantMetrics.from_record(
+            name: summary(
                 record_with_history(app, name=name)
             )
             for name in ("zeta", "alpha", "mid")
         }
-        report = ServeReport(
-            platform="pixel7a", seed=7, ticks=3,
-            rescheduling_enabled=True, tenants=metrics,
-            timeline=[], plan_cache={},
+        report = FleetReport(
+            seed=7, ticks=3, n_shards=1, failover_enabled=False,
+            tenants=metrics, shards={}, timeline=[], chaos_events=[],
+            surviving_p95_s=0.0, surviving_p95_slowdown=0.0,
+            plan_cache={},
         )
         assert list(report.to_dict()["tenants"]) == [
             "alpha", "mid", "zeta"

@@ -20,8 +20,9 @@ from repro.core.plan_cache import Deployment, PlanCache
 from repro.errors import PipelineError, ServeError
 from repro.obs import capture
 from repro.runtime.simulator import SimulatedPipelineExecutor
-from repro.serve import SoakScenario, build_soak_server
-from repro.serve.admission import ADMIT, QUEUE, REJECT
+from repro.fleet import FleetConfig, one_shard_fleet, serve_fleet
+from repro.serve import SoakScenario
+from repro.serve.admission import ADMIT, QUEUE
 from repro.serve.placement import EpochMemo, PlacementMap
 from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import COMPLETED, EVICTED, FAILED, TenantSpec
@@ -29,6 +30,7 @@ from repro.serve.tenant import COMPLETED, EVICTED, FAILED, TenantSpec
 from tests.serve.conftest import (
     both_ways,
     count_pricings,
+    drifting_soak,
     fresh_verdict,
     single_class_schedule,
 )
@@ -40,9 +42,8 @@ def fresh_cache(platform):
 
 
 def server_for(platform, **config):
-    config.setdefault("max_ticks", 64)
     config.setdefault("max_partition_classes", 1)
-    server = PipelineServer(platform, seed=5,
+    server = PipelineServer(platform,
                             plan_cache=fresh_cache(platform),
                             config=ServerConfig(**config))
     server.open_stepped()
@@ -123,37 +124,29 @@ class TestTheEpoch:
 
 
 # ----------------------------------------------------------------------
-def soak(reschedule, attribution=False):
-    def drive():
-        server = build_soak_server(
-            SoakScenario(seed=7, windows=30), reschedule=reschedule)
-        server.config.attribution = attribution
-        # On top of the scenario's open-ended drift: one that turns on
-        # and off again in the middle of every tenant's residency.
-        server.inject_drift(DriftSpec(
-            start_tick=10, end_tick=15, busy={"little": 0.6},
-            demand_gbps=30.0))
-        return server, server.run()
-    return drive
-
-
 def queueing(platform, app):
-    """Submissions through the inbox and the backpressure queue: eight
-    tenants of one pricing key on four classes, a late one."""
+    """Arrivals through a one-shard fleet's backlog (room for three):
+    eight tenants of one pricing key on four classes, a late one; the
+    shard's server and the fleet report."""
     def drive():
-        server = server_for(platform, queue_capacity=3)
+        router = one_shard_fleet("pixel7a", 7, 5, FleetConfig(
+            max_ticks=64, queue_capacity=3, backlog_patience=64,
+            max_impact_ratio=1.5))
         for index in range(8):
-            server.submit(TenantSpec(
+            router.submit(TenantSpec(
                 name=f"t{index}", application=app,
                 windows=2 + index % 3, window_tasks=4))
+        router.open_stepped()
         for tick in range(20):
             if tick == 3:
-                server.submit(TenantSpec(
+                router.submit(TenantSpec(
                     name="late", application=app, windows=2,
                     window_tasks=4, preferred_classes={"gpu"}))
-            if server.step(tick) and tick > 3:
+            if router.step(tick) and tick > 3:
                 break
-        return server, server.close_stepped()
+        report = router.close_stepped()
+        (server,) = router.shards[0].closed_servers
+        return server, report
     return drive
 
 
@@ -162,7 +155,7 @@ class TestSameBytes:
                              ids=["frozen", "reschedule"])
     def test_the_soak_with_drift_edges(self, monkeypatch, reschedule):
         shipped, (_, priced), (_, oracle_priced) = both_ways(
-            monkeypatch, soak(reschedule))
+            monkeypatch, drifting_soak(reschedule))
         timeline = json.loads(shipped)["timeline"]
         assert any(e["event"] == "reschedule"
                    for e in timeline) == reschedule
@@ -172,10 +165,10 @@ class TestSameBytes:
             self, monkeypatch):
         # The blame decomposition reads ``sources`` off the co-load
         # view: conservation, and nobody is ever blamed for itself.
-        drive = soak(reschedule=True, attribution=True)
+        drive = drifting_soak(reschedule=True, attribution=True)
         both_ways(monkeypatch, drive)
         server, report = drive()
-        assert report.attribution["tenants"]
+        assert report.attribution["windows"] > 0
         blamed = set()
         for name, record in server.records.items():
             for row in record.history:
@@ -194,9 +187,9 @@ class TestSameBytes:
         shipped, (_, priced), (_, oracle_priced) = both_ways(
             monkeypatch, queueing(platform, app))
         out = json.loads(shipped)
-        events = {e["event"] for e in out["timeline"]}
-        assert {"admit", "queue", "reject"} <= events
-        # One key fills the queue: its verdict is read, not re-made,
+        events = {e["event"] for e in out["report"]["timeline"]}
+        assert {"place", "reject"} <= events
+        # One key fills the backlog: its verdict is read, not re-made,
         # for as long as nothing was admitted or released.
         assert 0 < priced < oracle_priced
 
@@ -206,8 +199,7 @@ class TestSameBytes:
             # The first-served tenant evicts one whose window for this
             # tick is already in the batch.
             server = server_for(
-                platform, queue_capacity=0, max_impact_ratio=1e9,
-                reschedule=True)
+                platform, max_impact_ratio=1e9, reschedule=True)
             classes = sorted(platform.schedulable_classes())
             for index, cls in enumerate(classes):
                 assert server.try_admit(TenantSpec(
@@ -224,7 +216,8 @@ class TestSameBytes:
                 demand_gbps=16.0))
             for tick in range(2, 14):
                 server.step(tick)
-            return server, server.close_stepped()
+            server.close_stepped()
+            return server, None
 
         shipped, _, _ = both_ways(monkeypatch, drive)
         timeline = json.loads(shipped)["timeline"]
@@ -247,7 +240,7 @@ class TestSameBytes:
                     raise PipelineError("injected batch-build failure")
                 return original(self, external, n_tasks)
 
-            server = server_for(platform, queue_capacity=0)
+            server = server_for(platform)
             for name in ("steady", "doomed", "late"):
                 assert server.try_admit(TenantSpec(
                     name=name, application=app, windows=6,
@@ -258,7 +251,8 @@ class TestSameBytes:
                 for tick in range(8):
                     armed["now"] = tick == 2
                     server.step(tick)
-            return server, server.close_stepped()
+            server.close_stepped()
+            return server, None
 
         shipped, _, _ = both_ways(monkeypatch, drive)
         out = json.loads(shipped)
@@ -287,7 +281,7 @@ class TestSameBytes:
         monkeypatch.setattr(SimulatedPipelineExecutor, "run", run)
 
         def drive():
-            server = server_for(platform, queue_capacity=0)
+            server = server_for(platform)
             for name in ("steady", "doomed", "late"):
                 assert server.try_admit(TenantSpec(
                     name=name, application=app, windows=9,
@@ -296,14 +290,15 @@ class TestSameBytes:
                                           demand_gbps=16.0))
             for tick in range(10):
                 server.step(tick)
-            return server, server.close_stepped()
+            server.close_stepped()
+            return server, None
 
         shipped, _, _ = both_ways(monkeypatch, drive)
         out = json.loads(shipped)
         assert [(e["tenant"], e["tick"]) for e in out["timeline"]
                 if e["event"] == "fail"] == [("doomed", 4)]
-        assert out["report"]["tenants"]["doomed"]["status"] == FAILED
-        assert out["report"]["tenants"]["late"]["status"] == COMPLETED
+        assert out["records"]["doomed"][0] == FAILED
+        assert out["records"]["late"][0] == COMPLETED
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +310,7 @@ class TestAVerdictEndsWithItsPlacement:
 
     @pytest.fixture
     def server(self, platform):
-        return server_for(platform, queue_capacity=2,
-                          max_impact_ratio=1e9)
+        return server_for(platform, max_impact_ratio=1e9)
 
     def holder(self, server, app, name, cls, **kwargs):
         spec = TenantSpec(name=name, application=app, windows=8,
@@ -338,8 +332,6 @@ class TestAVerdictEndsWithItsPlacement:
                           windows=2, required_classes={"gpu"})
         assert server.price(twin) is first          # same pricing key
         assert counter["evaluate"] == asked + 1
-        assert server.price(twin, queued=2).action == REJECT
-        assert counter["evaluate"] == asked + 2     # another depth
 
     def test_withdraw(self, server, app):
         self.holder(server, app, "gpu-holder", "gpu")
@@ -390,12 +382,17 @@ class TestAVerdictEndsWithItsPlacement:
         # The soak's drift victim SWITCHes schedule mid-run.  A verdict
         # priced on the tick before must not survive it: the
         # incumbent's partition and contention span both moved.
-        server = build_soak_server(SoakScenario(seed=7, windows=30))
-        server.open_stepped()
+        scenario = SoakScenario(seed=7, windows=30)
+        router = serve_fleet(scenario)
+        for spec in scenario.tenants():
+            router.submit(spec)
+        router.open_stepped()
+        server = router.shards[0].server
         probe = TenantSpec(name="probe", application=app)
-        for tick in range(30):
+        router.step(0)
+        for tick in range(1, 30):
             before, epoch = server.price(probe), server.placement.epoch
-            server.step(tick)
+            router.step(tick)
             if any(e["event"] == "reschedule" for e in server.timeline):
                 break
         else:
@@ -404,13 +401,12 @@ class TestAVerdictEndsWithItsPlacement:
         after = server.price(probe)
         assert after == fresh_verdict(server, probe)
         # The victim spread onto the class the probe was promised.
-        assert (before.action, after.action) == (ADMIT, REJECT)
-        server.close_stepped()
+        assert (before.action, after.action) == (ADMIT, QUEUE)
+        router.close_stepped()
 
     def test_evict_for(self, patience_one, platform, app):
         server = server_for(
-            platform, queue_capacity=2, max_impact_ratio=1e9,
-            reschedule=True)
+            platform, max_impact_ratio=1e9, reschedule=True)
         classes = sorted(platform.schedulable_classes())
         for index, cls in enumerate(classes):
             assert server.try_admit(TenantSpec(
@@ -449,7 +445,7 @@ class TestTheCoLoadView:
 
         monkeypatch.setattr(ExternalLoad, "combined",
                             classmethod(counting))
-        server = server_for(platform, queue_capacity=0)
+        server = server_for(platform)
         for name in ("a", "b"):
             assert server.try_admit(TenantSpec(
                 name=name, application=app, windows=20,
@@ -504,7 +500,7 @@ class TestInstruments:
         assert counters["admission.priced"] == (
             counters["plan_cache.hits"] + counters["plan_cache.misses"]
             - sum(1 for e in server.timeline if e["event"] == "admit"))
-        assert snapshot["gauges"]["serve.placement_epoch"] == float(
+        assert snapshot["gauges"]["serve.placement_epoch.soc0"] == float(
             server.placement.epoch)
         assert server.placement.epoch == sum(
             1 for e in server.timeline

@@ -1,11 +1,13 @@
-"""PipelineServer lifecycle: admission, queue retry, run, close-out."""
+"""Serving lifecycle: admission, backlog wait, run, close-out - a
+one-shard fleet on the soak runner, and the bare server it steps."""
 
 import threading
 
 import pytest
 
 from repro.apps.synthetic import build_synthetic_application
-from repro.errors import PipelineError, ServeError
+from repro.errors import FleetError, PipelineError, ServeError
+from repro.fleet import FleetConfig, one_shard_fleet
 from repro.serve import (
     COMPLETED,
     FAILED,
@@ -15,6 +17,9 @@ from repro.serve import (
     ServerConfig,
     TenantSpec,
 )
+from repro.traffic import OpenLoopDriver
+
+from tests.soaks import one_shard
 
 
 def make_app(seed):
@@ -22,10 +27,19 @@ def make_app(seed):
 
 
 def make_server(platform, **config_kwargs):
-    config_kwargs.setdefault("max_ticks", 16)
     return PipelineServer(
-        platform, seed=7, config=ServerConfig(**config_kwargs)
+        platform, config=ServerConfig(**config_kwargs)
     )
+
+
+def make_router(**config_kwargs):
+    config_kwargs.setdefault("max_ticks", 16)
+    return one_shard_fleet("pixel7a", 7, 7, FleetConfig(**config_kwargs))
+
+
+def placed_at(report, name):
+    return next(e["tick"] for e in report.timeline
+                if e["event"] == "place" and e["tenant"] == name)
 
 
 class TestDriftSpec:
@@ -51,14 +65,14 @@ class TestDriftSpec:
 
 class TestValidation:
     def test_config_needs_a_tick(self):
-        with pytest.raises(ServeError, match="max_ticks"):
-            ServerConfig(max_ticks=0)
+        with pytest.raises(FleetError, match="max_ticks"):
+            FleetConfig(max_ticks=0)
 
-    def test_duplicate_name_rejected(self, platform):
-        server = make_server(platform)
-        server.submit(TenantSpec(name="a", application=make_app(1)))
-        with pytest.raises(ServeError, match="already submitted"):
-            server.submit(TenantSpec(name="a",
+    def test_duplicate_name_rejected(self):
+        router = make_router()
+        router.submit(TenantSpec(name="a", application=make_app(1)))
+        with pytest.raises(FleetError, match="already submitted"):
+            router.submit(TenantSpec(name="a",
                                      application=make_app(2)))
 
     def test_drift_accepted_until_close(self, platform):
@@ -71,56 +85,49 @@ class TestValidation:
         with pytest.raises(ServeError, match="drained"):
             server.inject_drift(DriftSpec(start_tick=3))
 
-    def test_run_after_open_stepped_rejected(self, platform):
-        server = make_server(platform)
-        server.open_stepped()
-        with pytest.raises(ServeError, match="already started"):
-            server.run()
-        # The refused run() left the open server alone.
-        assert server.step(0)
-        server.close_stepped()
+    def test_run_after_open_stepped_rejected(self):
+        router = make_router()
+        router.open_stepped()
+        spec = TenantSpec(name="a", application=make_app(1), windows=1)
+        with pytest.raises(FleetError, match="already started"):
+            OpenLoopDriver(router, [spec]).run()
+        # The refused run() left the open fleet alone.
+        assert router.step(0)
+        router.close_stepped()
 
-    def test_submit_after_drain_rejected(self, platform):
-        server = make_server(platform)
-        server.submit(TenantSpec(name="a", application=make_app(1),
-                                 windows=1))
-        server.run()
-        with pytest.raises(ServeError, match="drained"):
-            server.submit(TenantSpec(name="b",
+    def test_submit_after_drain_rejected(self):
+        router, _, _ = one_shard([TenantSpec(
+            name="a", application=make_app(1), windows=1)])
+        with pytest.raises(FleetError, match="drained"):
+            router.submit(TenantSpec(name="b",
                                      application=make_app(2)))
 
 
 class TestServing:
-    def test_two_tenants_complete(self, platform):
-        server = make_server(platform)
-        server.submit(TenantSpec(name="a", application=make_app(1),
-                                 windows=2, priority=1))
-        server.submit(TenantSpec(name="b", application=make_app(2),
-                                 windows=3))
-        report = server.run()
+    def test_two_tenants_complete(self):
+        _, server, report = one_shard([
+            TenantSpec(name="a", application=make_app(1), windows=2,
+                       priority=1),
+            TenantSpec(name="b", application=make_app(2), windows=3),
+        ])
         assert report.tenants["a"].status == COMPLETED
         assert report.tenants["b"].status == COMPLETED
         assert report.tenants["a"].windows_served == 2
         assert report.tenants["b"].windows_served == 3
-        admits = [e for e in report.timeline if e["event"] == "admit"]
+        admits = [e for e in server.timeline if e["event"] == "admit"]
         assert [e["tenant"] for e in admits] == ["a", "b"]
         assert all(e["tick"] == 0 for e in admits)
+        assert placed_at(report, "a") == placed_at(report, "b") == 0
 
-    def test_trace_spans_are_tenant_tagged(self, platform):
-        server = make_server(platform)
-        server.submit(TenantSpec(name="a", application=make_app(1),
-                                 windows=1))
-        server.run()
+    def test_trace_spans_are_tenant_tagged(self):
+        _, server, _ = one_shard([TenantSpec(
+            name="a", application=make_app(1), windows=1)])
         assert server.trace_spans
         assert {span.tenant for span in server.trace_spans} == {"a"}
 
     def test_trace_spans_keep_last_window_most_recently_served_last(
             self, platform):
         server = make_server(platform, reschedule=False)
-        server.submit(TenantSpec(name="long", application=make_app(1),
-                                 windows=3))
-        server.submit(TenantSpec(name="short", application=make_app(2),
-                                 windows=1))
 
         def tenant_runs():
             # Consecutive-duplicate-free tenant sequence of the view.
@@ -134,6 +141,10 @@ class TestServing:
             return [s for s in server.trace_spans if s.tenant == name]
 
         server.open_stepped()
+        for name, seed, windows in (("long", 1, 3), ("short", 2, 1)):
+            server.try_admit(TenantSpec(name=name,
+                                        application=make_app(seed),
+                                        windows=windows), 0)
         server.step(0)
         assert tenant_runs() == ["long", "short"]
         short_window = spans_of("short")
@@ -150,120 +161,113 @@ class TestServing:
         assert tenant_runs() == ["short", "long"]
         assert len(spans_of("long")) == one_long_window
 
-    def test_queued_tenant_admitted_after_release(self, platform):
-        server = make_server(platform, queue_capacity=1)
-        server.submit(TenantSpec(
-            name="first", application=make_app(1), windows=2,
-            required_classes=frozenset({"gpu"}),
-        ))
-        server.submit(TenantSpec(
-            name="second", application=make_app(1), windows=2,
-            required_classes=frozenset({"gpu"}),
-        ))
-        report = server.run()
+    def test_queued_tenant_admitted_after_release(self):
+        router, server, report = one_shard([
+            TenantSpec(name=name, application=make_app(1), windows=2,
+                       required_classes=frozenset({"gpu"}))
+            for name in ("first", "second")
+        ], queue_capacity=1)
         assert report.tenants["first"].status == COMPLETED
         assert report.tenants["second"].status == COMPLETED
-        queue_events = [e for e in report.timeline
-                        if e["event"] == "queue"]
-        assert [e["tenant"] for e in queue_events] == ["second"]
-        # The retry admitted it only once the GPU was free again.
-        second_admit = next(
-            e for e in report.timeline
-            if e["event"] == "admit" and e["tenant"] == "second"
-        )
-        assert second_admit["tick"] >= 2
+        # The backlog placed it only once the GPU was free again.
+        assert placed_at(report, "first") == 0
+        assert placed_at(report, "second") >= 2
 
-    def test_tick_budget_exhaustion_fails_loudly(self, platform):
-        server = make_server(platform, max_ticks=2)
-        server.submit(TenantSpec(name="slow", application=make_app(1),
-                                 windows=50))
-        report = server.run()
+    def test_never_serveable_arrival_is_rejected_at_once(self):
+        # A bounded backlog waits only for what a shard could ever take.
+        router, _, report = one_shard([TenantSpec(
+            name="npu-job", application=make_app(1), windows=2,
+            required_classes=frozenset({"npu"}))])
+        assert report.tenants["npu-job"].status == REJECTED
+        (reject,) = [e for e in report.timeline if e["event"] == "reject"]
+        assert reject["tick"] == 0 and report.ticks == 1
+        assert "not schedulable" in reject["reason"]
+
+    def test_tick_budget_exhaustion_fails_loudly(self):
+        router, server, report = one_shard([TenantSpec(
+            name="slow", application=make_app(1), windows=50)],
+            max_ticks=2)
         assert report.tenants["slow"].status == "failed"
-        record = server.records["slow"]
-        assert "tick budget exhausted" in record.status_detail
+        assert "tick budget exhausted" in (
+            router.tenants["slow"].status_detail)
+        assert "tick budget exhausted" in (
+            server.records["slow"].status_detail)
         # Close-out released the partition.
         assert not server.placement.partitions
 
-    def test_undrained_queue_becomes_backpressure_reject(
-        self, platform
-    ):
-        server = make_server(platform, max_ticks=1, queue_capacity=1)
-        server.submit(TenantSpec(
-            name="first", application=make_app(1), windows=5,
-            required_classes=frozenset({"gpu"}),
-        ))
-        server.submit(TenantSpec(
-            name="second", application=make_app(1), windows=5,
-            required_classes=frozenset({"gpu"}),
-        ))
-        server.run()
-        assert server.records["second"].status == REJECTED
-        assert "backpressure" in server.records["second"].status_detail
+    def test_undrained_queue_becomes_backpressure_reject(self):
+        router, _, report = one_shard([
+            TenantSpec(name=name, application=make_app(1), windows=5,
+                       required_classes=frozenset({"gpu"}))
+            for name in ("first", "second")
+        ], max_ticks=1, queue_capacity=1)
+        assert report.tenants["second"].status == REJECTED
+        assert "backlog" in router.tenants["second"].status_detail
 
-    def test_queued_tenant_waits_for_its_class_and_completes(
-        self, platform
-    ):
-        # The queue holds a tenant until the GPU frees, however long.
-        server = make_server(platform, max_ticks=32, queue_capacity=1)
-        server.submit(TenantSpec(
-            name="first", application=make_app(1), windows=12,
-            required_classes=frozenset({"gpu"}),
-        ))
-        server.submit(TenantSpec(
-            name="second", application=make_app(1), windows=2,
-            required_classes=frozenset({"gpu"}),
-        ))
-        report = server.run()
+    def test_queued_tenant_waits_for_its_class_and_completes(self):
+        # The backlog holds a tenant until the GPU frees, however long.
+        _, _, report = one_shard([
+            TenantSpec(name="first", application=make_app(1),
+                       windows=12, required_classes=frozenset({"gpu"})),
+            TenantSpec(name="second", application=make_app(1),
+                       windows=2, required_classes=frozenset({"gpu"})),
+        ], max_ticks=32, queue_capacity=1)
         assert report.tenants["second"].status == COMPLETED
 
     def test_report_is_available_midway(self, platform):
-        server = make_server(platform)
-        server.submit(TenantSpec(name="a", application=make_app(1),
-                                 windows=1))
-        report = server.run()
-        assert report.platform == platform.name
+        router = make_router()
+        router.submit(TenantSpec(name="a", application=make_app(1),
+                                 windows=2))
+        router.open_stepped()
+        router.step(0)
+        report = router.report()
+        assert router.shards[0].platform.name == platform.name
         assert report.plan_cache["entries"] >= 1
-        assert report.ticks >= 1
+        assert report.ticks == 1
+        assert report.tenants["a"].status == "running"
+        router.close_stepped()
 
 
 class TestRunAborts:
     @pytest.fixture
-    def server(self, platform):
-        server = make_server(platform, queue_capacity=1)
-        for name in ("holder", "waiter"):
-            server.submit(TenantSpec(
-                name=name, application=make_app(1), windows=12,
-                required_classes=frozenset({"gpu"}),
-            ))
-        return server
+    def driver(self):
+        router = make_router(queue_capacity=1, backlog_patience=16)
+        return OpenLoopDriver(router, [
+            TenantSpec(name=name, application=make_app(1), windows=12,
+                       required_classes=frozenset({"gpu"}))
+            for name in ("holder", "waiter")
+        ])
 
     def test_unexpected_tick_error_propagates_and_closes(
-            self, server, tick_raises):
-        tick_raises(server, 2, KeyError("boom"))
+            self, driver, tick_raises):
+        router = driver.router
+        tick_raises(router, 2, KeyError("boom"))
         with pytest.raises(KeyError, match="boom"):
-            server.run()
-        assert server.ticks_executed == 2
-        with pytest.raises(ServeError, match="drained"):
-            server.submit(TenantSpec(name="late",
+            driver.run()
+        assert router.ticks_executed == 2
+        with pytest.raises(FleetError, match="drained"):
+            router.submit(TenantSpec(name="late",
                                      application=make_app(2)))
 
-    def test_repro_error_aborts_after_close_out(self, server,
+    def test_repro_error_aborts_after_close_out(self, driver,
                                                 tick_raises):
+        router = driver.router
         before = threading.enumerate()
-        tick_raises(server, 2, PipelineError("kernel wedged"))
+        tick_raises(router, 2, PipelineError("kernel wedged"))
         with pytest.raises(
-                ServeError,
-                match="serve loop aborted: kernel wedged") as raised:
-            server.run()
+                FleetError,
+                match="fleet loop aborted: kernel wedged") as raised:
+            driver.run()
         assert isinstance(raised.value.__cause__, PipelineError)
         assert threading.enumerate() == before
-        holder, waiter = (server.records[n] for n in ("holder",
+        holder, waiter = (router.tenants[n] for n in ("holder",
                                                       "waiter"))
         assert (holder.status, holder.status_detail) == (
             FAILED, "kernel wedged")
         assert waiter.status == REJECTED
-        assert "backpressure" in waiter.status_detail
+        assert "backlog" in waiter.status_detail
+        (server,) = router.shards[0].closed_servers
         assert not server.placement.partitions
-        report = server.report()
+        report = router.report()
         assert report.ticks == 2
         assert report.tenants["holder"].windows_served == 2

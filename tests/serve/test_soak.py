@@ -16,13 +16,14 @@ import pytest
 
 from repro.core.serialization import write_json_report
 from repro.obs import capture
+from repro.fleet import serve_fleet
 from repro.serve import (
     COMPLETED,
     REJECTED,
     SoakScenario,
-    build_soak_server,
-    run_soak,
 )
+
+from tests.soaks import run_soak
 
 
 SCENARIO = SoakScenario(seed=7, windows=30)
@@ -42,8 +43,8 @@ def frozen():
 
 class TestConcurrency:
     def test_three_tenants_run_concurrently(self, online):
-        _, report = online
-        admits = [e for e in report.timeline if e["event"] == "admit"]
+        server, report = online
+        admits = [e for e in server.timeline if e["event"] == "admit"]
         assert len(admits) == 3
         assert all(e["tick"] == 0 for e in admits)
         for name in ("tenant-gpu", "tenant-drift", "tenant-bg"):
@@ -56,7 +57,7 @@ class TestConcurrency:
         # Every admit/reschedule event carries the granted partition;
         # replaying them must never show overlap at a single tick.
         held = {}
-        for event in report.timeline:
+        for event in server.timeline:
             if event["event"] in ("admit", "reschedule"):
                 held[event["tenant"]] = set(event["partition"])
                 flattened = [c for part in held.values()
@@ -134,12 +135,14 @@ class TestDeterminism:
 class TestCallerOwnsTheClock:
     def test_run_equals_the_hand_written_step_loop(self, online):
         _, ran = online
-        server = build_soak_server(SCENARIO, reschedule=True)
-        server.open_stepped()
-        for tick in range(server.config.max_ticks):
-            if server.step(tick):
+        router = serve_fleet(SCENARIO, reschedule=True)
+        for spec in SCENARIO.tenants():
+            router.submit(spec)
+        router.open_stepped()
+        for tick in range(router.config.max_ticks):
+            if router.step(tick):
                 break
-        assert server.close_stepped().to_dict() == ran.to_dict()
+        assert router.close_stepped().to_dict() == ran.to_dict()
 
     def test_soak_leaves_no_thread_behind(self):
         before = threading.enumerate()
@@ -158,6 +161,4 @@ class TestScenarioValidation:
 
     def test_unknown_platform_class_is_caught(self):
         with pytest.raises(Exception, match="lacks it"):
-            build_soak_server(
-                SoakScenario(platform_name="raspberry_pi5")
-            )
+            serve_fleet(SoakScenario(platform_name="raspberry_pi5"))

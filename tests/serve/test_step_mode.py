@@ -18,12 +18,12 @@ from repro.serve.tenant import (
     TenantSpec,
 )
 
-CONFIG = ServerConfig(max_ticks=64, queue_capacity=0)
+CONFIG = ServerConfig()
 
 
 @pytest.fixture
 def server(platform, plan_cache):
-    server = PipelineServer(platform, seed=5, config=CONFIG,
+    server = PipelineServer(platform, config=CONFIG,
                             plan_cache=plan_cache)
     server.open_stepped()
     return server
@@ -46,16 +46,16 @@ class TestLifecycle:
         assert server.step(1)
         assert record.status == COMPLETED
         assert record.windows_done == 2
-        report = server.close_stepped()
-        events = [e["event"] for e in report.timeline
+        server.close_stepped()
+        events = [e["event"] for e in server.timeline
                   if e["tenant"] == "t"]
         assert events == ["admit", "window", "window", "complete"]
 
     def test_close_detail_fails_live_tenants(self, server, app):
         server.try_admit(_spec(app, windows=30), tick=0)
         server.step(0)
-        report = server.close_stepped("shard crashed at tick 1")
-        assert report.tenants["t"].status == FAILED
+        server.close_stepped("shard crashed at tick 1")
+        assert server.records["t"].status == FAILED
         assert (server.records["t"].status_detail
                 == "shard crashed at tick 1")
 
@@ -146,7 +146,7 @@ class TestAdmit:
     def test_admit_deploys_a_held_decision(self, server, app):
         spec = _spec(app)
         decision = server.admission.evaluate(
-            spec, server.placement, server.running_records(), queued=0)
+            spec, server.placement, server.running_records())
         server.admit(spec, 0, decision)
         assert server.records["t"].status == RUNNING
         assert server.records["t"].schedule is decision.candidate.schedule
@@ -157,7 +157,7 @@ class TestAdmit:
                                required_classes={"gpu"}), tick=0)
         spec = _spec(app, required_classes={"gpu"})
         decision = server.admission.evaluate(
-            spec, server.placement, server.running_records(), queued=0)
+            spec, server.placement, server.running_records())
         assert decision.action != ADMIT
         with pytest.raises(ServeError, match="cannot deploy"):
             server.admit(spec, 0, decision)
@@ -182,9 +182,8 @@ class TestRunningOrder:
         """The maintained running view must read exactly like the
         records filtered by status and sorted by admission order."""
         server = PipelineServer(
-            platform, seed=5, plan_cache=plan_cache,
-            config=ServerConfig(max_ticks=64, queue_capacity=0,
-                                max_impact_ratio=1e9,
+            platform, plan_cache=plan_cache,
+            config=ServerConfig(max_impact_ratio=1e9,
                                 max_partition_classes=1),
         )
         server.open_stepped()
@@ -223,10 +222,10 @@ class TestEvictedMidBatch:
 
     def _crowded(self, platform, plan_cache, app, victim_windows):
         server = PipelineServer(
-            platform, seed=5, plan_cache=plan_cache,
+            platform, plan_cache=plan_cache,
             config=ServerConfig(
-                max_ticks=64, queue_capacity=0, max_impact_ratio=1e9,
-                max_partition_classes=1, reschedule=True,
+                max_impact_ratio=1e9, max_partition_classes=1,
+                reschedule=True,
             ),
         )
         server.open_stepped()
@@ -279,5 +278,5 @@ class TestEvictedMidBatch:
         assert not [e for e in server.timeline if e["event"] == "fail"]
         server.step(2)
         assert victim.windows_done == 2
-        report = server.close_stepped()
-        assert report.tenants[victim.name].status == victim.status
+        server.close_stepped()
+        assert server.records[victim.name].status == victim.status

@@ -21,13 +21,15 @@ from repro.stage import Application, Stage
 from repro.errors import PipelineError
 from repro.obs import capture
 from repro.runtime.simulator import SimulatedPipelineExecutor
-from repro.serve import SoakScenario, build_soak_server
+from repro.fleet import serve_fleet
+from repro.serve import SoakScenario
 from repro.serve.admission import ADMIT
 from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import COMPLETED, FAILED, TenantSpec
 from repro.soc.interference import ExternalLoad
 
-from tests.serve.conftest import both_ways, count_simulated
+from tests.serve.conftest import both_ways, count_simulated, drifting_soak
+from tests.soaks import run_soak
 
 
 def fresh_cache(platform):
@@ -36,20 +38,6 @@ def fresh_cache(platform):
 
 
 # ----------------------------------------------------------------------
-def soak(reschedule, attribution=False):
-    def drive():
-        server = build_soak_server(
-            SoakScenario(seed=7, windows=30), reschedule=reschedule)
-        server.config.attribution = attribution
-        # On top of the scenario's open-ended drift: one that turns on
-        # and off again in the middle of every tenant's residency.
-        server.inject_drift(DriftSpec(
-            start_tick=10, end_tick=15, busy={"little": 0.6},
-            demand_gbps=30.0))
-        return server, server.run()
-    return drive
-
-
 def served_and_simulated(monkeypatch, drive):
     """``drive`` both ways (:func:`both_ways`); returns (shipped bytes,
     windows served, windows simulated with the memos on)."""
@@ -64,7 +52,7 @@ def served_and_simulated(monkeypatch, drive):
 class TestSameBytes:
     def test_drift_turning_on_and_off(self, monkeypatch):
         shipped, served, simulated = served_and_simulated(
-            monkeypatch, soak(reschedule=False))
+            monkeypatch, drifting_soak(reschedule=False))
         # Three tenants, two drift edges each way: most ticks change
         # nothing a tenant can see, and a co-load that comes back (the
         # second drift turning off) is remembered too.
@@ -72,16 +60,16 @@ class TestSameBytes:
 
     def test_reschedule_switch_rebuilds_the_executor(self, monkeypatch):
         shipped, served, simulated = served_and_simulated(
-            monkeypatch, soak(reschedule=True))
+            monkeypatch, drifting_soak(reschedule=True))
         timeline = json.loads(shipped)["timeline"]
         assert any(e["event"] == "reschedule" for e in timeline)
         assert 0 < simulated < served
 
     def test_attribution_armed(self, monkeypatch):
         shipped, _, _ = served_and_simulated(
-            monkeypatch, soak(reschedule=True, attribution=True))
+            monkeypatch, drifting_soak(reschedule=True, attribution=True))
         attribution = json.loads(shipped)["report"]["attribution"]
-        assert attribution["tenants"]
+        assert attribution["windows"] > 0
 
     def test_eviction_mid_batch(self, monkeypatch, patience_one, platform,
                                 app):
@@ -89,9 +77,8 @@ class TestSameBytes:
             # PR 12's case: the first-served tenant evicts one whose
             # window for this tick is already in the batch.
             server = PipelineServer(
-                platform, seed=5, plan_cache=fresh_cache(platform),
+                platform, plan_cache=fresh_cache(platform),
                 config=ServerConfig(
-                    max_ticks=64, queue_capacity=0,
                     max_impact_ratio=1e9, max_partition_classes=1,
                     reschedule=True,
                 ),
@@ -114,7 +101,8 @@ class TestSameBytes:
                 demand_gbps=16.0))
             for tick in range(2, 14):
                 server.step(tick)
-            return server, server.close_stepped()
+            server.close_stepped()
+            return server, None
 
         shipped, served, simulated = served_and_simulated(
             monkeypatch, drive)
@@ -132,9 +120,8 @@ class TestSameBytes:
         # windows in batch order all the same.
         def drive():
             server = PipelineServer(
-                platform, seed=5, plan_cache=fresh_cache(platform),
-                config=ServerConfig(max_ticks=64, queue_capacity=0,
-                                    max_partition_classes=1),
+                platform, plan_cache=fresh_cache(platform),
+                config=ServerConfig(max_partition_classes=1),
             )
             server.open_stepped()
             classes = sorted(platform.schedulable_classes())[:2]
@@ -153,7 +140,8 @@ class TestSameBytes:
             admit("twin", classes[1], 3, window_tasks=5)
             for tick in range(3, 6):
                 server.step(tick)
-            return server, server.close_stepped()
+            server.close_stepped()
+            return server, None
 
         _, _, simulated = served_and_simulated(monkeypatch, drive)
         # Ticks 0 and 3 are the only ones that simulate: both tenants
@@ -177,9 +165,8 @@ class TestSameBytes:
 
         def drive():
             server = PipelineServer(
-                platform, seed=5, plan_cache=fresh_cache(platform),
-                config=ServerConfig(max_ticks=64, queue_capacity=0,
-                                    max_partition_classes=1),
+                platform, plan_cache=fresh_cache(platform),
+                config=ServerConfig(max_partition_classes=1),
             )
             server.open_stepped()
             for name in ("steady", "doomed", "late"):
@@ -190,7 +177,8 @@ class TestSameBytes:
                                           demand_gbps=16.0))
             for tick in range(10):
                 server.step(tick)
-            return server, server.close_stepped()
+            server.close_stepped()
+            return server, None
 
         shipped, served, simulated = served_and_simulated(
             monkeypatch, drive)
@@ -198,8 +186,8 @@ class TestSameBytes:
         fails = [e for e in out["timeline"] if e["event"] == "fail"]
         assert [(e["tenant"], e["tick"]) for e in fails] == [
             ("doomed", 4)]
-        assert out["report"]["tenants"]["doomed"]["status"] == FAILED
-        assert out["report"]["tenants"]["late"]["status"] == COMPLETED
+        assert out["records"]["doomed"][0] == FAILED
+        assert out["records"]["late"][0] == COMPLETED
         assert 0 < simulated < served
 
 
@@ -214,9 +202,8 @@ class TestResidencyLifetime:
         # deployments have already served.  No rescheduling: a SWITCH
         # lets go of the deployment until the next window.
         server = PipelineServer(
-            platform, seed=5, plan_cache=fresh_cache(platform),
-            config=ServerConfig(max_ticks=64, queue_capacity=0,
-                                max_partition_classes=1,
+            platform, plan_cache=fresh_cache(platform),
+            config=ServerConfig(max_partition_classes=1,
                                 reschedule=False),
         )
         server.open_stepped()
@@ -288,12 +275,16 @@ class TestResidencyLifetime:
     def test_a_switch_starts_a_new_residency(self):
         # The memo-off run shares _deployment_of, so a stale executor
         # after a SWITCH would fool both runs alike: check it directly.
-        server = build_soak_server(SoakScenario(seed=7, windows=30))
-        server.open_stepped()
+        scenario = SoakScenario(seed=7, windows=30)
+        router = serve_fleet(scenario)
+        for spec in scenario.tenants():
+            router.submit(spec)
+        router.open_stepped()
+        server = router.shards[0].server
         record = server.records.get
         before = None
         for tick in range(30):
-            server.step(tick)
+            router.step(tick)
             if before is None:
                 before = server._deployments["tenant-drift"]
                 deployed = record("tenant-drift").schedule
@@ -302,7 +293,7 @@ class TestResidencyLifetime:
         else:
             pytest.fail("the soak never rescheduled")
         assert deployed is not record("tenant-drift").schedule
-        server.step(tick + 1)
+        router.step(tick + 1)
         after = server._deployments["tenant-drift"]
         drifted = record("tenant-drift")
         assert after is not before
@@ -313,11 +304,10 @@ class TestResidencyLifetime:
             drifted.spec.application, drifted.plan.isolated,
             drifted.schedule, server.platform).key
         assert after.offered.key != before.offered.key
-        server.close_stepped()
+        router.close_stepped()
 
     def test_a_finished_soak_holds_no_residency(self):
-        server = build_soak_server(SoakScenario(seed=7, windows=12))
-        server.run()
+        server, _ = run_soak(SoakScenario(seed=7, windows=12))
         assert server._deployments == {}
         assert 0 < len(server.plan_cache._deployments) <= (
             plan_cache_module._DEPLOYMENTS_KEPT)
@@ -342,9 +332,8 @@ class TestKeyedByTheApplicationObject:
     def test_same_name_different_work_keep_their_own_windows(
             self, platform, app):
         server = PipelineServer(
-            platform, seed=5, plan_cache=fresh_cache(platform),
-            config=ServerConfig(max_ticks=64, queue_capacity=0,
-                                max_partition_classes=1),
+            platform, plan_cache=fresh_cache(platform),
+            config=ServerConfig(max_partition_classes=1),
         )
         server.open_stepped()
         cls = sorted(platform.schedulable_classes())[0]
@@ -383,9 +372,8 @@ class TestSharedSpansStayUntouched:
         # in an exported trace, and the shared span list must come out
         # of all of it exactly as the DES left it: untagged.
         server = PipelineServer(
-            platform, seed=5, plan_cache=fresh_cache(platform),
-            config=ServerConfig(max_ticks=64, queue_capacity=0,
-                                max_partition_classes=1),
+            platform, plan_cache=fresh_cache(platform),
+            config=ServerConfig(max_partition_classes=1),
         )
         server.open_stepped()
         cls = sorted(platform.schedulable_classes())[0]
@@ -426,28 +414,26 @@ class TestSharedSpansStayUntouched:
 class TestDrainedMatchesTheScan:
     def test_after_every_tick(self, platform, plan_cache, app):
         # The full scan over every record ever seen is the oracle for
-        # the live-state answer, queue included.
+        # the live-state answer.
         server = PipelineServer(
-            platform, seed=5, plan_cache=plan_cache,
-            config=ServerConfig(max_ticks=64, queue_capacity=3,
-                                max_partition_classes=1),
+            platform, plan_cache=plan_cache,
+            config=ServerConfig(max_partition_classes=1),
         )
         server.open_stepped()
+        # Eight tenants on four classes: the first four are admitted.
         for index in range(8):
-            server.submit(TenantSpec(
+            server.try_admit(TenantSpec(
                 name=f"t{index}", application=app,
-                windows=2 + index % 3, window_tasks=4))
+                windows=2 + index % 3, window_tasks=4), tick=0)
         seen_false = False
         for tick in range(20):
             drained = server.step(tick)
             assert drained == all(
                 record.done for record in server.records.values())
             seen_false = seen_false or not drained
-            if tick == 3:
-                server.submit(TenantSpec(
+            if tick == 3 and server.try_admit(TenantSpec(
                     name="late", application=app, windows=2,
-                    window_tasks=4))
+                    window_tasks=4), tick=tick).action == ADMIT:
                 assert not server._drained()
         assert seen_false and drained
-        statuses = {r.status for r in server.records.values()}
-        assert len(statuses) >= 2          # completions and rejects
+        assert {r.status for r in server.records.values()} == {COMPLETED}

@@ -150,6 +150,18 @@ class TestFaultsim:
         assert err == {"error": "PipelineError",
                        "message": "fail_attempts must be >= 1"}
 
+    def test_fault_flags_are_checked_before_the_plan(self, capsys):
+        # A bad flag stops the command before it plans: no summary.
+        code = main([
+            "faultsim", "--platform", "raspberry_pi5", "--app",
+            "octree", "--repetitions", "2", "--k", "3",
+            "--eval-tasks", "6", "--tasks", "3", "--max-attempts", "0",
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "PipelineError"
+
 
 class TestRun:
     ARGS = ["run", "--platform", "jetson_orin_nano", "--app", "octree",

@@ -39,21 +39,18 @@ TRACE = "trace field"
 #: ``Class.field`` -> (default, the two shipped values or the outside
 #: source).  ``required`` marks a field without a default.
 SURFACE = {
-    "ServerConfig.max_ticks": (
-        "64", "soak 48; fleet shards 96 / 48; submit --windows + 8"),
-    "ServerConfig.queue_capacity": (
-        "4", "soak and fleet shards 0; submit --queue-capacity"),
     "ServerConfig.max_impact_ratio": (
-        "1.5", "soak and submit 1.5; fleet shards 2.5 / 1.25 / 1e9"),
+        "1.5", "serve and submit 1.5; fleet shards 2.5 / 1.25 / 1e9"),
     "ServerConfig.max_partition_classes": (
-        "None", "soak and fleet shards 1; submit --cap"),
+        "None", "serve and fleet shards 1; submit --cap"),
     "ServerConfig.cumulative_impact": (
         "False", "soak, submit, fleet soak False; overload, bench True"),
     "ServerConfig.reschedule": (
         "True", "serve True; serve --frozen and bench fleets False"),
     "ServerConfig.attribution": ("False", "False; top True"),
     "FleetConfig.max_ticks": (
-        "128", "fleet --max-ticks; traffic/top --ticks"),
+        "128", "fleet --max-ticks; traffic/top --ticks; serve 48; "
+               "submit --windows + 8"),
     "FleetConfig.max_impact_ratio": (
         "2.5", "fleet soak 2.5; overload 1.25 / admit-everything 1e9"),
     "FleetConfig.max_partition_classes": (
@@ -63,6 +60,9 @@ SURFACE = {
     "FleetConfig.reschedule": (
         "True", "fleet and overload soaks True; bench fleets False"),
     "FleetConfig.backlog_patience": ("24", "fleet soak 24; overload 6"),
+    "FleetConfig.queue_capacity": (
+        "None", "fleet and overload soaks None; serve 0; "
+                "submit --queue-capacity"),
     "FleetConfig.failover": ("True", "True; fleet --no-failover"),
     "FleetConfig.health": (
         "HealthConfig(slo_factor=2.0, slo_breach_ticks=3)",
@@ -86,7 +86,8 @@ SURFACE = {
     "FleetOverloadScenario.saturation_arrivals_per_tick": (
         "None", "CLI None; bench 1.1 per two shards"),
     "FleetOverloadScenario.load_multiplier": (
-        "1.5", "traffic/top --multiplier; overload_curve 0.5-2.0"),
+        "1.5", "traffic/top --multiplier; traffic soak --curve "
+               "0.5-2.0"),
     "FleetOverloadScenario.app_pool_size": (
         "4", "CLI and two bench fleets 4; bench chaos fleet 192"),
     "TrafficSpec.ticks": ("64", TRACE),
@@ -143,7 +144,7 @@ def settable() -> dict:
 def test_every_settable_field_is_pinned():
     assert settable() == {name: pinned for name, (pinned, _)
                           in SURFACE.items()}
-    assert len(SURFACE) == 58
+    assert len(SURFACE) == 57
 
 
 def test_design_names_every_field():

@@ -11,9 +11,10 @@ from repro.traffic import (
     OpenLoopDriver,
     TrafficGenerator,
     materialize,
-    run_overload_soak,
 )
 from repro.traffic.generator import ArrivalEvent
+
+from tests.soaks import run_overload_soak
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ class TestDriverRun:
         assert report.goodput_windows <= report.served_windows
 
     def test_driver_validates_horizon(self, small_scenario):
-        router = small_scenario.build_fleet()
+        router = small_scenario.driver().router
         with pytest.raises(TrafficError, match="at least one tick"):
             OpenLoopDriver(router, [], ticks=0)
 

@@ -17,10 +17,10 @@ import pytest
 from repro.traffic import (
     FleetOverloadScenario,
     TrafficTrace,
-    run_overload_soak,
 )
 from repro.traffic import slo
 
+from tests.soaks import run_overload_soak
 from tests.traffic.test_window_reuse import _driver
 from tests.solve_oracle import (
     count_solves,

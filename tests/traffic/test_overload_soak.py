@@ -22,9 +22,9 @@ from repro.traffic import (
     FleetOverloadScenario,
     OVERLOAD_TIERS,
     TrafficTrace,
-    overload_curve,
-    run_overload_soak,
 )
+
+from tests.soaks import overload_curve, run_overload_soak
 
 SCENARIO = FleetOverloadScenario()
 
@@ -117,9 +117,10 @@ class TestByteDeterminism:
         script = (
             "import sys\n"
             "from repro.core.serialization import write_json_report\n"
-            "from repro.traffic import FleetOverloadScenario, "
-            "run_overload_soak\n"
-            "_, report = run_overload_soak(FleetOverloadScenario())\n"
+            "from repro.traffic import FleetOverloadScenario, evaluate\n"
+            "scenario = FleetOverloadScenario()\n"
+            "result = scenario.driver().run()\n"
+            "report = evaluate(scenario.spec(), scenario.seed, result)\n"
             "write_json_report(sys.argv[1], report.to_dict())\n"
         )
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")

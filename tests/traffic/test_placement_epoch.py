@@ -14,13 +14,14 @@ import json
 import pytest
 
 from repro.fleet import FleetConfig, FleetRouter, ShardSpec
-from repro.traffic import FleetOverloadScenario, run_overload_soak
+from repro.traffic import FleetOverloadScenario
 from repro.traffic import slo
 from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.generator import TrafficGenerator
 
 from tests.memo_off import memos_off
 from tests.serve.conftest import count_pricings
+from tests.soaks import run_overload_soak
 from tests.solve_oracle import first_difference
 
 

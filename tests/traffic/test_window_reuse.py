@@ -19,12 +19,13 @@ import repro.core.plan_cache as plan_cache
 import repro.serve.server as serve_server
 from repro.fleet import FleetConfig, FleetRouter, ShardSpec
 from repro.serve.tenant import PENDING
-from repro.traffic import FleetOverloadScenario, run_overload_soak
+from repro.traffic import FleetOverloadScenario
 from repro.traffic import slo
 from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.generator import TrafficGenerator
 
 from tests.memo_off import memos_off
+from tests.soaks import run_overload_soak
 
 SCENARIO = FleetOverloadScenario()
 

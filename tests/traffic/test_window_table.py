@@ -19,32 +19,27 @@ object.  Two kinds of test:
 
 import pytest
 
-from repro.fleet import FleetRouter, FleetSoakScenario, build_fleet
+from repro.fleet import FleetRouter, FleetSoakScenario
 from repro.obs import capture
 from repro.obs.metrics import percentile
 from repro.traffic import FleetOverloadScenario, evaluate
-from repro.traffic.driver import OpenLoopDriver
-from repro.traffic.generator import TrafficGenerator
+
+from tests.soaks import run_fleet_soak
 
 ATTRIBUTION = pytest.mark.parametrize(
     "attribution", [False, True], ids=["plain", "attribution"])
 
 
 def chaos_soak(attribution):
-    router = build_fleet(FleetSoakScenario(), attribution=attribution)
-    return router, router.run()
+    return run_fleet_soak(FleetSoakScenario(), attribution=attribution)
 
 
 def overload_soak(attribution):
     scenario = FleetOverloadScenario()
-    spec = scenario.spec()
-    router = scenario.build_fleet(attribution=attribution)
-    result = OpenLoopDriver(
-        router, TrafficGenerator(spec, seed=scenario.seed).events(),
-        ticks=spec.ticks, stage_count=spec.stage_count,
-        slo_by_tier={tier.name: tier.slo_slowdown for tier in spec.tiers},
-    ).run()
-    return router, result, evaluate(spec, scenario.seed, result)
+    driver = scenario.driver(attribution=attribution)
+    result = driver.run()
+    return (driver.router, result,
+            evaluate(scenario.spec(), scenario.seed, result))
 
 
 # ----------------------------------------------------------------------
@@ -55,8 +50,8 @@ def old_window_log(router):
     per tick, shards by index, each server's own timeline order."""
     by_tick = {}
     for shard in router.shards:
-        for report in shard.closed_reports:
-            for entry in report.timeline:
+        for server in shard.closed_servers:
+            for entry in server.timeline:
                 if entry["event"] == "window":
                     by_tick.setdefault(entry["tick"], []).append({
                         "tick": entry["tick"], "tenant": entry["tenant"],
@@ -263,10 +258,9 @@ def test_blame_total_series_is_the_resummed_one():
 # ----------------------------------------------------------------------
 def test_closed_generations_are_summarised_only_when_read():
     router, report = chaos_soak(attribution=False)
-    closed = [r for shard in router.shards for r in shard.closed_reports]
+    closed = [s for shard in router.shards for s in shard.closed_servers]
     assert len(closed) == len(router.shards) + 1  # one crash + rejoin
-    metrics = [m for r in closed for m in r.tenants.values()]
-    metrics += report.tenants.values()
+    metrics = list(report.tenants.values())
     assert not any("samples" in vars(m.latency) for m in metrics)
     served = next(m for m in metrics if m.windows_served)
     assert served.p95_latency_s >= served.p50_latency_s > 0.0
