@@ -2,8 +2,8 @@
 """Scenario: interrogating the scheduler before trusting it.
 
 A performance engineer rarely deploys a black-box schedule.  This
-example shows the interrogation workflow on the stereo-depth pipeline
-(the extension workload) targeting the Google Pixel 7a:
+example shows the interrogation workflow on the Octree pipeline (the
+paper's mixed sparse/dense application) targeting the Google Pixel 7a:
 
 1. *Is there anything to gain?* - per-stage affinity spreads and the
    model-level speedup bound.
@@ -16,7 +16,7 @@ example shows the interrogation workflow on the stereo-depth pipeline
 Run:  python examples/whatif_analysis.py
 """
 
-from repro.apps import build_stereo_application
+from repro.apps import build_octree_application
 from repro.core import BetterTogether
 from repro.eval import (
     explain_schedule,
@@ -32,7 +32,7 @@ from repro.soc import get_platform
 
 def main() -> None:
     platform = get_platform("pixel7a")
-    application = build_stereo_application()
+    application = build_octree_application()
 
     framework = BetterTogether(platform, repetitions=10)
     table = framework.profile(application)

@@ -46,9 +46,6 @@ def render_rule_catalog() -> str:
     for rule in all_rules():
         lines += [f"{rule_id}: {summary}"
                   for rule_id, summary in rule.catalog()]
-        if rule.applies_to is not None:
-            lines.append(f"    applies to paths matching: "
-                         f"{', '.join(rule.applies_to)}")
         if rule.allowed_in:
             lines.append(f"    exempt: {', '.join(rule.allowed_in)}")
     return "\n".join(lines)

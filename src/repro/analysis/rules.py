@@ -6,8 +6,6 @@ section of ``docs/architecture.md``):
 
 * ``WALL-CLOCK`` - deadline/timeout arithmetic must use the monotonic
   clock, never ``time.time()``.
-* ``GLOBAL-RNG`` - determinism-critical paths must draw randomness from
-  seeded, coordinate-keyed generators, never module-level RNG state.
 * ``RAW-ARTIFACT-WRITE`` - artifacts must go through the atomic,
   checksummed writers in :mod:`repro.core.serialization`.
 * ``BROAD-EXCEPT`` - a broad ``except`` may not swallow: every path
@@ -64,26 +62,20 @@ class Rule:
     Attributes:
         rule_id: Stable identifier used in reports and suppressions.
         summary: One-line description for the rule catalog.
-        applies_to: Path substrings limiting where the rule runs
-            (``None`` = everywhere).
         allowed_in: Path suffixes exempt from the rule (the module that
             legitimately owns the flagged construct).
     """
 
     rule_id: str = ""
     summary: str = ""
-    applies_to: Optional[Tuple[str, ...]] = None
     allowed_in: Tuple[str, ...] = ()
 
     def applies(self, path: str, source: str) -> bool:
         """Whether this rule runs on the given file (its path and
         source text) at all."""
         normalized = path.replace("\\", "/")
-        if any(normalized.endswith(suffix) for suffix in self.allowed_in):
-            return False
-        if self.applies_to is None:
-            return True
-        return any(part in normalized for part in self.applies_to)
+        return not any(normalized.endswith(suffix)
+                       for suffix in self.allowed_in)
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         """Yield findings for one parsed module."""
@@ -180,58 +172,6 @@ class WallClockRule(Rule):
                     "wall-clock time.time() call; deadline/timeout "
                     "arithmetic must use time.monotonic()",
                 )
-
-
-# ----------------------------------------------------------------------
-# GLOBAL-RNG
-# ----------------------------------------------------------------------
-#: np.random constructors that *are* the approved seeded pattern.
-_SEEDED_RNG_OK = (
-    "default_rng", "Generator", "SeedSequence", "PCG64", "Philox",
-    "BitGenerator", "MT19937",
-)
-#: stdlib random attributes that construct isolated generators.
-_STDLIB_RNG_OK = ("Random", "SystemRandom", "getstate")
-
-
-@register
-class GlobalRngRule(Rule):
-    """Module-level RNG state (``random.*``, ``np.random.*``) breaks
-    byte-identical resume: a resumed campaign replays a *subset* of the
-    draws, so any shared-stream consumer diverges from the
-    uninterrupted run.  Determinism-critical paths must build
-    coordinate-keyed generators (``np.random.default_rng(seed)``)."""
-
-    rule_id = "GLOBAL-RNG"
-    summary = ("module-level RNG use in a determinism-critical path - "
-               "use a seeded np.random.default_rng(...)")
-    # The paths whose randomness feeds checkpointed / resumable results.
-    applies_to = ("profiler", "solver", "faults", "session",
-                  "autotuner", "optimizer", "timer")
-
-    def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name.startswith("random."):
-                attr = name.split(".", 1)[1]
-                if attr not in _STDLIB_RNG_OK:
-                    yield self.finding(
-                        path, node,
-                        f"global stdlib RNG call {name}(); seeded "
-                        "resume needs a coordinate-keyed generator",
-                    )
-            elif (name.startswith("np.random.")
-                  or name.startswith("numpy.random.")):
-                attr = name.rsplit(".", 1)[1]
-                if attr not in _SEEDED_RNG_OK:
-                    yield self.finding(
-                        path, node,
-                        f"global numpy RNG call {name}(); use "
-                        "np.random.default_rng(seed) keyed by the "
-                        "work coordinate",
-                    )
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,7 @@ from __future__ import annotations
 import ast
 from typing import AbstractSet, Dict, FrozenSet, Optional, Tuple
 
-from repro.analysis.rules import _SEEDED_RNG_OK, _STDLIB_RNG_OK, \
-    dotted_name
+from repro.analysis.rules import dotted_name
 
 Taint = AbstractSet[str]
 
@@ -40,6 +39,14 @@ ENV_READ = "ENV-READ"
 UNORDERED = "UNORDERED"
 UNORDERED_ITER = "UNORDERED-ITER"
 THREAD_ID = "THREAD-ID"
+
+#: np.random constructors that *are* the approved seeded pattern.
+_SEEDED_RNG_OK = (
+    "default_rng", "Generator", "SeedSequence", "PCG64", "Philox",
+    "BitGenerator", "MT19937",
+)
+#: stdlib random attributes that construct isolated generators.
+_STDLIB_RNG_OK = ("Random", "SystemRandom", "getstate")
 
 #: kind -> the rule id a sink hit reports under.
 RULE_FOR_KIND: Dict[str, str] = {

@@ -28,21 +28,16 @@ from repro.apps.octree_app import (
     build_octree_application,
     validate_octree_task,
 )
-from repro.apps.stereo_app import (
-    build_stereo_application,
-    synthetic_stereo_pair,
-)
 from repro.apps.synthetic import (
     build_bandwidth_bound_application,
     build_synthetic_application,
 )
 
-#: Paper evaluation order first; extension workloads after.
+#: Paper evaluation order (Table 1).
 APPLICATION_BUILDERS = {
     "alexnet-dense": build_alexnet_dense,
     "alexnet-sparse": build_alexnet_sparse,
     "octree": build_octree_application,
-    "stereo-depth": build_stereo_application,
 }
 
 __all__ = [
@@ -56,12 +51,10 @@ __all__ = [
     "build_alexnet_sparse",
     "build_bandwidth_bound_application",
     "build_octree_application",
-    "build_stereo_application",
     "build_synthetic_application",
     "cifar_like_batch",
     "cifar_like_image",
     "make_weights",
     "point_cloud",
-    "synthetic_stereo_pair",
     "validate_octree_task",
 ]

@@ -56,9 +56,8 @@ class SoCShard:
         self.generation = 0
         self.gray = False
         self.server: Optional[PipelineServer] = None
-        #: Closed generations, in close order: their records, timelines
-        #: and last spans stay readable (``report()`` summarises one if
-        #: and when it is read).
+        #: Closed generations, in close order, kept to be read: their
+        #: timelines, their records and their last spans.
         self.closed_servers: List[PipelineServer] = []
         self._cursor = 0
 

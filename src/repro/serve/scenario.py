@@ -13,7 +13,7 @@ room to wait it must be rejected (no-oversubscription).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -86,8 +86,13 @@ class SoakScenario:
     windows: int = 30
     window_tasks: int = 10
     drift_start_tick: int = 4
-    #: The tick budget (the soak drains at tick ``windows``).
-    max_ticks: ClassVar[int] = 48
+
+    @property
+    def max_ticks(self) -> int:
+        """The tick budget: ``windows`` plus slack, so a soak that
+        drains at tick ``windows`` never meets it (48 at the default
+        30)."""
+        return self.windows + 18
 
     def __post_init__(self) -> None:
         if self.windows < 8:

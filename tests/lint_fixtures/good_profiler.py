@@ -1,7 +1,4 @@
-"""Lint fixture (never imported): the approved idiom for every rule.
-
-Named ``good_profiler.py`` so the GLOBAL-RNG rule applies - and passes.
-"""
+"""Lint fixture (never imported): the approved idiom for every rule."""
 
 import time
 

@@ -36,6 +36,9 @@ class Mutant:
     flow_rule: Optional[str] = None
     #: What the verdicts alone do not say (rendered under the table).
     note: str = ""
+    #: Guards whose verdict on this mutant hangs on thread timing: the
+    #: matrix shows them but counts no kill from them.
+    timing_dependent: Tuple[str, ...] = ()
 
     def apply(self, source: str) -> str:
         """``source`` with every edit applied (each must match)."""
@@ -48,6 +51,12 @@ class Mutant:
 
 _STAMP = ("\n\ndef _stamp():\n"
           "    return time.perf_counter()\n")
+
+#: The three rows planted on the deleted ``GLOBAL-RNG`` lint rule.
+_GLOBAL_RNG_HISTORY = ("Its `lint` cell is the `GLOBAL-RNG` rule's "
+                       "verdict, recorded before tier-1's resume tests "
+                       "killed L-GLOBAL-RNG-RESUME and the rule was "
+                       "deleted.")
 
 MUTANTS: Tuple[Mutant, ...] = (
     Mutant("M1", "`time.perf_counter()` in `FleetReport.to_dict`",
@@ -89,8 +98,9 @@ MUTANTS: Tuple[Mutant, ...] = (
                ("self._rng = np.random.default_rng(seed)",
                 "self._rng = np.random.default_rng()"),
            ), note="As M4.  Its OS-entropy draws decide whether a "
-           "breaker probe moves `fleet@8`'s bytes, so a corpus run can "
-           "pass: one re-run killed it under hash seed 1 only."),
+           "breaker probe moves `fleet@8`'s bytes, so a corpus or "
+           "memo-off run can pass: one re-run killed it under hash seed "
+           "1 only, the next under the memo-off arm only."),
     Mutant("M6", "failover's drain iterates `{t.name for t in batch}`",
            "fleet/router.py", (
                ("        for tenant in batch:\n            if shard.alive:",
@@ -149,7 +159,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "numpy RNG, seeded from `seed`", "runtime/faults.py", (
                ("        rng = np.random.default_rng(seed)\n",
                 "        np.random.seed(seed)\n        rng = np.random\n"),
-           )),
+           ), note=_GLOBAL_RNG_HISTORY),
     Mutant("L-GLOBAL-RNG-PASS", "the profiler's timer draws a pass's "
            "cells from one global stream, seeded per pass",
            "soc/timer.py", (
@@ -163,7 +173,8 @@ MUTANTS: Tuple[Mutant, ...] = (
                 "(len(cells), count))\n"),
            ), note="A resumed session measures only the cells it has no "
            "checkpoint for, so its pass draws a prefix of the stream the "
-           "uninterrupted pass drew, in other positions."),
+           "uninterrupted pass drew, in other positions.  "
+           + _GLOBAL_RNG_HISTORY),
     Mutant("L-GLOBAL-RNG-SHARED", "every timer observation draws from "
            "one global stream, seeded when the platform is built",
            "soc/timer.py", (
@@ -175,7 +186,22 @@ MUTANTS: Tuple[Mutant, ...] = (
                 "        return np.random.mtrand._rand\n"),
            ), note="A measurement's draw depends on how many came before "
            "it in the process, so an autotune round resumed from a "
-           "checkpoint measures its candidates with other draws."),
+           "checkpoint measures its candidates with other draws.  "
+           + _GLOBAL_RNG_HISTORY),
+    Mutant("L-GLOBAL-RNG-RESUME", "a profiling cell read back from a "
+           "checkpoint is re-dithered by one global numpy draw",
+           "core/session.py", (
+               ("from typing import Any, Callable, Dict, List, Optional, "
+                "Tuple\n",
+                "from typing import Any, Callable, Dict, List, Optional, "
+                "Tuple\n\nimport numpy as np\n"),
+               ("        if cell is not None:\n",
+                "        if cell is not None:\n"
+                "            cell = (cell[0] * np.random.lognormal(0.0, "
+                "1e-3), cell[1])\n"),
+           ), note="Only a resumed session reads a cell back, so a fresh "
+           "run's bytes do not move; the resumed candidate log and "
+           "schedule do."),
     Mutant("L-RAW-ARTIFACT-WRITE", "`trace --export gantt --out` through a "
            "raw `open(..., \"w\")`", "cli.py", (
                ('        atomic_write_text(args.out, chart + "\\n")\n',
@@ -233,7 +259,11 @@ MUTANTS: Tuple[Mutant, ...] = (
                 "            fault_events=(tuple(\n"
                 "                self.fault_injector.events,\n"
                 "            ) if"),
-           )),
+           ), timing_dependent=("memo-off",), note="The memo-off arm "
+           "compares two runs of each case, and the unsorted fault log "
+           "differs between them only when the two dispatchers append "
+           "in another order: two matrix runs killed it on different "
+           "`faultsim-quarantine` seeds.  The cell is not a kill."),
     Mutant("S-ID-CACHE", "the deployment table keyed by `id(application)`",
            "core/plan_cache.py", (
                ("key = (application, schedule.assignments)",

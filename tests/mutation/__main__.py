@@ -13,7 +13,8 @@ Guards:
 * ``lint``: ``repro lint --strict src/repro`` (the invariant rules and
   the flow check);
 * ``flow-parent``: the older checkout's ``flow --strict src/repro``
-  command, from before the flow check became lint rules;
+  command, from before the flow check became lint rules (both static
+  columns count only findings the unmutated tree does not have);
 * ``tier1``: ``pytest -x`` without ``tests/analysis`` (and without the
   corpus and matrix suites, which are columns of their own);
 * ``corpus-h1`` / ``corpus-h2``: ``python -m tests.golden check`` under
@@ -35,7 +36,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from tests.golden import FAULTSIM
 from tests.mutation import BY_NAME, MUTANTS, REPO, Mutant
@@ -57,15 +58,40 @@ def _run(argv: List[str], cwd: Path, src: Path,
                           timeout=TIMEOUT_S)
 
 
-def _tool(tool: str, copy: Path, src: Path) -> Verdict:
+Finding = Tuple[str, str, str]
+
+#: tool -> what it reports on the unmutated tree (filled on first use).
+_CLEAN: Dict[str, Set[Finding]] = {}
+
+
+def _findings(tool: str, tree: Path, src: Path) -> Optional[List[dict]]:
+    """``tool --strict`` over ``tree``'s package, or ``None`` when the
+    tool itself failed."""
     proc = _run(["-m", "repro", tool, "--strict", "--format", "json",
-                 "src/repro"], copy, src)
+                 "src/repro"], tree, src)
     if proc.returncode == 2:
+        return None
+    return json.loads(proc.stdout)["findings"] if proc.stdout else []
+
+
+def _key(finding: dict) -> Finding:
+    # No line number: a mutant's edit moves the lines below it.
+    return (finding["rule"], Path(finding["path"]).name, finding["message"])
+
+
+def _tool(tool: str, copy: Path, src: Path, clean_src: Path) -> Verdict:
+    """Kills with the findings the unmutated tree does not have (an
+    older checkout's flow engine reports some on today's tree)."""
+    findings = _findings(tool, copy, src)
+    if findings is None:
         return {"killed": True, "detail": "tool error"}
-    findings = json.loads(proc.stdout)["findings"] if proc.stdout else []
+    if tool not in _CLEAN:
+        _CLEAN[tool] = {_key(f) for f in
+                        _findings(tool, REPO, clean_src) or []}
+    new = [f for f in findings if _key(f) not in _CLEAN[tool]]
     where = sorted({f"{f['rule']} {Path(f['path']).name}:{f['line']}"
-                    for f in findings})
-    return {"killed": proc.returncode != 0, "detail": ", ".join(where)}
+                    for f in new})
+    return {"killed": bool(new), "detail": ", ".join(where)}
 
 
 def _tier1(copy: Path, _parent: Path) -> Verdict:
@@ -107,8 +133,10 @@ def _faultsim(copy: Path, _parent: Path) -> Verdict:
 
 
 GUARDS: Dict[str, Callable[[Path, Path], Verdict]] = {
-    "lint": lambda copy, parent: _tool("lint", copy, copy / "src"),
-    "flow-parent": lambda copy, parent: _tool("flow", copy, parent),
+    "lint": lambda copy, parent: _tool("lint", copy, copy / "src",
+                                       REPO / "src"),
+    "flow-parent": lambda copy, parent: _tool("flow", copy, parent,
+                                              parent),
     "tier1": _tier1,
     "corpus-h1": _corpus("check", "1"),
     "corpus-h2": _corpus("check", "2"),
@@ -135,7 +163,7 @@ def plant(mutant: Mutant, workdir: Path) -> Path:
 
 def render(results: Dict[str, Dict[str, Verdict]]) -> str:
     """The checked-in table (``MATRIX.md``)."""
-    def cell(verdict) -> str:
+    def cell(verdict, timing_dependent) -> str:
         if verdict is None:
             return "?"
         if not verdict["killed"]:
@@ -143,9 +171,12 @@ def render(results: Dict[str, Dict[str, Verdict]]) -> str:
         detail = (verdict.get("detail") or "").split(", ")
         if len(detail) > 2:
             detail[2:] = [f"+{len(detail) - 2} more"]
-        return f"✓ {', '.join(detail)}".strip()
+        mark = "≈ timing-dependent" if timing_dependent else "✓"
+        return f"{mark} {', '.join(detail)}".strip()
 
-    def killed(verdicts, guard, parent) -> bool:
+    def killed(mutant, verdicts, guard, parent) -> bool:
+        if guard in mutant.timing_dependent:
+            return False
         verdict = verdicts[guard]
         if parent and guard == "lint":
             # The parent's lint had no flow rules: count the others only.
@@ -153,11 +184,11 @@ def render(results: Dict[str, Dict[str, Verdict]]) -> str:
                        in (verdict.get("detail") or "").split(", "))
         return verdict["killed"]
 
-    def column(verdicts, guards, parent=False) -> str:
+    def column(mutant, verdicts, guards, parent=False) -> str:
         if any(verdicts.get(g) is None for g in guards):
             return "?"
-        return "killed" if any(killed(verdicts, g, parent) for g in guards) \
-            else "**survives**"
+        return "killed" if any(killed(mutant, verdicts, g, parent)
+                               for g in guards) else "**survives**"
 
     head = ["mutant (planted in `src/repro`)", "lint", "flow (parent)",
             "tier-1 w/o `tests/analysis`", "corpus h1",
@@ -168,7 +199,8 @@ def render(results: Dict[str, Dict[str, Verdict]]) -> str:
         "Generated by `python -m tests.mutation` (see its docstring for "
         "each guard).",
         "✓ = the guard kills the mutant (with the rule, failing test or "
-        "moved corpus cases), – = it survives.  *parent* counts the "
+        "moved corpus cases), ≈ = a kill that hangs on thread timing, "
+        "not counted, – = it survives.  *parent* counts the "
         "guards before the golden corpus and with the interprocedural "
         "flow engine; *change* counts the corpus, its memo-off arm and "
         "`lint`, whose flow rules are the per-function check.  The K "
@@ -181,9 +213,10 @@ def render(results: Dict[str, Dict[str, Verdict]]) -> str:
     for mutant in MUTANTS:
         verdicts = results.get(mutant.name, {})
         row = [f"{mutant.name} {mutant.summary} (`{mutant.file}`)"]
-        row += [cell(verdicts.get(g)) for g in GUARDS]
-        row += [column(verdicts, PARENT_GUARDS, parent=True),
-                column(verdicts, CHANGE_GUARDS)]
+        row += [cell(verdicts.get(g), g in mutant.timing_dependent)
+                for g in GUARDS]
+        row += [column(mutant, verdicts, PARENT_GUARDS, parent=True),
+                column(mutant, verdicts, CHANGE_GUARDS)]
         lines.append("| " + " | ".join(row) + " |")
     notes = [f"* **{m.name}**: {m.note}" for m in MUTANTS if m.note]
     if notes:

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.apps import (
-    build_alexnet_sparse,
-    build_octree_application,
-    build_stereo_application,
-)
+from repro.apps import build_alexnet_sparse, build_octree_application
 from repro.core import Application, Stage
 from repro.errors import PipelineError
 from repro.runtime import estimate_pipeline_memory
@@ -39,13 +35,6 @@ class TestEstimate:
         assert report.per_task_bytes > 0
         name = max(report.buffer_bytes, key=report.buffer_bytes.get)
         assert name.startswith("act")
-
-    def test_stereo_dominated_by_cost_volume(self):
-        report = estimate_pipeline_memory(
-            build_stereo_application(), depth=2
-        )
-        name = max(report.buffer_bytes, key=report.buffer_bytes.get)
-        assert name in ("aggregated", "cost")
 
     def test_requires_task_factory(self):
         app = Application(

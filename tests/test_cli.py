@@ -284,6 +284,19 @@ class TestServe:
         assert "tenant tenant-drift:" in out
         assert "tenant tenant-gpu:" in out
 
+    def test_long_soak_gets_a_tick_budget_for_its_windows(self, capsys):
+        # The budget follows --windows: 60 windows outlast a fixed 48.
+        code = main([
+            "serve", "--windows", "60", "--tasks", "6", "--json",
+        ])
+        assert code == 0
+        tenants = json.loads(capsys.readouterr().out)["tenants"]
+        assert {name: row["status"] for name, row in tenants.items()} == {
+            "tenant-gpu": "completed", "tenant-drift": "completed",
+            "tenant-bg": "completed", "tenant-probe": "rejected",
+        }
+        assert tenants["tenant-gpu"]["windows_served"] == 60
+
     def test_too_few_windows_structured_error(self, capsys):
         assert main(["serve", "--windows", "4"]) == 2
         err = json.loads(capsys.readouterr().err)
