@@ -797,9 +797,9 @@ def cmd_top(args: argparse.Namespace) -> int:
                   f"goodput_tasks={entry['goodput_tasks']:<5} "
                   f"backlog={entry['backlog']}")
 
-    # The soak runs under capture so the time-series store and flight
-    # recorder are live (the dashboard is the instrumented path); the
-    # rendered payload itself derives only from the seeded reports.
+    # The soak runs under capture so the time-series store is live (the
+    # dashboard is the instrumented path); the rendered payload itself
+    # derives only from the seeded reports.
     with obs.capture():
         result, report = _overload_run(
             scenario, admission=admission,
@@ -902,7 +902,10 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.soc.platforms import _DEFAULT_SEED
     from repro.traffic import OpenLoopDriver
 
-    ticks = args.windows + 8
+    # Enough ticks for every tenant's windows to run one after another
+    # (a queued job waits behind its co-tenants); the run still stops
+    # when the fleet drains.
+    ticks = (args.co + 1) * args.windows + 8
     router = one_shard_fleet(
         args.platform, _DEFAULT_SEED, args.seed,
         FleetConfig(

@@ -1,23 +1,16 @@
-"""Adaptive deployment: react to run-time condition changes (extension).
+"""Adaptive deployment: survive a permanent PU dropout (extension).
 
-The paper generates *static* schedules and notes that prior static cost
-models have limited applicability "in dynamic, resource-constrained
-environments like mobile SoCs" (section 6).  This module closes the loop
-at deployment time without abandoning the static machinery:
+The paper generates *static* schedules.  This module keeps them static
+and adds the one run-time reaction ``python -m repro faultsim``
+exercises: an :class:`AdaptivePipeline` executes the deployed schedule
+in windows, and when a PU drops out it re-runs *level 3 only* -
+re-measuring the cached candidates that avoid the dead PU and switching
+to the measured best.  That is the cheap step the paper's architecture
+makes possible: the profiling table and solver candidates remain valid
+artifacts; only the final ranking is refreshed.
 
-* an :class:`AdaptivePipeline` executes the deployed schedule in windows
-  and watches measured steady latency;
-* when the measurement drifts beyond a threshold from the window
-  baseline (a power-mode flip, thermal throttling, a co-located app),
-  it re-runs *level 3 only* - re-measuring the cached candidate set on
-  the current conditions and switching to the measured best - exactly
-  the cheap step the paper's architecture makes possible (the profiling
-  table and solver candidates remain valid artifacts; only the final
-  ranking is refreshed).
-
-Condition changes are modelled as platform swaps (e.g. Jetson normal ->
-7 W), which is both how the virtual SoC expresses "the world changed"
-and a real event on Jetson-class deployments.
+Re-ranking on measured latency drift is the fleet's job
+(:class:`~repro.serve.rescheduler.OnlineRescheduler`).
 """
 
 from __future__ import annotations
@@ -34,10 +27,6 @@ from repro.runtime.simulator import SimulatedPipelineExecutor
 from repro.soc.platform import Platform
 from repro.stage import Application
 
-#: Relative latency change that triggers re-tuning (0.25 = 25% away
-#: from the reference).
-DRIFT_THRESHOLD = 0.25
-
 
 @dataclass
 class WindowRecord:
@@ -45,20 +34,17 @@ class WindowRecord:
 
     window_index: int
     schedule: Schedule
-    platform: str
     measured_latency_s: float
-    retuned: bool
     fallback: bool = False
 
 
 @dataclass
 class AdaptivePipeline:
-    """Windowed execution with drift-triggered re-autotuning.
+    """Windowed execution with PU-dropout fallback.
 
     Args:
         application: The deployed pipeline.
-        platform: Current execution conditions (swap via
-            :meth:`set_platform` to model a mode change).
+        platform: The execution platform.
         candidates: The optimizer's cached candidate set (level-2
             output); re-tuning re-ranks these, never re-profiles.
         window_tasks: Tasks per execution window.
@@ -71,7 +57,6 @@ class AdaptivePipeline:
     eval_tasks: int = 15
 
     _schedule: Optional[Schedule] = field(default=None, init=False)
-    _reference_latency_s: Optional[float] = field(default=None, init=False)
     history: List[WindowRecord] = field(default_factory=list, init=False)
     failed_pus: Set[str] = field(default_factory=set, init=False)
     _executor: Optional[SimulatedPipelineExecutor] = field(
@@ -91,25 +76,6 @@ class AdaptivePipeline:
     def schedule(self) -> Schedule:
         """The currently deployed schedule."""
         return self._schedule
-
-    def set_platform(self, platform: Platform) -> None:
-        """Conditions changed (power mode flip, thermal state...).
-
-        The controller does not react immediately - the next window's
-        drift check does, keeping the reaction measurement-driven (a
-        real deployment has no oracle for 'the platform object
-        changed')."""
-        usable = [
-            c for c in self.candidates
-            if set(c.schedule.pu_classes_used)
-            <= set(platform.schedulable_classes()) - self.failed_pus
-        ]
-        if not usable:
-            raise SchedulingError(
-                "no cached candidate is schedulable on the new platform; "
-                "a full re-run (profiling included) is required"
-            )
-        self.platform = platform
 
     def mark_pu_failed(self, pu_class: str) -> bool:
         """A PU dropped out permanently: degrade gracefully.
@@ -154,13 +120,12 @@ class AdaptivePipeline:
         )
         result = tuner.tune(self._usable_candidates())
         self._schedule = result.measured_best.candidate.schedule
-        self._reference_latency_s = result.measured_best.measured_latency_s
 
     # ------------------------------------------------------------------
     def run_window(
         self, fault_injector: Optional[FaultInjector] = None,
     ) -> WindowRecord:
-        """Execute one window; re-tune first if the last window drifted.
+        """Execute one window on the deployed schedule.
 
         With a :class:`~repro.runtime.faults.FaultInjector` attached,
         the window executes under injected faults; a mid-window PU
@@ -180,16 +145,7 @@ class AdaptivePipeline:
                 f"{sorted(dead)} and no cached candidate avoids them; "
                 "a full re-run (profiling included) is required"
             )
-        retuned = False
         fallback = False
-        if self.history:
-            last = self.history[-1]
-            drift = abs(
-                last.measured_latency_s - self._reference_latency_s
-            ) / self._reference_latency_s
-            if drift > DRIFT_THRESHOLD:
-                self._retune()
-                retuned = True
         while True:
             executor = self._executor_for(fault_injector)
             try:
@@ -212,9 +168,7 @@ class AdaptivePipeline:
         record = WindowRecord(
             window_index=len(self.history),
             schedule=self._schedule,
-            platform=self.platform.name,
             measured_latency_s=measured,
-            retuned=retuned,
             fallback=fallback,
         )
         self.history.append(record)
@@ -225,13 +179,12 @@ class AdaptivePipeline:
     ) -> SimulatedPipelineExecutor:
         """The window executor, rebuilt only when its inputs change.
 
-        Windows on an unchanged (schedule, platform, injector) triple
-        reuse one executor, keeping its engine state and noise cache
-        warm; noise is a pure function of (platform, schedule, task,
-        stage), so a reused executor measures the same latencies a
-        fresh one would.
+        Windows on an unchanged (schedule, injector) pair reuse one
+        executor, keeping its engine state and noise cache warm; noise
+        is a pure function of (platform, schedule, task, stage), so a
+        reused executor measures the same latencies a fresh one would.
         """
-        key = (self._schedule, self.platform, fault_injector)
+        key = (self._schedule, fault_injector)
         if self._executor is None or any(
             a is not b for a, b in zip(key, self._executor_key)
         ):

@@ -174,11 +174,9 @@ class BetterTogether:
 
         The returned
         :class:`~repro.core.adaptive.AdaptivePipeline` executes the
-        plan in windows, re-ranks the cached candidates on latency
-        drift, and - fed a fault injector - survives permanent PU
-        dropout by falling back to the best cached candidate avoiding
-        the dead PU.  This is the production serving loop the static
-        plan alone lacks.
+        plan in windows and - fed a fault injector - survives permanent
+        PU dropout by falling back to the best cached candidate avoiding
+        the dead PU.
         """
         return AdaptivePipeline(
             application=plan.application,

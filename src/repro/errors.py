@@ -92,18 +92,7 @@ class FleetError(ReproError):
 
 class TrafficError(ReproError):
     """Raised by the workload layer (:mod:`repro.traffic`) for invalid
-    traffic specs, malformed traces, and open-loop driver misuse.
-
-    ``flight_tail`` carries the observability flight recorder's last
-    events at the moment of the failure (empty when the recorder is
-    disabled), mirroring ``FaultReport.flight_tail`` so overload
-    aborts keep their pre-crash context.
-    """
-
-    def __init__(self, message: str,
-                 flight_tail: Sequence[Dict[str, Any]] = ()):
-        super().__init__(message)
-        self.flight_tail = tuple(dict(e) for e in flight_tail)
+    traffic specs, malformed traces, and open-loop driver misuse."""
 
 
 class AnalysisError(ReproError):

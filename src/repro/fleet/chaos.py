@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import FleetError
 from repro.obs.metrics import metrics
-from repro.obs.recorder import recorder
 from repro.obs.tracer import tracer
 from repro.runtime.faults import (
     DEGRADE_END,
@@ -161,10 +160,6 @@ class ChaosInjector:
         if trc.enabled:
             trc.instant(f"chaos.{kind}", "fleet",
                         track=f"shard:{shard}", tick=tick, detail=detail)
-        rec = recorder()
-        if rec.enabled:
-            rec.record(f"chaos.{kind}", tick=tick, shard=shard,
-                       detail=detail)
         reg = metrics()
         if reg.enabled:
             reg.counter(f"chaos.{kind}")

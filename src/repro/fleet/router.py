@@ -42,7 +42,6 @@ from repro.core.plan_cache import PlanCache
 from repro.errors import FleetError
 from repro.obs.attribution import top_offenders
 from repro.obs.metrics import metrics
-from repro.obs.recorder import recorder
 from repro.obs.tracer import tracer
 from repro.runtime.lock_order import checked_lock
 from repro.runtime.faults import (
@@ -418,9 +417,6 @@ class FleetRouter:
         trc = tracer()
         if trc.enabled:
             trc.instant(f"fleet.{event}", "fleet", track=track, **entry)
-        rec = recorder()
-        if rec.enabled:
-            rec.record(f"fleet.{event}", **entry)
         reg = metrics()
         if reg.enabled:
             counter = self._FLEET_COUNTERS.get(event)

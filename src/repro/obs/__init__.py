@@ -1,4 +1,4 @@
-"""repro.obs - unified observability: tracer, metrics, flight recorder.
+"""repro.obs - unified observability: tracer and metrics.
 
 One deterministic event spine across every layer (profiler, solver,
 autotuner, DES runtime, threaded back-end, serving), with exporters to
@@ -26,7 +26,6 @@ from repro.obs.metrics import (
     percentile,
     set_metrics,
 )
-from repro.obs.recorder import FlightRecorder, recorder, set_recorder
 from repro.obs.spans import Span, format_gantt, record_span
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracer import (
@@ -52,7 +51,6 @@ __all__ = [
     "BurnRateRule",
     "Capture",
     "ChunkLoad",
-    "FlightRecorder",
     "MetricsRegistry",
     "Span",
     "TimeSeriesStore",
@@ -66,9 +64,7 @@ __all__ = [
     "metrics",
     "percentile",
     "record_span",
-    "recorder",
     "set_metrics",
-    "set_recorder",
     "set_tracer",
     "steady_interval",
     "top_offenders",

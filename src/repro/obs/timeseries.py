@@ -5,8 +5,7 @@ fleet debugging also needs "when did it change" - which tick a shard
 went DEGRADED, how the backlog grew through a burst, when an offender's
 blame spiked.  This store keeps one bounded ring buffer per named
 series of ``(tick, value)`` points, so long soaks retain the recent
-window of every series without unbounded growth (the same discipline as
-the flight recorder).
+window of every series without unbounded growth.
 
 Ticks are the deterministic control-plane clock (fleet/traffic tick
 indices), never wall time, so snapshots are byte-identical across

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.obs.recorder import FlightRecorder, set_recorder
 
 #: Control-plane clock domain (logical event counter).
 CONTROL = "control"
@@ -250,7 +249,6 @@ class Capture:
 
     tracer: Tracer
     metrics: MetricsRegistry
-    recorder: FlightRecorder
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -261,20 +259,17 @@ class Capture:
 def capture() -> Iterator[Capture]:
     """Enable observability for a scope with fresh instruments.
 
-    Installs a fresh enabled tracer, metrics registry and flight
-    recorder, and restores the previous (normally disabled) instruments
-    on exit - so tests and CLI commands opt in without perturbing the
-    byte-identity of uninstrumented runs.
+    Installs a fresh enabled tracer and metrics registry, and restores
+    the previous (normally disabled) instruments on exit - so tests and
+    CLI commands opt in without perturbing the byte-identity of
+    uninstrumented runs.
     """
     trc = Tracer(enabled=True)
     reg = MetricsRegistry(enabled=True)
-    rec = FlightRecorder(enabled=True)
     prev_tracer = set_tracer(trc)
     prev_metrics = set_metrics(reg)
-    prev_recorder = set_recorder(rec)
     try:
-        yield Capture(tracer=trc, metrics=reg, recorder=rec)
+        yield Capture(tracer=trc, metrics=reg)
     finally:
         set_tracer(prev_tracer)
         set_metrics(prev_metrics)
-        set_recorder(prev_recorder)

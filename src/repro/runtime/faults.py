@@ -32,8 +32,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import metrics
-from repro.obs.recorder import recorder
 from repro.errors import (
     PipelineError,
     PuFailureError,
@@ -250,16 +248,10 @@ class TaskFailure:
 
 @dataclass
 class FaultReport:
-    """Structured log of everything that went wrong and how it ended.
-
-    ``flight_tail`` is the observability flight recorder's buffer at
-    report time (:mod:`repro.obs.recorder`): the last N cross-layer
-    events before the failure, empty when the recorder is disabled.
-    """
+    """Structured log of everything that went wrong and how it ended."""
 
     events: Tuple[FaultEvent, ...] = ()
     failures: Tuple[TaskFailure, ...] = ()
-    flight_tail: Tuple[Dict[str, Any], ...] = ()
 
     def count(self, kind: str) -> int:
         """Number of logged events of the given kind."""
@@ -278,7 +270,6 @@ class FaultReport:
             "counts": self.counts,
             "events": [event.to_dict() for event in self.events],
             "failures": [failure.to_dict() for failure in self.failures],
-            "flight_tail": [dict(entry) for entry in self.flight_tail],
         }
 
     def format(self) -> str:
@@ -338,11 +329,6 @@ class FaultInjector:
                 kind=kind, pu_class=pu_class, stage_index=stage_index,
                 task_id=task_id, attempt=attempt, detail=detail,
             ))
-        rec = recorder()
-        if rec.enabled:
-            rec.record(kind, pu_class=pu_class, stage_index=stage_index,
-                       task_id=task_id, attempt=attempt, detail=detail)
-            metrics().counter(f"fault.{kind}")
 
     @property
     def events(self) -> Tuple[FaultEvent, ...]:
@@ -352,10 +338,8 @@ class FaultInjector:
     def report(
         self, failures: Sequence[TaskFailure] = (),
     ) -> FaultReport:
-        """Snapshot the log as a structured report (with the flight
-        recorder's tail, when one is capturing)."""
-        return FaultReport(events=self.events, failures=tuple(failures),
-                           flight_tail=tuple(recorder().tail()))
+        """Snapshot the log as a structured report."""
+        return FaultReport(events=self.events, failures=tuple(failures))
 
     # -- threaded back-end --------------------------------------------
     def before_kernel(self, pu_class: str, stage_index: int,

@@ -52,7 +52,6 @@ from repro.core.plan_cache import Deployment, PlanCache
 from repro.errors import ReproError, ServeError
 from repro.obs import attribution
 from repro.obs.metrics import metrics
-from repro.obs.recorder import recorder
 from repro.obs.spans import Span
 from repro.obs.tracer import tracer
 from repro.runtime.simulator import SimWindow, simulate_batch
@@ -183,7 +182,6 @@ class PipelineServer:
         self._drifts: List[DriftSpec] = []
         self._patience: Dict[str, int] = {}
         self._admission_counter = 0
-        self._names = set()
 
         #: Lifecycle: "new" -> "open" (open_stepped) -> "closed"
         #: (close_stepped); nothing reopens a closed server.
@@ -288,7 +286,6 @@ class PipelineServer:
                 f"cannot deploy a {decision.action!r} decision for "
                 f"{spec.name!r}"
             )
-        self._names.add(spec.name)
         record = TenantRecord(spec=spec)
         self.records[spec.name] = record
         self._deploy(tick, record, decision)
@@ -296,7 +293,7 @@ class PipelineServer:
     def _require_newcomer(self, method: str, spec: TenantSpec) -> None:
         if self._state != "open":
             raise ServeError(f"{method}() requires open_stepped()")
-        if spec.name in self._names:
+        if spec.name in self.records:
             raise ServeError(
                 f"tenant name {spec.name!r} already known to this shard"
             )
@@ -330,7 +327,6 @@ class PipelineServer:
             raise ServeError(f"cannot rescind {name!r}: unknown tenant")
         if name in self._live:
             self._release(name)
-        self._names.discard(name)
         self._patience.pop(name, None)
 
     def running_records(self) -> Dict[str, TenantRecord]:
@@ -344,7 +340,7 @@ class PipelineServer:
         must not re-place a tenant onto a shard that already knows it
         (a rejoined shard is a fresh generation and qualifies again).
         """
-        return name in self._names
+        return name in self.records
 
     # ------------------------------------------------------------------
     # The tick (runs on the stepping thread; owns all serving state)
@@ -390,19 +386,16 @@ class PipelineServer:
         }
         entry.update(extra)
         self.timeline.append(entry)
-        # Mirror every timeline entry into the observability spine:
-        # an instant on the tenant's trace track, a flight-recorder
-        # event, and the admission/reschedule counters.  All happen on
-        # the stepping thread, so the emission order - and therefore
-        # an exported trace's bytes - stays a function of the seed.
+        # Mirror every timeline entry into the observability spine: an
+        # instant on the tenant's trace track and the admission /
+        # reschedule counters.  Both happen on the stepping thread, so
+        # the emission order - and therefore an exported trace's bytes -
+        # stays a function of the seed.
         trc = tracer()
         if trc.enabled:
             trc.instant(f"serve.{event}", "serve",
                         track=f"tenant:{tenant}", tick=tick,
                         tenant=tenant)
-        rec = recorder()
-        if rec.enabled:
-            rec.record(f"serve.{event}", tick=tick, tenant=tenant)
         reg = metrics()
         if reg.enabled:
             counter = self._ADMISSION_COUNTERS.get(event)

@@ -40,8 +40,7 @@ class TenantSpec:
         priority: Higher values survive contention longer; the
             eviction fallback always removes the lowest priority.
         windows: Execution windows requested (finite jobs; a window is
-            the drift-detection quantum, as in
-            :class:`~repro.core.adaptive.AdaptivePipeline`).
+            the drift-detection quantum).
         window_tasks: Tasks streamed per window.
         required_classes: PU classes the tenant insists on (e.g. a
             job that must have the GPU).  Admission only considers

@@ -33,7 +33,6 @@ from repro.fleet.router import FleetRouter
 from repro.fleet.metrics import FleetReport
 from repro.obs.alerts import BurnAlert, BurnRateEvaluator, BurnRateRule
 from repro.obs.metrics import metrics
-from repro.obs.recorder import recorder
 from repro.obs.tracer import tracer
 from repro.serve.scenario import _memory_bound_application
 from repro.serve.tenant import TenantSpec, WindowSample
@@ -75,13 +74,7 @@ def _application(app_kind: str, app_seed: int,
         return build_bandwidth_bound_application(
             seed=app_seed, stage_count=stage_count,
         )
-    # The flight tail rides on the error so a failed replay of a
-    # hand-edited trace shows the events leading up to the bad kind
-    # (same diagnostic convention as FaultReport.flight_tail).
-    raise TrafficError(
-        f"unknown application kind {app_kind!r}",
-        flight_tail=recorder().tail(32),
-    )
+    raise TrafficError(f"unknown application kind {app_kind!r}")
 
 
 def materialize(event: ArrivalEvent, stage_count: int) -> TenantSpec:
@@ -131,10 +124,7 @@ class OpenLoopDriver:
         if ticks is None:
             ticks = router.config.max_ticks
         if ticks < 1:
-            raise TrafficError(
-                "driver needs at least one tick",
-                flight_tail=recorder().tail(32),
-            )
+            raise TrafficError("driver needs at least one tick")
         self.router = router
         self.ticks = ticks
         self.stage_count = stage_count

