@@ -13,6 +13,7 @@ These tests enforce both halves of that contract on the DES hot path:
   cannot compete with a 300-task simulation.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -23,7 +24,7 @@ from repro.core import Chunk
 from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
 from repro.runtime import SimulatedPipelineExecutor
 from repro.fleet import FleetConfig, one_shard_fleet
-from repro.serve import ServerConfig, TenantSpec
+from repro.serve import TenantSpec
 from repro.soc import get_platform
 from repro.traffic import OpenLoopDriver
 
@@ -139,8 +140,10 @@ def test_attribution_guard_is_per_window_not_per_task():
     def counted(window_tasks):
         driver = make_server(window_tasks=window_tasks)
         flag = CountingFlag()
-        object.__setattr__(driver.router.shards[0].server_config,
-                           "attribution", flag)
+        # The shard hands its server generations this copy of the
+        # fleet's config; the router's own read stays off the count.
+        shard = driver.router.shards[0]
+        shard.config = dataclasses.replace(shard.config, attribution=flag)
         driver.run()
         return flag.checks
 
@@ -160,7 +163,7 @@ def test_attribution_off_overhead_under_two_percent():
     run_s = time.perf_counter() - start
     windows = sum(m.windows_served for m in report.tenants.values())
 
-    config = ServerConfig()
+    config = FleetConfig()
     reps = 100_000
     start = time.perf_counter()
     for _ in range(reps):

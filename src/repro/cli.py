@@ -777,7 +777,6 @@ def cmd_top(args: argparse.Namespace) -> int:
     line per control tick while the soak runs (the live view); the
     final dashboard is the same either way.
     """
-    import repro.obs as obs
     from repro.obs.alerts import BurnRateRule
 
     scenario = _overload_scenario(args)
@@ -797,15 +796,10 @@ def cmd_top(args: argparse.Namespace) -> int:
                   f"goodput_tasks={entry['goodput_tasks']:<5} "
                   f"backlog={entry['backlog']}")
 
-    # The soak runs under capture so the time-series store is live (the
-    # dashboard is the instrumented path); the rendered payload itself
-    # derives only from the seeded reports.
-    with obs.capture():
-        result, report = _overload_run(
-            scenario, admission=admission,
-            attribution=True, burn=burn,
-            on_tick=watch if args.watch else None,
-        )
+    result, report = _overload_run(
+        scenario, admission=admission, attribution=True, burn=burn,
+        on_tick=watch if args.watch else None,
+    )
     if args.watch:
         sink.line()
 
@@ -902,6 +896,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.soc.platforms import _DEFAULT_SEED
     from repro.traffic import OpenLoopDriver
 
+    if args.co < 0:
+        raise ReproError(f"--co must be >= 0, got {args.co}")
     # Enough ticks for every tenant's windows to run one after another
     # (a queued job waits behind its co-tenants); the run still stops
     # when the fleet drains.

@@ -11,9 +11,10 @@ four seeded fault shapes:
   generation* (empty placement, same platform and plan cache);
 * **gray failure** - the shard keeps serving but stops heartbeating:
   the health monitor must declare it dead without any crash evidence;
-* **degradation** - a partial PU-class brownout, modelled as a
-  :class:`~repro.serve.server.DriftSpec` injected into the live shard
-  (busy fractions + DRAM demand on the affected classes), which is
+* **degradation** - a partial PU-class brownout: the router hands the
+  live shard's server its :class:`~repro.soc.interference.ExternalLoad`
+  (busy fractions + DRAM demand on the affected classes) and end tick
+  (:meth:`~repro.serve.server.PipelineServer.inject_drift`), which is
   exactly how the serving layer models interference it does not control.
 
 Everything is declared up front in a :class:`ChaosSchedule`, so a chaos
@@ -37,7 +38,6 @@ from repro.runtime.faults import (
     SOC_CRASH,
     SOC_REJOIN,
 )
-from repro.serve.server import DriftSpec
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ class DegradeSpec:
 
     ``busy`` maps PU class -> stolen busy fraction (thermal throttling,
     a co-resident process); ``demand_gbps`` adds DRAM pressure.  Applied
-    to the live shard as an injected drift, so the shard's own
-    rescheduler reacts first and the fleet's SLO-breach failover is the
-    second line of defence.
+    to the live shard as an injected drift (and to a generation that
+    rejoins while it lasts), so the shard's own rescheduler reacts first
+    and the fleet's SLO-breach failover is the second line of defence.
     """
 
     shard: str
@@ -108,11 +108,6 @@ class DegradeSpec:
                     f"degrade busy fraction for {pu_class!r} must be "
                     "in (0, 1]"
                 )
-
-    def drift(self, tick: int) -> DriftSpec:
-        """The drift a live shard serves under from ``tick`` on."""
-        return DriftSpec(start_tick=tick, end_tick=self.end_tick,
-                         busy=dict(self.busy), demand_gbps=self.demand_gbps)
 
 
 @dataclass

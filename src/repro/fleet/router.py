@@ -54,7 +54,6 @@ from repro.runtime.faults import (
 )
 from repro.serve.admission import ADMIT, REJECT
 from repro.serve.placement import EpochMemo
-from repro.serve.server import ServerConfig
 from repro.serve.tenant import (
     COMPLETED,
     FAILED,
@@ -64,7 +63,7 @@ from repro.serve.tenant import (
     TenantSpec,
     WindowSample,
 )
-from repro.fleet.chaos import ChaosInjector, ChaosSchedule
+from repro.fleet.chaos import ChaosInjector, ChaosSchedule, DegradeSpec
 from repro.fleet.health import (
     CLOSED,
     DEAD,
@@ -84,6 +83,7 @@ from repro.fleet.metrics import (
 )
 from repro.fleet.shard import ShardSpec, SoCShard
 from repro.fleet.tenant import SHED, FleetTenant
+from repro.soc.interference import ExternalLoad
 from repro.soc.platforms import get_platform
 
 
@@ -122,18 +122,6 @@ class FleetConfig:
         if self.queue_capacity is not None and self.queue_capacity < 0:
             raise FleetError("queue_capacity must be >= 0")
 
-    def server_config(self) -> ServerConfig:
-        """The per-shard server configuration this fleet config implies
-        (the *fleet* owns the backlog: shards only ever see synchronous
-        :meth:`admit` placements)."""
-        return ServerConfig(
-            max_impact_ratio=self.max_impact_ratio,
-            max_partition_classes=self.max_partition_classes,
-            cumulative_impact=self.cumulative_impact,
-            reschedule=self.reschedule,
-            attribution=self.attribution,
-        )
-
 
 class FleetRouter:
     """Serve streaming tenants across a fleet of virtual SoC shards."""
@@ -165,7 +153,6 @@ class FleetRouter:
         # platform object and one plan cache: profiling an application
         # once serves every identical device, exactly like a fleet of
         # phones sharing one offline-profiled model.
-        server_config = self.config.server_config()
         platforms: Dict[Tuple[str, int], object] = {}
         caches: Dict[Tuple[str, int], PlanCache] = {}
         self.shards: List[SoCShard] = []
@@ -177,7 +164,7 @@ class FleetRouter:
                 )
                 caches[key] = PlanCache(platforms[key])
             self.shards.append(SoCShard(
-                index, spec, platforms[key], caches[key], server_config,
+                index, spec, platforms[key], caches[key], self.config,
             ))
         self.by_name = {shard.name: shard for shard in self.shards}
         self._caches = list(caches.values())
@@ -450,14 +437,15 @@ class FleetRouter:
             shard.boot()
             self.chaos.record(tick, SOC_REJOIN, shard.name,
                               detail=f"generation {shard.generation}")
-            # A degradation window that spans the outage follows the
-            # shard into its new generation.
+            # A degradation that began before this tick and is still on
+            # follows the shard into its new generation (one starting
+            # now is handed over below, with the others starting now).
             for degrade in self.chaos.schedule.degradations:
                 if (degrade.shard == shard.name
-                        and degrade.start_tick <= tick
+                        and degrade.start_tick < tick
                         and (degrade.end_tick is None
                              or tick < degrade.end_tick)):
-                    shard.server.inject_drift(degrade.drift(tick))
+                    self._degrade(shard, degrade)
         for gray in self.chaos.gray_edges_at(tick):
             kind = GRAY_START if gray.start_tick == tick else GRAY_END
             self.chaos.record(tick, kind, gray.shard,
@@ -469,7 +457,7 @@ class FleetRouter:
         for degrade in self.chaos.degradations_at(tick):
             shard = self.by_name[degrade.shard]
             if shard.alive:
-                shard.server.inject_drift(degrade.drift(tick))
+                self._degrade(shard, degrade)
             self.chaos.record(
                 tick, DEGRADE_START, degrade.shard,
                 detail=f"busy {sorted(degrade.busy)} "
@@ -477,6 +465,14 @@ class FleetRouter:
             )
         for degrade in self.chaos.degrade_ends_at(tick):
             self.chaos.record(tick, DEGRADE_END, degrade.shard)
+
+    @staticmethod
+    def _degrade(shard: SoCShard, degrade: DegradeSpec) -> None:
+        """Hand a degradation to the shard's live server as a drift."""
+        shard.server.inject_drift(
+            ExternalLoad(busy=dict(degrade.busy),
+                         demand_gbps=degrade.demand_gbps),
+            degrade.end_tick)
 
     # ------------------------------------------------------------------
     # Phase 2: placement

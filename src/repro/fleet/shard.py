@@ -4,20 +4,25 @@ A shard is the fleet's failure domain.  Its :class:`PipelineServer` is
 stepped by the fleet tick (one caller steps every shard, which is what
 keeps cross-shard event order deterministic), and is replaced wholesale
 on crash/rejoin: generation ``n+1`` starts with an empty placement and
-tenant registry, sharing only the platform and the fleet-owned plan
-cache with its predecessor.  The beat count outlives generations -
-health is a property of the shard, not of one server incarnation.
+tenant registry, sharing only the platform, the fleet-owned plan cache
+and the fleet's config (the server's knobs) with its predecessor.  A
+generation is built ready to step and settled once, by :meth:`close`.
+The beat count outlives generations - health is a property of the
+shard, not of one server incarnation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.plan_cache import PlanCache
 from repro.errors import FleetError
-from repro.serve.server import PipelineServer, ServerConfig
+from repro.serve.server import PipelineServer
 from repro.soc.platform import Platform
+
+if TYPE_CHECKING:
+    from repro.fleet.router import FleetConfig
 
 
 @dataclass(frozen=True)
@@ -42,14 +47,14 @@ class SoCShard:
         spec: ShardSpec,
         platform: Platform,
         plan_cache: PlanCache,
-        server_config: ServerConfig,
+        config: "FleetConfig",
     ):
         self.index = index
         self.spec = spec
         self.name = spec.name
         self.platform = platform
         self.plan_cache = plan_cache
-        self.server_config = server_config
+        self.config = config
         #: Steps taken outside a gray-failure window; the health
         #: monitor compares it across fleet ticks.
         self.beats = 0
@@ -66,24 +71,22 @@ class SoCShard:
         return self.server is not None
 
     def boot(self) -> None:
-        """Start a new server generation, open for stepping."""
+        """Start a new server generation, ready to step."""
         if self.server is not None:
             raise FleetError(
                 f"shard {self.name!r} already has a live generation"
             )
         self.generation += 1
-        self.server = PipelineServer(
-            self.platform, config=self.server_config,
-            plan_cache=self.plan_cache, shard=self.name,
-        )
-        self.server.open_stepped()
+        self.server = PipelineServer(self.platform, self.config,
+                                     self.plan_cache, self.name)
         self._cursor = 0
 
     def close(self, detail: Optional[str] = None) -> None:
-        """Close the live generation (crash or fleet drain)."""
+        """Close the live generation (crash or fleet drain): its
+        tenants still live fail with ``detail``."""
         if self.server is None:
             raise FleetError(f"shard {self.name!r} is not live")
-        self.server.close_stepped(detail)
+        self.server.close(detail)
         self.closed_servers.append(self.server)
         self.server = None
         self.gray = False

@@ -8,6 +8,12 @@ admitted tenants (no oversubscription, ever), and an online
 rescheduler watches measured window latencies for drift and re-ranks
 each tenant's cached candidates under the load actually present -
 falling back to evicting the lowest-priority tenant when nothing fits.
+
+A :class:`PipelineServer` is one generation of a fleet shard
+(:mod:`repro.fleet`): the shard builds it, ready to step, with the
+fleet's config and the platform's plan cache, and closes it on a crash
+or when the fleet drains.  Outside interference reaches it as the drifts
+the fleet's chaos degradations hand over.
 """
 
 from repro.core.plan_cache import tenant_offered_load
@@ -31,11 +37,7 @@ from repro.serve.rescheduler import (
     RescheduleAction,
 )
 from repro.serve.scenario import SoakScenario
-from repro.serve.server import (
-    DriftSpec,
-    PipelineServer,
-    ServerConfig,
-)
+from repro.serve.server import PipelineServer
 from repro.serve.tenant import (
     COMPLETED,
     EVICTED,
@@ -54,7 +56,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "COMPLETED",
-    "DriftSpec",
     "EVICT",
     "EVICTED",
     "FAILED",
@@ -69,7 +70,6 @@ __all__ = [
     "RUNNING",
     "RescheduleAction",
     "SWITCH",
-    "ServerConfig",
     "SoakScenario",
     "TERMINAL_STATES",
     "TenantRecord",

@@ -17,6 +17,10 @@ Architecture (deliberately boring, for determinism's sake):
   final report - is a pure function of (platform, specs, drifts),
   which is what makes the soak test's byte-determinism assertion
   possible.
+* **A generation, not a service.**  A server is one generation of a
+  :class:`~repro.fleet.shard.SoCShard`: built ready to step, with the
+  fleet's config and the shard's plan cache, settled by :meth:`close`
+  when the shard crashes or the fleet drains, and never reopened.
 
 Per tick the server serves one window per running tenant - each under
 the :class:`~repro.soc.interference.ExternalLoad` formed by its
@@ -45,8 +49,8 @@ not on the tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.plan_cache import Deployment, PlanCache
 from repro.errors import ReproError, ServeError
@@ -75,78 +79,21 @@ from repro.soc.platform import Platform
 PATIENCE = 2
 
 
-@dataclass(frozen=True)
-class DriftSpec:
-    """Injected outside interference, active over a tick range.
+class PipelineServer:
+    """Serve streaming pipeline tenants on one shared virtual SoC.
 
-    Models load the server does not control (a foreground app on a
-    phone, another container on a Jetson): per-class busy fractions
-    plus DRAM bandwidth demand, applied to *every* tenant's external
-    load while active.
+    ``config`` is the fleet's :class:`~repro.fleet.router.FleetConfig`:
+    the server reads its five serving knobs (``max_impact_ratio``,
+    ``max_partition_classes``, ``cumulative_impact``, ``reschedule``,
+    ``attribution``) off it.  ``plan_cache`` is the one the shard's
+    platform shares; ``shard`` labels every served window.
     """
 
-    start_tick: int
-    busy: Mapping[str, float] = field(default_factory=dict)
-    demand_gbps: float = 0.0
-    end_tick: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.start_tick < 0:
-            raise ServeError("start_tick must be >= 0")
-        if self.end_tick is not None and self.end_tick <= self.start_tick:
-            raise ServeError("end_tick must be > start_tick")
-
-    def active_at(self, tick: int) -> bool:
-        if tick < self.start_tick:
-            return False
-        return self.end_tick is None or tick < self.end_tick
-
-    def load(self) -> ExternalLoad:
-        return ExternalLoad(busy=dict(self.busy),
-                            demand_gbps=self.demand_gbps)
-
-
-@dataclass
-class ServerConfig:
-    """Knobs of one shard's server (:meth:`FleetConfig.server_config
-    <repro.fleet.router.FleetConfig.server_config>` sets them)."""
-
-    max_impact_ratio: float = 1.5
-    max_partition_classes: Optional[int] = None
-    #: Price the impact ceiling against each incumbent's *total*
-    #: predicted slowdown (co-tenants already running included) rather
-    #: than the newcomer's marginal contribution alone.  See
-    #: :class:`~repro.serve.admission.AdmissionController`.
-    cumulative_impact: bool = False
-    reschedule: bool = True
-    #: Per-window interference blame decomposition
-    #: (:mod:`repro.obs.attribution`).  Off by default: attribution
-    #: replays the steady-state rate model per (window, source) pair,
-    #: so uninstrumented runs must not pay for it.
-    attribution: bool = False
-
-
-class PipelineServer:
-    """Serve streaming pipeline tenants on one shared virtual SoC."""
-
-    def __init__(
-        self,
-        platform: Platform,
-        config: Optional[ServerConfig] = None,
-        plan_cache: Optional[PlanCache] = None,
-        shard: str = "",
-    ):
+    def __init__(self, platform: Platform, config, plan_cache: PlanCache,
+                 shard: str):
         self.platform = platform
-        #: Label stamped on every served window (a fleet shard's name).
         self.shard = shard
-        self.config = config or ServerConfig()
-        if plan_cache is None:
-            plan_cache = PlanCache(platform)
-        elif plan_cache.platform is not platform:
-            raise ServeError(
-                "injected plan_cache was built for platform "
-                f"{plan_cache.platform.name!r}, not {platform.name!r}"
-            )
+        self.config = config
         self.plan_cache = plan_cache
         self.placement = PlacementMap(platform.schedulable_classes())
         self.admission = AdmissionController(
@@ -179,25 +126,18 @@ class PipelineServer:
         #: across tenants: untagged, read-only (see :attr:`trace_spans`).
         self._last_spans: Dict[str, List[Span]] = {}
 
-        self._drifts: List[DriftSpec] = []
+        #: Outside interference, in injection order: (load, end tick;
+        #: None = open-ended).
+        self._drifts: List[Tuple[ExternalLoad, Optional[int]]] = []
         self._patience: Dict[str, int] = {}
         self._admission_counter = 0
 
-        #: Lifecycle: "new" -> "open" (open_stepped) -> "closed"
-        #: (close_stepped); nothing reopens a closed server.
-        self._state = "new"
-
-    def inject_drift(self, drift: DriftSpec) -> None:
-        """Register outside interference, any time before the server
-        closes.
-
-        The caller owns the clock, so a drift may land mid-run - the
-        fleet chaos injector uses this to degrade a live shard
-        deterministically.
-        """
-        if self._state == "closed":
-            raise ServeError("server has drained; cannot inject drift")
-        self._drifts.append(drift)
+    def inject_drift(self, load: ExternalLoad,
+                     end_tick: Optional[int]) -> None:
+        """Serve every tenant under the outside ``load`` (a foreground
+        app, another container: a chaos degradation) from the next
+        :meth:`step` until ``end_tick`` (open-ended when None)."""
+        self._drifts.append((load, end_tick))
 
     # ------------------------------------------------------------------
     # Stepping: the caller owns the clock
@@ -206,34 +146,28 @@ class PipelineServer:
     # shard would make cross-shard event order scheduler-dependent and
     # break byte-determinism.  So the server has no thread: the caller
     # calls step(tick) once per tick (always from the same thread) and
-    # close_stepped() to settle terminal states.
-
-    def open_stepped(self) -> None:
-        """Open the server for ticking (once per server)."""
-        if self._state != "new":
-            raise ServeError("server already started")
-        self._state = "open"
+    # close() to settle terminal states.
 
     def step(self, tick: int) -> bool:
         """Run one tick under the caller's clock; True when drained."""
-        if self._state != "open":
-            raise ServeError("step() requires open_stepped()")
         self._tick(tick)
         return self._drained()
 
-    def close_stepped(self, detail: Optional[str] = None) -> None:
-        """Close the server: settle terminal states.
-
-        ``detail`` (e.g. ``"shard crashed at tick 8"``) becomes the
-        status detail of any tenant still live at close.
-        """
-        if self._state != "open":
-            raise ServeError("close_stepped() requires open_stepped()")
-        self._state = "closed"
-        self._close_out(detail)
+    def close(self, detail: Optional[str] = None) -> None:
+        """Settle terminal states: every tenant still live fails with
+        ``detail`` (e.g. ``"SoC crashed at fleet tick 8"``; by default,
+        the tick budget ran out)."""
+        for record in self.records.values():
+            if record.done:
+                continue
+            self._release(record.name)
+            record.status = FAILED
+            record.status_detail = (
+                detail or "tick budget exhausted before completion"
+            )
 
     def try_admit(self, spec: TenantSpec, tick: int):
-        """Synchronous admission (open server only).
+        """Synchronous admission.
 
         Evaluates ``spec`` against the current placement and running
         set; on ADMIT the tenant is deployed immediately and serves its
@@ -241,7 +175,7 @@ class PipelineServer:
         leave no record behind - the fleet router owns the backlog.
         Returns the :class:`AdmissionDecision` either way.
         """
-        self._require_newcomer("try_admit", spec)
+        self._require_newcomer(spec)
         decision = self.price(spec)
         if decision.action == ADMIT:
             self.admit(spec, tick, decision)
@@ -273,14 +207,14 @@ class PipelineServer:
         return decision
 
     def admit(self, spec: TenantSpec, tick: int, decision) -> None:
-        """Deploy an ADMIT ``decision`` the caller already holds (open
-        server only) - the second half of :meth:`try_admit`.
+        """Deploy an ADMIT ``decision`` the caller already holds - the
+        second half of :meth:`try_admit`.
 
         The decision must be :meth:`price`'s for this shard's current
         placement: the fleet router prices a tenant on every shard and
         deploys the winner without asking again.
         """
-        self._require_newcomer("admit", spec)
+        self._require_newcomer(spec)
         if decision.action != ADMIT:
             raise ServeError(
                 f"cannot deploy a {decision.action!r} decision for "
@@ -290,20 +224,16 @@ class PipelineServer:
         self.records[spec.name] = record
         self._deploy(tick, record, decision)
 
-    def _require_newcomer(self, method: str, spec: TenantSpec) -> None:
-        if self._state != "open":
-            raise ServeError(f"{method}() requires open_stepped()")
+    def _require_newcomer(self, spec: TenantSpec) -> None:
         if spec.name in self.records:
             raise ServeError(
                 f"tenant name {spec.name!r} already known to this shard"
             )
 
     def withdraw(self, name: str, reason: str, tick: int) -> TenantRecord:
-        """Remove a live tenant (open server only): release its placement
-        and mark it EVICTED with ``reason``.  The fleet failover drain -
-        the tenant's remaining windows continue on another shard."""
-        if self._state != "open":
-            raise ServeError("withdraw() requires open_stepped()")
+        """Remove a live tenant: release its placement and mark it
+        EVICTED with ``reason``.  The fleet failover drain - the
+        tenant's remaining windows continue on another shard."""
         record = self.records.get(name)
         if record is None or record.done:
             raise ServeError(
@@ -320,8 +250,6 @@ class PipelineServer:
         """Un-admit a tenant placed via :meth:`admit` this tick (the
         fleet rollback primitive): the placement is released and the
         record erased as if the admission never happened."""
-        if self._state != "open":
-            raise ServeError("rescind() requires open_stepped()")
         record = self.records.pop(name, None)
         if record is None:
             raise ServeError(f"cannot rescind {name!r}: unknown tenant")
@@ -349,26 +277,13 @@ class PipelineServer:
         # Every non-terminal record is RUNNING, in _live.
         return not self._live
 
-    def _close_out(self, detail: Optional[str]) -> None:
-        """Terminal states for whatever the last tick left behind;
-        ``detail`` is what :meth:`close_stepped` was given."""
-        for record in self.records.values():
-            if record.done:
-                continue
-            self._release(record.name)
-            record.status = FAILED
-            record.status_detail = (
-                detail or "tick budget exhausted before completion"
-            )
-
     # -- one tick -------------------------------------------------------
     def _tick(self, tick: int) -> None:
         with tracer().span("serve.tick", "serve", tick=tick):
             self._serve_windows(tick)
         reg = metrics()
         if reg.enabled:  # how long a placement lives
-            reg.gauge("serve.placement_epoch"
-                      + (f".{self.shard}" if self.shard else ""),
+            reg.gauge(f"serve.placement_epoch.{self.shard}",
                       float(self.placement.epoch))
 
     #: timeline event -> admission-metric counter name.
@@ -470,7 +385,7 @@ class PipelineServer:
                 (other, self._deployment_of(other, record).offered)
                 for other, record in self._live.items() if other != name
             ]
-            sources += [(f"drift:{index}", self._drifts[index].load())
+            sources += [(f"drift:{index}", self._drifts[index][0])
                         for index in active]
             view = (sources, ExternalLoad.combined(
                 load for _, load in sources))
@@ -501,8 +416,8 @@ class PipelineServer:
         same report and trace bytes.
         """
         batch: List[tuple] = []
-        active = tuple(index for index, drift in enumerate(self._drifts)
-                       if drift.active_at(tick))
+        active = tuple(index for index, (_, end) in enumerate(self._drifts)
+                       if end is None or tick < end)
         # A snapshot: a tenant that fails here leaves _live mid-loop.
         for name, record in list(self._live.items()):
             try:

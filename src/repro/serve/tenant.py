@@ -108,8 +108,8 @@ class WindowSample:
         regime: Closer to the isolated or the interference profile.
         blame: Interference blame decomposition of the slowdown
             (:class:`repro.obs.attribution.BlameMatrix`); only with
-            ``ServerConfig.attribution``.
-        shard: The serving shard ("" outside a fleet).
+            ``FleetConfig.attribution``.
+        shard: The serving shard.
     """
 
     tick: int

@@ -8,7 +8,9 @@ from repro.fleet import (
     ChaosSchedule,
     DegradeSpec,
     GrayFailureSpec,
+    FleetRouter,
     ShardCrashSpec,
+    ShardSpec,
 )
 
 
@@ -81,3 +83,20 @@ class TestScheduleQueries:
             "tick": 4, "kind": "soc-crash", "shard": "a",
             "detail": "test",
         }]
+
+
+def test_a_degradation_starting_at_a_rejoin_is_handed_over_once():
+    """The rejoined generation gets a degradation starting on its rejoin
+    tick once: one drift, that degradation's load."""
+    degrade = DegradeSpec("soc0", start_tick=3, busy={"gpu": 0.5},
+                          demand_gbps=4.0)
+    router = FleetRouter([ShardSpec("soc0")], chaos=ChaosSchedule(
+        crashes=[ShardCrashSpec("soc0", at_tick=1, rejoin_tick=3)],
+        degradations=[degrade]))
+    router.open_stepped()
+    for tick in range(4):
+        router.step(tick)
+    ((load, end_tick),) = router.shards[0].server._drifts
+    assert (load.busy, load.demand_gbps, end_tick) == (
+        {"gpu": 0.5}, 4.0, None)
+    router.close_stepped()

@@ -38,8 +38,8 @@ SCENARIO = FleetSoakScenario()
 
 def run_soak(reschedule):
     router = build_fleet(SCENARIO)
-    # One ServerConfig object is shared by every shard generation.
-    router.shards[0].server_config.reschedule = reschedule
+    # Every shard generation reads the fleet's config.
+    router.config.reschedule = reschedule
     report = drive(router, SCENARIO.tenants())
     return json.dumps({
         "report": report.to_dict(),

@@ -42,8 +42,8 @@ SCENARIO = FleetSoakScenario()
 
 def run_soak(attribution=False, reschedule=True):
     router = build_fleet(SCENARIO, attribution=attribution)
-    # One ServerConfig object is shared by every shard generation.
-    router.shards[0].server_config.reschedule = reschedule
+    # Every shard generation reads the fleet's config.
+    router.config.reschedule = reschedule
     rescinded = []
     real = PipelineServer.rescind
 

@@ -5,6 +5,7 @@ are built once per test session and shared read-only.  :func:`both_ways`
 runs one serving scenario with the host memos on and off
 (``tests.memo_off``) and holds the two to the same bytes.  A serving
 run is a one-shard fleet on the soak runner (:mod:`tests.soaks`);
+:func:`bare_server` is a shard's server outside a fleet, and
 :func:`records` and :func:`observed` read what a server shows.
 """
 
@@ -15,13 +16,14 @@ import pytest
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.core.plan_cache import PlanCache
-from repro.fleet import serve_fleet
+from repro.fleet import FleetConfig, serve_fleet
 from repro.obs import capture, chrome_trace
 from repro.serve import SoakScenario
 from repro.serve import server as server_module
 from repro.serve.admission import AdmissionController
-from repro.serve.server import DriftSpec
+from repro.serve.server import PipelineServer
 from repro.soc import get_platform
+from repro.soc.interference import ExternalLoad
 
 from tests.memo_off import comparable, memos_off
 from tests.solve_oracle import first_difference
@@ -60,6 +62,13 @@ def single_class_schedule(plan, pu_class):
         if candidate.schedule.class_set == {pu_class}:
             return candidate.schedule
     raise AssertionError(f"no single-class candidate for {pu_class!r}")
+
+
+def bare_server(platform, plan_cache=None, **knobs):
+    """A shard's server, ready to step, under ``FleetConfig(**knobs)``
+    (a fresh plan cache unless one is given)."""
+    return PipelineServer(platform, FleetConfig(**knobs),
+                          plan_cache or PlanCache(platform), "soc0")
 
 
 def count_pricings(monkeypatch):
@@ -156,16 +165,15 @@ def drifting_soak(reschedule, attribution=False):
         router = serve_fleet(scenario, reschedule=reschedule)
         (shard,) = router.shards
         router.config.attribution = attribution
-        shard.server_config.attribution = attribution
         for spec in scenario.tenants():
             router.submit(spec)
         router.open_stepped()
-        # On top of the scenario's open-ended drift: one that turns on
-        # and off again in the middle of every tenant's residency.
-        shard.server.inject_drift(DriftSpec(
-            start_tick=10, end_tick=15, busy={"little": 0.6},
-            demand_gbps=30.0))
         for tick in range(router.config.max_ticks):
+            if tick == 10:
+                # On top of the scenario's open-ended drift: one that
+                # turns off again in every tenant's residency.
+                shard.server.inject_drift(
+                    ExternalLoad({"little": 0.6}, 30.0), end_tick=15)
             if router.step(tick):
                 break
         report = router.close_stepped()

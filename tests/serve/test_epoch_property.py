@@ -20,11 +20,11 @@ from repro.apps.synthetic import build_synthetic_application
 from repro.core.plan_cache import PlanCache
 from repro.serve.admission import ADMIT
 from repro.serve import server as server_module
-from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import TenantSpec
+from repro.soc.interference import ExternalLoad
 
 from tests.memo_off import memos_off
-from tests.serve.conftest import records
+from tests.serve.conftest import bare_server, records
 
 CLASSES = ("big", "medium", "little", "gpu")
 APPS = tuple(build_synthetic_application(seed=seed, stage_count=2)
@@ -47,7 +47,7 @@ rules = st.builds(
         tenants, step, step, step,
         st.tuples(st.just("withdraw"), st.integers(0, 7)),
         st.tuples(st.just("rescind"), st.integers(0, 7)),
-        st.tuples(st.just("inject_drift"), st.integers(0, 2),
+        st.tuples(st.just("inject_drift"),
                   st.one_of(st.none(), st.integers(1, 3)),
                   st.sampled_from(CLASSES)),
     ), min_size=6, max_size=16),
@@ -66,13 +66,8 @@ def warm_cache(platform):
 
 def play(platform, cache, sequence):
     """What the server shows after every rule of ``sequence``."""
-    server = PipelineServer(
-        platform, plan_cache=cache,
-        config=ServerConfig(
-            max_impact_ratio=1.6, max_partition_classes=1,
-            cumulative_impact=True, reschedule=True),
-    )
-    server.open_stepped()
+    server = bare_server(platform, cache, max_impact_ratio=1.6,
+                         cumulative_impact=True)
     tick, born, shown = 0, 0, []
     placed_this_tick = []
     for rule in sequence:
@@ -103,12 +98,9 @@ def play(platform, cache, sequence):
                 server.rescind(placed_this_tick.pop(
                     rule[1] % len(placed_this_tick)))
         else:
-            _, delay, lasts, pu_class = rule
-            start = tick + delay
-            server.inject_drift(DriftSpec(
-                start_tick=start,
-                end_tick=None if lasts is None else start + lasts,
-                busy={pu_class: 0.9}, demand_gbps=24.0))
+            _, lasts, pu_class = rule
+            server.inject_drift(ExternalLoad({pu_class: 0.9}, 24.0),
+                                None if lasts is None else tick + lasts)
         shown.append((records(server), server.placement.partitions))
     return shown
 

@@ -14,10 +14,9 @@ uncapped server reads the solved list at its first pricing, as ever.
 import pytest
 
 from repro.serve.admission import ADMIT
-from repro.serve.server import PipelineServer, ServerConfig
 from repro.serve.tenant import TenantSpec
 
-from tests.serve.conftest import drifting_soak, observed
+from tests.serve.conftest import bare_server, drifting_soak, observed
 from tests.serve.test_admission_oracle import (
     reference_evaluate,
     same_decision,
@@ -63,9 +62,7 @@ def test_soak_bytes_do_not_depend_on_when_a_plan_is_solved(
 def test_an_uncapped_server_solves_at_its_first_pricing(
         monkeypatch, platform, app):
     solved = count_solves(monkeypatch)
-    server = PipelineServer(platform, config=ServerConfig(
-        max_partition_classes=None))
-    server.open_stepped()
+    server = bare_server(platform, max_partition_classes=None)
     assert server.admission.max_partition_classes is None
     for index in range(3):
         spec = TenantSpec(name=f"wide{index}", application=app,

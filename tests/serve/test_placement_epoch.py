@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.core.plan_cache import Deployment, PlanCache
+from repro.core.plan_cache import Deployment
 from repro.errors import PipelineError, ServeError
 from repro.obs import capture
 from repro.runtime.simulator import SimulatedPipelineExecutor
@@ -24,30 +24,17 @@ from repro.fleet import FleetConfig, one_shard_fleet, serve_fleet
 from repro.serve import SoakScenario
 from repro.serve.admission import ADMIT, QUEUE
 from repro.serve.placement import EpochMemo, PlacementMap
-from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import COMPLETED, EVICTED, FAILED, TenantSpec
+from repro.soc.interference import ExternalLoad
 
 from tests.serve.conftest import (
+    bare_server,
     both_ways,
     count_pricings,
     drifting_soak,
     fresh_verdict,
     single_class_schedule,
 )
-
-
-def fresh_cache(platform):
-    """A plan cache per arm, so plan builds land in both traces."""
-    return PlanCache(platform)
-
-
-def server_for(platform, **config):
-    config.setdefault("max_partition_classes", 1)
-    server = PipelineServer(platform,
-                            plan_cache=fresh_cache(platform),
-                            config=ServerConfig(**config))
-    server.open_stepped()
-    return server
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +185,7 @@ class TestSameBytes:
         def drive():
             # The first-served tenant evicts one whose window for this
             # tick is already in the batch.
-            server = server_for(
+            server = bare_server(
                 platform, max_impact_ratio=1e9, reschedule=True)
             classes = sorted(platform.schedulable_classes())
             for index, cls in enumerate(classes):
@@ -211,12 +198,10 @@ class TestSameBytes:
                 ), tick=0).action == ADMIT
             server.step(0)
             server.step(1)
-            server.inject_drift(DriftSpec(
-                start_tick=2, busy={classes[0]: 0.95},
-                demand_gbps=16.0))
+            server.inject_drift(ExternalLoad({classes[0]: 0.95}, 16.0), None)
             for tick in range(2, 14):
                 server.step(tick)
-            server.close_stepped()
+            server.close()
             return server, None
 
         shipped, _, _ = both_ways(monkeypatch, drive)
@@ -240,7 +225,7 @@ class TestSameBytes:
                     raise PipelineError("injected batch-build failure")
                 return original(self, external, n_tasks)
 
-            server = server_for(platform)
+            server = bare_server(platform)
             for name in ("steady", "doomed", "late"):
                 assert server.try_admit(TenantSpec(
                     name=name, application=app, windows=6,
@@ -251,7 +236,7 @@ class TestSameBytes:
                 for tick in range(8):
                     armed["now"] = tick == 2
                     server.step(tick)
-            server.close_stepped()
+            server.close()
             return server, None
 
         shipped, _, _ = both_ways(monkeypatch, drive)
@@ -281,16 +266,16 @@ class TestSameBytes:
         monkeypatch.setattr(SimulatedPipelineExecutor, "run", run)
 
         def drive():
-            server = server_for(platform)
+            server = bare_server(platform)
             for name in ("steady", "doomed", "late"):
                 assert server.try_admit(TenantSpec(
                     name=name, application=app, windows=9,
                     window_tasks=4), tick=0).action == ADMIT
-            server.inject_drift(DriftSpec(start_tick=4,
-                                          demand_gbps=16.0))
             for tick in range(10):
+                if tick == 4:
+                    server.inject_drift(ExternalLoad(demand_gbps=16.0), None)
                 server.step(tick)
-            server.close_stepped()
+            server.close()
             return server, None
 
         shipped, _, _ = both_ways(monkeypatch, drive)
@@ -310,7 +295,7 @@ class TestAVerdictEndsWithItsPlacement:
 
     @pytest.fixture
     def server(self, platform):
-        return server_for(platform, max_impact_ratio=1e9)
+        return bare_server(platform, max_impact_ratio=1e9)
 
     def holder(self, server, app, name, cls, **kwargs):
         spec = TenantSpec(name=name, application=app, windows=8,
@@ -405,7 +390,7 @@ class TestAVerdictEndsWithItsPlacement:
         router.close_stepped()
 
     def test_evict_for(self, patience_one, platform, app):
-        server = server_for(
+        server = bare_server(
             platform, max_impact_ratio=1e9, reschedule=True)
         classes = sorted(platform.schedulable_classes())
         for index, cls in enumerate(classes):
@@ -419,8 +404,7 @@ class TestAVerdictEndsWithItsPlacement:
         server.step(0)
         server.step(1)
         assert server.price(probe).action == QUEUE   # SoC is full
-        server.inject_drift(DriftSpec(
-            start_tick=2, busy={classes[0]: 0.95}, demand_gbps=16.0))
+        server.inject_drift(ExternalLoad({classes[0]: 0.95}, 16.0), None)
         for tick in range(2, 8):
             server.step(tick)
             if any(e["event"] == "evict" for e in server.timeline):
@@ -429,14 +413,13 @@ class TestAVerdictEndsWithItsPlacement:
             pytest.fail("nobody was evicted")
         assert server.price(probe) == fresh_verdict(server, probe)
         assert server.price(probe).action == ADMIT
-        server.close_stepped()
+        server.close()
 
 
 class TestTheCoLoadView:
     def test_it_is_rebuilt_when_the_placement_or_a_drift_moves(
             self, platform, app, monkeypatch):
         combined = {"calls": 0}
-        from repro.soc.interference import ExternalLoad
         original = ExternalLoad.combined.__func__
 
         def counting(cls, loads):
@@ -445,7 +428,7 @@ class TestTheCoLoadView:
 
         monkeypatch.setattr(ExternalLoad, "combined",
                             classmethod(counting))
-        server = server_for(platform)
+        server = bare_server(platform)
         for name in ("a", "b"):
             assert server.try_admit(TenantSpec(
                 name=name, application=app, windows=20,
@@ -454,14 +437,11 @@ class TestTheCoLoadView:
         assert combined["calls"] == 2
         server.step(1)
         server.step(2)
-        assert combined["calls"] == 2           # nothing moved
-        # A drift injected mid-run, for a later tick: nothing yet ...
-        server.inject_drift(DriftSpec(
-            start_tick=4, end_tick=6, busy={"little": 0.6},
-            demand_gbps=30.0))
         server.step(3)
-        assert combined["calls"] == 2
-        # ... then its two edges, one rebuild per tenant each.
+        assert combined["calls"] == 2           # nothing moved
+        # A drift handed over mid-run: its two edges, one rebuild per
+        # tenant each.
+        server.inject_drift(ExternalLoad({"little": 0.6}, 30.0), end_tick=6)
         server.step(4)
         assert combined["calls"] == 4
         server.step(5)
@@ -479,7 +459,7 @@ class TestTheCoLoadView:
             window_tasks=4), tick=7).action == ADMIT
         server.step(7)
         assert combined["calls"] == 9
-        server.close_stepped()
+        server.close()
 
 
 # ----------------------------------------------------------------------

@@ -6,30 +6,18 @@ import threading
 import pytest
 
 from repro.apps.synthetic import build_synthetic_application
-from repro.errors import FleetError, PipelineError, ServeError
-from repro.fleet import FleetConfig, one_shard_fleet
-from repro.serve import (
-    COMPLETED,
-    FAILED,
-    REJECTED,
-    DriftSpec,
-    PipelineServer,
-    ServerConfig,
-    TenantSpec,
-)
+from repro.errors import FleetError, PipelineError
+from repro.fleet import DegradeSpec, FleetConfig, one_shard_fleet
+from repro.serve import COMPLETED, FAILED, REJECTED, TenantSpec
+from repro.soc.interference import ExternalLoad
 from repro.traffic import OpenLoopDriver
 
+from tests.serve.conftest import bare_server
 from tests.soaks import one_shard
 
 
 def make_app(seed):
     return build_synthetic_application(seed=seed, stage_count=3)
-
-
-def make_server(platform, **config_kwargs):
-    return PipelineServer(
-        platform, config=ServerConfig(**config_kwargs)
-    )
 
 
 def make_router(**config_kwargs):
@@ -43,24 +31,40 @@ def placed_at(report, name):
 
 
 class TestDriftSpec:
+    """A drift is a chaos degradation's window, handed to the server as
+    its outside load and end tick."""
+
     def test_negative_start_rejected(self):
-        with pytest.raises(ServeError, match="start_tick"):
-            DriftSpec(start_tick=-1)
+        with pytest.raises(FleetError, match="start_tick"):
+            DegradeSpec("soc0", start_tick=-1)
 
     def test_end_must_follow_start(self):
-        with pytest.raises(ServeError, match="end_tick"):
-            DriftSpec(start_tick=3, end_tick=3)
+        with pytest.raises(FleetError, match="end_tick"):
+            DegradeSpec("soc0", start_tick=3, end_tick=3)
 
-    def test_active_window(self):
-        drift = DriftSpec(start_tick=2, end_tick=4,
-                          busy={"big": 0.5})
-        assert [drift.active_at(t) for t in range(5)] == [
-            False, False, True, True, False
-        ]
+    def test_active_window(self, platform):
+        # Handed over before tick 2, ending at 4: on for ticks 2 and 3.
+        latency = drifted_latencies(platform, end_tick=4)
+        assert latency[:2] == latency[4:] == [latency[0]] * 2
+        assert latency[2] == latency[3] != latency[0]
 
-    def test_open_ended_drift(self):
-        drift = DriftSpec(start_tick=2)
-        assert drift.active_at(10_000)
+    def test_open_ended_drift(self, platform):
+        latency = drifted_latencies(platform, end_tick=None)
+        assert latency[2:] == [latency[2]] * 4
+        assert latency[2] != latency[0]
+
+
+def drifted_latencies(platform, end_tick):
+    """Six windows of one tenant, a drift handed over before tick 2."""
+    server = bare_server(platform, reschedule=False)
+    server.try_admit(TenantSpec(name="a", application=make_app(1),
+                                windows=6, window_tasks=4), 0)
+    for tick in range(6):
+        if tick == 2:
+            busy = dict.fromkeys(platform.schedulable_classes(), 0.6)
+            server.inject_drift(ExternalLoad(busy), end_tick)
+        server.step(tick)
+    return [row.measured_latency_s for row in server.records["a"].history]
 
 
 class TestValidation:
@@ -74,16 +78,6 @@ class TestValidation:
         with pytest.raises(FleetError, match="already submitted"):
             router.submit(TenantSpec(name="a",
                                      application=make_app(2)))
-
-    def test_drift_accepted_until_close(self, platform):
-        server = make_server(platform)
-        server.inject_drift(DriftSpec(start_tick=1))
-        server.open_stepped()
-        server.step(0)
-        server.inject_drift(DriftSpec(start_tick=2))
-        server.close_stepped()
-        with pytest.raises(ServeError, match="drained"):
-            server.inject_drift(DriftSpec(start_tick=3))
 
     def test_run_after_open_stepped_rejected(self):
         router = make_router()
@@ -127,7 +121,7 @@ class TestServing:
 
     def test_trace_spans_keep_last_window_most_recently_served_last(
             self, platform):
-        server = make_server(platform, reschedule=False)
+        server = bare_server(platform, reschedule=False)
 
         def tenant_runs():
             # Consecutive-duplicate-free tenant sequence of the view.
@@ -140,7 +134,6 @@ class TestServing:
         def spans_of(name):
             return [s for s in server.trace_spans if s.tenant == name]
 
-        server.open_stepped()
         for name, seed, windows in (("long", 1, 3), ("short", 2, 1)):
             server.try_admit(TenantSpec(name=name,
                                         application=make_app(seed),
@@ -157,7 +150,7 @@ class TestServing:
         assert spans_of("short") == short_window
         assert len(spans_of("long")) == one_long_window
         assert server.step(2)
-        server.close_stepped()
+        server.close()
         assert tenant_runs() == ["short", "long"]
         assert len(spans_of("long")) == one_long_window
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve.admission import ADMIT
-from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import (
     COMPLETED,
     EVICTED,
@@ -17,16 +16,14 @@ from repro.serve.tenant import (
     RUNNING,
     TenantSpec,
 )
+from repro.soc.interference import ExternalLoad
 
-CONFIG = ServerConfig()
+from tests.serve.conftest import bare_server
 
 
 @pytest.fixture
 def server(platform, plan_cache):
-    server = PipelineServer(platform, config=CONFIG,
-                            plan_cache=plan_cache)
-    server.open_stepped()
-    return server
+    return bare_server(platform, plan_cache)
 
 
 def _spec(app, name="t", **kwargs):
@@ -46,7 +43,7 @@ class TestLifecycle:
         assert server.step(1)
         assert record.status == COMPLETED
         assert record.windows_done == 2
-        server.close_stepped()
+        server.close()
         events = [e["event"] for e in server.timeline
                   if e["tenant"] == "t"]
         assert events == ["admit", "window", "window", "complete"]
@@ -54,45 +51,13 @@ class TestLifecycle:
     def test_close_detail_fails_live_tenants(self, server, app):
         server.try_admit(_spec(app, windows=30), tick=0)
         server.step(0)
-        server.close_stepped("shard crashed at tick 1")
+        server.close("shard crashed at tick 1")
         assert server.records["t"].status == FAILED
         assert (server.records["t"].status_detail
                 == "shard crashed at tick 1")
 
 
 class TestGuards:
-    def test_step_requires_open(self, platform, plan_cache):
-        server = PipelineServer(platform, config=CONFIG,
-                                plan_cache=plan_cache)
-        with pytest.raises(ServeError, match="open_stepped"):
-            server.step(0)
-        with pytest.raises(ServeError, match="open_stepped"):
-            server.close_stepped()
-
-    def test_closed_server_stays_closed(self, server):
-        server.close_stepped()
-        with pytest.raises(ServeError, match="open_stepped"):
-            server.step(0)
-        with pytest.raises(ServeError, match="open_stepped"):
-            server.close_stepped()
-        with pytest.raises(ServeError, match="already started"):
-            server.open_stepped()
-
-    def test_try_admit_requires_open(self, platform, plan_cache, app):
-        server = PipelineServer(platform, config=CONFIG,
-                                plan_cache=plan_cache)
-        with pytest.raises(ServeError, match="open_stepped"):
-            server.try_admit(_spec(app), tick=0)
-        with pytest.raises(ServeError, match="open_stepped"):
-            server.withdraw("t", "nope", tick=0)
-        with pytest.raises(ServeError, match="open_stepped"):
-            server.rescind("t")
-
-    def test_open_after_start_rejected(self, server):
-        with pytest.raises(ServeError, match="already started"):
-            server.open_stepped()
-        server.close_stepped()
-
     def test_duplicate_name_rejected_within_a_generation(
         self, server, app
     ):
@@ -163,16 +128,10 @@ class TestAdmit:
             server.admit(spec, 0, decision)
         assert not server.knows_tenant("t")
 
-    def test_admit_requires_open_and_a_fresh_name(
-        self, platform, plan_cache, server, app
-    ):
+    def test_admit_requires_a_fresh_name(self, server, app):
         decision = server.try_admit(_spec(app), tick=0)
         with pytest.raises(ServeError, match="already known"):
             server.admit(_spec(app), 0, decision)
-        closed = PipelineServer(platform, config=CONFIG,
-                                plan_cache=plan_cache)
-        with pytest.raises(ServeError, match="open_stepped"):
-            closed.admit(_spec(app), 0, decision)
 
 
 class TestRunningOrder:
@@ -181,12 +140,7 @@ class TestRunningOrder:
     ):
         """The maintained running view must read exactly like the
         records filtered by status and sorted by admission order."""
-        server = PipelineServer(
-            platform, plan_cache=plan_cache,
-            config=ServerConfig(max_impact_ratio=1e9,
-                                max_partition_classes=1),
-        )
-        server.open_stepped()
+        server = bare_server(platform, plan_cache, max_impact_ratio=1e9)
 
         def derived():
             running = [r for r in server.records.values()
@@ -221,14 +175,7 @@ class TestEvictedMidBatch:
     was its last window), never FAILED on "holds no placement"."""
 
     def _crowded(self, platform, plan_cache, app, victim_windows):
-        server = PipelineServer(
-            platform, plan_cache=plan_cache,
-            config=ServerConfig(
-                max_impact_ratio=1e9, max_partition_classes=1,
-                reschedule=True,
-            ),
-        )
-        server.open_stepped()
+        server = bare_server(platform, plan_cache, max_impact_ratio=1e9)
         # The sufferer is admitted first (served first in every batch)
         # and outranks everyone; the SoC is then packed so no re-rank
         # can escape and the eviction fallback has to fire.
@@ -243,8 +190,7 @@ class TestEvictedMidBatch:
             ), tick=0)
             assert decision.action == ADMIT
         server.step(0)
-        server.inject_drift(DriftSpec(
-            start_tick=1, busy={classes[0]: 0.95}, demand_gbps=16.0))
+        server.inject_drift(ExternalLoad({classes[0]: 0.95}, 16.0), None)
         server.step(1)
         victim = server.records[f"low{len(classes) - 1}"]
         events = [e["event"] for e in server.timeline
@@ -278,5 +224,5 @@ class TestEvictedMidBatch:
         assert not [e for e in server.timeline if e["event"] == "fail"]
         server.step(2)
         assert victim.windows_done == 2
-        server.close_stepped()
+        server.close()
         assert server.records[victim.name].status == victim.status

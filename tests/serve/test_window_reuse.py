@@ -16,7 +16,7 @@ import json
 import pytest
 
 import repro.core.plan_cache as plan_cache_module
-from repro.core.plan_cache import PlanCache, tenant_offered_load
+from repro.core.plan_cache import tenant_offered_load
 from repro.stage import Application, Stage
 from repro.errors import PipelineError
 from repro.obs import capture
@@ -24,17 +24,16 @@ from repro.runtime.simulator import SimulatedPipelineExecutor
 from repro.fleet import serve_fleet
 from repro.serve import SoakScenario
 from repro.serve.admission import ADMIT
-from repro.serve.server import DriftSpec, PipelineServer, ServerConfig
 from repro.serve.tenant import COMPLETED, FAILED, TenantSpec
 from repro.soc.interference import ExternalLoad
 
-from tests.serve.conftest import both_ways, count_simulated, drifting_soak
+from tests.serve.conftest import (
+    bare_server,
+    both_ways,
+    count_simulated,
+    drifting_soak,
+)
 from tests.soaks import run_soak
-
-
-def fresh_cache(platform):
-    """A plan cache per run, so plan builds land in both traces."""
-    return PlanCache(platform)
 
 
 # ----------------------------------------------------------------------
@@ -76,14 +75,8 @@ class TestSameBytes:
         def drive():
             # PR 12's case: the first-served tenant evicts one whose
             # window for this tick is already in the batch.
-            server = PipelineServer(
-                platform, plan_cache=fresh_cache(platform),
-                config=ServerConfig(
-                    max_impact_ratio=1e9, max_partition_classes=1,
-                    reschedule=True,
-                ),
-            )
-            server.open_stepped()
+            # A plan cache per run, so plan builds land in both traces.
+            server = bare_server(platform, max_impact_ratio=1e9)
             classes = sorted(platform.schedulable_classes())
             for index, cls in enumerate(classes):
                 decision = server.try_admit(TenantSpec(
@@ -96,12 +89,10 @@ class TestSameBytes:
                 assert decision.action == ADMIT
             server.step(0)
             server.step(1)
-            server.inject_drift(DriftSpec(
-                start_tick=2, busy={classes[0]: 0.95},
-                demand_gbps=16.0))
+            server.inject_drift(ExternalLoad({classes[0]: 0.95}, 16.0), None)
             for tick in range(2, 14):
                 server.step(tick)
-            server.close_stepped()
+            server.close()
             return server, None
 
         shipped, served, simulated = served_and_simulated(
@@ -119,11 +110,7 @@ class TestSameBytes:
         # deployment and must run.  The tracer has to see the tick's
         # windows in batch order all the same.
         def drive():
-            server = PipelineServer(
-                platform, plan_cache=fresh_cache(platform),
-                config=ServerConfig(max_partition_classes=1),
-            )
-            server.open_stepped()
+            server = bare_server(platform)
             classes = sorted(platform.schedulable_classes())[:2]
 
             def admit(name, cls, tick, window_tasks=4):
@@ -140,7 +127,7 @@ class TestSameBytes:
             admit("twin", classes[1], 3, window_tasks=5)
             for tick in range(3, 6):
                 server.step(tick)
-            server.close_stepped()
+            server.close()
             return server, None
 
         _, _, simulated = served_and_simulated(monkeypatch, drive)
@@ -164,20 +151,16 @@ class TestSameBytes:
         monkeypatch.setattr(SimulatedPipelineExecutor, "run", run)
 
         def drive():
-            server = PipelineServer(
-                platform, plan_cache=fresh_cache(platform),
-                config=ServerConfig(max_partition_classes=1),
-            )
-            server.open_stepped()
+            server = bare_server(platform)
             for name in ("steady", "doomed", "late"):
                 assert server.try_admit(TenantSpec(
                     name=name, application=app, windows=9,
                     window_tasks=4), tick=0).action == ADMIT
-            server.inject_drift(DriftSpec(start_tick=4,
-                                          demand_gbps=16.0))
             for tick in range(10):
+                if tick == 4:
+                    server.inject_drift(ExternalLoad(demand_gbps=16.0), None)
                 server.step(tick)
-            server.close_stepped()
+            server.close()
             return server, None
 
         shipped, served, simulated = served_and_simulated(
@@ -201,13 +184,7 @@ class TestResidencyLifetime:
         # Its own cache: what is simulated depends on what the cache's
         # deployments have already served.  No rescheduling: a SWITCH
         # lets go of the deployment until the next window.
-        server = PipelineServer(
-            platform, plan_cache=fresh_cache(platform),
-            config=ServerConfig(max_partition_classes=1,
-                                reschedule=False),
-        )
-        server.open_stepped()
-        return server
+        return bare_server(platform, reschedule=False)
 
     @staticmethod
     def _admit(server, app, name, windows=6):
@@ -267,7 +244,7 @@ class TestResidencyLifetime:
         server.step(1)                     # "done" completes here
         assert sorted(server._deployments) == ["stays"]
         assert sorted(server.running_records()) == ["stays"]
-        server.close_stepped()
+        server.close()
         assert server._deployments == {}
         # The cache still has all four, for whoever deploys them next.
         assert len(server.plan_cache._deployments) == 4
@@ -331,11 +308,7 @@ class TestKeyedByTheApplicationObject:
 
     def test_same_name_different_work_keep_their_own_windows(
             self, platform, app):
-        server = PipelineServer(
-            platform, plan_cache=fresh_cache(platform),
-            config=ServerConfig(max_partition_classes=1),
-        )
-        server.open_stepped()
+        server = bare_server(platform)
         cls = sorted(platform.schedulable_classes())[0]
         apps = {"light": app, "heavy": heavier(app)}
         # One after the other on the same PU class: same plan, same
@@ -361,7 +334,7 @@ class TestKeyedByTheApplicationObject:
         assert measured["heavy"] > measured["light"]
         assert server.plan_cache.stats()["entries"] == 1
         assert len(server.plan_cache._deployments) == 2
-        server.close_stepped()
+        server.close()
 
 
 class TestSharedSpansStayUntouched:
@@ -371,11 +344,7 @@ class TestSharedSpansStayUntouched:
         # result object; each must read as its own in trace_spans and
         # in an exported trace, and the shared span list must come out
         # of all of it exactly as the DES left it: untagged.
-        server = PipelineServer(
-            platform, plan_cache=fresh_cache(platform),
-            config=ServerConfig(max_partition_classes=1),
-        )
-        server.open_stepped()
+        server = bare_server(platform)
         cls = sorted(platform.schedulable_classes())[0]
         with capture() as cap:
             for tick, name in enumerate(("first", "second")):
@@ -408,18 +377,14 @@ class TestSharedSpansStayUntouched:
         assert spans == pristine
         assert [id(span) for span in spans] == identities
         assert {span.tenant for span in spans} == {None}
-        server.close_stepped()
+        server.close()
 
 
 class TestDrainedMatchesTheScan:
     def test_after_every_tick(self, platform, plan_cache, app):
         # The full scan over every record ever seen is the oracle for
         # the live-state answer.
-        server = PipelineServer(
-            platform, plan_cache=plan_cache,
-            config=ServerConfig(max_partition_classes=1),
-        )
-        server.open_stepped()
+        server = bare_server(platform, plan_cache)
         # Eight tenants on four classes: the first four are admitted.
         for index in range(8):
             server.try_admit(TenantSpec(

@@ -455,6 +455,15 @@ class TestSubmit:
         assert "outcome: completed" in out
         assert "windows served: 20," in out
 
+    @pytest.mark.parametrize("co", ["-1", "-2"])
+    def test_negative_co_tenant_count_is_structured_error(self, capsys,
+                                                          co):
+        assert main(["submit", "--co", co, "--windows", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "ReproError",
+                                   "message": f"--co must be >= 0, got {co}"}
+
 
 class TestTraffic:
     SMALL = ["--ticks", "10", "--shards", "1", "--multiplier", "1.0"]

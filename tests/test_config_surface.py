@@ -21,13 +21,11 @@ from repro.fleet.health import HealthConfig
 from repro.fleet.router import FleetConfig
 from repro.fleet.scenario import FleetSoakScenario
 from repro.serve.scenario import SoakScenario
-from repro.serve.server import ServerConfig
 from repro.traffic.scenario import FleetOverloadScenario
 from repro.traffic.spec import BurstSpec, TierSpec, TrafficSpec
 
-CLASSES = (ServerConfig, FleetConfig, HealthConfig, SoakScenario,
-           FleetSoakScenario, FleetOverloadScenario, TrafficSpec,
-           TierSpec, BurstSpec)
+CLASSES = (FleetConfig, HealthConfig, SoakScenario, FleetSoakScenario,
+           FleetOverloadScenario, TrafficSpec, TierSpec, BurstSpec)
 
 DESIGN = Path(__file__).parent.parent / "DESIGN.md"
 SRC = Path(__file__).parent.parent / "src" / "repro"
@@ -39,26 +37,20 @@ TRACE = "trace field"
 #: ``Class.field`` -> (default, the two shipped values or the outside
 #: source).  ``required`` marks a field without a default.
 SURFACE = {
-    "ServerConfig.max_impact_ratio": (
-        "1.5", "serve and submit 1.5; fleet shards 2.5 / 1.25 / 1e9"),
-    "ServerConfig.max_partition_classes": (
-        "None", "serve and fleet shards 1; submit --cap"),
-    "ServerConfig.cumulative_impact": (
-        "False", "soak, submit, fleet soak False; overload, bench True"),
-    "ServerConfig.reschedule": (
-        "True", "serve True; serve --frozen and bench fleets False"),
-    "ServerConfig.attribution": ("False", "False; top True"),
     "FleetConfig.max_ticks": (
         "128", "fleet --max-ticks; traffic/top --ticks; "
                "serve --windows + 18; submit (--co + 1) × --windows + 8"),
     "FleetConfig.max_impact_ratio": (
-        "2.5", "fleet soak 2.5; overload 1.25 / admit-everything 1e9"),
+        "2.5", "fleet soak 2.5; serve and submit 1.5; overload 1.25 / "
+               "admit-everything 1e9"),
     "FleetConfig.max_partition_classes": (
-        "1", "one value (1), set by bench/: ROADMAP item 6 decides it"),
+        "1", "fleets 1; submit --cap"),
     "FleetConfig.cumulative_impact": (
-        "False", "fleet soak False; overload and bench True"),
+        "False", "soak, submit, fleet soak False; overload and bench "
+                 "True"),
     "FleetConfig.reschedule": (
-        "True", "fleet and overload soaks True; bench fleets False"),
+        "True", "serve and fleet soaks True; serve --frozen and bench "
+                "fleets False"),
     "FleetConfig.backlog_patience": ("24", "fleet soak 24; overload 6"),
     "FleetConfig.queue_capacity": (
         "None", "fleet and overload soaks None; serve 0; "
@@ -144,7 +136,7 @@ def settable() -> dict:
 def test_every_settable_field_is_pinned():
     assert settable() == {name: pinned for name, (pinned, _)
                           in SURFACE.items()}
-    assert len(SURFACE) == 57
+    assert len(SURFACE) == 52
 
 
 def test_design_names_every_field():
