@@ -11,17 +11,15 @@ is exactly the per-segment p95 slowdown gap asserted here.
 
 from benchmarks.conftest import run_once
 from repro.eval.metrics import format_table
-from repro.fleet import FleetSoakScenario
-from tests.soaks import run_fleet_soak
+from repro.traffic import FleetSoakScenario
 
 
 def test_failover_vs_stranding(benchmark):
     scenario = FleetSoakScenario()
 
     def evaluate():
-        _, with_failover = run_fleet_soak(scenario, failover=True)
-        _, stranded = run_fleet_soak(scenario, failover=False)
-        return with_failover, stranded
+        return tuple(scenario.driver(failover=failover).run().fleet_report
+                     for failover in (True, False))
 
     with_failover, stranded = run_once(benchmark, evaluate)
 

@@ -23,10 +23,11 @@ from repro.apps.synthetic import build_synthetic_application
 from repro.core import Chunk
 from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
 from repro.runtime import SimulatedPipelineExecutor
-from repro.fleet import FleetConfig, one_shard_fleet
+from repro.fleet import FleetConfig
 from repro.serve import TenantSpec
 from repro.soc import get_platform
 from repro.traffic import OpenLoopDriver
+from tests.serve.conftest import one_shard_router
 
 N_TASKS = 300
 
@@ -100,9 +101,9 @@ def test_disabled_overhead_under_two_percent():
 
 def make_server(attribution=False, window_tasks=4):
     """Two tenants on a one-shard fleet, ready to run."""
-    router = one_shard_fleet("pixel7a", 7, 7, FleetConfig(
+    router = one_shard_router(
         max_ticks=16, max_impact_ratio=1.5, max_partition_classes=None,
-        attribution=attribution))
+        attribution=attribution)
     return OpenLoopDriver(router, [TenantSpec(
         name=f"tenant-{index}",
         application=build_synthetic_application(

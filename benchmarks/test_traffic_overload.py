@@ -25,7 +25,6 @@ from repro.traffic import (
     FleetOverloadScenario,
     evaluate,
 )
-from tests.soaks import overload_curve, run_overload_soak
 
 BENCH_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -37,9 +36,9 @@ def test_admission_vs_admit_everything(benchmark):
     scenario = FleetOverloadScenario()
 
     def evaluate():
-        _, with_admission = run_overload_soak(scenario, admission=True)
-        _, admit_all = run_overload_soak(scenario, admission=False)
-        curve = overload_curve(scenario, admission=True)
+        _, with_admission = scenario.run(admission=True)
+        _, admit_all = scenario.run(admission=False)
+        curve = scenario.curve(admission=True)
         return with_admission, admit_all, curve
 
     with_admission, admit_all, curve = run_once(benchmark, evaluate)

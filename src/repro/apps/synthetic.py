@@ -118,6 +118,78 @@ def build_synthetic_application(
     )
 
 
+def _streaming_application(
+    seed: int,
+    stage_count: int,
+    flops: float,
+    flop_per_byte: float,
+    rng_base: int,
+    stage_name: str,
+    name: str,
+    description: str,
+) -> Application:
+    """A streaming pipeline of near-identical stages: ``flops`` (+-15%)
+    at ``flop_per_byte`` each, drawn from ``rng_base + seed``; its tasks
+    are 256 floats drawn from ``rng_base + 100 000 + task seed``."""
+    if stage_count < 1:
+        raise KernelError("stage_count must be >= 1")
+
+    def kernel(task):
+        task["payload"] += np.float32(1.0)
+
+    rng = np.random.default_rng(rng_base + seed)
+    stages: List[Stage] = []
+    for index in range(stage_count):
+        stage_flops = flops * float(rng.uniform(0.85, 1.15))
+        stages.append(Stage(
+            name=f"{stage_name}-{index}",
+            work=WorkProfile(
+                flops=stage_flops,
+                bytes_moved=stage_flops / flop_per_byte,
+                parallelism=2e5,
+                parallel_fraction=0.98,
+                divergence=0.05,
+                irregularity=0.10,
+                cpu_efficiency=0.45,
+                gpu_efficiency=0.30,
+            ),
+            kernels={CPU: kernel, GPU: kernel},
+        ))
+
+    def make_task(task_seed: int) -> Dict[str, np.ndarray]:
+        task_rng = np.random.default_rng(rng_base + 100_000 + task_seed)
+        return {"payload": task_rng.random(256).astype(np.float32)}
+
+    return Application(
+        name=name,
+        stages=stages,
+        make_task=make_task,
+        description=description,
+        input_kind="Synthetic",
+    )
+
+
+def build_memory_bound_application(seed: int,
+                                   stage_count: int) -> Application:
+    """A bandwidth-limited streaming app (~18 MFLOP a stage at 2
+    flop/byte): the serving soak's drift victim and the traffic mix's
+    memory-bound kind.
+
+    Memory-bound stages are nearly core-class-insensitive (every CPU
+    cluster is limited by the same DRAM), which is what makes fleeing
+    a contended cluster *profitable*: the weaker core costs little,
+    the time-sharing penalty on the contended one costs a lot.  A
+    compute-bound app would rather sit out the drift on the big cores.
+    """
+    return _streaming_application(
+        seed, stage_count, flops=18e6, flop_per_byte=2.0,
+        rng_base=600_000, stage_name="stream",
+        name=f"serve-membound-{seed}",
+        description="Bandwidth-limited streaming pipeline (soak drift "
+                    "victim)",
+    )
+
+
 def build_bandwidth_bound_application(
     seed: int,
     stage_count: int = 3,
@@ -135,39 +207,9 @@ def build_bandwidth_bound_application(
     admit-everything - so the traffic layer mixes it into its tenant
     population.
     """
-    if stage_count < 1:
-        raise KernelError("stage_count must be >= 1")
-
-    def kernel(task):
-        task["payload"] += np.float32(1.0)
-
-    rng = np.random.default_rng(700_000 + seed)
-    stages: List[Stage] = []
-    for index in range(stage_count):
-        flops = 20e6 * float(rng.uniform(0.85, 1.15))
-        stages.append(Stage(
-            name=f"copy-{index}",
-            work=WorkProfile(
-                flops=flops,
-                bytes_moved=flops / 0.5,
-                parallelism=2e5,
-                parallel_fraction=0.98,
-                divergence=0.05,
-                irregularity=0.10,
-                cpu_efficiency=0.45,
-                gpu_efficiency=0.30,
-            ),
-            kernels={CPU: kernel, GPU: kernel},
-        ))
-
-    def make_task(task_seed: int) -> Dict[str, np.ndarray]:
-        task_rng = np.random.default_rng(800_000 + task_seed)
-        return {"payload": task_rng.random(256).astype(np.float32)}
-
-    return Application(
+    return _streaming_application(
+        seed, stage_count, flops=20e6, flop_per_byte=0.5,
+        rng_base=700_000, stage_name="copy",
         name=f"bwbound-{seed}-n{stage_count}",
-        stages=stages,
-        make_task=make_task,
         description="Bandwidth-bound pipeline (0.50 flop/byte)",
-        input_kind="Synthetic",
     )

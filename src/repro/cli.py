@@ -398,24 +398,19 @@ def cmd_faultsim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _soak_driver(args: argparse.Namespace, reschedule: bool = True,
-                 **scenario_kwargs):
-    """The serving soak ``serve`` and ``trace --serve`` run: its
-    one-shard fleet on the soak runner; ``scenario_kwargs`` go to
-    :class:`~repro.serve.SoakScenario` as they are."""
-    from repro.fleet import serve_fleet
-    from repro.serve import SoakScenario
-    from repro.traffic import OpenLoopDriver
+def _soak_scenario(args: argparse.Namespace, **scenario_kwargs):
+    """The serving soak ``serve`` and ``trace --serve`` run;
+    ``scenario_kwargs`` go to :class:`~repro.traffic.SoakScenario` as
+    they are."""
+    from repro.traffic import SoakScenario
 
-    scenario = SoakScenario(
+    return SoakScenario(
         platform_name=args.platform,
         seed=args.seed,
         windows=args.windows,
         window_tasks=args.tasks,
         **scenario_kwargs,
     )
-    return OpenLoopDriver(serve_fleet(scenario, reschedule=reschedule),
-                          scenario.tenants())
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -430,8 +425,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--trace-out`` runs the soak under observability capture and
     exports a Chrome/Perfetto trace of the whole run.
     """
-    driver = _soak_driver(args, reschedule=not args.frozen,
-                          drift_start_tick=args.drift_tick)
+    driver = _soak_scenario(args, drift_start_tick=args.drift_tick
+                            ).driver(reschedule=not args.frozen)
     sink = _TextSink(args.out, args.json)
     report, payload = _run_reported(lambda: driver.run().fleet_report,
                                     args.trace_out, sink)
@@ -526,21 +521,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     ``--trace-out`` runs under observability capture and exports a
     Chrome/Perfetto trace.
     """
-    from repro.fleet import FleetSoakScenario, build_fleet
-    from repro.traffic import OpenLoopDriver
+    from repro.traffic import FleetSoakScenario
 
-    scenario = FleetSoakScenario(
+    driver = FleetSoakScenario(
         seed=args.seed,
         n_shards=args.shards,
         n_tenants=args.tenants,
         platform_name=args.platform,
         max_ticks=args.max_ticks,
-    )
+    ).driver(failover=not args.no_failover)
     sink = _TextSink(args.out, args.json)
-    driver = OpenLoopDriver(
-        build_fleet(scenario, failover=not args.no_failover),
-        scenario.tenants(),
-    )
     report, payload = _run_reported(lambda: driver.run().fleet_report,
                                     args.trace_out, sink)
     _print_fleet_report(report, sink)
@@ -591,19 +581,6 @@ def _overload_scenario(args: argparse.Namespace):
     )
 
 
-def _overload_run(scenario, trace=None, on_tick=None, **driver_kwargs):
-    """One run of the overload preset on the soak runner, evaluated
-    against the spec and seed of its arrival stream: ``(result,
-    report)``."""
-    from repro.traffic import evaluate
-
-    result = scenario.driver(trace=trace, **driver_kwargs).run(
-        on_tick=on_tick)
-    spec, seed = ((trace.spec, trace.seed) if trace is not None
-                  else (scenario.spec(), scenario.seed))
-    return result, evaluate(spec, seed, result)
-
-
 def cmd_traffic(args: argparse.Namespace) -> int:
     """Open-loop traffic: ``generate``, ``replay``, or ``soak``.
 
@@ -620,7 +597,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
       runs the admit-everything baseline and exits 1 unless admission
       control strictly wins on goodput (the overload gate CI asserts).
     """
-    from repro.traffic import CURVE_MULTIPLIERS, TrafficTrace
+    from repro.traffic import TrafficTrace
 
     scenario = _overload_scenario(args)
     sink = _TextSink(args.out, args.json)
@@ -660,7 +637,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         sink.result(payload, "generation summary")
         return 0
 
-    _, report = _overload_run(scenario, admission=admission, trace=trace)
+    _, report = scenario.run(trace, admission=admission)
     payload = report.to_dict()
     if args.mode == "replay":
         sink.line(f"replayed {args.trace} "
@@ -670,8 +647,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     exit_code = 0
 
     if args.mode == "soak" and args.compare:
-        _, baseline = _overload_run(scenario, admission=False,
-                                    trace=trace)
+        _, baseline = scenario.run(trace, admission=False)
         payload["admit_everything"] = baseline.to_dict()
         gate = report.goodput_tasks > baseline.goodput_tasks
         sink.line()
@@ -685,19 +661,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             exit_code = 1
 
     if args.mode == "soak" and args.curve:
-        points = []
-        for multiplier in CURVE_MULTIPLIERS:
-            _, point = _overload_run(scenario.at_multiplier(multiplier),
-                                     admission=admission)
-            points.append({
-                "load_multiplier": multiplier,
-                "arrivals": point.arrivals,
-                "offered_windows": point.offered_windows,
-                "served_windows": point.served_windows,
-                "goodput_windows": point.goodput_windows,
-                "goodput_tasks": point.goodput_tasks,
-            })
-        payload["curve"] = points
+        points = payload["curve"] = scenario.curve(admission)
         sink.line()
         sink.line("goodput vs offered load:")
         for point in points:
@@ -779,6 +743,8 @@ def cmd_top(args: argparse.Namespace) -> int:
     """
     from repro.obs.alerts import BurnRateRule
 
+    if args.top_k < 1:
+        raise ReproError(f"--top-k must be >= 1, got {args.top_k}")
     scenario = _overload_scenario(args)
     sink = _TextSink(args.out, args.json)
     admission = not args.no_admission
@@ -796,9 +762,9 @@ def cmd_top(args: argparse.Namespace) -> int:
                   f"goodput_tasks={entry['goodput_tasks']:<5} "
                   f"backlog={entry['backlog']}")
 
-    result, report = _overload_run(
-        scenario, admission=admission, attribution=True, burn=burn,
+    result, report = scenario.run(
         on_tick=watch if args.watch else None,
+        admission=admission, attribution=True, burn=burn,
     )
     if args.watch:
         sink.line()
@@ -859,7 +825,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     with obs.capture() as cap:
         if args.serve:
-            _soak_driver(args).run()
+            _soak_scenario(args).driver().run()
         else:
             _traced_run(args)
         snapshot = cap.metrics.snapshot()
@@ -891,7 +857,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     served, its measured serving latencies.
     """
     from repro.apps.synthetic import build_synthetic_application
-    from repro.fleet import FleetConfig, one_shard_fleet
+    from repro.fleet import FleetConfig, FleetRouter, ShardSpec
     from repro.serve import TenantSpec
     from repro.soc.platforms import _DEFAULT_SEED
     from repro.traffic import OpenLoopDriver
@@ -902,15 +868,18 @@ def cmd_submit(args: argparse.Namespace) -> int:
     # (a queued job waits behind its co-tenants); the run still stops
     # when the fleet drains.
     ticks = (args.co + 1) * args.windows + 8
-    router = one_shard_fleet(
-        args.platform, _DEFAULT_SEED, args.seed,
-        FleetConfig(
+    router = FleetRouter(
+        [ShardSpec("soc0", platform_name=args.platform,
+                   platform_seed=_DEFAULT_SEED)],
+        seed=args.seed,
+        config=FleetConfig(
             max_ticks=ticks,
             queue_capacity=args.queue_capacity,
             max_impact_ratio=1.5,
             max_partition_classes=args.cap,
             # A waiting arrival waits as long as the run lasts.
             backlog_patience=ticks,
+            failover=False,
         ),
     )
     tenants = [TenantSpec(

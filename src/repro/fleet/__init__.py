@@ -29,12 +29,6 @@ from repro.fleet.metrics import (
     surviving_p95_slowdown,
 )
 from repro.fleet.router import FleetConfig, FleetRouter
-from repro.fleet.scenario import (
-    FleetSoakScenario,
-    build_fleet,
-    one_shard_fleet,
-    serve_fleet,
-)
 from repro.fleet.shard import ShardSpec, SoCShard
 from repro.fleet.tenant import SHED, FleetTenant
 
@@ -46,7 +40,6 @@ __all__ = [
     "FleetConfig",
     "FleetReport",
     "FleetRouter",
-    "FleetSoakScenario",
     "FleetTenant",
     "FleetTenantMetrics",
     "GrayFailureSpec",
@@ -56,9 +49,6 @@ __all__ = [
     "ShardCrashSpec",
     "ShardSpec",
     "SoCShard",
-    "build_fleet",
-    "one_shard_fleet",
-    "serve_fleet",
     "surviving_p95",
     "surviving_p95_slowdown",
 ]

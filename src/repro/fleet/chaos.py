@@ -102,6 +102,8 @@ class DegradeSpec:
             raise FleetError("degrade start_tick must be >= 0")
         if self.end_tick is not None and self.end_tick <= self.start_tick:
             raise FleetError("degrade end_tick must be > start_tick")
+        if not self.demand_gbps >= 0.0:
+            raise FleetError("degrade demand_gbps must be >= 0")
         for pu_class, fraction in self.busy.items():
             if not 0.0 < fraction <= 1.0:
                 raise FleetError(

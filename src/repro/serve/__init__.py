@@ -36,7 +36,6 @@ from repro.serve.rescheduler import (
     OnlineRescheduler,
     RescheduleAction,
 )
-from repro.serve.scenario import SoakScenario
 from repro.serve.server import PipelineServer
 from repro.serve.tenant import (
     COMPLETED,
@@ -70,7 +69,6 @@ __all__ = [
     "RUNNING",
     "RescheduleAction",
     "SWITCH",
-    "SoakScenario",
     "TERMINAL_STATES",
     "TenantRecord",
     "TenantSpec",

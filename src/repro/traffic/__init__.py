@@ -27,7 +27,9 @@ from repro.traffic.generator import (
 from repro.traffic.scenario import (
     CURVE_MULTIPLIERS,
     FleetOverloadScenario,
+    FleetSoakScenario,
     OVERLOAD_TIERS,
+    SoakScenario,
 )
 from repro.traffic.slo import (
     BurstRecovery,
@@ -50,8 +52,10 @@ __all__ = [
     "BurstSpec",
     "DEFAULT_TIERS",
     "FleetOverloadScenario",
+    "FleetSoakScenario",
     "OVERLOAD_TIERS",
     "OpenLoopDriver",
+    "SoakScenario",
     "TRACE_KIND",
     "TierSpec",
     "TierSummary",

@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.apps.synthetic import (
     build_bandwidth_bound_application,
+    build_memory_bound_application as _memory_bound_application,
     build_synthetic_application,
 )
 from repro.stage import Application
@@ -34,7 +35,6 @@ from repro.fleet.metrics import FleetReport
 from repro.obs.alerts import BurnAlert, BurnRateEvaluator, BurnRateRule
 from repro.obs.metrics import metrics
 from repro.obs.tracer import tracer
-from repro.serve.scenario import _memory_bound_application
 from repro.serve.tenant import TenantSpec, WindowSample
 from repro.traffic.generator import (
     BANDWIDTH_BOUND,

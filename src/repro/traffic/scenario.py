@@ -1,39 +1,281 @@
-"""The overload preset: one scenario behind ``repro traffic`` and
-``repro top``, the CI ``traffic-soak`` job, and the acceptance tests.
+"""The soak presets: every serving command's fleet and arrival source,
+each handed to the one soak runner it feeds.
 
-Preset data only: :meth:`FleetOverloadScenario.driver` hands the one
-soak runner (:class:`~repro.traffic.driver.OpenLoopDriver`) this
-scenario's fleet and arrival stream, so the open-loop determinism
-guarantee and the admission-control goodput gate are exercised on
-exactly what ships.
+A preset is data plus one ``driver(**arms)`` that builds a fresh fleet
+and returns the runner (:class:`~repro.traffic.driver.OpenLoopDriver`)
+over it, so the CLI, CI, ``benchmarks/`` and the acceptance tests all
+run exactly what ships:
 
-The default scenario offers ~1.5x the fleet's saturation load (with a
-mid-run burst on top) and runs twice per evaluation: once with the
-interference-aware admission ceiling, once admitting everything that
-physically fits.  Admit-everything packs every shard to its class
-limit, so every window is served at the interference-heavy end of the
-profile and blows through the tier SLOs; the admission ceiling keeps
-high-contention-span tenants from being packed and turns the excess
-into fast structured rejections instead.  Throughput favours
-admit-everything; *goodput* - SLO-attaining window-tasks, the number a
-production fleet actually sells - must strictly favour admission
-control (the acceptance gate).
+* :class:`SoakScenario` (``repro serve``, ``repro trace --serve``):
+  three concurrent tenants packed onto disjoint PU partitions of one
+  SoC (partition cap 1, so pixel7a's four clusters hold all three with
+  one to spare), a drift victim pinned to a known class so outside load
+  can be injected *on* that class mid-run, and a fourth submission
+  whose required class is already taken - with no room to wait it must
+  be rejected (no oversubscription);
+* :class:`FleetSoakScenario` (``repro fleet``): twelve tenants on four
+  pixel7a shards and one of each failure shape mid-run - ``soc2`` goes
+  **gray** over ticks [8, 16) (it keeps serving but stops heartbeating,
+  so health must declare it dead on beat evidence alone), ``soc1``
+  **crashes** at tick 14 and rejoins at tick 20 as a fresh generation,
+  and ``soc3`` **degrades** over ticks [22, 60) (a 95% brownout of every
+  PU class plus DRAM pressure, so only the fleet's SLO-breach failover
+  can rescue its tenants).  With failover disabled, soc1's tenants are
+  lost outright and soc3's survivors drag their degraded windows into
+  the fleet-wide p95;
+* :class:`FleetOverloadScenario` (``repro traffic``, ``repro top``):
+  ~1.5x the fleet's saturation load (with a mid-run burst on top), run
+  once with the interference-aware admission ceiling and once admitting
+  everything that physically fits.  Admit-everything packs every shard
+  to its class limit and blows through the tier SLOs; the ceiling turns
+  the excess into fast structured rejections instead.  Throughput
+  favours admit-everything; *goodput* - SLO-attaining window-tasks -
+  must strictly favour admission control (the acceptance gate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
-from repro.errors import TrafficError
+from repro.apps.synthetic import (
+    build_memory_bound_application,
+    build_synthetic_application,
+)
+from repro.errors import FleetError, ServeError, TrafficError
+from repro.fleet.chaos import (
+    ChaosSchedule,
+    DegradeSpec,
+    GrayFailureSpec,
+    ShardCrashSpec,
+)
 from repro.fleet.health import HealthConfig
 from repro.fleet.router import FleetConfig, FleetRouter
+from repro.fleet.scenario import DEGRADED_CLASSES
 from repro.fleet.shard import ShardSpec
 from repro.obs.alerts import BurnRateRule
-from repro.traffic.driver import OpenLoopDriver
+from repro.serve.tenant import TenantSpec
+from repro.traffic.driver import OpenLoopDriver, TrafficRunResult
 from repro.traffic.generator import TrafficGenerator
+from repro.traffic.slo import TrafficReport, evaluate
 from repro.traffic.spec import BurstSpec, TierSpec, TrafficSpec
 from repro.traffic.trace import TrafficTrace
+
+#: The class the serving soak's drift victim is pinned to (and drift
+#: injected on).
+DRIFT_CLASS = "big"
+#: The class the high-priority tenant and the doomed probe both need.
+CONTESTED_CLASS = "gpu"
+
+
+@dataclass(frozen=True)
+class SoakScenario:
+    """Parameters of one deterministic serving soak run."""
+
+    platform_name: str = "pixel7a"
+    seed: int = 7
+    windows: int = 30
+    window_tasks: int = 10
+    drift_start_tick: int = 4
+
+    @property
+    def max_ticks(self) -> int:
+        """The tick budget: ``windows`` plus slack, so a soak that
+        drains at tick ``windows`` never meets it (48 at the default
+        30)."""
+        return self.windows + 18
+
+    def __post_init__(self) -> None:
+        if self.windows < 8:
+            raise ServeError(
+                "soak needs >= 8 windows for a meaningful p95"
+            )
+        if self.drift_start_tick < 2:
+            raise ServeError(
+                "drift must start after the baseline window (tick >= 2)"
+            )
+
+    def tenants(self) -> List[TenantSpec]:
+        """The four submissions, in submission order (three-stage
+        applications):
+
+        * ``tenant-gpu``   - needs the GPU (hard), priority 0;
+        * ``tenant-drift`` - *prefers* the drift class (soft, so the
+          rescheduler may flee it later), priority 1;
+        * ``tenant-bg``    - prefers the little cores, priority 0;
+          leaves the medium cluster free as the drift victim's escape
+          hatch;
+        * ``tenant-probe`` - needs the GPU *after* ``tenant-gpu`` holds
+          it; with no room to wait, it must be rejected.
+        """
+        def app(offset: int):
+            return build_synthetic_application(
+                seed=self.seed + offset, stage_count=3,
+            )
+
+        common = dict(windows=self.windows,
+                      window_tasks=self.window_tasks)
+        return [
+            TenantSpec(
+                name="tenant-gpu", application=app(1), priority=0,
+                required_classes=frozenset({CONTESTED_CLASS}), **common,
+            ),
+            TenantSpec(
+                name="tenant-drift",
+                application=build_memory_bound_application(
+                    self.seed + 2, stage_count=3
+                ),
+                priority=1,
+                preferred_classes=frozenset({DRIFT_CLASS}), **common,
+            ),
+            TenantSpec(
+                name="tenant-bg", application=app(3), priority=0,
+                preferred_classes=frozenset({"little"}), **common,
+            ),
+            # Same application as tenant-gpu: exercises the plan cache
+            # *and* guarantees its required class is already held.
+            TenantSpec(
+                name="tenant-probe", application=app(1), priority=2,
+                required_classes=frozenset({CONTESTED_CLASS}), **common,
+            ),
+        ]
+
+    def driver(self, reschedule: bool = True) -> OpenLoopDriver:
+        """The soak's tenants on a fresh one-shard fleet (``soc0`` at
+        the soak seed, failover off): no room to wait, impact ceiling
+        1.5, one class a tenant, and outside load on the drift class
+        from ``drift_start_tick`` on.
+
+        Raises:
+            ServeError: The platform lacks a PU class the soak pins.
+        """
+        router = FleetRouter(
+            [ShardSpec("soc0", platform_name=self.platform_name,
+                       platform_seed=self.seed)],
+            seed=self.seed,
+            config=FleetConfig(
+                max_ticks=self.max_ticks,
+                queue_capacity=0,
+                max_impact_ratio=1.5,
+                max_partition_classes=1,
+                reschedule=reschedule,
+                failover=False,
+            ),
+            chaos=ChaosSchedule(degradations=[DegradeSpec(
+                "soc0", start_tick=self.drift_start_tick,
+                busy={DRIFT_CLASS: 0.8}, demand_gbps=4.0)]),
+        )
+        platform = router.shards[0].platform
+        for needed in (DRIFT_CLASS, CONTESTED_CLASS, "little"):
+            if needed not in platform.schedulable_classes():
+                raise ServeError(
+                    f"soak scenario needs PU class {needed!r}; platform "
+                    f"{platform.name!r} lacks it"
+                )
+        return OpenLoopDriver(router, self.tenants())
+
+
+#: Fleet-soak tenant lifetimes cycle through these window counts.  The
+#: short ones free shard slots before the first failure hits (which is
+#: what lets survivors absorb failover batches); the long ones are still
+#: running when the degradation window opens, so the SLO-breach
+#: failover has victims to rescue.
+WINDOWS_CYCLE = (8, 18, 40)
+
+
+@dataclass(frozen=True)
+class FleetSoakScenario:
+    """Parameters of one deterministic fleet chaos soak run."""
+
+    seed: int = 7
+    n_shards: int = 4
+    n_tenants: int = 12
+    platform_name: str = "pixel7a"
+    max_ticks: int = 96
+
+    def __post_init__(self) -> None:
+        if self.n_shards < 4:
+            raise FleetError(
+                "the fleet soak needs >= 4 shards (three failure "
+                "domains plus at least one untouched survivor)"
+            )
+        if self.n_tenants < 12:
+            raise FleetError(
+                "the fleet soak needs >= 12 tenants for meaningful "
+                "failover batches"
+            )
+
+    def shard_names(self) -> Tuple[str, ...]:
+        """The shards, ``soc0`` to ``soc{n_shards - 1}``."""
+        return tuple(f"soc{i}" for i in range(self.n_shards))
+
+    def chaos(self) -> ChaosSchedule:
+        """The three failure shapes of the module docstring."""
+        return ChaosSchedule(
+            crashes=[ShardCrashSpec("soc1", at_tick=14, rejoin_tick=20)],
+            grays=[GrayFailureSpec("soc2", start_tick=8, end_tick=16)],
+            degradations=[DegradeSpec(
+                "soc3", start_tick=22, end_tick=60,
+                busy={c: 0.95 for c in DEGRADED_CLASSES},
+                demand_gbps=16.0,
+            )],
+        )
+
+    def tenants(self) -> List[TenantSpec]:
+        """The tenants, in submission order.
+
+        They cycle through three lifetimes (:data:`WINDOWS_CYCLE`),
+        three priorities (0 is shed first), and four shared three-stage
+        applications (two compute-bound synthetic, two memory-bound
+        streaming; three tenants per application, so the per-platform
+        plan caches get real hit traffic), six tasks a window.
+        """
+        tenants = []
+        for i in range(self.n_tenants):
+            app_seed = self.seed + (i % 4)
+            if i % 2 == 0:
+                application = build_synthetic_application(
+                    seed=app_seed, stage_count=3,
+                )
+            else:
+                application = build_memory_bound_application(
+                    app_seed, stage_count=3,
+                )
+            tenants.append(TenantSpec(
+                name=f"tenant-{i:02d}",
+                application=application,
+                priority=i % 3,
+                windows=WINDOWS_CYCLE[i % 3],
+                window_tasks=6,
+            ))
+        return tenants
+
+    def driver(self, failover: bool = True,
+               attribution: bool = False) -> OpenLoopDriver:
+        """The soak's tenants on a fresh fleet under :meth:`chaos`."""
+        # Shards alternate platform seeds 7 and 11; shards sharing a seed
+        # share one platform object and one plan cache.
+        router = FleetRouter(
+            [ShardSpec(
+                name=name,
+                platform_name=self.platform_name,
+                platform_seed=(7, 11)[i % 2],
+            ) for i, name in enumerate(self.shard_names())],
+            seed=self.seed,
+            config=FleetConfig(
+                max_ticks=self.max_ticks,
+                failover=failover,
+                # Relative SLO: a shard breaches when its mean
+                # window-latency ratio to first-window baselines exceeds
+                # 1.5x for 2 consecutive ticks - above normal co-tenant
+                # interference swing, well under the brownout's hit.
+                health=HealthConfig(slo_factor=1.5, slo_breach_ticks=2),
+                attribution=attribution,
+            ),
+            chaos=self.chaos(),
+        )
+        return OpenLoopDriver(router, self.tenants())
+
 
 #: The overload scenario's service tiers.  The SLOs sit deliberately
 #: between the two regimes the admission ceiling separates: a
@@ -115,18 +357,13 @@ class FleetOverloadScenario:
             stage_count=3,
         )
 
-    def at_multiplier(self, multiplier: float) -> "FleetOverloadScenario":
-        """The same scenario at a different offered-load multiple."""
-        return replace(self, load_multiplier=multiplier)
-
     def driver(self, admission: bool = True,
                trace: Optional[TrafficTrace] = None,
                attribution: bool = False,
                burn: Optional[BurnRateRule] = None) -> OpenLoopDriver:
         """The runner for one open-loop run of this scenario, on a
         fresh fleet.  A ``trace`` replaces the generated stream, and its
-        own spec sets the horizon and SLOs (evaluate against
-        ``trace.spec`` and ``trace.seed``); ``attribution``/``burn`` arm
+        own spec sets the horizon and SLOs; ``attribution``/``burn`` arm
         blame decomposition and burn-rate alerting (``repro top``)."""
         if trace is not None:
             spec, events = trace.spec, list(trace.events)
@@ -164,3 +401,32 @@ class FleetOverloadScenario:
                          for tier in spec.tiers},
             burn=burn,
         )
+
+    def run(self, trace: Optional[TrafficTrace] = None,
+            on_tick: Optional[Callable[[Dict[str, object]], None]] = None,
+            **arms) -> Tuple[TrafficRunResult, TrafficReport]:
+        """One run of :meth:`driver` (``arms`` go to it), evaluated
+        against the spec and seed of its arrival stream: the trace's,
+        or this scenario's.  ``on_tick`` observes each tick (see
+        :meth:`OpenLoopDriver.run`)."""
+        result = self.driver(trace=trace, **arms).run(on_tick=on_tick)
+        spec, seed = ((trace.spec, trace.seed) if trace is not None
+                      else (self.spec(), self.seed))
+        return result, evaluate(spec, seed, result)
+
+    def curve(self, admission: bool = True) -> List[Dict[str, object]]:
+        """Goodput against offered load: one run at each of
+        :data:`CURVE_MULTIPLIERS` (``traffic soak --curve``)."""
+        points = []
+        for multiplier in CURVE_MULTIPLIERS:
+            _, report = replace(self, load_multiplier=multiplier).run(
+                admission=admission)
+            points.append({
+                "load_multiplier": multiplier,
+                "arrivals": report.arrivals,
+                "offered_windows": report.offered_windows,
+                "served_windows": report.served_windows,
+                "goodput_windows": report.goodput_windows,
+                "goodput_tasks": report.goodput_tasks,
+            })
+        return points

@@ -33,6 +33,12 @@ class TestSpecValidation:
         with pytest.raises(FleetError, match="busy fraction"):
             DegradeSpec("soc0", start_tick=0, busy={"big": 0.0})
 
+    @pytest.mark.parametrize("demand", [-1.0, float("nan")])
+    def test_degrade_demand_must_be_nonnegative(self, demand):
+        with pytest.raises(FleetError, match="demand_gbps"):
+            DegradeSpec("soc0", start_tick=1, demand_gbps=demand)
+        DegradeSpec("soc0", start_tick=1, demand_gbps=0.0)
+
     def test_duplicate_crash_specs_rejected(self):
         with pytest.raises(FleetError, match="multiple crash"):
             ChaosSchedule(crashes=[

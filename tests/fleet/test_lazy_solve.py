@@ -18,12 +18,9 @@ import json
 
 import pytest
 
-from repro.fleet import FleetSoakScenario
-from repro.fleet.scenario import build_fleet
+from repro.traffic import FleetSoakScenario
 
 from tests.serve.conftest import records
-from tests.soaks import drive
-
 from tests.solve_oracle import (
     count_solves,
     distinct,
@@ -37,10 +34,11 @@ SCENARIO = FleetSoakScenario()
 
 
 def run_soak(reschedule):
-    router = build_fleet(SCENARIO)
+    driver = SCENARIO.driver()
+    router = driver.router
     # Every shard generation reads the fleet's config.
     router.config.reschedule = reschedule
-    report = drive(router, SCENARIO.tenants())
+    report = driver.run().fleet_report
     return json.dumps({
         "report": report.to_dict(),
         "timeline": router.timeline,

@@ -22,18 +22,16 @@ from repro.fleet import (
     SHED,
     FleetConfig,
     FleetRouter,
-    FleetSoakScenario,
     FleetTenant,
     ShardSpec,
 )
-from repro.fleet.scenario import build_fleet
 from repro.obs import capture, chrome_trace
 from repro.serve.admission import ADMIT
 from repro.serve.server import PipelineServer
 from repro.serve.tenant import RUNNING, TenantSpec
+from repro.traffic import FleetSoakScenario
 
 from tests.memo_off import comparable, memos_off
-from tests.soaks import drive
 from tests.serve.conftest import count_pricings, fresh_verdict, records
 from tests.solve_oracle import first_difference
 
@@ -41,7 +39,8 @@ SCENARIO = FleetSoakScenario()
 
 
 def run_soak(attribution=False, reschedule=True):
-    router = build_fleet(SCENARIO, attribution=attribution)
+    driver = SCENARIO.driver(attribution=attribution)
+    router = driver.router
     # Every shard generation reads the fleet's config.
     router.config.reschedule = reschedule
     rescinded = []
@@ -53,7 +52,7 @@ def run_soak(attribution=False, reschedule=True):
 
     with capture() as cap, pytest.MonkeyPatch.context() as patch:
         patch.setattr(PipelineServer, "rescind", rescind)
-        report = drive(router, SCENARIO.tenants())
+        report = driver.run().fleet_report
     trace = chrome_trace(cap.events, cap.metrics.snapshot())
     return json.dumps({
         "report": report.to_dict(),
@@ -268,9 +267,9 @@ class TestAChoiceEndsWithTheFleetStateItWasRankedAt:
 
 # ----------------------------------------------------------------------
 def test_every_shard_reports_its_epoch_when_asked():
-    router = build_fleet(SCENARIO)
+    driver = SCENARIO.driver()
     with capture() as cap:
-        drive(router, SCENARIO.tenants())
+        driver.run()
     snapshot = cap.metrics.snapshot()
     gauges = {name: value for name, value in snapshot["gauges"].items()
               if name.startswith("serve.placement_epoch.")}

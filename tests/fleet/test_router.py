@@ -16,7 +16,7 @@ from repro.fleet import (
 from repro.serve.tenant import TenantSpec
 from repro.traffic import OpenLoopDriver
 
-from tests.soaks import drive
+from tests.serve.conftest import drive
 
 
 def _spec(name, seed=11, **kwargs):

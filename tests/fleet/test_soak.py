@@ -17,18 +17,19 @@ import pytest
 
 from repro.obs import capture
 from repro.core.serialization import write_json_report
-from repro.fleet import (
-    SHED,
-    FleetSoakScenario,
-    build_fleet,
-)
-from repro.fleet.scenario import WINDOWS_CYCLE
-
-from tests.soaks import run_fleet_soak
+from repro.fleet import SHED
+from repro.traffic.scenario import WINDOWS_CYCLE, FleetSoakScenario
 
 SCENARIO = FleetSoakScenario()
 CHAOS = SCENARIO.chaos()
 (CRASH,), (GRAY,), (DEGRADE,) = CHAOS.crashes, CHAOS.grays, CHAOS.degradations
+
+
+def run_fleet_soak(scenario, failover):
+    """``repro fleet``: the chaos soak preset, run; ``(router,
+    report)``."""
+    driver = scenario.driver(failover=failover)
+    return driver.router, driver.run().fleet_report
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +172,7 @@ class TestDeterminism:
 class TestCallerOwnsTheClock:
     def test_run_equals_the_hand_written_step_loop(self, soak):
         _, ran = soak
-        router = build_fleet(SCENARIO, failover=True)
+        router = SCENARIO.driver(failover=True).router
         assert router.chaos.schedule.crashes
         for spec in SCENARIO.tenants():
             router.submit(spec)

@@ -15,16 +15,11 @@ import json
 
 import repro.serve.server as serve_server
 from repro.apps.synthetic import build_synthetic_application
-from repro.fleet import (
-    FleetConfig,
-    FleetRouter,
-    FleetSoakScenario,
-    ShardSpec,
-)
+from repro.fleet import FleetConfig, FleetRouter, ShardSpec
 from repro.fleet.chaos import ChaosSchedule, ShardCrashSpec
-from repro.fleet.scenario import build_fleet
 from repro.serve.admission import ADMIT
 from repro.serve.tenant import PENDING, TenantSpec
+from repro.traffic import FleetSoakScenario
 
 from tests.memo_off import memos_off
 
@@ -144,7 +139,7 @@ def test_deployments_are_shared_exactly_as_far_as_the_plan_cache(
 
 
 def test_live_state_matches_the_full_scans_after_every_tick():
-    router = build_fleet(SCENARIO)
+    router = SCENARIO.driver().router
     for spec in SCENARIO.tenants():
         router.submit(spec)
     router.open_stepped()

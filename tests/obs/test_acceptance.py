@@ -11,9 +11,9 @@ import json
 import pytest
 
 from repro.obs import capture, chrome_trace
-from repro.serve import SoakScenario
+from repro.traffic import SoakScenario
 
-from tests.soaks import run_soak
+from tests.serve.conftest import run_soak
 
 SCENARIO = SoakScenario(windows=8)
 

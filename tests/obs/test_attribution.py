@@ -24,7 +24,7 @@ from repro.serve import TenantSpec
 from repro.soc import get_platform
 from repro.soc.interference import ExternalLoad
 from tests.runtime import reference_engine
-from tests.soaks import one_shard
+from tests.serve.conftest import one_shard
 
 SEEDS = (3, 7, 11)
 ENGINES = ("vector", "reference")

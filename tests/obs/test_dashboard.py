@@ -8,6 +8,8 @@ across two runs, and ``repro top --json`` is deterministic for a given
 
 import json
 
+import pytest
+
 from repro.apps.synthetic import build_synthetic_application
 from repro.cli import main
 from repro.fleet import (
@@ -22,12 +24,12 @@ from repro.obs.alerts import BurnRateRule
 from repro.serve.tenant import TenantSpec
 from repro.traffic import FleetOverloadScenario
 
-from tests.soaks import drive, run_overload_soak
+from tests.serve.conftest import drive
 
 
 def _traffic_bytes(**kwargs):
     scenario = FleetOverloadScenario(ticks=16)
-    _, report = run_overload_soak(scenario, admission=True, **kwargs)
+    _, report = scenario.run(admission=True, **kwargs)
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
@@ -110,6 +112,20 @@ class TestTopCli:
         assert set(payload["tiers"]) == {"gold", "silver", "bronze"}
         assert isinstance(payload["top_offenders"], list)
         assert len(payload["top_offenders"]) <= 5
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_is_structured_error(self, capsys,
+                                                 monkeypatch, top_k):
+        def no_soak(*args, **kwargs):
+            raise AssertionError("the soak ran")
+
+        monkeypatch.setattr(FleetOverloadScenario, "driver", no_soak)
+        assert main(["top", "--top-k", top_k]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ReproError",
+            "message": f"--top-k must be >= 1, got {top_k}"}
 
     def test_top_watch_streams_ticks(self, capsys):
         assert main(["top", "--ticks", "12", "--watch"]) == 0

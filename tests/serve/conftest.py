@@ -4,9 +4,10 @@ Profiling is the expensive step, so the plan cache and its artifacts
 are built once per test session and shared read-only.  :func:`both_ways`
 runs one serving scenario with the host memos on and off
 (``tests.memo_off``) and holds the two to the same bytes.  A serving
-run is a one-shard fleet on the soak runner (:mod:`tests.soaks`);
-:func:`bare_server` is a shard's server outside a fleet, and
-:func:`records` and :func:`observed` read what a server shows.
+run is a one-shard fleet on the soak runner (:func:`drive`,
+:func:`one_shard`, :func:`run_soak`); :func:`bare_server` is a shard's
+server outside a fleet, and :func:`records` and :func:`observed` read
+what a server shows.
 """
 
 import contextlib
@@ -16,14 +17,14 @@ import pytest
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.core.plan_cache import PlanCache
-from repro.fleet import FleetConfig, serve_fleet
+from repro.fleet import FleetConfig, FleetRouter, ShardSpec
 from repro.obs import capture, chrome_trace
-from repro.serve import SoakScenario
 from repro.serve import server as server_module
 from repro.serve.admission import AdmissionController
 from repro.serve.server import PipelineServer
 from repro.soc import get_platform
 from repro.soc.interference import ExternalLoad
+from repro.traffic import OpenLoopDriver, SoakScenario
 
 from tests.memo_off import comparable, memos_off
 from tests.solve_oracle import first_difference
@@ -69,6 +70,45 @@ def bare_server(platform, plan_cache=None, **knobs):
     (a fresh plan cache unless one is given)."""
     return PipelineServer(platform, FleetConfig(**knobs),
                           plan_cache or PlanCache(platform), "soc0")
+
+
+def drive(router, tenants):
+    """Run a fixed tenant list on ``router`` until it drains; the fleet
+    report."""
+    return OpenLoopDriver(router, list(tenants)).run().fleet_report
+
+
+def one_shard_router(seed=7, **config):
+    """An empty one-shard pixel7a fleet (``soc0``, platform seed 7,
+    failover off) under ``FleetConfig(**config)``."""
+    return FleetRouter([ShardSpec("soc0", platform_seed=7)], seed=seed,
+                       config=FleetConfig(failover=False, **config))
+
+
+def one_shard(specs, seed=7, **config):
+    """Run ``specs`` on a :func:`one_shard_router` under the serving
+    defaults (16 ticks, a backlog of 4 that waits the whole run, impact
+    ceiling 1.5, no partition cap), which ``config`` overrides.  Returns
+    ``(router, server, report)``: the shard's one (closed) server
+    generation and the fleet report."""
+    config.setdefault("max_ticks", 16)
+    config.setdefault("queue_capacity", 4)
+    config.setdefault("backlog_patience", config["max_ticks"])
+    config.setdefault("max_impact_ratio", 1.5)
+    config.setdefault("max_partition_classes", None)
+    router = one_shard_router(seed, **config)
+    report = drive(router, specs)
+    (server,) = router.shards[0].closed_servers
+    return router, server, report
+
+
+def run_soak(scenario, reschedule=True):
+    """``repro serve``: the serving soak preset, run; ``(server,
+    report)`` - the shard's server and the fleet report."""
+    driver = scenario.driver(reschedule=reschedule)
+    report = driver.run().fleet_report
+    (server,) = driver.router.shards[0].closed_servers
+    return server, report
 
 
 def count_pricings(monkeypatch):
@@ -162,7 +202,7 @@ def drifting_soak(reschedule, attribution=False):
     ``drive`` for :func:`both_ways`."""
     def drive():
         scenario = SoakScenario(seed=7, windows=30)
-        router = serve_fleet(scenario, reschedule=reschedule)
+        router = scenario.driver(reschedule=reschedule).router
         (shard,) = router.shards
         router.config.attribution = attribution
         for spec in scenario.tenants():

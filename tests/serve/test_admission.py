@@ -16,8 +16,7 @@ from repro.serve import (
     TenantSpec,
 )
 
-from tests.serve.conftest import single_class_schedule
-from tests.soaks import one_shard
+from tests.serve.conftest import one_shard, single_class_schedule
 
 
 def controller(platform, plan_cache, **kwargs):

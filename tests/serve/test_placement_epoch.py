@@ -20,12 +20,11 @@ from repro.core.plan_cache import Deployment
 from repro.errors import PipelineError, ServeError
 from repro.obs import capture
 from repro.runtime.simulator import SimulatedPipelineExecutor
-from repro.fleet import FleetConfig, one_shard_fleet, serve_fleet
-from repro.serve import SoakScenario
 from repro.serve.admission import ADMIT, QUEUE
 from repro.serve.placement import EpochMemo, PlacementMap
 from repro.serve.tenant import COMPLETED, EVICTED, FAILED, TenantSpec
 from repro.soc.interference import ExternalLoad
+from repro.traffic import SoakScenario
 
 from tests.serve.conftest import (
     bare_server,
@@ -33,6 +32,7 @@ from tests.serve.conftest import (
     count_pricings,
     drifting_soak,
     fresh_verdict,
+    one_shard_router,
     single_class_schedule,
 )
 
@@ -116,9 +116,9 @@ def queueing(platform, app):
     eight tenants of one pricing key on four classes, a late one; the
     shard's server and the fleet report."""
     def drive():
-        router = one_shard_fleet("pixel7a", 7, 5, FleetConfig(
-            max_ticks=64, queue_capacity=3, backlog_patience=64,
-            max_impact_ratio=1.5))
+        router = one_shard_router(
+            5, max_ticks=64, queue_capacity=3, backlog_patience=64,
+            max_impact_ratio=1.5)
         for index in range(8):
             router.submit(TenantSpec(
                 name=f"t{index}", application=app,
@@ -368,7 +368,7 @@ class TestAVerdictEndsWithItsPlacement:
         # priced on the tick before must not survive it: the
         # incumbent's partition and contention span both moved.
         scenario = SoakScenario(seed=7, windows=30)
-        router = serve_fleet(scenario)
+        router = scenario.driver().router
         for spec in scenario.tenants():
             router.submit(spec)
         router.open_stepped()

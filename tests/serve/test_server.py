@@ -7,13 +7,12 @@ import pytest
 
 from repro.apps.synthetic import build_synthetic_application
 from repro.errors import FleetError, PipelineError
-from repro.fleet import DegradeSpec, FleetConfig, one_shard_fleet
+from repro.fleet import DegradeSpec, FleetConfig
 from repro.serve import COMPLETED, FAILED, REJECTED, TenantSpec
 from repro.soc.interference import ExternalLoad
 from repro.traffic import OpenLoopDriver
 
-from tests.serve.conftest import bare_server
-from tests.soaks import one_shard
+from tests.serve.conftest import bare_server, one_shard, one_shard_router
 
 
 def make_app(seed):
@@ -22,7 +21,7 @@ def make_app(seed):
 
 def make_router(**config_kwargs):
     config_kwargs.setdefault("max_ticks", 16)
-    return one_shard_fleet("pixel7a", 7, 7, FleetConfig(**config_kwargs))
+    return one_shard_router(**config_kwargs)
 
 
 def placed_at(report, name):

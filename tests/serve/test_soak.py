@@ -16,14 +16,10 @@ import pytest
 
 from repro.core.serialization import write_json_report
 from repro.obs import capture
-from repro.fleet import serve_fleet
-from repro.serve import (
-    COMPLETED,
-    REJECTED,
-    SoakScenario,
-)
+from repro.serve import COMPLETED, REJECTED
+from repro.traffic import SoakScenario
 
-from tests.soaks import run_soak
+from tests.serve.conftest import run_soak
 
 
 SCENARIO = SoakScenario(seed=7, windows=30)
@@ -135,7 +131,7 @@ class TestDeterminism:
 class TestCallerOwnsTheClock:
     def test_run_equals_the_hand_written_step_loop(self, online):
         _, ran = online
-        router = serve_fleet(SCENARIO, reschedule=True)
+        router = SCENARIO.driver(reschedule=True).router
         for spec in SCENARIO.tenants():
             router.submit(spec)
         router.open_stepped()
@@ -161,4 +157,4 @@ class TestScenarioValidation:
 
     def test_unknown_platform_class_is_caught(self):
         with pytest.raises(Exception, match="lacks it"):
-            serve_fleet(SoakScenario(platform_name="raspberry_pi5"))
+            SoakScenario(platform_name="raspberry_pi5").driver()

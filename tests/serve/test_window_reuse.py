@@ -21,19 +21,18 @@ from repro.stage import Application, Stage
 from repro.errors import PipelineError
 from repro.obs import capture
 from repro.runtime.simulator import SimulatedPipelineExecutor
-from repro.fleet import serve_fleet
-from repro.serve import SoakScenario
 from repro.serve.admission import ADMIT
 from repro.serve.tenant import COMPLETED, FAILED, TenantSpec
 from repro.soc.interference import ExternalLoad
+from repro.traffic import SoakScenario
 
 from tests.serve.conftest import (
     bare_server,
     both_ways,
     count_simulated,
     drifting_soak,
+    run_soak,
 )
-from tests.soaks import run_soak
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +252,7 @@ class TestResidencyLifetime:
         # The memo-off run shares _deployment_of, so a stale executor
         # after a SWITCH would fool both runs alike: check it directly.
         scenario = SoakScenario(seed=7, windows=30)
-        router = serve_fleet(scenario)
+        router = scenario.driver().router
         for spec in scenario.tenants():
             router.submit(spec)
         router.open_stepped()

@@ -19,9 +19,11 @@ from pathlib import Path
 
 from repro.fleet.health import HealthConfig
 from repro.fleet.router import FleetConfig
-from repro.fleet.scenario import FleetSoakScenario
-from repro.serve.scenario import SoakScenario
-from repro.traffic.scenario import FleetOverloadScenario
+from repro.traffic.scenario import (
+    FleetOverloadScenario,
+    FleetSoakScenario,
+    SoakScenario,
+)
 from repro.traffic.spec import BurstSpec, TierSpec, TrafficSpec
 
 CLASSES = (FleetConfig, HealthConfig, SoakScenario, FleetSoakScenario,

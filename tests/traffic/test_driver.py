@@ -14,12 +14,11 @@ from repro.traffic import (
 )
 from repro.traffic.generator import ArrivalEvent
 
-from tests.soaks import run_overload_soak
 
 
 @pytest.fixture(scope="module")
 def soak(small_scenario_module):
-    return run_overload_soak(small_scenario_module, admission=True)
+    return small_scenario_module.run(admission=True)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +138,7 @@ class TestDriverRun:
 
     def test_counters_balance(self, small_scenario):
         with capture() as cap:
-            run_overload_soak(small_scenario, admission=True)
+            small_scenario.run(admission=True)
             counters = cap.metrics.snapshot()["counters"]
         assert counters["traffic.arrivals"] > 0
         assert (counters["traffic.served_windows"]
@@ -150,8 +149,6 @@ class TestOpenLoopIngress:
     def test_arrival_stream_blind_to_admission(self, small_scenario):
         """Draw-count invariance at the system level: the offered
         stream is identical whether the fleet admits or rejects."""
-        on_result, _ = run_overload_soak(small_scenario,
-                                         admission=True)
-        off_result, _ = run_overload_soak(small_scenario,
-                                          admission=False)
+        on_result, _ = small_scenario.run(admission=True)
+        off_result, _ = small_scenario.run(admission=False)
         assert on_result.arrivals == off_result.arrivals

@@ -20,7 +20,6 @@ from repro.traffic import (
 )
 from repro.traffic import slo
 
-from tests.soaks import run_overload_soak
 from tests.traffic.test_window_reuse import _driver
 from tests.solve_oracle import (
     count_solves,
@@ -48,9 +47,8 @@ def test_the_overload_soak_and_its_replay(monkeypatch, always_solve,
     TrafficTrace.record(SCENARIO.spec(), SCENARIO.seed).save(path)
 
     def both():
-        return (dumped(*run_overload_soak(SCENARIO)),
-                dumped(*run_overload_soak(
-                    SCENARIO, trace=TrafficTrace.load(path))))
+        return (dumped(*SCENARIO.run()),
+                dumped(*SCENARIO.run(TrafficTrace.load(path))))
 
     solved = count_solves(monkeypatch)
     reranked = record_reranks(monkeypatch)

@@ -10,6 +10,7 @@
   byte-identically.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -24,19 +25,18 @@ from repro.traffic import (
     TrafficTrace,
 )
 
-from tests.soaks import overload_curve, run_overload_soak
 
 SCENARIO = FleetOverloadScenario()
 
 
 @pytest.fixture(scope="module")
 def soak_on():
-    return run_overload_soak(SCENARIO, admission=True)
+    return SCENARIO.run(admission=True)
 
 
 @pytest.fixture(scope="module")
 def soak_off():
-    return run_overload_soak(SCENARIO, admission=False)
+    return SCENARIO.run(admission=False)
 
 
 class TestOverloadShape:
@@ -74,7 +74,7 @@ class TestAdmissionGate:
         assert gold.attainment == 1.0
 
     def test_goodput_plateaus_past_saturation(self):
-        points = overload_curve(SCENARIO)
+        points = SCENARIO.curve()
         assert [p["load_multiplier"] for p in points] == [0.5, 1.0, 1.5, 2.0]
         goodput = [p["goodput_tasks"] for p in points]
         # Rising toward saturation...
@@ -96,7 +96,7 @@ class TestByteDeterminism:
         self, soak_on, tmp_path
     ):
         _, first_report = soak_on
-        _, second_report = run_overload_soak(SCENARIO, admission=True)
+        _, second_report = SCENARIO.run(admission=True)
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
         write_json_report(first, first_report.to_dict())
@@ -137,9 +137,8 @@ class TestByteDeterminism:
         trace = TrafficTrace.record(SCENARIO.spec(), SCENARIO.seed)
         path = tmp_path / "trace.json"
         trace.save(path)
-        _, replayed_report = run_overload_soak(
-            SCENARIO, admission=True, trace=TrafficTrace.load(path),
-        )
+        _, replayed_report = SCENARIO.run(
+            TrafficTrace.load(path), admission=True)
         live = tmp_path / "live.json"
         replay = tmp_path / "replay.json"
         write_json_report(live, live_report.to_dict())
@@ -148,16 +147,14 @@ class TestByteDeterminism:
 
     def test_different_seed_differs(self, soak_on):
         _, report = soak_on
-        _, other = run_overload_soak(
-            FleetOverloadScenario(seed=8), admission=True,
-        )
+        _, other = FleetOverloadScenario(seed=8).run(admission=True)
         assert other.to_dict()["per_tick"] != report.to_dict()["per_tick"]
 
 
 class TestCallerOwnsTheClock:
     def test_traffic_soak_leaves_no_thread_behind(self):
         before = threading.enumerate()
-        run_overload_soak(SCENARIO, admission=True)
+        SCENARIO.run(admission=True)
         assert threading.enumerate() == before
 
 
@@ -173,9 +170,10 @@ class TestSaturationScalesWithTheFleet:
                     == 0.55 * n_shards)
             assert (scenario.spec().arrivals_per_tick
                     == 0.55 * n_shards)
-        # ... and survives the at_multiplier copy the curve makes.
-        assert FleetOverloadScenario(n_shards=8).at_multiplier(
-            2.0).saturation_arrivals_per_tick == 0.55 * 8
+        # ... and survives the replace() copy the curve makes.
+        assert dataclasses.replace(
+            FleetOverloadScenario(n_shards=8), load_multiplier=2.0,
+        ).saturation_arrivals_per_tick == 0.55 * 8
 
     def test_an_explicit_value_still_wins(self):
         scenario = FleetOverloadScenario(

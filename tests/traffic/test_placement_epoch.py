@@ -21,7 +21,6 @@ from repro.traffic.generator import TrafficGenerator
 
 from tests.memo_off import memos_off
 from tests.serve.conftest import count_pricings
-from tests.soaks import run_overload_soak
 from tests.solve_oracle import first_difference
 
 
@@ -38,7 +37,7 @@ def test_the_overload_soak_prices_on_the_event(monkeypatch):
     scenario = FleetOverloadScenario()
 
     def soak():
-        result, _ = run_overload_soak(scenario)
+        result, _ = scenario.run()
         return dumped(scenario.spec(), scenario.seed, result)
 
     counter = count_pricings(monkeypatch)

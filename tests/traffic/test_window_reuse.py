@@ -25,13 +25,12 @@ from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.generator import TrafficGenerator
 
 from tests.memo_off import memos_off
-from tests.soaks import run_overload_soak
 
 SCENARIO = FleetOverloadScenario()
 
 
 def soak_bytes():
-    result, report = run_overload_soak(SCENARIO)
+    result, report = SCENARIO.run()
     return json.dumps({
         "report": report.to_dict(),
         "fleet": result.fleet_report.to_dict(),

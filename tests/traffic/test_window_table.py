@@ -19,19 +19,18 @@ object.  Two kinds of test:
 
 import pytest
 
-from repro.fleet import FleetRouter, FleetSoakScenario
+from repro.fleet import FleetRouter
 from repro.obs import capture
 from repro.obs.metrics import percentile
-from repro.traffic import FleetOverloadScenario, evaluate
-
-from tests.soaks import run_fleet_soak
+from repro.traffic import FleetOverloadScenario, FleetSoakScenario, evaluate
 
 ATTRIBUTION = pytest.mark.parametrize(
     "attribution", [False, True], ids=["plain", "attribution"])
 
 
 def chaos_soak(attribution):
-    return run_fleet_soak(FleetSoakScenario(), attribution=attribution)
+    driver = FleetSoakScenario().driver(attribution=attribution)
+    return driver.router, driver.run().fleet_report
 
 
 def overload_soak(attribution):
