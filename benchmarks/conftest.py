@@ -26,6 +26,17 @@ def paper_scale():
     return ExperimentScale.paper()
 
 
+def bench_path(name: str) -> str:
+    """Where a run writes the ``name`` ledger:
+    ``.bench_out/BENCH_<name>.json`` (gitignored), its directory made.
+    A checked-in ``BENCH_<name>.json`` changes only when a run is
+    copied over it on purpose."""
+    out = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), ".bench_out")
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, f"BENCH_{name}.json")
+
+
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark an expensive experiment with a single timed round."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,

@@ -7,24 +7,22 @@ module times the full rule set against the per-statement rules alone
 over the real ``src/repro`` tree and gates the contract: the flow pass
 may add at most 50 % to a lint run.
 
-Results land in ``BENCH_analysis.json`` at the repo root alongside the
-other perf-trajectory artifacts.
+Results land in ``.bench_out/BENCH_analysis.json`` alongside the other
+perf-trajectory artifacts.
 """
 
 import ast
 import os
 import time
 
+from benchmarks.conftest import bench_path
 from repro.analysis.flow import FlowRule
 from repro.analysis.linter import collect_files, default_lint_target, \
     lint_paths
 from repro.analysis.rules import all_rules
 from repro.core.serialization import write_json_report
 
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_analysis.json",
-)
+BENCH_PATH = bench_path("analysis")
 
 RESULTS = {}
 

@@ -6,8 +6,8 @@ The DES runs one event loop, the compiled ``vector`` kernel; its scalar
 (``tests/runtime/reference_engine.py``).  This module builds both
 through ``reference_engine.build``, times them on the 300-task
 AlexNet-sparse case and writes every case's wall time to
-``BENCH_simulator.json`` at the repo root - the perf trajectory CI
-uploads so each PR shows its speed delta.  The engine-vs-reference case
+``.bench_out/BENCH_simulator.json`` - the perf trajectory CI uploads so
+each PR shows its speed delta.  The engine-vs-reference case
 doubles as the CI perf gate: the kernel must not be slower than the
 reference loop it replaced.
 """
@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from benchmarks.conftest import bench_path
 from repro.apps import build_alexnet_sparse
 from repro.core import Chunk
 from repro.runtime import simulator
@@ -25,13 +26,10 @@ from repro.soc import get_platform
 from tests.runtime import reference_engine
 
 N_TASKS = 300
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_simulator.json",
-)
+BENCH_PATH = bench_path("simulator")
 
 #: case name -> {"mean_s": ..., "min_s": ...} (plus derived ratios),
-#: flushed to BENCH_simulator.json when the module finishes.
+#: flushed to ``BENCH_PATH`` when the module finishes.
 RESULTS = {}
 
 
@@ -67,7 +65,7 @@ def make_executor():
 
 @pytest.fixture(scope="module", autouse=True)
 def bench_report():
-    """Write collected timings to BENCH_simulator.json on teardown."""
+    """Write collected timings to ``BENCH_PATH`` on teardown."""
     yield
     if not RESULTS:
         return

@@ -7,10 +7,10 @@ compared on the statistic the mechanism is accountable for.  Admission
 control serves strictly *fewer* windows than admit-everything; what it
 buys is that the windows it does serve stay inside their tier SLOs, so
 goodput (SLO-attaining window-tasks) must strictly favour it.  The
-goodput-vs-offered-load curve is written to ``BENCH_traffic.json`` at
-the repo root - the trajectory CI uploads so each PR shows its delta -
-and so is what a served window costs in retained memory, at two run
-lengths.
+goodput-vs-offered-load curve is written to
+``.bench_out/BENCH_traffic.json`` - the trajectory CI uploads so each
+PR shows its delta - and so is what a served window costs in retained
+memory, at two run lengths.
 """
 
 import gc
@@ -18,7 +18,7 @@ import json
 import os
 import tracemalloc
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import bench_path, run_once
 from repro.eval.metrics import format_table
 from repro.core.serialization import write_json_report
 from repro.traffic import (
@@ -26,10 +26,7 @@ from repro.traffic import (
     evaluate,
 )
 
-BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_traffic.json",
-)
+BENCH_PATH = bench_path("traffic")
 
 
 def test_admission_vs_admit_everything(benchmark):
@@ -126,8 +123,10 @@ def test_retained_memory_per_window_is_flat_in_run_length(benchmark):
             [str(ticks), str(windows), f"{per_window:.0f}"]
             for ticks, (per_window, windows) in zip(horizons, measured)]))
 
-    with open(BENCH_PATH) as handle:
-        payload = json.load(handle)
+    payload = {}
+    if os.path.exists(BENCH_PATH):  # the curve, when run in one session
+        with open(BENCH_PATH) as handle:
+            payload = json.load(handle)
     payload["retained_bytes_per_window"] = {
         str(ticks): round(per_window, 1)
         for ticks, (per_window, _) in zip(horizons, measured)

@@ -86,6 +86,7 @@ class Rule:
         return ((self.rule_id, self.summary),)
 
     def finding(self, path: str, node: ast.AST, message: str) -> Finding:
+        """A finding of this rule at ``node``'s position in ``path``."""
         return Finding(
             rule_id=self.rule_id, path=path,
             line=getattr(node, "lineno", 1),

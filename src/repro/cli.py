@@ -309,8 +309,16 @@ def _traced_run(args: argparse.Namespace):
     return plan, executor.run(args.tasks, record_trace=True)
 
 
+def _check_width(args: argparse.Namespace) -> None:
+    """A Gantt chart needs at least one column: refuse ``--width``
+    below 1 before anything is planned or simulated."""
+    if args.width < 1:
+        raise ReproError(f"--width must be >= 1, got {args.width}")
+
+
 def cmd_gantt(args: argparse.Namespace) -> int:
     """Deploy a plan and render its execution Gantt chart."""
+    _check_width(args)
     plan, result = _traced_run(args)
     print(plan.summary())
     print()
@@ -425,6 +433,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--trace-out`` runs the soak under observability capture and
     exports a Chrome/Perfetto trace of the whole run.
     """
+    if args.gantt:
+        _check_width(args)
     driver = _soak_scenario(args, drift_start_tick=args.drift_tick
                             ).driver(reschedule=not args.frozen)
     sink = _TextSink(args.out, args.json)
@@ -823,6 +833,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     import repro.obs as obs
 
+    if args.export == "gantt":
+        _check_width(args)
     with obs.capture() as cap:
         if args.serve:
             _soak_scenario(args).driver().run()

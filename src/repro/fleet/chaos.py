@@ -77,6 +77,7 @@ class GrayFailureSpec:
             raise FleetError("gray end_tick must be > start_tick")
 
     def active_at(self, tick: int) -> bool:
+        """Whether the gray failure is in force at ``tick`` (end exclusive)."""
         return self.start_tick <= tick < self.end_tick
 
 
@@ -163,13 +164,16 @@ class ChaosInjector:
 
     # -- schedule queries ----------------------------------------------
     def crashes_at(self, tick: int) -> List[ShardCrashSpec]:
+        """The shard crashes scheduled for ``tick``."""
         return [c for c in self.schedule.crashes if c.at_tick == tick]
 
     def rejoins_at(self, tick: int) -> List[ShardCrashSpec]:
+        """The crashed shards scheduled to rejoin at ``tick``."""
         return [c for c in self.schedule.crashes
                 if c.rejoin_tick == tick]
 
     def gray_active(self, shard: str, tick: int) -> bool:
+        """Whether a gray failure degrades ``shard`` at ``tick``."""
         return any(g.shard == shard and g.active_at(tick)
                    for g in self.schedule.grays)
 
@@ -180,9 +184,11 @@ class ChaosInjector:
                 if g.start_tick == tick or g.end_tick == tick]
 
     def degradations_at(self, tick: int) -> List[DegradeSpec]:
+        """The brownouts that start at ``tick``."""
         return [d for d in self.schedule.degradations
                 if d.start_tick == tick]
 
     def degrade_ends_at(self, tick: int) -> List[DegradeSpec]:
+        """The brownouts that end at ``tick``."""
         return [d for d in self.schedule.degradations
                 if d.end_tick == tick]

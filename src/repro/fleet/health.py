@@ -106,17 +106,20 @@ class HealthMonitor:
         self._shards: Dict[str, ShardHealth] = {}
 
     def register(self, shard: str) -> None:
+        """Start tracking ``shard``'s health; a shard registers once."""
         if shard in self._shards:
             raise FleetError(f"shard {shard!r} already registered")
         self._shards[shard] = ShardHealth()
 
     def health(self, shard: str) -> ShardHealth:
+        """``shard``'s health record; an unknown shard is a FleetError."""
         try:
             return self._shards[shard]
         except KeyError:
             raise FleetError(f"unknown shard {shard!r}")
 
     def state(self, shard: str) -> str:
+        """``shard``'s current health state."""
         return self.health(shard).state
 
     def set_state(self, shard: str, state: str) -> None:
@@ -153,6 +156,8 @@ class HealthMonitor:
         health._ratios.clear()
 
     def slo_breached(self, shard: str) -> bool:
+        """Whether ``shard`` has breached its SLO for the configured
+        number of consecutive ticks."""
         return (self.health(shard).breach_streak
                 >= self.config.slo_breach_ticks)
 

@@ -71,6 +71,7 @@ class FleetTenantMetrics:
         return self.latency.max
 
     def to_dict(self) -> Dict[str, object]:
+        """The tenant's metrics as a JSON-ready report row."""
         return {
             "tenant": self.tenant,
             "status": self.status,

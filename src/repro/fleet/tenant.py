@@ -84,6 +84,8 @@ class FleetTenant:
         return replace(self.spec, windows=remaining)
 
     def place(self, shard: str) -> None:
+        """Record the tenant running on ``shard``; a placement after the
+        first counts as a migration."""
         if self.shard_history:
             self.migrations += 1
         self.shard = shard

@@ -76,6 +76,7 @@ class BurnAlert:
     threshold: float
 
     def to_dict(self) -> Dict[str, Any]:
+        """The alert as a JSON-ready report record."""
         return {
             "key": self.key,
             "tick": self.tick,
@@ -142,5 +143,6 @@ class BurnRateEvaluator:
         )
 
     def keys(self) -> List[str]:
+        """Every key with recorded samples, sorted."""
         with self._lock:
             return sorted(self._windows)

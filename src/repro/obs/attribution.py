@@ -78,6 +78,7 @@ class BlameShare:
     share: float
 
     def to_dict(self) -> Dict[str, Any]:
+        """The cell as a JSON-ready report record."""
         return {
             "source": self.source,
             "resource": self.resource,
@@ -106,6 +107,7 @@ class BlameMatrix:
         return sum(share.share for share in self.shares)
 
     def to_dict(self) -> Dict[str, Any]:
+        """The matrix as a JSON-ready report record."""
         return {
             "tenant": self.tenant,
             "window": self.window_index,

@@ -44,6 +44,7 @@ class TimeSeriesStore:
             series.append((int(tick), float(value)))
 
     def names(self) -> List[str]:
+        """Every series name with samples, sorted."""
         with self._lock:
             return sorted(self._series)
 

@@ -70,6 +70,7 @@ class TraceEvent:
     attrs: Tuple[Tuple[str, Any], ...] = ()
 
     def attr(self, key: str, default: Any = None) -> Any:
+        """The value of attribute ``key``, or ``default`` without one."""
         for k, v in self.attrs:
             if k == key:
                 return v

@@ -21,18 +21,23 @@ Multi-buffering: ``depth`` TaskObjects circulate; the first chunk may only
 admit task ``t`` once fewer than ``depth`` tasks are in flight, mirroring
 the recycling queue of section 3.4.
 
-One event loop, a compiled kernel (:class:`_VectorEngine`).  A
-pipeline's phase order is static, so a window is *compiled* before it
-is simulated: once per executor each chunk server's phase program, once
-per window a flat, task-major table of every step's duration (built a
-work step's jitter column at a time), and the loop itself only advances
-clocks and bumps one slot index per server.  Instantaneous rates are
-recomputed only when the discrete phase signature (who is active, in
-which stage, which phase) actually changes - and then for all active
-servers in one pass, memoized per signature.  A fault injector is
-stateful and order-sensitive, so its PU-dropout check runs where a
-server starts a task, in event order; the DES injects nothing else.
-The loop handles any pipeline width; the paper's C2 gives each PU
+One event loop, a kernel compiled per pipeline width
+(:class:`_VectorEngine`).  A pipeline's phase order is static, so a
+window is *compiled* before it is simulated: once per executor each
+chunk server's phase program, once per window a flat, task-major table
+of every step's duration (built a work step's jitter column at a time),
+and the loop itself only advances clocks and bumps one slot index per
+server.  The loop is written once, as the template
+``_VectorEngine._LOOP``, and compiled once per width with its
+per-server loops unrolled (:mod:`repro.runtime.unroll`; the kernels are
+kept on the class, keyed by width), so each server's remaining work,
+epsilon, busy time, phase code, slot and FIFO counters are locals.
+Instantaneous rates are recomputed only when the discrete phase
+signature (who is active, in which stage, which phase) actually changes,
+and then for all active servers in one pass, memoized per signature.
+A fault injector is stateful and order-sensitive, so its PU-dropout
+check runs where a server starts a task, in event order; the DES
+injects nothing else.  Any width compiles; the paper's C2 gives each PU
 class at most one chunk, so real pipelines have 1-4 servers.  Its
 correctness oracle, the original readable scalar loop, is test
 equipment (``tests/runtime/reference_engine.py``): the
@@ -86,7 +91,7 @@ import functools
 import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PipelineError, ReproError
 from repro.obs.attribution import ChunkLoad
@@ -95,6 +100,7 @@ from repro.obs.spans import Span, record_span
 from repro.obs.tracer import tracer
 from repro.runtime.faults import FaultInjector
 from repro.runtime.pipeline import _check_chunk_cover
+from repro.runtime.unroll import unrolled
 from repro.soc.cost_model import StageCost
 from repro.soc.interference import ExternalLoad, external_co_load
 from repro.soc.platform import Platform
@@ -227,7 +233,8 @@ class _VectorEngine:
     so a server's position is one slot index into flat tables.  The
     loop then only bumps slots: servers take tasks in FIFO order, so a
     server's queue is the pair of counters ``started[i] < ready[i]``,
-    read only after an arrival or a finish somewhere.
+    read only after an arrival or a finish somewhere.  The loop is
+    :attr:`_LOOP`, compiled once per width by :meth:`run_window`.
 
     Rates are memoized per *phase signature* - the tuple of per-server
     phase codes (``-1`` idle, else ``stage * 2 + work_flag``) - because
@@ -235,6 +242,145 @@ class _VectorEngine:
     that signature plus the window's external load, so the memo holds
     one signature table per co-load value.
     """
+
+    #: The template's per-server lists: one local per server compiled.
+    _SERVER_STATE = ("table", "code", "per_task", "remaining", "phase_eps",
+                     "busy", "sig", "slot", "started", "ready")
+
+    #: The event loop at any width.  It returns the finished spans as
+    #: ``(server, task, start, end)``; :meth:`run_window` builds them.
+    _LOOP = """
+    def kernel(self, n_tasks, record_trace, arrivals, external):
+        n = self.n
+        depth = self.depth
+        tables = self._durations(n_tasks)
+        rate_cache = self.rate_caches.setdefault(
+            None if external is None else external.key, {}
+        )
+        injector = self.injector
+        ready[0] = 0
+        for i in SERVERS:
+            table[i] = tables[i]
+            code[i] = self.codes[i] * n_tasks
+            per_task[i] = len(self.codes[i])
+            busy[i] = 0.0
+            sig[i] = _IDLE
+            # Server i's position in its tables, the tasks it has begun
+            # and those handed to it (issued, or done upstream).
+            slot[i] = started[i] = ready[i + 1] = 0
+        now = 0.0
+        issued = 0
+        done = 0
+        events = 0
+        completed = []
+        finishes = []
+        span_starts = {}
+        handoff = False
+        dirty = True
+        rates = ()
+
+        while done < n_tasks:
+            events += 1
+            # Admit work: the first server off the arrival stream, the
+            # others off what their upstream neighbour has finished.
+            waiting = (sig[0] == _IDLE and issued < n_tasks
+                       and issued - done < depth)
+            if waiting and arrivals[issued] <= now + 1e-15:
+                waiting = False
+                ready[0] = issued = issued + 1
+                handoff = True
+            if handoff:
+                handoff = False
+                for i in SERVERS:
+                    if sig[i] == _IDLE and started[i] < ready[i]:
+                        if injector is not None:
+                            # Task ``started[i]`` enters the chunk's
+                            # first stage: a dead PU raises here.
+                            injector.check_dropout(
+                                self.pu_class[i], self.starts[i],
+                                started[i])
+                        started[i] += 1
+                        at = slot[i]
+                        remaining[i] = total = table[i][at]
+                        phase_eps[i] = total * _REL_EPS
+                        sig[i] = code[i][at]
+                        if record_trace:
+                            span_starts[i] = now
+                        dirty = True
+
+            # Instantaneous rates: recomputed (or recalled) only when
+            # the phase signature changed since the last event.
+            if dirty:
+                key = (sig[i] for i in SERVERS)
+                rates = rate_cache.get(key)
+                if rates is None:
+                    rates = rate_cache[key] = self._rates_for(
+                        key, external)
+                dirty = False
+            if not rates:
+                if waiting and arrivals[issued] > now:
+                    now = arrivals[issued]  # idle until the next arrival
+                    continue
+                raise PipelineError(
+                    "pipeline deadlock: nothing active, tasks pending"
+                )
+
+            # Advance to the next phase completion (or next arrival,
+            # whichever lets the first chunk admit sooner).
+            dt = _INF
+            snap = -1
+            for i in SERVERS:
+                if sig[i] != _IDLE:
+                    cand = remaining[i] / rates[i]
+                    if cand < dt:
+                        dt = cand
+                        snap = i
+            if dt < 0.0:
+                dt = 0.0
+            if waiting and arrivals[issued] > now:
+                cap = arrivals[issued] - now
+                if cap < dt:
+                    dt = cap
+                    snap = -1
+            now += dt
+
+            # Drain every active server by dt.  The one defining dt
+            # drains exactly - no float residue survives it - and any
+            # whose phase is over moves on, in server order like the
+            # reference scan.
+            for i in SERVERS:
+                if sig[i] != _IDLE:
+                    busy[i] += dt
+                    if i != snap and (
+                            left := remaining[i] - dt * rates[i]
+                    ) > phase_eps[i]:
+                        remaining[i] = left
+                    else:
+                        dirty = True
+                        slot[i] = at = slot[i] + 1
+                        if at < started[i] * per_task[i]:
+                            remaining[i] = total = table[i][at]
+                            phase_eps[i] = total * _REL_EPS
+                            sig[i] = code[i][at]
+                        else:
+                            sig[i] = _IDLE
+                            ready[i + 1] += 1
+                            handoff = True
+                            if record_trace:
+                                finishes.append((
+                                    i, started[i] - 1,
+                                    span_starts.pop(i, now), now))
+                            if i + 1 == n:
+                                done += 1
+                                completed.append(now)
+
+        busy_s = dict(enumerate((busy[i] for i in SERVERS)))
+        return completed, finishes, busy_s, now, events
+    """
+
+    #: Width -> :attr:`_LOOP` compiled for it.  Each class body makes
+    #: its own, so a class built from edited source compiles its own.
+    _kernels: Dict[int, Callable] = {}
 
     def __init__(self, executor: "SimulatedPipelineExecutor"):
         # No reference back to the executor: it owns the engine, and a
@@ -264,8 +410,8 @@ class _VectorEngine:
                 program.extend(steps)
             self.programs.append(program)
             self.codes.append([code for code, _ in program])
-        #: co-load key (None: no external load) -> signature ->
-        #: (server, rate) per active server.
+        #: co-load key (None: no external load) -> signature -> every
+        #: server's rate (``()`` when none is active).
         self.rate_caches: Dict[Optional[tuple],
                                Dict[Tuple[int, ...], tuple]] = {}
 
@@ -288,14 +434,16 @@ class _VectorEngine:
     # -- instantaneous rates -------------------------------------------
     def _rates_for(self, key: Tuple[int, ...],
                    external: Optional[ExternalLoad]) -> tuple:
-        """``(server, rate)`` of every active server under one phase
-        signature.
+        """Every server's rate under one phase signature - ``0.0`` for
+        an idle one - or ``()`` when no server is active.
 
         One pass over the active set, using the same scalar model calls
         as the reference loop so cached rates are bit-equal to what
         a per-event recomputation would produce.
         """
         active = [i for i in range(self.n) if key[i] != -1]
+        if not active:
+            return ()
         busy_classes = {self.pu_class[i] for i in active}
         total_demand = 0.0
         for i in active:
@@ -303,10 +451,10 @@ class _VectorEngine:
                 total_demand += self.costs[i][key[i] >> 1].demand_gbps
         if external is not None:
             total_demand += external.demand_gbps
-        rates: List[float] = []
+        rates = [0.0] * self.n
         for i in active:
             if not key[i] & 1:
-                rates.append(1.0)
+                rates[i] = 1.0
                 continue
             cost = self.costs[i][key[i] >> 1]
             pu_class = self.pu_class[i]
@@ -326,10 +474,9 @@ class _VectorEngine:
                 share = external.busy.get(pu_class, 0.0)
                 if share > 0.0:
                     rate /= 1.0 + share
-            rates.append(rate)
-        return tuple(zip(active, rates))
+            rates[i] = rate
+        return tuple(rates)
 
-    # -- the event loop ------------------------------------------------
     def run_window(
         self,
         n_tasks: int,
@@ -337,131 +484,19 @@ class _VectorEngine:
         arrivals: List[float],
         external: Optional[ExternalLoad],
     ):
-        n = self.n
-        depth = self.depth
-        tables = self._durations(n_tasks)
-        codes = [program_codes * n_tasks for program_codes in self.codes]
-        per_task = [len(program) for program in self.programs]
-        rate_cache = self.rate_caches.setdefault(
-            None if external is None else external.key, {}
-        )
-        injector = self.injector
-        remaining = [0.0] * n
-        phase_eps = [-1.0] * n
-        busy = [0.0] * n
-        sig = [_IDLE] * n
-        slot = [0] * n      # position in the server's tables
-        started = [0] * n   # tasks server i has begun, of the ready[i]
-        ready = [0] * (n + 1)  # handed to it: issued, or done upstream
-        now = 0.0
-        issued = 0
-        done = 0
-        events = 0
-        completed: List[float] = []
+        """One window on the kernel of this width, compiled on first
+        use: ``(completions, spans, busy s per server, total_s,
+        events)``."""
+        kernel = self._kernels.get(self.n)
+        if kernel is None:
+            kernel = self._kernels[self.n] = unrolled(
+                self._LOOP, self.n, self._SERVER_STATE, globals())
+        completed, finishes, busy_s, now, events = kernel(
+            self, n_tasks, record_trace, arrivals, external)
         spans: List[Span] = []
-        span_starts: Dict[int, float] = {}
-        handoff = False
-        dirty = True
-        pairs: tuple = ()
-
-        while done < n_tasks:
-            events += 1
-            # Admit work: the first server off the arrival stream, the
-            # others off what their upstream neighbour has finished.
-            waiting = (sig[0] == _IDLE and issued < n_tasks
-                       and issued - done < depth)
-            if waiting and arrivals[issued] <= now + 1e-15:
-                waiting = False
-                ready[0] = issued = issued + 1
-                handoff = True
-            if handoff:
-                handoff = False
-                for i in range(n):
-                    if sig[i] == _IDLE and started[i] < ready[i]:
-                        if injector is not None:
-                            # Task ``started[i]`` enters the chunk's
-                            # first stage: a dead PU raises here.
-                            injector.check_dropout(
-                                self.pu_class[i], self.starts[i],
-                                started[i])
-                        started[i] += 1
-                        at = slot[i]
-                        remaining[i] = total = tables[i][at]
-                        phase_eps[i] = total * _REL_EPS
-                        sig[i] = codes[i][at]
-                        if record_trace:
-                            span_starts[i] = now
-                        dirty = True
-
-            # Instantaneous rates: recomputed (or recalled) only when
-            # the phase signature changed since the last event.
-            if dirty:
-                key = tuple(sig)
-                pairs = rate_cache.get(key)
-                if pairs is None:
-                    pairs = rate_cache[key] = self._rates_for(
-                        key, external)
-                dirty = False
-            if not pairs:
-                if waiting and arrivals[issued] > now:
-                    now = arrivals[issued]  # idle until the next arrival
-                    continue
-                raise PipelineError(
-                    "pipeline deadlock: nothing active, tasks pending"
-                )
-
-            # Advance to the next phase completion (or next arrival,
-            # whichever lets the first chunk admit sooner).
-            dt = _INF
-            snap = -1
-            for i, rate in pairs:
-                cand = remaining[i] / rate
-                if cand < dt:
-                    dt = cand
-                    snap = i
-            if dt < 0.0:
-                dt = 0.0
-            if waiting and arrivals[issued] > now:
-                cap = arrivals[issued] - now
-                if cap < dt:
-                    dt = cap
-                    snap = -1
-            now += dt
-
-            # Drain every active server by dt.  The one defining dt
-            # drains exactly - no float residue survives it - and any
-            # whose phase is over moves on, in server order like the
-            # reference scan.
-            for i, rate in pairs:
-                busy[i] += dt
-                if i != snap:
-                    left = remaining[i] - dt * rate
-                    if left > phase_eps[i]:
-                        remaining[i] = left
-                        continue
-                dirty = True
-                slot[i] = at = slot[i] + 1
-                if at < started[i] * per_task[i]:
-                    remaining[i] = total = tables[i][at]
-                    phase_eps[i] = total * _REL_EPS
-                    sig[i] = codes[i][at]
-                    continue
-                sig[i] = _IDLE
-                ready[i + 1] += 1
-                handoff = True
-                if record_trace:
-                    spans.append(record_span(
-                        chunk_index=i,
-                        pu_class=self.pu_class[i],
-                        task_id=started[i] - 1,
-                        start_s=span_starts.pop(i, now),
-                        end_s=now,
-                    ))
-                if i + 1 == n:
-                    done += 1
-                    completed.append(now)
-
-        return completed, spans, dict(enumerate(busy)), now, events
+        for i, task, start, end in finishes:
+            spans.append(record_span(i, self.pu_class[i], task, start, end))
+        return completed, spans, busy_s, now, events
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,8 @@ class PlacementMap:
         return dict(self._partitions)
 
     def partition_of(self, tenant: str) -> FrozenSet[str]:
+        """The PU classes ``tenant`` holds; an unplaced tenant is a
+        ServeError."""
         try:
             return self._partitions[tenant]
         except KeyError:

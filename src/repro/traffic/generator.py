@@ -53,6 +53,7 @@ class ArrivalEvent:
     app_seed: int
 
     def to_dict(self) -> Dict[str, Any]:
+        """The arrival as a JSON-ready trace record."""
         return {
             "tick": self.tick,
             "name": self.name,

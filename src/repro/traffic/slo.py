@@ -42,6 +42,7 @@ class TierSummary:
     p99_slowdown: float
 
     def to_dict(self) -> Dict[str, object]:
+        """The tier's outcome as a JSON-ready report record."""
         served = self.served_windows
         return {
             "tier": self.tier,
@@ -78,6 +79,7 @@ class BurstRecovery:
         return self.recovered_tick - self.end_tick
 
     def to_dict(self) -> Dict[str, object]:
+        """The burst's recovery as a JSON-ready report record."""
         return {
             "start_tick": self.start_tick,
             "end_tick": self.end_tick,

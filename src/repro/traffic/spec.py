@@ -78,6 +78,7 @@ class TierSpec:
             )
 
     def to_dict(self) -> Dict[str, Any]:
+        """The tier as a JSON-ready spec record."""
         return {
             "name": self.name,
             "priority": self.priority,
@@ -107,9 +108,11 @@ class BurstSpec:
             raise TrafficError("burst multiplier must be positive")
 
     def active_at(self, tick: int) -> bool:
+        """Whether the burst is in force at ``tick`` (end exclusive)."""
         return self.start_tick <= tick < self.end_tick
 
     def to_dict(self) -> Dict[str, Any]:
+        """The burst as a JSON-ready spec record."""
         return {
             "start_tick": self.start_tick,
             "end_tick": self.end_tick,
@@ -221,12 +224,14 @@ class TrafficSpec:
             raise TrafficError("stage_count must be >= 1")
 
     def tier(self, name: str) -> TierSpec:
+        """The tier called ``name``; an unknown one is a TrafficError."""
         for tier in self.tiers:
             if tier.name == name:
                 return tier
         raise TrafficError(f"unknown tier {name!r}")
 
     def to_dict(self) -> Dict[str, Any]:
+        """The spec as a JSON-ready record."""
         return {
             "ticks": self.ticks,
             "arrival_process": self.arrival_process,

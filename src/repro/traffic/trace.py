@@ -81,12 +81,14 @@ class TrafficTrace:
     # Replay surface (the same shape the driver reads generators with)
     # ------------------------------------------------------------------
     def offered_windows(self) -> int:
+        """Windows offered by every arrival of the trace."""
         return sum(event.windows for event in self.events)
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
+        """The trace as a JSON-ready document."""
         return {
             "spec": self.spec.to_dict(),
             "seed": self.seed,

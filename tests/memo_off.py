@@ -11,7 +11,10 @@ a ``with`` block:
   co-load views and router choices are derived when asked for;
 * ``CachedPlan.predictions`` computes from an empty table;
 * ``_jitter_column`` and ``traffic.driver._application`` are their
-  ``__wrapped__`` functions in every module that binds them by name.
+  ``__wrapped__`` functions in every module that binds them by name;
+* ``_VectorEngine._kernels`` starts empty: every pipeline width the
+  block simulates compiles its DES kernel afresh, once (a compile per
+  window would cost 10-30 ms each).
 
 ``CachedPlan.singles`` / ``optimization`` and ``Schedule``'s cached
 properties stay: they are lazy attributes of frozen values (the root
@@ -69,6 +72,7 @@ def memos_off() -> Iterator[None]:
         patch(mock.patch.object(
             CachedPlan, "predictions",
             _emptied(CachedPlan.predictions, "_predictions")))
+        patch(mock.patch.object(simulator._VectorEngine, "_kernels", {}))
         for module in [m for m in sys.modules.values() if m is not None]:
             for name, value in list(vars(module).items()):
                 if any(value is cached for cached in _CACHED):

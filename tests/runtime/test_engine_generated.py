@@ -252,7 +252,7 @@ class TestSeededMutants:
     def test_handoff_scan_skipped_after_a_finish(self, monkeypatch):
         # Only an arrival or a hand-off downstream wakes the scan: the
         # last server, finishing with a backlog behind it, waits for one.
-        finish = "ready[i + 1] += 1\n                handoff = "
+        finish = "ready[i + 1] += 1\n" + " " * 28 + "handoff = "
         plant(monkeypatch, (finish + "True", finish + "i + 1 < n"))
         assert_killed(check_engines_agree, cases())
 
@@ -273,6 +273,14 @@ class TestSeededMutants:
             "for program in self.programs\n",
             "for start, program in zip(self.starts, self.programs)\n",
         ))
+        assert_killed(check_engines_agree, cases())
+
+    def test_a_kernel_compiled_for_one_width_served_to_another(
+            self, monkeypatch):
+        # The first kernel compiled answers for every width: a narrower
+        # one leaves servers unrun, a wider one reads tables past the end.
+        plant(monkeypatch, ("self._kernels.get(self.n)",
+                            "next(iter(self._kernels.values()), None)"))
         assert_killed(check_engines_agree, cases())
 
     def test_the_unmutated_kernel_survives_the_same_hunt(self):

@@ -14,14 +14,19 @@ import repro
 
 PACKAGES = [
     "repro",
+    "repro.analysis",
     "repro.apps",
     "repro.baselines",
     "repro.core",
     "repro.eval",
+    "repro.fleet",
     "repro.kernels",
+    "repro.obs",
     "repro.runtime",
+    "repro.serve",
     "repro.soc",
     "repro.solver",
+    "repro.traffic",
 ]
 
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import BetterTogether
+from repro.traffic import SoakScenario
 
 
 class TestListing:
@@ -526,3 +528,36 @@ class TestTraffic:
         payload = json.loads(capsys.readouterr().out)
         multipliers = [p["load_multiplier"] for p in payload["curve"]]
         assert multipliers == [0.5, 1.0, 1.5, 2.0]
+
+
+class TestWidthBelowOne:
+    """A chart width below 1 is a structured error, raised before
+    anything is planned or simulated."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("the command planned or simulated")
+
+        monkeypatch.setattr(BetterTogether, "run", ran)
+        monkeypatch.setattr(SoakScenario, "driver", ran)
+
+    def refused(self, capsys, argv, width):
+        assert main(argv + ["--width", width]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ReproError",
+            "message": f"--width must be >= 1, got {width}"}
+
+    @pytest.mark.parametrize("width", ["-1", "0"])
+    def test_gantt(self, capsys, width):
+        self.refused(capsys, ["gantt"], width)
+
+    @pytest.mark.parametrize("width", ["-1", "0"])
+    def test_trace_gantt_export(self, capsys, width):
+        self.refused(capsys, ["trace", "--export", "gantt"], width)
+
+    @pytest.mark.parametrize("width", ["-1", "0"])
+    def test_serve_gantt(self, capsys, width):
+        self.refused(capsys, ["serve", "--gantt"], width)

@@ -3,9 +3,9 @@
 ``SURFACE`` pins every settable field of the classes in ``CLASSES`` -
 its name and default - together with why it is a field and not a
 constant (DESIGN.md §10, the Options rule): two different values the
-shipped callers pass (the CLI, the three ``scenario.py``, ``bench/``,
-``examples/``, ``benchmarks/``), or a value that comes from outside the
-program.  A new knob fails here until it is added to ``SURFACE`` with
+shipped callers pass (the CLI, the presets in
+``repro.traffic.scenario``, ``bench/``, ``examples/``, ``benchmarks/``),
+or a value that comes from outside the program.  A new knob fails here until it is added to ``SURFACE`` with
 its reason and named in §10.  CI's ``config fields`` count reads
 ``CLASSES`` from this module.
 
