@@ -61,6 +61,7 @@ from repro.runtime import (
     RetryPolicy,
     SimulatedPipelineExecutor,
     ThreadedPipelineExecutor,
+    checks,
 )
 from repro.soc import PLATFORM_NAMES, get_platform
 from repro.soc.platforms import _BUILDERS as _ALL_PLATFORMS
@@ -301,6 +302,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _traced_run(args: argparse.Namespace):
     """Plan the target end to end, then stream ``--tasks`` tasks through
     the deployed schedule with span recording on: ``(plan, result)``."""
+    if args.tasks < 1:
+        raise ReproError(f"--tasks must be >= 1, got {args.tasks}")
     platform, application, framework = _target(args)
     plan = framework.run(application)
     executor = SimulatedPipelineExecutor(
@@ -425,7 +428,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the multi-tenant serving layer on the soak scenario.
 
     Runs the same deterministic scenario the acceptance soak test and
-    the CI smoke job use, as a one-shard fleet: three concurrent
+    the golden corpus use, as a one-shard fleet: three concurrent
     tenants packed onto disjoint PU partitions, injected interference
     drift mid-run, and a fourth submission that must be rejected.
 
@@ -521,7 +524,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     """Run the fleet soak: N SoC shards under seeded chaos.
 
     Runs the same deterministic scenario the fleet acceptance test and
-    the CI ``fleet-chaos`` job use: twelve tenants on four shards with
+    the golden corpus use: twelve tenants on four shards with
     a mid-run gray failure, a shard crash + delayed rejoin, and a
     PU-class brownout that trips the SLO-breach failover.
 
@@ -595,8 +598,8 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     """Open-loop traffic: ``generate``, ``replay``, or ``soak``.
 
     All three modes run the seeded :class:`FleetOverloadScenario` -
-    the same scenario the acceptance tests and the CI ``traffic-soak``
-    job byte-diff:
+    the same scenario the acceptance tests and the golden corpus
+    byte-check:
 
     * ``generate`` materializes the arrival stream (a pure function of
       spec and seed) and optionally freezes it into a checksummed
@@ -605,7 +608,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
       a recorded trace reproduces the recorded run byte-identically;
     * ``soak`` generates and drives in one step; ``--compare`` also
       runs the admit-everything baseline and exits 1 unless admission
-      control strictly wins on goodput (the overload gate CI asserts).
+      control strictly wins on goodput (the overload gate tier-1 asserts).
     """
     from repro.traffic import TrafficTrace
 
@@ -1294,14 +1297,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Exit codes are uniform across subcommands: 0 = success (or findings
     without ``--strict``), 1 = findings under ``--strict`` (or a failed
-    selftest/run), 2 = tool failure - a :class:`ReproError`/``OSError``
-    rendered as a one-line JSON envelope on stderr
-    (``{"error": <class>, "message": <text>}``) so drivers and CI can
-    react to the failure kind without scraping tracebacks.
+    selftest/run, or violations the armed checker recorded during the
+    call: one ``{"violations": [...]}`` line on stderr), 2 = tool
+    failure - a :class:`ReproError`/``OSError`` rendered as a one-line
+    JSON envelope on stderr (``{"error": <class>, "message": <text>}``)
+    so drivers and CI can react to the failure kind without scraping
+    tracebacks.
     """
     args = build_parser().parse_args(argv)
+    before = len(checks.global_log())
     try:
-        return args.fn(args)
+        code = args.fn(args)
     except ReproError as exc:
         print(json.dumps(exc.payload()), file=sys.stderr)
         return 2
@@ -1309,6 +1315,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps({"error": type(exc).__name__,
                           "message": str(exc)}), file=sys.stderr)
         return 2
+    violations = [v.to_dict() for v in checks.global_log().since(before)]
+    if violations:
+        print(json.dumps({"violations": violations}), file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

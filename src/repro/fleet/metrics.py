@@ -2,8 +2,8 @@
 
 Pure arithmetic over the router's recorded state - no wall clock, no
 RNG reads - so a fleet run's report is byte-identical across repeats
-with the same seed (the property the fleet soak test and the CI
-``fleet-chaos`` job assert by diffing serialized reports).
+with the same seed (the property the fleet soak test and the golden
+corpus assert on serialized reports).
 """
 
 from __future__ import annotations

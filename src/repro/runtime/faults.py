@@ -156,6 +156,8 @@ class FaultPlan:
             raise PipelineError("kernel_fault_rate must be in [0, 1]")
         if fail_attempts < 1:  # refused even when no fault is drawn
             raise PipelineError("fail_attempts must be >= 1")
+        if n_tasks < 1:
+            raise PipelineError("n_tasks must be >= 1")
         rng = np.random.default_rng(seed)
         plan = cls()
         for task_id, stage in itertools.product(range(n_tasks),

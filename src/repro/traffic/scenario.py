@@ -335,6 +335,8 @@ class FleetOverloadScenario:
             raise TrafficError("overload scenario needs >= 1 shard")
         if self.load_multiplier <= 0.0:
             raise TrafficError("load_multiplier must be positive")
+        if self.ticks < 2:  # the diurnal period is the horizon
+            raise TrafficError(f"ticks must be >= 2, got {self.ticks}")
         if self.saturation_arrivals_per_tick is None:
             object.__setattr__(
                 self, "saturation_arrivals_per_tick",

@@ -6,7 +6,7 @@ tenants' arrival events for the tier) into per-tier attainment and
 slowdown percentiles, the per-tick goodput trajectory, and burst
 recovery times.  Pure arithmetic over recorded samples - no wall
 clock, no RNG - so a report is byte-identical across repeated seeded
-runs (the property the ``traffic-soak`` CI job byte-diffs).
+runs (the property the golden corpus byte-checks).
 
 *Goodput* counts the window-tasks served within their tier's SLO:
 a fleet that admits everything and breaches every SLO has high

@@ -8,12 +8,22 @@ stdout and every file it writes.  ``digests.json`` stores the sha256 of
 each.  Stderr is left out: it carries ``report``'s wall-clock "done in"
 lines (and the "saved to" notes).
 
-The memo-off arm runs each case twice, with the host memos on and off
-(``tests.memo_off``), and wants the same bytes both ways.
+The corpus is CI's one determinism gate, in four arms:
 
-Run ``python -m tests.golden check|update|memo-off`` from the repository
-root (see ``__main__``); tier-1 runs a subset of ``check`` and of the
-memo-off arm (``tests/golden/test_golden.py``).
+* ``check`` under two hash seeds: every case reproduces its digests;
+* ``memo-off``: each case run twice, with the host memos on and off
+  (``tests.memo_off``), writes the same bytes both ways;
+* ``check`` with ``REPRO_CHECK=1``: ``repro`` exits 1 when the armed
+  checker records a concurrency violation, so such a case's ``exit``
+  moves;
+* ``reference``: each case, run with every executor on the DES's
+  reference loop (``tests.runtime.reference_engine``), reproduces its
+  digests.
+
+Run ``python -m tests.golden check|update|memo-off|reference`` from the
+repository root (see ``__main__``); tier-1 runs a subset of ``check``,
+of the memo-off arm and of the reference arm
+(``tests/golden/test_golden.py``).
 """
 
 from __future__ import annotations
@@ -42,6 +52,10 @@ SMALL = ("--repetitions", "2", "--k", "4", "--eval-tasks", "6")
 #: CI's faultsim determinism arm, minus the seed.
 FAULTSIM = ("faultsim", "--platform", "pixel7a", "--app", "octree",
             *SMALL, "--tasks", "8")
+
+#: The wrappers that run one ``repro`` command another way.
+MEMO_OFF = "tests.memo_off"
+REFERENCE = "tests.runtime.reference_engine"
 
 #: A digest record: exit code, stdout digest, file digests by path.
 Record = Dict[str, object]
@@ -119,22 +133,22 @@ def record(exit_code: int, stdout: bytes, workdir: Path,
 
 
 def run_subprocess(case: Case, src: Path = REPO / "src",
-                   hash_seed: Optional[str] = None,
-                   memos: Optional[bool] = None) -> Record:
-    """Run ``case`` as ``python -m repro`` in a fresh directory, with
+                   hash_seed: Optional[str] = None, module: str = "repro",
+                   memo_arm: bool = False) -> Record:
+    """Run ``case`` as ``python -m <module>`` in a fresh directory, with
     ``src`` on ``PYTHONPATH`` (another checkout's ``src/`` digests that
-    checkout).  ``memos`` True / False runs it for the memo-off arm,
-    with the host memos on / off (``python -m tests.memo_off``)."""
+    checkout).  ``module`` is ``repro`` or a wrapper that runs the
+    command another way (:data:`MEMO_OFF`, :data:`REFERENCE`);
+    ``memo_arm`` digests each stream as the memo-off arm compares it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(REPO))))
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = hash_seed
-    module = "tests.memo_off" if memos is False else "repro"
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         proc = subprocess.run(
             [sys.executable, "-m", module, *case.argv], cwd=tmp, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         return record(proc.returncode, proc.stdout, Path(tmp),
-                      memo_arm=memos is not None)
+                      memo_arm=memo_arm)
 
 
 @contextlib.contextmanager
@@ -150,8 +164,9 @@ def _inside(workdir: Path) -> Iterator[None]:
 def run_in_process(case: Case, workdir: Path,
                    memos: Optional[bool] = None) -> Record:
     """Run ``case`` through ``repro.cli.main`` in this process, inside
-    the empty directory ``workdir`` (stderr is discarded); ``memos`` as
-    for :func:`run_subprocess`."""
+    the empty directory ``workdir`` (stderr is discarded).  ``memos``
+    True / False runs it for the memo-off arm, with the host memos on /
+    off."""
     from repro.cli import main
 
     out, err = io.StringIO(), io.StringIO()

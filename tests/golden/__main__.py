@@ -1,14 +1,16 @@
-"""``python -m tests.golden check|update|memo-off`` (run from the
-repository root).
+"""``python -m tests.golden check|update|memo-off|reference`` (run from
+the repository root).
 
 ``check`` runs every case (or those ``--only`` names) in a fresh
 directory per case and exits 1 naming each case and stream that moved;
 ``update`` rewrites ``digests.json`` from the runs; ``memo-off`` runs
 each case with the host memos on and off and exits 1 naming each case
-and stream the two runs write differently.  ``--src`` points the
+and stream the two runs write differently; ``reference`` is ``check``
+with every executor on the DES's reference loop.  ``--src`` points the
 runs at another checkout's ``src/`` - the way to generate digests from a
-parent commit.  Runs use this process's ``PYTHONHASHSEED``; CI runs
-``check`` under two of them.
+parent commit.  Runs use this process's ``PYTHONHASHSEED`` and
+``REPRO_CHECK``; CI runs ``check`` under two hash seeds, and once with
+the checker armed.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from tests.golden import BY_NAME, CASES, DIGESTS, REPO, load, moved, \
-    run_subprocess
+from tests.golden import BY_NAME, CASES, DIGESTS, MEMO_OFF, REFERENCE, \
+    REPO, load, moved, run_subprocess
 
 #: Cases run at once, each in its own process.
 JOBS = 2
@@ -29,7 +31,8 @@ JOBS = 2
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.golden")
-    parser.add_argument("action", choices=("check", "update", "memo-off"))
+    parser.add_argument("action",
+                        choices=("check", "update", "memo-off", "reference"))
     parser.add_argument("--src", type=Path, default=REPO / "src",
                         help="the src/ directory to run (default: this "
                              "checkout's)")
@@ -45,10 +48,12 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         src = args.src.resolve()
         if args.action == "memo-off":
-            got = run_subprocess(case, src, memos=False)
-            want = run_subprocess(case, src, memos=True)
+            got = run_subprocess(case, src, module=MEMO_OFF, memo_arm=True)
+            want = run_subprocess(case, src, memo_arm=True)
         else:
-            got, want = run_subprocess(case, src), stored.get(case.name)
+            module = REFERENCE if args.action == "reference" else "repro"
+            got = run_subprocess(case, src, module=module)
+            want = stored.get(case.name)
         return case, got, want, time.perf_counter() - start
 
     failed = 0

@@ -1,12 +1,13 @@
 """Tier-1's slice of the golden corpus (``python -m tests.golden
-check|memo-off`` runs all of it).
+check|memo-off|reference`` runs all of it).
 
 Every case but the threaded ``faultsim`` runs and the paper ``report``
 runs in-process (a few seconds together), once against its digests and
 once through the memo-off arm; the traced fleet soak also runs in a
 subprocess under a hash seed other than this process's, so set-order
 leaks into the trace fail here, not only in CI.  One faultsim case runs
-in-process too, for its report's dropout section.
+in-process too, for its report's dropout section, and two cases run
+through the reference arm.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import re
 
 import pytest
 
-from tests.golden import BY_NAME, CASES, REPO, load, moved, \
+from tests.golden import BY_NAME, CASES, REFERENCE, REPO, load, moved, \
     run_in_process, run_subprocess
 
 STORED = load()
@@ -59,6 +60,15 @@ def test_traced_fleet_under_another_hash_seed():
     other = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     got = run_subprocess(BY_NAME["fleet@7"], hash_seed=other)
     assert moved(STORED["fleet@7"], got) == []
+
+
+@pytest.mark.parametrize("name", ["serve@7", "plan-alexnet"])
+def test_case_reproduces_its_digests_on_the_reference_engine(name):
+    # A fresh process fills every jitter column cold, and runs every
+    # executor on the reference loop: a cold plan and a served soak
+    # write the compiled kernel's bytes.
+    got = run_subprocess(BY_NAME[name], module=REFERENCE)
+    assert moved(STORED[name], got) == []
 
 
 def test_experiments_block_is_the_report_stdout():

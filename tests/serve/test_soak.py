@@ -61,6 +61,8 @@ class TestConcurrency:
                 assert len(flattened) == len(set(flattened))
             elif event["event"] in ("complete", "evict", "fail"):
                 held.pop(event["tenant"], None)
+        # The drained soak holds no partition.
+        assert not server.placement.partitions
 
 
 class TestOversubscriptionRejection:

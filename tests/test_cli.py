@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.core import BetterTogether
+from repro.runtime import checks
 from repro.traffic import SoakScenario
 
 
@@ -511,6 +513,14 @@ class TestTraffic:
         assert "open-loop run" in out
         assert "tiers:" in out
 
+    @pytest.mark.parametrize("command", [["traffic", "soak"], ["top"]])
+    def test_one_tick_names_the_ticks_flag(self, capsys, command):
+        # The diurnal period is the horizon: the error names the flag
+        # the user set, not the period derived from it.
+        assert main(command + ["--ticks", "1"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "TrafficError", "message": "ticks must be >= 2, got 1"}
+
     def test_default_soak_compare_passes_gate(self, capsys):
         # The shipped overload scenario: admission control must
         # strictly beat admit-everything on goodput.
@@ -561,3 +571,76 @@ class TestWidthBelowOne:
     @pytest.mark.parametrize("width", ["-1", "0"])
     def test_serve_gantt(self, capsys, width):
         self.refused(capsys, ["serve", "--gantt"], width)
+
+
+class TestTasksBelowOne:
+    """A task count below 1 is a structured error, raised before
+    anything is planned."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_plans(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("the command planned")
+
+        monkeypatch.setattr(BetterTogether, "run", ran)
+
+    def refused(self, capsys, argv, tasks):
+        assert main(argv + ["--tasks", tasks]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return json.loads(err)
+
+    @pytest.mark.parametrize("tasks", ["-1", "0"])
+    def test_faultsim(self, capsys, tasks):
+        assert self.refused(capsys, ["faultsim"], tasks) == {
+            "error": "PipelineError", "message": "n_tasks must be >= 1"}
+
+    @pytest.mark.parametrize("command", ["gantt", "trace"])
+    @pytest.mark.parametrize("tasks", ["-1", "0"])
+    def test_traced_run(self, capsys, command, tasks):
+        assert self.refused(capsys, [command], tasks) == {
+            "error": "ReproError",
+            "message": f"--tasks must be >= 1, got {tasks}"}
+
+
+class TestCheckerFindings:
+    """With the checker armed, a violation a command records into the
+    global log is a finding: exit 1 and one JSON line on stderr."""
+
+    @pytest.fixture
+    def armed(self, monkeypatch):
+        # A log of the test's own, so the root conftest's gate (which
+        # watches the real global log under REPRO_CHECK=1) stays clear.
+        log = checks.ViolationLog()
+        monkeypatch.setattr(checks, "_active_log", log)
+        monkeypatch.setattr(checks, "global_log", lambda: log)
+        was_enabled = checks.checks_enabled()
+        checks.enable_checks()
+        yield
+        if not was_enabled:
+            checks.disable_checks()
+
+    def test_recorded_violation_exits_one(self, armed, capsys,
+                                          monkeypatch):
+        listing = cli.cmd_platforms
+
+        def planted(args):
+            checks.record_violation(checks.SPSC_PRODUCER, "queue-0",
+                                    "a second producer thread")
+            return listing(args)
+
+        monkeypatch.setattr(cli, "cmd_platforms", planted)
+        assert main(["platforms"]) == 1
+        out, err = capsys.readouterr()
+        assert "pixel7a" in out
+        assert json.loads(err) == {"violations": [{
+            "kind": checks.SPSC_PRODUCER, "where": "queue-0",
+            "detail": "a second producer thread",
+            "thread": "MainThread"}]}
+
+    def test_clean_run_keeps_its_exit_and_stdout(self, capsys, request):
+        assert main(["platforms", "--json"]) == 0
+        plain = capsys.readouterr()
+        request.getfixturevalue("armed")
+        assert main(["platforms", "--json"]) == 0
+        assert capsys.readouterr() == plain
